@@ -1,19 +1,13 @@
-"""Ingest bench: end-to-end dataset build + partition walls, both paths.
+"""Ingest bench: end-to-end dataset build + partition walls.
 
-Measures, per scale, the cache-cold ingest wall (generate CARN+WIKI with
-their collections, then partition both templates at k=9):
-
-* the **vectorized** path (default since the ingest-plane rework),
-* the **legacy** path (``use_vectorized=False`` end to end: scalar PA pool,
-  scalar SIR loop, sequential matching scan, matmul contraction,
-  full-snapshot FM — the pre-vectorization pipeline, kept callable for this
-  comparison) at 20k/200k,
-* cache cold (build + store) vs warm (load) through a :class:`DatasetCache`.
+Measures, per scale, the ingest wall (generate CARN+WIKI with their
+collections, then partition both templates at k=9): uncached, and cache
+cold (build + store) vs warm (load) through a :class:`DatasetCache`.
 
 The 2M run reproduces the paper's dataset regime (CARN 1.1M / WIKI 2.39M
-vertices) on the vectorized path only — the legacy path is impractical
-there, which is the point of the rework.  Skip it with
-``REPRO_BENCH_INGEST_FULL=0``.
+vertices).  Skip it with ``REPRO_BENCH_INGEST_FULL=0``.  (The first line of
+``benchmarks/history/ingest.jsonl`` holds the last measurement against the
+deleted scalar pipeline: 3.5× at 20k, 3.1× at 200k.)
 
 Unlike the figure benches this one *always* appends its envelope to
 ``benchmarks/history/ingest.jsonl``: the recorded walls and speedups are
@@ -34,20 +28,15 @@ FULL_SCALE = 2_000_000
 RUN_FULL = os.environ.get("REPRO_BENCH_INGEST_FULL", "1") == "1"
 
 
-def _cold_ingest(scale: int, *, use_vectorized: bool = True, cache=None) -> dict:
+def _cold_ingest(scale: int, *, cache=None) -> dict:
     """One end-to-end ingest: build the paper datasets, partition both."""
     t0 = time.perf_counter()
-    data = paper_datasets(
-        scale, INSTANCES, seed=SEED, use_vectorized=use_vectorized, cache=cache
-    )
+    data = paper_datasets(scale, INSTANCES, seed=SEED, cache=cache)
     generate = time.perf_counter() - t0
     t0 = time.perf_counter()
     for name in ("CARN", "WIKI"):
         partition_graph(
-            data[name]["template"],
-            K,
-            MetisLikePartitioner(seed=SEED, use_vectorized=use_vectorized),
-            cache=cache,
+            data[name]["template"], K, MetisLikePartitioner(seed=SEED), cache=cache
         )
     partition = time.perf_counter() - t0
     return {
@@ -62,49 +51,25 @@ def test_ingest_walls(tmp_path):
     lines = [
         f"Ingest walls (generate + partition CARN+WIKI, k={K}, "
         f"{INSTANCES} instances)",
-        f"{'scale':>9}  {'vec total':>9}  {'legacy':>9}  {'speedup':>7}  "
-        f"{'warm':>7}  {'cache x':>7}",
+        f"{'scale':>9}  {'uncached':>9}  {'warm':>7}  {'cache x':>7}",
     ]
-    for scale in SCALES:
-        vec = _cold_ingest(scale)
-        legacy = _cold_ingest(scale, use_vectorized=False)
+    for scale in SCALES + ((FULL_SCALE,) if RUN_FULL else ()):
+        uncached = _cold_ingest(scale)
         cache = DatasetCache(tmp_path / str(scale))
         cold = _cold_ingest(scale, cache=cache)
         warm = _cold_ingest(scale, cache=cache)
-        legacy_speedup = legacy["total_s"] / vec["total_s"]
         cache_speedup = cold["total_s"] / warm["total_s"]
         results["scales"][str(scale)] = {
-            "vectorized": vec,
-            "legacy": legacy,
+            "vectorized": uncached,  # key kept so history lines stay comparable
             "cache_cold": cold,
             "cache_warm": warm,
-            "legacy_speedup": round(legacy_speedup, 2),
             "cache_speedup": round(cache_speedup, 2),
         }
         lines.append(
-            f"{scale:>9}  {vec['total_s']:>8.2f}s  {legacy['total_s']:>8.2f}s  "
-            f"{legacy_speedup:>6.1f}x  {warm['total_s']:>6.2f}s  "
+            f"{scale:>9}  {uncached['total_s']:>8.2f}s  {warm['total_s']:>6.2f}s  "
             f"{cache_speedup:>6.1f}x"
         )
-        assert legacy_speedup > 1.0
         assert warm["total_s"] < cold["total_s"]
-
-    if RUN_FULL:
-        full = _cold_ingest(FULL_SCALE)
-        cache = DatasetCache(tmp_path / str(FULL_SCALE))
-        cold = _cold_ingest(FULL_SCALE, cache=cache)
-        warm = _cold_ingest(FULL_SCALE, cache=cache)
-        results["scales"][str(FULL_SCALE)] = {
-            "vectorized": full,
-            "cache_cold": cold,
-            "cache_warm": warm,
-            "cache_speedup": round(cold["total_s"] / warm["total_s"], 2),
-        }
-        lines.append(
-            f"{FULL_SCALE:>9}  {full['total_s']:>8.2f}s  {'-':>9}  {'-':>7}  "
-            f"{warm['total_s']:>6.2f}s  "
-            f"{cold['total_s'] / warm['total_s']:>6.1f}x"
-        )
 
     emit("ingest", "\n".join(lines))
     bench_history("ingest", bench_envelope("ingest", results))

@@ -107,11 +107,6 @@ class CommunityEvolutionComputation(TimeSeriesComputation):
         Boolean edge attribute gating each instance's edges (a missing
         column means all edges always exist — communities then never
         change).
-    use_kernels:
-        Label local components with the min-label/pointer-jumping kernel
-        (default) or scipy's ``connected_components``.  Component ids come
-        out identical (both number components by first occurrence in vertex
-        order).
     """
 
     pattern = Pattern.EVENTUALLY_DEPENDENT
@@ -121,20 +116,16 @@ class CommunityEvolutionComputation(TimeSeriesComputation):
         num_vertices: int,
         master_subgraph: int = 0,
         exists_attr: str = IS_EXISTS,
-        *,
-        use_kernels: bool = True,
     ) -> None:
         self.num_vertices = int(num_vertices)
         self.master_subgraph = int(master_subgraph)
         self.exists_attr = exists_attr
-        self.use_kernels = bool(use_kernels)
 
     # -- per-instance component machinery -----------------------------------------------
 
     def _local_components(self, ctx: ComputeContext) -> None:
         """Label this subgraph's components over currently existing edges."""
         sg, st = ctx.subgraph, ctx.state
-        n = sg.num_vertices
         if self.exists_attr in ctx.instance.template.edge_schema:
             exists = ctx.instance.edge_column(self.exists_attr).astype(bool)
         else:
@@ -142,20 +133,7 @@ class CommunityEvolutionComputation(TimeSeriesComputation):
         mask_local = exists[sg.edge_index]
         st["exists_remote"] = exists[sg.remote.edge_index]
 
-        if self.use_kernels:
-            ncomp, comp_id = csr_components(sg.indptr, sg.indices, edge_mask=mask_local)
-        else:
-            import scipy.sparse as sp
-            from scipy.sparse.csgraph import connected_components
-
-            if "slot_src" not in st:
-                st["slot_src"] = np.repeat(np.arange(n, dtype=np.int64), np.diff(sg.indptr))
-            rows = st["slot_src"][mask_local]
-            cols = sg.indices[mask_local]
-            graph = sp.coo_matrix(
-                (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-            )
-            ncomp, comp_id = connected_components(graph, directed=False)
+        ncomp, comp_id = csr_components(sg.indptr, sg.indices, edge_mask=mask_local)
         comp_label = np.full(ncomp, np.iinfo(np.int64).max, dtype=np.int64)
         np.minimum.at(comp_label, comp_id, sg.vertices)
         st["comp_id"] = comp_id

@@ -64,9 +64,6 @@ class HashtagAggregationComputation(TimeSeriesComputation):
     tweets_attr:
         Vertex attribute holding tweet containers (occurrences counted with
         multiplicity).
-    use_kernels:
-        Count via the flattened-index aggregation kernel (default) or the
-        scalar per-tweet scan.  Counts are identical either way.
     """
 
     pattern = Pattern.EVENTUALLY_DEPENDENT
@@ -76,13 +73,10 @@ class HashtagAggregationComputation(TimeSeriesComputation):
         hashtag,
         master_subgraph: int = 0,
         tweets_attr: str = "tweets",
-        *,
-        use_kernels: bool = True,
     ) -> None:
         self.hashtag = hashtag
         self.master_subgraph = int(master_subgraph)
         self.tweets_attr = tweets_attr
-        self.use_kernels = bool(use_kernels)
 
     @classmethod
     def for_partitioned_graph(cls, pg: PartitionedGraph, hashtag, **kwargs):
@@ -107,14 +101,7 @@ class HashtagAggregationComputation(TimeSeriesComputation):
     def compute(self, ctx: ComputeContext) -> None:
         if ctx.superstep == 0:
             tweets = ctx.instance.vertex_column(self.tweets_attr)[ctx.subgraph.vertices]
-            tag = self.hashtag
-            if self.use_kernels:
-                count = count_equal_in_cells(tweets, tag)
-            else:
-                count = 0
-                for tw in tweets:
-                    if tw:
-                        count += sum(1 for h in tw if h == tag)
+            count = count_equal_in_cells(tweets, self.hashtag)
             ctx.send_to_merge((ctx.timestep, count))
         ctx.vote_to_halt()
 

@@ -22,7 +22,6 @@ as numpy arrays.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +56,13 @@ class MemeTrackingComputation(TimeSeriesComputation):
     tweets_attr:
         Vertex attribute holding each vertex's tweets for the instance
         interval (any container supporting ``in``; ``None`` = no tweets).
-    use_kernels:
-        Carrier-mask scan and traversal via the vectorized kernel plane
-        (default) or the scalar per-vertex loops.  Colored sets are
-        identical either way.
     """
 
     pattern = Pattern.SEQUENTIALLY_DEPENDENT
 
-    def __init__(self, meme, tweets_attr: str = "tweets", *, use_kernels: bool = True) -> None:
+    def __init__(self, meme, tweets_attr: str = "tweets") -> None:
         self.meme = meme
         self.tweets_attr = tweets_attr
-        self.use_kernels = bool(use_kernels)
 
     # -- helpers ----------------------------------------------------------------------
 
@@ -83,14 +77,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
         """Which local vertices carry the meme in the current instance."""
         sg = ctx.subgraph
         tweets = ctx.instance.vertex_column(self.tweets_attr)[sg.vertices]
-        if self.use_kernels:
-            return contains_in_cells(tweets, self.meme)
-        meme = self.meme
-        return np.fromiter(
-            (tw is not None and meme in tw for tw in tweets),
-            dtype=bool,
-            count=len(tweets),
-        )
+        return contains_in_cells(tweets, self.meme)
 
     def _kernel_bfs(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Expand through contiguous carriers; notify all remote neighbors."""
@@ -114,40 +101,6 @@ class MemeTrackingComputation(TimeSeriesComputation):
             remote.dst_subgraph[rows], remote.dst_global[rows]
         ):
             ctx.send_to_subgraph(dst_sg, verts)
-
-    def _meme_bfs(self, ctx: ComputeContext, queue: deque) -> None:
-        """Traverse contiguous meme-carrying vertices; notify remote subgraphs.
-
-        ``queue`` holds local indices that are colored and not yet expanded
-        this timestep.  New colorings are recorded with the current timestep.
-        """
-        sg, st = ctx.subgraph, ctx.state
-        colored, colored_at = st["colored"], st["colored_at"]
-        has_meme = st["has_meme"]
-        expanded = st["expanded"]
-        remote = sg.remote
-        notify: dict[int, set[int]] = {}
-
-        while queue:
-            u = queue.popleft()
-            if expanded[u]:
-                continue
-            expanded[u] = True
-            for w in sg.neighbors(u):
-                if colored[w]:
-                    continue
-                if has_meme[w]:
-                    colored[w] = True
-                    colored_at[w] = ctx.timestep
-                    queue.append(int(w))
-            for row in sg.remote_edges_of(int(u)):
-                dst_sg = int(remote.dst_subgraph[row])
-                notify.setdefault(dst_sg, set()).add(int(remote.dst_global[row]))
-
-        for dst_sg, verts in notify.items():
-            ctx.send_to_subgraph(
-                dst_sg, np.fromiter(verts, dtype=np.int64, count=len(verts))
-            )
 
     # -- TI-BSP hooks --------------------------------------------------------------------
 
@@ -188,10 +141,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
             np.unique(np.concatenate(frontier)) if frontier else np.empty(0, dtype=np.int64)
         )
         if seeds.size:
-            if self.use_kernels:
-                self._kernel_bfs(ctx, seeds)
-            else:
-                self._meme_bfs(ctx, deque(int(v) for v in seeds))
+            self._kernel_bfs(ctx, seeds)
         ctx.vote_to_halt()
 
     def end_of_timestep(self, ctx: EndOfTimestepContext) -> None:

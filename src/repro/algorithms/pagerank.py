@@ -43,53 +43,25 @@ class PageRankComputation(TimeSeriesComputation):
         Number of power iterations (= number of supersteps after the first).
     damping:
         Damping factor ``d`` (rank = (1-d)/N + d·incoming).
-    use_kernels:
-        Push rank flow through the shared kernel plane (default) or the
-        original inline numpy.  Both run the identical accumulation
-        sequence, so ranks are bit-identical either way.
     """
 
     pattern = Pattern.INDEPENDENT
 
-    def __init__(
-        self, iterations: int = 30, damping: float = 0.85, *, use_kernels: bool = True
-    ) -> None:
+    def __init__(self, iterations: int = 30, damping: float = 0.85) -> None:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.iterations = int(iterations)
         self.damping = float(damping)
-        self.use_kernels = bool(use_kernels)
 
     def _push(self, ctx: ComputeContext) -> None:
         """Compute this iteration's outgoing flow: local into state, remote out."""
         sg, st = ctx.subgraph, ctx.state
-        remote = sg.remote
-        if self.use_kernels:
-            contrib = push_contributions(st["pr"], st["out_deg"])
-            st["pending_local"] = local_incoming(
-                sg.num_vertices, sg.indices, st["slot_src"], contrib
-            )
-            for dst, verts, sums in remote_flow_batches(remote, contrib):
-                ctx.send_to_subgraph(dst, (verts, sums))
-            return
-        contrib = np.where(st["out_deg"] > 0, st["pr"] / np.maximum(st["out_deg"], 1), 0.0)
-        incoming = np.zeros(sg.num_vertices)
-        if len(sg.indices):
-            np.add.at(incoming, sg.indices, contrib[st["slot_src"]])
-        st["pending_local"] = incoming
-        if len(remote):
-            flows = contrib[remote.src_local]
-            # Aggregate per (destination subgraph, destination vertex).
-            order = np.lexsort((remote.dst_global, remote.dst_subgraph))
-            d_sg = remote.dst_subgraph[order]
-            d_v = remote.dst_global[order]
-            f = flows[order]
-            for dst in np.unique(d_sg):
-                sel = d_sg == dst
-                verts, inverse = np.unique(d_v[sel], return_inverse=True)
-                sums = np.zeros(len(verts))
-                np.add.at(sums, inverse, f[sel])
-                ctx.send_to_subgraph(int(dst), (verts, sums))
+        contrib = push_contributions(st["pr"], st["out_deg"])
+        st["pending_local"] = local_incoming(
+            sg.num_vertices, sg.indices, st["slot_src"], contrib
+        )
+        for dst, verts, sums in remote_flow_batches(sg.remote, contrib):
+            ctx.send_to_subgraph(dst, (verts, sums))
 
     def compute(self, ctx: ComputeContext) -> None:
         sg, st = ctx.subgraph, ctx.state

@@ -17,7 +17,6 @@ vertex-gating.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,19 +57,13 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         Boolean edge attribute gating traversal per instance (defaults to
         the paper's ``is_exists`` convention; a missing column means the
         edge always exists).
-    use_kernels:
-        Expand frontiers with the vectorized BFS kernel (default) or the
-        scalar deque traversal.  The visited sets are identical either way.
     """
 
     pattern = Pattern.SEQUENTIALLY_DEPENDENT
 
-    def __init__(
-        self, source: int, exists_attr: str = IS_EXISTS, *, use_kernels: bool = True
-    ) -> None:
+    def __init__(self, source: int, exists_attr: str = IS_EXISTS) -> None:
         self.source = int(source)
         self.exists_attr = exists_attr
-        self.use_kernels = bool(use_kernels)
 
     # -- helpers ------------------------------------------------------------------------
 
@@ -118,36 +111,6 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         ):
             ctx.send_to_subgraph(dst_sg, verts)
 
-    def _expand(self, ctx: ComputeContext, queue: deque) -> None:
-        """BFS along currently existing edges; notify remote subgraphs."""
-        sg, st = ctx.subgraph, ctx.state
-        reached, reached_at = st["reached"], st["reached_at"]
-        exists_local, exists_remote = st["exists_local"], st["exists_remote"]
-        expanded = st["expanded"]
-        indptr, indices = sg.indptr, sg.indices
-        remote = sg.remote
-        notify: dict[int, set[int]] = {}
-        while queue:
-            u = queue.popleft()
-            if expanded[u]:
-                continue
-            expanded[u] = True
-            for slot in range(indptr[u], indptr[u + 1]):
-                w = indices[slot]
-                if exists_local[slot] and not reached[w]:
-                    reached[w] = True
-                    reached_at[w] = ctx.timestep
-                    queue.append(int(w))
-            for row in sg.remote_edges_of(u):
-                if exists_remote[row]:
-                    notify.setdefault(int(remote.dst_subgraph[row]), set()).add(
-                        int(remote.dst_global[row])
-                    )
-        for dst_sg, verts in notify.items():
-            ctx.send_to_subgraph(
-                dst_sg, np.fromiter(verts, dtype=np.int64, count=len(verts))
-            )
-
     # -- TI-BSP hooks ----------------------------------------------------------------------
 
     def compute(self, ctx: ComputeContext) -> None:
@@ -181,10 +144,7 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
             np.unique(np.concatenate(seeds)) if seeds else np.empty(0, dtype=np.int64)
         )
         if frontier.size:
-            if self.use_kernels:
-                self._kernel_expand(ctx, frontier)
-            else:
-                self._expand(ctx, deque(int(v) for v in frontier))
+            self._kernel_expand(ctx, frontier)
         ctx.vote_to_halt()
 
     def end_of_timestep(self, ctx: EndOfTimestepContext) -> None:

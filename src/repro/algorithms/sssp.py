@@ -7,16 +7,14 @@ shortest paths completely (the subgraph-centric advantage — a vertex-centric
 engine needs one superstep *per hop*), then ships boundary relaxations to
 neighboring subgraphs in bulk.
 
-By default the inner settle runs on the kernel plane
+The inner settle runs on the kernel plane
 (:func:`repro.kernels.relax_to_fixpoint` — batched Bellman-Ford over the
-subgraph CSR); ``use_kernels=False`` keeps the original per-vertex heapq
-Dijkstra.  Both reach the same least fixpoint with identical float path
-sums, so final labels are bit-identical either way.
+subgraph CSR), which reaches the same least fixpoint, through the same
+float path sums, as a per-vertex Dijkstra.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,25 +71,13 @@ class SSSPComputation(TimeSeriesComputation):
         Edge attribute with non-negative weights, or ``None`` for unweighted
         traversal (hop counts; what Fig 5b's "SSSP on an unweighted graph
         degenerates to BFS" footnote describes).
-    use_kernels:
-        Settle frontiers with the vectorized kernel plane (default) or the
-        scalar heapq Dijkstra.  Results are bit-identical; the scalar path
-        remains as the measured baseline and for stepping through the
-        algorithm vertex by vertex.
     """
 
     pattern = Pattern.INDEPENDENT
 
-    def __init__(
-        self,
-        source: int,
-        weight_attr: str | None = "latency",
-        *,
-        use_kernels: bool = True,
-    ) -> None:
+    def __init__(self, source: int, weight_attr: str | None = "latency") -> None:
         self.source = int(source)
         self.weight_attr = weight_attr
-        self.use_kernels = bool(use_kernels)
 
     def combine(self, dst: int, payloads: list):
         """Min-distance combiner: keep the best relaxation per vertex."""
@@ -106,8 +92,6 @@ class SSSPComputation(TimeSeriesComputation):
             )
         col = ctx.instance.edge_column(self.weight_attr)
         return col[sg.edge_index], col[sg.remote.edge_index]
-
-    # -- kernel-plane settle -----------------------------------------------------------
 
     def _kernel_relax(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Settle the whole frontier at once; ship boundary relaxations."""
@@ -128,40 +112,6 @@ class SSSPComputation(TimeSeriesComputation):
             remote.dst_subgraph[rows], remote.dst_global[rows], cand
         ):
             ctx.send_to_subgraph(dst_sg, (verts, vals))
-
-    # -- scalar settle (baseline) ------------------------------------------------------
-
-    def _local_dijkstra(self, ctx: ComputeContext, heap: list[tuple[float, int]]) -> None:
-        sg, st = ctx.subgraph, ctx.state
-        label = st["label"]
-        w_local, w_remote = st["w_local"], st["w_remote"]
-        indptr, indices = sg.indptr, sg.indices
-        remote = sg.remote
-        best_remote: dict[int, dict[int, float]] = {}
-
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > label[u]:
-                continue
-            for slot in range(indptr[u], indptr[u + 1]):
-                w = indices[slot]
-                nd = d + w_local[slot]
-                if nd < label[w]:
-                    label[w] = nd
-                    heapq.heappush(heap, (nd, int(w)))
-            for row in sg.remote_edges_of(u):
-                nd = d + w_remote[row]
-                dst_sg = int(remote.dst_subgraph[row])
-                dst_v = int(remote.dst_global[row])
-                per = best_remote.setdefault(dst_sg, {})
-                if nd < per.get(dst_v, _INF):
-                    per[dst_v] = nd
-
-        for dst_sg, cands in best_remote.items():
-            verts = np.fromiter(cands.keys(), dtype=np.int64, count=len(cands))
-            labels = np.fromiter(cands.values(), dtype=np.float64, count=len(cands))
-            ctx.send_to_subgraph(dst_sg, (verts, labels))
 
     # -- TI-BSP hooks ------------------------------------------------------------------
 
@@ -190,12 +140,7 @@ class SSSPComputation(TimeSeriesComputation):
             in_seed = np.zeros(sg.num_vertices, dtype=bool)
             for s in seeds:
                 in_seed[s] = True
-            frontier = np.flatnonzero(in_seed)
-            if self.use_kernels:
-                self._kernel_relax(ctx, frontier)
-            else:
-                heap = [(float(st["label"][lv]), int(lv)) for lv in frontier]
-                self._local_dijkstra(ctx, heap)
+            self._kernel_relax(ctx, np.flatnonzero(in_seed))
         ctx.vote_to_halt()
 
     def end_of_timestep(self, ctx: EndOfTimestepContext) -> None:
@@ -212,8 +157,8 @@ class SSSPComputation(TimeSeriesComputation):
 class BFSComputation(SSSPComputation):
     """Unweighted BFS (hop counts) — SSSP with unit weights."""
 
-    def __init__(self, source: int, *, use_kernels: bool = True) -> None:
-        super().__init__(source, weight_attr=None, use_kernels=use_kernels)
+    def __init__(self, source: int) -> None:
+        super().__init__(source, weight_attr=None)
 
 
 def sssp_labels_from_result(result, num_vertices: int) -> np.ndarray:

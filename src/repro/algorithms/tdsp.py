@@ -29,7 +29,6 @@ remote edge) are re-rooted each timestep.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +84,6 @@ class TDSPComputation(TimeSeriesComputation):
         identical either way; pass False for paper-faithful execution,
         whose per-partition work profile reproduces Fig 5a's strong scaling
         and Fig 6a's gently growing per-timestep cost (work ∝ |F|).
-    use_kernels:
-        Settle each window with the vectorized kernel plane (default:
-        bounded batched Bellman-Ford) or the scalar window-bounded heapq
-        Dijkstra.  Final labels are bit-identical either way.
     """
 
     pattern = Pattern.SEQUENTIALLY_DEPENDENT
@@ -100,13 +95,11 @@ class TDSPComputation(TimeSeriesComputation):
         *,
         halt_when_stalled: bool = False,
         root_pruning: bool = True,
-        use_kernels: bool = True,
     ) -> None:
         self.source = int(source)
         self.latency_attr = latency_attr
         self.halt_when_stalled = bool(halt_when_stalled)
         self.root_pruning = bool(root_pruning)
-        self.use_kernels = bool(use_kernels)
 
     def combine(self, dst: int, payloads: list):
         """Min-distance combiner: keep the best relaxation per vertex."""
@@ -169,45 +162,6 @@ class TDSPComputation(TimeSeriesComputation):
         ):
             ctx.send_to_subgraph(dst_sg, (verts, vals))
 
-    def _modified_sssp(self, ctx: ComputeContext, heap: list[tuple[float, int]]) -> None:
-        """Window-bounded Dijkstra from ``heap``; ships remote relaxations."""
-        sg, st = ctx.subgraph, ctx.state
-        bound = (ctx.timestep + 1) * ctx.delta
-        label = st["label"]
-        finalized = st["finalized"]
-        w_local, w_remote = st["w_local"], st["w_remote"]
-        indptr, indices = sg.indptr, sg.indices
-        remote = sg.remote
-        # Best outgoing relaxation per (destination subgraph, global vertex).
-        best_remote: dict[int, dict[int, float]] = {}
-
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > label[u]:
-                continue
-            for slot in range(indptr[u], indptr[u + 1]):
-                w = indices[slot]
-                if finalized[w]:
-                    continue  # finalized labels can never improve
-                nd = d + w_local[slot]
-                if nd <= bound and nd < label[w]:
-                    label[w] = nd
-                    heapq.heappush(heap, (nd, int(w)))
-            for row in sg.remote_edges_of(u):
-                nd = d + w_remote[row]
-                if nd <= bound:
-                    dst_sg = int(remote.dst_subgraph[row])
-                    dst_v = int(remote.dst_global[row])
-                    per = best_remote.setdefault(dst_sg, {})
-                    if nd < per.get(dst_v, _INF):
-                        per[dst_v] = nd
-
-        for dst_sg, cands in best_remote.items():
-            verts = np.fromiter(cands.keys(), dtype=np.int64, count=len(cands))
-            labels = np.fromiter(cands.values(), dtype=np.float64, count=len(cands))
-            ctx.send_to_subgraph(dst_sg, (verts, labels))
-
     # -- TI-BSP hooks ------------------------------------------------------------------
 
     def compute(self, ctx: ComputeContext) -> None:
@@ -243,12 +197,7 @@ class TDSPComputation(TimeSeriesComputation):
             in_seed = np.zeros(sg.num_vertices, dtype=bool)
             for s in seeds:
                 in_seed[s] = True
-            frontier = np.flatnonzero(in_seed)
-            if self.use_kernels:
-                self._kernel_relax(ctx, frontier)
-            else:
-                heap = [(float(st["label"][lv]), int(lv)) for lv in frontier]
-                self._modified_sssp(ctx, heap)
+            self._kernel_relax(ctx, np.flatnonzero(in_seed))
         ctx.vote_to_halt()
 
     def end_of_timestep(self, ctx: EndOfTimestepContext) -> None:

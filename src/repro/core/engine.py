@@ -89,7 +89,7 @@ from ..resilience.recovery import (
     RunFailureError,
 )
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
-from ..runtime.cluster import Cluster, LocalCluster
+from ..runtime.cluster import Cluster, LocalCluster, raise_first_failure
 from ..runtime.cost import CostModel
 from ..runtime.gc_model import GCModel
 from ..runtime.host import HostStepResult, InstanceSource, RunMeta
@@ -863,17 +863,12 @@ class TIBSPEngine:
         superstep: int,
         payloads: list | None,
     ) -> list[HostStepResult]:
-        """Issue one protocol round, supervised (journal + surgical repair)
-        or plain (legacy raise-on-first-failure), per the recovery mode."""
+        """Issue one protocol round: supervised (journal + surgical repair),
+        or plain, raising the first partition's captured failure for the
+        cohort handler (or the caller, when recovery is off)."""
         if supervisor is not None:
             return supervisor.round(op, timestep, superstep, payloads)
-        if op == "begin":
-            return cluster.begin_timestep(timestep, payloads)
-        if op == "superstep":
-            return cluster.run_superstep(timestep, superstep, payloads)
-        if op == "eot":
-            return cluster.end_of_timestep(timestep)
-        return cluster.run_merge_superstep(superstep, payloads)
+        return raise_first_failure(cluster.run_round(op, timestep, superstep, payloads))
 
     def _record(
         self,

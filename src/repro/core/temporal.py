@@ -26,7 +26,8 @@ import queue
 import threading
 from typing import Any, Iterable, Sequence
 
-from ..runtime.cluster import LocalCluster
+from ..resilience.faults import AT_BEGIN, AT_EOT
+from ..runtime.cluster import LocalCluster, raise_first_failure
 from ..runtime.host import RunMeta
 from ..runtime.metrics import PHASE_COMPUTE, MetricsCollector, StepRecord
 from .computation import TimeSeriesComputation
@@ -67,7 +68,9 @@ def _run_one_timestep(
     max_supersteps: int,
 ) -> float:
     """Run the full BSP for one instance; returns its wall-clock contribution."""
-    begin = cluster.begin_timestep(t, [0.0] * cluster.num_partitions)
+    begin = raise_first_failure(
+        cluster.run_round("begin", t, AT_BEGIN, [0.0] * cluster.num_partitions)
+    )
     with lock:
         for r in begin:
             metrics.record_load(t, r.partition, r.load_s)
@@ -78,7 +81,9 @@ def _run_one_timestep(
     while True:
         if superstep >= max_supersteps:
             raise RuntimeError(f"timestep {t} exceeded max_supersteps")
-        step_results = cluster.run_superstep(t, superstep, per_part)
+        step_results = raise_first_failure(
+            cluster.run_round("superstep", t, superstep, per_part)
+        )
         frames: list[MessageFrame] = []
         with lock:
             for r in step_results:
@@ -100,7 +105,7 @@ def _run_one_timestep(
         ):
             break
 
-    eot = cluster.end_of_timestep(t)
+    eot = raise_first_failure(cluster.run_round("eot", t, AT_EOT, None))
     with lock:
         for r in eot:
             metrics.record_step(
@@ -214,7 +219,9 @@ def run_temporally_parallel(
         while True:
             if superstep >= max_supersteps:
                 raise RuntimeError("merge phase exceeded max_supersteps")
-            step_results = primary.run_merge_superstep(superstep, per_part)
+            step_results = raise_first_failure(
+                primary.run_round("merge", -1, superstep, per_part)
+            )
             frames: list[MessageFrame] = []
             for r in step_results:
                 metrics.record_step(

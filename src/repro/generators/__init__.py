@@ -52,7 +52,6 @@ def paper_datasets(
     delta: float = 5.0,
     carn_hit_probability: float = 0.5,
     wiki_hit_probability: float = 0.1,
-    use_vectorized: bool = True,
     cache: "DatasetCache | None" = None,
     tracer=None,
 ) -> dict[str, dict[str, object]]:
@@ -69,11 +68,10 @@ def paper_datasets(
     defaults here (50 % / 10 %) are re-tuned by the same criterion — see
     EXPERIMENTS.md (and docs/scaling.md for the 400 k+ regime).
 
-    ``use_vectorized=False`` selects the legacy scalar generator loops
-    (different RNG draw order, same distributions).  ``cache`` short-circuits
-    the whole build through a :class:`DatasetCache` entry keyed on every
-    parameter above; ``tracer`` records ``dataset_build`` spans/events for
-    the ingest-cost breakdown (see :func:`repro.analysis.replay_ingest_breakdown`).
+    ``cache`` short-circuits the whole build through a :class:`DatasetCache`
+    entry keyed on every parameter above; ``tracer`` records
+    ``dataset_build`` spans/events for the ingest-cost breakdown (see
+    :func:`repro.analysis.replay_ingest_breakdown`).
     """
     import time
 
@@ -86,7 +84,6 @@ def paper_datasets(
         "delta": float(delta),
         "carn_hit_probability": float(carn_hit_probability),
         "wiki_hit_probability": float(wiki_hit_probability),
-        "use_vectorized": bool(use_vectorized),
     }
 
     def build() -> dict[str, dict[str, object]]:
@@ -95,7 +92,7 @@ def paper_datasets(
         with span:
             t0 = time.perf_counter()
             carn = road_network(scale, seed=seed)
-            wiki = smallworld_network(scale, seed=seed, use_vectorized=use_vectorized)
+            wiki = smallworld_network(scale, seed=seed)
             if tracer is not None:
                 tracer.event(
                     "dataset_build",
@@ -120,7 +117,6 @@ def paper_datasets(
                         seeds_per_meme=20,
                         delta=delta,
                         seed=seed,
-                        use_vectorized=use_vectorized,
                     ),
                 }
                 if tracer is not None:

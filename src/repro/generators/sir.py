@@ -16,14 +16,12 @@ The full epidemic schedule is simulated once at construction (arrays of
 infection/recovery timesteps per meme), so instance population is a cheap,
 deterministic lookup — lazily regenerable on any host or process.
 
-The default simulation is **frontier-at-once**: each timestep gathers every
+The simulation is **frontier-at-once**: each timestep gathers every
 infectious vertex's out-adjacency slots in one fancy-index over the
 template CSR, draws all infection trials in a single ``rng.random``, and
 commits the newly infected set with one ``unique``.  A vertex is infected
 at ``t`` iff at least one of its infectious in-neighbors' independent
-trials succeeds — exactly the per-edge Bernoulli process the legacy scalar
-loop (``use_vectorized=False``) runs one edge at a time, so the two paths
-are distribution-identical while drawing different variate sequences.
+trials succeeds — the per-edge Bernoulli process of the SIR model.
 """
 
 from __future__ import annotations
@@ -38,51 +36,24 @@ from .populate import make_collection
 __all__ = ["SIRTweetPopulator", "simulate_sir", "tweet_collection"]
 
 
-def _simulate_sir_legacy(
+def simulate_sir(
     template: GraphTemplate,
     *,
     hit_probability: float,
     num_timesteps: int,
     seeds: np.ndarray,
-    infectious_period: int,
+    infectious_period: int = 3,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex/per-edge scalar epidemic loop (the pre-vectorization path)."""
-    n = template.num_vertices
-    infected_at = np.full(n, -1, dtype=np.int64)
-    recovered_at = np.full(n, -1, dtype=np.int64)
-    infected_at[seeds] = 0
-    recovered_at[seeds] = infectious_period
-    frontier = list(dict.fromkeys(int(s) for s in seeds))
-    for t in range(1, num_timesteps):
-        next_frontier: list[int] = []
-        for v in frontier:
-            if not infected_at[v] <= t - 1 < recovered_at[v]:
-                continue  # recovered; stop spreading
-            for w in template.out_neighbors(v):
-                w = int(w)
-                if infected_at[w] == -1 and rng.random() < hit_probability:
-                    infected_at[w] = t
-                    recovered_at[w] = t + infectious_period
-                    next_frontier.append(w)
-            if t < recovered_at[v]:
-                next_frontier.append(v)  # still infectious next step
-        frontier = next_frontier
-        if not frontier:
-            break
-    return infected_at, recovered_at
+    """Simulate one meme's SIR epidemic.
 
-
-def _simulate_sir_vectorized(
-    template: GraphTemplate,
-    *,
-    hit_probability: float,
-    num_timesteps: int,
-    seeds: np.ndarray,
-    infectious_period: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frontier-at-once epidemic over the template CSR."""
+    Returns ``(infected_at, recovered_at)`` arrays: vertex ``v`` is
+    infectious (tweets the meme) during ``infected_at[v] ≤ t <
+    recovered_at[v]``; never-infected vertices have ``infected_at = -1``.
+    Propagation follows out-edges (a tweet reaches the poster's audience).
+    """
+    if not 0.0 <= hit_probability <= 1.0:
+        raise ValueError("hit_probability must be in [0, 1]")
     n = template.num_vertices
     indptr, indices, _edges = template.adjacency
     infected_at = np.full(n, -1, dtype=np.int64)
@@ -105,9 +76,9 @@ def _simulate_sir_vectorized(
                 total, dtype=np.int64
             )
             targets = indices[slots]
-            # One Bernoulli trial per (infectious vertex, out-edge) pair —
-            # identical to the scalar loop's per-edge draws; a susceptible
-            # vertex is infected iff at least one trial on an in-slot hits.
+            # One Bernoulli trial per (infectious vertex, out-edge) pair; a
+            # susceptible vertex is infected iff at least one trial on an
+            # in-slot hits.
             hits = targets[rng.random(total) < hit_probability]
             fresh = np.unique(hits[infected_at[hits] == -1])
             if len(fresh):
@@ -115,41 +86,6 @@ def _simulate_sir_vectorized(
                 recovered_at[fresh] = t + infectious_period
                 frontier = np.concatenate([frontier, fresh])
     return infected_at, recovered_at
-
-
-def simulate_sir(
-    template: GraphTemplate,
-    *,
-    hit_probability: float,
-    num_timesteps: int,
-    seeds: np.ndarray,
-    infectious_period: int = 3,
-    rng: np.random.Generator,
-    use_vectorized: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one meme's SIR epidemic.
-
-    Returns ``(infected_at, recovered_at)`` arrays: vertex ``v`` is
-    infectious (tweets the meme) during ``infected_at[v] ≤ t <
-    recovered_at[v]``; never-infected vertices have ``infected_at = -1``.
-    Propagation follows out-edges (a tweet reaches the poster's audience).
-
-    ``use_vectorized=False`` selects the legacy scalar loop; both paths run
-    the same per-edge Bernoulli process but consume different variate
-    sequences, so outcomes agree in distribution, not bit-for-bit.
-    """
-    if not 0.0 <= hit_probability <= 1.0:
-        raise ValueError("hit_probability must be in [0, 1]")
-    kwargs = dict(
-        hit_probability=hit_probability,
-        num_timesteps=num_timesteps,
-        seeds=seeds,
-        infectious_period=infectious_period,
-        rng=rng,
-    )
-    if use_vectorized:
-        return _simulate_sir_vectorized(template, **kwargs)
-    return _simulate_sir_legacy(template, **kwargs)
 
 
 class SIRTweetPopulator:
@@ -172,8 +108,6 @@ class SIRTweetPopulator:
         Timesteps a vertex stays infectious (and keeps tweeting the meme).
     seed:
         RNG seed for seeds and propagation.
-    use_vectorized:
-        Frontier-at-once simulation (default) vs the legacy scalar loop.
     """
 
     def __init__(
@@ -187,7 +121,6 @@ class SIRTweetPopulator:
         infectious_period: int = 3,
         seed: int = 0,
         attr: str = "tweets",
-        use_vectorized: bool = True,
     ) -> None:
         self.memes = list(memes)
         self.attr = attr
@@ -205,7 +138,6 @@ class SIRTweetPopulator:
                 seeds=seeds,
                 infectious_period=infectious_period,
                 rng=rng,
-                use_vectorized=use_vectorized,
             )
             self.infected_at[i] = inf
             self.recovered_at[i] = rec
@@ -252,7 +184,6 @@ def tweet_collection(
     infectious_period: int = 3,
     delta: float = 5.0,
     seed: int = 0,
-    use_vectorized: bool = True,
 ) -> TimeSeriesGraphCollection:
     """The paper's tweet workload for Meme Tracking and Hashtag Aggregation."""
     populator = SIRTweetPopulator(
@@ -263,6 +194,5 @@ def tweet_collection(
         seeds_per_meme=seeds_per_meme,
         infectious_period=infectious_period,
         seed=seed,
-        use_vectorized=use_vectorized,
     )
     return make_collection(template, num_instances, populator, delta=delta)

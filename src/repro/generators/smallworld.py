@@ -10,22 +10,14 @@ The key properties the paper's analysis depends on — diameter of a few hops
 and an edge-cut percentage that grows steeply with the partition count —
 follow from the attachment process, not from the exact exponent.
 
-Two implementations of the attachment process coexist:
-
-* the **vectorized** default processes new vertices in geometrically growing
-  chunks: the repeated-endpoints pool is frozen at each chunk start, every
-  chunk vertex's ``m`` targets are drawn in one batched ``rng.integers``
-  with whole-row redraws for rows containing duplicates, and the pool is
-  extended once per chunk.  Chunks are capped at 1/8 of the already-built
-  graph so the degree bias a vertex samples from is at most ~12 % stale —
-  the degree-distribution tail is indistinguishable from the sequential
-  process (see tests/generators/test_vectorized_equivalence.py);
-* the **legacy** scalar loop (``use_vectorized=False``) grows the pool one
-  vertex at a time exactly as before, kept callable as the
-  distribution-equivalence baseline.
-
-The two paths draw different random variates, so they produce different
-(equally valid) graphs from the same seed; each path is individually
+The attachment process handles new vertices in geometrically growing
+chunks: the repeated-endpoints pool is frozen at each chunk start, every
+chunk vertex's ``m`` targets are drawn in one batched ``rng.integers`` with
+whole-row redraws for rows containing duplicates, and the pool is extended
+once per chunk.  Chunks are capped at 1/8 of the already-built graph so the
+degree bias a vertex samples from is at most ~12 % stale — the
+degree-distribution tail is indistinguishable from the one-vertex-at-a-time
+process (see tests/generators/test_vectorized_equivalence.py).  The build is
 deterministic in (seed, parameters) across runs and platforms.
 """
 
@@ -39,39 +31,27 @@ from ..graph.template import GraphTemplate
 __all__ = ["smallworld_network", "preferential_attachment_edges"]
 
 
-def _pa_edges_legacy(
-    num_vertices: int, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential repeated-endpoints BA loop (the pre-vectorization path)."""
-    src: list[int] = []
-    dst: list[int] = []
-    # Start from a small clique so early vertices have degree.
-    pool: list[int] = []
-    for i in range(m + 1):
-        for j in range(i):
-            src.append(i)
-            dst.append(j)
-            pool.append(i)
-            pool.append(j)
-    for v in range(m + 1, num_vertices):
-        targets: set[int] = set()
-        # Degree-biased sampling with rejection of duplicates/self.
-        while len(targets) < m:
-            t = pool[int(rng.integers(len(pool)))]
-            if t != v:
-                targets.add(t)
-        for t in targets:
-            src.append(v)
-            dst.append(t)
-            pool.append(v)
-            pool.append(t)
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+def _rows_with_duplicates(targets: np.ndarray) -> np.ndarray:
+    """Boolean mask of rows of a small-width int matrix containing repeats."""
+    s = np.sort(targets, axis=1)
+    return (s[:, 1:] == s[:, :-1]).any(axis=1)
 
 
-def _pa_edges_vectorized(
-    num_vertices: int, m: int, rng: np.random.Generator
+def preferential_attachment_edges(
+    num_vertices: int,
+    edges_per_vertex: int,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chunked repeated-endpoints BA: batched draws, vectorized dedup."""
+    """Barabási–Albert edge list: each new vertex attaches to ``m`` targets.
+
+    Targets are sampled from the repeated-endpoints pool (degree-biased
+    sampling), deduplicated per new vertex.
+    """
+    m = edges_per_vertex
+    if num_vertices <= m:
+        raise ValueError("num_vertices must exceed edges_per_vertex")
+    if m < 1:
+        raise ValueError("edges_per_vertex must be positive")
     start = m + 1
     num_new = num_vertices - start
     clique_edges = start * m // 2
@@ -82,7 +62,7 @@ def _pa_edges_vectorized(
     # The pool holds each edge's two endpoints (degree-biased sampling).
     pool = np.empty(2 * total_edges, dtype=np.int64)
 
-    # Seed clique, identical to the legacy path's.
+    # Start from a small clique so early vertices have degree.
     ci, cj = np.triu_indices(start, k=1)
     src[:clique_edges], dst[:clique_edges] = cj, ci
     pool[: 2 * clique_edges : 2] = cj
@@ -118,37 +98,6 @@ def _pa_edges_vectorized(
     return src, dst
 
 
-def _rows_with_duplicates(targets: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows of a small-width int matrix containing repeats."""
-    s = np.sort(targets, axis=1)
-    return (s[:, 1:] == s[:, :-1]).any(axis=1)
-
-
-def preferential_attachment_edges(
-    num_vertices: int,
-    edges_per_vertex: int,
-    rng: np.random.Generator,
-    *,
-    use_vectorized: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Barabási–Albert edge list: each new vertex attaches to ``m`` targets.
-
-    Targets are sampled from the repeated-endpoints pool (degree-biased
-    sampling), deduplicated per new vertex.  ``use_vectorized=False`` selects
-    the legacy scalar loop (different RNG draw order, same distribution) —
-    kept as the baseline for the distribution-equivalence suite and the
-    ingest bench.
-    """
-    m = edges_per_vertex
-    if num_vertices <= m:
-        raise ValueError("num_vertices must exceed edges_per_vertex")
-    if m < 1:
-        raise ValueError("edges_per_vertex must be positive")
-    if use_vectorized:
-        return _pa_edges_vectorized(num_vertices, m, rng)
-    return _pa_edges_legacy(num_vertices, m, rng)
-
-
 def smallworld_network(
     num_vertices: int = 20_000,
     *,
@@ -159,7 +108,6 @@ def smallworld_network(
     vertex_schema: AttributeSchema | None = None,
     edge_schema: AttributeSchema | None = None,
     name: str = "WIKI",
-    use_vectorized: bool = True,
 ) -> GraphTemplate:
     """Generate a WIKI-like template.
 
@@ -173,15 +121,9 @@ def smallworld_network(
         Directed output (as WIKI is); each BA edge is oriented from the
         newer vertex to the older ("reply to an established user"), and a
         ``reciprocal_fraction`` of edges get a reverse twin.
-    use_vectorized:
-        Chunked array implementation (default) vs the legacy scalar loop.
-        The paths draw different variates from the same seed; both are
-        individually deterministic and produce the same degree regime.
     """
     rng = np.random.default_rng(seed)
-    src, dst = preferential_attachment_edges(
-        num_vertices, edges_per_vertex, rng, use_vectorized=use_vectorized
-    )
+    src, dst = preferential_attachment_edges(num_vertices, edges_per_vertex, rng)
     if directed and reciprocal_fraction > 0:
         back = rng.random(len(src)) < reciprocal_fraction
         src, dst = np.concatenate([src, dst[back]]), np.concatenate([dst, src[back]])

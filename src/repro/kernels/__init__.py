@@ -11,11 +11,11 @@ Every kernel is a pure function over the CSR arrays that
 :class:`~repro.graph.subgraph.Subgraph` already carry (``indptr``,
 ``indices``, ``edge_index``), so the same code path serves template-wide
 reference checks and per-subgraph distributed supersteps.  Results are
-bit-identical to the scalar formulations (heapq Dijkstra, deque BFS,
-per-tweet scans) they replace — the equivalence suite under
-``tests/kernels/`` asserts this against :mod:`repro.algorithms.reference`
-— because each kernel computes the same least fixpoint with the same
-float operations, only batched.
+bit-identical to the single-process oracles in
+:mod:`repro.algorithms.reference` (Dijkstra, BFS, per-tweet scans) — the
+equivalence suite under ``tests/kernels/`` asserts this — because each
+kernel computes the same least fixpoint with the same float operations,
+only batched.
 """
 
 from .aggregate import contains_in_cells, count_equal, count_equal_in_cells, flatten_cells

@@ -1,9 +1,8 @@
 """Flattened-index aggregation over ragged object columns.
 
 Tweet containers (tuples of hashtag ids or strings, or ``None``) live in
-object-dtype attribute columns.  The scalar formulations scan them with
-nested Python loops — O(cells × container) interpreter work per timestep.
-These kernels flatten all containers into one contiguous array once and
+object-dtype attribute columns.  A per-cell scan is nested Python loops —
+O(cells × container) interpreter work per timestep.  These kernels flatten all containers into one contiguous array once and
 answer count/membership queries with a single vectorized comparison,
 falling back to per-element Python equality only when the flat array's
 dtype cannot be compared to the query value wholesale (numpy returns a

@@ -4,7 +4,7 @@ Both kernels settle a whole frontier per round with numpy primitives and
 iterate to the local fixpoint — the subgraph-centric inner loop of the
 shortest-path and traversal family, minus the Python interpreter.
 
-Bit-identity with the scalar formulations they replace:
+Bit-identity with the per-vertex formulations (the reference oracles):
 
 * :func:`relax_to_fixpoint` computes the unique least fixpoint of
   ``label[w] = min(label[u] + weight(u, w))``.  Dijkstra reaches the same

@@ -2,13 +2,13 @@
 
 The shortest-path and traversal computations ship per-destination-subgraph
 batches over remote edges.  These helpers fold a flat (group, key[, value])
-triple down to one deduplicated batch per group — replacing the per-edge
-Python dict/set accumulation of the scalar paths.  Groups and keys (subgraph
+triple down to one deduplicated batch per group, with no per-edge Python
+dict/set accumulation.  Groups and keys (subgraph
 ids, global vertex ids) are non-negative, so each pair fuses into a single
 int64 sort key: one stable argsort plus a segmented ``minimum.reduceat``
 beats the equivalent three-key lexsort.  Receivers fold minima (or
 membership) anyway, so batch ordering is free; the sorted output
-additionally makes kernel-mode sends deterministic.
+additionally makes sends deterministic.
 """
 
 from __future__ import annotations

@@ -17,13 +17,10 @@ same multilevel scheme from scratch:
    work).  Moving a whole subgraph never increases the edge cut, because a
    subgraph has no local edges to the rest of its own partition.
 
-Matching is vectorized by default: every vertex proposes to its
-heaviest unmatched neighbor (ties broken by a random priority permutation)
-and mutual proposals are committed, repeated until the alive slot set is
-empty — the classic handshake matching, O(|E|) array work per round and
-O(log n) rounds.  ``use_vectorized=False`` keeps the sequential
-permutation-order scan (restructured so already-matched vertices are
-skipped via a frontier mask instead of re-entering the neighbor scan).
+Matching is array work: every vertex proposes to its heaviest unmatched
+neighbor (ties broken by a random priority permutation) and mutual
+proposals are committed, repeated until the alive slot set is empty — the
+classic handshake matching, O(|E|) array work per round and O(log n) rounds.
 
 This reproduces Table 2's qualitative behaviour: near-zero cuts on road
 networks, large and k-increasing cuts on small-world graphs.
@@ -75,43 +72,25 @@ def _symmetric_weighted_adjacency(template: GraphTemplate) -> sp.csr_matrix:
     return adj
 
 
-def _hem_legacy(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
-    """Sequential permutation-order matching scan.
-
-    Vertices matched earlier in the permutation are skipped via a frontier
-    mask over each upcoming block, so late permutation entries no longer pay
-    a Python-level iteration (let alone a neighbor scan) per dead vertex.
-    """
-    n = adj.shape[0]
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    block_size = 1024
-    for pos in range(0, n, block_size):
-        # Frontier mask: drop vertices matched by earlier blocks wholesale.
-        block = order[pos : pos + block_size]
-        for u in block[match[block] == -1]:
-            if match[u] != -1:
-                continue  # matched within this block
-            lo, hi = indptr[u], indptr[u + 1]
-            best, best_w = -1, -1.0
-            for j in range(lo, hi):
-                v = indices[j]
-                if match[v] == -1 and v != u and data[j] > best_w:
-                    best, best_w = v, data[j]
-            if best != -1:
-                match[u] = best
-                match[best] = u
-            else:
-                match[u] = u  # singleton
-    match[match == -1] = np.nonzero(match == -1)[0]
-    return _coarse_ids(match)
+def _coarse_ids(match: np.ndarray) -> np.ndarray:
+    """Assign coarse ids per matched pair / singleton, in fine-vertex order."""
+    n = len(match)
+    vertices = np.arange(n, dtype=np.int64)
+    rep = np.minimum(vertices, match)
+    # Representatives are their own rep; numbering them by vertex order is a
+    # cumulative count, no sort needed.
+    ids = np.cumsum(rep == vertices) - 1
+    return ids[rep]
 
 
-def _hem_vectorized(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
-    """Handshake matching: batched propose / mutual-commit rounds.
+def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
+    """Match each vertex with its heaviest unmatched neighbor.
 
-    Each round, every alive vertex proposes to its heaviest alive neighbor
+    Returns ``coarse_map``: fine vertex → coarse vertex id (dense).  Unmatched
+    vertices map to singleton coarse vertices.
+
+    Handshake matching in batched propose / mutual-commit rounds: each
+    round, every alive vertex proposes to its heaviest alive neighbor
     (ties broken by a random priority permutation, which keeps rounds
     O(log n) even on paths and grids where index-order ties would serialize
     the matching); mutual proposals are matched, then slots touching matched
@@ -157,65 +136,17 @@ def _hem_vectorized(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
     return _coarse_ids(match)
 
 
-def _coarse_ids(match: np.ndarray) -> np.ndarray:
-    """Assign coarse ids per matched pair / singleton, in fine-vertex order."""
-    n = len(match)
-    vertices = np.arange(n, dtype=np.int64)
-    rep = np.minimum(vertices, match)
-    # Representatives are their own rep; numbering them by vertex order is a
-    # cumulative count, no sort needed.
-    ids = np.cumsum(rep == vertices) - 1
-    return ids[rep]
-
-
-def heavy_edge_matching(
-    adj: sp.csr_matrix, rng: np.random.Generator, *, use_vectorized: bool = True
-) -> np.ndarray:
-    """Match each vertex with its heaviest unmatched neighbor.
-
-    Returns ``coarse_map``: fine vertex → coarse vertex id (dense).  Unmatched
-    vertices map to singleton coarse vertices.  The vectorized handshake
-    rounds and the legacy sequential scan produce different (equally valid)
-    matchings from the same rng; each is deterministic in its inputs.
-    """
-    if use_vectorized:
-        return _hem_vectorized(adj, rng)
-    return _hem_legacy(adj, rng)
-
-
-def _coarsen_legacy(
-    adj: sp.csr_matrix, vertex_weights: np.ndarray, coarse_map: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Pre-vectorization contraction: projection matmul + ``setdiag`` pass."""
-    n = adj.shape[0]
-    nc = int(coarse_map.max()) + 1 if n else 0
-    proj = sp.coo_matrix(
-        (np.ones(n), (np.arange(n), coarse_map)), shape=(n, nc)
-    ).tocsr()
-    coarse = (proj.T @ adj @ proj).tocsr()
-    coarse.setdiag(0)
-    coarse.eliminate_zeros()
-    cw = np.zeros(nc, dtype=np.float64)
-    np.add.at(cw, coarse_map, vertex_weights)
-    return coarse, cw
-
-
 def coarsen_graph(
     adj: sp.csr_matrix,
     vertex_weights: np.ndarray,
     coarse_map: np.ndarray,
-    *,
-    use_vectorized: bool = True,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Contract a graph along ``coarse_map`` (sums edge and vertex weights).
 
     Direct segment-reduction contraction: map every stored slot to a coarse
     ``(row, col)`` key, drop the diagonal, and sum duplicate keys with one
     ``unique`` + ``bincount`` — no sparse matmul, no ``setdiag`` pass.
-    ``use_vectorized=False`` selects the legacy matmul contraction.
     """
-    if not use_vectorized:
-        return _coarsen_legacy(adj, vertex_weights, coarse_map)
     n = adj.shape[0]
     nc = int(coarse_map.max()) + 1 if n else 0
     rows = coarse_map[np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))]
@@ -289,14 +220,6 @@ class MetisLikePartitioner:
         30 * k)`` vertices.
     refine_passes:
         FM passes applied per uncoarsening level.
-    use_vectorized:
-        Handshake matching + segment-reduction contraction + boundary FM
-        (default) vs the legacy scalar paths (sequential matching scan,
-        matmul contraction, full-snapshot FM with a Python move loop),
-        kept callable for the ingest bench's end-to-end comparison.  The
-        paths consume rng state differently, so they produce different
-        (equally valid) partitionings from one seed; each path is
-        deterministic in (seed, template, k).
     subgraph_aware:
         Run the final fragment-consolidation pass balancing subgraph count
         and size across partitions (never increases the edge cut).
@@ -312,7 +235,6 @@ class MetisLikePartitioner:
         imbalance: float = 1.03,
         coarsen_until: int = 200,
         refine_passes: int = 4,
-        use_vectorized: bool = True,
         subgraph_aware: bool = True,
         fragment_fraction: float = 0.1,
     ) -> None:
@@ -320,7 +242,6 @@ class MetisLikePartitioner:
         self.imbalance = float(imbalance)
         self.coarsen_until = int(coarsen_until)
         self.refine_passes = int(refine_passes)
-        self.use_vectorized = bool(use_vectorized)
         self.subgraph_aware = bool(subgraph_aware)
         self.fragment_fraction = float(fragment_fraction)
 
@@ -344,23 +265,16 @@ class MetisLikePartitioner:
         target = max(self.coarsen_until, 30 * k)
         while levels[-1].adj.shape[0] > target:
             top = levels[-1]
-            coarse_map = heavy_edge_matching(
-                top.adj, rng, use_vectorized=self.use_vectorized
-            )
+            coarse_map = heavy_edge_matching(top.adj, rng)
             nc = int(coarse_map.max()) + 1
             if nc > 0.95 * top.adj.shape[0]:
                 break  # matching stalled (e.g. star graphs); stop coarsening
-            cadj, cw = coarsen_graph(
-                top.adj, top.vertex_weights, coarse_map,
-                use_vectorized=self.use_vectorized,
-            )
+            cadj, cw = coarsen_graph(top.adj, top.vertex_weights, coarse_map)
             levels.append(_Level(cadj, cw, coarse_map))
-            if self.use_vectorized and cadj.nnz > _NNZ_STALL_RATIO * top.adj.nnz:
+            if cadj.nnz > _NNZ_STALL_RATIO * top.adj.nnz:
                 # Contraction stopped shrinking the edge set (small-world
                 # graphs densify as they coarsen): further levels repeat the
-                # same O(|E|) work without exposing structure.  (The legacy
-                # path coarsens all the way down, as the pre-vectorization
-                # pipeline did.)
+                # same O(|E|) work without exposing structure.
                 break
 
         # ---- initial partition on the coarsest graph ---------------------------
@@ -368,7 +282,7 @@ class MetisLikePartitioner:
         nc0 = coarsest.adj.shape[0]
         total_w = float(coarsest.vertex_weights.sum())
         cap = self.imbalance * total_w / k
-        if self.use_vectorized and nc0 > _BFS_INIT_LIMIT:
+        if nc0 > _BFS_INIT_LIMIT:
             # Densification-stalled coarsest graph (no region structure for
             # BFS growing to find, and too large for its scalar loop):
             # balanced random start; rebalance + extra FM passes in refine
@@ -389,7 +303,6 @@ class MetisLikePartitioner:
             k,
             imbalance=self.imbalance,
             passes=init_passes,
-            use_vectorized=self.use_vectorized,
         )
 
         # ---- uncoarsening with refinement --------------------------------------
@@ -406,7 +319,6 @@ class MetisLikePartitioner:
                 k,
                 imbalance=self.imbalance,
                 passes=self.refine_passes,
-                use_vectorized=self.use_vectorized,
             )
 
         # ---- subgraph-count/size balance (arXiv:1508.04265) --------------------

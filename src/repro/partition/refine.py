@@ -131,70 +131,6 @@ def rebalance(
     return assignment
 
 
-def _partition_connectivity_legacy(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    assignment: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Pre-vectorization connectivity: an ``np.add.at`` scatter per pass."""
-    n = len(indptr) - 1
-    slot_src = _slot_sources(indptr)
-    conn = np.zeros((n, k), dtype=np.float64)
-    np.add.at(conn, (slot_src, assignment[indices]), weights)
-    return conn
-
-
-def _refine_legacy(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    vertex_weights: np.ndarray,
-    assignment: np.ndarray,
-    k: int,
-    cap: float,
-    passes: int,
-) -> np.ndarray:
-    """The pre-vectorization FM pass, kept callable for the ingest bench.
-
-    Full-graph ``np.add.at`` connectivity snapshot and a sequential Python
-    move loop over every positive-gain vertex — the baseline the boundary
-    gather / bulk admission paths in :func:`refine` are measured against.
-    """
-    best_cut = edge_cut_weight(indptr, indices, weights, assignment)
-    for _ in range(passes):
-        conn = _partition_connectivity_legacy(indptr, indices, weights, assignment, k)
-        current = conn[np.arange(len(assignment)), assignment]
-        masked = conn.copy()
-        masked[np.arange(len(assignment)), assignment] = -np.inf
-        target = np.argmax(masked, axis=1)
-        gain = masked[np.arange(len(assignment)), target] - current
-        movers = np.nonzero(gain > 0)[0]
-        if len(movers) == 0:
-            break
-        order = movers[np.argsort(-gain[movers], kind="stable")]
-        trial = assignment.copy()
-        sizes = _partition_sizes(vertex_weights, trial, k)
-        moved = 0
-        for v in order:
-            t = int(target[v])
-            if sizes[t] + vertex_weights[v] > cap:
-                continue
-            sizes[trial[v]] -= vertex_weights[v]
-            sizes[t] += vertex_weights[v]
-            trial[v] = t
-            moved += 1
-        if moved == 0:
-            break
-        new_cut = edge_cut_weight(indptr, indices, weights, trial)
-        if new_cut < best_cut:
-            assignment, best_cut = trial, new_cut
-        else:
-            break
-    return assignment
-
-
 def refine(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -205,7 +141,6 @@ def refine(
     *,
     imbalance: float = 1.03,
     passes: int = 4,
-    use_vectorized: bool = True,
 ) -> np.ndarray:
     """Greedy FM refinement: repeat gain-ordered boundary moves until stable.
 
@@ -221,9 +156,6 @@ def refine(
     balance is a hard constraint, cut a soft objective.  The never-worse
     guarantee therefore holds relative to the rebalanced assignment (equal
     to the input whenever the input is already feasible).
-
-    ``use_vectorized=False`` selects :func:`_refine_legacy` — the scalar
-    pre-vectorization pass — so the ingest bench can compare end to end.
     """
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     total_w = float(vertex_weights.sum())
@@ -232,10 +164,6 @@ def refine(
     assignment = rebalance(
         indptr, indices, weights, vertex_weights, assignment, k, cap, slot_src=slot_src
     )
-    if not use_vectorized:
-        return _refine_legacy(
-            indptr, indices, weights, vertex_weights, assignment, k, cap, passes
-        )
     cut_slots = assignment[slot_src] != assignment[indices]
     best_cut = float(weights[cut_slots].sum() / 2.0)
 

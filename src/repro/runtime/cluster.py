@@ -23,25 +23,20 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..core.computation import TimeSeriesComputation
-from ..core.messages import Message, MessageFrame
 from ..graph.collection import TimeSeriesGraphCollection
 from ..observability import Tracer, partition_pid
 from ..partition.base import PartitionedGraph
-from ..resilience.faults import AT_BEGIN, AT_EOT, NETWORK_FAULT_KINDS, FaultPlan
+from ..resilience.faults import AT_BEGIN, NETWORK_FAULT_KINDS, FaultPlan
 from ..resilience.recovery import InjectedFault, RecoverableError, WorkerCrash
 from .cost import CostModel
 from .host import CollectionInstanceSource, ComputeHost, HostStepResult, InstanceSource, RunMeta
 
-__all__ = ["Cluster", "LocalCluster", "build_hosts"]
-
-#: Deliveries addressed to one partition: coalesced frames (the batched
-#: message plane) or a plain subgraph-id -> messages map (direct protocol use).
-Deliveries = Mapping[int, Sequence[Message]] | Sequence[MessageFrame]
+__all__ = ["Cluster", "LocalCluster", "build_hosts", "raise_first_failure"]
 
 
 def build_hosts(
@@ -80,6 +75,20 @@ def build_hosts(
     ]
 
 
+def raise_first_failure(
+    outcomes: list[HostStepResult | RecoverableError],
+) -> list[HostStepResult]:
+    """A :meth:`Cluster.run_round` outcome list with no failure in it.
+
+    Unsupervised callers have nobody to repair a partition, so the first
+    captured :class:`RecoverableError` (in partition order) is raised.
+    """
+    for out in outcomes:
+        if isinstance(out, RecoverableError):
+            raise out
+    return outcomes  # type: ignore[return-value]
+
+
 class Cluster:
     """Protocol base class — see :class:`LocalCluster` for the semantics."""
 
@@ -97,20 +106,22 @@ class Cluster:
     #: Partitions torn down by :meth:`quarantine` (degraded runs).
     quarantined: set[int] = frozenset()  # type: ignore[assignment]
 
-    def begin_timestep(self, timestep: int, gc_pauses: Sequence[float]) -> list[HostStepResult]:
-        raise NotImplementedError
+    def run_round(
+        self, op: str, timestep: int, superstep: int, payloads: Sequence | None
+    ) -> list[HostStepResult | RecoverableError]:
+        """Execute one protocol round, capturing per-partition failures.
 
-    def run_superstep(
-        self, timestep: int, superstep: int, deliveries: Sequence[Deliveries]
-    ) -> list[HostStepResult]:
-        raise NotImplementedError
-
-    def end_of_timestep(self, timestep: int) -> list[HostStepResult]:
-        raise NotImplementedError
-
-    def run_merge_superstep(
-        self, superstep: int, deliveries: Sequence[Deliveries]
-    ) -> list[HostStepResult]:
+        ``op`` is ``begin`` (payloads = GC pauses), ``superstep`` /
+        ``merge`` (payloads = per-partition deliveries: coalesced
+        ``MessageFrame`` lists, or a plain subgraph-id → messages map for
+        direct protocol use; merge rounds pass ``timestep=-1``), or ``eot``
+        (payloads ignored).  Each element of the returned list is the
+        partition's :class:`HostStepResult`, the :class:`RecoverableError`
+        it failed with — survivors finish their round and hold at the
+        barrier either way — or a synthesized empty result when
+        quarantined.  Deterministic application errors propagate
+        immediately.
+        """
         raise NotImplementedError
 
     def resident_bytes(self) -> list[int]:
@@ -164,24 +175,8 @@ class Cluster:
 
     # -- surgical protocol -------------------------------------------------------------
     #
-    # The HostSupervisor speaks these instead of the raise-on-first-failure
-    # methods above: rounds return per-partition *outcomes* so surviving
-    # hosts finish their work and hold at the barrier while one failed
-    # partition is respawned, restored, and replayed individually.
-
-    def run_round(
-        self, op: str, timestep: int, superstep: int, payloads: Sequence | None
-    ) -> list[HostStepResult | RecoverableError]:
-        """Execute one protocol round, capturing per-partition failures.
-
-        ``op`` is ``begin`` (payloads = GC pauses), ``superstep`` /
-        ``merge`` (payloads = per-partition deliveries), or ``eot``
-        (payloads ignored).  Each element of the returned list is the
-        partition's :class:`HostStepResult`, the :class:`RecoverableError`
-        it failed with, or a synthesized empty result when quarantined.
-        Deterministic application errors propagate immediately.
-        """
-        raise NotImplementedError
+    # What the HostSupervisor needs beyond :meth:`run_round` to respawn,
+    # restore, and replay one failed partition individually.
 
     def step_one(
         self,
@@ -349,38 +344,6 @@ class LocalCluster(Cluster):
             # spec is still spent, keeping plans executor-portable).
             time.sleep(plan.delay_for(spec))
 
-    def begin_timestep(self, timestep: int, gc_pauses: Sequence[float]) -> list[HostStepResult]:
-        def call(h: ComputeHost) -> HostStepResult:
-            self._check_faults(timestep, AT_BEGIN, h)
-            return h.begin_timestep(timestep, gc_pauses[h.partition.partition_id])
-
-        return self._map(call)
-
-    def run_superstep(
-        self, timestep: int, superstep: int, deliveries: Sequence[Deliveries]
-    ) -> list[HostStepResult]:
-        def call(h: ComputeHost) -> HostStepResult:
-            self._check_faults(timestep, superstep, h)
-            return h.run_superstep(timestep, superstep, deliveries[h.partition.partition_id])
-
-        return self._map(call)
-
-    def end_of_timestep(self, timestep: int) -> list[HostStepResult]:
-        def call(h: ComputeHost) -> HostStepResult:
-            self._check_faults(timestep, AT_EOT, h)
-            return h.end_of_timestep(timestep)
-
-        return self._map(call)
-
-    def run_merge_superstep(
-        self, superstep: int, deliveries: Sequence[Deliveries]
-    ) -> list[HostStepResult]:
-        def call(h: ComputeHost) -> HostStepResult:
-            self._check_faults(-1, superstep, h)
-            return h.run_merge_superstep(superstep, deliveries[h.partition.partition_id])
-
-        return self._map(call)
-
     def resident_bytes(self) -> list[int]:
         return [
             0 if p in self.quarantined else h.resident_bytes() for p, h in enumerate(self.hosts)
@@ -398,7 +361,7 @@ class LocalCluster(Cluster):
                 states.update(h.final_states())
         return states
 
-    # -- surgical protocol -------------------------------------------------------------
+    # -- round protocol ----------------------------------------------------------------
 
     def _dispatch(
         self,

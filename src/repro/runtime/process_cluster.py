@@ -71,7 +71,7 @@ from ..core.computation import TimeSeriesComputation
 from ..partition.base import PartitionedGraph
 from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
 from ..resilience.recovery import InjectedFault, RecoverableError
-from .cluster import Cluster, Deliveries
+from .cluster import Cluster
 from .cost import CostModel
 from .host import ComputeHost, HostStepResult, InstanceSource, RunMeta
 
@@ -445,7 +445,7 @@ class ProcessCluster(Cluster):
     with the policy's backoff, up to ``max_retries`` times, before the
     failure surfaces.  Cured incidents are recorded and drained via
     :meth:`drain_protocol_incidents`.  ``None`` (the default, and the
-    cohort-recovery configuration) preserves raise-on-first-failure.
+    cohort-recovery configuration) surfaces the first failure unretried.
 
     Use as a context manager (``with ProcessCluster(...) as cluster:``) to
     guarantee workers are reaped even when the driver raises mid-run.
@@ -698,7 +698,7 @@ class ProcessCluster(Cluster):
     ) -> list[Any]:
         """One scatter/gather round across every non-quarantined worker.
 
-        ``capture=True`` (the supervisor's ``run_round``) records each
+        ``capture=True`` (``run_round``) records each
         partition's :class:`RecoverableError` in its outcome slot instead
         of raising, so survivors finish their round; deterministic
         application errors always raise.  ``quarantine_fill`` synthesizes
@@ -754,33 +754,17 @@ class ProcessCluster(Cluster):
         return outcomes
 
     @staticmethod
-    def _round_args(op: str, timestep: int, superstep: int, payloads):
-        """Per-partition worker args for one engine protocol round."""
+    def _round_args(op: str, timestep: int, superstep: int, payload) -> tuple:
+        """One partition's worker args for one engine protocol round."""
         if op == "begin":
-            return lambda p: (timestep, payloads[p])
+            return (timestep, payload)
         if op == "superstep":
-            return lambda p: (timestep, superstep, payloads[p])
+            return (timestep, superstep, payload)
         if op == "eot":
-            return lambda p: (timestep,)
+            return (timestep,)
         if op == "merge":
-            return lambda p: (superstep, payloads[p])
+            return (superstep, payload)
         raise ValueError(f"unknown protocol op {op!r}")
-
-    def begin_timestep(self, timestep: int, gc_pauses: Sequence[float]) -> list[HostStepResult]:
-        return self._exchange_all("begin", lambda p: (timestep, gc_pauses[p]))
-
-    def run_superstep(
-        self, timestep: int, superstep: int, deliveries: Sequence[Deliveries]
-    ) -> list[HostStepResult]:
-        return self._exchange_all("superstep", lambda p: (timestep, superstep, deliveries[p]))
-
-    def end_of_timestep(self, timestep: int) -> list[HostStepResult]:
-        return self._exchange_all("eot", lambda p: (timestep,))
-
-    def run_merge_superstep(
-        self, superstep: int, deliveries: Sequence[Deliveries]
-    ) -> list[HostStepResult]:
-        return self._exchange_all("merge", lambda p: (superstep, deliveries[p]))
 
     def resident_bytes(self) -> list[int]:
         return self._exchange_all("resident", lambda p: (), quarantine_fill=lambda p: 0)
@@ -804,7 +788,9 @@ class ProcessCluster(Cluster):
     ) -> list[Any]:
         return self._exchange_all(
             op,
-            self._round_args(op, timestep, superstep, payloads),
+            lambda p: self._round_args(
+                op, timestep, superstep, None if payloads is None else payloads[p]
+            ),
             capture=True,
             quarantine_fill=HostStepResult.empty,
         )
@@ -819,17 +805,7 @@ class ProcessCluster(Cluster):
         *,
         replay: bool = False,
     ) -> HostStepResult:
-        if op == "begin":
-            args: tuple = (timestep, payload)
-        elif op == "superstep":
-            args = (timestep, superstep, payload)
-        elif op == "eot":
-            args = (timestep,)
-        elif op == "merge":
-            args = (superstep, payload)
-        else:
-            raise ValueError(f"unknown protocol op {op!r}")
-        self._post(partition, op, replay, args)
+        self._post(partition, op, replay, self._round_args(op, timestep, superstep, payload))
         return self._unwrap(partition, self._collect(partition))
 
     def respawn_worker(self, partition: int) -> int:

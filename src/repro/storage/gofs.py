@@ -4,7 +4,7 @@ Layout of a store rooted at ``root/``::
 
     root/template.npz            — the shared graph template
     root/manifest.json           — packing/binning/timestep metadata + bins
-    root/slice_p*_b*_k*.npz      — one slice per (partition, bin, pack)
+    root/slice_p*_b*_k*.gsl      — one slice per (partition, bin, pack)
 
 Writing distributes a partitioned collection into slice files with the
 paper's temporal packing (default 10) and subgraph binning (default 5).
@@ -36,7 +36,7 @@ from ..graph.collection import TimeSeriesGraphCollection
 from ..partition.base import PartitionedGraph
 from .serde import load_template, save_template
 from .slices import (
-    DEFAULT_SLICE_FORMAT,
+    SLICE_FORMAT,
     SliceKey,
     bin_rows,
     read_slice,
@@ -71,15 +71,12 @@ class GoFS:
         *,
         packing: int = DEFAULT_PACKING,
         binning: int = DEFAULT_BINNING,
-        slice_format: int = DEFAULT_SLICE_FORMAT,
         compress: bool = False,
     ) -> dict:
         """Distribute a partitioned collection into slice files.
 
-        ``slice_format`` picks the on-disk container (2 = zero-copy GSL2,
-        the default; 1 = legacy npz) and ``compress`` is the writer-side
-        compression flag for either.  Returns the manifest dict (also
-        written to ``manifest.json``).
+        ``compress`` is the writer-side slice compression flag.  Returns
+        the manifest dict (also written to ``manifest.json``).
         """
         if packing < 1 or binning < 1:
             raise ValueError("packing and binning must be >= 1")
@@ -108,13 +105,12 @@ class GoFS:
                         verts,
                         edges,
                         instances,
-                        slice_format=slice_format,
                         compress=compress,
                     )
 
         manifest = {
             "format_version": 1,
-            "slice_format": slice_format,
+            "slice_format": SLICE_FORMAT,
             "num_timesteps": T,
             "t0": collection.t0,
             "delta": collection.delta,
@@ -132,6 +128,11 @@ class GoFS:
         manifest = json.loads((Path(root) / _MANIFEST).read_text())
         if manifest.get("format_version") != 1:
             raise ValueError("unsupported GoFS manifest version")
+        if manifest.get("slice_format") != SLICE_FORMAT:
+            raise ValueError(
+                f"GoFS store {root} (manifest slice_format {manifest.get('slice_format')!r}) "
+                "was written before GSL2; rewrite with `GoFS.write_collection`"
+            )
         return manifest
 
     @staticmethod

@@ -12,19 +12,12 @@ edge attributes).  Grouping 10 instances × 5 subgraphs per file is what lets
 GoFS amortize disk access and produces Fig 6's every-10th-timestep load
 bumps.
 
-Two on-disk formats coexist:
-
-* **v2 (default, ``.gsl``)** — the zero-copy GSL2 container
-  (:func:`repro.storage.serde.pack_arrays`): framed header plus contiguous
-  aligned raw buffers per attribute column, read back as
-  ``np.frombuffer`` views so a pack load is near-memcpy.  Object columns
-  (e.g. tweet lists) ride a pickled side-channel inside the same file.
-* **v1 (``.npz``)** — the original ``numpy`` archive; still readable (and
-  writable via ``slice_format=1``) so collections written by earlier
-  versions keep working.
-
-Compression is a writer flag for both formats (zlib payload for v2,
-``savez_compressed`` for v1).
+Slices are ``.gsl`` files in the zero-copy GSL2 container
+(:func:`repro.storage.serde.pack_arrays`): framed header plus contiguous
+aligned raw buffers per attribute column, read back as ``np.frombuffer``
+views so a pack load is near-memcpy.  Object columns (e.g. tweet lists)
+ride a pickled side-channel inside the same file.  Compression (a zlib
+payload) is a writer flag.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ from ..graph.subgraph import Subgraph
 from .serde import pack_arrays, unpack_arrays
 
 __all__ = [
-    "DEFAULT_SLICE_FORMAT",
+    "SLICE_FORMAT",
     "SliceKey",
     "slice_filename",
     "bin_rows",
@@ -48,8 +41,8 @@ __all__ = [
     "slice_nbytes",
 ]
 
-#: On-disk slice format written by default: 2 = zero-copy GSL2, 1 = npz.
-DEFAULT_SLICE_FORMAT = 2
+#: The manifest's ``slice_format`` value: 2 = GSL2 (1 was ``.npz``, no longer read).
+SLICE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -61,10 +54,9 @@ class SliceKey:
     pack: int
 
 
-def slice_filename(key: SliceKey, slice_format: int = DEFAULT_SLICE_FORMAT) -> str:
-    """Canonical file name for a slice in the given format."""
-    ext = "gsl" if slice_format == 2 else "npz"
-    return f"slice_p{key.partition:03d}_b{key.bin:04d}_k{key.pack:04d}.{ext}"
+def slice_filename(key: SliceKey) -> str:
+    """Canonical file name for a slice."""
+    return f"slice_p{key.partition:03d}_b{key.bin:04d}_k{key.pack:04d}.gsl"
 
 
 def bin_rows(subgraphs: list[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +115,6 @@ def write_slice(
     edge_rows: np.ndarray,
     instances: list[GraphInstance],
     *,
-    slice_format: int = DEFAULT_SLICE_FORMAT,
     compress: bool = False,
 ) -> Path:
     """Write one slice: the given rows of every schema attribute × instances.
@@ -131,49 +122,29 @@ def write_slice(
     Columns are packed into ``(pack_len, rows)`` matrices per attribute so a
     later read is one contiguous load per attribute.
     """
-    if slice_format not in (1, 2):
-        raise ValueError(f"unsupported slice format {slice_format}")
-    path = Path(root) / slice_filename(key, slice_format)
+    path = Path(root) / slice_filename(key)
     arrays = _pack_matrices(vertex_rows, edge_rows, instances)
-    if slice_format == 2:
-        path.write_bytes(pack_arrays(arrays, compress=compress))
-    elif compress:
-        np.savez_compressed(path, **arrays)
-    else:
-        np.savez(path, **arrays)
+    path.write_bytes(pack_arrays(arrays, compress=compress))
     return path
 
 
 def read_slice(
     root: Path, key: SliceKey, *, allow_objects: bool | None = None
 ) -> dict[str, np.ndarray]:
-    """Read a slice into a dict of arrays, auto-detecting the format.
+    """Read a slice into a dict of arrays.
 
-    v2 (``.gsl``) files are preferred: numeric columns come back as
-    read-only zero-copy views over the file bytes.  v1 (``.npz``) is the
-    fallback for collections written by earlier versions.
-
-    ``allow_objects`` gates unpickling: ``False`` fails loudly if the slice
-    holds object columns, ``True`` permits them, and ``None`` (default)
-    tries the strict path first and retries permissively only when object
-    columns are actually present — numeric-only schemas never unpickle.
+    Numeric columns come back as read-only zero-copy views over the file
+    bytes.  ``allow_objects`` gates unpickling: ``False`` fails loudly if
+    the slice holds object columns, ``True`` permits them, and ``None``
+    (default) unpickles only when object columns are actually present —
+    numeric-only schemas never unpickle.
     """
-    root = Path(root)
-    v2 = root / slice_filename(key, 2)
-    if v2.exists():
-        return unpack_arrays(v2.read_bytes(), allow_objects=allow_objects)
-    path = root / slice_filename(key, 1)
-    if allow_objects is None:
-        try:
-            return _read_npz(path, allow_pickle=False)
-        except ValueError:
-            return _read_npz(path, allow_pickle=True)
-    return _read_npz(path, allow_pickle=bool(allow_objects))
-
-
-def _read_npz(path: Path, *, allow_pickle: bool) -> dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=allow_pickle) as data:
-        return {name: data[name] for name in data.files}
+    path = Path(root) / slice_filename(key)
+    try:
+        buf = path.read_bytes()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"GoFS slice {path} ({key}) is missing") from None
+    return unpack_arrays(buf, allow_objects=allow_objects)
 
 
 def slice_nbytes(data: dict[str, np.ndarray]) -> int:

@@ -108,13 +108,6 @@ class TestColdWarmIdentity:
         assert cache.misses >= 3  # datasets + two partition builds
         assert not np.array_equal(a.vertex_partition, b.vertex_partition)
 
-    def test_legacy_and_vectorized_cached_separately(self, tmp_path):
-        cache = DatasetCache(tmp_path)
-        vec = paper_datasets(self.SCALE, 5, seed=3, cache=cache)
-        legacy = paper_datasets(self.SCALE, 5, seed=3, cache=cache, use_vectorized=False)
-        assert cache.misses == 2
-        assert not vec["WIKI"]["template"].equals(legacy["WIKI"]["template"])
-
     def test_cache_events_traced(self, tmp_path):
         cache = DatasetCache(tmp_path)
         tr = Tracer()

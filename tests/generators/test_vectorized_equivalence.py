@@ -1,16 +1,12 @@
-"""Vectorized-ingest acceptance suite: determinism + distribution equivalence.
+"""Ingest acceptance suite: determinism + the distributions the paper needs.
 
-The vectorized generator and partitioner paths draw different random
-variates than the legacy scalar loops, so old-vs-new bit-identity is not
-the bar (and is not required).  What must hold instead:
-
-* **Determinism** — the vectorized paths are bit-identical run-to-run and
-  process-to-process for a pinned seed (golden hashes below), and cache
+* **Determinism** — generators and partitioner are bit-identical run-to-run
+  and process-to-process for a pinned seed (golden hashes below), and cache
   cold vs warm builds agree exactly;
-* **Distribution equivalence** — degree tails (Hill estimator), epidemic
-  sizes, connectivity, and the Table 2 edge-cut behaviour (near-zero CARN
-  cuts, k-increasing WIKI cuts) match between the legacy and vectorized
-  paths at the 20 k bench scale.
+* **Distributions** — the BA edge count, a power-law degree tail (Hill
+  estimator), connectivity, a sustained epidemic, and the Table 2 edge-cut
+  behaviour (near-zero CARN cuts, k-increasing WIKI cuts) at the 20 k bench
+  scale.
 """
 
 import hashlib
@@ -34,8 +30,8 @@ def _digest(*arrays: np.ndarray) -> str:
     return d.hexdigest()[:16]
 
 
-# Pinned-seed golden hashes for the vectorized paths (seed 7, small scale).
-# A change here means the vectorized algorithms' output changed: bump
+# Pinned-seed golden hashes (seed 7, small scale).
+# A change here means the ingest algorithms' output changed: bump
 # repro.generators.cache.INGEST_CODE_VERSION in the same commit.
 GOLDEN_WIKI_EDGES = "d7a71a61b830ed14"
 GOLDEN_SIR = "bdd10ac781183fcf"
@@ -112,63 +108,42 @@ class TestDistributionEquivalence:
     SCALE = 20_000
 
     @pytest.fixture(scope="class")
-    def pa_graphs(self):
-        vec = smallworld_network(self.SCALE, seed=1, use_vectorized=True)
-        legacy = smallworld_network(self.SCALE, seed=1, use_vectorized=False)
-        return vec, legacy
+    def wiki(self):
+        return smallworld_network(self.SCALE, seed=1)
 
-    def test_edge_counts_match(self, pa_graphs):
-        vec, legacy = pa_graphs
-        # The deterministic BA edge count is identical; only the directed
-        # reciprocal-twin draws differ (a Binomial either way).
-        vec_src, _ = preferential_attachment_edges(1000, 2, np.random.default_rng(0))
-        leg_src, _ = preferential_attachment_edges(
-            1000, 2, np.random.default_rng(0), use_vectorized=False
+    def test_edge_counts_match(self, wiki):
+        # BA: an (m+1)-clique, then m edges per further vertex — exactly.
+        src, _ = preferential_attachment_edges(1000, 2, np.random.default_rng(0))
+        assert len(src) == 3 + (1000 - 3) * 2
+        # Directed WIKI adds a Binomial(|E|, 0.25) of reciprocal twins.
+        base = 3 + (self.SCALE - 3) * 2
+        assert abs(len(wiki.edge_src) - 1.25 * base) < 0.02 * 1.25 * base
+
+    def test_degree_tail_exponent(self, wiki):
+        degrees = np.bincount(
+            np.concatenate([wiki.edge_src, wiki.edge_dst]), minlength=wiki.num_vertices
         )
-        assert len(vec_src) == len(leg_src)
-        assert abs(len(vec.edge_src) - len(legacy.edge_src)) < 0.02 * len(legacy.edge_src)
+        assert 2.0 < _hill_tail_exponent(degrees) < 4.0  # BA tail exponent ~3
 
-    def test_degree_tail_exponent(self, pa_graphs):
-        vec, legacy = pa_graphs
-
-        def total_degrees(tpl):
-            return np.bincount(
-                np.concatenate([tpl.edge_src, tpl.edge_dst]), minlength=tpl.num_vertices
-            )
-
-        t_vec = _hill_tail_exponent(total_degrees(vec))
-        t_leg = _hill_tail_exponent(total_degrees(legacy))
-        # BA tail exponent ~3; the two estimates must agree closely.
-        assert 2.0 < t_vec < 4.0
-        assert abs(t_vec - t_leg) < 0.3
-
-    def test_connectivity(self, pa_graphs):
+    def test_connectivity(self, wiki):
         from repro.partition.subgraphs import subgraph_labels
 
-        for tpl in pa_graphs:
-            num_sg, _ = subgraph_labels(tpl, np.zeros(tpl.num_vertices, dtype=np.int64))
-            assert num_sg == 1  # BA attachment keeps the graph connected
+        num_sg, _ = subgraph_labels(wiki, np.zeros(wiki.num_vertices, dtype=np.int64))
+        assert num_sg == 1  # BA attachment keeps the graph connected
 
     def test_sir_epidemic_size(self):
         tpl = road_network(self.SCALE, seed=1)
-        sizes = {}
-        for flag in (True, False):
-            rng = np.random.default_rng(5)
-            seeds = rng.choice(tpl.num_vertices, size=20, replace=False)
-            inf, _rec = simulate_sir(
-                tpl,
-                hit_probability=0.5,
-                num_timesteps=50,
-                seeds=seeds,
-                infectious_period=3,
-                rng=rng,
-                use_vectorized=flag,
-            )
-            sizes[flag] = int((inf != -1).sum())
-        # Identical per-edge Bernoulli process: epidemic sizes agree within
-        # the process's own run-to-run spread.
-        assert sizes[True] > 0.05 * tpl.num_vertices
-        assert 0.5 < sizes[True] / sizes[False] < 2.0
+        rng = np.random.default_rng(5)
+        seeds = rng.choice(tpl.num_vertices, size=20, replace=False)
+        inf, _rec = simulate_sir(
+            tpl,
+            hit_probability=0.5,
+            num_timesteps=50,
+            seeds=seeds,
+            infectious_period=3,
+            rng=rng,
+        )
+        assert int((inf != -1).sum()) > 0.05 * tpl.num_vertices
 
     def test_sir_populator_tweets_match_schedule(self):
         tpl = smallworld_network(2000, seed=2)
@@ -187,18 +162,17 @@ class TestDistributionEquivalence:
 
 
 class TestTable2CutDirection:
-    """Table 2's qualitative behaviour on BOTH implementation paths."""
+    """Table 2's qualitative behaviour."""
 
     SCALE = 20_000
 
-    @pytest.mark.parametrize("use_vectorized", [True, False], ids=["vectorized", "legacy"])
-    def test_cut_direction(self, use_vectorized):
+    def test_cut_direction(self):
         carn = road_network(self.SCALE, seed=0)
-        wiki = smallworld_network(self.SCALE, seed=0, use_vectorized=use_vectorized)
+        wiki = smallworld_network(self.SCALE, seed=0)
         cuts = {}
         for tpl in (carn, wiki):
             for k in (3, 9):
-                p = MetisLikePartitioner(seed=0, use_vectorized=use_vectorized)
+                p = MetisLikePartitioner(seed=0)
                 cuts[tpl.name, k] = edge_cut_fraction(tpl, p.assign(tpl, k))
         # Road network: near-zero cuts at every k (Table 2: 0.0–0.2 %).
         assert cuts["CARN", 3] < 0.02

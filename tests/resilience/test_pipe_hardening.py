@@ -7,8 +7,9 @@ import time
 import pytest
 
 from repro.core import EngineConfig, Pattern, run_application
-from repro.resilience import FaultPlan, RecoveryPolicy
+from repro.resilience import AT_BEGIN, FaultPlan, RecoveryPolicy
 from repro.runtime import GatherTimeout, ProcessCluster, RunMeta, WorkerError, WorkerLost
+from repro.runtime.cluster import raise_first_failure
 from repro.runtime.process_cluster import _recv_oob, _send_oob
 
 from .conftest import AccumulateSum
@@ -101,7 +102,7 @@ class TestLifecycle:
         """The leak fix: a driver-side error mid-run must not orphan workers."""
         with pytest.raises(RuntimeError, match="driver-side"):
             with _Cluster.make(case, sources) as cluster:
-                cluster.begin_timestep(0, [0.0, 0.0])
+                cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
                 procs = list(cluster._procs)
                 assert all(p.is_alive() for p in procs)
                 raise RuntimeError("driver-side failure")
@@ -116,7 +117,7 @@ class TestLifecycle:
             assert cluster.incarnation == 1
             assert [p.pid for p in cluster._procs] != pids
             # The fresh cohort must be fully functional.
-            cluster.begin_timestep(0, [0.0, 0.0])
+            raise_first_failure(cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0]))
 
     def test_gather_timeout_validated(self, case, sources):
         with pytest.raises(ValueError, match="gather_timeout_s"):
@@ -126,8 +127,9 @@ class TestLifecycle:
         with _Cluster.make(case, sources) as cluster:
             cluster._procs[0].terminate()
             cluster._procs[0].join(timeout=5)
-            with pytest.raises(WorkerLost):
-                cluster.begin_timestep(0, [0.0, 0.0])
+            lost, survivor = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+            assert isinstance(lost, WorkerLost) and lost.partition == 0
+            assert survivor.partition == 1  # finished its round regardless
 
 
 class TestGatherTimeout:

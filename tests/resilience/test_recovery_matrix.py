@@ -8,10 +8,12 @@ from repro.core import EngineConfig, run_application
 from repro.resilience import (
     CheckpointConfig,
     FaultPlan,
+    InjectedFault,
     RecoveryPolicy,
     RunFailureError,
     WorkerCrash,
 )
+from repro.runtime import RecoverableWorkerError
 
 from .conftest import AccumulateSum, RingRelay
 
@@ -167,6 +169,32 @@ class TestExhaustedRetries:
         cfg = _config("serial", tmp_path, None)
         with pytest.raises(ValueError, match="app bug"):
             run_application(Boom(), pg, coll, config=cfg)
+
+
+class DiskGone(AccumulateSum):
+    """Partition 1 loses its storage at timestep 1 (a transient, not a bug)."""
+
+    def compute(self, ctx):
+        if ctx.timestep == 1 and ctx.subgraph.partition_id == 1:
+            raise InjectedFault("disk gone", partition=1)
+        super().compute(ctx)
+
+
+class TestUnsupervisedRun:
+    """``recovery=None``: nobody repairs a partition, so the failure that
+    ``run_round`` captured is raised to the caller, type and partition intact."""
+
+    @pytest.mark.parametrize(
+        "executor, exc_type",
+        [("serial", InjectedFault), ("process", RecoverableWorkerError)],
+    )
+    def test_captured_failure_is_raised(self, case, sources, executor, exc_type):
+        _tpl, coll, pg = case
+        with pytest.raises(exc_type, match="disk gone") as excinfo:
+            run_application(
+                DiskGone(), pg, coll, sources=sources, config=EngineConfig(executor=executor)
+            )
+        assert excinfo.value.partition == 1
 
 
 class TestResume:

@@ -8,6 +8,7 @@ from repro.generators import make_collection, road_latency_collection
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import CollectionInstanceSource, CostModel, LocalCluster, RunMeta
+from repro.resilience import AT_BEGIN, AT_EOT
 from repro.runtime.cluster import build_hosts
 from tests.conftest import make_grid_template
 
@@ -100,12 +101,12 @@ class TestLocalCluster:
 
     def test_protocol_flow(self):
         cluster, pg = self.make()
-        begin = cluster.begin_timestep(0, [0.0, 0.0])
+        begin = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
         assert {r.partition for r in begin} == {0, 1}
-        step = cluster.run_superstep(0, 0, [{}, {}])
+        step = cluster.run_round("superstep", 0, 0, [{}, {}])
         assert all(r.all_halted for r in step)
         assert sum(r.subgraphs_computed for r in step) == pg.num_subgraphs
-        eot = cluster.end_of_timestep(0)
+        eot = cluster.run_round("eot", 0, AT_EOT, None)
         assert len(eot) == 2
         assert len(cluster.resident_bytes()) == 2
         states = cluster.final_states()

@@ -9,8 +9,9 @@ import pytest
 from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
 from repro.generators import road_latency_collection, road_network
 from repro.partition import partition_graph
-from repro.resilience import FaultPlan
+from repro.resilience import AT_BEGIN, FaultPlan
 from repro.runtime import CollectionInstanceSource, ProcessCluster, RunMeta
+from repro.runtime.cluster import raise_first_failure
 from repro.runtime.process_cluster import GatherTimeout, WorkerError
 
 
@@ -76,7 +77,7 @@ class TestLifecycle:
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         with ProcessCluster(pg, EmitSum(), meta, sources) as cluster:
-            cluster.begin_timestep(0, [0.0, 0.0])
+            cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
             resident = cluster.resident_bytes()
             assert len(resident) == 2
             assert all(b > 0 for b in resident)
@@ -142,7 +143,7 @@ class TestGatherDeadlineIsPerRound:
         try:
             start = time.monotonic()
             with pytest.raises(GatherTimeout):
-                cluster.begin_timestep(0, [0.0, 0.0])
+                raise_first_failure(cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0]))
             elapsed = time.monotonic() - start
         finally:
             cluster.shutdown()

@@ -1,4 +1,6 @@
-"""Zero-copy GSL2 slice format: round-trips, back-compat, pickle gating."""
+"""Zero-copy GSL2 slice format: round-trips, pre-GSL2 rejection, pickle gating."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from repro.storage import (
     write_slice,
 )
 from repro.storage.serde import GSL2_MAGIC, pack_arrays, unpack_arrays
-from repro.storage.slices import DEFAULT_SLICE_FORMAT
 from tests.conftest import make_grid_template, populate_random
 
 
@@ -56,8 +57,6 @@ class TestPackArrays:
         assert a.base is not None
 
     def test_payload_offsets_are_aligned(self):
-        import json
-
         buf = pack_arrays(sample_arrays())
         hlen = int.from_bytes(buf[4:8], "little")
         header = json.loads(buf[8 : 8 + hlen])
@@ -90,15 +89,11 @@ def slice_case():
 
 
 class TestWriteReadSlice:
-    @pytest.mark.parametrize("slice_format", [1, 2])
     @pytest.mark.parametrize("compress", [False, True])
-    def test_formats_agree(self, tmp_path, slice_case, slice_format, compress):
+    def test_formats_agree(self, tmp_path, slice_case, compress):
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
-        write_slice(
-            tmp_path, key, verts, edges, instances,
-            slice_format=slice_format, compress=compress,
-        )
+        write_slice(tmp_path, key, verts, edges, instances, compress=compress)
         data = read_slice(tmp_path, key)
         assert np.array_equal(data["vertex_rows"], verts)
         assert np.array_equal(data["edge_rows"], edges)
@@ -111,35 +106,35 @@ class TestWriteReadSlice:
                 data["e__latency"][i], inst.edge_values.column("latency")[edges]
             )
 
-    def test_v2_preferred_over_v1(self, tmp_path, slice_case):
-        verts, edges, instances = slice_case
-        key = SliceKey(0, 0, 0)
-        write_slice(tmp_path, key, verts, edges, instances, slice_format=1)
-        write_slice(tmp_path, key, verts, edges, instances[:1], slice_format=2)
-        data = read_slice(tmp_path, key)  # the 1-instance v2 file wins
-        assert data["v__traffic"].shape[0] == 1
+    def test_unknown_format_rejected(self, tmp_path):
+        """A store written before GSL2 (manifest says 1, or nothing) or by a
+        later writer is refused at the manifest, before any slice is read."""
+        for stale in ({"slice_format": 1}, {}, {"slice_format": 3}):
+            (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, **stale}))
+            with pytest.raises(
+                ValueError, match="written before GSL2; rewrite with `GoFS.write_collection`"
+            ):
+                GoFS.read_manifest(tmp_path)
 
     def test_filename_extension_per_format(self):
+        assert slice_filename(SliceKey(1, 2, 3)) == "slice_p001_b0002_k0003.gsl"
+
+    def test_missing_slice_names_gsl_path_and_key(self, tmp_path):
         key = SliceKey(1, 2, 3)
-        assert slice_filename(key, 2).endswith(".gsl")
-        assert slice_filename(key, 1).endswith(".npz")
-        assert slice_filename(key) == slice_filename(key, DEFAULT_SLICE_FORMAT)
+        with pytest.raises(FileNotFoundError) as excinfo:
+            read_slice(tmp_path, key)
+        assert str(tmp_path / slice_filename(key)) in str(excinfo.value)
+        assert repr(key) in str(excinfo.value)
 
-    def test_unknown_format_rejected(self, tmp_path, slice_case):
-        verts, edges, instances = slice_case
-        with pytest.raises(ValueError, match="format"):
-            write_slice(tmp_path, SliceKey(0, 0, 0), verts, edges, instances, slice_format=3)
-
-    def test_numeric_only_v1_never_unpickles(self, tmp_path, slice_case):
-        """allow_objects=None tries the strict npz path first and only
-        retries permissively when object columns are actually present."""
+    def test_v2_preferred_over_v1(self, tmp_path, slice_case):
+        """A pre-GSL2 ``.npz`` under the old name is never consulted."""
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
-        write_slice(tmp_path, key, verts, edges, instances, slice_format=1)
-        with pytest.raises(ValueError):
-            read_slice(tmp_path, key, allow_objects=False)  # tweets are objects
-        data = read_slice(tmp_path, key, allow_objects=None)  # auto-retry
-        assert "v__tweets" in data
+        np.savez(tmp_path / slice_filename(key).replace(".gsl", ".npz"), vertex_rows=verts)
+        with pytest.raises(FileNotFoundError, match=r"\.gsl"):
+            read_slice(tmp_path, key)
+        write_slice(tmp_path, key, verts, edges, instances[:1])
+        assert read_slice(tmp_path, key)["v__traffic"].shape[0] == 1
 
 
 class TestGoFSFormats:
@@ -150,15 +145,11 @@ class TestGoFSFormats:
         pg = partition_graph(tpl, 2, HashPartitioner(seed=4))
         return tpl, coll, pg
 
-    @pytest.mark.parametrize("slice_format", [1, 2])
-    def test_instances_identical_across_formats(self, case, tmp_path, slice_format):
+    def test_instances_identical_to_collection(self, case, tmp_path):
         tpl, coll, pg = case
-        root = tmp_path / f"v{slice_format}"
-        manifest = GoFS.write_collection(
-            root, pg, coll, packing=3, binning=2, slice_format=slice_format
-        )
-        assert manifest["slice_format"] == slice_format
-        assert GoFS.read_manifest(root)["slice_format"] == slice_format
+        root = tmp_path
+        manifest = GoFS.write_collection(root, pg, coll, packing=3, binning=2)
+        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 2
         for p in range(pg.num_partitions):
             view = GoFS.partition_view(root, p)
             for t in range(len(coll)):
