@@ -29,7 +29,7 @@ import numpy as np
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
-from ..kernels import contains_in_cells, expand_to_fixpoint, group_unique_pairs
+from ..kernels import any_neighbor, contains_in_cells, expand_to_fixpoint, group_unique_pairs
 
 __all__ = ["MemeTrackingComputation", "MemeFrontier", "colored_timesteps_from_result"]
 
@@ -159,9 +159,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
             has_remote = np.zeros(sg.num_vertices, dtype=bool)
             has_remote[sg.remote.src_local] = True
             st["has_remote"] = has_remote
-        border = np.zeros(sg.num_vertices, dtype=bool)
-        if len(sg.indices):
-            np.logical_or.at(border, st["slot_src"], ~colored[sg.indices])
+        border = any_neighbor(st["slot_src"], sg.indices, ~colored)
         st["local_roots"] = np.nonzero(colored & (border | st["has_remote"]))[0]
         # Meme tracking runs the full time range (spread can resume at any
         # later instance), so no vote_to_halt_timestep; keep the app alive.

@@ -25,7 +25,7 @@ from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
 from ..graph.instance import IS_EXISTS
-from ..kernels import expand_to_fixpoint, group_unique_pairs
+from ..kernels import any_neighbor, expand_to_fixpoint, group_unique_pairs
 
 __all__ = [
     "TemporalReachabilityComputation",
@@ -156,9 +156,7 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         # Next roots: reached vertices that could still reach someone — a
         # template neighbor that is unreached (whatever today's existence
         # says, it may exist tomorrow) or any remote edge.
-        border = np.zeros(sg.num_vertices, dtype=bool)
-        if len(sg.indices):
-            np.logical_or.at(border, st["slot_src"], ~reached[sg.indices])
+        border = any_neighbor(st["slot_src"], sg.indices, ~reached)
         st["roots"] = np.nonzero(reached & (border | st["has_remote"]))[0]
         if bool(reached.all()):
             ctx.vote_to_halt_timestep()

@@ -36,7 +36,7 @@ import numpy as np
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
-from ..kernels import group_min_pairs, relax_to_fixpoint
+from ..kernels import any_neighbor, group_min_pairs, relax_to_fixpoint
 from .sssp import combine_min_labels
 
 __all__ = ["TDSPComputation", "TDSPFrontier", "tdsp_labels_from_result"]
@@ -219,10 +219,7 @@ class TDSPComputation(TimeSeriesComputation):
         # set F; with root_pruning only finalized vertices that can still
         # relax someone (an unfinalized local neighbor, or any remote edge).
         if self.root_pruning:
-            unfin = ~finalized
-            border = np.zeros(sg.num_vertices, dtype=bool)
-            if len(sg.indices):
-                np.logical_or.at(border, st["slot_src"], unfin[sg.indices])
+            border = any_neighbor(st["slot_src"], sg.indices, ~finalized)
             st["roots_next"] = np.nonzero(finalized & (border | st["has_remote"]))[0]
         else:
             st["roots_next"] = np.nonzero(finalized)[0]

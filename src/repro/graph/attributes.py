@@ -15,7 +15,7 @@ use ``object`` dtype columns, which trades vectorization for flexibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -153,21 +153,30 @@ class AttributeTable:
     Columns are numpy arrays keyed by attribute name.  Rows correspond to the
     template's dense element indices (vertex index or edge index), so a
     subgraph can slice columns with fancy indexing.
+
+    Columns are allocated on first access.  A table built with ``fill`` is
+    *backed*: ``fill(name, column)`` runs once per column, right after its
+    default-filled allocation, and writes the stored values in place (GoFS
+    views scatter a slice row this way).  Until a column is touched it costs
+    nothing; once touched it is an ordinary column.
     """
 
-    __slots__ = ("schema", "n", "_columns")
+    __slots__ = ("schema", "n", "_columns", "_fill")
 
     def __init__(
         self,
         schema: AttributeSchema,
         n: int,
         columns: Mapping[str, np.ndarray] | None = None,
+        *,
+        fill: Callable[[str, np.ndarray], None] | None = None,
     ) -> None:
         if n < 0:
             raise ValueError("row count must be non-negative")
         self.schema = schema
         self.n = int(n)
         self._columns: dict[str, np.ndarray] = {}
+        self._fill = fill
         if columns is not None:
             for name, col in columns.items():
                 self.set_column(name, col)
@@ -177,8 +186,25 @@ class AttributeTable:
         col = self._columns.get(name)
         if col is None:
             col = spec.allocate(self.n)
+            if self._fill is not None:
+                self._fill(name, col)
             self._columns[name] = col
         return col
+
+    def _valued_names(self) -> list[str]:
+        """Columns that hold (or, for a backed table, will hold) non-default
+        values: every schema attribute when backed, else the materialized."""
+        return self.schema.names if self._fill is not None else list(self._columns)
+
+    def __getstate__(self) -> tuple:
+        # A fill hook closes over its backing store; ship the values instead.
+        for name in self._valued_names():
+            self._materialize(name)
+        return (self.schema, self.n, self._columns)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.schema, self.n, self._columns = state
+        self._fill = None
 
     def column(self, name: str) -> np.ndarray:
         """Return the full column for ``name`` (allocated lazily)."""
@@ -228,17 +254,20 @@ class AttributeTable:
         return total
 
     def copy(self) -> "AttributeTable":
-        """Deep-ish copy: numeric columns are copied; object cells are shared."""
-        out = AttributeTable(self.schema, self.n)
+        """Deep-ish copy: numeric columns are copied; object cells are shared.
+
+        A backed table's untouched columns stay backed in the copy."""
+        out = AttributeTable(self.schema, self.n, fill=self._fill)
         for name, col in self._columns.items():
             out._columns[name] = col.copy()
         return out
 
     def equals(self, other: "AttributeTable") -> bool:
-        """Value equality over materialized columns (used by tests/serde)."""
+        """Value equality over materialized columns — and over a backed
+        table's untouched ones, which hold values too (used by tests/serde)."""
         if self.n != other.n or self.schema != other.schema:
             return False
-        names = set(self._columns) | set(other._columns)
+        names = set(self._valued_names()) | set(other._valued_names())
         for name in names:
             a, b = self.column(name), other.column(name)
             if self.schema[name].is_object:

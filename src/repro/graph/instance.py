@@ -51,12 +51,12 @@ class GraphInstance:
     ) -> None:
         self.template = template
         self.timestamp = float(timestamp)
-        self.vertex_values = vertex_values or template.vertex_schema.create_table(
-            template.num_vertices
-        )
-        self.edge_values = edge_values or template.edge_schema.create_table(
-            template.num_edges
-        )
+        if vertex_values is None:
+            vertex_values = template.vertex_schema.create_table(template.num_vertices)
+        if edge_values is None:
+            edge_values = template.edge_schema.create_table(template.num_edges)
+        self.vertex_values = vertex_values
+        self.edge_values = edge_values
         if self.vertex_values.n != template.num_vertices:
             raise ValueError("vertex_values row count must equal template vertex count")
         if self.edge_values.n != template.num_edges:

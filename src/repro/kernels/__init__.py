@@ -21,7 +21,7 @@ only batched.
 from .aggregate import contains_in_cells, count_equal, count_equal_in_cells, flatten_cells
 from .components import csr_components
 from .csr import gather_ranges, slot_sources
-from .frontier import expand_to_fixpoint, relax_to_fixpoint
+from .frontier import any_neighbor, expand_to_fixpoint, relax_to_fixpoint
 from .pagerank import local_incoming, push_contributions, remote_flow_batches
 from .scatter import group_min_pairs, group_unique_pairs
 
@@ -30,6 +30,7 @@ __all__ = [
     "slot_sources",
     "relax_to_fixpoint",
     "expand_to_fixpoint",
+    "any_neighbor",
     "csr_components",
     "flatten_cells",
     "count_equal",

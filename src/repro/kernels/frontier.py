@@ -21,7 +21,7 @@ import numpy as np
 
 from .csr import gather_ranges
 
-__all__ = ["relax_to_fixpoint", "expand_to_fixpoint"]
+__all__ = ["relax_to_fixpoint", "expand_to_fixpoint", "any_neighbor"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -150,3 +150,18 @@ def expand_to_fixpoint(
         np.concatenate(newly) if newly else _EMPTY,
         np.concatenate(expanded_now) if expanded_now else _EMPTY,
     )
+
+
+def any_neighbor(slot_src: np.ndarray, indices: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per vertex: does it have a CSR neighbour ``w`` with ``mask[w]``?
+
+    ``slot_src`` is the per-slot source vertex (parallel to ``indices``).
+    The "still has work next to it" test the traversal family runs in
+    ``end_of_timestep`` to pick next-timestep roots.  Setting True is
+    idempotent, so a plain boolean scatter over the selected slots gives
+    exactly ``np.logical_or.at(out, slot_src, mask[indices])`` without the
+    unbuffered ufunc loop.
+    """
+    out = np.zeros(len(mask), dtype=bool)
+    out[slot_src[mask[indices]]] = True
+    return out

@@ -11,8 +11,12 @@ paper's temporal packing (default 10) and subgraph binning (default 5).
 Each host then reads through a :class:`GoFSPartitionView` — an
 :class:`~repro.runtime.host.InstanceSource` that caches temporal packs,
 so crossing a pack boundary triggers a real, measurable load spike at
-every 10th timestep (Fig 6) while intra-pack accesses are cheap scatter
-operations.
+every 10th timestep (Fig 6).  What a view does eagerly in ``instance(t)``
+is the pack read: file bytes, header validation, schema check.  What it
+does *per attribute, on the first* ``column(name)`` *of an instance* is the
+projection: decode the slice column, allocate the template-sized column,
+scatter the bin rows into it.  A computation that reads one edge attribute
+never pays for the others.
 
 With ``prefetch=True`` a view hides that spike: a single background thread
 starts reading pack *k+1* while compute is still inside pack *k* (the
@@ -26,20 +30,23 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ..graph.attributes import AttributeSchema, AttributeTable
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
 from ..graph.collection import TimeSeriesGraphCollection
 from ..partition.base import PartitionedGraph
-from .serde import load_template, save_template
+from .serde import PackedArrays, load_template, save_template
 from .slices import (
     SLICE_FORMAT,
     SliceKey,
     bin_rows,
     read_slice,
+    slice_filename,
     slice_nbytes,
     write_slice,
 )
@@ -192,12 +199,39 @@ class GoFS:
         ]
 
 
+#: Slice entry holding the template rows of a ``v__*`` / ``e__*`` column.
+_ROWS_KEY = {"v": "vertex_rows", "e": "edge_rows"}
+
+
+def _check_columns(
+    arrays: PackedArrays, prefix: str, schema: AttributeSchema, pack_len: int
+) -> None:
+    """Every schema attribute has a slice column of the schema's dtype and
+    shape ``(pack_len, rows)`` — from the header, nothing is decoded."""
+    names = [_ROWS_KEY[prefix]] + [f"{prefix}__{spec.name}" for spec in schema]
+    for name in names:
+        if name not in arrays:
+            raise ValueError(f"column {name} is missing")
+    shape = [pack_len, arrays.entry(names[0])["shape"][0]]
+    for name, spec in zip(names[1:], schema):
+        entry = arrays.entry(name)
+        if np.dtype(entry["dtype"]) != spec.dtype or entry["shape"] != shape:
+            raise ValueError(
+                f"column {name} is {entry['dtype']} {entry['shape']}, "
+                f"schema wants {spec.dtype.str} {shape}"
+            )
+
+
 class GoFSPartitionView:
     """Instance source reading one partition's slices, pack by pack.
 
     Only the rows belonging to this partition's subgraph bins are populated
     in the returned instances; foreign rows keep schema defaults — hosts
-    never read them.  Pickles cheaply (path + partition id + settings), so
+    never read them.  Instances are lazy per attribute: each column is
+    projected from the pack on its first access (counted in
+    :attr:`columns_projected` / :attr:`bytes_projected`), and an instance
+    keeps its pack alive, so a column first read after the pack was evicted
+    is still right.  Pickles cheaply (path + partition id + settings), so
     process workers each open their own view.
 
     Parameters
@@ -280,8 +314,8 @@ class GoFSPartitionView:
             for schema in (self.template.vertex_schema, self.template.edge_schema)
             for spec in schema
         )
-        #: pack id -> per-bin slice dicts, in LRU order (oldest first).
-        self._cache: dict[int, list[dict[str, np.ndarray]]] = {}
+        #: pack id -> per-bin slices, in LRU order (oldest first).
+        self._cache: dict[int, list[PackedArrays]] = {}
         self._cache_nbytes: dict[int, int] = {}
         self._resident = 0
         #: Pack the last :meth:`instance` access read — never evicted.
@@ -305,6 +339,14 @@ class GoFSPartitionView:
         self.prefetch_started = 0
         self.prefetch_hits = 0
         self.prefetch_misses = 0
+        #: Columns projected on first touch, and the bytes of those columns
+        #: (``gofs.columns_projected`` / ``gofs.bytes_projected`` when traced).
+        self.columns_projected = 0
+        self.bytes_projected = 0
+        #: Slice entries (``"e__latency"``) projected so far.  `_read_pack`
+        #: decodes these at read time, so a prefetch thread hides their
+        #: unpickle.  Replaced, never mutated: the prefetch thread reads it.
+        self.projected: frozenset[str] = frozenset()
         #: False while replaying a checkpoint restore: the I/O still happens
         #: but is not recorded as load evidence (the committed execution's
         #: accounting already covers it).
@@ -344,20 +386,52 @@ class GoFSPartitionView:
 
     # -- pack cache --------------------------------------------------------------------
 
-    def _read_pack(self, pack: int) -> tuple[list[dict[str, np.ndarray]], float]:
-        """Read every bin slice of one pack.  Safe off-thread: pure I/O."""
+    def _read_pack(self, pack: int) -> tuple[list[PackedArrays], float]:
+        """Read and check every bin slice of one pack; decode the columns
+        instances have been asked for so far.  Safe off-thread: reads files
+        and this view's immutable settings only."""
         start = time.perf_counter()
-        data = [
-            read_slice(
-                self.root,
-                SliceKey(self.partition_id, b, pack),
-                allow_objects=self._allow_objects,
-            )
-            for b in range(self._num_bins)
-        ]
+        packing = self.manifest["packing"]
+        pack_len = min(packing, self.manifest["num_timesteps"] - pack * packing)
+        wanted = self.projected
+        data = []
+        for b in range(self._num_bins):
+            key = SliceKey(self.partition_id, b, pack)
+            arrays = read_slice(self.root, key, allow_objects=self._allow_objects)
+            try:
+                _check_columns(arrays, "v", self.template.vertex_schema, pack_len)
+                _check_columns(arrays, "e", self.template.edge_schema, pack_len)
+            except ValueError as exc:
+                raise ValueError(
+                    f"GoFS slice {self.root / slice_filename(key)} ({key}) "
+                    f"does not match the store's schema: {exc}"
+                ) from None
+            for name in wanted:
+                arrays[name]  # decode now: off the compute path when prefetching
+            data.append(arrays)
         return data, time.perf_counter() - start
 
-    def _insert_pack(self, pack: int, data: list[dict[str, np.ndarray]]) -> None:
+    def _project(
+        self, pack_data: list[PackedArrays], row: int, prefix: str, recording: bool,
+        name: str, column: np.ndarray,
+    ) -> None:
+        """Scatter one timestep's values of one attribute into ``column``
+        (an instance table's fill hook, bound by :meth:`instance`)."""
+        entry = f"{prefix}__{name}"
+        for data in pack_data:
+            rows = data[_ROWS_KEY[prefix]]
+            if len(rows):
+                column[rows] = data[entry][row]
+        if recording:
+            if entry not in self.projected:
+                self.projected = self.projected | {entry}
+            self.columns_projected += 1
+            self.bytes_projected += column.nbytes
+            if self.tracer is not None:
+                self.tracer.count("gofs.columns_projected")
+                self.tracer.count("gofs.bytes_projected", column.nbytes)
+
+    def _insert_pack(self, pack: int, data: list[PackedArrays]) -> None:
         self._cache[pack] = data
         nbytes = sum(slice_nbytes(d) for d in data)
         self._cache_nbytes[pack] = nbytes
@@ -418,7 +492,7 @@ class GoFSPartitionView:
                 self._prefetched_ready.add(pack)
                 self._trace_load(boundary, pack, seconds, hidden_s=seconds, prefetched=True)
 
-    def _get_pack(self, pack: int, timestep: int) -> list[dict[str, np.ndarray]]:
+    def _get_pack(self, pack: int, timestep: int) -> list[PackedArrays]:
         # Mark before absorbing: a prefetched pack landing now must not
         # evict the pack this access is about to read (and may evict the
         # previous pack once compute has moved on to this one).
@@ -583,6 +657,12 @@ class GoFSPartitionView:
     # -- InstanceSource protocol -------------------------------------------------------
 
     def instance(self, timestep: int) -> GraphInstance:
+        """Load (or cache-hit) ``timestep``'s pack and return a lazy instance.
+
+        Everything that can fail — a missing, truncated or mis-typed slice —
+        fails here; the returned instance's columns are projected from the
+        pack on first access.
+        """
         T = self.manifest["num_timesteps"]
         if not 0 <= timestep < T:
             raise IndexError(f"timestep {timestep} out of range [0, {T})")
@@ -591,18 +671,21 @@ class GoFSPartitionView:
         pack_data = self._get_pack(pack, timestep)
         if self.prefetch_enabled and row >= packing - self.prefetch_lead:
             self.prefetch((pack + 1) * packing)  # range-checked inside
-        inst = GraphInstance(
-            self.template, self.manifest["t0"] + timestep * self.manifest["delta"]
+        tpl = self.template
+        return GraphInstance(
+            tpl,
+            self.manifest["t0"] + timestep * self.manifest["delta"],
+            AttributeTable(
+                tpl.vertex_schema,
+                tpl.num_vertices,
+                fill=partial(self._project, pack_data, row, "v", self._recording),
+            ),
+            AttributeTable(
+                tpl.edge_schema,
+                tpl.num_edges,
+                fill=partial(self._project, pack_data, row, "e", self._recording),
+            ),
         )
-        for data in pack_data:
-            v_rows, e_rows = data["vertex_rows"], data["edge_rows"]
-            for spec in self.template.vertex_schema:
-                if len(v_rows):
-                    inst.vertex_values.column(spec.name)[v_rows] = data[f"v__{spec.name}"][row]
-            for spec in self.template.edge_schema:
-                if len(e_rows):
-                    inst.edge_values.column(spec.name)[e_rows] = data[f"e__{spec.name}"][row]
-        return inst
 
     def resident_bytes(self) -> int:
         """Bytes of all cached packs (GC pause model input).

@@ -15,13 +15,22 @@ views over the file bytes — near-memcpy, no pickle, no per-array parsing —
 while object-dtype columns ride a pickled side-channel (``kind: "pickle"``;
 trusted local data, same stance as the schema blobs above).  An optional
 zlib pass over the payload trades the zero-copy read for smaller files.
+
+Reading is split in two.  *Eager*, in :func:`unpack_arrays`: magic, header
+parse, bounds and size validation of every entry, the ``allow_objects``
+gate, and the zlib pass if any — everything that can fail fails there.
+*Per array, on first access* (:class:`PackedArrays`): the ``frombuffer``
+view or the unpickle, so a reader that never asks for a column never pays
+for decoding it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import zlib
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +45,7 @@ __all__ = [
     "schema_from_bytes",
     "pack_arrays",
     "unpack_arrays",
+    "PackedArrays",
     "write_blob",
     "read_blob",
     "sha256_of",
@@ -89,37 +99,102 @@ def pack_arrays(arrays: dict[str, np.ndarray], *, compress: bool = False) -> byt
     return GSL2_MAGIC + len(header).to_bytes(4, "little") + header + payload
 
 
-def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> dict[str, np.ndarray]:
-    """Deserialize a :func:`pack_arrays` buffer.
+class PackedArrays(Mapping):
+    """Read-only ``name -> array`` view of one GSL2 buffer.
 
-    Raw arrays come back as read-only ``np.frombuffer`` views over ``buf``
-    (zero-copy when the payload is uncompressed).  ``allow_objects=False``
-    refuses pickled columns with a ``ValueError`` instead of unpickling —
-    the strict mode for numeric-only schemas.
+    The header is parsed and validated up front (:func:`unpack_arrays`);
+    each array is decoded from the payload on its first ``[name]`` and kept.
+    Raw arrays decode to read-only ``np.frombuffer`` views (zero-copy when
+    the payload is uncompressed); object arrays are unpickled then, and only
+    then.  :meth:`entry` answers dtype/shape/size questions from the header
+    without decoding anything.
+    """
+
+    __slots__ = ("_entries", "_payload", "_decoded")
+
+    def __init__(self, entries: dict[str, dict], payload: memoryview) -> None:
+        self._entries = entries
+        self._payload = payload
+        self._decoded: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        arr = self._decoded.get(name)
+        if arr is None:
+            entry = self._entries[name]  # KeyError for unknown names
+            chunk = self._payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+            shape = tuple(entry["shape"])
+            if entry["kind"] == "pickle":
+                arr = pickle.loads(chunk)
+                if getattr(arr, "dtype", None) != object or arr.shape != shape:
+                    raise ValueError(
+                        f"array {name!r} did not unpickle to an object array of shape {shape}"
+                    )
+            else:
+                arr = np.frombuffer(chunk, dtype=np.dtype(entry["dtype"])).reshape(shape)
+            self._decoded[name] = arr
+        return arr
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries  # (Mapping's default would decode)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entry(self, name: str) -> dict:
+        """Header record of ``name``: kind, dtype, shape, offset, nbytes."""
+        return self._entries[name]
+
+
+def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> PackedArrays:
+    """Open a :func:`pack_arrays` buffer as a lazily decoded mapping.
+
+    Eager, so a bad buffer fails here and not at first use: the magic, the
+    header, every entry's ``offset + nbytes`` lying inside the payload, and
+    every raw entry's ``nbytes == itemsize * prod(shape)``.
+    ``allow_objects=False`` refuses pickled columns with a ``ValueError``
+    here too, without unpickling — the strict mode for numeric-only
+    schemas.  Decoding itself is per array, on demand (:class:`PackedArrays`).
     """
     if buf[:4] != GSL2_MAGIC:
         raise ValueError("not a GSL2 buffer (bad magic)")
     hlen = int.from_bytes(buf[4:8], "little")
+    if len(buf) < 8 + hlen:
+        raise ValueError(f"GSL2 header truncated: {len(buf) - 8} of {hlen} bytes")
     header = json.loads(buf[8 : 8 + hlen].decode("utf-8"))
     payload: bytes | memoryview = memoryview(buf)[8 + hlen :]
     if header["compression"] == "zlib":
-        payload = zlib.decompress(payload)
+        try:
+            payload = zlib.decompress(payload)
+        except zlib.error as exc:
+            raise ValueError(f"GSL2 payload does not decompress: {exc}") from None
     view = memoryview(payload)
-    out: dict[str, np.ndarray] = {}
+    entries: dict[str, dict] = {}
     for entry in header["arrays"]:
-        chunk = view[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+        if offset < 0 or nbytes < 0 or offset + nbytes > len(view):
+            raise ValueError(
+                f"array {name!r} spans payload bytes [{offset}, {offset + nbytes}) "
+                f"but the payload holds {len(view)}"
+            )
         if entry["kind"] == "pickle":
             if allow_objects is False:
                 raise ValueError(
-                    f"array {entry['name']!r} is a pickled object column "
-                    "but allow_objects=False"
+                    f"array {name!r} is a pickled object column but allow_objects=False"
                 )
-            out[entry["name"]] = pickle.loads(chunk)
+        elif entry["kind"] == "raw":
+            want = np.dtype(entry["dtype"]).itemsize * math.prod(entry["shape"])
+            if nbytes != want:
+                raise ValueError(
+                    f"array {name!r} records {nbytes} bytes but "
+                    f"{entry['dtype']} x {entry['shape']} needs {want}"
+                )
         else:
-            out[entry["name"]] = np.frombuffer(chunk, dtype=np.dtype(entry["dtype"])).reshape(
-                entry["shape"]
-            )
-    return out
+            raise ValueError(f"array {name!r} has unknown kind {entry['kind']!r}")
+        entries[name] = entry
+    return PackedArrays(entries, view)
 
 
 def write_blob(path: str | Path, obj) -> tuple[int, str]:

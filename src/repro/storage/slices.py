@@ -18,10 +18,15 @@ aligned raw buffers per attribute column, read back as ``np.frombuffer``
 views so a pack load is near-memcpy.  Object columns (e.g. tweet lists)
 ride a pickled side-channel inside the same file.  Compression (a zlib
 payload) is a writer flag.
+
+:func:`read_slice` reads the file and validates the header eagerly and
+decodes each column on its first access, so the cost of a column — above all
+the unpickle of an object column — is paid only by a reader that uses it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from ..graph.instance import GraphInstance
 from ..graph.subgraph import Subgraph
-from .serde import pack_arrays, unpack_arrays
+from .serde import PackedArrays, pack_arrays, unpack_arrays
 
 __all__ = [
     "SLICE_FORMAT",
@@ -130,30 +135,39 @@ def write_slice(
 
 def read_slice(
     root: Path, key: SliceKey, *, allow_objects: bool | None = None
-) -> dict[str, np.ndarray]:
-    """Read a slice into a dict of arrays.
+) -> PackedArrays:
+    """Read a slice file and validate its header; decode nothing yet.
 
-    Numeric columns come back as read-only zero-copy views over the file
-    bytes.  ``allow_objects`` gates unpickling: ``False`` fails loudly if
-    the slice holds object columns, ``True`` permits them, and ``None``
-    (default) unpickles only when object columns are actually present —
-    numeric-only schemas never unpickle.
+    Eager: the file read, the header checks of
+    :func:`~repro.storage.serde.unpack_arrays`, and the ``allow_objects``
+    gate — ``False`` fails loudly here if the slice holds object columns,
+    ``True`` and ``None`` permit them.  A missing or malformed file raises
+    naming the ``.gsl`` path and the key.  Per column, on first
+    ``data[name]``: numeric columns become read-only zero-copy views over
+    the file bytes and object columns are unpickled — a column nobody reads
+    is never decoded.
     """
     path = Path(root) / slice_filename(key)
     try:
         buf = path.read_bytes()
     except FileNotFoundError:
         raise FileNotFoundError(f"GoFS slice {path} ({key}) is missing") from None
-    return unpack_arrays(buf, allow_objects=allow_objects)
+    try:
+        return unpack_arrays(buf, allow_objects=allow_objects)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"GoFS slice {path} ({key}) is malformed: {exc}") from exc
 
 
-def slice_nbytes(data: dict[str, np.ndarray]) -> int:
+def slice_nbytes(data: PackedArrays) -> int:
     """Approximate resident bytes of one loaded slice (GC-model input).
 
-    Object columns count a flat 64 bytes per element: the arrays only hold
-    pointers to variable-size Python objects the model cannot cheaply size.
+    Computed from the header, so it is the same number whether or not any
+    column has been decoded.  Object columns count a flat 64 bytes per
+    element: the arrays only hold pointers to variable-size Python objects
+    the model cannot cheaply size.
     """
     total = 0
-    for arr in data.values():
-        total += 64 * arr.size if arr.dtype == object else arr.nbytes
+    for name in data:
+        entry = data.entry(name)
+        total += 64 * math.prod(entry["shape"]) if entry["kind"] == "pickle" else entry["nbytes"]
     return total

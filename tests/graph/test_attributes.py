@@ -193,3 +193,66 @@ class TestAttributeTable:
         t = AttributeTable(schema, len(values))
         t.set_column("x", np.asarray(values))
         assert np.array_equal(t.column("x"), np.asarray(values))
+
+
+class TestBackedTable:
+    """A table with a ``fill`` hook: columns hold stored values, lazily."""
+
+    SCHEMA = AttributeSchema([("x", "float"), ("k", "int", 7), ("o", "object")])
+    STORED = {"x": [1.5, 2.5], "k": [3, 4], "o": [("a",), None]}
+
+    def make(self, calls=None):
+        def fill(name, column):
+            if calls is not None:
+                calls.append(name)
+            column[[0, 2]] = self.STORED[name]
+
+        return AttributeTable(self.SCHEMA, 4, fill=fill)
+
+    def test_fill_runs_once_per_column_on_first_touch(self):
+        calls = []
+        t = self.make(calls)
+        assert t.materialized_names == [] and calls == []
+        assert t.column("k").tolist() == [3, 7, 4, 7]  # stored rows over the default
+        t.column("k")
+        t.get("k", 0)
+        assert calls == ["k"]
+        assert t.materialized_names == ["k"]
+        assert t.approx_nbytes() == 4 * 8  # untouched columns weigh nothing
+
+    def test_set_column_replaces_the_stored_values(self):
+        calls = []
+        t = self.make(calls)
+        t.set_column("x", np.zeros(4))
+        assert t.column("x").tolist() == [0.0] * 4 and calls == []
+
+    def test_copy_does_not_turn_untouched_columns_into_defaults(self):
+        t = self.make()
+        t.column("x")[1] = 9.0
+        c = t.copy()
+        assert c.materialized_names == ["x"]
+        assert c.column("x").tolist() == [1.5, 9.0, 2.5, 0.0]
+        assert c.column("k").tolist() == [3, 7, 4, 7]  # not [7, 7, 7, 7]
+        c.column("x")[0] = -1.0
+        assert t.get("x", 0) == 1.5
+
+    def test_equals_sees_untouched_columns(self):
+        plain = AttributeTable(self.SCHEMA, 4)
+        assert not self.make().equals(plain)
+        assert not plain.equals(self.make())
+        for name, values in self.STORED.items():
+            plain.column(name)[[0, 2]] = values
+        assert self.make().equals(plain) and plain.equals(self.make())
+        assert self.make().equals(self.make())
+
+    def test_pickle_ships_values_not_the_hook(self):
+        import pickle
+
+        t = self.make()
+        t.column("x")
+        clone = pickle.loads(pickle.dumps(t))
+        assert clone.materialized_names == ["x", "k", "o"]
+        assert clone.equals(self.make())
+        plain = AttributeTable(self.SCHEMA, 4)
+        plain.column("x")
+        assert pickle.loads(pickle.dumps(plain)).materialized_names == ["x"]

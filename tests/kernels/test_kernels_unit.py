@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels import (
+    any_neighbor,
     contains_in_cells,
     count_equal,
     count_equal_in_cells,
@@ -158,6 +159,25 @@ class TestExpandToFixpoint:
         assert visited.tolist() == [True, False, False]
         assert newly.size == 0
         assert expanded_now.tolist() == [0]
+
+
+class TestAnyNeighbor:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), m=st.integers(0, 120))
+    def test_matches_logical_or_at(self, seed, n, m):
+        """The boolean scatter is the ``np.logical_or.at`` it replaced."""
+        rng = np.random.default_rng(seed)
+        indptr, indices = random_csr(rng, n, m)
+        slot_src = slot_sources(indptr)
+        mask = rng.random(n) < rng.random()
+        want = np.zeros(n, dtype=bool)
+        np.logical_or.at(want, slot_src, mask[indices])
+        got = any_neighbor(slot_src, indices, mask)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_no_edges(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert any_neighbor(empty, empty, np.ones(3, dtype=bool)).tolist() == [False] * 3
 
 
 class TestCsrComponents:

@@ -1,21 +1,27 @@
 """Tests for the GoFS store: slices, packing/binning, partition views."""
 
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.graph import build_collection
-from repro.partition import HashPartitioner, partition_graph
+from repro.graph import AttributeSchema, AttributeSpec, GraphTemplate, build_collection
+from repro.observability.tracer import Tracer
+from repro.partition import HashPartitioner, decompose, partition_graph
 from repro.storage import (
     GoFS,
     GoFSPartitionView,
     SliceKey,
     bin_rows,
+    read_slice,
     slice_filename,
     slice_nbytes,
 )
-from tests.conftest import make_grid_template, populate_random
+from repro.storage.serde import pack_arrays
+from tests.conftest import make_grid_template, make_random_template, populate_random
+from tests.storage.test_slices_v2 import entry_of, rewrite_header
 
 
 @pytest.fixture
@@ -497,3 +503,300 @@ class TestPrefetch:
                 fut.result(timeout=30)
         assert [t for t, _s in view.load_events] == [0, 4, 8]
         assert view.prefetch_misses == 1
+
+
+def owned_rows(pg, p):
+    """(vertex rows, edge rows) partition ``p``'s slices cover."""
+    return bin_rows(pg.partitions[p].subgraphs)
+
+
+def column_of(inst, kind, name):
+    return inst.vertex_column(name) if kind == "v" else inst.edge_column(name)
+
+
+def same_cells(a, b, is_object):
+    return a.tolist() == b.tolist() if is_object else a.tobytes() == b.tobytes()
+
+
+class TestLazyProjection:
+    def test_instance_projects_nothing_until_a_column_is_read(self, store):
+        root, tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 0)
+        tracer = Tracer()
+        view.attach_tracer(tracer)
+        inst = view.instance(1)
+        assert inst.vertex_values.materialized_names == []
+        assert inst.edge_values.materialized_names == []
+        assert view.columns_projected == view.bytes_projected == 0
+        assert view.projected == frozenset()
+        assert len(view.load_events) == 1  # the pack read itself stayed eager
+        inst.edge_column("latency")
+        inst.edge_column("latency")  # second read: already a plain column
+        assert inst.edge_values.materialized_names == ["latency"]
+        assert inst.vertex_values.materialized_names == []
+        assert view.columns_projected == 1
+        assert view.bytes_projected == 8 * tpl.num_edges
+        assert view.projected == {"e__latency"}
+        view.instance(2).edge_column("latency")
+        assert tracer.counters["gofs.columns_projected"] == view.columns_projected == 2
+        assert tracer.counters["gofs.bytes_projected"] == view.bytes_projected
+
+    def test_unread_object_column_is_never_unpickled(self, store, monkeypatch):
+        root, *_ = store
+        view = GoFS.partition_view(root, 0)  # (the template's schema blobs are pickles)
+        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled an unread column"))
+        for t in range(12):
+            inst = view.instance(t)
+            inst.edge_column("latency")
+            inst.vertex_column("traffic")
+
+    def test_reload_instance_projection_is_not_counted(self, store):
+        root, _tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 0)
+        view.attach_tracer(Tracer())
+        inst = view.reload_instance(4)
+        _verts, edges = owned_rows(pg, 0)
+        assert np.array_equal(
+            inst.edge_column("latency")[edges], coll.instance(4).edge_column("latency")[edges]
+        )
+        assert view.columns_projected == 0 and view.projected == frozenset()
+        assert "gofs.columns_projected" not in view.tracer.counters
+
+    def test_instance_outlives_its_packs_eviction(self, store):
+        root, _tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 0, cache_packs=1)
+        old = view.instance(1)
+        one = view.resident_bytes()
+        view.instance(4)  # pack 0 evicted while `old` has projected nothing
+        assert set(view._cache) == {1}
+        verts, edges = owned_rows(pg, 0)
+        want = coll.instance(1)
+        assert np.array_equal(old.edge_column("latency")[edges], want.edge_column("latency")[edges])
+        assert old.vertex_column("tweets")[verts].tolist() == want.vertex_column("tweets")[verts].tolist()
+        assert view.resident_bytes() == one  # only cached packs count
+        assert len(view.load_events) == 2  # ... and nothing was re-read
+
+    def test_copy_and_pickle_of_an_untouched_instance_keep_the_values(self, store):
+        root, _tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 1)
+        verts, _edges = owned_rows(pg, 1)
+        want = coll.instance(3).vertex_column("traffic")[verts]
+        for clone in (view.instance(3).copy(), pickle.loads(pickle.dumps(view.instance(3)))):
+            assert np.array_equal(clone.vertex_column("traffic")[verts], want)
+        assert view.instance(3).equals(view.instance(3))
+        assert not view.instance(3).equals(view.instance(2))
+
+    def test_pack_reads_decode_what_instances_have_projected(self, store, monkeypatch):
+        """The prefetch thread hides the unpickle of a column compute uses."""
+        root, _tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 0, prefetch=True, cache_packs=2)
+        view.instance(0).vertex_column("tweets")
+        assert view.prefetch(4) is True
+        view._inflight[1].result(timeout=30)
+        inst = view.instance(4)
+        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled on the compute path"))
+        verts, _edges = owned_rows(pg, 0)
+        assert (
+            inst.vertex_column("tweets")[verts].tolist()
+            == coll.instance(4).vertex_column("tweets")[verts].tolist()
+        )
+        view.close()
+
+
+def numeric_store(root):
+    """A store whose schema has no object column, so its views read strictly."""
+    tpl = GraphTemplate(
+        6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
+        vertex_schema=AttributeSchema([AttributeSpec("traffic", "float")]),
+        edge_schema=AttributeSchema([AttributeSpec("latency", "float"), AttributeSpec("lanes", "int")]),
+    )
+
+    def populate(inst, t):
+        inst.vertex_values.set_column("traffic", np.arange(6) + 10.0 * t)
+        inst.edge_values.set_column("latency", np.arange(5) + 0.5 * t)
+        inst.edge_values.set_column("lanes", np.arange(5) + t)
+
+    coll = build_collection(tpl, 5, populate)
+    pg = decompose(tpl, np.asarray([0, 0, 0, 1, 1, 1]), 2)
+    GoFS.write_collection(root, pg, coll, packing=2, binning=5)
+    return tpl, coll, pg
+
+
+class TestLoadErrorsSurfaceInInstance:
+    """A bad slice fails the pack load inside ``instance()`` — never later,
+    in the middle of ``compute``, when the column is first read."""
+
+    KEY = SliceKey(0, 0, 1)  # partition 0's only bin, the pack of timesteps 2-3
+
+    def rewrite(self, root, edit):
+        path = root / slice_filename(self.KEY)
+        arrays = dict(read_slice(root, self.KEY).items())
+        edit(arrays)
+        path.write_bytes(pack_arrays(arrays))
+        return path
+
+    def assert_fails_in_instance(self, root, match):
+        view = GoFS.partition_view(root, 0)
+        view.instance(0).edge_column("latency")  # the untouched pack still loads
+        with pytest.raises(ValueError, match=match) as excinfo:
+            view.instance(2)
+        assert str(root / slice_filename(self.KEY)) in str(excinfo.value)
+        assert repr(self.KEY) in str(excinfo.value)
+        # The prefetch path reports the same error from the same call.
+        pre = GoFS.partition_view(root, 0, prefetch=True)
+        pre.prefetch(2)
+        with pytest.raises(ValueError, match=match):
+            pre.instance(2)
+        pre.close()
+
+    def test_truncated_file(self, tmp_path):
+        numeric_store(tmp_path)
+        path = tmp_path / slice_filename(self.KEY)
+        path.write_bytes(path.read_bytes()[:-9])
+        self.assert_fails_in_instance(tmp_path, "payload holds")
+
+    def test_lying_nbytes(self, tmp_path):
+        numeric_store(tmp_path)
+        path = tmp_path / slice_filename(self.KEY)
+
+        def lie(header):
+            entry_of(header, "e__lanes")["nbytes"] -= 8
+
+        path.write_bytes(rewrite_header(path.read_bytes(), lie))
+        self.assert_fails_in_instance(tmp_path, "'e__lanes' records")
+
+    def test_wrong_dtype(self, tmp_path):
+        numeric_store(tmp_path)
+
+        def edit(arrays):
+            arrays["e__lanes"] = arrays["e__lanes"].astype(np.int32)
+
+        self.rewrite(tmp_path, edit)
+        self.assert_fails_in_instance(tmp_path, "column e__lanes is <i4")
+
+    def test_wrong_shape(self, tmp_path):
+        numeric_store(tmp_path)
+
+        def edit(arrays):
+            arrays["v__traffic"] = arrays["v__traffic"][:1]
+
+        self.rewrite(tmp_path, edit)
+        self.assert_fails_in_instance(tmp_path, r"column v__traffic is <f8 \[1, 3\]")
+
+    def test_missing_column(self, tmp_path):
+        numeric_store(tmp_path)
+        self.rewrite(tmp_path, lambda arrays: arrays.pop("e__latency"))
+        self.assert_fails_in_instance(tmp_path, "column e__latency is missing")
+
+    def test_object_column_on_a_strict_read(self, tmp_path, monkeypatch):
+        numeric_store(tmp_path)
+
+        def edit(arrays):
+            arrays["v__traffic"] = arrays["v__traffic"].astype(object)
+
+        self.rewrite(tmp_path, edit)
+        real = pickle.loads
+        # Schema blobs (bytes) may unpickle; a slice's payload (a memoryview) may not.
+        monkeypatch.setattr(
+            pickle, "loads",
+            lambda b: real(b) if isinstance(b, bytes) else pytest.fail("strict read unpickled"),
+        )
+        self.assert_fails_in_instance(tmp_path, "v__traffic.*allow_objects=False")
+
+
+SCHEMAS = {
+    "numeric": (
+        AttributeSchema([AttributeSpec("traffic", "float"), AttributeSpec("flag", "bool", True)]),
+        AttributeSchema([AttributeSpec("latency", "float", 1.0), AttributeSpec("lanes", "int")]),
+    ),
+    "object": (
+        AttributeSchema([AttributeSpec("tweets", "object"), AttributeSpec("traffic", "float")]),
+        AttributeSchema([AttributeSpec("latency", "float"), AttributeSpec("tags", "object")]),
+    ),
+}
+
+
+def random_populator(seed):
+    def populate(inst, t):
+        rng = np.random.default_rng([seed, t])
+        for table in (inst.vertex_values, inst.edge_values):
+            for spec in table.schema:
+                if spec.is_object:
+                    cells = np.empty(table.n, dtype=object)
+                    cells[:] = [tuple(rng.integers(0, 4, rng.integers(0, 3)).tolist()) for _ in range(table.n)]
+                elif spec.dtype == np.dtype(bool):
+                    cells = rng.random(table.n) < 0.5
+                else:
+                    cells = rng.integers(-50, 50, table.n).astype(spec.dtype)
+                table.set_column(spec.name, cells)
+
+    return populate
+
+
+class TestProjectionProperty:
+    """The one read path, against the collection that was written."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        schema=st.sampled_from(sorted(SCHEMAS)),
+        timesteps=st.integers(1, 7),
+        packing=st.integers(1, 4),
+        binning=st.integers(1, 3),
+        prefetch=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_column_of_every_timestep_in_any_order(
+        self, seed, schema, timesteps, packing, binning, prefetch, data
+    ):
+        rng = np.random.default_rng(seed)
+        base = make_random_template(14, 20, rng)
+        vschema, eschema = SCHEMAS[schema]
+        tpl = GraphTemplate(
+            base.num_vertices, base.edge_src, base.edge_dst,
+            vertex_schema=vschema, edge_schema=eschema,
+        )
+        coll = build_collection(tpl, timesteps, random_populator(seed))
+        # Partition 1 is left empty; the others split into several subgraphs
+        # (so several bins once ``binning`` is small).
+        assignment = rng.choice([0, 2, 3], size=tpl.num_vertices)
+        pg = decompose(tpl, assignment, 4)
+        columns = [("v", spec) for spec in vschema] + [("e", spec) for spec in eschema]
+        with tempfile.TemporaryDirectory() as root:
+            GoFS.write_collection(root, pg, coll, packing=packing, binning=binning)
+            for view in GoFS.partition_views(root, prefetch=prefetch):
+                verts, edges = owned_rows(pg, view.partition_id)
+                order = data.draw(st.permutations(range(timesteps)), label="timestep order")
+                touched = 0
+                for t in order:
+                    inst = view.instance(t)
+                    assert inst.vertex_values.materialized_names == []
+                    assert inst.edge_values.materialized_names == []
+                    assert inst.timestamp == coll.instance(t).timestamp
+                    for kind, spec in data.draw(st.permutations(columns), label="column order"):
+                        rows = verts if kind == "v" else edges
+                        got = column_of(inst, kind, spec.name)
+                        want = spec.allocate(len(got))
+                        want[rows] = column_of(coll.instance(t), kind, spec.name)[rows]
+                        assert got.dtype == spec.dtype
+                        assert same_cells(got, want, spec.is_object)
+                        touched += 1
+                assert view.columns_projected == touched
+                assert view.projected == {f"{kind}__{spec.name}" for kind, spec in columns}
+                view.close()
+
+    def test_residency_and_evictions_are_the_parents(self, store):
+        """Pinned at the commit before instances went lazy (same store, same
+        accesses): ``slice_nbytes`` now reads the header, and must agree."""
+        root, *_ = store
+        one = _one_pack_nbytes(root)
+        assert one == 3796
+        view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
+        view.attach_tracer(Tracer())
+        seen = []
+        for t in list(range(12)) + [0, 4, 8, 1]:
+            view.instance(t)
+            seen.append(view.resident_bytes())
+        assert seen == [3796] * 4 + [7592] * 12
+        assert view.tracer.counters["gofs.packs_evicted"] == 5
+        assert view.tracer.counters["gofs.packs_loaded"] == 7

@@ -1,6 +1,8 @@
-"""Zero-copy GSL2 slice format: round-trips, pre-GSL2 rejection, pickle gating."""
+"""Zero-copy GSL2 slice format: round-trips, pre-GSL2 rejection, pickle gating,
+eager header validation and per-array lazy decode."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.storage import (
     SliceKey,
     read_slice,
     slice_filename,
+    slice_nbytes,
     write_slice,
 )
 from repro.storage.serde import GSL2_MAGIC, pack_arrays, unpack_arrays
@@ -76,6 +79,100 @@ class TestPackArrays:
             unpack_arrays(b"NOPE" + b"\x00" * 16)
 
 
+def rewrite_header(buf, edit):
+    """``buf`` with its JSON header passed through ``edit(header)``."""
+    hlen = int.from_bytes(buf[4:8], "little")
+    header = json.loads(buf[8 : 8 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    return GSL2_MAGIC + len(blob).to_bytes(4, "little") + blob + buf[8 + hlen :]
+
+
+def entry_of(header, name):
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
+class TestLazyDecode:
+    def test_nothing_is_decoded_until_asked_for(self, monkeypatch):
+        loads = []
+        real = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda b: loads.append(1) or real(b))
+        out = unpack_arrays(pack_arrays(sample_arrays(with_objects=True)))
+        assert set(out) == {"a", "b", "c", "empty", "tweets"} and len(out) == 5
+        assert out.entry("tweets")["kind"] == "pickle" and out.entry("a")["shape"] == [3, 4]
+        assert loads == []
+        assert out["a"] is out["a"]  # decoded once, then kept
+        assert loads == []
+        assert out["tweets"].tolist() == [(1, 2), None, ("x",)]
+        out["tweets"]
+        assert loads == [1]
+        with pytest.raises(KeyError):
+            out["nope"]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_slice_nbytes_from_header_equals_decoded_size(self, compress):
+        arrays = sample_arrays(with_objects=True)
+        out = unpack_arrays(pack_arrays(arrays, compress=compress))
+        want = sum(64 * a.size if a.dtype == object else a.nbytes for a in arrays.values())
+        assert slice_nbytes(out) == want  # before any decode
+        for name in out:
+            out[name]
+        assert slice_nbytes(out) == want
+
+
+class TestEagerValidation:
+    """Whatever decoding used to discover, ``unpack_arrays`` now checks up front."""
+
+    def test_truncated_header(self):
+        buf = pack_arrays(sample_arrays())
+        with pytest.raises(ValueError, match="truncated"):
+            unpack_arrays(buf[:20])
+
+    @pytest.mark.parametrize("with_objects", [False, True])
+    def test_truncated_payload(self, with_objects):
+        buf = pack_arrays(sample_arrays(with_objects))
+        with pytest.raises(ValueError, match="payload holds"):
+            unpack_arrays(buf[:-1])
+
+    def test_truncated_compressed_payload(self):
+        buf = pack_arrays(sample_arrays(), compress=True)
+        with pytest.raises(ValueError, match="decompress"):
+            unpack_arrays(buf[:-3])
+
+    def test_lying_nbytes(self):
+        def lie(header):
+            entry_of(header, "a")["nbytes"] -= 8
+
+        with pytest.raises(ValueError, match=r"'a' records 88 bytes .* needs 96"):
+            unpack_arrays(rewrite_header(pack_arrays(sample_arrays()), lie))
+
+    def test_lying_shape(self):
+        def lie(header):
+            entry_of(header, "b")["shape"] = [8]
+
+        with pytest.raises(ValueError, match="'b' records 56 bytes"):
+            unpack_arrays(rewrite_header(pack_arrays(sample_arrays()), lie))
+
+    def test_offset_past_the_payload(self):
+        def lie(header):
+            entry_of(header, "b")["offset"] = 1 << 20
+
+        with pytest.raises(ValueError, match="'b' spans payload bytes"):
+            unpack_arrays(rewrite_header(pack_arrays(sample_arrays()), lie))
+
+    def test_unknown_kind(self):
+        def lie(header):
+            entry_of(header, "c")["kind"] = "parquet"
+
+        with pytest.raises(ValueError, match="unknown kind 'parquet'"):
+            unpack_arrays(rewrite_header(pack_arrays(sample_arrays()), lie))
+
+    def test_strict_gate_fires_without_unpickling(self, monkeypatch):
+        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled on a strict read"))
+        with pytest.raises(ValueError, match="tweets"):
+            unpack_arrays(pack_arrays(sample_arrays(with_objects=True)), allow_objects=False)
+
+
 @pytest.fixture
 def slice_case():
     tpl = make_grid_template(4, 5)
@@ -125,6 +222,19 @@ class TestWriteReadSlice:
             read_slice(tmp_path, key)
         assert str(tmp_path / slice_filename(key)) in str(excinfo.value)
         assert repr(key) in str(excinfo.value)
+
+    def test_malformed_slice_names_gsl_path_and_key(self, tmp_path, slice_case):
+        verts, edges, instances = slice_case
+        key = SliceKey(0, 0, 0)
+        path = write_slice(tmp_path, key, verts, edges, instances)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match="payload holds") as excinfo:
+            read_slice(tmp_path, key)
+        assert str(path) in str(excinfo.value) and repr(key) in str(excinfo.value)
+        with pytest.raises(ValueError, match="tweets") as excinfo:
+            write_slice(tmp_path, key, verts, edges, instances)
+            read_slice(tmp_path, key, allow_objects=False)
+        assert str(path) in str(excinfo.value)
 
     def test_v2_preferred_over_v1(self, tmp_path, slice_case):
         """A pre-GSL2 ``.npz`` under the old name is never consulted."""

@@ -118,6 +118,26 @@ class TestStorageAndExecutorInvariance:
             )
 
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_tdsp_projects_one_edge_column_per_host_per_timestep(self, executor, tmp_path):
+        """GoFS instances are lazy per attribute: TDSP reads ``latency`` and
+        nothing else, so that is all a run pays for — exactly, every run."""
+        tpl, coll = make_workload(3)
+        pg = partition_graph(tpl, 3, HashPartitioner(seed=3))
+        GoFS.write_collection(tmp_path, pg, coll, packing=3, binning=2)
+        views = GoFS.partition_views(tmp_path)
+        res = run_application(
+            TDSPComputation(0), pg, coll, sources=views,
+            config=EngineConfig(executor=executor, tracing=True),
+        )
+        counters = res.trace.counters
+        assert counters["gofs.columns_projected"] == 3 * res.timesteps_executed
+        assert counters["gofs.bytes_projected"] == 3 * res.timesteps_executed * 8 * tpl.num_edges
+        if executor == "serial":  # the driver's views are the ones that ran
+            assert [v.projected for v in views] == [{"e__latency"}] * 3
+            assert sum(v.columns_projected for v in views) == counters["gofs.columns_projected"]
+
+
 class TestMetricsConsistency:
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**16), k=st.integers(2, 4))
