@@ -11,7 +11,6 @@ from .report import render_bar_chart, render_series, render_table
 from .timeline import frontier_matrix, frontier_totals, timestep_times
 from .trace_replay import (
     crosscheck_trace,
-    purge_rolled_back_events,
     replay_partition_breakdown,
     replay_timestep_walls,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "crosscheck_ingest",
     "ingest_phase_seconds",
     "replay_ingest_breakdown",
-    "purge_rolled_back_events",
     "replay_partition_breakdown",
     "replay_timestep_walls",
     "result_summary",

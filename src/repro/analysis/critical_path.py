@@ -17,7 +17,7 @@ host chain, segment by segment:
   charged costs on the timestep's critical path.
 
 The per-timestep wall this attribution sums to is *exactly* the quantity
-``replay_timestep_walls`` derives (same purge rules, same arithmetic), so
+``replay_timestep_walls`` derives (same events, same arithmetic), so
 :func:`crosscheck_critical_path` validates the report against both the
 replay and the run's :class:`~repro.runtime.metrics.MetricsCollector`, the
 way ``trace_replay.crosscheck_trace`` does.
@@ -36,7 +36,7 @@ from typing import Any, Mapping, Sequence
 
 from ..core.results import AppResult
 from ..runtime.metrics import PHASE_COMPUTE
-from .trace_replay import purge_rolled_back_events, replay_timestep_walls
+from .trace_replay import replay_timestep_walls
 
 __all__ = [
     "critical_path_report",
@@ -69,8 +69,7 @@ def critical_path_report(
     Parameters mirror ``replay_timestep_walls``: the run's event records
     (``result.trace.event_records()`` or a read-back ``events.jsonl``), the
     cluster width, and the modeled per-superstep barrier cost from the run
-    manifest.  Rolled-back work is purged first, so recovered runs
-    attribute only the committed execution.
+    manifest.
 
     Returns a report dict::
 
@@ -92,8 +91,6 @@ def critical_path_report(
           "stragglers": [partition, ...],   # by critical wall, descending
         }
     """
-    events = purge_rolled_back_events(events)
-
     # (timestep, superstep) -> partition -> step event, compute phase only.
     steps: dict[tuple[int, int], dict[int, Mapping]] = defaultdict(dict)
     loads: dict[int, list[float]] = defaultdict(lambda: [0.0] * num_partitions)
@@ -116,10 +113,8 @@ def critical_path_report(
             driver_costs[e["timestep"]]["checkpoint"] += e["cost_s"]
         elif kind == "prefetch_issue":
             driver_costs[e["timestep"]]["prefetch"] += e["cost_s"]
-        elif kind == "restore":
-            driver_costs[e["timestep"]]["recovery"] += e["seconds"]
         elif kind in ("worker_respawn", "protocol_retry"):
-            # Surgical repairs charge the round's timestep, like a restore.
+            # Host repairs charge the round's timestep.
             driver_costs[e["timestep"]]["recovery"] += e["seconds"]
 
     timesteps = sorted(

@@ -18,89 +18,13 @@ from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 from ..core.results import AppResult
-from ..resilience.faults import AT_EOT
 from ..runtime.metrics import PHASE_COMPUTE, PartitionBreakdown
 
 __all__ = [
-    "purge_rolled_back_events",
     "replay_partition_breakdown",
     "replay_timestep_walls",
     "crosscheck_trace",
 ]
-
-
-def _rolled_back(e: Mapping, t0: int, s0: int | None) -> bool:
-    """Did rollback-to-``(t0, s0)`` discard the work ``e`` records?
-
-    The restored checkpoint blob was serialized at that boundary, so the
-    collector state it carries predates everything at-or-after it — the
-    matching events must be dropped for the replay to agree:
-
-    * ``step`` — merge-phase steps always (the merge runs after every
-      timestep, so any rollback re-runs it); compute steps at a later
-      timestep, or at ``t0`` itself when the restore re-enters it (any
-      superstep for a timestep-boundary restore, supersteps >= ``s0`` for a
-      superstep-boundary one).
-    * ``instance_load`` / ``gc_pause`` — charged when a timestep begins;
-      kept at ``t0`` under a superstep-boundary restore (the begin phase ran
-      before the checkpoint, so its costs are inside the restored metrics).
-    * ``prefetch_issue`` — charged at the first superstep's tail, which a
-      superstep-boundary checkpoint (always at ``s0 >= 1``) has already
-      captured; the same rule as ``instance_load`` applies.
-    * ``checkpoint_write`` — a checkpoint's own cost is recorded *after*
-      its blob is serialized, so the restored-from checkpoint's cost (keyed
-      exactly at the restore point) is absent from the restored collector.
-    * ``restore`` — an earlier recovery's measured seconds survive only if
-      a later checkpoint captured them; one at-or-after this restore point
-      cannot have (its recording postdates every blob at-or-before it).
-    """
-    kind = e.get("kind")
-    te = e.get("timestep")
-    if kind == "step":
-        if e["phase"] != PHASE_COMPUTE:
-            return True
-        return te > t0 or (te == t0 and (s0 is None or e["superstep"] >= s0))
-    if kind in ("instance_load", "gc_pause", "prefetch_issue"):
-        return te > t0 or (te == t0 and s0 is None)
-    if kind == "checkpoint_write":
-        sck = e.get("superstep")
-        return te > t0 or (
-            te == t0 and (s0 is None or (sck is not None and sck >= s0))
-        )
-    if kind == "restore":
-        rs = e.get("superstep")
-        return te > t0 or (
-            te == t0 and (s0 is None or (rs is not None and rs >= s0))
-        )
-    if kind in ("worker_respawn", "protocol_retry"):
-        # Surgical recoveries record into the collector at their round's
-        # timestep; a later cohort rollback past that round rewinds the
-        # record away.  Round supersteps use sentinels: a begin-round
-        # recovery (AT_BEGIN < s0) precedes any superstep checkpoint and
-        # survives it; an eot-round one postdates every superstep boundary.
-        rs = e.get("superstep")
-        return te > t0 or (
-            te == t0 and (s0 is None or rs >= s0 or rs == AT_EOT)
-        )
-    return False
-
-
-def purge_rolled_back_events(events: Iterable[Mapping]) -> list[Mapping]:
-    """Drop events describing work that rollback recovery discarded.
-
-    Each ``restore`` event (other than a ``resumed`` one, which starts a
-    fresh trace) rewinds the run to its ``(timestep, superstep)`` target:
-    everything recorded at-or-after that boundary was re-executed, and the
-    restored metrics never saw the discarded attempt.  Replaying the raw log
-    would double-count loads and mis-attribute checkpoint/recovery costs.
-    """
-    kept: list[Mapping] = []
-    for e in events:
-        if e.get("kind") == "restore" and not e.get("resumed"):
-            t0, s0 = e["timestep"], e.get("superstep")
-            kept = [k for k in kept if not _rolled_back(k, t0, s0)]
-        kept.append(e)
-    return kept
 
 
 def _step_groups(
@@ -140,7 +64,6 @@ def replay_partition_breakdown(
     per-superstep barrier cost (``CostModel.barrier_cost``), recorded in the
     run manifest.
     """
-    events = purge_rolled_back_events(events)
     compute = [0.0] * num_partitions
     send = [0.0] * num_partitions
     sync = [0.0] * num_partitions
@@ -175,10 +98,8 @@ def replay_timestep_walls(
 
     Sums the compute-phase superstep walls per timestep and adds the slowest
     host's load and GC pause, any rebalancing transfer cost, modeled
-    checkpoint-write I/O, and measured rollback-recovery time (rolled-back
-    events are purged first, so discarded attempts are not double-counted).
+    checkpoint-write I/O, and measured host-repair time.
     """
-    events = purge_rolled_back_events(events)
     walls: dict[int, float] = defaultdict(float)
     for (phase, t, _s), rows in _step_groups(events).items():
         if phase != PHASE_COMPUTE:
@@ -196,11 +117,9 @@ def replay_timestep_walls(
             walls[e["timestep"]] += e["cost_s"]
         elif kind == "prefetch_issue":
             walls[e["timestep"]] += e["cost_s"]
-        elif kind == "restore":
-            walls[e["timestep"]] += e["seconds"]
         elif kind in ("worker_respawn", "protocol_retry"):
-            # Surgical repairs: the collector records their measured
-            # seconds at the round's timestep, exactly like a restore.
+            # The collector records a repair's measured seconds at the
+            # round's timestep.
             walls[e["timestep"]] += e["seconds"]
     return dict(walls)
 
@@ -247,14 +166,12 @@ def crosscheck_trace(
         if abs(g - w) > tolerance * max(1.0, abs(w)):
             problems.append(f"timestep {t} wall: replay {g!r} != collector {w!r}")
 
-    # Blocked vs hidden load must also replay exactly: a purge bug that
-    # keeps a rolled-back attempt's instance_load (or drops a committed
-    # one) shows up here even when it cancels out of the wall arithmetic.
-    purged = purge_rolled_back_events(events)
-    blocked = sum(e["seconds"] for e in purged if e.get("kind") == "instance_load")
-    hidden = sum(
-        e.get("hidden_s", 0.0) for e in purged if e.get("kind") == "instance_load"
-    )
+    # Blocked vs hidden load must also replay exactly: a journal replay
+    # that leaked a second instance_load (or a dropped committed one) shows
+    # up here even when it cancels out of the wall arithmetic.
+    loads = [e for e in events if e.get("kind") == "instance_load"]
+    blocked = sum(e["seconds"] for e in loads)
+    hidden = sum(e.get("hidden_s", 0.0) for e in loads)
     for label, g, w in (
         ("blocked load", blocked, m.total_load_s()),
         ("hidden load", hidden, m.total_load_hidden_s()),

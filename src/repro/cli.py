@@ -197,19 +197,14 @@ def _check_resilience_flags(args: argparse.Namespace) -> list[str]:
             "--hosts addresses external tibsp workers, which only the socket "
             "executor connects to; add --executor socket"
         )
-    wants_recovery = (
-        args.max_retries is not None
-        or args.degrade
-        or args.quarantine
-        or args.recovery_mode is not None
-    )
+    wants_recovery = args.max_retries is not None or args.degrade or args.quarantine
     if wants_recovery and not args.inject_faults and args.executor not in ("process", "socket"):
         # In-process executors without injected faults have no recoverable
         # failure source: the policy would never act.  Loud, not fatal.
         print(
-            "WARNING: recovery flags (--max-retries/--degrade/--quarantine/"
-            "--recovery-mode) have no effect on an in-process executor "
-            "without --inject-faults: nothing can fail recoverably",
+            "WARNING: recovery flags (--max-retries/--degrade/--quarantine) "
+            "have no effect on an in-process executor without "
+            "--inject-faults: nothing can fail recoverably",
             file=sys.stderr,
         )
     return problems
@@ -227,16 +222,10 @@ def _resilience_config(args: argparse.Namespace) -> dict:
             args.inject_faults,
             seed=args.fault_seed if args.fault_seed is not None else 0,
         )
-    if (
-        args.max_retries is not None
-        or args.degrade
-        or args.quarantine
-        or args.recovery_mode is not None
-    ):
+    if args.max_retries is not None or args.degrade or args.quarantine:
         kwargs["recovery"] = RecoveryPolicy(
             max_retries=args.max_retries if args.max_retries is not None else 2,
             on_exhausted="degrade" if args.degrade else "raise",
-            mode=args.recovery_mode or "surgical",
             quarantine=args.quarantine,
         )
     if args.gather_timeout is not None:
@@ -574,14 +563,9 @@ def main(argv: list[str] | None = None) -> int:
         help="recovery retries per incident (default 2 when faults/recovery active)",
     )
     res.add_argument(
-        "--recovery-mode", choices=["surgical", "cohort"], default=None,
-        help="surgical (default): respawn only the failed worker and replay "
-        "its journal; cohort: respawn everyone and roll the whole run back",
-    )
-    res.add_argument(
         "--quarantine", action="store_true",
         help="on exhausted retries, quarantine the failed partition and "
-        "complete the run degraded (surgical mode)",
+        "complete the run degraded",
     )
     res.add_argument(
         "--degrade", action="store_true",

@@ -26,30 +26,23 @@ host state plus its own driver state (buffered temporal frames, outputs,
 metrics) into a :class:`~repro.resilience.checkpoint.CheckpointManager`
 directory at timestep (and optionally superstep) boundaries.  When a
 *recoverable* failure surfaces — a dead worker process, a wedged gather, a
-corrupt reply, an injected fault — recovery runs in one of two styles,
-chosen by :attr:`~repro.resilience.recovery.RecoveryPolicy.mode`:
+corrupt reply, an injected fault — there is one way to recover.  A
+:class:`~repro.resilience.supervisor.HostSupervisor` issues every
+driver→worker exchange, journals the protocol rounds in a driver-side
+:class:`~repro.resilience.journal.FrameJournal`, and repairs a failed host
+in place: respawn only its worker at a higher incarnation, restore only its
+partition from the latest checkpoint (or genesis-fresh state), silently
+replay its journaled rounds, and re-issue the in-flight exchange while the
+survivors hold at the barrier.  The run itself never rewinds.  Wire-level
+trouble (dropped, duplicated, reordered, corrupted replies; wedged gathers)
+is cured a layer below by the process cluster's sequence-numbered
+idempotent resend protocol and surfaces only as *protocol incidents* in the
+failure log.  When a partition exhausts its retry budget with
+``RecoveryPolicy.quarantine=True``, it is quarantined and the run completes
+degraded, with provenance in ``AppResult.recovery_actions`` and
+``AppResult.degraded_partitions``.
 
-* ``"surgical"`` (default) — a :class:`~repro.resilience.supervisor.
-  HostSupervisor` journals every protocol round in a driver-side
-  :class:`~repro.resilience.journal.FrameJournal` and repairs a failed
-  host in place: respawn only its worker at a higher incarnation, restore
-  only its partition from the latest checkpoint (or genesis-fresh state),
-  silently replay its journaled rounds, and re-issue the in-flight round
-  while the survivors hold at the barrier.  Wire-level trouble (dropped,
-  duplicated, reordered, corrupted replies; wedged gathers) is cured a
-  layer below by the process cluster's sequence-numbered idempotent
-  resend protocol and surfaces only as *protocol incidents* in the
-  failure log.  When a partition exhausts its retry budget with
-  ``RecoveryPolicy.quarantine=True``, it is quarantined and the run
-  completes degraded, with provenance in ``AppResult.recovery_actions``
-  and ``AppResult.degraded_partitions``.
-* ``"cohort"`` — the PR 3 global rollback (Pregel/GoFFish style):
-  respawn the entire worker cohort, restore all partitions from the
-  latest checkpoint (or replay from the beginning when none exists yet),
-  roll the driver back, and re-execute.  Surgical mode also falls back to
-  this path for failures outside a supervised round.
-
-Retries are bounded per incident by
+Retries are bounded per round by
 :class:`~repro.resilience.recovery.RecoveryPolicy`; when they run out the
 run surfaces a structured :class:`~repro.resilience.recovery.RunFailure`
 instead of hanging.  Deterministic application errors are never retried.
@@ -58,7 +51,6 @@ instead of hanging.  Deterministic application errors are never retried.
 from __future__ import annotations
 
 import copy
-import pickle
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
@@ -73,21 +65,15 @@ from ..observability import (
     LiveMetrics,
     PrometheusTextfileExporter,
     RunTrace,
+    Tracer,
     live_enabled,
     tracing_enabled,
 )
 from ..partition.base import PartitionedGraph
-from ..resilience.checkpoint import CheckpointConfig, CheckpointCorrupt, CheckpointManager
+from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
 from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
 from ..resilience.journal import FrameJournal
-from ..resilience.recovery import (
-    EarlyWarning,
-    FailureRecord,
-    RecoverableError,
-    RecoveryPolicy,
-    RunFailure,
-    RunFailureError,
-)
+from ..resilience.recovery import EarlyWarning, RecoveryPolicy, RunFailure, RunFailureError
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
 from ..runtime.cluster import Cluster, LocalCluster, raise_first_failure
 from ..runtime.cost import CostModel
@@ -116,7 +102,8 @@ class EngineConfig:
     Attributes
     ----------
     executor:
-        ``"serial"`` (default), ``"thread"``, or ``"process"``.
+        ``"serial"`` (default), ``"thread"``, ``"process"``, or
+        ``"socket"``.
     cost_model:
         Communication cost model for the simulated wall-clock.
     gc_model:
@@ -161,8 +148,8 @@ class EngineConfig:
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.CheckpointConfig`.
         When set, durable boundary snapshots are written on the configured
-        cadence and ``run(resume_from=...)`` / rollback recovery can
-        restore from them.
+        cadence; ``run(resume_from=...)`` restarts from them and host
+        repair restores the failed partition from the latest one.
     faults:
         Optional :class:`~repro.resilience.faults.FaultPlan` of scripted,
         deterministic failures (testing/bench use).  Enabling faults also
@@ -170,7 +157,7 @@ class EngineConfig:
         given explicitly.
     recovery:
         Optional :class:`~repro.resilience.recovery.RecoveryPolicy`
-        bounding rollback retries.  ``None`` (with ``faults`` also None)
+        bounding host-repair retries.  ``None`` (with ``faults`` also None)
         keeps the pre-resilience behavior: failures propagate immediately.
     gather_timeout_s:
         Bound on every driver-side pipe/socket read per scatter/gather
@@ -198,6 +185,37 @@ class EngineConfig:
     recovery: RecoveryPolicy | None = None
     gather_timeout_s: float | None = None
     hosts: tuple[str, ...] | None = None
+
+
+@dataclass
+class _RunState:
+    """What one ``run()`` sets up once and every helper below works on.
+
+    Nothing here is rebound once the timestep loop starts: the run never
+    rewinds, so the collector, the buffered frames and the inputs a helper
+    sees are the ones the run ends with.
+    """
+
+    pattern: Pattern
+    start: int
+    stop: int
+    result: AppResult
+    metrics: MetricsCollector
+    trace: RunTrace | None
+    manager: CheckpointManager | None
+    #: Application inputs, grouped per subgraph.
+    input_msgs: dict[int, list[Message]]
+    #: Remote temporal sends buffered between timesteps, still framed;
+    #: same-partition temporal sends never leave their host.
+    temporal_frames: list[MessageFrame] = field(default_factory=list)
+    live: LiveMetrics | None = None
+    cluster: Cluster | None = None
+    journal: FrameJournal | None = None
+    supervisor: HostSupervisor | None = None
+
+    @property
+    def tracer(self) -> Tracer | None:
+        return self.trace.tracer if self.trace is not None else None
 
 
 class TIBSPEngine:
@@ -273,9 +291,9 @@ class TIBSPEngine:
                 live=live,
                 gather_timeout_s=gather_timeout,
                 fault_plan=cfg.faults,
-                # Surgical mode hardens the wire protocol: bounded idempotent
-                # resends cure drops/corruption/timeouts below recovery.
-                retry_policy=policy if policy is not None and policy.mode == "surgical" else None,
+                # Recovery hardens the wire protocol: bounded idempotent
+                # resends cure drops/corruption/timeouts below host repair.
+                retry_policy=policy,
                 **extra,
             )
         return LocalCluster(
@@ -405,146 +423,67 @@ class TIBSPEngine:
         )
         trace = RunTrace() if tracing_enabled(cfg.tracing) else None
         result = AppResult(metrics=metrics, trace=trace)
-        input_msgs = self._as_input_messages(inputs)
-
-        manager = (
-            CheckpointManager(cfg.checkpoint.dir, retain=cfg.checkpoint.retain)
-            if cfg.checkpoint is not None
-            else None
-        )
         policy = cfg.recovery if cfg.recovery is not None else (
             RecoveryPolicy() if cfg.faults is not None else None
         )
-
-        # Remote temporal sends buffered between timesteps, still framed;
-        # same-partition temporal sends never leave their host.  This list's
-        # identity is stable across rollbacks (restores slice-assign it).
-        temporal_frames: list[MessageFrame] = []
+        rs = _RunState(
+            pattern=pattern,
+            start=start,
+            stop=stop,
+            result=result,
+            metrics=metrics,
+            trace=trace,
+            manager=(
+                CheckpointManager(cfg.checkpoint.dir, retain=cfg.checkpoint.retain)
+                if cfg.checkpoint is not None
+                else None
+            ),
+            input_msgs=self._as_input_messages(inputs),
+        )
         resume_inner: dict | None = None
-        # Created inside the try so the finally tears them down on *every*
-        # exit path — including failures during cluster spawn or resume
-        # (a leaked heartbeat watchdog or prefetch worker outlives the run
-        # otherwise).
-        live: LiveMetrics | None = None
-        cluster: Cluster | None = None
-        journal: FrameJournal | None = None
-        supervisor: HostSupervisor | None = None
         t = start
+        # The live registry, cluster and supervisor are created inside the
+        # try so the finally tears them down on *every* exit path —
+        # including failures during cluster spawn or resume (a leaked
+        # heartbeat watchdog or prefetch worker outlives the run otherwise).
         try:
-            live = self._make_live(policy, stop)
-            result.live = live
-            cluster = self._make_cluster(
-                computation, meta, trace is not None, live is not None, policy
+            rs.live = result.live = self._make_live(policy, stop)
+            rs.cluster = self._make_cluster(
+                computation, meta, trace is not None, rs.live is not None, policy
             )
             if trace is not None:
-                cluster.driver_tracer = trace.tracer
+                rs.cluster.driver_tracer = trace.tracer
                 stream_dir = getattr(cfg.tracing, "stream_dir", None)
                 if stream_dir is not None:
                     trace.open_stream(stream_dir)
 
             if resume_from is not None:
-                loaded = manager.load(None if resume_from is True else resume_from)
-                self._verify_signature(loaded.meta, pattern)
-                blob = loaded.driver
-                t, resume_inner, input_msgs, metrics = self._install_driver_blob(
-                    blob, result, temporal_frames
-                )
-                if live is not None:
-                    live.resync(copy.deepcopy(metrics))
-                cluster.restore(
-                    loaded.parts,
-                    reload_timestep=t if blob["phase"] == "superstep" else None,
-                    next_timestep=t,
-                )
-                if trace is not None:
-                    trace.tracer.event(
-                        "restore",
-                        timestep=t,
-                        superstep=None if resume_inner is None else resume_inner["superstep"],
-                        seconds=0.0,
-                        resumed=True,
-                        checkpoint=loaded.meta.get("seq"),
-                    )
+                t, resume_inner = self._resume(rs, resume_from)
 
-            # The rollback target of last resort: the driver state at the
-            # start of the run, held in memory.  Restoring it needs no part
-            # snapshots — freshly respawned hosts *are* the start-of-run
-            # state.  Invalid after a resume (hosts then carry history), but
-            # a resume guarantees a durable checkpoint exists instead.
-            genesis: bytes | None = None
-            if policy is not None and resume_from is None:
-                genesis = pickle.dumps(
-                    self._driver_blob(
-                        "timestep", t, None, None, None,
-                        temporal_frames, input_msgs, result, metrics,
-                    )
-                )
-
-            if policy is not None and policy.mode == "surgical":
-                # Surgical recovery: every protocol round goes through the
-                # supervisor, which journals it and repairs single-host
-                # failures in place while the survivors hold at the barrier.
-                journal = FrameJournal(self.pg.num_partitions)
-                supervisor = HostSupervisor(
-                    cluster,
+            if policy is not None:
+                # Every driver→worker exchange goes through the supervisor,
+                # which journals the rounds and repairs single-host failures
+                # in place while the survivors hold at the barrier.
+                rs.journal = FrameJournal(self.pg.num_partitions)
+                rs.supervisor = HostSupervisor(
+                    rs.cluster,
                     policy,
-                    journal,
-                    manager=manager,
-                    metrics=metrics,
+                    rs.journal,
+                    manager=rs.manager,
+                    metrics=rs.metrics,
                     failure_log=result.failure_log,
-                    tracer=trace.tracer if trace is not None else None,
-                    live=live,
+                    tracer=rs.tracer,
+                    live=rs.live,
                 )
 
-            incident_attempt = 0
-            merge_done = not pattern.has_merge
-            while True:
+            try:
                 while t < stop:
-                    try:
-                        with trace.tracer.span("timestep", t=t) if trace is not None else NULL_SPAN:
-                            halted_early = self._run_timestep(
-                                cluster, metrics, trace, live, result, pattern, t, start, stop,
-                                input_msgs, temporal_frames,
-                                resume=resume_inner, manager=manager,
-                                supervisor=supervisor, journal=journal,
-                            )
-                    except RecoveryExhausted as exc:
-                        # The supervisor burned the whole per-round budget on
-                        # one partition; surface the original cause.
-                        return self._exhausted(exc.original, policy, result, t)
-                    except RecoverableError as exc:
-                        if policy is None:
-                            raise
-                        incident_attempt += 1
-                        outcome = self._attempt_recovery(
-                            exc, incident_attempt, policy, manager, genesis,
-                            cluster, result, trace, live, temporal_frames, at_t=t,
-                        )
-                        if outcome is None:
-                            return self._exhausted(exc, policy, result, t)
-                        t, resume_inner, input_msgs, metrics = outcome
-                        if supervisor is not None:
-                            # Cohort fallback (a failure outside a supervised
-                            # round): every partition rewound to the rollback
-                            # base, so the journal restarts empty and the
-                            # supervisor follows the restored collector.
-                            journal.clear()
-                            supervisor.rebind(metrics)
-                        continue
+                    with trace.tracer.span("timestep", t=t) if trace is not None else NULL_SPAN:
+                        halted_early = self._run_timestep(rs, t, resume_inner)
                     resume_inner = None
-                    incident_attempt = 0
                     result.timesteps_executed += 1
-                    if (
-                        manager is not None
-                        and (t - start + 1) % cfg.checkpoint.every == 0
-                        and (supervisor is None or not supervisor.quarantined)
-                    ):
-                        self._write_checkpoint(
-                            manager, cluster, metrics, trace, live, pattern,
-                            "timestep", t + 1, None, None, None,
-                            temporal_frames, input_msgs, result,
-                            journal=journal,
-                        )
+                    if rs.manager is not None and (t - start + 1) % cfg.checkpoint.every == 0:
+                        self._write_checkpoint(rs, t + 1)
                     if trace is not None:
                         # Streamed event-log flush point: everything up to
                         # this timestep boundary is durable on disk.
@@ -554,33 +493,24 @@ class TIBSPEngine:
                         # Only count as early when timesteps actually remained.
                         result.halted_early = t < stop
                         break
-                if not merge_done:
-                    try:
-                        self._run_merge(cluster, metrics, trace, live, result, supervisor)
-                        merge_done = True
-                    except RecoveryExhausted as exc:
-                        return self._exhausted(exc.original, policy, result, -1)
-                    except RecoverableError as exc:
-                        if policy is None:
-                            raise
-                        incident_attempt += 1
-                        outcome = self._attempt_recovery(
-                            exc, incident_attempt, policy, manager, genesis,
-                            cluster, result, trace, live, temporal_frames, at_t=-1,
-                        )
-                        if outcome is None:
-                            return self._exhausted(exc, policy, result, -1)
-                        t, resume_inner, input_msgs, metrics = outcome
-                        if supervisor is not None:
-                            journal.clear()
-                            supervisor.rebind(metrics)
-                        # Rollback may land before ``stop``; the timestep
-                        # loop above re-runs the remainder, then merge again.
-                        continue
-                break
-            if cfg.collect_states:
-                result.states = cluster.final_states()
+                if pattern.has_merge:
+                    self._run_merge(rs)
+                if cfg.collect_states:
+                    for part in self._round(rs, "states", -1, AT_EOT, None):
+                        result.states.update(part)
+            except RecoveryExhausted as exc:
+                # The supervisor burned the whole per-round budget on one
+                # partition: degrade to the partial result or raise.
+                failure = RunFailure(
+                    reason=f"{type(exc.original).__name__}: {exc.original}",
+                    timestep=exc.timestep,
+                    failure_log=list(result.failure_log),
+                )
+                result.failure = failure
+                if policy.on_exhausted == "raise":
+                    raise RunFailureError(failure, partial=result) from exc.original
         finally:
+            live, cluster, supervisor = rs.live, rs.cluster, rs.supervisor
             if live is not None:
                 # Stop the watchdog, force the final snapshot, close the
                 # exporters — then hand the health events over.  Runs even
@@ -644,44 +574,23 @@ class TIBSPEngine:
                     f"in the checkpoint but {want!r} here"
                 )
 
-    def _driver_blob(
-        self,
-        phase: str,
-        next_t: int,
-        superstep: int | None,
-        per_part: list[list[MessageFrame]] | None,
-        halt_votes: set[int] | None,
-        temporal_frames: list[MessageFrame],
-        input_msgs: dict[int, list[Message]],
-        result: AppResult,
-        metrics: MetricsCollector,
-    ) -> dict[str, Any]:
-        """Everything the *driver* must roll back to re-execute from a boundary."""
-        return {
-            "phase": phase,
-            "next_t": int(next_t),
-            "superstep": superstep,
-            "per_part": per_part,
-            "halt_votes": None if halt_votes is None else set(halt_votes),
-            "temporal_frames": list(temporal_frames),
-            "input_msgs": input_msgs,
-            "outputs": list(result.outputs),
-            "merge_outputs": list(result.merge_outputs),
-            "timesteps_executed": result.timesteps_executed,
-            "metrics": metrics,
-        }
+    def _resume(self, rs: _RunState, resume_from: str | bool) -> tuple[int, dict | None]:
+        """Install a durable checkpoint's driver and host state before the loop.
 
-    def _install_driver_blob(
-        self, blob: dict[str, Any], result: AppResult, temporal_frames: list[MessageFrame]
-    ) -> tuple[int, dict | None, dict[int, list[Message]], MetricsCollector]:
-        """Roll the driver state back to ``blob``; returns the resume point."""
-        metrics = blob["metrics"]
-        result.metrics = metrics
+        Returns the timestep to (re-)enter and, for a superstep-boundary
+        checkpoint, the inner resume point ``_run_timestep`` continues from.
+        """
+        loaded = rs.manager.load(None if resume_from is True else resume_from)
+        self._verify_signature(loaded.meta, rs.pattern)
+        blob = loaded.driver
+        result = rs.result
+        rs.metrics = result.metrics = blob["metrics"]
+        rs.input_msgs = blob["input_msgs"]
+        rs.temporal_frames[:] = blob["temporal_frames"]
         result.outputs[:] = blob["outputs"]
         result.merge_outputs[:] = blob["merge_outputs"]
         result.timesteps_executed = blob["timesteps_executed"]
-        result.halted_early = False
-        temporal_frames[:] = blob["temporal_frames"]
+        t = blob["next_t"]
         resume_inner = None
         if blob["phase"] == "superstep":
             resume_inner = {
@@ -689,51 +598,74 @@ class TIBSPEngine:
                 "per_part": blob["per_part"],
                 "halt_votes": blob["halt_votes"],
             }
-        return blob["next_t"], resume_inner, blob["input_msgs"], metrics
+        if rs.live is not None:
+            rs.live.resync(copy.deepcopy(rs.metrics))
+        rs.cluster.restore(
+            loaded.parts, reload_timestep=t if resume_inner is not None else None
+        )
+        if rs.tracer is not None:
+            rs.tracer.event(
+                "restore",
+                timestep=t,
+                superstep=None if resume_inner is None else resume_inner["superstep"],
+                seconds=0.0,
+                resumed=True,
+                checkpoint=loaded.meta.get("seq"),
+            )
+        return t, resume_inner
 
     def _write_checkpoint(
         self,
-        manager: CheckpointManager,
-        cluster: Cluster,
-        metrics: MetricsCollector,
-        trace: RunTrace | None,
-        live: LiveMetrics | None,
-        pattern: Pattern,
-        phase: str,
+        rs: _RunState,
         next_t: int,
-        superstep: int | None,
-        per_part: list[list[MessageFrame]] | None,
-        halt_votes: set[int] | None,
-        temporal_frames: list[MessageFrame],
-        input_msgs: dict[int, list[Message]],
-        result: AppResult,
-        journal: FrameJournal | None = None,
+        superstep: int | None = None,
+        per_part: list[list[MessageFrame]] | None = None,
+        halt_votes: set[int] | None = None,
     ) -> None:
         """Snapshot cluster + driver state into one durable checkpoint.
 
-        The driver blob is serialized *before* this checkpoint's own cost is
-        recorded, so a restore rolls metrics back to a state consistent with
-        the event log's surviving ``checkpoint_write`` events (the replay
-        purge drops events at-or-after the restore point — including the
-        event of the checkpoint restored from).
+        ``next_t`` (and, for a mid-timestep boundary, ``superstep`` with its
+        deliveries and votes) name what a resumed run executes first.
+        Skipped while any partition is quarantined — before the snapshot, or
+        by it: its slot would be a hole, and a degraded run must stay
+        restorable from its last *complete* checkpoint.  The driver blob is
+        serialized *before* this checkpoint's own cost is recorded, so the
+        metrics a resumed run restores do not include the checkpoint it
+        restores from.
         """
-        parts = cluster.snapshot()
-        blob = self._driver_blob(
-            phase, next_t, superstep, per_part, halt_votes,
-            temporal_frames, input_msgs, result, metrics,
+        cluster, metrics, result = rs.cluster, rs.metrics, rs.result
+        if cluster.quarantined:
+            return
+        # A repair during the snapshot is charged to the round it follows.
+        at = (next_t - 1, AT_EOT) if superstep is None else (next_t, superstep - 1)
+        parts = self._round(rs, "snapshot", *at, None)
+        if cluster.quarantined:
+            return
+        blob = {
+            "phase": "timestep" if superstep is None else "superstep",
+            "next_t": int(next_t),
+            "superstep": superstep,
+            "per_part": per_part,
+            "halt_votes": None if halt_votes is None else set(halt_votes),
+            "temporal_frames": list(rs.temporal_frames),
+            "input_msgs": rs.input_msgs,
+            "outputs": list(result.outputs),
+            "merge_outputs": list(result.merge_outputs),
+            "timesteps_executed": result.timesteps_executed,
+            "metrics": metrics,
+        }
+        info = rs.manager.write(
+            next_t, blob, parts, superstep=superstep, signature=self._signature(rs.pattern)
         )
-        info = manager.write(
-            next_t, blob, parts, superstep=superstep, signature=self._signature(pattern)
-        )
-        if journal is not None:
-            # This checkpoint is the new surgical replay base.
-            journal.truncate()
+        if rs.journal is not None:
+            # This checkpoint is the new replay base for host repair.
+            rs.journal.truncate()
         cost = self.config.cost_model.checkpoint_cost(info.nbytes)
         metrics.record_checkpoint(next_t, info.nbytes, cost)
-        if live is not None:
-            live.observe_checkpoint(next_t, info.nbytes, cost)
-        if trace is not None:
-            trace.tracer.event(
+        if rs.live is not None:
+            rs.live.observe_checkpoint(next_t, info.nbytes, cost)
+        if rs.tracer is not None:
+            rs.tracer.event(
                 "checkpoint_write",
                 timestep=next_t,
                 superstep=superstep,
@@ -743,142 +675,21 @@ class TIBSPEngine:
                 name=info.path.name,
             )
 
-    def _attempt_recovery(
-        self,
-        exc: RecoverableError,
-        attempt: int,
-        policy: RecoveryPolicy,
-        manager: CheckpointManager | None,
-        genesis: bytes | None,
-        cluster: Cluster,
-        result: AppResult,
-        trace: RunTrace | None,
-        live: LiveMetrics | None,
-        temporal_frames: list[MessageFrame],
-        *,
-        at_t: int,
-    ) -> tuple[int, dict | None, dict[int, list[Message]], MetricsCollector] | None:
-        """Handle one recoverable failure: rollback-and-retry, or give up.
-
-        Returns the new ``(t, resume_inner, input_msgs, metrics)`` resume
-        point, or ``None`` when the per-incident retry budget is exhausted
-        (the caller then degrades or raises per the policy).
-        """
-        kind = type(exc).__name__
-        partition = getattr(exc, "partition", None)
-        tr = trace.tracer if trace is not None else None
-        if tr is not None:
-            tr.event(
-                "worker_lost", error=kind, timestep=at_t, partition=partition, attempt=attempt
-            )
-        exhausted = attempt > policy.max_retries
-        result.failure_log.append(
-            FailureRecord(
-                kind=kind,
-                timestep=at_t,
-                superstep=-1,
-                partition=partition,
-                attempt=attempt,
-                error=str(exc),
-                action="retry" if not exhausted else policy.on_exhausted,
-            )
-        )
-        if exhausted:
-            return None
-        backoff = policy.backoff_for(attempt)
-        if tr is not None:
-            tr.event("retry", timestep=at_t, attempt=attempt, backoff_s=backoff)
-        if backoff > 0:
-            time.sleep(backoff)
-        started = time.perf_counter()
-        cluster.respawn_all()
-        loaded = None
-        if manager is not None and manager.latest_name() is not None:
-            try:
-                loaded = manager.load()
-            except CheckpointCorrupt:
-                if genesis is None:
-                    raise
-        if loaded is not None:
-            blob = loaded.driver
-            cluster.restore(
-                loaded.parts,
-                reload_timestep=blob["next_t"] if blob["phase"] == "superstep" else None,
-                next_timestep=blob["next_t"],
-            )
-        elif genesis is not None:
-            # Fresh hosts from respawn_all *are* the start-of-run state.
-            blob = pickle.loads(genesis)
-            # No restore call happens on this path, but clusters whose
-            # sources survive the respawn must still drop the discarded
-            # attempt's prefetches and load evidence.
-            cluster.rollback_sources(blob["next_t"])
-        else:  # pragma: no cover - run() guarantees one of the two exists
-            raise RuntimeError("no rollback target available") from exc
-        next_t, resume_inner, input_msgs, metrics = self._install_driver_blob(
-            blob, result, temporal_frames
-        )
-        if live is not None:
-            # Rewind the live plane with a *copy* of the rolled-back
-            # collector (deepcopy preserves dict insertion order, so the
-            # exact-summary invariant survives), then mirror the recovery
-            # record the run's collector is about to take.
-            live.resync(copy.deepcopy(metrics))
-        seconds = time.perf_counter() - started
-        metrics.record_recovery(next_t, seconds)
-        if live is not None:
-            live.observe_recovery(next_t, seconds)
-        if tr is not None:
-            tr.event(
-                "restore",
-                timestep=next_t,
-                superstep=None if resume_inner is None else resume_inner["superstep"],
-                seconds=seconds,
-                resumed=False,
-            )
-        return next_t, resume_inner, input_msgs, metrics
-
-    def _exhausted(
-        self, exc: RecoverableError, policy: RecoveryPolicy, result: AppResult, at_t: int
-    ) -> AppResult:
-        """Retries ran out: degrade to a partial result or raise, per policy."""
-        failure = RunFailure(
-            reason=f"{type(exc).__name__}: {exc}",
-            timestep=at_t,
-            failure_log=list(result.failure_log),
-        )
-        result.failure = failure
-        if policy.on_exhausted == "raise":
-            raise RunFailureError(failure, partial=result) from exc
-        return result
-
     # -- one timestep ---------------------------------------------------------------------
 
     @staticmethod
     def _round(
-        cluster: Cluster,
-        supervisor: HostSupervisor | None,
-        op: str,
-        timestep: int,
-        superstep: int,
-        payloads: list | None,
-    ) -> list[HostStepResult]:
-        """Issue one protocol round: supervised (journal + surgical repair),
-        or plain, raising the first partition's captured failure for the
-        cohort handler (or the caller, when recovery is off)."""
-        if supervisor is not None:
-            return supervisor.round(op, timestep, superstep, payloads)
-        return raise_first_failure(cluster.run_round(op, timestep, superstep, payloads))
+        rs: _RunState, op: str, timestep: int, superstep: int, payloads: list | None
+    ) -> list:
+        """Issue one driver→worker exchange: supervised (journal + host
+        repair), or plain, raising the first partition's captured failure
+        to the caller when recovery is off."""
+        if rs.supervisor is not None:
+            return rs.supervisor.round(op, timestep, superstep, payloads)
+        return raise_first_failure(rs.cluster.run_round(op, timestep, superstep, payloads))
 
     def _record(
-        self,
-        metrics: MetricsCollector,
-        trace: RunTrace | None,
-        live: LiveMetrics | None,
-        phase: str,
-        t: int,
-        s: int,
-        results: list[HostStepResult],
+        self, rs: _RunState, phase: str, t: int, s: int, results: list[HostStepResult]
     ) -> None:
         records = [
             StepRecord(
@@ -898,19 +709,19 @@ class TIBSPEngine:
             for r in results
         ]
         for rec in records:
-            metrics.record_step(rec)
-        if live is not None:
+            rs.metrics.record_step(rec)
+        if rs.live is not None:
             # The same StepRecords, in the same order, go to the live
             # plane's mirror collector — the exact-summary invariant.
-            live.observe_steps(phase, t, s, records)
-        if trace is not None:
+            rs.live.observe_steps(phase, t, s, records)
+        if rs.trace is not None:
             # Mirror every StepRecord as a "step" event: the event log must
             # carry everything the aggregate collector sees, so the replay
             # cross-check (analysis.trace_replay) is a genuine completeness
             # check rather than a tautology.
-            trace.absorb_results(results)
+            rs.trace.absorb_results(results)
             for r in results:
-                trace.tracer.event(
+                rs.trace.tracer.event(
                     "step",
                     phase=phase,
                     timestep=t,
@@ -926,24 +737,7 @@ class TIBSPEngine:
                     bytes=r.bytes_sent,
                 )
 
-    def _run_timestep(
-        self,
-        cluster: Cluster,
-        metrics: MetricsCollector,
-        trace: RunTrace | None,
-        live: LiveMetrics | None,
-        result: AppResult,
-        pattern: Pattern,
-        t: int,
-        start: int,
-        stop: int,
-        input_msgs: dict[int, list[Message]],
-        temporal_frames: list[MessageFrame],
-        resume: dict | None = None,
-        manager: CheckpointManager | None = None,
-        supervisor: HostSupervisor | None = None,
-        journal: FrameJournal | None = None,
-    ) -> bool:
+    def _run_timestep(self, rs: _RunState, t: int, resume: dict | None = None) -> bool:
         """Run one BSP timestep.  Returns True when the app halted early.
 
         With ``resume`` (a superstep-boundary restore), the begin/seeding
@@ -959,9 +753,11 @@ class TIBSPEngine:
         carry the committed attempt's hint cost, and re-issuing would
         double-record it.
         """
-        tr = trace.tracer if trace is not None else None
-        if self.config.rebalancer is not None and t > start:
-            self._rebalance(cluster, metrics, trace, live, t)
+        metrics, trace, live, result = rs.metrics, rs.trace, rs.live, rs.result
+        temporal_frames = rs.temporal_frames
+        tr = rs.tracer
+        if self.config.rebalancer is not None and t > rs.start:
+            self._rebalance(rs, t)
         if resume is not None:
             superstep = resume["superstep"]
             per_part = resume["per_part"]
@@ -969,15 +765,15 @@ class TIBSPEngine:
         else:
             gc = self.config.gc_model
             if gc.enabled:
-                resident = cluster.resident_bytes()
-                pauses = [gc.pause_at(t - start, b) for b in resident]
+                resident = self._round(rs, "resident", t, AT_BEGIN, None)
+                pauses = [gc.pause_at(t - rs.start, b) for b in resident]
             else:
                 pauses = [0.0] * self.pg.num_partitions
 
             if live is not None:
                 live.round_begin("begin_timestep", t, -1)
             with tr.span("begin_timestep", t=t) if tr is not None else NULL_SPAN:
-                begin_results = self._round(cluster, supervisor, "begin", t, AT_BEGIN, pauses)
+                begin_results = self._round(rs, "begin", t, AT_BEGIN, pauses)
             for r in begin_results:
                 metrics.record_load(t, r.partition, r.load_s, hidden=r.load_hidden_s)
                 if r.gc_pause_s:
@@ -1000,9 +796,9 @@ class TIBSPEngine:
                         tr.event("gc_pause", timestep=t, partition=r.partition, seconds=r.gc_pause_s)
 
             # Superstep-0 deliveries per the pattern (Section II-D message rules).
-            if pattern is Pattern.SEQUENTIALLY_DEPENDENT:
-                if t == start:
-                    per_part = self._frames_for(input_msgs)
+            if rs.pattern is Pattern.SEQUENTIALLY_DEPENDENT:
+                if t == rs.start:
+                    per_part = self._frames_for(rs.input_msgs)
                 else:
                     # Unpack and re-frame against the *current* routing array: a
                     # frame's dst_partition was computed at pack time, last
@@ -1015,11 +811,11 @@ class TIBSPEngine:
                     per_part = self._frames_for(buffered)
                     temporal_frames.clear()
             else:
-                per_part = self._frames_for(input_msgs)
+                per_part = self._frames_for(rs.input_msgs)
             halt_votes = set()
             superstep = 0
 
-        prefetch_next = resume is None and self._prefetch_sources and t + 1 < stop
+        prefetch_next = resume is None and self._prefetch_sources and t + 1 < rs.stop
         ckpt_cfg = self.config.checkpoint
         while True:
             if superstep >= self.config.max_supersteps:
@@ -1031,7 +827,7 @@ class TIBSPEngine:
                 live.round_begin(PHASE_COMPUTE, t, superstep)
             with tr.span("superstep", t=t, s=superstep) if tr is not None else NULL_SPAN:
                 barrier_start = time.perf_counter()
-                step_results = self._round(cluster, supervisor, "superstep", t, superstep, per_part)
+                step_results = self._round(rs, "superstep", t, superstep, per_part)
                 if tr is not None:
                     tr.event(
                         "barrier",
@@ -1040,7 +836,7 @@ class TIBSPEngine:
                         superstep=superstep,
                         wall_s=time.perf_counter() - barrier_start,
                     )
-            self._record(metrics, trace, live, PHASE_COMPUTE, t, superstep, step_results)
+            self._record(rs, PHASE_COMPUTE, t, superstep, step_results)
 
             frames: list[MessageFrame] = []
             for r in step_results:
@@ -1052,7 +848,7 @@ class TIBSPEngine:
             superstep += 1
             if prefetch_next:
                 prefetch_next = False
-                cluster.prefetch(t + 1)
+                self._round(rs, "prefetch", t, superstep - 1, [t + 1] * self.pg.num_partitions)
                 cost = self.config.cost_model.prefetch_cost()
                 metrics.record_prefetch(t, cost)
                 if live is not None:
@@ -1072,29 +868,19 @@ class TIBSPEngine:
             ):
                 break
             if (
-                manager is not None
-                and ckpt_cfg is not None
+                rs.manager is not None
                 and ckpt_cfg.superstep_every is not None
                 and superstep % ckpt_cfg.superstep_every == 0
-                and (supervisor is None or not supervisor.quarantined)
             ):
                 # Mid-timestep durable boundary: ``superstep`` is the next
                 # one to execute, with its deliveries and votes in the blob.
-                # Skipped while any partition is quarantined: its snapshot
-                # slot would be a hole, and a degraded run must stay
-                # restorable from its last *complete* checkpoint.
-                self._write_checkpoint(
-                    manager, cluster, metrics, trace, live, pattern,
-                    "superstep", t, superstep, per_part, halt_votes,
-                    temporal_frames, input_msgs, result,
-                    journal=journal,
-                )
+                self._write_checkpoint(rs, t, superstep, per_part, halt_votes)
 
         if live is not None:
             live.round_begin("end_of_timestep", t, superstep)
         with tr.span("end_of_timestep", t=t) if tr is not None else NULL_SPAN:
-            eot_results = self._round(cluster, supervisor, "eot", t, AT_EOT, None)
-        self._record(metrics, trace, live, PHASE_COMPUTE, t, superstep, eot_results)
+            eot_results = self._round(rs, "eot", t, AT_EOT, None)
+        self._record(rs, PHASE_COMPUTE, t, superstep, eot_results)
         pending_temporal = 0
         for r in eot_results:
             temporal_frames.extend(r.temporal_frames)
@@ -1108,19 +894,13 @@ class TIBSPEngine:
 
     # -- dynamic rebalancing ---------------------------------------------------------------
 
-    def _rebalance(
-        self,
-        cluster: Cluster,
-        metrics: MetricsCollector,
-        trace: RunTrace | None,
-        live: LiveMetrics | None,
-        t: int,
-    ) -> None:
+    def _rebalance(self, rs: _RunState, t: int) -> None:
         """Ask the policy for moves based on the previous timestep's load."""
         from ..runtime.cluster import LocalCluster
         from ..runtime.host import CollectionInstanceSource
         from ..runtime.rebalance import apply_migrations
 
+        cluster, tr = rs.cluster, rs.tracer
         if not isinstance(cluster, LocalCluster):
             raise NotImplementedError(
                 "dynamic rebalancing requires an in-process executor"
@@ -1135,7 +915,7 @@ class TIBSPEngine:
                 "(shared collection), not partitioned GoFS views"
             )
         busy = np.zeros(self.pg.num_partitions)
-        for r in metrics.step_records:
+        for r in rs.metrics.step_records:
             if r.timestep == t - 1:
                 busy[r.partition] += r.busy_s
         partition_subgraphs = [
@@ -1145,7 +925,6 @@ class TIBSPEngine:
         moves = self.config.rebalancer.decide(busy, partition_subgraphs)
         if not moves:
             return
-        tr = trace.tracer if trace is not None else None
         with tr.span("rebalance", t=t) if tr is not None else NULL_SPAN:
             cost = apply_migrations(
                 cluster, moves, self._sg_part, self.config.cost_model, tracer=tr
@@ -1153,34 +932,26 @@ class TIBSPEngine:
             # Keep the hosts' shared routing array and the engine's in sync
             # (apply_migrations updated the engine's copy; mirror onto hosts').
             cluster.hosts[0].subgraph_partition[:] = self._sg_part
-        metrics.record_migration(t, len(moves), cost)
-        if live is not None:
-            live.observe_migration(t, len(moves), cost)
+        rs.metrics.record_migration(t, len(moves), cost)
+        if rs.live is not None:
+            rs.live.observe_migration(t, len(moves), cost)
         if tr is not None:
             tr.event("migration", timestep=t, count=len(moves), cost_s=cost)
 
     # -- merge phase ---------------------------------------------------------------------
 
-    def _run_merge(
-        self,
-        cluster: Cluster,
-        metrics: MetricsCollector,
-        trace: RunTrace | None,
-        live: LiveMetrics | None,
-        result: AppResult,
-        supervisor: HostSupervisor | None = None,
-    ) -> None:
-        tr = trace.tracer if trace is not None else None
+    def _run_merge(self, rs: _RunState) -> None:
+        tr = rs.tracer
         per_part: list[list[MessageFrame]] = [[] for _ in range(self.pg.num_partitions)]
         superstep = 0
         while True:
             if superstep >= self.config.max_supersteps:
                 raise RuntimeError("merge phase exceeded max_supersteps")
-            if live is not None:
-                live.round_begin(PHASE_MERGE, -1, superstep)
+            if rs.live is not None:
+                rs.live.round_begin(PHASE_MERGE, -1, superstep)
             with tr.span("merge_superstep", s=superstep) if tr is not None else NULL_SPAN:
                 barrier_start = time.perf_counter()
-                step_results = self._round(cluster, supervisor, "merge", -1, superstep, per_part)
+                step_results = self._round(rs, "merge", -1, superstep, per_part)
                 if tr is not None:
                     tr.event(
                         "barrier",
@@ -1189,11 +960,11 @@ class TIBSPEngine:
                         superstep=superstep,
                         wall_s=time.perf_counter() - barrier_start,
                     )
-            self._record(metrics, trace, live, PHASE_MERGE, -1, superstep, step_results)
+            self._record(rs, PHASE_MERGE, -1, superstep, step_results)
             frames: list[MessageFrame] = []
             for r in step_results:
                 frames.extend(r.frames)
-                result.merge_outputs.extend((sg, rec) for (_t, sg, rec) in r.outputs)
+                rs.result.merge_outputs.extend((sg, rec) for (_t, sg, rec) in r.outputs)
             per_part = route_frames(frames, self.pg.num_partitions)
             superstep += 1
             if not frames and all(

@@ -58,7 +58,7 @@ class AppResult:
         holds the ring-buffered time series.
     health_events:
         Every :class:`~repro.observability.live.HealthEvent` the live
-        plane flagged (stragglers, stalls, rollbacks); empty when live
+        plane flagged (stragglers, stalls, respawns); empty when live
         telemetry is off.
     early_warnings:
         The same findings as :class:`~repro.resilience.recovery.EarlyWarning`
@@ -67,9 +67,8 @@ class AppResult:
         tooling reads one vocabulary.
     recovery_actions:
         Structured :class:`~repro.resilience.supervisor.RecoveryAction`
-        provenance from surgical recovery mode — every worker respawn,
-        cured protocol incident, and quarantine decision, in order.
-        Empty for fault-free and cohort-mode runs.
+        provenance — every worker respawn, cured protocol incident, and
+        quarantine decision, in order.  Empty for fault-free runs.
     degraded_partitions:
         Partitions quarantined by graceful exhaustion
         (``RecoveryPolicy.quarantine=True``), sorted.  A non-empty list

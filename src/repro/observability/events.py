@@ -39,9 +39,10 @@ Schema v1 event kinds
 ``worker_lost``       a recoverable failure was detected (error kind,
                       coordinates, attempt number)
 ``retry``             the recovery loop is about to retry (``backoff_s``)
-``restore``           cohort rollback completed (or ``resumed=True`` for a
-                      ``resume_from`` start); measured ``seconds``
-``worker_respawn``    surgical recovery completed: one worker respawned at a
+``restore``           a ``resume_from`` run installed its checkpoint
+                      (always ``resumed=True``; the replay cross-checks
+                      refuse such a trace)
+``worker_respawn``    recovery completed: one worker respawned at a
                       higher ``incarnation``, its partition restored and
                       ``replayed_rounds`` journal rounds replayed while
                       ``survivors`` hosts held at the barrier

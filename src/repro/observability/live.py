@@ -20,13 +20,13 @@ Three concerns live here:
   that keeps watching while the driver blocks in a gather), and
   median-based straggler attribution at snapshot ticks.  Health findings
   become :class:`HealthEvent` records, surface in snapshots, and are
-  emitted into the PR 2 event log as ``straggler``/``stalled``/``rollback``/
-  ``respawn`` events via the registry's own tracer track (drained by the
-  engine at the end of the run — never shared with the driver's tracer, so no
-  cross-thread races);
-* **recovery integration** — :meth:`LiveMetrics.resync` swaps the mirror
-  for a copy of a restored collector after rollback recovery, so streaming
-  totals rewind exactly like the run's own metrics do.
+  emitted into the PR 2 event log as ``straggler``/``stalled``/``respawn``
+  events via the registry's own tracer track (drained by the engine at the
+  end of the run — never shared with the driver's tracer, so no cross-thread
+  races);
+* **resume integration** — :meth:`LiveMetrics.resync` swaps the mirror for a
+  copy of the collector a ``resume_from`` run restored, so streaming totals
+  start where the run's own metrics do.
 
 Like the rest of this package the module is repro-agnostic: the mirror
 collector is dependency-injected by the engine (duck-typed ``record_*`` /
@@ -111,7 +111,7 @@ def live_enabled(live: object) -> bool:
 class HealthEvent:
     """One liveness finding (also emitted into the structured event log)."""
 
-    kind: str  #: straggler | stalled | rollback | respawn
+    kind: str  #: straggler | stalled | respawn
     partition: int | None
     timestep: int
     superstep: int
@@ -313,11 +313,10 @@ class LiveMetrics:
         incarnation: int,
         detail: str = "",
     ) -> None:
-        """One worker was surgically respawned (supervisor recovery).
+        """One worker was respawned (supervisor recovery).
 
-        Unlike :meth:`resync` — the cohort-rollback path, which rewinds the
-        whole mirror — a surgical repair leaves the mirror alone (its
-        records were never discarded) and only flags the liveness finding.
+        A repair leaves the mirror alone (its records were never
+        discarded) and only flags the liveness finding.
         """
         now = self._clock()
         with self._lock:
@@ -335,14 +334,13 @@ class LiveMetrics:
             )
 
     def resync(self, mirror: Any) -> None:
-        """Swap the mirror for a restored collector copy (rollback recovery).
+        """Swap the mirror for a restored collector copy (``resume_from``).
 
-        The engine passes a *copy* of the collector it just rolled back to,
-        so streaming totals rewind exactly as the run's metrics did; the
-        per-partition cumulative series are rebuilt from the restored
-        records.  Emits a ``rollback`` health event.
+        The engine passes a *copy* of the collector the checkpoint
+        carried, so streaming totals start exactly where the run's metrics
+        do; the per-partition cumulative series are rebuilt from the
+        restored records.
         """
-        now = self._clock()
         with self._lock:
             self._mirror = mirror
             n = self.num_partitions
@@ -358,19 +356,7 @@ class LiveMetrics:
                 self.messages[p] += rec.messages_sent
             self._busy_at_snap = list(self.busy_s)
             self._flagged_stragglers = set()
-            phase, t, s = self._current
             self._round = None
-            self._push_health(
-                HealthEvent(
-                    kind="rollback",
-                    partition=None,
-                    timestep=t,
-                    superstep=s,
-                    wall_s=now - self._started,
-                    seconds=0.0,
-                    detail=f"metrics resynced to restored collector during {phase}",
-                )
-            )
             self.snapshot(force=True)
 
     # -- health ------------------------------------------------------------------------

@@ -7,7 +7,8 @@ engine wires together:
 
 * :mod:`~repro.resilience.checkpoint` — GoFS-style checkpoint directories
   (per-partition state blobs + a hashed manifest) written at boundaries and
-  restored by ``TIBSPEngine.run(resume_from=...)`` or in-run rollback;
+  restored by ``TIBSPEngine.run(resume_from=...)`` or, one partition at
+  a time, by in-run host repair;
 * :mod:`~repro.resilience.faults` — a seeded, deterministic
   :class:`FaultPlan` that kills workers, drops/corrupts pipe replies,
   delays stragglers, and fails slice loads at scripted

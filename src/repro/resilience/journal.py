@@ -1,11 +1,10 @@
-"""Per-partition frame journal: the driver's WAL for surgical recovery.
+"""Per-partition frame journal: the driver's WAL for host repair.
 
-Full-cohort recovery (PR 3) can roll every partition back to the last
-checkpoint because the checkpoint *is* the only durable state.  Surgical
-recovery restores just one partition — but a checkpoint alone is not
-enough to rebuild it, because the partition's state also depends on every
-protocol round it executed since that checkpoint, including the inbound
-:class:`~repro.core.messages.MessageFrame` deliveries those rounds carried.
+Recovery restores just the failed partition — but a checkpoint alone is
+not enough to rebuild it, because the partition's state also depends on
+every protocol round it executed since that checkpoint, including the
+inbound :class:`~repro.core.messages.MessageFrame` deliveries those rounds
+carried.
 
 The :class:`FrameJournal` is a lightweight driver-side write-ahead log of
 exactly that: for each partition, the ordered post-checkpoint protocol
@@ -20,12 +19,10 @@ Lifecycle invariants:
 * :meth:`append` — once per round, before the round executes (attempted
   retries of the same round never re-append);
 * :meth:`truncate` — at every durable checkpoint write: the checkpoint
-  becomes the new replay base, so the log restarts empty;
-* :meth:`clear` — on a full-cohort rollback: every partition rewinds to
-  the checkpoint, and the re-executed rounds re-journal themselves.
+  becomes the new replay base, so the log restarts empty.
 
-Replaying a journal is cheap relative to cohort rollback because only the
-recovered partition re-executes; the surviving hosts hold at the barrier.
+Only the recovered partition re-executes; the surviving hosts hold at the
+barrier.
 Replay results (outputs, frames, halt votes, telemetry) are discarded —
 the driver committed them when the round first completed.
 
@@ -90,10 +87,6 @@ class FrameJournal:
         """A durable checkpoint landed: it is the new replay base."""
         for entries in self._entries:
             entries.clear()
-
-    def clear(self) -> None:
-        """Full-cohort rollback: re-executed rounds will re-journal."""
-        self.truncate()
 
     def __len__(self) -> int:
         """Journaled rounds currently held (per partition)."""

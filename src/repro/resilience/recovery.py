@@ -1,7 +1,7 @@
 """Failure taxonomy, retry policy, and structured run failures.
 
-The engine's recovery loop needs exactly one bit from an exception: *is
-re-executing from the last durable boundary worth trying?*
+Recovery needs exactly one bit from an exception: *is rebuilding the failed
+host from the last durable boundary worth trying?*
 :class:`RecoverableError` is the marker that says yes — infrastructure
 failures (a dead worker process, a wedged pipe, a corrupt reply stream, a
 transient slice-load error) subclass it; deterministic application bugs
@@ -67,8 +67,8 @@ class RecoveryPolicy:
     Attributes
     ----------
     max_retries:
-        Recovery attempts allowed *per incident* — the counter resets every
-        time a timestep completes, so independent transient faults spread
+        Recovery attempts allowed *per protocol round*, shared by every
+        partition that fails in it — independent transient faults spread
         over a long run each get a fresh budget, while a persistent failure
         at one boundary stays bounded.
     backoff_s / backoff_factor:
@@ -79,21 +79,13 @@ class RecoveryPolicy:
         ``"raise"`` (default) raises :class:`RunFailureError`;
         ``"degrade"`` returns the partial result with ``result.failure``
         set — the graceful-degradation mode.
-    mode:
-        ``"surgical"`` (default) recovers only the failed host: respawn
-        one worker, restore its partition from the latest checkpoint, and
-        replay its journaled post-checkpoint rounds while the healthy
-        hosts hold at the barrier.  ``"cohort"`` is the PR 3 behavior:
-        any recoverable failure respawns every worker and rolls the whole
-        run back to the last checkpoint.
     quarantine:
-        Surgical mode only.  When True, a partition that exhausts its
-        retry budget is *quarantined* instead of failing the run: its
-        worker is torn down, its rounds report empty halted results, and
-        deliveries addressed to it are dropped (counted).  The run
-        completes with ``result.failure`` still ``None`` but
-        ``result.degraded_partitions`` and ``result.recovery_actions``
-        carrying the structured provenance.
+        When True, a partition that exhausts its retry budget is
+        *quarantined* instead of failing the run: its worker is torn down,
+        its rounds report empty halted results, and deliveries addressed
+        to it are dropped (counted).  The run completes with
+        ``result.failure`` still ``None`` but ``result.degraded_partitions``
+        and ``result.recovery_actions`` carrying the structured provenance.
     stall_warning_s:
         When set (and the run has live telemetry on), a protocol round
         open longer than this flags a ``stalled`` health event *before*
@@ -108,7 +100,6 @@ class RecoveryPolicy:
     backoff_factor: float = 2.0
     on_exhausted: str = "raise"
     stall_warning_s: float | None = None
-    mode: str = "surgical"
     quarantine: bool = False
 
     def __post_init__(self) -> None:
@@ -118,10 +109,6 @@ class RecoveryPolicy:
             raise ValueError("on_exhausted must be 'raise' or 'degrade'")
         if self.stall_warning_s is not None and self.stall_warning_s <= 0:
             raise ValueError("stall_warning_s must be positive (or None)")
-        if self.mode not in ("surgical", "cohort"):
-            raise ValueError("mode must be 'surgical' or 'cohort'")
-        if self.quarantine and self.mode != "surgical":
-            raise ValueError("quarantine requires mode='surgical'")
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""
@@ -139,7 +126,7 @@ class EarlyWarning:
     vocabulary.
     """
 
-    kind: str  #: straggler | stalled | rollback | respawn
+    kind: str  #: straggler | stalled | respawn
     partition: int | None
     timestep: int
     superstep: int

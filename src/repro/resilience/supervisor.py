@@ -1,9 +1,7 @@
-"""Per-host supervision: surgical recovery instead of full-cohort rollback.
+"""Per-host supervision: the run's one way to recover.
 
-PR 3's recovery is blunt: any recoverable failure respawns *every* worker
-and rolls *every* partition back to the last checkpoint — one flaky host
-costs the whole cluster a timestep.  The :class:`HostSupervisor` closes
-the detect→act loop per host instead:
+The run never rewinds: one flaky host must not cost the whole cluster a
+timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
 
 * every protocol round (``begin`` / ``superstep`` / ``eot`` / ``merge``)
   is journaled in the :class:`~repro.resilience.journal.FrameJournal`
@@ -17,6 +15,10 @@ the detect→act loop per host instead:
   silently replay its journaled post-checkpoint rounds, then re-issue
   the in-flight round — the survivors' round results are kept, nothing
   is recorded twice, and results stay bit-identical to a fault-free run;
+* the read-only exchanges (``snapshot`` / ``prefetch`` / ``resident`` /
+  ``states``) go through the same routine — they are not journaled, since
+  they do not change host state, so a partition that dies in one replays
+  its *whole* journal and answers the exchange again on its own;
 * wire-level misbehavior (the ``drop_frame``/``dup_frame``/``reorder``/
   ``corrupt_frame`` network faults) never reaches this layer at all: the
   process cluster's sequence-numbered protocol cures it with an
@@ -28,12 +30,12 @@ the detect→act loop per host instead:
   degraded-but-alive; otherwise :class:`RecoveryExhausted` carries the
   original error to the engine's raise/degrade handling.
 
-Retry accounting matches the cohort path exactly: one
-:class:`~repro.resilience.recovery.FailureRecord` per failure occurrence
-with a shared per-round attempt counter, ``metrics.record_recovery`` per
-completed recovery, and bounded :class:`RecoveryPolicy` backoff between
-attempts.  Every action is additionally captured as a structured
-:class:`RecoveryAction` for ``AppResult.recovery_actions`` provenance.
+Retry accounting: one :class:`~repro.resilience.recovery.FailureRecord`
+per failure occurrence with a shared per-round attempt counter,
+``metrics.record_recovery`` per completed recovery, and bounded
+:class:`RecoveryPolicy` backoff between attempts.  Every action is
+additionally captured as a structured :class:`RecoveryAction` for
+``AppResult.recovery_actions`` provenance.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..runtime.host import HostStepResult
+from ..runtime.cluster import ROUND_OPS, quarantine_fill
 from .checkpoint import CheckpointManager
 from .journal import FrameJournal
 from .recovery import FailureRecord, RecoverableError, RecoveryPolicy
@@ -56,13 +58,15 @@ __all__ = ["HostSupervisor", "RecoveryAction", "RecoveryExhausted"]
 class RecoveryExhausted(RecoverableError):
     """A partition burned its whole retry budget (and quarantine is off).
 
-    Carries the ``original`` failure so the engine can surface the real
-    cause in the structured :class:`~repro.resilience.recovery.RunFailure`.
+    Carries the ``original`` failure and the ``timestep`` of the round it
+    struck, so the engine can surface the real cause in the structured
+    :class:`~repro.resilience.recovery.RunFailure`.
     """
 
-    def __init__(self, original: RecoverableError) -> None:
+    def __init__(self, original: RecoverableError, timestep: int) -> None:
         super().__init__(str(original), partition=getattr(original, "partition", None))
         self.original = original
+        self.timestep = timestep
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,17 @@ class HostSupervisor:
         ``quarantine`` per partition, plus ``drain_protocol_incidents``.
     policy:
         The bounded-retry :class:`RecoveryPolicy` (attempt budget shared
-        per round across failures, like the cohort path's per-incident
-        budget).
+        per round across failures).
     journal:
         The driver-side :class:`FrameJournal` WAL.  The engine truncates
         it at every durable checkpoint; the supervisor appends each round
-        pre-execution and replays ``entries[:-1]`` on a respawned host.
+        pre-execution and replays the committed ones on a respawned host.
     manager:
         Checkpoint manager for partial restores (``None`` → genesis
         replay: a freshly respawned host *is* the start-of-run state).
     metrics / live / tracer / failure_log:
         The run's accounting surfaces; recoveries record into all of
-        them exactly once, mirroring the cohort path.
+        them exactly once.
     """
 
     def __init__(
@@ -151,20 +154,18 @@ class HostSupervisor:
         """Partitions currently quarantined (degraded) on the cluster."""
         return frozenset(self.cluster.quarantined)
 
-    def rebind(self, metrics: Any) -> None:
-        """Point recovery accounting at a new collector (cohort fallback)."""
-        self.metrics = metrics
-
     # -- the supervised round ---------------------------------------------------------
 
     def round(
         self, op: str, timestep: int, superstep: int, payloads: list[Any] | None
-    ) -> list[HostStepResult]:
-        """Journal, execute, and fully recover one protocol round.
+    ) -> list[Any]:
+        """Journal, execute, and fully recover one ``run_round`` exchange.
 
-        Returns one :class:`HostStepResult` per partition — survivors'
-        results from the first execution, recovered partitions' from the
-        re-issued round, quarantined partitions' synthesized empty/halted.
+        Returns one result per partition — survivors' from the first
+        execution, recovered partitions' from the re-issued exchange,
+        quarantined partitions' synthesized empty/halted.  Only
+        :data:`ROUND_OPS` are journaled; a query's ``timestep`` /
+        ``superstep`` say where the run is, for the recovery records.
         Raises :class:`RecoveryExhausted` when a partition runs out of
         retries and quarantine is off; deterministic application errors
         propagate untouched.
@@ -188,16 +189,17 @@ class HostSupervisor:
                             messages=dropped,
                         )
                 payloads[q] = []
-        self.journal.append(op, timestep, superstep, payloads)
-        outcomes = cluster.run_round(op, timestep, superstep, payloads)
+        if op in ROUND_OPS:
+            self.journal.append(op, timestep, superstep, payloads)
+        results = cluster.run_round(op, timestep, superstep, payloads)
         self._drain_protocol_incidents(timestep, superstep)
-        attempt = 0  # shared across this round's failures, like cohort incidents
-        results: list[HostStepResult] = [None] * cluster.num_partitions  # type: ignore[list-item]
-        for p, out in enumerate(outcomes):
+        attempt = 0  # shared across this round's failures
+        for p, out in enumerate(results):
             if isinstance(out, RecoverableError):
-                attempt, results[p] = self._recover_one(p, out, timestep, superstep, attempt)
-            else:
-                results[p] = out
+                payload = None if payloads is None else payloads[p]
+                attempt, results[p] = self._recover_one(
+                    p, out, op, timestep, superstep, payload, attempt
+                )
         return results
 
     def _drain_protocol_incidents(self, timestep: int, superstep: int) -> None:
@@ -244,9 +246,16 @@ class HostSupervisor:
     # -- surgical recovery ------------------------------------------------------------
 
     def _recover_one(
-        self, p: int, exc: RecoverableError, timestep: int, superstep: int, attempt: int
-    ) -> tuple[int, HostStepResult]:
-        """Recover partition ``p``'s in-flight round; loops on re-failure."""
+        self,
+        p: int,
+        exc: RecoverableError,
+        op: str,
+        timestep: int,
+        superstep: int,
+        payload: Any,
+        attempt: int,
+    ) -> tuple[int, Any]:
+        """Recover partition ``p``'s in-flight exchange; loops on re-failure."""
         policy = self.policy
         cluster = self.cluster
         while True:
@@ -278,8 +287,9 @@ class HostSupervisor:
             )
             if exhausted:
                 if policy.quarantine:
-                    return attempt, self._quarantine(p, exc, timestep, superstep, attempt)
-                raise RecoveryExhausted(exc) from exc
+                    self._quarantine(p, exc, timestep, superstep, attempt)
+                    return attempt, quarantine_fill(op, p)
+                raise RecoveryExhausted(exc, timestep) from exc
             backoff = policy.backoff_for(attempt)
             if self.tracer is not None:
                 self.tracer.event(
@@ -289,9 +299,11 @@ class HostSupervisor:
                 time.sleep(backoff)
             started = time.perf_counter()
             entries = self.journal.entries_for(p)
-            # The tail entry is the in-flight round itself (journaled
-            # pre-execution); everything before it is committed work the
-            # respawned host silently replays.
+            if op in ROUND_OPS:
+                # The tail entry is the in-flight round itself (journaled
+                # pre-execution); everything before it is committed work
+                # the respawned host silently replays.
+                entries.pop()
             try:
                 incarnation = cluster.respawn_worker(p)
                 blob = None
@@ -306,7 +318,7 @@ class HostSupervisor:
                 # else: the fresh host *is* the genesis state; the journal
                 # holds every round since (it is never truncated before the
                 # first checkpoint).
-                for entry in entries[:-1]:
+                for entry in entries:
                     cluster.step_one(
                         p, entry.op, entry.timestep, entry.superstep, entry.payload, replay=True
                     )
@@ -322,7 +334,7 @@ class HostSupervisor:
                     timestep, superstep, p, seconds, incarnation=incarnation, detail=kind
                 )
             survivors = cluster.num_partitions - len(cluster.quarantined) - 1
-            replayed = len(entries) - 1
+            replayed = len(entries)
             if self.tracer is not None:
                 self.tracer.event(
                     "worker_respawn",
@@ -348,18 +360,15 @@ class HostSupervisor:
                     detail=kind,
                 )
             )
-            current = entries[-1]
             try:
-                return attempt, cluster.step_one(
-                    p, current.op, current.timestep, current.superstep, current.payload
-                )
+                return attempt, cluster.step_one(p, op, timestep, superstep, payload)
             except RecoverableError as again:
                 exc = again
                 continue
 
     def _quarantine(
         self, p: int, exc: RecoverableError, timestep: int, superstep: int, attempt: int
-    ) -> HostStepResult:
+    ) -> None:
         """Give up on ``p`` but keep the run alive: degraded, not dead."""
         cluster = self.cluster
         cluster.quarantine(p)
@@ -385,4 +394,3 @@ class HostSupervisor:
                 detail=f"{type(exc).__name__}: {exc}",
             )
         )
-        return HostStepResult.empty(p)

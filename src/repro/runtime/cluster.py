@@ -11,8 +11,8 @@ isolation lives in :mod:`repro.runtime.process_cluster`.
 
 Every cluster speaks the same *resilience protocol* on top of the step
 protocol: ``snapshot()`` collects per-partition state blobs for a
-checkpoint, ``restore()`` installs them, and ``respawn_all()`` replaces
-every host/worker with a fresh incarnation (used by recovery after a crash,
+checkpoint, ``restore()`` installs them, and ``respawn_worker()`` replaces
+one host/worker with a fresh incarnation (used by recovery after a crash,
 and honored by the fault plan's incarnation guard).  In-process clusters
 *simulate* worker death: a scripted ``kill``/``corrupt``/``drop`` fault
 raises :class:`~repro.resilience.recovery.WorkerCrash` instead of taking
@@ -36,7 +36,26 @@ from ..resilience.recovery import InjectedFault, RecoverableError, WorkerCrash
 from .cost import CostModel
 from .host import CollectionInstanceSource, ComputeHost, HostStepResult, InstanceSource, RunMeta
 
-__all__ = ["Cluster", "LocalCluster", "build_hosts", "raise_first_failure"]
+__all__ = [
+    "ROUND_OPS",
+    "Cluster",
+    "LocalCluster",
+    "build_hosts",
+    "quarantine_fill",
+    "raise_first_failure",
+]
+
+#: The protocol ops that advance host state.  The supervisor journals them
+#: and scripted faults address them; every other op is a read-only query.
+ROUND_OPS = ("begin", "superstep", "eot", "merge")
+
+#: The read-only ops, with what a quarantined partition answers to each.
+_QUERY_FILL = {"resident": 0, "prefetch": False, "states": {}, "snapshot": None}
+
+
+def quarantine_fill(op: str, partition: int):
+    """A quarantined partition's synthesized outcome for one ``op``."""
+    return HostStepResult.empty(partition) if op in ROUND_OPS else _QUERY_FILL.get(op)
 
 
 def build_hosts(
@@ -97,11 +116,9 @@ class Cluster:
     #: sets this after construction when the run is traced; ``None`` keeps
     #: the dispatch path untouched.
     driver_tracer: Tracer | None = None
-    #: Cohort incarnation: bumped by every :meth:`respawn_all`.  The fault
-    #: plan uses it to keep scripted faults from re-firing after recovery.
-    incarnation: int = 0
     #: Per-partition incarnations — :meth:`respawn_worker` bumps exactly
-    #: one; :meth:`respawn_all` resets them all to the cohort counter.
+    #: one.  The fault plan uses them to keep scripted faults from
+    #: re-firing after recovery.
     incarnations: list[int] = []
     #: Partitions torn down by :meth:`quarantine` (degraded runs).
     quarantined: set[int] = frozenset()  # type: ignore[assignment]
@@ -109,68 +126,54 @@ class Cluster:
     def run_round(
         self, op: str, timestep: int, superstep: int, payloads: Sequence | None
     ) -> list[HostStepResult | RecoverableError]:
-        """Execute one protocol round, capturing per-partition failures.
+        """Execute one scatter/gather exchange, capturing per-partition failures.
 
-        ``op`` is ``begin`` (payloads = GC pauses), ``superstep`` /
-        ``merge`` (payloads = per-partition deliveries: coalesced
-        ``MessageFrame`` lists, or a plain subgraph-id → messages map for
-        direct protocol use; merge rounds pass ``timestep=-1``), or ``eot``
-        (payloads ignored).  Each element of the returned list is the
-        partition's :class:`HostStepResult`, the :class:`RecoverableError`
-        it failed with — survivors finish their round and hold at the
-        barrier either way — or a synthesized empty result when
-        quarantined.  Deterministic application errors propagate
-        immediately.
+        ``op`` is one of :data:`ROUND_OPS` — ``begin`` (payloads = GC
+        pauses), ``superstep`` / ``merge`` (payloads = per-partition
+        deliveries: coalesced ``MessageFrame`` lists, or a plain
+        subgraph-id → messages map for direct protocol use; merge rounds
+        pass ``timestep=-1``), ``eot`` (payloads ignored) — or a read-only
+        query: ``resident`` (bytes of instance data), ``prefetch``
+        (payloads = the timestep to background-load), ``states`` (the
+        per-subgraph state dict) or ``snapshot`` (the checkpoint blob); for
+        queries ``timestep`` / ``superstep`` only say where the run is.
+        Each element of the returned list is the partition's result, the
+        :class:`RecoverableError` it failed with — survivors finish their
+        round and hold at the barrier either way — or a synthesized empty
+        answer when quarantined.  Deterministic application errors
+        propagate immediately.
         """
         raise NotImplementedError
 
+    def _query(self, op: str, payload=None) -> list:
+        payloads = None if payload is None else [payload] * self.num_partitions
+        return raise_first_failure(self.run_round(op, -1, -1, payloads))
+
     def resident_bytes(self) -> list[int]:
-        raise NotImplementedError
+        return self._query("resident")
 
     def prefetch(self, timestep: int) -> None:
         """Hint every host to background-load ``timestep``'s instance.
 
         Best-effort and asynchronous: hosts whose sources cannot prefetch
-        ignore it.  Default is a no-op so protocol implementations without
-        prefetch support stay valid.
+        ignore it.
         """
+        self._query("prefetch", timestep)
 
     def final_states(self) -> dict[int, dict]:
-        raise NotImplementedError
+        states: dict[int, dict] = {}
+        for part in self._query("states"):
+            states.update(part)
+        return states
 
     # -- resilience protocol ---------------------------------------------------------
 
     def snapshot(self) -> list[dict]:
         """One checkpointable state blob per partition (see ComputeHost)."""
-        raise NotImplementedError
+        return self._query("snapshot")
 
-    def restore(
-        self,
-        snapshots: Sequence[dict],
-        reload_timestep: int | None = None,
-        next_timestep: int | None = None,
-    ) -> None:
-        """Install checkpoint blobs on every partition.
-
-        ``next_timestep`` — the first timestep the restored run will
-        (re-)execute — lets hosts purge rolled-back load evidence and
-        invalidate in-flight prefetches (see ComputeHost.restore_state).
-        """
-        raise NotImplementedError
-
-    def rollback_sources(self, next_timestep: int) -> None:
-        """Reset instance sources for a rollback that bypasses ``restore``.
-
-        Genesis recovery (no checkpoints) respawns the cohort and replays
-        from scratch without installing snapshots; clusters whose sources
-        survive the respawn (LocalCluster shares them across incarnations)
-        must still invalidate prefetches and purge load evidence from the
-        discarded attempt.  Default is a no-op — the process cluster's
-        respawn re-pickles sources fresh.
-        """
-
-    def respawn_all(self) -> None:
-        """Replace every host/worker with a fresh (state-empty) incarnation."""
+    def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
+        """Install checkpoint blobs on every partition (``resume_from``)."""
         raise NotImplementedError
 
     # -- surgical protocol -------------------------------------------------------------
@@ -188,7 +191,7 @@ class Cluster:
         *,
         replay: bool = False,
     ) -> HostStepResult:
-        """Execute one round on one partition (raises on failure).
+        """Execute one ``run_round`` op on one partition (raises on failure).
 
         ``replay=True`` marks journal replay on a recovered host: fault
         checks are skipped and instance loads leave no fresh evidence.
@@ -205,12 +208,7 @@ class Cluster:
     def restore_one(
         self, partition: int, snapshot: dict, reload_timestep: int | None = None
     ) -> None:
-        """Install one partition's checkpoint blob (surgical restore).
-
-        Unlike :meth:`restore`, committed load evidence and in-flight
-        prefetches are kept — the partition replays *forward* to the
-        current round rather than rewinding the run.
-        """
+        """Install one partition's checkpoint blob on a respawned host."""
         raise NotImplementedError
 
     def quarantine(self, partition: int) -> None:
@@ -284,7 +282,7 @@ class LocalCluster(Cluster):
             if collection is None:
                 raise ValueError("provide either sources or a collection")
             sources = [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
-        # Everything respawn_all needs to rebuild a fresh host cohort.
+        # Everything respawn_worker needs to rebuild a fresh host.
         self._pg = pg
         self._computation = computation
         self._meta = meta
@@ -294,7 +292,6 @@ class LocalCluster(Cluster):
         self._tracing = tracing
         self._live = live
         self.fault_plan = fault_plan
-        self.incarnation = 0
         self.incarnations = [0] * pg.num_partitions
         self.quarantined: set[int] = set()
         self.hosts = build_hosts(
@@ -344,23 +341,6 @@ class LocalCluster(Cluster):
             # spec is still spent, keeping plans executor-portable).
             time.sleep(plan.delay_for(spec))
 
-    def resident_bytes(self) -> list[int]:
-        return [
-            0 if p in self.quarantined else h.resident_bytes() for p, h in enumerate(self.hosts)
-        ]
-
-    def prefetch(self, timestep: int) -> None:
-        for p, h in enumerate(self.hosts):
-            if p not in self.quarantined:
-                h.prefetch(timestep)
-
-    def final_states(self) -> dict[int, dict]:
-        states: dict[int, dict] = {}
-        for p, h in enumerate(self.hosts):
-            if p not in self.quarantined:
-                states.update(h.final_states())
-        return states
-
     # -- round protocol ----------------------------------------------------------------
 
     def _dispatch(
@@ -372,8 +352,8 @@ class LocalCluster(Cluster):
         payload,
         replay: bool = False,
     ) -> HostStepResult:
-        """One host's share of one protocol round (replays skip faults)."""
-        if not replay:
+        """One host's share of one exchange (replays and queries skip faults)."""
+        if op in ROUND_OPS and not replay:
             self._check_faults(timestep, superstep, host)
         if op == "begin":
             return host.begin_timestep(timestep, payload, replay=replay)
@@ -383,6 +363,14 @@ class LocalCluster(Cluster):
             return host.end_of_timestep(timestep)
         if op == "merge":
             return host.run_merge_superstep(superstep, payload)
+        if op == "resident":
+            return host.resident_bytes()
+        if op == "prefetch":
+            return host.prefetch(payload)
+        if op == "states":
+            return host.final_states()
+        if op == "snapshot":
+            return host.snapshot_state()
         raise ValueError(f"unknown protocol op {op!r}")
 
     def run_round(
@@ -391,7 +379,7 @@ class LocalCluster(Cluster):
         def call(h: ComputeHost) -> HostStepResult | RecoverableError:
             p = h.partition.partition_id
             if p in self.quarantined:
-                return HostStepResult.empty(p)
+                return quarantine_fill(op, p)
             payload = payloads[p] if payloads is not None else None
             try:
                 return self._dispatch(h, op, timestep, superstep, payload)
@@ -421,7 +409,7 @@ class LocalCluster(Cluster):
     def _build_host(self, partition: int) -> ComputeHost:
         from ..partition.base import Partition
 
-        # Share the cohort's routing array: peers keep addressing the
+        # Share the cluster's routing array: peers keep addressing the
         # respawned host, and (static-assignment) routing stays identical.
         sg_part = self.hosts[partition].subgraph_partition
         return ComputeHost(
@@ -441,59 +429,18 @@ class LocalCluster(Cluster):
     def restore_one(
         self, partition: int, snapshot: dict, reload_timestep: int | None = None
     ) -> None:
-        self.hosts[partition].restore_state(
-            snapshot, reload_timestep, next_timestep=None, invalidate=False
-        )
+        self.hosts[partition].restore_state(snapshot, reload_timestep)
 
     def quarantine(self, partition: int) -> None:
         self.quarantined.add(partition)
 
     # -- resilience protocol ---------------------------------------------------------
 
-    def snapshot(self) -> list[dict]:
-        return [
-            None if p in self.quarantined else h.snapshot_state()
-            for p, h in enumerate(self.hosts)
-        ]
-
-    def restore(
-        self,
-        snapshots: Sequence[dict],
-        reload_timestep: int | None = None,
-        next_timestep: int | None = None,
-    ) -> None:
+    def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
         if len(snapshots) != len(self.hosts):
             raise ValueError("need exactly one snapshot per partition")
         for h, snap in zip(self.hosts, snapshots):
-            h.restore_state(snap, reload_timestep, next_timestep)
-
-    def rollback_sources(self, next_timestep: int) -> None:
-        # Sources are shared across incarnations (respawn_all reuses them),
-        # so a genesis rollback must scrub them here.
-        for src in self._sources:
-            invalidate = getattr(src, "invalidate_prefetch", None)
-            if callable(invalidate):
-                invalidate()
-            purge = getattr(src, "purge_load_events", None)
-            if callable(purge):
-                purge(next_timestep, inclusive=True)
-
-    def respawn_all(self) -> None:
-        """Rebuild every host from scratch (a simulated worker-cohort restart).
-
-        A crashed host may hold half-mutated state (its ``compute`` raised
-        mid-iteration) and its peers may have run ahead of the failed
-        barrier; recovery discards the whole cohort and restores from the
-        checkpoint, exactly like the process cluster's full respawn.  Any
-        quarantine is lifted: the fresh cohort is whole again.
-        """
-        self.incarnation = max([self.incarnation] + self.incarnations) + 1
-        self.incarnations = [self.incarnation] * self.num_partitions
-        self.quarantined.clear()
-        self.hosts = build_hosts(
-            self._pg, self._computation, self._meta, self._sources, self._cost_model,
-            use_combiners=self._use_combiners, tracing=self._tracing, live=self._live,
-        )
+            h.restore_state(snap, reload_timestep)
 
     def shutdown(self) -> None:
         if self._pool is not None:

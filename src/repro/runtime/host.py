@@ -59,9 +59,7 @@ class InstanceSource(Protocol):
     * ``drain_hidden_load() -> float`` — load seconds overlapped with
       compute since the last drain (reported as ``load_hidden_s``);
     * ``reload_instance(timestep)`` — an instance load for checkpoint
-      replay that must not be recorded as fresh load evidence;
-    * ``invalidate_prefetch()`` / ``purge_load_events(timestep, inclusive=)``
-      — recovery: drop in-flight prefetches and rolled-back load evidence.
+      replay that must not be recorded as fresh load evidence.
     """
 
     def instance(self, timestep: int) -> GraphInstance: ...
@@ -639,15 +637,8 @@ class ComputeHost:
             "local_inbox": self._local_inbox,
         }
 
-    def restore_state(
-        self,
-        snapshot: dict,
-        reload_timestep: int | None = None,
-        next_timestep: int | None = None,
-        *,
-        invalidate: bool = True,
-    ) -> None:
-        """Install a :meth:`snapshot_state` blob (checkpoint rollback/resume).
+    def restore_state(self, snapshot: dict, reload_timestep: int | None = None) -> None:
+        """Install a :meth:`snapshot_state` blob (host repair or resume).
 
         ``reload_timestep`` re-loads that timestep's graph instance from
         this host's source — required when restoring *into* a timestep (a
@@ -655,18 +646,10 @@ class ComputeHost:
         run again.  Timestep-boundary restores leave the instance unloaded;
         the next ``begin_timestep`` loads it as usual.
 
-        ``next_timestep`` is the first timestep the restored run will
-        (re-)execute.  Sources that keep load evidence purge entries from
-        the rolled-back attempt (``>= next_timestep`` for timestep-boundary
-        restores; ``>`` when ``reload_timestep`` keeps the restore point's
-        committed begin-phase load), mirroring how ``trace_replay`` purges
-        rolled-back spans.  In-flight prefetches are invalidated first so
-        a discarded attempt's I/O never leaks into the restored accounting.
-
-        ``invalidate=False`` is the *surgical* restore: only this host
-        rewinds and then replays forward to the current round, so committed
-        load evidence stays valid and in-flight prefetches (which target
-        rounds the replay will reach) are kept.
+        The run itself never rewinds: a repaired host replays forward to
+        the current round, so the source's committed load evidence stays
+        valid and its in-flight prefetches (which target rounds the replay
+        will reach) are kept.
         """
         own = sorted(sg.subgraph_id for sg in self.partition.subgraphs)
         if snapshot.get("subgraphs") != own:
@@ -682,14 +665,6 @@ class ComputeHost:
             sgid: list(msgs) for sgid, msgs in snapshot["temporal_inbox"].items()
         }
         self._local_inbox = {sgid: list(msgs) for sgid, msgs in snapshot["local_inbox"].items()}
-        if invalidate:
-            cancel = getattr(self.source, "invalidate_prefetch", None)
-            if callable(cancel):
-                cancel()
-        if next_timestep is not None:
-            purge = getattr(self.source, "purge_load_events", None)
-            if callable(purge):
-                purge(next_timestep, inclusive=reload_timestep is None)
         if reload_timestep is not None:
             reload = getattr(self.source, "reload_instance", None)
             self._instance = (

@@ -106,8 +106,8 @@ class MetricsCollector:
         self.checkpoint_s: dict[int, float] = defaultdict(float)
         self.checkpoints: int = 0
         self.checkpoint_bytes: int = 0
-        #: timestep -> measured rollback-recovery seconds (respawn + restore),
-        #: keyed by the timestep execution resumed from.
+        #: timestep -> measured host-repair seconds (respawn + restore +
+        #: journal replay), keyed by the timestep of the round repaired.
         self.recovery_s: dict[int, float] = defaultdict(float)
         self.retries: int = 0
 
@@ -148,7 +148,7 @@ class MetricsCollector:
         self.checkpoint_s[timestep] += seconds
 
     def record_recovery(self, timestep: int, seconds: float) -> None:
-        """Measured respawn+restore wall of one recovery, resuming at ``timestep``."""
+        """Measured wall of one recovery in a round of ``timestep``."""
         self.retries += 1
         self.recovery_s[timestep] += seconds
 
@@ -289,7 +289,7 @@ class MetricsCollector:
         return sum(self.checkpoint_s.values())
 
     def total_recovery_s(self) -> float:
-        """Measured rollback-recovery seconds over the whole run."""
+        """Measured host-repair seconds over the whole run."""
         return sum(self.recovery_s.values())
 
     def summary(self) -> dict:

@@ -71,7 +71,7 @@ from ..core.computation import TimeSeriesComputation
 from ..partition.base import PartitionedGraph
 from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
 from ..resilience.recovery import InjectedFault, RecoverableError
-from .cluster import Cluster
+from .cluster import Cluster, quarantine_fill
 from .cost import CostModel
 from .host import ComputeHost, HostStepResult, InstanceSource, RunMeta
 
@@ -317,12 +317,7 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
                 elif op == "snapshot":
                     payload = host.snapshot_state()
                 elif op == "restore":
-                    host.restore_state(
-                        args[0],
-                        args[1],
-                        args[2] if len(args) > 2 else None,
-                        invalidate=bool(args[3]) if len(args) > 3 else True,
-                    )
+                    host.restore_state(args[0], args[1])
                     payload = True
                 else:  # pragma: no cover - defensive
                     raise RuntimeError(f"unknown worker command {op!r}")
@@ -444,8 +439,8 @@ class ProcessCluster(Cluster):
     sequence-numbered command (the worker answers from its reply cache)
     with the policy's backoff, up to ``max_retries`` times, before the
     failure surfaces.  Cured incidents are recorded and drained via
-    :meth:`drain_protocol_incidents`.  ``None`` (the default, and the
-    cohort-recovery configuration) surfaces the first failure unretried.
+    :meth:`drain_protocol_incidents`.  ``None`` (the default: a run
+    without recovery) surfaces the first failure unretried.
 
     Use as a context manager (``with ProcessCluster(...) as cluster:``) to
     guarantee workers are reaped even when the driver raises mid-run.
@@ -485,7 +480,6 @@ class ProcessCluster(Cluster):
         self.gather_timeout_s = gather_timeout_s
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        self.incarnation = 0
         self.num_partitions = pg.num_partitions
         self.incarnations = [0] * pg.num_partitions
         self.quarantined: set[int] = set()
@@ -602,12 +596,12 @@ class ProcessCluster(Cluster):
         gather_timeout_s``.  When ``None`` (single-partition paths such as
         :meth:`step_one`), this attempt opens its own window.
 
-        Without a ``retry_policy``, first failure raises (legacy cohort
-        semantics).  With one: a gather timeout or corrupt reply from a
-        still-alive worker triggers an idempotent resend of the same
-        command — a fresh timeout window and the policy's backoff per
-        attempt — until the reply lands or the budget is spent.  A dead
-        worker always surfaces immediately as :class:`WorkerLost`.
+        Without a ``retry_policy``, first failure raises.  With one: a
+        gather timeout or corrupt reply from a still-alive worker triggers
+        an idempotent resend of the same command — a fresh timeout window
+        and the policy's backoff per attempt — until the reply lands or
+        the budget is spent.  A dead worker always surfaces immediately as
+        :class:`WorkerLost`.
         """
         policy = self.retry_policy
         attempts = 0
@@ -688,21 +682,14 @@ class ProcessCluster(Cluster):
             raise WorkerError(message)
         return payload
 
-    def _exchange_all(
-        self,
-        op: str,
-        make_args,
-        *,
-        capture: bool = False,
-        quarantine_fill=None,
-    ) -> list[Any]:
+    def _exchange_all(self, op: str, make_args, *, capture: bool = False) -> list[Any]:
         """One scatter/gather round across every non-quarantined worker.
 
         ``capture=True`` (``run_round``) records each
         partition's :class:`RecoverableError` in its outcome slot instead
         of raising, so survivors finish their round; deterministic
-        application errors always raise.  ``quarantine_fill`` synthesizes
-        quarantined partitions' outcomes.
+        application errors always raise.  Quarantined partitions'
+        outcomes are synthesized.
         """
         tr = self.driver_tracer
         outcomes: list[Any] = [None] * self.num_partitions
@@ -711,8 +698,7 @@ class ProcessCluster(Cluster):
         def scatter() -> None:
             for p in range(self.num_partitions):
                 if p in self.quarantined:
-                    if quarantine_fill is not None:
-                        outcomes[p] = quarantine_fill(p)
+                    outcomes[p] = quarantine_fill(op, p)
                     continue
                 try:
                     self._post(p, op, False, make_args(p))
@@ -755,7 +741,7 @@ class ProcessCluster(Cluster):
 
     @staticmethod
     def _round_args(op: str, timestep: int, superstep: int, payload) -> tuple:
-        """One partition's worker args for one engine protocol round."""
+        """One partition's worker args for one ``run_round`` op."""
         if op == "begin":
             return (timestep, payload)
         if op == "superstep":
@@ -764,22 +750,14 @@ class ProcessCluster(Cluster):
             return (timestep,)
         if op == "merge":
             return (superstep, payload)
+        if op == "prefetch":
+            # Workers schedule the background load and reply immediately
+            # (the read itself runs on each worker's prefetch thread,
+            # overlapping the following supersteps' compute).
+            return (payload,)
+        if op in ("resident", "states", "snapshot"):
+            return ()
         raise ValueError(f"unknown protocol op {op!r}")
-
-    def resident_bytes(self) -> list[int]:
-        return self._exchange_all("resident", lambda p: (), quarantine_fill=lambda p: 0)
-
-    def prefetch(self, timestep: int) -> None:
-        # One scatter/gather round: workers schedule the background load and
-        # reply immediately (the read itself runs on each worker's prefetch
-        # thread, overlapping the following supersteps' compute).
-        self._exchange_all("prefetch", lambda p: (timestep,), quarantine_fill=lambda p: False)
-
-    def final_states(self) -> dict[int, dict]:
-        states: dict[int, dict] = {}
-        for part in self._exchange_all("states", lambda p: (), quarantine_fill=lambda p: {}):
-            states.update(part)
-        return states
 
     # -- surgical protocol ------------------------------------------------------------
 
@@ -792,7 +770,6 @@ class ProcessCluster(Cluster):
                 op, timestep, superstep, None if payloads is None else payloads[p]
             ),
             capture=True,
-            quarantine_fill=HostStepResult.empty,
         )
 
     def step_one(
@@ -827,7 +804,7 @@ class ProcessCluster(Cluster):
     def restore_one(
         self, partition: int, snapshot: dict, reload_timestep: int | None = None
     ) -> None:
-        self._post(partition, "restore", False, (snapshot, reload_timestep, None, False))
+        self._post(partition, "restore", False, (snapshot, reload_timestep))
         self._unwrap(partition, self._collect(partition))
 
     def quarantine(self, partition: int) -> None:
@@ -843,39 +820,10 @@ class ProcessCluster(Cluster):
 
     # -- resilience protocol ---------------------------------------------------------
 
-    def snapshot(self) -> list[dict]:
-        return self._exchange_all("snapshot", lambda p: (), quarantine_fill=lambda p: None)
-
-    def restore(
-        self,
-        snapshots: Sequence[dict],
-        reload_timestep: int | None = None,
-        next_timestep: int | None = None,
-    ) -> None:
+    def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
         if len(snapshots) != self.num_partitions:
             raise ValueError("need exactly one snapshot per partition")
-        self._exchange_all(
-            "restore", lambda p: (snapshots[p], reload_timestep, next_timestep, True)
-        )
-
-    def respawn_all(self) -> None:
-        """Kill the whole worker cohort and start a fresh incarnation.
-
-        After a failure mid-round, surviving workers' pipes may hold unread
-        replies (or garbage) and their hosts may have run past the failed
-        barrier — full-cohort recovery cannot trust any of it.  This is the
-        Pregel-lineage answer: drop everyone, bump the incarnation (so
-        scripted faults do not re-fire), and let the engine restore all
-        partitions from the latest checkpoint.  Any quarantine is lifted —
-        the fresh cohort is whole again.
-        """
-        self._teardown(force=True)
-        self.incarnation = max([self.incarnation] + self.incarnations) + 1
-        self.incarnations = [self.incarnation] * self.num_partitions
-        self.quarantined.clear()
-        self._seqs = [0] * self.num_partitions
-        self._inflight = [None] * self.num_partitions
-        self._spawn_workers()
+        self._exchange_all("restore", lambda p: (snapshots[p], reload_timestep))
 
     # -- lifecycle --------------------------------------------------------------------
 

@@ -599,48 +599,6 @@ class GoFSPartitionView:
 
     # -- recovery hooks ----------------------------------------------------------------
 
-    def invalidate_prefetch(self) -> None:
-        """Cancel or drain in-flight prefetches (checkpoint restore/rollback).
-
-        Completed-but-unabsorbed loads are discarded without recording load
-        evidence or hidden seconds — a rolled-back attempt's I/O must not
-        leak into the restored accounting.  The cache itself is kept: pack
-        data is immutable, identical whichever attempt read it.
-        """
-        for pack, fut in self._inflight.items():
-            if not fut.cancel():
-                try:
-                    fut.result()
-                except (OSError, ValueError, KeyError) as exc:
-                    # A failed background read is expected here (the slice
-                    # may be mid-rewrite during recovery) — discard the
-                    # result but surface the error in the event stream.
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "teardown_error",
-                            partition=self.partition_id,
-                            where="prefetch_invalidate",
-                            pack=pack,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-        self._inflight.clear()
-        self._prefetched_ready.clear()
-        self._pending_hidden = 0.0
-
-    def purge_load_events(self, timestep: int, *, inclusive: bool = True) -> int:
-        """Drop load evidence from a rolled-back execution attempt.
-
-        Mirrors ``analysis.trace_replay``'s purge rules: a timestep-boundary
-        restore re-executes ``timestep`` itself (purge ``>=``), while a
-        superstep-boundary restore keeps the restore point's committed
-        begin-phase load (``inclusive=False``, purge ``>``).  Returns the
-        number of entries removed.
-        """
-        cutoff = timestep if inclusive else timestep + 1
-        before = len(self.load_events)
-        self.load_events = [(t, s) for (t, s) in self.load_events if t < cutoff]
-        return before - len(self.load_events)
-
     def reload_instance(self, timestep: int) -> GraphInstance:
         """Instance load for checkpoint-restore replay.
 

@@ -62,20 +62,6 @@ class TestSyntheticAttribution:
         report = critical_path_report(events, 2)
         assert report["timesteps"][0]["chain"][0]["partition"] == 0
 
-    def test_rolled_back_work_is_purged(self):
-        events = [
-            _step(0, 0, 0, 1.0),
-            _step(1, 0, 0, 9.0),  # the discarded attempt
-            {"kind": "restore", "timestep": 1, "superstep": None,
-             "seconds": 0.5, "resumed": False},
-            _step(1, 0, 0, 2.0),  # the committed re-run
-        ]
-        report = critical_path_report(events, 1)
-        walls = {e["timestep"]: e["wall_s"] for e in report["timesteps"]}
-        assert walls[0] == pytest.approx(1.0)
-        assert walls[1] == pytest.approx(2.5)  # re-run + recovery, not 9.0
-        assert report["totals"]["recovery"] == pytest.approx(0.5)
-
     def test_format_report(self):
         events = [_step(0, 0, 0, 1.0), _step(0, 0, 1, 0.5)]
         text = format_critical_path_report(critical_path_report(events, 2))

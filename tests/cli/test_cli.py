@@ -178,6 +178,12 @@ class TestResilienceFlags:
         err = capsys.readouterr().err
         assert "error:" in err and "--executor socket" in err
 
+    def test_recovery_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + ["--inject-faults", "kill@t1:p0", "--recovery-mode", "surgical"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --recovery-mode" in capsys.readouterr().err
+
     def test_recovery_flags_without_fault_source_warn(self, capsys):
         # Not fatal — but the user is told the policy can never act.
         assert main(self.BASE + ["--max-retries", "3"]) == 0

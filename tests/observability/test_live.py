@@ -231,9 +231,10 @@ class TestDetection:
         assert live.summary() == restored.summary()
         assert live.busy_s[0] == pytest.approx(0.2)
         assert live.busy_s[1] == 0.0
-        assert [e.kind for e in live.health_events()] == ["rollback"]
-        # The rollback landed in the snapshot stream for `tibsp top`.
-        assert live.last_snapshot()["health"]["recent"][-1]["kind"] == "rollback"
+        # The resync landed in the snapshot stream for `tibsp top`; it is a
+        # resume's starting point, not a health finding.
+        assert live.last_snapshot()["totals"] == restored.summary()
+        assert live.health_events() == []
 
     def test_health_event_as_dict(self):
         e = HealthEvent(

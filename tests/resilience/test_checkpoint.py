@@ -122,6 +122,8 @@ class TestConfigAndRecords:
     def test_recovery_policy_validation_and_backoff(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(on_exhausted="panic")
+        with pytest.raises(TypeError):
+            RecoveryPolicy(mode="surgical")  # one way to recover: not an option
         p = RecoveryPolicy(backoff_s=0.1, backoff_factor=3.0)
         assert p.backoff_for(1) == pytest.approx(0.1)
         assert p.backoff_for(3) == pytest.approx(0.9)

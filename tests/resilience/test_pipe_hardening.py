@@ -9,7 +9,6 @@ import pytest
 from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import AT_BEGIN, FaultPlan, RecoveryPolicy
 from repro.runtime import GatherTimeout, ProcessCluster, RunMeta, WorkerError, WorkerLost
-from repro.runtime.cluster import raise_first_failure
 from repro.runtime.process_cluster import _recv_oob, _send_oob
 
 from .conftest import AccumulateSum
@@ -109,15 +108,6 @@ class TestLifecycle:
         for p in procs:
             p.join(timeout=5)
         assert not any(p.is_alive() for p in procs)
-
-    def test_respawn_all_bumps_incarnation(self, case, sources):
-        with _Cluster.make(case, sources) as cluster:
-            pids = [p.pid for p in cluster._procs]
-            cluster.respawn_all()
-            assert cluster.incarnation == 1
-            assert [p.pid for p in cluster._procs] != pids
-            # The fresh cohort must be fully functional.
-            raise_first_failure(cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0]))
 
     def test_gather_timeout_validated(self, case, sources):
         with pytest.raises(ValueError, match="gather_timeout_s"):

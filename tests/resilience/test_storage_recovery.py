@@ -1,10 +1,9 @@
-"""GoFS load accounting across rollback recovery (the double-count bugfix).
+"""GoFS load accounting across recovery (the double-count bugfix).
 
-Rollback and resume re-trigger pack loads; the view must purge the rolled-
-back attempt's load evidence (as ``trace_replay`` purges rolled-back spans)
-and never record checkpoint-replay reloads as fresh I/O.  Recovered runs may
-legitimately end up with *fewer* load events than fault-free ones (the pack
-cache survives the rollback) — duplicated evidence was the bug.
+Host repair and resume re-trigger pack loads; the view must never record
+checkpoint-replay reloads as fresh I/O.  Recovered runs may legitimately
+end up with *fewer* load events than fault-free ones (the pack cache
+survives the repair) — duplicated evidence was the bug.
 """
 
 import numpy as np
@@ -53,35 +52,13 @@ def _no_duplicate_load_evidence(views):
 
 
 class TestHostRestorePurge:
-    """Unit-level: ComputeHost.restore_state drives the view's purge hooks."""
+    """Unit-level: ComputeHost.restore_state reloads without fresh evidence."""
 
     def _host(self, case, view):
         _tpl, coll, pg = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, NUM_TIMESTEPS, coll.delta, coll.t0)
         sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
         return ComputeHost(pg.partitions[0], AccumulateSum(), meta, view, sg_part)
-
-    def test_timestep_boundary_restore_purges_reexecuted_loads(self, case, gofs_root):
-        view = GoFS.partition_view(gofs_root, 0, cache_packs=1)
-        host = self._host(case, view)
-        snap = None
-        for t in range(NUM_TIMESTEPS):
-            host.begin_timestep(t)
-            if t == 1:
-                import pickle
-
-                snap = pickle.loads(pickle.dumps(host.snapshot_state()))
-        assert [t for t, _s in view.load_events] == [0, 2]
-        # Roll back to the timestep-2 boundary: t=2 re-executes, so its
-        # load evidence from the discarded attempt must go.
-        host.restore_state(snap, next_timestep=2)
-        assert [t for t, _s in view.load_events] == [0]
-        # The replay hits the surviving pack cache: no fresh evidence, and —
-        # the regression — no duplicate of the rolled-back t=2 load.
-        host.begin_timestep(2)
-        host.begin_timestep(3)
-        assert [t for t, _s in view.load_events] == [0]
-        _no_duplicate_load_evidence([view])
 
     def test_superstep_boundary_restore_keeps_committed_begin_load(self, case, gofs_root):
         import pickle
@@ -96,23 +73,10 @@ class TestHostRestorePurge:
         assert [t for t, _s in view.load_events] == [0, 2]
         # Restore *into* t=2 (superstep boundary): its committed begin-phase
         # load stays; the replay reload is real I/O but not fresh evidence.
-        host.restore_state(snap, reload_timestep=2, next_timestep=2)
+        host.restore_state(snap, reload_timestep=2)
         assert [t for t, _s in view.load_events] == [0, 2]
         host.begin_timestep(3)
         assert [t for t, _s in view.load_events] == [0, 2]
-
-    def test_restore_invalidates_inflight_prefetch(self, case, gofs_root):
-        import pickle
-
-        view = GoFS.partition_view(gofs_root, 0, prefetch=True, cache_packs=2)
-        host = self._host(case, view)
-        host.begin_timestep(0)
-        snap = pickle.loads(pickle.dumps(host.snapshot_state()))
-        host.prefetch(2)
-        host.restore_state(snap, next_timestep=1)
-        assert view._inflight == {}
-        assert view.drain_hidden_load() == 0.0
-        _no_duplicate_load_evidence([view])
 
     def test_pickled_fresh_view_reload_records_nothing(self, gofs_root):
         import pickle

@@ -24,7 +24,6 @@ def _sources(coll):
 
 
 def _config(executor, ckpt_dir, faults, *, tracing=False, **recovery_kwargs):
-    recovery_kwargs.setdefault("mode", "surgical")
     return EngineConfig(
         executor=executor,
         tracing=tracing,
@@ -217,12 +216,6 @@ class TestFrameJournal:
         j.append("begin", 1, -101, None)
         assert len(j) == 1
         assert j.rounds_journaled == 3
-
-    def test_clear_is_truncate(self):
-        j = FrameJournal(1)
-        j.append("merge", -1, 0, [[]])
-        j.clear()
-        assert len(j) == 0
 
 
 def test_recovery_action_as_dict_round_trips():

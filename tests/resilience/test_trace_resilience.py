@@ -1,8 +1,8 @@
-"""Rollback-aware trace replay: purge rules, event coverage, crosscheck."""
+"""Trace replay through recovery: event coverage, recovery walls, crosscheck."""
 
 import pytest
 
-from repro.analysis import crosscheck_trace, purge_rolled_back_events, replay_timestep_walls
+from repro.analysis import crosscheck_trace, replay_timestep_walls
 from repro.core import EngineConfig, run_application
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy
 
@@ -18,65 +18,6 @@ def _step(t, s, *, phase="compute", p=0, compute_s=1.0, send_s=0.0):
     }
 
 
-def _restore(t, s=None, *, seconds=0.5, resumed=False):
-    return {"kind": "restore", "timestep": t, "superstep": s,
-            "seconds": seconds, "resumed": resumed}
-
-
-class TestPurgeRules:
-    def test_timestep_restore_drops_reexecuted_timestep(self):
-        events = [_step(0, 0), _step(1, 0), _restore(1), _step(1, 0)]
-        kept = purge_rolled_back_events(events)
-        # The discarded attempt at t1 is gone; t0 and the re-run survive.
-        steps = [e for e in kept if e["kind"] == "step"]
-        assert [(e["timestep"],) for e in steps] == [(0,), (1,)]
-
-    def test_superstep_restore_keeps_earlier_supersteps(self):
-        events = [_step(2, 0), _step(2, 1), _step(2, 2), _restore(2, 2), _step(2, 2)]
-        steps = [e for e in purge_rolled_back_events(events) if e["kind"] == "step"]
-        assert [(e["timestep"], e["superstep"]) for e in steps] == [
-            (2, 0), (2, 1), (2, 2)
-        ]
-
-    def test_merge_steps_always_purged(self):
-        events = [_step(-1, 0, phase="merge"), _restore(0), _step(-1, 0, phase="merge")]
-        merges = [
-            e for e in purge_rolled_back_events(events)
-            if e["kind"] == "step" and e["phase"] == "merge"
-        ]
-        assert len(merges) == 1
-
-    def test_load_kept_at_t0_under_superstep_restore(self):
-        load = {"kind": "instance_load", "timestep": 2, "partition": 0, "seconds": 0.1}
-        assert load in purge_rolled_back_events([dict(load), _restore(2, 1)])
-        assert not any(
-            e["kind"] == "instance_load"
-            for e in purge_rolled_back_events([dict(load), _restore(2, None)])
-        )
-
-    def test_checkpoint_cost_at_restore_point_purged(self):
-        ck = {"kind": "checkpoint_write", "timestep": 2, "superstep": None,
-              "nbytes": 10, "seconds": 0.0, "cost_s": 0.2}
-        assert not any(
-            e["kind"] == "checkpoint_write"
-            for e in purge_rolled_back_events([dict(ck), _restore(2, None)])
-        )
-        # A checkpoint strictly before the restore point survives.
-        assert ck in purge_rolled_back_events([dict(ck), _restore(3, None)])
-
-    def test_resumed_restore_purges_nothing(self):
-        events = [_step(1, 0), _restore(1, resumed=True)]
-        assert purge_rolled_back_events(events) == events
-
-    def test_earlier_recovery_superseded_by_rollback(self):
-        first = _restore(2, seconds=0.3)
-        events = [_step(1, 0), first, _step(2, 0), _restore(2, seconds=0.4)]
-        kept = purge_rolled_back_events(events)
-        restores = [e for e in kept if e["kind"] == "restore"]
-        assert restores == [{**first, "seconds": 0.4}] or len(restores) == 1
-        assert restores[0]["seconds"] == 0.4
-
-
 class TestReplayWalls:
     def test_walls_charge_checkpoint_and_recovery(self):
         events = [
@@ -84,14 +25,15 @@ class TestReplayWalls:
             {"kind": "checkpoint_write", "timestep": 1, "superstep": None,
              "nbytes": 100, "seconds": 0.0, "cost_s": 0.25},
             _step(1, 0, compute_s=2.0),
-            _step(2, 0, compute_s=2.0),
-            _restore(2, seconds=0.5),
+            {"kind": "worker_respawn", "timestep": 2, "superstep": 0, "partition": 0,
+             "attempt": 1, "seconds": 0.5, "incarnation": 1, "replayed_rounds": 3,
+             "survivors": 0},
             _step(2, 0, compute_s=2.0),
         ]
         walls = replay_timestep_walls(events, 1)
         assert walls[0] == pytest.approx(1.0)
-        # The t1 checkpoint survives the rollback to t2 and its modeled I/O
-        # cost is charged; t2's wall carries the measured recovery time.
+        # The t1 checkpoint's modeled I/O cost is charged to t1; t2's wall
+        # carries the measured repair of the worker that died in it.
         assert walls[1] == pytest.approx(2.0 + 0.25)
         assert walls[2] == pytest.approx(2.0 + 0.5)
 
@@ -111,8 +53,7 @@ class TestTracedRecovery:
     def test_recovery_events_present(self, case, tmp_path):
         result = self._traced(case, tmp_path, "kill@t2:p1")
         kinds = [e["kind"] for e in result.trace.event_records()]
-        # Surgical mode (the default) repairs in place: the recovery is a
-        # worker_respawn, not a cohort-rollback restore.
+        # Recovery repairs in place: it shows up as a worker_respawn.
         for kind in ("checkpoint_write", "worker_lost", "retry", "worker_respawn"):
             assert kind in kinds, f"missing {kind} event"
         lost = next(e for e in result.trace.event_records() if e["kind"] == "worker_lost")

@@ -390,48 +390,6 @@ class TestPrefetch:
         assert view.prefetch_misses == 1
         assert view.prefetch_hits == 0
 
-    def test_invalidate_discards_inflight_accounting(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)
-        view.prefetch(4)
-        view.invalidate_prefetch()
-        assert view._inflight == {}
-        assert view.drain_hidden_load() == 0.0
-        view.instance(4)  # demand load records fresh evidence only
-        assert [t for t, _s in view.load_events] == [4]
-
-    def test_invalidate_surfaces_failed_background_read(self, store):
-        """ISSUE 9: a failed in-flight read is discarded but not silenced —
-        the teardown emits a ``teardown_error`` event instead of ``pass``."""
-        import concurrent.futures
-
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)
-
-        def boom(pack):
-            raise OSError("slice mid-rewrite")
-
-        view._read_pack = boom
-        view.prefetch(4)
-        concurrent.futures.wait(list(view._inflight.values()))
-
-        events = []
-
-        class _Tracer:
-            def event(self, kind, **fields):
-                events.append((kind, fields))
-
-            def count(self, name, n=1):
-                pass
-
-        view.tracer = _Tracer()
-        view.invalidate_prefetch()
-        assert view._inflight == {}
-        assert [k for k, _f in events] == ["teardown_error"]
-        fields = events[0][1]
-        assert fields["where"] == "prefetch_invalidate"
-        assert "OSError" in fields["error"]
-
     def test_reload_instance_records_nothing(self, store):
         root, _tpl, coll, *_ = store
         view = GoFS.partition_view(root, 0, prefetch=True)
@@ -440,16 +398,6 @@ class TestPrefetch:
         assert view.load_events == []
         assert view.prefetch_misses == 0
         assert view.drain_hidden_load() == 0.0
-
-    def test_purge_load_events(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, cache_packs=3)
-        for t in range(12):
-            view.instance(t)
-        assert [t for t, _s in view.load_events] == [0, 4, 8]
-        assert view.purge_load_events(8, inclusive=False) == 0  # keeps t=8
-        assert view.purge_load_events(8) == 1  # drops t=8 itself
-        assert [t for t, _s in view.load_events] == [0, 4]
 
     def test_close_is_idempotent(self, store):
         root, *_ = store
