@@ -81,7 +81,7 @@ class AnomalyDetector(TimeSeriesComputation):
     def compute(self, ctx):
         sg, st = ctx.subgraph, ctx.state
         if ctx.superstep == 0:
-            temps = ctx.instance.vertex_column("temperature")[sg.vertices]
+            temps = ctx.take_vertices("temperature")
             st["temps"] = temps
             if "ewma" not in st:
                 st["ewma"] = temps.copy()

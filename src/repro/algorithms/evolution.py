@@ -127,11 +127,15 @@ class CommunityEvolutionComputation(TimeSeriesComputation):
         """Label this subgraph's components over currently existing edges."""
         sg, st = ctx.subgraph, ctx.state
         if self.exists_attr in ctx.instance.template.edge_schema:
-            exists = ctx.instance.edge_column(self.exists_attr).astype(bool)
+            mask_local, exists_remote = (
+                ctx.take_edges(self.exists_attr, rows).astype(bool)
+                for rows in (sg.edge_index, sg.remote.edge_index)
+            )
         else:
-            exists = np.ones(ctx.instance.template.num_edges, dtype=bool)
-        mask_local = exists[sg.edge_index]
-        st["exists_remote"] = exists[sg.remote.edge_index]
+            mask_local, exists_remote = (
+                np.ones(len(rows), dtype=bool) for rows in (sg.edge_index, sg.remote.edge_index)
+            )
+        st["exists_remote"] = exists_remote
 
         ncomp, comp_id = csr_components(sg.indptr, sg.indices, edge_mask=mask_local)
         comp_label = np.full(ncomp, np.iinfo(np.int64).max, dtype=np.int64)

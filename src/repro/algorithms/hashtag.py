@@ -100,8 +100,7 @@ class HashtagAggregationComputation(TimeSeriesComputation):
 
     def compute(self, ctx: ComputeContext) -> None:
         if ctx.superstep == 0:
-            tweets = ctx.instance.vertex_column(self.tweets_attr)[ctx.subgraph.vertices]
-            count = count_equal_in_cells(tweets, self.hashtag)
+            count = count_equal_in_cells(ctx.take_vertices(self.tweets_attr), self.hashtag)
             ctx.send_to_merge((ctx.timestep, count))
         ctx.vote_to_halt()
 

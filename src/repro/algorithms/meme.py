@@ -75,9 +75,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
 
     def _has_meme_mask(self, ctx: ComputeContext) -> np.ndarray:
         """Which local vertices carry the meme in the current instance."""
-        sg = ctx.subgraph
-        tweets = ctx.instance.vertex_column(self.tweets_attr)[sg.vertices]
-        return contains_in_cells(tweets, self.meme)
+        return contains_in_cells(ctx.take_vertices(self.tweets_attr), self.meme)
 
     def _kernel_bfs(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Expand through contiguous carriers; notify all remote neighbors."""

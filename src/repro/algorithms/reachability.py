@@ -81,8 +81,10 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
     def _existence(self, ctx: ComputeContext) -> tuple[np.ndarray, np.ndarray]:
         sg = ctx.subgraph
         if self.exists_attr in ctx.instance.template.edge_schema:
-            col = ctx.instance.edge_column(self.exists_attr).astype(bool)
-            return col[sg.edge_index], col[sg.remote.edge_index]
+            return (
+                ctx.take_edges(self.exists_attr, sg.edge_index).astype(bool),
+                ctx.take_edges(self.exists_attr, sg.remote.edge_index).astype(bool),
+            )
         return (
             np.ones(len(sg.edge_index), dtype=bool),
             np.ones(len(sg.remote.edge_index), dtype=bool),

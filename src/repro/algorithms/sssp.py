@@ -90,8 +90,10 @@ class SSSPComputation(TimeSeriesComputation):
                 np.ones(len(sg.edge_index)),
                 np.ones(len(sg.remote.edge_index)),
             )
-        col = ctx.instance.edge_column(self.weight_attr)
-        return col[sg.edge_index], col[sg.remote.edge_index]
+        return (
+            ctx.take_edges(self.weight_attr, sg.edge_index),
+            ctx.take_edges(self.weight_attr, sg.remote.edge_index),
+        )
 
     def _kernel_relax(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Settle the whole frontier at once; ship boundary relaxations."""

@@ -115,26 +115,30 @@ class InstanceStatisticsComputation(TimeSeriesComputation):
         self.master_subgraph = int(master_subgraph)
 
     def _local_values(self, ctx: ComputeContext) -> np.ndarray:
-        sg = ctx.subgraph
         if self.on == "vertices":
-            return ctx.instance.vertex_column(self.attr)[sg.vertices]
-        # Edge rows: each subgraph owns its local edges exactly once per
-        # undirected edge (edge_index repeats per direction — deduplicate)
-        # plus its outgoing remote edges.  On undirected templates a remote
-        # edge appears once on each side; to count each template edge once
-        # we keep only remote rows where this side holds the edge's source.
-        local = np.unique(sg.edge_index)
-        remote = sg.remote
-        if len(remote):
+            return ctx.take_vertices(self.attr)
+        return ctx.take_edges(self.attr, self._owned_edge_rows(ctx))
+
+    @staticmethod
+    def _owned_edge_rows(ctx: ComputeContext) -> np.ndarray:
+        """Template edge rows this subgraph counts, resolved once: each
+        subgraph owns its local edges exactly once per undirected edge
+        (edge_index repeats per direction — deduplicate) plus its outgoing
+        remote edges.  On undirected templates a remote edge appears once on
+        each side; to count each template edge once we keep only remote rows
+        where this side holds the edge's source."""
+        rows = ctx.state.get("owned_edge_rows")
+        if rows is None:
+            sg = ctx.subgraph
+            remote = sg.remote
             src_side = (
                 ctx.instance.template.edge_src[remote.edge_index]
                 == sg.vertices[remote.src_local]
             )
-            rows = np.unique(remote.edge_index[src_side])
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        all_rows = np.unique(np.concatenate([local, rows]))
-        return ctx.instance.edge_column(self.attr)[all_rows]
+            rows = ctx.state["owned_edge_rows"] = np.unique(
+                np.concatenate([sg.edge_index, remote.edge_index[src_side]])
+            )
+        return rows
 
     def compute(self, ctx: ComputeContext) -> None:
         if ctx.superstep == 0:

@@ -125,9 +125,8 @@ class TDSPComputation(TimeSeriesComputation):
         sg, st = ctx.subgraph, ctx.state
         if "tdsp" not in st:
             self._init_state(ctx)
-        lat = ctx.instance.edge_column(self.latency_attr)
-        st["w_local"] = lat[sg.edge_index]
-        st["w_remote"] = lat[sg.remote.edge_index]
+        st["w_local"] = ctx.take_edges(self.latency_attr, sg.edge_index)
+        st["w_remote"] = ctx.take_edges(self.latency_attr, sg.remote.edge_index)
         st["label"] = np.full(sg.num_vertices, _INF)
 
     def _kernel_relax(self, ctx: ComputeContext, seeds: np.ndarray) -> None:

@@ -57,7 +57,7 @@ class TopNComputation(TimeSeriesComputation):
     def compute(self, ctx: ComputeContext) -> None:
         sg = ctx.subgraph
         if ctx.superstep == 0:
-            values = ctx.instance.vertex_column(self.value_attr)[sg.vertices]
+            values = ctx.take_vertices(self.value_attr)
             k = min(self.n, len(values))
             if k:
                 # Partial selection then exact ordering of the local top-k.

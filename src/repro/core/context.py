@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as np
+
 from ..graph.instance import GraphInstance
 from ..graph.subgraph import Subgraph
 from .messages import Message, MessageKind, SendBuffer
@@ -119,6 +121,20 @@ class ComputeContext(_BaseContext):
     def timestamp(self) -> float:
         """Absolute time of the current instance."""
         return self.t0 + self.timestep * self.delta
+
+    # -- this instance's attribute values ---------------------------------------------
+
+    def take_vertices(self, name: str) -> np.ndarray:
+        """Vertex attribute ``name`` at this subgraph's vertices (local order)."""
+        return self.instance.vertex_values.take(name, self.subgraph.vertices)
+
+    def take_edges(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Edge attribute ``name`` at template edge ``rows``: pass
+        ``subgraph.edge_index`` (CSR slot order), ``subgraph.remote.edge_index``
+        or an array kept in ``state`` — sources cache their row lookup per
+        array.  Unlike ``instance.edge_column(name)[rows]`` this builds
+        nothing template-wide on a GoFS source."""
+        return self.instance.edge_values.take(name, rows)
 
     # -- messaging constructs ------------------------------------------------------
 
@@ -230,6 +246,8 @@ class EndOfTimestepContext(_BaseContext):
     def timestamp(self) -> float:
         return self.t0 + self.timestep * self.delta
 
+    take_vertices = ComputeContext.take_vertices
+    take_edges = ComputeContext.take_edges
     send_to_next_timestep = ComputeContext.send_to_next_timestep
     send_to_subgraph_in_next_timestep = ComputeContext.send_to_subgraph_in_next_timestep
     send_to_merge = ComputeContext.send_to_merge

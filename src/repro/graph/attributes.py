@@ -154,14 +154,15 @@ class AttributeTable:
     template's dense element indices (vertex index or edge index), so a
     subgraph can slice columns with fancy indexing.
 
-    Columns are allocated on first access.  A table built with ``fill`` is
-    *backed*: ``fill(name, column)`` runs once per column, right after its
-    default-filled allocation, and writes the stored values in place (GoFS
-    views scatter a slice row this way).  Until a column is touched it costs
-    nothing; once touched it is an ordinary column.
+    Columns are allocated on first access.  A table built with ``gather`` is
+    *backed*: ``gather(name, rows)`` returns a fresh array of the stored
+    values at ``rows`` (``None``: the whole column) — a GoFS view answers it
+    straight from a slice row.  :meth:`take` on an untouched column is that
+    gather and builds nothing table-wide; :meth:`column` gathers the whole
+    column once, after which it is an ordinary column.
     """
 
-    __slots__ = ("schema", "n", "_columns", "_fill")
+    __slots__ = ("schema", "n", "_columns", "_gather")
 
     def __init__(
         self,
@@ -169,14 +170,14 @@ class AttributeTable:
         n: int,
         columns: Mapping[str, np.ndarray] | None = None,
         *,
-        fill: Callable[[str, np.ndarray], None] | None = None,
+        gather: Callable[[str, np.ndarray | None], np.ndarray] | None = None,
     ) -> None:
         if n < 0:
             raise ValueError("row count must be non-negative")
         self.schema = schema
         self.n = int(n)
         self._columns: dict[str, np.ndarray] = {}
-        self._fill = fill
+        self._gather = gather
         if columns is not None:
             for name, col in columns.items():
                 self.set_column(name, col)
@@ -185,29 +186,28 @@ class AttributeTable:
         spec = self.schema[name]  # KeyError for unknown attributes
         col = self._columns.get(name)
         if col is None:
-            col = spec.allocate(self.n)
-            if self._fill is not None:
-                self._fill(name, col)
+            col = spec.allocate(self.n) if self._gather is None else self._gather(name, None)
             self._columns[name] = col
         return col
 
     def _valued_names(self) -> list[str]:
         """Columns that hold (or, for a backed table, will hold) non-default
         values: every schema attribute when backed, else the materialized."""
-        return self.schema.names if self._fill is not None else list(self._columns)
+        return self.schema.names if self._gather is not None else list(self._columns)
 
     def __getstate__(self) -> tuple:
-        # A fill hook closes over its backing store; ship the values instead.
+        # A gather hook closes over its backing store; ship the values instead.
         for name in self._valued_names():
             self._materialize(name)
         return (self.schema, self.n, self._columns)
 
     def __setstate__(self, state: tuple) -> None:
         self.schema, self.n, self._columns = state
-        self._fill = None
+        self._gather = None
 
     def column(self, name: str) -> np.ndarray:
-        """Return the full column for ``name`` (allocated lazily)."""
+        """Return the full column for ``name`` (allocated lazily) — all ``n``
+        rows; to read a few rows of a backed table use :meth:`take`."""
         return self._materialize(name)
 
     def set_column(self, name: str, values: np.ndarray | list) -> None:
@@ -230,8 +230,21 @@ class AttributeTable:
         self.column(name)[index] = value
 
     def take(self, name: str, indices: np.ndarray) -> np.ndarray:
-        """Vectorized gather of ``name`` at ``indices`` (returns a copy)."""
-        return self.column(name)[np.asarray(indices)]
+        """Vectorized gather of ``name`` at ``indices`` (returns a copy):
+        ``column(name)[indices]``.  On a backed table whose column is
+        untouched, a 1-D array of row numbers in ``[0, n)`` is answered by
+        the store without allocating the column; the store may cache its
+        lookup per ``indices`` array, so do not mutate one you pass again."""
+        rows = np.asarray(indices)
+        if (
+            self._gather is not None
+            and name not in self._columns
+            and rows.ndim == 1
+            and rows.dtype.kind in "iu"
+        ):
+            self.schema[name]  # KeyError for unknown attributes
+            return self._gather(name, rows)
+        return self.column(name)[rows]
 
     @property
     def materialized_names(self) -> list[str]:
@@ -257,7 +270,7 @@ class AttributeTable:
         """Deep-ish copy: numeric columns are copied; object cells are shared.
 
         A backed table's untouched columns stay backed in the copy."""
-        out = AttributeTable(self.schema, self.n, fill=self._fill)
+        out = AttributeTable(self.schema, self.n, gather=self._gather)
         for name, col in self._columns.items():
             out._columns[name] = col.copy()
         return out

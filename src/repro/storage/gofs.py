@@ -12,11 +12,13 @@ Each host then reads through a :class:`GoFSPartitionView` — an
 :class:`~repro.runtime.host.InstanceSource` that caches temporal packs,
 so crossing a pack boundary triggers a real, measurable load spike at
 every 10th timestep (Fig 6).  What a view does eagerly in ``instance(t)``
-is the pack read: file bytes, header validation, schema check.  What it
-does *per attribute, on the first* ``column(name)`` *of an instance* is the
-projection: decode the slice column, allocate the template-sized column,
-scatter the bin rows into it.  A computation that reads one edge attribute
-never pays for the others.
+is the pack read: file bytes, header validation, schema and row checks.
+What it does *per read* is the projection: ``table.take(name, rows)``
+gathers the asked-for template rows of one timestep straight from the pack
+matrix (row positions resolved once per row array), and ``column(name)`` is
+the same gather over the whole template.  An attribute nobody reads costs
+nothing, and one nobody ever set is not in the store at all (slice format
+3): its slices list it under ``defaults`` and it reads as its schema default.
 
 With ``prefetch=True`` a view hides that spike: a single background thread
 starts reading pack *k+1* while compute is still inside pack *k* (the
@@ -35,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..graph.attributes import AttributeSchema, AttributeTable
+from ..graph.attributes import AttributeTable
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
 from ..graph.collection import TimeSeriesGraphCollection
@@ -82,8 +84,10 @@ class GoFS:
     ) -> dict:
         """Distribute a partitioned collection into slice files.
 
-        ``compress`` is the writer-side slice compression flag.  Returns
-        the manifest dict (also written to ``manifest.json``).
+        Each pack's slices store the attributes some instance of the pack
+        has set and only name the rest (``defaults``).  ``compress`` is the
+        writer-side slice compression flag.  Returns the manifest dict
+        (also written to ``manifest.json``).
         """
         if packing < 1 or binning < 1:
             raise ValueError("packing and binning must be >= 1")
@@ -97,23 +101,19 @@ class GoFS:
             sgids = sorted(sg.subgraph_id for sg in part.subgraphs)
             bins.append([sgids[i : i + binning] for i in range(0, len(sgids), binning)])
 
+        rows = {
+            (p, b): bin_rows([pg.subgraphs[s] for s in sgids])
+            for p, part_bins in enumerate(bins)
+            for b, sgids in enumerate(part_bins)
+        }
+
         T = len(collection)
         num_packs = (T + packing - 1) // packing
         for k in range(num_packs):
             lo, hi = k * packing, min((k + 1) * packing, T)
             instances = [collection.instance(t) for t in range(lo, hi)]
-            for p, part_bins in enumerate(bins):
-                for b, sgids in enumerate(part_bins):
-                    subgraphs = [pg.subgraphs[s] for s in sgids]
-                    verts, edges = bin_rows(subgraphs)
-                    write_slice(
-                        root,
-                        SliceKey(p, b, k),
-                        verts,
-                        edges,
-                        instances,
-                        compress=compress,
-                    )
+            for (p, b), (verts, edges) in rows.items():
+                write_slice(root, SliceKey(p, b, k), verts, edges, instances, compress=compress)
 
         manifest = {
             "format_version": 1,
@@ -138,7 +138,7 @@ class GoFS:
         if manifest.get("slice_format") != SLICE_FORMAT:
             raise ValueError(
                 f"GoFS store {root} (manifest slice_format {manifest.get('slice_format')!r}) "
-                "was written before GSL2; rewrite with `GoFS.write_collection`"
+                f"is not slice format {SLICE_FORMAT}; rewrite with `GoFS.write_collection`"
             )
         return manifest
 
@@ -203,36 +203,51 @@ class GoFS:
 _ROWS_KEY = {"v": "vertex_rows", "e": "edge_rows"}
 
 
-def _check_columns(
-    arrays: PackedArrays, prefix: str, schema: AttributeSchema, pack_len: int
-) -> None:
-    """Every schema attribute has a slice column of the schema's dtype and
-    shape ``(pack_len, rows)`` — from the header, nothing is decoded."""
-    names = [_ROWS_KEY[prefix]] + [f"{prefix}__{spec.name}" for spec in schema]
-    for name in names:
-        if name not in arrays:
-            raise ValueError(f"column {name} is missing")
-    shape = [pack_len, arrays.entry(names[0])["shape"][0]]
-    for name, spec in zip(names[1:], schema):
+def _check_columns(arrays: PackedArrays, template: GraphTemplate, pack_len: int) -> None:
+    """The slice holds exactly the store's schema: two int64 row arrays, and
+    every attribute either stored with the schema's dtype and shape
+    ``(pack_len, rows)`` or listed under ``defaults`` — never both, never
+    neither, and nothing else.  From the header; nothing is decoded."""
+    want: dict[str, tuple[np.dtype, list[int]]] = {}
+    for prefix, schema in (("v", template.vertex_schema), ("e", template.edge_schema)):
+        rows = _ROWS_KEY[prefix]
+        if rows not in arrays:
+            raise ValueError(f"column {rows} is missing")
+        entry = arrays.entry(rows)
+        if np.dtype(entry["dtype"]) != np.int64 or len(entry["shape"]) != 1:
+            raise ValueError(f"column {rows} is {entry['dtype']} {entry['shape']}, want <i8 [n]")
+        for spec in schema:
+            want[f"{prefix}__{spec.name}"] = (spec.dtype, [pack_len, entry["shape"][0]])
+    stored = set(arrays) - set(_ROWS_KEY.values())
+    for name in sorted(stored & arrays.defaults):
+        raise ValueError(f"column {name} is both stored and listed under defaults")
+    for name in sorted((stored | arrays.defaults) - want.keys()):
+        raise ValueError(f"column {name} is not in the schema")
+    for name, (dtype, shape) in want.items():
+        if name in arrays.defaults:
+            continue
+        if name not in stored:
+            raise ValueError(f"column {name} is missing: neither stored nor listed under defaults")
         entry = arrays.entry(name)
-        if np.dtype(entry["dtype"]) != spec.dtype or entry["shape"] != shape:
+        if np.dtype(entry["dtype"]) != dtype or entry["shape"] != shape:
             raise ValueError(
                 f"column {name} is {entry['dtype']} {entry['shape']}, "
-                f"schema wants {spec.dtype.str} {shape}"
+                f"schema wants {dtype.str} {shape}"
             )
 
 
 class GoFSPartitionView:
     """Instance source reading one partition's slices, pack by pack.
 
-    Only the rows belonging to this partition's subgraph bins are populated
-    in the returned instances; foreign rows keep schema defaults — hosts
-    never read them.  Instances are lazy per attribute: each column is
-    projected from the pack on its first access (counted in
+    Only the rows belonging to this partition's subgraph bins hold values
+    in the returned instances; foreign rows read schema defaults — hosts
+    never read them.  Instances hold no columns: ``take(name, rows)``
+    gathers from the pack and ``column(name)`` builds the whole column from
+    the same gather on first access (both counted in
     :attr:`columns_projected` / :attr:`bytes_projected`), and an instance
-    keeps its pack alive, so a column first read after the pack was evicted
-    is still right.  Pickles cheaply (path + partition id + settings), so
-    process workers each open their own view.
+    keeps its pack alive, so a read after the pack was evicted is still
+    right.  Pickles cheaply (path + partition id + settings), so process
+    workers each open their own view.
 
     Parameters
     ----------
@@ -339,7 +354,21 @@ class GoFSPartitionView:
         self.prefetch_started = 0
         self.prefetch_hits = 0
         self.prefetch_misses = 0
-        #: Columns projected on first touch, and the bytes of those columns
+        tpl = self.template
+        #: Slice-entry prefix -> (index into a bin's rows pair, schema, |rows|).
+        self._sides = {
+            "v": (0, tpl.vertex_schema, tpl.num_vertices),
+            "e": (1, tpl.edge_schema, tpl.num_edges),
+        }
+        #: Per-bin ``(vertex rows, edge rows)``, adopted from the first pack
+        #: read, and the row plans resolved against them (:meth:`_plan`):
+        #: ``(prefix, id(rows)) -> (rows, plan)``, least recently used dropped
+        #: past a cap that fits every subgraph's three row arrays.
+        self._bin_rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self._plans: dict[tuple[str, int], tuple[np.ndarray, list]] = {}
+        self._plan_cap = 4 * sum(len(b) for b in manifest["bins"][self.partition_id]) + 8
+        #: Gathers answered from the packs (one per ``take`` / first
+        #: ``column`` of an instance attribute) and the bytes they returned
         #: (``gofs.columns_projected`` / ``gofs.bytes_projected`` when traced).
         self.columns_projected = 0
         self.bytes_projected = 0
@@ -399,39 +428,112 @@ class GoFSPartitionView:
             key = SliceKey(self.partition_id, b, pack)
             arrays = read_slice(self.root, key, allow_objects=self._allow_objects)
             try:
-                _check_columns(arrays, "v", self.template.vertex_schema, pack_len)
-                _check_columns(arrays, "e", self.template.edge_schema, pack_len)
+                _check_columns(arrays, self.template, pack_len)
             except ValueError as exc:
                 raise ValueError(
                     f"GoFS slice {self.root / slice_filename(key)} ({key}) "
                     f"does not match the store's schema: {exc}"
                 ) from None
             for name in wanted:
-                arrays[name]  # decode now: off the compute path when prefetching
+                if name in arrays:
+                    arrays[name]  # decode now: off the compute path when prefetching
             data.append(arrays)
         return data, time.perf_counter() - start
 
-    def _project(
+    def _adopt_rows(self, pack: int, data: list[PackedArrays]) -> None:
+        """Adopt the first pack's bin rows as *the* bin rows and hold every
+        later pack to them: a row plan resolved once serves every pack."""
+        for b, arrays in enumerate(data):
+            rows = tuple(arrays[key] for key in _ROWS_KEY.values())
+            if b < len(self._bin_rows):
+                ok = all(np.array_equal(r, ref) for r, ref in zip(rows, self._bin_rows[b]))
+            else:
+                ok = all((r[1:] > r[:-1]).all() for r in rows)
+            if not ok:
+                key = SliceKey(self.partition_id, b, pack)
+                raise ValueError(
+                    f"GoFS slice {self.root / slice_filename(key)} ({key}) does not hold "
+                    "the bin's sorted template rows"
+                )
+            if b == len(self._bin_rows):
+                # Copies: a view would pin the whole slice file past its eviction.
+                self._bin_rows.append(tuple(np.array(r) for r in rows))
+
+    def _plan(self, prefix: str, rows: np.ndarray | None) -> list[tuple]:
+        """Where template ``rows`` (``None``: all of them) live in this
+        partition's slices: ``(bin, where, pos)`` triples meaning
+        ``out[where] = slice_row[pos]``, with ``None`` for "all, in order".
+
+        Resolved once per row array and kept while the array is held —
+        arrays passed here (a subgraph's ``edge_index``, ``vertices``, …)
+        are treated as immutable.  Rows in no bin get no triple."""
+        which, _schema, n = self._sides[prefix]
+        if rows is None:
+            return [(b, pair[which], None) for b, pair in enumerate(self._bin_rows)]
+        key = (prefix, id(rows))
+        hit = self._plans.get(key)
+        if hit is not None and hit[0] is rows:  # the held array pins the id
+            self._plans[key] = self._plans.pop(key)  # most recently used last
+            return hit[1]
+        if rows.size and not 0 <= rows.min() <= rows.max() < n:
+            raise IndexError(f"rows outside [0, {n})")
+        plan: list[tuple] = []
+        for b, pair in enumerate(self._bin_rows):
+            have = pair[which]
+            if not have.size:
+                continue
+            pos = np.minimum(np.searchsorted(have, rows), have.size - 1)
+            found = have[pos] == rows
+            if found.all():
+                plan = [(b, None, pos)]
+                break
+            where = np.flatnonzero(found)
+            if where.size:
+                plan.append((b, where, pos[where]))
+        if len(self._plans) >= self._plan_cap:
+            del self._plans[next(iter(self._plans))]
+        self._plans[key] = (rows, plan)
+        return plan
+
+    def _gather(
         self, pack_data: list[PackedArrays], row: int, prefix: str, recording: bool,
-        name: str, column: np.ndarray,
-    ) -> None:
-        """Scatter one timestep's values of one attribute into ``column``
-        (an instance table's fill hook, bound by :meth:`instance`)."""
+        name: str, rows: np.ndarray | None,
+    ) -> np.ndarray:
+        """One timestep's values of one attribute at template ``rows`` (an
+        instance table's gather hook, bound by :meth:`instance`): straight
+        from the pack matrices; rows this partition does not hold, and
+        columns the pack does not store, read the schema default."""
         entry = f"{prefix}__{name}"
-        for data in pack_data:
-            rows = data[_ROWS_KEY[prefix]]
-            if len(rows):
-                column[rows] = data[entry][row]
+        _which, schema, n = self._sides[prefix]
+        spec, size = schema[name], n if rows is None else len(rows)
+        out = None
+        for b, where, pos in self._plan(prefix, rows):
+            data = pack_data[b]
+            if entry in data.defaults:
+                continue
+            values = data[entry][row]
+            if pos is not None:
+                values = values.take(pos)
+            if where is None:  # every row lives in this bin
+                out = values
+            else:
+                if out is None:
+                    out = spec.allocate(size)
+                out[where] = values
+        if out is None:
+            out = spec.allocate(size)
         if recording:
             if entry not in self.projected:
                 self.projected = self.projected | {entry}
             self.columns_projected += 1
-            self.bytes_projected += column.nbytes
+            self.bytes_projected += out.nbytes
             if self.tracer is not None:
                 self.tracer.count("gofs.columns_projected")
-                self.tracer.count("gofs.bytes_projected", column.nbytes)
+                self.tracer.count("gofs.bytes_projected", out.nbytes)
+        return out
 
     def _insert_pack(self, pack: int, data: list[PackedArrays]) -> None:
+        self._adopt_rows(pack, data)
         self._cache[pack] = data
         nbytes = sum(slice_nbytes(d) for d in data)
         self._cache_nbytes[pack] = nbytes
@@ -618,8 +720,8 @@ class GoFSPartitionView:
         """Load (or cache-hit) ``timestep``'s pack and return a lazy instance.
 
         Everything that can fail — a missing, truncated or mis-typed slice —
-        fails here; the returned instance's columns are projected from the
-        pack on first access.
+        fails here; the returned instance's values are gathered from the
+        pack when read.
         """
         T = self.manifest["num_timesteps"]
         if not 0 <= timestep < T:
@@ -636,12 +738,12 @@ class GoFSPartitionView:
             AttributeTable(
                 tpl.vertex_schema,
                 tpl.num_vertices,
-                fill=partial(self._project, pack_data, row, "v", self._recording),
+                gather=partial(self._gather, pack_data, row, "v", self._recording),
             ),
             AttributeTable(
                 tpl.edge_schema,
                 tpl.num_edges,
-                fill=partial(self._project, pack_data, row, "e", self._recording),
+                gather=partial(self._gather, pack_data, row, "e", self._recording),
             ),
         )
 

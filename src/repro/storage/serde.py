@@ -1,20 +1,25 @@
 """Binary (de)serialization of templates, schemas, and array containers.
 
-Templates use ``numpy.savez_compressed`` containers: topology arrays are
-stored natively, and attribute schemas are embedded as small pickled blobs
-(schemas are trusted local metadata, not user-supplied network input).
+Templates use ``numpy.savez`` containers (uncompressed: zlib over the
+topology arrays cost more than the bytes it saved, on every write and every
+``partition_views``): topology arrays are stored natively, and attribute
+schemas are embedded as small pickled blobs (schemas are trusted local
+metadata, not user-supplied network input).
 Round-trip fidelity is asserted by the test suite via
 ``GraphTemplate.equals``.
 
-Slice payloads use the GSL2 framed container (:func:`pack_arrays` /
+Slice payloads use the GSL2 framed container (:func:`write_arrays` /
 :func:`unpack_arrays`): a 4-byte magic, a little-endian uint32 header
 length, a JSON header describing each array (name, kind, dtype, shape,
-offset, nbytes), then one contiguous payload holding the raw array bytes at
-64-byte-aligned offsets.  Numeric arrays deserialize as ``np.frombuffer``
-views over the file bytes — near-memcpy, no pickle, no per-array parsing —
-while object-dtype columns ride a pickled side-channel (``kind: "pickle"``;
-trusted local data, same stance as the schema blobs above).  An optional
-zlib pass over the payload trades the zero-copy read for smaller files.
+offset, nbytes) and naming under ``defaults`` the columns left out because
+nothing ever set them, then one contiguous payload holding the raw array
+bytes at 64-byte-aligned offsets.  :func:`write_arrays` streams: each
+array's buffer goes to the file once, straight from the array.  Numeric
+arrays deserialize as ``np.frombuffer`` views over the file bytes —
+near-memcpy, no pickle, no per-array parsing — while object-dtype columns
+ride a pickled side-channel (``kind: "pickle"``; trusted local data, same
+stance as the schema blobs above).  An optional zlib pass over the payload
+trades the zero-copy read for smaller files.
 
 Reading is split in two.  *Eager*, in :func:`unpack_arrays`: magic, header
 parse, bounds and size validation of every entry, the ``allow_objects``
@@ -26,12 +31,14 @@ for decoding it.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import pickle
 import zlib
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -43,6 +50,7 @@ __all__ = [
     "load_template",
     "schema_to_bytes",
     "schema_from_bytes",
+    "write_arrays",
     "pack_arrays",
     "unpack_arrays",
     "PackedArrays",
@@ -55,29 +63,34 @@ GSL2_MAGIC = b"GSL2"
 _GSL2_ALIGN = 64
 
 
-def pack_arrays(arrays: dict[str, np.ndarray], *, compress: bool = False) -> bytes:
-    """Serialize named arrays into one GSL2 buffer.
+def write_arrays(
+    fp: BinaryIO,
+    arrays: Mapping[str, np.ndarray],
+    *,
+    defaults: Iterable[str] = (),
+    compress: bool = False,
+) -> None:
+    """Stream named arrays to ``fp`` as one GSL2 buffer — the only writer.
 
-    Numeric arrays are laid out as contiguous raw bytes at 64-byte-aligned
-    payload offsets; object-dtype arrays are pickled.  With ``compress`` the
-    payload (not the header) is zlib-compressed — readable by the same
-    :func:`unpack_arrays`, at the cost of the zero-copy view.
+    Header first, then each numeric array's own buffer, written once at its
+    64-byte-aligned payload offset; object-dtype arrays are pickled.
+    ``defaults`` names columns deliberately left out (readers serve their
+    schema default).  With ``compress`` the payload (not the header) is
+    zlib-compressed — readable by the same :func:`unpack_arrays`, at the
+    cost of the zero-copy view.
     """
     entries: list[dict] = []
-    chunks: list[bytes] = []
+    blobs: list[bytes | np.ndarray] = []
     offset = 0
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         if arr.dtype == object:
             blob = pickle.dumps(arr, protocol=pickle.HIGHEST_PROTOCOL)
-            kind, dtype_str = "pickle", "object"
+            kind, dtype_str, nbytes = "pickle", "object", len(blob)
         else:
-            blob = np.ascontiguousarray(arr).tobytes()
-            kind, dtype_str = "raw", arr.dtype.str
-        pad = (-offset) % _GSL2_ALIGN
-        if pad:
-            chunks.append(b"\x00" * pad)
-            offset += pad
+            blob = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+            kind, dtype_str, nbytes = "raw", arr.dtype.str, arr.nbytes
+        offset += (-offset) % _GSL2_ALIGN
         entries.append(
             {
                 "name": name,
@@ -85,18 +98,35 @@ def pack_arrays(arrays: dict[str, np.ndarray], *, compress: bool = False) -> byt
                 "dtype": dtype_str,
                 "shape": list(arr.shape),
                 "offset": offset,
-                "nbytes": len(blob),
+                "nbytes": nbytes,
             }
         )
-        chunks.append(blob)
-        offset += len(blob)
-    payload = b"".join(chunks)
+        blobs.append(blob)
+        offset += nbytes
+    header = {
+        "compression": "zlib" if compress else None,
+        "arrays": entries,
+        "defaults": sorted(defaults),
+    }
+    header = json.dumps(header).encode("utf-8")
+    fp.write(GSL2_MAGIC + len(header).to_bytes(4, "little") + header)
+    out = io.BytesIO() if compress else fp
+    written = 0
+    for entry, blob in zip(entries, blobs):
+        out.write(b"\x00" * (entry["offset"] - written))
+        out.write(blob)
+        written = entry["offset"] + entry["nbytes"]
     if compress:
-        payload = zlib.compress(payload)
-    header = json.dumps(
-        {"compression": "zlib" if compress else None, "arrays": entries}
-    ).encode("utf-8")
-    return GSL2_MAGIC + len(header).to_bytes(4, "little") + header + payload
+        fp.write(zlib.compress(out.getbuffer()))
+
+
+def pack_arrays(
+    arrays: Mapping[str, np.ndarray], *, defaults: Iterable[str] = (), compress: bool = False
+) -> bytes:
+    """:func:`write_arrays` into memory; returns the buffer."""
+    buf = io.BytesIO()
+    write_arrays(buf, arrays, defaults=defaults, compress=compress)
+    return buf.getvalue()
 
 
 class PackedArrays(Mapping):
@@ -107,14 +137,18 @@ class PackedArrays(Mapping):
     Raw arrays decode to read-only ``np.frombuffer`` views (zero-copy when
     the payload is uncompressed); object arrays are unpickled then, and only
     then.  :meth:`entry` answers dtype/shape/size questions from the header
-    without decoding anything.
+    without decoding anything; :attr:`defaults` names the columns the writer
+    left out because they hold nothing but their default.
     """
 
-    __slots__ = ("_entries", "_payload", "_decoded")
+    __slots__ = ("_entries", "_payload", "_decoded", "defaults")
 
-    def __init__(self, entries: dict[str, dict], payload: memoryview) -> None:
+    def __init__(
+        self, entries: dict[str, dict], payload: memoryview, defaults: frozenset[str] = frozenset()
+    ) -> None:
         self._entries = entries
         self._payload = payload
+        self.defaults = defaults
         self._decoded: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -194,7 +228,10 @@ def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> PackedArr
         else:
             raise ValueError(f"array {name!r} has unknown kind {entry['kind']!r}")
         entries[name] = entry
-    return PackedArrays(entries, view)
+    defaults = header["defaults"]
+    if not isinstance(defaults, list) or not all(isinstance(n, str) for n in defaults):
+        raise ValueError(f"GSL2 header's defaults is not a list of names: {defaults!r}")
+    return PackedArrays(entries, view, frozenset(defaults))
 
 
 def write_blob(path: str | Path, obj) -> tuple[int, str]:
@@ -249,7 +286,7 @@ def save_template(path: str | Path, template: GraphTemplate) -> None:
     """Write a template to ``path`` (npz container)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
+    np.savez(
         path,
         format_version=np.int64(1),
         name=np.frombuffer(template.name.encode("utf-8"), dtype=np.uint8),

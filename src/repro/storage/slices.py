@@ -13,11 +13,13 @@ GoFS amortize disk access and produces Fig 6's every-10th-timestep load
 bumps.
 
 Slices are ``.gsl`` files in the zero-copy GSL2 container
-(:func:`repro.storage.serde.pack_arrays`): framed header plus contiguous
+(:func:`repro.storage.serde.write_arrays`): framed header plus contiguous
 aligned raw buffers per attribute column, read back as ``np.frombuffer``
 views so a pack load is near-memcpy.  Object columns (e.g. tweet lists)
-ride a pickled side-channel inside the same file.  Compression (a zlib
-payload) is a writer flag.
+ride a pickled side-channel inside the same file.  A column that no
+instance of the pack has set is not stored: the header lists it under
+``defaults`` and readers serve the schema default (slice format 3).
+Compression (a zlib payload) is a writer flag.
 
 :func:`read_slice` reads the file and validates the header eagerly and
 decodes each column on its first access, so the cost of a column — above all
@@ -34,7 +36,7 @@ import numpy as np
 
 from ..graph.instance import GraphInstance
 from ..graph.subgraph import Subgraph
-from .serde import PackedArrays, pack_arrays, unpack_arrays
+from .serde import PackedArrays, unpack_arrays, write_arrays
 
 __all__ = [
     "SLICE_FORMAT",
@@ -46,8 +48,10 @@ __all__ = [
     "slice_nbytes",
 ]
 
-#: The manifest's ``slice_format`` value: 2 = GSL2 (1 was ``.npz``, no longer read).
-SLICE_FORMAT = 2
+#: The manifest's ``slice_format`` value: 3 = GSL2 container whose header
+#: names never-set columns under ``defaults`` instead of storing them
+#: (2 stored every column; 1 was ``.npz``; neither is read any more).
+SLICE_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -83,36 +87,6 @@ def bin_rows(subgraphs: list[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
     return verts, edges
 
 
-def _pack_matrices(
-    vertex_rows: np.ndarray,
-    edge_rows: np.ndarray,
-    instances: list[GraphInstance],
-) -> dict[str, np.ndarray]:
-    """Assemble slice arrays with one preallocated ``(pack_len, rows)``
-    matrix per attribute, filled row-by-row in place (no ``np.stack``
-    double-copy)."""
-    arrays: dict[str, np.ndarray] = {
-        "vertex_rows": vertex_rows,
-        "edge_rows": edge_rows,
-        "timestamps": np.asarray([inst.timestamp for inst in instances]),
-    }
-    if not instances:
-        return arrays
-    tpl = instances[0].template
-    pack_len = len(instances)
-    for spec in tpl.vertex_schema:
-        mat = np.empty((pack_len, len(vertex_rows)), dtype=spec.dtype)
-        for i, inst in enumerate(instances):
-            np.take(inst.vertex_values.column(spec.name), vertex_rows, out=mat[i])
-        arrays[f"v__{spec.name}"] = mat
-    for spec in tpl.edge_schema:
-        mat = np.empty((pack_len, len(edge_rows)), dtype=spec.dtype)
-        for i, inst in enumerate(instances):
-            np.take(inst.edge_values.column(spec.name), edge_rows, out=mat[i])
-        arrays[f"e__{spec.name}"] = mat
-    return arrays
-
-
 def write_slice(
     root: Path,
     key: SliceKey,
@@ -122,14 +96,31 @@ def write_slice(
     *,
     compress: bool = False,
 ) -> Path:
-    """Write one slice: the given rows of every schema attribute × instances.
+    """Write one slice: the given rows of every *set* attribute × instances.
 
-    Columns are packed into ``(pack_len, rows)`` matrices per attribute so a
-    later read is one contiguous load per attribute.
+    Each attribute some instance of the pack has set is gathered into one
+    ``(pack_len, rows)`` matrix — a later read is one contiguous load — and
+    streamed to the file once.  An attribute none has set is not
+    materialized, only named under the header's ``defaults``.
     """
+    arrays: dict[str, np.ndarray] = {"vertex_rows": vertex_rows, "edge_rows": edge_rows}
+    defaults: list[str] = []
+    for prefix, rows, tables in (
+        ("v", vertex_rows, [inst.vertex_values for inst in instances]),
+        ("e", edge_rows, [inst.edge_values for inst in instances]),
+    ):
+        valued = set().union(*(table._valued_names() for table in tables))
+        for spec in tables[0].schema if tables else ():
+            if spec.name not in valued:
+                defaults.append(f"{prefix}__{spec.name}")
+                continue
+            mat = np.empty((len(tables), len(rows)), dtype=spec.dtype)
+            for i, table in enumerate(tables):
+                np.take(table.column(spec.name), rows, out=mat[i])
+            arrays[f"{prefix}__{spec.name}"] = mat
     path = Path(root) / slice_filename(key)
-    arrays = _pack_matrices(vertex_rows, edge_rows, instances)
-    path.write_bytes(pack_arrays(arrays, compress=compress))
+    with open(path, "wb") as fp:
+        write_arrays(fp, arrays, defaults=defaults, compress=compress)
     return path
 
 

@@ -196,20 +196,22 @@ class TestAttributeTable:
 
 
 class TestBackedTable:
-    """A table with a ``fill`` hook: columns hold stored values, lazily."""
+    """A table with a ``gather`` hook: columns hold stored values, lazily."""
 
     SCHEMA = AttributeSchema([("x", "float"), ("k", "int", 7), ("o", "object")])
     STORED = {"x": [1.5, 2.5], "k": [3, 4], "o": [("a",), None]}
 
     def make(self, calls=None):
-        def fill(name, column):
+        def gather(name, rows):
             if calls is not None:
-                calls.append(name)
+                calls.append(name if rows is None else (name, rows.tolist()))
+            column = self.SCHEMA[name].allocate(4)
             column[[0, 2]] = self.STORED[name]
+            return column if rows is None else column[rows]
 
-        return AttributeTable(self.SCHEMA, 4, fill=fill)
+        return AttributeTable(self.SCHEMA, 4, gather=gather)
 
-    def test_fill_runs_once_per_column_on_first_touch(self):
+    def test_gather_runs_once_per_column_on_first_touch(self):
         calls = []
         t = self.make(calls)
         assert t.materialized_names == [] and calls == []
@@ -219,6 +221,35 @@ class TestBackedTable:
         assert calls == ["k"]
         assert t.materialized_names == ["k"]
         assert t.approx_nbytes() == 4 * 8  # untouched columns weigh nothing
+
+    def test_take_of_an_untouched_column_asks_the_store_and_builds_nothing(self):
+        calls = []
+        t = self.make(calls)
+        rows = np.asarray([2, 1, 2])
+        assert t.take("k", rows).tolist() == [4, 7, 4]
+        assert t.take("o", rows).tolist() == [None, None, None]
+        assert calls == [("k", [2, 1, 2]), ("o", [2, 1, 2])]
+        assert t.materialized_names == [] and t.approx_nbytes() == 0
+        with pytest.raises(KeyError):
+            t.take("nope", rows)
+
+    def test_take_reads_a_touched_column_so_writes_show(self):
+        calls = []
+        t = self.make(calls)
+        t.set("x", 1, 9.0)  # materializes x (one whole-column gather)
+        assert t.take("x", np.asarray([0, 1])).tolist() == [1.5, 9.0]
+        assert calls == ["x"]
+
+    @pytest.mark.parametrize(
+        "indices", [2, [[0, 2], [1, 3]], np.asarray([True, False, True, False])]
+    )
+    def test_take_of_anything_but_a_row_array_goes_through_the_column(self, indices):
+        calls = []
+        t = self.make(calls)
+        got = t.take("k", indices)
+        want = np.asarray([3, 7, 4, 7])[np.asarray(indices)]
+        assert np.array_equal(got, want)
+        assert calls == ["k"]
 
     def test_set_column_replaces_the_stored_values(self):
         calls = []

@@ -21,7 +21,7 @@ from repro.storage import (
 )
 from repro.storage.serde import pack_arrays
 from tests.conftest import make_grid_template, make_random_template, populate_random
-from tests.storage.test_slices_v2 import entry_of, rewrite_header
+from tests.storage.test_slices_v2 import entry_of, header_of, rewrite_header
 
 
 @pytest.fixture
@@ -576,11 +576,11 @@ class TestLoadErrorsSurfaceInInstance:
 
     KEY = SliceKey(0, 0, 1)  # partition 0's only bin, the pack of timesteps 2-3
 
-    def rewrite(self, root, edit):
+    def rewrite(self, root, edit, defaults=()):
         path = root / slice_filename(self.KEY)
         arrays = dict(read_slice(root, self.KEY).items())
         edit(arrays)
-        path.write_bytes(pack_arrays(arrays))
+        path.write_bytes(pack_arrays(arrays, defaults=defaults))
         return path
 
     def assert_fails_in_instance(self, root, match):
@@ -632,9 +632,49 @@ class TestLoadErrorsSurfaceInInstance:
         self.assert_fails_in_instance(tmp_path, r"column v__traffic is <f8 \[1, 3\]")
 
     def test_missing_column(self, tmp_path):
+        """Absent from the file *and* from ``defaults`` is the error; absent
+        from the file but listed is a column nobody set (TestNeverSetColumns)."""
         numeric_store(tmp_path)
         self.rewrite(tmp_path, lambda arrays: arrays.pop("e__latency"))
-        self.assert_fails_in_instance(tmp_path, "column e__latency is missing")
+        self.assert_fails_in_instance(
+            tmp_path, "column e__latency is missing: neither stored nor listed under defaults"
+        )
+
+    def test_column_both_stored_and_default(self, tmp_path):
+        numeric_store(tmp_path)
+        self.rewrite(tmp_path, lambda arrays: None, defaults=["e__lanes"])
+        self.assert_fails_in_instance(tmp_path, "column e__lanes is both stored and listed")
+
+    @pytest.mark.parametrize("where", ["stored", "defaults"])
+    def test_unknown_entry(self, tmp_path, where):
+        numeric_store(tmp_path)
+        if where == "stored":
+            self.rewrite(tmp_path, lambda arrays: arrays.update(e__speed=arrays["e__latency"]))
+        else:
+            self.rewrite(tmp_path, lambda arrays: None, defaults=["e__speed"])
+        self.assert_fails_in_instance(tmp_path, "column e__speed is not in the schema")
+
+    def test_rows_of_the_wrong_type(self, tmp_path):
+        numeric_store(tmp_path)
+
+        def edit(arrays):
+            arrays["edge_rows"] = arrays["edge_rows"].astype(np.int32)
+
+        self.rewrite(tmp_path, edit)
+        self.assert_fails_in_instance(tmp_path, "column edge_rows is <i4")
+
+    def test_rows_differ_from_the_first_pack(self, tmp_path):
+        """Row plans are resolved once against the bin's rows, so a pack
+        whose rows differ (or are unsorted) must not load."""
+        numeric_store(tmp_path)
+
+        def edit(arrays):
+            arrays["vertex_rows"] = arrays["vertex_rows"][::-1]
+
+        self.rewrite(tmp_path, edit)
+        self.assert_fails_in_instance(tmp_path, "does not hold the bin's sorted template rows")
+        with pytest.raises(ValueError, match="sorted template rows"):
+            GoFS.partition_view(tmp_path, 0).instance(2)  # ... as the first pack read, too
 
     def test_object_column_on_a_strict_read(self, tmp_path, monkeypatch):
         numeric_store(tmp_path)
@@ -664,11 +704,16 @@ SCHEMAS = {
 }
 
 
-def random_populator(seed):
+def random_populator(seed, never=(), first_only=()):
+    """Sets every column at every timestep — except the names in ``never``,
+    and those in ``first_only`` after timestep 0."""
+
     def populate(inst, t):
         rng = np.random.default_rng([seed, t])
         for table in (inst.vertex_values, inst.edge_values):
             for spec in table.schema:
+                if spec.name in never or (t and spec.name in first_only):
+                    continue
                 if spec.is_object:
                     cells = np.empty(table.n, dtype=object)
                     cells[:] = [tuple(rng.integers(0, 4, rng.integers(0, 3)).tolist()) for _ in range(table.n)]
@@ -734,17 +779,185 @@ class TestProjectionProperty:
                 view.close()
 
     def test_residency_and_evictions_are_the_parents(self, store):
-        """Pinned at the commit before instances went lazy (same store, same
-        accesses): ``slice_nbytes`` now reads the header, and must agree."""
+        """The sequence of loads and evictions is the one pinned before
+        instances went lazy (same store, same accesses); the *bytes* are
+        re-pinned for slice format 3: a pack of partition 0 was 3796 B when
+        every column was stored, and is 132 B lighter now that the never-set
+        ``flag`` column (9 vertices x 4 timesteps x 1 B) and the unread
+        ``timestamps`` entry (3 bins x 4 x 8 B) are no longer in the file."""
         root, *_ = store
         one = _one_pack_nbytes(root)
-        assert one == 3796
+        assert one == 3796 - 9 * 4 - 3 * 4 * 8 == 3664
         view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
         view.attach_tracer(Tracer())
         seen = []
         for t in list(range(12)) + [0, 4, 8, 1]:
             view.instance(t)
             seen.append(view.resident_bytes())
-        assert seen == [3796] * 4 + [7592] * 12
+        assert seen == [3664] * 4 + [7328] * 12
         assert view.tracer.counters["gofs.packs_evicted"] == 5
         assert view.tracer.counters["gofs.packs_loaded"] == 7
+
+
+class TestNeverSetColumns:
+    """Slice format 3: the writer stores what some instance of the pack set."""
+
+    def write(self, root, never=(), first_only=()):
+        vschema, eschema = SCHEMAS["numeric"]
+        tpl = GraphTemplate(
+            6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5], vertex_schema=vschema, edge_schema=eschema
+        )
+        coll = build_collection(tpl, 5, random_populator(1, never, first_only))
+        pg = decompose(tpl, np.asarray([0, 0, 0, 1, 1, 1]), 2)
+        GoFS.write_collection(root, pg, coll, packing=2, binning=5)
+        return tpl, coll, pg
+
+    def test_never_set_column_is_listed_not_stored(self, tmp_path):
+        tpl, coll, pg = self.write(tmp_path, never={"flag", "lanes"})
+        for path in tmp_path.glob("*.gsl"):
+            header = header_of(path.read_bytes())
+            assert header["defaults"] == ["e__lanes", "v__flag"]
+            assert [e["name"] for e in header["arrays"]] == [
+                "vertex_rows", "edge_rows", "v__traffic", "e__latency",
+            ]
+        inst = GoFS.partition_view(tmp_path, 0).instance(3)
+        assert inst.vertex_column("flag").tolist() == [True] * 6  # the schema default
+        assert inst.edge_values.take("lanes", np.arange(5)).tolist() == [0] * 5
+        assert inst.edge_values.materialized_names == []
+        verts, _edges = owned_rows(pg, 0)
+        assert np.array_equal(
+            inst.vertex_column("traffic")[verts], coll.instance(3).vertex_column("traffic")[verts]
+        )
+
+    def test_column_set_in_one_instance_is_stored_for_that_pack_only(self, tmp_path):
+        tpl, coll, pg = self.write(tmp_path, first_only={"lanes"})
+        for p in range(2):
+            for k in range(3):
+                header = header_of((tmp_path / slice_filename(SliceKey(p, 0, k))).read_bytes())
+                assert header["defaults"] == ([] if k == 0 else ["e__lanes"])
+                assert ("e__lanes" in [e["name"] for e in header["arrays"]]) == (k == 0)
+        view = GoFS.partition_view(tmp_path, 0)
+        _verts, edges = owned_rows(pg, 0)
+        for t in range(5):  # timestep 1 shares pack 0: stored there, as its default
+            want = coll.instance(t).edge_column("lanes")[edges]
+            assert (want != 0).any() == (t == 0)
+            assert np.array_equal(view.instance(t).edge_values.take("lanes", edges), want)
+
+    def test_carn_store_holds_latency_and_rows_and_nothing_else(self, tmp_path):
+        from repro.generators import paper_datasets
+
+        ds = paper_datasets(300, 4)["CARN"]
+        tpl, coll = ds["template"], ds["road"]
+        assert {s.name for s in tpl.vertex_schema} | {s.name for s in tpl.edge_schema} > {"latency"}
+        GoFS.write_collection(tmp_path, partition_graph(tpl, 2, HashPartitioner(seed=0)), coll)
+        for path in tmp_path.glob("*.gsl"):
+            header = header_of(path.read_bytes())
+            assert [e["name"] for e in header["arrays"]] == ["vertex_rows", "edge_rows", "e__latency"]
+            assert sorted(header["defaults"]) == sorted(
+                [f"v__{s.name}" for s in tpl.vertex_schema]
+                + [f"e__{s.name}" for s in tpl.edge_schema if s.name != "latency"]
+            )
+
+
+class TestTakeProperty:
+    """``take`` never builds the column, and reads exactly what it would hold."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        schema=st.sampled_from(sorted(SCHEMAS)),
+        timesteps=st.integers(1, 7),
+        packing=st.integers(1, 4),
+        binning=st.integers(1, 3),
+        prefetch=st.booleans(),
+        data=st.data(),
+    )
+    def test_take_equals_indexing_the_column(
+        self, seed, schema, timesteps, packing, binning, prefetch, data
+    ):
+        rng = np.random.default_rng(seed)
+        base = make_random_template(14, 20, rng)
+        vschema, eschema = SCHEMAS[schema]
+        tpl = GraphTemplate(
+            base.num_vertices, base.edge_src, base.edge_dst,
+            vertex_schema=vschema, edge_schema=eschema,
+        )
+        columns = [("v", spec) for spec in vschema] + [("e", spec) for spec in eschema]
+        names = [spec.name for _kind, spec in columns]
+        never = data.draw(st.sets(st.sampled_from(names)), label="never set")
+        first_only = data.draw(st.sets(st.sampled_from(names)), label="set at t=0 only")
+        coll = build_collection(tpl, timesteps, random_populator(seed, never, first_only))
+        # Partition 1 is left empty; the others split into several subgraphs
+        # (so several bins once ``binning`` is small).
+        pg = decompose(tpl, rng.choice([0, 2, 3], size=tpl.num_vertices), 4)
+
+        def check(inst, t, kind, spec, rows):
+            """take == column[rows] == the collection on owned rows, default elsewhere."""
+            table = inst.vertex_values if kind == "v" else inst.edge_values
+            got = table.take(spec.name, rows)
+            assert table.materialized_names == []
+            assert got.dtype == spec.dtype and got.shape == rows.shape
+            whole = column_of(view.instance(t), kind, spec.name)
+            assert same_cells(got, whole[rows], spec.is_object)
+            want = spec.allocate(table.n)
+            owned = owned_rows(pg, view.partition_id)[0 if kind == "v" else 1]
+            want[owned] = column_of(coll.instance(t), kind, spec.name)[owned]
+            assert same_cells(got, want[rows], spec.is_object)
+
+        with tempfile.TemporaryDirectory() as root:
+            GoFS.write_collection(root, pg, coll, packing=packing, binning=binning)
+            for view in GoFS.partition_views(root, prefetch=prefetch):
+                subgraphs = pg.partitions[view.partition_id].subgraphs
+                row_arrays = {
+                    "v": [sg.vertices for sg in subgraphs],
+                    "e": [a for sg in subgraphs for a in (sg.edge_index, sg.remote.edge_index)],
+                }
+                held = []
+                for t in data.draw(st.permutations(range(timesteps)), label="timestep order"):
+                    inst = view.instance(t)
+                    held.append((t, inst))
+                    for kind, spec in data.draw(st.permutations(columns), label="column order"):
+                        n = tpl.num_vertices if kind == "v" else tpl.num_edges
+                        anywhere = data.draw(  # owned, foreign, repeated, or none at all
+                            st.lists(st.integers(0, n - 1), max_size=2 * n), label="rows"
+                        )
+                        for rows in [np.asarray(anywhere, dtype=np.int64)] + row_arrays[kind]:
+                            check(inst, t, kind, spec, rows)
+                            check(inst, t, kind, spec, rows)  # again: the plan is cached now
+                # Instances outlive their pack's eviction (cache_packs=1) and
+                # pickle to plain tables holding the same values.
+                for t, inst in held:
+                    for kind, spec in columns:
+                        for rows in row_arrays[kind]:
+                            check(inst, t, kind, spec, rows)
+                    clone = pickle.loads(pickle.dumps(inst))  # (materializes inst, too)
+                    for kind, spec in columns:
+                        for rows in row_arrays[kind]:
+                            assert same_cells(
+                                column_of(clone, kind, spec.name)[rows],
+                                column_of(inst, kind, spec.name)[rows],
+                                spec.is_object,
+                            )
+                view.close()
+
+    def test_rows_outside_the_template_are_an_index_error(self, store):
+        root, tpl, *_ = store
+        inst = GoFS.partition_view(root, 0).instance(0)
+        for rows in ([tpl.num_edges], [-1]):
+            with pytest.raises(IndexError):
+                inst.edge_values.take("latency", np.asarray(rows))
+
+    def test_a_reused_row_array_is_resolved_once_and_the_cache_is_bounded(self, store, monkeypatch):
+        root, _tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 0)
+        searches = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or real(*a, **k))
+        sg = pg.partitions[0].subgraphs[-1]  # (in the last bin: earlier bins are searched first)
+        for t in range(12):
+            got = view.instance(t).edge_values.take("latency", sg.edge_index)
+            assert np.array_equal(got, coll.instance(t).edge_column("latency")[sg.edge_index])
+        assert len(searches) == view._num_bins
+        for _ in range(10 * view._plan_cap):  # fresh arrays every call: resolved each time ...
+            view.instance(0).edge_values.take("latency", sg.edge_index.copy())
+        assert len(view._plans) <= view._plan_cap  # ... and never piling up

@@ -60,10 +60,7 @@ class TestPackArrays:
         assert a.base is not None
 
     def test_payload_offsets_are_aligned(self):
-        buf = pack_arrays(sample_arrays())
-        hlen = int.from_bytes(buf[4:8], "little")
-        header = json.loads(buf[8 : 8 + hlen])
-        for entry in header["arrays"]:
+        for entry in header_of(pack_arrays(sample_arrays()))["arrays"]:
             assert entry["offset"] % 64 == 0
 
     def test_allow_objects_false_rejects_pickled_columns(self):
@@ -79,10 +76,15 @@ class TestPackArrays:
             unpack_arrays(b"NOPE" + b"\x00" * 16)
 
 
+def header_of(buf):
+    """The JSON header of a GSL2 buffer."""
+    return json.loads(buf[8 : 8 + int.from_bytes(buf[4:8], "little")])
+
+
 def rewrite_header(buf, edit):
     """``buf`` with its JSON header passed through ``edit(header)``."""
     hlen = int.from_bytes(buf[4:8], "little")
-    header = json.loads(buf[8 : 8 + hlen])
+    header = header_of(buf)
     edit(header)
     blob = json.dumps(header).encode()
     return GSL2_MAGIC + len(blob).to_bytes(4, "little") + blob + buf[8 + hlen :]
@@ -206,12 +208,33 @@ class TestWriteReadSlice:
     def test_unknown_format_rejected(self, tmp_path):
         """A store written before GSL2 (manifest says 1, or nothing) or by a
         later writer is refused at the manifest, before any slice is read."""
-        for stale in ({"slice_format": 1}, {}, {"slice_format": 3}):
+        for stale in ({"slice_format": 1}, {}, {"slice_format": 4}):
             (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, **stale}))
             with pytest.raises(
-                ValueError, match="written before GSL2; rewrite with `GoFS.write_collection`"
+                ValueError, match="is not slice format 3; rewrite with `GoFS.write_collection`"
             ):
                 GoFS.read_manifest(tmp_path)
+
+    def test_format_2_rejected(self, tmp_path, slice_case):
+        """Format 2 stored every column and had no ``defaults``: refused at
+        the manifest like v1 — and a format-2 slice (no ``defaults`` in its
+        header) is malformed to the one reader, not quietly accepted."""
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"format_version": 1, "slice_format": 2, "num_partitions": 1})
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"slice_format 2\) is not slice format 3; rewrite with `GoFS.write_collection`",
+        ):
+            GoFS.read_manifest(tmp_path)
+        with pytest.raises(ValueError, match="format 3"):
+            GoFS.partition_views(tmp_path)
+        verts, edges, instances = slice_case
+        key = SliceKey(0, 0, 0)
+        path = write_slice(tmp_path, key, verts, edges, instances)
+        path.write_bytes(rewrite_header(path.read_bytes(), lambda header: header.pop("defaults")))
+        with pytest.raises(ValueError, match="malformed.*defaults"):
+            read_slice(tmp_path, key)
 
     def test_filename_extension_per_format(self):
         assert slice_filename(SliceKey(1, 2, 3)) == "slice_p001_b0002_k0003.gsl"
@@ -259,7 +282,7 @@ class TestGoFSFormats:
         tpl, coll, pg = case
         root = tmp_path
         manifest = GoFS.write_collection(root, pg, coll, packing=3, binning=2)
-        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 2
+        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 3
         for p in range(pg.num_partitions):
             view = GoFS.partition_view(root, p)
             for t in range(len(coll)):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms import (
+    HashtagAggregationComputation,
     MemeTrackingComputation,
     TDSPComputation,
     colored_timesteps_from_result,
@@ -119,23 +120,72 @@ class TestStorageAndExecutorInvariance:
 
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_tdsp_projects_one_edge_column_per_host_per_timestep(self, executor, tmp_path):
-        """GoFS instances are lazy per attribute: TDSP reads ``latency`` and
-        nothing else, so that is all a run pays for — exactly, every run."""
+    def test_tdsp_reads_its_subgraphs_edge_slots_and_nothing_else(self, executor, tmp_path):
+        """What a run gathers from GoFS does not grow with the host count:
+        every timestep each subgraph takes ``latency`` at its local CSR slots
+        and its remote slots — 8 B per slot, whichever host holds it — and no
+        other attribute.  (Before ``take`` each of k hosts built a template-wide
+        column: 8 * k * |E| per timestep.)"""
         tpl, coll = make_workload(3)
-        pg = partition_graph(tpl, 3, HashPartitioner(seed=3))
+        totals, slots, labels = {}, {}, {}
+        for k in (2, 3, 6):
+            pg = partition_graph(tpl, k, HashPartitioner(seed=3))
+            per_host = [
+                sum(len(sg.edge_index) + len(sg.remote.edge_index) for sg in part.subgraphs)
+                for part in pg.partitions
+            ]
+            slots[k] = sum(per_host)
+            root = tmp_path / f"k{k}"
+            GoFS.write_collection(root, pg, coll, packing=3, binning=2)
+            for prefetch in (False, True):
+                views = GoFS.partition_views(root, prefetch=prefetch)
+                res = run_application(
+                    TDSPComputation(0), pg, coll, sources=views,
+                    config=EngineConfig(executor=executor, tracing=True),
+                )
+                counters = res.trace.counters
+                assert counters["gofs.bytes_projected"] == 8 * res.timesteps_executed * slots[k]
+                assert counters["gofs.columns_projected"] == (
+                    2 * res.timesteps_executed * pg.num_subgraphs
+                )
+                if executor == "serial":  # the driver's views are the ones that ran
+                    assert [v.projected for v in views] == [{"e__latency"}] * k
+                    assert [v.bytes_projected for v in views] == [
+                        8 * res.timesteps_executed * n for n in per_host
+                    ]
+                got = tdsp_labels_from_result(res, tpl.num_vertices).tobytes()
+                assert labels.setdefault(k, got) == got  # prefetch == sync
+                totals[k] = counters["gofs.bytes_projected"] // res.timesteps_executed
+        # More hosts cut more edges; a cut edge trades its two local slots for
+        # one remote slot on either side, so on this undirected template the
+        # count does not move at all — and in general only by the slot count.
+        assert totals[6] - totals[2] == 8 * (slots[6] - slots[2])
+        assert totals[2] == totals[3] == totals[6] == 8 * 2 * tpl.num_edges
+
+    @pytest.mark.parametrize("algorithm", ["tdsp", "meme", "hash"])
+    def test_a_gofs_run_builds_no_template_wide_column(self, algorithm, tmp_path):
+        tpl, coll = make_workload(5)
+        pg = partition_graph(tpl, 3, HashPartitioner(seed=5))
         GoFS.write_collection(tmp_path, pg, coll, packing=3, binning=2)
+        computation = {
+            "tdsp": lambda: TDSPComputation(0),
+            "meme": lambda: MemeTrackingComputation(0),
+            "hash": lambda: HashtagAggregationComputation.for_partitioned_graph(pg, 0),
+        }[algorithm]()
         views = GoFS.partition_views(tmp_path)
-        res = run_application(
-            TDSPComputation(0), pg, coll, sources=views,
-            config=EngineConfig(executor=executor, tracing=True),
-        )
-        counters = res.trace.counters
-        assert counters["gofs.columns_projected"] == 3 * res.timesteps_executed
-        assert counters["gofs.bytes_projected"] == 3 * res.timesteps_executed * 8 * tpl.num_edges
-        if executor == "serial":  # the driver's views are the ones that ran
-            assert [v.projected for v in views] == [{"e__latency"}] * 3
-            assert sum(v.columns_projected for v in views) == counters["gofs.columns_projected"]
+        handed_out = []
+        for view in views:
+            def instance(t, real=view.instance):
+                handed_out.append(real(t))
+                return handed_out[-1]
+
+            view.instance = instance
+        res = run_application(computation, pg, coll, sources=views)
+        assert len(handed_out) == 3 * res.timesteps_executed
+        for inst in handed_out:
+            assert inst.vertex_values.materialized_names == []
+            assert inst.edge_values.materialized_names == []
+        assert sum(v.columns_projected for v in views) > 0
 
 
 class TestMetricsConsistency:
