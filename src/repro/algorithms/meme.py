@@ -29,7 +29,14 @@ import numpy as np
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
-from ..kernels import any_neighbor, contains_in_cells, expand_to_fixpoint, group_unique_pairs
+from ..kernels import (
+    contains_in_cells,
+    expand_to_fixpoint,
+    group_unique_pairs,
+    index_mask,
+    open_boundary,
+    sorted_unique,
+)
 
 __all__ = ["MemeTrackingComputation", "MemeFrontier", "colored_timesteps_from_result"]
 
@@ -69,32 +76,41 @@ class MemeTrackingComputation(TimeSeriesComputation):
     def _init_state(self, ctx: ComputeContext) -> None:
         sg, st = ctx.subgraph, ctx.state
         st["colored"] = np.zeros(sg.num_vertices, dtype=bool)
-        st["colored_at"] = np.full(sg.num_vertices, -1, dtype=np.int64)
         # Colored vertices that may still spread locally (boundary of C*).
         st["local_roots"] = np.empty(0, dtype=np.int64)
+        #: Index arrays of the vertices first colored this timestep.
+        st["newly"] = []
+        st["has_remote"] = index_mask(sg.remote.src_local, sg.num_vertices)
 
-    def _has_meme_mask(self, ctx: ComputeContext) -> np.ndarray:
-        """Which local vertices carry the meme in the current instance."""
-        return contains_in_cells(ctx.take_vertices(self.tweets_attr), self.meme)
+    def _has_meme(self, ctx: ComputeContext) -> np.ndarray:
+        """Which local vertices carry the meme in the current instance;
+        scanned on first use, so an idle subgraph reads no tweets."""
+        st = ctx.state
+        if "has_meme" not in st:
+            st["has_meme"] = contains_in_cells(ctx.take_vertices(self.tweets_attr), self.meme)
+        return st["has_meme"]
 
     def _kernel_bfs(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Expand through contiguous carriers; notify all remote neighbors."""
         sg, st = ctx.subgraph, ctx.state
+        if "expanded" not in st:
+            # Each vertex is expanded at most once per timestep, regardless
+            # of how many supersteps touch it.
+            st["expanded"] = np.zeros(sg.num_vertices, dtype=bool)
         newly, expanded_now = expand_to_fixpoint(
             sg.indptr,
             sg.indices,
             seeds,
             st["colored"],
             st["expanded"],
-            vertex_ok=st["has_meme"],
+            vertex_ok=self._has_meme(ctx),
         )
-        st["colored_at"][newly] = ctx.timestep
+        st["newly"].append(newly)
         remote = sg.remote
-        if not len(remote) or not expanded_now.size:
+        sources = expanded_now[st["has_remote"][expanded_now]]
+        if not sources.size:
             return
-        mask = np.zeros(sg.num_vertices, dtype=bool)
-        mask[expanded_now] = True
-        rows = np.nonzero(mask[remote.src_local])[0]
+        rows = np.flatnonzero(index_mask(sources, sg.num_vertices)[remote.src_local])
         for dst_sg, verts in group_unique_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows]
         ):
@@ -104,64 +120,48 @@ class MemeTrackingComputation(TimeSeriesComputation):
 
     def compute(self, ctx: ComputeContext) -> None:
         sg, st = ctx.subgraph, ctx.state
-        frontier: list[np.ndarray] = []
-        if ctx.superstep == 0:
-            if "colored" not in st:
-                self._init_state(ctx)
-            st["has_meme"] = self._has_meme_mask(ctx)
-            # Each vertex is expanded at most once per timestep, regardless of
-            # how many supersteps touch it.
-            st["expanded"] = np.zeros(sg.num_vertices, dtype=bool)
-            colored, colored_at = st["colored"], st["colored_at"]
-            if ctx.timestep == 0:
-                # Seeds: all vertices carrying the meme now (Alg 1, line 4).
-                seeds = np.nonzero(st["has_meme"] & ~colored)[0]
-                colored[seeds] = True
-                colored_at[seeds] = 0
-                frontier.append(seeds)
-            else:
-                # Resume from the colored set's active boundary (C*).
-                frontier.append(st["local_roots"])
+        if "colored" not in st:
+            self._init_state(ctx)
+        colored = st["colored"]
+        if ctx.superstep == 0 and ctx.timestep > 0:
+            # Resume from the colored set's active boundary (C*).
+            seeds = st["local_roots"]
         else:
-            colored, colored_at = st["colored"], st["colored_at"]
-            has_meme = st["has_meme"]
-            for msg in ctx.messages:
-                locs = np.atleast_1d(
-                    sg.local_of(np.asarray(msg.payload, dtype=np.int64))
-                )
-                new = (~colored[locs]) & has_meme[locs]
-                if new.any():
-                    fresh = locs[new]
-                    colored[fresh] = True
-                    colored_at[fresh] = ctx.timestep
-                    frontier.append(fresh)
-        seeds = (
-            np.unique(np.concatenate(frontier)) if frontier else np.empty(0, dtype=np.int64)
-        )
+            if ctx.superstep == 0:
+                # Seeds: all vertices carrying the meme now (Alg 1, line 4).
+                seeds = np.flatnonzero(self._has_meme(ctx))
+            else:
+                arrived = [
+                    np.atleast_1d(sg.local_of(np.asarray(msg.payload, dtype=np.int64)))
+                    for msg in ctx.messages
+                ]
+                seeds = sorted_unique(*(locs[~colored[locs]] for locs in arrived))
+                if seeds.size:
+                    seeds = seeds[self._has_meme(ctx)[seeds]]
+            colored[seeds] = True
+            st["newly"].append(seeds)
         if seeds.size:
             self._kernel_bfs(ctx, seeds)
         ctx.vote_to_halt()
 
     def end_of_timestep(self, ctx: EndOfTimestepContext) -> None:
         sg, st = ctx.subgraph, ctx.state
-        colored, colored_at = st["colored"], st["colored_at"]
-        newly = colored_at == ctx.timestep
-        if newly.any():
-            ctx.output(MemeFrontier(ctx.timestep, sg.vertices[newly].copy()))
-        # Boundary of the colored set: colored vertices with an uncolored
-        # local neighbor or a remote edge — the only useful next-step roots.
-        if "slot_src" not in st:
-            st["slot_src"] = np.repeat(
-                np.arange(sg.num_vertices, dtype=np.int64), np.diff(sg.indptr)
-            )
-            has_remote = np.zeros(sg.num_vertices, dtype=bool)
-            has_remote[sg.remote.src_local] = True
-            st["has_remote"] = has_remote
-        border = any_neighbor(st["slot_src"], sg.indices, ~colored)
-        st["local_roots"] = np.nonzero(colored & (border | st["has_remote"]))[0]
+        newly = sorted_unique(*st["newly"])
+        if newly.size:
+            ctx.output(MemeFrontier(ctx.timestep, sg.vertices[newly]))
+            # Boundary of the colored set: colored vertices with an uncolored
+            # local neighbor or a remote edge — the only useful next-step
+            # roots; ``colored`` only grows, so they are among today's roots
+            # and the newly colored.
+            cand = sorted_unique(st["local_roots"], newly)
+            keep = open_boundary(sg.indptr, sg.indices, st["colored"], cand)
+            st["local_roots"] = cand[keep | st["has_remote"][cand]]
+        st["newly"] = []
+        st.pop("expanded", None)
+        st.pop("has_meme", None)
         # Meme tracking runs the full time range (spread can resume at any
         # later instance), so no vote_to_halt_timestep; keep the app alive.
-        ctx.send_to_next_timestep(int(newly.sum()))
+        ctx.send_to_next_timestep(int(newly.size))
 
 
 def colored_timesteps_from_result(result) -> dict[int, int]:

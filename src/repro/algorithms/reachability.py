@@ -25,7 +25,13 @@ from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
 from ..graph.instance import IS_EXISTS
-from ..kernels import any_neighbor, expand_to_fixpoint, group_unique_pairs
+from ..kernels import (
+    expand_to_fixpoint,
+    group_unique_pairs,
+    index_mask,
+    open_boundary,
+    sorted_unique,
+)
 
 __all__ = [
     "TemporalReachabilityComputation",
@@ -71,43 +77,45 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         sg, st = ctx.subgraph, ctx.state
         n = sg.num_vertices
         st["reached"] = np.zeros(n, dtype=bool)
-        st["reached_at"] = np.full(n, -1, dtype=np.int64)
+        st["unreached"] = n
         st["roots"] = np.empty(0, dtype=np.int64)
-        st["slot_src"] = np.repeat(np.arange(n, dtype=np.int64), np.diff(sg.indptr))
-        has_remote = np.zeros(n, dtype=bool)
-        has_remote[sg.remote.src_local] = True
-        st["has_remote"] = has_remote
+        #: Index arrays of the vertices first reached this timestep.
+        st["newly"] = []
+        st["has_remote"] = index_mask(sg.remote.src_local, n)
 
-    def _existence(self, ctx: ComputeContext) -> tuple[np.ndarray, np.ndarray]:
-        sg = ctx.subgraph
-        if self.exists_attr in ctx.instance.template.edge_schema:
-            return (
-                ctx.take_edges(self.exists_attr, sg.edge_index).astype(bool),
-                ctx.take_edges(self.exists_attr, sg.remote.edge_index).astype(bool),
-            )
-        return (
-            np.ones(len(sg.edge_index), dtype=bool),
-            np.ones(len(sg.remote.edge_index), dtype=bool),
-        )
+    def _exists(self, ctx: ComputeContext, key: str, rows: np.ndarray) -> np.ndarray | None:
+        """This instance's existence flags at ``rows``, gathered on first
+        use — a subgraph nothing reaches this timestep takes nothing.
+        ``None`` when the template has no such column: every edge exists."""
+        if self.exists_attr not in ctx.instance.template.edge_schema:
+            return None
+        st = ctx.state
+        if key not in st:
+            st[key] = ctx.take_edges(self.exists_attr, rows).astype(bool)
+        return st[key]
 
     def _kernel_expand(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Settle the reachable set along existing edges; notify remotes."""
         sg, st = ctx.subgraph, ctx.state
+        if "expanded" not in st:  # per timestep, like the existence flags
+            st["expanded"] = np.zeros(sg.num_vertices, dtype=bool)
         newly, expanded_now = expand_to_fixpoint(
             sg.indptr,
             sg.indices,
             seeds,
             st["reached"],
             st["expanded"],
-            edge_ok=st["exists_local"],
+            edge_ok=self._exists(ctx, "exists_local", sg.edge_index),
         )
-        st["reached_at"][newly] = ctx.timestep
+        st["newly"].append(newly)
         remote = sg.remote
-        if not len(remote) or not expanded_now.size:
+        sources = expanded_now[st["has_remote"][expanded_now]]
+        if not sources.size:
             return
-        mask = np.zeros(sg.num_vertices, dtype=bool)
-        mask[expanded_now] = True
-        rows = np.nonzero(mask[remote.src_local] & st["exists_remote"])[0]
+        rows = np.flatnonzero(index_mask(sources, sg.num_vertices)[remote.src_local])
+        exists = self._exists(ctx, "exists_remote", remote.edge_index)
+        if exists is not None:
+            rows = rows[exists[rows]]
         for dst_sg, verts in group_unique_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows]
         ):
@@ -117,53 +125,48 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
 
     def compute(self, ctx: ComputeContext) -> None:
         sg, st = ctx.subgraph, ctx.state
+        if "reached" not in st:
+            self._init_state(ctx)
+        reached = st["reached"]
         seeds: list[np.ndarray] = []
-        if ctx.superstep == 0:
-            if "reached" not in st:
-                self._init_state(ctx)
-            st["exists_local"], st["exists_remote"] = self._existence(ctx)
-            st["expanded"] = np.zeros(sg.num_vertices, dtype=bool)
-            if ctx.timestep == 0 and sg.contains(self.source):
-                lv = sg.local_of(self.source)
-                if not st["reached"][lv]:
-                    st["reached"][lv] = True
-                    st["reached_at"][lv] = 0
-                seeds.append(np.asarray([lv], dtype=np.int64))
-            seeds.append(st["roots"])
-        else:
-            reached, reached_at = st["reached"], st["reached_at"]
+        if ctx.superstep > 0:
             for msg in ctx.messages:
                 locs = np.atleast_1d(
                     sg.local_of(np.asarray(msg.payload, dtype=np.int64))
                 )
-                new = ~reached[locs]
-                if new.any():
-                    fresh = locs[new]
-                    reached[fresh] = True
-                    reached_at[fresh] = ctx.timestep
-                    seeds.append(fresh)
-        frontier = (
-            np.unique(np.concatenate(seeds)) if seeds else np.empty(0, dtype=np.int64)
-        )
+                seeds.append(locs[~reached[locs]])
+        elif ctx.timestep == 0 and sg.contains(self.source):
+            seeds.append(np.asarray([sg.local_of(self.source)], dtype=np.int64))
+        # Source and message-fresh vertices are reached now; roots were already.
+        fresh = sorted_unique(*seeds)
+        if fresh.size:
+            reached[fresh] = True
+            st["newly"].append(fresh)
+        frontier = fresh if ctx.superstep else np.concatenate((st["roots"], fresh))
         if frontier.size:
             self._kernel_expand(ctx, frontier)
         ctx.vote_to_halt()
 
     def end_of_timestep(self, ctx: EndOfTimestepContext) -> None:
         sg, st = ctx.subgraph, ctx.state
-        reached, reached_at = st["reached"], st["reached_at"]
-        newly = reached_at == ctx.timestep
-        if newly.any():
-            ctx.output(ReachedFrontier(ctx.timestep, sg.vertices[newly].copy()))
-        # Next roots: reached vertices that could still reach someone — a
-        # template neighbor that is unreached (whatever today's existence
-        # says, it may exist tomorrow) or any remote edge.
-        border = any_neighbor(st["slot_src"], sg.indices, ~reached)
-        st["roots"] = np.nonzero(reached & (border | st["has_remote"]))[0]
-        if bool(reached.all()):
+        newly = sorted_unique(*st["newly"])
+        if newly.size:
+            st["unreached"] -= newly.size
+            ctx.output(ReachedFrontier(ctx.timestep, sg.vertices[newly]))
+            # Next roots: reached vertices that could still reach someone — a
+            # template neighbor that is unreached (whatever today's existence
+            # says, it may exist tomorrow) or any remote edge.  ``reached``
+            # only grows, so they are among today's roots and the newly reached.
+            cand = sorted_unique(st["roots"], newly)
+            keep = open_boundary(sg.indptr, sg.indices, st["reached"], cand)
+            st["roots"] = cand[keep | st["has_remote"][cand]]
+        st["newly"] = []
+        for key in ("expanded", "exists_local", "exists_remote"):
+            st.pop(key, None)
+        if not st["unreached"]:
             ctx.vote_to_halt_timestep()
         else:
-            ctx.send_to_next_timestep(int(newly.sum()))
+            ctx.send_to_next_timestep(int(newly.size))
 
 
 def reached_timesteps_from_result(result) -> dict[int, int]:

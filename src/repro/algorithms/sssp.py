@@ -22,7 +22,7 @@ import numpy as np
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
-from ..kernels import group_min_pairs, relax_to_fixpoint, slot_sources
+from ..kernels import group_min_pairs, index_mask, relax_to_fixpoint, slot_sources
 
 __all__ = [
     "SSSPComputation",
@@ -99,16 +99,14 @@ class SSSPComputation(TimeSeriesComputation):
         """Settle the whole frontier at once; ship boundary relaxations."""
         sg, st = ctx.subgraph, ctx.state
         label = st["label"]
-        changed = relax_to_fixpoint(
+        improved = relax_to_fixpoint(
             sg.indptr, sg.indices, st["w_local"], label, seeds, slot_src=st["slot_src"]
         )
-        changed[seeds] = True
         remote = sg.remote
         if not len(remote):
             return
-        rows = np.nonzero(changed[remote.src_local])[0]
-        if not rows.size:
-            return
+        changed = index_mask(np.concatenate((seeds, improved)), sg.num_vertices)
+        rows = np.flatnonzero(changed[remote.src_local])
         cand = label[remote.src_local[rows]] + st["w_remote"][rows]
         for dst_sg, verts, vals in group_min_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows], cand

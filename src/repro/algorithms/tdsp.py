@@ -36,7 +36,14 @@ import numpy as np
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
-from ..kernels import any_neighbor, group_min_pairs, relax_to_fixpoint
+from ..kernels import (
+    group_min_pairs,
+    index_mask,
+    open_boundary,
+    relax_to_fixpoint,
+    slot_sources,
+    sorted_unique,
+)
 from .sssp import combine_min_labels
 
 __all__ = ["TDSPComputation", "TDSPFrontier", "tdsp_labels_from_result"]
@@ -107,55 +114,56 @@ class TDSPComputation(TimeSeriesComputation):
 
     # -- state management ----------------------------------------------------------
 
-    def _init_state(self, ctx: ComputeContext) -> dict:
+    def _init_state(self, ctx: ComputeContext) -> None:
         sg, st = ctx.subgraph, ctx.state
         n = sg.num_vertices
-        st["tdsp"] = np.full(n, _INF)
+        # All-inf between timesteps: only this timestep's roots and improved
+        # vertices are ever finite, and ``end_of_timestep`` resets those.
+        st["label"] = np.full(n, _INF)
         st["finalized"] = np.zeros(n, dtype=bool)
-        st["roots_next"] = np.empty(0, dtype=np.int64)
-        # Static per-subgraph structures.
-        st["slot_src"] = np.repeat(np.arange(n, dtype=np.int64), np.diff(sg.indptr))
-        has_remote = np.zeros(n, dtype=bool)
-        has_remote[sg.remote.src_local] = True
-        st["has_remote"] = has_remote
-        return st
+        st["unfinalized"] = n
+        st["roots"] = np.empty(0, dtype=np.int64)
+        #: Index arrays of the unfinalized vertices labelled this timestep.
+        st["touched"] = []
+        st["slot_src"] = slot_sources(sg.indptr)
+        st["has_remote"] = index_mask(sg.remote.src_local, n)
 
-    def _begin_instance(self, ctx: ComputeContext) -> None:
-        """Superstep-0 setup: gather this instance's weights, seed the roots."""
-        sg, st = ctx.subgraph, ctx.state
-        if "tdsp" not in st:
-            self._init_state(ctx)
-        st["w_local"] = ctx.take_edges(self.latency_attr, sg.edge_index)
-        st["w_remote"] = ctx.take_edges(self.latency_attr, sg.remote.edge_index)
-        st["label"] = np.full(sg.num_vertices, _INF)
+    def _weights(self, ctx: ComputeContext, key: str, rows: np.ndarray) -> np.ndarray:
+        """This instance's latencies at ``rows``, gathered on first use:
+        a subgraph the wave is not in this timestep takes nothing."""
+        st = ctx.state
+        if key not in st:
+            st[key] = ctx.take_edges(self.latency_attr, rows)
+        return st[key]
 
     def _kernel_relax(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Window-bounded batched relaxation; ships remote relaxations."""
         sg, st = ctx.subgraph, ctx.state
         bound = (ctx.timestep + 1) * ctx.delta
         label = st["label"]
-        changed = relax_to_fixpoint(
-            sg.indptr,
-            sg.indices,
-            st["w_local"],
-            label,
-            seeds,
-            bound=bound,
-            blocked=st["finalized"],
-            slot_src=st["slot_src"],
-        )
-        changed[seeds] = True
+        changed = seeds
+        if st["unfinalized"]:  # else only the cut edges are left to relax
+            improved = relax_to_fixpoint(
+                sg.indptr,
+                sg.indices,
+                self._weights(ctx, "w_local", sg.edge_index),
+                label,
+                seeds,
+                bound=bound,
+                blocked=st["finalized"],
+                slot_src=st["slot_src"],
+            )
+            st["touched"].append(improved)
+            changed = np.concatenate((seeds, improved))
         remote = sg.remote
-        if not len(remote):
+        sources = changed[st["has_remote"][changed]]
+        if not sources.size:
             return
-        rows = np.nonzero(changed[remote.src_local])[0]
-        if not rows.size:
-            return
-        cand = label[remote.src_local[rows]] + st["w_remote"][rows]
+        rows = np.flatnonzero(index_mask(sources, sg.num_vertices)[remote.src_local])
+        cand = label[remote.src_local[rows]]
+        cand += self._weights(ctx, "w_remote", remote.edge_index)[rows]
         ok = cand <= bound
         rows, cand = rows[ok], cand[ok]
-        if not rows.size:
-            return
         for dst_sg, verts, vals in group_min_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows], cand
         ):
@@ -165,68 +173,68 @@ class TDSPComputation(TimeSeriesComputation):
 
     def compute(self, ctx: ComputeContext) -> None:
         sg, st = ctx.subgraph, ctx.state
-        seeds: list[np.ndarray] = []
-        if ctx.superstep == 0:
-            self._begin_instance(ctx)
-            label = st["label"]
-            if ctx.timestep == 0:
-                if sg.contains(self.source):
-                    lv = sg.local_of(self.source)
-                    label[lv] = 0.0
-                    seeds.append(np.asarray([lv], dtype=np.int64))
-            else:
-                # Idling-edge re-rooting: finalized boundary vertices resume
-                # at the window start t·δ.
-                roots = st["roots_next"]
-                if len(roots):
-                    label[roots] = ctx.timestep * ctx.delta
-                    seeds.append(roots)
+        if "label" not in st:
+            self._init_state(ctx)
+        label = st["label"]
+        if ctx.superstep == 0 and ctx.timestep > 0:
+            # Idling-edge re-rooting: finalized boundary vertices resume
+            # at the window start t·δ.
+            seeds = st["roots"]
+            label[seeds] = ctx.timestep * ctx.delta
         else:
-            label = st["label"]
-            finalized = st["finalized"]
-            for msg in ctx.messages:
-                verts, labels = msg.payload
-                locs = np.atleast_1d(sg.local_of(np.asarray(verts, dtype=np.int64)))
-                nd = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-                upd = (~finalized[locs]) & (nd < label[locs])
-                if upd.any():
+            fresh: list[np.ndarray] = []
+            if ctx.superstep > 0:
+                finalized = st["finalized"]
+                for msg in ctx.messages:
+                    verts, labels = msg.payload
+                    locs = np.atleast_1d(sg.local_of(np.asarray(verts, dtype=np.int64)))
+                    nd = np.atleast_1d(np.asarray(labels, dtype=np.float64))
+                    upd = (~finalized[locs]) & (nd < label[locs])
                     label[locs[upd]] = nd[upd]
-                    seeds.append(locs[upd])
-        if seeds:
-            in_seed = np.zeros(sg.num_vertices, dtype=bool)
-            for s in seeds:
-                in_seed[s] = True
-            self._kernel_relax(ctx, np.flatnonzero(in_seed))
+                    fresh.append(locs[upd])
+            elif sg.contains(self.source):
+                fresh.append(np.asarray([sg.local_of(self.source)], dtype=np.int64))
+                label[fresh[0]] = 0.0
+            seeds = sorted_unique(*fresh)
+            st["touched"].append(seeds)
+        if seeds.size:
+            self._kernel_relax(ctx, seeds)
         ctx.vote_to_halt()
 
     def end_of_timestep(self, ctx: EndOfTimestepContext) -> None:
+        """Finalize what this timestep labelled and pick the next roots, at
+        the cost of those vertices.  Every finite label on an unfinalized
+        vertex is ≤ the window end (relaxation discards above it, senders
+        filter ``cand <= bound``): the touched set *is* the newly finalized."""
         sg, st = ctx.subgraph, ctx.state
-        bound = (ctx.timestep + 1) * ctx.delta
-        label, finalized, tdsp = st["label"], st["finalized"], st["tdsp"]
-        newly = (~finalized) & (label <= bound)
-        if newly.any():
-            finalized |= newly
-            tdsp[newly] = label[newly]
-            ctx.output(
-                TDSPFrontier(
-                    ctx.timestep,
-                    sg.vertices[newly].copy(),
-                    label[newly].copy(),
-                )
-            )
-        # Next-timestep roots: Algorithm 2 re-roots from the whole finalized
-        # set F; with root_pruning only finalized vertices that can still
-        # relax someone (an unfinalized local neighbor, or any remote edge).
-        if self.root_pruning:
-            border = any_neighbor(st["slot_src"], sg.indices, ~finalized)
-            st["roots_next"] = np.nonzero(finalized & (border | st["has_remote"]))[0]
-        else:
-            st["roots_next"] = np.nonzero(finalized)[0]
-        done = bool(finalized.all()) or (self.halt_when_stalled and not newly.any())
-        if done:
+        label, finalized, roots = st["label"], st["finalized"], st["roots"]
+        newly = sorted_unique(*st["touched"])
+        if newly.size:
+            values = label[newly]
+            finalized[newly] = True
+            st["unfinalized"] -= newly.size
+            ctx.output(TDSPFrontier(ctx.timestep, sg.vertices[newly], values))
+            # Next roots: Algorithm 2 re-roots from the whole finalized set F;
+            # with root_pruning only finalized vertices that can still relax
+            # someone (an unfinalized local neighbor, or any remote edge) —
+            # among this timestep's roots and newly finalized, as F only grows.
+            if self.root_pruning:
+                cand = sorted_unique(roots, newly)
+                keep = open_boundary(sg.indptr, sg.indices, finalized, cand)
+                st["roots"] = cand[keep | st["has_remote"][cand]]
+            else:
+                st["roots"] = np.flatnonzero(finalized)
+        # Back to all-inf: a wide relaxation round reads every slot's source
+        # label, and the only labels it may find are its own timestep's.
+        label[roots] = _INF
+        label[newly] = _INF
+        st["touched"] = []
+        st.pop("w_local", None)
+        st.pop("w_remote", None)
+        if not st["unfinalized"] or (self.halt_when_stalled and not newly.size):
             ctx.vote_to_halt_timestep()
         else:
-            ctx.send_to_next_timestep(int(newly.sum()))
+            ctx.send_to_next_timestep(int(newly.size))
 
 
 def tdsp_labels_from_result(result, num_vertices: int) -> np.ndarray:

@@ -108,18 +108,10 @@ class GraphTemplate:
         self.vertex_schema = vertex_schema or AttributeSchema()
         self.edge_schema = edge_schema or AttributeSchema()
 
-        self._adj_indptr, self._adj_indices, self._adj_edges = self._build_csr(
-            src, dst, include_reverse=not directed
-        )
-        if directed:
-            self._in_indptr, self._in_indices, self._in_edges = self._build_csr(
-                dst, src, include_reverse=False
-            )
-        else:
-            # Undirected: in-adjacency equals out-adjacency.
-            self._in_indptr = self._adj_indptr
-            self._in_indices = self._adj_indices
-            self._in_edges = self._adj_edges
+        # Built on first use (``adjacency``, ``in_neighbors``, …): a template
+        # loaded only to back GoFS views never needs its CSR.
+        self._adj_indptr = self._adj_indices = self._adj_edges = None
+        self._in_indptr = self._in_indices = self._in_edges = None
 
     def _build_csr(
         self, src: np.ndarray, dst: np.ndarray, *, include_reverse: bool
@@ -144,31 +136,47 @@ class GraphTemplate:
 
     # -- adjacency -----------------------------------------------------------
 
+    @property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The raw CSR triple ``(indptr, indices, edge_indices)``."""
+        # Tested on the slot assigned last, so a second thread never reads a
+        # half-filled triple; two threads building at once build the same.
+        if self._adj_edges is None:
+            self._adj_indptr, self._adj_indices, self._adj_edges = self._build_csr(
+                self.edge_src, self.edge_dst, include_reverse=not self.directed
+            )
+        return self._adj_indptr, self._adj_indices, self._adj_edges
+
     def out_neighbors(self, v: int) -> np.ndarray:
         """Vertex indices adjacent to ``v`` along outgoing (or undirected) edges."""
-        return self._adj_indices[self._adj_indptr[v] : self._adj_indptr[v + 1]]
+        indptr, indices, _edges = self.adjacency
+        return indices[indptr[v] : indptr[v + 1]]
 
     def out_edges(self, v: int) -> np.ndarray:
         """Dense edge indices of ``v``'s outgoing (or undirected) edges."""
-        return self._adj_edges[self._adj_indptr[v] : self._adj_indptr[v + 1]]
+        indptr, _indices, edges = self.adjacency
+        return edges[indptr[v] : indptr[v + 1]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
         """Vertex indices with an edge into ``v``."""
+        if self._in_edges is None:
+            # Undirected: in-adjacency equals out-adjacency.
+            self._in_indptr, self._in_indices, self._in_edges = (
+                self._build_csr(self.edge_dst, self.edge_src, include_reverse=False)
+                if self.directed
+                else self.adjacency
+            )
         return self._in_indices[self._in_indptr[v] : self._in_indptr[v + 1]]
 
     def degree(self, v: int) -> int:
         """Out-degree of ``v`` (total degree for undirected templates)."""
-        return int(self._adj_indptr[v + 1] - self._adj_indptr[v])
-
-    @property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The raw CSR triple ``(indptr, indices, edge_indices)``."""
-        return self._adj_indptr, self._adj_indices, self._adj_edges
+        indptr = self.adjacency[0]
+        return int(indptr[v + 1] - indptr[v])
 
     @property
     def degrees(self) -> np.ndarray:
         """Out-degree of every vertex as a vector."""
-        return np.diff(self._adj_indptr)
+        return np.diff(self.adjacency[0])
 
     # -- whole-graph helpers -------------------------------------------------
 

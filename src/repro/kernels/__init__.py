@@ -20,17 +20,19 @@ only batched.
 
 from .aggregate import contains_in_cells, count_equal, count_equal_in_cells, flatten_cells
 from .components import csr_components
-from .csr import gather_ranges, slot_sources
-from .frontier import any_neighbor, expand_to_fixpoint, relax_to_fixpoint
+from .csr import gather_ranges, index_mask, slot_sources, sorted_unique
+from .frontier import expand_to_fixpoint, open_boundary, relax_to_fixpoint
 from .pagerank import local_incoming, push_contributions, remote_flow_batches
 from .scatter import group_min_pairs, group_unique_pairs
 
 __all__ = [
     "gather_ranges",
+    "index_mask",
     "slot_sources",
+    "sorted_unique",
     "relax_to_fixpoint",
     "expand_to_fixpoint",
-    "any_neighbor",
+    "open_boundary",
     "csr_components",
     "flatten_cells",
     "count_equal",

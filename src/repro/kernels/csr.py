@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gather_ranges", "slot_sources"]
+__all__ = ["gather_ranges", "index_mask", "segment_starts", "slot_sources", "sorted_unique"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -38,3 +38,27 @@ def slot_sources(indptr: np.ndarray) -> np.ndarray:
     """Source vertex of every CSR slot (``slots`` → owning row)."""
     n = len(indptr) - 1
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+
+
+def index_mask(indices: np.ndarray, size: int) -> np.ndarray:
+    """Boolean mask of length ``size``, True at ``indices`` (repeats allowed)."""
+    mask = np.zeros(size, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
+def segment_starts(arr: np.ndarray) -> np.ndarray:
+    """Indices where a sorted, non-empty array starts a new run."""
+    change = np.empty(len(arr), dtype=bool)
+    change[0] = True
+    np.not_equal(arr[1:], arr[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def sorted_unique(*arrays: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of the union of index arrays: ``np.unique`` by
+    sort + neighbour compare, without its hash-then-sort path (numpy 2.4:
+    445 µs against 35 µs at 5k int64) — the traversal family dedupes small
+    seed unions and frontiers, often."""
+    arr = np.sort(np.concatenate(arrays), axis=None) if arrays else _EMPTY
+    return arr[segment_starts(arr)] if arr.size > 1 else arr

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import gather_ranges
+from .csr import gather_ranges, slot_sources, sorted_unique
 
-__all__ = ["relax_to_fixpoint", "expand_to_fixpoint", "any_neighbor"]
+__all__ = ["relax_to_fixpoint", "expand_to_fixpoint", "open_boundary"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -39,14 +39,16 @@ def relax_to_fixpoint(
 ) -> np.ndarray:
     """Batched Bellman-Ford relaxation from ``seeds`` until no label improves.
 
-    Mutates ``labels`` in place and returns a boolean mask of the vertices
-    whose label improved.  ``weights`` is per-CSR-slot (parallel to
-    ``indices``).  With ``bound``, candidate labels above it are discarded
-    (TDSP's window confinement); with ``blocked``, those vertices never
-    improve (TDSP's finalized set) though they still relax outward when
-    seeded.  ``slot_src`` (per-slot source vertex, :func:`slot_sources`)
-    is computed lazily when omitted; callers looping over timesteps should
-    cache and pass it.
+    Mutates ``labels`` in place and returns the vertices whose label
+    improved as an index array — every round's duplicate-free frontier,
+    concatenated, so a vertex that improved in several rounds repeats
+    (:func:`sorted_unique` it for the set); no work here is proportional to
+    the vertex count.  ``weights`` is per-CSR-slot (parallel to ``indices``).
+    With ``bound``, candidate labels above it are discarded (TDSP's window
+    confinement); with ``blocked``, those vertices never improve (TDSP's
+    finalized set) though they still relax outward when seeded.
+    ``slot_src`` (per-slot source vertex, :func:`slot_sources`) is read by
+    wide rounds only, and computed on the first one when omitted.
 
     Each round forms every frontier edge's candidate label at once,
     scatter-mins the improvements into ``labels``, and makes the touched
@@ -56,48 +58,49 @@ def relax_to_fixpoint(
     frontiers (half the slots or more) skip the gather and sweep the whole
     CSR: a non-frontier source is already settled against all its edges,
     so its extra candidates never pass the strict improvement test and the
-    round's updates are unchanged.  Non-negative weights guarantee
-    termination.
+    round's updates are unchanged — as long as every finite label belongs
+    to a vertex seeded or improved here: callers keeping ``labels`` across
+    calls reset it in between.  Non-negative weights guarantee termination.
     """
-    n = len(labels)
-    improved = np.zeros(n, dtype=bool)
-    in_next = np.zeros(n, dtype=bool)
-    not_blocked = None if blocked is None else ~blocked
+    ends = indptr[1:]
+    owner = np.empty(len(labels), dtype=np.int64)  # scratch, never read unwritten
+    improved: list[np.ndarray] = []
     frontier = np.asarray(seeds, dtype=np.int64)
     while frontier.size:
         starts = indptr[frontier]
-        counts = indptr[1:][frontier] - starts
-        total = int(counts.sum())
+        counts = ends[frontier] - starts
+        cum = np.cumsum(counts)
+        total = int(cum[-1])
         if not total:
             break
         if 2 * total >= len(indices):
             if slot_src is None:
-                slot_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+                slot_src = slot_sources(indptr)
             dst = indices
             cand = labels[slot_src] + weights
         else:
-            cum = np.cumsum(counts)
-            slots = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - counts), counts)
+            slots = np.arange(total, dtype=np.int64) + np.repeat(starts - cum + counts, counts)
             dst = indices[slots]
             cand = np.repeat(labels[frontier], counts)
             cand += weights[slots]
         ok = cand < labels[dst]
         if bound is not None:
             ok &= cand <= bound
-        if not_blocked is not None:
-            ok &= not_blocked[dst]
+        if blocked is not None:
+            ok &= ~blocked[dst]
         dst, cand = dst[ok], cand[ok]
         if not dst.size:
             break
         # Every surviving candidate beats its destination's old label, so
         # each touched destination improves (to its min candidate) and the
-        # deduplicated touch set is exactly the next frontier.
+        # deduplicated touch set — per destination, the candidate that wrote
+        # ``owner`` last — is exactly the next frontier.
         np.minimum.at(labels, dst, cand)
-        improved[dst] = True
-        in_next[dst] = True
-        frontier = np.flatnonzero(in_next)
-        in_next[frontier] = False
-    return improved
+        nth = np.arange(dst.size)
+        owner[dst] = nth
+        frontier = dst[owner[dst] == nth]
+        improved.append(frontier)
+    return np.concatenate(improved) if improved else _EMPTY
 
 
 def expand_to_fixpoint(
@@ -121,28 +124,26 @@ def expand_to_fixpoint(
     ``vertex_ok`` per destination vertex (meme tracking's carrier mask).
 
     Returns ``(newly_visited, expanded_now)`` — duplicate-free local vertex
-    arrays for, respectively, recording first-visit timestamps and issuing
-    remote notifications.
+    arrays for, respectively, collecting the timestep's newly reached set
+    (no scan over the vertex count finds it) and issuing remote notifications.
     """
     newly: list[np.ndarray] = []
     expanded_now: list[np.ndarray] = []
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    if frontier.size:
-        frontier = frontier[~expanded[frontier]]
+    frontier = sorted_unique(np.asarray(seeds, dtype=np.int64))
+    frontier = frontier[~expanded[frontier]]
     while frontier.size:
         expanded[frontier] = True
         expanded_now.append(frontier)
         slots, _src = gather_ranges(indptr, frontier)
-        if edge_ok is not None and slots.size:
+        if edge_ok is not None:
             slots = slots[edge_ok[slots]]
-        cand = indices[slots] if slots.size else _EMPTY
-        if cand.size:
-            cand = cand[~visited[cand]]
-        if vertex_ok is not None and cand.size:
+        cand = indices[slots]
+        cand = cand[~visited[cand]]
+        if vertex_ok is not None:
             cand = cand[vertex_ok[cand]]
         if not cand.size:
             break
-        cand = np.unique(cand)
+        cand = sorted_unique(cand)
         visited[cand] = True
         newly.append(cand)
         frontier = cand[~expanded[cand]]
@@ -152,16 +153,20 @@ def expand_to_fixpoint(
     )
 
 
-def any_neighbor(slot_src: np.ndarray, indices: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per vertex: does it have a CSR neighbour ``w`` with ``mask[w]``?
+def open_boundary(
+    indptr: np.ndarray, indices: np.ndarray, done: np.ndarray, candidates: np.ndarray
+) -> np.ndarray:
+    """Per candidate: does it still have a CSR neighbour ``w`` with ``not done[w]``?
 
-    ``slot_src`` is the per-slot source vertex (parallel to ``indices``).
-    The "still has work next to it" test the traversal family runs in
-    ``end_of_timestep`` to pick next-timestep roots.  Setting True is
-    idempotent, so a plain boolean scatter over the selected slots gives
-    exactly ``np.logical_or.at(out, slot_src, mask[indices])`` without the
-    unbuffered ufunc loop.
+    ``candidates`` is a sorted, duplicate-free vertex array; the result is a
+    boolean mask parallel to it.  The "still has work next to it" test the
+    traversal family runs in ``end_of_timestep`` to pick next-timestep roots:
+    ``done`` only grows, so a root at ``t+1`` was a root at ``t`` or became
+    done at ``t`` — callers pass ``roots(t) ∪ newly(t)`` and pay for those
+    vertices' edge slots, not for the subgraph.
     """
-    out = np.zeros(len(mask), dtype=bool)
-    out[slot_src[mask[indices]]] = True
-    return out
+    still_open = np.zeros(len(candidates), dtype=bool)
+    slots, src = gather_ranges(indptr, candidates)
+    if slots.size:
+        still_open[np.searchsorted(candidates, src[~done[indices[slots]]])] = True
+    return still_open

@@ -17,15 +17,9 @@ from typing import Iterator
 
 import numpy as np
 
+from .csr import segment_starts, sorted_unique
+
 __all__ = ["group_min_pairs", "group_unique_pairs"]
-
-
-def _segment_starts(arr: np.ndarray) -> np.ndarray:
-    """Indices where a sorted array starts a new run."""
-    change = np.empty(len(arr), dtype=bool)
-    change[0] = True
-    np.not_equal(arr[1:], arr[:-1], out=change[1:])
-    return np.flatnonzero(change)
 
 
 def group_min_pairs(
@@ -44,11 +38,11 @@ def group_min_pairs(
     fused = np.asarray(groups, dtype=np.int64) * span
     fused += keys
     order = np.argsort(fused, kind="stable")
-    starts = _segment_starts(fused[order])
+    starts = segment_starts(fused[order])
     mins = np.minimum.reduceat(np.asarray(values)[order], starts)
     firsts = order[starts]
     g, k = np.asarray(groups)[firsts], keys[firsts]
-    gstarts = _segment_starts(g)
+    gstarts = segment_starts(g)
     bounds = np.append(gstarts[1:], len(g))
     for s, e in zip(gstarts, bounds):
         yield int(g[s]), k[s:e], mins[s:e]
@@ -62,9 +56,10 @@ def group_unique_pairs(
         return
     keys = np.asarray(keys, dtype=np.int64)
     span = int(keys.max()) + 1
-    fused = np.unique(np.asarray(groups, dtype=np.int64) * span + keys)
+    fused = sorted_unique(np.asarray(groups, dtype=np.int64) * span + keys)
     g, k = np.divmod(fused, span)
-    gstarts = _segment_starts(g)
+    gstarts = segment_starts(g)
     bounds = np.append(gstarts[1:], len(g))
     for s, e in zip(gstarts, bounds):
         yield int(g[s]), k[s:e]
+

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..graph.instance import GraphInstance
 from ..graph.subgraph import Subgraph
+from ..kernels.csr import sorted_unique
 from .serde import PackedArrays, unpack_arrays, write_arrays
 
 __all__ = [
@@ -76,14 +77,10 @@ def bin_rows(subgraphs: list[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
     remote edges (deduplicated — undirected local edges appear twice in
     adjacency).
     """
-    verts = (
-        np.unique(np.concatenate([sg.vertices for sg in subgraphs]))
-        if subgraphs
-        else np.empty(0, dtype=np.int64)
+    verts = sorted_unique(*(sg.vertices for sg in subgraphs))
+    edges = sorted_unique(
+        *(sg.edge_index for sg in subgraphs), *(sg.remote.edge_index for sg in subgraphs)
     )
-    edge_parts = [sg.edge_index for sg in subgraphs] + [sg.remote.edge_index for sg in subgraphs]
-    edge_parts = [e for e in edge_parts if len(e)]
-    edges = np.unique(np.concatenate(edge_parts)) if edge_parts else np.empty(0, dtype=np.int64)
     return verts, edges
 
 

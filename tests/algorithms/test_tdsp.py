@@ -234,3 +234,108 @@ class TestBehaviour:
         finite = labels[np.isfinite(labels)]
         assert np.all(finite <= len(coll) * coll.delta)
         assert np.all(finite >= 0)
+
+
+class CountingSource:
+    """Instance source whose edge tables are backed by a recording gather:
+    every ``take_edges`` lands in ``takes`` as ``(timestep, id(rows))``."""
+
+    def __init__(self, coll):
+        self.coll, self.takes, self.handed_out = coll, [], []
+
+    def instance(self, timestep):
+        from repro.graph import GraphInstance
+        from repro.graph.attributes import AttributeTable
+
+        real = self.coll.instance(timestep)
+
+        def gather(name, rows):
+            self.takes.append((timestep, None if rows is None else id(rows)))
+            column = real.edge_column(name)
+            return column.copy() if rows is None else column[rows]
+
+        table = AttributeTable(real.template.edge_schema, real.template.num_edges, gather=gather)
+        self.handed_out.append(GraphInstance(real.template, real.timestamp, edge_values=table))
+        return self.handed_out[-1]
+
+    def resident_bytes(self):
+        return 0
+
+
+class TestPayForTheBand:
+    """A timestep costs what the wave touches, not what the subgraph holds."""
+
+    def test_idle_subgraphs_take_nothing_finalized_ones_only_remote_slots(self):
+        from repro.generators import road_latency_collection, road_network
+
+        tpl = road_network(1500, seed=3)
+        coll = road_latency_collection(tpl, 20, seed=3)
+        pg = partition_graph(tpl, 4, MetisLikePartitioner(seed=3))
+        sources = [CountingSource(coll) for _ in range(4)]
+        res = run_application(TDSPComputation(0), pg, coll, sources=sources)
+        got = tdsp_labels_from_result(res, tpl.num_vertices)
+        assert got.tobytes() == time_expanded_dijkstra(coll, 0).tobytes()
+
+        first, reached = {}, {}
+        for t, sgid, rec in res.outputs:
+            first.setdefault(sgid, t)
+            reached[sgid] = reached.get(sgid, 0) + rec.count
+        takes = {(t, rows) for src in sources for t, rows in src.takes}
+        waited = finished = 0
+        for sg in pg.subgraphs:
+            sgid = sg.subgraph_id
+            local, remote = id(sg.edge_index), id(sg.remote.edge_index)
+            last = max(t for t, s, _rec in res.outputs if s == sgid) if sgid in first else -1
+            for t in range(res.timesteps_executed):
+                if t < first.get(sgid, res.timesteps_executed):
+                    # The wave has not reached it: no roots, no improving message.
+                    assert (t, local) not in takes and (t, remote) not in takes
+                    waited += 1
+                elif reached[sgid] == sg.num_vertices and t > last:
+                    # Completely finalized: it only re-roots across its cut edges.
+                    assert (t, local) not in takes
+                    assert ((t, remote) in takes) == bool(len(sg.remote))
+                    finished += 1
+        assert waited >= 10 and finished >= 10, "the case must hold both kinds of pair"
+        # Whole columns are never asked for, and nothing table-wide was built.
+        assert all(rows is not None for _t, rows in takes)
+        handed_out = [inst for src in sources for inst in src.handed_out]
+        assert len(handed_out) == 4 * res.timesteps_executed
+        assert all(inst.edge_values.materialized_names == [] for inst in handed_out)
+
+    @pytest.mark.parametrize("root_pruning", [False, True])
+    def test_wide_frontier_rounds_never_depart_from_stale_labels(self, root_pruning, monkeypatch):
+        """``label`` lives for the whole run, and a wide round reads *every*
+        slot's source label: its "a source outside the frontier is already
+        settled" argument needs every finite label to belong to this
+        timestep.  Dense graphs with long latencies make rounds wide over
+        many timesteps; the result must be the oracle's, byte for byte, and
+        the array all-``inf`` again once the run is over."""
+        from repro.algorithms import tdsp as tdsp_module
+
+        wide = []
+        real = tdsp_module.relax_to_fixpoint
+
+        def spy(indptr, indices, weights, labels, seeds, **kw):
+            deg = int((indptr[np.asarray(seeds) + 1] - indptr[np.asarray(seeds)]).sum())
+            wide.append(2 * deg >= len(indices))
+            return real(indptr, indices, weights, labels, seeds, **kw)
+
+        monkeypatch.setattr(tdsp_module, "relax_to_fixpoint", spy)
+        rng = np.random.default_rng(3)
+        raw = make_random_template(40, 300, rng)
+        tpl = latency_template(raw.num_vertices, raw.edge_src, raw.edge_dst)
+
+        def pop(inst, t):
+            r = np.random.default_rng(500 + t)
+            inst.edge_values.set_column("latency", r.uniform(2.0, 30.0, tpl.num_edges))
+
+        coll = build_collection(tpl, 8, pop, delta=5.0)
+        pg = partition_graph(tpl, 2, MetisLikePartitioner(seed=1))
+        res = run_application(TDSPComputation(0, root_pruning=root_pruning), pg, coll)
+        assert res.timesteps_executed >= 4
+        assert sum(wide) >= 3, "the case must exercise the whole-CSR sweep"
+        got = tdsp_labels_from_result(res, tpl.num_vertices)
+        assert got.tobytes() == time_expanded_dijkstra(coll, 0).tobytes()
+        # Between timesteps every subgraph's label array is all-inf again.
+        assert all(np.isinf(st["label"]).all() for st in res.states.values())

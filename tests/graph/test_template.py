@@ -136,3 +136,84 @@ class TestHelpers:
                 e = eidx[slot]
                 assert tpl.edge_src[e] == v
                 assert tpl.edge_dst[e] == indices[slot]
+
+
+_CSR_SLOTS = ("_adj_indptr", "_adj_indices", "_adj_edges", "_in_indptr", "_in_indices", "_in_edges")
+
+
+def eager_csr(tpl):
+    """The CSR ``__init__`` used to build, straight from the edge arrays."""
+    out = tpl._build_csr(tpl.edge_src, tpl.edge_dst, include_reverse=not tpl.directed)
+    into = (
+        tpl._build_csr(tpl.edge_dst, tpl.edge_src, include_reverse=False)
+        if tpl.directed
+        else out
+    )
+    return out, into
+
+
+class TestLazyAdjacency:
+    """The CSR is built on first use: a template loaded only to back GoFS
+    views (``GoFS.partition_views`` → ``load_template``) never pays for it."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_no_csr_until_read_then_equal_to_eager(self, directed, rng, tmp_path):
+        import pickle
+
+        from repro.storage.serde import load_template, save_template
+
+        n, m = 25, 70
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        src[:3] = dst[:3]  # self-loops
+        save_template(tmp_path / "tpl.npz", GraphTemplate(n, src, dst, directed=directed))
+        tpl = load_template(tmp_path / "tpl.npz")
+        assert all(getattr(tpl, slot) is None for slot in _CSR_SLOTS)
+        assert all(getattr(pickle.loads(pickle.dumps(tpl)), slot) is None for slot in _CSR_SLOTS)
+
+        want_out, want_in = eager_csr(tpl)
+        for got, want in zip(tpl.adjacency, want_out):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert tpl._adj_edges is not None and tpl._in_edges is None  # only what was read
+        for v in range(n):
+            lo, hi = want_in[0][v], want_in[0][v + 1]
+            assert tpl.in_neighbors(v).tolist() == want_in[1][lo:hi].tolist()
+            assert tpl.out_neighbors(v).tolist() == want_out[1][want_out[0][v]:want_out[0][v + 1]].tolist()
+            assert tpl.out_edges(v).tolist() == want_out[2][want_out[0][v]:want_out[0][v + 1]].tolist()
+            assert tpl.degree(v) == want_out[0][v + 1] - want_out[0][v]
+        if not directed:
+            assert tpl._in_indices is tpl._adj_indices  # one CSR serves both
+        # Pickling carries whatever is built.
+        clone = pickle.loads(pickle.dumps(tpl))
+        assert clone._adj_indices.tolist() == tpl._adj_indices.tolist()
+        assert clone._in_edges.tolist() == tpl._in_edges.tolist()
+
+    def test_threads_racing_to_build_each_get_a_whole_correct_triple(self, rng):
+        """The thread executor shares one template between hosts: readers that
+        race on the first ``adjacency`` never see a half-filled triple."""
+        import sys
+        import threading
+
+        n, m = 400, 3000
+        tpl = GraphTemplate(n, rng.integers(0, n, m), rng.integers(0, n, m), directed=True)
+        (want, _into) = eager_csr(tpl)
+        got, start = [], threading.Barrier(8)
+
+        def read():
+            start.wait(timeout=10)
+            got.append((tpl.adjacency, tpl.in_neighbors(3).tolist()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 8
+        for triple, in_nbrs in got:
+            assert all(a is not None and a.tolist() == w.tolist() for a, w in zip(triple, want))
+            assert in_nbrs == got[0][1]

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels import (
-    any_neighbor,
     contains_in_cells,
     count_equal,
     count_equal_in_cells,
@@ -22,8 +21,10 @@ from repro.kernels import (
     gather_ranges,
     group_min_pairs,
     group_unique_pairs,
+    open_boundary,
     relax_to_fixpoint,
     slot_sources,
+    sorted_unique,
 )
 
 
@@ -108,7 +109,7 @@ class TestRelaxToFixpoint:
             indptr, indices, weights, labels, np.asarray([0]), bound=1.5
         )
         assert labels.tolist() == [0.0, 1.0, np.inf]
-        assert improved.tolist() == [False, True, False]
+        assert improved.tolist() == [1]  # an index array, not an n-sized mask
 
     def test_blocked_vertices_never_improve(self):
         indptr = np.asarray([0, 1, 2, 2])
@@ -161,23 +162,74 @@ class TestExpandToFixpoint:
         assert expanded_now.tolist() == [0]
 
 
-class TestAnyNeighbor:
+def undirected_csr(rng, n, m):
+    """A random symmetric CSR: every edge stored in both directions."""
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, n, size=m)
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    return np.cumsum(indptr), dst[order].astype(np.int64)
+
+
+def full_scan_roots(indptr, indices, done, has_remote):
+    """The oracle: every done vertex with a not-done neighbour or a remote
+    edge, found by scanning every CSR slot (what ``any_neighbor`` did)."""
+    border = np.zeros(len(done), dtype=bool)
+    np.logical_or.at(border, slot_sources(indptr), ~done[indices])
+    return np.flatnonzero(done & (border | has_remote))
+
+
+class TestOpenBoundary:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), m=st.integers(0, 120))
-    def test_matches_logical_or_at(self, seed, n, m):
-        """The boolean scatter is the ``np.logical_or.at`` it replaced."""
+    @given(
+        seed=st.integers(0, 2**16), n=st.integers(1, 40), m=st.integers(0, 120),
+        directed=st.booleans(),
+    )
+    def test_incremental_roots_match_full_scan(self, seed, n, m, directed):
+        """``done`` only grows, so re-testing ``roots(t) ∪ newly(t)`` finds
+        exactly the roots a scan of the whole subgraph finds, at every step
+        of a random monotone ``done`` sequence."""
         rng = np.random.default_rng(seed)
-        indptr, indices = random_csr(rng, n, m)
-        slot_src = slot_sources(indptr)
-        mask = rng.random(n) < rng.random()
-        want = np.zeros(n, dtype=bool)
-        np.logical_or.at(want, slot_src, mask[indices])
-        got = any_neighbor(slot_src, indices, mask)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        indptr, indices = (random_csr if directed else undirected_csr)(rng, n, m)
+        has_remote = rng.random(n) < 0.2
+        done = np.zeros(n, dtype=bool)
+        roots = np.empty(0, dtype=np.int64)
+        for _step in range(8):
+            newly = np.flatnonzero(~done & (rng.random(n) < rng.random()))
+            done[newly] = True
+            cand = sorted_unique(np.concatenate((roots, newly)))
+            keep = open_boundary(indptr, indices, done, cand)
+            assert keep.dtype == bool and keep.shape == cand.shape
+            roots = cand[keep | has_remote[cand]]
+            assert roots.tolist() == full_scan_roots(indptr, indices, done, has_remote).tolist()
 
     def test_no_edges(self):
         empty = np.empty(0, dtype=np.int64)
-        assert any_neighbor(empty, empty, np.ones(3, dtype=bool)).tolist() == [False] * 3
+        indptr = np.zeros(4, dtype=np.int64)
+        done = np.asarray([True, False, True])
+        assert open_boundary(indptr, empty, done, np.asarray([0, 2])).tolist() == [False, False]
+        assert open_boundary(indptr, empty, done, empty).tolist() == []
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [3, 3, 3, 3], [0, 1, 2, 5, 9], [5, 1, 5, 0, 9, 1, 0]],
+        ids=["empty", "singleton", "all-equal", "sorted", "repeats"],
+    )
+    def test_fixed_cases(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        got = sorted_unique(arr)
+        assert got.dtype == np.int64 and got.tolist() == np.unique(arr).tolist()
+        assert arr.tolist() == values  # the input is left alone
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), size=st.integers(0, 300), span=st.integers(1, 400))
+    def test_equals_np_unique(self, seed, size, span):
+        arr = np.random.default_rng(seed).integers(0, span, size=size)
+        assert np.array_equal(sorted_unique(arr), np.unique(arr))
 
 
 class TestCsrComponents:

@@ -183,6 +183,46 @@ class TestEndToEnd:
         if moved:
             assert sum(res.metrics.migration_s.values()) > 0
 
+    def test_tdsp_migrated_mid_wave_is_bit_identical(self):
+        """TDSP's band bookkeeping — the run-long ``label`` array, the roots,
+        the unfinalized count — is subgraph state, so a subgraph moved
+        between two timesteps while the wave is inside it carries on to the
+        same bytes as if it had stayed."""
+        from repro.generators import road_network
+        from repro.partition import MetisLikePartitioner
+        from tests.core.test_executor_equivalence import _canonical
+
+        tpl = road_network(1500, seed=3)
+        coll = road_latency_collection(tpl, 20, seed=3)
+        pg = partition_graph(tpl, 4, MetisLikePartitioner(seed=3))
+        baseline = run_application(TDSPComputation(0), pg, coll)
+        active = {}
+        for t, sgid, _rec in baseline.outputs:
+            active.setdefault(sgid, []).append(t)
+        # A subgraph the wave is inside across the boundary after timestep 5.
+        moved = next(s for s, ts in sorted(active.items()) if min(ts) < 5 < max(ts))
+        home = pg.subgraphs[moved].partition_id
+
+        class MoveAfterTimestep5(ScriptedPolicy):
+            def decide(self, busy, partition_subgraphs):
+                self.history.append([])
+                if len(self.history) == 6:
+                    self.history[-1] = self._pending
+                return self.history[-1]
+
+        policy = MoveAfterTimestep5([Migration(moved, home, (home + 1) % 4)])
+        res = run_application(
+            TDSPComputation(0), pg, coll, config=EngineConfig(rebalancer=policy)
+        )
+        assert sum(res.metrics.migrations.values()) == 1
+        by_key = lambda out: (out[0], out[1])  # a timestep emits in partition order
+        assert _canonical(sorted(res.outputs, key=by_key)) == _canonical(
+            sorted(baseline.outputs, key=by_key)
+        )
+        assert _canonical(res.states) == _canonical(baseline.states)
+        got = tdsp_labels_from_result(res, tpl.num_vertices)
+        assert got.tobytes() == time_expanded_dijkstra(coll, 0).tobytes()
+
     def test_source_partition_not_mutated(self):
         from repro.generators import road_network
 

@@ -121,46 +121,65 @@ class TestStorageAndExecutorInvariance:
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_tdsp_reads_its_subgraphs_edge_slots_and_nothing_else(self, executor, tmp_path):
-        """What a run gathers from GoFS does not grow with the host count:
-        every timestep each subgraph takes ``latency`` at its local CSR slots
-        and its remote slots — 8 B per slot, whichever host holds it — and no
-        other attribute.  (Before ``take`` each of k hosts built a template-wide
-        column: 8 * k * |E| per timestep.)"""
-        tpl, coll = make_workload(3)
-        totals, slots, labels = {}, {}, {}
-        for k in (2, 3, 6):
-            pg = partition_graph(tpl, k, HashPartitioner(seed=3))
+        """What a run gathers from GoFS is bounded by 8 B per subgraph edge
+        slot (local CSR slots + remote slots) per timestep, whichever host
+        holds the slot — and stays strictly below it, because a subgraph
+        takes ``latency`` only in the timesteps the wave is inside it: a
+        partition reads nothing before its first ``TDSPFrontier``.  No other
+        attribute is read.  (Re-pinned in PR 17: until then every subgraph
+        took both columns every timestep and the count was exactly the
+        bound; before ``take`` each of k hosts built a template-wide column,
+        8 * k * |E| per timestep.)"""
+        from repro.generators import road_latency_collection, road_network
+
+        tpl = road_network(1200, seed=3)
+        coll = road_latency_collection(tpl, 16, seed=3)
+        labels = {}
+        for k in (2, 6):
+            pg = partition_graph(tpl, k, MetisLikePartitioner(seed=3))
             per_host = [
                 sum(len(sg.edge_index) + len(sg.remote.edge_index) for sg in part.subgraphs)
                 for part in pg.partitions
             ]
-            slots[k] = sum(per_host)
             root = tmp_path / f"k{k}"
             GoFS.write_collection(root, pg, coll, packing=3, binning=2)
+            runs = {}
             for prefetch in (False, True):
                 views = GoFS.partition_views(root, prefetch=prefetch)
+                began_with = [[] for _ in views]  # bytes projected when timestep t began
+                if executor == "serial":  # the driver's views are the ones that run
+                    for view, seen in zip(views, began_with):
+                        def instance(t, view=view, seen=seen, real=view.instance):
+                            seen.append(view.bytes_projected)
+                            return real(t)
+
+                        view.instance = instance
                 res = run_application(
                     TDSPComputation(0), pg, coll, sources=views,
                     config=EngineConfig(executor=executor, tracing=True),
                 )
-                counters = res.trace.counters
-                assert counters["gofs.bytes_projected"] == 8 * res.timesteps_executed * slots[k]
-                assert counters["gofs.columns_projected"] == (
-                    2 * res.timesteps_executed * pg.num_subgraphs
-                )
-                if executor == "serial":  # the driver's views are the ones that ran
+                counters, T = res.trace.counters, res.timesteps_executed
+                got = counters["gofs.bytes_projected"]
+                first = {}  # partition -> timestep of its first frontier
+                for t, sgid, _rec in res.outputs:
+                    first.setdefault(pg.subgraphs[sgid].partition_id, t)
+                assert max(first.values()) > 0, "the wave must take a while to arrive somewhere"
+                assert 0 < got < 8 * T * sum(per_host)
+                assert 0 < counters["gofs.columns_projected"] < 2 * T * pg.num_subgraphs
+                if executor == "serial":
                     assert [v.projected for v in views] == [{"e__latency"}] * k
-                    assert [v.bytes_projected for v in views] == [
-                        8 * res.timesteps_executed * n for n in per_host
-                    ]
-                got = tdsp_labels_from_result(res, tpl.num_vertices).tobytes()
-                assert labels.setdefault(k, got) == got  # prefetch == sync
-                totals[k] = counters["gofs.bytes_projected"] // res.timesteps_executed
-        # More hosts cut more edges; a cut edge trades its two local slots for
-        # one remote slot on either side, so on this undirected template the
-        # count does not move at all — and in general only by the slot count.
-        assert totals[6] - totals[2] == 8 * (slots[6] - slots[2])
-        assert totals[2] == totals[3] == totals[6] == 8 * 2 * tpl.num_edges
+                    assert sum(v.bytes_projected for v in views) == got
+                    for p, view in enumerate(views):
+                        assert view.bytes_projected <= 8 * T * per_host[p]
+                        assert began_with[p][first[p]] == 0  # idle until the wave arrives
+                runs[prefetch] = (
+                    got,
+                    counters["gofs.columns_projected"],
+                    tdsp_labels_from_result(res, tpl.num_vertices).tobytes(),
+                )
+            assert runs[False] == runs[True]  # prefetch == sync, to the byte
+            labels[k] = runs[False][2]
+        assert labels[2] == labels[6] == ref.time_expanded_dijkstra(coll, 0).tobytes()
 
     @pytest.mark.parametrize("algorithm", ["tdsp", "meme", "hash"])
     def test_a_gofs_run_builds_no_template_wide_column(self, algorithm, tmp_path):
