@@ -99,7 +99,7 @@ def test_tracing_overhead(benchmark, datasets, emit_json, tmp_path):
         assert pickle.dumps(res.outputs) == baseline_outputs
     assert off_res.trace is None and on_res.trace is not None
     assert off_res.live is None and live_res.live is not None
-    # The live mirror stayed exact even at bench scale.
+    # The live registry reads the run's own collector, at bench scale too.
     assert live_res.live.summary() == live_res.metrics.summary()
 
     def _pct(wall):

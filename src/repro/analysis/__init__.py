@@ -1,31 +1,14 @@
 """Analysis and reporting: the series/tables behind Figures 5–7."""
 
-from .critical_path import (
-    critical_path_report,
-    crosscheck_critical_path,
-    format_critical_path_report,
-)
+from .critical_path import critical_path_report, format_critical_path_report
 from .export import result_summary, write_csv, write_result_json, write_series_csv
-from .ingest import crosscheck_ingest, ingest_phase_seconds, replay_ingest_breakdown
 from .report import render_bar_chart, render_series, render_table
 from .timeline import frontier_matrix, frontier_totals, timestep_times
-from .trace_replay import (
-    crosscheck_trace,
-    replay_partition_breakdown,
-    replay_timestep_walls,
-)
 from .utilization import UtilizationRow, utilization_rows
 
 __all__ = [
     "critical_path_report",
-    "crosscheck_critical_path",
     "format_critical_path_report",
-    "crosscheck_trace",
-    "crosscheck_ingest",
-    "ingest_phase_seconds",
-    "replay_ingest_breakdown",
-    "replay_partition_breakdown",
-    "replay_timestep_walls",
     "result_summary",
     "write_csv",
     "write_result_json",

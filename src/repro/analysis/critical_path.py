@@ -1,9 +1,8 @@
-"""Critical-path analytics over the structured event log.
+"""Critical-path analytics over a run's collector.
 
-``trace_replay`` proves the event log is *complete* (its replay matches the
-collector numerically).  This module answers the operator's next question:
-**where did the time go, and who is to blame?**  It walks the span DAG
-implied by the ``step``/``instance_load``/``gc_pause`` events — within a
+The collector's summary says how long the run took; this module answers the
+operator's next question: **where did the time go, and who is to blame?**
+It walks the span DAG implied by the step, load and GC records — within a
 timestep, supersteps chain sequentially and each superstep's wall is pinned
 by its slowest host — and attributes each timestep's wall to its longest
 host chain, segment by segment:
@@ -16,11 +15,13 @@ host chain, segment by segment:
 * ``migration`` / ``checkpoint`` / ``prefetch`` / ``recovery`` — driver-
   charged costs on the timestep's critical path.
 
-The per-timestep wall this attribution sums to is *exactly* the quantity
-``replay_timestep_walls`` derives (same events, same arithmetic), so
-:func:`crosscheck_critical_path` validates the report against both the
-replay and the run's :class:`~repro.runtime.metrics.MetricsCollector`, the
-way ``trace_replay.crosscheck_trace`` does.
+The report reads the tables of a
+:class:`~repro.runtime.metrics.MetricsCollector` — a finished run's
+``result.metrics`` (a resumed run's carries every timestep, so it is
+reported whole), or ``MetricsCollector.from_events`` over a read-back
+``events.jsonl`` — and re-partitions the same sum the collector's
+``timestep_wall`` computes, so its per-timestep walls add up to the run's
+simulated makespan minus the merge phase.
 
 The headline output is **straggler attribution**: for each partition, how
 many supersteps it pinned (was the slowest host of) and how much wall it
@@ -32,17 +33,11 @@ whole run, and in which segment.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from ..core.results import AppResult
-from ..runtime.metrics import PHASE_COMPUTE
-from .trace_replay import replay_timestep_walls
+from ..runtime.metrics import PHASE_COMPUTE, MetricsCollector, StepRecord
 
-__all__ = [
-    "critical_path_report",
-    "crosscheck_critical_path",
-    "format_critical_path_report",
-]
+__all__ = ["critical_path_report", "format_critical_path_report"]
 
 #: Wall segments a timestep's critical path decomposes into.
 SEGMENTS = (
@@ -58,18 +53,11 @@ SEGMENTS = (
 )
 
 
-def critical_path_report(
-    events: Sequence[Mapping],
-    num_partitions: int,
-    *,
-    barrier_s: float = 0.0,
-) -> dict[str, Any]:
-    """Attribute each timestep's wall to its longest host chain.
+def critical_path_report(metrics: MetricsCollector) -> dict[str, Any]:
+    """Attribute each executed timestep's wall to its longest host chain.
 
-    Parameters mirror ``replay_timestep_walls``: the run's event records
-    (``result.trace.event_records()`` or a read-back ``events.jsonl``), the
-    cluster width, and the modeled per-superstep barrier cost from the run
-    manifest.
+    ``metrics`` is the run's collector: ``result.metrics``, or offline
+    ``MetricsCollector.from_events(read_event_log(path), n, barrier_s=b)``.
 
     Returns a report dict::
 
@@ -91,38 +79,18 @@ def critical_path_report(
           "stragglers": [partition, ...],   # by critical wall, descending
         }
     """
-    # (timestep, superstep) -> partition -> step event, compute phase only.
-    steps: dict[tuple[int, int], dict[int, Mapping]] = defaultdict(dict)
-    loads: dict[int, list[float]] = defaultdict(lambda: [0.0] * num_partitions)
-    gcs: dict[int, list[float]] = defaultdict(lambda: [0.0] * num_partitions)
-    driver_costs: dict[int, dict[str, float]] = defaultdict(
-        lambda: {"migration": 0.0, "checkpoint": 0.0, "prefetch": 0.0, "recovery": 0.0}
-    )
-    for e in events:
-        kind = e.get("kind")
-        if kind == "step":
-            if e["phase"] == PHASE_COMPUTE:
-                steps[(e["timestep"], e["superstep"])][e["partition"]] = e
-        elif kind == "instance_load":
-            loads[e["timestep"]][e["partition"]] += e["seconds"]
-        elif kind == "gc_pause":
-            gcs[e["timestep"]][e["partition"]] += e["seconds"]
-        elif kind == "migration":
-            driver_costs[e["timestep"]]["migration"] += e["cost_s"]
-        elif kind == "checkpoint_write":
-            driver_costs[e["timestep"]]["checkpoint"] += e["cost_s"]
-        elif kind == "prefetch_issue":
-            driver_costs[e["timestep"]]["prefetch"] += e["cost_s"]
-        elif kind in ("worker_respawn", "protocol_retry"):
-            # Host repairs charge the round's timestep.
-            driver_costs[e["timestep"]]["recovery"] += e["seconds"]
-
-    timesteps = sorted(
-        {t for (t, _s) in steps}
-        | set(loads)
-        | set(gcs)
-        | {t for t in driver_costs if t >= 0}
-    )
+    num_partitions, barrier_s = metrics.num_partitions, metrics.barrier_s
+    # timestep -> superstep -> partition -> step record, compute phase only.
+    steps: dict[int, dict[int, dict[int, StepRecord]]] = defaultdict(lambda: defaultdict(dict))
+    for r in metrics.step_records:
+        if r.phase == PHASE_COMPUTE:
+            steps[r.timestep][r.superstep][r.partition] = r
+    driver_costs = {
+        "migration": metrics.migration_s,
+        "checkpoint": metrics.checkpoint_s,
+        "prefetch": metrics.prefetch_s,
+        "recovery": metrics.recovery_s,
+    }
     crit_supersteps = [0] * num_partitions
     crit_busy = [0.0] * num_partitions
     crit_loads = [0] * num_partitions
@@ -130,44 +98,41 @@ def critical_path_report(
     totals = {seg: 0.0 for seg in SEGMENTS}
     per_timestep: list[dict[str, Any]] = []
 
-    for t in timesteps:
+    for t in sorted(metrics.supersteps_per_timestep):
         segments = {seg: 0.0 for seg in SEGMENTS}
         chain: list[dict[str, Any]] = []
         share = [0.0] * num_partitions
-        for (tt, s) in sorted(k for k in steps if k[0] == t):
-            rows = steps[(tt, s)]
+        for s, rows in sorted(steps[t].items()):
             # The superstep's wall is pinned by its slowest host: ties break
             # to the lowest partition id, deterministically.
-            crit = max(rows, key=lambda p: (rows[p]["compute_s"] + rows[p]["send_s"], -p))
-            e = rows[crit]
-            busy = e["compute_s"] + e["send_s"]
-            segments["compute"] += e["compute_s"]
-            segments["send_flush"] += e["send_s"]
+            crit = max(rows, key=lambda p: (rows[p].busy_s, -p))
+            r = rows[crit]
+            segments["compute"] += r.compute_s
+            segments["send_flush"] += r.send_s
             segments["barrier"] += barrier_s
             chain.append(
                 {
                     "superstep": s,
                     "partition": crit,
-                    "busy_s": busy,
-                    "compute_s": e["compute_s"],
-                    "send_s": e["send_s"],
+                    "busy_s": r.busy_s,
+                    "compute_s": r.compute_s,
+                    "send_s": r.send_s,
                 }
             )
             crit_supersteps[crit] += 1
-            crit_busy[crit] += busy
-            share[crit] += busy
-        if t in loads:
-            peak = max(loads[t])
-            segments["load"] += peak
-            if peak > 0.0:
-                slowest = max(range(num_partitions), key=lambda p: (loads[t][p], -p))
-                crit_loads[slowest] += 1
-                crit_load_s[slowest] += peak
-                share[slowest] += peak
-        if t in gcs:
-            segments["gc"] += max(gcs[t])
-        for seg, cost in driver_costs.get(t, {}).items():
-            segments[seg] += cost
+            crit_busy[crit] += r.busy_s
+            share[crit] += r.busy_s
+        loads = [metrics.load_s.get((t, p), 0.0) for p in range(num_partitions)]
+        peak = max(loads)
+        segments["load"] = peak
+        if peak > 0.0:
+            slowest = max(range(num_partitions), key=lambda p: (loads[p], -p))
+            crit_loads[slowest] += 1
+            crit_load_s[slowest] += peak
+            share[slowest] += peak
+        segments["gc"] = max(metrics.gc_s.get((t, p), 0.0) for p in range(num_partitions))
+        for seg, cost in driver_costs.items():
+            segments[seg] = cost.get(t, 0.0)
         wall = sum(segments.values())
         dominant = max(range(num_partitions), key=lambda p: (share[p], -p))
         per_timestep.append(
@@ -201,48 +166,6 @@ def critical_path_report(
         ],
         "stragglers": order,
     }
-
-
-def crosscheck_critical_path(
-    result: AppResult,
-    *,
-    tolerance: float = 1e-9,
-) -> list[str]:
-    """Validate the attribution against the replay *and* the collector.
-
-    Two invariants, checked per timestep with the same relative tolerance
-    discipline as ``crosscheck_trace``:
-
-    * the report's wall equals ``replay_timestep_walls`` (the attribution
-      re-partitions the same sum — only float association order differs);
-    * the report's wall equals ``MetricsCollector.timestep_wall`` (the
-      collector never saw the events at all).
-
-    Returns mismatch descriptions; empty means the attribution is exact.
-    """
-    if result.trace is None:
-        raise ValueError("result has no trace — run with EngineConfig(tracing=True)")
-    if result.metrics is None:
-        raise ValueError("result has no metrics")
-    m = result.metrics
-    events = result.trace.event_records()
-    if any(e.get("kind") == "restore" and e.get("resumed") for e in events):
-        raise ValueError(
-            "cannot cross-check a resumed run: its metrics carry records from "
-            "the original run, but its trace starts at the resume point"
-        )
-    report = critical_path_report(events, m.num_partitions, barrier_s=m.barrier_s)
-    walls = replay_timestep_walls(events, m.num_partitions, barrier_s=m.barrier_s)
-    problems: list[str] = []
-    for entry in report["timesteps"]:
-        t = entry["timestep"]
-        g = entry["wall_s"]
-        for label, w in (("replay", walls.get(t, 0.0)), ("collector", m.timestep_wall(t))):
-            if abs(g - w) > tolerance * max(1.0, abs(w)):
-                problems.append(
-                    f"timestep {t} wall: critical-path {g!r} != {label} {w!r}"
-                )
-    return problems
 
 
 def format_critical_path_report(report: Mapping[str, Any], *, top: int = 3) -> str:

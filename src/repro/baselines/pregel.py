@@ -206,7 +206,7 @@ class PregelEngine:
                 send_s += self.cost_model.remote_send_cost(
                     int(remote_msgs[w]), int(remote_bytes[w])
                 )
-                metrics.record_step(
+                metrics.fold(
                     StepRecord(
                         phase=PHASE_COMPUTE,
                         timestep=0,

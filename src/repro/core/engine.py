@@ -50,7 +50,6 @@ instead of hanging.  Deterministic application errors are never retried.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
@@ -59,13 +58,12 @@ import numpy as np
 
 from ..graph.collection import TimeSeriesGraphCollection
 from ..observability import (
-    NULL_SPAN,
     JsonlSnapshotExporter,
     LiveConfig,
     LiveMetrics,
     PrometheusTextfileExporter,
+    RunRecorder,
     RunTrace,
-    Tracer,
     live_enabled,
     tracing_enabled,
 )
@@ -79,7 +77,17 @@ from ..runtime.cluster import Cluster, LocalCluster, raise_first_failure
 from ..runtime.cost import CostModel
 from ..runtime.gc_model import GCModel
 from ..runtime.host import HostStepResult, InstanceSource, RunMeta
-from ..runtime.metrics import PHASE_COMPUTE, PHASE_MERGE, MetricsCollector, StepRecord
+from ..runtime.metrics import (
+    PHASE_COMPUTE,
+    PHASE_MERGE,
+    CheckpointRecord,
+    GcRecord,
+    LoadRecord,
+    MetricsCollector,
+    MigrationRecord,
+    PrefetchRecord,
+    StepRecord,
+)
 from ..runtime.process_cluster import ProcessCluster
 from ..runtime.socket_cluster import SocketCluster
 from .computation import TimeSeriesComputation
@@ -144,7 +152,8 @@ class EngineConfig:
         detection, and optional Prometheus-textfile + JSONL exporters
         (``LiveConfig.export_dir``).  Like tracing, the live plane only
         observes — results are bit-identical with it on or off — and its
-        cumulative totals match ``result.metrics.summary()`` exactly.
+        cumulative totals *are* ``result.metrics.summary()``: it reads the
+        run's own collector.
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.CheckpointConfig`.
         When set, durable boundary snapshots are written on the configured
@@ -200,22 +209,17 @@ class _RunState:
     start: int
     stop: int
     result: AppResult
-    metrics: MetricsCollector
-    trace: RunTrace | None
+    #: The run's one writer of facts: collector, live registry, trace.
+    recorder: RunRecorder
     manager: CheckpointManager | None
     #: Application inputs, grouped per subgraph.
     input_msgs: dict[int, list[Message]]
     #: Remote temporal sends buffered between timesteps, still framed;
     #: same-partition temporal sends never leave their host.
     temporal_frames: list[MessageFrame] = field(default_factory=list)
-    live: LiveMetrics | None = None
     cluster: Cluster | None = None
     journal: FrameJournal | None = None
     supervisor: HostSupervisor | None = None
-
-    @property
-    def tracer(self) -> Tracer | None:
-        return self.trace.tracer if self.trace is not None else None
 
 
 class TIBSPEngine:
@@ -310,25 +314,19 @@ class TIBSPEngine:
             fault_plan=cfg.faults,
         )
 
-    def _make_live(self, policy: RecoveryPolicy | None, num_timesteps: int) -> LiveMetrics | None:
-        """Build the live registry (mirror collector + exporters) when enabled."""
+    def _make_live(
+        self, metrics: MetricsCollector, policy: RecoveryPolicy | None, num_timesteps: int
+    ) -> LiveMetrics | None:
+        """Build the live registry over the run's collector (+ exporters) when enabled."""
         cfg = self.config
         if not live_enabled(cfg.live):
             return None
         live_cfg = cfg.live if isinstance(cfg.live, LiveConfig) else LiveConfig()
         if policy is not None and policy.stall_warning_s is not None:
             live_cfg = replace(live_cfg, stall_after_s=policy.stall_warning_s)
-        # The mirror is a second MetricsCollector with identical construction
-        # args, fed through the live plane with exactly the records the run's
-        # own collector receives — so live.summary() == metrics.summary()
-        # exactly, as a genuine end-to-end completeness check.
-        mirror = MetricsCollector(
-            self.pg.num_partitions,
-            barrier_s=cfg.cost_model.barrier_cost(self.pg.num_partitions),
-        )
         live = LiveMetrics(
             self.pg.num_partitions,
-            mirror=mirror,
+            metrics=metrics,
             num_timesteps=num_timesteps,
             config=live_cfg,
         )
@@ -431,8 +429,7 @@ class TIBSPEngine:
             start=start,
             stop=stop,
             result=result,
-            metrics=metrics,
-            trace=trace,
+            recorder=RunRecorder(metrics, trace),
             manager=(
                 CheckpointManager(cfg.checkpoint.dir, retain=cfg.checkpoint.retain)
                 if cfg.checkpoint is not None
@@ -447,9 +444,9 @@ class TIBSPEngine:
         # including failures during cluster spawn or resume (a leaked
         # heartbeat watchdog or prefetch worker outlives the run otherwise).
         try:
-            rs.live = result.live = self._make_live(policy, stop)
+            live = rs.recorder.live = result.live = self._make_live(metrics, policy, stop)
             rs.cluster = self._make_cluster(
-                computation, meta, trace is not None, rs.live is not None, policy
+                computation, meta, trace is not None, live is not None, policy
             )
             if trace is not None:
                 rs.cluster.driver_tracer = trace.tracer
@@ -470,24 +467,21 @@ class TIBSPEngine:
                     policy,
                     rs.journal,
                     manager=rs.manager,
-                    metrics=rs.metrics,
+                    recorder=rs.recorder,
                     failure_log=result.failure_log,
-                    tracer=rs.tracer,
-                    live=rs.live,
                 )
 
             try:
                 while t < stop:
-                    with trace.tracer.span("timestep", t=t) if trace is not None else NULL_SPAN:
+                    with rs.recorder.span("timestep", t=t):
                         halted_early = self._run_timestep(rs, t, resume_inner)
                     resume_inner = None
                     result.timesteps_executed += 1
                     if rs.manager is not None and (t - start + 1) % cfg.checkpoint.every == 0:
                         self._write_checkpoint(rs, t + 1)
-                    if trace is not None:
-                        # Streamed event-log flush point: everything up to
-                        # this timestep boundary is durable on disk.
-                        trace.stream_flush()
+                    # Streamed event-log flush point: everything up to this
+                    # timestep boundary is durable on disk.
+                    rs.recorder.flush()
                     t += 1
                     if halted_early:
                         # Only count as early when timesteps actually remained.
@@ -510,7 +504,7 @@ class TIBSPEngine:
                 if policy.on_exhausted == "raise":
                     raise RunFailureError(failure, partial=result) from exc.original
         finally:
-            live, cluster, supervisor = rs.live, rs.cluster, rs.supervisor
+            live, cluster, supervisor = rs.recorder.live, rs.cluster, rs.supervisor
             if live is not None:
                 # Stop the watchdog, force the final snapshot, close the
                 # exporters — then hand the health events over.  Runs even
@@ -584,7 +578,8 @@ class TIBSPEngine:
         self._verify_signature(loaded.meta, rs.pattern)
         blob = loaded.driver
         result = rs.result
-        rs.metrics = result.metrics = blob["metrics"]
+        result.metrics = blob["metrics"]
+        rs.recorder.restore(result.metrics)
         rs.input_msgs = blob["input_msgs"]
         rs.temporal_frames[:] = blob["temporal_frames"]
         result.outputs[:] = blob["outputs"]
@@ -598,20 +593,17 @@ class TIBSPEngine:
                 "per_part": blob["per_part"],
                 "halt_votes": blob["halt_votes"],
             }
-        if rs.live is not None:
-            rs.live.resync(copy.deepcopy(rs.metrics))
         rs.cluster.restore(
             loaded.parts, reload_timestep=t if resume_inner is not None else None
         )
-        if rs.tracer is not None:
-            rs.tracer.event(
-                "restore",
-                timestep=t,
-                superstep=None if resume_inner is None else resume_inner["superstep"],
-                seconds=0.0,
-                resumed=True,
-                checkpoint=loaded.meta.get("seq"),
-            )
+        rs.recorder.event(
+            "restore",
+            timestep=t,
+            superstep=None if resume_inner is None else resume_inner["superstep"],
+            seconds=0.0,
+            resumed=True,
+            checkpoint=loaded.meta.get("seq"),
+        )
         return t, resume_inner
 
     def _write_checkpoint(
@@ -633,10 +625,11 @@ class TIBSPEngine:
         metrics a resumed run restores do not include the checkpoint it
         restores from.
         """
-        cluster, metrics, result = rs.cluster, rs.metrics, rs.result
+        cluster, result = rs.cluster, rs.result
         if cluster.quarantined:
             return
-        # A repair during the snapshot is charged to the round it follows.
+        # The checkpoint, and a repair during its snapshot, are charged to
+        # the round they follow: the timestep a boundary checkpoint closes.
         at = (next_t - 1, AT_EOT) if superstep is None else (next_t, superstep - 1)
         parts = self._round(rs, "snapshot", *at, None)
         if cluster.quarantined:
@@ -652,7 +645,7 @@ class TIBSPEngine:
             "outputs": list(result.outputs),
             "merge_outputs": list(result.merge_outputs),
             "timesteps_executed": result.timesteps_executed,
-            "metrics": metrics,
+            "metrics": rs.recorder.metrics,
         }
         info = rs.manager.write(
             next_t, blob, parts, superstep=superstep, signature=self._signature(rs.pattern)
@@ -661,19 +654,9 @@ class TIBSPEngine:
             # This checkpoint is the new replay base for host repair.
             rs.journal.truncate()
         cost = self.config.cost_model.checkpoint_cost(info.nbytes)
-        metrics.record_checkpoint(next_t, info.nbytes, cost)
-        if rs.live is not None:
-            rs.live.observe_checkpoint(next_t, info.nbytes, cost)
-        if rs.tracer is not None:
-            rs.tracer.event(
-                "checkpoint_write",
-                timestep=next_t,
-                superstep=superstep,
-                nbytes=info.nbytes,
-                seconds=info.seconds,
-                cost_s=cost,
-                name=info.path.name,
-            )
+        rs.recorder.emit(
+            CheckpointRecord(at[0], superstep, info.nbytes, info.seconds, cost, info.path.name)
+        )
 
     # -- one timestep ---------------------------------------------------------------------
 
@@ -688,54 +671,12 @@ class TIBSPEngine:
             return rs.supervisor.round(op, timestep, superstep, payloads)
         return raise_first_failure(rs.cluster.run_round(op, timestep, superstep, payloads))
 
-    def _record(
-        self, rs: _RunState, phase: str, t: int, s: int, results: list[HostStepResult]
-    ) -> None:
-        records = [
-            StepRecord(
-                phase=phase,
-                timestep=t,
-                superstep=s,
-                partition=r.partition,
-                compute_s=r.compute_s,
-                send_s=r.send_s,
-                subgraphs_computed=r.subgraphs_computed,
-                messages_sent=r.messages_sent,
-                bytes_sent=r.bytes_sent,
-                local_messages=r.local_messages,
-                remote_messages=r.remote_messages,
-                frames_sent=r.frames_sent,
-            )
-            for r in results
-        ]
-        for rec in records:
-            rs.metrics.record_step(rec)
-        if rs.live is not None:
-            # The same StepRecords, in the same order, go to the live
-            # plane's mirror collector — the exact-summary invariant.
-            rs.live.observe_steps(phase, t, s, records)
-        if rs.trace is not None:
-            # Mirror every StepRecord as a "step" event: the event log must
-            # carry everything the aggregate collector sees, so the replay
-            # cross-check (analysis.trace_replay) is a genuine completeness
-            # check rather than a tautology.
-            rs.trace.absorb_results(results)
-            for r in results:
-                rs.trace.tracer.event(
-                    "step",
-                    phase=phase,
-                    timestep=t,
-                    superstep=s,
-                    partition=r.partition,
-                    compute_s=r.compute_s,
-                    send_s=r.send_s,
-                    subgraphs=r.subgraphs_computed,
-                    messages=r.messages_sent,
-                    local=r.local_messages,
-                    remote=r.remote_messages,
-                    frames=r.frames_sent,
-                    bytes=r.bytes_sent,
-                )
+    @staticmethod
+    def _record(rs: _RunState, phase: str, t: int, s: int, results: list[HostStepResult]) -> None:
+        """State one round's replies: a step record each, then their telemetry."""
+        for r in results:
+            rs.recorder.emit(StepRecord.of(phase, t, s, r))
+        rs.recorder.absorb(results)
 
     def _run_timestep(self, rs: _RunState, t: int, resume: dict | None = None) -> bool:
         """Run one BSP timestep.  Returns True when the app halted early.
@@ -753,9 +694,8 @@ class TIBSPEngine:
         carry the committed attempt's hint cost, and re-issuing would
         double-record it.
         """
-        metrics, trace, live, result = rs.metrics, rs.trace, rs.live, rs.result
+        rec, result = rs.recorder, rs.result
         temporal_frames = rs.temporal_frames
-        tr = rs.tracer
         if self.config.rebalancer is not None and t > rs.start:
             self._rebalance(rs, t)
         if resume is not None:
@@ -770,30 +710,14 @@ class TIBSPEngine:
             else:
                 pauses = [0.0] * self.pg.num_partitions
 
-            if live is not None:
-                live.round_begin("begin_timestep", t, -1)
-            with tr.span("begin_timestep", t=t) if tr is not None else NULL_SPAN:
+            rec.round_begin("begin_timestep", t, -1)
+            with rec.span("begin_timestep", t=t):
                 begin_results = self._round(rs, "begin", t, AT_BEGIN, pauses)
             for r in begin_results:
-                metrics.record_load(t, r.partition, r.load_s, hidden=r.load_hidden_s)
+                rec.emit(LoadRecord(t, r.partition, r.load_s, r.load_hidden_s))
                 if r.gc_pause_s:
-                    metrics.record_gc(t, r.partition, r.gc_pause_s)
-            if live is not None:
-                # Mirrors the record_load/record_gc loop above (same order,
-                # same args) and folds host-published source stats.
-                live.observe_begin(t, begin_results)
-            if trace is not None:
-                trace.absorb_results(begin_results)
-                for r in begin_results:
-                    tr.event(
-                        "instance_load",
-                        timestep=t,
-                        partition=r.partition,
-                        seconds=r.load_s,
-                        hidden_s=r.load_hidden_s,
-                    )
-                    if r.gc_pause_s:
-                        tr.event("gc_pause", timestep=t, partition=r.partition, seconds=r.gc_pause_s)
+                    rec.emit(GcRecord(t, r.partition, r.gc_pause_s))
+            rec.absorb(begin_results)
 
             # Superstep-0 deliveries per the pattern (Section II-D message rules).
             if rs.pattern is Pattern.SEQUENTIALLY_DEPENDENT:
@@ -823,19 +747,11 @@ class TIBSPEngine:
                     f"timestep {t} exceeded max_supersteps={self.config.max_supersteps}; "
                     "is the computation failing to vote to halt?"
                 )
-            if live is not None:
-                live.round_begin(PHASE_COMPUTE, t, superstep)
-            with tr.span("superstep", t=t, s=superstep) if tr is not None else NULL_SPAN:
+            rec.round_begin(PHASE_COMPUTE, t, superstep)
+            with rec.span("superstep", t=t, s=superstep):
                 barrier_start = time.perf_counter()
                 step_results = self._round(rs, "superstep", t, superstep, per_part)
-                if tr is not None:
-                    tr.event(
-                        "barrier",
-                        phase=PHASE_COMPUTE,
-                        timestep=t,
-                        superstep=superstep,
-                        wall_s=time.perf_counter() - barrier_start,
-                    )
+                rec.barrier(PHASE_COMPUTE, t, superstep, barrier_start)
             self._record(rs, PHASE_COMPUTE, t, superstep, step_results)
 
             frames: list[MessageFrame] = []
@@ -850,17 +766,7 @@ class TIBSPEngine:
                 prefetch_next = False
                 self._round(rs, "prefetch", t, superstep - 1, [t + 1] * self.pg.num_partitions)
                 cost = self.config.cost_model.prefetch_cost()
-                metrics.record_prefetch(t, cost)
-                if live is not None:
-                    live.observe_prefetch(t, cost)
-                if tr is not None:
-                    tr.event(
-                        "prefetch_issue",
-                        timestep=t,
-                        superstep=superstep - 1,
-                        next_timestep=t + 1,
-                        cost_s=cost,
-                    )
+                rec.emit(PrefetchRecord(t, superstep - 1, t + 1, cost))
             # Quiescence: nothing routed by the driver, every subgraph halted,
             # and no host still holds short-circuited local deliveries.
             if not frames and all(
@@ -876,9 +782,8 @@ class TIBSPEngine:
                 # one to execute, with its deliveries and votes in the blob.
                 self._write_checkpoint(rs, t, superstep, per_part, halt_votes)
 
-        if live is not None:
-            live.round_begin("end_of_timestep", t, superstep)
-        with tr.span("end_of_timestep", t=t) if tr is not None else NULL_SPAN:
+        rec.round_begin("end_of_timestep", t, superstep)
+        with rec.span("end_of_timestep", t=t):
             eot_results = self._round(rs, "eot", t, AT_EOT, None)
         self._record(rs, PHASE_COMPUTE, t, superstep, eot_results)
         pending_temporal = 0
@@ -900,7 +805,7 @@ class TIBSPEngine:
         from ..runtime.host import CollectionInstanceSource
         from ..runtime.rebalance import apply_migrations
 
-        cluster, tr = rs.cluster, rs.tracer
+        cluster, rec = rs.cluster, rs.recorder
         if not isinstance(cluster, LocalCluster):
             raise NotImplementedError(
                 "dynamic rebalancing requires an in-process executor"
@@ -915,7 +820,7 @@ class TIBSPEngine:
                 "(shared collection), not partitioned GoFS views"
             )
         busy = np.zeros(self.pg.num_partitions)
-        for r in rs.metrics.step_records:
+        for r in rec.metrics.step_records:
             if r.timestep == t - 1:
                 busy[r.partition] += r.busy_s
         partition_subgraphs = [
@@ -925,41 +830,27 @@ class TIBSPEngine:
         moves = self.config.rebalancer.decide(busy, partition_subgraphs)
         if not moves:
             return
-        with tr.span("rebalance", t=t) if tr is not None else NULL_SPAN:
-            cost = apply_migrations(
-                cluster, moves, self._sg_part, self.config.cost_model, tracer=tr
-            )
+        with rec.span("rebalance", t=t):
+            cost = apply_migrations(cluster, moves, self._sg_part, self.config.cost_model, rec)
             # Keep the hosts' shared routing array and the engine's in sync
             # (apply_migrations updated the engine's copy; mirror onto hosts').
             cluster.hosts[0].subgraph_partition[:] = self._sg_part
-        rs.metrics.record_migration(t, len(moves), cost)
-        if rs.live is not None:
-            rs.live.observe_migration(t, len(moves), cost)
-        if tr is not None:
-            tr.event("migration", timestep=t, count=len(moves), cost_s=cost)
+        rec.emit(MigrationRecord(t, len(moves), cost))
 
     # -- merge phase ---------------------------------------------------------------------
 
     def _run_merge(self, rs: _RunState) -> None:
-        tr = rs.tracer
+        rec = rs.recorder
         per_part: list[list[MessageFrame]] = [[] for _ in range(self.pg.num_partitions)]
         superstep = 0
         while True:
             if superstep >= self.config.max_supersteps:
                 raise RuntimeError("merge phase exceeded max_supersteps")
-            if rs.live is not None:
-                rs.live.round_begin(PHASE_MERGE, -1, superstep)
-            with tr.span("merge_superstep", s=superstep) if tr is not None else NULL_SPAN:
+            rec.round_begin(PHASE_MERGE, -1, superstep)
+            with rec.span("merge_superstep", s=superstep):
                 barrier_start = time.perf_counter()
                 step_results = self._round(rs, "merge", -1, superstep, per_part)
-                if tr is not None:
-                    tr.event(
-                        "barrier",
-                        phase=PHASE_MERGE,
-                        timestep=-1,
-                        superstep=superstep,
-                        wall_s=time.perf_counter() - barrier_start,
-                    )
+                rec.barrier(PHASE_MERGE, -1, superstep, barrier_start)
             self._record(rs, PHASE_MERGE, -1, superstep, step_results)
             frames: list[MessageFrame] = []
             for r in step_results:

@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence
 from ..resilience.faults import AT_BEGIN, AT_EOT
 from ..runtime.cluster import LocalCluster, raise_first_failure
 from ..runtime.host import RunMeta
-from ..runtime.metrics import PHASE_COMPUTE, MetricsCollector, StepRecord
+from ..runtime.metrics import PHASE_COMPUTE, PHASE_MERGE, LoadRecord, MetricsCollector, StepRecord
 from .computation import TimeSeriesComputation
 from .messages import Message, MessageFrame, frames_from_deliveries, route_frames
 from .results import AppResult
@@ -73,7 +73,7 @@ def _run_one_timestep(
     )
     with lock:
         for r in begin:
-            metrics.record_load(t, r.partition, r.load_s)
+            metrics.fold(LoadRecord(t, r.partition, r.load_s))
 
     per_part = split(input_msgs)
     superstep = 0
@@ -87,14 +87,7 @@ def _run_one_timestep(
         frames: list[MessageFrame] = []
         with lock:
             for r in step_results:
-                metrics.record_step(
-                    StepRecord(
-                        PHASE_COMPUTE, t, superstep, r.partition,
-                        r.compute_s, r.send_s, r.subgraphs_computed,
-                        r.messages_sent, r.bytes_sent,
-                        r.local_messages, r.remote_messages, r.frames_sent,
-                    )
-                )
+                metrics.fold(StepRecord.of(PHASE_COMPUTE, t, superstep, r))
         for r in step_results:
             frames.extend(r.frames)
             outputs.extend(r.outputs)
@@ -108,13 +101,7 @@ def _run_one_timestep(
     eot = raise_first_failure(cluster.run_round("eot", t, AT_EOT, None))
     with lock:
         for r in eot:
-            metrics.record_step(
-                StepRecord(
-                    PHASE_COMPUTE, t, superstep, r.partition,
-                    r.compute_s, r.send_s, 0, r.messages_sent, r.bytes_sent,
-                    r.local_messages, r.remote_messages, r.frames_sent,
-                )
-            )
+            metrics.fold(StepRecord.of(PHASE_COMPUTE, t, superstep, r))
     for r in eot:
         outputs.extend(r.outputs)
     with lock:
@@ -224,14 +211,7 @@ def run_temporally_parallel(
             )
             frames: list[MessageFrame] = []
             for r in step_results:
-                metrics.record_step(
-                    StepRecord(
-                        "merge", -1, superstep, r.partition,
-                        r.compute_s, r.send_s, r.subgraphs_computed,
-                        r.messages_sent, r.bytes_sent,
-                        r.local_messages, r.remote_messages, r.frames_sent,
-                    )
-                )
+                metrics.fold(StepRecord.of(PHASE_MERGE, -1, superstep, r))
                 frames.extend(r.frames)
                 result.merge_outputs.extend((sg, rec) for (_t, sg, rec) in r.outputs)
             per_part = route_frames(frames, pg.num_partitions)

@@ -53,7 +53,6 @@ def paper_datasets(
     carn_hit_probability: float = 0.5,
     wiki_hit_probability: float = 0.1,
     cache: "DatasetCache | None" = None,
-    tracer=None,
 ) -> dict[str, dict[str, object]]:
     """Build the paper's four dataset configurations at a given scale.
 
@@ -69,14 +68,8 @@ def paper_datasets(
     EXPERIMENTS.md (and docs/scaling.md for the 400 k+ regime).
 
     ``cache`` short-circuits the whole build through a :class:`DatasetCache`
-    entry keyed on every parameter above; ``tracer`` records
-    ``dataset_build`` spans/events for the ingest-cost breakdown (see
-    :func:`repro.analysis.replay_ingest_breakdown`).
+    entry keyed on every parameter above.
     """
-    import time
-
-    from ..observability.tracer import NULL_SPAN
-
     params = {
         "scale": int(scale),
         "num_instances": int(num_instances),
@@ -88,45 +81,29 @@ def paper_datasets(
 
     def build() -> dict[str, dict[str, object]]:
         out: dict[str, dict[str, object]] = {}
-        span = tracer.span("dataset_build", **params) if tracer is not None else NULL_SPAN
-        with span:
-            t0 = time.perf_counter()
-            carn = road_network(scale, seed=seed)
-            wiki = smallworld_network(scale, seed=seed)
-            if tracer is not None:
-                tracer.event(
-                    "dataset_build",
-                    phase="templates",
-                    seconds=time.perf_counter() - t0,
-                )
-            for tpl, hit in ((carn, carn_hit_probability), (wiki, wiki_hit_probability)):
-                t0 = time.perf_counter()
-                out[tpl.name] = {
-                    "template": tpl,
-                    "road": road_latency_collection(
-                        tpl, num_instances, delta=delta, seed=seed
-                    ),
-                    # seeds_per_meme=20 spreads the epidemic across all
-                    # partitions at bench scale (Fig 7c needs every partition
-                    # to see colorings, as the paper's 2.4M-vertex WIKI did
-                    # with few seeds).
-                    "tweets": tweet_collection(
-                        tpl,
-                        num_instances,
-                        hit_probability=hit,
-                        seeds_per_meme=20,
-                        delta=delta,
-                        seed=seed,
-                    ),
-                }
-                if tracer is not None:
-                    tracer.event(
-                        "dataset_build",
-                        phase=f"collections_{tpl.name}",
-                        seconds=time.perf_counter() - t0,
-                    )
+        carn = road_network(scale, seed=seed)
+        wiki = smallworld_network(scale, seed=seed)
+        for tpl, hit in ((carn, carn_hit_probability), (wiki, wiki_hit_probability)):
+            out[tpl.name] = {
+                "template": tpl,
+                "road": road_latency_collection(
+                    tpl, num_instances, delta=delta, seed=seed
+                ),
+                # seeds_per_meme=20 spreads the epidemic across all
+                # partitions at bench scale (Fig 7c needs every partition
+                # to see colorings, as the paper's 2.4M-vertex WIKI did
+                # with few seeds).
+                "tweets": tweet_collection(
+                    tpl,
+                    num_instances,
+                    hit_probability=hit,
+                    seeds_per_meme=20,
+                    delta=delta,
+                    seed=seed,
+                ),
+            }
         return out
 
     if cache is not None:
-        return cache.get_or_build("datasets", params, build, tracer=tracer)
+        return cache.get_or_build("datasets", params, build)
     return build()

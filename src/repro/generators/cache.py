@@ -104,34 +104,10 @@ class DatasetCache:
             raise
         return path
 
-    def get_or_build(
-        self,
-        kind: str,
-        params: dict[str, Any],
-        build: Callable[[], Any],
-        *,
-        tracer: Any | None = None,
-    ) -> Any:
-        """Load ``kind``/``params``, building and storing on a miss.
-
-        Emits ``cache_hit`` / ``cache_miss`` events on ``tracer`` so the
-        ingest trace breakdown can attribute wall time to cache traffic.
-        """
-        import time
-
-        t0 = time.perf_counter()
+    def get_or_build(self, kind: str, params: dict[str, Any], build: Callable[[], Any]) -> Any:
+        """Load ``kind``/``params``, building and storing on a miss."""
         value = self.load(kind, params)
-        if value is not None:
-            if tracer is not None:
-                tracer.event(
-                    "cache_hit", entry=kind, seconds=time.perf_counter() - t0
-                )
-            return value
-        value = build()
-        t1 = time.perf_counter()
-        self.store(kind, params, value)
-        if tracer is not None:
-            tracer.event(
-                "cache_miss", entry=kind, seconds=time.perf_counter() - t1
-            )
+        if value is None:
+            value = build()
+            self.store(kind, params, value)
         return value

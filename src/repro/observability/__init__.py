@@ -22,7 +22,10 @@ Three primitives, one collector:
 :class:`~repro.observability.runtrace.RunTrace` is the driver-side
 collector the engine owns for one run: it absorbs packets, merges
 counters, and writes the three run artifacts (``trace.json``,
-``events.jsonl``, ``manifest.json``).
+``events.jsonl``, ``manifest.json``).  The driver reaches it, the run's
+metrics collector and the live registry through one
+:class:`~repro.observability.recorder.RunRecorder`, which states each fact
+once and is the only place that knows which of them are on.
 
 The **live telemetry plane** (:mod:`~repro.observability.live`) layers a
 during-the-run view on the same telemetry: a thread-safe
@@ -54,6 +57,7 @@ from .live import (
     live_enabled,
 )
 from .provenance import PROVENANCE_SCHEMA_VERSION, git_describe, run_provenance
+from .recorder import RunRecorder
 from .runtrace import RunTrace, TraceConfig, tracing_enabled
 from .top import latest_snapshot, render_top, run_top
 from .tracer import DRIVER_PID, NULL_SPAN, Span, TracePacket, Tracer, partition_pid
@@ -83,6 +87,7 @@ __all__ = [
     "PROVENANCE_SCHEMA_VERSION",
     "git_describe",
     "run_provenance",
+    "RunRecorder",
     "RunTrace",
     "TraceConfig",
     "tracing_enabled",

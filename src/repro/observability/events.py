@@ -5,14 +5,21 @@ every line stamped with ``schema`` (see :data:`EVENT_SCHEMA_VERSION`) and
 carrying ``kind``, a normalized microsecond timestamp ``ts_us`` (relative
 to the run's trace epoch), and the logical track id ``pid``.
 
+Eight kinds are the run's typed records (:mod:`repro.runtime.metrics`:
+``step``, ``instance_load``, ``gc_pause``, ``migration``,
+``checkpoint_write``, ``prefetch_issue``, ``worker_respawn``,
+``protocol_retry``): the line *is* the record, so
+``MetricsCollector.from_events`` folds a log back into the collector the
+run ended with.  Every other kind is trace-only evidence.
+
 Schema v1 event kinds
 ---------------------
 
 ====================  =========================================================
 ``step``              one partition's contribution to one superstep (driver):
                       ``phase``/``timestep``/``superstep``/``partition`` plus
-                      ``compute_s``/``send_s``/message counts — the replay
-                      basis for the Fig 7 breakdown
+                      ``compute_s``/``send_s``/message counts — the basis
+                      of the Fig 7 breakdown
 ``barrier``           driver-measured scatter/gather wall for one superstep
 ``sends``             one host flush: local/remote counts, frames, bytes
 ``frame_ship``        one coalesced frame leaving a host (dst partition,
@@ -35,17 +42,21 @@ Schema v1 event kinds
 ``vm_spinup`` /       elastic-scaling policy decisions (offline replay)
 ``vm_spindown``
 ``checkpoint_write``  one durable boundary snapshot (``nbytes``, measured
-                      ``seconds``, modeled ``cost_s``, checkpoint name)
+                      ``seconds``, modeled ``cost_s``, checkpoint name);
+                      ``timestep`` is the one charged: the timestep a
+                      timestep-boundary checkpoint closes, or the one a
+                      superstep-boundary checkpoint (``superstep`` set) is in
 ``worker_lost``       a recoverable failure was detected (error kind,
                       coordinates, attempt number)
 ``retry``             the recovery loop is about to retry (``backoff_s``)
 ``restore``           a ``resume_from`` run installed its checkpoint
-                      (always ``resumed=True``; the replay cross-checks
-                      refuse such a trace)
+                      (always ``resumed=True``; the log starts here, while
+                      the run's collector also carries what ran before)
 ``worker_respawn``    recovery completed: one worker respawned at a
                       higher ``incarnation``, its partition restored and
                       ``replayed_rounds`` journal rounds replayed while
-                      ``survivors`` hosts held at the barrier
+                      ``survivors`` hosts held at the barrier (``error``:
+                      the failure kind repaired)
 ``protocol_retry``    the wire protocol cured a dropped/corrupt/wedged reply
                       with an idempotent resend (no respawn needed)
 ``frames_dropped``    deliveries addressed to a quarantined partition were

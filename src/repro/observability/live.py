@@ -1,12 +1,13 @@
 """Live telemetry plane: streaming metrics, heartbeats, straggler detection.
 
 Post-hoc tracing (PR 2) answers *what happened*; this module answers *what
-is happening*.  The engine feeds a :class:`LiveMetrics` registry at every
-protocol round — the same records, in the same order, that it feeds its
-:class:`~repro.runtime.metrics.MetricsCollector` — so the live plane's
-cumulative totals match the collector **exactly** at the end of the run,
-yet travel a genuinely independent observation path (an internal mirror
-collector injected by the engine, never the run's own).
+is happening*.  A :class:`LiveMetrics` registry holds the run's own
+:class:`~repro.runtime.metrics.MetricsCollector` — there is no second copy —
+so its cumulative totals *are* the run's totals at every instant.  The
+driver thread is the collector's only writer and folds each record in
+through :meth:`LiveMetrics.fold`, under the lock every reader
+(:meth:`~LiveMetrics.snapshot`, :meth:`~LiveMetrics.summary`, exporters)
+takes; the watchdog thread never touches the collector.
 
 Three concerns live here:
 
@@ -24,13 +25,13 @@ Three concerns live here:
   events via the registry's own tracer track (drained by the engine at the
   end of the run — never shared with the driver's tracer, so no cross-thread
   races);
-* **resume integration** — :meth:`LiveMetrics.resync` swaps the mirror for a
-  copy of the collector a ``resume_from`` run restored, so streaming totals
-  start where the run's own metrics do.
+* **resume integration** — :meth:`LiveMetrics.resync` continues on the
+  collector a ``resume_from`` run restored and rebuilds the per-partition
+  series from its records, so streaming totals start where the run does.
 
-Like the rest of this package the module is repro-agnostic: the mirror
-collector is dependency-injected by the engine (duck-typed ``record_*`` /
-``summary`` surface), so no import cycle forms.
+Like the rest of this package the module is repro-agnostic: the collector
+is dependency-injected by the engine (duck-typed ``fold`` / ``summary``
+surface), so no import cycle forms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .tracer import DRIVER_PID, Tracer
 
@@ -138,12 +139,10 @@ class LiveMetrics:
     ----------
     num_partitions:
         Cluster width.
-    mirror:
-        A fresh :class:`~repro.runtime.metrics.MetricsCollector` (duck-
-        typed), dependency-injected by the engine.  Fed through the
-        ``observe_*`` methods with exactly the records the engine feeds the
-        run's own collector, so :meth:`summary` equals the run summary
-        exactly — an end-to-end completeness proof of the live path.
+    metrics:
+        The run's :class:`~repro.runtime.metrics.MetricsCollector` (duck-
+        typed), written only through :meth:`fold` and read under the same
+        lock, so :meth:`summary` is the run summary.
     num_timesteps:
         Planned timesteps (progress denominator).
     config:
@@ -156,7 +155,7 @@ class LiveMetrics:
         self,
         num_partitions: int,
         *,
-        mirror: Any,
+        metrics: Any,
         num_timesteps: int = 0,
         config: LiveConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -166,7 +165,7 @@ class LiveMetrics:
         self.config = config or LiveConfig()
         self._clock = clock
         self._lock = threading.RLock()
-        self._mirror = mirror
+        self.metrics = metrics
         self._started = clock()
         n = self.num_partitions
         self.busy_s = [0.0] * n
@@ -250,105 +249,63 @@ class LiveMetrics:
             self._stall_flagged = False
             self._current = (phase, int(timestep), int(superstep))
 
-    def observe_steps(
-        self, phase: str, timestep: int, superstep: int, records: Sequence[Any]
-    ) -> None:
-        """Fold one superstep round's StepRecords (shared with the collector)."""
-        now = self._clock()
-        with self._lock:
-            for rec in records:
-                self._mirror.record_step(rec)
-                p = rec.partition
-                self.busy_s[p] += rec.busy_s
-                self.compute_s[p] += rec.compute_s
-                self.send_s[p] += rec.send_s
-                self.messages[p] += rec.messages_sent
-                self.last_seen[p] = now
-                self.heartbeats[p] += 1
-            self._round = None
-            self._stall_flagged = False  # the round completed after all
-            self._current = (phase, int(timestep), int(superstep))
-            self._maybe_snapshot(now)
+    def fold(self, record: Any) -> None:
+        """Fold one run record into the collector and the per-partition series.
 
-    def observe_begin(self, timestep: int, results: Iterable[Any]) -> None:
-        """Fold a begin-timestep round: loads, GC pauses, source stats."""
+        A ``worker_respawn`` record also becomes the ``respawn`` liveness
+        finding.
+        """
+        with self._lock:
+            self.metrics.fold(record)
+            if record.kind == "step":
+                p = record.partition
+                self.busy_s[p] += record.busy_s
+                self.compute_s[p] += record.compute_s
+                self.send_s[p] += record.send_s
+                self.messages[p] += record.messages_sent
+            elif record.kind == "worker_respawn":
+                self._push_health(
+                    HealthEvent(
+                        kind="respawn",
+                        partition=record.partition,
+                        timestep=record.timestep,
+                        superstep=record.superstep,
+                        wall_s=self._clock() - self._started,
+                        seconds=record.seconds,
+                        detail=f"incarnation {record.incarnation}"
+                        + (f" after {record.error}" if record.error else ""),
+                    )
+                )
+
+    def round_end(self, replies: Iterable[Any]) -> None:
+        """A round's replies are in: heartbeats, host-published stats, snapshot tick."""
         now = self._clock()
         with self._lock:
-            for r in results:
-                self._mirror.record_load(timestep, r.partition, r.load_s, hidden=r.load_hidden_s)
-                if r.gc_pause_s:
-                    self._mirror.record_gc(timestep, r.partition, r.gc_pause_s)
+            for r in replies:
                 stats = getattr(r, "stats", None)
                 if stats:
                     self.source_stats[r.partition] = dict(stats)
                 self.last_seen[r.partition] = now
                 self.heartbeats[r.partition] += 1
             self._round = None
-            self._stall_flagged = False
+            self._stall_flagged = False  # the round completed after all
             self._maybe_snapshot(now)
 
-    def observe_prefetch(self, timestep: int, seconds: float) -> None:
-        with self._lock:
-            self._mirror.record_prefetch(timestep, seconds)
+    def resync(self, metrics: Any) -> None:
+        """Continue on the collector a ``resume_from`` checkpoint carried.
 
-    def observe_migration(self, timestep: int, count: int, seconds: float) -> None:
-        with self._lock:
-            self._mirror.record_migration(timestep, count, seconds)
-
-    def observe_checkpoint(self, timestep: int, nbytes: int, seconds: float) -> None:
-        with self._lock:
-            self._mirror.record_checkpoint(timestep, nbytes, seconds)
-
-    def observe_recovery(self, timestep: int, seconds: float) -> None:
-        with self._lock:
-            self._mirror.record_recovery(timestep, seconds)
-
-    def observe_respawn(
-        self,
-        timestep: int,
-        superstep: int,
-        partition: int,
-        seconds: float,
-        *,
-        incarnation: int,
-        detail: str = "",
-    ) -> None:
-        """One worker was respawned (supervisor recovery).
-
-        A repair leaves the mirror alone (its records were never
-        discarded) and only flags the liveness finding.
-        """
-        now = self._clock()
-        with self._lock:
-            cause = f"incarnation {incarnation}" + (f" after {detail}" if detail else "")
-            self._push_health(
-                HealthEvent(
-                    kind="respawn",
-                    partition=partition,
-                    timestep=timestep,
-                    superstep=superstep,
-                    wall_s=now - self._started,
-                    seconds=seconds,
-                    detail=cause,
-                )
-            )
-
-    def resync(self, mirror: Any) -> None:
-        """Swap the mirror for a restored collector copy (``resume_from``).
-
-        The engine passes a *copy* of the collector the checkpoint
-        carried, so streaming totals start exactly where the run's metrics
-        do; the per-partition cumulative series are rebuilt from the
-        restored records.
+        Streaming totals start exactly where the run's metrics do; the
+        per-partition cumulative series are rebuilt from the restored
+        records.
         """
         with self._lock:
-            self._mirror = mirror
+            self.metrics = metrics
             n = self.num_partitions
             self.busy_s = [0.0] * n
             self.compute_s = [0.0] * n
             self.send_s = [0.0] * n
             self.messages = [0] * n
-            for rec in getattr(mirror, "step_records", ()):
+            for rec in metrics.step_records:
                 p = rec.partition
                 self.busy_s[p] += rec.busy_s
                 self.compute_s[p] += rec.compute_s
@@ -496,11 +453,11 @@ class LiveMetrics:
                 "timestep": t,
                 "superstep": s,
                 "progress": {
-                    "timesteps_done": self._mirror.num_timesteps_executed(),
+                    "timesteps_done": self.metrics.num_timesteps_executed(),
                     "num_timesteps": self.num_timesteps,
-                    "supersteps": self._mirror.total_supersteps(),
+                    "supersteps": self.metrics.total_supersteps(),
                 },
-                "totals": self._mirror.summary(),
+                "totals": self.metrics.summary(),
                 "partitions": partitions,
                 "sources": self._aggregate_sources(),
                 "health": {
@@ -538,9 +495,9 @@ class LiveMetrics:
     # -- totals ------------------------------------------------------------------------
 
     def summary(self) -> dict[str, Any]:
-        """Cumulative totals — exactly ``MetricsCollector.summary()``."""
+        """Cumulative totals: the run collector's ``summary()``, read under the lock."""
         with self._lock:
-            return self._mirror.summary()
+            return self.metrics.summary()
 
 
 class HeartbeatMonitor:

@@ -12,11 +12,14 @@ Timestamps come from :func:`time.perf_counter_ns`, which reads
 forked worker processes, so tracks recorded in different processes line up
 on one timeline without any clock translation.
 
-The disabled path is the **absence of a tracer** (``tracer is None``), not
-a null object: instrumented hot paths guard with one identity check and
-allocate nothing.  For call sites that want an unconditional ``with``
-statement, :data:`NULL_SPAN` is a shared, stateless, reusable no-op context
-manager.
+On a host the disabled path is the **absence of a tracer** (``tracer is
+None``), not a null object: instrumented hot paths guard with one identity
+check and allocate nothing.  The driver does not guard at all: the engine
+and the supervisor state their facts to a
+:class:`~repro.observability.recorder.RunRecorder`, the one place that
+knows whether a trace is attached, and its ``span`` hands back
+:data:`NULL_SPAN` — a shared, stateless, reusable no-op context manager —
+when none is.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class _NullSpan:
         return False
 
 
-#: Shared no-op span for ``with (tr.span(...) if tr else NULL_SPAN):`` sites.
+#: Shared no-op span: what ``RunRecorder.span`` returns on an untraced run.
 NULL_SPAN = _NullSpan()
 
 

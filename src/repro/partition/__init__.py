@@ -53,7 +53,6 @@ def partition_graph(
     partitioner: Partitioner | None = None,
     *,
     cache=None,
-    tracer=None,
 ) -> PartitionedGraph:
     """One-call convenience: assign vertices and decompose into subgraphs.
 
@@ -62,35 +61,13 @@ def partition_graph(
     :class:`~repro.generators.cache.DatasetCache`) memoizes the decomposed
     :class:`PartitionedGraph` keyed on the template's topology digest, the
     partition count, and the partitioner's configuration — a hit skips both
-    the assignment and the subgraph discovery; ``tracer`` records
-    ``partition`` spans/events for the ingest-cost breakdown.
+    the assignment and the subgraph discovery.
     """
-    import time
-
-    from ..observability.tracer import NULL_SPAN
-
     partitioner = partitioner or MetisLikePartitioner()
 
     def compute() -> PartitionedGraph:
-        span = (
-            tracer.span(
-                "partition", template=template.name, num_partitions=int(num_partitions)
-            )
-            if tracer is not None
-            else NULL_SPAN
-        )
-        with span:
-            t0 = time.perf_counter()
-            assignment = np.asarray(partitioner.assign(template, num_partitions))
-            pg = decompose(template, assignment, num_partitions)
-            if tracer is not None:
-                tracer.event(
-                    "partition",
-                    template=template.name,
-                    num_partitions=int(num_partitions),
-                    seconds=time.perf_counter() - t0,
-                )
-        return pg
+        assignment = np.asarray(partitioner.assign(template, num_partitions))
+        return decompose(template, assignment, num_partitions)
 
     if cache is not None:
         params = {
@@ -103,5 +80,5 @@ def partition_graph(
                 if isinstance(v, (int, float, bool, str))
             },
         }
-        return cache.get_or_build("partition", params, compute, tracer=tracer)
+        return cache.get_or_build("partition", params, compute)
     return compute()

@@ -31,11 +31,11 @@ timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
   original error to the engine's raise/degrade handling.
 
 Retry accounting: one :class:`~repro.resilience.recovery.FailureRecord`
-per failure occurrence with a shared per-round attempt counter,
-``metrics.record_recovery`` per completed recovery, and bounded
-:class:`RecoveryPolicy` backoff between attempts.  Every action is
-additionally captured as a structured :class:`RecoveryAction` for
-``AppResult.recovery_actions`` provenance.
+per failure occurrence with a shared per-round attempt counter, one
+``worker_respawn`` / ``protocol_retry`` record stated to the run's recorder
+per completed recovery, and bounded :class:`RecoveryPolicy` backoff between
+attempts.  Every action is additionally captured as a structured
+:class:`RecoveryAction` for ``AppResult.recovery_actions`` provenance.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..runtime.cluster import ROUND_OPS, quarantine_fill
+from ..runtime.metrics import ProtocolRetryRecord, RespawnRecord
 from .checkpoint import CheckpointManager
 from .journal import FrameJournal
 from .recovery import FailureRecord, RecoverableError, RecoveryPolicy
@@ -117,9 +118,12 @@ class HostSupervisor:
     manager:
         Checkpoint manager for partial restores (``None`` → genesis
         replay: a freshly respawned host *is* the start-of-run state).
-    metrics / live / tracer / failure_log:
-        The run's accounting surfaces; recoveries record into all of
-        them exactly once.
+    recorder:
+        The run's :class:`~repro.observability.RunRecorder`: each completed
+        recovery is stated to it once, as a record; what was detected and
+        decided on the way is stated as trace events.
+    failure_log:
+        The run's failure log (``AppResult.failure_log``).
     """
 
     def __init__(
@@ -128,20 +132,16 @@ class HostSupervisor:
         policy: RecoveryPolicy,
         journal: FrameJournal,
         *,
+        recorder: Any,
         manager: CheckpointManager | None = None,
-        metrics: Any = None,
         failure_log: list[FailureRecord] | None = None,
-        tracer: Any = None,
-        live: Any = None,
     ) -> None:
         self.cluster = cluster
         self.policy = policy
         self.journal = journal
         self.manager = manager
-        self.metrics = metrics
+        self.recorder = recorder
         self.failure_log = failure_log if failure_log is not None else []
-        self.tracer = tracer
-        self.live = live
         #: Every recovery action taken, in order (AppResult provenance).
         self.actions: list[RecoveryAction] = []
         #: Messages addressed to quarantined partitions that were dropped.
@@ -180,14 +180,13 @@ class HostSupervisor:
                 dropped = sum(len(f) for f in payloads[q])
                 if dropped:
                     self.dropped_messages += dropped
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "frames_dropped",
-                            timestep=timestep,
-                            superstep=superstep,
-                            partition=q,
-                            messages=dropped,
-                        )
+                    self.recorder.event(
+                        "frames_dropped",
+                        timestep=timestep,
+                        superstep=superstep,
+                        partition=q,
+                        messages=dropped,
+                    )
                 payloads[q] = []
         if op in ROUND_OPS:
             self.journal.append(op, timestep, superstep, payloads)
@@ -216,19 +215,7 @@ class HostSupervisor:
                     action="retry",
                 )
             )
-            if self.metrics is not None:
-                self.metrics.record_recovery(timestep, seconds)
-            if self.live is not None:
-                self.live.observe_recovery(timestep, seconds)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "protocol_retry",
-                    timestep=timestep,
-                    superstep=superstep,
-                    partition=p,
-                    seconds=seconds,
-                    error=kind,
-                )
+            self.recorder.emit(ProtocolRetryRecord(timestep, superstep, p, seconds, kind))
             self.actions.append(
                 RecoveryAction(
                     "protocol_retry",
@@ -261,15 +248,14 @@ class HostSupervisor:
         while True:
             attempt += 1
             kind = type(exc).__name__
-            if self.tracer is not None:
-                self.tracer.event(
-                    "worker_lost",
-                    error=kind,
-                    timestep=timestep,
-                    superstep=superstep,
-                    partition=p,
-                    attempt=attempt,
-                )
+            self.recorder.event(
+                "worker_lost",
+                error=kind,
+                timestep=timestep,
+                superstep=superstep,
+                partition=p,
+                attempt=attempt,
+            )
             exhausted = attempt > policy.max_retries
             action = "retry"
             if exhausted:
@@ -291,10 +277,9 @@ class HostSupervisor:
                     return attempt, quarantine_fill(op, p)
                 raise RecoveryExhausted(exc, timestep) from exc
             backoff = policy.backoff_for(attempt)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "retry", timestep=timestep, partition=p, attempt=attempt, backoff_s=backoff
-                )
+            self.recorder.event(
+                "retry", timestep=timestep, partition=p, attempt=attempt, backoff_s=backoff
+            )
             if backoff > 0:
                 time.sleep(backoff)
             started = time.perf_counter()
@@ -326,27 +311,13 @@ class HostSupervisor:
                 exc = again
                 continue
             seconds = time.perf_counter() - started
-            if self.metrics is not None:
-                self.metrics.record_recovery(timestep, seconds)
-            if self.live is not None:
-                self.live.observe_recovery(timestep, seconds)
-                self.live.observe_respawn(
-                    timestep, superstep, p, seconds, incarnation=incarnation, detail=kind
-                )
             survivors = cluster.num_partitions - len(cluster.quarantined) - 1
             replayed = len(entries)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "worker_respawn",
-                    timestep=timestep,
-                    superstep=superstep,
-                    partition=p,
-                    attempt=attempt,
-                    seconds=seconds,
-                    incarnation=incarnation,
-                    replayed_rounds=replayed,
-                    survivors=survivors,
+            self.recorder.emit(
+                RespawnRecord(
+                    timestep, superstep, p, attempt, seconds, incarnation, replayed, survivors, kind
                 )
+            )
             self.actions.append(
                 RecoveryAction(
                     "worker_respawn",
@@ -372,15 +343,14 @@ class HostSupervisor:
         """Give up on ``p`` but keep the run alive: degraded, not dead."""
         cluster = self.cluster
         cluster.quarantine(p)
-        if self.tracer is not None:
-            self.tracer.event(
-                "worker_quarantined",
-                timestep=timestep,
-                superstep=superstep,
-                partition=p,
-                attempt=attempt,
-                error=type(exc).__name__,
-            )
+        self.recorder.event(
+            "worker_quarantined",
+            timestep=timestep,
+            superstep=superstep,
+            partition=p,
+            attempt=attempt,
+            error=type(exc).__name__,
+        )
         self.actions.append(
             RecoveryAction(
                 "quarantine",

@@ -1,8 +1,14 @@
 """Execution metrics: the measurements behind Figures 5–7.
 
-The collector records one row per (phase, timestep, superstep, partition)
-with measured compute seconds and modeled send seconds, plus per-timestep
-instance-load and GC-pause events.  From those raw rows it derives:
+A run's facts are typed **records** — one :class:`StepRecord` per (phase,
+timestep, superstep, partition) with measured compute seconds and modeled
+send seconds, plus small siblings for instance loads, GC pauses,
+migrations, checkpoint writes, prefetch hints and completed repairs — and
+:meth:`MetricsCollector.fold` is the only thing that writes the collector's
+tables.  An event-log line is a record's fields under its ``kind``
+(:meth:`Record.as_event`), so :meth:`MetricsCollector.from_events` rebuilds
+the same collector from an ``events.jsonl``: one stream, one arithmetic.
+From the folded records the collector derives:
 
 * **superstep wall time** — max over partitions of (compute + send), the BSP
   critical path;
@@ -18,19 +24,59 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Any, ClassVar, Iterable, Mapping
 
 import numpy as np
 
-__all__ = ["StepRecord", "MetricsCollector", "PartitionBreakdown"]
+__all__ = [
+    "Record", "StepRecord", "LoadRecord", "GcRecord", "MigrationRecord", "CheckpointRecord",
+    "PrefetchRecord", "RespawnRecord", "ProtocolRetryRecord", "MetricsCollector",
+    "PartitionBreakdown",
+]
 
 #: Phase tags for records.
 PHASE_COMPUTE = "compute"
 PHASE_MERGE = "merge"
 
 
+class Record:
+    """Base of the typed run records (frozen dataclasses).
+
+    ``kind`` is the record's event-log kind; an event line carries the
+    record's fields under it, spelled as the dataclass spells them except
+    where schema v1 already had another name (``_event_names``).
+    """
+
+    kind: ClassVar[str]
+    #: dataclass field -> its name on a schema-v1 event line, where they differ
+    _event_names: ClassVar[dict[str, str]] = {}
+
+    def as_event(self) -> dict[str, Any]:
+        """The fields of this record's event-log line (without the envelope)."""
+        names = self._event_names
+        return {names.get(f, f): v for f, v in vars(self).items()}
+
+    @classmethod
+    def from_event(cls, event: Mapping[str, Any]) -> "Record":
+        """The record an event-log line carries; absent fields take their defaults."""
+        names = cls._event_names
+        pairs = ((f, names.get(f, f)) for f in cls.__dataclass_fields__)
+        return cls(**{f: event[name] for f, name in pairs if name in event})
+
+
 @dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     """One partition's contribution to one superstep."""
+
+    kind = "step"
+    _event_names = {
+        "subgraphs_computed": "subgraphs",
+        "messages_sent": "messages",
+        "bytes_sent": "bytes",
+        "local_messages": "local",
+        "remote_messages": "remote",
+        "frames_sent": "frames",
+    }
 
     phase: str
     timestep: int
@@ -38,9 +84,9 @@ class StepRecord:
     partition: int
     compute_s: float
     send_s: float
-    subgraphs_computed: int
-    messages_sent: int
-    bytes_sent: int
+    subgraphs_computed: int = 0
+    messages_sent: int = 0
+    bytes_sent: int = 0
     #: Messages delivered host-locally (same-partition short-circuit).
     local_messages: int = 0
     #: Messages that crossed partitions (shipped inside frames).
@@ -48,9 +94,120 @@ class StepRecord:
     #: Coalesced frames handed to the driver for routing.
     frames_sent: int = 0
 
+    @classmethod
+    def of(cls, phase: str, timestep: int, superstep: int, reply: Any) -> "StepRecord":
+        """The record of one host's reply (a ``HostStepResult``) to a round."""
+        return cls(
+            phase, timestep, superstep, reply.partition,
+            reply.compute_s, reply.send_s, reply.subgraphs_computed,
+            reply.messages_sent, reply.bytes_sent,
+            reply.local_messages, reply.remote_messages, reply.frames_sent,
+        )
+
     @property
     def busy_s(self) -> float:
         return self.compute_s + self.send_s
+
+
+@dataclass(frozen=True)
+class LoadRecord(Record):
+    """One host's instance load at a timestep boundary."""
+
+    kind = "instance_load"
+
+    timestep: int
+    partition: int
+    #: *Blocked* seconds: the stall measured inside begin_timestep.
+    seconds: float
+    #: Seconds a prefetching source overlapped with compute (off the wall).
+    hidden_s: float = 0.0
+
+
+@dataclass(frozen=True)
+class GcRecord(Record):
+    """One modeled GC pause charged at a timestep boundary."""
+
+    kind = "gc_pause"
+
+    timestep: int
+    partition: int
+    seconds: float
+
+
+@dataclass(frozen=True)
+class MigrationRecord(Record):
+    """The rebalancing applied before ``timestep``: moves and modeled transfer cost."""
+
+    kind = "migration"
+
+    timestep: int
+    count: int
+    cost_s: float
+
+
+@dataclass(frozen=True)
+class CheckpointRecord(Record):
+    """One durable checkpoint write, charged to ``timestep``.
+
+    ``seconds`` is the measured write, ``cost_s`` the modeled I/O the
+    simulated wall is charged; ``superstep`` is None at a timestep boundary.
+    """
+
+    kind = "checkpoint_write"
+
+    timestep: int
+    superstep: int | None
+    nbytes: int
+    seconds: float
+    cost_s: float
+    name: str = ""
+
+
+@dataclass(frozen=True)
+class PrefetchRecord(Record):
+    """One prefetch hint round the driver issued during ``timestep`` (modeled cost)."""
+
+    kind = "prefetch_issue"
+
+    timestep: int
+    superstep: int
+    next_timestep: int
+    cost_s: float
+
+
+@dataclass(frozen=True)
+class RespawnRecord(Record):
+    """One completed host repair (respawn + restore + journal replay), measured."""
+
+    kind = "worker_respawn"
+
+    timestep: int
+    superstep: int
+    partition: int
+    attempt: int
+    seconds: float
+    incarnation: int
+    replayed_rounds: int
+    survivors: int
+    #: Kind of the failure repaired (what the ``worker_lost`` event reported).
+    error: str = ""
+
+
+@dataclass(frozen=True)
+class ProtocolRetryRecord(Record):
+    """One wire-level incident the idempotent resend protocol cured, measured."""
+
+    kind = "protocol_retry"
+
+    timestep: int
+    superstep: int
+    partition: int
+    seconds: float
+    error: str
+
+
+#: Event-log kind -> the record class its lines carry.
+RECORD_KINDS: dict[str, type[Record]] = {cls.kind: cls for cls in Record.__subclasses__()}
 
 
 @dataclass(frozen=True)
@@ -75,7 +232,7 @@ class PartitionBreakdown:
 
 
 class MetricsCollector:
-    """Accumulates raw records during a run and derives figure-ready series."""
+    """Folds a run's records into tables and derives figure-ready series."""
 
     def __init__(self, num_partitions: int, *, barrier_s: float = 0.0) -> None:
         self.num_partitions = int(num_partitions)
@@ -100,9 +257,9 @@ class MetricsCollector:
         self.supersteps_per_timestep: dict[int, int] = defaultdict(int)
         self.merge_supersteps: int = 0
         #: timestep -> modeled checkpoint-write I/O seconds charged to it.
-        #: A timestep-boundary checkpoint is keyed by the *next* timestep
-        #: (like migrations: boundary work precedes the timestep it gates);
-        #: superstep-boundary checkpoints are keyed by their own timestep.
+        #: A timestep-boundary checkpoint is keyed by the timestep it
+        #: *closes* (so the one after the last timestep still lands on an
+        #: executed timestep); a superstep-boundary one by its own timestep.
         self.checkpoint_s: dict[int, float] = defaultdict(float)
         self.checkpoints: int = 0
         self.checkpoint_bytes: int = 0
@@ -113,44 +270,56 @@ class MetricsCollector:
 
     # -- recording -----------------------------------------------------------------
 
-    def record_step(self, record: StepRecord) -> None:
-        self.step_records.append(record)
-        if record.phase == PHASE_COMPUTE:
-            self.supersteps_per_timestep[record.timestep] = max(
-                self.supersteps_per_timestep[record.timestep], record.superstep + 1
-            )
+    def fold(self, record: Record) -> None:
+        """Fold one record into the tables — the collector's only write path."""
+        kind = record.kind
+        t = record.timestep
+        if kind == "step":
+            self.step_records.append(record)
+            if record.phase == PHASE_COMPUTE:
+                self.supersteps_per_timestep[t] = max(
+                    self.supersteps_per_timestep[t], record.superstep + 1
+                )
+            else:
+                self.merge_supersteps = max(self.merge_supersteps, record.superstep + 1)
+        elif kind == "instance_load":
+            self.load_s[(t, record.partition)] += record.seconds
+            if record.hidden_s:
+                self.load_hidden_s[(t, record.partition)] += record.hidden_s
+        elif kind == "gc_pause":
+            self.gc_s[(t, record.partition)] += record.seconds
+        elif kind == "migration":
+            self.migrations[t] += record.count
+            self.migration_s[t] += record.cost_s
+        elif kind == "checkpoint_write":
+            self.checkpoints += 1
+            self.checkpoint_bytes += int(record.nbytes)
+            self.checkpoint_s[t] += record.cost_s
+        elif kind == "prefetch_issue":
+            self.prefetch_s[t] += record.cost_s
+        elif kind in ("worker_respawn", "protocol_retry"):
+            self.retries += 1
+            self.recovery_s[t] += record.seconds
         else:
-            self.merge_supersteps = max(self.merge_supersteps, record.superstep + 1)
+            raise TypeError(f"not a run record: {record!r}")
 
-    def record_load(
-        self, timestep: int, partition: int, seconds: float, hidden: float = 0.0
-    ) -> None:
-        self.load_s[(timestep, partition)] += seconds
-        if hidden:
-            self.load_hidden_s[(timestep, partition)] += hidden
+    @classmethod
+    def from_events(
+        cls, events: Iterable[Mapping[str, Any]], num_partitions: int, *, barrier_s: float = 0.0
+    ) -> "MetricsCollector":
+        """Rebuild a run's collector from its event log (the inverse of ``as_event``).
 
-    def record_prefetch(self, timestep: int, seconds: float) -> None:
-        """Modeled cost of one prefetch hint round issued during ``timestep``."""
-        self.prefetch_s[timestep] += seconds
-
-    def record_gc(self, timestep: int, partition: int, seconds: float) -> None:
-        self.gc_s[(timestep, partition)] += seconds
-
-    def record_migration(self, timestep: int, count: int, seconds: float) -> None:
-        """Transfer cost of rebalancing applied before ``timestep``."""
-        self.migrations[timestep] += count
-        self.migration_s[timestep] += seconds
-
-    def record_checkpoint(self, timestep: int, nbytes: int, seconds: float) -> None:
-        """Modeled I/O cost of one checkpoint write charged to ``timestep``."""
-        self.checkpoints += 1
-        self.checkpoint_bytes += int(nbytes)
-        self.checkpoint_s[timestep] += seconds
-
-    def record_recovery(self, timestep: int, seconds: float) -> None:
-        """Measured wall of one recovery in a round of ``timestep``."""
-        self.retries += 1
-        self.recovery_s[timestep] += seconds
+        ``events`` are ``result.trace.event_records()`` or a read-back
+        ``events.jsonl``, in log order; lines of other kinds are skipped.
+        ``barrier_s`` is the modeled per-superstep barrier cost
+        (``CostModel.barrier_cost``), recorded in the run manifest.
+        """
+        metrics = cls(num_partitions, barrier_s=barrier_s)
+        for event in events:
+            record_cls = RECORD_KINDS.get(event.get("kind"))
+            if record_cls is not None:
+                metrics.fold(record_cls.from_event(event))
+        return metrics
 
     # -- derivations ------------------------------------------------------------------
 

@@ -110,7 +110,7 @@ def apply_migrations(
     migrations: list[Migration],
     sg_part: np.ndarray,
     cost_model: CostModel,
-    tracer=None,
+    recorder,
 ) -> float:
     """Execute migrations on an in-process cluster.
 
@@ -118,7 +118,8 @@ def apply_migrations(
     temporal inbox buffered for the next timestep) between hosts, updates
     the shared routing array in place, and returns the modeled transfer
     cost in seconds (charged to the next timestep's wall by the engine).
-    When ``tracer`` is given, one ``migrate`` event is emitted per move.
+    One ``migrate`` trace event per move is stated to ``recorder`` (the
+    run's :class:`~repro.observability.RunRecorder`).
     """
     if not isinstance(cluster, LocalCluster):
         raise NotImplementedError(
@@ -137,15 +138,14 @@ def apply_migrations(
         nbytes += sum(m.approx_size() for m in temporal)
         cost = cost_model.remote_send_cost(1, nbytes)
         total_cost += cost
-        if tracer is not None:
-            tracer.event(
-                "migrate",
-                subgraph=move.subgraph_id,
-                src=move.source_partition,
-                dst=move.target_partition,
-                nbytes=nbytes,
-                cost_s=cost,
-            )
+        recorder.event(
+            "migrate",
+            subgraph=move.subgraph_id,
+            src=move.source_partition,
+            dst=move.target_partition,
+            nbytes=nbytes,
+            cost_s=cost,
+        )
     return total_cost
 
 

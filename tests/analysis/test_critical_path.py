@@ -1,20 +1,16 @@
-"""Critical-path attribution: synthetic arithmetic + crosschecks on real runs."""
+"""Critical-path attribution: synthetic arithmetic + reconciliation on real runs."""
 
 import pytest
 
 from repro.algorithms import TDSPComputation
-from repro.analysis import (
-    critical_path_report,
-    crosscheck_critical_path,
-    crosscheck_trace,
-    format_critical_path_report,
-)
+from repro.analysis import critical_path_report, format_critical_path_report
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime.gc_model import GCModel
+from repro.runtime.metrics import MetricsCollector
 from repro.runtime.rebalance import GreedyRebalancer
-from tests.conftest import make_grid_template
+from tests.conftest import assert_one_record_stream, make_grid_template
 
 PARTITIONS = 3
 
@@ -31,6 +27,13 @@ def _load(t, p, seconds):
             "seconds": seconds, "hidden_s": 0.0}
 
 
+def _report(events, num_partitions, barrier_s=0.0):
+    """The offline path: fold an event log, then attribute."""
+    return critical_path_report(
+        MetricsCollector.from_events(events, num_partitions, barrier_s=barrier_s)
+    )
+
+
 class TestSyntheticAttribution:
     def test_chain_follows_slowest_partition(self):
         events = [
@@ -38,7 +41,7 @@ class TestSyntheticAttribution:
             _step(0, 0, 0, 1.0, 0.2), _step(0, 0, 1, 0.5),
             _step(0, 1, 0, 0.1), _step(0, 1, 1, 0.8, 0.1),
         ]
-        report = critical_path_report(events, 2, barrier_s=0.05)
+        report = _report(events, 2, barrier_s=0.05)
         (entry,) = report["timesteps"]
         # s0 pinned by p0 (1.2 busy), s1 by p1 (0.9 busy); load peak on p0.
         assert [(c["superstep"], c["partition"]) for c in entry["chain"]] == [(0, 0), (1, 1)]
@@ -59,12 +62,12 @@ class TestSyntheticAttribution:
 
     def test_ties_break_to_lowest_partition(self):
         events = [_step(0, 0, 1, 0.5), _step(0, 0, 0, 0.5)]
-        report = critical_path_report(events, 2)
+        report = _report(events, 2)
         assert report["timesteps"][0]["chain"][0]["partition"] == 0
 
     def test_format_report(self):
         events = [_step(0, 0, 0, 1.0), _step(0, 0, 1, 0.5)]
-        text = format_critical_path_report(critical_path_report(events, 2))
+        text = format_critical_path_report(_report(events, 2))
         assert "critical path over 1 timesteps" in text
         assert "partition 0" in text
         assert "compute" in text
@@ -86,7 +89,13 @@ class TestCrosscheck:
             TDSPComputation(0), pg, coll,
             config=EngineConfig(executor=executor, tracing=True),
         )
-        assert crosscheck_critical_path(res) == []
+        assert_one_record_stream(res)
+        # Per timestep, not just in total: the report re-partitions the
+        # collector's own wall.
+        for entry in critical_path_report(res.metrics)["timesteps"]:
+            assert entry["wall_s"] == pytest.approx(
+                res.metrics.timestep_wall(entry["timestep"]), abs=1e-12
+            )
 
     def test_with_gc_and_rebalancing(self, road_case):
         _tpl, coll, pg = road_case
@@ -96,11 +105,12 @@ class TestCrosscheck:
                 tracing=True, gc_model=GCModel(), rebalancer=GreedyRebalancer()
             ),
         )
-        assert crosscheck_trace(res) == []
-        assert crosscheck_critical_path(res) == []
+        assert_one_record_stream(res)
 
-    def test_requires_trace(self, road_case):
+    def test_needs_no_trace(self, road_case):
         _tpl, coll, pg = road_case
         res = run_application(TDSPComputation(0), pg, coll)
-        with pytest.raises(ValueError, match="no trace"):
-            crosscheck_critical_path(res)
+        report = critical_path_report(res.metrics)
+        assert [e["timestep"] for e in report["timesteps"]] == sorted(
+            res.metrics.supersteps_per_timestep
+        )

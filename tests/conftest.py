@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.graph import (
     build_collection,
 )
 from repro.partition import HashPartitioner, partition_graph
+from repro.runtime.metrics import MetricsCollector
 
 
 def make_grid_template(rows: int, cols: int, *, name: str = "grid", with_attrs: bool = True) -> GraphTemplate:
@@ -91,6 +94,50 @@ def populate_random(seed: int):
         inst.vertex_values.set_column("tweets", tweets)
 
     return _pop
+
+
+def refold(result, events=None) -> MetricsCollector:
+    """Fold a traced run's event log, through JSON, back into a collector."""
+    if events is None:
+        events = result.trace.event_records()
+    m = result.metrics
+    return MetricsCollector.from_events(
+        json.loads(json.dumps(events)), m.num_partitions, barrier_s=m.barrier_s
+    )
+
+
+def folds_equal(a: MetricsCollector, b: MetricsCollector) -> bool:
+    """Every derived figure of two collectors agrees with ``==`` (no tolerance)."""
+    return (
+        a.summary() == b.summary()
+        and a.partition_breakdown() == b.partition_breakdown()
+        and a.timestep_series() == b.timestep_series()
+        and a.total_load_s() == b.total_load_s()
+        and a.total_load_hidden_s() == b.total_load_hidden_s()
+    )
+
+
+def assert_one_record_stream(result) -> None:
+    """The event-log completeness check, with one arithmetic.
+
+    The collector the run ended with and the one ``from_events`` rebuilds
+    from its JSON-round-tripped event log agree exactly; every checkpoint is
+    charged to an executed timestep; and the critical-path report covers
+    exactly the executed timesteps and re-partitions the simulated wall.
+    """
+    from repro.analysis import critical_path_report
+
+    m = result.metrics
+    assert folds_equal(refold(result), m)
+    executed = sorted(m.supersteps_per_timestep)
+    assert set(m.checkpoint_s) <= set(executed)
+    report = critical_path_report(m)
+    assert [e["timestep"] for e in report["timesteps"]] == executed
+    attributed = sum(e["wall_s"] for e in report["timesteps"])
+    assert attributed == pytest.approx(m.total_wall() - m.merge_wall(), abs=1e-12)
+    if result.live is not None:
+        assert result.live.metrics is m
+        assert result.live.summary() == m.summary()
 
 
 @pytest.fixture

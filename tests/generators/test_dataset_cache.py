@@ -1,4 +1,4 @@
-"""Dataset cache: content keys, atomicity, cold/warm identity, tracing."""
+"""Dataset cache: content keys, atomicity, cold/warm identity."""
 
 import pickle
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.generators import DatasetCache, content_key, paper_datasets
 from repro.generators.cache import INGEST_CODE_VERSION
-from repro.observability.tracer import Tracer
 from repro.partition import partition_graph
 from repro.partition.metis_like import MetisLikePartitioner
 
@@ -107,12 +106,3 @@ class TestColdWarmIdentity:
         # Different partitioner seeds must not share a cache entry.
         assert cache.misses >= 3  # datasets + two partition builds
         assert not np.array_equal(a.vertex_partition, b.vertex_partition)
-
-    def test_cache_events_traced(self, tmp_path):
-        cache = DatasetCache(tmp_path)
-        tr = Tracer()
-        paper_datasets(self.SCALE, 5, seed=3, cache=cache, tracer=tr)
-        paper_datasets(self.SCALE, 5, seed=3, cache=cache, tracer=tr)
-        kinds = [e["kind"] for e in tr.events]
-        assert "cache_miss" in kinds
-        assert "cache_hit" in kinds

@@ -1,6 +1,8 @@
-"""Live telemetry plane: exact mirroring, health detection, engine wiring."""
+"""Live telemetry plane: one collector, health detection, engine wiring."""
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.observability import (
     HealthEvent,
     LiveConfig,
     LiveMetrics,
+    RunRecorder,
     live_enabled,
     read_snapshots,
     validate_live_snapshot,
@@ -62,7 +65,8 @@ class TestEngineIntegration:
             config=EngineConfig(executor=executor, live=_live_config()),
         )
         assert res.live is not None
-        # Not approximately: the mirror saw the same records in the same order.
+        # Not approximately: the registry reads the run's own collector.
+        assert res.live.metrics is res.metrics
         assert res.live.summary() == res.metrics.summary()
 
     def test_summary_matches_collector_process_executor(self, road_case):
@@ -76,6 +80,51 @@ class TestEngineIntegration:
         # Hosts published per-source stats on the protocol replies.
         final = res.live.last_snapshot()
         assert final["sources"].get("resident_bytes", 0) > 0
+
+    def test_reader_thread_sees_monotone_totals(self, road_case, monkeypatch):
+        """A dashboard polling from another thread reads whole records: the
+        driver folds under the lock ``snapshot`` / ``summary`` take."""
+        import repro.core.engine as engine_mod
+
+        _tpl, coll, pg = road_case
+        sources = [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]
+        seen, errors, lives = [], [], []
+        done = threading.Event()
+
+        def capture(*args, **kwargs):
+            """Hand the reader the registry the engine builds."""
+            lives.append(LiveMetrics(*args, **kwargs))
+            return lives[-1]
+
+        def poll():
+            try:
+                while not done.is_set():
+                    if lives:
+                        seen.append(lives[0].snapshot(force=True)["totals"]["supersteps"])
+                        seen.append(lives[0].summary()["supersteps"])
+            except Exception as exc:  # surfaced below, on the test thread
+                errors.append(exc)
+
+        monkeypatch.setattr(engine_mod, "LiveMetrics", capture)
+        reader = threading.Thread(target=poll, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        reader.start()
+        try:
+            res = run_application(
+                TDSPComputation(0), pg, coll, sources=sources,
+                config=EngineConfig(executor="process", live=_live_config(ring=4)),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            done.set()
+            reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert errors == []
+        assert seen and seen == sorted(seen)
+        # One registry, and it holds no second collector.
+        assert lives == [res.live] and res.live.metrics is res.metrics
+        assert res.live.summary() == res.metrics.summary()
 
     def test_results_bit_identical_live_on_vs_off(self, road_case):
         _tpl, coll, pg = road_case
@@ -137,8 +186,16 @@ class TestEngineIntegration:
         assert "straggler" in logged
 
 
-def _mirror():
+def _collector():
     return MetricsCollector(PARTITIONS, barrier_s=0.001)
+
+
+def _round(live, records):
+    """What the engine does with one round's replies: emit each, then absorb."""
+    recorder = RunRecorder(live.metrics, live=live)
+    for rec in records:
+        recorder.emit(rec)
+    recorder.absorb(records)
 
 
 def _rec(p, *, compute_s=0.1, send_s=0.0, messages=1, t=0, s=0):
@@ -169,20 +226,20 @@ class TestDetection:
     def test_straggler_flagged_and_debounced(self):
         clock = FakeClock()
         live = LiveMetrics(
-            PARTITIONS, mirror=_mirror(), clock=clock,
+            PARTITIONS, metrics=_collector(), clock=clock,
             config=_live_config(straggler_factor=2.0, straggler_min_s=0.05, **MANUAL),
         )
         live.snapshot(force=True)  # establish the window baseline
         records = [_rec(0, compute_s=1.0), _rec(1, compute_s=0.1), _rec(2, compute_s=0.1)]
         clock.advance(1.0)
-        live.observe_steps(PHASE_COMPUTE, 0, 0, records)
+        _round(live, records)
         snap = live.snapshot(force=True)
         assert snap["health"]["stragglers"] == [0]
         events = [e for e in live.health_events() if e.kind == "straggler"]
         assert len(events) == 1 and events[0].partition == 0
         # Same partition still slow next window: no duplicate event.
         clock.advance(1.0)
-        live.observe_steps(PHASE_COMPUTE, 0, 1, [
+        _round(live, [
             _rec(0, compute_s=1.0, s=1), _rec(1, compute_s=0.1, s=1), _rec(2, compute_s=0.1, s=1),
         ])
         live.snapshot(force=True)
@@ -191,21 +248,21 @@ class TestDetection:
     def test_balanced_partitions_not_flagged(self):
         clock = FakeClock()
         live = LiveMetrics(
-            PARTITIONS, mirror=_mirror(), clock=clock, config=_live_config(**MANUAL)
+            PARTITIONS, metrics=_collector(), clock=clock, config=_live_config(**MANUAL)
         )
         live.snapshot(force=True)
         clock.advance(1.0)
-        live.observe_steps(PHASE_COMPUTE, 0, 0, [_rec(p, compute_s=0.1) for p in range(PARTITIONS)])
+        _round(live, [_rec(p, compute_s=0.1) for p in range(PARTITIONS)])
         snap = live.snapshot(force=True)
         assert snap["health"]["stragglers"] == []
 
     def test_stall_detected_once_per_round(self):
         clock = FakeClock()
         live = LiveMetrics(
-            PARTITIONS, mirror=_mirror(), clock=clock,
+            PARTITIONS, metrics=_collector(), clock=clock,
             config=_live_config(stall_after_s=2.0, **MANUAL),
         )
-        live.observe_steps(PHASE_COMPUTE, 0, 0, [_rec(1), _rec(2)])  # p0 never seen... later
+        _round(live, [_rec(1), _rec(2)])  # p0 never seen... later
         live.round_begin(PHASE_COMPUTE, 0, 1)
         clock.advance(1.0)
         assert live.check_stalled() is None  # under threshold
@@ -216,18 +273,19 @@ class TestDetection:
         assert event.seconds == pytest.approx(2.5)
         assert live.check_stalled() is None  # flagged once per round
         # The next completed round clears the stall state.
-        live.observe_steps(PHASE_COMPUTE, 0, 1, [_rec(p) for p in range(PARTITIONS)])
+        _round(live, [_rec(p, s=1) for p in range(PARTITIONS)])
         assert live.snapshot(force=True)["health"]["stalled"] is False
 
     def test_resync_rewinds_to_restored_collector(self):
         clock = FakeClock()
         live = LiveMetrics(
-            PARTITIONS, mirror=_mirror(), clock=clock, config=_live_config(**MANUAL)
+            PARTITIONS, metrics=_collector(), clock=clock, config=_live_config(**MANUAL)
         )
-        live.observe_steps(PHASE_COMPUTE, 0, 0, [_rec(p, compute_s=0.5) for p in range(PARTITIONS)])
-        restored = _mirror()
-        restored.record_step(_rec(0, compute_s=0.2))
+        _round(live, [_rec(p, compute_s=0.5) for p in range(PARTITIONS)])
+        restored = _collector()
+        restored.fold(_rec(0, compute_s=0.2))
         live.resync(restored)
+        assert live.metrics is restored
         assert live.summary() == restored.summary()
         assert live.busy_s[0] == pytest.approx(0.2)
         assert live.busy_s[1] == 0.0

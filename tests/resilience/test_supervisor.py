@@ -2,15 +2,18 @@
 
 import pytest
 
-from repro.core import EngineConfig, run_application
+from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import (
+    AT_BEGIN,
     CheckpointConfig,
     FaultPlan,
     FrameJournal,
+    HostSupervisor,
     RecoveryAction,
     RecoveryPolicy,
 )
-from repro.runtime import CollectionInstanceSource
+from repro.runtime import CollectionInstanceSource, LocalCluster, ProcessCluster, RunMeta
+from repro.runtime.metrics import MetricsCollector
 
 from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
 
@@ -216,6 +219,62 @@ class TestFrameJournal:
         j.append("begin", 1, -101, None)
         assert len(j) == 1
         assert j.rounds_journaled == 3
+
+
+class ListRecorder:
+    """A ``RunRecorder`` stand-in that keeps every fact it is told, in order."""
+
+    def __init__(self):
+        self.metrics = MetricsCollector(NUM_PARTITIONS)
+        self.facts: list[str] = []
+
+    def emit(self, record):
+        self.metrics.fold(record)
+        self.facts.append(record.kind)
+
+    def event(self, kind, **fields):
+        self.facts.append(kind)
+
+
+class TestStatesEachFactOnce:
+    """The supervisor tells one recorder; it never asks which sinks are on."""
+
+    def _supervised(self, cluster, recorder):
+        policy = RecoveryPolicy(backoff_s=0.0)
+        supervisor = HostSupervisor(
+            cluster, policy, FrameJournal(NUM_PARTITIONS), recorder=recorder
+        )
+        supervisor.round("begin", 0, AT_BEGIN, [0.0] * NUM_PARTITIONS)
+        supervisor.round("superstep", 0, 0, [[] for _ in range(NUM_PARTITIONS)])
+        return supervisor
+
+    def test_one_kill_one_respawn_record(self, case):
+        _tpl, coll, pg = case
+        meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
+        cluster = LocalCluster(
+            pg, AccumulateSum(), meta, collection=coll,
+            fault_plan=FaultPlan.parse("kill@t0:s0:p1", seed=3),
+        )
+        recorder = ListRecorder()
+        supervisor = self._supervised(cluster, recorder)
+        assert recorder.facts == ["worker_lost", "retry", "worker_respawn"]
+        assert recorder.metrics.retries == 1
+        assert recorder.metrics.total_recovery_s() == supervisor.actions[0].seconds
+
+    def test_one_cured_drop_one_protocol_retry_record(self, case, sources):
+        _tpl, coll, pg = case
+        meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
+        recorder = ListRecorder()
+        with ProcessCluster(
+            pg, AccumulateSum(), meta, sources,
+            fault_plan=FaultPlan.parse("drop_frame@t0:s0:p0", seed=3),
+            retry_policy=RecoveryPolicy(backoff_s=0.0),
+            gather_timeout_s=0.5,
+        ) as cluster:
+            supervisor = self._supervised(cluster, recorder)
+        assert recorder.facts == ["protocol_retry"]
+        assert recorder.metrics.retries == 1
+        assert [a.kind for a in supervisor.actions] == ["protocol_retry"]
 
 
 def test_recovery_action_as_dict_round_trips():

@@ -1,12 +1,18 @@
-"""Trace replay through recovery: event coverage, recovery walls, crosscheck."""
+"""The one record stream through recovery: event coverage, recovery walls, round trip."""
 
 import pytest
 
-from repro.analysis import crosscheck_trace, replay_timestep_walls
+from repro.analysis import critical_path_report
 from repro.core import EngineConfig, run_application
-from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy
+from repro.generators import road_latency_collection
+from repro.observability import LiveConfig
+from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
+from repro.runtime import CollectionInstanceSource
+from repro.runtime.gc_model import GCModel
+from repro.runtime.metrics import MetricsCollector
+from tests.conftest import assert_one_record_stream, folds_equal, refold
 
-from .conftest import AccumulateSum, RingRelay
+from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
 
 pytestmark = pytest.mark.resilience
 
@@ -30,12 +36,13 @@ class TestReplayWalls:
              "survivors": 0},
             _step(2, 0, compute_s=2.0),
         ]
-        walls = replay_timestep_walls(events, 1)
-        assert walls[0] == pytest.approx(1.0)
+        m = MetricsCollector.from_events(events, 1)
+        assert m.timestep_wall(0) == pytest.approx(1.0)
         # The t1 checkpoint's modeled I/O cost is charged to t1; t2's wall
         # carries the measured repair of the worker that died in it.
-        assert walls[1] == pytest.approx(2.0 + 0.25)
-        assert walls[2] == pytest.approx(2.0 + 0.5)
+        assert m.timestep_wall(1) == pytest.approx(2.0 + 0.25)
+        assert m.timestep_wall(2) == pytest.approx(2.0 + 0.5)
+        assert (m.checkpoints, m.checkpoint_bytes, m.retries) == (1, 100, 1)
 
 
 class TestTracedRecovery:
@@ -61,7 +68,7 @@ class TestTracedRecovery:
 
     def test_crosscheck_clean_under_rollback(self, case, tmp_path):
         result = self._traced(case, tmp_path, "kill@t2:p1")
-        assert crosscheck_trace(result) == []
+        assert_one_record_stream(result)
 
     def test_crosscheck_clean_superstep_rollback(self, case, tmp_path):
         _tpl, coll, pg = case
@@ -72,35 +79,94 @@ class TestTracedRecovery:
             recovery=RecoveryPolicy(backoff_s=0.0),
         )
         result = run_application(RingRelay(len(pg.subgraphs)), pg, coll, config=cfg)
-        assert crosscheck_trace(result) == []
+        assert_one_record_stream(result)
 
     def test_recovery_time_visible_in_walls(self, case, tmp_path):
         result = self._traced(case, tmp_path, "kill@t2:p1")
         m = result.metrics
-        walls = replay_timestep_walls(
-            result.trace.event_records(), m.num_partitions, barrier_s=m.barrier_s
-        )
         assert m.total_recovery_s() > 0
-        # The wall for the recovered timestep carries the measured restore.
-        assert walls[2] >= m.total_recovery_s()
+        # The wall for the recovered timestep carries the measured restore —
+        # in the run's collector and in the one folded from its event log.
+        assert m.timestep_wall(2) >= m.total_recovery_s()
+        assert refold(result).timestep_wall(2) == m.timestep_wall(2)
 
-    def test_crosscheck_rejects_resumed_run(self, case, tmp_path):
-        _tpl, coll, pg = case
-        with pytest.raises(Exception):
+    def test_dropped_respawn_event_breaks_the_round_trip(self, case, tmp_path):
+        result = self._traced(case, tmp_path, "kill@t2:p1")
+        events = result.trace.event_records()
+        events.remove(next(e for e in events if e["kind"] == "worker_respawn"))
+        assert not folds_equal(refold(result, events), result.metrics)
+
+    def test_resumed_run_reported_whole(self, case, tmp_path):
+        """A resumed run's collector carries the timesteps run before the
+        crash, so every fold over it covers the whole run."""
+        tpl, _coll, pg = case
+        coll = road_latency_collection(tpl, 6, seed=11)
+        with pytest.raises(RunFailureError):
             run_application(
                 AccumulateSum(), pg, coll,
                 config=EngineConfig(
                     checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                    faults=FaultPlan.parse("kill@t2:p1", seed=9),
+                    faults=FaultPlan.parse("kill@t3:p1", seed=9),
                     recovery=RecoveryPolicy(max_retries=0, backoff_s=0.0),
                 ),
             )
         resumed = run_application(
             AccumulateSum(), pg, coll,
             config=EngineConfig(
-                tracing=True, checkpoint=CheckpointConfig(dir=tmp_path)
+                tracing=True,
+                live=LiveConfig(interval_s=0.0, heartbeat_s=None),
+                checkpoint=CheckpointConfig(dir=tmp_path),
             ),
             resume_from=True,
         )
-        with pytest.raises(ValueError, match="resumed run"):
-            crosscheck_trace(resumed)
+        m = resumed.metrics
+        assert sorted(m.supersteps_per_timestep) == [0, 1, 2, 3, 4, 5]
+        report = critical_path_report(m)
+        assert [e["timestep"] for e in report["timesteps"]] == [0, 1, 2, 3, 4, 5]
+        assert resumed.live.metrics is m
+        assert resumed.live.summary() == m.summary()
+        assert set(m.checkpoint_s) <= set(m.supersteps_per_timestep)
+        # Its trace starts at the resume point: the log alone is the tail.
+        assert sorted(refold(resumed).supersteps_per_timestep) == [3, 4, 5]
+
+
+#: (fault plan, computation factory, superstep checkpoint cadence)
+ROUND_TRIP_FAULTS = {
+    "none": (None, lambda pg: AccumulateSum(), None),
+    "kill": ("kill@t2:p1", lambda pg: AccumulateSum(), None),
+    "kill-mid-timestep": ("kill@t2:s2:p1", lambda pg: RingRelay(len(pg.subgraphs)), 1),
+    "drop": ("drop@t3:s0:p0", lambda pg: AccumulateSum(), None),
+}
+
+
+class TestRoundTrip:
+    """Event-log completeness, with one arithmetic: the collector folded from
+    the JSON event log ``==`` the one the run ended with — every executor,
+    through kills, mid-timestep restores and cured wire faults, with tracing,
+    live, the GC model and timestep + superstep checkpoints all on."""
+
+    @pytest.mark.parametrize("fault", list(ROUND_TRIP_FAULTS))
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_log_refolds_to_the_run_collector(self, case, tmp_path, executor, fault):
+        _tpl, coll, pg = case
+        spec, computation, superstep_every = ROUND_TRIP_FAULTS[fault]
+        result = run_application(
+            computation(pg), pg, coll,
+            sources=[CollectionInstanceSource(coll) for _ in range(NUM_PARTITIONS)],
+            config=EngineConfig(
+                executor=executor,
+                tracing=True,
+                live=LiveConfig(interval_s=0.0, heartbeat_s=None),
+                gc_model=GCModel(interval=2, pause_per_gib_s=0.5),
+                checkpoint=CheckpointConfig(
+                    dir=tmp_path, every=1, superstep_every=superstep_every
+                ),
+                faults=None if spec is None else FaultPlan.parse(spec, seed=9),
+                recovery=RecoveryPolicy(backoff_s=0.0),
+                gather_timeout_s=1.0,
+            ),
+        )
+        assert result.failure is None
+        assert result.metrics.checkpoints >= 4
+        assert result.metrics.retries == (0 if spec is None else 1)
+        assert_one_record_stream(result)

@@ -14,7 +14,7 @@ def make_result(compute_grid: np.ndarray) -> AppResult:
     m = MetricsCollector(P)
     for t in range(T):
         for p in range(P):
-            m.record_step(
+            m.fold(
                 StepRecord(
                     PHASE_COMPUTE, t, 0, p, float(compute_grid[t, p]), 0.0, 1, 0, 0
                 )

@@ -5,7 +5,10 @@ import pytest
 from repro.runtime.metrics import (
     PHASE_COMPUTE,
     PHASE_MERGE,
+    GcRecord,
+    LoadRecord,
     MetricsCollector,
+    MigrationRecord,
     PartitionBreakdown,
     StepRecord,
 )
@@ -18,33 +21,33 @@ def rec(t, s, p, compute, send=0.0, phase=PHASE_COMPUTE, computed=1, msgs=0, bts
 class TestSuperstepWalls:
     def test_wall_is_max_busy_plus_barrier(self):
         m = MetricsCollector(2, barrier_s=0.1)
-        m.record_step(rec(0, 0, 0, compute=1.0, send=0.5))
-        m.record_step(rec(0, 0, 1, compute=2.0))
+        m.fold(rec(0, 0, 0, compute=1.0, send=0.5))
+        m.fold(rec(0, 0, 1, compute=2.0))
         walls = m.superstep_walls()
         assert walls[(PHASE_COMPUTE, 0, 0)] == pytest.approx(2.1)
 
     def test_timestep_wall_sums_supersteps(self):
         m = MetricsCollector(1)
-        m.record_step(rec(0, 0, 0, 1.0))
-        m.record_step(rec(0, 1, 0, 2.0))
-        m.record_step(rec(1, 0, 0, 5.0))
+        m.fold(rec(0, 0, 0, 1.0))
+        m.fold(rec(0, 1, 0, 2.0))
+        m.fold(rec(1, 0, 0, 5.0))
         assert m.timestep_wall(0) == pytest.approx(3.0)
         assert m.timestep_wall(1) == pytest.approx(5.0)
         assert m.timestep_series() == [pytest.approx(3.0), pytest.approx(5.0)]
 
     def test_loads_and_gc_gate_on_slowest(self):
         m = MetricsCollector(2)
-        m.record_step(rec(0, 0, 0, 1.0))
-        m.record_step(rec(0, 0, 1, 1.0))
-        m.record_load(0, 0, 0.2)
-        m.record_load(0, 1, 0.7)
-        m.record_gc(0, 0, 0.4)
+        m.fold(rec(0, 0, 0, 1.0))
+        m.fold(rec(0, 0, 1, 1.0))
+        m.fold(LoadRecord(0, 0, 0.2))
+        m.fold(LoadRecord(0, 1, 0.7))
+        m.fold(GcRecord(0, 0, 0.4))
         assert m.timestep_wall(0) == pytest.approx(1.0 + 0.7 + 0.4)
 
     def test_total_wall_includes_merge(self):
         m = MetricsCollector(1)
-        m.record_step(rec(0, 0, 0, 1.0))
-        m.record_step(rec(-1, 0, 0, 3.0, phase=PHASE_MERGE))
+        m.fold(rec(0, 0, 0, 1.0))
+        m.fold(rec(-1, 0, 0, 3.0, phase=PHASE_MERGE))
         assert m.merge_wall() == pytest.approx(3.0)
         assert m.total_wall() == pytest.approx(4.0)
 
@@ -52,8 +55,8 @@ class TestSuperstepWalls:
 class TestBreakdown:
     def test_sync_overhead_is_idle_time(self):
         m = MetricsCollector(2)
-        m.record_step(rec(0, 0, 0, compute=1.0))
-        m.record_step(rec(0, 0, 1, compute=3.0))
+        m.fold(rec(0, 0, 0, compute=1.0))
+        m.fold(rec(0, 0, 1, compute=3.0))
         b0, b1 = m.partition_breakdown()
         assert b0.compute_s == 1.0 and b1.compute_s == 3.0
         assert b0.sync_overhead_s == pytest.approx(2.0)  # waited for partition 1
@@ -61,7 +64,7 @@ class TestBreakdown:
 
     def test_send_time_is_partition_overhead(self):
         m = MetricsCollector(1)
-        m.record_step(rec(0, 0, 0, compute=1.0, send=0.25))
+        m.fold(rec(0, 0, 0, compute=1.0, send=0.25))
         (b,) = m.partition_breakdown()
         assert b.partition_overhead_s == 0.25
         cf, pf, sf = b.fractions()
@@ -71,9 +74,9 @@ class TestBreakdown:
 
     def test_load_gc_idle_counted_as_sync(self):
         m = MetricsCollector(2)
-        m.record_step(rec(0, 0, 0, 1.0))
-        m.record_step(rec(0, 0, 1, 1.0))
-        m.record_load(0, 0, 0.5)  # partition 1 waits 0.5 on partition 0's load
+        m.fold(rec(0, 0, 0, 1.0))
+        m.fold(rec(0, 0, 1, 1.0))
+        m.fold(LoadRecord(0, 0, 0.5))  # partition 1 waits 0.5 on partition 0's load
         b0, b1 = m.partition_breakdown()
         assert b1.sync_overhead_s == pytest.approx(0.5)
         assert b0.sync_overhead_s == pytest.approx(0.0)
@@ -85,7 +88,7 @@ class TestBreakdown:
     def test_fractions_sum_to_one(self):
         m = MetricsCollector(3)
         for p, c in enumerate((1.0, 2.0, 0.5)):
-            m.record_step(rec(0, 0, p, c, send=0.1 * p))
+            m.fold(rec(0, 0, p, c, send=0.1 * p))
         for b in m.partition_breakdown():
             assert sum(b.fractions()) == pytest.approx(1.0)
 
@@ -93,10 +96,10 @@ class TestBreakdown:
 class TestCounting:
     def test_summary_and_counts(self):
         m = MetricsCollector(1)
-        m.record_step(rec(0, 0, 0, 1.0, msgs=4))
-        m.record_step(rec(0, 1, 0, 1.0, msgs=2))
-        m.record_step(rec(1, 0, 0, 1.0))
-        m.record_step(rec(-1, 0, 0, 1.0, phase=PHASE_MERGE))
+        m.fold(rec(0, 0, 0, 1.0, msgs=4))
+        m.fold(rec(0, 1, 0, 1.0, msgs=2))
+        m.fold(rec(1, 0, 0, 1.0))
+        m.fold(rec(-1, 0, 0, 1.0, phase=PHASE_MERGE))
         assert m.total_messages() == 6
         assert m.total_supersteps() == 3 + 1
         assert m.num_timesteps_executed() == 2
@@ -107,22 +110,22 @@ class TestCounting:
 
     def test_summary_traffic_and_boundary_totals(self):
         m = MetricsCollector(2)
-        m.record_step(
+        m.fold(
             StepRecord(
                 PHASE_COMPUTE, 0, 0, 0, 1.0, 0.1, 1, 10, 512,
                 local_messages=6, remote_messages=4, frames_sent=2,
             )
         )
-        m.record_step(
+        m.fold(
             StepRecord(
                 PHASE_COMPUTE, 0, 0, 1, 1.0, 0.0, 1, 5, 256,
                 local_messages=5, remote_messages=0, frames_sent=0,
             )
         )
-        m.record_load(0, 0, 0.2)
-        m.record_load(0, 1, 0.3)
-        m.record_gc(0, 0, 0.05)
-        m.record_migration(0, 3, 0.4)
+        m.fold(LoadRecord(0, 0, 0.2))
+        m.fold(LoadRecord(0, 1, 0.3))
+        m.fold(GcRecord(0, 0, 0.05))
+        m.fold(MigrationRecord(0, 3, 0.4))
         assert m.total_bytes_sent() == 768
         assert m.total_load_s() == pytest.approx(0.5)
         assert m.total_gc_s() == pytest.approx(0.05)
@@ -139,5 +142,5 @@ class TestCounting:
 
     def test_summary_ratio_zero_when_no_traffic(self):
         m = MetricsCollector(1)
-        m.record_step(rec(0, 0, 0, 1.0))
+        m.fold(rec(0, 0, 0, 1.0))
         assert m.summary()["cut_traffic_ratio"] == 0.0

@@ -7,8 +7,10 @@ from repro.algorithms import TDSPComputation, tdsp_labels_from_result
 from repro.algorithms.reference import time_expanded_dijkstra
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection
+from repro.observability import RunRecorder
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import CostModel, GreedyRebalancer, Migration, apply_migrations
+from repro.runtime.metrics import MetricsCollector
 from repro.runtime.rebalance import _state_nbytes
 from tests.conftest import make_grid_template
 
@@ -62,7 +64,8 @@ class TestApplyMigrations:
         cluster.hosts[0].states[sgid]["marker"] = 42
         routing = cluster.hosts[0].subgraph_partition
         cost = apply_migrations(
-            cluster, [Migration(sgid, 0, 1)], routing, CostModel()
+            cluster, [Migration(sgid, 0, 1)], routing, CostModel(),
+            RunRecorder(MetricsCollector(2)),
         )
         assert cost > 0
         assert sgid in cluster.hosts[1].states
@@ -94,6 +97,7 @@ class TestApplyMigrations:
                 [Migration(99, 0, 1)],
                 cluster.hosts[0].subgraph_partition,
                 CostModel(),
+                RunRecorder(MetricsCollector(2)),
             )
 
     def test_state_nbytes(self):
