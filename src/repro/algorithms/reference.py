@@ -229,20 +229,26 @@ def bfs_levels(template: GraphTemplate, source: int) -> np.ndarray:
     return single_source_shortest_paths(template, source, None)
 
 
-def weakly_connected_components(template: GraphTemplate) -> np.ndarray:
-    """Component label per vertex = min vertex index in its weak component."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    n = template.num_vertices
-    graph = sp.coo_matrix(
-        (np.ones(template.num_edges, dtype=np.int8), (template.edge_src, template.edge_dst)),
-        shape=(n, n),
-    )
-    _, raw = connected_components(graph, directed=False)
-    first = np.full(raw.max() + 1 if n else 0, n, dtype=np.int64)
+def _scipy_min_vertex_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Min vertex index of each vertex's weak component, by scipy — an
+    oracle independent of :mod:`repro.kernels`; no run imports it."""
+    try:
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+    except ImportError as exc:
+        raise ImportError(
+            "the component oracles need scipy: install the dev extra, pip install -e '.[dev]'"
+        ) from exc
+    graph = sp.coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    ncomp, raw = connected_components(graph, directed=False)
+    first = np.full(ncomp, n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(n))
     return first[raw]
+
+
+def weakly_connected_components(template: GraphTemplate) -> np.ndarray:
+    """Component label per vertex = min vertex index in its weak component."""
+    return _scipy_min_vertex_labels(template.num_vertices, template.edge_src, template.edge_dst)
 
 
 def instance_communities(
@@ -256,22 +262,15 @@ def instance_communities(
     Returns one label per vertex — the minimum global vertex index of its
     component at ``timestep`` (singletons label themselves).
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     template = collection.template
-    n = template.num_vertices
     inst = collection.instance(timestep)
     if exists_attr in template.edge_schema:
         exists = inst.edge_column(exists_attr).astype(bool)
     else:
         exists = np.ones(template.num_edges, dtype=bool)
-    src, dst = template.edge_src[exists], template.edge_dst[exists]
-    graph = sp.coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
-    ncomp, raw = connected_components(graph, directed=False)
-    first = np.full(ncomp, n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(n))
-    return first[raw]
+    return _scipy_min_vertex_labels(
+        template.num_vertices, template.edge_src[exists], template.edge_dst[exists]
+    )
 
 
 def pagerank(

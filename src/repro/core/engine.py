@@ -88,8 +88,6 @@ from ..runtime.metrics import (
     PrefetchRecord,
     StepRecord,
 )
-from ..runtime.process_cluster import ProcessCluster
-from ..runtime.socket_cluster import SocketCluster
 from .computation import TimeSeriesComputation
 from .messages import Message, MessageFrame, MessageKind, frames_from_deliveries, route_frames
 from .patterns import Pattern
@@ -279,11 +277,16 @@ class TIBSPEngine:
             gather_timeout = cfg.gather_timeout_s
             if gather_timeout is None and cfg.faults is not None:
                 gather_timeout = _DEFAULT_FAULT_GATHER_TIMEOUT_S
-            cluster_cls: type[ProcessCluster] = ProcessCluster
-            extra: dict = {}
+            # Executors load on selection: a serial run imports neither
+            # multiprocessing nor asyncio/ssl.
             if cfg.executor == "socket":
-                cluster_cls = SocketCluster
-                extra["hosts"] = cfg.hosts
+                from ..runtime.socket_cluster import SocketCluster as cluster_cls
+
+                extra = {"hosts": cfg.hosts}
+            else:
+                from ..runtime.process_cluster import ProcessCluster as cluster_cls
+
+                extra = {}
             return cluster_cls(
                 self.pg,
                 computation,

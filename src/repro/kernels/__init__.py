@@ -2,7 +2,7 @@
 
 The algorithm classes in :mod:`repro.algorithms` are thin TI-BSP drivers;
 the per-superstep work they do inside one subgraph — settling a shortest
-path frontier, expanding a gated BFS, propagating component minima,
+path frontier, expanding a gated BFS, hooking components together,
 scanning tweet containers — is delegated to the kernels here, which operate
 on whole frontiers as numpy arrays instead of one vertex at a time.
 
@@ -19,7 +19,7 @@ only batched.
 """
 
 from .aggregate import contains_in_cells, count_equal, count_equal_in_cells, flatten_cells
-from .components import csr_components
+from .components import components, csr_components
 from .csr import gather_ranges, index_mask, slot_sources, sorted_unique
 from .frontier import expand_to_fixpoint, open_boundary, relax_to_fixpoint
 from .pagerank import local_incoming, push_contributions, remote_flow_batches
@@ -33,6 +33,7 @@ __all__ = [
     "relax_to_fixpoint",
     "expand_to_fixpoint",
     "open_boundary",
+    "components",
     "csr_components",
     "flatten_cells",
     "count_equal",

@@ -1,9 +1,12 @@
-"""Connected components over (masked) CSR adjacency.
+"""Connected components by hook-and-compress over an edge list.
 
-Min-label propagation with pointer jumping — the numpy replacement for the
-``scipy.sparse.csgraph`` detour the community-evolution computation used to
-take per instance.  Edges are treated as undirected (labels flow both
-ways), matching ``connected_components(directed=False)``.
+Each round hooks the larger root of every still-active edge under the
+smaller one (a single ``np.minimum.at``), pointer-jumps the forest flat,
+and drops the edges whose ends now agree — a handful of rounds on road and
+small-world graphs alike, where propagating minima along edges needs as
+many rounds as the graph is wide.  Edges are undirected.  This is the one
+graph algorithm ingest needs (a subgraph is a weak component over local
+edges) and what community evolution runs per instance.
 """
 
 from __future__ import annotations
@@ -12,7 +15,37 @@ import numpy as np
 
 from .csr import slot_sources
 
-__all__ = ["csr_components"]
+__all__ = ["components", "csr_components"]
+
+
+def _hook_and_compress(
+    parent: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round over a flat forest; returns it flat again, and the edges
+    that still join two trees."""
+    a, b = parent[src], parent[dst]
+    np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+    while True:  # pointer jumping: a root's root is the root
+        nxt = parent[parent]
+        if np.array_equal(nxt, parent):
+            break
+        parent = nxt
+    active = parent[src] != parent[dst]
+    return parent, src[active], dst[active]
+
+
+def components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """Weak components of vertices ``0..n-1`` joined by edges ``src[i] — dst[i]``.
+
+    Returns ``(ncomp, comp_id)`` with components numbered 0..ncomp-1 in
+    order of their minimum vertex: a root is only ever hooked under a
+    smaller one, so each tree ends rooted at its component's minimum.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    while len(src):
+        parent, src, dst = _hook_and_compress(parent, src, dst)
+    is_root = parent == np.arange(n, dtype=np.int64)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[parent]
 
 
 def csr_components(
@@ -21,33 +54,9 @@ def csr_components(
     *,
     edge_mask: np.ndarray | None = None,
 ) -> tuple[int, np.ndarray]:
-    """Weak components of a local CSR graph; returns ``(ncomp, comp_id)``.
-
-    ``comp_id`` numbers components 0..ncomp-1 in order of their minimum
-    vertex index — the same numbering ``scipy.sparse.csgraph``'s
-    first-occurrence scan produces, so the two are drop-in interchangeable.
-    ``edge_mask`` (per CSR slot) restricts to currently existing edges.
-    """
-    n = len(indptr) - 1
-    labels = np.arange(n, dtype=np.int64)
-    if len(indices):
-        src = slot_sources(indptr)
-        dst = np.asarray(indices, dtype=np.int64)
-        if edge_mask is not None:
-            src, dst = src[edge_mask], dst[edge_mask]
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
-    while True:
-        prev = labels.copy()
-        if src.size:
-            np.minimum.at(labels, dst, labels[src])
-            np.minimum.at(labels, src, labels[dst])
-        while True:  # pointer jumping: label of my label is at least as small
-            nxt = labels[labels]
-            if np.array_equal(nxt, labels):
-                break
-            labels = nxt
-        if np.array_equal(labels, prev):
-            break
-    roots, comp_id = np.unique(labels, return_inverse=True)
-    return len(roots), comp_id.astype(np.int64, copy=False)
+    """:func:`components` of a local CSR graph; ``edge_mask`` (per CSR
+    slot) restricts to currently existing edges."""
+    src, dst = slot_sources(indptr), np.asarray(indices, dtype=np.int64)
+    if edge_mask is not None:
+        src, dst = src[edge_mask], dst[edge_mask]
+    return components(len(indptr) - 1, src, dst)

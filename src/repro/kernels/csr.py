@@ -48,9 +48,9 @@ def index_mask(indices: np.ndarray, size: int) -> np.ndarray:
 
 
 def segment_starts(arr: np.ndarray) -> np.ndarray:
-    """Indices where a sorted, non-empty array starts a new run."""
+    """Indices where a sorted array starts a new run."""
     change = np.empty(len(arr), dtype=bool)
-    change[0] = True
+    change[:1] = True
     np.not_equal(arr[1:], arr[:-1], out=change[1:])
     return np.flatnonzero(change)
 

@@ -28,15 +28,17 @@ networks, large and k-increasing cuts on small-world graphs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph.template import GraphTemplate
+from ..kernels.csr import segment_starts, slot_sources
 from .refine import edge_cut_weight, refine
 
-__all__ = ["MetisLikePartitioner", "coarsen_graph", "heavy_edge_matching"]
+__all__ = ["CSR", "MetisLikePartitioner", "coarsen_graph", "heavy_edge_matching"]
 
 # Coarsest graphs up to this size get BFS region-growing initial partitions
 # (a scalar loop, but high quality on graphs with region structure); larger
@@ -49,27 +51,50 @@ _BFS_INIT_LIMIT = 8192
 _NNZ_STALL_RATIO = 0.85
 
 
+class CSR(NamedTuple):
+    """Weighted adjacency of ``len(indptr) - 1`` vertices, columns sorted
+    within a row.  The partitioner reads these three attributes and nothing
+    else, so a ``scipy.sparse.csr_matrix`` is a valid argument too."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
 @dataclass(eq=False)
 class _Level:
     """One level of the multilevel hierarchy."""
 
-    adj: sp.csr_matrix  # symmetric weighted adjacency, zero diagonal
+    adj: CSR  # symmetric weighted adjacency, zero diagonal
     vertex_weights: np.ndarray
     coarse_map: np.ndarray | None  # fine vertex -> coarse vertex (None at finest)
 
 
-def _symmetric_weighted_adjacency(template: GraphTemplate) -> sp.csr_matrix:
+def _sum_duplicates(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n: int) -> CSR:
+    """CSR of ``n`` vertices from ``(row, col, weight)`` slots, the weights
+    of equal ``(row, col)`` summed: one stable sort of the fused key and a
+    neighbour compare, not ``np.unique`` (12x a sort on numpy 2.4)."""
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = segment_starts(key)
+    rows, cols = np.divmod(key[starts], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CSR(indptr, cols, np.add.reduceat(weights[order], starts))
+
+
+def _symmetric_weighted_adjacency(template: GraphTemplate) -> CSR:
     """Undirected unit-weight adjacency with multi-edges collapsed."""
-    n = template.num_vertices
     src, dst = template.undirected_edge_view()
     keep = src != dst  # self-loops are irrelevant to cuts
     src, dst = src[keep], dst[keep]
-    data = np.ones(2 * len(src), dtype=np.float64)
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    adj.sum_duplicates()
-    return adj
+    return _sum_duplicates(
+        np.concatenate([src, dst]),
+        np.concatenate([dst, src]),
+        np.ones(2 * len(src), dtype=np.float64),
+        template.num_vertices,
+    )
 
 
 def _coarse_ids(match: np.ndarray) -> np.ndarray:
@@ -83,7 +108,7 @@ def _coarse_ids(match: np.ndarray) -> np.ndarray:
     return ids[rep]
 
 
-def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
+def heavy_edge_matching(adj: CSR, rng: np.random.Generator) -> np.ndarray:
     """Match each vertex with its heaviest unmatched neighbor.
 
     Returns ``coarse_map``: fine vertex → coarse vertex id (dense).  Unmatched
@@ -96,15 +121,12 @@ def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndar
     the matching); mutual proposals are matched, then slots touching matched
     vertices are compressed away.  Deterministic in the rng state.
     """
-    n = adj.shape[0]
+    n = len(adj.indptr) - 1
     match = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     priority = rng.permutation(n)
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    cur_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    cur_dst = indices
-    cur_w = data
+    cur_src, cur_dst, cur_w = slot_sources(adj.indptr), adj.indices, adj.data
     while len(cur_src):
         # Segment boundaries of the (row-sorted) alive slot arrays.
         head = np.empty(len(cur_src), dtype=bool)
@@ -137,44 +159,34 @@ def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndar
 
 
 def coarsen_graph(
-    adj: sp.csr_matrix,
+    adj: CSR,
     vertex_weights: np.ndarray,
     coarse_map: np.ndarray,
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[CSR, np.ndarray]:
     """Contract a graph along ``coarse_map`` (sums edge and vertex weights).
 
     Direct segment-reduction contraction: map every stored slot to a coarse
-    ``(row, col)`` key, drop the diagonal, and sum duplicate keys with one
-    ``unique`` + ``bincount`` — no sparse matmul, no ``setdiag`` pass.
+    ``(row, col)``, drop the diagonal, and sum the duplicates
+    (:func:`_sum_duplicates`) — no sparse matmul, no ``setdiag`` pass.
     """
-    n = adj.shape[0]
-    nc = int(coarse_map.max()) + 1 if n else 0
-    rows = coarse_map[np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))]
+    nc = int(coarse_map.max()) + 1 if len(coarse_map) else 0
+    rows = coarse_map[slot_sources(adj.indptr)]
     cols = coarse_map[adj.indices]
     off_diag = rows != cols
-    key = rows[off_diag] * nc + cols[off_diag]
-    uniq, inverse = np.unique(key, return_inverse=True)
-    weights = np.bincount(inverse, weights=adj.data[off_diag], minlength=len(uniq))
-    crow = (uniq // nc).astype(np.int64)
-    ccol = (uniq % nc).astype(np.int64)
-    indptr = np.zeros(nc + 1, dtype=np.int64)
-    np.cumsum(np.bincount(crow, minlength=nc), out=indptr[1:])
-    coarse = sp.csr_matrix((weights, ccol, indptr), shape=(nc, nc))
+    coarse = _sum_duplicates(rows[off_diag], cols[off_diag], adj.data[off_diag], nc)
     cw = np.bincount(coarse_map, weights=vertex_weights, minlength=nc)
     return coarse, cw
 
 
 def _initial_partition(
-    adj: sp.csr_matrix, vertex_weights: np.ndarray, k: int, rng: np.random.Generator, cap: float
+    adj: CSR, vertex_weights: np.ndarray, k: int, rng: np.random.Generator, cap: float
 ) -> np.ndarray:
     """Balanced weighted BFS region growing on the coarsest graph."""
-    n = adj.shape[0]
+    n = len(adj.indptr) - 1
     assignment = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(k, dtype=np.float64)
     indptr, indices = adj.indptr, adj.indices
     seeds = rng.choice(n, size=min(k, n), replace=False)
-    from collections import deque
-
     frontiers = [deque() for _ in range(k)]
     for pid, s in enumerate(seeds):
         assignment[s] = pid
@@ -263,15 +275,15 @@ class MetisLikePartitioner:
 
         # ---- coarsening phase -------------------------------------------------
         target = max(self.coarsen_until, 30 * k)
-        while levels[-1].adj.shape[0] > target:
+        while len(levels[-1].vertex_weights) > target:
             top = levels[-1]
             coarse_map = heavy_edge_matching(top.adj, rng)
             nc = int(coarse_map.max()) + 1
-            if nc > 0.95 * top.adj.shape[0]:
+            if nc > 0.95 * len(coarse_map):
                 break  # matching stalled (e.g. star graphs); stop coarsening
             cadj, cw = coarsen_graph(top.adj, top.vertex_weights, coarse_map)
             levels.append(_Level(cadj, cw, coarse_map))
-            if cadj.nnz > _NNZ_STALL_RATIO * top.adj.nnz:
+            if len(cadj.indices) > _NNZ_STALL_RATIO * len(top.adj.indices):
                 # Contraction stopped shrinking the edge set (small-world
                 # graphs densify as they coarsen): further levels repeat the
                 # same O(|E|) work without exposing structure.
@@ -279,7 +291,7 @@ class MetisLikePartitioner:
 
         # ---- initial partition on the coarsest graph ---------------------------
         coarsest = levels[-1]
-        nc0 = coarsest.adj.shape[0]
+        nc0 = len(coarsest.vertex_weights)
         total_w = float(coarsest.vertex_weights.sum())
         cap = self.imbalance * total_w / k
         if nc0 > _BFS_INIT_LIMIT:
@@ -295,9 +307,7 @@ class MetisLikePartitioner:
             )
             init_passes = max(self.refine_passes * 2, 8)
         assignment = refine(
-            coarsest.adj.indptr,
-            coarsest.adj.indices,
-            coarsest.adj.data,
+            *coarsest.adj,
             coarsest.vertex_weights,
             assignment,
             k,
@@ -311,9 +321,7 @@ class MetisLikePartitioner:
             child = levels[li + 1]
             assignment = assignment[child.coarse_map]
             assignment = refine(
-                level.adj.indptr,
-                level.adj.indices,
-                level.adj.data,
+                *level.adj,
                 level.vertex_weights,
                 assignment,
                 k,
@@ -399,5 +407,4 @@ class MetisLikePartitioner:
 
     def edge_cut(self, template: GraphTemplate, assignment: np.ndarray) -> float:
         """Cut weight of an assignment on this template (unit edge weights)."""
-        adj = _symmetric_weighted_adjacency(template)
-        return edge_cut_weight(adj.indptr, adj.indices, adj.data, np.asarray(assignment))
+        return edge_cut_weight(*_symmetric_weighted_adjacency(template), np.asarray(assignment))

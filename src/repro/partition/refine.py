@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.csr import slot_sources, sorted_unique
+
 __all__ = ["partition_connectivity", "edge_cut_weight", "rebalance", "refine"]
 
 # Mover sets larger than this are applied in bulk (per-target gain-ordered
@@ -29,12 +31,6 @@ _BULK_MOVE_LIMIT = 1024
 # below this; above it most rows are boundary rows and the one-shot full
 # bincount over all slots is cheaper than the gather.
 _BOUNDARY_PATH_CUT_FRACTION = 0.15
-
-
-def _slot_sources(indptr: np.ndarray) -> np.ndarray:
-    """Row index of every stored CSR slot (``np.repeat`` expansion)."""
-    n = len(indptr) - 1
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
 
 
 def partition_connectivity(
@@ -53,11 +49,13 @@ def partition_connectivity(
     """
     n = len(indptr) - 1
     if slot_src is None:
-        slot_src = _slot_sources(indptr)
+        slot_src = slot_sources(indptr)
     flat = np.bincount(
         slot_src * k + assignment[indices], weights=weights, minlength=n * k
     )
-    return flat.reshape(n, k)
+    # ``bincount`` of no slots is int64 whatever the weights' dtype, and
+    # callers mask entries with ``-inf``.
+    return flat.reshape(n, k).astype(np.float64, copy=False)
 
 
 def edge_cut_weight(
@@ -70,7 +68,7 @@ def edge_cut_weight(
 ) -> float:
     """Total weight of cut edges (symmetric adjacency ⇒ halve the slot sum)."""
     if slot_src is None:
-        slot_src = _slot_sources(indptr)
+        slot_src = slot_sources(indptr)
     cut_slots = assignment[slot_src] != assignment[indices]
     return float(weights[cut_slots].sum() / 2.0)
 
@@ -160,7 +158,7 @@ def refine(
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     total_w = float(vertex_weights.sum())
     cap = imbalance * total_w / k if total_w else 0.0
-    slot_src = _slot_sources(indptr)
+    slot_src = slot_sources(indptr)
     assignment = rebalance(
         indptr, indices, weights, vertex_weights, assignment, k, cap, slot_src=slot_src
     )
@@ -176,7 +174,7 @@ def refine(
             # so gather their adjacency slots and build connectivity rows for
             # them alone — on well-cut graphs (road networks) a pass touches
             # a few percent of the slots instead of all of them.
-            boundary = np.unique(slot_src[cut_slots])
+            boundary = sorted_unique(slot_src[cut_slots])
             counts = indptr[boundary + 1] - indptr[boundary]
             total = int(counts.sum())
             slots = np.repeat(indptr[boundary] - np.cumsum(counts) + counts, counts)

@@ -4,9 +4,9 @@ Section II-C: *"A subgraph within a partition is a maximal set of vertices
 that are weakly connected through only local edges."*  We therefore:
 
 1. keep only local edges (both endpoints in the same partition);
-2. label weakly connected components over those edges (scipy's
-   ``connected_components`` on a sparse matrix — each component is entirely
-   inside one partition by construction);
+2. label weakly connected components over those edges
+   (:func:`repro.kernels.components` — each component is entirely inside
+   one partition by construction);
 3. build, per subgraph, a local-renumbered CSR adjacency and the columnar
    bundle of outgoing remote edges.
 
@@ -17,11 +17,10 @@ O(|adjacency|) plus a few sorts.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from ..graph.subgraph import RemoteEdges, Subgraph
 from ..graph.template import GraphTemplate
+from ..kernels import components, sorted_unique
 from .base import Partition, PartitionedGraph, validate_assignment
 
 __all__ = ["decompose", "subgraph_labels"]
@@ -36,19 +35,16 @@ def subgraph_labels(template: GraphTemplate, assignment: np.ndarray) -> tuple[in
     n = template.num_vertices
     src, dst = template.edge_src, template.edge_dst
     local = assignment[src] == assignment[dst]
-    ls, ld = src[local], dst[local]
-    graph = sp.coo_matrix(
-        (np.ones(len(ls), dtype=np.int8), (ls, ld)), shape=(n, n)
-    )
-    ncomp, raw = connected_components(graph, directed=False)
+    ncomp, raw = components(n, src[local], dst[local])
     if n == 0:
         return 0, raw
     # Re-label components deterministically: order by (partition, min vertex)
     # so subgraph ids are partition-major and reproducible across runs.
-    first_vertex = np.full(ncomp, n, dtype=np.int64)
-    np.minimum.at(first_vertex, raw, np.arange(n))
-    comp_part = assignment[first_vertex]
-    comp_order = np.lexsort((first_vertex, comp_part))
+    # ``components`` already numbers by min vertex, so a stable sort on the
+    # partition (one per component: local edges never leave it) is enough.
+    comp_part = np.empty(ncomp, dtype=np.int64)
+    comp_part[raw] = assignment
+    comp_order = np.argsort(comp_part, kind="stable")
     remap = np.empty(ncomp, dtype=np.int64)
     remap[comp_order] = np.arange(ncomp)
     return ncomp, remap[raw]
@@ -121,7 +117,7 @@ def decompose(
             edge_index=r_edge[ro:rhi].copy(),
         )
 
-        in_nbrs = np.unique(in_src_sg[in_bounds[sg_id] : in_bounds[sg_id + 1]])
+        in_nbrs = sorted_unique(in_src_sg[in_bounds[sg_id] : in_bounds[sg_id + 1]])
         sg = Subgraph(
             sg_id, pid, verts, sg_indptr, sg_indices, sg_edges, remote, in_nbrs
         )

@@ -9,6 +9,8 @@ VM, :class:`~repro.runtime.cluster.LocalCluster` /
 wall-clock that reproduces the paper's timing figures (see DESIGN.md).
 """
 
+from importlib import import_module
+
 from .cluster import Cluster, LocalCluster, build_hosts
 from .cost import CostModel
 from .gc_model import GCModel
@@ -20,14 +22,6 @@ from .host import (
     RunMeta,
 )
 from .metrics import MetricsCollector, PartitionBreakdown, StepRecord
-from .process_cluster import (
-    GatherTimeout,
-    ProcessCluster,
-    RecoverableWorkerError,
-    WorkerError,
-    WorkerLost,
-)
-from .socket_cluster import SocketCluster, parse_hosts, serve_worker
 from .elastic import ElasticOutcome, ElasticPolicy, activity_grid, simulate_elastic
 from .rebalance import GreedyRebalancer, Migration, RebalancePolicy, apply_migrations
 
@@ -62,3 +56,19 @@ __all__ = [
     "RebalancePolicy",
     "apply_migrations",
 ]
+
+
+#: Executors load on selection (only they need multiprocessing, asyncio, ssl).
+_ON_SELECTION = {
+    "process_cluster": (
+        "ProcessCluster", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
+    ),
+    "socket_cluster": ("SocketCluster", "parse_hosts", "serve_worker"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _ON_SELECTION.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,12 +6,15 @@ component labeling vs scipy, aggregation vs per-cell Python counting.
 """
 
 import heapq
+import importlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels import (
+    components,
     contains_in_cells,
     count_equal,
     count_equal_in_cells,
@@ -232,26 +235,91 @@ class TestSortedUnique:
         assert np.array_equal(sorted_unique(arr), np.unique(arr))
 
 
+def scipy_components(n, src, dst):
+    """The oracle: scipy numbers components by first occurrence, that is by
+    minimum vertex."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sp.coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def assert_components(n, src, dst, got):
+    ncomp, comp_id = got
+    want_n, want_id = scipy_components(n, src, dst)
+    assert ncomp == want_n  # the count,
+    assert comp_id.dtype == np.int64 and np.array_equal(comp_id, want_id)  # the partition,
+    if n:  # and the numbering: component c's minimum vertex grows with c
+        first = np.full(ncomp, n)
+        np.minimum.at(first, comp_id, np.arange(n))
+        assert np.all(np.diff(first) > 0) and np.array_equal(comp_id[first], np.arange(ncomp))
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Counts the hook-and-compress rounds :func:`components` takes."""
+    # (``repro.kernels.components`` the attribute is the function.)
+    mod = importlib.import_module("repro.kernels.components")
+    calls = []
+    hook = mod._hook_and_compress
+    monkeypatch.setattr(mod, "_hook_and_compress", lambda *a: calls.append(1) or hook(*a))
+    return calls
+
+
 class TestCsrComponents:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), m=st.integers(0, 120))
     def test_matches_scipy(self, seed, n, m):
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-
         rng = np.random.default_rng(seed)
         indptr, indices = random_csr(rng, n, m)
         mask = rng.random(len(indices)) < 0.6
-        ncomp, comp_id = csr_components(indptr, indices, edge_mask=mask)
-
-        rows = slot_sources(indptr)[mask]
-        cols = indices[mask]
-        graph = sp.coo_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
+        rows = slot_sources(indptr)
+        assert_components(
+            n, rows[mask], indices[mask], csr_components(indptr, indices, edge_mask=mask)
         )
-        want_n, want_id = connected_components(graph, directed=False)
-        assert ncomp == want_n
-        assert np.array_equal(comp_id, want_id)
+        assert_components(n, rows, indices, csr_components(indptr, indices))
+        assert_components(n, rows, indices, components(n, rows, indices))
+
+    @pytest.mark.parametrize("shape", ["path", "grid"])
+    def test_wide_graphs_under_a_random_relabelling(self, shape, rounds):
+        """A 10k-vertex path and a 100x100 grid: as wide as graphs get, the
+        labels in no order a hooking scheme could lean on."""
+        n = 10_000
+        v = np.arange(n, dtype=np.int64)
+        if shape == "path":
+            src, dst = v[:-1], v[1:]
+        else:
+            right, down = v[v % 100 != 99], v[v < n - 100]
+            src, dst = np.concatenate([right, down]), np.concatenate([right + 1, down + 100])
+        relabel = np.random.default_rng(5).permutation(n)
+        src, dst = relabel[src], relabel[dst]
+        ncomp, comp_id = components(n, src, dst)
+        assert ncomp == 1 and not comp_id.any()
+        assert len(rounds) <= math.ceil(math.log2(n)) + 1
+        # Cut every tenth edge: still scipy's components, numbered alike.
+        keep = np.arange(len(src)) % 10 != 0
+        assert_components(n, src[keep], dst[keep], components(n, src[keep], dst[keep]))
+
+    def test_star_with_the_hub_as_the_largest_label(self, rounds):
+        n = 1_000
+        src = np.full(n - 1, n - 1, dtype=np.int64)
+        dst = np.arange(n - 1, dtype=np.int64)
+        assert_components(n, src, dst, components(n, src, dst))
+        assert len(rounds) == 2  # the hub hooks under leaf 0, then every leaf does
+        rounds.clear()
+        assert_components(n, dst, src, components(n, dst, src))
+        assert len(rounds) == 2
+
+    def test_isolated_vertices_self_loops_and_the_empty_graph(self, rounds):
+        none = np.empty(0, dtype=np.int64)
+        assert_components(0, none, none, components(0, none, none))
+        assert_components(0, none, none, csr_components(np.zeros(1, dtype=np.int64), none))
+        assert_components(7, none, none, components(7, none, none))
+        assert rounds == []  # no edge, no round
+        src, dst = np.array([2, 5, 5, 3]), np.array([2, 1, 5, 3])  # loops on 2, 5, 3; one edge
+        assert_components(7, src, dst, components(7, src, dst))
+        assert len(rounds) == 1
 
 
 class TestScatter:

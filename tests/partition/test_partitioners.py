@@ -1,14 +1,18 @@
 """Tests for the hash, BFS, and METIS-like partitioners."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graph import GraphTemplate
 from repro.partition import (
     BFSPartitioner,
     HashPartitioner,
     MetisLikePartitioner,
     edge_cut_fraction,
+    partition_graph,
     validate_assignment,
 )
 from tests.conftest import make_grid_template, make_random_template
@@ -140,6 +144,27 @@ class TestMetisLike:
         tpl = make_random_template(n, m, np.random.default_rng(seed))
         a = MetisLikePartitioner(seed=seed).assign(tpl, k)
         validate_assignment(tpl, a, k)
+
+
+class TestMetisLikeDegenerateTemplates:
+    """No off-diagonal adjacency: the connectivity matrix has no slot to take
+    a float dtype from, and ``rebalance`` masks it with ``-inf``."""
+
+    @pytest.mark.parametrize(
+        "template",
+        [GraphTemplate(5, [], []), GraphTemplate(3, [0, 1], [0, 1]), GraphTemplate(9, [4], [4])],
+        ids=["edgeless", "self-loops-only", "one-loop"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_partitions_within_the_cap(self, template, k):
+        pg = partition_graph(template, k, MetisLikePartitioner(seed=1))
+        n = template.num_vertices
+        sizes = np.bincount(pg.vertex_partition, minlength=k)
+        assert sizes.sum() == n
+        # Unit vertices: the cap, rounded up to what whole vertices allow.
+        assert sizes.max() <= max(math.ceil(n / k), math.floor(1.03 * n / k))
+        assert pg.num_subgraphs == n  # one subgraph per vertex
+        assert sorted(len(sg.vertices) for sg in pg.subgraphs) == [1] * n
 
 
 class TestSmallWorldVsRoad:

@@ -1,0 +1,84 @@
+"""A run imports what it runs: no scipy, networkx, asyncio or ssl on the path
+of a serial or process run; the socket executor loads on selection.
+
+Each check is a fresh interpreter, so what the test session has already
+imported does not leak in.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_PRELUDE = """
+import sys
+sys.path.insert(0, {src!r})
+HEAVY = ("scipy", "networkx", "asyncio", "ssl")
+
+def loaded():
+    return sorted(m for m in HEAVY if m in sys.modules)
+"""
+
+_RUN = """
+import tempfile
+import repro
+assert loaded() == [], ("import repro", loaded())
+from repro import (EngineConfig, GoFS, TDSPComputation, partition_graph,
+                   road_latency_collection, road_network, run_application)
+
+def main():
+    template = road_network(300, seed=1)
+    collection = road_latency_collection(template, 4, seed=2)
+    pg = partition_graph(template, 2)
+    with tempfile.TemporaryDirectory() as store:
+        GoFS.write_collection(store, pg, collection)
+        for executor in ("serial", "process"):
+            result = run_application(
+                TDSPComputation(0), pg, collection,
+                sources=GoFS.partition_views(store),
+                config=EngineConfig(executor=executor),
+            )
+            assert result.timesteps_executed > 0
+            assert loaded() == [], (executor, loaded())
+        assert "repro.runtime.process_cluster" in sys.modules
+    print("clean")
+
+if __name__ == "__main__":  # spawn-start workers re-import this file
+    main()
+"""
+
+_RUNTIME_NAMES = """
+import repro
+from repro.runtime import ProcessCluster, WorkerLost
+assert loaded() == [], loaded()
+from repro.runtime import SocketCluster, parse_hosts, serve_worker
+assert "asyncio" in sys.modules
+import repro.runtime
+try:
+    repro.runtime.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+print("clean")
+"""
+
+
+def _run_fresh(tmp_path, body: str) -> None:
+    script = tmp_path / "hygiene_script.py"
+    script.write_text(_PRELUDE.format(src=SRC) + body)
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "clean", done.stderr
+
+
+def test_serial_and_process_runs_import_no_scipy_networkx_asyncio_ssl(tmp_path):
+    _run_fresh(tmp_path, _RUN)
+
+
+def test_runtime_names_resolve_and_only_the_socket_executor_loads_asyncio(tmp_path):
+    _run_fresh(tmp_path, _RUNTIME_NAMES)
