@@ -277,8 +277,8 @@ class TIBSPEngine:
             gather_timeout = cfg.gather_timeout_s
             if gather_timeout is None and cfg.faults is not None:
                 gather_timeout = _DEFAULT_FAULT_GATHER_TIMEOUT_S
-            # Executors load on selection: a serial run imports neither
-            # multiprocessing nor asyncio/ssl.
+            # Executors load on selection: a serial run does not import
+            # multiprocessing.
             if cfg.executor == "socket":
                 from ..runtime.socket_cluster import SocketCluster as cluster_cls
 

@@ -44,12 +44,14 @@ class JournalEntry(NamedTuple):
 
     ``payload`` is the per-partition argument of the round: the begin
     round's GC pause seconds, a superstep/merge round's delivery list
-    (``list[MessageFrame]``), or ``None`` for end-of-timestep.
+    (``list[MessageFrame]``), or ``None`` for end-of-timestep.  With a
+    sequence number and the replay mark in front, an entry is the command
+    envelope a worker receives (:mod:`repro.runtime.process_cluster`).
     """
 
     op: str  #: begin | superstep | eot | merge
     timestep: int
-    superstep: int  #: -1 for begin/eot rounds
+    superstep: int  #: AT_BEGIN / AT_EOT for begin / eot rounds
     payload: Any
 
 

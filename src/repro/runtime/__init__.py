@@ -11,7 +11,7 @@ wall-clock that reproduces the paper's timing figures (see DESIGN.md).
 
 from importlib import import_module
 
-from .cluster import Cluster, LocalCluster, build_hosts
+from .cluster import Cluster, LocalCluster
 from .cost import CostModel
 from .gc_model import GCModel
 from .host import (
@@ -28,7 +28,6 @@ from .rebalance import GreedyRebalancer, Migration, RebalancePolicy, apply_migra
 __all__ = [
     "Cluster",
     "LocalCluster",
-    "build_hosts",
     "CostModel",
     "GCModel",
     "CollectionInstanceSource",
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 
-#: Executors load on selection (only they need multiprocessing, asyncio, ssl).
+#: Executors load on selection (only they need multiprocessing).
 _ON_SELECTION = {
     "process_cluster": (
         "ProcessCluster", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",

@@ -29,69 +29,36 @@ import numpy as np
 
 from ..core.computation import TimeSeriesComputation
 from ..graph.collection import TimeSeriesGraphCollection
-from ..observability import Tracer, partition_pid
-from ..partition.base import PartitionedGraph
+from ..observability import Tracer
+from ..partition.base import Partition, PartitionedGraph
 from ..resilience.faults import AT_BEGIN, NETWORK_FAULT_KINDS, FaultPlan
 from ..resilience.recovery import InjectedFault, RecoverableError, WorkerCrash
 from .cost import CostModel
-from .host import CollectionInstanceSource, ComputeHost, HostStepResult, InstanceSource, RunMeta
+from .host import (
+    ROUND_OPS,
+    CollectionInstanceSource,
+    ComputeHost,
+    HostSpec,
+    HostStepResult,
+    InstanceSource,
+    RunMeta,
+)
 
 __all__ = [
     "ROUND_OPS",
     "Cluster",
     "LocalCluster",
-    "build_hosts",
     "quarantine_fill",
     "raise_first_failure",
 ]
 
-#: The protocol ops that advance host state.  The supervisor journals them
-#: and scripted faults address them; every other op is a read-only query.
-ROUND_OPS = ("begin", "superstep", "eot", "merge")
-
-#: The read-only ops, with what a quarantined partition answers to each.
-_QUERY_FILL = {"resident": 0, "prefetch": False, "states": {}, "snapshot": None}
+#: What a quarantined partition answers to each op that is not a round.
+_QUERY_FILL = {"resident": 0, "prefetch": False, "states": {}, "snapshot": None, "restore": None}
 
 
 def quarantine_fill(op: str, partition: int):
     """A quarantined partition's synthesized outcome for one ``op``."""
     return HostStepResult.empty(partition) if op in ROUND_OPS else _QUERY_FILL.get(op)
-
-
-def build_hosts(
-    pg: PartitionedGraph,
-    computation: TimeSeriesComputation,
-    meta: RunMeta,
-    sources: Sequence[InstanceSource],
-    cost_model: CostModel,
-    *,
-    use_combiners: bool = True,
-    tracing: bool = False,
-    live: bool = False,
-) -> list[ComputeHost]:
-    """Construct one :class:`ComputeHost` per partition."""
-    if len(sources) != pg.num_partitions:
-        raise ValueError("need exactly one instance source per partition")
-    # One routing array shared by every host (updated in place by dynamic
-    # rebalancing), and shallow partition copies so migrations never mutate
-    # the caller's PartitionedGraph.
-    sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
-    from ..partition.base import Partition
-
-    return [
-        ComputeHost(
-            Partition(p, list(pg.partitions[p].subgraphs)),
-            computation,
-            meta,
-            sources[p],
-            sg_part,
-            cost_model,
-            use_combiners=use_combiners,
-            tracer=Tracer(partition_pid(p), f"partition {p}") if tracing else None,
-            publish_stats=live,
-        )
-        for p in range(pg.num_partitions)
-    ]
 
 
 def raise_first_failure(
@@ -119,24 +86,50 @@ class Cluster:
     #: Per-partition incarnations — :meth:`respawn_worker` bumps exactly
     #: one.  The fault plan uses them to keep scripted faults from
     #: re-firing after recovery.
-    incarnations: list[int] = []
+    incarnations: list[int]
     #: Partitions torn down by :meth:`quarantine` (degraded runs).
-    quarantined: set[int] = frozenset()  # type: ignore[assignment]
+    quarantined: set[int]
+
+    def __init__(
+        self,
+        pg: PartitionedGraph,
+        spec: HostSpec,
+        sources: Sequence[InstanceSource],
+        fault_plan: FaultPlan | None,
+    ) -> None:
+        """What every cluster keeps to build, and rebuild, a partition's host."""
+        if len(sources) != pg.num_partitions:
+            raise ValueError("need exactly one instance source per partition")
+        self._spec = spec
+        self._pg = pg
+        self._sources = list(sources)
+        # One routing array shared by every host, respawned ones included
+        # (dynamic rebalancing updates it in place).
+        self._sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
+        self.fault_plan = fault_plan
+        self.num_partitions = pg.num_partitions
+        self.incarnations = [0] * pg.num_partitions
+        self.quarantined = set()
 
     def run_round(
         self, op: str, timestep: int, superstep: int, payloads: Sequence | None
     ) -> list[HostStepResult | RecoverableError]:
         """Execute one scatter/gather exchange, capturing per-partition failures.
 
-        ``op`` is one of :data:`ROUND_OPS` — ``begin`` (payloads = GC
-        pauses), ``superstep`` / ``merge`` (payloads = per-partition
-        deliveries: coalesced ``MessageFrame`` lists, or a plain
-        subgraph-id → messages map for direct protocol use; merge rounds
-        pass ``timestep=-1``), ``eot`` (payloads ignored) — or a read-only
-        query: ``resident`` (bytes of instance data), ``prefetch``
-        (payloads = the timestep to background-load), ``states`` (the
-        per-subgraph state dict) or ``snapshot`` (the checkpoint blob); for
-        queries ``timestep`` / ``superstep`` only say where the run is.
+        ``op`` is a key of :data:`~repro.runtime.host.HOST_OPS` (anything
+        else is a ``ValueError`` before any host sees it): one of
+        :data:`ROUND_OPS` — ``begin`` (payloads = GC pauses), ``superstep``
+        / ``merge`` (payloads = per-partition deliveries: coalesced
+        ``MessageFrame`` lists, or a plain subgraph-id → messages map for
+        direct protocol use; merge rounds pass ``timestep=-1``), ``eot``
+        (payloads ignored), whose ``(timestep, superstep)`` is also the
+        coordinate scripted faults fire at — or a read-only query:
+        ``resident`` (bytes of instance data), ``prefetch`` (payloads = the
+        timestep to background-load), ``states`` (the per-subgraph state
+        dict) or ``snapshot`` (the checkpoint blob), for which ``timestep``
+        / ``superstep`` only say where the run is — or ``restore``
+        (payloads = checkpoint blobs, ``timestep`` = the instance to reload
+        or ``None``).
         Each element of the returned list is the partition's result, the
         :class:`RecoverableError` it failed with — survivors finish their
         round and hold at the barrier either way — or a synthesized empty
@@ -174,7 +167,9 @@ class Cluster:
 
     def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
         """Install checkpoint blobs on every partition (``resume_from``)."""
-        raise NotImplementedError
+        if len(snapshots) != self.num_partitions:
+            raise ValueError("need exactly one snapshot per partition")
+        raise_first_failure(self.run_round("restore", reload_timestep, -1, snapshots))
 
     # -- surgical protocol -------------------------------------------------------------
     #
@@ -209,7 +204,7 @@ class Cluster:
         self, partition: int, snapshot: dict, reload_timestep: int | None = None
     ) -> None:
         """Install one partition's checkpoint blob on a respawned host."""
-        raise NotImplementedError
+        self.step_one(partition, "restore", reload_timestep, -1, snapshot)
 
     def quarantine(self, partition: int) -> None:
         """Tear down one partition permanently: rounds synthesize empty
@@ -226,8 +221,15 @@ class Cluster:
         """Driver↔worker protocol counters (resends, dedup drops, ...)."""
         return {}
 
-    def shutdown(self) -> None:  # pragma: no cover - trivial default
-        """Release resources (thread pools, worker processes)."""
+    def shutdown(self) -> None:
+        """Release resources: subclasses reap their thread pool or worker
+        processes, then call this for the source-held ones (GoFS prefetch
+        threads).  ``close()`` is reversible — a view lazily recreates its
+        pool on the next prefetch — so sources stay usable for a later run."""
+        for src in self._sources:
+            close = getattr(src, "close", None)
+            if callable(close):
+                close()
 
     def __enter__(self) -> "Cluster":
         return self
@@ -241,8 +243,9 @@ class LocalCluster(Cluster):
 
     Parameters
     ----------
-    pg, computation, meta, cost_model:
-        As for :func:`build_hosts`.
+    pg, computation, meta, cost_model, use_combiners, live:
+        The partitioned graph, and what :class:`~repro.runtime.host.HostSpec`
+        builds each partition's host from.
     sources:
         One instance source per partition; defaults to each host reading the
         shared ``collection``.
@@ -277,28 +280,13 @@ class LocalCluster(Cluster):
         live: bool = False,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        cost_model = cost_model or CostModel()
         if sources is None:
             if collection is None:
                 raise ValueError("provide either sources or a collection")
             sources = [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
-        # Everything respawn_worker needs to rebuild a fresh host.
-        self._pg = pg
-        self._computation = computation
-        self._meta = meta
-        self._sources = list(sources)
-        self._cost_model = cost_model
-        self._use_combiners = use_combiners
-        self._tracing = tracing
-        self._live = live
-        self.fault_plan = fault_plan
-        self.incarnations = [0] * pg.num_partitions
-        self.quarantined: set[int] = set()
-        self.hosts = build_hosts(
-            pg, computation, meta, self._sources, cost_model,
-            use_combiners=use_combiners, tracing=tracing, live=live,
-        )
-        self.num_partitions = pg.num_partitions
+        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing, live)
+        super().__init__(pg, spec, sources, fault_plan)
+        self.hosts = [self._build_host(p) for p in range(pg.num_partitions)]
         if executor not in ("serial", "thread"):
             raise ValueError(f"unknown executor {executor!r}")
         self._pool = (
@@ -352,26 +340,10 @@ class LocalCluster(Cluster):
         payload,
         replay: bool = False,
     ) -> HostStepResult:
-        """One host's share of one exchange (replays and queries skip faults)."""
+        """One host's share of one exchange (replays and non-rounds skip faults)."""
         if op in ROUND_OPS and not replay:
             self._check_faults(timestep, superstep, host)
-        if op == "begin":
-            return host.begin_timestep(timestep, payload, replay=replay)
-        if op == "superstep":
-            return host.run_superstep(timestep, superstep, payload)
-        if op == "eot":
-            return host.end_of_timestep(timestep)
-        if op == "merge":
-            return host.run_merge_superstep(superstep, payload)
-        if op == "resident":
-            return host.resident_bytes()
-        if op == "prefetch":
-            return host.prefetch(payload)
-        if op == "states":
-            return host.final_states()
-        if op == "snapshot":
-            return host.snapshot_state()
-        raise ValueError(f"unknown protocol op {op!r}")
+        return host.handle(op, timestep, superstep, payload, replay=replay)
 
     def run_round(
         self, op: str, timestep: int, superstep: int, payloads: Sequence | None
@@ -407,49 +379,19 @@ class LocalCluster(Cluster):
         return self.incarnations[partition]
 
     def _build_host(self, partition: int) -> ComputeHost:
-        from ..partition.base import Partition
-
-        # Share the cluster's routing array: peers keep addressing the
-        # respawned host, and (static-assignment) routing stays identical.
-        sg_part = self.hosts[partition].subgraph_partition
-        return ComputeHost(
+        # A shallow partition copy, so migrations never mutate the caller's
+        # PartitionedGraph.
+        return self._spec.build(
             Partition(partition, list(self._pg.partitions[partition].subgraphs)),
-            self._computation,
-            self._meta,
             self._sources[partition],
-            sg_part,
-            self._cost_model,
-            use_combiners=self._use_combiners,
-            tracer=Tracer(partition_pid(partition), f"partition {partition}")
-            if self._tracing
-            else None,
-            publish_stats=self._live,
+            self._sg_part,
         )
-
-    def restore_one(
-        self, partition: int, snapshot: dict, reload_timestep: int | None = None
-    ) -> None:
-        self.hosts[partition].restore_state(snapshot, reload_timestep)
 
     def quarantine(self, partition: int) -> None:
         self.quarantined.add(partition)
-
-    # -- resilience protocol ---------------------------------------------------------
-
-    def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
-        if len(snapshots) != len(self.hosts):
-            raise ValueError("need exactly one snapshot per partition")
-        for h, snap in zip(self.hosts, snapshots):
-            h.restore_state(snap, reload_timestep)
 
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        # Release source-held resources (GoFS prefetch threads).  close()
-        # is reversible — a view lazily recreates its pool on the next
-        # prefetch — so sources stay usable for a subsequent run.
-        for src in self._sources:
-            close = getattr(src, "close", None)
-            if callable(close):
-                close()
+        super().shutdown()

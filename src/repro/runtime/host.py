@@ -19,8 +19,10 @@ The host also owns the sending side of the *message plane*:
 
 Hosts know nothing about global termination or routing — the engine drives
 them through a narrow call protocol (``begin_timestep`` → ``run_superstep``*
-→ ``end_of_timestep``), which is exactly the protocol a process-based
-cluster forwards over pipes.  Because local deliveries bypass the driver,
+→ ``end_of_timestep``), stated once as the op table :data:`HOST_OPS` behind
+:meth:`ComputeHost.handle`: what the in-process cluster calls is exactly
+what a worker cluster forwards over pipes or sockets, and every host is
+built from one :class:`HostSpec`.  Because local deliveries bypass the driver,
 each protocol reply reports ``has_pending_local`` so the engine's quiescence
 rule can see messages still in flight inside hosts.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -39,11 +41,21 @@ from ..core.messages import Message, MessageFrame, MessageKind, SendBuffer
 from ..core.patterns import Pattern
 from ..graph.collection import TimeSeriesGraphCollection
 from ..graph.instance import GraphInstance
-from ..observability import NULL_SPAN, TracePacket, Tracer
+from ..observability import NULL_SPAN, TracePacket, Tracer, partition_pid
 from ..partition.base import Partition
 from .cost import CostModel
 
-__all__ = ["InstanceSource", "CollectionInstanceSource", "HostStepResult", "ComputeHost", "RunMeta"]
+__all__ = [
+    "HOST_OPS",
+    "ROUND_OPS",
+    "InstanceSource",
+    "CollectionInstanceSource",
+    "HostStepResult",
+    "ComputeHost",
+    "HostSpec",
+    "RunMeta",
+    "host_op",
+]
 
 
 class InstanceSource(Protocol):
@@ -407,6 +419,12 @@ class ComputeHost:
 
     # -- protocol ----------------------------------------------------------------------
 
+    def handle(
+        self, op: str, timestep: int | None, superstep: int, payload, *, replay: bool = False
+    ):
+        """Execute one protocol op — what every executor calls (see :data:`HOST_OPS`)."""
+        return host_op(op)(self, timestep, superstep, payload, replay)
+
     def begin_timestep(
         self, timestep: int, gc_pause_s: float = 0.0, *, replay: bool = False
     ) -> HostStepResult:
@@ -727,3 +745,78 @@ class ComputeHost:
         if temporal_inbox:
             self._temporal_inbox.setdefault(sg.subgraph_id, []).extend(temporal_inbox)
         self._halted[sg.subgraph_id] = True
+
+
+# -- the protocol, stated once -------------------------------------------------------
+
+#: The protocol ops that advance host state.  The supervisor journals them
+#: and scripted faults address them, at the ``(timestep, superstep)`` the
+#: driver issued; every other op is a read-only query or ``restore``.
+ROUND_OPS = ("begin", "superstep", "eot", "merge")
+
+#: The one op table: protocol op → the host call behind it, as
+#: ``fn(host, timestep, superstep, payload, replay)``.  The in-process
+#: cluster, a pipe worker and a socket agent all dispatch through
+#: :meth:`ComputeHost.handle`; no other module maps an op to a method.
+HOST_OPS: dict[str, Callable[[ComputeHost, Any, int, Any, bool], Any]] = {
+    "begin": lambda h, t, s, payload, replay: h.begin_timestep(t, payload, replay=replay),
+    "superstep": lambda h, t, s, payload, replay: h.run_superstep(t, s, payload),
+    "eot": lambda h, t, s, payload, replay: h.end_of_timestep(t),
+    "merge": lambda h, t, s, payload, replay: h.run_merge_superstep(s, payload),
+    "resident": lambda h, t, s, payload, replay: h.resident_bytes(),
+    "prefetch": lambda h, t, s, payload, replay: h.prefetch(payload),
+    "states": lambda h, t, s, payload, replay: h.final_states(),
+    "snapshot": lambda h, t, s, payload, replay: h.snapshot_state(),
+    # payload = the checkpoint blob, timestep = the instance to reload (or None).
+    "restore": lambda h, t, s, payload, replay: h.restore_state(payload, t),
+}
+
+
+def host_op(op: str) -> Callable[[ComputeHost, Any, int, Any, bool], Any]:
+    """:data:`HOST_OPS`' entry for ``op``; an unknown op is a ``ValueError``.
+
+    Drivers of remote hosts call this before sending, so a misspelt op
+    fails in the caller instead of inside a worker.
+    """
+    try:
+        return HOST_OPS[op]
+    except KeyError:
+        raise ValueError(f"unknown protocol op {op!r}") from None
+
+
+@dataclass(frozen=True)
+class HostSpec:
+    """What every host of one run is built from.
+
+    Picklable, and the same object on every executor: the in-process
+    cluster builds its hosts from it, a pipe worker receives it as a
+    process argument and a socket agent in its ``init`` handshake, each
+    alongside the per-partition ``(partition, source, sg_part)``.
+    """
+
+    computation: TimeSeriesComputation
+    meta: RunMeta
+    cost_model: CostModel = field(default_factory=CostModel)
+    use_combiners: bool = True
+    #: Give the host its own tracer (one trace track per partition); its
+    #: telemetry rides back inside ordinary protocol replies.
+    tracing: bool = False
+    #: Publish source stats on begin-timestep replies (live telemetry plane).
+    live: bool = False
+
+    def build(
+        self, partition: Partition, source: InstanceSource, sg_part: np.ndarray
+    ) -> ComputeHost:
+        """Construct ``partition``'s host over ``source``, routing by ``sg_part``."""
+        pid = partition.partition_id
+        return ComputeHost(
+            partition,
+            self.computation,
+            self.meta,
+            source,
+            sg_part,
+            self.cost_model,
+            use_combiners=self.use_combiners,
+            tracer=Tracer(partition_pid(pid), f"partition {pid}") if self.tracing else None,
+            publish_stats=self.live,
+        )

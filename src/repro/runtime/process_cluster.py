@@ -17,10 +17,17 @@ Computations, instance sources and message payloads must be picklable
 
 Wire protocol
 -------------
-Every command is an envelope ``(seq, op, replay, *args)`` and every reply
-``(seq, incarnation, payload)``.  Sequence numbers are per-partition and
-assigned by the driver; each worker remembers the last sequence it executed
-and its reply, so a **resent command is answered from the reply cache
+Every command is an envelope ``(seq, op, replay, timestep, superstep,
+payload)`` — a sequence number, the replay mark and the round exactly as
+the journal holds it (:class:`~repro.resilience.journal.JournalEntry`) —
+and every reply ``(seq, incarnation, payload)``.  ``op`` is a key of
+:data:`~repro.runtime.host.HOST_OPS`, executed by
+:meth:`~repro.runtime.host.ComputeHost.handle`; for the four
+:data:`~repro.runtime.host.ROUND_OPS`, ``(timestep, superstep)`` is also
+the coordinate scripted faults fire at — the one the driver issued, never
+re-derived from the op.  Sequence numbers are per-partition and assigned by
+the driver; each worker remembers the last sequence it executed and its
+reply, so a **resent command is answered from the reply cache
 without re-executing** — the idempotent-resend property that lets the
 driver cure wire-level faults (a dropped, duplicated, reordered, or
 corrupted reply frame) by simply sending the same command again.  On the
@@ -65,15 +72,13 @@ import struct
 import time
 from typing import Any, Sequence
 
-import numpy as np
-
 from ..core.computation import TimeSeriesComputation
 from ..partition.base import PartitionedGraph
-from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
+from ..resilience.faults import FaultPlan
 from ..resilience.recovery import InjectedFault, RecoverableError
 from .cluster import Cluster, quarantine_fill
 from .cost import CostModel
-from .host import ComputeHost, HostStepResult, InstanceSource, RunMeta
+from .host import ROUND_OPS, HostSpec, HostStepResult, InstanceSource, RunMeta, host_op
 
 __all__ = [
     "GatherTimeout",
@@ -204,34 +209,6 @@ def _recv_oob(conn, *, deadline: float | None = None, what: str = "message") -> 
         ) from exc
 
 
-def _build_worker_host(
-    partition,
-    computation,
-    meta,
-    source,
-    sg_part,
-    cost_model,
-    use_combiners,
-    tracing,
-    live,
-) -> ComputeHost:
-    """Construct the one :class:`ComputeHost` a worker serves commands for."""
-    from ..observability import Tracer, partition_pid
-
-    pid = partition.partition_id
-    return ComputeHost(
-        partition,
-        computation,
-        meta,
-        source,
-        sg_part,
-        cost_model,
-        use_combiners=use_combiners,
-        tracer=Tracer(partition_pid(pid), f"partition {pid}") if tracing else None,
-        publish_stats=live,
-    )
-
-
 def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool = True) -> str:
     """Serve engine commands on ``conn`` until ``stop``, ``kill``, or EOF.
 
@@ -247,7 +224,11 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
     ``tibsp worker`` agent instead severs just this session's connection
     and returns ``"killed"`` so the agent survives to accept the respawned
     session.  Returns ``"stopped"`` on a polite stop, ``"killed"`` on a
-    non-exiting kill, ``"eof"`` when the driver went away.
+    non-exiting kill, ``"eof"`` when the driver went away, and
+    ``"bad-command"`` on a corrupt frame or an envelope of the wrong shape:
+    the stream can no longer be trusted, so the session ends (the caller
+    closes ``conn``; the driver sees EOF and respawns) rather than the
+    error taking a long-lived agent down with it.
     """
     import os
     import traceback
@@ -258,9 +239,11 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
     previous = None  # envelope before that (the ``reorder`` fault's stale frame)
     try:
         while True:
-            cmd = _recv_oob(conn)
-            seq, op, replay = int(cmd[0]), cmd[1], bool(cmd[2])
-            args = cmd[3:]
+            try:
+                seq, op, replay, timestep, superstep, payload = _recv_oob(conn)
+                seq = int(seq)
+            except (WorkerError, TypeError, ValueError):
+                return "bad-command"
             if op == "stop":
                 _send_oob(conn, (seq, incarnation, None))
                 return "stopped"
@@ -270,22 +253,10 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
                 if seq == last_seq and cached is not None:
                     _send_oob(conn, cached)
                 continue
-            # Map the command to its TI-BSP fault coordinate (merge runs
-            # after all timesteps; the plan addresses it as timestep -1).
-            if op == "begin":
-                coords = (args[0], AT_BEGIN)
-            elif op == "superstep":
-                coords = (args[0], args[1])
-            elif op == "eot":
-                coords = (args[0], AT_EOT)
-            elif op == "merge":
-                coords = (-1, args[0])
-            else:
-                coords = None
             post_fault = None
             try:
-                if fault_plan is not None and coords is not None and not replay:
-                    spec = fault_plan.fire(coords[0], coords[1], pid, incarnation)
+                if fault_plan is not None and op in ROUND_OPS and not replay:
+                    spec = fault_plan.fire(timestep, superstep, pid, incarnation)
                     if spec is not None:
                         if spec.kind == "kill":
                             conn.close()
@@ -294,38 +265,18 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
                             return "killed"
                         elif spec.kind == "fail_load":
                             raise InjectedFault(
-                                f"injected slice-load failure at timestep {coords[0]} "
+                                f"injected slice-load failure at timestep {timestep} "
                                 f"partition {pid}",
                                 partition=pid,
                             )
                         else:  # wire faults act on the reply, post-compute
                             post_fault = spec
-                if op == "begin":
-                    payload = host.begin_timestep(args[0], args[1], replay=replay)
-                elif op == "superstep":
-                    payload = host.run_superstep(args[0], args[1], args[2])
-                elif op == "eot":
-                    payload = host.end_of_timestep(args[0])
-                elif op == "merge":
-                    payload = host.run_merge_superstep(args[0], args[1])
-                elif op == "resident":
-                    payload = host.resident_bytes()
-                elif op == "prefetch":
-                    payload = host.prefetch(args[0])
-                elif op == "states":
-                    payload = host.final_states()
-                elif op == "snapshot":
-                    payload = host.snapshot_state()
-                elif op == "restore":
-                    host.restore_state(args[0], args[1])
-                    payload = True
-                else:  # pragma: no cover - defensive
-                    raise RuntimeError(f"unknown worker command {op!r}")
+                reply = host.handle(op, timestep, superstep, payload, replay=replay)
             except Exception as exc:
                 recoverable = isinstance(exc, RecoverableError)
-                payload = ("error", traceback.format_exc(), recoverable)
+                reply = ("error", traceback.format_exc(), recoverable)
                 post_fault = None  # error replies ship plainly
-            envelope = (seq, incarnation, payload)
+            envelope = (seq, incarnation, reply)
             # Cache before any wire misbehavior: a resend must find the
             # computed reply even when this send drops or corrupts.
             previous, cached = cached, envelope
@@ -351,23 +302,14 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
 
 
 def _worker_main(
-    conn,
-    partition,
-    computation,
-    meta,
-    source,
-    sg_part,
-    cost_model,
-    use_combiners,
-    tracing,
-    live,
-    fault_plan,
-    incarnation,
+    conn, spec: HostSpec, partition, source, sg_part, fault_plan, incarnation
 ) -> None:
     """Worker loop: owns one host, serves engine commands until ``stop``.
 
-    Commands arrive as ``(seq, op, replay, *args)`` envelopes; replies go
-    back as ``(seq, incarnation, payload)``.  The worker executes strictly
+    Everything after ``conn`` is what a socket agent receives in its
+    ``init`` handshake (:meth:`ProcessCluster._init_args`).  Commands arrive
+    as ``(seq, op, replay, timestep, superstep, payload)`` envelopes; replies
+    go back as ``(seq, incarnation, payload)``.  The worker executes strictly
     increasing sequence numbers: a command whose ``seq`` equals the last
     executed one is a driver resend and is answered from the one-deep reply
     cache *without re-executing* — that idempotence is what makes the
@@ -380,8 +322,8 @@ def _worker_main(
     errors — so the driver can re-raise with context instead of dying on a
     broken pipe.
 
-    When ``fault_plan`` is set, each command's TI-BSP coordinate is checked
-    against the plan under this worker's ``incarnation`` (skipped for
+    When ``fault_plan`` is set, each round's ``(timestep, superstep)`` is
+    checked against the plan under this worker's ``incarnation`` (skipped for
     ``replay`` commands — a journal replay must not re-trip scripted
     faults).  ``kill`` exits the process immediately (``os._exit``),
     ``fail_load`` raises :class:`InjectedFault` (a recoverable error
@@ -391,16 +333,13 @@ def _worker_main(
     garbage wire bytes instead, ``dup_frame`` sends it twice, and
     ``reorder`` re-sends the previous round's envelope ahead of it.
 
-    When ``tracing`` is set the host gets its own tracer; spans recorded in
-    the worker ride back to the driver as ``HostStepResult.telemetry`` on
+    When ``spec.tracing`` is set the host gets its own tracer; spans recorded
+    in the worker ride back to the driver as ``HostStepResult.telemetry`` on
     ordinary replies.  ``time.perf_counter_ns`` is CLOCK_MONOTONIC — one
     system-wide timebase shared with the (forked) driver — so worker span
     timestamps need no clock translation.
     """
-    host = _build_worker_host(
-        partition, computation, meta, source, sg_part, cost_model,
-        use_combiners, tracing, live,
-    )
+    host = spec.build(partition, source, sg_part)
     try:
         _serve_commands(conn, host, fault_plan, incarnation, exit_on_kill=True)
     except KeyboardInterrupt:  # pragma: no cover - driver died
@@ -462,27 +401,13 @@ class ProcessCluster(Cluster):
         fault_plan: FaultPlan | None = None,
         retry_policy: Any = None,
     ) -> None:
-        if len(sources) != pg.num_partitions:
-            raise ValueError("need exactly one instance source per partition")
         if gather_timeout_s is not None and gather_timeout_s <= 0:
             raise ValueError("gather_timeout_s must be positive (or None to disable)")
-        cost_model = cost_model or CostModel()
-        self._pg = pg
-        self._computation = computation
-        self._meta = meta
-        self._sources = list(sources)
-        self._cost_model = cost_model
-        self._use_combiners = use_combiners
-        self._tracing = tracing
-        self._live = live
-        self._sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
+        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing, live)
+        super().__init__(pg, spec, sources, fault_plan)
         self._ctx = mp.get_context(mp_context) if isinstance(mp_context, str) else mp_context
         self.gather_timeout_s = gather_timeout_s
-        self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        self.num_partitions = pg.num_partitions
-        self.incarnations = [0] * pg.num_partitions
-        self.quarantined: set[int] = set()
         #: Next command sequence number, per partition (reset on respawn).
         self._seqs = [0] * pg.num_partitions
         #: Last posted command per partition — what a protocol retry resends.
@@ -498,27 +423,24 @@ class ProcessCluster(Cluster):
         self._procs: list[Any] = []
         self._spawn_workers()
 
+    def _init_args(self, p: int) -> tuple:
+        """What partition ``p``'s worker is started from — a pipe worker as
+        process arguments, a socket agent as its ``init`` handshake."""
+        return (
+            self._spec,
+            self._pg.partitions[p],
+            self._sources[p],
+            self._sg_part,
+            self.fault_plan,
+            self.incarnations[p],
+        )
+
     def _spawn_one(self, p: int) -> tuple[Any, Any]:
         """Start partition ``p``'s worker at its current incarnation."""
         parent, child = self._ctx.Pipe()
         try:
             proc = self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    child,
-                    self._pg.partitions[p],
-                    self._computation,
-                    self._meta,
-                    self._sources[p],
-                    self._sg_part,
-                    self._cost_model,
-                    self._use_combiners,
-                    self._tracing,
-                    self._live,
-                    self.fault_plan,
-                    self.incarnations[p],
-                ),
-                daemon=True,
+                target=_worker_main, args=(child, *self._init_args(p)), daemon=True
             )
             proc.start()
         except BaseException:
@@ -547,11 +469,14 @@ class ProcessCluster(Cluster):
 
     # -- sequenced scatter/gather -----------------------------------------------------
 
-    def _post(self, p: int, op: str, replay: bool, args: tuple) -> None:
+    def _post(
+        self, p: int, op: str, replay: bool, timestep: int, superstep: int, payload
+    ) -> None:
         """Send one sequence-numbered command to partition ``p``'s worker."""
+        host_op(op)  # an unknown op fails here, before anything is sent
         seq = self._seqs[p]
         self._seqs[p] += 1
-        cmd = (seq, op, replay, *args)
+        cmd = (seq, op, replay, timestep, superstep, payload)
         self._inflight[p] = cmd
         self._stats["commands_sent"] += 1
         try:
@@ -590,7 +515,7 @@ class ProcessCluster(Cluster):
     def _collect(self, p: int, deadline: float | None = None) -> Any:
         """Gather partition ``p``'s in-flight reply, curing wire faults.
 
-        ``deadline`` is the *round* deadline: :meth:`_exchange_all` starts
+        ``deadline`` is the *round* deadline: :meth:`run_round` starts
         one clock before gathering any partition, so a round's worst-case
         wait is ``gather_timeout_s`` total, not ``N_partitions ×
         gather_timeout_s``.  When ``None`` (single-partition paths such as
@@ -682,14 +607,15 @@ class ProcessCluster(Cluster):
             raise WorkerError(message)
         return payload
 
-    def _exchange_all(self, op: str, make_args, *, capture: bool = False) -> list[Any]:
+    def run_round(
+        self, op: str, timestep: int, superstep: int, payloads: Sequence | None
+    ) -> list[Any]:
         """One scatter/gather round across every non-quarantined worker.
 
-        ``capture=True`` (``run_round``) records each
-        partition's :class:`RecoverableError` in its outcome slot instead
-        of raising, so survivors finish their round; deterministic
-        application errors always raise.  Quarantined partitions'
-        outcomes are synthesized.
+        Each partition's :class:`RecoverableError` is recorded in its
+        outcome slot instead of raised, so survivors finish their round;
+        deterministic application errors always raise.  Quarantined
+        partitions' outcomes are synthesized.
         """
         tr = self.driver_tracer
         outcomes: list[Any] = [None] * self.num_partitions
@@ -700,11 +626,10 @@ class ProcessCluster(Cluster):
                 if p in self.quarantined:
                     outcomes[p] = quarantine_fill(op, p)
                     continue
+                payload = None if payloads is None else payloads[p]
                 try:
-                    self._post(p, op, False, make_args(p))
+                    self._post(p, op, False, timestep, superstep, payload)
                 except WorkerLost as exc:
-                    if not capture:
-                        raise
                     outcomes[p] = exc
                     continue
                 pending.append(p)
@@ -722,8 +647,6 @@ class ProcessCluster(Cluster):
                 try:
                     outcomes[p] = self._unwrap(p, self._collect(p, deadline))
                 except RecoverableError as exc:
-                    if not capture:
-                        raise
                     outcomes[p] = exc
 
         if tr is None:
@@ -739,38 +662,7 @@ class ProcessCluster(Cluster):
                 gather()
         return outcomes
 
-    @staticmethod
-    def _round_args(op: str, timestep: int, superstep: int, payload) -> tuple:
-        """One partition's worker args for one ``run_round`` op."""
-        if op == "begin":
-            return (timestep, payload)
-        if op == "superstep":
-            return (timestep, superstep, payload)
-        if op == "eot":
-            return (timestep,)
-        if op == "merge":
-            return (superstep, payload)
-        if op == "prefetch":
-            # Workers schedule the background load and reply immediately
-            # (the read itself runs on each worker's prefetch thread,
-            # overlapping the following supersteps' compute).
-            return (payload,)
-        if op in ("resident", "states", "snapshot"):
-            return ()
-        raise ValueError(f"unknown protocol op {op!r}")
-
     # -- surgical protocol ------------------------------------------------------------
-
-    def run_round(
-        self, op: str, timestep: int, superstep: int, payloads: Sequence | None
-    ) -> list[Any]:
-        return self._exchange_all(
-            op,
-            lambda p: self._round_args(
-                op, timestep, superstep, None if payloads is None else payloads[p]
-            ),
-            capture=True,
-        )
 
     def step_one(
         self,
@@ -782,7 +674,7 @@ class ProcessCluster(Cluster):
         *,
         replay: bool = False,
     ) -> HostStepResult:
-        self._post(partition, op, replay, self._round_args(op, timestep, superstep, payload))
+        self._post(partition, op, replay, timestep, superstep, payload)
         return self._unwrap(partition, self._collect(partition))
 
     def respawn_worker(self, partition: int) -> int:
@@ -801,12 +693,6 @@ class ProcessCluster(Cluster):
         self._procs[partition] = proc
         return self.incarnations[partition]
 
-    def restore_one(
-        self, partition: int, snapshot: dict, reload_timestep: int | None = None
-    ) -> None:
-        self._post(partition, "restore", False, (snapshot, reload_timestep))
-        self._unwrap(partition, self._collect(partition))
-
     def quarantine(self, partition: int) -> None:
         self.quarantined.add(partition)
         self._teardown_one(partition)
@@ -817,13 +703,6 @@ class ProcessCluster(Cluster):
 
     def protocol_stats(self) -> dict:
         return dict(self._stats)
-
-    # -- resilience protocol ---------------------------------------------------------
-
-    def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
-        if len(snapshots) != self.num_partitions:
-            raise ValueError("need exactly one snapshot per partition")
-        self._exchange_all("restore", lambda p: (snapshots[p], reload_timestep))
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -846,7 +725,7 @@ class ProcessCluster(Cluster):
             for _, conn in indexed_conns:
                 try:
                     # Workers honor "stop" regardless of sequence number.
-                    _send_oob(conn, (1 << 30, "stop", False))
+                    _send_oob(conn, (1 << 30, "stop", False, -1, -1, None))
                 except (BrokenPipeError, ConnectionError, OSError):
                     pass
             for p, conn in indexed_conns:
@@ -879,13 +758,18 @@ class ProcessCluster(Cluster):
                 if proc.is_alive():
                     proc.terminate()
         for proc in procs:
-            proc.join(timeout=2.0 if force else 5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - terminate refused
-                    proc.kill()
-                    proc.join(timeout=1.0)
+            proc.join(timeout=2.0 if force else 5.0)  # grace to exit on its own
+            self._reap(proc)
+
+    @staticmethod
+    def _reap(proc) -> None:
+        """The reap ladder: terminate → join → kill → join, each bounded."""
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=2.0)
+        if proc.is_alive():  # pragma: no cover - terminate refused
+            proc.kill()
+            proc.join(timeout=1.0)
 
     def _teardown_one(self, partition: int) -> None:
         """Reap one worker (respawn or quarantine), leaving a None slot."""
@@ -899,18 +783,10 @@ class ProcessCluster(Cluster):
             except OSError:  # pragma: no cover - defensive
                 pass
         if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - terminate refused
-                proc.kill()
-                proc.join(timeout=1.0)
+            self._reap(proc)
 
     def shutdown(self) -> None:
         self._teardown()
         # The driver-side source templates are the caller's objects; if any
         # were used directly before the run they may hold prefetch threads.
-        for src in self._sources:
-            close = getattr(src, "close", None)
-            if callable(close):
-                close()
+        super().shutdown()

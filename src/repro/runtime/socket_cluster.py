@@ -9,25 +9,20 @@ worker`` CLI entrypoint and addressed with ``hosts=["host:port", ...]`` —
 or, when ``hosts`` is ``None``, auto-spawned as local processes so tests
 and CI need no orchestration.
 
-The wire discipline is exactly PR 8's hardened frame protocol, unchanged:
-commands are ``(seq, op, replay, *args)`` envelopes, replies
-``(seq, incarnation, payload)``, workers answer resends from a one-deep
-reply cache without re-executing, and the driver deduplicates stale frames
-— see :mod:`~repro.runtime.process_cluster` for the full contract.  That
-is possible because :func:`~repro.runtime.process_cluster._send_oob` /
-``_recv_oob`` only use the ``multiprocessing.Connection`` API surface
-(``send_bytes`` / ``recv_bytes`` / ``recv_bytes_into`` / ``poll`` /
-``close``), so this module just supplies two transport adapters:
-
-* :class:`_SocketConn` — a blocking adapter over a connected socket
-  (workers and tests).  Each ``send_bytes`` payload becomes one
-  length-prefixed frame (``<Q`` prefix), re-creating the pipes'
-  message-oriented semantics on the byte stream; ``poll`` is a
-  ``select``.
-* :class:`_AsyncConn` — the driver-side adapter: ``asyncio`` streams
-  owned by a background event-loop thread, with every blocking call
-  bridged via ``run_coroutine_threadsafe``.  One loop thread serves all
-  partitions' connections.
+The wire discipline is exactly the pipes' hardened frame protocol:
+commands are ``(seq, op, replay, timestep, superstep, payload)`` envelopes,
+replies ``(seq, incarnation, payload)``, workers answer resends from a
+one-deep reply cache without re-executing, and the driver deduplicates
+stale frames — see :mod:`~repro.runtime.process_cluster` for the full
+contract.  That is possible because
+:func:`~repro.runtime.process_cluster._send_oob` / ``_recv_oob`` only use
+the ``multiprocessing.Connection`` API surface (``send_bytes`` /
+``recv_bytes`` / ``recv_bytes_into`` / ``poll`` / ``close``), so this
+module supplies one transport adapter, :class:`_SocketConn`, used by the
+driver and the workers alike: a blocking adapter over a connected socket.
+Each ``send_bytes`` payload becomes one length-prefixed frame (``<Q``
+prefix), re-creating the pipes' message-oriented semantics on the byte
+stream; ``poll`` is a ``select``.
 
 Because TCP connections are true peer-to-peer (unlike pipes, whose write
 ends are inherited by every forked sibling), a dying worker's FIN reaches
@@ -40,7 +35,6 @@ idempotent resends as over pipes.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing as mp
 import select
 import socket
@@ -49,11 +43,11 @@ import threading
 import time
 from typing import Any, Sequence
 
+from .host import HostSpec
 from .process_cluster import (
     ProcessCluster,
     WorkerError,
     WorkerLost,
-    _build_worker_host,
     _recv_oob,
     _send_oob,
     _serve_commands,
@@ -95,7 +89,7 @@ def parse_hosts(spec: str | Sequence[str]) -> list[tuple[str, int]]:
     return out
 
 
-# -- blocking transport (workers, tests) ----------------------------------------------
+# -- the transport (driver and workers) -----------------------------------------------
 
 
 class _SocketConn:
@@ -166,183 +160,36 @@ class _SocketConn:
             pass
 
 
-# -- driver-side asyncio transport ----------------------------------------------------
-
-
-class _EventLoopThread:
-    """A daemon thread running one asyncio loop for all driver connections."""
-
-    def __init__(self) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run, name="tibsp-socket-io", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_forever()
-
-    def call(self, coro):
-        """Run ``coro`` on the loop, blocking the caller until it returns."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
-
-    def close(self) -> None:
-        if self.loop.is_closed():
-            return
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=5.0)
-        if not self._thread.is_alive():
-            self.loop.close()
-
-
-class _AsyncConn:
-    """Driver-side ``Connection`` adapter over asyncio streams.
-
-    All I/O runs on the shared :class:`_EventLoopThread`; the driver's
-    (synchronous) scatter/gather loop blocks on
-    ``run_coroutine_threadsafe`` futures.  ``poll`` peeks one byte into a
-    pushback buffer — a cancelled peek loses nothing because data stays in
-    the stream reader's buffer until actually read.
-    """
-
-    def __init__(self, io: _EventLoopThread, reader, writer) -> None:
-        self._io = io
-        self._reader = reader
-        self._writer = writer
-        self._pending = bytearray()  # bytes consumed by poll-peeks, not yet recv'd
-        self._eof = False
-        self._closed = False
-
-    # -- sending ----------------------------------------------------------------------
-
-    def send_bytes(self, data) -> None:
-        if self._closed:
-            raise OSError("connection is closed")
-        # Copy: the transport may queue the write past drain's low-water
-        # mark, and callers hand us views of live numpy memory.
-        self._io.call(self._send_async(bytes(data)))
-
-    async def _send_async(self, data: bytes) -> None:
-        self._writer.write(struct.pack("<Q", len(data)))
-        self._writer.write(data)
-        await self._writer.drain()
-
-    # -- receiving --------------------------------------------------------------------
-
-    async def _read_exactly(self, n: int) -> bytes:
-        out = bytearray()
-        if self._pending:
-            out += self._pending[:n]
-            del self._pending[:n]
-        while len(out) < n:
-            chunk = await self._reader.read(n - len(out))
-            if not chunk:
-                self._eof = True
-                raise EOFError("socket closed mid-frame")
-            out += chunk
-        return bytes(out)
-
-    async def _recv_async(self) -> bytes:
-        (length,) = struct.unpack("<Q", await self._read_exactly(8))
-        if length > _MAX_FRAME_BYTES:
-            raise WorkerError(
-                f"transport frame declares {length} bytes "
-                f"(cap {_MAX_FRAME_BYTES}); stream is desynced or corrupt"
-            )
-        return await self._read_exactly(length)
-
-    def recv_bytes(self) -> bytes:
-        if self._closed:
-            raise OSError("connection is closed")
-        return self._io.call(self._recv_async())
-
-    def recv_bytes_into(self, buf) -> int:
-        data = self.recv_bytes()
-        view = memoryview(buf)
-        if len(data) > view.nbytes:
-            raise mp.BufferTooShort(data)
-        view[: len(data)] = data
-        return len(data)
-
-    async def _poll_async(self, timeout: float) -> bool:
-        try:
-            chunk = await asyncio.wait_for(self._reader.read(1), max(timeout, 1e-6))
-        except asyncio.TimeoutError:
-            return False
-        if not chunk:
-            self._eof = True
-            return True  # readable: the next recv raises EOFError
-        self._pending += chunk
-        return True
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        if self._pending or self._eof:
-            return True
-        if self._closed:
-            return False
-        return self._io.call(self._poll_async(timeout))
-
-    # -- lifecycle --------------------------------------------------------------------
-
-    async def _close_async(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - peer raced us
-            pass
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._io.call(self._close_async())
-        except (RuntimeError, ConnectionError, OSError):
-            pass  # loop already stopped or peer already gone
-
-
 # -- worker agent ---------------------------------------------------------------------
 
 
 def _serve_session(conn, *, exit_on_kill: bool) -> str:
     """Serve one driver session on ``conn``: handshake, then commands.
 
-    The driver opens a session with ``("init", state)`` carrying
-    everything :func:`_build_worker_host` needs (partition, computation,
-    sources, fault plan, incarnation, ...); the worker answers
-    ``("ready", incarnation)`` and then speaks the ordinary command
-    protocol.  Returns :func:`_serve_commands`' disposition (``stopped`` /
-    ``killed`` / ``eof``) or ``"bad-init"`` on a malformed handshake.
+    The driver opens a session with ``("init", args)``, ``args`` being
+    :meth:`ProcessCluster._init_args` — exactly what a pipe worker gets as
+    process arguments: ``(spec, partition, source, sg_part, fault_plan,
+    incarnation)``; the worker answers ``("ready", incarnation)`` and then
+    speaks the ordinary command protocol.  Returns
+    :func:`_serve_commands`' disposition (``stopped`` / ``killed`` / ``eof``
+    / ``bad-command``) or ``"bad-init"`` when the handshake is corrupt or
+    does not destructure (another version's driver, say): either way only
+    this session ends, never the agent.
     """
     source = None
     try:
         try:
-            msg = _recv_oob(conn)
-        except (WorkerError, EOFError, ConnectionError, OSError):
+            tag, (spec, partition, source, sg_part, fault_plan, incarnation) = _recv_oob(conn)
+        except (WorkerError, EOFError, OSError, TypeError, ValueError):
             return "bad-init"
-        if not (isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "init"):
+        if tag != "init" or not isinstance(spec, HostSpec):
             return "bad-init"
-        state = msg[1]
-        source = state["source"]
-        host = _build_worker_host(
-            state["partition"],
-            state["computation"],
-            state["meta"],
-            source,
-            state["sg_part"],
-            state["cost_model"],
-            state["use_combiners"],
-            state["tracing"],
-            state["live"],
-        )
+        host = spec.build(partition, source, sg_part)
         try:
-            _send_oob(conn, ("ready", state["incarnation"]))
+            _send_oob(conn, ("ready", incarnation))
         except (ConnectionError, OSError):
             return "eof"
-        return _serve_commands(
-            conn, host, state["fault_plan"], state["incarnation"], exit_on_kill=exit_on_kill
-        )
+        return _serve_commands(conn, host, fault_plan, incarnation, exit_on_kill=exit_on_kill)
     finally:
         close = getattr(source, "close", None)
         if callable(close):  # release prefetch threads between sessions
@@ -465,7 +312,7 @@ class SocketCluster(ProcessCluster):
     Everything else — the sequenced scatter/gather, protocol retries,
     surgical recovery, quarantine, teardown — is inherited unchanged from
     :class:`ProcessCluster`; only ``_spawn_one`` (transport + handshake)
-    and ``shutdown`` (event-loop reaping) differ.
+    differs.
     """
 
     def __init__(
@@ -488,52 +335,38 @@ class SocketCluster(ProcessCluster):
         if connect_timeout_s <= 0:
             raise ValueError("connect_timeout_s must be positive")
         self.connect_timeout_s = connect_timeout_s
-        self._io = _EventLoopThread()
-        try:
-            super().__init__(pg, computation, meta, sources, **kwargs)
-        except BaseException:
-            self._io.close()
-            raise
+        super().__init__(pg, computation, meta, sources, **kwargs)
 
     # -- transport --------------------------------------------------------------------
 
-    async def _open_connection(self, address: tuple[str, int]) -> _AsyncConn:
-        host, port = address
+    def _connect(self, address: tuple[str, int], p: int) -> _SocketConn:
+        """Connect to ``address``, retrying until ``connect_timeout_s`` is spent.
+
+        Each attempt is bounded by what is left of the deadline, so a
+        black-holed address costs ``connect_timeout_s``, not the kernel's
+        SYN timeout.
+        """
         deadline = time.monotonic() + self.connect_timeout_s
         while True:
             try:
-                reader, writer = await asyncio.open_connection(host, port)
-                return _AsyncConn(self._io, reader, writer)
-            except (ConnectionRefusedError, OSError):
-                if time.monotonic() >= deadline:
-                    raise
-                await asyncio.sleep(0.05)
+                sock = socket.create_connection(
+                    address, timeout=max(deadline - time.monotonic(), 1e-3)
+                )
+            except OSError as exc:  # refused, unreachable, timed out, ...
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise WorkerLost(
+                        f"partition {p} worker at {address[0]}:{address[1]} is unreachable "
+                        f"({exc!r})",
+                        partition=p,
+                    ) from exc
+                time.sleep(min(0.05, left))
+            else:
+                sock.settimeout(None)  # the connect bound must not time reads out
+                return _SocketConn(sock)
 
-    def _connect(self, address: tuple[str, int], p: int) -> _AsyncConn:
-        try:
-            return self._io.call(self._open_connection(address))
-        except (ConnectionError, OSError) as exc:
-            raise WorkerLost(
-                f"partition {p} worker at {address[0]}:{address[1]} is unreachable "
-                f"({exc!r})",
-                partition=p,
-            ) from exc
-
-    def _handshake(self, conn: _AsyncConn, p: int) -> None:
-        state = {
-            "partition": self._pg.partitions[p],
-            "computation": self._computation,
-            "meta": self._meta,
-            "source": self._sources[p],
-            "sg_part": self._sg_part,
-            "cost_model": self._cost_model,
-            "use_combiners": self._use_combiners,
-            "tracing": self._tracing,
-            "live": self._live,
-            "fault_plan": self.fault_plan,
-            "incarnation": self.incarnations[p],
-        }
-        _send_oob(conn, ("init", state))
+    def _handshake(self, conn: _SocketConn, p: int) -> None:
+        _send_oob(conn, ("init", self._init_args(p)))
         reply = _recv_oob(
             conn,
             deadline=time.monotonic() + self.connect_timeout_s,
@@ -571,16 +404,6 @@ class SocketCluster(ProcessCluster):
             self._handshake(conn, p)
         except BaseException:
             conn.close()
-            if self._hosts is None and proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
+            self._reap(proc)
             raise
         return conn, proc
-
-    # -- lifecycle --------------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        try:
-            super().shutdown()
-        finally:
-            self._io.close()

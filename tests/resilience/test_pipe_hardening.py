@@ -1,89 +1,18 @@
-"""Driver-side pipe hardening: corrupt streams, timeouts, worker lifecycle."""
+"""Driver-side pipe hardening: timeouts and worker lifecycle.
 
-import multiprocessing as mp
-import struct
-import time
+The frame codec's corrupt-stream cases live in
+``tests/runtime/test_socket_transport.py``, parametrized over pipe and socket.
+"""
 
 import pytest
 
 from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import AT_BEGIN, FaultPlan, RecoveryPolicy
-from repro.runtime import GatherTimeout, ProcessCluster, RunMeta, WorkerError, WorkerLost
-from repro.runtime.process_cluster import _recv_oob, _send_oob
+from repro.runtime import ProcessCluster, RunMeta, WorkerLost
 
 from .conftest import AccumulateSum
 
 pytestmark = pytest.mark.resilience
-
-
-@pytest.fixture
-def pipe():
-    a, b = mp.Pipe()
-    yield a, b
-    a.close()
-    b.close()
-
-
-class TestRecvOob:
-    def test_round_trip(self, pipe):
-        a, b = pipe
-        _send_oob(a, {"x": [1, 2, 3]})
-        assert _recv_oob(b) == {"x": [1, 2, 3]}
-
-    def test_numpy_buffer_round_trip(self, pipe):
-        import numpy as np
-
-        a, b = pipe
-        _send_oob(a, np.arange(1000, dtype=np.int64))
-        got = _recv_oob(b)
-        assert got.tolist() == list(range(1000))
-        got[0] = 42  # out-of-band buffers must come back writeable
-
-    def test_truncated_header(self, pipe):
-        a, b = pipe
-        a.send_bytes(b"\x01")
-        with pytest.raises(WorkerError, match="header is 1 bytes"):
-            _recv_oob(b)
-
-    def test_absurd_buffer_count(self, pipe):
-        a, b = pipe
-        a.send_bytes(struct.pack("<I", 1 << 30))
-        with pytest.raises(WorkerError, match="declares 1073741824"):
-            _recv_oob(b)
-
-    def test_header_size_mismatch(self, pipe):
-        a, b = pipe
-        # Claims two buffers but carries only one size slot.
-        a.send_bytes(struct.pack("<IQ", 2, 5))
-        with pytest.raises(WorkerError, match="declares 2"):
-            _recv_oob(b)
-
-    def test_garbage_body(self, pipe):
-        a, b = pipe
-        a.send_bytes(struct.pack("<I", 0))
-        a.send_bytes(b"not a pickle")
-        with pytest.raises(WorkerError, match="failed to unpickle"):
-            _recv_oob(b)
-
-    def test_oversized_buffer(self, pipe):
-        a, b = pipe
-        a.send_bytes(struct.pack("<IQ", 1, 4))  # declares 4 bytes
-        a.send_bytes(struct.pack("<I", 0))  # any body
-        a.send_bytes(b"123456789")  # ships 9
-        with pytest.raises(WorkerError, match="larger than its declared"):
-            _recv_oob(b)
-
-    def test_deadline_times_out(self, pipe):
-        _a, b = pipe
-        start = time.monotonic()
-        with pytest.raises(GatherTimeout, match="stuck reply"):
-            _recv_oob(b, deadline=time.monotonic() + 0.05, what="stuck reply")
-        assert time.monotonic() - start < 2.0
-
-    def test_no_deadline_reads_normally(self, pipe):
-        a, b = pipe
-        _send_oob(a, "ok")
-        assert _recv_oob(b, deadline=time.monotonic() + 5.0) == "ok"
 
 
 class _Cluster:

@@ -9,7 +9,6 @@ from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import CollectionInstanceSource, CostModel, LocalCluster, RunMeta
 from repro.resilience import AT_BEGIN, AT_EOT
-from repro.runtime.cluster import build_hosts
 from tests.conftest import make_grid_template
 
 
@@ -143,7 +142,7 @@ class TestBuildHosts:
                 ctx.vote_to_halt()
 
         with pytest.raises(ValueError, match="one instance source per partition"):
-            build_hosts(pg, Noop(), meta, [CollectionInstanceSource(coll)], CostModel())
+            LocalCluster(pg, Noop(), meta, sources=[CollectionInstanceSource(coll)])
 
 
 class TestHostAccounting:

@@ -1,9 +1,9 @@
 """Frame protocol over real sockets: the transport shared by pipe and TCP.
 
-ISSUE 9 satellite: ``_send_oob``/``_recv_oob`` hardening (torn header,
-short read mid-buffer, oversized frame) exercised over a real socketpair
-— the same adapter the TCP workers and driver speak — parametrized against
-the original ``mp.Pipe`` transport so both stay behaviorally identical.
+``_send_oob``/``_recv_oob`` hardening (torn header, short read mid-buffer,
+oversized frame) exercised over a real socketpair — ``_SocketConn``, the one
+adapter both the TCP driver and its workers speak — parametrized against
+the ``mp.Pipe`` transport so both stay behaviorally identical.
 """
 
 import multiprocessing as mp
@@ -59,6 +59,13 @@ class TestFrameProtocolAcrossTransports:
         with pytest.raises(WorkerError, match="declares 1073741824"):
             _recv_oob(b)
 
+    def test_header_size_mismatch(self, conns):
+        a, b = conns
+        # Claims two buffers but carries only one size slot.
+        a.send_bytes(struct.pack("<IQ", 2, 5))
+        with pytest.raises(WorkerError, match="declares 2"):
+            _recv_oob(b)
+
     def test_garbage_body(self, conns):
         a, b = conns
         a.send_bytes(struct.pack("<I", 0))
@@ -80,6 +87,11 @@ class TestFrameProtocolAcrossTransports:
         with pytest.raises(GatherTimeout, match="stuck reply"):
             _recv_oob(b, deadline=time.monotonic() + 0.05, what="stuck reply")
         assert time.monotonic() - start < 2.0
+
+    def test_no_deadline_reads_normally(self, conns):
+        a, b = conns
+        _send_oob(a, "ok")
+        assert _recv_oob(b, deadline=time.monotonic() + 5.0) == "ok"
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """A run imports what it runs: no scipy, networkx, asyncio or ssl on the path
-of a serial or process run; the socket executor loads on selection.
+of a serial, process or socket run; the worker executors load on selection.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -35,7 +35,7 @@ def main():
     pg = partition_graph(template, 2)
     with tempfile.TemporaryDirectory() as store:
         GoFS.write_collection(store, pg, collection)
-        for executor in ("serial", "process"):
+        for executor in ("serial", "process", "socket"):
             result = run_application(
                 TDSPComputation(0), pg, collection,
                 sources=GoFS.partition_views(store),
@@ -43,7 +43,7 @@ def main():
             )
             assert result.timesteps_executed > 0
             assert loaded() == [], (executor, loaded())
-        assert "repro.runtime.process_cluster" in sys.modules
+        assert "repro.runtime.socket_cluster" in sys.modules
     print("clean")
 
 if __name__ == "__main__":  # spawn-start workers re-import this file
@@ -55,7 +55,7 @@ import repro
 from repro.runtime import ProcessCluster, WorkerLost
 assert loaded() == [], loaded()
 from repro.runtime import SocketCluster, parse_hosts, serve_worker
-assert "asyncio" in sys.modules
+assert loaded() == [], loaded()
 import repro.runtime
 try:
     repro.runtime.no_such_name
@@ -80,5 +80,5 @@ def test_serial_and_process_runs_import_no_scipy_networkx_asyncio_ssl(tmp_path):
     _run_fresh(tmp_path, _RUN)
 
 
-def test_runtime_names_resolve_and_only_the_socket_executor_loads_asyncio(tmp_path):
+def test_runtime_names_resolve_and_no_executor_loads_asyncio(tmp_path):
     _run_fresh(tmp_path, _RUNTIME_NAMES)
