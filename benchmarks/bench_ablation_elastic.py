@@ -10,9 +10,9 @@ quantifying the paper's intuition.
 import pytest
 
 from repro.algorithms import MemeTrackingComputation, TDSPComputation
-from repro.analysis import render_table
+from repro.analysis import ElasticPolicy, render_table, simulate_elastic
 from repro.core import EngineConfig, run_application
-from repro.runtime import CostModel, ElasticPolicy, simulate_elastic
+from repro.runtime import CostModel
 
 from conftest import SCALE, emit
 

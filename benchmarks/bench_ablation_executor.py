@@ -1,11 +1,11 @@
-"""Ablation: execution backend (serial / thread / process / socket clusters).
+"""Ablation: execution backend (serial / process / socket clusters).
 
 The serial backend is the deterministic default whose *simulated* wall-clock
-reproduces the paper's figures; the thread, process, and socket backends
-execute the same TI-BSP protocol with real concurrency (the process cluster
-gives each partition its own address space, the socket cluster puts a real
-TCP hop between driver and partition — one-VM-per-partition in miniature).
-This bench verifies all four produce identical algorithm results and reports
+reproduces the paper's figures; the process and socket backends execute
+the same TI-BSP protocol with real concurrency (the process cluster gives
+each partition its own address space, the socket cluster puts a real TCP
+hop between driver and partition — one-VM-per-partition in miniature).
+This bench verifies all three produce identical algorithm results and reports
 their real wall-clock and identical simulated ordering.
 """
 
@@ -22,7 +22,7 @@ from repro.storage import GoFS
 
 from conftest import SCALE, emit
 
-EXECUTORS = ("serial", "thread", "process", "socket")
+EXECUTORS = ("serial", "process", "socket")
 
 
 def test_ablation_executor_backends(benchmark, datasets, partitioned, tmp_path_factory):
@@ -64,7 +64,7 @@ def test_ablation_executor_backends(benchmark, datasets, partitioned, tmp_path_f
 
     # All backends compute identical TDSP labels.
     base = np.nan_to_num(labels["serial"], posinf=1e18)
-    for executor in ("thread", "process", "socket"):
+    for executor in EXECUTORS[1:]:
         np.testing.assert_allclose(np.nan_to_num(labels[executor], posinf=1e18), base)
     # And execute the same number of timesteps.
     assert len({r["timesteps"] for r in rows}) == 1

@@ -12,8 +12,8 @@ host chain, segment by segment:
 * ``barrier`` — the modeled per-superstep barrier cost;
 * ``load`` / ``gc`` — the slowest host's instance load (blocked portion)
   and GC pause at the timestep boundary;
-* ``migration`` / ``checkpoint`` / ``prefetch`` / ``recovery`` — driver-
-  charged costs on the timestep's critical path.
+* ``checkpoint`` / ``prefetch`` / ``recovery`` — driver-charged costs on
+  the timestep's critical path.
 
 The report reads the tables of a
 :class:`~repro.runtime.metrics.MetricsCollector` — a finished run's
@@ -46,7 +46,6 @@ SEGMENTS = (
     "barrier",
     "load",
     "gc",
-    "migration",
     "checkpoint",
     "prefetch",
     "recovery",
@@ -86,7 +85,6 @@ def critical_path_report(metrics: MetricsCollector) -> dict[str, Any]:
         if r.phase == PHASE_COMPUTE:
             steps[r.timestep][r.superstep][r.partition] = r
     driver_costs = {
-        "migration": metrics.migration_s,
         "checkpoint": metrics.checkpoint_s,
         "prefetch": metrics.prefetch_s,
         "recovery": metrics.recovery_s,

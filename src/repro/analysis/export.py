@@ -94,8 +94,6 @@ def result_summary(result: AppResult) -> dict:
             }
             for b in m.partition_breakdown()
         ]
-        if m.migrations:
-            summary["migrations"] = _plain(dict(m.migrations))
     return summary
 
 

@@ -42,6 +42,7 @@ from .algorithms import (
 )
 from .baselines import fig5b_comparison
 from .core import EngineConfig, run_application
+from .core.engine import EXECUTORS
 from .generators import (
     PeriodicExistencePopulator,
     make_collection,
@@ -59,7 +60,7 @@ from .observability import (
 )
 from .partition import MetisLikePartitioner, compute_stats, partition_graph
 from .resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
-from .runtime import CollectionInstanceSource, GCModel, GreedyRebalancer
+from .runtime import CollectionInstanceSource, GCModel
 from .storage import GoFS
 
 __all__ = ["main"]
@@ -75,6 +76,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=None,
         help="content-keyed dataset/partition cache directory (reruns at the "
         "same parameters load instead of regenerating)",
+    )
+
+
+def _add_problem(p: argparse.ArgumentParser, executor: str) -> None:
+    """What ``run`` and ``trace`` both take; ``executor`` is the default one."""
+    _add_common(p)
+    p.add_argument(
+        "algorithm", choices=["tdsp", "meme", "hash", "reach", "evolve", "stats"]
+    )
+    p.add_argument("--graph", choices=["CARN", "WIKI"], default="CARN")
+    p.add_argument("--partitions", type=int, default=6)
+    p.add_argument("--source", type=int, default=0)
+    p.add_argument("--gc", action="store_true", help="enable the GC pause model")
+    p.add_argument(
+        "--executor", choices=EXECUTORS, default=executor,
+        help="cluster backend (process = one worker process per partition; "
+        "socket = workers reached over TCP, auto-spawned locally unless "
+        "--hosts is given)",
     )
 
 
@@ -157,6 +176,14 @@ def _make_computation(args: argparse.Namespace, template, collection, pg):
     return InstanceStatisticsComputation(
         "latency", on="edges", range_low=0.0, range_high=0.2 * collection.delta
     )
+
+
+def _collection_sources(args: argparse.Namespace, collection, pg):
+    """Per-partition sources over the in-memory collection, for the executors
+    whose workers load in their own address space (None on serial)."""
+    if args.executor == "serial":
+        return None
+    return [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -280,7 +307,6 @@ def _run(args: argparse.Namespace) -> int:
     config = EngineConfig(
         executor=args.executor,
         gc_model=GCModel() if args.gc else GCModel.disabled(),
-        rebalancer=GreedyRebalancer() if args.rebalance else None,
         live=_live_config(args),
         hosts=tuple(h.strip() for h in args.hosts.split(",")) if args.hosts else None,
         **_resilience_config(args),
@@ -288,7 +314,6 @@ def _run(args: argparse.Namespace) -> int:
     if (args.prefetch or args.cache_bytes is not None) and args.gofs is None:
         print("--prefetch/--cache-bytes require --gofs DIR", file=sys.stderr)
         return 2
-    sources = None
     if args.gofs is not None:
         root = Path(args.gofs)
         if not (root / "manifest.json").exists():
@@ -305,8 +330,8 @@ def _run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    elif args.executor in ("process", "socket"):
-        sources = [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
+    else:
+        sources = _collection_sources(args, collection, pg)
     try:
         result = run_application(
             comp, pg, collection, config=config, sources=sources, resume_from=args.resume_from
@@ -357,8 +382,6 @@ def _run(args: argparse.Namespace) -> int:
         print(render_series(
             [series[t].mean for t in sorted(series)], label="mean latency per timestep"
         ))
-    if args.rebalance:
-        print(f"migrations applied: {sum(result.metrics.migrations.values())}")
     if args.export:
         path = write_result_json(args.export, result, provenance=_provenance(args))
         print(f"run summary written to {path}")
@@ -398,10 +421,11 @@ def _trace(args: argparse.Namespace) -> int:
     config = EngineConfig(
         executor=args.executor,
         gc_model=GCModel() if args.gc else GCModel.disabled(),
-        rebalancer=GreedyRebalancer() if args.rebalance else None,
         tracing=tracing,
     )
-    result = run_application(comp, pg, collection, config=config)
+    result = run_application(
+        comp, pg, collection, config=config, sources=_collection_sources(args, collection, pg)
+    )
 
     manifest = _provenance(args)
     manifest["barrier_s"] = config.cost_model.barrier_cost(pg.num_partitions)
@@ -484,27 +508,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_edgecuts)
 
     p = sub.add_parser("run", help="run one algorithm")
-    _add_common(p)
-    p.add_argument(
-        "algorithm", choices=["tdsp", "meme", "hash", "reach", "evolve", "stats"]
-    )
-    p.add_argument("--graph", choices=["CARN", "WIKI"], default="CARN")
-    p.add_argument("--partitions", type=int, default=6)
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument("--gc", action="store_true", help="enable the GC pause model")
-    p.add_argument(
-        "--executor", choices=["serial", "thread", "process", "socket"], default="serial",
-        help="cluster backend (process = one worker process per partition; "
-        "socket = workers reached over TCP, auto-spawned locally unless "
-        "--hosts is given)",
-    )
+    _add_problem(p, executor="serial")
     p.add_argument(
         "--hosts", metavar="HOST:PORT,...", default=None,
         help="comma-separated addresses of pre-started 'tibsp worker' agents, "
         "one per partition (socket executor; omit to auto-spawn locally)",
-    )
-    p.add_argument(
-        "--rebalance", action="store_true", help="enable greedy dynamic rebalancing"
     )
     p.add_argument("--export", metavar="PATH", help="write a JSON run summary")
     sto = p.add_argument_group("storage")
@@ -609,21 +617,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "trace", help="traced run: Perfetto trace + event log + manifest"
     )
-    _add_common(p)
-    p.add_argument(
-        "algorithm", choices=["tdsp", "meme", "hash", "reach", "evolve", "stats"]
-    )
-    p.add_argument("--graph", choices=["CARN", "WIKI"], default="CARN")
-    p.add_argument("--partitions", type=int, default=6)
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument("--gc", action="store_true", help="enable the GC pause model")
-    p.add_argument(
-        "--executor", choices=["serial", "thread"], default="thread",
-        help="cluster backend (thread default: real concurrency in the trace)",
-    )
-    p.add_argument(
-        "--rebalance", action="store_true", help="enable greedy dynamic rebalancing"
-    )
+    # Traces what people run: real worker concurrency on every track.
+    _add_problem(p, executor="process")
     p.add_argument(
         "--out", metavar="DIR", default="trace-out",
         help="output directory for trace.json / events.jsonl / manifest.json",

@@ -84,7 +84,6 @@ from ..runtime.metrics import (
     GcRecord,
     LoadRecord,
     MetricsCollector,
-    MigrationRecord,
     PrefetchRecord,
     StepRecord,
 )
@@ -93,12 +92,15 @@ from .messages import Message, MessageFrame, MessageKind, frames_from_deliveries
 from .patterns import Pattern
 from .results import AppResult
 
-__all__ = ["EngineConfig", "TIBSPEngine", "run_application"]
+__all__ = ["EXECUTORS", "EngineConfig", "TIBSPEngine", "run_application"]
 
 #: Gather timeout applied to process clusters when fault injection is on but
 #: the user did not configure one: ``drop``/``delay`` faults must surface as
 #: detected failures, not infinite barriers.
 _DEFAULT_FAULT_GATHER_TIMEOUT_S = 10.0
+
+#: The executors ``EngineConfig.executor`` may name.
+EXECUTORS = ("serial", "process", "socket")
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ class EngineConfig:
     Attributes
     ----------
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, or
-        ``"socket"``.
+        ``"serial"`` (default), ``"process"``, or ``"socket"``; anything
+        else is a ``ValueError`` from ``run``.
     cost_model:
         Communication cost model for the simulated wall-clock.
     gc_model:
@@ -123,14 +125,6 @@ class EngineConfig:
         Whether hosts apply the computation's ``combine`` hook (when one is
         defined) to same-destination sends before the barrier.  Disabling
         lets benches compare combined vs raw message counts.
-    rebalancer:
-        Optional dynamic-rebalancing policy (see
-        :mod:`repro.runtime.rebalance`): between timesteps, subgraphs may
-        migrate from busy to idle partitions.  In-process executors with
-        shared-collection sources only.  Mutually exclusive with the
-        resilience plane (checkpoint / faults / recovery): migrations
-        mutate subgraph ownership mid-run, so a restored snapshot would no
-        longer match the cluster's routing state.
     tracing:
         ``None``/``False`` (default, a strict no-op), ``True``, or a
         :class:`~repro.observability.TraceConfig`.  When enabled, the run
@@ -184,7 +178,6 @@ class EngineConfig:
     max_supersteps: int = 100_000
     collect_states: bool = True
     combiners: bool = True
-    rebalancer: object | None = None
     tracing: object | None = None
     live: object | None = None
     checkpoint: CheckpointConfig | None = None
@@ -233,8 +226,8 @@ class TIBSPEngine:
         Engine configuration.
     sources:
         Optional per-partition instance sources (e.g. GoFS views).  Required
-        for the process executor; defaults to shared-collection sources for
-        in-process executors.
+        for the process and socket executors; the serial one defaults to
+        shared-collection sources.
     """
 
     def __init__(
@@ -310,7 +303,6 @@ class TIBSPEngine:
             collection=self.collection,
             sources=self.sources,
             cost_model=cfg.cost_model,
-            executor=cfg.executor,
             use_combiners=cfg.combiners,
             tracing=tracing,
             live=live,
@@ -341,12 +333,6 @@ class TIBSPEngine:
             live.add_exporter(PrometheusTextfileExporter(out / "live.prom"))
         live.start()
         return live
-
-    # -- routing helpers --------------------------------------------------------------
-
-    def _frames_for(self, deliveries: dict[int, list[Message]]) -> list[list[MessageFrame]]:
-        """Frame a driver-held delivery map (inputs, buffered temporal)."""
-        return frames_from_deliveries(deliveries, self._sg_part, self.pg.num_partitions)
 
     @staticmethod
     def _as_input_messages(inputs: Iterable[tuple[int, Any]] | None) -> dict[int, list[Message]]:
@@ -394,18 +380,9 @@ class TIBSPEngine:
         start, stop = timestep_range or (0, len(self.collection))
         if not 0 <= start <= stop <= len(self.collection):
             raise ValueError(f"timestep range [{start}, {stop}) out of bounds")
-        resilient = (
-            cfg.checkpoint is not None
-            or cfg.faults is not None
-            or cfg.recovery is not None
-            or resume_from is not None
-        )
-        if resilient and cfg.rebalancer is not None:
+        if cfg.executor not in EXECUTORS:
             raise ValueError(
-                "dynamic rebalancing is incompatible with the resilience plane "
-                "(checkpoint / faults / recovery): migrations mutate subgraph "
-                "ownership mid-run, so a restored snapshot would no longer "
-                "match the cluster's routing state"
+                f"unknown executor {cfg.executor!r}: choose one of {', '.join(EXECUTORS)}"
             )
         if resume_from is not None and cfg.checkpoint is None:
             raise ValueError(
@@ -699,8 +676,6 @@ class TIBSPEngine:
         """
         rec, result = rs.recorder, rs.result
         temporal_frames = rs.temporal_frames
-        if self.config.rebalancer is not None and t > rs.start:
-            self._rebalance(rs, t)
         if resume is not None:
             superstep = resume["superstep"]
             per_part = resume["per_part"]
@@ -723,22 +698,15 @@ class TIBSPEngine:
             rec.absorb(begin_results)
 
             # Superstep-0 deliveries per the pattern (Section II-D message rules).
-            if rs.pattern is Pattern.SEQUENTIALLY_DEPENDENT:
-                if t == rs.start:
-                    per_part = self._frames_for(rs.input_msgs)
-                else:
-                    # Unpack and re-frame against the *current* routing array: a
-                    # frame's dst_partition was computed at pack time, last
-                    # timestep, and rebalancing may since have migrated its
-                    # destination subgraphs to other partitions.  Frame order is
-                    # preserved, so per-subgraph message order is unchanged.
-                    buffered: dict[int, list[Message]] = {}
-                    for frame in temporal_frames:
-                        frame.deliver_into(buffered)
-                    per_part = self._frames_for(buffered)
-                    temporal_frames.clear()
+            if rs.pattern is Pattern.SEQUENTIALLY_DEPENDENT and t > rs.start:
+                # Last timestep's temporal frames, routed unopened like every
+                # other round's (hosts deliver a partition's frames in order).
+                per_part = route_frames(temporal_frames, self.pg.num_partitions)
+                temporal_frames.clear()
             else:
-                per_part = self._frames_for(rs.input_msgs)
+                per_part = frames_from_deliveries(
+                    rs.input_msgs, self._sg_part, self.pg.num_partitions
+                )
             halt_votes = set()
             superstep = 0
 
@@ -799,46 +767,6 @@ class TIBSPEngine:
         # While-loop termination: all subgraphs voted AND no temporal messages
         # in flight — neither framed remote ones nor host-local ones.
         return halt_votes >= self._all_sgids and not temporal_frames and not pending_temporal
-
-    # -- dynamic rebalancing ---------------------------------------------------------------
-
-    def _rebalance(self, rs: _RunState, t: int) -> None:
-        """Ask the policy for moves based on the previous timestep's load."""
-        from ..runtime.cluster import LocalCluster
-        from ..runtime.host import CollectionInstanceSource
-        from ..runtime.rebalance import apply_migrations
-
-        cluster, rec = rs.cluster, rs.recorder
-        if not isinstance(cluster, LocalCluster):
-            raise NotImplementedError(
-                "dynamic rebalancing requires an in-process executor"
-            )
-        if self.sources is not None and not all(
-            isinstance(s, CollectionInstanceSource) for s in self.sources
-        ):
-            # Partitioned sources (GoFS views) only hold their own rows; a
-            # migrated subgraph would silently read schema defaults.
-            raise NotImplementedError(
-                "dynamic rebalancing requires whole-instance sources "
-                "(shared collection), not partitioned GoFS views"
-            )
-        busy = np.zeros(self.pg.num_partitions)
-        for r in rec.metrics.step_records:
-            if r.timestep == t - 1:
-                busy[r.partition] += r.busy_s
-        partition_subgraphs = [
-            [(sg.subgraph_id, sg.num_vertices) for sg in host.partition.subgraphs]
-            for host in cluster.hosts
-        ]
-        moves = self.config.rebalancer.decide(busy, partition_subgraphs)
-        if not moves:
-            return
-        with rec.span("rebalance", t=t):
-            cost = apply_migrations(cluster, moves, self._sg_part, self.config.cost_model, rec)
-            # Keep the hosts' shared routing array and the engine's in sync
-            # (apply_migrations updated the engine's copy; mirror onto hosts').
-            cluster.hosts[0].subgraph_partition[:] = self._sg_part
-        rec.emit(MigrationRecord(t, len(moves), cost))
 
     # -- merge phase ---------------------------------------------------------------------
 

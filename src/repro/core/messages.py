@@ -228,11 +228,10 @@ def frames_from_deliveries(
 ) -> list[list[MessageFrame]]:
     """Wrap a driver-side delivery map into at most one frame per partition.
 
-    Used for superstep-0 deliveries (application inputs, buffered temporal
-    messages): the driver holds them as ``{subgraph id: messages}`` and ships
-    them to hosts in the same framed form the hosts use for remote sends.
-    Frame ``nbytes`` stays 0 — these messages were already charged to the
-    cost model when their sending host buffered them (app inputs are free).
+    Used for the application inputs delivered at superstep 0: the driver
+    holds them as ``{subgraph id: messages}`` and ships them to hosts in the
+    same framed form the hosts use for remote sends.  Frame ``nbytes`` stays
+    0 — app inputs are free in the cost model.
     """
     per_part: list[list[tuple[int, Message]]] = [[] for _ in range(num_partitions)]
     for sgid, msgs in deliveries.items():

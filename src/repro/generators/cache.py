@@ -30,7 +30,7 @@ __all__ = ["DatasetCache", "INGEST_CODE_VERSION", "content_key"]
 #: Bump whenever generator or partitioner output changes for identical
 #: parameters (new algorithms, changed RNG consumption, schema changes);
 #: old cache entries become unreachable rather than wrong.
-INGEST_CODE_VERSION = 2  # v2: partition entries hold the decomposed graph
+INGEST_CODE_VERSION = 3  # v3: Subgraph (pickled in partition entries) lost a slot
 
 
 def _canonical(value: Any) -> Any:

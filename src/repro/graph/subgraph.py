@@ -73,7 +73,6 @@ class Subgraph:
         "edge_index",
         "remote",
         "in_neighbor_subgraphs",
-        "_remote_by_src",
         "_local_table",
     )
 
@@ -108,7 +107,6 @@ class Subgraph:
             if in_neighbor_subgraphs is None
             else np.asarray(in_neighbor_subgraphs, dtype=np.int64)
         )
-        self._remote_by_src: dict[int, np.ndarray] | None = None
         self._local_table: np.ndarray | None = None
 
     # -- size ------------------------------------------------------------------
@@ -161,24 +159,9 @@ class Subgraph:
 
     # -- adjacency ---------------------------------------------------------------
 
-    def neighbors(self, local_v: int) -> np.ndarray:
-        """Local numbers of ``local_v``'s neighbors via local edges."""
-        return self.indices[self.indptr[local_v] : self.indptr[local_v + 1]]
-
     def edges_of(self, local_v: int) -> np.ndarray:
         """Dense template edge indices of ``local_v``'s local edges."""
         return self.edge_index[self.indptr[local_v] : self.indptr[local_v + 1]]
-
-    def remote_edges_of(self, local_v: int) -> np.ndarray:
-        """Row indices into :attr:`remote` with source ``local_v`` (cached)."""
-        if self._remote_by_src is None:
-            by_src: dict[int, list[int]] = {}
-            for row, src in enumerate(self.remote.src_local):
-                by_src.setdefault(int(src), []).append(row)
-            self._remote_by_src = {
-                src: np.asarray(rows, dtype=np.int64) for src, rows in by_src.items()
-            }
-        return self._remote_by_src.get(local_v, np.empty(0, dtype=np.int64))
 
     @property
     def neighbor_subgraphs(self) -> np.ndarray:

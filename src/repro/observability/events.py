@@ -5,10 +5,10 @@ every line stamped with ``schema`` (see :data:`EVENT_SCHEMA_VERSION`) and
 carrying ``kind``, a normalized microsecond timestamp ``ts_us`` (relative
 to the run's trace epoch), and the logical track id ``pid``.
 
-Eight kinds are the run's typed records (:mod:`repro.runtime.metrics`:
-``step``, ``instance_load``, ``gc_pause``, ``migration``,
-``checkpoint_write``, ``prefetch_issue``, ``worker_respawn``,
-``protocol_retry``): the line *is* the record, so
+Seven kinds are the run's typed records (:mod:`repro.runtime.metrics`:
+``step``, ``instance_load``, ``gc_pause``, ``checkpoint_write``,
+``prefetch_issue``, ``worker_respawn``, ``protocol_retry``): the line *is*
+the record, so
 ``MetricsCollector.from_events`` folds a log back into the collector the
 run ended with.  Every other kind is trace-only evidence.
 
@@ -37,8 +37,6 @@ Schema v1 event kinds
 ``prefetch_issue``    the driver issued one prefetch hint round to all hosts
                       (modeled ``cost_s`` from ``CostModel.prefetch_cost``)
 ``gc_pause``          modeled GC pause charged at a timestep boundary
-``migration``         rebalancer summary for one timestep boundary
-``migrate``           one subgraph move (src/dst partitions, modeled cost)
 ``vm_spinup`` /       elastic-scaling policy decisions (offline replay)
 ``vm_spindown``
 ``checkpoint_write``  one durable boundary snapshot (``nbytes``, measured

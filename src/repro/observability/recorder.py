@@ -1,6 +1,6 @@
 """The run's one writer: every fact is stated once, here, and fans out.
 
-The engine, the host supervisor and the rebalancer hand their facts to a
+The engine and the host supervisor hand their facts to a
 :class:`RunRecorder` and never ask which observers are attached.  A typed
 record (:mod:`repro.runtime.metrics`) is folded into the run's collector —
 under the live registry's lock when one is attached, so its readers see

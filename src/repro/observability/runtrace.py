@@ -3,10 +3,9 @@
 The engine owns one :class:`RunTrace` per traced run: it holds the driver's
 own :class:`~repro.observability.tracer.Tracer`, absorbs the
 :class:`~repro.observability.tracer.TracePacket` objects that hosts attach
-to their protocol replies (thread-safe — the thread executor gathers
-replies concurrently with nothing else, but absorbing is serialized under a
-lock regardless), merges every track's counters into one registry, and
-renders the run artifacts:
+to their protocol replies (serialized under a lock: the live watchdog is
+a thread), merges every track's counters into one registry, and renders
+the run artifacts:
 
 * ``trace.json`` — Chrome trace-event JSON (Perfetto-ready);
 * ``events.jsonl`` — the schema-versioned structured event log;

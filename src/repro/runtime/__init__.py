@@ -22,8 +22,6 @@ from .host import (
     RunMeta,
 )
 from .metrics import MetricsCollector, PartitionBreakdown, StepRecord
-from .elastic import ElasticOutcome, ElasticPolicy, activity_grid, simulate_elastic
-from .rebalance import GreedyRebalancer, Migration, RebalancePolicy, apply_migrations
 
 __all__ = [
     "Cluster",
@@ -46,14 +44,6 @@ __all__ = [
     "SocketCluster",
     "parse_hosts",
     "serve_worker",
-    "ElasticOutcome",
-    "ElasticPolicy",
-    "activity_grid",
-    "simulate_elastic",
-    "GreedyRebalancer",
-    "Migration",
-    "RebalancePolicy",
-    "apply_migrations",
 ]
 
 

@@ -1,13 +1,11 @@
 """Clusters: collections of compute hosts driven through a common protocol.
 
 ``LocalCluster`` keeps every host in the driver process and steps them
-serially or on a thread pool.  Serial execution is the default — it gives
-deterministic scheduling and exact per-partition timing, and the *simulated*
-wall-clock (max-over-hosts per superstep, see
-:mod:`repro.runtime.metrics`) is what reproduces the paper's distributed
-timing figures.  The thread pool exploits real cores for numpy-heavy
-computes.  A process-per-partition cluster with genuine address-space
-isolation lives in :mod:`repro.runtime.process_cluster`.
+one after another, in partition order — deterministic scheduling and exact
+per-partition timing, and the *simulated* wall-clock (max-over-hosts per
+superstep, see :mod:`repro.runtime.metrics`) is what reproduces the paper's
+distributed timing figures.  A process-per-partition cluster with genuine
+address-space isolation lives in :mod:`repro.runtime.process_cluster`.
 
 Every cluster speaks the same *resilience protocol* on top of the step
 protocol: ``snapshot()`` collects per-partition state blobs for a
@@ -22,15 +20,14 @@ down an OS process.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.computation import TimeSeriesComputation
 from ..graph.collection import TimeSeriesGraphCollection
 from ..observability import Tracer
-from ..partition.base import Partition, PartitionedGraph
+from ..partition.base import PartitionedGraph
 from ..resilience.faults import AT_BEGIN, NETWORK_FAULT_KINDS, FaultPlan
 from ..resilience.recovery import InjectedFault, RecoverableError, WorkerCrash
 from .cost import CostModel
@@ -103,8 +100,8 @@ class Cluster:
         self._spec = spec
         self._pg = pg
         self._sources = list(sources)
-        # One routing array shared by every host, respawned ones included
-        # (dynamic rebalancing updates it in place).
+        # One routing array shared by every host, respawned ones included;
+        # read-only for the run.
         self._sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
         self.fault_plan = fault_plan
         self.num_partitions = pg.num_partitions
@@ -222,10 +219,10 @@ class Cluster:
         return {}
 
     def shutdown(self) -> None:
-        """Release resources: subclasses reap their thread pool or worker
-        processes, then call this for the source-held ones (GoFS prefetch
-        threads).  ``close()`` is reversible — a view lazily recreates its
-        pool on the next prefetch — so sources stay usable for a later run."""
+        """Release resources: subclasses reap their worker processes, then
+        call this for the source-held ones (GoFS prefetch threads).
+        ``close()`` is reversible — a view lazily recreates its pool on the
+        next prefetch — so sources stay usable for a later run."""
         for src in self._sources:
             close = getattr(src, "close", None)
             if callable(close):
@@ -251,8 +248,6 @@ class LocalCluster(Cluster):
         shared ``collection``.
     collection:
         Used to build default sources when ``sources`` is not given.
-    executor:
-        ``"serial"`` (deterministic, default) or ``"thread"``.
     tracing:
         When True, every host gets its own observability tracer (one trace
         track per partition) and drains telemetry into protocol replies.
@@ -274,7 +269,6 @@ class LocalCluster(Cluster):
         collection: TimeSeriesGraphCollection | None = None,
         sources: Sequence[InstanceSource] | None = None,
         cost_model: CostModel | None = None,
-        executor: str = "serial",
         use_combiners: bool = True,
         tracing: bool = False,
         live: bool = False,
@@ -287,18 +281,6 @@ class LocalCluster(Cluster):
         spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing, live)
         super().__init__(pg, spec, sources, fault_plan)
         self.hosts = [self._build_host(p) for p in range(pg.num_partitions)]
-        if executor not in ("serial", "thread"):
-            raise ValueError(f"unknown executor {executor!r}")
-        self._pool = (
-            ThreadPoolExecutor(max_workers=max(1, self.num_partitions))
-            if executor == "thread"
-            else None
-        )
-
-    def _map(self, fn: Callable[[ComputeHost], HostStepResult]) -> list[HostStepResult]:
-        if self._pool is None:
-            return [fn(h) for h in self.hosts]
-        return list(self._pool.map(fn, self.hosts))
 
     def _check_faults(self, timestep: int, superstep: int, host: ComputeHost) -> None:
         """Simulate scripted faults for one host's protocol call."""
@@ -348,17 +330,17 @@ class LocalCluster(Cluster):
     def run_round(
         self, op: str, timestep: int, superstep: int, payloads: Sequence | None
     ) -> list[HostStepResult | RecoverableError]:
-        def call(h: ComputeHost) -> HostStepResult | RecoverableError:
-            p = h.partition.partition_id
+        outcomes: list[HostStepResult | RecoverableError] = []
+        for p, host in enumerate(self.hosts):
             if p in self.quarantined:
-                return quarantine_fill(op, p)
+                outcomes.append(quarantine_fill(op, p))
+                continue
             payload = payloads[p] if payloads is not None else None
             try:
-                return self._dispatch(h, op, timestep, superstep, payload)
+                outcomes.append(self._dispatch(host, op, timestep, superstep, payload))
             except RecoverableError as exc:
-                return exc
-
-        return self._map(call)
+                outcomes.append(exc)
+        return outcomes
 
     def step_one(
         self,
@@ -379,19 +361,9 @@ class LocalCluster(Cluster):
         return self.incarnations[partition]
 
     def _build_host(self, partition: int) -> ComputeHost:
-        # A shallow partition copy, so migrations never mutate the caller's
-        # PartitionedGraph.
         return self._spec.build(
-            Partition(partition, list(self._pg.partitions[partition].subgraphs)),
-            self._sources[partition],
-            self._sg_part,
+            self._pg.partitions[partition], self._sources[partition], self._sg_part
         )
 
     def quarantine(self, partition: int) -> None:
         self.quarantined.add(partition)
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        super().shutdown()

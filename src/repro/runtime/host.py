@@ -710,42 +710,6 @@ class ComputeHost:
             if sgid in self._merge_inbox:
                 self._merge_inbox[sgid].extend(msgs)
 
-    # -- dynamic rebalancing support ---------------------------------------------------
-
-    def evict_subgraph(self, sgid: int):
-        """Remove a subgraph (and its state) from this host for migration.
-
-        Returns ``(subgraph, state, merge_inbox, temporal_inbox)`` — pending
-        host-local temporal messages travel with the subgraph (migrations
-        happen between timesteps, when the superstep inbox is empty but the
-        next timestep's temporal deliveries may already be buffered).
-        """
-        for i, sg in enumerate(self.partition.subgraphs):
-            if sg.subgraph_id == sgid:
-                del self.partition.subgraphs[i]
-                state = self.states.pop(sgid)
-                merge = self._merge_inbox.pop(sgid, [])
-                temporal = self._temporal_inbox.pop(sgid, [])
-                self._halted.pop(sgid, None)
-                return sg, state, merge, temporal
-        raise KeyError(f"subgraph {sgid} not on partition {self.partition.partition_id}")
-
-    def adopt_subgraph(
-        self,
-        sg,
-        state: dict,
-        merge_inbox: list[Message],
-        temporal_inbox: list[Message] | None = None,
-    ) -> None:
-        """Install a migrated subgraph (topology + resident state + inboxes)."""
-        self.partition.subgraphs.append(sg)
-        self.partition.subgraphs.sort(key=lambda s: s.subgraph_id)
-        self.states[sg.subgraph_id] = state
-        self._merge_inbox[sg.subgraph_id] = list(merge_inbox)
-        if temporal_inbox:
-            self._temporal_inbox.setdefault(sg.subgraph_id, []).extend(temporal_inbox)
-        self._halted[sg.subgraph_id] = True
-
 
 # -- the protocol, stated once -------------------------------------------------------
 

@@ -3,7 +3,7 @@
 A run's facts are typed **records** — one :class:`StepRecord` per (phase,
 timestep, superstep, partition) with measured compute seconds and modeled
 send seconds, plus small siblings for instance loads, GC pauses,
-migrations, checkpoint writes, prefetch hints and completed repairs — and
+checkpoint writes, prefetch hints and completed repairs — and
 :meth:`MetricsCollector.fold` is the only thing that writes the collector's
 tables.  An event-log line is a record's fields under its ``kind``
 (:meth:`Record.as_event`), so :meth:`MetricsCollector.from_events` rebuilds
@@ -29,9 +29,8 @@ from typing import Any, ClassVar, Iterable, Mapping
 import numpy as np
 
 __all__ = [
-    "Record", "StepRecord", "LoadRecord", "GcRecord", "MigrationRecord", "CheckpointRecord",
-    "PrefetchRecord", "RespawnRecord", "ProtocolRetryRecord", "MetricsCollector",
-    "PartitionBreakdown",
+    "Record", "StepRecord", "LoadRecord", "GcRecord", "CheckpointRecord", "PrefetchRecord",
+    "RespawnRecord", "ProtocolRetryRecord", "MetricsCollector", "PartitionBreakdown",
 ]
 
 #: Phase tags for records.
@@ -132,17 +131,6 @@ class GcRecord(Record):
     timestep: int
     partition: int
     seconds: float
-
-
-@dataclass(frozen=True)
-class MigrationRecord(Record):
-    """The rebalancing applied before ``timestep``: moves and modeled transfer cost."""
-
-    kind = "migration"
-
-    timestep: int
-    count: int
-    cost_s: float
 
 
 @dataclass(frozen=True)
@@ -249,10 +237,6 @@ class MetricsCollector:
         self.prefetch_s: dict[int, float] = defaultdict(float)
         #: (timestep, partition) -> GC pause seconds
         self.gc_s: dict[tuple[int, int], float] = defaultdict(float)
-        #: timestep -> modeled subgraph-migration transfer seconds (rebalancing)
-        self.migration_s: dict[int, float] = defaultdict(float)
-        #: timestep -> number of migrations applied before it
-        self.migrations: dict[int, int] = defaultdict(int)
         #: number of supersteps executed per timestep
         self.supersteps_per_timestep: dict[int, int] = defaultdict(int)
         self.merge_supersteps: int = 0
@@ -288,9 +272,6 @@ class MetricsCollector:
                 self.load_hidden_s[(t, record.partition)] += record.hidden_s
         elif kind == "gc_pause":
             self.gc_s[(t, record.partition)] += record.seconds
-        elif kind == "migration":
-            self.migrations[t] += record.count
-            self.migration_s[t] += record.cost_s
         elif kind == "checkpoint_write":
             self.checkpoints += 1
             self.checkpoint_bytes += int(record.nbytes)
@@ -345,13 +326,11 @@ class MetricsCollector:
         loads = [self.load_s.get((timestep, p), 0.0) for p in range(self.num_partitions)]
         gcs = [self.gc_s.get((timestep, p), 0.0) for p in range(self.num_partitions)]
         # Loads and GC are synchronized across partitions (barriered timestep
-        # start), so the slowest host gates everyone; migration transfers
-        # likewise happen at the boundary.
+        # start), so the slowest host gates everyone.
         return (
             total
             + (max(loads) if loads else 0.0)
             + (max(gcs) if gcs else 0.0)
-            + self.migration_s.get(timestep, 0.0)
             + self.checkpoint_s.get(timestep, 0.0)
             + self.recovery_s.get(timestep, 0.0)
             + self.prefetch_s.get(timestep, 0.0)
@@ -445,14 +424,6 @@ class MetricsCollector:
         """GC-pause seconds summed over every (timestep, partition)."""
         return sum(self.gc_s.values())
 
-    def total_migrations(self) -> int:
-        """Subgraph migrations applied by dynamic rebalancing."""
-        return sum(self.migrations.values())
-
-    def total_migration_s(self) -> float:
-        """Modeled transfer seconds spent on rebalancing migrations."""
-        return sum(self.migration_s.values())
-
     def total_checkpoint_s(self) -> float:
         """Modeled checkpoint-write I/O seconds over the whole run."""
         return sum(self.checkpoint_s.values())
@@ -473,8 +444,6 @@ class MetricsCollector:
             "frames": self.total_frames(),
             "bytes_sent": self.total_bytes_sent(),
             "cut_traffic_ratio": round(self.cut_traffic_ratio(), 6),
-            "migrations": self.total_migrations(),
-            "migration_s": round(self.total_migration_s(), 6),
             "load_s": round(self.total_load_s(), 6),
             "load_blocked_s": round(self.total_load_s(), 6),
             "load_hidden_s": round(self.total_load_hidden_s(), 6),

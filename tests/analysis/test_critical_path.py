@@ -7,9 +7,9 @@ from repro.analysis import critical_path_report, format_critical_path_report
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection
 from repro.partition import HashPartitioner, partition_graph
+from repro.runtime import CollectionInstanceSource
 from repro.runtime.gc_model import GCModel
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.rebalance import GreedyRebalancer
 from tests.conftest import assert_one_record_stream, make_grid_template
 
 PARTITIONS = 3
@@ -82,12 +82,13 @@ def road_case():
 
 
 class TestCrosscheck:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_matches_replay_and_collector(self, road_case, executor):
         _tpl, coll, pg = road_case
         res = run_application(
             TDSPComputation(0), pg, coll,
             config=EngineConfig(executor=executor, tracing=True),
+            sources=[CollectionInstanceSource(coll) for _ in range(PARTITIONS)],
         )
         assert_one_record_stream(res)
         # Per timestep, not just in total: the report re-partitions the
@@ -97,15 +98,17 @@ class TestCrosscheck:
                 res.metrics.timestep_wall(entry["timestep"]), abs=1e-12
             )
 
-    def test_with_gc_and_rebalancing(self, road_case):
+    def test_with_gc(self, road_case):
         _tpl, coll, pg = road_case
         res = run_application(
             TDSPComputation(0), pg, coll,
-            config=EngineConfig(
-                tracing=True, gc_model=GCModel(), rebalancer=GreedyRebalancer()
-            ),
+            config=EngineConfig(tracing=True, gc_model=GCModel()),
         )
         assert_one_record_stream(res)
+        assert critical_path_report(res.metrics)["totals"]["gc"] == pytest.approx(
+            sum(max(res.metrics.gc_s.get((t, p), 0.0) for p in range(PARTITIONS))
+                for t in res.metrics.supersteps_per_timestep)
+        )
 
     def test_needs_no_trace(self, road_case):
         _tpl, coll, pg = road_case

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AppResult
-from repro.runtime import ElasticPolicy, activity_grid, simulate_elastic
+from repro.analysis import ElasticPolicy, activity_grid, simulate_elastic
 from repro.runtime.metrics import PHASE_COMPUTE, MetricsCollector, StepRecord
 
 

@@ -73,21 +73,31 @@ class TestNewSubcommands:
         ]) == 0
         assert "mean latency" in capsys.readouterr().out
 
-    def test_run_with_rebalance_and_export(self, tmp_path, capsys):
+    def test_run_with_export(self, tmp_path, capsys):
+        import json
+
         out = tmp_path / "summary.json"
         assert main([
             "run", "tdsp", "--scale", "400", "--instances", "5",
-            "--partitions", "3", "--rebalance", "--export", str(out),
+            "--partitions", "3", "--export", str(out),
         ]) == 0
-        text = capsys.readouterr().out
-        assert "migrations applied" in text
-        assert out.exists()
+        assert f"run summary written to {out}" in capsys.readouterr().out
+        summary = json.loads(out.read_text())
+        assert summary["metrics"]["timesteps"] == len(summary["timestep_series_s"]) == 5
 
-    def test_run_thread_executor(self, capsys):
-        assert main([
-            "run", "meme", "--scale", "300", "--instances", "4",
-            "--partitions", "2", "--executor", "thread",
-        ]) == 0
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            pytest.param(["--executor", "thread"], "invalid choice: 'thread'", id="thread"),
+            pytest.param(["--rebalance"], "unrecognized arguments: --rebalance", id="rebalance"),
+        ],
+    )
+    def test_deleted_options_are_argparse_errors(self, command, flag, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "tdsp", "--scale", "300", "--instances", "4", *flag])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_run_socket_executor(self, capsys):
         """Auto-spawn mode: no --hosts, workers forked on localhost TCP."""
@@ -258,6 +268,32 @@ class TestTraceSubcommand:
             "--executor", "serial", "--out", str(out),
         ]) == 0
         assert (out / "trace.json").exists()
+
+    @pytest.mark.parametrize("executor", [None, "process", "serial", "socket"])
+    def test_trace_traces_the_executors_people_run(self, tmp_path, capsys, executor):
+        """Valid trace, a track per partition plus the driver, and a streamed
+        log that folds to the manifest's summary — on ``run``'s executors
+        (``process`` when none is named)."""
+        import json
+
+        from repro.observability import read_event_log
+        from repro.runtime.metrics import MetricsCollector
+
+        out = tmp_path / "t"
+        assert main([
+            "trace", "tdsp", "--scale", "300", "--instances", "4", "--partitions", "3",
+            "--out", str(out), "--stream",
+            *(["--executor", executor] if executor else []),
+        ]) == 0
+        assert "trace valid" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["executor"] == (executor or "process")
+        spans = json.loads((out / "trace.json").read_text())["traceEvents"]
+        assert {e["pid"] for e in spans if e["ph"] == "X"} == {0, 1, 2, 3}
+        folded = MetricsCollector.from_events(
+            read_event_log(out / "events.jsonl"), 3, barrier_s=manifest["barrier_s"]
+        )
+        assert folded.summary() == manifest["metrics"]
 
     def test_export_carries_provenance(self, tmp_path, capsys):
         import json

@@ -13,7 +13,7 @@ from repro.core import (
 from repro.core.messages import MessageKind
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
-from repro.runtime import CostModel
+from repro.runtime import CollectionInstanceSource, CostModel
 from tests.conftest import make_grid_template
 
 
@@ -333,9 +333,10 @@ class TestMergePhase:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executors_equivalent(self, setup, executor):
         _, coll, pg = setup
+        sources = [CollectionInstanceSource(coll) for _ in range(pg.num_partitions)]
 
         class Sum(TimeSeriesComputation):
             pattern = Pattern.SEQUENTIALLY_DEPENDENT
@@ -351,7 +352,9 @@ class TestExecutors:
                 if ctx.timestep == ctx.num_timesteps - 1:
                     ctx.output(ctx.state["acc"])
 
-        res = run_application(Sum(), pg, coll, config=EngineConfig(executor=executor))
+        res = run_application(
+            Sum(), pg, coll, config=EngineConfig(executor=executor), sources=sources
+        )
         per_sg = {sg: rec for _t, sg, rec in res.outputs}
         expected = {sg.subgraph_id: 4 * sg.num_vertices for sg in pg.subgraphs}
         assert per_sg == expected
@@ -363,7 +366,7 @@ class TestExecutors:
 
     def test_unknown_executor(self, setup):
         _, coll, pg = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="serial, process, socket"):
             run_application(Recorder(), pg, coll, config=EngineConfig(executor="quantum"))
 
 

@@ -7,6 +7,7 @@ watchdog and GoFS prefetch workers are daemon threads created during
 ``RunFailureError``) used to leak them past the run.
 """
 
+import multiprocessing as mp
 import threading
 import time
 
@@ -91,6 +92,26 @@ def test_no_leak_on_cluster_spawn_failure(case):
             config=EngineConfig(executor="process", live=_live()),
         )
     assert _leaked_engine_threads() == []
+
+
+@pytest.mark.parametrize("executor", ["thread", "bogus"])
+def test_unknown_executor_is_refused_before_anything_starts(case, tmp_path, executor):
+    """The name is validated where the config is read: no live registry,
+    worker process or prefetch pool exists when the ``ValueError`` leaves."""
+    coll, pg = case
+    GoFS.write_collection(tmp_path, pg, coll, packing=2)
+    sources = GoFS.partition_views(tmp_path, prefetch=True)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="serial, process, socket") as excinfo:
+        run_application(
+            Accumulate(), pg, coll, sources=sources,
+            config=EngineConfig(executor=executor, live=_live()),
+        )
+    assert repr(executor) in str(excinfo.value)
+    assert mp.active_children() == []
+    assert set(threading.enumerate()) <= before
+    assert _leaked_engine_threads(timeout_s=0.0) == []
+    assert all(v._pool is None for v in sources)
 
 
 def test_no_leak_on_keyboard_interrupt(case):

@@ -1,8 +1,8 @@
-"""Byte-identical results across serial / thread / process executors.
+"""Byte-identical results across the serial and process executors.
 
 The batched message plane changes delivery routes (host-local short-circuit,
 per-partition frames, combiners) but must not change *what* applications
-compute: for each algorithm family the three executor backends have to agree
+compute: for each algorithm family the executor backends have to agree
 bit-for-bit on outputs, merge outputs, and final subgraph states.
 """
 
@@ -90,7 +90,7 @@ def _snapshot(name, pg, coll, executor):
 
 
 @pytest.mark.parametrize("name", ["tdsp", "meme", "hash"])
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["process"])
 def test_executor_matches_serial(case, name, executor):
     _tpl, coll, pg = case
     serial = _snapshot(name, pg, coll, "serial")
@@ -107,7 +107,7 @@ def gofs_store(case, tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 @pytest.mark.parametrize("prefetch", [False, True])
 def test_gofs_prefetch_matches_serial_collection(case, gofs_store, executor, prefetch):
     """GoFS-backed runs — prefetch on or off — agree bit-for-bit with the

@@ -1,14 +1,18 @@
 """Behavioral tests for the batched message plane.
 
 Covers the host-local short-circuit (including temporal self-sends), frame
-coalescing, the pending-local quiescence rule, and sender-side combiners.
+coalescing, the pending-local quiescence rule, remote temporal frames routed
+unopened across the timestep boundary, and sender-side combiners.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
+from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
+from repro.runtime import CollectionInstanceSource, LocalCluster
 from tests.conftest import make_grid_template
 
 
@@ -146,6 +150,92 @@ class TestTemporalShortCircuit:
         assert m.total_remote_messages() == 0
         assert m.total_frames() == 0
         assert all(st["acc"] == 3 for st in res.states.values())
+
+
+class CrossPing(TimeSeriesComputation):
+    """``src`` pings ``dst`` (on another partition) across every timestep boundary."""
+
+    pattern = Pattern.SEQUENTIALLY_DEPENDENT
+
+    def __init__(self, src, dst):
+        self.src, self.dst = src, dst
+
+    def compute(self, ctx):
+        for m in ctx.messages:
+            ctx.state.setdefault("got", []).append((m.payload, ctx.timestep, ctx.superstep))
+        if ctx.subgraph.subgraph_id == self.src:
+            ctx.send_to_subgraph_in_next_timestep(self.dst, ("ping", ctx.timestep))
+        ctx.vote_to_halt()
+
+
+def _cross_ping_case():
+    tpl = make_grid_template(4, 4)
+    coll = build_collection(tpl, 3)
+    pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
+    per = _by_partition(pg)
+    return coll, pg, CrossPing(per[0][0], per[1][0])
+
+
+def _cross_ping_run(executor, coll, pg, comp, config=None, resume_from=None):
+    return run_application(
+        comp, pg, coll,
+        config=EngineConfig(executor=executor, **(config or {})),
+        sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
+        resume_from=resume_from,
+    )
+
+
+class TestTemporalFramesRoutedUnopened:
+    """The driver's one routing path: a remote temporal frame buffered at a
+    timestep boundary reaches its partition as the frame the sender packed."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process", "socket"])
+    def test_ping_arrives_at_superstep_0_of_next_timestep(self, executor):
+        coll, pg, comp = _cross_ping_case()
+        res = _cross_ping_run(executor, coll, pg, comp)
+        assert res.states[comp.dst]["got"] == [(("ping", 0), 1, 0), (("ping", 1), 2, 0)]
+        assert all("got" not in st for sgid, st in res.states.items() if sgid != comp.dst)
+
+    def test_partition_1_is_handed_the_frame_partition_0_returned(self, monkeypatch):
+        coll, pg, comp = _cross_ping_case()
+        rounds = []
+        run_round = LocalCluster.run_round
+
+        def spy(self, op, timestep, superstep, payloads):
+            outcomes = run_round(self, op, timestep, superstep, payloads)
+            rounds.append((op, timestep, superstep, payloads, outcomes))
+            return outcomes
+
+        monkeypatch.setattr(LocalCluster, "run_round", spy)
+        run_application(comp, pg, coll)
+        (sent,) = [
+            f
+            for op, t, _s, _payloads, outcomes in rounds
+            if op in ("superstep", "eot") and t == 0
+            for f in outcomes[0].temporal_frames
+        ]
+        (delivered,) = next(
+            payloads[1] for op, t, s, payloads, _o in rounds if (op, t, s) == ("superstep", 1, 0)
+        )
+        assert delivered is sent
+        assert delivered.dst_partition == 1 and list(delivered.destinations) == [comp.dst]
+
+    @pytest.mark.parametrize("executor", ["serial", "process", "socket"])
+    def test_resume_at_the_boundary_gives_the_same_states(self, executor, tmp_path):
+        coll, pg, comp = _cross_ping_case()
+        baseline = _cross_ping_run(executor, coll, pg, comp)
+        ckpt = {"checkpoint": CheckpointConfig(dir=tmp_path, every=1)}
+        # Die in timestep 1: the latest checkpoint holds timestep 0's ping frame.
+        crash = dict(
+            ckpt,
+            faults=FaultPlan.parse("kill@t1:p1", seed=0),
+            recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
+        )
+        with pytest.raises(RunFailureError):
+            _cross_ping_run(executor, coll, pg, comp, config=crash)
+        resumed = _cross_ping_run(executor, coll, pg, comp, config=ckpt, resume_from=True)
+        assert resumed.timesteps_executed == baseline.timesteps_executed == 3
+        assert resumed.states == baseline.states
 
 
 class SumInto(TimeSeriesComputation):

@@ -62,15 +62,28 @@ class TestErrorPropagation:
         with pytest.raises(KeyError, match="merge exploded"):
             run_application(Boom(), pg, coll)
 
-    def test_thread_executor_error_surfaces(self, setup):
+    def test_process_executor_error_surfaces(self, setup):
+        """The same application error, raised inside a worker process: the
+        driver re-raises it with the worker's traceback and reaps every worker."""
+        import multiprocessing as mp
+
+        from repro.runtime import CollectionInstanceSource, WorkerError
+        from repro.resilience import RecoverableError
+
         _, coll, pg = setup
 
         class Boom(TimeSeriesComputation):
             def compute(self, ctx):
-                raise ValueError("threaded boom")
+                raise ValueError("worker boom")
 
-        with pytest.raises(ValueError, match="threaded boom"):
-            run_application(Boom(), pg, coll, config=EngineConfig(executor="thread"))
+        with pytest.raises(WorkerError, match="ValueError: worker boom") as excinfo:
+            run_application(
+                Boom(), pg, coll,
+                config=EngineConfig(executor="process"),
+                sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
+            )
+        assert not isinstance(excinfo.value, RecoverableError)
+        assert mp.active_children() == []
 
     def test_error_at_late_timestep(self, setup):
         """The failure point's timestep is not swallowed by earlier success."""

@@ -7,7 +7,7 @@ and is checked two ways:
   shares no code with the kernels), over a hypothesis sweep of random
   graphs, partition counts and directedness;
 * against a pinned digest of its canonical outputs / merge outputs / final
-  subgraph states on one fixed-seed case, on the serial, thread and process
+  subgraph states on one fixed-seed case, on the serial and process
   executors.  The digests were captured at the last commit that still
   carried a scalar twin of every kernel, where both paths produced them
   byte-for-byte; they freeze that equivalence as data.
@@ -292,7 +292,7 @@ class TestExecutorSweep:
     their state keys changed; their outputs-only digest did not move and is
     asserted too (module docstring)."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_kernel_on_executor_matches_serial_digest(self, name, executor):
         res, got = run_family(name, executor)

@@ -57,7 +57,7 @@ class TestEngineIntegration:
         assert res.live is None
         assert res.health_events == []
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_summary_matches_collector_exactly(self, road_case, executor):
         _tpl, coll, pg = road_case
         res = run_application(

@@ -34,8 +34,9 @@ def check_decomposition_invariants(tpl, pg, assignment):
     for sg in pg.subgraphs:
         for lv in range(sg.num_vertices):
             gv = sg.vertices[lv]
-            local_dst = set(int(sg.vertices[w]) for w in sg.neighbors(lv))
-            remote_rows = sg.remote_edges_of(lv)
+            local_rows = sg.indices[sg.indptr[lv] : sg.indptr[lv + 1]]
+            local_dst = set(int(sg.vertices[w]) for w in local_rows)
+            remote_rows = np.flatnonzero(sg.remote.src_local == lv)
             remote_dst = set(int(sg.remote.dst_global[r]) for r in remote_rows)
             tpl_dst = [int(indices[s]) for s in range(indptr[gv], indptr[gv + 1])]
             # Multi-edges: compare as multisets via counts.
@@ -44,7 +45,7 @@ def check_decomposition_invariants(tpl, pg, assignment):
                 assert assignment[d] == sg.partition_id
             for d in remote_dst:
                 assert assignment[d] != sg.partition_id
-            total_slots += len(sg.neighbors(lv)) + len(remote_rows)
+            total_slots += len(local_rows) + len(remote_rows)
     assert total_slots == len(indices)
     # 4. Remote edge metadata is consistent.
     for sg in pg.subgraphs:
@@ -64,7 +65,7 @@ def check_decomposition_invariants(tpl, pg, assignment):
         # BFS over local adjacency (treat as undirected for weak connectivity).
         undirected = [set() for _ in range(sg.num_vertices)]
         for lv in range(sg.num_vertices):
-            for w in sg.neighbors(lv):
+            for w in sg.indices[sg.indptr[lv] : sg.indptr[lv + 1]]:
                 undirected[lv].add(int(w))
                 undirected[int(w)].add(lv)
         seen_local = {0}

@@ -24,7 +24,7 @@ pytestmark = pytest.mark.resilience
 #: so the schedule stays executor-portable).
 CHAOS_PLAN = "kill@t1:s0:p1,drop_frame@t2:p0,slow_host@t3:p1:d0.02"
 
-EXECUTORS = ["serial", "thread", "process", "socket"]
+EXECUTORS = ["serial", "process", "socket"]
 
 
 def _sources(coll):

@@ -170,7 +170,7 @@ class TestExecutorPortability:
     """The same plan is legal on wire-less executors: every kind but
     slow_host is a deterministic no-op there, and the specs still spend."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_plan_runs_clean_in_process(self, case, executor):
         _tpl, coll, pg = case
         baseline = run_application(

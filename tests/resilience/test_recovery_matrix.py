@@ -87,9 +87,9 @@ class TestFaultMatrixProcess:
         assert mp.active_children() == []
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial"])
 class TestFaultMatrixInProcess:
-    """In-process executors simulate kill/corrupt/drop as host crashes."""
+    """The in-process executor simulates kill/corrupt/drop as host crashes."""
 
     @pytest.mark.parametrize("faults", ["kill@t2:p1", "fail_load@t2:begin:p0"])
     def test_recovers_bit_identical(self, case, tmp_path, executor, faults):
@@ -226,17 +226,6 @@ class TestResume:
         _tpl, coll, pg = case
         with pytest.raises(ValueError, match="resume_from requires"):
             run_application(AccumulateSum(), pg, coll, resume_from=True)
-
-    def test_rebalancer_excluded(self, case):
-        from repro.runtime import GreedyRebalancer
-
-        _tpl, coll, pg = case
-        cfg = EngineConfig(
-            rebalancer=GreedyRebalancer(),
-            faults=FaultPlan([]),
-        )
-        with pytest.raises(ValueError, match="rebalancing is incompatible"):
-            run_application(AccumulateSum(), pg, coll, config=cfg)
 
 
 class TestRecoveryWithoutCheckpoints:

@@ -19,7 +19,7 @@ from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
 
 pytestmark = pytest.mark.resilience
 
-EXECUTORS = ["serial", "thread", "process"]
+EXECUTORS = ["serial", "process"]
 
 
 def _sources(coll):

@@ -146,7 +146,7 @@ class TestRoundTrip:
     live, the GC model and timestep + superstep checkpoints all on."""
 
     @pytest.mark.parametrize("fault", list(ROUND_TRIP_FAULTS))
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_log_refolds_to_the_run_collector(self, case, tmp_path, executor, fault):
         _tpl, coll, pg = case
         spec, computation, superstep_every = ROUND_TRIP_FAULTS[fault]

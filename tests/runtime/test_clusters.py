@@ -1,4 +1,4 @@
-"""Tests for hosts and cluster backends (serial / thread / process)."""
+"""Tests for hosts and cluster backends (serial / process)."""
 
 import numpy as np
 import pytest
@@ -56,15 +56,12 @@ def run_backend(executor):
 
 
 class TestBackendEquivalence:
-    def test_thread_matches_serial(self):
-        assert run_backend("thread") == run_backend("serial")
-
     def test_process_matches_serial(self):
         assert run_backend("process") == run_backend("serial")
 
 
 class TestLocalCluster:
-    def make(self, executor="serial"):
+    def make(self, **kwargs):
         tpl = make_grid_template(3, 4)
         coll = build_collection(tpl, 2)
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
@@ -74,7 +71,7 @@ class TestLocalCluster:
             def compute(self, ctx):
                 ctx.vote_to_halt()
 
-        return LocalCluster(pg, Noop(), meta, collection=coll, executor=executor), pg
+        return LocalCluster(pg, Noop(), meta, collection=coll, **kwargs), pg
 
     def test_requires_collection_or_sources(self):
         tpl = make_grid_template(3, 3)
@@ -89,14 +86,31 @@ class TestLocalCluster:
             LocalCluster(pg, Noop(), meta)
 
     def test_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            self.make("warp")
+        """The in-process cluster has one way to step its hosts and takes no
+        executor; the name is the engine's, which rejects one it does not know."""
+        with pytest.raises(TypeError, match="executor"):
+            self.make(executor="warp")
+        tpl = make_grid_template(3, 4)
+        pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
+        with pytest.raises(ValueError, match="serial, process, socket"):
+            run_application(
+                EchoState(), pg, build_collection(tpl, 2), config=EngineConfig(executor="warp")
+            )
 
-    def test_context_manager_shutdown(self):
-        cluster, _ = self.make("thread")
+    def test_context_manager_shutdown(self, tmp_path):
+        """Leaving the ``with`` block releases what the sources hold."""
+        from repro.storage import GoFS
+
+        tpl = make_grid_template(3, 4)
+        pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
+        GoFS.write_collection(tmp_path, pg, build_collection(tpl, 2), packing=1)
+        views = GoFS.partition_views(tmp_path, prefetch=True)
+        cluster, _ = self.make(sources=views)
         with cluster as c:
             assert c is cluster
-        assert cluster._pool is None
+            c.prefetch(1)
+            assert all(v._pool is not None for v in views)
+        assert all(v._pool is None for v in views)
 
     def test_protocol_flow(self):
         cluster, pg = self.make()

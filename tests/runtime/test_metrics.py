@@ -8,7 +8,6 @@ from repro.runtime.metrics import (
     GcRecord,
     LoadRecord,
     MetricsCollector,
-    MigrationRecord,
     PartitionBreakdown,
     StepRecord,
 )
@@ -125,18 +124,13 @@ class TestCounting:
         m.fold(LoadRecord(0, 0, 0.2))
         m.fold(LoadRecord(0, 1, 0.3))
         m.fold(GcRecord(0, 0, 0.05))
-        m.fold(MigrationRecord(0, 3, 0.4))
         assert m.total_bytes_sent() == 768
         assert m.total_load_s() == pytest.approx(0.5)
         assert m.total_gc_s() == pytest.approx(0.05)
-        assert m.total_migrations() == 3
-        assert m.total_migration_s() == pytest.approx(0.4)
         assert m.cut_traffic_ratio() == pytest.approx(4 / 15)
         s = m.summary()
         assert s["bytes_sent"] == 768
         assert s["cut_traffic_ratio"] == pytest.approx(4 / 15, abs=1e-6)
-        assert s["migrations"] == 3
-        assert s["migration_s"] == pytest.approx(0.4)
         assert s["load_s"] == pytest.approx(0.5)
         assert s["gc_s"] == pytest.approx(0.05)
 

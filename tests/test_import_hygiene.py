@@ -1,5 +1,6 @@
-"""A run imports what it runs: no scipy, networkx, asyncio or ssl on the path
-of a serial, process or socket run; the worker executors load on selection.
+"""A run imports what it runs: no scipy, networkx, asyncio or ssl — and no
+offline analysis module — on the path of a serial, process or socket run;
+the worker executors load on selection.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -44,6 +45,12 @@ def main():
             assert result.timesteps_executed > 0
             assert loaded() == [], (executor, loaded())
         assert "repro.runtime.socket_cluster" in sys.modules
+    offline = sorted(
+        m for m in sys.modules
+        if m.startswith("repro.analysis")
+        or m in ("repro.runtime.rebalance", "repro.runtime.elastic")
+    )
+    assert offline == [], offline
     print("clean")
 
 if __name__ == "__main__":  # spawn-start workers re-import this file

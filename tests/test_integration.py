@@ -105,7 +105,7 @@ class TestStorageAndExecutorInvariance:
         )
         root = tmp_path_factory.mktemp(f"fuzz{seed}")
         GoFS.write_collection(root, pg, coll, packing=3, binning=2)
-        for executor in ("serial", "thread", "process", "socket"):
+        for executor in ("serial", "process", "socket"):
             res = run_application(
                 TDSPComputation(0),
                 pg,
