@@ -12,7 +12,7 @@ host chain, segment by segment:
 * ``barrier`` — the modeled per-superstep barrier cost;
 * ``load`` / ``gc`` — the slowest host's instance load (blocked portion)
   and GC pause at the timestep boundary;
-* ``checkpoint`` / ``prefetch`` / ``recovery`` — driver-charged costs on
+* ``checkpoint`` / ``recovery`` — driver-charged costs on
   the timestep's critical path.
 
 The report reads the tables of a
@@ -47,7 +47,6 @@ SEGMENTS = (
     "load",
     "gc",
     "checkpoint",
-    "prefetch",
     "recovery",
 )
 
@@ -86,7 +85,6 @@ def critical_path_report(metrics: MetricsCollector) -> dict[str, Any]:
             steps[r.timestep][r.superstep][r.partition] = r
     driver_costs = {
         "checkpoint": metrics.checkpoint_s,
-        "prefetch": metrics.prefetch_s,
         "recovery": metrics.recovery_s,
     }
     crit_supersteps = [0] * num_partitions

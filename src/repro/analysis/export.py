@@ -79,8 +79,6 @@ def result_summary(result: AppResult) -> dict:
         "num_outputs": len(result.outputs),
         "num_merge_outputs": len(result.merge_outputs),
     }
-    if result.simulated_makespan is not None:
-        summary["simulated_makespan_s"] = result.simulated_makespan
     if result.metrics is not None:
         m = result.metrics
         summary["metrics"] = _plain(m.summary())

@@ -3,18 +3,22 @@
 Turns run artifacts into the series the paper plots:
 
 * :func:`timestep_times` — wall time per timestep (Fig 6a/6b);
+* :func:`pipelined_makespan` — those walls scheduled onto W concurrent
+  sub-clusters (the temporal concurrency §IV-B notes GoFFish leaves unused);
 * :func:`frontier_matrix` — per-timestep × per-partition counts of newly
   finalized (TDSP, Fig 7a) or newly colored (MEME, Fig 7c) vertices.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..core.results import AppResult
 from ..partition.base import PartitionedGraph
 
-__all__ = ["timestep_times", "frontier_matrix", "frontier_totals"]
+__all__ = ["timestep_times", "pipelined_makespan", "frontier_matrix", "frontier_totals"]
 
 
 def timestep_times(result: AppResult) -> list[float]:
@@ -22,6 +26,25 @@ def timestep_times(result: AppResult) -> list[float]:
     if result.metrics is None:
         raise ValueError("result has no metrics")
     return result.metrics.timestep_series()
+
+
+def pipelined_makespan(
+    timestep_walls: Sequence[float], workers: int, merge_wall: float = 0.0
+) -> float:
+    """Simulated makespan of scheduling per-timestep walls onto ``workers``.
+
+    Longest-processing-time-first greedy assignment — the contention-free
+    schedule a platform with one sub-cluster per concurrent timestep would
+    achieve for the independent / eventually dependent patterns, whose
+    timesteps never interact before the Merge.  Feed it a finished run's
+    ``metrics.timestep_series()`` and ``metrics.merge_wall()``.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    loads = [0.0] * workers
+    for wall in sorted(timestep_walls, reverse=True):
+        loads[loads.index(min(loads))] += wall
+    return max(loads) + merge_wall
 
 
 def frontier_matrix(

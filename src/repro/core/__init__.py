@@ -9,10 +9,9 @@ declare a :class:`~repro.core.patterns.Pattern`, and run it with
 from .computation import TimeSeriesComputation
 from .context import ComputeContext, EndOfTimestepContext, MergeContext
 from .engine import EngineConfig, TIBSPEngine, run_application
-from .messages import Message, MessageKind, SendBuffer, group_by_destination
+from .messages import Message, MessageKind, SendBuffer
 from .patterns import Pattern
 from .results import AppResult
-from .temporal import pipelined_makespan, run_temporally_parallel
 
 __all__ = [
     "TimeSeriesComputation",
@@ -25,9 +24,6 @@ __all__ = [
     "Message",
     "MessageKind",
     "SendBuffer",
-    "group_by_destination",
     "Pattern",
     "AppResult",
-    "run_temporally_parallel",
-    "pipelined_makespan",
 ]

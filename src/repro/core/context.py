@@ -20,23 +20,35 @@ cross-superstep and cross-timestep bookkeeping.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from ..graph.instance import GraphInstance
 from ..graph.subgraph import Subgraph
 from .messages import Message, MessageKind, SendBuffer
-from .patterns import Pattern
+
+if TYPE_CHECKING:
+    from ..runtime.host import RunMeta
 
 __all__ = ["ComputeContext", "EndOfTimestepContext", "MergeContext"]
 
 
 class _BaseContext:
-    """Shared plumbing: send buffer, state, collection metadata."""
+    """Shared plumbing: the call's coordinates, state, send buffer, run metadata.
+
+    The host builds every context the same way, from its
+    :class:`~repro.runtime.host.RunMeta`; a coordinate the call does not
+    have is ``-1`` / ``None`` / empty (no ``superstep`` or ``messages`` at
+    end of timestep; no ``instance`` or ``timestep`` in a merge).
+    """
 
     __slots__ = (
         "subgraph",
+        "instance",
+        "timestep",
+        "superstep",
+        "messages",
         "state",
         "partition_state",
         "pattern",
@@ -49,15 +61,20 @@ class _BaseContext:
     def __init__(
         self,
         subgraph: Subgraph,
+        instance: GraphInstance | None,
+        timestep: int,
+        superstep: int,
+        messages: Sequence[Message],
         state: dict,
-        pattern: Pattern,
-        num_timesteps: int,
-        delta: float,
-        t0: float,
+        meta: RunMeta,
         buffer: SendBuffer,
         partition_state: dict | None = None,
     ) -> None:
         self.subgraph = subgraph
+        self.instance = instance
+        self.timestep = timestep
+        self.superstep = superstep
+        self.messages = list(messages)
         self.state = state
         #: Dict shared by every subgraph of this *partition* (host-resident,
         #: like ``state``).  Enables Giraph++-style partition-centric logic —
@@ -65,10 +82,10 @@ class _BaseContext:
         #: per-partition caching (e.g. one gathered column reused by all
         #: subgraphs of a host).  Not shared across partitions.
         self.partition_state = partition_state if partition_state is not None else {}
-        self.pattern = pattern
-        self.num_timesteps = num_timesteps
-        self.delta = delta
-        self.t0 = t0
+        self.pattern = meta.pattern
+        self.num_timesteps = meta.num_timesteps
+        self.delta = meta.delta
+        self.t0 = meta.t0
         self._buffer = buffer
 
     # -- outputs -----------------------------------------------------------------
@@ -81,30 +98,7 @@ class _BaseContext:
 class ComputeContext(_BaseContext):
     """Context for the user's ``compute`` — one subgraph, one superstep."""
 
-    __slots__ = ("instance", "timestep", "superstep", "messages")
-
-    def __init__(
-        self,
-        subgraph: Subgraph,
-        instance: GraphInstance,
-        timestep: int,
-        superstep: int,
-        messages: Sequence[Message],
-        state: dict,
-        pattern: Pattern,
-        num_timesteps: int,
-        delta: float,
-        t0: float,
-        buffer: SendBuffer,
-        partition_state: dict | None = None,
-    ) -> None:
-        super().__init__(
-            subgraph, state, pattern, num_timesteps, delta, t0, buffer, partition_state
-        )
-        self.instance = instance
-        self.timestep = timestep
-        self.superstep = superstep
-        self.messages = list(messages)
+    __slots__ = ()
 
     # -- interpretation helpers (Section II-D, "User Logic") ----------------------
 
@@ -221,26 +215,7 @@ class EndOfTimestepContext(_BaseContext):
     (the BSP for this instance has already terminated).
     """
 
-    __slots__ = ("instance", "timestep")
-
-    def __init__(
-        self,
-        subgraph: Subgraph,
-        instance: GraphInstance,
-        timestep: int,
-        state: dict,
-        pattern: Pattern,
-        num_timesteps: int,
-        delta: float,
-        t0: float,
-        buffer: SendBuffer,
-        partition_state: dict | None = None,
-    ) -> None:
-        super().__init__(
-            subgraph, state, pattern, num_timesteps, delta, t0, buffer, partition_state
-        )
-        self.instance = instance
-        self.timestep = timestep
+    __slots__ = ()
 
     @property
     def timestamp(self) -> float:
@@ -263,26 +238,7 @@ class MergeContext(_BaseContext):
     supersteps they come from other subgraphs' merge supersteps.
     """
 
-    __slots__ = ("superstep", "messages")
-
-    def __init__(
-        self,
-        subgraph: Subgraph,
-        superstep: int,
-        messages: Sequence[Message],
-        state: dict,
-        pattern: Pattern,
-        num_timesteps: int,
-        delta: float,
-        t0: float,
-        buffer: SendBuffer,
-        partition_state: dict | None = None,
-    ) -> None:
-        super().__init__(
-            subgraph, state, pattern, num_timesteps, delta, t0, buffer, partition_state
-        )
-        self.superstep = superstep
-        self.messages = list(messages)
+    __slots__ = ()
 
     def send_to_subgraph(self, subgraph_id: int, payload: Any) -> None:
         """Message another subgraph's merge, delivered next merge superstep."""

@@ -670,12 +670,10 @@ class TIBSPEngine:
         ``t+1`` is issued once, at the tail of the first superstep — after
         its barrier, so every host is past superstep 0 and the background
         read overlaps the remaining supersteps, end_of_timestep, and the
-        next begin.  Skipped on ``resume``: the restored metrics already
-        carry the committed attempt's hint cost, and re-issuing would
-        double-record it.
+        next begin.  Skipped on ``resume``: the committed attempt already
+        issued (and recorded) it.
         """
-        rec, result = rs.recorder, rs.result
-        temporal_frames = rs.temporal_frames
+        rec, result, temporal_frames = rs.recorder, rs.result, rs.temporal_frames
         if resume is not None:
             superstep = resume["superstep"]
             per_part = resume["per_part"]
@@ -711,47 +709,9 @@ class TIBSPEngine:
             superstep = 0
 
         prefetch_next = resume is None and self._prefetch_sources and t + 1 < rs.stop
-        ckpt_cfg = self.config.checkpoint
-        while True:
-            if superstep >= self.config.max_supersteps:
-                raise RuntimeError(
-                    f"timestep {t} exceeded max_supersteps={self.config.max_supersteps}; "
-                    "is the computation failing to vote to halt?"
-                )
-            rec.round_begin(PHASE_COMPUTE, t, superstep)
-            with rec.span("superstep", t=t, s=superstep):
-                barrier_start = time.perf_counter()
-                step_results = self._round(rs, "superstep", t, superstep, per_part)
-                rec.barrier(PHASE_COMPUTE, t, superstep, barrier_start)
-            self._record(rs, PHASE_COMPUTE, t, superstep, step_results)
-
-            frames: list[MessageFrame] = []
-            for r in step_results:
-                frames.extend(r.frames)
-                temporal_frames.extend(r.temporal_frames)
-                result.outputs.extend(r.outputs)
-                halt_votes |= r.halt_timestep_votes
-            per_part = route_frames(frames, self.pg.num_partitions)
-            superstep += 1
-            if prefetch_next:
-                prefetch_next = False
-                self._round(rs, "prefetch", t, superstep - 1, [t + 1] * self.pg.num_partitions)
-                cost = self.config.cost_model.prefetch_cost()
-                rec.emit(PrefetchRecord(t, superstep - 1, t + 1, cost))
-            # Quiescence: nothing routed by the driver, every subgraph halted,
-            # and no host still holds short-circuited local deliveries.
-            if not frames and all(
-                r.all_halted and not r.has_pending_local for r in step_results
-            ):
-                break
-            if (
-                rs.manager is not None
-                and ckpt_cfg.superstep_every is not None
-                and superstep % ckpt_cfg.superstep_every == 0
-            ):
-                # Mid-timestep durable boundary: ``superstep`` is the next
-                # one to execute, with its deliveries and votes in the blob.
-                self._write_checkpoint(rs, t, superstep, per_part, halt_votes)
+        superstep = self._supersteps(
+            rs, PHASE_COMPUTE, t, superstep, per_part, result.outputs, halt_votes, prefetch_next
+        )
 
         rec.round_begin("end_of_timestep", t, superstep)
         with rec.span("end_of_timestep", t=t):
@@ -768,31 +728,82 @@ class TIBSPEngine:
         # in flight — neither framed remote ones nor host-local ones.
         return halt_votes >= self._all_sgids and not temporal_frames and not pending_temporal
 
-    # -- merge phase ---------------------------------------------------------------------
+    # -- the BSP loop, for a timestep and for the Merge -----------------------------------
 
-    def _run_merge(self, rs: _RunState) -> None:
-        rec = rs.recorder
-        per_part: list[list[MessageFrame]] = [[] for _ in range(self.pg.num_partitions)]
-        superstep = 0
+    def _supersteps(
+        self,
+        rs: _RunState,
+        phase: str,
+        t: int,
+        superstep: int,
+        per_part: list[list[MessageFrame]],
+        outputs: list[tuple[int, int, Any]],
+        halt_votes: set[int],
+        prefetch_next: bool,
+    ) -> int:
+        """Run barriered supersteps from ``superstep`` until quiescence.
+
+        The one BSP loop, behind a timestep and behind the Merge: a Merge is
+        the BSP at ``t = -1`` over the subgraph templates, which sends no
+        temporal frames, casts no timestep votes (``halt_votes`` stays
+        empty) and has no next instance to prefetch or mid-BSP checkpoint to
+        write.  ``outputs`` and ``halt_votes`` are extended in place;
+        returns the index after the last superstep run.
+        """
+        cfg, rec, k = self.config, rs.recorder, self.pg.num_partitions
+        if phase == PHASE_MERGE:
+            op, span, where, name = "merge", "merge_superstep", {}, "merge phase"
+            ckpt_every = None
+        else:
+            op, span, where, name = "superstep", "superstep", {"t": t}, f"timestep {t}"
+            ckpt_every = cfg.checkpoint.superstep_every if rs.manager is not None else None
         while True:
-            if superstep >= self.config.max_supersteps:
-                raise RuntimeError("merge phase exceeded max_supersteps")
-            rec.round_begin(PHASE_MERGE, -1, superstep)
-            with rec.span("merge_superstep", s=superstep):
+            if superstep >= cfg.max_supersteps:
+                raise RuntimeError(
+                    f"{name} exceeded max_supersteps={cfg.max_supersteps}; "
+                    "is the computation failing to vote to halt?"
+                )
+            rec.round_begin(phase, t, superstep)
+            with rec.span(span, **where, s=superstep):
                 barrier_start = time.perf_counter()
-                step_results = self._round(rs, "merge", -1, superstep, per_part)
-                rec.barrier(PHASE_MERGE, -1, superstep, barrier_start)
-            self._record(rs, PHASE_MERGE, -1, superstep, step_results)
+                step_results = self._round(rs, op, t, superstep, per_part)
+                rec.barrier(phase, t, superstep, barrier_start)
+            self._record(rs, phase, t, superstep, step_results)
+
             frames: list[MessageFrame] = []
             for r in step_results:
                 frames.extend(r.frames)
-                rs.result.merge_outputs.extend((sg, rec) for (_t, sg, rec) in r.outputs)
-            per_part = route_frames(frames, self.pg.num_partitions)
+                rs.temporal_frames.extend(r.temporal_frames)
+                outputs.extend(r.outputs)
+                halt_votes |= r.halt_timestep_votes
+            per_part = route_frames(frames, k)
             superstep += 1
+            if prefetch_next:
+                prefetch_next = False
+                self._round(rs, "prefetch", t, superstep - 1, [t + 1] * k)
+                rec.emit(PrefetchRecord(t, superstep - 1, t + 1))
+            # Quiescence: nothing routed by the driver, every subgraph halted,
+            # and no host still holds short-circuited local deliveries.
             if not frames and all(
                 r.all_halted and not r.has_pending_local for r in step_results
             ):
-                break
+                return superstep
+            if ckpt_every is not None and superstep % ckpt_every == 0:
+                # Mid-timestep durable boundary: ``superstep`` is the next
+                # one to execute, with its deliveries and votes in the blob.
+                self._write_checkpoint(rs, t, superstep, per_part, halt_votes)
+
+    def _run_merge(self, rs: _RunState) -> None:
+        """The Merge BSP; its outputs drop the timestep (there is none)."""
+        outputs: list[tuple[int, int, Any]] = []
+        try:
+            self._supersteps(
+                rs, PHASE_MERGE, -1, 0, [[] for _ in range(self.pg.num_partitions)],
+                outputs, set(), False,
+            )
+        finally:
+            # Also on a degraded exit: what the finished supersteps emitted.
+            rs.result.merge_outputs.extend((sg, rec) for (_t, sg, rec) in outputs)
 
 
 def run_application(

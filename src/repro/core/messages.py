@@ -35,7 +35,6 @@ __all__ = [
     "Message",
     "SendBuffer",
     "MessageFrame",
-    "group_by_destination",
     "frames_from_deliveries",
     "route_frames",
 ]
@@ -99,50 +98,9 @@ class SendBuffer:
     superstep_sends: list[tuple[int, Message]] = field(default_factory=list)
     temporal_sends: list[tuple[int, Message]] = field(default_factory=list)
     merge_sends: list[Message] = field(default_factory=list)
-    #: Tri-state: ``None`` means no vote has been cast on this buffer (fresh
-    #: accumulator); ``True``/``False`` is a standing vote.  Readers treat
-    #: ``None`` as falsy ("did not vote, so do not halt").
-    voted_halt: bool | None = None
-    voted_halt_timestep: bool | None = None
+    voted_halt: bool = False
+    voted_halt_timestep: bool = False
     outputs: list[Any] = field(default_factory=list)
-
-    def total_messages(self) -> int:
-        return len(self.superstep_sends) + len(self.temporal_sends) + len(self.merge_sends)
-
-    def total_bytes(self) -> int:
-        """Approximate bytes across all buffered messages (cost model input)."""
-        return sum(
-            m.approx_size()
-            for _, m in self.superstep_sends
-        ) + sum(m.approx_size() for _, m in self.temporal_sends) + sum(
-            m.approx_size() for m in self.merge_sends
-        )
-
-    def extend(self, other: "SendBuffer") -> None:
-        """Merge another buffer into this one (used when batching subgraphs).
-
-        Halt votes follow *all-of* semantics over every cast vote: the other
-        buffer's effective vote (not voting counts as "do not halt") is ANDed
-        with the accumulator's standing vote, if it has one.  A buffer whose
-        votes are still ``None`` has cast no vote, so the first :meth:`extend`
-        adopts the other buffer's effective votes; a standing vote — whether
-        cast directly by a compute call or by an earlier fold — is never
-        overwritten, only ANDed against.
-        """
-        self.superstep_sends.extend(other.superstep_sends)
-        self.temporal_sends.extend(other.temporal_sends)
-        self.merge_sends.extend(other.merge_sends)
-        if self.voted_halt is None:
-            self.voted_halt = bool(other.voted_halt)
-        else:
-            self.voted_halt = self.voted_halt and bool(other.voted_halt)
-        if self.voted_halt_timestep is None:
-            self.voted_halt_timestep = bool(other.voted_halt_timestep)
-        else:
-            self.voted_halt_timestep = self.voted_halt_timestep and bool(
-                other.voted_halt_timestep
-            )
-        self.outputs.extend(other.outputs)
 
 
 class MessageFrame:
@@ -207,16 +165,6 @@ class MessageFrame:
         msgs = self.messages
         for i in range(len(msgs)):
             inbox.setdefault(int(dsts[i]), []).append(msgs[i])
-
-
-def group_by_destination(
-    sends: Iterable[tuple[int, Message]]
-) -> dict[int, list[Message]]:
-    """Bulk-route: group (destination subgraph, message) pairs by destination."""
-    grouped: dict[int, list[Message]] = {}
-    for dst, msg in sends:
-        grouped.setdefault(dst, []).append(msg)
-    return grouped
 
 
 def frames_from_deliveries(

@@ -32,10 +32,6 @@ class AppResult:
         graphs, Section IV-B).
     halted_early:
         True when the While-style halt condition ended the run.
-    simulated_makespan:
-        For temporally parallel runs (see :mod:`repro.core.temporal`): the
-        pipelined wall-clock with concurrent timesteps.  ``None`` for
-        ordinary runs, where :attr:`total_wall_s` is the makespan.
     trace:
         The :class:`~repro.observability.RunTrace` recorded when the run
         was configured with ``EngineConfig(tracing=...)``; ``None``
@@ -87,7 +83,6 @@ class AppResult:
     metrics: MetricsCollector | None = None
     timesteps_executed: int = 0
     halted_early: bool = False
-    simulated_makespan: float | None = None
     trace: Any | None = None
     failure: Any | None = None
     failure_log: list[Any] = field(default_factory=list)

@@ -35,7 +35,6 @@ Schema v1 event kinds
 ``prefetch_miss``     a pack demand fell through to a synchronous load even
                       though prefetching was enabled
 ``prefetch_issue``    the driver issued one prefetch hint round to all hosts
-                      (modeled ``cost_s`` from ``CostModel.prefetch_cost``)
 ``gc_pause``          modeled GC pause charged at a timestep boundary
 ``vm_spinup`` /       elastic-scaling policy decisions (offline replay)
 ``vm_spindown``

@@ -95,8 +95,7 @@ def render_top(snapshot: dict[str, Any], *, width: int = 80) -> str:
     )
     lines.append(
         f"load      blocked {totals.get('load_blocked_s', 0.0):.3f}s  "
-        f"hidden {totals.get('load_hidden_s', 0.0):.3f}s  "
-        f"prefetch {totals.get('prefetch_s', 0.0):.3f}s"
+        f"hidden {totals.get('load_hidden_s', 0.0):.3f}s"
     )
     sources = snapshot.get("sources", {})
     if sources:

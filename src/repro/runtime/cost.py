@@ -30,19 +30,13 @@ class CostModel:
     ~50 µs per remote message envelope, ~1 ms per BSP barrier across hosts.
 
     The model distinguishes the message plane's two delivery paths: remote
-    sends pay network envelope + bandwidth (plus an optional per-*frame*
-    envelope for the coalesced bulk transfer), while partition-local sends
-    pay only an in-memory hand-off and *memory* bandwidth — a host-local
+    sends pay network envelope + bandwidth, while partition-local sends pay
+    only an in-memory hand-off and *memory* bandwidth — a host-local
     delivery never touches the network.
     """
 
     remote_bandwidth_bytes_per_s: float = 117.0 * 2**20
     remote_per_message_s: float = 50e-6
-    #: Envelope cost per coalesced frame (one bulk transfer between a pair
-    #: of hosts after the barrier).  Defaults to 0 so simulated wall-clocks
-    #: stay comparable with the per-message accounting; benches exploring
-    #: framed transports can charge it explicitly.
-    remote_per_frame_s: float = 0.0
     local_per_message_s: float = 2e-6
     #: Memory bandwidth for host-local deliveries (~DDR4 single-channel).
     local_bandwidth_bytes_per_s: float = 12.0 * 2**30
@@ -51,20 +45,12 @@ class CostModel:
     checkpoint_bandwidth_bytes_per_s: float = 200.0 * 2**20
     #: Fixed cost per checkpoint (manifest write + fsync-style latency).
     checkpoint_base_s: float = 1e-3
-    #: Driver-side cost of issuing one prefetch hint round (an async RPC to
-    #: every host).  Defaults to 0 so prefetch-on and prefetch-off runs stay
-    #: wall-comparable; benches modeling hint overhead can charge it.
-    prefetch_issue_s: float = 0.0
 
     def remote_send_cost(self, num_messages: int, num_bytes: int) -> float:
         """Cost of shipping ``num_messages`` totaling ``num_bytes`` off-host."""
         if num_messages == 0:
             return 0.0
         return num_messages * self.remote_per_message_s + num_bytes / self.remote_bandwidth_bytes_per_s
-
-    def frame_cost(self, num_frames: int) -> float:
-        """Envelope cost of ``num_frames`` coalesced inter-host transfers."""
-        return num_frames * self.remote_per_frame_s
 
     def local_send_cost(self, num_messages: int, num_bytes: int = 0) -> float:
         """Cost of delivering messages between subgraphs on the same host.
@@ -88,10 +74,6 @@ class CostModel:
         the cadence.
         """
         return self.checkpoint_base_s + num_bytes / self.checkpoint_bandwidth_bytes_per_s
-
-    def prefetch_cost(self, rounds: int = 1) -> float:
-        """Modeled cost of ``rounds`` prefetch hint rounds."""
-        return rounds * self.prefetch_issue_s
 
     def barrier_cost(self, num_partitions: int) -> float:
         """Cost of one BSP barrier across ``num_partitions`` hosts."""
@@ -117,13 +99,11 @@ class CostModel:
         return CostModel(
             remote_bandwidth_bytes_per_s=base.remote_bandwidth_bytes_per_s,
             remote_per_message_s=base.remote_per_message_s * factor,
-            remote_per_frame_s=base.remote_per_frame_s * factor,
             local_per_message_s=base.local_per_message_s * factor,
             local_bandwidth_bytes_per_s=base.local_bandwidth_bytes_per_s,
             barrier_s=base.barrier_s * factor,
             checkpoint_bandwidth_bytes_per_s=base.checkpoint_bandwidth_bytes_per_s,
             checkpoint_base_s=base.checkpoint_base_s * factor,
-            prefetch_issue_s=base.prefetch_issue_s * factor,
         )
 
     @staticmethod
@@ -132,11 +112,9 @@ class CostModel:
         return CostModel(
             remote_bandwidth_bytes_per_s=float("inf"),
             remote_per_message_s=0.0,
-            remote_per_frame_s=0.0,
             local_per_message_s=0.0,
             local_bandwidth_bytes_per_s=float("inf"),
             barrier_s=0.0,
             checkpoint_bandwidth_bytes_per_s=float("inf"),
             checkpoint_base_s=0.0,
-            prefetch_issue_s=0.0,
         )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -158,11 +158,6 @@ class RunMeta:
     t0: float
 
 
-#: What a host accepts as one superstep's deliveries: framed remote sends
-#: (the batched plane) or a plain per-subgraph mapping (direct protocol use).
-DeliveriesLike = Mapping[int, Sequence[Message]] | Iterable[MessageFrame]
-
-
 class ComputeHost:
     """Executes a computation over one partition's subgraphs.
 
@@ -241,7 +236,7 @@ class ComputeHost:
 
     # -- message plane -----------------------------------------------------------------
 
-    def _open_inbox(self, deliveries: DeliveriesLike) -> dict[int, list[Message]]:
+    def _open_inbox(self, deliveries: Iterable[MessageFrame]) -> dict[int, list[Message]]:
         """This superstep's inbox: pending local deliveries + driver frames.
 
         Per-subgraph order is host-local messages first, then remote frames
@@ -250,12 +245,8 @@ class ComputeHost:
         """
         inbox = self._local_inbox
         self._local_inbox = {}
-        if isinstance(deliveries, Mapping):
-            for sgid, msgs in deliveries.items():
-                inbox.setdefault(int(sgid), []).extend(msgs)
-        else:
-            for frame in deliveries:
-                frame.deliver_into(inbox)
+        for frame in deliveries:
+            frame.deliver_into(inbox)
         return inbox
 
     def _combined(self, sends: list[tuple[int, Message]]) -> list[tuple[int, Message]]:
@@ -300,8 +291,8 @@ class ComputeHost:
         result: HostStepResult,
         superstep_sends: list[tuple[int, Message]],
         temporal_sends: list[tuple[int, Message]],
-        timestep: int = -1,
-        superstep: int = -1,
+        timestep: int,
+        superstep: int,
     ) -> None:
         """Route one protocol call's sends: combine, short-circuit, frame, cost.
 
@@ -312,57 +303,38 @@ class ComputeHost:
         own = self.partition.partition_id
         sg_part = self.subgraph_partition
         local_n = local_b = remote_n = remote_b = 0
-        remote: dict[int, list[tuple[int, Message]]] = {}
 
         with tr.span("send_flush", t=timestep, s=superstep) if tr is not None else NULL_SPAN:
-            for dst, msg in self._combined(superstep_sends):
-                if sg_part[dst] == own:
-                    self._local_inbox.setdefault(dst, []).append(msg)
-                    local_n += 1
-                    local_b += msg.approx_size()
-                else:
-                    remote.setdefault(int(sg_part[dst]), []).append((dst, msg))
-            for dst_part, sends in remote.items():
-                frame = MessageFrame.pack(own, dst_part, sends)
-                remote_n += len(frame)
-                remote_b += frame.nbytes
-                result.frames.append(frame)
-                if tr is not None:
-                    tr.event(
-                        "frame_ship",
-                        timestep=timestep,
-                        superstep=superstep,
-                        src_partition=own,
-                        dst_partition=dst_part,
-                        messages=len(frame),
-                        nbytes=frame.nbytes,
-                        temporal=False,
-                    )
-
-            t_remote: dict[int, list[tuple[int, Message]]] = {}
-            for dst, msg in temporal_sends:
-                if sg_part[dst] == own:
-                    self._temporal_inbox.setdefault(dst, []).append(msg)
-                    local_n += 1
-                    local_b += msg.approx_size()
-                else:
-                    t_remote.setdefault(int(sg_part[dst]), []).append((dst, msg))
-            for dst_part, sends in t_remote.items():
-                frame = MessageFrame.pack(own, dst_part, sends)
-                remote_n += len(frame)
-                remote_b += frame.nbytes
-                result.temporal_frames.append(frame)
-                if tr is not None:
-                    tr.event(
-                        "frame_ship",
-                        timestep=timestep,
-                        superstep=superstep,
-                        src_partition=own,
-                        dst_partition=dst_part,
-                        messages=len(frame),
-                        nbytes=frame.nbytes,
-                        temporal=True,
-                    )
+            # Superstep sends (combined) land in the next superstep's inbox or
+            # a frame; temporal sends in the next timestep's, never combined.
+            for sends, local_inbox, frames_out, is_temporal in (
+                (self._combined(superstep_sends), self._local_inbox, result.frames, False),
+                (temporal_sends, self._temporal_inbox, result.temporal_frames, True),
+            ):
+                remote: dict[int, list[tuple[int, Message]]] = {}
+                for dst, msg in sends:
+                    if sg_part[dst] == own:
+                        local_inbox.setdefault(dst, []).append(msg)
+                        local_n += 1
+                        local_b += msg.approx_size()
+                    else:
+                        remote.setdefault(int(sg_part[dst]), []).append((dst, msg))
+                for dst_part, batch in remote.items():
+                    frame = MessageFrame.pack(own, dst_part, batch)
+                    remote_n += len(frame)
+                    remote_b += frame.nbytes
+                    frames_out.append(frame)
+                    if tr is not None:
+                        tr.event(
+                            "frame_ship",
+                            timestep=timestep,
+                            superstep=superstep,
+                            src_partition=own,
+                            dst_partition=dst_part,
+                            messages=len(frame),
+                            nbytes=frame.nbytes,
+                            temporal=is_temporal,
+                        )
 
         result.local_messages += local_n
         result.remote_messages += remote_n
@@ -372,7 +344,6 @@ class ComputeHost:
         result.frames_sent += frames
         result.send_s += self.cost_model.local_send_cost(local_n, local_b)
         result.send_s += self.cost_model.remote_send_cost(remote_n, remote_b)
-        result.send_s += self.cost_model.frame_cost(frames)
         if tr is not None and (local_n or remote_n):
             tr.event(
                 "sends",
@@ -388,34 +359,6 @@ class ComputeHost:
             tr.count("messages.remote", remote_n)
             tr.count("messages.frames", frames)
             tr.count("messages.remote_bytes", remote_b)
-
-    def _finish(self, result: HostStepResult) -> None:
-        result.has_pending_local = bool(self._local_inbox)
-        result.pending_temporal = sum(len(v) for v in self._temporal_inbox.values())
-        if self.tracer is not None:
-            result.telemetry = self.tracer.drain()
-
-    def _drain(
-        self,
-        buffer: SendBuffer,
-        result: HostStepResult,
-        sgid: int,
-        timestep: int,
-        sends: list[tuple[int, Message]],
-        temporal: list[tuple[int, Message]],
-        *,
-        update_halt: bool,
-    ) -> None:
-        """Move one compute call's buffer into the host result / send batch."""
-        sends.extend(buffer.superstep_sends)
-        temporal.extend(buffer.temporal_sends)
-        for m in buffer.merge_sends:
-            self._merge_inbox[sgid].append(m)
-        result.outputs.extend((timestep, sgid, rec) for rec in buffer.outputs)
-        if buffer.voted_halt_timestep:
-            result.halt_timestep_votes.add(sgid)
-        if update_halt:
-            self._halted[sgid] = bool(buffer.voted_halt)
 
     # -- protocol ----------------------------------------------------------------------
 
@@ -488,89 +431,82 @@ class ComputeHost:
         fn = getattr(self.source, "prefetch", None)
         return bool(fn(timestep)) if callable(fn) else False
 
-    def run_superstep(
+    def _run_subgraphs(
         self,
+        user: Callable[[Any], None],
+        ctx_cls: type,
+        span: str,
         timestep: int,
         superstep: int,
-        deliveries: DeliveriesLike,
+        inbox: dict[int, list[Message]] | None,
     ) -> HostStepResult:
-        """Run ``compute`` on this host's active subgraphs for one superstep.
+        """One pass of user code over this partition's subgraphs.
 
-        A subgraph is active when ``superstep == 0`` (every timestep starts by
-        invoking all subgraphs, Section II-D), when it has incoming messages
-        (reactivation), or when it has not voted to halt.
+        A subgraph runs at superstep 0 (every BSP starts by invoking all
+        subgraphs, Section II-D), when it has incoming messages
+        (reactivation), or when it has not voted to halt.  ``inbox=None``
+        is end of timestep: every subgraph, no messages, halt flags
+        untouched.  ``timestep`` / ``superstep`` are -1 where the call has
+        none (the Merge / end of timestep).
         """
-        assert self._instance is not None, "begin_timestep must be called first"
         tr = self.tracer
+        bsp = inbox is not None
         result = HostStepResult(self.partition.partition_id)
-        inbox = self._open_inbox(deliveries)
         sends: list[tuple[int, Message]] = []
         temporal: list[tuple[int, Message]] = []
-        with tr.span("compute", t=timestep, s=superstep) if tr is not None else NULL_SPAN:
+        # A coordinate the call does not have (-1) is not a span arg.
+        coords = (("t", timestep), ("s", superstep))
+        with tr.span(span, **{k: v for k, v in coords if v >= 0}) if tr is not None else NULL_SPAN:
             for sg in self.partition.subgraphs:
                 sgid = sg.subgraph_id
-                msgs = inbox.get(sgid, ())
+                msgs = inbox.get(sgid, ()) if bsp else ()
                 if superstep > 0 and self._halted[sgid] and not msgs:
                     continue
                 buffer = SendBuffer()
-                ctx = ComputeContext(
-                    sg,
-                    self._instance,
-                    timestep,
-                    superstep,
-                    msgs,
-                    self.states[sgid],
-                    self.meta.pattern,
-                    self.meta.num_timesteps,
-                    self.meta.delta,
-                    self.meta.t0,
-                    buffer,
-                    self.partition_state,
+                ctx = ctx_cls(
+                    sg, self._instance, timestep, superstep, msgs,
+                    self.states[sgid], self.meta, buffer, self.partition_state,
                 )
                 start = time.perf_counter()
-                self.computation.compute(ctx)
+                user(ctx)
                 result.compute_s += time.perf_counter() - start
-                result.subgraphs_computed += 1
-                self._drain(buffer, result, sgid, timestep, sends, temporal, update_halt=True)
+                sends.extend(buffer.superstep_sends)
+                temporal.extend(buffer.temporal_sends)
+                self._merge_inbox[sgid].extend(buffer.merge_sends)
+                result.outputs.extend((timestep, sgid, rec) for rec in buffer.outputs)
+                if buffer.voted_halt_timestep:
+                    result.halt_timestep_votes.add(sgid)
+                if bsp:
+                    self._halted[sgid] = buffer.voted_halt
+                    result.subgraphs_computed += 1
         self._flush_sends(result, sends, temporal, timestep, superstep)
-        self._finish(result)
-        result.all_halted = all(self._halted.values())
+        result.has_pending_local = bool(self._local_inbox)
+        result.pending_temporal = sum(len(v) for v in self._temporal_inbox.values())
+        if tr is not None:
+            result.telemetry = tr.drain()
+        result.all_halted = all(self._halted.values()) if bsp else True
         return result
+
+    def run_superstep(
+        self, timestep: int, superstep: int, deliveries: Iterable[MessageFrame]
+    ) -> HostStepResult:
+        """Run ``compute`` on this host's active subgraphs for one superstep."""
+        assert self._instance is not None, "begin_timestep must be called first"
+        return self._run_subgraphs(
+            self.computation.compute, ComputeContext, "compute",
+            timestep, superstep, self._open_inbox(deliveries),
+        )
 
     def end_of_timestep(self, timestep: int) -> HostStepResult:
         """Invoke ``end_of_timestep`` on every subgraph of this partition."""
         assert self._instance is not None
-        tr = self.tracer
-        result = HostStepResult(self.partition.partition_id)
-        sends: list[tuple[int, Message]] = []
-        temporal: list[tuple[int, Message]] = []
-        with tr.span("end_of_timestep", t=timestep) if tr is not None else NULL_SPAN:
-            for sg in self.partition.subgraphs:
-                sgid = sg.subgraph_id
-                buffer = SendBuffer()
-                ctx = EndOfTimestepContext(
-                    sg,
-                    self._instance,
-                    timestep,
-                    self.states[sgid],
-                    self.meta.pattern,
-                    self.meta.num_timesteps,
-                    self.meta.delta,
-                    self.meta.t0,
-                    buffer,
-                    self.partition_state,
-                )
-                start = time.perf_counter()
-                self.computation.end_of_timestep(ctx)
-                result.compute_s += time.perf_counter() - start
-                self._drain(buffer, result, sgid, timestep, sends, temporal, update_halt=False)
-        self._flush_sends(result, sends, temporal, timestep)
-        self._finish(result)
-        result.all_halted = True
-        return result
+        return self._run_subgraphs(
+            self.computation.end_of_timestep, EndOfTimestepContext, "end_of_timestep",
+            timestep, -1, None,
+        )
 
     def run_merge_superstep(
-        self, superstep: int, deliveries: DeliveriesLike
+        self, superstep: int, deliveries: Iterable[MessageFrame]
     ) -> HostStepResult:
         """Run one superstep of the Merge BSP (eventually dependent pattern).
 
@@ -578,55 +514,26 @@ class ComputeHost:
         across all timesteps (in timestep order); afterwards, messages from
         other subgraphs' merge supersteps (local short-circuits + frames).
         """
-        tr = self.tracer
-        result = HostStepResult(self.partition.partition_id)
-        if superstep == 0:
-            self._halted = {sg.subgraph_id: False for sg in self.partition.subgraphs}
         inbox = self._open_inbox(deliveries)
-        if superstep == 0 and inbox:
-            # Superstep 0 reads from the merge inbox only; the engine's
-            # quiescence rule guarantees no frames or leftover local
-            # deliveries exist here.  Reject protocol misuse loudly rather
-            # than silently dropping the messages.
-            raise RuntimeError(
-                "merge superstep 0 expects no deliveries (messages come from "
-                f"the merge inbox), got messages for subgraphs {sorted(inbox)}"
-            )
-        sends: list[tuple[int, Message]] = []
-        temporal: list[tuple[int, Message]] = []
-        with tr.span("merge", s=superstep) if tr is not None else NULL_SPAN:
-            for sg in self.partition.subgraphs:
-                sgid = sg.subgraph_id
-                if superstep == 0:
-                    msgs: Sequence[Message] = sorted(
-                        self._merge_inbox[sgid], key=lambda m: m.timestep
-                    )
-                else:
-                    msgs = inbox.get(sgid, ())
-                    if self._halted[sgid] and not msgs:
-                        continue
-                buffer = SendBuffer()
-                ctx = MergeContext(
-                    sg,
-                    superstep,
-                    msgs,
-                    self.states[sgid],
-                    self.meta.pattern,
-                    self.meta.num_timesteps,
-                    self.meta.delta,
-                    self.meta.t0,
-                    buffer,
-                    self.partition_state,
+        if superstep == 0:
+            if inbox:
+                # The engine's quiescence rule guarantees no frames or
+                # leftover local deliveries exist here.  Reject protocol
+                # misuse loudly rather than silently dropping the messages.
+                raise RuntimeError(
+                    "merge superstep 0 expects no deliveries (messages come from "
+                    f"the merge inbox), got messages for subgraphs {sorted(inbox)}"
                 )
-                start = time.perf_counter()
-                self.computation.merge(ctx)
-                result.compute_s += time.perf_counter() - start
-                result.subgraphs_computed += 1
-                self._drain(buffer, result, sgid, -1, sends, temporal, update_halt=True)
-        self._flush_sends(result, sends, temporal, -1, superstep)
-        self._finish(result)
-        result.all_halted = all(self._halted.values())
-        return result
+            # The Merge runs over the subgraph templates: no instance.
+            self._instance = None
+            self._halted = {sg.subgraph_id: False for sg in self.partition.subgraphs}
+            inbox = {
+                sgid: sorted(msgs, key=lambda m: m.timestep)
+                for sgid, msgs in self._merge_inbox.items()
+            }
+        return self._run_subgraphs(
+            self.computation.merge, MergeContext, "merge", -1, superstep, inbox
+        )
 
     def final_states(self) -> dict[int, dict]:
         """Per-subgraph application state at the end of the run."""
@@ -690,25 +597,6 @@ class ComputeHost:
             )
         else:
             self._instance = None
-
-    # -- temporal parallelism support -----------------------------------------------
-
-    def drain_merge_inbox(self) -> dict[int, list[Message]]:
-        """Remove and return buffered merge messages (per subgraph id).
-
-        Used by the temporally parallel runner, which executes timesteps on
-        several clusters and must gather their merge messages onto one
-        cluster before the Merge phase.
-        """
-        drained = {sgid: msgs for sgid, msgs in self._merge_inbox.items() if msgs}
-        self._merge_inbox = {sg.subgraph_id: [] for sg in self.partition.subgraphs}
-        return drained
-
-    def absorb_merge_inbox(self, inbox: dict[int, list[Message]]) -> None:
-        """Add merge messages drained from another host's copy of our subgraphs."""
-        for sgid, msgs in inbox.items():
-            if sgid in self._merge_inbox:
-                self._merge_inbox[sgid].extend(msgs)
 
 
 # -- the protocol, stated once -------------------------------------------------------

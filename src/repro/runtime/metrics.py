@@ -153,14 +153,13 @@ class CheckpointRecord(Record):
 
 @dataclass(frozen=True)
 class PrefetchRecord(Record):
-    """One prefetch hint round the driver issued during ``timestep`` (modeled cost)."""
+    """One prefetch hint round the driver issued during ``timestep``."""
 
     kind = "prefetch_issue"
 
     timestep: int
     superstep: int
     next_timestep: int
-    cost_s: float
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,6 @@ class MetricsCollector:
         #: (timestep, partition) -> *hidden* load seconds: I/O a prefetching
         #: source overlapped with compute.  Same evidence, off the wall.
         self.load_hidden_s: dict[tuple[int, int], float] = defaultdict(float)
-        #: timestep -> modeled cost of prefetch hint rounds issued during it.
-        self.prefetch_s: dict[int, float] = defaultdict(float)
         #: (timestep, partition) -> GC pause seconds
         self.gc_s: dict[tuple[int, int], float] = defaultdict(float)
         #: number of supersteps executed per timestep
@@ -277,7 +274,7 @@ class MetricsCollector:
             self.checkpoint_bytes += int(record.nbytes)
             self.checkpoint_s[t] += record.cost_s
         elif kind == "prefetch_issue":
-            self.prefetch_s[t] += record.cost_s
+            pass  # a trace-visible fact with no table behind it
         elif kind in ("worker_respawn", "protocol_retry"):
             self.retries += 1
             self.recovery_s[t] += record.seconds
@@ -317,29 +314,31 @@ class MetricsCollector:
             for key, rows in self._steps_by_key().items()
         }
 
-    def timestep_wall(self, timestep: int) -> float:
-        """Fig 6 quantity: total wall time attributed to one timestep."""
-        walls = self.superstep_walls()
-        total = sum(
-            w for (phase, t, _s), w in walls.items() if phase == PHASE_COMPUTE and t == timestep
-        )
-        loads = [self.load_s.get((timestep, p), 0.0) for p in range(self.num_partitions)]
-        gcs = [self.gc_s.get((timestep, p), 0.0) for p in range(self.num_partitions)]
+    def _timestep_walls(self, timesteps: Iterable[int]) -> list[float]:
+        """Fig 6 quantity for each of ``timesteps``, from one grouping of the records."""
+        compute: dict[int, list[float]] = defaultdict(list)
+        for (phase, t, _s), wall in self.superstep_walls().items():
+            if phase == PHASE_COMPUTE:
+                compute[t].append(wall)
+        parts = range(self.num_partitions)
         # Loads and GC are synchronized across partitions (barriered timestep
         # start), so the slowest host gates everyone.
-        return (
-            total
-            + (max(loads) if loads else 0.0)
-            + (max(gcs) if gcs else 0.0)
-            + self.checkpoint_s.get(timestep, 0.0)
-            + self.recovery_s.get(timestep, 0.0)
-            + self.prefetch_s.get(timestep, 0.0)
-        )
+        return [
+            sum(compute.get(t, ()))
+            + max((self.load_s.get((t, p), 0.0) for p in parts), default=0.0)
+            + max((self.gc_s.get((t, p), 0.0) for p in parts), default=0.0)
+            + self.checkpoint_s.get(t, 0.0)
+            + self.recovery_s.get(t, 0.0)
+            for t in timesteps
+        ]
+
+    def timestep_wall(self, timestep: int) -> float:
+        """Fig 6 quantity: total wall time attributed to one timestep."""
+        return self._timestep_walls([timestep])[0]
 
     def timestep_series(self) -> list[float]:
         """Wall time per executed timestep, in timestep order (Fig 6 series)."""
-        timesteps = sorted(self.supersteps_per_timestep)
-        return [self.timestep_wall(t) for t in timesteps]
+        return self._timestep_walls(sorted(self.supersteps_per_timestep))
 
     def merge_wall(self) -> float:
         """Wall time of the Merge phase (eventually dependent pattern)."""
@@ -416,10 +415,6 @@ class MetricsCollector:
         """Load seconds hidden behind compute by prefetching sources."""
         return sum(self.load_hidden_s.values())
 
-    def total_prefetch_s(self) -> float:
-        """Modeled prefetch hint-round seconds over the whole run."""
-        return sum(self.prefetch_s.values())
-
     def total_gc_s(self) -> float:
         """GC-pause seconds summed over every (timestep, partition)."""
         return sum(self.gc_s.values())
@@ -447,7 +442,6 @@ class MetricsCollector:
             "load_s": round(self.total_load_s(), 6),
             "load_blocked_s": round(self.total_load_s(), 6),
             "load_hidden_s": round(self.total_load_hidden_s(), 6),
-            "prefetch_s": round(self.total_prefetch_s(), 6),
             "gc_s": round(self.total_gc_s(), 6),
             "merge_wall_s": round(self.merge_wall(), 6),
             "checkpoints": self.checkpoints,

@@ -1,9 +1,11 @@
-"""Byte-identical results across the serial and process executors.
+"""Byte-identical results across the serial, process and socket executors.
 
 The batched message plane changes delivery routes (host-local short-circuit,
 per-partition frames, combiners) but must not change *what* applications
-compute: for each algorithm family the executor backends have to agree
-bit-for-bit on outputs, merge outputs, and final subgraph states.
+compute: for each algorithm family — and each design pattern: TDSP / MEME
+are sequentially dependent, TopN / per-instance PageRank independent, HASH
+eventually dependent — the executor backends have to agree bit-for-bit on
+outputs, merge outputs, and final subgraph states.
 """
 
 import dataclasses
@@ -13,7 +15,9 @@ import pytest
 
 from repro.algorithms.hashtag import HashtagAggregationComputation
 from repro.algorithms.meme import MemeTrackingComputation
+from repro.algorithms.pagerank import PageRankComputation
 from repro.algorithms.tdsp import TDSPComputation
+from repro.algorithms.top_n import TopNComputation
 from repro.core import EngineConfig, run_application
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
@@ -37,6 +41,10 @@ def _computation(name, pg):
         return TDSPComputation(0)
     if name == "meme":
         return MemeTrackingComputation(1)
+    if name == "topn":
+        return TopNComputation(3, "traffic")
+    if name == "pagerank":
+        return PageRankComputation(8)
     return HashtagAggregationComputation.for_partitioned_graph(pg, 2)
 
 
@@ -72,7 +80,7 @@ def _canonical(obj):
 def _snapshot(name, pg, coll, executor):
     sources = (
         [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]
-        if executor == "process"
+        if executor != "serial"
         else None
     )
     res = run_application(
@@ -89,8 +97,8 @@ def _snapshot(name, pg, coll, executor):
     )
 
 
-@pytest.mark.parametrize("name", ["tdsp", "meme", "hash"])
-@pytest.mark.parametrize("executor", ["process"])
+@pytest.mark.parametrize("name", ["tdsp", "meme", "hash", "topn", "pagerank"])
+@pytest.mark.parametrize("executor", ["process", "socket"])
 def test_executor_matches_serial(case, name, executor):
     _tpl, coll, pg = case
     serial = _snapshot(name, pg, coll, "serial")

@@ -9,7 +9,6 @@ from repro.core.messages import (
     MessageKind,
     SendBuffer,
     frames_from_deliveries,
-    group_by_destination,
     route_frames,
 )
 
@@ -47,83 +46,11 @@ class TestMessage:
 
 
 class TestSendBuffer:
-    def test_counts_and_bytes(self):
+    def test_fresh_buffer_is_empty_and_has_cast_no_vote(self):
         b = SendBuffer()
-        b.superstep_sends.append((1, Message(np.zeros(4))))
-        b.temporal_sends.append((2, Message(b"xx")))
-        b.merge_sends.append(Message("abc"))
-        assert b.total_messages() == 3
-        assert b.total_bytes() == 32 + 2 + 3
-
-    def test_extend(self):
-        a, b = SendBuffer(), SendBuffer()
-        a.voted_halt = True
-        b.voted_halt = True
-        b.superstep_sends.append((0, Message(1)))
-        b.outputs.append("rec")
-        a.extend(b)
-        assert a.total_messages() == 1
-        assert a.outputs == ["rec"]
-        assert a.voted_halt  # both voted
-
-    def test_extend_halt_requires_both(self):
-        a, b = SendBuffer(), SendBuffer()
-        a.voted_halt = True
-        b.voted_halt = False
-        a.extend(b)
-        assert not a.voted_halt
-
-    def test_fold_into_fresh_accumulator_adopts_votes(self):
-        """Folding all-voting buffers into an empty accumulator must halt.
-
-        Regression: a fresh accumulator's default ``voted_halt=False`` used
-        to be ANDed in as a standing no-vote, so batched hosts could never
-        see a unanimous halt.
-        """
-        acc = SendBuffer()
-        for _ in range(3):
-            b = SendBuffer()
-            b.voted_halt = True
-            b.voted_halt_timestep = True
-            acc.extend(b)
-        assert acc.voted_halt
-        assert acc.voted_halt_timestep
-
-    def test_extend_preserves_directly_cast_vote(self):
-        """A vote cast directly on the accumulator participates in the fold.
-
-        Regression: a folded-buffer counter of 0 used to mean "fresh", so
-        the first :meth:`extend` overwrote a standing vote already cast on
-        the accumulator itself (e.g. by a compute call).
-        """
-        acc = SendBuffer()
-        acc.voted_halt = False  # cast directly: this subgraph does not halt
-        b = SendBuffer()
-        b.voted_halt = True
-        acc.extend(b)
-        assert not acc.voted_halt
-
-    def test_extend_non_voting_buffer_blocks_halt(self):
-        """Folding a buffer that cast no vote counts as a no-halt vote."""
-        acc = SendBuffer()
-        acc.voted_halt = True  # cast directly
-        acc.extend(SendBuffer())
-        assert not acc.voted_halt
-
-    def test_fold_all_of_semantics(self):
-        """One dissenting buffer anywhere in the sequence blocks the halt."""
-        votes = [True, False, True]
-        acc = SendBuffer()
-        for v in votes:
-            b = SendBuffer()
-            b.voted_halt = v
-            acc.extend(b)
-        assert not acc.voted_halt
-        # And once lost, a later yes-vote cannot restore it.
-        late = SendBuffer()
-        late.voted_halt = True
-        acc.extend(late)
-        assert not acc.voted_halt
+        assert b.voted_halt is False and b.voted_halt_timestep is False
+        assert (b.superstep_sends, b.temporal_sends, b.merge_sends, b.outputs) == ([], [], [], [])
+        assert b.superstep_sends is not SendBuffer().superstep_sends
 
 
 class TestMessageFrame:
@@ -169,14 +96,3 @@ class TestMessageFrame:
         assert routed[0] == [f10]
         assert routed[1] == [f01, f21]
         assert routed[2] == []
-
-
-class TestGroupByDestination:
-    def test_grouping_preserves_order(self):
-        msgs = [(2, Message("a")), (1, Message("b")), (2, Message("c"))]
-        grouped = group_by_destination(msgs)
-        assert [m.payload for m in grouped[2]] == ["a", "c"]
-        assert [m.payload for m in grouped[1]] == ["b"]
-
-    def test_empty(self):
-        assert group_by_destination([]) == {}

@@ -9,6 +9,7 @@ from repro.core.patterns import Pattern
 from repro.graph import RemoteEdges, Subgraph
 from repro.graph.instance import GraphInstance
 from repro.graph.template import GraphTemplate
+from repro.runtime.host import RunMeta
 
 
 def tiny_subgraph():
@@ -33,11 +34,8 @@ def make_ctx(pattern=Pattern.SEQUENTIALLY_DEPENDENT, timestep=1, superstep=0, nu
         superstep,
         [],
         {},
-        pattern,
-        num_timesteps,
-        delta=5.0,
-        t0=10.0,
-        buffer=buffer,
+        RunMeta(pattern, num_timesteps, delta=5.0, t0=10.0),
+        buffer,
     )
     return ctx, buffer
 
@@ -127,11 +125,10 @@ class TestEndOfTimestepContext:
             tiny_subgraph(),
             GraphInstance(tpl, 0.0),
             1,
+            -1,
+            (),
             {},
-            Pattern.SEQUENTIALLY_DEPENDENT,
-            5,
-            5.0,
-            0.0,
+            RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 5, 5.0, 0.0),
             buf,
         )
         assert ctx.timestamp == 5.0
@@ -144,7 +141,8 @@ class TestMergeContext:
     def test_send_and_halt(self):
         buf = SendBuffer()
         ctx = MergeContext(
-            tiny_subgraph(), 0, [Message("x")], {}, Pattern.EVENTUALLY_DEPENDENT, 5, 1.0, 0.0, buf
+            tiny_subgraph(), None, -1, 0, [Message("x")], {},
+            RunMeta(Pattern.EVENTUALLY_DEPENDENT, 5, 1.0, 0.0), buf,
         )
         assert [m.payload for m in ctx.messages] == ["x"]
         ctx.send_to_subgraph(2, "y")
@@ -152,3 +150,21 @@ class TestMergeContext:
         (dst, msg), = buf.superstep_sends
         assert dst == 2 and msg.kind is MessageKind.MERGE
         assert buf.voted_halt
+
+
+class TestConstructsPerContext:
+    """One constructor builds all three; what each may *do* still differs."""
+
+    def test_merge_offers_no_temporal_or_instance_constructs(self):
+        for name in (
+            "send_to_next_timestep", "send_to_subgraph_in_next_timestep", "send_to_merge",
+            "vote_to_halt_timestep", "take_vertices", "take_edges", "timestamp",
+        ):
+            assert not hasattr(MergeContext, name), name
+        assert hasattr(MergeContext, "send_to_subgraph") and hasattr(MergeContext, "vote_to_halt")
+
+    def test_end_of_timestep_offers_no_superstep_constructs(self):
+        for name in ("send_to_subgraph", "vote_to_halt", "is_first_superstep"):
+            assert not hasattr(EndOfTimestepContext, name), name
+        for name in ("send_to_next_timestep", "send_to_merge", "vote_to_halt_timestep"):
+            assert hasattr(EndOfTimestepContext, name), name

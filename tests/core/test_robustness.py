@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    EngineConfig,
-    Pattern,
-    TimeSeriesComputation,
-    pipelined_makespan,
-    run_application,
-)
+from repro.analysis import pipelined_makespan
+from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from tests.conftest import make_grid_template

@@ -30,7 +30,7 @@ def _snapshot(seq=0, **overrides):
         "totals": {
             "total_wall_s": 1.2, "messages": 40, "remote_messages": 10,
             "cut_traffic_ratio": 0.25, "load_blocked_s": 0.1,
-            "load_hidden_s": 0.05, "prefetch_s": 0.0,
+            "load_hidden_s": 0.05,
         },
         "partitions": [
             {

@@ -116,7 +116,7 @@ class TestLocalCluster:
         cluster, pg = self.make()
         begin = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
         assert {r.partition for r in begin} == {0, 1}
-        step = cluster.run_round("superstep", 0, 0, [{}, {}])
+        step = cluster.run_round("superstep", 0, 0, [[], []])
         assert all(r.all_halted for r in step)
         assert sum(r.subgraphs_computed for r in step) == pg.num_subgraphs
         eot = cluster.run_round("eot", 0, AT_EOT, None)
@@ -191,7 +191,7 @@ class TestHostAccounting:
 class TestMergeProtocol:
     def test_merge_superstep0_rejects_deliveries(self):
         """Superstep 0 reads the merge inbox; stray deliveries must fail loudly."""
-        from repro.core.messages import Message
+        from repro.core.messages import Message, MessageFrame
 
         tpl = make_grid_template(3, 3)
         coll = build_collection(tpl, 1)
@@ -211,4 +211,4 @@ class TestMergeProtocol:
         host = cluster.hosts[0]
         sgid = host.partition.subgraphs[0].subgraph_id
         with pytest.raises(RuntimeError, match="merge superstep 0"):
-            host.run_merge_superstep(0, {sgid: [Message("stray")]})
+            host.run_merge_superstep(0, [MessageFrame.pack(1, 0, [(sgid, Message("stray"))])])

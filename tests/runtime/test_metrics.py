@@ -9,6 +9,7 @@ from repro.runtime.metrics import (
     LoadRecord,
     MetricsCollector,
     PartitionBreakdown,
+    PrefetchRecord,
     StepRecord,
 )
 
@@ -49,6 +50,34 @@ class TestSuperstepWalls:
         m.fold(rec(-1, 0, 0, 3.0, phase=PHASE_MERGE))
         assert m.merge_wall() == pytest.approx(3.0)
         assert m.total_wall() == pytest.approx(4.0)
+
+
+    @pytest.mark.parametrize("timesteps", [3, 40])
+    def test_series_groups_the_step_records_once(self, timesteps, monkeypatch):
+        """``summary()`` regroups the records a fixed number of times, not
+        once per timestep (it used to: O(timesteps x records))."""
+        m = MetricsCollector(2, barrier_s=0.01)
+        for t in range(timesteps):
+            for s in range(3):
+                m.fold(rec(t, s, 0, 0.1 * (t + 1)))
+                m.fold(rec(t, s, 1, 0.2))
+            m.fold(LoadRecord(t, 1, 0.05))
+        calls = []
+        grouped = MetricsCollector._steps_by_key
+        monkeypatch.setattr(
+            MetricsCollector, "_steps_by_key", lambda self: calls.append(1) or grouped(self)
+        )
+        m.summary()
+        assert len(calls) == 3  # the series, and the merge wall twice
+        assert m.timestep_series() == [m.timestep_wall(t) for t in range(timesteps)]
+
+    def test_prefetch_hint_is_a_fact_without_a_cost(self):
+        """An old log's ``prefetch_issue`` line carried a modeled ``cost_s``
+        (always 0): it still folds, and moves no wall."""
+        old = {"kind": "prefetch_issue", "timestep": 0, "superstep": 0, "next_timestep": 1, "cost_s": 0.0}
+        assert PrefetchRecord.from_event(old) == PrefetchRecord(0, 0, 1)
+        m = MetricsCollector.from_events([rec(0, 0, 0, 1.0).as_event() | {"kind": "step"}, old], 1)
+        assert m.timestep_series() == [1.0] and "prefetch_s" not in m.summary()
 
 
 class TestBreakdown:

@@ -60,13 +60,13 @@ class TestOneOpTable:
         """Nine ops, ``restore`` among them, through the one ``run_round``."""
         with _cluster(executor, case) as cluster:
             answered = {"begin": cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])}
-            answered["superstep"] = cluster.run_round("superstep", 0, 0, [{}, {}])
+            answered["superstep"] = cluster.run_round("superstep", 0, 0, [[], []])
             answered["eot"] = cluster.run_round("eot", 0, AT_EOT, None)
             blobs = answered["snapshot"] = cluster.run_round("snapshot", 1, AT_BEGIN, None)
             answered["restore"] = cluster.run_round("restore", None, -1, blobs)
             assert answered["restore"] == [None, None]
             cluster.restore_one(1, blobs[1], reload_timestep=0)
-            answered["merge"] = cluster.run_round("merge", -1, 0, [{}, {}])
+            answered["merge"] = cluster.run_round("merge", -1, 0, [[], []])
             for op in ("resident", "states"):
                 answered[op] = cluster.run_round(op, -1, -1, None)
             answered["prefetch"] = cluster.run_round("prefetch", 0, 0, [1, 1])
@@ -85,7 +85,7 @@ class TestOneOpTable:
             fired = {}
             for op, s, payloads in (
                 ("begin", AT_BEGIN, [0.0, 0.0]),
-                ("superstep", 0, [{}, {}]),
+                ("superstep", 0, [[], []]),
                 ("eot", 3, None),
                 ("eot", AT_EOT, None),
             ):
