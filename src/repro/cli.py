@@ -199,13 +199,19 @@ def _provenance(args: argparse.Namespace) -> dict:
     )
 
 
-def _check_resilience_flags(args: argparse.Namespace) -> list[str]:
-    """Reject resilience flags that would otherwise be silently inert.
+def _check_run_flags(args: argparse.Namespace) -> list[str]:
+    """Reject flags that would otherwise be silently inert.
 
     Each returned string is a hard error: a tuning knob the user set that
     cannot affect the run they asked for is a misconfiguration, not a no-op.
+    Checked before anything is generated.
     """
     problems: list[str] = []
+    if (args.prefetch or args.cache_bytes is not None) and args.gofs is None:
+        problems.append(
+            "--prefetch/--cache-bytes tune GoFS partition views and do nothing "
+            "without a store; add --gofs DIR"
+        )
     if args.fault_seed is not None and not args.inject_faults:
         problems.append(
             "--fault-seed seeds the fault plan's RNG and does nothing "
@@ -264,7 +270,7 @@ def _write_failure_log(path: str, result) -> None:
     payload = {
         "failure": result.failure.as_dict() if result.failure is not None else None,
         "failure_log": [rec.as_dict() for rec in result.failure_log],
-        "recovery_actions": [a.as_dict() for a in result.recovery_actions],
+        "recovery_actions": [{"kind": a.kind, **a.as_event()} for a in result.recovery_actions],
         "degraded_partitions": list(result.degraded_partitions),
         "protocol_stats": dict(result.protocol_stats),
     }
@@ -293,12 +299,10 @@ def _print_live_summary(result) -> None:
         print("health events:")
         for ev in result.health_events:
             print(f"  {ev.as_dict()}")
-    if result.early_warnings:
-        print(f"early warnings fed to recovery: {len(result.early_warnings)}")
 
 
 def _run(args: argparse.Namespace) -> int:
-    problems = _check_resilience_flags(args)
+    problems = _check_run_flags(args)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -311,9 +315,6 @@ def _run(args: argparse.Namespace) -> int:
         hosts=tuple(h.strip() for h in args.hosts.split(",")) if args.hosts else None,
         **_resilience_config(args),
     )
-    if (args.prefetch or args.cache_bytes is not None) and args.gofs is None:
-        print("--prefetch/--cache-bytes require --gofs DIR", file=sys.stderr)
-        return 2
     if args.gofs is not None:
         root = Path(args.gofs)
         if not (root / "manifest.json").exists():

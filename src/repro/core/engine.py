@@ -39,8 +39,8 @@ is cured a layer below by the process cluster's sequence-numbered
 idempotent resend protocol and surfaces only as *protocol incidents* in the
 failure log.  When a partition exhausts its retry budget with
 ``RecoveryPolicy.quarantine=True``, it is quarantined and the run completes
-degraded, with provenance in ``AppResult.recovery_actions`` and
-``AppResult.degraded_partitions``.
+degraded, named in ``AppResult.degraded_partitions``; the repairs that did
+complete are ``AppResult.recovery_actions``.
 
 Retries are bounded per round by
 :class:`~repro.resilience.recovery.RecoveryPolicy`; when they run out the
@@ -51,7 +51,7 @@ instead of hanging.  Deterministic application errors are never retried.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -64,14 +64,12 @@ from ..observability import (
     PrometheusTextfileExporter,
     RunRecorder,
     RunTrace,
-    live_enabled,
-    tracing_enabled,
 )
 from ..partition.base import PartitionedGraph
 from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
 from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
 from ..resilience.journal import FrameJournal
-from ..resilience.recovery import EarlyWarning, RecoveryPolicy, RunFailure, RunFailureError
+from ..resilience.recovery import RecoveryPolicy, RunFailure, RunFailureError
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
 from ..runtime.cluster import Cluster, LocalCluster, raise_first_failure
 from ..runtime.cost import CostModel
@@ -84,7 +82,6 @@ from ..runtime.metrics import (
     GcRecord,
     LoadRecord,
     MetricsCollector,
-    PrefetchRecord,
     StepRecord,
 )
 from .computation import TimeSeriesComputation
@@ -126,8 +123,8 @@ class EngineConfig:
         defined) to same-destination sends before the barrier.  Disabling
         lets benches compare combined vs raw message counts.
     tracing:
-        ``None``/``False`` (default, a strict no-op), ``True``, or a
-        :class:`~repro.observability.TraceConfig`.  When enabled, the run
+        Falsy (default, a strict no-op), ``True``, or a
+        :class:`~repro.observability.TraceConfig`.  When set, the run
         records spans, structured events, and counters across the driver
         and every host (worker telemetry is marshalled back with protocol
         replies) and attaches a :class:`~repro.observability.RunTrace` to
@@ -135,8 +132,8 @@ class EngineConfig:
         JSONL event log.  Tracing only observes: engine results are
         bit-identical with it on or off.
     live:
-        ``None``/``False`` (default, a strict no-op), ``True``, or a
-        :class:`~repro.observability.LiveConfig`.  When enabled, the run
+        Falsy (default, a strict no-op), ``True``, or a
+        :class:`~repro.observability.LiveConfig`.  When set, the run
         maintains a thread-safe :class:`~repro.observability.LiveMetrics`
         registry (attached as ``result.live``) fed at every protocol
         round: ring-buffered snapshots, per-partition utilization,
@@ -243,11 +240,6 @@ class TIBSPEngine:
         self.sources = sources
         self._sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
         self._all_sgids = frozenset(sg.subgraph_id for sg in pg.subgraphs)
-        # Issue next-timestep prefetch hints only when at least one source
-        # can act on them — otherwise the hint round is pure overhead.
-        self._prefetch_sources = sources is not None and any(
-            getattr(s, "prefetch_enabled", False) for s in sources
-        )
 
     # -- cluster construction ------------------------------------------------------
 
@@ -309,16 +301,12 @@ class TIBSPEngine:
             fault_plan=cfg.faults,
         )
 
-    def _make_live(
-        self, metrics: MetricsCollector, policy: RecoveryPolicy | None, num_timesteps: int
-    ) -> LiveMetrics | None:
+    def _make_live(self, metrics: MetricsCollector, num_timesteps: int) -> LiveMetrics | None:
         """Build the live registry over the run's collector (+ exporters) when enabled."""
         cfg = self.config
-        if not live_enabled(cfg.live):
+        if not cfg.live:
             return None
         live_cfg = cfg.live if isinstance(cfg.live, LiveConfig) else LiveConfig()
-        if policy is not None and policy.stall_warning_s is not None:
-            live_cfg = replace(live_cfg, stall_after_s=policy.stall_warning_s)
         live = LiveMetrics(
             self.pg.num_partitions,
             metrics=metrics,
@@ -399,7 +387,7 @@ class TIBSPEngine:
         metrics = MetricsCollector(
             self.pg.num_partitions, barrier_s=cfg.cost_model.barrier_cost(self.pg.num_partitions)
         )
-        trace = RunTrace() if tracing_enabled(cfg.tracing) else None
+        trace = RunTrace() if cfg.tracing else None
         result = AppResult(metrics=metrics, trace=trace)
         policy = cfg.recovery if cfg.recovery is not None else (
             RecoveryPolicy() if cfg.faults is not None else None
@@ -424,7 +412,7 @@ class TIBSPEngine:
         # including failures during cluster spawn or resume (a leaked
         # heartbeat watchdog or prefetch worker outlives the run otherwise).
         try:
-            live = rs.recorder.live = result.live = self._make_live(metrics, policy, stop)
+            live = rs.recorder.live = result.live = self._make_live(metrics, stop)
             rs.cluster = self._make_cluster(
                 computation, meta, trace is not None, live is not None, policy
             )
@@ -491,28 +479,13 @@ class TIBSPEngine:
                 # on abnormal exit, so exporters always hold the last state.
                 live.finalize()
                 result.health_events = live.health_events()
-                if policy is not None:
-                    result.early_warnings = [
-                        EarlyWarning(
-                            kind=e.kind,
-                            partition=e.partition,
-                            timestep=e.timestep,
-                            superstep=e.superstep,
-                            age_s=e.seconds,
-                            threshold_s=(
-                                live.config.stall_after_s if e.kind == "stalled" else None
-                            ),
-                            detail=e.detail,
-                        )
-                        for e in result.health_events
-                    ]
                 if trace is not None:
                     packet = live.drain_telemetry()
                     if packet is not None:
                         trace.absorb(packet)
             if supervisor is not None:
-                # Structured provenance: what was repaired, what was given
-                # up on — attached even when the run exits abnormally.
+                # Provenance — the repair records, the partitions given up
+                # on — attached even when the run exits abnormally.
                 result.recovery_actions = list(supervisor.actions)
                 result.degraded_partitions = sorted(supervisor.quarantined)
             if cluster is not None:
@@ -666,12 +639,8 @@ class TIBSPEngine:
         reloaded — and the BSP loop continues from the stored superstep with
         the stored deliveries and halt votes.
 
-        When prefetch-capable sources are present, the hint for timestep
-        ``t+1`` is issued once, at the tail of the first superstep — after
-        its barrier, so every host is past superstep 0 and the background
-        read overlaps the remaining supersteps, end_of_timestep, and the
-        next begin.  Skipped on ``resume``: the committed attempt already
-        issued (and recorded) it.
+        On the wire a timestep is ``begin → superstep* → eot``: what a host
+        loads ahead of the next one is its source's business.
         """
         rec, result, temporal_frames = rs.recorder, rs.result, rs.temporal_frames
         if resume is not None:
@@ -708,9 +677,8 @@ class TIBSPEngine:
             halt_votes = set()
             superstep = 0
 
-        prefetch_next = resume is None and self._prefetch_sources and t + 1 < rs.stop
         superstep = self._supersteps(
-            rs, PHASE_COMPUTE, t, superstep, per_part, result.outputs, halt_votes, prefetch_next
+            rs, PHASE_COMPUTE, t, superstep, per_part, result.outputs, halt_votes
         )
 
         rec.round_begin("end_of_timestep", t, superstep)
@@ -739,16 +707,15 @@ class TIBSPEngine:
         per_part: list[list[MessageFrame]],
         outputs: list[tuple[int, int, Any]],
         halt_votes: set[int],
-        prefetch_next: bool,
     ) -> int:
         """Run barriered supersteps from ``superstep`` until quiescence.
 
         The one BSP loop, behind a timestep and behind the Merge: a Merge is
         the BSP at ``t = -1`` over the subgraph templates, which sends no
         temporal frames, casts no timestep votes (``halt_votes`` stays
-        empty) and has no next instance to prefetch or mid-BSP checkpoint to
-        write.  ``outputs`` and ``halt_votes`` are extended in place;
-        returns the index after the last superstep run.
+        empty) and has no mid-BSP checkpoint to write.  ``outputs`` and
+        ``halt_votes`` are extended in place; returns the index after the
+        last superstep run.
         """
         cfg, rec, k = self.config, rs.recorder, self.pg.num_partitions
         if phase == PHASE_MERGE:
@@ -778,10 +745,6 @@ class TIBSPEngine:
                 halt_votes |= r.halt_timestep_votes
             per_part = route_frames(frames, k)
             superstep += 1
-            if prefetch_next:
-                prefetch_next = False
-                self._round(rs, "prefetch", t, superstep - 1, [t + 1] * k)
-                rec.emit(PrefetchRecord(t, superstep - 1, t + 1))
             # Quiescence: nothing routed by the driver, every subgraph halted,
             # and no host still holds short-circuited local deliveries.
             if not frames and all(
@@ -799,7 +762,7 @@ class TIBSPEngine:
         try:
             self._supersteps(
                 rs, PHASE_MERGE, -1, 0, [[] for _ in range(self.pg.num_partitions)],
-                outputs, set(), False,
+                outputs, set(),
             )
         finally:
             # Also on a degraded exit: what the finished supersteps emitted.

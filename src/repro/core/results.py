@@ -54,17 +54,14 @@ class AppResult:
         holds the ring-buffered time series.
     health_events:
         Every :class:`~repro.observability.live.HealthEvent` the live
-        plane flagged (stragglers, stalls, respawns); empty when live
-        telemetry is off.
-    early_warnings:
-        The same findings as :class:`~repro.resilience.recovery.EarlyWarning`
-        records — populated only when the run also had a
-        :class:`~repro.resilience.recovery.RecoveryPolicy`, so recovery
-        tooling reads one vocabulary.
+        plane flagged (stragglers, stalls); empty when live telemetry is
+        off.
     recovery_actions:
-        Structured :class:`~repro.resilience.supervisor.RecoveryAction`
-        provenance — every worker respawn, cured protocol incident, and
-        quarantine decision, in order.  Empty for fault-free runs.
+        The repairs the supervisor completed, in order: the very
+        :class:`~repro.runtime.metrics.RespawnRecord` /
+        :class:`~repro.runtime.metrics.ProtocolRetryRecord` objects the
+        collector folded (``kind`` ``worker_respawn`` / ``protocol_retry``).
+        Empty for fault-free runs.
     degraded_partitions:
         Partitions quarantined by graceful exhaustion
         (``RecoveryPolicy.quarantine=True``), sorted.  A non-empty list
@@ -88,7 +85,6 @@ class AppResult:
     failure_log: list[Any] = field(default_factory=list)
     live: Any | None = None
     health_events: list[Any] = field(default_factory=list)
-    early_warnings: list[Any] = field(default_factory=list)
     recovery_actions: list[Any] = field(default_factory=list)
     degraded_partitions: list[int] = field(default_factory=list)
     protocol_stats: dict[str, int] = field(default_factory=dict)

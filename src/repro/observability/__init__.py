@@ -54,11 +54,10 @@ from .live import (
     HeartbeatMonitor,
     LiveConfig,
     LiveMetrics,
-    live_enabled,
 )
 from .provenance import PROVENANCE_SCHEMA_VERSION, git_describe, run_provenance
 from .recorder import RunRecorder
-from .runtrace import RunTrace, TraceConfig, tracing_enabled
+from .runtrace import RunTrace, TraceConfig
 from .top import latest_snapshot, render_top, run_top
 from .tracer import DRIVER_PID, NULL_SPAN, Span, TracePacket, Tracer, partition_pid
 
@@ -80,7 +79,6 @@ __all__ = [
     "HeartbeatMonitor",
     "LiveConfig",
     "LiveMetrics",
-    "live_enabled",
     "latest_snapshot",
     "render_top",
     "run_top",
@@ -90,7 +88,6 @@ __all__ = [
     "RunRecorder",
     "RunTrace",
     "TraceConfig",
-    "tracing_enabled",
     "DRIVER_PID",
     "NULL_SPAN",
     "Span",

@@ -5,12 +5,12 @@ every line stamped with ``schema`` (see :data:`EVENT_SCHEMA_VERSION`) and
 carrying ``kind``, a normalized microsecond timestamp ``ts_us`` (relative
 to the run's trace epoch), and the logical track id ``pid``.
 
-Seven kinds are the run's typed records (:mod:`repro.runtime.metrics`:
+Six kinds are the run's typed records (:mod:`repro.runtime.metrics`:
 ``step``, ``instance_load``, ``gc_pause``, ``checkpoint_write``,
-``prefetch_issue``, ``worker_respawn``, ``protocol_retry``): the line *is*
-the record, so
+``worker_respawn``, ``protocol_retry``): the line *is* the record, so
 ``MetricsCollector.from_events`` folds a log back into the collector the
-run ended with.  Every other kind is trace-only evidence.
+run ended with.  Every other kind is trace-only evidence, and a kind a
+log of an older schema carries beyond these is skipped by the fold.
 
 Schema v1 event kinds
 ---------------------
@@ -34,7 +34,6 @@ Schema v1 event kinds
                       in-flight) read; ``waited_s`` is the residual stall
 ``prefetch_miss``     a pack demand fell through to a synchronous load even
                       though prefetching was enabled
-``prefetch_issue``    the driver issued one prefetch hint round to all hosts
 ``gc_pause``          modeled GC pause charged at a timestep boundary
 ``vm_spinup`` /       elastic-scaling policy decisions (offline replay)
 ``vm_spindown``
@@ -56,6 +55,8 @@ Schema v1 event kinds
                       the failure kind repaired)
 ``protocol_retry``    the wire protocol cured a dropped/corrupt/wedged reply
                       with an idempotent resend (no respawn needed)
+``straggler`` /       live-plane health findings (``partition``, ``seconds``,
+``stalled``           ``detail``); a repair is ``worker_respawn``, stated once
 ``frames_dropped``    deliveries addressed to a quarantined partition were
                       dropped (``messages`` counted, degraded-run contract)
 ``worker_quarantined``  a partition exhausted its retry budget and was

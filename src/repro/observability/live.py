@@ -11,27 +11,28 @@ takes; the watchdog thread never touches the collector.
 
 Three concerns live here:
 
-* **streaming aggregation** — thread-safe accumulation of per-partition
-  busy/compute/send/message series, host-published source stats (cache and
-  prefetch counters riding protocol replies), and a ring buffer of periodic
+* **streaming aggregation** — host-published source stats (cache and
+  prefetch counters riding protocol replies) and a ring buffer of periodic
   :meth:`LiveMetrics.snapshot` dicts that exporters and the ``tibsp top``
-  dashboard consume;
+  dashboard consume.  A snapshot's per-partition busy/compute/send/message
+  series are folded from the collector's step records when it is taken,
+  like its totals: the registry accumulates nothing of its own;
 * **heartbeat / straggler detection** — per-partition last-seen liveness,
   a per-round stall watchdog (:class:`HeartbeatMonitor`, a daemon thread
   that keeps watching while the driver blocks in a gather), and
-  median-based straggler attribution at snapshot ticks.  Health findings
-  become :class:`HealthEvent` records, surface in snapshots, and are
-  emitted into the PR 2 event log as ``straggler``/``stalled``/``respawn``
-  events via the registry's own tracer track (drained by the engine at the
-  end of the run — never shared with the driver's tracer, so no cross-thread
-  races);
+  median-based straggler attribution at snapshot ticks.  A
+  :class:`HealthEvent` is a finding this plane *makes* — ``straggler`` or
+  ``stalled`` — shown in snapshots and emitted into the event log via the
+  registry's own tracer track (drained by the engine at the end of the
+  run; never the driver's tracer, so no cross-thread races).  A repair is
+  the supervisor's record and reaches snapshots as the collector's
+  ``retries`` / ``recovery_s`` totals;
 * **resume integration** — :meth:`LiveMetrics.resync` continues on the
-  collector a ``resume_from`` run restored and rebuilds the per-partition
-  series from its records, so streaming totals start where the run does.
+  collector a ``resume_from`` run restored.
 
 Like the rest of this package the module is repro-agnostic: the collector
-is dependency-injected by the engine (duck-typed ``fold`` / ``summary``
-surface), so no import cycle forms.
+is dependency-injected by the engine (duck-typed ``fold`` / ``summary`` /
+``step_records`` surface), so no import cycle forms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .tracer import DRIVER_PID, Tracer
@@ -50,7 +51,6 @@ __all__ = [
     "HeartbeatMonitor",
     "LiveConfig",
     "LiveMetrics",
-    "live_enabled",
 ]
 
 #: Version of the live snapshot record envelope (``live.jsonl`` lines).
@@ -63,9 +63,6 @@ class LiveConfig:
 
     Attributes
     ----------
-    enabled:
-        Master switch.  ``EngineConfig(live=True)`` is shorthand for
-        ``EngineConfig(live=LiveConfig())``.
     interval_s:
         Minimum seconds between periodic snapshots.  ``0`` snapshots at
         every observation (tests; short runs).
@@ -80,16 +77,13 @@ class LiveConfig:
         thread; stall checks then only happen at snapshot ticks (i.e. not
         while the driver is blocked in a gather).
     stall_after_s:
-        A protocol round older than this is flagged ``stalled``.  The
-        engine substitutes ``RecoveryPolicy.stall_warning_s`` when the run
-        has a recovery policy that sets one.
+        A protocol round older than this is flagged ``stalled``.
     straggler_factor / straggler_min_s:
         A partition whose busy-time delta since the last snapshot exceeds
         ``straggler_factor`` × the median delta *and* exceeds the median by
         at least ``straggler_min_s`` seconds is flagged ``straggler``.
     """
 
-    enabled: bool = True
     interval_s: float = 0.5
     ring: int = 256
     export_dir: str | None = None
@@ -99,20 +93,11 @@ class LiveConfig:
     straggler_min_s: float = 0.05
 
 
-def live_enabled(live: object) -> bool:
-    """Interpret an ``EngineConfig.live`` value (None/bool/LiveConfig)."""
-    if live is None or live is False:
-        return False
-    if live is True:
-        return True
-    return bool(getattr(live, "enabled", False))
-
-
 @dataclass(frozen=True)
 class HealthEvent:
     """One liveness finding (also emitted into the structured event log)."""
 
-    kind: str  #: straggler | stalled | respawn
+    kind: str  #: straggler | stalled
     partition: int | None
     timestep: int
     superstep: int
@@ -168,15 +153,13 @@ class LiveMetrics:
         self.metrics = metrics
         self._started = clock()
         n = self.num_partitions
-        self.busy_s = [0.0] * n
-        self.compute_s = [0.0] * n
-        self.send_s = [0.0] * n
-        self.messages = [0] * n
         self.heartbeats = [0] * n
         #: Per-partition last-observation instants (monotonic; None = never).
         self.last_seen: list[float | None] = [None] * n
         #: Host-published source stats (cache/prefetch counters), by partition.
         self.source_stats: dict[int, dict[str, Any]] = {}
+        #: Quarantined partitions: what answers for them is synthesized.
+        self._retired: set[int] = set()
         self.snapshots: deque[dict[str, Any]] = deque(maxlen=max(1, self.config.ring))
         self._seq = 0
         self._last_snap: float | None = None
@@ -250,38 +233,26 @@ class LiveMetrics:
             self._current = (phase, int(timestep), int(superstep))
 
     def fold(self, record: Any) -> None:
-        """Fold one run record into the collector and the per-partition series.
-
-        A ``worker_respawn`` record also becomes the ``respawn`` liveness
-        finding.
-        """
+        """Fold one run record into the collector, under the readers' lock."""
         with self._lock:
             self.metrics.fold(record)
-            if record.kind == "step":
-                p = record.partition
-                self.busy_s[p] += record.busy_s
-                self.compute_s[p] += record.compute_s
-                self.send_s[p] += record.send_s
-                self.messages[p] += record.messages_sent
-            elif record.kind == "worker_respawn":
-                self._push_health(
-                    HealthEvent(
-                        kind="respawn",
-                        partition=record.partition,
-                        timestep=record.timestep,
-                        superstep=record.superstep,
-                        wall_s=self._clock() - self._started,
-                        seconds=record.seconds,
-                        detail=f"incarnation {record.incarnation}"
-                        + (f" after {record.error}" if record.error else ""),
-                    )
-                )
+
+    def retire(self, partition: int) -> None:
+        """``partition`` was quarantined: no host answers for it any more."""
+        with self._lock:
+            self._retired.add(partition)
 
     def round_end(self, replies: Iterable[Any]) -> None:
-        """A round's replies are in: heartbeats, host-published stats, snapshot tick."""
+        """A round's replies are in: heartbeats, host-published stats, snapshot tick.
+
+        Only a host's own reply is a heartbeat; a quarantined partition's
+        synthesized one is skipped, so its ``last_seen`` age keeps growing.
+        """
         now = self._clock()
         with self._lock:
             for r in replies:
+                if r.partition in self._retired:
+                    continue
                 stats = getattr(r, "stats", None)
                 if stats:
                     self.source_stats[r.partition] = dict(stats)
@@ -289,29 +260,17 @@ class LiveMetrics:
                 self.heartbeats[r.partition] += 1
             self._round = None
             self._stall_flagged = False  # the round completed after all
-            self._maybe_snapshot(now)
+            self.snapshot()
 
     def resync(self, metrics: Any) -> None:
         """Continue on the collector a ``resume_from`` checkpoint carried.
 
-        Streaming totals start exactly where the run's metrics do; the
-        per-partition cumulative series are rebuilt from the restored
-        records.
+        Streaming totals start exactly where the run's metrics do, and the
+        straggler window opens at the restored records' busy totals.
         """
         with self._lock:
             self.metrics = metrics
-            n = self.num_partitions
-            self.busy_s = [0.0] * n
-            self.compute_s = [0.0] * n
-            self.send_s = [0.0] * n
-            self.messages = [0] * n
-            for rec in metrics.step_records:
-                p = rec.partition
-                self.busy_s[p] += rec.busy_s
-                self.compute_s[p] += rec.compute_s
-                self.send_s[p] += rec.send_s
-                self.messages[p] += rec.messages_sent
-            self._busy_at_snap = list(self.busy_s)
+            self._busy_at_snap = self._partition_series()[0]
             self._flagged_stragglers = set()
             self._round = None
             self.snapshot(force=True)
@@ -338,8 +297,9 @@ class LiveMetrics:
         """Flag the in-flight round when it exceeds the staleness threshold.
 
         Called by the watchdog thread and at snapshot ticks; at most one
-        ``stalled`` event per round.  The suspect is the partition whose
-        telemetry is oldest (never-seen partitions first).
+        ``stalled`` event per round.  The suspect is the live partition whose
+        telemetry is oldest (never-seen partitions first); a quarantined one
+        is silent by decision and never named.
         """
         now = self._clock()
         with self._lock:
@@ -351,8 +311,9 @@ class LiveMetrics:
                 return None
             self._stall_flagged = True
             suspect = min(
-                range(self.num_partitions),
+                (p for p in range(self.num_partitions) if p not in self._retired),
                 key=lambda p: self.last_seen[p] if self.last_seen[p] is not None else -1.0,
+                default=None,
             )
             event = HealthEvent(
                 kind="stalled",
@@ -371,12 +332,25 @@ class LiveMetrics:
             self._export_latest()
             return event
 
-    def _detect_stragglers(self, now: float) -> list[int]:
+    def _partition_series(self) -> tuple[list[float], list[float], list[float], list[int]]:
+        """Per-partition cumulative ``(busy_s, compute_s, send_s, messages)``,
+        folded from the collector's step records."""
+        n = self.num_partitions
+        busy, compute, send, messages = [0.0] * n, [0.0] * n, [0.0] * n, [0] * n
+        for r in self.metrics.step_records:
+            p = r.partition
+            busy[p] += r.busy_s
+            compute[p] += r.compute_s
+            send[p] += r.send_s
+            messages[p] += r.messages_sent
+        return busy, compute, send, messages
+
+    def _detect_stragglers(self, now: float, busy: list[float]) -> list[int]:
         """Median-based straggler attribution over the last snapshot window."""
         n = self.num_partitions
         if n < 2:
             return []
-        deltas = [self.busy_s[p] - self._busy_at_snap[p] for p in range(n)]
+        deltas = [busy[p] - self._busy_at_snap[p] for p in range(n)]
         med = sorted(deltas)[n // 2]
         cfg = self.config
         stragglers = [
@@ -408,11 +382,6 @@ class LiveMetrics:
 
     # -- snapshots ---------------------------------------------------------------------
 
-    def _maybe_snapshot(self, now: float) -> None:
-        if self._last_snap is not None and now - self._last_snap < self.config.interval_s:
-            return
-        self.snapshot(force=True)
-
     def snapshot(self, force: bool = False) -> dict[str, Any] | None:
         """Build one snapshot record; append to the ring; push to exporters."""
         now = self._clock()
@@ -422,20 +391,21 @@ class LiveMetrics:
             ):
                 return None
             self.check_stalled()
-            stragglers = self._detect_stragglers(now)
+            busy, compute, send, messages = self._partition_series()
+            stragglers = self._detect_stragglers(now, busy)
             self._last_snap = now
-            self._busy_at_snap = list(self.busy_s)
+            self._busy_at_snap = busy
             phase, t, s = self._current
-            peak = max(self.busy_s) if any(self.busy_s) else 0.0
+            peak = max(busy, default=0.0)
             partitions = [
                 {
                     "partition": p,
-                    "busy_s": round(self.busy_s[p], 6),
-                    "compute_s": round(self.compute_s[p], 6),
-                    "send_s": round(self.send_s[p], 6),
-                    "messages": self.messages[p],
+                    "busy_s": round(busy[p], 6),
+                    "compute_s": round(compute[p], 6),
+                    "send_s": round(send[p], 6),
+                    "messages": messages[p],
                     "heartbeats": self.heartbeats[p],
-                    "utilization": round(self.busy_s[p] / peak, 6) if peak > 0 else 0.0,
+                    "utilization": round(busy[p] / peak, 6) if peak > 0 else 0.0,
                     "last_seen_age_s": (
                         round(now - self.last_seen[p], 6)
                         if self.last_seen[p] is not None

@@ -56,6 +56,22 @@ class RunRecorder:
         if self.trace is not None:
             self.trace.tracer.event(kind, **fields)
 
+    def quarantined(
+        self, timestep: int, superstep: int, partition: int, attempt: int, error: str
+    ) -> None:
+        """A partition was given up on: from here on its replies are synthesized,
+        so the live plane stops counting them as heartbeats."""
+        self.event(
+            "worker_quarantined",
+            timestep=timestep,
+            superstep=superstep,
+            partition=partition,
+            attempt=attempt,
+            error=error,
+        )
+        if self.live is not None:
+            self.live.retire(partition)
+
     def barrier(self, phase: str, timestep: int, superstep: int, started: float) -> None:
         """The driver-measured scatter/gather wall of the round begun at ``started``."""
         if self.trace is not None:

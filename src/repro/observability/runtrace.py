@@ -24,7 +24,7 @@ from .chrome import chrome_trace, write_chrome_trace
 from .events import BufferedEventLogWriter, normalize_event, write_event_log
 from .tracer import DRIVER_PID, Span, TracePacket, Tracer, trace_clock_ns
 
-__all__ = ["RunTrace", "TraceConfig", "tracing_enabled"]
+__all__ = ["RunTrace", "TraceConfig"]
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,6 @@ class TraceConfig:
 
     Attributes
     ----------
-    enabled:
-        Master switch.  ``EngineConfig(tracing=True)`` is shorthand for
-        ``EngineConfig(tracing=TraceConfig())``.
     stream_dir:
         When set, the engine streams the structured event log to
         ``<stream_dir>/events.jsonl`` *during* the run through a
@@ -44,17 +41,7 @@ class TraceConfig:
         valid, replayable JSONL of everything up to its last flush.
     """
 
-    enabled: bool = True
     stream_dir: str | None = None
-
-
-def tracing_enabled(tracing: object) -> bool:
-    """Interpret an ``EngineConfig.tracing`` value (None/bool/TraceConfig)."""
-    if tracing is None or tracing is False:
-        return False
-    if tracing is True:
-        return True
-    return bool(getattr(tracing, "enabled", False))
 
 
 class RunTrace:

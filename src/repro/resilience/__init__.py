@@ -23,8 +23,8 @@ engine wires together:
 * :mod:`~repro.resilience.supervisor` — the :class:`HostSupervisor` that
   recovers failed hosts *surgically* (respawn one worker, restore one
   partition, replay its journal) while healthy hosts hold at the barrier,
-  with quarantine-based graceful exhaustion and structured
-  :class:`RecoveryAction` provenance.
+  with quarantine-based graceful exhaustion; each completed repair is one
+  ``worker_respawn`` / ``protocol_retry`` record.
 """
 
 from .checkpoint import CheckpointConfig, CheckpointCorrupt, CheckpointInfo, CheckpointManager
@@ -38,9 +38,8 @@ from .faults import (
     parse_fault_specs,
 )
 from .journal import FrameJournal, JournalEntry
-from .supervisor import HostSupervisor, RecoveryAction, RecoveryExhausted
+from .supervisor import HostSupervisor, RecoveryExhausted
 from .recovery import (
-    EarlyWarning,
     FailureRecord,
     InjectedFault,
     RecoverableError,
@@ -65,9 +64,7 @@ __all__ = [
     "FrameJournal",
     "JournalEntry",
     "HostSupervisor",
-    "RecoveryAction",
     "RecoveryExhausted",
-    "EarlyWarning",
     "FailureRecord",
     "InjectedFault",
     "RecoverableError",

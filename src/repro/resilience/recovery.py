@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
-    "EarlyWarning",
     "FailureRecord",
     "InjectedFault",
     "RecoverableError",
@@ -84,22 +83,15 @@ class RecoveryPolicy:
         *quarantined* instead of failing the run: its worker is torn down,
         its rounds report empty halted results, and deliveries addressed
         to it are dropped (counted).  The run completes with
-        ``result.failure`` still ``None`` but ``result.degraded_partitions``
-        and ``result.recovery_actions`` carrying the structured provenance.
-    stall_warning_s:
-        When set (and the run has live telemetry on), a protocol round
-        open longer than this flags a ``stalled`` health event *before*
-        the gather timeout fires — the live plane's structured early
-        warning.  Findings surface as :class:`EarlyWarning` records on
-        ``result.early_warnings``.  ``None`` keeps the live plane's own
-        default threshold.
+        ``result.failure`` still ``None``; ``result.degraded_partitions``
+        names the partition and its last ``result.failure_log`` entry reads
+        ``action="quarantine"``.
     """
 
     max_retries: int = 2
     backoff_s: float = 0.01
     backoff_factor: float = 2.0
     on_exhausted: str = "raise"
-    stall_warning_s: float | None = None
     quarantine: bool = False
 
     def __post_init__(self) -> None:
@@ -107,43 +99,10 @@ class RecoveryPolicy:
             raise ValueError("max_retries must be >= 0")
         if self.on_exhausted not in ("raise", "degrade"):
             raise ValueError("on_exhausted must be 'raise' or 'degrade'")
-        if self.stall_warning_s is not None and self.stall_warning_s <= 0:
-            raise ValueError("stall_warning_s must be positive (or None)")
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""
         return self.backoff_s * self.backoff_factor ** max(0, attempt - 1)
-
-
-@dataclass(frozen=True)
-class EarlyWarning:
-    """A structured liveness warning from the live telemetry plane.
-
-    Emitted before (or instead of) a hard failure: a straggling partition
-    or a stalled protocol round.  The engine converts live-plane
-    :class:`~repro.observability.live.HealthEvent` findings into these when
-    the run has a :class:`RecoveryPolicy`, so recovery tooling reads one
-    vocabulary.
-    """
-
-    kind: str  #: straggler | stalled | respawn
-    partition: int | None
-    timestep: int
-    superstep: int
-    age_s: float  #: how long the condition had persisted when flagged
-    threshold_s: float | None  #: the configured threshold it crossed (stalls)
-    detail: str = ""
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "partition": self.partition,
-            "timestep": self.timestep,
-            "superstep": self.superstep,
-            "age_s": round(self.age_s, 6),
-            "threshold_s": self.threshold_s,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -156,7 +115,7 @@ class FailureRecord:
     partition: int | None
     attempt: int
     error: str
-    action: str  #: retry | exhausted | unrecoverable
+    action: str  #: retry | quarantine | raise | degrade
 
     def as_dict(self) -> dict[str, Any]:
         return {

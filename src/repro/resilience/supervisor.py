@@ -15,8 +15,8 @@ timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
   silently replay its journaled post-checkpoint rounds, then re-issue
   the in-flight round — the survivors' round results are kept, nothing
   is recorded twice, and results stay bit-identical to a fault-free run;
-* the read-only exchanges (``snapshot`` / ``prefetch`` / ``resident`` /
-  ``states``) go through the same routine — they are not journaled, since
+* the read-only exchanges (``snapshot`` / ``resident`` / ``states``) go
+  through the same routine — they are not journaled, since
   they do not change host state, so a partition that dies in one replays
   its *whole* journal and answers the exchange again on its own;
 * wire-level misbehavior (the ``drop_frame``/``dup_frame``/``reorder``/
@@ -32,20 +32,20 @@ timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
 
 Retry accounting: one :class:`~repro.resilience.recovery.FailureRecord`
 per failure occurrence with a shared per-round attempt counter, one
-``worker_respawn`` / ``protocol_retry`` record stated to the run's recorder
-per completed recovery, and bounded :class:`RecoveryPolicy` backoff between
-attempts.  Every action is additionally captured as a structured
-:class:`RecoveryAction` for ``AppResult.recovery_actions`` provenance.
+``worker_respawn`` / ``protocol_retry`` record per completed recovery —
+stated to the run's recorder and kept, the same object, as
+``AppResult.recovery_actions`` — and bounded :class:`RecoveryPolicy` backoff
+between attempts.  A quarantine is a decision, not a repair: it is the
+``action`` of the partition's last failure record.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..runtime.cluster import ROUND_OPS, quarantine_fill
-from ..runtime.metrics import ProtocolRetryRecord, RespawnRecord
+from ..runtime.metrics import ProtocolRetryRecord, Record, RespawnRecord
 from .checkpoint import CheckpointManager
 from .journal import FrameJournal
 from .recovery import FailureRecord, RecoverableError, RecoveryPolicy
@@ -53,7 +53,7 @@ from .recovery import FailureRecord, RecoverableError, RecoveryPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cluster import Cluster
 
-__all__ = ["HostSupervisor", "RecoveryAction", "RecoveryExhausted"]
+__all__ = ["HostSupervisor", "RecoveryExhausted"]
 
 
 class RecoveryExhausted(RecoverableError):
@@ -68,35 +68,6 @@ class RecoveryExhausted(RecoverableError):
         super().__init__(str(original), partition=getattr(original, "partition", None))
         self.original = original
         self.timestep = timestep
-
-
-@dataclass(frozen=True)
-class RecoveryAction:
-    """Structured provenance of one supervised recovery action."""
-
-    kind: str  #: worker_respawn | protocol_retry | quarantine
-    partition: int
-    timestep: int
-    superstep: int  #: round superstep (AT_BEGIN / AT_EOT sentinels for those rounds)
-    attempt: int
-    seconds: float
-    incarnation: int
-    #: Journaled rounds silently replayed onto the respawned host.
-    replayed_rounds: int
-    detail: str = ""
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "partition": self.partition,
-            "timestep": self.timestep,
-            "superstep": self.superstep,
-            "attempt": self.attempt,
-            "seconds": round(self.seconds, 6),
-            "incarnation": self.incarnation,
-            "replayed_rounds": self.replayed_rounds,
-            "detail": self.detail,
-        }
 
 
 class HostSupervisor:
@@ -142,8 +113,8 @@ class HostSupervisor:
         self.manager = manager
         self.recorder = recorder
         self.failure_log = failure_log if failure_log is not None else []
-        #: Every recovery action taken, in order (AppResult provenance).
-        self.actions: list[RecoveryAction] = []
+        #: The repair records stated so far, in order (AppResult provenance).
+        self.actions: list[Record] = []
         #: Messages addressed to quarantined partitions that were dropped.
         self.dropped_messages = 0
 
@@ -153,6 +124,11 @@ class HostSupervisor:
     def quarantined(self) -> frozenset[int]:
         """Partitions currently quarantined (degraded) on the cluster."""
         return frozenset(self.cluster.quarantined)
+
+    def _state(self, record: Record) -> None:
+        """State one completed repair, once: to the recorder and as provenance."""
+        self.recorder.emit(record)
+        self.actions.append(record)
 
     # -- the supervised round ---------------------------------------------------------
 
@@ -215,20 +191,7 @@ class HostSupervisor:
                     action="retry",
                 )
             )
-            self.recorder.emit(ProtocolRetryRecord(timestep, superstep, p, seconds, kind))
-            self.actions.append(
-                RecoveryAction(
-                    "protocol_retry",
-                    p,
-                    timestep,
-                    superstep,
-                    1,
-                    seconds,
-                    self.cluster.incarnations[p],
-                    0,
-                    detail=kind,
-                )
-            )
+            self._state(ProtocolRetryRecord(timestep, superstep, p, seconds, kind))
 
     # -- surgical recovery ------------------------------------------------------------
 
@@ -273,7 +236,9 @@ class HostSupervisor:
             )
             if exhausted:
                 if policy.quarantine:
-                    self._quarantine(p, exc, timestep, superstep, attempt)
+                    # Give up on ``p`` but keep the run alive: degraded, not dead.
+                    cluster.quarantine(p)
+                    self.recorder.quarantined(timestep, superstep, p, attempt, kind)
                     return attempt, quarantine_fill(op, p)
                 raise RecoveryExhausted(exc, timestep) from exc
             backoff = policy.backoff_for(attempt)
@@ -312,23 +277,10 @@ class HostSupervisor:
                 continue
             seconds = time.perf_counter() - started
             survivors = cluster.num_partitions - len(cluster.quarantined) - 1
-            replayed = len(entries)
-            self.recorder.emit(
+            self._state(
                 RespawnRecord(
-                    timestep, superstep, p, attempt, seconds, incarnation, replayed, survivors, kind
-                )
-            )
-            self.actions.append(
-                RecoveryAction(
-                    "worker_respawn",
-                    p,
-                    timestep,
-                    superstep,
-                    attempt,
-                    seconds,
-                    incarnation,
-                    replayed,
-                    detail=kind,
+                    timestep, superstep, p, attempt, seconds, incarnation, len(entries),
+                    survivors, kind,
                 )
             )
             try:
@@ -336,31 +288,3 @@ class HostSupervisor:
             except RecoverableError as again:
                 exc = again
                 continue
-
-    def _quarantine(
-        self, p: int, exc: RecoverableError, timestep: int, superstep: int, attempt: int
-    ) -> None:
-        """Give up on ``p`` but keep the run alive: degraded, not dead."""
-        cluster = self.cluster
-        cluster.quarantine(p)
-        self.recorder.event(
-            "worker_quarantined",
-            timestep=timestep,
-            superstep=superstep,
-            partition=p,
-            attempt=attempt,
-            error=type(exc).__name__,
-        )
-        self.actions.append(
-            RecoveryAction(
-                "quarantine",
-                p,
-                timestep,
-                superstep,
-                attempt,
-                0.0,
-                cluster.incarnations[p],
-                0,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        )

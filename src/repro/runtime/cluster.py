@@ -8,7 +8,7 @@ distributed timing figures.  A process-per-partition cluster with genuine
 address-space isolation lives in :mod:`repro.runtime.process_cluster`.
 
 Every cluster speaks the same *resilience protocol* on top of the step
-protocol: ``snapshot()`` collects per-partition state blobs for a
+protocol: a ``snapshot`` round collects per-partition state blobs for a
 checkpoint, ``restore()`` installs them, and ``respawn_worker()`` replaces
 one host/worker with a fresh incarnation (used by recovery after a crash,
 and honored by the fault plan's incarnation guard).  In-process clusters
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: What a quarantined partition answers to each op that is not a round.
-_QUERY_FILL = {"resident": 0, "prefetch": False, "states": {}, "snapshot": None, "restore": None}
+_QUERY_FILL = {"resident": 0, "states": {}, "snapshot": None, "restore": None}
 
 
 def quarantine_fill(op: str, partition: int):
@@ -121,12 +121,11 @@ class Cluster:
         direct protocol use; merge rounds pass ``timestep=-1``), ``eot``
         (payloads ignored), whose ``(timestep, superstep)`` is also the
         coordinate scripted faults fire at — or a read-only query:
-        ``resident`` (bytes of instance data), ``prefetch`` (payloads = the
-        timestep to background-load), ``states`` (the per-subgraph state
-        dict) or ``snapshot`` (the checkpoint blob), for which ``timestep``
-        / ``superstep`` only say where the run is — or ``restore``
-        (payloads = checkpoint blobs, ``timestep`` = the instance to reload
-        or ``None``).
+        ``resident`` (bytes of instance data), ``states`` (the per-subgraph
+        state dict) or ``snapshot`` (the checkpoint blob), for which
+        ``timestep`` / ``superstep`` only say where the run is — or
+        ``restore`` (payloads = checkpoint blobs, ``timestep`` = the
+        instance to reload or ``None``).
         Each element of the returned list is the partition's result, the
         :class:`RecoverableError` it failed with — survivors finish their
         round and hold at the barrier either way — or a synthesized empty
@@ -135,32 +134,7 @@ class Cluster:
         """
         raise NotImplementedError
 
-    def _query(self, op: str, payload=None) -> list:
-        payloads = None if payload is None else [payload] * self.num_partitions
-        return raise_first_failure(self.run_round(op, -1, -1, payloads))
-
-    def resident_bytes(self) -> list[int]:
-        return self._query("resident")
-
-    def prefetch(self, timestep: int) -> None:
-        """Hint every host to background-load ``timestep``'s instance.
-
-        Best-effort and asynchronous: hosts whose sources cannot prefetch
-        ignore it.
-        """
-        self._query("prefetch", timestep)
-
-    def final_states(self) -> dict[int, dict]:
-        states: dict[int, dict] = {}
-        for part in self._query("states"):
-            states.update(part)
-        return states
-
     # -- resilience protocol ---------------------------------------------------------
-
-    def snapshot(self) -> list[dict]:
-        """One checkpointable state blob per partition (see ComputeHost)."""
-        return self._query("snapshot")
 
     def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
         """Install checkpoint blobs on every partition (``resume_from``)."""

@@ -65,11 +65,10 @@ class InstanceSource(Protocol):
     implement optional hooks, discovered with ``getattr`` by the host:
 
     * ``attach_tracer(tracer)`` — narrate I/O on the host's trace track;
-    * ``prefetch(timestep) -> bool`` — start loading ``timestep``'s data in
-      the background (the engine issues this hint at the superstep loop's
-      tail);
     * ``drain_hidden_load() -> float`` — load seconds overlapped with
-      compute since the last drain (reported as ``load_hidden_s``);
+      compute since the last drain (reported as ``load_hidden_s``); what is
+      loaded ahead, and when, is the source's own business (a GoFS view arms
+      the next pack from ``instance``) — the protocol has no prefetch op;
     * ``reload_instance(timestep)`` — an instance load for checkpoint
       replay that must not be recorded as fresh load evidence.
     """
@@ -423,14 +422,6 @@ class ComputeHost:
         """Bytes of instance data resident on this host (GC model input)."""
         return self.source.resident_bytes()
 
-    def prefetch(self, timestep: int) -> bool:
-        """Hint the source to start loading ``timestep`` in the background.
-
-        No-op (False) for sources without a ``prefetch`` hook.
-        """
-        fn = getattr(self.source, "prefetch", None)
-        return bool(fn(timestep)) if callable(fn) else False
-
     def _run_subgraphs(
         self,
         user: Callable[[Any], None],
@@ -616,7 +607,6 @@ HOST_OPS: dict[str, Callable[[ComputeHost, Any, int, Any, bool], Any]] = {
     "eot": lambda h, t, s, payload, replay: h.end_of_timestep(t),
     "merge": lambda h, t, s, payload, replay: h.run_merge_superstep(s, payload),
     "resident": lambda h, t, s, payload, replay: h.resident_bytes(),
-    "prefetch": lambda h, t, s, payload, replay: h.prefetch(payload),
     "states": lambda h, t, s, payload, replay: h.final_states(),
     "snapshot": lambda h, t, s, payload, replay: h.snapshot_state(),
     # payload = the checkpoint blob, timestep = the instance to reload (or None).

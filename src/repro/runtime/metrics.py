@@ -3,7 +3,7 @@
 A run's facts are typed **records** — one :class:`StepRecord` per (phase,
 timestep, superstep, partition) with measured compute seconds and modeled
 send seconds, plus small siblings for instance loads, GC pauses,
-checkpoint writes, prefetch hints and completed repairs — and
+checkpoint writes and completed repairs — and
 :meth:`MetricsCollector.fold` is the only thing that writes the collector's
 tables.  An event-log line is a record's fields under its ``kind``
 (:meth:`Record.as_event`), so :meth:`MetricsCollector.from_events` rebuilds
@@ -29,8 +29,8 @@ from typing import Any, ClassVar, Iterable, Mapping
 import numpy as np
 
 __all__ = [
-    "Record", "StepRecord", "LoadRecord", "GcRecord", "CheckpointRecord", "PrefetchRecord",
-    "RespawnRecord", "ProtocolRetryRecord", "MetricsCollector", "PartitionBreakdown",
+    "Record", "StepRecord", "LoadRecord", "GcRecord", "CheckpointRecord", "RespawnRecord",
+    "ProtocolRetryRecord", "MetricsCollector", "PartitionBreakdown",
 ]
 
 #: Phase tags for records.
@@ -152,17 +152,6 @@ class CheckpointRecord(Record):
 
 
 @dataclass(frozen=True)
-class PrefetchRecord(Record):
-    """One prefetch hint round the driver issued during ``timestep``."""
-
-    kind = "prefetch_issue"
-
-    timestep: int
-    superstep: int
-    next_timestep: int
-
-
-@dataclass(frozen=True)
 class RespawnRecord(Record):
     """One completed host repair (respawn + restore + journal replay), measured."""
 
@@ -273,8 +262,6 @@ class MetricsCollector:
             self.checkpoints += 1
             self.checkpoint_bytes += int(record.nbytes)
             self.checkpoint_s[t] += record.cost_s
-        elif kind == "prefetch_issue":
-            pass  # a trace-visible fact with no table behind it
         elif kind in ("worker_respawn", "protocol_retry"):
             self.retries += 1
             self.recovery_s[t] += record.seconds

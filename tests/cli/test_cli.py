@@ -188,6 +188,17 @@ class TestResilienceFlags:
         err = capsys.readouterr().err
         assert "error:" in err and "--executor socket" in err
 
+    @pytest.mark.parametrize("flag", [["--prefetch"], ["--cache-bytes", "4096"]])
+    def test_view_flags_without_gofs_error_before_the_dataset_is_built(
+        self, flag, tmp_path, capsys
+    ):
+        cache = tmp_path / "dataset-cache"
+        assert main(self.BASE + flag + ["--dataset-cache", str(cache)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--gofs DIR" in err
+        # Refused in the flag check: nothing was generated or partitioned.
+        assert not cache.exists() or not list(cache.iterdir())
+
     def test_recovery_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE + ["--inject-faults", "kill@t1:p0", "--recovery-mode", "surgical"])

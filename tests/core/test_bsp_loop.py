@@ -93,3 +93,48 @@ def test_quiescence_waits_for_host_local_deliveries(case, phase, executor):
     else:
         assert sorted(res.merge_outputs) == [(sg, (1, ["note"])) for sg in sgids]
         assert dict(m.supersteps_per_timestep) == {0: 2, 1: 2} and m.merge_supersteps == 2
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, executor):
+    """The wire sentence: a fault-free run issues ``begin → superstep* → eot``
+    per timestep and one closing ``states`` — no other op, prefetching views
+    or not.  Loading ahead is the view's own trigger (armed by ``instance``
+    on a pack's last rows), and it alone hides every pack load but the first."""
+    from repro.algorithms import TDSPComputation
+    from repro.generators import road_latency_collection
+    from repro.runtime import LocalCluster, ProcessCluster
+    from repro.storage import GoFS
+
+    tpl = make_grid_template(5, 6)
+    # Latencies near δ: the wave needs all 8 timesteps, i.e. 4 packs of 2.
+    coll = road_latency_collection(tpl, 8, seed=2, delta=5.0, low=2.0, high=6.0)
+    pg = partition_graph(tpl, PARTITIONS, HashPartitioner(seed=1))
+    GoFS.write_collection(tmp_path, pg, coll, packing=2)
+    cluster_cls = LocalCluster if executor == "serial" else ProcessCluster
+    real, issued = cluster_cls.run_round, []
+
+    def run_round(self, op, timestep, superstep, payloads):
+        issued.append((op, timestep))
+        return real(self, op, timestep, superstep, payloads)
+
+    monkeypatch.setattr(cluster_cls, "run_round", run_round)
+    res = run_application(
+        TDSPComputation(0), pg, coll,
+        sources=GoFS.partition_views(tmp_path, prefetch=True),
+        config=EngineConfig(executor=executor, tracing=True),
+    )
+
+    assert {op for op, _t in issued} == {"begin", "superstep", "eot", "states"}
+    assert res.timesteps_executed == 8
+    for op in ("begin", "eot"):
+        assert [t for o, t in issued if o == op] == list(range(8))
+    assert [o for o, _t in issued].count("states") == 1
+    # Per view: every pack but the first was armed by the view, found ready
+    # (or in flight) at the boundary, and read off the wall.
+    counters = res.trace.counters
+    assert counters["gofs.packs_loaded"] == PARTITIONS * 4
+    assert counters["gofs.prefetch_started"] == PARTITIONS * 3
+    assert counters["gofs.prefetch_hits"] == PARTITIONS * 3
+    assert counters["gofs.prefetch_misses"] == PARTITIONS
+    assert res.metrics.total_load_hidden_s() > 0

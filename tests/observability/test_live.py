@@ -14,7 +14,6 @@ from repro.observability import (
     LiveConfig,
     LiveMetrics,
     RunRecorder,
-    live_enabled,
     read_snapshots,
     validate_live_snapshot,
 )
@@ -42,12 +41,14 @@ def _live_config(**overrides):
 
 
 class TestLiveEnabled:
-    def test_interpretation(self):
-        assert not live_enabled(None)
-        assert not live_enabled(False)
-        assert live_enabled(True)
-        assert live_enabled(LiveConfig())
-        assert not live_enabled(LiveConfig(enabled=False))
+    def test_interpretation(self, road_case):
+        """``EngineConfig.live`` is read by truthiness: one spelling of "off"."""
+        _tpl, coll, pg = road_case
+        for value, expected in [(None, False), (False, False), (True, True), (_live_config(), True)]:
+            res = run_application(TDSPComputation(0), pg, coll, config=EngineConfig(live=value))
+            assert (res.live is not None) is expected, value
+        with pytest.raises(TypeError):
+            LiveConfig(enabled=False)
 
 
 class TestEngineIntegration:
@@ -287,11 +288,13 @@ class TestDetection:
         live.resync(restored)
         assert live.metrics is restored
         assert live.summary() == restored.summary()
-        assert live.busy_s[0] == pytest.approx(0.2)
-        assert live.busy_s[1] == 0.0
-        # The resync landed in the snapshot stream for `tibsp top`; it is a
-        # resume's starting point, not a health finding.
-        assert live.last_snapshot()["totals"] == restored.summary()
+        # The resync landed in the snapshot stream for `tibsp top`, its
+        # series folded from the restored records; it is a resume's starting
+        # point, not a health finding.
+        snap = live.last_snapshot()
+        assert snap["totals"] == restored.summary()
+        assert snap["partitions"][0]["busy_s"] == pytest.approx(0.2)
+        assert snap["partitions"][1]["busy_s"] == 0.0
         assert live.health_events() == []
 
     def test_health_event_as_dict(self):

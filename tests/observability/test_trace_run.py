@@ -114,7 +114,9 @@ class TestTracedRun:
 
     def test_log_with_kinds_of_an_older_schema_still_folds(self, road_case):
         """``from_events`` skips kinds it has no record for: a log written when
-        runs could migrate subgraphs folds to the same collector."""
+        runs could migrate subgraphs, the driver sent prefetch hints and a
+        repair was also logged as a ``respawn`` finding folds to the same
+        collector."""
         _tpl, coll, pg = road_case
         res = run_application(
             TDSPComputation(0), pg, coll, config=EngineConfig(tracing=True)
@@ -123,6 +125,9 @@ class TestTracedRun:
         events = res.trace.event_records() + [
             {**old, "kind": "migration", "count": 1, "cost_s": 0.25},
             {**old, "kind": "migrate", "subgraph": 3, "src": 0, "dst": 1, "cost_s": 0.25},
+            {**old, "kind": "prefetch_issue", "superstep": 0, "next_timestep": 2},
+            {**old, "kind": "respawn", "superstep": 0, "partition": 1, "seconds": 0.5,
+             "detail": "incarnation 1 after WorkerCrash"},
         ]
         assert folds_equal(refold(res, events), res.metrics)
 

@@ -1,10 +1,13 @@
-"""Unit tests for the observability plane (no engine involved)."""
+"""Unit tests for the observability plane (the engine only where it reads a config)."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.algorithms import TDSPComputation
+from repro.core import EngineConfig, run_application
+from repro.generators import road_latency_collection
 from repro.observability import (
     DRIVER_PID,
     EVENT_SCHEMA_VERSION,
@@ -15,13 +18,14 @@ from repro.observability import (
     partition_pid,
     read_event_log,
     run_provenance,
-    tracing_enabled,
     validate_chrome_trace,
     write_event_log,
 )
 from repro.observability.events import normalize_event
 from repro.observability.runtrace import RunTrace, TraceConfig
 from repro.observability.tracer import Span
+from repro.partition import HashPartitioner, partition_graph
+from tests.conftest import make_grid_template
 
 
 class TestTracer:
@@ -82,6 +86,8 @@ class TestTracer:
 
 
 class TestTracingEnabled:
+    """``EngineConfig.tracing`` is read by truthiness: one spelling of "off"."""
+
     @pytest.mark.parametrize(
         "value,expected",
         [
@@ -89,11 +95,20 @@ class TestTracingEnabled:
             (False, False),
             (True, True),
             (TraceConfig(), True),
-            (TraceConfig(enabled=False), False),
         ],
     )
     def test_interpretations(self, value, expected):
-        assert tracing_enabled(value) is expected
+        tpl = make_grid_template(3, 3)
+        coll = road_latency_collection(tpl, 2, seed=2, delta=5.0)
+        pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
+        result = run_application(
+            TDSPComputation(0), pg, coll, config=EngineConfig(tracing=value)
+        )
+        assert (result.trace is not None) is expected
+
+    def test_a_config_has_no_off_switch(self):
+        with pytest.raises(TypeError):
+            TraceConfig(enabled=False)
 
 
 class TestEventLog:

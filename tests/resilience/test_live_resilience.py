@@ -12,6 +12,8 @@ from repro.resilience import (
     RecoveryPolicy,
     RunFailureError,
 )
+from repro.runtime import CollectionInstanceSource
+from repro.runtime.metrics import RespawnRecord
 from repro.storage import GoFS
 from tests.conftest import assert_one_record_stream, folds_equal, refold
 
@@ -96,28 +98,74 @@ class TestLiveThroughRecovery:
         # because there is only one.
         assert result.live.metrics is result.metrics
         assert result.live.summary() == result.metrics.summary()
-        kinds = [e.kind for e in result.health_events]
-        assert "respawn" in kinds
-        # Health findings became structured early warnings for the policy.
-        assert [w.kind for w in result.early_warnings] == kinds
-        respawn = next(w for w in result.early_warnings if w.kind == "respawn")
-        assert respawn.threshold_s is None
-        assert respawn.as_dict()["kind"] == "respawn"
+        # The repair is the supervisor's record, in the snapshot's totals;
+        # health events are what the live plane itself found.
+        assert result.live.last_snapshot()["totals"]["retries"] == result.metrics.retries
+        assert {e.kind for e in result.health_events} <= {"straggler", "stalled"}
 
-    def test_stall_threshold_from_recovery_policy(self, case):
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_one_repair_is_stated_once(self, case, tmp_path, executor):
+        """The ledger: one kill under live + tracing is one ``worker_respawn``
+        line, and ``recovery_actions`` holds the record that line carries."""
+        _tpl, coll, pg = case
+        result = run_application(
+            AccumulateSum(), pg, coll,
+            sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
+            config=EngineConfig(
+                executor=executor,
+                tracing=True,
+                live=_live_config(),
+                checkpoint=CheckpointConfig(dir=tmp_path, every=1),
+                faults=FaultPlan.parse("kill@t2:p1", seed=3),
+                recovery=RecoveryPolicy(backoff_s=0.0),
+            ),
+        )
+        log = result.trace.event_records()
+        kinds = [e["kind"] for e in log]
+        assert kinds.count("worker_respawn") == 1 and "respawn" not in kinds
+        (line,) = [e for e in log if e["kind"] == "worker_respawn"]
+        (action,) = result.recovery_actions
+        assert type(action) is RespawnRecord and RespawnRecord.from_event(line) == action
+        # ... which is the record the collector folded: the log folds back
+        # to the same repair totals.
+        folded = refold(result)
+        assert (folded.retries, folded.recovery_s) == (1, {2: action.seconds})
+        assert (result.metrics.retries, dict(result.metrics.recovery_s)) == (1, {2: action.seconds})
+        # Health events are findings the live plane made; a repair is not one.
+        assert {e.kind for e in result.health_events} <= {"straggler", "stalled"}
+        assert not hasattr(result, "early_warnings")
+
+    def test_a_quarantined_partition_stops_heartbeating(self, case, tmp_path):
+        """Its synthesized replies are not heartbeats: the dashboard shows it
+        silent, and — silent by decision — it is never the stall suspect."""
         _tpl, coll, pg = case
         result = run_application(
             AccumulateSum(), pg, coll,
             config=EngineConfig(
-                live=_live_config(),
-                recovery=RecoveryPolicy(backoff_s=0.0, stall_warning_s=7.5),
+                live=_live_config(stall_after_s=0.0),
+                checkpoint=CheckpointConfig(dir=tmp_path, every=1),
+                faults=FaultPlan.parse("kill@t1:p1,kill@t1:p1:i1,kill@t1:p1:i2", seed=3),
+                recovery=RecoveryPolicy(backoff_s=0.0, max_retries=2, quarantine=True),
             ),
         )
-        assert result.live.config.stall_after_s == 7.5
+        assert result.degraded_partitions == [1] and result.timesteps_executed == 4
+        after = [s["partitions"] for s in result.live.snapshots if s["timestep"] > 1]
+        assert len(after) > 2
+        beats = [[row["heartbeats"] for row in rows] for rows in after]
+        assert len({b[1] for b in beats}) == 1, "the dead partition kept heartbeating"
+        assert beats[-1][0] > beats[0][0]
+        ages = [rows[1]["last_seen_age_s"] for rows in after]
+        assert ages == sorted(ages) and ages[-1] > ages[0]
+        assert ages[-1] > after[-1][0]["last_seen_age_s"]
+        # The one silent longest is the quarantined one; a stall names a live one.
+        result.live.round_begin("compute", 4, 0)
+        assert result.live.check_stalled().partition == 0
 
-    def test_stall_warning_must_be_positive(self):
-        with pytest.raises(ValueError, match="stall_warning_s"):
-            RecoveryPolicy(stall_warning_s=0.0)
+    def test_the_stall_threshold_has_one_home(self):
+        """``LiveConfig.stall_after_s`` is the threshold; the policy has no copy."""
+        with pytest.raises(TypeError):
+            RecoveryPolicy(stall_warning_s=7.5)
 
 
 class TestStreamedEventLog:

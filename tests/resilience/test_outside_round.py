@@ -1,7 +1,7 @@
 """Worker deaths *outside* a protocol round, on the process executor.
 
-The checkpoint snapshot, the prefetch hint and the closing state collection
-are driver→worker exchanges too.  A worker SIGKILLed immediately before one
+The checkpoint snapshot and the closing state collection are driver→worker
+exchanges too.  A worker SIGKILLed immediately before one
 of them is repaired like a worker that dies in a round: one respawn, its
 journal replayed, the exchange re-issued for that partition only.
 """
@@ -73,8 +73,6 @@ KILL_POINTS = {
     "superstep-snapshot": (
         "snapshot", lambda t, s: t == 2 and s >= 0, {"every": 1, "superstep_every": 1},
     ),
-    "prefetch-hint": ("prefetch", lambda t, s: t == 2, {"every": 1}),
-    "prefetch-hint-genesis": ("prefetch", lambda t, s: t == 2, None),
     "final-states": ("states", lambda t, s: True, {"every": 2}),
     "final-states-genesis": ("states", lambda t, s: True, None),
 }

@@ -9,7 +9,6 @@ from repro.resilience import (
     FaultPlan,
     FrameJournal,
     HostSupervisor,
-    RecoveryAction,
     RecoveryPolicy,
 )
 from repro.runtime import CollectionInstanceSource, LocalCluster, ProcessCluster, RunMeta
@@ -78,13 +77,14 @@ class TestSurgicalSingleKill:
         assert action.incarnation == 1
         assert action.attempt == 1
         assert action.seconds > 0
-        assert action.as_dict()["kind"] == "worker_respawn"
 
-        # Trace: one worker_respawn event, N-1 survivors held at the barrier.
+        # Trace: one worker_respawn event — the action's own fields — with
+        # N-1 survivors held at the barrier.
         events = [
             e for e in result.trace.event_records() if e["kind"] == "worker_respawn"
         ]
         assert len(events) == 1
+        assert action.as_event().items() <= events[0].items()
         assert events[0]["survivors"] == NUM_PARTITIONS - 1
         assert events[0]["partition"] == 1
         assert events[0]["incarnation"] == 1
@@ -143,9 +143,9 @@ class TestQuarantine:
         # The run completed; partition 0 is gone, partition 1's work stands.
         assert result.failure is None
         assert result.degraded_partitions == [0]
-        kinds = [a.kind for a in result.recovery_actions]
-        assert kinds.count("quarantine") == 1
-        assert result.recovery_actions[-1].kind == "quarantine"
+        # The actions are the repairs that completed; giving up is a
+        # decision, stated once, in the failure log.
+        assert [a.kind for a in result.recovery_actions] == ["worker_respawn"] * 2
         # The retry budget was burned first: retry, retry, quarantine.
         assert [r.action for r in result.failure_log] == [
             "retry", "retry", "quarantine"
@@ -275,21 +275,3 @@ class TestStatesEachFactOnce:
         assert recorder.facts == ["protocol_retry"]
         assert recorder.metrics.retries == 1
         assert [a.kind for a in supervisor.actions] == ["protocol_retry"]
-
-
-def test_recovery_action_as_dict_round_trips():
-    a = RecoveryAction(
-        "worker_respawn", 1, 2, 0, 1, 0.1234567, 1, 3, detail="WorkerCrash"
-    )
-    d = a.as_dict()
-    assert d == {
-        "kind": "worker_respawn",
-        "partition": 1,
-        "timestep": 2,
-        "superstep": 0,
-        "attempt": 1,
-        "seconds": 0.123457,
-        "incarnation": 1,
-        "replayed_rounds": 3,
-        "detail": "WorkerCrash",
-    }

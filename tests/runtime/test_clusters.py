@@ -108,8 +108,14 @@ class TestLocalCluster:
         cluster, _ = self.make(sources=views)
         with cluster as c:
             assert c is cluster
-            c.prefetch(1)
+            # Loading ahead is the view's own trigger (packing=1: every row is
+            # a pack's last); the cluster has no prefetch call and no such op.
+            c.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
             assert all(v._pool is not None for v in views)
+            with pytest.raises(AttributeError):
+                c.prefetch(1)
+            with pytest.raises(ValueError, match="unknown protocol op 'prefetch'"):
+                c.run_round("prefetch", 0, 0, [1, 1])
         assert all(v._pool is None for v in views)
 
     def test_protocol_flow(self):
@@ -121,9 +127,9 @@ class TestLocalCluster:
         assert sum(r.subgraphs_computed for r in step) == pg.num_subgraphs
         eot = cluster.run_round("eot", 0, AT_EOT, None)
         assert len(eot) == 2
-        assert len(cluster.resident_bytes()) == 2
-        states = cluster.final_states()
-        assert set(states) == {sg.subgraph_id for sg in pg.subgraphs}
+        assert len(cluster.run_round("resident", -1, -1, None)) == 2
+        states = cluster.run_round("states", -1, -1, None)
+        assert set().union(*states) == {sg.subgraph_id for sg in pg.subgraphs}
 
 
 class TestShutdownClosesSources:

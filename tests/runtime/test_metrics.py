@@ -5,11 +5,11 @@ import pytest
 from repro.runtime.metrics import (
     PHASE_COMPUTE,
     PHASE_MERGE,
+    RECORD_KINDS,
     GcRecord,
     LoadRecord,
     MetricsCollector,
     PartitionBreakdown,
-    PrefetchRecord,
     StepRecord,
 )
 
@@ -72,10 +72,11 @@ class TestSuperstepWalls:
         assert m.timestep_series() == [m.timestep_wall(t) for t in range(timesteps)]
 
     def test_prefetch_hint_is_a_fact_without_a_cost(self):
-        """An old log's ``prefetch_issue`` line carried a modeled ``cost_s``
-        (always 0): it still folds, and moves no wall."""
+        """An old log's ``prefetch_issue`` line (the driver's hint round, with a
+        modeled ``cost_s`` that was always 0) has no record any more: the
+        fold skips it, and it moves no wall."""
         old = {"kind": "prefetch_issue", "timestep": 0, "superstep": 0, "next_timestep": 1, "cost_s": 0.0}
-        assert PrefetchRecord.from_event(old) == PrefetchRecord(0, 0, 1)
+        assert "prefetch_issue" not in RECORD_KINDS
         m = MetricsCollector.from_events([rec(0, 0, 0, 1.0).as_event() | {"kind": "step"}, old], 1)
         assert m.timestep_series() == [1.0] and "prefetch_s" not in m.summary()
 

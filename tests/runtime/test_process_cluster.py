@@ -78,7 +78,7 @@ class TestLifecycle:
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         with ProcessCluster(pg, EmitSum(), meta, sources) as cluster:
             cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
-            resident = cluster.resident_bytes()
+            resident = cluster.run_round("resident", -1, -1, None)
             assert len(resident) == 2
             assert all(b > 0 for b in resident)
 

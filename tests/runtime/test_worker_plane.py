@@ -54,10 +54,10 @@ class TestOneOpTable:
                 cluster.step_one(0, "bogus", 0, 0, None)
             # Nothing left the driver, and the hosts still answer.
             assert cluster.protocol_stats().get("commands_sent") == sent
-            assert len(cluster.resident_bytes()) == 2
+            assert len(cluster.run_round("resident", -1, -1, None)) == 2
 
     def test_every_op_of_the_table_runs(self, executor, case):  # noqa: F811
-        """Nine ops, ``restore`` among them, through the one ``run_round``."""
+        """Eight ops, ``restore`` among them, through the one ``run_round``."""
         with _cluster(executor, case) as cluster:
             answered = {"begin": cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])}
             answered["superstep"] = cluster.run_round("superstep", 0, 0, [[], []])
@@ -69,8 +69,7 @@ class TestOneOpTable:
             answered["merge"] = cluster.run_round("merge", -1, 0, [[], []])
             for op in ("resident", "states"):
                 answered[op] = cluster.run_round(op, -1, -1, None)
-            answered["prefetch"] = cluster.run_round("prefetch", 0, 0, [1, 1])
-            assert set(answered) == set(HOST_OPS)
+            assert set(answered) == set(HOST_OPS) and len(HOST_OPS) == 8
             for op, outcomes in answered.items():
                 assert not any(isinstance(o, RecoverableError) for o in outcomes), op
             assert answered["states"][0] == blobs[0]["states"]
