@@ -110,7 +110,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
         sources = expanded_now[st["has_remote"][expanded_now]]
         if not sources.size:
             return
-        rows = np.flatnonzero(index_mask(sources, sg.num_vertices)[remote.src_local])
+        rows = index_mask(sources, sg.num_vertices)[remote.src_local].nonzero()[0]
         for dst_sg, verts in group_unique_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows]
         ):
@@ -129,7 +129,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
         else:
             if ctx.superstep == 0:
                 # Seeds: all vertices carrying the meme now (Alg 1, line 4).
-                seeds = np.flatnonzero(self._has_meme(ctx))
+                seeds = self._has_meme(ctx).nonzero()[0]
             else:
                 arrived = [
                     np.atleast_1d(sg.local_of(np.asarray(msg.payload, dtype=np.int64)))

@@ -112,7 +112,7 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         sources = expanded_now[st["has_remote"][expanded_now]]
         if not sources.size:
             return
-        rows = np.flatnonzero(index_mask(sources, sg.num_vertices)[remote.src_local])
+        rows = index_mask(sources, sg.num_vertices)[remote.src_local].nonzero()[0]
         exists = self._exists(ctx, "exists_remote", remote.edge_index)
         if exists is not None:
             rows = rows[exists[rows]]

@@ -159,11 +159,13 @@ class TDSPComputation(TimeSeriesComputation):
         sources = changed[st["has_remote"][changed]]
         if not sources.size:
             return
-        rows = np.flatnonzero(index_mask(sources, sg.num_vertices)[remote.src_local])
+        rows = index_mask(sources, sg.num_vertices)[remote.src_local].nonzero()[0]
         cand = label[remote.src_local[rows]]
         cand += self._weights(ctx, "w_remote", remote.edge_index)[rows]
-        ok = cand <= bound
-        rows, cand = rows[ok], cand[ok]
+        keep = (cand <= bound).nonzero()[0]
+        if not keep.size:
+            return
+        rows, cand = rows[keep], cand[keep]
         for dst_sg, verts, vals in group_min_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows], cand
         ):
@@ -189,9 +191,10 @@ class TDSPComputation(TimeSeriesComputation):
                     verts, labels = msg.payload
                     locs = np.atleast_1d(sg.local_of(np.asarray(verts, dtype=np.int64)))
                     nd = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-                    upd = (~finalized[locs]) & (nd < label[locs])
-                    label[locs[upd]] = nd[upd]
-                    fresh.append(locs[upd])
+                    upd = ((~finalized[locs]) & (nd < label[locs])).nonzero()[0]
+                    better = locs[upd]
+                    label[better] = nd[upd]
+                    fresh.append(better)
             elif sg.contains(self.source):
                 fresh.append(np.asarray([sg.local_of(self.source)], dtype=np.int64))
                 label[fresh[0]] = 0.0
@@ -223,7 +226,7 @@ class TDSPComputation(TimeSeriesComputation):
                 keep = open_boundary(sg.indptr, sg.indices, finalized, cand)
                 st["roots"] = cand[keep | st["has_remote"][cand]]
             else:
-                st["roots"] = np.flatnonzero(finalized)
+                st["roots"] = finalized.nonzero()[0]
         # Back to all-inf: a wide relaxation round reads every slot's source
         # label, and the only labels it may find are its own timestep's.
         label[roots] = _INF

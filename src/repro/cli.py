@@ -323,13 +323,11 @@ def _run(args: argparse.Namespace) -> int:
         view_kwargs: dict = {"prefetch": args.prefetch}
         if args.cache_bytes is not None:
             view_kwargs["cache_bytes"] = args.cache_bytes
-        sources = GoFS.partition_views(root, **view_kwargs)
-        if len(sources) != pg.num_partitions:
-            print(
-                f"GoFS store at {root} has {len(sources)} partitions but the run "
-                f"wants {pg.num_partitions}; delete the store or match --partitions",
-                file=sys.stderr,
-            )
+        try:
+            sources = GoFS.partition_views(root, **view_kwargs)
+            sources[0].check_dataset(pg.fingerprint(len(collection)))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
         sources = _collection_sources(args, collection, pg)

@@ -238,6 +238,13 @@ class TIBSPEngine:
         self.collection = collection
         self.config = config or EngineConfig()
         self.sources = sources
+        # A source that knows what it was written for (a GoFS view) is held
+        # to this run's dataset, once, before anything is built.
+        checks = [src.check_dataset for src in sources or () if hasattr(src, "check_dataset")]
+        if checks:
+            fingerprint = pg.fingerprint(len(collection))
+            for check in checks:
+                check(fingerprint)
         self._sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
         self._all_sgids = frozenset(sg.subgraph_id for sg in pg.subgraphs)
 

@@ -128,28 +128,33 @@ class Subgraph:
 
     # -- vertex numbering --------------------------------------------------------
 
-    def local_of(self, global_v: int | np.ndarray) -> int | np.ndarray:
-        """Local number(s) of global vertex index(es); raises if not present."""
-        if self._local_table is None:
+    def _local(self, global_v: int | np.ndarray) -> np.ndarray:
+        """Local number(s) of global vertex index(es), -1 where not present."""
+        table = self._local_table
+        if table is None:
             # Lazy direct-address table: one gather per translation instead
             # of a binary search — this sits on the per-message fold path.
             size = int(self.vertices[-1]) + 1 if len(self.vertices) else 0
-            table = np.full(size, -1, dtype=np.int64)
+            table = self._local_table = np.full(size, -1, dtype=np.int64)
             table[self.vertices] = np.arange(len(self.vertices), dtype=np.int64)
-            self._local_table = table
         arr = np.asarray(global_v, dtype=np.int64)
-        if bool(((arr < 0) | (arr >= len(self._local_table))).any()):
-            raise KeyError(f"vertex {global_v!r} not in subgraph {self.subgraph_id}")
-        pos = self._local_table[arr]
+        inside = (arr >= 0) & (arr < len(table))
+        if inside.all():
+            return table[arr]
+        pos = np.full(arr.shape, -1, dtype=np.int64)
+        pos[inside] = table[arr[inside]]
+        return pos
+
+    def local_of(self, global_v: int | np.ndarray) -> int | np.ndarray:
+        """Local number(s) of global vertex index(es); raises if not present."""
+        pos = self._local(global_v)
         if bool((pos < 0).any()):
             raise KeyError(f"vertex {global_v!r} not in subgraph {self.subgraph_id}")
         return pos if isinstance(global_v, np.ndarray) else int(pos)
 
     def contains(self, global_v: int | np.ndarray) -> bool | np.ndarray:
         """Membership test for global vertex index(es)."""
-        pos = np.searchsorted(self.vertices, global_v)
-        in_range = pos < len(self.vertices)
-        ok = in_range & (self.vertices[np.minimum(pos, len(self.vertices) - 1)] == global_v)
+        ok = self._local(global_v) >= 0
         return ok if isinstance(global_v, np.ndarray) else bool(ok)
 
     def global_of(self, local_v: int | np.ndarray) -> int | np.ndarray:

@@ -90,6 +90,6 @@ def contains_in_cells(cells, value) -> np.ndarray:
     if flat.size:
         eq = _equal_mask(flat, value)
         if eq.any():
-            owner = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+            owner = np.arange(len(lengths), dtype=np.int64).repeat(lengths)
             out[owner[eq]] = True
     return out

@@ -45,7 +45,7 @@ def components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarra
     while len(src):
         parent, src, dst = _hook_and_compress(parent, src, dst)
     is_root = parent == np.arange(n, dtype=np.int64)
-    return int(is_root.sum()), (np.cumsum(is_root) - 1)[parent]
+    return int(is_root.sum()), (is_root.cumsum() - 1)[parent]
 
 
 def csr_components(

@@ -13,6 +13,12 @@ Bit-identity with the per-vertex formulations (the reference oracles):
   arrays are bit-identical, not merely close.
 * :func:`expand_to_fixpoint` marks exactly the vertices a gated BFS deque
   would visit — set semantics, no float arithmetic involved.
+
+Call form: a round handles a median 61-vertex frontier, so it costs calls,
+not elements.  Inside a round loop use the array's own method (``c.cumsum()``,
+``x.repeat(c)``, ``m.nonzero()[0]``: the ``np.`` wrappers cost 2–3× as much at
+that size), build ``slots`` in place, and filter a round's survivors once, by
+position, where two arrays share the mask.  CI greps for the function forms.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ def relax_to_fixpoint(
     while frontier.size:
         starts = indptr[frontier]
         counts = ends[frontier] - starts
-        cum = np.cumsum(counts)
+        cum = counts.cumsum()
         total = int(cum[-1])
         if not total:
             break
@@ -79,18 +85,20 @@ def relax_to_fixpoint(
             dst = indices
             cand = labels[slot_src] + weights
         else:
-            slots = np.arange(total, dtype=np.int64) + np.repeat(starts - cum + counts, counts)
+            slots = (starts - cum + counts).repeat(counts)
+            slots += np.arange(total)
             dst = indices[slots]
-            cand = np.repeat(labels[frontier], counts)
+            cand = labels[frontier].repeat(counts)
             cand += weights[slots]
         ok = cand < labels[dst]
         if bound is not None:
             ok &= cand <= bound
         if blocked is not None:
             ok &= ~blocked[dst]
-        dst, cand = dst[ok], cand[ok]
-        if not dst.size:
+        keep = ok.nonzero()[0]
+        if not keep.size:
             break
+        dst, cand = dst[keep], cand[keep]
         # Every surviving candidate beats its destination's old label, so
         # each touched destination improves (to its min candidate) and the
         # deduplicated touch set — per destination, the candidate that wrote
@@ -136,14 +144,15 @@ def expand_to_fixpoint(
         expanded_now.append(frontier)
         slots, _src = gather_ranges(indptr, frontier)
         if edge_ok is not None:
-            slots = slots[edge_ok[slots]]
+            slots = slots[edge_ok[slots].nonzero()[0]]
         cand = indices[slots]
-        cand = cand[~visited[cand]]
+        ok = ~visited[cand]
         if vertex_ok is not None:
-            cand = cand[vertex_ok[cand]]
-        if not cand.size:
+            ok &= vertex_ok[cand]
+        keep = ok.nonzero()[0]
+        if not keep.size:
             break
-        cand = sorted_unique(cand)
+        cand = sorted_unique(cand[keep])
         visited[cand] = True
         newly.append(cand)
         frontier = cand[~expanded[cand]]
@@ -168,5 +177,5 @@ def open_boundary(
     still_open = np.zeros(len(candidates), dtype=bool)
     slots, src = gather_ranges(indptr, candidates)
     if slots.size:
-        still_open[np.searchsorted(candidates, src[~done[indices[slots]]])] = True
+        still_open[candidates.searchsorted(src[~done[indices[slots]]])] = True
     return still_open

@@ -37,14 +37,13 @@ def group_min_pairs(
     span = int(keys.max()) + 1
     fused = np.asarray(groups, dtype=np.int64) * span
     fused += keys
-    order = np.argsort(fused, kind="stable")
+    order = fused.argsort(kind="stable")
     starts = segment_starts(fused[order])
     mins = np.minimum.reduceat(np.asarray(values)[order], starts)
     firsts = order[starts]
     g, k = np.asarray(groups)[firsts], keys[firsts]
-    gstarts = segment_starts(g)
-    bounds = np.append(gstarts[1:], len(g))
-    for s, e in zip(gstarts, bounds):
+    cuts = segment_starts(g).tolist()
+    for s, e in zip(cuts, cuts[1:] + [len(g)]):
         yield int(g[s]), k[s:e], mins[s:e]
 
 
@@ -58,8 +57,7 @@ def group_unique_pairs(
     span = int(keys.max()) + 1
     fused = sorted_unique(np.asarray(groups, dtype=np.int64) * span + keys)
     g, k = np.divmod(fused, span)
-    gstarts = segment_starts(g)
-    bounds = np.append(gstarts[1:], len(g))
-    for s, e in zip(gstarts, bounds):
+    cuts = segment_starts(g).tolist()
+    for s, e in zip(cuts, cuts[1:] + [len(g)]):
         yield int(g[s]), k[s:e]
 

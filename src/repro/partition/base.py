@@ -13,6 +13,7 @@ see :mod:`repro.partition.subgraphs` for the construction.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -115,6 +116,20 @@ class PartitionedGraph:
     @property
     def num_subgraphs(self) -> int:
         return len(self.subgraphs)
+
+    def fingerprint(self, num_timesteps: int) -> dict[str, int]:
+        """What a GoFS store written for this partitioning of a
+        ``num_timesteps``-long collection records, and a run over it is held
+        to.  Another template, seed, k or partitioner each change the vertex
+        -> subgraph array, so its crc32 (0.5 ms at 200k) stands for them."""
+        crc = zlib.crc32(np.ascontiguousarray(self.vertex_subgraph, dtype=np.int64))
+        return {
+            "num_vertices": self.template.num_vertices,
+            "num_edges": self.template.num_edges,
+            "num_timesteps": int(num_timesteps),
+            "num_partitions": self.num_partitions,
+            "vertex_subgraph_crc32": crc,
+        }
 
     def subgraph(self, subgraph_id: int) -> Subgraph:
         """Subgraph by global id."""

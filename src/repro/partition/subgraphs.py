@@ -87,18 +87,24 @@ def decompose(
     in_bounds = np.searchsorted(in_sorted, np.arange(num_sg + 1))
 
     # ---- vertices grouped by subgraph -----------------------------------------
+    # Stable, so each group is ascending — already a subgraph's sorted
+    # ``vertices`` — and every vertex is in exactly one: one array of local
+    # numbers answers every global -> local lookup below with a gather.
     v_order = np.argsort(labels, kind="stable")
-    v_bounds = np.searchsorted(labels[v_order], np.arange(num_sg + 1))
+    v_sg = labels[v_order]
+    v_bounds = np.searchsorted(v_sg, np.arange(num_sg + 1))
+    local_of = np.empty(n, dtype=np.int64)
+    local_of[v_order] = np.arange(n, dtype=np.int64) - v_bounds[v_sg]
 
     partitions = [Partition(pid) for pid in range(num_partitions)]
     subgraphs: list[Subgraph] = []
     for sg_id in range(num_sg):
-        verts = np.sort(v_order[v_bounds[sg_id] : v_bounds[sg_id + 1]])
+        verts = v_order[v_bounds[sg_id] : v_bounds[sg_id + 1]]
         pid = int(assignment[verts[0]])
 
         lo, hi = l_bounds[sg_id], l_bounds[sg_id + 1]
-        src_loc = np.searchsorted(verts, l_src[lo:hi])
-        dst_loc = np.searchsorted(verts, l_dst[lo:hi])
+        src_loc = local_of[l_src[lo:hi]]
+        dst_loc = local_of[l_dst[lo:hi]]
         # CSR over local vertex numbers.
         order = np.argsort(src_loc, kind="stable")
         sg_indptr = np.zeros(len(verts) + 1, dtype=np.int64)
@@ -110,7 +116,7 @@ def decompose(
         ro, rhi = r_bounds[sg_id], r_bounds[sg_id + 1]
         rd = r_dst[ro:rhi]
         remote = RemoteEdges(
-            src_local=np.searchsorted(verts, r_src[ro:rhi]),
+            src_local=local_of[r_src[ro:rhi]],
             dst_global=rd.copy(),
             dst_subgraph=labels[rd],
             dst_partition=assignment[rd],

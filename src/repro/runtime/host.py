@@ -70,7 +70,10 @@ class InstanceSource(Protocol):
       loaded ahead, and when, is the source's own business (a GoFS view arms
       the next pack from ``instance``) — the protocol has no prefetch op;
     * ``reload_instance(timestep)`` — an instance load for checkpoint
-      replay that must not be recorded as fresh load evidence.
+      replay that must not be recorded as fresh load evidence;
+    * ``check_dataset(fingerprint)`` — called by the engine, not the host:
+      raise ``ValueError`` unless the source was written for the run's
+      :meth:`~repro.partition.base.PartitionedGraph.fingerprint`.
     """
 
     def instance(self, timestep: int) -> GraphInstance: ...

@@ -48,6 +48,33 @@ class TestCLI:
         ]) == 0
         assert (root / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "other,field",
+        [
+            (["--scale", "600", "--instances", "6", "--seed", "9"], "num_edges"),
+            (["--scale", "900", "--instances", "6"], "num_vertices"),
+            (["--scale", "600", "--instances", "12"], "num_timesteps"),
+            (["--scale", "600", "--instances", "6", "--partitions", "2"], "num_partitions"),
+        ],
+        ids=["seed", "scale", "instances", "partitions"],
+    )
+    def test_a_store_written_for_another_dataset_is_refused_before_anything_runs(
+        self, other, field, tmp_path, capsys
+    ):
+        """At 1d595cb the first ran to a wrong answer (exit 0, the new
+        partitioning's rows read as defaults) and the next two died with an
+        ``IndexError`` from a kernel / at the store's last timestep."""
+        root = str(tmp_path / "store")
+        same = ["--scale", "600", "--instances", "6"]
+        assert main(["store", root, *same, "--partitions", "3"]) == 0
+        run = ["run", "tdsp", "--graph", "CARN", "--partitions", "3", "--gofs", root]
+        assert main(run + same) == 0
+        capsys.readouterr()
+        assert main(run + other) == 2
+        captured = capsys.readouterr()
+        assert f"was written for {field}=" in captured.err and "error:" in captured.err
+        assert "timesteps" not in captured.out  # no run summary: nothing ran
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -47,10 +47,12 @@ from repro.algorithms import (
 )
 from repro.algorithms import reference as ref
 from repro.core import EngineConfig, run_application
+from repro.generators import PeriodicExistencePopulator, make_collection, paper_datasets
 from repro.graph import build_collection
-from repro.partition import HashPartitioner, partition_graph
+from repro.partition import HashPartitioner, MetisLikePartitioner, partition_graph
 from repro.runtime import CollectionInstanceSource
-from tests.algorithms.test_reachability_evolution import evolving_case
+from repro.storage import GoFS
+from tests.algorithms.test_reachability_evolution import evolving_case, evolving_template
 from tests.conftest import make_grid_template, make_random_template, populate_random
 from tests.core.test_executor_equivalence import _canonical
 
@@ -298,3 +300,51 @@ class TestExecutorSweep:
         res, got = run_family(name, executor)
         assert FAMILIES[name].pinned_outputs in (None, outputs_digest(res))
         assert got == FAMILIES[name].pinned
+
+
+# -- the paper's graphs over GoFS views, pinned --------------------------------------
+#
+# TDSP, reachability and MEME on CARN / WIKI at scale 2000, k=3, 10 instances,
+# read through GoFS partition views (the row plans, the per-subgraph ``take``s
+# and the kernel round loops all under them).  Recorded at 1d595cb, before the
+# round loops moved to array methods and ``_plan`` to a direct-address index:
+# both rewrites claim the same operations in the same order, so outputs, merge
+# outputs and final states hash to the same values.
+
+GOFS_PINNED = {
+    ("tdsp", "CARN"): "9a7cc658f31b06ca63880b9d825c65b4599ee33cedc193bd706d9457015a423e",
+    ("reach", "CARN"): "4ac6e4791c2b491a6d9469297eb33f6d96f49ecd37afc9ce4d5c9c5729e1d2f3",
+    ("meme", "CARN"): "18ba205fff783133b35697b3feda1f13faa5998dee392fde80bc587aa1f2539b",
+    ("tdsp", "WIKI"): "ed9c643a9de2d6742ee9b191d55bddfb3bc2ab3f911a3e028dd95b24e0b3f763",
+    ("reach", "WIKI"): "c1a82b0c71088722ddc4b0cc4f0460ac66467f543b71c6480e4fceb6cc7fa27d",
+    ("meme", "WIKI"): "b520117f14b3710ab04477ff476d79bcb6ea6af8f4ddb8e6dead4875fcc388cd",
+}
+
+
+def paper_case(algorithm, graph, scale=2000, instances=10, seed=0):
+    """What ``tibsp run <algorithm> --graph <graph> --partitions 3`` builds."""
+    data = paper_datasets(scale, instances, seed=seed)[graph]
+    tpl = data["template"]
+    if algorithm == "reach":
+        tpl = evolving_template(tpl.num_vertices, tpl.edge_src, tpl.edge_dst, tpl.directed)
+        coll = make_collection(tpl, instances, PeriodicExistencePopulator(tpl, seed=seed))
+    else:
+        coll = data["road" if algorithm == "tdsp" else "tweets"]
+    return tpl, coll, partition_graph(tpl, 3, MetisLikePartitioner(seed=seed))
+
+
+class TestPinnedOverGoFS:
+    @pytest.mark.parametrize("algorithm,graph", list(GOFS_PINNED))
+    def test_results_hash_to_the_values_recorded_before_the_rewrite(
+        self, algorithm, graph, tmp_path
+    ):
+        tpl, coll, pg = paper_case(algorithm, graph)
+        comp = {
+            "tdsp": lambda: TDSPComputation(0, halt_when_stalled=True),
+            "reach": lambda: TemporalReachabilityComputation(0),
+            "meme": lambda: MemeTrackingComputation(0),
+        }[algorithm]()
+        GoFS.write_collection(tmp_path, pg, coll)
+        res = run_application(comp, pg, coll, sources=GoFS.partition_views(tmp_path))
+        assert len(res.outputs) > 3  # the wave left the source's subgraph
+        assert result_digest(res) == GOFS_PINNED[algorithm, graph]

@@ -165,6 +165,121 @@ class TestExpandToFixpoint:
         assert expanded_now.tolist() == [0]
 
 
+def scalar_relax(indptr, indices, weights, labels, seeds, bound, blocked):
+    """Dijkstra from every seed at once, with the kernel's two gates: the
+    scalar model of ``relax_to_fixpoint`` (same final float additions)."""
+    dist = labels.copy()
+    heap = [(float(dist[u]), int(u)) for u in seeds]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for slot in range(indptr[u], indptr[u + 1]):
+            w, nd = int(indices[slot]), d + weights[slot]
+            if nd < dist[w] and (bound is None or nd <= bound) and not (
+                blocked is not None and blocked[w]
+            ):
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def scalar_expand(indptr, indices, seeds, visited, expanded, edge_ok, vertex_ok):
+    """The gated BFS deque ``expand_to_fixpoint`` stands for."""
+    visited, expanded = visited.copy(), expanded.copy()
+    newly, expanded_now = set(), set()
+    stack = [int(u) for u in seeds if not expanded[u]]
+    while stack:
+        u = stack.pop()
+        if expanded[u]:
+            continue
+        expanded[u] = True
+        expanded_now.add(u)
+        for slot in range(indptr[u], indptr[u + 1]):
+            w = int(indices[slot])
+            if (edge_ok is None or edge_ok[slot]) and not visited[w] and (
+                vertex_ok is None or vertex_ok[w]
+            ):
+                visited[w] = True
+                newly.add(w)
+                stack.append(w)
+    return visited, expanded, newly, expanded_now
+
+
+class TestRoundLoopCorners:
+    """The cases the method-call / filter-by-position round loops branch on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16), n=st.integers(2, 30), m=st.integers(0, 90),
+        bounded=st.booleans(), with_blocked=st.booleans(), wide=st.booleans(),
+    )
+    def test_relax_matches_the_scalar_model(self, seed, n, m, bounded, with_blocked, wide):
+        rng = np.random.default_rng(seed)
+        indptr, indices = random_csr(rng, n, m)  # m < n leaves degree-0 vertices
+        weights = rng.uniform(0.1, 5.0, size=len(indices))
+        # Wide: every vertex seeded, so round one sweeps all the slots.
+        seeds = np.arange(n) if wide else np.unique(rng.integers(0, n, size=rng.integers(1, n)))
+        labels = np.full(n, np.inf)
+        labels[seeds] = rng.uniform(0.0, 3.0, size=len(seeds))
+        bound = float(rng.uniform(0.0, 8.0)) if bounded else None
+        blocked = rng.random(n) < 0.4 if with_blocked else None
+        want = scalar_relax(indptr, indices, weights, labels, seeds, bound, blocked)
+        before = labels.copy()
+        improved = relax_to_fixpoint(
+            indptr, indices, weights, labels, seeds, bound=bound, blocked=blocked
+        )
+        assert labels.tobytes() == want.tobytes()
+        assert set(improved.tolist()) == set(np.flatnonzero(labels != before).tolist())
+
+    def test_relax_leaves_when_every_candidate_is_filtered(self):
+        # 0 -> {1, 2}: one candidate above the bound, the other blocked.
+        indptr, indices = np.asarray([0, 2, 2, 2]), np.asarray([1, 2])
+        labels = np.asarray([0.0, np.inf, np.inf])
+        improved = relax_to_fixpoint(
+            indptr, indices, np.asarray([9.0, 1.0]), labels, np.asarray([0]),
+            bound=5.0, blocked=np.asarray([False, False, True]),
+        )
+        assert improved.size == 0 and labels.tolist() == [0.0, np.inf, np.inf]
+
+    def test_relax_from_degree_zero_seeds_only(self):
+        indptr, indices = np.asarray([0, 0, 0, 1]), np.asarray([0])
+        labels = np.asarray([0.0, 0.0, np.inf])
+        improved = relax_to_fixpoint(
+            indptr, indices, np.asarray([1.0]), labels, np.asarray([0, 1])
+        )
+        assert improved.size == 0 and labels.tolist() == [0.0, 0.0, np.inf]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16), n=st.integers(2, 30), m=st.integers(0, 90),
+        with_edge_ok=st.booleans(), with_vertex_ok=st.booleans(),
+    )
+    def test_expand_matches_the_scalar_model(self, seed, n, m, with_edge_ok, with_vertex_ok):
+        rng = np.random.default_rng(seed)
+        indptr, indices = random_csr(rng, n, m)
+        edge_ok = rng.random(len(indices)) < 0.6 if with_edge_ok else None
+        vertex_ok = rng.random(n) < 0.6 if with_vertex_ok else None
+        seeds = rng.integers(0, n, size=rng.integers(1, n))  # repeats allowed
+        visited = rng.random(n) < 0.2
+        visited[seeds] = True
+        expanded = visited & (rng.random(n) < 0.5)  # some seeds already expanded
+        want = scalar_expand(indptr, indices, seeds, visited, expanded, edge_ok, vertex_ok)
+        newly, expanded_now = expand_to_fixpoint(
+            indptr, indices, seeds, visited, expanded, edge_ok=edge_ok, vertex_ok=vertex_ok
+        )
+        assert visited.tolist() == want[0].tolist() and expanded.tolist() == want[1].tolist()
+        for got, ids in ((newly, want[2]), (expanded_now, want[3])):
+            assert len(got) == len(ids) and set(got.tolist()) == ids  # duplicate-free
+
+    def test_sorted_unique_of_nothing_and_of_several(self):
+        assert sorted_unique().tolist() == [] and sorted_unique().dtype == np.int64
+        a, b = np.asarray([5, 1, 5]), np.asarray([3, 1])
+        assert sorted_unique(a, b).tolist() == [1, 3, 5]
+        assert a.tolist() == [5, 1, 5] and b.tolist() == [3, 1]  # sorted on a copy
+
+
 def undirected_csr(rng, n, m):
     """A random symmetric CSR: every edge stored in both directions."""
     src = rng.integers(0, n, size=m)

@@ -466,6 +466,52 @@ def same_cells(a, b, is_object):
     return a.tolist() == b.tolist() if is_object else a.tobytes() == b.tobytes()
 
 
+class TestDatasetFingerprint:
+    """A store says what it was written for, and a run is held to it."""
+
+    def test_manifest_records_the_fingerprint(self, store):
+        root, tpl, coll, pg, manifest = store
+        want = pg.fingerprint(len(coll))
+        assert want == {
+            "num_vertices": tpl.num_vertices,
+            "num_edges": tpl.num_edges,
+            "num_timesteps": 12,
+            "num_partitions": 3,
+            "vertex_subgraph_crc32": want["vertex_subgraph_crc32"],
+        }
+        assert {k: manifest[k] for k in want} == want
+        for view in GoFS.partition_views(root):
+            view.check_dataset(want)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_a_run_over_another_partitioning_is_a_value_error(self, store, executor):
+        from repro.algorithms import TDSPComputation
+        from repro.core import EngineConfig, run_application
+
+        root, tpl, coll, pg, _ = store
+        views = GoFS.partition_views(root)
+        run_application(TDSPComputation(0), pg, coll, sources=views)  # its own store: fine
+        other = partition_graph(tpl, 3, HashPartitioner(seed=2))  # same |V|, |E|, k, T
+        with pytest.raises(ValueError, match="vertex_subgraph_crc32"):
+            run_application(
+                TDSPComputation(0), other, coll, sources=views,
+                config=EngineConfig(executor=executor),
+            )
+        shorter = build_collection(tpl, 5, populate_random(5), delta=2.0, t0=1.0)
+        with pytest.raises(ValueError, match="num_timesteps=12 but the run has num_timesteps=5"):
+            run_application(TDSPComputation(0), pg, shorter, sources=views)
+
+    def test_a_manifest_without_the_fingerprint_is_refused(self, store):
+        import json
+
+        root, *_ = store
+        manifest = json.loads((root / "manifest.json").read_text())
+        del manifest["vertex_subgraph_crc32"]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="rewrite with `GoFS.write_collection`"):
+            GoFS.partition_views(root)
+
+
 class TestLazyProjection:
     def test_instance_projects_nothing_until_a_column_is_read(self, store):
         root, tpl, coll, pg, _ = store
@@ -675,6 +721,19 @@ class TestLoadErrorsSurfaceInInstance:
         self.assert_fails_in_instance(tmp_path, "does not hold the bin's sorted template rows")
         with pytest.raises(ValueError, match="sorted template rows"):
             GoFS.partition_view(tmp_path, 0).instance(2)  # ... as the first pack read, too
+
+    @pytest.mark.parametrize("shift", [-100, 100])
+    def test_rows_outside_the_template(self, tmp_path, shift):
+        """Still sorted, but not template rows: the view's row index is
+        addressed by them, and a negative one would wrap to another row."""
+        numeric_store(tmp_path)
+
+        def edit(arrays):
+            arrays["edge_rows"] = arrays["edge_rows"] + shift
+
+        self.rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match="sorted template rows"):
+            GoFS.partition_view(tmp_path, 0).instance(2)  # KEY's pack, read first
 
     def test_object_column_on_a_strict_read(self, tmp_path, monkeypatch):
         numeric_store(tmp_path)
@@ -947,17 +1006,70 @@ class TestTakeProperty:
             with pytest.raises(IndexError):
                 inst.edge_values.take("latency", np.asarray(rows))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_any_form_of_row_array_reads_what_the_column_holds(self, seed, data):
+        """Through the direct-address index, at binning 1 (one bin per
+        subgraph): duplicate, unsorted rows spread over bins and over other
+        partitions' rows (defaults), as int64 / int32 / uint8 / list /
+        non-contiguous arrays and the empty one; -1 and n are refused, not
+        wrapped to the last row."""
+        rng = np.random.default_rng(seed)
+        tpl = make_random_template(14, 20, rng)
+        coll = build_collection(tpl, 3, populate_random(seed))
+        pg = decompose(tpl, rng.integers(0, 2, size=tpl.num_vertices), 2)
+        with tempfile.TemporaryDirectory() as root:
+            GoFS.write_collection(root, pg, coll, packing=2, binning=1)
+            view = GoFS.partition_view(root, 0)
+            assert view._num_bins == len(pg.partitions[0].subgraphs)
+            t = data.draw(st.integers(0, 2), label="timestep")
+            inst = view.instance(t)
+            for kind, name, table, schema in (
+                ("v", "traffic", inst.vertex_values, tpl.vertex_schema),
+                ("e", "latency", inst.edge_values, tpl.edge_schema),
+            ):
+                n = table.n
+                want = schema[name].allocate(n)
+                owned = owned_rows(pg, 0)[0 if kind == "v" else 1]
+                want[owned] = column_of(coll.instance(t), kind, name)[owned]
+                whole = column_of(view.instance(t), kind, name)
+                assert np.array_equal(whole, want)
+                rows = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n), label="rows")
+                i64 = np.asarray(rows, dtype=np.int64)
+                forms = [i64, i64.astype(np.int32), i64.astype(np.uint8), np.repeat(i64, 2)[::2]]
+                assert not forms[-1].flags.c_contiguous or i64.size < 2
+                if rows:
+                    forms.append(rows)  # (an empty list is a float array: not row numbers)
+                for form in forms:
+                    got = table.take(name, form)
+                    assert got.dtype == want.dtype and np.array_equal(got, want[i64])
+                assert table.take(name, i64[:0]).shape == (0,)
+                assert table.materialized_names == []
+                for bad in ([-1], [n], [0, n], np.asarray([-1], dtype=np.int32)):
+                    with pytest.raises(IndexError):
+                        table.take(name, bad)
+
     def test_a_reused_row_array_is_resolved_once_and_the_cache_is_bounded(self, store, monkeypatch):
         root, _tpl, coll, pg, _ = store
         view = GoFS.partition_view(root, 0)
-        searches = []
-        real = np.searchsorted
-        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or real(*a, **k))
-        sg = pg.partitions[0].subgraphs[-1]  # (in the last bin: earlier bins are searched first)
-        for t in range(12):
+        resolved = []  # one `_row_index` call per plan resolution (a `_plans` miss)
+        real = GoFSPartitionView._row_index
+        monkeypatch.setattr(
+            GoFSPartitionView, "_row_index", lambda v, side: resolved.append(side) or real(v, side)
+        )
+        sg = pg.partitions[0].subgraphs[-1]  # (in the last bin)
+        for t in [*range(12), 0, 4]:  # 12 timesteps, then back: 3 + 2 pack loads at cache_packs=1
             got = view.instance(t).edge_values.take("latency", sg.edge_index)
             assert np.array_equal(got, coll.instance(t).edge_column("latency")[sg.edge_index])
-        assert len(searches) == view._num_bins
+            index = view._index["e"]
+        assert len(view.load_events) == 5
+        # One plan for the one row array, one index for the one side asked for.
+        assert resolved == ["e"] and list(view._index) == ["e"]
+        assert index.dtype == np.int32 and index.shape == (coll.template.num_edges,)
+        view.instance(0).edge_values.take("latency", sg.remote.edge_index)
+        view.instance(7).vertex_values.take("traffic", sg.vertices)
+        assert resolved == ["e", "e", "v"] and list(view._index) == ["e", "v"]
+        assert view._index["e"] is index  # built once per view and side, kept across packs
         for _ in range(10 * view._plan_cap):  # fresh arrays every call: resolved each time ...
             view.instance(0).edge_values.take("latency", sg.edge_index.copy())
         assert len(view._plans) <= view._plan_cap  # ... and never piling up
