@@ -11,8 +11,10 @@ Paper's shape (6 VMs / workers):
 Structural causes reproduced: vertex-centric SSSP needs one superstep per
 hop (~graph diameter) with Hadoop-class per-superstep coordination, while
 subgraph-centric needs one superstep per meta-graph hop with MPI-class
-barriers.  GoFFish reads from GoFS partition views; Giraph is charged no
-data-loading time at all (conservative in its favor).
+barriers.  Both run on the one TI-BSP engine: Giraph is the Pregel vertex
+program through ``VertexCentricAdapter`` over hash placement.  GoFFish
+reads from GoFS partition views; Giraph pays only instance 0's in-memory
+load (conservative in its favor).
 """
 
 import pytest

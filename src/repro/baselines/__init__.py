@@ -1,10 +1,10 @@
-"""Vertex-centric baseline ("Giraph"/Pregel substitute) and Fig 5b harness."""
+"""Vertex-centric baseline ("Giraph"/Pregel on the TI-BSP engine) and Fig 5b harness."""
 
 from .comparison import Fig5bRow, fig5b_comparison
-from .pregel import PregelEngine, PregelResult, VertexComputation, VertexContext
 from .vertex_adapter import (
-    AdaptedVertexContext,
     VertexCentricAdapter,
+    VertexComputation,
+    VertexContext,
     vertex_values_from_result,
 )
 from .vertex_algorithms import VertexBFS, VertexPageRank, VertexSSSP
@@ -12,11 +12,8 @@ from .vertex_algorithms import VertexBFS, VertexPageRank, VertexSSSP
 __all__ = [
     "Fig5bRow",
     "fig5b_comparison",
-    "AdaptedVertexContext",
     "VertexCentricAdapter",
     "vertex_values_from_result",
-    "PregelEngine",
-    "PregelResult",
     "VertexComputation",
     "VertexContext",
     "VertexBFS",

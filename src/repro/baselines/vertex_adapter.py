@@ -5,10 +5,15 @@
     programming frameworks too."
 
 :class:`VertexCentricAdapter` demonstrates that claim constructively: it
-wraps any :class:`~repro.baselines.pregel.VertexComputation` into a
+wraps any :class:`VertexComputation` — Pregel's ``Vertex.compute``, written
+from a single vertex's perspective — into a
 :class:`~repro.core.computation.TimeSeriesComputation`, so an unmodified
 Pregel-style vertex program runs on the subgraph-centric TI-BSP runtime —
-partitioning, GoFS storage, metrics and all.
+partitioning, GoFS storage, metrics and all.  This is also the Fig 5b
+"Giraph" baseline: over ``HashPartitioner()`` placement (Giraph's default,
+``v % k``) nearly every subgraph is one vertex, so the run is Pregel — one
+superstep per hop, one message per edge relaxation — and only the cost
+model's barrier differs (:mod:`repro.baselines.comparison`).
 
 Mapping:
 
@@ -21,14 +26,15 @@ Mapping:
 * vertex halt votes aggregate to a subgraph halt vote once every local
   vertex is halted and no local messages are pending.
 
-Fidelity note: semantics match Pregel with ``initial_active=all`` —
-superstep 0 runs every vertex.  The adapter operates per instance
-(independent pattern); wrap a range to analyze one instance, as the Fig 5b
-baselines do.
+Fidelity note: semantics match Pregel's — superstep 0 runs every vertex,
+a halted vertex wakes on an incoming message.  The adapter operates per
+instance (independent pattern); wrap a range to analyze one instance, as
+the Fig 5b baselines do.
 """
 
 from __future__ import annotations
 
+import abc
 from typing import Any
 
 import numpy as np
@@ -36,16 +42,21 @@ import numpy as np
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
-from .pregel import VertexComputation
 
-__all__ = ["VertexCentricAdapter", "AdaptedVertexContext", "vertex_values_from_result"]
+__all__ = [
+    "VertexComputation",
+    "VertexContext",
+    "VertexCentricAdapter",
+    "vertex_values_from_result",
+]
 
 
-class AdaptedVertexContext:
-    """The per-vertex view handed to the wrapped ``VertexComputation``.
+class VertexContext:
+    """Per-vertex, per-superstep view handed to :meth:`VertexComputation.compute`.
 
-    Implements the same surface as :class:`~repro.baselines.pregel.VertexContext`
-    but backed by a TI-BSP subgraph context.
+    Mutable ``value`` is the vertex's persistent state (Pregel's vertex
+    value); sends are delivered next superstep.  Backed by the TI-BSP
+    subgraph context of the vertex's subgraph.
     """
 
     __slots__ = ("_adapter", "_ctx", "_local", "vertex", "superstep", "messages", "_halt")
@@ -72,19 +83,33 @@ class AdaptedVertexContext:
         return self._ctx.instance.template.num_vertices
 
     def out_neighbors(self) -> np.ndarray:
+        """Global indices of this vertex's out-neighbors."""
         return self._ctx.instance.template.out_neighbors(self.vertex)
 
     def out_edge_weights(self) -> np.ndarray:
+        """Weights aligned with :meth:`out_neighbors` (ones when unweighted)."""
         edges = self._ctx.instance.template.out_edges(self.vertex)
         if self._adapter.weight_attr is None:
             return np.ones(len(edges))
         return self._ctx.instance.edge_column(self._adapter.weight_attr)[edges]
 
     def send(self, vertex: int, payload: Any) -> None:
+        """Message another vertex, delivered next superstep."""
         self._adapter._route(self._ctx, int(vertex), payload)
 
     def vote_to_halt(self) -> None:
         self._halt = True
+
+
+class VertexComputation(abc.ABC):
+    """Base class for vertex programs (Pregel's ``Vertex.compute``)."""
+
+    @abc.abstractmethod
+    def compute(self, ctx: VertexContext) -> None: ...
+
+    def initial_value(self, vertex: int) -> Any:
+        """Initial vertex value (default ``None``)."""
+        return None
 
 
 class VertexCentricAdapter(TimeSeriesComputation):
@@ -155,7 +180,7 @@ class VertexCentricAdapter(TimeSeriesComputation):
             if ctx.superstep > 0 and halted[local] and not msgs:
                 continue
             any_active = True
-            vctx = AdaptedVertexContext(self, ctx, local, msgs)
+            vctx = VertexContext(self, ctx, local, msgs)
             self.vertex_computation.compute(vctx)
             halted[local] = vctx._halt
 

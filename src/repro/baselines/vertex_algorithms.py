@@ -1,4 +1,4 @@
-"""Vertex-centric algorithms for the Pregel baseline engine.
+"""Vertex-centric algorithms for the Pregel baseline (run through the adapter).
 
 These mirror the canonical Pregel formulations (Malewicz et al.): SSSP by
 per-vertex label relaxation (one superstep per hop of progress), BFS as its
@@ -8,7 +8,8 @@ unweighted special case, and synchronous PageRank.
 from __future__ import annotations
 
 import math
-from .pregel import VertexComputation, VertexContext
+
+from .vertex_adapter import VertexComputation, VertexContext
 
 __all__ = ["VertexSSSP", "VertexBFS", "VertexPageRank"]
 
@@ -16,8 +17,7 @@ __all__ = ["VertexSSSP", "VertexBFS", "VertexPageRank"]
 class VertexSSSP(VertexComputation):
     """Pregel SSSP: value = current shortest distance (``inf`` initially).
 
-    Superstep 0 activates only the source (pass ``initial_active=[source]``
-    for efficiency, or let all vertices run — non-sources halt immediately).
+    Superstep 0 runs every vertex; all but the source halt at once.
     """
 
     def __init__(self, source: int) -> None:

@@ -13,8 +13,8 @@ Three primitives, one collector:
   drained into a picklable :class:`~repro.observability.tracer.TracePacket`
   and marshalled back over the existing protocol replies.
 * the structured **event log** (:mod:`~repro.observability.events`) —
-  schema-versioned JSONL records for sends, frame ships, combiner folds,
-  slice loads, GC pauses, and barrier waits.
+  schema-versioned JSONL records for step records, frame ships, combiner
+  folds, slice loads, GC pauses, and barrier waits.
 * the **Chrome trace-event export** (:mod:`~repro.observability.chrome`) —
   any traced run opens directly in Perfetto / ``chrome://tracing`` with one
   track per partition plus a driver track.

@@ -21,7 +21,6 @@ Schema v1 event kinds
                       ``compute_s``/``send_s``/message counts — the basis
                       of the Fig 7 breakdown
 ``barrier``           driver-measured scatter/gather wall for one superstep
-``sends``             one host flush: local/remote counts, frames, bytes
 ``frame_ship``        one coalesced frame leaving a host (dst partition,
                       message count, payload bytes, temporal flag)
 ``combine``           a combiner fold (messages in → messages out)

@@ -342,25 +342,9 @@ class ComputeHost:
         result.remote_messages += remote_n
         result.messages_sent += local_n + remote_n
         result.bytes_sent += remote_b
-        frames = len(result.frames) + len(result.temporal_frames)
-        result.frames_sent += frames
+        result.frames_sent += len(result.frames) + len(result.temporal_frames)
         result.send_s += self.cost_model.local_send_cost(local_n, local_b)
         result.send_s += self.cost_model.remote_send_cost(remote_n, remote_b)
-        if tr is not None and (local_n or remote_n):
-            tr.event(
-                "sends",
-                timestep=timestep,
-                superstep=superstep,
-                partition=own,
-                local=local_n,
-                remote=remote_n,
-                frames=frames,
-                nbytes=remote_b,
-            )
-            tr.count("messages.local", local_n)
-            tr.count("messages.remote", remote_n)
-            tr.count("messages.frames", frames)
-            tr.count("messages.remote_bytes", remote_b)
 
     # -- protocol ----------------------------------------------------------------------
 

@@ -426,7 +426,6 @@ class MetricsCollector:
             "frames": self.total_frames(),
             "bytes_sent": self.total_bytes_sent(),
             "cut_traffic_ratio": round(self.cut_traffic_ratio(), 6),
-            "load_s": round(self.total_load_s(), 6),
             "load_blocked_s": round(self.total_load_s(), 6),
             "load_hidden_s": round(self.total_load_hidden_s(), 6),
             "gc_s": round(self.total_gc_s(), 6),

@@ -59,12 +59,12 @@ __all__ = [
     "GoFSPartitionView",
     "DEFAULT_PACKING",
     "DEFAULT_BINNING",
-    "DEFAULT_PREFETCH_LEAD",
+    "PREFETCH_LEAD",
 ]
 
 DEFAULT_PACKING = 10  #: instances per temporal pack (paper's value)
 DEFAULT_BINNING = 5  #: subgraphs per spatial bin (paper's value)
-DEFAULT_PREFETCH_LEAD = 2  #: rows before a pack boundary that arm the prefetch
+PREFETCH_LEAD = 2  #: rows before a pack boundary that arm the prefetch
 
 _MANIFEST = "manifest.json"
 _TEMPLATE = "template.npz"
@@ -81,14 +81,12 @@ class GoFS:
         *,
         packing: int = DEFAULT_PACKING,
         binning: int = DEFAULT_BINNING,
-        compress: bool = False,
     ) -> dict:
         """Distribute a partitioned collection into slice files.
 
         Each pack's slices store the attributes some instance of the pack
-        has set and only name the rest (``defaults``).  ``compress`` is the
-        writer-side slice compression flag.  Returns the manifest dict
-        (also written to ``manifest.json``).
+        has set and only name the rest (``defaults``).  Returns the manifest
+        dict (also written to ``manifest.json``).
         """
         if packing < 1 or binning < 1:
             raise ValueError("packing and binning must be >= 1")
@@ -114,7 +112,7 @@ class GoFS:
             lo, hi = k * packing, min((k + 1) * packing, T)
             instances = [collection.instance(t) for t in range(lo, hi)]
             for (p, b), (verts, edges) in rows.items():
-                write_slice(root, SliceKey(p, b, k), verts, edges, instances, compress=compress)
+                write_slice(root, SliceKey(p, b, k), verts, edges, instances)
 
         manifest = {
             "format_version": 1,
@@ -160,16 +158,10 @@ class GoFS:
         cache_packs: int | None = None,
         cache_bytes: int | None = None,
         prefetch: bool = False,
-        prefetch_lead: int = DEFAULT_PREFETCH_LEAD,
     ) -> "GoFSPartitionView":
         """Open one partition's instance source."""
         return GoFSPartitionView(
-            root,
-            partition_id,
-            cache_packs=cache_packs,
-            cache_bytes=cache_bytes,
-            prefetch=prefetch,
-            prefetch_lead=prefetch_lead,
+            root, partition_id, cache_packs=cache_packs, cache_bytes=cache_bytes, prefetch=prefetch
         )
 
     @staticmethod
@@ -179,7 +171,6 @@ class GoFS:
         cache_packs: int | None = None,
         cache_bytes: int | None = None,
         prefetch: bool = False,
-        prefetch_lead: int = DEFAULT_PREFETCH_LEAD,
     ) -> list["GoFSPartitionView"]:
         """One view per partition, in partition order (engine ``sources``).
 
@@ -196,7 +187,6 @@ class GoFS:
                 cache_packs=cache_packs,
                 cache_bytes=cache_bytes,
                 prefetch=prefetch,
-                prefetch_lead=prefetch_lead,
                 manifest=manifest,
                 template=template,
             )
@@ -276,14 +266,11 @@ class GoFSPartitionView:
         :meth:`resident_bytes`.
     prefetch:
         Start loading pack *k+1* on a background thread while timestep
-        compute is still inside pack *k*.  Triggered automatically once an
-        :meth:`instance` access comes within ``prefetch_lead`` rows of the
-        pack boundary, and by the engine's end-of-superstep
-        :meth:`prefetch` hint.  Results stay bit-identical — only the load
-        accounting moves from blocked to hidden seconds.
-    prefetch_lead:
-        How many rows before the pack boundary the automatic trigger arms
-        (default 2: the penultimate row of a pack).
+        compute is still inside pack *k*.  Triggered once an
+        :meth:`instance` access comes within :data:`PREFETCH_LEAD` rows of
+        the pack boundary (the penultimate row of a pack).  Results stay
+        bit-identical — only the load accounting moves from blocked to
+        hidden seconds.
     manifest, template:
         Pre-parsed store metadata shared by views opened together (see
         :meth:`GoFS.partition_views`).  Treated as immutable; not pickled.
@@ -297,7 +284,6 @@ class GoFSPartitionView:
         cache_packs: int | None = None,
         cache_bytes: int | None = None,
         prefetch: bool = False,
-        prefetch_lead: int = DEFAULT_PREFETCH_LEAD,
         manifest: dict | None = None,
         template: GraphTemplate | None = None,
     ) -> None:
@@ -305,8 +291,6 @@ class GoFSPartitionView:
             raise ValueError("cache_packs must be >= 1")
         if cache_bytes is not None and cache_bytes < 1:
             raise ValueError("cache_bytes must be >= 1")
-        if prefetch_lead < 1:
-            raise ValueError("prefetch_lead must be >= 1")
         if cache_packs is None and cache_bytes is None:
             cache_packs = 1
         self.root = Path(root)
@@ -315,7 +299,6 @@ class GoFSPartitionView:
         self.cache_packs = cache_packs
         self.cache_bytes = cache_bytes
         self.prefetch_enabled = bool(prefetch)
-        self.prefetch_lead = int(prefetch_lead)
         self._init_runtime(manifest, template)
 
     def _init_runtime(
@@ -419,7 +402,6 @@ class GoFSPartitionView:
             "cache_packs": self.cache_packs,
             "cache_bytes": self.cache_bytes,
             "prefetch": self.prefetch_enabled,
-            "prefetch_lead": self.prefetch_lead,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -428,7 +410,6 @@ class GoFSPartitionView:
         self.cache_packs = state.get("cache_packs", 1)
         self.cache_bytes = state.get("cache_bytes")
         self.prefetch_enabled = state.get("prefetch", False)
-        self.prefetch_lead = state.get("prefetch_lead", DEFAULT_PREFETCH_LEAD)
         self._init_runtime()
 
     # -- pack cache --------------------------------------------------------------------
@@ -768,7 +749,7 @@ class GoFSPartitionView:
         packing = self.manifest["packing"]
         pack, row = divmod(timestep, packing)
         pack_data = self._get_pack(pack, timestep)
-        if self.prefetch_enabled and row >= packing - self.prefetch_lead:
+        if self.prefetch_enabled and row >= packing - PREFETCH_LEAD:
             self.prefetch((pack + 1) * packing)  # range-checked inside
         tpl = self.template
         return GraphInstance(

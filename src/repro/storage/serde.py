@@ -18,12 +18,12 @@ array's buffer goes to the file once, straight from the array.  Numeric
 arrays deserialize as ``np.frombuffer`` views over the file bytes —
 near-memcpy, no pickle, no per-array parsing — while object-dtype columns
 ride a pickled side-channel (``kind: "pickle"``; trusted local data, same
-stance as the schema blobs above).  An optional zlib pass over the payload
-trades the zero-copy read for smaller files.
+stance as the schema blobs above).  The header's ``compression`` is always
+null; a reader refuses any other value.
 
 Reading is split in two.  *Eager*, in :func:`unpack_arrays`: magic, header
 parse, bounds and size validation of every entry, the ``allow_objects``
-gate, and the zlib pass if any — everything that can fail fails there.
+gate — everything that can fail fails there.
 *Per array, on first access* (:class:`PackedArrays`): the ``frombuffer``
 view or the unpickle, so a reader that never asks for a column never pays
 for decoding it.
@@ -35,7 +35,6 @@ import io
 import json
 import math
 import pickle
-import zlib
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import BinaryIO
@@ -68,16 +67,13 @@ def write_arrays(
     arrays: Mapping[str, np.ndarray],
     *,
     defaults: Iterable[str] = (),
-    compress: bool = False,
 ) -> None:
     """Stream named arrays to ``fp`` as one GSL2 buffer — the only writer.
 
     Header first, then each numeric array's own buffer, written once at its
     64-byte-aligned payload offset; object-dtype arrays are pickled.
     ``defaults`` names columns deliberately left out (readers serve their
-    schema default).  With ``compress`` the payload (not the header) is
-    zlib-compressed — readable by the same :func:`unpack_arrays`, at the
-    cost of the zero-copy view.
+    schema default).
     """
     entries: list[dict] = []
     blobs: list[bytes | np.ndarray] = []
@@ -104,28 +100,23 @@ def write_arrays(
         blobs.append(blob)
         offset += nbytes
     header = {
-        "compression": "zlib" if compress else None,
+        "compression": None,
         "arrays": entries,
         "defaults": sorted(defaults),
     }
     header = json.dumps(header).encode("utf-8")
     fp.write(GSL2_MAGIC + len(header).to_bytes(4, "little") + header)
-    out = io.BytesIO() if compress else fp
     written = 0
     for entry, blob in zip(entries, blobs):
-        out.write(b"\x00" * (entry["offset"] - written))
-        out.write(blob)
+        fp.write(b"\x00" * (entry["offset"] - written))
+        fp.write(blob)
         written = entry["offset"] + entry["nbytes"]
-    if compress:
-        fp.write(zlib.compress(out.getbuffer()))
 
 
-def pack_arrays(
-    arrays: Mapping[str, np.ndarray], *, defaults: Iterable[str] = (), compress: bool = False
-) -> bytes:
+def pack_arrays(arrays: Mapping[str, np.ndarray], *, defaults: Iterable[str] = ()) -> bytes:
     """:func:`write_arrays` into memory; returns the buffer."""
     buf = io.BytesIO()
-    write_arrays(buf, arrays, defaults=defaults, compress=compress)
+    write_arrays(buf, arrays, defaults=defaults)
     return buf.getvalue()
 
 
@@ -134,11 +125,11 @@ class PackedArrays(Mapping):
 
     The header is parsed and validated up front (:func:`unpack_arrays`);
     each array is decoded from the payload on its first ``[name]`` and kept.
-    Raw arrays decode to read-only ``np.frombuffer`` views (zero-copy when
-    the payload is uncompressed); object arrays are unpickled then, and only
-    then.  :meth:`entry` answers dtype/shape/size questions from the header
-    without decoding anything; :attr:`defaults` names the columns the writer
-    left out because they hold nothing but their default.
+    Raw arrays decode to read-only, zero-copy ``np.frombuffer`` views;
+    object arrays are unpickled then, and only then.  :meth:`entry` answers
+    dtype/shape/size questions from the header without decoding anything;
+    :attr:`defaults` names the columns the writer left out because they
+    hold nothing but their default.
     """
 
     __slots__ = ("_entries", "_payload", "_decoded", "defaults")
@@ -198,13 +189,12 @@ def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> PackedArr
     if len(buf) < 8 + hlen:
         raise ValueError(f"GSL2 header truncated: {len(buf) - 8} of {hlen} bytes")
     header = json.loads(buf[8 : 8 + hlen].decode("utf-8"))
-    payload: bytes | memoryview = memoryview(buf)[8 + hlen :]
-    if header["compression"] == "zlib":
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise ValueError(f"GSL2 payload does not decompress: {exc}") from None
-    view = memoryview(payload)
+    if header["compression"] is not None:
+        raise ValueError(
+            f"GSL2 payload is {header['compression']}-compressed; "
+            "rewrite with `GoFS.write_collection`"
+        )
+    view = memoryview(buf)[8 + hlen :]
     entries: dict[str, dict] = {}
     for entry in header["arrays"]:
         name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]

@@ -19,7 +19,6 @@ views so a pack load is near-memcpy.  Object columns (e.g. tweet lists)
 ride a pickled side-channel inside the same file.  A column that no
 instance of the pack has set is not stored: the header lists it under
 ``defaults`` and readers serve the schema default (slice format 3).
-Compression (a zlib payload) is a writer flag.
 
 :func:`read_slice` reads the file and validates the header eagerly and
 decodes each column on its first access, so the cost of a column — above all
@@ -90,8 +89,6 @@ def write_slice(
     vertex_rows: np.ndarray,
     edge_rows: np.ndarray,
     instances: list[GraphInstance],
-    *,
-    compress: bool = False,
 ) -> Path:
     """Write one slice: the given rows of every *set* attribute × instances.
 
@@ -117,7 +114,7 @@ def write_slice(
             arrays[f"{prefix}__{spec.name}"] = mat
     path = Path(root) / slice_filename(key)
     with open(path, "wb") as fp:
-        write_arrays(fp, arrays, defaults=defaults, compress=compress)
+        write_arrays(fp, arrays, defaults=defaults)
     return path
 
 

@@ -98,7 +98,8 @@ class TestTracedRun:
             TDSPComputation(0), pg, coll, config=EngineConfig(tracing=True)
         )
         kinds = {e["kind"] for e in res.trace.event_records()}
-        assert {"step", "barrier", "sends", "frame_ship", "instance_load"} <= kinds
+        assert {"step", "barrier", "frame_ship", "instance_load"} <= kinds
+        assert "sends" not in kinds  # a host flush is its step record's fields
 
     def test_gc_events(self, tweet_case):
         _tpl, coll, pg = tweet_case

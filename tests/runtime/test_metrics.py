@@ -161,7 +161,7 @@ class TestCounting:
         s = m.summary()
         assert s["bytes_sent"] == 768
         assert s["cut_traffic_ratio"] == pytest.approx(4 / 15, abs=1e-6)
-        assert s["load_s"] == pytest.approx(0.5)
+        assert s["load_blocked_s"] == pytest.approx(0.5) and "load_s" not in s
         assert s["gc_s"] == pytest.approx(0.05)
 
     def test_summary_ratio_zero_when_no_traffic(self):

@@ -281,14 +281,11 @@ class TestByteBudget:
 
     def test_pickle_preserves_budget_and_prefetch(self, store):
         root, *_ = store
-        view = GoFS.partition_view(
-            root, 1, cache_bytes=123456, prefetch=True, prefetch_lead=3
-        )
+        view = GoFS.partition_view(root, 1, cache_bytes=123456, prefetch=True)
         clone = pickle.loads(pickle.dumps(view))
         assert clone.cache_bytes == 123456
         assert clone.cache_packs is None
         assert clone.prefetch_enabled is True
-        assert clone.prefetch_lead == 3
 
 
 class TestSharedManifest:

@@ -36,11 +36,10 @@ def sample_arrays(with_objects=False):
 
 
 class TestPackArrays:
-    @pytest.mark.parametrize("compress", [False, True])
     @pytest.mark.parametrize("with_objects", [False, True])
-    def test_roundtrip(self, compress, with_objects):
+    def test_roundtrip(self, with_objects):
         arrays = sample_arrays(with_objects)
-        buf = pack_arrays(arrays, compress=compress)
+        buf = pack_arrays(arrays)
         assert buf[:4] == GSL2_MAGIC
         out = unpack_arrays(buf)
         assert set(out) == set(arrays)
@@ -111,10 +110,9 @@ class TestLazyDecode:
         with pytest.raises(KeyError):
             out["nope"]
 
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_slice_nbytes_from_header_equals_decoded_size(self, compress):
+    def test_slice_nbytes_from_header_equals_decoded_size(self):
         arrays = sample_arrays(with_objects=True)
-        out = unpack_arrays(pack_arrays(arrays, compress=compress))
+        out = unpack_arrays(pack_arrays(arrays))
         want = sum(64 * a.size if a.dtype == object else a.nbytes for a in arrays.values())
         assert slice_nbytes(out) == want  # before any decode
         for name in out:
@@ -137,9 +135,17 @@ class TestEagerValidation:
             unpack_arrays(buf[:-1])
 
     def test_truncated_compressed_payload(self):
-        buf = pack_arrays(sample_arrays(), compress=True)
-        with pytest.raises(ValueError, match="decompress"):
-            unpack_arrays(buf[:-3])
+        """A compressed header is refused, whatever its payload holds."""
+
+        def compressed(header):
+            header["compression"] = "zlib"
+
+        buf = rewrite_header(pack_arrays(sample_arrays()), compressed)
+        for payload in (buf, buf[:-3]):
+            with pytest.raises(
+                ValueError, match="zlib-compressed; rewrite with `GoFS.write_collection`"
+            ):
+                unpack_arrays(payload)
 
     def test_lying_nbytes(self):
         def lie(header):
@@ -188,11 +194,10 @@ def slice_case():
 
 
 class TestWriteReadSlice:
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_formats_agree(self, tmp_path, slice_case, compress):
+    def test_formats_agree(self, tmp_path, slice_case):
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
-        write_slice(tmp_path, key, verts, edges, instances, compress=compress)
+        write_slice(tmp_path, key, verts, edges, instances)
         data = read_slice(tmp_path, key)
         assert np.array_equal(data["vertex_rows"], verts)
         assert np.array_equal(data["edge_rows"], edges)
@@ -298,18 +303,3 @@ class TestGoFSFormats:
                         inst.vertex_column("tweets")[rows].tolist()
                         == coll.instance(t).vertex_column("tweets")[rows].tolist()
                     )
-
-    def test_compressed_v2_smaller_and_identical(self, case, tmp_path):
-        tpl, coll, pg = case
-        raw_root, zip_root = tmp_path / "raw", tmp_path / "zip"
-        GoFS.write_collection(raw_root, pg, coll, packing=3, binning=2)
-        GoFS.write_collection(zip_root, pg, coll, packing=3, binning=2, compress=True)
-        raw_bytes = sum(f.stat().st_size for f in raw_root.glob("*.gsl"))
-        zip_bytes = sum(f.stat().st_size for f in zip_root.glob("*.gsl"))
-        assert zip_bytes < raw_bytes
-        v_raw = GoFS.partition_view(raw_root, 0).instance(4)
-        v_zip = GoFS.partition_view(zip_root, 0).instance(4)
-        assert (
-            v_raw.vertex_column("traffic").tobytes()
-            == v_zip.vertex_column("traffic").tobytes()
-        )
