@@ -4,7 +4,7 @@ Measures, per scale, the ingest wall (generate CARN+WIKI with their
 collections, then partition both templates at k=9): uncached, and cache
 cold (build + store) vs warm (load) through a :class:`DatasetCache`.
 
-The 2M run reproduces the paper's dataset regime (CARN 1.1M / WIKI 2.39M
+The 2M run reproduces the paper's dataset regime (CARN 1.96M / WIKI 2.39M
 vertices).  Skip it with ``REPRO_BENCH_INGEST_FULL=0``.  (The first line of
 ``benchmarks/history/ingest.jsonl`` holds the last measurement against the
 deleted scalar pipeline: 3.5× at 20k, 3.1× at 200k.)

@@ -3,7 +3,7 @@
 Grows ``k`` balanced regions breadth-first from spread-out seed vertices.
 Cheap, deterministic, and produces low cuts on large-diameter graphs (road
 networks), though it is weaker than the multilevel partitioner on small-world
-graphs.  Also used to seed the multilevel partitioner's coarsest level.
+graphs.  The multilevel one seeds its coarsest level itself (``_initial_partition``).
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ networks, large and k-increasing cuts on small-world graphs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,13 +60,13 @@ class CSR(NamedTuple):
     data: np.ndarray
 
 
-@dataclass(eq=False)
-class _Level:
+class _Level(NamedTuple):
     """One level of the multilevel hierarchy."""
 
     adj: CSR  # symmetric weighted adjacency, zero diagonal
     vertex_weights: np.ndarray
-    coarse_map: np.ndarray | None  # fine vertex -> coarse vertex (None at finest)
+    coarse_map: np.ndarray | None  # finer vertex -> this level's vertex (None at finest)
+    slot_src: np.ndarray  # owning row of every slot, for matching, contraction and refine
 
 
 def _sum_duplicates(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n: int) -> CSR:
@@ -108,7 +107,9 @@ def _coarse_ids(match: np.ndarray) -> np.ndarray:
     return ids[rep]
 
 
-def heavy_edge_matching(adj: CSR, rng: np.random.Generator) -> np.ndarray:
+def heavy_edge_matching(
+    adj: CSR, rng: np.random.Generator, *, slot_src: np.ndarray | None = None
+) -> np.ndarray:
     """Match each vertex with its heaviest unmatched neighbor.
 
     Returns ``coarse_map``: fine vertex → coarse vertex id (dense).  Unmatched
@@ -120,28 +121,32 @@ def heavy_edge_matching(adj: CSR, rng: np.random.Generator) -> np.ndarray:
     O(log n) even on paths and grids where index-order ties would serialize
     the matching); mutual proposals are matched, then slots touching matched
     vertices are compressed away.  Deterministic in the rng state.
+
+    A slot's weight and tie-break are one int64 key, ``weight * n +
+    priority[col]``: a proposal is one ``maximum.reduceat``, its ``% n`` the
+    partner's priority.  Weights are integral (edge multiplicities summed by
+    contraction, or ``ValueError``), so ``w * n < 2|E| * |V|`` fits.
     """
     n = len(adj.indptr) - 1
     match = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     priority = rng.permutation(n)
-    cur_src, cur_dst, cur_w = slot_sources(adj.indptr), adj.indices, adj.data
+    key = adj.data.astype(np.int64)
+    if not np.array_equal(key, adj.data):
+        raise ValueError("heavy_edge_matching needs integral edge weights")
+    key *= n
+    key += priority[adj.indices]
+    by_priority = np.empty(n, dtype=np.int64)  # key % n -> the proposed vertex
+    by_priority[priority] = np.arange(n, dtype=np.int64)
+    cur_src = slot_sources(adj.indptr) if slot_src is None else slot_src
+    cur_dst = adj.indices
     while len(cur_src):
-        # Segment boundaries of the (row-sorted) alive slot arrays.
-        head = np.empty(len(cur_src), dtype=bool)
-        head[0] = True
-        np.not_equal(cur_src[1:], cur_src[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        seg = np.cumsum(head) - 1
-        # Heaviest alive neighbor per row, ties to the highest priority.
-        row_max = np.maximum.reduceat(cur_w, starts)
-        on_max = cur_w == row_max[seg]
-        pri = np.where(on_max, priority[cur_dst], -1)
-        best_pri = np.maximum.reduceat(pri, starts)
-        sel = pri == best_pri[seg]  # exactly one slot per row (unique priorities)
-        proposer = cur_src[sel]
-        proposed = cur_dst[sel]
+        # Heaviest alive neighbor per (row-sorted) alive row, ties to the
+        # highest priority: the row's max key, whose remainder names it.
+        starts = segment_starts(cur_src)
+        proposer = cur_src[starts]
+        proposed = by_priority[np.maximum.reduceat(key, starts) % n]
         # Commit mutual proposals.
         partner = np.full(n, -1, dtype=np.int64)
         partner[proposer] = proposed
@@ -151,8 +156,9 @@ def heavy_edge_matching(adj: CSR, rng: np.random.Generator) -> np.ndarray:
             break  # cannot happen with unique priorities; safety stop
         match[mu] = mv
         match[mv] = mu
-        alive = (match[cur_src] == -1) & (match[cur_dst] == -1)
-        cur_src, cur_dst, cur_w = cur_src[alive], cur_dst[alive], cur_w[alive]
+        free = match == -1
+        alive = (free[cur_src] & free[cur_dst]).nonzero()[0]
+        cur_src, cur_dst, key = cur_src[alive], cur_dst[alive], key[alive]
     unmatched = np.nonzero(match == -1)[0]
     match[unmatched] = unmatched  # singletons
     return _coarse_ids(match)
@@ -162,6 +168,8 @@ def coarsen_graph(
     adj: CSR,
     vertex_weights: np.ndarray,
     coarse_map: np.ndarray,
+    *,
+    slot_src: np.ndarray | None = None,
 ) -> tuple[CSR, np.ndarray]:
     """Contract a graph along ``coarse_map`` (sums edge and vertex weights).
 
@@ -170,9 +178,9 @@ def coarsen_graph(
     (:func:`_sum_duplicates`) — no sparse matmul, no ``setdiag`` pass.
     """
     nc = int(coarse_map.max()) + 1 if len(coarse_map) else 0
-    rows = coarse_map[slot_sources(adj.indptr)]
+    rows = coarse_map[slot_sources(adj.indptr) if slot_src is None else slot_src]
     cols = coarse_map[adj.indices]
-    off_diag = rows != cols
+    off_diag = (rows != cols).nonzero()[0]
     coarse = _sum_duplicates(rows[off_diag], cols[off_diag], adj.data[off_diag], nc)
     cw = np.bincount(coarse_map, weights=vertex_weights, minlength=nc)
     return coarse, cw
@@ -271,18 +279,18 @@ class MetisLikePartitioner:
 
         rng = np.random.default_rng(self.seed)
         adj = _symmetric_weighted_adjacency(template)
-        levels: list[_Level] = [_Level(adj, np.ones(n, dtype=np.float64), None)]
+        levels = [_Level(adj, np.ones(n, dtype=np.float64), None, slot_sources(adj.indptr))]
 
         # ---- coarsening phase -------------------------------------------------
         target = max(self.coarsen_until, 30 * k)
         while len(levels[-1].vertex_weights) > target:
             top = levels[-1]
-            coarse_map = heavy_edge_matching(top.adj, rng)
+            coarse_map = heavy_edge_matching(top.adj, rng, slot_src=top.slot_src)
             nc = int(coarse_map.max()) + 1
             if nc > 0.95 * len(coarse_map):
                 break  # matching stalled (e.g. star graphs); stop coarsening
-            cadj, cw = coarsen_graph(top.adj, top.vertex_weights, coarse_map)
-            levels.append(_Level(cadj, cw, coarse_map))
+            cadj, cw = coarsen_graph(top.adj, top.vertex_weights, coarse_map, slot_src=top.slot_src)
+            levels.append(_Level(cadj, cw, coarse_map, slot_sources(cadj.indptr)))
             if len(cadj.indices) > _NNZ_STALL_RATIO * len(top.adj.indices):
                 # Contraction stopped shrinking the edge set (small-world
                 # graphs densify as they coarsen): further levels repeat the
@@ -300,34 +308,26 @@ class MetisLikePartitioner:
             # balanced random start; rebalance + extra FM passes in refine
             # do the actual partitioning work.
             assignment = rng.permutation(nc0).astype(np.int64) % k
-            init_passes = self.refine_passes * 4
+            passes = self.refine_passes * 4
         else:
-            assignment = _initial_partition(
-                coarsest.adj, coarsest.vertex_weights, k, rng, cap
-            )
-            init_passes = max(self.refine_passes * 2, 8)
-        assignment = refine(
-            *coarsest.adj,
-            coarsest.vertex_weights,
-            assignment,
-            k,
-            imbalance=self.imbalance,
-            passes=init_passes,
-        )
+            assignment = _initial_partition(coarsest.adj, coarsest.vertex_weights, k, rng, cap)
+            passes = max(self.refine_passes * 2, 8)
 
-        # ---- uncoarsening with refinement --------------------------------------
-        for li in range(len(levels) - 2, -1, -1):
-            level = levels[li]
-            child = levels[li + 1]
-            assignment = assignment[child.coarse_map]
+        # ---- uncoarsening: refine each level, coarsest first, project down ---
+        while levels:
+            level = levels.pop()  # freed once the finer level holds its labels
             assignment = refine(
                 *level.adj,
                 level.vertex_weights,
                 assignment,
                 k,
                 imbalance=self.imbalance,
-                passes=self.refine_passes,
+                passes=passes,
+                slot_src=level.slot_src,
             )
+            passes = self.refine_passes
+            if level.coarse_map is not None:
+                assignment = assignment[level.coarse_map]
 
         # ---- subgraph-count/size balance (arXiv:1508.04265) --------------------
         if self.subgraph_aware:

@@ -10,16 +10,16 @@ graphs.
 All per-pass work is segment-reduction form: connectivity is one flat
 ``np.bincount`` over ``slot_src * k + assignment[indices]`` (much faster
 than an ``np.add.at`` scatter), and the ``slot_src`` expansion of the CSR
-row pointer — the one O(|slots|) allocation everything shares — is computed
-once per :func:`refine` call and threaded through every cut/connectivity
-evaluation instead of being rebuilt per pass.
+row pointer — the one O(|slots|) allocation everything shares — is passed
+in (``slot_src=``, one per multilevel level) or computed once per call, and
+threaded through every cut/connectivity evaluation, never rebuilt per pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.csr import slot_sources, sorted_unique
+from ..kernels.csr import segment_starts, slot_sources, sorted_unique
 
 __all__ = ["partition_connectivity", "edge_cut_weight", "rebalance", "refine"]
 
@@ -139,6 +139,7 @@ def refine(
     *,
     imbalance: float = 1.03,
     passes: int = 4,
+    slot_src: np.ndarray | None = None,
 ) -> np.ndarray:
     """Greedy FM refinement: repeat gain-ordered boundary moves until stable.
 
@@ -158,7 +159,7 @@ def refine(
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     total_w = float(vertex_weights.sum())
     cap = imbalance * total_w / k if total_w else 0.0
-    slot_src = slot_sources(indptr)
+    slot_src = slot_sources(indptr) if slot_src is None else slot_src
     assignment = rebalance(
         indptr, indices, weights, vertex_weights, assignment, k, cap, slot_src=slot_src
     )
@@ -215,10 +216,7 @@ def refine(
             mw = vertex_weights[mv]
             by_target = np.lexsort((-gain[order], mt))
             mv, mt, mw = mv[by_target], mt[by_target], mw[by_target]
-            head = np.empty(len(mt), dtype=bool)
-            head[0] = True
-            np.not_equal(mt[1:], mt[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
+            starts = segment_starts(mt)
             counts = np.diff(np.append(starts, len(mt)))
             running = np.cumsum(mw)
             group_base = np.repeat(running[starts] - mw[starts], counts)

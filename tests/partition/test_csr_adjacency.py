@@ -1,13 +1,17 @@
 """The partitioner's three-field CSR against the scipy constructions it
-replaced (scipy is the oracle here; ``src/repro/partition`` imports none)."""
+replaced (scipy is the oracle here; ``src/repro/partition`` imports none),
+and its array matching against a scalar, per-vertex handshake."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from repro.generators import road_network, smallworld_network
 from repro.graph import GraphTemplate
 from repro.partition.metis_like import (
     CSR,
+    _coarse_ids,
     _symmetric_weighted_adjacency,
     coarsen_graph,
     heavy_edge_matching,
@@ -79,3 +83,92 @@ class TestCsr:
         want.eliminate_zeros()
         want.sort_indices()
         assert_same_csr(c_ours, want)
+
+
+def scalar_handshake_matching(adj, seed: int) -> np.ndarray:
+    """One vertex at a time: each round every unmatched vertex with an
+    unmatched neighbour proposes to the one with the largest ``(weight,
+    priority)``, and mutual proposals commit."""
+    n = len(adj.indptr) - 1
+    priority = np.random.default_rng(seed).permutation(n)
+    match = [-1] * n
+    while True:
+        proposal = {}
+        for u in range(n):
+            if match[u] != -1:
+                continue
+            best = None
+            for slot in range(adj.indptr[u], adj.indptr[u + 1]):
+                v = int(adj.indices[slot])
+                if match[v] == -1 and (
+                    best is None or (adj.data[slot], priority[v]) > best[0]
+                ):
+                    best = ((adj.data[slot], priority[v]), v)
+            if best is not None:
+                proposal[u] = best[1]
+        if not proposal:
+            break
+        for u, v in proposal.items():
+            if u < v and proposal.get(v) == u:
+                match[u], match[v] = v, u
+    return _coarse_ids(np.array([v if m == -1 else m for v, m in enumerate(match)]))
+
+
+@st.composite
+def multigraphs(draw) -> GraphTemplate:
+    """Stars, paths, grids or random edge lists, each edge repeated 1-5
+    times (a weight of 1-5 once collapsed), plus isolated vertices, under a
+    random labelling."""
+    shape = draw(st.sampled_from(["star", "path", "grid", "random"]))
+    size = draw(st.integers(1, 40))
+    if shape == "star":
+        edges = [(0, v) for v in range(1, size)]
+    elif shape == "path":
+        edges = [(v, v + 1) for v in range(size - 1)]
+    elif shape == "grid":
+        w = draw(st.integers(1, 7))
+        size = w * max(1, size // w)
+        edges = [(v, v + 1) for v in range(size) if (v + 1) % w] + [
+            (v, v + w) for v in range(size - w)
+        ]
+    else:
+        vertex = st.integers(0, size - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * size))
+    n = size + draw(st.integers(0, 5))
+    label = draw(st.permutations(range(n)))
+    times = draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+    src = [label[u] for (u, _), m in zip(edges, times) for _ in range(m)]
+    dst = [label[v] for (_, v), m in zip(edges, times) for _ in range(m)]
+    return GraphTemplate(n, src, dst)
+
+
+class TestMatchingOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(tpl=multigraphs(), seed=st.integers(0, 2**16))
+    def test_matching_equals_the_scalar_handshake(self, tpl, seed):
+        adj = _symmetric_weighted_adjacency(tpl)
+        got = heavy_edge_matching(adj, np.random.default_rng(seed))
+        assert np.array_equal(got, scalar_handshake_matching(adj, seed))
+
+    @pytest.mark.parametrize("graph", ["CARN", "WIKI"])
+    def test_matching_equals_the_scalar_handshake_on_every_level(self, graph):
+        generate = road_network if graph == "CARN" else smallworld_network
+        adj = _symmetric_weighted_adjacency(generate(2000, seed=1))
+        vw = np.ones(len(adj.indptr) - 1)
+        levels = 0
+        while len(vw) > 200:
+            coarse_map = heavy_edge_matching(adj, np.random.default_rng(levels))
+            assert np.array_equal(coarse_map, scalar_handshake_matching(adj, levels))
+            levels += 1
+            if coarse_map.max() + 1 > 0.95 * len(vw):
+                break
+            adj, vw = coarsen_graph(adj, vw, coarse_map)
+        assert levels >= 2
+        assert adj.data.max() > 1  # contraction summed weights the oracle then saw
+
+    def test_non_integral_weight_is_refused(self):
+        adj = CSR(
+            np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), np.array([1.0, 1.0, 0.5, 0.5])
+        )
+        with pytest.raises(ValueError, match="integral"):
+            heavy_edge_matching(adj, np.random.default_rng(0))

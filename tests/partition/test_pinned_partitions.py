@@ -1,14 +1,22 @@
 """Partitions pinned: the assignments a seed gives are part of every digest
 and every ``core.*`` count downstream, so a change to the partitioner's
-plumbing (scipy out, numpy in) must leave them byte-identical."""
+plumbing (scipy out, numpy in) must leave them byte-identical.  What ingest
+writes — partition, decompose, slices — is pinned too, as store bytes."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.generators import road_network, smallworld_network
+from repro.generators import (
+    road_latency_collection,
+    road_network,
+    smallworld_network,
+    tweet_collection,
+)
 from repro.partition import MetisLikePartitioner, partition_graph
+from repro.storage import GoFS
 
 # sha256 of partition_graph(...)'s vertex->partition and vertex->subgraph
 # arrays (int64 bytes), recorded at the last commit whose partitioner went
@@ -37,3 +45,26 @@ def test_partitions_are_pinned(cell):
     pg = partition_graph(generate(n, seed=seed), k, MetisLikePartitioner(seed=seed))
     got = (_sha(pg.vertex_partition), _sha(pg.vertex_subgraph), pg.num_subgraphs)
     assert got == PINNED[cell]
+
+
+# sha256 over the sorted relative names and bytes of every file of a
+# ``GoFS.write_collection`` store (k=3, seed 1, 2000 vertices, 12
+# instances), recorded at 940f081.
+PINNED_STORES = {"CARN": "ff9713d68e36e887", "WIKI": "08feebbc744686a1"}
+
+
+@pytest.mark.parametrize("graph", PINNED_STORES)
+def test_store_bytes_are_pinned(graph, tmp_path):
+    if graph == "CARN":
+        tpl = road_network(2000, seed=1)
+        collection = road_latency_collection(tpl, 12, seed=1)
+    else:
+        tpl = smallworld_network(2000, seed=1)
+        collection = tweet_collection(tpl, 12, hit_probability=0.1, seeds_per_meme=20, seed=1)
+    pg = partition_graph(tpl, 3, MetisLikePartitioner(seed=1))
+    GoFS.write_collection(tmp_path, pg, collection)
+    h = hashlib.sha256()
+    for path in sorted(p for p in Path(tmp_path).rglob("*") if p.is_file()):
+        h.update(path.relative_to(tmp_path).as_posix().encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest()[:16] == PINNED_STORES[graph]
