@@ -546,8 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     res.add_argument(
         "--inject-faults", metavar="SPEC",
         help="deterministic fault plan, e.g. 'kill@t2:p1,delay@t3:s0:p0:d0.1' "
-        "(kinds: kill, delay, drop, corrupt, fail_load, drop_frame, "
-        "dup_frame, reorder, corrupt_frame, slow_host)",
+        "(host kinds: kill, delay, fail_load; wire kinds, no-ops in-process: "
+        "drop_frame, dup_frame, reorder, corrupt_frame)",
     )
     res.add_argument(
         "--fault-seed", type=int, default=None,

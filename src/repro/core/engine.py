@@ -20,11 +20,12 @@ were emitted in it.
 
 Fault tolerance (the resilience plane)
 --------------------------------------
-TI-BSP's barriers double as durable boundaries.  When
-``EngineConfig.checkpoint`` is set, the engine snapshots every partition's
-host state plus its own driver state (buffered temporal frames, outputs,
-metrics) into a :class:`~repro.resilience.checkpoint.CheckpointManager`
-directory at timestep (and optionally superstep) boundaries.  When a
+The barrier that closes a timestep doubles as the one durable boundary.
+When ``EngineConfig.checkpoint`` is set, the engine snapshots every
+partition's host state plus its own driver state (buffered temporal frames,
+outputs, metrics) into a :class:`~repro.resilience.checkpoint.CheckpointManager`
+directory at the end of a timestep; a run resumes there, and a failure
+inside a timestep is repaired by journal replay from it.  When a
 *recoverable* failure surfaces — a dead worker process, a wedged gather, a
 corrupt reply, an injected fault — there is one way to recover.  A
 :class:`~repro.resilience.supervisor.HostSupervisor` issues every
@@ -92,8 +93,8 @@ from .results import AppResult
 __all__ = ["EXECUTORS", "EngineConfig", "TIBSPEngine", "run_application"]
 
 #: Gather timeout applied to process clusters when fault injection is on but
-#: the user did not configure one: ``drop``/``delay`` faults must surface as
-#: detected failures, not infinite barriers.
+#: the user did not configure one: ``drop_frame``/``delay`` faults must
+#: surface as detected failures, not infinite barriers.
 _DEFAULT_FAULT_GATHER_TIMEOUT_S = 10.0
 
 #: The executors ``EngineConfig.executor`` may name.
@@ -145,7 +146,7 @@ class EngineConfig:
         run's own collector.
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.CheckpointConfig`.
-        When set, durable boundary snapshots are written on the configured
+        When set, timestep-boundary snapshots are written on the configured
         cadence; ``run(resume_from=...)`` restarts from them and host
         repair restores the failed partition from the latest one.
     faults:
@@ -405,14 +406,15 @@ class TIBSPEngine:
             stop=stop,
             result=result,
             recorder=RunRecorder(metrics, trace),
-            manager=(
-                CheckpointManager(cfg.checkpoint.dir, retain=cfg.checkpoint.retain)
-                if cfg.checkpoint is not None
-                else None
+            manager=None if cfg.checkpoint is None else CheckpointManager(
+                cfg.checkpoint.dir,
+                retain=cfg.checkpoint.retain,
+                # A checkpoint is restored only into a run of this shape.
+                signature={"num_partitions": self.pg.num_partitions,
+                           "num_subgraphs": len(self.pg.subgraphs), "pattern": pattern.name},
             ),
             input_msgs=self._as_input_messages(inputs),
         )
-        resume_inner: dict | None = None
         t = start
         # The live registry, cluster and supervisor are created inside the
         # try so the finally tears them down on *every* exit path —
@@ -430,7 +432,7 @@ class TIBSPEngine:
                     trace.open_stream(stream_dir)
 
             if resume_from is not None:
-                t, resume_inner = self._resume(rs, resume_from)
+                t = self._resume(rs, resume_from)
 
             if policy is not None:
                 # Every driver→worker exchange goes through the supervisor,
@@ -449,11 +451,10 @@ class TIBSPEngine:
             try:
                 while t < stop:
                     with rs.recorder.span("timestep", t=t):
-                        halted_early = self._run_timestep(rs, t, resume_inner)
-                    resume_inner = None
+                        halted_early = self._run_timestep(rs, t)
                     result.timesteps_executed += 1
                     if rs.manager is not None and (t - start + 1) % cfg.checkpoint.every == 0:
-                        self._write_checkpoint(rs, t + 1)
+                        self._write_checkpoint(rs, t)
                     # Streamed event-log flush point: everything up to this
                     # timestep boundary is durable on disk.
                     rs.recorder.flush()
@@ -510,32 +511,14 @@ class TIBSPEngine:
 
     # -- resilience plumbing ---------------------------------------------------------
 
-    def _signature(self, pattern: Pattern) -> dict[str, Any]:
-        """Checkpoint compatibility fingerprint (validated on resume)."""
-        return {
-            "num_partitions": self.pg.num_partitions,
-            "num_subgraphs": len(self.pg.subgraphs),
-            "pattern": pattern.name,
-        }
-
-    def _verify_signature(self, manifest: dict[str, Any], pattern: Pattern) -> None:
-        sig = manifest.get("signature") or {}
-        mine = self._signature(pattern)
-        for key, want in mine.items():
-            if key in sig and sig[key] != want:
-                raise ValueError(
-                    f"checkpoint does not match this run: {key} is {sig[key]!r} "
-                    f"in the checkpoint but {want!r} here"
-                )
-
-    def _resume(self, rs: _RunState, resume_from: str | bool) -> tuple[int, dict | None]:
+    @staticmethod
+    def _resume(rs: _RunState, resume_from: str | bool) -> int:
         """Install a durable checkpoint's driver and host state before the loop.
 
-        Returns the timestep to (re-)enter and, for a superstep-boundary
-        checkpoint, the inner resume point ``_run_timestep`` continues from.
+        Returns the timestep to enter: the one after the timestep the
+        checkpoint closed.
         """
         loaded = rs.manager.load(None if resume_from is True else resume_from)
-        self._verify_signature(loaded.meta, rs.pattern)
         blob = loaded.driver
         result = rs.result
         result.metrics = blob["metrics"]
@@ -546,38 +529,16 @@ class TIBSPEngine:
         result.merge_outputs[:] = blob["merge_outputs"]
         result.timesteps_executed = blob["timesteps_executed"]
         t = blob["next_t"]
-        resume_inner = None
-        if blob["phase"] == "superstep":
-            resume_inner = {
-                "superstep": blob["superstep"],
-                "per_part": blob["per_part"],
-                "halt_votes": blob["halt_votes"],
-            }
-        rs.cluster.restore(
-            loaded.parts, reload_timestep=t if resume_inner is not None else None
-        )
+        rs.cluster.restore(loaded.parts)
         rs.recorder.event(
-            "restore",
-            timestep=t,
-            superstep=None if resume_inner is None else resume_inner["superstep"],
-            seconds=0.0,
-            resumed=True,
-            checkpoint=loaded.meta.get("seq"),
+            "restore", timestep=t, seconds=0.0, resumed=True, checkpoint=loaded.meta.get("seq")
         )
-        return t, resume_inner
+        return t
 
-    def _write_checkpoint(
-        self,
-        rs: _RunState,
-        next_t: int,
-        superstep: int | None = None,
-        per_part: list[list[MessageFrame]] | None = None,
-        halt_votes: set[int] | None = None,
-    ) -> None:
-        """Snapshot cluster + driver state into one durable checkpoint.
+    def _write_checkpoint(self, rs: _RunState, t: int) -> None:
+        """Snapshot cluster + driver state into one durable checkpoint
+        closing timestep ``t``; a resumed run enters at ``t + 1``.
 
-        ``next_t`` (and, for a mid-timestep boundary, ``superstep`` with its
-        deliveries and votes) name what a resumed run executes first.
         Skipped while any partition is quarantined — before the snapshot, or
         by it: its slot would be a hole, and a degraded run must stay
         restorable from its last *complete* checkpoint.  The driver blob is
@@ -589,17 +550,12 @@ class TIBSPEngine:
         if cluster.quarantined:
             return
         # The checkpoint, and a repair during its snapshot, are charged to
-        # the round they follow: the timestep a boundary checkpoint closes.
-        at = (next_t - 1, AT_EOT) if superstep is None else (next_t, superstep - 1)
-        parts = self._round(rs, "snapshot", *at, None)
+        # the timestep it closes.
+        parts = self._round(rs, "snapshot", t, AT_EOT, None)
         if cluster.quarantined:
             return
         blob = {
-            "phase": "timestep" if superstep is None else "superstep",
-            "next_t": int(next_t),
-            "superstep": superstep,
-            "per_part": per_part,
-            "halt_votes": None if halt_votes is None else set(halt_votes),
+            "next_t": t + 1,
             "temporal_frames": list(rs.temporal_frames),
             "input_msgs": rs.input_msgs,
             "outputs": list(result.outputs),
@@ -607,16 +563,12 @@ class TIBSPEngine:
             "timesteps_executed": result.timesteps_executed,
             "metrics": rs.recorder.metrics,
         }
-        info = rs.manager.write(
-            next_t, blob, parts, superstep=superstep, signature=self._signature(rs.pattern)
-        )
+        info = rs.manager.write(t + 1, blob, parts)
         if rs.journal is not None:
             # This checkpoint is the new replay base for host repair.
             rs.journal.truncate()
         cost = self.config.cost_model.checkpoint_cost(info.nbytes)
-        rs.recorder.emit(
-            CheckpointRecord(at[0], superstep, info.nbytes, info.seconds, cost, info.path.name)
-        )
+        rs.recorder.emit(CheckpointRecord(t, info.nbytes, info.seconds, cost, info.path.name))
 
     # -- one timestep ---------------------------------------------------------------------
 
@@ -638,55 +590,39 @@ class TIBSPEngine:
             rs.recorder.emit(StepRecord.of(phase, t, s, r))
         rs.recorder.absorb(results)
 
-    def _run_timestep(self, rs: _RunState, t: int, resume: dict | None = None) -> bool:
+    def _run_timestep(self, rs: _RunState, t: int) -> bool:
         """Run one BSP timestep.  Returns True when the app halted early.
-
-        With ``resume`` (a superstep-boundary restore), the begin/seeding
-        phase is skipped — the hosts were restored with the instance already
-        reloaded — and the BSP loop continues from the stored superstep with
-        the stored deliveries and halt votes.
 
         On the wire a timestep is ``begin → superstep* → eot``: what a host
         loads ahead of the next one is its source's business.
         """
         rec, result, temporal_frames = rs.recorder, rs.result, rs.temporal_frames
-        if resume is not None:
-            superstep = resume["superstep"]
-            per_part = resume["per_part"]
-            halt_votes: set[int] = set(resume["halt_votes"])
+        gc = self.config.gc_model
+        if gc.enabled:
+            resident = self._round(rs, "resident", t, AT_BEGIN, None)
+            pauses = [gc.pause_at(t - rs.start, b) for b in resident]
         else:
-            gc = self.config.gc_model
-            if gc.enabled:
-                resident = self._round(rs, "resident", t, AT_BEGIN, None)
-                pauses = [gc.pause_at(t - rs.start, b) for b in resident]
-            else:
-                pauses = [0.0] * self.pg.num_partitions
+            pauses = [0.0] * self.pg.num_partitions
 
-            rec.round_begin("begin_timestep", t, -1)
-            with rec.span("begin_timestep", t=t):
-                begin_results = self._round(rs, "begin", t, AT_BEGIN, pauses)
-            for r in begin_results:
-                rec.emit(LoadRecord(t, r.partition, r.load_s, r.load_hidden_s))
-                if r.gc_pause_s:
-                    rec.emit(GcRecord(t, r.partition, r.gc_pause_s))
-            rec.absorb(begin_results)
+        rec.round_begin("begin_timestep", t, -1)
+        with rec.span("begin_timestep", t=t):
+            begin_results = self._round(rs, "begin", t, AT_BEGIN, pauses)
+        for r in begin_results:
+            rec.emit(LoadRecord(t, r.partition, r.load_s, r.load_hidden_s))
+            if r.gc_pause_s:
+                rec.emit(GcRecord(t, r.partition, r.gc_pause_s))
+        rec.absorb(begin_results)
 
-            # Superstep-0 deliveries per the pattern (Section II-D message rules).
-            if rs.pattern is Pattern.SEQUENTIALLY_DEPENDENT and t > rs.start:
-                # Last timestep's temporal frames, routed unopened like every
-                # other round's (hosts deliver a partition's frames in order).
-                per_part = route_frames(temporal_frames, self.pg.num_partitions)
-                temporal_frames.clear()
-            else:
-                per_part = frames_from_deliveries(
-                    rs.input_msgs, self._sg_part, self.pg.num_partitions
-                )
-            halt_votes = set()
-            superstep = 0
-
-        superstep = self._supersteps(
-            rs, PHASE_COMPUTE, t, superstep, per_part, result.outputs, halt_votes
-        )
+        # Superstep-0 deliveries per the pattern (Section II-D message rules).
+        if rs.pattern is Pattern.SEQUENTIALLY_DEPENDENT and t > rs.start:
+            # Last timestep's temporal frames, routed unopened like every
+            # other round's (hosts deliver a partition's frames in order).
+            per_part = route_frames(temporal_frames, self.pg.num_partitions)
+            temporal_frames.clear()
+        else:
+            per_part = frames_from_deliveries(rs.input_msgs, self._sg_part, self.pg.num_partitions)
+        halt_votes: set[int] = set()
+        superstep = self._supersteps(rs, PHASE_COMPUTE, t, per_part, result.outputs, halt_votes)
 
         rec.round_begin("end_of_timestep", t, superstep)
         with rec.span("end_of_timestep", t=t):
@@ -710,27 +646,25 @@ class TIBSPEngine:
         rs: _RunState,
         phase: str,
         t: int,
-        superstep: int,
         per_part: list[list[MessageFrame]],
         outputs: list[tuple[int, int, Any]],
         halt_votes: set[int],
     ) -> int:
-        """Run barriered supersteps from ``superstep`` until quiescence.
+        """Run barriered supersteps from superstep 0 until quiescence.
 
         The one BSP loop, behind a timestep and behind the Merge: a Merge is
         the BSP at ``t = -1`` over the subgraph templates, which sends no
-        temporal frames, casts no timestep votes (``halt_votes`` stays
-        empty) and has no mid-BSP checkpoint to write.  ``outputs`` and
-        ``halt_votes`` are extended in place; returns the index after the
-        last superstep run.
+        temporal frames and casts no timestep votes (``halt_votes`` stays
+        empty).  No checkpoint is written inside it.  ``outputs`` and
+        ``halt_votes`` are extended in place; returns the number of
+        supersteps run.
         """
         cfg, rec, k = self.config, rs.recorder, self.pg.num_partitions
         if phase == PHASE_MERGE:
             op, span, where, name = "merge", "merge_superstep", {}, "merge phase"
-            ckpt_every = None
         else:
             op, span, where, name = "superstep", "superstep", {"t": t}, f"timestep {t}"
-            ckpt_every = cfg.checkpoint.superstep_every if rs.manager is not None else None
+        superstep = 0
         while True:
             if superstep >= cfg.max_supersteps:
                 raise RuntimeError(
@@ -758,18 +692,13 @@ class TIBSPEngine:
                 r.all_halted and not r.has_pending_local for r in step_results
             ):
                 return superstep
-            if ckpt_every is not None and superstep % ckpt_every == 0:
-                # Mid-timestep durable boundary: ``superstep`` is the next
-                # one to execute, with its deliveries and votes in the blob.
-                self._write_checkpoint(rs, t, superstep, per_part, halt_votes)
 
     def _run_merge(self, rs: _RunState) -> None:
         """The Merge BSP; its outputs drop the timestep (there is none)."""
         outputs: list[tuple[int, int, Any]] = []
         try:
             self._supersteps(
-                rs, PHASE_MERGE, -1, 0, [[] for _ in range(self.pg.num_partitions)],
-                outputs, set(),
+                rs, PHASE_MERGE, -1, [[] for _ in range(self.pg.num_partitions)], outputs, set()
             )
         finally:
             # Also on a degraded exit: what the finished supersteps emitted.

@@ -36,11 +36,9 @@ Schema v1 event kinds
 ``gc_pause``          modeled GC pause charged at a timestep boundary
 ``vm_spinup`` /       elastic-scaling policy decisions (offline replay)
 ``vm_spindown``
-``checkpoint_write``  one durable boundary snapshot (``nbytes``, measured
-                      ``seconds``, modeled ``cost_s``, checkpoint name);
-                      ``timestep`` is the one charged: the timestep a
-                      timestep-boundary checkpoint closes, or the one a
-                      superstep-boundary checkpoint (``superstep`` set) is in
+``checkpoint_write``  one durable snapshot (``nbytes``, measured ``seconds``,
+                      modeled ``cost_s``, checkpoint name), charged to the
+                      ``timestep`` it closes
 ``worker_lost``       a recoverable failure was detected (error kind,
                       coordinates, attempt number)
 ``retry``             the recovery loop is about to retry (``backoff_s``)

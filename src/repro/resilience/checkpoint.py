@@ -1,9 +1,9 @@
-"""GoFS-style checkpoint store: durable TI-BSP boundary snapshots.
+"""GoFS-style checkpoint store: durable snapshots at the end of a timestep.
 
 Layout of a checkpoint directory rooted at ``dir/``::
 
     dir/LATEST                        — name of the newest complete checkpoint
-    dir/ckpt-000003-t4/manifest.json  — coordinates, signature, file hashes
+    dir/ckpt-000003-t4/manifest.json  — next timestep, signature, file hashes
     dir/ckpt-000003-t4/driver.bin     — driver blob (frames, outputs, metrics)
     dir/ckpt-000003-t4/part-0.bin     — one host-state blob per partition
     dir/ckpt-000003-t4/part-1.bin
@@ -15,9 +15,10 @@ crash mid-write therefore never produces a checkpoint that
 :meth:`CheckpointManager.load` would accept — it either verifies every
 hash or raises :class:`CheckpointCorrupt`.
 
-Superstep-boundary checkpoints name their directory ``ckpt-<seq>-t<T>s<S>``
-and set ``superstep`` in the manifest; timestep-boundary checkpoints store
-the *next* timestep to execute.
+A checkpoint closes a timestep: ``t<T>`` and the manifest's ``timestep`` are
+the *next* timestep to execute.  The manifest also carries the writing run's
+*signature*; :meth:`CheckpointManager.load` refuses a checkpoint whose
+signature disagrees with its manager's.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from ..storage.serde import read_blob, write_blob
 
 __all__ = ["CheckpointConfig", "CheckpointCorrupt", "CheckpointInfo", "CheckpointManager"]
 
-CHECKPOINT_FORMAT_VERSION = 1
+#: 2: a checkpoint closes a timestep.  A v1 manifest may name a point inside
+#: one (``superstep`` set), which this engine cannot re-enter, so it is refused.
+CHECKPOINT_FORMAT_VERSION = 2
 _LATEST = "LATEST"
 _MANIFEST = "manifest.json"
 
@@ -50,25 +53,20 @@ class CheckpointConfig:
     dir:
         Checkpoint directory (created on first write).
     every:
-        Write a checkpoint after every ``every`` completed timesteps.
-    superstep_every:
-        Optionally also checkpoint *inside* a timestep, every this many
-        compute supersteps — for long-converging BSPs where losing a whole
-        timestep of supersteps is expensive.  ``None`` (default) disables.
+        Write a checkpoint after every ``every`` completed timesteps.  A
+        failure inside a timestep is repaired by replaying the journaled
+        rounds since the last one.
     retain:
         Keep at most this many complete checkpoints (older ones pruned).
     """
 
     dir: str | Path = "checkpoints"
     every: int = 1
-    superstep_every: int | None = None
     retain: int = 2
 
     def __post_init__(self) -> None:
         if self.every < 1:
             raise ValueError("checkpoint every must be >= 1")
-        if self.superstep_every is not None and self.superstep_every < 1:
-            raise ValueError("superstep_every must be >= 1 (or None)")
         if self.retain < 1:
             raise ValueError("retain must be >= 1")
 
@@ -80,7 +78,6 @@ class CheckpointInfo:
     path: Path
     seq: int
     timestep: int
-    superstep: int | None
     nbytes: int
     seconds: float  #: measured write wall time
 
@@ -97,18 +94,22 @@ class _LoadedCheckpoint:
     def timestep(self) -> int:
         return int(self.meta["timestep"])
 
-    @property
-    def superstep(self) -> int | None:
-        s = self.meta.get("superstep")
-        return None if s is None else int(s)
-
 
 class CheckpointManager:
-    """Writes, lists, verifies, and prunes checkpoints under one directory."""
+    """Writes, lists, verifies, and prunes checkpoints under one directory.
 
-    def __init__(self, root: str | Path, *, retain: int = 2) -> None:
+    ``signature`` describes the run the checkpoints belong to (for the
+    engine: partition count, subgraph count, pattern).  It is stamped on
+    every checkpoint written, and :meth:`load` refuses a checkpoint that
+    disagrees with it on any key both carry.
+    """
+
+    def __init__(
+        self, root: str | Path, *, retain: int = 2, signature: dict[str, Any] | None = None
+    ) -> None:
         self.root = Path(root)
         self.retain = int(retain)
+        self.signature = dict(signature or {})
         self._seq = self._next_seq()
 
     def _next_seq(self) -> int:
@@ -123,27 +124,17 @@ class CheckpointManager:
 
     # -- write -------------------------------------------------------------------------
 
-    def write(
-        self,
-        timestep: int,
-        driver_blob: Any,
-        part_blobs: Sequence[Any],
-        *,
-        superstep: int | None = None,
-        signature: dict[str, Any] | None = None,
-    ) -> CheckpointInfo:
+    def write(self, timestep: int, driver_blob: Any, part_blobs: Sequence[Any]) -> CheckpointInfo:
         """Write one complete checkpoint; returns its :class:`CheckpointInfo`.
 
-        ``timestep`` is the next timestep the restored run executes (for a
-        superstep checkpoint, the timestep being executed, with
-        ``superstep`` the next superstep to run).
+        ``timestep`` is the next timestep the restored run executes.
         """
         import time
 
         start = time.perf_counter()
         seq = self._seq
         self._seq += 1
-        name = f"ckpt-{seq:06d}-t{timestep}" + (f"s{superstep}" if superstep is not None else "")
+        name = f"ckpt-{seq:06d}-t{timestep}"
         ckpt_dir = self.root / name
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
@@ -161,9 +152,8 @@ class CheckpointManager:
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "seq": seq,
             "timestep": int(timestep),
-            "superstep": None if superstep is None else int(superstep),
             "num_partitions": len(part_blobs),
-            "signature": signature or {},
+            "signature": self.signature,
             "files": files,
         }
         (ckpt_dir / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -173,9 +163,7 @@ class CheckpointManager:
         tmp.write_text(name)
         os.replace(tmp, self.root / _LATEST)
         self._prune()
-        return CheckpointInfo(
-            ckpt_dir, seq, int(timestep), superstep, total, time.perf_counter() - start
-        )
+        return CheckpointInfo(ckpt_dir, seq, int(timestep), total, time.perf_counter() - start)
 
     def _prune(self) -> None:
         import shutil
@@ -213,6 +201,8 @@ class CheckpointManager:
     ) -> _LoadedCheckpoint:
         """Load and verify a checkpoint (the latest when ``name`` is None).
 
+        A checkpoint of another format version is :class:`CheckpointCorrupt`;
+        one whose signature disagrees with this manager's is a ``ValueError``.
         ``partitions`` restricts which per-partition blobs are read and
         verified — surgical recovery restores one host without paying for
         (or requiring the integrity of) every other partition's blob.  The
@@ -229,8 +219,16 @@ class CheckpointManager:
         meta = json.loads(manifest_path.read_text())
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointCorrupt(
-                f"checkpoint {ckpt_dir}: unsupported format version {meta.get('format_version')!r}"
+                f"checkpoint {ckpt_dir}: unsupported format version "
+                f"{meta.get('format_version')!r} (this engine reads {CHECKPOINT_FORMAT_VERSION})"
             )
+        theirs = meta.get("signature") or {}
+        for key, want in self.signature.items():
+            if key in theirs and theirs[key] != want:
+                raise ValueError(
+                    f"checkpoint does not match this run: {key} is {theirs[key]!r} "
+                    f"in the checkpoint but {want!r} here"
+                )
         num_parts = int(meta["num_partitions"])
         wanted = range(num_parts) if partitions is None else sorted(set(partitions))
         if partitions is not None and any(p < 0 or p >= num_parts for p in wanted):

@@ -11,33 +11,28 @@ fault injected at incarnation 0 does not re-fire after recovery (unless a
 spec explicitly targets the respawned worker, which is how the
 retries-exhausted path is tested).
 
-Fault kinds and where they are enforced:
+Each kind names one behaviour, and a plan means the same thing on every
+executor.  The *host* kinds, and where they are enforced:
 
 ``kill``
     The worker process exits abruptly (``os._exit``) before replying —
     the driver observes a dead pipe.  In-process clusters simulate it by
     raising :class:`~repro.resilience.recovery.WorkerCrash`.
 ``delay``
-    A straggler: the worker sleeps ``delay_s`` before replying.  With a
-    driver gather timeout shorter than the delay this becomes a detected
-    wedge; otherwise it is just visible recovery-free slowness.
-``drop``
-    The worker silently never replies to one command (a lost pipe
-    message).  Only detectable with a gather timeout.
-``corrupt``
-    The worker replies with garbage bytes instead of a framed message —
-    exercises the driver's stream validation.  In-process clusters treat
-    it like ``kill`` (a corrupted reply loses the worker's round).
+    A straggler: the host sleeps ``delay_s`` (the ``:d<SECONDS>`` token,
+    or a seed-derived value) before replying.  With a driver gather
+    timeout shorter than the delay this becomes a detected wedge;
+    otherwise it is just visible recovery-free slowness.
 ``fail_load``
     The instance load at ``begin_timestep`` raises an I/O-style error
     (a failed GoFS slice read), reported as a *recoverable* worker error.
 
-The *network-fault* kinds model wire-level misbehavior between driver and
-host rather than host death.  They are enforced on the process executor's
-pipes, where the sequence-numbered protocol recovers them without a
-respawn; in-process clusters have no wire, so all of them except
-``slow_host`` are deterministic no-ops there (the spec is still spent, so
-plans stay executor-portable):
+The *network-fault* kinds (:data:`NETWORK_FAULT_KINDS`) model wire-level
+misbehavior between driver and host rather than host death.  They are
+enforced on the process and socket executors' connections, where the
+sequence-numbered protocol recovers them without a respawn; in-process
+clusters have no wire, so every one of them is a deterministic no-op there
+(the spec is still spent, so plans stay executor-portable):
 
 ``drop_frame``
     The worker computes the round but its reply frame vanishes in flight.
@@ -53,10 +48,6 @@ plans stay executor-portable):
 ``corrupt_frame``
     The reply frame arrives as garbage bytes; the driver's resend fetches
     the cached good reply instead of declaring the worker lost.
-``slow_host``
-    The whole host lags: the reply is delayed like ``delay`` (the
-    ``:d<SECONDS>`` token, or a seed-derived value).  Enforced on every
-    executor.
 
 Superstep coordinates: ``superstep`` in a spec may be an ordinary compute
 superstep number, one of the sentinels :data:`AT_BEGIN` / :data:`AT_EOT`
@@ -86,24 +77,11 @@ AT_BEGIN = -101
 #: Superstep sentinel for the ``end_of_timestep`` protocol call.
 AT_EOT = -102
 
-FAULT_KINDS = (
-    "kill",
-    "delay",
-    "drop",
-    "corrupt",
-    "fail_load",
-    # Wire-level network faults (sequence-numbered protocol recovers these
-    # without a respawn; see the module docstring).
-    "drop_frame",
-    "dup_frame",
-    "reorder",
-    "corrupt_frame",
-    "slow_host",
-)
-
 #: Kinds that misbehave on the wire *after* the round computed; the
-#: idempotent retry protocol — not a respawn — is the cure.
-NETWORK_FAULT_KINDS = ("drop_frame", "dup_frame", "reorder", "corrupt_frame", "slow_host")
+#: idempotent retry protocol — not a respawn — is the cure.  No-ops in-process.
+NETWORK_FAULT_KINDS = ("drop_frame", "dup_frame", "reorder", "corrupt_frame")
+
+FAULT_KINDS = ("kill", "delay", "fail_load", *NETWORK_FAULT_KINDS)
 
 #: Default straggler delay when a ``delay`` spec does not set one (seconds).
 _DEFAULT_DELAY_S = 0.05
@@ -212,7 +190,7 @@ class FaultPlan:
         return None
 
     def delay_for(self, spec: FaultSpec) -> float:
-        """The sleep for a ``delay``/``slow_host`` spec (seed-derived when unset)."""
+        """The sleep for a ``delay`` spec (seed-derived when unset)."""
         if spec.delay_s is not None:
             return float(spec.delay_s)
         rng = random.Random((self.seed << 20) ^ hash((spec.timestep, spec.partition)))
@@ -231,7 +209,7 @@ def parse_fault_specs(text: str) -> list[FaultSpec]:
         kill@t1:s0:p0
         delay@t2:p1:d0.2
         fail_load@t3:p0:i0
-        corrupt@t1:eot:p2
+        corrupt_frame@t1:eot:p2
     """
     specs: list[FaultSpec] = []
     for entry in re.split(r"[,;]", text):

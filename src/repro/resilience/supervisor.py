@@ -256,15 +256,8 @@ class HostSupervisor:
                 entries.pop()
             try:
                 incarnation = cluster.respawn_worker(p)
-                blob = None
-                reload_t: int | None = None
                 if self.manager is not None and self.manager.latest_name() is not None:
-                    loaded = self.manager.load(partitions=(p,))
-                    blob = loaded.parts[p]
-                    if loaded.superstep is not None:
-                        reload_t = loaded.timestep
-                if blob is not None:
-                    cluster.restore_one(p, blob, reload_timestep=reload_t)
+                    cluster.restore_one(p, self.manager.load(partitions=(p,)).parts[p])
                 # else: the fresh host *is* the genesis state; the journal
                 # holds every round since (it is never truncated before the
                 # first checkpoint).

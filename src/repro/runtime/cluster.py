@@ -12,9 +12,9 @@ protocol: a ``snapshot`` round collects per-partition state blobs for a
 checkpoint, ``restore()`` installs them, and ``respawn_worker()`` replaces
 one host/worker with a fresh incarnation (used by recovery after a crash,
 and honored by the fault plan's incarnation guard).  In-process clusters
-*simulate* worker death: a scripted ``kill``/``corrupt``/``drop`` fault
-raises :class:`~repro.resilience.recovery.WorkerCrash` instead of taking
-down an OS process.
+*simulate* worker death: a scripted ``kill`` fault raises
+:class:`~repro.resilience.recovery.WorkerCrash` instead of taking down an
+OS process.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ class Cluster:
         ``resident`` (bytes of instance data), ``states`` (the per-subgraph
         state dict) or ``snapshot`` (the checkpoint blob), for which
         ``timestep`` / ``superstep`` only say where the run is — or
-        ``restore`` (payloads = checkpoint blobs, ``timestep`` = the
-        instance to reload or ``None``).
+        ``restore`` (payloads = checkpoint blobs).
         Each element of the returned list is the partition's result, the
         :class:`RecoverableError` it failed with — survivors finish their
         round and hold at the barrier either way — or a synthesized empty
@@ -136,11 +135,11 @@ class Cluster:
 
     # -- resilience protocol ---------------------------------------------------------
 
-    def restore(self, snapshots: Sequence[dict], reload_timestep: int | None = None) -> None:
+    def restore(self, snapshots: Sequence[dict]) -> None:
         """Install checkpoint blobs on every partition (``resume_from``)."""
         if len(snapshots) != self.num_partitions:
             raise ValueError("need exactly one snapshot per partition")
-        raise_first_failure(self.run_round("restore", reload_timestep, -1, snapshots))
+        raise_first_failure(self.run_round("restore", -1, -1, snapshots))
 
     # -- surgical protocol -------------------------------------------------------------
     #
@@ -171,11 +170,9 @@ class Cluster:
         """
         raise NotImplementedError
 
-    def restore_one(
-        self, partition: int, snapshot: dict, reload_timestep: int | None = None
-    ) -> None:
+    def restore_one(self, partition: int, snapshot: dict) -> None:
         """Install one partition's checkpoint blob on a respawned host."""
-        self.step_one(partition, "restore", reload_timestep, -1, snapshot)
+        self.step_one(partition, "restore", -1, -1, snapshot)
 
     def quarantine(self, partition: int) -> None:
         """Tear down one partition permanently: rounds synthesize empty
@@ -226,12 +223,12 @@ class LocalCluster(Cluster):
         When True, every host gets its own observability tracer (one trace
         track per partition) and drains telemetry into protocol replies.
     fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan`.  ``kill`` /
-        ``corrupt`` / ``drop`` faults raise
-        :class:`~repro.resilience.recovery.WorkerCrash` (the in-process
-        stand-in for a dead worker), ``fail_load`` raises
+        Optional :class:`~repro.resilience.faults.FaultPlan`.  ``kill``
+        raises :class:`~repro.resilience.recovery.WorkerCrash` (the
+        in-process stand-in for a dead worker), ``fail_load`` raises
         :class:`~repro.resilience.recovery.InjectedFault` at the
-        begin-timestep load, and ``delay`` genuinely sleeps the host.
+        begin-timestep load, ``delay`` genuinely sleeps the host, and the
+        wire kinds are no-ops (there is no wire).
     """
 
     def __init__(
@@ -268,22 +265,18 @@ class LocalCluster(Cluster):
                 f"injected slice-load failure at timestep {timestep} partition {p}",
                 partition=p,
             )
-        spec = plan.fire(timestep, superstep, p, inc, kinds=("kill", "corrupt", "drop"))
-        if spec is not None:
+        if plan.fire(timestep, superstep, p, inc, kinds=("kill",)):
             raise WorkerCrash(
-                f"injected {spec.kind} fault at timestep {timestep} "
+                f"injected kill fault at timestep {timestep} "
                 f"superstep {superstep} partition {p}",
                 partition=p,
             )
         spec = plan.fire(timestep, superstep, p, inc, kinds=("delay",))
         if spec is not None:
             time.sleep(plan.delay_for(spec))
-        spec = plan.fire(timestep, superstep, p, inc, kinds=NETWORK_FAULT_KINDS)
-        if spec is not None and spec.kind == "slow_host":
-            # The only network fault with in-process semantics; the rest
-            # model pipe misbehavior and are deterministic no-ops here (the
-            # spec is still spent, keeping plans executor-portable).
-            time.sleep(plan.delay_for(spec))
+        # Wire faults have no wire here: spent as no-ops, keeping plans
+        # executor-portable.
+        plan.fire(timestep, superstep, p, inc, kinds=NETWORK_FAULT_KINDS)
 
     # -- round protocol ----------------------------------------------------------------
 

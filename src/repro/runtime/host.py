@@ -348,9 +348,7 @@ class ComputeHost:
 
     # -- protocol ----------------------------------------------------------------------
 
-    def handle(
-        self, op: str, timestep: int | None, superstep: int, payload, *, replay: bool = False
-    ):
+    def handle(self, op: str, timestep: int, superstep: int, payload, *, replay: bool = False):
         """Execute one protocol op — what every executor calls (see :data:`HOST_OPS`)."""
         return host_op(op)(self, timestep, superstep, payload, replay)
 
@@ -522,32 +520,28 @@ class ComputeHost:
     def snapshot_state(self) -> dict:
         """Everything resident on this host that a checkpoint must capture.
 
-        Taken at BSP boundaries: per-subgraph application state, the shared
-        partition state, halt flags, and the three inboxes (the local
-        superstep inbox is only non-empty for *superstep*-boundary
-        checkpoints; at timestep boundaries it has been drained).  The
-        returned dict aliases live state — callers serialize it immediately
-        (pipe or pickle-to-disk), which is what produces the copy.
+        Taken at the end of a timestep: per-subgraph application state, the
+        shared partition state, and the merge and temporal inboxes.  Halt
+        flags and the local superstep inbox are not carried: the BSP that
+        set them has quiesced, and the next ``begin_timestep`` (or merge
+        superstep 0) resets them.  The returned dict aliases live state —
+        callers serialize it immediately (pipe or pickle-to-disk), which is
+        what produces the copy.
         """
         return {
             "partition": self.partition.partition_id,
             "subgraphs": sorted(sg.subgraph_id for sg in self.partition.subgraphs),
             "states": self.states,
             "partition_state": self.partition_state,
-            "halted": dict(self._halted),
             "merge_inbox": self._merge_inbox,
             "temporal_inbox": self._temporal_inbox,
-            "local_inbox": self._local_inbox,
         }
 
-    def restore_state(self, snapshot: dict, reload_timestep: int | None = None) -> None:
+    def restore_state(self, snapshot: dict) -> None:
         """Install a :meth:`snapshot_state` blob (host repair or resume).
 
-        ``reload_timestep`` re-loads that timestep's graph instance from
-        this host's source — required when restoring *into* a timestep (a
-        superstep-boundary checkpoint), where ``begin_timestep`` will not
-        run again.  Timestep-boundary restores leave the instance unloaded;
-        the next ``begin_timestep`` loads it as usual.
+        The instance is left unloaded: the next ``begin_timestep`` — live,
+        or replayed from the journal — loads it as usual.
 
         The run itself never rewinds: a repaired host replays forward to
         the current round, so the source's committed load evidence stays
@@ -562,19 +556,13 @@ class ComputeHost:
             )
         self.states = snapshot["states"]
         self.partition_state = snapshot["partition_state"]
-        self._halted = dict(snapshot["halted"])
+        self._halted = {}
         self._merge_inbox = {sgid: list(msgs) for sgid, msgs in snapshot["merge_inbox"].items()}
         self._temporal_inbox = {
             sgid: list(msgs) for sgid, msgs in snapshot["temporal_inbox"].items()
         }
-        self._local_inbox = {sgid: list(msgs) for sgid, msgs in snapshot["local_inbox"].items()}
-        if reload_timestep is not None:
-            reload = getattr(self.source, "reload_instance", None)
-            self._instance = (
-                reload(reload_timestep) if callable(reload) else self.source.instance(reload_timestep)
-            )
-        else:
-            self._instance = None
+        self._local_inbox = {}
+        self._instance = None
 
 
 # -- the protocol, stated once -------------------------------------------------------
@@ -596,8 +584,7 @@ HOST_OPS: dict[str, Callable[[ComputeHost, Any, int, Any, bool], Any]] = {
     "resident": lambda h, t, s, payload, replay: h.resident_bytes(),
     "states": lambda h, t, s, payload, replay: h.final_states(),
     "snapshot": lambda h, t, s, payload, replay: h.snapshot_state(),
-    # payload = the checkpoint blob, timestep = the instance to reload (or None).
-    "restore": lambda h, t, s, payload, replay: h.restore_state(payload, t),
+    "restore": lambda h, t, s, payload, replay: h.restore_state(payload),
 }
 
 

@@ -135,16 +135,15 @@ class GcRecord(Record):
 
 @dataclass(frozen=True)
 class CheckpointRecord(Record):
-    """One durable checkpoint write, charged to ``timestep``.
+    """One durable checkpoint write, charged to the ``timestep`` it closes.
 
     ``seconds`` is the measured write, ``cost_s`` the modeled I/O the
-    simulated wall is charged; ``superstep`` is None at a timestep boundary.
+    simulated wall is charged.
     """
 
     kind = "checkpoint_write"
 
     timestep: int
-    superstep: int | None
     nbytes: int
     seconds: float
     cost_s: float
@@ -227,9 +226,8 @@ class MetricsCollector:
         self.supersteps_per_timestep: dict[int, int] = defaultdict(int)
         self.merge_supersteps: int = 0
         #: timestep -> modeled checkpoint-write I/O seconds charged to it.
-        #: A timestep-boundary checkpoint is keyed by the timestep it
-        #: *closes* (so the one after the last timestep still lands on an
-        #: executed timestep); a superstep-boundary one by its own timestep.
+        #: A checkpoint is keyed by the timestep it *closes* (so the one
+        #: after the last timestep still lands on an executed timestep).
         self.checkpoint_s: dict[int, float] = defaultdict(float)
         self.checkpoints: int = 0
         self.checkpoint_bytes: int = 0

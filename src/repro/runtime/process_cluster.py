@@ -39,8 +39,9 @@ checks are skipped and instance loads leave no fresh evidence.
 
 Failure semantics
 -----------------
-A worker can genuinely die (crash, injected ``kill``), wedge (injected
-``delay``/``drop``), or desync its reply stream (injected ``corrupt``).
+A worker can genuinely die (crash, injected ``kill``), straggle (injected
+``delay``), or misbehave on the wire (the injected ``drop_frame`` /
+``dup_frame`` / ``reorder`` / ``corrupt_frame`` of one reply).
 The driver classifies what it observes into the resilience taxonomy:
 
 * :class:`WorkerLost` — pipe EOF / send failure / corrupt reply stream.
@@ -111,7 +112,7 @@ class RecoverableWorkerError(WorkerError, RecoverableError):
 #: into allocating garbage.
 _MAX_OOB_BUFFERS = 1 << 20
 
-#: Deliberately malformed wire bytes used by the ``corrupt`` fault: claims
+#: Deliberately malformed wire bytes used by the ``corrupt_frame`` fault: claims
 #: seven out-of-band buffers but is far too short to carry their sizes.
 _CORRUPT_WIRE_BYTES = struct.pack("<I", 7) + b"corrupted-frame!"
 
@@ -283,12 +284,12 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
             last_seq = seq
             if post_fault is None:
                 _send_oob(conn, envelope)
-            elif post_fault.kind in ("delay", "slow_host"):
+            elif post_fault.kind == "delay":
                 time.sleep(fault_plan.delay_for(post_fault))
                 _send_oob(conn, envelope)
-            elif post_fault.kind in ("drop", "drop_frame"):
+            elif post_fault.kind == "drop_frame":
                 pass  # swallow the reply; the driver's gather times out
-            elif post_fault.kind in ("corrupt", "corrupt_frame"):
+            elif post_fault.kind == "corrupt_frame":
                 conn.send_bytes(_CORRUPT_WIRE_BYTES)
             elif post_fault.kind == "dup_frame":
                 _send_oob(conn, envelope)
@@ -328,10 +329,10 @@ def _worker_main(
     faults).  ``kill`` exits the process immediately (``os._exit``),
     ``fail_load`` raises :class:`InjectedFault` (a recoverable error
     reply), and the rest act on the reply *after* the round computed and
-    its envelope was cached: ``delay``/``slow_host`` sleep first,
-    ``drop``/``drop_frame`` swallow it, ``corrupt``/``corrupt_frame`` send
-    garbage wire bytes instead, ``dup_frame`` sends it twice, and
-    ``reorder`` re-sends the previous round's envelope ahead of it.
+    its envelope was cached: ``delay`` sleeps first, ``drop_frame``
+    swallows it, ``corrupt_frame`` sends garbage wire bytes instead,
+    ``dup_frame`` sends it twice, and ``reorder`` re-sends the previous
+    round's envelope ahead of it.
 
     When ``spec.tracing`` is set the host gets its own tracer; spans recorded
     in the worker ride back to the driver as ``HostStepResult.telemetry`` on
@@ -366,7 +367,7 @@ class ProcessCluster(Cluster):
 
     ``gather_timeout_s`` bounds every driver-side pipe read in a
     scatter/gather round; ``None`` (the default) preserves the original
-    block-forever behavior.  A timeout is required for ``drop``/``delay``
+    block-forever behavior.  A timeout is required for ``drop_frame``
     fault runs to make progress — the engine supplies one automatically
     when recovery is enabled.  ``fault_plan`` is shipped to every worker
     (spent-fault bookkeeping stays per-process; the incarnation guard is

@@ -28,9 +28,9 @@ Because TCP connections are true peer-to-peer (unlike pipes, whose write
 ends are inherited by every forked sibling), a dying worker's FIN reaches
 the driver promptly and surfaces as ``EOFError`` → :class:`WorkerLost` —
 no special-casing needed for the surgical-recovery path.  Network faults
-(``drop_frame``/``slow_host``/...) act at the worker's socket layer, so
-the driver cures real socket-level drops and delays with the same
-idempotent resends as over pipes.
+(``drop_frame``/``corrupt_frame``/...) act at the worker's socket layer,
+so the driver cures real socket-level drops and garbage frames with the
+same idempotent resends as over pipes.
 """
 
 from __future__ import annotations

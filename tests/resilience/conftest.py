@@ -34,8 +34,8 @@ class AccumulateSum(TimeSeriesComputation):
 class RingRelay(TimeSeriesComputation):
     """Multi-superstep BSP: values relay around a subgraph ring for 3 hops.
 
-    Exercises superstep-boundary checkpoints and mid-superstep faults — a
-    rollback that drops or duplicates an in-flight frame breaks the totals.
+    Exercises faults in the middle of a BSP — a journal replay that drops
+    or duplicates an in-flight frame breaks the totals.
     """
 
     pattern = Pattern.EVENTUALLY_DEPENDENT

@@ -1,7 +1,7 @@
 """Chaos soak: seeded multi-fault schedules on every executor.
 
 ISSUE 8 satellite: a schedule mixing host death (``kill``), wire loss
-(``drop_frame``), and stragglers (``slow_host``) must leave every executor
+(``drop_frame``), and stragglers (``delay``) must leave every executor
 bit-identical to its own fault-free baseline, with a valid streamed event
 log — the whole resilience stack exercised at once, deterministically.
 """
@@ -22,7 +22,7 @@ pytestmark = pytest.mark.resilience
 #: Host death at t1, a vanished reply frame at t2, a straggler at t3 —
 #: three failure classes in one run (wire faults are no-ops in-process,
 #: so the schedule stays executor-portable).
-CHAOS_PLAN = "kill@t1:s0:p1,drop_frame@t2:p0,slow_host@t3:p1:d0.02"
+CHAOS_PLAN = "kill@t1:s0:p1,drop_frame@t2:p0,delay@t3:p1:d0.02"
 
 EXECUTORS = ["serial", "process", "socket"]
 

@@ -1,6 +1,7 @@
 """Unit tests for the checkpoint store: integrity, retention, recovery policy."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -14,33 +15,29 @@ from repro.resilience import (
 )
 
 
-def _write(mgr, t, driver=None, parts=None, superstep=None):
+def _write(mgr, t, driver=None, parts=None):
     return mgr.write(
         t,
         driver if driver is not None else {"next_t": t},
         parts if parts is not None else [{"p": 0}, {"p": 1}],
-        superstep=superstep,
-        signature={"pattern": "TEST"},
     )
 
 
 class TestRoundTrip:
     def test_write_then_load(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
+        mgr = CheckpointManager(tmp_path, signature={"pattern": "TEST"})
         info = _write(mgr, 3, driver={"next_t": 3, "x": [1, 2]})
         assert info.path.name == "ckpt-000000-t3"
         assert info.nbytes > 0 and info.seconds >= 0
         loaded = mgr.load()
-        assert loaded.timestep == 3 and loaded.superstep is None
+        assert loaded.timestep == 3 and "superstep" not in loaded.meta
         assert loaded.driver == {"next_t": 3, "x": [1, 2]}
         assert loaded.parts == [{"p": 0}, {"p": 1}]
         assert loaded.meta["signature"] == {"pattern": "TEST"}
-
-    def test_superstep_checkpoint_named_and_typed(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
-        info = _write(mgr, 2, superstep=5)
-        assert info.path.name.endswith("-t2s5")
-        assert mgr.load().superstep == 5
+        # The manager that stamps the signature refuses another run's.
+        other = CheckpointManager(tmp_path, signature={"pattern": "OTHER"})
+        with pytest.raises(ValueError, match="pattern is 'TEST' in the checkpoint"):
+            other.load()
 
     def test_load_by_name(self, tmp_path):
         mgr = CheckpointManager(tmp_path, retain=5)
@@ -83,6 +80,19 @@ class TestIntegrity:
         with pytest.raises(CheckpointCorrupt, match="format version"):
             mgr.load()
 
+    def test_v1_mid_timestep_checkpoint_is_refused(self, tmp_path):
+        """A format-1 manifest may name a point inside a timestep, which a
+        run that resumes only where a timestep closed must not enter."""
+        mgr = CheckpointManager(tmp_path)
+        info = _write(mgr, 2)
+        manifest = json.loads((info.path / "manifest.json").read_text())
+        manifest.update(format_version=1, superstep=3)
+        (info.path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointCorrupt, match="unsupported format version 1"):
+            mgr.load()
+        with pytest.raises(CheckpointCorrupt, match="format version 1"):
+            mgr.load(partitions=(0,))
+
     def test_manifestless_dir_is_not_a_checkpoint(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         _write(mgr, 1)
@@ -115,9 +125,9 @@ class TestConfigAndRecords:
         with pytest.raises(ValueError):
             CheckpointConfig(every=0)
         with pytest.raises(ValueError):
-            CheckpointConfig(superstep_every=0)
-        with pytest.raises(ValueError):
             CheckpointConfig(retain=0)
+        # A checkpoint closes a timestep: there is no mid-timestep cadence.
+        assert [f.name for f in fields(CheckpointConfig)] == ["dir", "every", "retain"]
 
     def test_recovery_policy_validation_and_backoff(self):
         with pytest.raises(ValueError):

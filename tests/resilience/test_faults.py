@@ -16,17 +16,17 @@ from repro.resilience import (
 class TestParse:
     def test_full_grammar(self):
         specs = parse_fault_specs(
-            "kill@t1:s0:p0, delay@t2:p1:d0.2; fail_load@t3:begin:p0:i1,corrupt@t1:eot:p2"
+            "kill@t1:s0:p0, delay@t2:p1:d0.2; fail_load@t3:begin:p0:i1,corrupt_frame@t1:eot:p2"
         )
         assert specs == [
             FaultSpec("kill", 1, 0, superstep=0),
             FaultSpec("delay", 2, 1, delay_s=0.2),
             FaultSpec("fail_load", 3, 0, superstep=AT_BEGIN, incarnation=1),
-            FaultSpec("corrupt", 1, 2, superstep=AT_EOT),
+            FaultSpec("corrupt_frame", 1, 2, superstep=AT_EOT),
         ]
 
     def test_superstep_optional(self):
-        (spec,) = parse_fault_specs("drop@t4:p2")
+        (spec,) = parse_fault_specs("drop_frame@t4:p2")
         assert spec.superstep is None
         assert spec.matches(4, 0, 2, 0) and spec.matches(4, 17, 2, 0)
 
@@ -82,3 +82,7 @@ class TestDelay:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec("explode", 0, 0)
+        # One name per behaviour: these would alias kill / delay / a wire kind.
+        for alias in ("drop", "corrupt", "slow_host"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultSpec(alias, 0, 0)

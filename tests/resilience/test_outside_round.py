@@ -70,9 +70,6 @@ def _kill_before(monkeypatch, op, when=lambda t, s: True):
 #: (exchange, where it is killed, checkpoint cadence or None for genesis replay)
 KILL_POINTS = {
     "timestep-snapshot": ("snapshot", lambda t, s: t == 2 and s == AT_EOT, {"every": 1}),
-    "superstep-snapshot": (
-        "snapshot", lambda t, s: t == 2 and s >= 0, {"every": 1, "superstep_every": 1},
-    ),
     "final-states": ("states", lambda t, s: True, {"every": 2}),
     "final-states-genesis": ("states", lambda t, s: True, None),
 }

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import EngineConfig, run_application
 from repro.resilience import (
+    FAULT_KINDS,
+    NETWORK_FAULT_KINDS,
     CheckpointConfig,
     FaultPlan,
     InjectedFault,
@@ -24,10 +26,14 @@ FAULT_MATRIX = [
     "kill@t2:p1",
     "kill@t1:eot:p0",
     "delay@t1:s0:p0:d0.15",
-    "drop@t2:p0",
-    "corrupt@t1:p1",
+    "drop_frame@t2:p0",
+    "corrupt_frame@t1:p1",
     "fail_load@t2:begin:p0",
 ]
+
+#: The kinds that act on the host, not the wire; a wire kind is an
+#: in-process no-op, so only these can mean the same repair everywhere.
+HOST_FAULT_KINDS = [k for k in FAULT_KINDS if k not in NETWORK_FAULT_KINDS]
 
 
 def _config(executor, ckpt_dir, faults, **recovery_kwargs):
@@ -76,6 +82,25 @@ class TestFaultMatrixProcess:
             assert result.metrics.total_recovery_s() > 0
         assert result.failure is None
 
+    @pytest.mark.parametrize("kind", HOST_FAULT_KINDS)
+    def test_a_host_fault_is_repaired_alike_on_every_executor(
+        self, case, sources, tmp_path, baseline, kind
+    ):
+        """A host kind names one behaviour: serial and process state the same
+        repairs for it, and both end where the fault-free run ends."""
+        _tpl, coll, pg = case
+        actions = {}
+        for executor in ("serial", "process"):
+            result = run_application(
+                AccumulateSum(), pg, coll, sources=sources,
+                config=_config(executor, tmp_path / executor, f"{kind}@t2:p1"),
+            )
+            _identical(result, baseline)
+            actions[executor] = [a.kind for a in result.recovery_actions]
+        assert actions["serial"] == actions["process"]
+        # Only a straggler inside the gather timeout needs no repair.
+        assert actions["serial"] or kind == "delay"
+
     def test_no_leaked_workers_after_recovery(self, case, sources, tmp_path):
         import multiprocessing as mp
 
@@ -89,7 +114,7 @@ class TestFaultMatrixProcess:
 
 @pytest.mark.parametrize("executor", ["serial"])
 class TestFaultMatrixInProcess:
-    """The in-process executor simulates kill/corrupt/drop as host crashes."""
+    """The in-process executor simulates a kill as a host crash."""
 
     @pytest.mark.parametrize("faults", ["kill@t2:p1", "fail_load@t2:begin:p0"])
     def test_recovers_bit_identical(self, case, tmp_path, executor, faults):
@@ -104,13 +129,14 @@ class TestFaultMatrixInProcess:
         assert result.metrics.retries == 1
 
     def test_multi_superstep_with_merge(self, case, tmp_path, executor):
-        """Rollback mid-BSP with in-flight frames and a merge phase."""
+        """A kill mid-BSP with in-flight frames, repaired by replaying the
+        timestep's rounds from its opening checkpoint, and a merge phase."""
         _tpl, coll, pg = case
         comp = RingRelay(len(pg.subgraphs))
         baseline = run_application(comp, pg, coll, config=EngineConfig(executor=executor))
         cfg = EngineConfig(
             executor=executor,
-            checkpoint=CheckpointConfig(dir=tmp_path, every=1, superstep_every=2),
+            checkpoint=CheckpointConfig(dir=tmp_path, every=1),
             # The second spec targets incarnation 1: the first recovery
             # respawns p1's worker surgically (only *its* incarnation is
             # bumped), and i0 faults never refire after that.

@@ -52,7 +52,7 @@ def _no_duplicate_load_evidence(views):
 
 
 class TestHostRestorePurge:
-    """Unit-level: ComputeHost.restore_state reloads without fresh evidence."""
+    """Unit-level: a restored host's replayed begin reloads without fresh evidence."""
 
     def _host(self, case, view):
         _tpl, coll, pg = case
@@ -67,13 +67,16 @@ class TestHostRestorePurge:
         host = self._host(case, view)
         host.begin_timestep(0)
         host.begin_timestep(1)
+        snap = pickle.loads(pickle.dumps(host.snapshot_state()))  # the t=1 close
         host.begin_timestep(2)
-        snap = pickle.loads(pickle.dumps(host.snapshot_state()))
         host.begin_timestep(3)
         assert [t for t, _s in view.load_events] == [0, 2]
-        # Restore *into* t=2 (superstep boundary): its committed begin-phase
-        # load stays; the replay reload is real I/O but not fresh evidence.
-        host.restore_state(snap, reload_timestep=2)
+        # Restore the t=1 close, then replay t=2's begin from the journal:
+        # its committed load stays; the replay reload is real I/O but not
+        # fresh evidence.
+        host.restore_state(snap)
+        assert [t for t, _s in view.load_events] == [0, 2]
+        host.begin_timestep(2, replay=True)
         assert [t for t, _s in view.load_events] == [0, 2]
         host.begin_timestep(3)
         assert [t for t, _s in view.load_events] == [0, 2]

@@ -2,10 +2,11 @@
 
 TDSP keeps what a timestep has touched so far — the finite entries of its
 run-long ``label`` array, the ``touched`` index arrays ``end_of_timestep``
-finalizes from, the lazily taken weight columns — in subgraph state.  A
-superstep-boundary checkpoint therefore has to carry it: the respawned
-worker restores mid-timestep state, replays what the journal holds past the
-checkpoint and finishes the timestep to the same bytes.
+finalizes from, the lazily taken weight columns — in subgraph state.  None
+of that is in a checkpoint: the last one closed the previous timestep.  The
+respawned worker restores that close, replays the timestep's journaled
+rounds (``begin``, superstep 0, superstep 1) to rebuild its mid-wave state,
+and finishes the timestep to the same bytes.
 """
 
 import multiprocessing as mp
@@ -25,10 +26,7 @@ pytestmark = pytest.mark.resilience
 KILL_AT = (1, 2)  #: (timestep, superstep): the victim's subgraph is mid-wave there
 
 
-@pytest.mark.parametrize("superstep_every", [1, 2])
-def test_sigkill_between_supersteps_of_a_timestep(
-    case, sources, tmp_path, monkeypatch, superstep_every
-):
+def test_sigkill_between_supersteps_of_a_timestep(case, sources, tmp_path, monkeypatch):
     tpl, coll, pg = case
     baseline = run_application(
         TDSPComputation(0), pg, coll, sources=sources, config=EngineConfig(executor="process")
@@ -39,13 +37,15 @@ def test_sigkill_between_supersteps_of_a_timestep(
         TDSPComputation(0), pg, coll, sources=sources,
         config=EngineConfig(
             executor="process",
-            checkpoint=CheckpointConfig(dir=tmp_path, every=1, superstep_every=superstep_every),
+            checkpoint=CheckpointConfig(dir=tmp_path, every=1),
             recovery=RecoveryPolicy(backoff_s=0.0),
         ),
     )
     assert fired and result.failure is None
     respawns = [a for a in result.recovery_actions if a.kind == "worker_respawn"]
     assert [(a.partition, a.incarnation) for a in respawns] == [(VICTIM, 1)]
+    # begin, superstep 0 and superstep 1 of timestep 1, since the t=0 close.
+    assert respawns[0].replayed_rounds == KILL_AT[1] + 1
     assert _canonical(result.outputs) == _canonical(baseline.outputs)
     assert _canonical(result.states) == _canonical(baseline.states)
     got = tdsp_labels_from_result(result, tpl.num_vertices)

@@ -137,7 +137,7 @@ class TestGatherDeadlineIsPerRound:
             pg, EmitSum(), meta, sources,
             gather_timeout_s=0.8,
             fault_plan=FaultPlan.parse(
-                "delay@t0:begin:p0:d0.5,drop@t0:begin:p1", seed=1
+                "delay@t0:begin:p0:d0.5,drop_frame@t0:begin:p1", seed=1
             ),
         )
         try:

@@ -63,9 +63,9 @@ class TestOneOpTable:
             answered["superstep"] = cluster.run_round("superstep", 0, 0, [[], []])
             answered["eot"] = cluster.run_round("eot", 0, AT_EOT, None)
             blobs = answered["snapshot"] = cluster.run_round("snapshot", 1, AT_BEGIN, None)
-            answered["restore"] = cluster.run_round("restore", None, -1, blobs)
+            answered["restore"] = cluster.run_round("restore", -1, -1, blobs)
             assert answered["restore"] == [None, None]
-            cluster.restore_one(1, blobs[1], reload_timestep=0)
+            cluster.restore_one(1, blobs[1])
             answered["merge"] = cluster.run_round("merge", -1, 0, [[], []])
             for op in ("resident", "states"):
                 answered[op] = cluster.run_round(op, -1, -1, None)
