@@ -128,12 +128,13 @@ class TDSPComputation(TimeSeriesComputation):
         st["slot_src"] = slot_sources(sg.indptr)
         st["has_remote"] = index_mask(sg.remote.src_local, n)
 
-    def _weights(self, ctx: ComputeContext, key: str, rows: np.ndarray) -> np.ndarray:
-        """This instance's latencies at ``rows``, gathered on first use:
-        a subgraph the wave is not in this timestep takes nothing."""
+    def _weights(self, ctx: ComputeContext, key: str, rows: np.ndarray) -> tuple:
+        """This instance's latencies at ``rows`` as ``ctx.locate_edges``'s
+        ``(values, index)``, on first use: a subgraph the wave is not in this
+        timestep reads nothing, one it is in only the slots it relaxes."""
         st = ctx.state
         if key not in st:
-            st[key] = ctx.take_edges(self.latency_attr, rows)
+            st[key] = ctx.locate_edges(self.latency_attr, rows)
         return st[key]
 
     def _kernel_relax(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
@@ -143,15 +144,17 @@ class TDSPComputation(TimeSeriesComputation):
         label = st["label"]
         changed = seeds
         if st["unfinalized"]:  # else only the cut edges are left to relax
+            values, index = self._weights(ctx, "w_local", sg.edge_index)
             improved = relax_to_fixpoint(
                 sg.indptr,
                 sg.indices,
-                self._weights(ctx, "w_local", sg.edge_index),
+                values,
                 label,
                 seeds,
                 bound=bound,
                 blocked=st["finalized"],
                 slot_src=st["slot_src"],
+                weight_index=index,
             )
             st["touched"].append(improved)
             changed = np.concatenate((seeds, improved))
@@ -161,7 +164,8 @@ class TDSPComputation(TimeSeriesComputation):
             return
         rows = index_mask(sources, sg.num_vertices)[remote.src_local].nonzero()[0]
         cand = label[remote.src_local[rows]]
-        cand += self._weights(ctx, "w_remote", remote.edge_index)[rows]
+        values, index = self._weights(ctx, "w_remote", remote.edge_index)
+        cand += values[rows if index is None else index[rows]]
         keep = (cand <= bound).nonzero()[0]
         if not keep.size:
             return

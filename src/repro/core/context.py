@@ -130,6 +130,12 @@ class ComputeContext(_BaseContext):
         nothing template-wide on a GoFS source."""
         return self.instance.edge_values.take(name, rows)
 
+    def locate_edges(self, name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`take_edges` without the copy: ``(values, index)``, ``values[index]``
+        its result (``index is None``: ``values``) — on GoFS the pack's read-only
+        row, so reading a few slots costs those.  Do not keep it past the timestep."""
+        return self.instance.edge_values.locate(name, rows)
+
     # -- messaging constructs ------------------------------------------------------
 
     def send_to_subgraph(self, subgraph_id: int, payload: Any) -> None:

@@ -154,15 +154,16 @@ class AttributeTable:
     template's dense element indices (vertex index or edge index), so a
     subgraph can slice columns with fancy indexing.
 
-    Columns are allocated on first access.  A table built with ``gather`` is
-    *backed*: ``gather(name, rows)`` returns a fresh array of the stored
-    values at ``rows`` (``None``: the whole column) — a GoFS view answers it
-    straight from a slice row.  :meth:`take` on an untouched column is that
-    gather and builds nothing table-wide; :meth:`column` gathers the whole
-    column once, after which it is an ordinary column.
+    Columns are allocated on first access.  A table built with ``locate`` is
+    *backed*: ``locate(name, rows)`` returns ``(values, index)``, the stored
+    values at ``rows`` being ``values[index]`` — or ``values`` when ``index is
+    None`` (``rows=None``: a fresh whole column) — a GoFS view answers with a
+    slice row and the rows' positions in it.  :meth:`locate` and :meth:`take`
+    of an untouched column ask that hook and build nothing table-wide;
+    :meth:`column` asks it once, after which it is an ordinary column.
     """
 
-    __slots__ = ("schema", "n", "_columns", "_gather")
+    __slots__ = ("schema", "n", "_columns", "_locate")
 
     def __init__(
         self,
@@ -170,14 +171,14 @@ class AttributeTable:
         n: int,
         columns: Mapping[str, np.ndarray] | None = None,
         *,
-        gather: Callable[[str, np.ndarray | None], np.ndarray] | None = None,
+        locate: Callable[[str, np.ndarray | None], tuple] | None = None,
     ) -> None:
         if n < 0:
             raise ValueError("row count must be non-negative")
         self.schema = schema
         self.n = int(n)
         self._columns: dict[str, np.ndarray] = {}
-        self._gather = gather
+        self._locate = locate
         if columns is not None:
             for name, col in columns.items():
                 self.set_column(name, col)
@@ -186,24 +187,24 @@ class AttributeTable:
         spec = self.schema[name]  # KeyError for unknown attributes
         col = self._columns.get(name)
         if col is None:
-            col = spec.allocate(self.n) if self._gather is None else self._gather(name, None)
+            col = spec.allocate(self.n) if self._locate is None else self._locate(name, None)[0]
             self._columns[name] = col
         return col
 
     def _valued_names(self) -> list[str]:
         """Columns that hold (or, for a backed table, will hold) non-default
         values: every schema attribute when backed, else the materialized."""
-        return self.schema.names if self._gather is not None else list(self._columns)
+        return self.schema.names if self._locate is not None else list(self._columns)
 
     def __getstate__(self) -> tuple:
-        # A gather hook closes over its backing store; ship the values instead.
+        # A locate hook closes over its backing store; ship the values instead.
         for name in self._valued_names():
             self._materialize(name)
         return (self.schema, self.n, self._columns)
 
     def __setstate__(self, state: tuple) -> None:
         self.schema, self.n, self._columns = state
-        self._gather = None
+        self._locate = None
 
     def column(self, name: str) -> np.ndarray:
         """Return the full column for ``name`` (allocated lazily) — all ``n``
@@ -229,22 +230,27 @@ class AttributeTable:
         """Scalar write of attribute ``name`` at element ``index``."""
         self.column(name)[index] = value
 
-    def take(self, name: str, indices: np.ndarray) -> np.ndarray:
-        """Vectorized gather of ``name`` at ``indices`` (returns a copy):
-        ``column(name)[indices]``.  On a backed table whose column is
-        untouched, a 1-D array of row numbers in ``[0, n)`` is answered by
-        the store without allocating the column; the store may cache its
-        lookup per ``indices`` array, so do not mutate one you pass again."""
+    def locate(self, name: str, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``name`` at ``indices`` without a copy: ``(values, index)`` with
+        ``values[index] == column(name)[indices]`` (``index is None``: ``values``).
+        An untouched backed column answers 1-D row arrays from the store (which
+        may cache its lookup per array): mutate neither; else ``(column, indices)``."""
         rows = np.asarray(indices)
         if (
-            self._gather is not None
+            self._locate is not None
             and name not in self._columns
             and rows.ndim == 1
             and rows.dtype.kind in "iu"
         ):
             self.schema[name]  # KeyError for unknown attributes
-            return self._gather(name, rows)
-        return self.column(name)[rows]
+            return self._locate(name, rows)
+        return self.column(name), rows
+
+    def take(self, name: str, indices: np.ndarray) -> np.ndarray:
+        """Vectorized gather of ``name`` at ``indices`` (returns a copy):
+        ``column(name)[indices]``, read through :meth:`locate`."""
+        values, index = self.locate(name, indices)
+        return values if index is None else values[index]
 
     @property
     def materialized_names(self) -> list[str]:
@@ -270,7 +276,7 @@ class AttributeTable:
         """Deep-ish copy: numeric columns are copied; object cells are shared.
 
         A backed table's untouched columns stay backed in the copy."""
-        out = AttributeTable(self.schema, self.n, gather=self._gather)
+        out = AttributeTable(self.schema, self.n, locate=self._locate)
         for name, col in self._columns.items():
             out._columns[name] = col.copy()
         return out

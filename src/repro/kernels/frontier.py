@@ -42,6 +42,7 @@ def relax_to_fixpoint(
     bound: float | None = None,
     blocked: np.ndarray | None = None,
     slot_src: np.ndarray | None = None,
+    weight_index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched Bellman-Ford relaxation from ``seeds`` until no label improves.
 
@@ -49,7 +50,9 @@ def relax_to_fixpoint(
     improved as an index array — every round's duplicate-free frontier,
     concatenated, so a vertex that improved in several rounds repeats
     (:func:`sorted_unique` it for the set); no work here is proportional to
-    the vertex count.  ``weights`` is per-CSR-slot (parallel to ``indices``).
+    the vertex count.  ``weights`` is per-CSR-slot (parallel to ``indices``),
+    or with ``weight_index`` slot ``i`` weighs ``weights[weight_index[i]]``
+    (``ctx.locate_edges``: rounds read the slots they touch, in place).
     With ``bound``, candidate labels above it are discarded (TDSP's window
     confinement); with ``blocked``, those vertices never improve (TDSP's
     finalized set) though they still relax outward when seeded.
@@ -83,13 +86,13 @@ def relax_to_fixpoint(
             if slot_src is None:
                 slot_src = slot_sources(indptr)
             dst = indices
-            cand = labels[slot_src] + weights
+            cand = labels[slot_src] + (weights if weight_index is None else weights[weight_index])
         else:
             slots = (starts - cum + counts).repeat(counts)
             slots += np.arange(total)
             dst = indices[slots]
             cand = labels[frontier].repeat(counts)
-            cand += weights[slots]
+            cand += weights[slots if weight_index is None else weight_index[slots]]
         ok = cand < labels[dst]
         if bound is not None:
             ok &= cand <= bound

@@ -2,8 +2,9 @@
 
 Layout of a store rooted at ``root/``::
 
-    root/template.npz            — the shared graph template
+    root/template.gsl            — the shared graph template
     root/manifest.json           — packing/binning/timestep metadata + bins
+    root/rows_p*_b*.gsl          — one rows file per (partition, bin)
     root/slice_p*_b*_k*.gsl      — one slice per (partition, bin, pack)
 
 Writing distributes a partitioned collection into slice files with the
@@ -12,14 +13,14 @@ Each host then reads through a :class:`GoFSPartitionView` — an
 :class:`~repro.runtime.host.InstanceSource` that caches temporal packs,
 so crossing a pack boundary triggers a real, measurable load spike at
 every 10th timestep (Fig 6).  What a view does eagerly in ``instance(t)``
-is the pack read: file bytes, header validation, schema and row checks.
-What it does *per read* is the projection: ``table.take(name, rows)``
-gathers the asked-for template rows of one timestep straight from the pack
-matrix (row positions resolved once per row array, through the view's
-direct-address row index), and ``column(name)`` is the same gather over the
-whole template.  An attribute nobody reads costs
-nothing, and one nobody ever set is not in the store at all (slice format
-3): its slices list it under ``defaults`` and it reads as its schema default.
+is the pack read: file bytes, header validation, schema checks (a bin's
+rows are read and checked once, at opening).  What it does *per read* is
+the projection: ``table.locate(name, rows)`` answers one timestep's rows in
+place — the pack matrix's row and the rows' positions in it, resolved once
+per row array through the view's direct-address row index — ``take``
+copies them out, and ``column(name)`` gathers the whole template.  An
+attribute nobody reads costs nothing, and one nobody ever set is not
+stored: slices list it under ``defaults`` and it reads as its default.
 
 With ``prefetch=True`` a view hides that spike: a single background thread
 starts reading pack *k+1* while compute is still inside pack *k* (the
@@ -48,9 +49,11 @@ from .slices import (
     SLICE_FORMAT,
     SliceKey,
     bin_rows,
+    read_rows,
     read_slice,
     slice_filename,
     slice_nbytes,
+    write_rows,
     write_slice,
 )
 
@@ -67,7 +70,7 @@ DEFAULT_BINNING = 5  #: subgraphs per spatial bin (paper's value)
 PREFETCH_LEAD = 2  #: rows before a pack boundary that arm the prefetch
 
 _MANIFEST = "manifest.json"
-_TEMPLATE = "template.npz"
+_TEMPLATE = "template.gsl"
 
 
 class GoFS:
@@ -106,6 +109,8 @@ class GoFS:
             for b, sgids in enumerate(part_bins)
         }
 
+        for (p, b), pair in rows.items():
+            write_rows(root, p, b, pair)
         T = len(collection)
         num_packs = (T + packing - 1) // packing
         for k in range(num_packs):
@@ -194,26 +199,16 @@ class GoFS:
         ]
 
 
-#: Slice entry holding the template rows of a ``v__*`` / ``e__*`` column.
-_ROWS_KEY = {"v": "vertex_rows", "e": "edge_rows"}
-
-
-def _check_columns(arrays: PackedArrays, template: GraphTemplate, pack_len: int) -> None:
-    """The slice holds exactly the store's schema: two int64 row arrays, and
-    every attribute either stored with the schema's dtype and shape
-    ``(pack_len, rows)`` or listed under ``defaults`` — never both, never
-    neither, and nothing else.  From the header; nothing is decoded."""
+def _check_columns(arrays: PackedArrays, tpl: GraphTemplate, pack_len: int, rows: tuple) -> None:
+    """The slice holds exactly the store's schema: every attribute either
+    stored with the schema's dtype and shape ``(pack_len, |bin rows|)`` or
+    listed under ``defaults`` — never both, never neither, and nothing
+    else.  From the header; nothing is decoded."""
     want: dict[str, tuple[np.dtype, list[int]]] = {}
-    for prefix, schema in (("v", template.vertex_schema), ("e", template.edge_schema)):
-        rows = _ROWS_KEY[prefix]
-        if rows not in arrays:
-            raise ValueError(f"column {rows} is missing")
-        entry = arrays.entry(rows)
-        if np.dtype(entry["dtype"]) != np.int64 or len(entry["shape"]) != 1:
-            raise ValueError(f"column {rows} is {entry['dtype']} {entry['shape']}, want <i8 [n]")
+    for prefix, schema, side in zip("ve", (tpl.vertex_schema, tpl.edge_schema), rows):
         for spec in schema:
-            want[f"{prefix}__{spec.name}"] = (spec.dtype, [pack_len, entry["shape"][0]])
-    stored = set(arrays) - set(_ROWS_KEY.values())
+            want[f"{prefix}__{spec.name}"] = (spec.dtype, [pack_len, side.size])
+    stored = set(arrays)
     for name in sorted(stored & arrays.defaults):
         raise ValueError(f"column {name} is both stored and listed under defaults")
     for name in sorted((stored | arrays.defaults) - want.keys()):
@@ -236,10 +231,10 @@ class GoFSPartitionView:
 
     Only the rows belonging to this partition's subgraph bins hold values
     in the returned instances; foreign rows read schema defaults — hosts
-    never read them.  Instances hold no columns: ``take(name, rows)``
-    gathers from the pack and ``column(name)`` builds the whole column from
-    the same gather on first access (both counted in
-    :attr:`columns_projected` / :attr:`bytes_projected`), and an instance
+    never read them.  Instances hold no columns: ``locate(name, rows)``
+    answers from the pack in place, ``take`` copies what it locates, and
+    ``column(name)`` builds the whole column on first access (each counted
+    in :attr:`columns_projected` / :attr:`bytes_projected`), and an instance
     keeps its pack alive, so a read after the pack was evicted is still
     right.  Pickles cheaply (path + partition id + settings), so process
     workers each open their own view.
@@ -348,18 +343,19 @@ class GoFSPartitionView:
             "v": (0, tpl.vertex_schema, tpl.num_vertices),
             "e": (1, tpl.edge_schema, tpl.num_edges),
         }
-        #: Per-bin ``(vertex rows, edge rows)``, adopted from the first pack
-        #: read; their index per side asked for (:meth:`_row_index`); and the
-        #: row plans resolved through it (:meth:`_plan`): ``(prefix, id(rows))
-        #: -> (rows, plan)``, least recently used dropped past a cap that fits
+        #: Per-bin ``(vertex rows, edge rows)``, read and checked at opening;
+        #: their index per side asked for (:meth:`_row_index`); and the row
+        #: plans resolved through it (:meth:`_plan`): ``(prefix, id(rows)) ->
+        #: (rows, plan)``, least recently used dropped past a cap that fits
         #: every subgraph's three row arrays.
-        self._bin_rows: list[tuple[np.ndarray, np.ndarray]] = []
+        sizes, p = (tpl.num_vertices, tpl.num_edges), self.partition_id
+        self._bin_rows = [read_rows(self.root, p, b, sizes) for b in range(self._num_bins)]
         self._index: dict[str, np.ndarray] = {}
         self._plans: dict[tuple[str, int], tuple[np.ndarray, list]] = {}
         self._plan_cap = 4 * sum(len(b) for b in manifest["bins"][self.partition_id]) + 8
-        #: Gathers answered from the packs (one per ``take`` / first
-        #: ``column`` of an instance attribute) and the bytes they returned
-        #: (``gofs.columns_projected`` / ``gofs.bytes_projected`` when traced).
+        #: Reads answered from the packs (one per ``locate`` / ``take`` / first
+        #: ``column`` of an instance attribute) and ``len(rows) × itemsize`` each,
+        #: in place or copied (``gofs.columns_projected`` / ``.bytes_projected``).
         self.columns_projected = 0
         self.bytes_projected = 0
         #: Slice entries (``"e__latency"``) projected so far.  `_read_pack`
@@ -427,7 +423,7 @@ class GoFSPartitionView:
             key = SliceKey(self.partition_id, b, pack)
             arrays = read_slice(self.root, key, allow_objects=self._allow_objects)
             try:
-                _check_columns(arrays, self.template, pack_len)
+                _check_columns(arrays, self.template, pack_len, self._bin_rows[b])
             except ValueError as exc:
                 raise ValueError(
                     f"GoFS slice {self.root / slice_filename(key)} ({key}) "
@@ -438,28 +434,6 @@ class GoFSPartitionView:
                     arrays[name]  # decode now: off the compute path when prefetching
             data.append(arrays)
         return data, time.perf_counter() - start
-
-    def _adopt_rows(self, pack: int, data: list[PackedArrays]) -> None:
-        """Adopt the first pack's bin rows as *the* bin rows and hold every
-        later pack to them: a row plan resolved once serves every pack."""
-        for b, arrays in enumerate(data):
-            rows = tuple(arrays[key] for key in _ROWS_KEY.values())
-            if b < len(self._bin_rows):
-                ok = all(np.array_equal(r, ref) for r, ref in zip(rows, self._bin_rows[b]))
-            else:  # sorted, and inside the template: `_row_index` is addressed by them
-                ok = all(
-                    (r[1:] > r[:-1]).all() and (not r.size or 0 <= r[0] and r[-1] < n)
-                    for r, (_which, _schema, n) in zip(rows, self._sides.values())
-                )
-            if not ok:
-                key = SliceKey(self.partition_id, b, pack)
-                raise ValueError(
-                    f"GoFS slice {self.root / slice_filename(key)} ({key}) does not hold "
-                    "the bin's sorted template rows"
-                )
-            if b == len(self._bin_rows):
-                # Copies: a view would pin the whole slice file past its eviction.
-                self._bin_rows.append(tuple(np.array(r) for r in rows))
 
     def _row_index(self, prefix: str) -> np.ndarray:
         """One side's direct-address index: template row -> position among this
@@ -515,45 +489,39 @@ class GoFSPartitionView:
         self._plans[key] = (rows, plan)
         return plan
 
-    def _gather(
+    def _locate(
         self, pack_data: list[PackedArrays], row: int, prefix: str, recording: bool,
         name: str, rows: np.ndarray | None,
-    ) -> np.ndarray:
-        """One timestep's values of one attribute at template ``rows`` (an
-        instance table's gather hook, bound by :meth:`instance`): straight
-        from the pack matrices; rows this partition does not hold, and
-        columns the pack does not store, read the schema default."""
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """An instance table's locate hook (bound by :meth:`instance`): one
+        timestep's ``(values, index)`` of an attribute at template ``rows``.  Rows
+        in one bin storing the column (a subgraph's always are) are answered in
+        place, by the pack's read-only row and the plan's cached positions; else
+        assembled in row order, ``index=None``, foreign or unstored rows default."""
         entry = f"{prefix}__{name}"
         _which, schema, n = self._sides[prefix]
         spec, size = schema[name], n if rows is None else len(rows)
-        out = None
-        for b, where, pos in self._plan(prefix, rows):
-            data = pack_data[b]
-            if entry in data.defaults:
-                continue
-            values = data[entry][row]
-            if pos is not None:
-                values = values.take(pos)
-            if where is None:  # every row lives in this bin
-                out = values
-            else:
-                if out is None:
-                    out = spec.allocate(size)
-                out[where] = values
-        if out is None:
-            out = spec.allocate(size)
+        plan = self._plan(prefix, rows)
+        if len(plan) == 1 and plan[0][1] is None and entry in pack_data[plan[0][0]]:
+            values, index = pack_data[plan[0][0]][entry][row], plan[0][2]
+        else:
+            values, index = spec.allocate(size), None
+            for b, where, pos in plan:
+                if entry in pack_data[b]:  # else listed under defaults
+                    stored = pack_data[b][entry][row]
+                    values[where] = stored if pos is None else stored[pos]
         if recording:
             if entry not in self.projected:
                 self.projected = self.projected | {entry}
+            nbytes = size * spec.dtype.itemsize
             self.columns_projected += 1
-            self.bytes_projected += out.nbytes
+            self.bytes_projected += nbytes
             if self.tracer is not None:
                 self.tracer.count("gofs.columns_projected")
-                self.tracer.count("gofs.bytes_projected", out.nbytes)
-        return out
+                self.tracer.count("gofs.bytes_projected", nbytes)
+        return values, index
 
     def _insert_pack(self, pack: int, data: list[PackedArrays]) -> None:
-        self._adopt_rows(pack, data)
         self._cache[pack] = data
         nbytes = sum(slice_nbytes(d) for d in data)
         self._cache_nbytes[pack] = nbytes
@@ -740,8 +708,8 @@ class GoFSPartitionView:
         """Load (or cache-hit) ``timestep``'s pack and return a lazy instance.
 
         Everything that can fail — a missing, truncated or mis-typed slice —
-        fails here; the returned instance's values are gathered from the
-        pack when read.
+        fails here; the returned instance's values are read from the pack
+        when asked for.
         """
         T = self.manifest["num_timesteps"]
         if not 0 <= timestep < T:
@@ -758,12 +726,12 @@ class GoFSPartitionView:
             AttributeTable(
                 tpl.vertex_schema,
                 tpl.num_vertices,
-                gather=partial(self._gather, pack_data, row, "v", self._recording),
+                locate=partial(self._locate, pack_data, row, "v", self._recording),
             ),
             AttributeTable(
                 tpl.edge_schema,
                 tpl.num_edges,
-                gather=partial(self._gather, pack_data, row, "e", self._recording),
+                locate=partial(self._locate, pack_data, row, "e", self._recording),
             ),
         )
 

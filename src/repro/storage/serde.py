@@ -1,14 +1,13 @@
 """Binary (de)serialization of templates, schemas, and array containers.
 
-Templates use ``numpy.savez`` containers (uncompressed: zlib over the
-topology arrays cost more than the bytes it saved, on every write and every
-``partition_views``): topology arrays are stored natively, and attribute
-schemas are embedded as small pickled blobs (schemas are trusted local
-metadata, not user-supplied network input).
-Round-trip fidelity is asserted by the test suite via
-``GraphTemplate.equals``.
+Everything a GoFS store holds — template, bin rows, slices — is one GSL2
+container (below).  A template stores its topology arrays raw and its
+attribute schemas as small pickled blobs held in ``uint8`` arrays (schemas
+are trusted local metadata, not user-supplied network input), so loading one
+is a file read plus zero-copy views, with no zip walking.  Round-trip
+fidelity is asserted by the test suite via ``GraphTemplate.equals``.
 
-Slice payloads use the GSL2 framed container (:func:`write_arrays` /
+The GSL2 framed container (:func:`write_arrays` /
 :func:`unpack_arrays`): a 4-byte magic, a little-endian uint32 header
 length, a JSON header describing each array (name, kind, dtype, shape,
 offset, nbytes) and naming under ``defaults`` the columns left out because
@@ -52,6 +51,7 @@ __all__ = [
     "write_arrays",
     "pack_arrays",
     "unpack_arrays",
+    "read_arrays",
     "PackedArrays",
     "write_blob",
     "read_blob",
@@ -126,7 +126,8 @@ class PackedArrays(Mapping):
     The header is parsed and validated up front (:func:`unpack_arrays`);
     each array is decoded from the payload on its first ``[name]`` and kept.
     Raw arrays decode to read-only, zero-copy ``np.frombuffer`` views;
-    object arrays are unpickled then, and only then.  :meth:`entry` answers
+    object arrays are unpickled then, and only then, and made read-only too
+    (a reader handed either cannot write into a cached pack).  :meth:`entry` answers
     dtype/shape/size questions from the header without decoding anything;
     :attr:`defaults` names the columns the writer left out because they
     hold nothing but their default.
@@ -154,6 +155,7 @@ class PackedArrays(Mapping):
                     raise ValueError(
                         f"array {name!r} did not unpickle to an object array of shape {shape}"
                     )
+                arr.flags.writeable = False
             else:
                 arr = np.frombuffer(chunk, dtype=np.dtype(entry["dtype"])).reshape(shape)
             self._decoded[name] = arr
@@ -224,6 +226,19 @@ def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> PackedArr
     return PackedArrays(entries, view, frozenset(defaults))
 
 
+def read_arrays(path: str | Path, *, allow_objects: bool | None = None) -> PackedArrays:
+    """:func:`unpack_arrays` over a file's bytes.  A file that is missing,
+    unreadable or malformed is a ``ValueError`` naming it."""
+    try:
+        buf = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{path} cannot be read: {exc.strerror or exc}") from None
+    try:
+        return unpack_arrays(buf, allow_objects=allow_objects)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is malformed: {exc}") from exc
+
+
 def write_blob(path: str | Path, obj) -> tuple[int, str]:
     """Pickle ``obj`` to ``path``; return ``(nbytes, sha256 hex digest)``.
 
@@ -273,38 +288,39 @@ def schema_from_bytes(blob: bytes) -> AttributeSchema:
 
 
 def save_template(path: str | Path, template: GraphTemplate) -> None:
-    """Write a template to ``path`` (npz container)."""
+    """Write a template to ``path`` (GSL2 container)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        format_version=np.int64(1),
-        name=np.frombuffer(template.name.encode("utf-8"), dtype=np.uint8),
-        num_vertices=np.int64(template.num_vertices),
-        directed=np.int64(template.directed),
-        edge_src=template.edge_src,
-        edge_dst=template.edge_dst,
-        vertex_ids=template.vertex_ids,
-        edge_ids=template.edge_ids,
-        vertex_schema=np.frombuffer(schema_to_bytes(template.vertex_schema), dtype=np.uint8),
-        edge_schema=np.frombuffer(schema_to_bytes(template.edge_schema), dtype=np.uint8),
-    )
+    with open(path, "wb") as fp:
+        write_arrays(fp, {
+            "format_version": np.int64(1),
+            "name": np.frombuffer(template.name.encode("utf-8"), dtype=np.uint8),
+            "num_vertices": np.int64(template.num_vertices),
+            "directed": np.int64(template.directed),
+            "edge_src": template.edge_src,
+            "edge_dst": template.edge_dst,
+            "vertex_ids": template.vertex_ids,
+            "edge_ids": template.edge_ids,
+            "vertex_schema": np.frombuffer(schema_to_bytes(template.vertex_schema), np.uint8),
+            "edge_schema": np.frombuffer(schema_to_bytes(template.edge_schema), np.uint8),
+        })
 
 
 def load_template(path: str | Path) -> GraphTemplate:
-    """Read a template written by :func:`save_template`."""
-    with np.load(Path(path)) as data:
-        version = int(data["format_version"])
-        if version != 1:
-            raise ValueError(f"unsupported template format version {version}")
-        return GraphTemplate(
-            int(data["num_vertices"]),
-            data["edge_src"],
-            data["edge_dst"],
-            directed=bool(int(data["directed"])),
-            vertex_ids=data["vertex_ids"],
-            edge_ids=data["edge_ids"],
-            vertex_schema=schema_from_bytes(data["vertex_schema"].tobytes()),
-            edge_schema=schema_from_bytes(data["edge_schema"].tobytes()),
-            name=data["name"].tobytes().decode("utf-8"),
-        )
+    """Read a template written by :func:`save_template` (arrays: read-only
+    views of the file); a bad file or version is a ``ValueError`` naming it."""
+    data = read_arrays(path, allow_objects=False)
+    version = data.get("format_version")
+    if version is None or int(version) != 1:
+        raise ValueError(f"template {path} has unsupported format version {version}")
+    return GraphTemplate(
+        int(data["num_vertices"]),
+        data["edge_src"],
+        data["edge_dst"],
+        directed=bool(data["directed"]),
+        vertex_ids=data["vertex_ids"],
+        edge_ids=data["edge_ids"],
+        vertex_schema=schema_from_bytes(data["vertex_schema"].tobytes()),
+        edge_schema=schema_from_bytes(data["edge_schema"].tobytes()),
+        name=data["name"].tobytes().decode("utf-8"),
+    )

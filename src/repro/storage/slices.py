@@ -10,7 +10,8 @@ where rows are the bin's vertices (for vertex attributes) or the edges
 touched by the bin's subgraphs — local edges plus outgoing remote edges (for
 edge attributes).  Grouping 10 instances × 5 subgraphs per file is what lets
 GoFS amortize disk access and produces Fig 6's every-10th-timestep load
-bumps.
+bumps.  A bin's rows never change, so its *rows file* holds them once (slice
+format 4) and its slices hold attribute columns only.
 
 Slices are ``.gsl`` files in the zero-copy GSL2 container
 (:func:`repro.storage.serde.write_arrays`): framed header plus contiguous
@@ -18,7 +19,7 @@ aligned raw buffers per attribute column, read back as ``np.frombuffer``
 views so a pack load is near-memcpy.  Object columns (e.g. tweet lists)
 ride a pickled side-channel inside the same file.  A column that no
 instance of the pack has set is not stored: the header lists it under
-``defaults`` and readers serve the schema default (slice format 3).
+``defaults`` and readers serve the schema default.
 
 :func:`read_slice` reads the file and validates the header eagerly and
 decodes each column on its first access, so the cost of a column — above all
@@ -36,22 +37,28 @@ import numpy as np
 from ..graph.instance import GraphInstance
 from ..graph.subgraph import Subgraph
 from ..kernels.csr import sorted_unique
-from .serde import PackedArrays, unpack_arrays, write_arrays
+from .serde import PackedArrays, read_arrays, unpack_arrays, write_arrays
 
 __all__ = [
     "SLICE_FORMAT",
     "SliceKey",
     "slice_filename",
+    "rows_filename",
     "bin_rows",
+    "write_rows",
+    "read_rows",
     "write_slice",
     "read_slice",
     "slice_nbytes",
 ]
 
-#: The manifest's ``slice_format`` value: 3 = GSL2 container whose header
-#: names never-set columns under ``defaults`` instead of storing them
-#: (2 stored every column; 1 was ``.npz``; neither is read any more).
-SLICE_FORMAT = 3
+#: The manifest's ``slice_format`` value: 4 = a bin's rows once, in its rows
+#: file (3 repeated them in every slice, 2 also stored never-set columns
+#: instead of naming them under ``defaults``, 1 was ``.npz``; none is read).
+SLICE_FORMAT = 4
+
+#: Rows-file entries: template rows of the ``v__*`` / ``e__*`` columns.
+_ROWS_KEYS = ("vertex_rows", "edge_rows")
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,11 @@ class SliceKey:
 def slice_filename(key: SliceKey) -> str:
     """Canonical file name for a slice."""
     return f"slice_p{key.partition:03d}_b{key.bin:04d}_k{key.pack:04d}.gsl"
+
+
+def rows_filename(partition: int, bin: int) -> str:
+    """Canonical file name for a bin's rows file."""
+    return f"rows_p{partition:03d}_b{bin:04d}.gsl"
 
 
 def bin_rows(subgraphs: list[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
@@ -83,6 +95,30 @@ def bin_rows(subgraphs: list[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
     return verts, edges
 
 
+def write_rows(root: Path, partition: int, bin: int, rows: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write one bin's rows file: its :func:`bin_rows`, once for every pack."""
+    with open(Path(root) / rows_filename(partition, bin), "wb") as fp:
+        write_arrays(fp, dict(zip(_ROWS_KEYS, rows)))
+
+
+def read_rows(root: Path, partition: int, bin: int, sizes: tuple[int, int]) -> tuple:
+    """Read and check one bin's ``(vertex rows, edge rows)``: each int64,
+    1-D, strictly increasing and below its side's template size — the view's
+    row index is addressed by them.  Else a ``ValueError`` naming the file."""
+    path = Path(root) / rows_filename(partition, bin)
+    data = read_arrays(path, allow_objects=False)
+    for key, n in zip(_ROWS_KEYS, sizes):
+        rows = data.get(key)
+        if not (
+            rows is not None and rows.dtype == np.int64 and rows.ndim == 1
+            and (rows[1:] > rows[:-1]).all() and (not rows.size or 0 <= rows[0] and rows[-1] < n)
+        ):
+            raise ValueError(
+                f"GoFS rows file {path}: {key} is not strictly increasing int64 rows in [0, {n})"
+            )
+    return data["vertex_rows"], data["edge_rows"]
+
+
 def write_slice(
     root: Path,
     key: SliceKey,
@@ -95,9 +131,10 @@ def write_slice(
     Each attribute some instance of the pack has set is gathered into one
     ``(pack_len, rows)`` matrix — a later read is one contiguous load — and
     streamed to the file once.  An attribute none has set is not
-    materialized, only named under the header's ``defaults``.
+    materialized, only named under the header's ``defaults``.  The rows are
+    not stored here (:func:`write_rows`).
     """
-    arrays: dict[str, np.ndarray] = {"vertex_rows": vertex_rows, "edge_rows": edge_rows}
+    arrays: dict[str, np.ndarray] = {}
     defaults: list[str] = []
     for prefix, rows, tables in (
         ("v", vertex_rows, [inst.vertex_values for inst in instances]),

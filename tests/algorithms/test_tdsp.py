@@ -237,11 +237,11 @@ class TestBehaviour:
 
 
 class CountingSource:
-    """Instance source whose edge tables are backed by a recording gather:
-    every ``take_edges`` lands in ``takes`` as ``(timestep, id(rows))``."""
+    """Instance source whose edge tables are backed by a recording locate:
+    every ``locate_edges`` lands in ``locates`` as ``(timestep, id(rows))``."""
 
     def __init__(self, coll):
-        self.coll, self.takes, self.handed_out = coll, [], []
+        self.coll, self.locates, self.handed_out = coll, [], []
 
     def instance(self, timestep):
         from repro.graph import GraphInstance
@@ -249,12 +249,12 @@ class CountingSource:
 
         real = self.coll.instance(timestep)
 
-        def gather(name, rows):
-            self.takes.append((timestep, None if rows is None else id(rows)))
+        def locate(name, rows):
+            self.locates.append((timestep, None if rows is None else id(rows)))
             column = real.edge_column(name)
-            return column.copy() if rows is None else column[rows]
+            return (column.copy(), None) if rows is None else (column, rows)
 
-        table = AttributeTable(real.template.edge_schema, real.template.num_edges, gather=gather)
+        table = AttributeTable(real.template.edge_schema, real.template.num_edges, locate=locate)
         self.handed_out.append(GraphInstance(real.template, real.timestamp, edge_values=table))
         return self.handed_out[-1]
 
@@ -280,7 +280,7 @@ class TestPayForTheBand:
         for t, sgid, rec in res.outputs:
             first.setdefault(sgid, t)
             reached[sgid] = reached.get(sgid, 0) + rec.count
-        takes = {(t, rows) for src in sources for t, rows in src.takes}
+        locates = {(t, rows) for src in sources for t, rows in src.locates}
         waited = finished = 0
         for sg in pg.subgraphs:
             sgid = sg.subgraph_id
@@ -289,16 +289,16 @@ class TestPayForTheBand:
             for t in range(res.timesteps_executed):
                 if t < first.get(sgid, res.timesteps_executed):
                     # The wave has not reached it: no roots, no improving message.
-                    assert (t, local) not in takes and (t, remote) not in takes
+                    assert (t, local) not in locates and (t, remote) not in locates
                     waited += 1
                 elif reached[sgid] == sg.num_vertices and t > last:
                     # Completely finalized: it only re-roots across its cut edges.
-                    assert (t, local) not in takes
-                    assert ((t, remote) in takes) == bool(len(sg.remote))
+                    assert (t, local) not in locates
+                    assert ((t, remote) in locates) == bool(len(sg.remote))
                     finished += 1
         assert waited >= 10 and finished >= 10, "the case must hold both kinds of pair"
         # Whole columns are never asked for, and nothing table-wide was built.
-        assert all(rows is not None for _t, rows in takes)
+        assert all(rows is not None for _t, rows in locates)
         handed_out = [inst for src in sources for inst in src.handed_out]
         assert len(handed_out) == 4 * res.timesteps_executed
         assert all(inst.edge_values.materialized_names == [] for inst in handed_out)

@@ -75,6 +75,20 @@ class TestCLI:
         assert f"was written for {field}=" in captured.err and "error:" in captured.err
         assert "timesteps" not in captured.out  # no run summary: nothing ran
 
+    @pytest.mark.parametrize("missing", ["template.gsl", "rows_p001_b0000.gsl"])
+    def test_a_store_missing_a_file_is_refused_naming_it(self, missing, tmp_path, capsys):
+        """At 5ab4dba a store without its template ended in a numpy
+        ``FileNotFoundError`` traceback (exit 1) instead of ``error:`` / 2."""
+        root = tmp_path / "store"
+        same = ["--scale", "600", "--instances", "6", "--partitions", "3"]
+        assert main(["store", str(root), *same]) == 0
+        (root / missing).unlink()
+        capsys.readouterr()
+        assert main(["run", "tdsp", "--graph", "CARN", *same, "--gofs", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {root / missing} cannot be read" in captured.err
+        assert "timesteps" not in captured.out  # nothing ran
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -196,20 +196,32 @@ class TestAttributeTable:
 
 
 class TestBackedTable:
-    """A table with a ``gather`` hook: columns hold stored values, lazily."""
+    """A table with a ``locate`` hook: columns hold stored values, lazily."""
 
     SCHEMA = AttributeSchema([("x", "float"), ("k", "int", 7), ("o", "object")])
     STORED = {"x": [1.5, 2.5], "k": [3, 4], "o": [("a",), None]}
 
     def make(self, calls=None):
-        def gather(name, rows):
+        def locate(name, rows):
             if calls is not None:
                 calls.append(name if rows is None else (name, rows.tolist()))
             column = self.SCHEMA[name].allocate(4)
             column[[0, 2]] = self.STORED[name]
-            return column if rows is None else column[rows]
+            return column, rows  # ``rows=None``: the whole column, in order
 
-        return AttributeTable(self.SCHEMA, 4, gather=gather)
+        return AttributeTable(self.SCHEMA, 4, locate=locate)
+
+    def test_locate_hands_out_the_hooks_answer_and_take_composes_it(self):
+        calls = []
+        t = self.make(calls)
+        rows = np.asarray([2, 1, 2])
+        values, index = t.locate("k", rows)
+        assert values.tolist() == [3, 7, 4, 7] and index is rows
+        assert t.take("k", rows).tolist() == [4, 7, 4]
+        assert calls == [("k", [2, 1, 2])] * 2 and t.materialized_names == []
+        plain = AttributeTable(self.SCHEMA, 4)  # in memory: (column, rows)
+        values, index = plain.locate("k", rows)
+        assert values is plain.column("k") and index is rows
 
     def test_gather_runs_once_per_column_on_first_touch(self):
         calls = []

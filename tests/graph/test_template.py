@@ -165,8 +165,8 @@ class TestLazyAdjacency:
         n, m = 25, 70
         src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
         src[:3] = dst[:3]  # self-loops
-        save_template(tmp_path / "tpl.npz", GraphTemplate(n, src, dst, directed=directed))
-        tpl = load_template(tmp_path / "tpl.npz")
+        save_template(tmp_path / "tpl.gsl", GraphTemplate(n, src, dst, directed=directed))
+        tpl = load_template(tmp_path / "tpl.gsl")
         assert all(getattr(tpl, slot) is None for slot in _CSR_SLOTS)
         assert all(getattr(pickle.loads(pickle.dumps(tpl)), slot) is None for slot in _CSR_SLOTS)
 

@@ -233,6 +233,57 @@ class TestRoundLoopCorners:
         assert labels.tobytes() == want.tobytes()
         assert set(improved.tolist()) == set(np.flatnonzero(labels != before).tolist())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16), n=st.integers(2, 30), m=st.integers(0, 90),
+        bounded=st.booleans(), with_blocked=st.booleans(), wide=st.booleans(),
+    )
+    def test_relax_through_a_weight_index_is_bit_identical(
+        self, seed, n, m, bounded, with_blocked, wide
+    ):
+        """``weights=values, weight_index=idx`` (what ``ctx.locate_edges``
+        hands TDSP: a pack row and the slots' positions in it) relaxes
+        exactly as ``weights=values[idx]`` — same improved array, same label
+        bytes — in gathered rounds and in the whole-CSR sweep."""
+        rng = np.random.default_rng(seed)
+        indptr, indices = random_csr(rng, n, m)
+        values = rng.uniform(0.1, 5.0, size=len(indices) + rng.integers(0, 20))
+        idx = rng.integers(0, len(values), size=len(indices))  # repeats, any order
+        seeds = np.arange(n) if wide else np.unique(rng.integers(0, n, size=rng.integers(1, n)))
+        labels = np.full(n, np.inf)
+        labels[seeds] = rng.uniform(0.0, 3.0, size=len(seeds))
+        kw = {
+            "bound": float(rng.uniform(0.0, 8.0)) if bounded else None,
+            "blocked": rng.random(n) < 0.4 if with_blocked else None,
+        }
+        located = labels.copy()
+        want = relax_to_fixpoint(indptr, indices, values[idx], labels, seeds, **kw)
+        got = relax_to_fixpoint(indptr, indices, values, located, seeds, weight_index=idx, **kw)
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+        assert located.tobytes() == labels.tobytes()
+
+    def test_the_benchmark_probes_positional_call_form_still_runs(self):
+        """``benchmarks/e2e/layers.py`` calls the kernel with five positional
+        arguments, and the benchmark is not edited with the kernel."""
+        import importlib.util
+        import pathlib
+        import types
+
+        from repro.graph import build_collection
+        from repro.partition import partition_graph
+        from tests.conftest import make_grid_template, populate_random
+
+        path = pathlib.Path(__file__).parents[2] / "benchmarks" / "e2e" / "layers.py"
+        spec = importlib.util.spec_from_file_location("e2e_layers", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        tpl = make_grid_template(4, 5)
+        inputs = types.SimpleNamespace(
+            pg=partition_graph(tpl, 2), collection=build_collection(tpl, 1, populate_random(3))
+        )
+        out = layers.probe_kernel(types.SimpleNamespace(algorithm="tdsp"), inputs)
+        assert out["kernels.relax_ns_per_slot"] > 0
+
     def test_relax_leaves_when_every_candidate_is_filtered(self):
         # 0 -> {1, 2}: one candidate above the bound, the other blocked.
         indptr, indices = np.asarray([0, 2, 2, 2]), np.asarray([1, 2])

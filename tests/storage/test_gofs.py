@@ -19,7 +19,8 @@ from repro.storage import (
     slice_filename,
     slice_nbytes,
 )
-from repro.storage.serde import pack_arrays
+from repro.storage.serde import pack_arrays, read_arrays
+from repro.storage.slices import rows_filename
 from tests.conftest import make_grid_template, make_random_template, populate_random
 from tests.storage.test_slices_v2 import entry_of, header_of, rewrite_header
 
@@ -697,27 +698,47 @@ class TestLoadErrorsSurfaceInInstance:
             self.rewrite(tmp_path, lambda arrays: None, defaults=["e__speed"])
         self.assert_fails_in_instance(tmp_path, "column e__speed is not in the schema")
 
+    # A bin's rows are read once, when the view opens (slice format 4): a bad
+    # rows file fails there — in ``partition_views``, before any timestep.
+
+    def rewrite_rows(self, root, edit):
+        path = root / rows_filename(0, 0)
+        arrays = dict(read_arrays(path).items())
+        edit(arrays)
+        path.write_bytes(pack_arrays(arrays))
+        return path
+
+    def assert_fails_at_open(self, root, match):
+        for open_view in (lambda: GoFS.partition_view(root, 0), lambda: GoFS.partition_views(root)):
+            with pytest.raises(ValueError, match=match) as excinfo:
+                open_view()
+            assert str(root / rows_filename(0, 0)) in str(excinfo.value)
+        GoFS.partition_view(root, 1)  # another bin's rows file: still opens
+
+    def test_a_missing_rows_file(self, tmp_path):
+        numeric_store(tmp_path)
+        (tmp_path / rows_filename(0, 0)).unlink()
+        self.assert_fails_at_open(tmp_path, "cannot be read")
+
     def test_rows_of_the_wrong_type(self, tmp_path):
         numeric_store(tmp_path)
 
         def edit(arrays):
             arrays["edge_rows"] = arrays["edge_rows"].astype(np.int32)
 
-        self.rewrite(tmp_path, edit)
-        self.assert_fails_in_instance(tmp_path, "column edge_rows is <i4")
+        self.rewrite_rows(tmp_path, edit)
+        self.assert_fails_at_open(tmp_path, "edge_rows is not strictly increasing int64 rows")
 
-    def test_rows_differ_from_the_first_pack(self, tmp_path):
-        """Row plans are resolved once against the bin's rows, so a pack
-        whose rows differ (or are unsorted) must not load."""
+    def test_unsorted_rows(self, tmp_path):
+        """Row plans are resolved once against the bin's rows, through an
+        index addressed by them: rows out of order must not open."""
         numeric_store(tmp_path)
 
         def edit(arrays):
             arrays["vertex_rows"] = arrays["vertex_rows"][::-1]
 
-        self.rewrite(tmp_path, edit)
-        self.assert_fails_in_instance(tmp_path, "does not hold the bin's sorted template rows")
-        with pytest.raises(ValueError, match="sorted template rows"):
-            GoFS.partition_view(tmp_path, 0).instance(2)  # ... as the first pack read, too
+        self.rewrite_rows(tmp_path, edit)
+        self.assert_fails_at_open(tmp_path, "vertex_rows is not strictly increasing")
 
     @pytest.mark.parametrize("shift", [-100, 100])
     def test_rows_outside_the_template(self, tmp_path, shift):
@@ -728,9 +749,15 @@ class TestLoadErrorsSurfaceInInstance:
         def edit(arrays):
             arrays["edge_rows"] = arrays["edge_rows"] + shift
 
-        self.rewrite(tmp_path, edit)
-        with pytest.raises(ValueError, match="sorted template rows"):
-            GoFS.partition_view(tmp_path, 0).instance(2)  # KEY's pack, read first
+        self.rewrite_rows(tmp_path, edit)
+        self.assert_fails_at_open(tmp_path, r"edge_rows is not .* rows in \[0, 5\)")
+
+    def test_a_slice_that_repeats_the_rows(self, tmp_path):
+        """A format-3 slice (rows stored in every pack) is not a format-4 one."""
+        numeric_store(tmp_path)
+        rows = read_arrays(tmp_path / rows_filename(0, 0))
+        self.rewrite(tmp_path, lambda arrays: arrays.update(vertex_rows=rows["vertex_rows"]))
+        self.assert_fails_in_instance(tmp_path, "column vertex_rows is not in the schema")
 
     def test_object_column_on_a_strict_read(self, tmp_path, monkeypatch):
         numeric_store(tmp_path)
@@ -837,26 +864,28 @@ class TestProjectionProperty:
     def test_residency_and_evictions_are_the_parents(self, store):
         """The sequence of loads and evictions is the one pinned before
         instances went lazy (same store, same accesses); the *bytes* are
-        re-pinned for slice format 3: a pack of partition 0 was 3796 B when
-        every column was stored, and is 132 B lighter now that the never-set
-        ``flag`` column (9 vertices x 4 timesteps x 1 B) and the unread
-        ``timestamps`` entry (3 bins x 4 x 8 B) are no longer in the file."""
+        re-pinned per slice format: a pack of partition 0 was 3796 B when
+        every column was stored; format 3 left out the never-set ``flag``
+        column (9 vertices x 4 timesteps x 1 B) and the unread ``timestamps``
+        entry (3 bins x 4 x 8 B); format 4 keeps the bins' rows (9 vertex and
+        25 edge rows x 8 B) in the rows files, which are not pack bytes."""
         root, *_ = store
         one = _one_pack_nbytes(root)
-        assert one == 3796 - 9 * 4 - 3 * 4 * 8 == 3664
+        assert one == 3796 - 9 * 4 - 3 * 4 * 8 - (9 + 25) * 8 == 3392
         view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
         view.attach_tracer(Tracer())
         seen = []
         for t in list(range(12)) + [0, 4, 8, 1]:
             view.instance(t)
             seen.append(view.resident_bytes())
-        assert seen == [3664] * 4 + [7328] * 12
+        assert seen == [3392] * 4 + [6784] * 12
         assert view.tracer.counters["gofs.packs_evicted"] == 5
         assert view.tracer.counters["gofs.packs_loaded"] == 7
 
 
 class TestNeverSetColumns:
-    """Slice format 3: the writer stores what some instance of the pack set."""
+    """The writer stores what some instance of the pack set (slice format 3
+    on), and a bin's rows once, outside its slices (format 4)."""
 
     def write(self, root, never=(), first_only=()):
         vschema, eschema = SCHEMAS["numeric"]
@@ -870,12 +899,10 @@ class TestNeverSetColumns:
 
     def test_never_set_column_is_listed_not_stored(self, tmp_path):
         tpl, coll, pg = self.write(tmp_path, never={"flag", "lanes"})
-        for path in tmp_path.glob("*.gsl"):
+        for path in tmp_path.glob("slice_*.gsl"):
             header = header_of(path.read_bytes())
             assert header["defaults"] == ["e__lanes", "v__flag"]
-            assert [e["name"] for e in header["arrays"]] == [
-                "vertex_rows", "edge_rows", "v__traffic", "e__latency",
-            ]
+            assert [e["name"] for e in header["arrays"]] == ["v__traffic", "e__latency"]
         inst = GoFS.partition_view(tmp_path, 0).instance(3)
         assert inst.vertex_column("flag").tolist() == [True] * 6  # the schema default
         assert inst.edge_values.take("lanes", np.arange(5)).tolist() == [0] * 5
@@ -905,14 +932,83 @@ class TestNeverSetColumns:
         ds = paper_datasets(300, 4)["CARN"]
         tpl, coll = ds["template"], ds["road"]
         assert {s.name for s in tpl.vertex_schema} | {s.name for s in tpl.edge_schema} > {"latency"}
-        GoFS.write_collection(tmp_path, partition_graph(tpl, 2, HashPartitioner(seed=0)), coll)
-        for path in tmp_path.glob("*.gsl"):
+        manifest = GoFS.write_collection(
+            tmp_path, partition_graph(tpl, 2, HashPartitioner(seed=0)), coll
+        )
+        bins = [(p, b) for p, part in enumerate(manifest["bins"]) for b in range(len(part))]
+        assert sorted(p.name for p in tmp_path.glob("rows_*.gsl")) == [rows_filename(*pb) for pb in bins]
+        for p, b in bins:
+            header = header_of((tmp_path / rows_filename(p, b)).read_bytes())
+            assert [e["name"] for e in header["arrays"]] == ["vertex_rows", "edge_rows"]
+        for path in tmp_path.glob("slice_*.gsl"):
             header = header_of(path.read_bytes())
-            assert [e["name"] for e in header["arrays"]] == ["vertex_rows", "edge_rows", "e__latency"]
+            assert [e["name"] for e in header["arrays"]] == ["e__latency"]
             assert sorted(header["defaults"]) == sorted(
                 [f"v__{s.name}" for s in tpl.vertex_schema]
                 + [f"e__{s.name}" for s in tpl.edge_schema if s.name != "latency"]
             )
+
+
+class TestLocate:
+    """``locate`` answers a subgraph's rows in place, from the pack; any other
+    rows, and a column the pack does not store, come back assembled."""
+
+    def test_a_subgraphs_rows_are_located_in_the_pack(self, store):
+        root, _tpl, coll, pg, manifest = store
+        view = GoFS.partition_view(root, 0)
+        view.attach_tracer(Tracer())
+        want_bytes = 0
+        for sg in pg.partitions[0].subgraphs:
+            b = next(b for b, sgids in enumerate(manifest["bins"][0]) if sg.subgraph_id in sgids)
+            for t in (1, 6):
+                table = view.instance(t).edge_values
+                matrix = view._cache[t // 4][b]["e__latency"]
+                for rows in (sg.edge_index, sg.remote.edge_index):
+                    if not len(rows):
+                        continue
+                    values, index = table.locate("latency", rows)
+                    assert index is not None and not values.flags.writeable
+                    assert np.shares_memory(values, matrix)
+                    taken = table.take("latency", rows)
+                    assert values[index].tobytes() == taken.tobytes()
+                    assert taken.tobytes() == coll.instance(t).edge_column("latency")[rows].tobytes()
+                    want_bytes += 2 * 8 * len(rows)  # a locate counts what a take counts
+                assert table.materialized_names == []
+        assert view.tracer.counters["gofs.bytes_projected"] == view.bytes_projected == want_bytes
+        # A decoded object column is read-only too: a located row cannot
+        # write into the cached pack.
+        tweets, index = view.instance(6).vertex_values.locate("tweets", sg.vertices)
+        assert index is not None and not tweets.flags.writeable
+        assert view.columns_projected == view.tracer.counters["gofs.columns_projected"]
+
+    def test_rows_across_bins_or_partitions_are_assembled(self, store):
+        root, tpl, coll, pg, manifest = store
+        view = GoFS.partition_view(root, 0)
+        first, last = (pg.subgraphs[sgids[0]] for sgids in (manifest["bins"][0][0], manifest["bins"][0][-1]))
+        foreign = pg.partitions[1].subgraphs[0]
+        table = view.instance(2).vertex_values
+        assert table.locate("traffic", first.vertices)[1] is not None
+        for rows in (
+            np.concatenate((first.vertices, last.vertices)),
+            np.concatenate((first.vertices, foreign.vertices)),
+        ):
+            values, index = table.locate("traffic", rows)
+            assert index is None and values.flags.writeable
+            assert values.tobytes() == table.take("traffic", rows).tobytes()
+            assert values.tobytes() == view.instance(2).vertex_column("traffic")[rows].tobytes()
+
+    def test_a_column_listed_under_defaults_is_assembled(self, tmp_path):
+        vschema, eschema = SCHEMAS["numeric"]
+        tpl = GraphTemplate(6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5], vertex_schema=vschema, edge_schema=eschema)
+        coll = build_collection(tpl, 3, random_populator(1, never={"lanes"}))
+        pg = decompose(tpl, np.asarray([0, 0, 0, 1, 1, 1]), 2)
+        GoFS.write_collection(tmp_path, pg, coll, packing=2, binning=5)
+        table = GoFS.partition_view(tmp_path, 0).instance(1).edge_values
+        sg = pg.partitions[0].subgraphs[0]
+        values, index = table.locate("lanes", sg.edge_index)
+        assert index is None and values.tolist() == [0] * len(sg.edge_index)
+        values, index = table.locate("latency", sg.edge_index)  # stored: in place
+        assert index is not None and not values.flags.writeable
 
 
 class TestTakeProperty:

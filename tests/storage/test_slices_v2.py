@@ -18,6 +18,7 @@ from repro.storage import (
     write_slice,
 )
 from repro.storage.serde import GSL2_MAGIC, pack_arrays, unpack_arrays
+from repro.storage.slices import read_rows, write_rows
 from tests.conftest import make_grid_template, populate_random
 
 
@@ -198,9 +199,11 @@ class TestWriteReadSlice:
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
         write_slice(tmp_path, key, verts, edges, instances)
+        write_rows(tmp_path, 0, 0, (verts, edges))
         data = read_slice(tmp_path, key)
-        assert np.array_equal(data["vertex_rows"], verts)
-        assert np.array_equal(data["edge_rows"], edges)
+        assert "vertex_rows" not in data and "edge_rows" not in data  # format 4: once per bin
+        got_verts, got_edges = read_rows(tmp_path, 0, 0, (20, 31))
+        assert np.array_equal(got_verts, verts) and np.array_equal(got_edges, edges)
         tweets = data["v__tweets"]
         assert tweets.shape == (3, len(verts))
         for i, inst in enumerate(instances):
@@ -211,14 +214,31 @@ class TestWriteReadSlice:
             )
 
     def test_unknown_format_rejected(self, tmp_path):
-        """A store written before GSL2 (manifest says 1, or nothing) or by a
-        later writer is refused at the manifest, before any slice is read."""
-        for stale in ({"slice_format": 1}, {}, {"slice_format": 4}):
+        """A store written before GSL2 (manifest says 1, or nothing), with the
+        rows in every slice (3) or by a later writer is refused at the
+        manifest, before any slice is read."""
+        for stale in ({"slice_format": 1}, {}, {"slice_format": 3}, {"slice_format": 5}):
             (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, **stale}))
             with pytest.raises(
-                ValueError, match="is not slice format 3; rewrite with `GoFS.write_collection`"
+                ValueError, match="is not slice format 4; rewrite with `GoFS.write_collection`"
             ):
                 GoFS.read_manifest(tmp_path)
+
+    def test_a_format_3_store_is_refused(self, tmp_path):
+        """A real format-3 store: its manifest stops every opening, before the
+        missing rows files or the rows in its slices are ever looked at."""
+        tpl = make_grid_template(4, 5)
+        GoFS.write_collection(
+            tmp_path, partition_graph(tpl, 2, HashPartitioner(seed=1)),
+            build_collection(tpl, 3, populate_random(7)),
+        )
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "slice_format": 3}))
+        for path in tmp_path.glob("rows_*.gsl"):
+            path.unlink()
+        for open_store in (GoFS.read_manifest, GoFS.partition_views, lambda r: GoFS.partition_view(r, 0)):
+            with pytest.raises(ValueError, match=r"slice_format 3\) is not slice format 4"):
+                open_store(tmp_path)
 
     def test_format_2_rejected(self, tmp_path, slice_case):
         """Format 2 stored every column and had no ``defaults``: refused at
@@ -229,10 +249,10 @@ class TestWriteReadSlice:
         )
         with pytest.raises(
             ValueError,
-            match=r"slice_format 2\) is not slice format 3; rewrite with `GoFS.write_collection`",
+            match=r"slice_format 2\) is not slice format 4; rewrite with `GoFS.write_collection`",
         ):
             GoFS.read_manifest(tmp_path)
-        with pytest.raises(ValueError, match="format 3"):
+        with pytest.raises(ValueError, match="format 4"):
             GoFS.partition_views(tmp_path)
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
@@ -287,7 +307,7 @@ class TestGoFSFormats:
         tpl, coll, pg = case
         root = tmp_path
         manifest = GoFS.write_collection(root, pg, coll, packing=3, binning=2)
-        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 3
+        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 4
         for p in range(pg.num_partitions):
             view = GoFS.partition_view(root, p)
             for t in range(len(coll)):
