@@ -7,7 +7,7 @@ Subcommands::
     tibsp run        — run one algorithm on one dataset configuration
     tibsp worker     — serve one partition's worker over TCP (socket executor)
     tibsp trace      — run one algorithm traced; write Perfetto trace + event log
-    tibsp top        — live TTY dashboard over a running --live-export directory
+    tibsp top        — watch a run: fold the event log a 'run --stream DIR' writes
     tibsp fig5b     — the Giraph-vs-GoFFish comparison
     tibsp store      — write a dataset into a GoFS store directory
 
@@ -51,13 +51,7 @@ from .generators import (
     smallworld_network,
 )
 from .graph import AttributeSchema, AttributeSpec, GraphTemplate
-from .observability import (
-    LiveConfig,
-    TraceConfig,
-    run_provenance,
-    run_top,
-    validate_chrome_trace,
-)
+from .observability import TraceConfig, run_provenance, validate_chrome_trace
 from .partition import MetisLikePartitioner, compute_stats, partition_graph
 from .resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
 from .runtime import CollectionInstanceSource, GCModel
@@ -278,29 +272,6 @@ def _write_failure_log(path: str, result) -> None:
     print(f"failure log written to {path}")
 
 
-def _live_config(args: argparse.Namespace):
-    """LiveConfig for the ``--live-*`` flags, or None when live is off."""
-    if not (args.live_metrics or args.live_export):
-        return None
-    return LiveConfig(
-        interval_s=args.live_interval,
-        export_dir=args.live_export,
-    )
-
-
-def _print_live_summary(result) -> None:
-    live = result.live
-    if live is None:
-        return
-    snap = live.last_snapshot()
-    taken = snap["seq"] + 1 if snap is not None else 0
-    print(f"live telemetry: {taken} snapshot(s) taken")
-    if result.health_events:
-        print("health events:")
-        for ev in result.health_events:
-            print(f"  {ev.as_dict()}")
-
-
 def _run(args: argparse.Namespace) -> int:
     problems = _check_run_flags(args)
     if problems:
@@ -311,7 +282,7 @@ def _run(args: argparse.Namespace) -> int:
     config = EngineConfig(
         executor=args.executor,
         gc_model=GCModel() if args.gc else GCModel.disabled(),
-        live=_live_config(args),
+        tracing=TraceConfig(stream_dir=args.stream) if args.stream else None,
         hosts=tuple(h.strip() for h in args.hosts.split(",")) if args.hosts else None,
         **_resilience_config(args),
     )
@@ -366,10 +337,9 @@ def _run(args: argparse.Namespace) -> int:
         )
     if args.failure_log:
         _write_failure_log(args.failure_log, result)
-    _print_live_summary(result)
-    if args.live_export:
-        print(f"live snapshots: {Path(args.live_export) / 'live.jsonl'}")
-        print(f"prometheus:     {Path(args.live_export) / 'live.prom'}")
+    if args.stream:
+        print(f"event log streamed to {Path(args.stream) / 'events.jsonl'} "
+              f"(watch with 'tibsp top {args.stream}')")
     print(render_table([result.metrics.summary()], title=f"{args.algorithm} on {args.graph}"))
     print(render_series(result.metrics.timestep_series(), label="time per timestep (s)"))
     print(render_table([r.as_row() for r in utilization_rows(result)], title="Per-partition utilization"))
@@ -456,8 +426,12 @@ def _trace(args: argparse.Namespace) -> int:
 
 
 def _top(args: argparse.Namespace) -> int:
-    """Follow a ``--live-export`` directory with the TTY dashboard."""
-    return run_top(args.dir, once=args.once, interval_s=args.interval)
+    """Follow a ``run --stream`` directory: fold its event log into a panel."""
+    from .observability.top import run_top
+
+    return run_top(
+        args.dir, once=args.once, interval_s=args.interval, stall_after_s=args.stall_after
+    )
 
 
 def _fig5b(args: argparse.Namespace) -> int:
@@ -575,21 +549,10 @@ def main(argv: list[str] | None = None) -> int:
     res.add_argument(
         "--failure-log", metavar="PATH", help="write the failure log as JSON"
     )
-    live = p.add_argument_group("live telemetry")
-    live.add_argument(
-        "--live-metrics", action="store_true",
-        help="stream per-host telemetry into a driver-side live registry "
-        "(heartbeats, straggler/stall detection)",
-    )
-    live.add_argument(
-        "--live-export", metavar="DIR",
-        help="write live.jsonl snapshots + live.prom Prometheus textfile to "
-        "DIR while the run executes (implies --live-metrics; watch with "
-        "'tibsp top DIR')",
-    )
-    live.add_argument(
-        "--live-interval", type=float, default=0.5, metavar="S",
-        help="seconds between live snapshots (default 0.5)",
+    p.add_argument(
+        "--stream", metavar="DIR",
+        help="trace the run and stream its event log to DIR/events.jsonl as "
+        "each round lands (watch with 'tibsp top DIR')",
     )
     p.set_defaults(func=_run)
 
@@ -635,12 +598,16 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_trace)
 
     p = sub.add_parser(
-        "top", help="live TTY dashboard over a run's --live-export directory"
+        "top", help="watch a run: fold the event log of 'tibsp run --stream DIR'"
     )
-    p.add_argument("dir", help="the directory passed to 'tibsp run --live-export'")
+    p.add_argument("dir", help="the directory passed to 'tibsp run --stream'")
     p.add_argument(
         "--once", action="store_true",
-        help="render the latest snapshot once and exit (exit 1 if none yet)",
+        help="render the log once and exit (exit 1 if there is none yet)",
+    )
+    p.add_argument(
+        "--stall-after", type=float, default=5.0, metavar="S",
+        help="call a run whose log is older than S seconds stalled (default 5)",
     )
     p.add_argument(
         "--interval", type=float, default=1.0, metavar="S",

@@ -58,14 +58,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ..graph.collection import TimeSeriesGraphCollection
-from ..observability import (
-    JsonlSnapshotExporter,
-    LiveConfig,
-    LiveMetrics,
-    PrometheusTextfileExporter,
-    RunRecorder,
-    RunTrace,
-)
+from ..observability import RunRecorder, RunTrace
 from ..partition.base import PartitionedGraph
 from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
 from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
@@ -131,19 +124,10 @@ class EngineConfig:
         replies) and attaches a :class:`~repro.observability.RunTrace` to
         the result as ``result.trace`` — exportable to Perfetto and the
         JSONL event log.  Tracing only observes: engine results are
-        bit-identical with it on or off.
-    live:
-        Falsy (default, a strict no-op), ``True``, or a
-        :class:`~repro.observability.LiveConfig`.  When set, the run
-        maintains a thread-safe :class:`~repro.observability.LiveMetrics`
-        registry (attached as ``result.live``) fed at every protocol
-        round: ring-buffered snapshots, per-partition utilization,
-        host-published cache/prefetch stats, heartbeat/straggler/stall
-        detection, and optional Prometheus-textfile + JSONL exporters
-        (``LiveConfig.export_dir``).  Like tracing, the live plane only
-        observes — results are bit-identical with it on or off — and its
-        cumulative totals *are* ``result.metrics.summary()``: it reads the
-        run's own collector.
+        bit-identical with it on or off.  ``TraceConfig(stream_dir=D)``
+        streams the event log to ``D/events.jsonl`` round by round; a
+        running or finished run is watched by folding that file
+        (``tibsp top D``).
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.CheckpointConfig`.
         When set, timestep-boundary snapshots are written on the configured
@@ -177,7 +161,6 @@ class EngineConfig:
     collect_states: bool = True
     combiners: bool = True
     tracing: object | None = None
-    live: object | None = None
     checkpoint: CheckpointConfig | None = None
     faults: FaultPlan | None = None
     recovery: RecoveryPolicy | None = None
@@ -198,7 +181,7 @@ class _RunState:
     start: int
     stop: int
     result: AppResult
-    #: The run's one writer of facts: collector, live registry, trace.
+    #: The run's one writer of facts: collector and trace.
     recorder: RunRecorder
     manager: CheckpointManager | None
     #: Application inputs, grouped per subgraph.
@@ -256,7 +239,6 @@ class TIBSPEngine:
         computation: TimeSeriesComputation,
         meta: RunMeta,
         tracing: bool,
-        live: bool = False,
         policy: RecoveryPolicy | None = None,
     ) -> Cluster:
         cfg = self.config
@@ -288,7 +270,6 @@ class TIBSPEngine:
                 cost_model=cfg.cost_model,
                 use_combiners=cfg.combiners,
                 tracing=tracing,
-                live=live,
                 gather_timeout_s=gather_timeout,
                 fault_plan=cfg.faults,
                 # Recovery hardens the wire protocol: bounded idempotent
@@ -305,30 +286,8 @@ class TIBSPEngine:
             cost_model=cfg.cost_model,
             use_combiners=cfg.combiners,
             tracing=tracing,
-            live=live,
             fault_plan=cfg.faults,
         )
-
-    def _make_live(self, metrics: MetricsCollector, num_timesteps: int) -> LiveMetrics | None:
-        """Build the live registry over the run's collector (+ exporters) when enabled."""
-        cfg = self.config
-        if not cfg.live:
-            return None
-        live_cfg = cfg.live if isinstance(cfg.live, LiveConfig) else LiveConfig()
-        live = LiveMetrics(
-            self.pg.num_partitions,
-            metrics=metrics,
-            num_timesteps=num_timesteps,
-            config=live_cfg,
-        )
-        if live_cfg.export_dir is not None:
-            from pathlib import Path
-
-            out = Path(live_cfg.export_dir)
-            live.add_exporter(JsonlSnapshotExporter(out / "live.jsonl"))
-            live.add_exporter(PrometheusTextfileExporter(out / "live.prom"))
-        live.start()
-        return live
 
     @staticmethod
     def _as_input_messages(inputs: Iterable[tuple[int, Any]] | None) -> dict[int, list[Message]]:
@@ -416,20 +375,28 @@ class TIBSPEngine:
             input_msgs=self._as_input_messages(inputs),
         )
         t = start
-        # The live registry, cluster and supervisor are created inside the
-        # try so the finally tears them down on *every* exit path —
-        # including failures during cluster spawn or resume (a leaked
-        # heartbeat watchdog or prefetch worker outlives the run otherwise).
+        # The stream, cluster and supervisor are created inside the try so
+        # the finally tears them down on *every* exit path — including
+        # failures during cluster spawn or resume (a leaked prefetch worker
+        # outlives the run otherwise).
         try:
-            live = rs.recorder.live = result.live = self._make_live(metrics, stop)
-            rs.cluster = self._make_cluster(
-                computation, meta, trace is not None, live is not None, policy
+            stream_dir = getattr(cfg.tracing, "stream_dir", None)
+            if stream_dir is not None:
+                trace.open_stream(stream_dir)
+            # The log says what it is a log of before anything runs.
+            rs.recorder.event(
+                "run_begin",
+                num_partitions=self.pg.num_partitions,
+                start=start,
+                stop=stop,
+                pattern=pattern.name,
+                executor=cfg.executor,
+                barrier_s=metrics.barrier_s,
             )
+            rs.recorder.flush()
+            rs.cluster = self._make_cluster(computation, meta, trace is not None, policy)
             if trace is not None:
                 rs.cluster.driver_tracer = trace.tracer
-                stream_dir = getattr(cfg.tracing, "stream_dir", None)
-                if stream_dir is not None:
-                    trace.open_stream(stream_dir)
 
             if resume_from is not None:
                 t = self._resume(rs, resume_from)
@@ -455,9 +422,6 @@ class TIBSPEngine:
                     result.timesteps_executed += 1
                     if rs.manager is not None and (t - start + 1) % cfg.checkpoint.every == 0:
                         self._write_checkpoint(rs, t)
-                    # Streamed event-log flush point: everything up to this
-                    # timestep boundary is durable on disk.
-                    rs.recorder.flush()
                     t += 1
                     if halted_early:
                         # Only count as early when timesteps actually remained.
@@ -480,17 +444,10 @@ class TIBSPEngine:
                 if policy.on_exhausted == "raise":
                     raise RunFailureError(failure, partial=result) from exc.original
         finally:
-            live, cluster, supervisor = rs.recorder.live, rs.cluster, rs.supervisor
-            if live is not None:
-                # Stop the watchdog, force the final snapshot, close the
-                # exporters — then hand the health events over.  Runs even
-                # on abnormal exit, so exporters always hold the last state.
-                live.finalize()
-                result.health_events = live.health_events()
-                if trace is not None:
-                    packet = live.drain_telemetry()
-                    if packet is not None:
-                        trace.absorb(packet)
+            cluster, supervisor = rs.cluster, rs.supervisor
+            # The log's last word: a reader of it tells a finished run from
+            # a stalled one.
+            rs.recorder.event("run_end", timesteps_executed=result.timesteps_executed)
             if supervisor is not None:
                 # Provenance — the repair records, the partitions given up
                 # on — attached even when the run exits abnormally.
@@ -604,7 +561,6 @@ class TIBSPEngine:
         else:
             pauses = [0.0] * self.pg.num_partitions
 
-        rec.round_begin("begin_timestep", t, -1)
         with rec.span("begin_timestep", t=t):
             begin_results = self._round(rs, "begin", t, AT_BEGIN, pauses)
         for r in begin_results:
@@ -624,7 +580,6 @@ class TIBSPEngine:
         halt_votes: set[int] = set()
         superstep = self._supersteps(rs, PHASE_COMPUTE, t, per_part, result.outputs, halt_votes)
 
-        rec.round_begin("end_of_timestep", t, superstep)
         with rec.span("end_of_timestep", t=t):
             eot_results = self._round(rs, "eot", t, AT_EOT, None)
         self._record(rs, PHASE_COMPUTE, t, superstep, eot_results)
@@ -671,7 +626,6 @@ class TIBSPEngine:
                     f"{name} exceeded max_supersteps={cfg.max_supersteps}; "
                     "is the computation failing to vote to halt?"
                 )
-            rec.round_begin(phase, t, superstep)
             with rec.span(span, **where, s=superstep):
                 barrier_start = time.perf_counter()
                 step_results = self._round(rs, op, t, superstep, per_part)

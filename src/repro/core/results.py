@@ -46,16 +46,6 @@ class AppResult:
         Every :class:`~repro.resilience.recovery.FailureRecord` the
         recovery loop handled, including faults that were successfully
         retried (empty for fault-free runs).
-    live:
-        The :class:`~repro.observability.live.LiveMetrics` registry when
-        the run was configured with ``EngineConfig(live=...)``; ``None``
-        otherwise.  ``result.live.summary()`` matches
-        ``result.metrics.summary()`` exactly, and ``result.live.snapshots``
-        holds the ring-buffered time series.
-    health_events:
-        Every :class:`~repro.observability.live.HealthEvent` the live
-        plane flagged (stragglers, stalls); empty when live telemetry is
-        off.
     recovery_actions:
         The repairs the supervisor completed, in order: the very
         :class:`~repro.runtime.metrics.RespawnRecord` /
@@ -83,8 +73,6 @@ class AppResult:
     trace: Any | None = None
     failure: Any | None = None
     failure_log: list[Any] = field(default_factory=list)
-    live: Any | None = None
-    health_events: list[Any] = field(default_factory=list)
     recovery_actions: list[Any] = field(default_factory=list)
     degraded_partitions: list[int] = field(default_factory=list)
     protocol_stats: dict[str, int] = field(default_factory=dict)

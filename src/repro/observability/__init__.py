@@ -1,8 +1,9 @@
 """Observability plane: span tracer, event log, counters, Perfetto export.
 
-This package is deliberately **zero-dependency and repro-agnostic** — it
-imports nothing from the rest of the package, so every layer (engine,
-hosts, clusters, storage) can instrument itself without import cycles.
+This package is deliberately **zero-dependency and repro-agnostic** — what
+it imports eagerly imports nothing from the rest of the package, so every
+layer (engine, hosts, clusters, storage) can instrument itself without
+import cycles.
 
 Three primitives, one collector:
 
@@ -22,17 +23,14 @@ Three primitives, one collector:
 :class:`~repro.observability.runtrace.RunTrace` is the driver-side
 collector the engine owns for one run: it absorbs packets, merges
 counters, and writes the three run artifacts (``trace.json``,
-``events.jsonl``, ``manifest.json``).  The driver reaches it, the run's
-metrics collector and the live registry through one
+``events.jsonl``, ``manifest.json``).  The driver reaches it and the run's
+metrics collector through one
 :class:`~repro.observability.recorder.RunRecorder`, which states each fact
-once and is the only place that knows which of them are on.
+once and is the only place that knows whether the run is traced.
 
-The **live telemetry plane** (:mod:`~repro.observability.live`) layers a
-during-the-run view on the same telemetry: a thread-safe
-:class:`~repro.observability.live.LiveMetrics` registry with ring-buffered
-snapshots, heartbeat/straggler/stall detection, Prometheus-textfile and
-JSONL exporters (:mod:`~repro.observability.export`), and the ``tibsp top``
-TTY dashboard (:mod:`~repro.observability.top`).
+The live view is a reader of the streamed log: ``tibsp top``
+(:mod:`~repro.observability.top`, loaded on selection — it folds the log
+through the run's own collector class) tails ``events.jsonl`` and folds it.
 """
 
 from .chrome import TRACE_SCHEMA_VERSION, chrome_trace, validate_chrome_trace, write_chrome_trace
@@ -40,25 +38,12 @@ from .events import (
     EVENT_SCHEMA_VERSION,
     BufferedEventLogWriter,
     read_event_log,
+    tail_event_log,
     write_event_log,
-)
-from .export import (
-    JsonlSnapshotExporter,
-    PrometheusTextfileExporter,
-    read_snapshots,
-    validate_live_snapshot,
-)
-from .live import (
-    LIVE_SCHEMA_VERSION,
-    HealthEvent,
-    HeartbeatMonitor,
-    LiveConfig,
-    LiveMetrics,
 )
 from .provenance import PROVENANCE_SCHEMA_VERSION, git_describe, run_provenance
 from .recorder import RunRecorder
 from .runtrace import RunTrace, TraceConfig
-from .top import latest_snapshot, render_top, run_top
 from .tracer import DRIVER_PID, NULL_SPAN, Span, TracePacket, Tracer, partition_pid
 
 __all__ = [
@@ -69,19 +54,8 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "BufferedEventLogWriter",
     "read_event_log",
+    "tail_event_log",
     "write_event_log",
-    "JsonlSnapshotExporter",
-    "PrometheusTextfileExporter",
-    "read_snapshots",
-    "validate_live_snapshot",
-    "LIVE_SCHEMA_VERSION",
-    "HealthEvent",
-    "HeartbeatMonitor",
-    "LiveConfig",
-    "LiveMetrics",
-    "latest_snapshot",
-    "render_top",
-    "run_top",
     "PROVENANCE_SCHEMA_VERSION",
     "git_describe",
     "run_provenance",

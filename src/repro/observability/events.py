@@ -16,6 +16,12 @@ Schema v1 event kinds
 ---------------------
 
 ====================  =========================================================
+``run_begin``         the log's first line: what it is a log of
+                      (``num_partitions``, ``start``/``stop`` timesteps,
+                      ``pattern``, ``executor``, modeled ``barrier_s``)
+``run_end``           the log's last line when the driver got to say it
+                      (``timesteps_executed``); a reader tells a finished
+                      run from a stalled one by it
 ``step``              one partition's contribution to one superstep (driver):
                       ``phase``/``timestep``/``superstep``/``partition`` plus
                       ``compute_s``/``send_s``/message counts — the basis
@@ -52,8 +58,6 @@ Schema v1 event kinds
                       the failure kind repaired)
 ``protocol_retry``    the wire protocol cured a dropped/corrupt/wedged reply
                       with an idempotent resend (no respawn needed)
-``straggler`` /       live-plane health findings (``partition``, ``seconds``,
-``stalled``           ``detail``); a repair is ``worker_respawn``, stated once
 ``frames_dropped``    deliveries addressed to a quarantined partition were
                       dropped (``messages`` counted, degraded-run contract)
 ``worker_quarantined``  a partition exhausted its retry budget and was
@@ -62,6 +66,10 @@ Schema v1 event kinds
 
 Unknown kinds are allowed — the schema governs the envelope (``schema``,
 ``kind``, ``ts_us``, ``pid``), not the closed set of kinds.
+
+A log may be read while it is written: a reader takes the complete lines
+only.  An incomplete final line (no trailing newline — a write in progress,
+or a run killed mid-flush) is skipped; a corrupt complete line raises.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ __all__ = [
     "BufferedEventLogWriter",
     "normalize_event",
     "read_event_log",
+    "tail_event_log",
     "write_event_log",
 ]
 
@@ -175,12 +184,17 @@ class BufferedEventLogWriter:
         self.close()
 
 
+def tail_event_log(path: str | Path, offset: int = 0) -> tuple[list[dict[str, Any]], int]:
+    """The complete records of an events.jsonl from byte ``offset`` on, and
+    the offset just past the last of them (where the next read starts)."""
+    with Path(path).open("rb") as fh:
+        fh.seek(offset)
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    records = [json.loads(line) for line in data[:end].splitlines() if line.strip()]
+    return records, offset + end
+
+
 def read_event_log(path: str | Path) -> list[dict[str, Any]]:
-    """Read an events.jsonl file back into a list of dicts."""
-    records = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    """Read an events.jsonl file back into a list of dicts (complete lines)."""
+    return tail_event_log(path)[0]

@@ -2,11 +2,12 @@
 
 The engine and the host supervisor hand their facts to a
 :class:`RunRecorder` and never ask which observers are attached.  A typed
-record (:mod:`repro.runtime.metrics`) is folded into the run's collector —
-under the live registry's lock when one is attached, so its readers see
-whole records — and appended to the driver's event log when the run is
-traced.  Facts with no table behind them (``barrier``, ``worker_lost``,
-``retry``, ``restore``, ...) are plain trace events.
+record (:mod:`repro.runtime.metrics`) is folded into the run's collector
+and appended to the driver's event log when the run is traced.  Facts with
+no table behind them (``run_begin``, ``barrier``, ``worker_lost``,
+``retry``, ``restore``, ...) are plain trace events.  A streamed log is
+flushed as each round lands, so a reader tailing it (``tibsp top``) folds
+the same records the collector did.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable
 
-from .live import LiveMetrics
 from .runtrace import RunTrace
 from .tracer import NULL_SPAN
 
@@ -22,32 +22,24 @@ __all__ = ["RunRecorder"]
 
 
 class RunRecorder:
-    """Fans one run's records out to its collector, live registry and trace.
+    """Fans one run's records out to its collector and trace.
 
-    ``metrics`` is the run's collector (duck-typed ``fold``); ``trace`` and
-    ``live`` are None when that plane is off, and this class is the only
-    place that checks.
+    ``metrics`` is the run's collector (duck-typed ``fold``); ``trace`` is
+    None when the run is not traced, and this class is the only place that
+    checks.
     """
 
-    def __init__(
-        self, metrics: Any, trace: RunTrace | None = None, live: LiveMetrics | None = None
-    ) -> None:
+    def __init__(self, metrics: Any, trace: RunTrace | None = None) -> None:
         self.metrics = metrics
         self.trace = trace
-        self.live = live
 
     def restore(self, metrics: Any) -> None:
         """Continue on the collector a ``resume_from`` checkpoint carried."""
         self.metrics = metrics
-        if self.live is not None:
-            self.live.resync(metrics)
 
     def emit(self, record: Any) -> None:
-        """State one typed record: collector, live series, event log."""
-        if self.live is not None:
-            self.live.fold(record)
-        else:
-            self.metrics.fold(record)
+        """State one typed record: collector, event log."""
+        self.metrics.fold(record)
         if self.trace is not None:
             self.trace.tracer.event(record.kind, **record.as_event())
 
@@ -60,7 +52,7 @@ class RunRecorder:
         self, timestep: int, superstep: int, partition: int, attempt: int, error: str
     ) -> None:
         """A partition was given up on: from here on its replies are synthesized,
-        so the live plane stops counting them as heartbeats."""
+        so a reader of the log shows it silent."""
         self.event(
             "worker_quarantined",
             timestep=timestep,
@@ -69,8 +61,6 @@ class RunRecorder:
             attempt=attempt,
             error=error,
         )
-        if self.live is not None:
-            self.live.retire(partition)
 
     def barrier(self, phase: str, timestep: int, superstep: int, started: float) -> None:
         """The driver-measured scatter/gather wall of the round begun at ``started``."""
@@ -90,18 +80,13 @@ class RunRecorder:
         return NULL_SPAN
 
     def flush(self) -> None:
-        """A durable point of the streamed event log (a timestep boundary)."""
+        """A durable point of the streamed event log."""
         if self.trace is not None:
             self.trace.stream_flush()
 
-    def round_begin(self, phase: str, timestep: int, superstep: int) -> None:
-        """A scatter/gather round is about to block (arms the live stall watchdog)."""
-        if self.live is not None:
-            self.live.round_begin(phase, timestep, superstep)
-
     def absorb(self, replies: Iterable[Any]) -> None:
-        """Take a round's host telemetry packets and host-published stats."""
+        """A round has landed: take its host telemetry packets and flush the
+        streamed log, so a reader tailing it sees each round as it lands."""
         if self.trace is not None:
             self.trace.absorb_results(replies)
-        if self.live is not None:
-            self.live.round_end(replies)
+            self.trace.stream_flush()

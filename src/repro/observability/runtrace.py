@@ -3,9 +3,8 @@
 The engine owns one :class:`RunTrace` per traced run: it holds the driver's
 own :class:`~repro.observability.tracer.Tracer`, absorbs the
 :class:`~repro.observability.tracer.TracePacket` objects that hosts attach
-to their protocol replies (serialized under a lock: the live watchdog is
-a thread), merges every track's counters into one registry, and renders
-the run artifacts:
+to their protocol replies, merges every track's counters into one
+registry, and renders the run artifacts:
 
 * ``trace.json`` — Chrome trace-event JSON (Perfetto-ready);
 * ``events.jsonl`` — the schema-versioned structured event log;
@@ -15,7 +14,6 @@ the run artifacts:
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -37,8 +35,9 @@ class TraceConfig:
         When set, the engine streams the structured event log to
         ``<stream_dir>/events.jsonl`` *during* the run through a
         :class:`~repro.observability.events.BufferedEventLogWriter`,
-        flushing at timestep boundaries — so a killed run still leaves a
-        valid, replayable JSONL of everything up to its last flush.
+        flushing as each round lands — so ``tibsp top`` can fold it while
+        the run goes, and a killed run still leaves a valid, replayable
+        JSONL of everything up to its last flush.
     """
 
     stream_dir: str | None = None
@@ -58,20 +57,20 @@ class RunTrace:
         #: Merged counter registry across all tracks.
         self.counters: dict[str, int | float] = {}
         self.track_labels: dict[int, str] = {DRIVER_PID: "driver"}
-        self._lock = threading.Lock()
         self._stream: BufferedEventLogWriter | None = None
+        #: Where the event log was streamed, when it was.
+        self.stream_path: Path | None = None
         self._streamed = 0  #: prefix of ``self.events`` already streamed out
 
     # -- collection --------------------------------------------------------------------
 
     def absorb(self, packet: TracePacket) -> None:
         """Merge one drained packet (host telemetry) into the run."""
-        with self._lock:
-            self.track_labels.setdefault(packet.pid, packet.label)
-            self.spans.extend((packet.pid, span) for span in packet.spans)
-            self.events.extend(packet.events)
-            for name, value in packet.counters.items():
-                self.counters[name] = self.counters.get(name, 0) + value
+        self.track_labels.setdefault(packet.pid, packet.label)
+        self.spans.extend((packet.pid, span) for span in packet.spans)
+        self.events.extend(packet.events)
+        for name, value in packet.counters.items():
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def absorb_results(self, results: Iterable[Any]) -> None:
         """Absorb the telemetry riding on a batch of host protocol replies."""
@@ -91,14 +90,14 @@ class RunTrace:
 
     def open_stream(self, out_dir: str | Path) -> Path:
         """Start streaming the event log to ``<out_dir>/events.jsonl``."""
-        path = Path(out_dir) / "events.jsonl"
-        self._stream = BufferedEventLogWriter(path)
-        return path
+        self.stream_path = Path(out_dir) / "events.jsonl"
+        self._stream = BufferedEventLogWriter(self.stream_path)
+        return self.stream_path
 
     def stream_flush(self) -> None:
         """Stream every not-yet-streamed event; commit with one write+flush.
 
-        Called at flush points (timestep boundaries, teardown).  The driver
+        Called at flush points (every round, teardown).  The driver
         tracer is drained first so its events enter the stream too.  Each
         batch is sorted by timestamp before writing; hosts drain at every
         protocol reply and the driver drains at every flush, so no event
@@ -109,9 +108,8 @@ class RunTrace:
         if self._stream is None:
             return
         self.finish()
-        with self._lock:
-            batch = self.events[self._streamed :]
-            self._streamed = len(self.events)
+        batch = self.events[self._streamed :]
+        self._streamed = len(self.events)
         if batch:
             records = sorted(
                 (normalize_event(e, self.epoch_ns) for e in batch),
@@ -158,7 +156,11 @@ class RunTrace:
 
         Returns ``{"trace": ..., "events": ..., "manifest": ...}`` paths.
         The manifest gets the merged counters appended under ``counters``.
+        A log the run streamed into ``out_dir`` is already complete once
+        its stream is closed, and is left as it is: rewriting it would show
+        a reader tailing it an empty file.
         """
+        self.close_stream()
         self.finish()
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,7 +169,9 @@ class RunTrace:
         trace_path = write_chrome_trace(
             out_dir / "trace.json", self.chrome_trace(metadata={"manifest": "manifest.json"})
         )
-        events_path = write_event_log(out_dir / "events.jsonl", self.event_records())
+        events_path = out_dir / "events.jsonl"
+        if self.stream_path is None or self.stream_path.resolve() != events_path.resolve():
+            write_event_log(events_path, self.event_records())
         manifest_path = out_dir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest_payload, indent=2, sort_keys=True, default=str))
         return {"trace": trace_path, "events": events_path, "manifest": manifest_path}

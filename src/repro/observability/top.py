@@ -1,49 +1,135 @@
-"""``tibsp top`` — a zero-dependency TTY dashboard over live snapshots.
+"""``tibsp top`` — the live view is a reader of the streamed event log.
 
-Tails the ``live.jsonl`` the :class:`JsonlSnapshotExporter` writes and
-renders the latest snapshot as a full-screen text panel: run progress,
-per-partition utilization bars, message/cache rates, and recent health
-events.  Pure rendering is separated from the terminal loop so tests can
-assert on :func:`render_top` output directly.
+A watched run streams its event log (``tibsp run --stream DIR``, i.e.
+``EngineConfig(tracing=TraceConfig(stream_dir=DIR))``), flushed as each
+round lands.  This module tails ``DIR/events.jsonl`` and folds its
+complete lines into a :class:`RunFold`: the run's records through the
+collector's own fold (:meth:`~repro.runtime.metrics.MetricsCollector.fold_events`,
+what ``from_events`` does), so the panel's totals cannot disagree with the
+run's; and the trace-only lines for what the collector keeps no table of —
+the plan (``run_begin``), quarantined partitions, the GoFS cache counts and
+the end of the run (``run_end``).
+
+Stragglers and stalls are the reader's findings, made when it renders:
+
+* a **straggler** is a partition whose busy seconds in the last timestep
+  exceed :data:`STRAGGLER_FACTOR` × the median and the median by at least
+  :data:`STRAGGLER_MIN_S`;
+* a **stall** is a log older than ``stall_after_s`` whose run has not
+  ended: the round after the last one that landed is still open.  The
+  suspect is the partition heard from longest ago; a quarantined one is
+  silent by decision and never named.
+
+The log keeps the run's clock (``ts_us`` from its trace epoch); the file's
+modification time anchors its last line to the wall clock, so a
+partition's age is the log's age plus how far its last reply lies before
+the log's last line.  :func:`render_top` is a pure function of a fold and
+``now``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 from typing import Any
 
-__all__ = ["latest_snapshot", "render_top", "run_top"]
+from ..runtime.metrics import PHASE_COMPUTE, MetricsCollector
+from .events import tail_event_log
 
-_BAR_FULL = "█"  # █
-_BAR_EMPTY = "░"  # ░
+__all__ = ["RunFold", "render_top", "run_top"]
+
+#: Straggler rule: busy > FACTOR × median and busy − median > MIN_S.
+STRAGGLER_FACTOR = 2.0
+STRAGGLER_MIN_S = 0.05
+#: A log older than this (seconds) whose run has not ended is a stall.
+STALL_AFTER_S = 5.0
+
+#: A host's reply to a round: what shows a partition alive.
+_REPLY_KINDS = ("step", "instance_load")
+_CACHE_KINDS = ("slice_load", "prefetch_start", "prefetch_hit", "prefetch_miss")
+
+_BAR_FULL = "█"
+_BAR_EMPTY = "░"
 
 
-def latest_snapshot(path: str | os.PathLike) -> dict[str, Any] | None:
-    """Read the last complete snapshot line from a ``live.jsonl`` file."""
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(0, os.SEEK_END)
-            size = fh.tell()
-            # Snapshots are small; reading a 64 KiB tail always covers the
-            # last record without scanning a long-running file front-to-back.
-            fh.seek(max(0, size - 65536))
-            tail = fh.read().decode("utf-8", errors="replace")
-    except OSError:
-        return None
-    for line in reversed(tail.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn final line of a live file
-        if isinstance(record, dict) and record.get("kind") == "live_snapshot":
-            return record
-    return None
+class RunFold:
+    """What a run's event log says so far, folded line by line."""
+
+    def __init__(self) -> None:
+        #: The ``run_begin`` line, then the run's collector folded so far.
+        self.plan: dict[str, Any] | None = None
+        self.metrics: MetricsCollector | None = None
+        #: The ``run_end`` line, once the driver has said it.
+        self.ended: dict[str, Any] | None = None
+        self.records = 0
+        self.last_ts_us = 0.0
+        #: ``(phase, timestep, superstep)`` of the last round that landed.
+        self.last_round: tuple[str, int, int] | None = None
+        #: partition -> ``ts_us`` of its last own reply.
+        self.heard_us: dict[int, float] = {}
+        self.quarantined: set[int] = set()
+        self.cache: Counter[str] = Counter()
+        #: Wall-clock modification time of the log when it was last read.
+        self.mtime = 0.0
+        self._offset = 0
+
+    def feed(self, records: list[dict[str, Any]]) -> None:
+        """Fold event-log lines, in log order."""
+        for record in records:
+            self._note(record)
+        if self.metrics is not None:
+            self.metrics.fold_events(records)
+
+    def read(self, path: str | os.PathLike) -> int:
+        """Fold the complete lines appended to ``path`` since the last read;
+        returns how many there were."""
+        self.mtime = os.stat(path).st_mtime
+        records, self._offset = tail_event_log(path, self._offset)
+        self.feed(records)
+        return len(records)
+
+    def _note(self, record: dict[str, Any]) -> None:
+        kind = record["kind"]
+        if self.plan is None:
+            if kind != "run_begin":
+                raise ValueError(f"not a run's event log: it starts with {kind!r}, not 'run_begin'")
+            self.plan = record
+            self.metrics = MetricsCollector(record["num_partitions"], barrier_s=record["barrier_s"])
+        self.records += 1
+        self.last_ts_us = record["ts_us"]
+        if kind in _REPLY_KINDS and record["partition"] not in self.quarantined:
+            self.heard_us[record["partition"]] = record["ts_us"]
+        if kind == "step":
+            self.last_round = (record["phase"], record["timestep"], record["superstep"])
+        elif kind == "instance_load":
+            self.last_round = ("begin", record["timestep"], -1)
+        elif kind == "worker_quarantined":
+            self.quarantined.add(record["partition"])
+        elif kind == "run_end":
+            self.ended = record
+        elif kind in _CACHE_KINDS:
+            self.cache[kind] += 1
+
+
+def _stragglers(metrics: MetricsCollector) -> set[int]:
+    """Partitions far busier than the median in the last timestep."""
+    n = metrics.num_partitions
+    steps = [r for r in metrics.step_records if r.phase == PHASE_COMPUTE]
+    if n < 2 or not steps:
+        return set()
+    last = steps[-1].timestep
+    busy = [0.0] * n
+    for r in steps:
+        if r.timestep == last:
+            busy[r.partition] += r.busy_s
+    med = sorted(busy)[n // 2]
+    return {
+        p for p in range(n)
+        if busy[p] > STRAGGLER_FACTOR * med and busy[p] - med > STRAGGLER_MIN_S
+    }
 
 
 def _bar(fraction: float, width: int) -> str:
@@ -52,95 +138,101 @@ def _bar(fraction: float, width: int) -> str:
     return _BAR_FULL * filled + _BAR_EMPTY * (width - filled)
 
 
-def _rate(n: float, seconds: float) -> str:
-    if seconds <= 0:
-        return "-"
-    rate = n / seconds
-    if rate >= 1e6:
-        return f"{rate / 1e6:.1f}M/s"
-    if rate >= 1e3:
-        return f"{rate / 1e3:.1f}k/s"
-    return f"{rate:.1f}/s"
+def _round_name(rnd: tuple[str, int, int] | None) -> str:
+    if rnd is None:
+        return "the first round"
+    phase, t, s = rnd
+    return f"begin t={t}" if phase == "begin" else f"{phase} t={t} s={s}"
 
 
-def render_top(snapshot: dict[str, Any], *, width: int = 80) -> str:
-    """Render one snapshot as a text panel (no terminal control codes)."""
-    totals = snapshot.get("totals", {})
-    progress = snapshot.get("progress", {})
-    health = snapshot.get("health", {})
-    wall = snapshot.get("wall_s", 0.0)
-    lines: list[str] = []
-    done = progress.get("timesteps_done", 0)
-    planned = progress.get("num_timesteps", 0)
+def render_top(
+    fold: RunFold, *, now: float, stall_after_s: float = STALL_AFTER_S, width: int = 80
+) -> str:
+    """Render a fold that has read its ``run_begin`` line as a text panel at
+    wall-clock ``now`` (no control codes)."""
+    plan, m = fold.plan, fold.metrics
+    n = m.num_partitions
+    totals = m.summary()
+    log_age = now - fold.mtime
+
+    def age(ts_us: float) -> float:
+        return log_age + (fold.last_ts_us - ts_us) / 1e6
+
+    lines = [
+        f"tibsp top — {plan['pattern'].lower()} on {plan['executor']} ×{n}   "
+        f"{fold.records} records, run {fold.last_ts_us / 1e6:.2f}s"
+    ]
+    planned = plan["stop"] - plan["start"]
+    done = totals["timesteps"]
     lines.append(
-        f"tibsp top — snapshot #{snapshot.get('seq', 0)}  wall {wall:7.2f}s  "
-        f"phase {snapshot.get('phase', '?')} t={snapshot.get('timestep', '?')} "
-        f"s={snapshot.get('superstep', '?')}"
+        f"progress  [{_bar(done / planned if planned else 1.0, max(10, width - 50))}] "
+        f"{done}/{planned} timesteps, {totals['supersteps']} supersteps"
     )
-    if planned:
-        frac = done / planned
+    lines.append(
+        f"messages  {totals['messages']}  (remote {totals['remote_messages']}, "
+        f"cut ratio {totals['cut_traffic_ratio']:.3f})"
+    )
+    lines.append(
+        f"load      blocked {totals['load_blocked_s']:.3f}s  hidden {totals['load_hidden_s']:.3f}s"
+    )
+    if fold.cache:
+        c = fold.cache
+        asked = c["prefetch_hit"] + c["prefetch_miss"]
+        rate = f"{100.0 * c['prefetch_hit'] / asked:.0f}%" if asked else "-"
         lines.append(
-            f"progress  [{_bar(frac, max(10, width - 40))}] "
-            f"{done}/{planned} timesteps, {progress.get('supersteps', 0)} supersteps"
+            f"cache     packs {c['slice_load']}  prefetch {c['prefetch_start']} started, "
+            f"{c['prefetch_hit']} hit, {c['prefetch_miss']} missed ({rate})"
+        )
+    if totals["checkpoints"] or totals["retries"] or fold.quarantined:
+        lines.append(
+            f"faults    checkpoints {totals['checkpoints']} ({totals['checkpoint_s']:.3f}s)  "
+            f"retries {totals['retries']}  recovery {totals['recovery_s']:.3f}s"
+            + (f"  quarantined {sorted(fold.quarantined)}" if fold.quarantined else "")
+        )
+
+    busy, compute, send, msgs = [0.0] * n, [0.0] * n, [0.0] * n, [0] * n
+    for r in m.step_records:
+        busy[r.partition] += r.busy_s
+        compute[r.partition] += r.compute_s
+        send[r.partition] += r.send_s
+        msgs[r.partition] += r.messages_sent
+    peak = max(busy, default=0.0)
+    stragglers = _stragglers(m)
+    lines.append("")
+    lines.append(
+        f"{'part':>4} {'util':>5} {'busy':>8} {'compute':>8} {'send':>8} {'msgs':>7} {'age':>8} bar"
+    )
+    # A row's cells take 55 columns; leave room for " *straggler".
+    bar_width = max(4, width - 68)
+    for p in range(n):
+        util = busy[p] / peak if peak > 0 else 0.0
+        heard = fold.heard_us.get(p)
+        seen = f"{age(heard):7.2f}s" if heard is not None else f"{'-':>8}"
+        if p in fold.quarantined:
+            tail = "silent (quarantined)"
+        else:
+            tail = f"[{_bar(util, bar_width)}]" + (" *straggler" if p in stragglers else "")
+        lines.append(
+            f"{p:>4} {100 * util:4.0f}% {busy[p]:7.3f}s {compute[p]:7.3f}s {send[p]:7.3f}s "
+            f"{msgs[p]:>7} {seen} {tail}"
+        )
+
+    lines.append("")
+    if fold.ended is not None:
+        lines.append(f"run ended after {fold.ended['timesteps_executed']} timesteps")
+    elif log_age > stall_after_s:
+        live = [p for p in range(n) if p not in fold.quarantined]
+        suspect = min(live, key=lambda p: fold.heard_us.get(p, float("-inf")), default=None)
+        lines.append(
+            f"!! STALLED: the round after {_round_name(fold.last_round)} open for "
+            f"{log_age:.1f}s (threshold {stall_after_s:g}s)"
+        )
+        lines.append(
+            f"   partition {suspect} silent longest" if suspect is not None
+            else "   every partition is quarantined"
         )
     else:
-        lines.append(
-            f"progress  {done} timesteps, {progress.get('supersteps', 0)} supersteps"
-        )
-    messages = totals.get("messages", 0)
-    lines.append(
-        f"messages  {messages}  ({_rate(messages, wall)}; "
-        f"remote {totals.get('remote_messages', 0)}, "
-        f"cut ratio {totals.get('cut_traffic_ratio', 0.0):.3f})"
-    )
-    lines.append(
-        f"load      blocked {totals.get('load_blocked_s', 0.0):.3f}s  "
-        f"hidden {totals.get('load_hidden_s', 0.0):.3f}s"
-    )
-    sources = snapshot.get("sources", {})
-    if sources:
-        hits = sources.get("prefetch_hits", 0)
-        misses = sources.get("prefetch_misses", 0)
-        total = hits + misses
-        hit_pct = f"{100.0 * hits / total:.0f}%" if total else "-"
-        lines.append(
-            f"cache     hits {hits}  misses {misses}  hit-rate {hit_pct}  "
-            f"resident {sources.get('resident_bytes', 0)} B"
-        )
-    if totals.get("checkpoints") or totals.get("retries"):
-        lines.append(
-            f"faults    checkpoints {totals.get('checkpoints', 0)} "
-            f"({totals.get('checkpoint_s', 0.0):.3f}s)  "
-            f"retries {totals.get('retries', 0)}  "
-            f"recovery {totals.get('recovery_s', 0.0):.3f}s"
-        )
-    lines.append("")
-    # Row prefix is ~39 columns; keep room for the " *straggler" suffix too.
-    bar_width = max(10, width - 52)
-    stragglers = set(health.get("stragglers", []))
-    lines.append(f"{'part':>4}  {'util':>5}  {'busy':>9}  {'msgs':>9}  bar")
-    for part in snapshot.get("partitions", []):
-        p = part["partition"]
-        util = part.get("utilization", 0.0)
-        mark = " *straggler" if p in stragglers else ""
-        lines.append(
-            f"{p:>4}  {100 * util:4.0f}%  {part.get('busy_s', 0.0):8.3f}s  "
-            f"{part.get('messages', 0):>9}  [{_bar(util, bar_width)}]{mark}"
-        )
-    recent = health.get("recent", [])
-    if health.get("stalled"):
-        lines.append("")
-        lines.append("!! STALLED: in-flight round exceeds the stall threshold")
-    if recent:
-        lines.append("")
-        lines.append("recent events")
-        for event in recent[-5:]:
-            part = event.get("partition")
-            where = f"p{part}" if part is not None else "-"
-            lines.append(
-                f"  [{event.get('wall_s', 0.0):7.2f}s] {event.get('kind', '?'):<9} "
-                f"{where:>4}  {event.get('detail', '')}"
-            )
+        lines.append(f"running   last landed: {_round_name(fold.last_round)}, {log_age:.1f}s ago")
     return "\n".join(line[:width] for line in lines)
 
 
@@ -149,30 +241,37 @@ def run_top(
     *,
     once: bool = False,
     interval_s: float = 1.0,
+    stall_after_s: float = STALL_AFTER_S,
     out=None,
 ) -> int:
-    """Follow ``<directory>/live.jsonl``, redrawing until interrupted.
+    """Follow ``<directory>/events.jsonl``, redrawing until the run ends or
+    the reader is interrupted.
 
-    Returns a process exit code (1 when no snapshot ever appears in
-    ``--once`` mode).
+    Returns a process exit code: 1 when there is no run log to read in
+    ``--once`` mode, or the file is not one.
     """
     out = out or sys.stdout
-    path = os.path.join(os.fspath(directory), "live.jsonl")
-    last_seq = None
+    path = Path(directory) / "events.jsonl"
+    fold = RunFold()
     try:
         while True:
-            snapshot = latest_snapshot(path)
-            if snapshot is None:
+            try:
+                new = fold.read(path)
+            except FileNotFoundError:
+                new = 0
+            except ValueError as exc:
+                print(f"error: {path}: {exc}", file=out)
+                return 1
+            if fold.plan is None:
                 if once:
-                    print(f"no live snapshots at {path}", file=out)
+                    print(f"no run log at {path}", file=out)
                     return 1
-            elif snapshot.get("seq") != last_seq:
-                last_seq = snapshot.get("seq")
+            elif new or once or out.isatty():
                 if out.isatty():  # pragma: no cover - interactive only
                     out.write("\x1b[2J\x1b[H")
-                out.write(render_top(snapshot) + "\n")
+                out.write(render_top(fold, now=time.time(), stall_after_s=stall_after_s) + "\n")
                 out.flush()
-            if once:
+            if once or fold.ended is not None:
                 return 0
             time.sleep(max(0.1, interval_s))
     except KeyboardInterrupt:  # pragma: no cover - interactive only

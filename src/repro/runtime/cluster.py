@@ -211,7 +211,7 @@ class LocalCluster(Cluster):
 
     Parameters
     ----------
-    pg, computation, meta, cost_model, use_combiners, live:
+    pg, computation, meta, cost_model, use_combiners:
         The partitioned graph, and what :class:`~repro.runtime.host.HostSpec`
         builds each partition's host from.
     sources:
@@ -242,14 +242,13 @@ class LocalCluster(Cluster):
         cost_model: CostModel | None = None,
         use_combiners: bool = True,
         tracing: bool = False,
-        live: bool = False,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if sources is None:
             if collection is None:
                 raise ValueError("provide either sources or a collection")
             sources = [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
-        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing, live)
+        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
         super().__init__(pg, spec, sources, fault_plan)
         self.hosts = [self._build_host(p) for p in range(pg.num_partitions)]
 

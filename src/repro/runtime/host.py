@@ -134,11 +134,6 @@ class HostStepResult:
     #: tracing is off).  Picklable — process workers' spans/events/counters
     #: ride back to the driver inside the ordinary protocol reply.
     telemetry: TracePacket | None = None
-    #: Host-published live stats (source cache/prefetch counters, resident
-    #: bytes) piggybacked on begin-timestep replies when the live telemetry
-    #: plane is on.  Observational only: never read by the engine's
-    #: algorithm path, so results stay bit-identical with live on vs off.
-    stats: dict | None = None
 
     @classmethod
     def empty(cls, partition: int) -> "HostStepResult":
@@ -202,7 +197,6 @@ class ComputeHost:
         cost_model: CostModel | None = None,
         use_combiners: bool = True,
         tracer: Tracer | None = None,
-        publish_stats: bool = False,
     ) -> None:
         self.partition = partition
         self.computation = computation
@@ -211,9 +205,6 @@ class ComputeHost:
         self.subgraph_partition = np.asarray(subgraph_partition, dtype=np.int64)
         self.cost_model = cost_model or CostModel()
         self.tracer = tracer
-        #: When set, begin-timestep replies carry a source-stats dict for
-        #: the live telemetry plane.
-        self.publish_stats = publish_stats
         if tracer is not None:
             # Sources that can narrate their own I/O (GoFS pack loads — the
             # Fig 6 spike) record onto this host's track.
@@ -384,24 +375,9 @@ class ComputeHost:
         self._halted = {sg.subgraph_id: False for sg in self.partition.subgraphs}
         self._local_inbox = self._temporal_inbox
         self._temporal_inbox = {}
-        if self.publish_stats:
-            result.stats = self._source_stats()
         if tr is not None:
             result.telemetry = tr.drain()
         return result
-
-    def _source_stats(self) -> dict:
-        """Live-plane source stats: resident bytes + whatever the source adds.
-
-        Sources may expose ``live_stats() -> dict`` (GoFS publishes its
-        prefetch/cache counters); plain in-memory sources just report
-        resident bytes.
-        """
-        stats: dict = {"resident_bytes": int(self.source.resident_bytes())}
-        live_stats = getattr(self.source, "live_stats", None)
-        if callable(live_stats):
-            stats.update(live_stats())
-        return stats
 
     def resident_bytes(self) -> int:
         """Bytes of instance data resident on this host (GC model input)."""
@@ -617,8 +593,6 @@ class HostSpec:
     #: Give the host its own tracer (one trace track per partition); its
     #: telemetry rides back inside ordinary protocol replies.
     tracing: bool = False
-    #: Publish source stats on begin-timestep replies (live telemetry plane).
-    live: bool = False
 
     def build(
         self, partition: Partition, source: InstanceSource, sg_part: np.ndarray
@@ -634,5 +608,4 @@ class HostSpec:
             self.cost_model,
             use_combiners=self.use_combiners,
             tracer=Tracer(partition_pid(pid), f"partition {pid}") if self.tracing else None,
-            publish_stats=self.live,
         )

@@ -278,11 +278,16 @@ class MetricsCollector:
         (``CostModel.barrier_cost``), recorded in the run manifest.
         """
         metrics = cls(num_partitions, barrier_s=barrier_s)
+        metrics.fold_events(events)
+        return metrics
+
+    def fold_events(self, events: Iterable[Mapping[str, Any]]) -> None:
+        """Fold event-log lines, in log order, skipping lines of other kinds
+        (what a reader tailing a streamed log does batch by batch)."""
         for event in events:
             record_cls = RECORD_KINDS.get(event.get("kind"))
             if record_cls is not None:
-                metrics.fold(record_cls.from_event(event))
-        return metrics
+                self.fold(record_cls.from_event(event))
 
     # -- derivations ------------------------------------------------------------------
 

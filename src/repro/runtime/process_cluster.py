@@ -397,14 +397,13 @@ class ProcessCluster(Cluster):
         mp_context: Any = "fork",
         use_combiners: bool = True,
         tracing: bool = False,
-        live: bool = False,
         gather_timeout_s: float | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: Any = None,
     ) -> None:
         if gather_timeout_s is not None and gather_timeout_s <= 0:
             raise ValueError("gather_timeout_s must be positive (or None to disable)")
-        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing, live)
+        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
         super().__init__(pg, spec, sources, fault_plan)
         self._ctx = mp.get_context(mp_context) if isinstance(mp_context, str) else mp_context
         self.gather_timeout_s = gather_timeout_s

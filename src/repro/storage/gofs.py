@@ -740,16 +740,3 @@ class GoFSPartitionView:
 
         Maintained incrementally: grows on load, shrinks on eviction."""
         return self._resident
-
-    def live_stats(self) -> dict:
-        """Cache/prefetch counters for the live telemetry plane.
-
-        Published on begin-timestep replies by a ``publish_stats`` host;
-        purely observational (plain counts, no file I/O).
-        """
-        return {
-            "prefetch_started": self.prefetch_started,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_misses": self.prefetch_misses,
-            "cached_packs": len(self._cache),
-        }

@@ -365,41 +365,41 @@ class TestTraceSubcommand:
 
 
 class TestLiveCLI:
-    def test_run_with_live_metrics(self, capsys):
-        assert main([
-            "run", "tdsp", "--scale", "400", "--instances", "5",
-            "--partitions", "3", "--live-metrics",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "live telemetry:" in out
+    @pytest.mark.parametrize("flag", ["--live-metrics", "--live-export", "--live-interval"])
+    def test_live_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "tdsp", "--scale", "300", "--instances", "4", flag, "x"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_run_with_live_export(self, tmp_path, capsys):
+    def test_run_with_stream(self, tmp_path, capsys):
         import json
 
-        from repro.observability import read_snapshots, validate_live_snapshot
+        from repro.observability import read_event_log
+        from repro.runtime.metrics import MetricsCollector
 
-        live_dir = tmp_path / "live"
+        out, summary = tmp_path / "watch", tmp_path / "run.json"
         assert main([
             "run", "tdsp", "--scale", "400", "--instances", "5",
             "--partitions", "3", "--executor", "process",
-            "--live-export", str(live_dir), "--live-interval", "0",
+            "--stream", str(out), "--export", str(summary),
         ]) == 0
-        records = read_snapshots(live_dir / "live.jsonl")
-        assert records
-        assert all(validate_live_snapshot(r) == [] for r in records)
-        prom = (live_dir / "live.prom").read_text()
-        assert "tibsp_messages_total" in prom
+        assert f"watch with 'tibsp top {out}'" in capsys.readouterr().out
+        log = read_event_log(out / "events.jsonl")
+        assert log[0]["kind"] == "run_begin" and log[-1]["kind"] == "run_end"
+        folded = MetricsCollector.from_events(log, 3, barrier_s=log[0]["barrier_s"])
+        assert folded.summary() == json.loads(summary.read_text())["metrics"]
 
     def test_top_once(self, tmp_path, capsys):
-        live_dir = tmp_path / "live"
+        out = tmp_path / "watch"
         assert main([
             "run", "tdsp", "--scale", "400", "--instances", "5",
-            "--partitions", "3", "--live-export", str(live_dir),
+            "--partitions", "3", "--stream", str(out),
         ]) == 0
         capsys.readouterr()
-        assert main(["top", str(live_dir), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "tibsp top" in out and "progress" in out
+        assert main(["top", str(out), "--once", "--stall-after", "1"]) == 0
+        text = capsys.readouterr().out
+        assert "tibsp top" in text and "progress" in text and "run ended after" in text
 
     def test_top_once_empty(self, tmp_path, capsys):
         assert main(["top", str(tmp_path), "--once"]) == 1

@@ -135,9 +135,6 @@ def assert_one_record_stream(result) -> None:
     assert [e["timestep"] for e in report["timesteps"]] == executed
     attributed = sum(e["wall_s"] for e in report["timesteps"])
     assert attributed == pytest.approx(m.total_wall() - m.merge_wall(), abs=1e-12)
-    if result.live is not None:
-        assert result.live.metrics is m
-        assert result.live.summary() == m.summary()
 
 
 @pytest.fixture

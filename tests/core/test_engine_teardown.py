@@ -1,12 +1,14 @@
 """Every engine exit path reaps its background threads.
 
-Regression tests for the teardown bugfix: the live plane's heartbeat
-watchdog and GoFS prefetch workers are daemon threads created during
-``TIBSPEngine.run``; an exit path that skips the ``finally`` teardown
-(cluster-spawn failure, resume-signature mismatch, a Ctrl-C, a fatal
-``RunFailureError``) used to leak them past the run.
+Regression tests for the teardown bugfix: GoFS prefetch workers are
+daemon threads created during ``TIBSPEngine.run``; an exit path that skips
+the ``finally`` teardown (cluster-spawn failure, resume-signature mismatch,
+a Ctrl-C, a fatal ``RunFailureError``) used to leak them past the run.
+Every run here streams its event log, and observing a run starts no thread:
+the live view is a reader of that log, in another process.
 """
 
+import json
 import multiprocessing as mp
 import threading
 import time
@@ -15,7 +17,7 @@ import pytest
 
 from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
 from repro.generators import road_latency_collection, road_network
-from repro.observability import LiveConfig
+from repro.observability import TraceConfig
 from repro.partition import partition_graph
 from repro.resilience import (
     CheckpointConfig,
@@ -28,7 +30,7 @@ from repro.storage import GoFS
 NUM_PARTITIONS = 2
 
 #: Names of every background thread the engine may start during a run.
-ENGINE_THREAD_PREFIXES = ("tibsp-live-heartbeat", "gofs-prefetch")
+ENGINE_THREAD_PREFIXES = ("gofs-prefetch",)
 
 
 class Accumulate(TimeSeriesComputation):
@@ -76,28 +78,51 @@ def case():
     return coll, pg
 
 
-def _live():
-    # interval 0 disables periodic snapshots; the tiny heartbeat guarantees
-    # the watchdog thread actually exists for the duration of the run.
-    return LiveConfig(interval_s=0.0, heartbeat_s=0.05)
+def _stream(tmp_path):
+    return TraceConfig(stream_dir=str(tmp_path / "stream"))
 
 
-def test_no_leak_on_cluster_spawn_failure(case):
-    """The live plane starts before the cluster; a spawn failure must
-    still stop its heartbeat."""
+def test_no_leak_on_cluster_spawn_failure(case, tmp_path):
+    """The stream opens before the cluster; a spawn failure still closes
+    it, with the log's last word said."""
     coll, pg = case
     with pytest.raises(ValueError, match="instance sources"):
         run_application(
             Accumulate(), pg, coll,
-            config=EngineConfig(executor="process", live=_live()),
+            config=EngineConfig(executor="process", tracing=_stream(tmp_path)),
         )
     assert _leaked_engine_threads() == []
+    log = (tmp_path / "stream" / "events.jsonl").read_text().splitlines()
+    assert [json.loads(line)["kind"] for line in log] == ["run_begin", "run_end"]
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_a_streamed_run_starts_no_thread_but_prefetch(case, tmp_path, monkeypatch, executor):
+    """The driver starts no thread to observe a run: the only threads a
+    streamed run over prefetching GoFS views starts are the views' own."""
+    coll, pg = case
+    GoFS.write_collection(tmp_path / "gofs", pg, coll, packing=2)
+    sources = GoFS.partition_views(tmp_path / "gofs", prefetch=True)
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    run_application(
+        Accumulate(), pg, coll, sources=sources,
+        config=EngineConfig(executor=executor, tracing=_stream(tmp_path)),
+    )
+    monkeypatch.undo()
+    assert all(name.startswith("gofs-prefetch") for name in started), started
+    assert (tmp_path / "stream" / "events.jsonl").exists()
 
 
 @pytest.mark.parametrize("executor", ["thread", "bogus"])
 def test_unknown_executor_is_refused_before_anything_starts(case, tmp_path, executor):
-    """The name is validated where the config is read: no live registry,
-    worker process or prefetch pool exists when the ``ValueError`` leaves."""
+    """The name is validated where the config is read: no stream, worker
+    process or prefetch pool exists when the ``ValueError`` leaves."""
     coll, pg = case
     GoFS.write_collection(tmp_path, pg, coll, packing=2)
     sources = GoFS.partition_views(tmp_path, prefetch=True)
@@ -105,21 +130,22 @@ def test_unknown_executor_is_refused_before_anything_starts(case, tmp_path, exec
     with pytest.raises(ValueError, match="serial, process, socket") as excinfo:
         run_application(
             Accumulate(), pg, coll, sources=sources,
-            config=EngineConfig(executor=executor, live=_live()),
+            config=EngineConfig(executor=executor, tracing=_stream(tmp_path)),
         )
     assert repr(executor) in str(excinfo.value)
     assert mp.active_children() == []
     assert set(threading.enumerate()) <= before
     assert _leaked_engine_threads(timeout_s=0.0) == []
     assert all(v._pool is None for v in sources)
+    assert not (tmp_path / "stream").exists()
 
 
-def test_no_leak_on_keyboard_interrupt(case):
+def test_no_leak_on_keyboard_interrupt(case, tmp_path):
     coll, pg = case
     with pytest.raises(KeyboardInterrupt):
         run_application(
             InterruptAtT1(), pg, coll,
-            config=EngineConfig(live=_live()),
+            config=EngineConfig(tracing=_stream(tmp_path)),
         )
     assert _leaked_engine_threads() == []
 
@@ -135,15 +161,15 @@ def test_no_leak_on_resume_signature_mismatch(case, tmp_path):
     with pytest.raises(ValueError, match="does not match this run"):
         run_application(
             OtherPattern(), pg, coll,
-            config=EngineConfig(checkpoint=ck, live=_live()),
+            config=EngineConfig(checkpoint=ck, tracing=_stream(tmp_path)),
             resume_from=True,
         )
     assert _leaked_engine_threads() == []
 
 
 def test_no_leak_on_run_failure(case, tmp_path):
-    """A fatal RunFailureError reaps the heartbeat *and* the GoFS
-    prefetch pools the sources spun up."""
+    """A fatal RunFailureError reaps the GoFS prefetch pools the sources
+    spun up."""
     coll, pg = case
     root = tmp_path / "gofs"
     GoFS.write_collection(root, pg, coll, packing=2, binning=3)
@@ -152,7 +178,7 @@ def test_no_leak_on_run_failure(case, tmp_path):
         run_application(
             Accumulate(), pg, coll, sources=sources,
             config=EngineConfig(
-                live=_live(),
+                tracing=_stream(tmp_path),
                 checkpoint=CheckpointConfig(dir=tmp_path / "ck", every=1),
                 faults=FaultPlan.parse("kill@t1:p0", seed=3),
                 recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),

@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms import MemeTrackingComputation, TDSPComputation
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection, tweet_collection
-from repro.observability import validate_chrome_trace
+from repro.observability import TraceConfig, read_event_log, validate_chrome_trace
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import CollectionInstanceSource
 from repro.runtime.gc_model import GCModel
@@ -152,3 +152,32 @@ class TestProcessClusterTracing:
         # driver-side scatter/gather spans
         driver_spans = {s.name for pid, s in res.trace.spans if pid == 0}
         assert {"ship", "barrier"} <= driver_spans
+
+
+class TestStreamedLog:
+    def test_read_event_log_skips_a_torn_final_line(self, tmp_path):
+        """What a reader meets mid-write, or after a kill -9 during a flush."""
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"schema":1,"kind":"run_begin"}\n{"schema":1,"kind":"st')
+        assert read_event_log(path) == [{"schema": 1, "kind": "run_begin"}]
+
+    def test_read_event_log_raises_on_a_corrupt_interior_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"schema":1,"kind":"st\n{"schema":1,"kind":"run_end"}\n')
+        with pytest.raises(ValueError):
+            read_event_log(path)
+
+    def test_write_leaves_the_streamed_log_alone(self, road_case, tmp_path):
+        """Writing the artifacts into the directory the run streamed to does
+        not reopen its log (a reader tailing it would see it empty)."""
+        _tpl, coll, pg = road_case
+        res = run_application(
+            TDSPComputation(0), pg, coll,
+            config=EngineConfig(tracing=TraceConfig(stream_dir=str(tmp_path))),
+        )
+        log = tmp_path / "events.jsonl"
+        before = log.stat().st_mtime_ns
+        paths = res.trace.write(tmp_path, {"algorithm": "tdsp"})
+        assert paths["events"] == log and log.stat().st_mtime_ns == before
+        assert read_event_log(log) == res.trace.event_records()
+        assert paths["trace"].exists() and paths["manifest"].exists()

@@ -1,11 +1,12 @@
-"""Live telemetry + streaming event log under faults, prefetch, and rollback."""
+"""The streamed event log and its reader under faults, prefetch, and rollback."""
 
 import json
 
 import pytest
 
 from repro.core import EngineConfig, run_application
-from repro.observability import LiveConfig, TraceConfig
+from repro.observability import TraceConfig, read_event_log, top
+from repro.observability.top import RunFold, render_top
 from repro.resilience import (
     CheckpointConfig,
     FaultPlan,
@@ -28,12 +29,6 @@ def gofs_root(case, tmp_path_factory):
     root = tmp_path_factory.mktemp("gofs-live")
     GoFS.write_collection(root, pg, coll, packing=2, binning=3)
     return root
-
-
-def _live_config(**overrides):
-    defaults = dict(interval_s=0.0, heartbeat_s=None)
-    defaults.update(overrides)
-    return LiveConfig(**defaults)
 
 
 class TestCrosscheckWithPrefetchRecovery:
@@ -81,47 +76,51 @@ class TestCrosscheckWithPrefetchRecovery:
         assert not folds_equal(folded, result.metrics)
 
 
-class TestLiveThroughRecovery:
-    def test_summary_exact_after_rollback(self, case, tmp_path):
-        _tpl, coll, pg = case
-        result = run_application(
-            AccumulateSum(), pg, coll,
-            config=EngineConfig(
-                live=_live_config(),
-                checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                faults=FaultPlan.parse("kill@t2:p1", seed=3),
-                recovery=RecoveryPolicy(backoff_s=0.0),
-            ),
-        )
-        assert result.metrics.retries >= 1
-        # The registry reads the run's own collector: the repair is in both
-        # because there is only one.
-        assert result.live.metrics is result.metrics
-        assert result.live.summary() == result.metrics.summary()
-        # The repair is the supervisor's record, in the snapshot's totals;
-        # health events are what the live plane itself found.
-        assert result.live.last_snapshot()["totals"]["retries"] == result.metrics.retries
-        assert {e.kind for e in result.health_events} <= {"straggler", "stalled"}
+def _streamed(case, out, spec, executor="serial", **policy):
+    _tpl, coll, pg = case
+    return run_application(
+        AccumulateSum(), pg, coll,
+        sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
+        config=EngineConfig(
+            executor=executor,
+            tracing=TraceConfig(stream_dir=str(out / "stream")),
+            checkpoint=CheckpointConfig(dir=out / "ck", every=1),
+            faults=FaultPlan.parse(spec, seed=3),
+            recovery=RecoveryPolicy(backoff_s=0.0, **policy),
+        ),
+    )
 
+
+def _rows(panel):
+    """``{partition: (busy, compute, send, msgs, age_s)}`` from a panel's rows."""
+    rows = {}
+    for line in panel.splitlines():
+        cells = line.split()
+        if len(cells) > 7 and cells[0].isdigit() and cells[1].endswith("%"):
+            busy, compute, send, msgs, age = cells[2:7]
+            rows[int(cells[0])] = (busy, compute, send, msgs, float(age.rstrip("s")))
+    return rows
+
+
+class TestLiveThroughRecovery:
+    """The reader of the streamed log through repairs and quarantines."""
+
+    def test_summary_exact_after_rollback(self, case, tmp_path):
+        result = _streamed(case, tmp_path, "kill@t2:p1")
+        assert result.metrics.retries == 1
+        fold = RunFold()
+        fold.read(tmp_path / "stream" / "events.jsonl")
+        # The panel folds the log the run wrote: the repair is in both.
+        assert fold.metrics.summary() == result.metrics.summary()
+        assert "retries 1  recovery" in render_top(fold, now=fold.mtime)
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_one_repair_is_stated_once(self, case, tmp_path, executor):
-        """The ledger: one kill under live + tracing is one ``worker_respawn``
-        line, and ``recovery_actions`` holds the record that line carries."""
-        _tpl, coll, pg = case
-        result = run_application(
-            AccumulateSum(), pg, coll,
-            sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
-            config=EngineConfig(
-                executor=executor,
-                tracing=True,
-                live=_live_config(),
-                checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                faults=FaultPlan.parse("kill@t2:p1", seed=3),
-                recovery=RecoveryPolicy(backoff_s=0.0),
-            ),
-        )
-        log = result.trace.event_records()
+        """The ledger: one kill is one ``worker_respawn`` line, the record
+        ``recovery_actions`` holds, and the reader's ``retries 1``."""
+        result = _streamed(case, tmp_path, "kill@t2:p1", executor)
+        log = read_event_log(tmp_path / "stream" / "events.jsonl")
+        assert log == result.trace.event_records()
         kinds = [e["kind"] for e in log]
         assert kinds.count("worker_respawn") == 1 and "respawn" not in kinds
         (line,) = [e for e in log if e["kind"] == "worker_respawn"]
@@ -132,40 +131,48 @@ class TestLiveThroughRecovery:
         folded = refold(result)
         assert (folded.retries, folded.recovery_s) == (1, {2: action.seconds})
         assert (result.metrics.retries, dict(result.metrics.recovery_s)) == (1, {2: action.seconds})
-        # Health events are findings the live plane made; a repair is not one.
-        assert {e.kind for e in result.health_events} <= {"straggler", "stalled"}
-        assert not hasattr(result, "early_warnings")
+        fold = RunFold()
+        fold.read(tmp_path / "stream" / "events.jsonl")
+        assert "retries 1  recovery" in render_top(fold, now=fold.mtime)
+        # A repair is a record, not a finding: nothing else is logged for it.
+        assert not {"straggler", "stalled"} & set(kinds)
 
-    def test_a_quarantined_partition_stops_heartbeating(self, case, tmp_path):
-        """Its synthesized replies are not heartbeats: the dashboard shows it
-        silent, and — silent by decision — it is never the stall suspect."""
-        _tpl, coll, pg = case
-        result = run_application(
-            AccumulateSum(), pg, coll,
-            config=EngineConfig(
-                live=_live_config(stall_after_s=0.0),
-                checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                faults=FaultPlan.parse("kill@t1:p1,kill@t1:p1:i1,kill@t1:p1:i2", seed=3),
-                recovery=RecoveryPolicy(backoff_s=0.0, max_retries=2, quarantine=True),
-            ),
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_a_quarantined_partition_stops_heartbeating(self, case, tmp_path, executor):
+        """Its synthesized replies are not heard from it: the panel shows it
+        silent, its row frozen and its age growing — and, silent by
+        decision, it is never the stall suspect."""
+        # The delay on p0 after the quarantine lets the ages part visibly.
+        result = _streamed(
+            case, tmp_path, "kill@t1:p1,kill@t1:p1:i1,kill@t1:p1:i2,delay@t2:s0:p0:d0.05",
+            executor, max_retries=2, quarantine=True,
         )
         assert result.degraded_partitions == [1] and result.timesteps_executed == 4
-        after = [s["partitions"] for s in result.live.snapshots if s["timestep"] > 1]
-        assert len(after) > 2
-        beats = [[row["heartbeats"] for row in rows] for rows in after]
-        assert len({b[1] for b in beats}) == 1, "the dead partition kept heartbeating"
-        assert beats[-1][0] > beats[0][0]
-        ages = [rows[1]["last_seen_age_s"] for rows in after]
-        assert ages == sorted(ages) and ages[-1] > ages[0]
-        assert ages[-1] > after[-1][0]["last_seen_age_s"]
-        # The one silent longest is the quarantined one; a stall names a live one.
-        result.live.round_begin("compute", 4, 0)
-        assert result.live.check_stalled().partition == 0
+        lines = (tmp_path / "stream" / "events.jsonl").read_text().splitlines(keepends=True)
+        cut = next(i for i, l in enumerate(lines) if '"worker_quarantined"' in l) + 1
+        mid_run = [l for l in lines if '"run_end"' not in l]
+        path = tmp_path / "events.jsonl"
+
+        def panel(upto, after_s):
+            path.write_text("".join(mid_run[:upto]))
+            fold = RunFold()
+            fold.read(path)
+            return render_top(fold, now=fold.mtime + after_s, stall_after_s=5.0, width=120)
+
+        at_quarantine, later = _rows(panel(cut, 0.0)), _rows(panel(len(mid_run), 0.0))
+        assert at_quarantine[1][:4] == later[1][:4], "the dead partition's row moved"
+        assert later[0][:4] != at_quarantine[0][:4], "the live partition's row froze"
+        assert later[1][4] > at_quarantine[1][4] and later[1][4] > later[0][4]
+        assert _rows(panel(len(mid_run), 3.0))[1][4] > later[1][4]
+        stalled = panel(len(mid_run), 10.0)
+        assert "silent (quarantined)" in stalled and "quarantined [1]" in stalled
+        assert "!! STALLED" in stalled and "   partition 0 silent longest" in stalled
 
     def test_the_stall_threshold_has_one_home(self):
-        """``LiveConfig.stall_after_s`` is the threshold; the policy has no copy."""
+        """The reader's ``stall_after_s`` is the threshold; the policy has no copy."""
         with pytest.raises(TypeError):
             RecoveryPolicy(stall_warning_s=7.5)
+        assert top.STALL_AFTER_S == 5.0
 
 
 class TestStreamedEventLog:

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import critical_path_report
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection
-from repro.observability import LiveConfig
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
 from repro.runtime import CollectionInstanceSource
 from repro.runtime.gc_model import GCModel
@@ -116,7 +115,6 @@ class TestTracedRecovery:
             AccumulateSum(), pg, coll,
             config=EngineConfig(
                 tracing=True,
-                live=LiveConfig(interval_s=0.0, heartbeat_s=None),
                 checkpoint=CheckpointConfig(dir=tmp_path),
             ),
             resume_from=True,
@@ -125,8 +123,6 @@ class TestTracedRecovery:
         assert sorted(m.supersteps_per_timestep) == [0, 1, 2, 3, 4, 5]
         report = critical_path_report(m)
         assert [e["timestep"] for e in report["timesteps"]] == [0, 1, 2, 3, 4, 5]
-        assert resumed.live.metrics is m
-        assert resumed.live.summary() == m.summary()
         assert set(m.checkpoint_s) <= set(m.supersteps_per_timestep)
         # Its trace starts at the resume point: the log alone is the tail.
         assert sorted(refold(resumed).supersteps_per_timestep) == [3, 4, 5]
@@ -145,7 +141,7 @@ class TestRoundTrip:
     """Event-log completeness, with one arithmetic: the collector folded from
     the JSON event log ``==`` the one the run ended with — every executor,
     through kills, mid-timestep journal replays and cured wire faults, with
-    tracing, live, the GC model and checkpoints all on."""
+    tracing, the GC model and checkpoints all on."""
 
     @pytest.mark.parametrize("fault", list(ROUND_TRIP_FAULTS))
     @pytest.mark.parametrize("executor", ["serial", "process"])
@@ -158,7 +154,6 @@ class TestRoundTrip:
             config=EngineConfig(
                 executor=executor,
                 tracing=True,
-                live=LiveConfig(interval_s=0.0, heartbeat_s=None),
                 gc_model=GCModel(interval=2, pause_per_gib_s=0.5),
                 checkpoint=CheckpointConfig(dir=tmp_path, every=1),
                 faults=None if spec is None else FaultPlan.parse(spec, seed=9),

@@ -1,6 +1,6 @@
 """A run imports what it runs: no scipy, networkx, asyncio or ssl — and no
-offline analysis module — on the path of a serial, process or socket run;
-the worker executors load on selection.
+offline analysis module, nor the ``tibsp top`` reader — on the path of a
+serial, process or socket run; the worker executors load on selection.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -49,6 +49,8 @@ def main():
         m for m in sys.modules
         if m.startswith("repro.analysis")
         or m in ("repro.runtime.rebalance", "repro.runtime.elastic")
+        or m in ("repro.observability.live", "repro.observability.export",
+                 "repro.observability.top")
     )
     assert offline == [], offline
     print("clean")
