@@ -1,12 +1,13 @@
-"""Ablation: execution backend (serial / process / socket clusters).
+"""Ablation: execution backend (serial / process clusters).
 
 The serial backend is the deterministic default whose *simulated* wall-clock
-reproduces the paper's figures; the process and socket backends execute
-the same TI-BSP protocol with real concurrency (the process cluster gives
-each partition its own address space, the socket cluster puts a real TCP
-hop between driver and partition — one-VM-per-partition in miniature).
-This bench verifies all three produce identical algorithm results and reports
-their real wall-clock and identical simulated ordering.
+reproduces the paper's figures; the process backend executes the same
+TI-BSP protocol with real concurrency, one forked worker agent per
+partition in its own address space — one-VM-per-partition in miniature.
+(The socket executor is the same agents: forked ones without ``hosts``,
+agents started elsewhere with them.)  This bench verifies both produce
+identical algorithm results and reports their real wall-clock and identical
+simulated ordering.
 """
 
 import time
@@ -22,7 +23,7 @@ from repro.storage import GoFS
 
 from conftest import SCALE, emit
 
-EXECUTORS = ("serial", "process", "socket")
+EXECUTORS = ("serial", "process")
 
 
 def test_ablation_executor_backends(benchmark, datasets, partitioned, tmp_path_factory):

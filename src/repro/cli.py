@@ -5,7 +5,7 @@ Subcommands::
     tibsp datasets   — Table 1: generated dataset statistics
     tibsp edgecuts   — Table 2: edge-cut % for 3/6/9 partitions
     tibsp run        — run one algorithm on one dataset configuration
-    tibsp worker     — serve one partition's worker over TCP (socket executor)
+    tibsp worker     — serve one partition's worker agent over TCP (run --hosts)
     tibsp trace      — run one algorithm traced; write Perfetto trace + event log
     tibsp top        — watch a run: fold the event log a 'run --stream DIR' writes
     tibsp fig5b     — the Giraph-vs-GoFFish comparison
@@ -85,9 +85,8 @@ def _add_problem(p: argparse.ArgumentParser, executor: str) -> None:
     p.add_argument("--gc", action="store_true", help="enable the GC pause model")
     p.add_argument(
         "--executor", choices=EXECUTORS, default=executor,
-        help="cluster backend (process = one worker process per partition; "
-        "socket = workers reached over TCP, auto-spawned locally unless "
-        "--hosts is given)",
+        help="cluster backend (process = one forked worker agent per partition; "
+        "socket = the --hosts agents, or forked ones when none are given)",
     )
 
 
@@ -213,7 +212,7 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
         )
     if args.gather_timeout is not None and args.executor not in ("process", "socket"):
         problems.append(
-            "--gather-timeout bounds driver-side pipe/socket reads, which only "
+            "--gather-timeout bounds driver-side socket reads, which only "
             "the process and socket executors perform; add --executor process "
             "or --executor socket"
         )
@@ -358,7 +357,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _worker(args: argparse.Namespace) -> int:
-    """Serve one partition's worker over TCP (socket-executor agent).
+    """Serve one partition's worker agent over TCP (``--hosts`` names it).
 
     Blocks serving driver sessions until interrupted.  The bound address is
     announced on stdout (flushed) so orchestration scripts can scrape it —
@@ -370,12 +369,7 @@ def _worker(args: argparse.Namespace) -> int:
         print(f"tibsp worker listening on {bound[0]}:{bound[1]}", flush=True)
 
     try:
-        serve_worker(
-            args.listen,
-            once=args.once,
-            exit_on_kill=args.exit_on_kill,
-            announce=announce,
-        )
+        serve_worker(args.listen, announce=announce)
     except KeyboardInterrupt:
         pass
     return 0
@@ -485,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--hosts", metavar="HOST:PORT,...", default=None,
         help="comma-separated addresses of pre-started 'tibsp worker' agents, "
-        "one per partition (socket executor; omit to auto-spawn locally)",
+        "one per partition (socket executor; omit to fork local agents)",
     )
     p.add_argument("--export", metavar="PATH", help="write a JSON run summary")
     sto = p.add_argument_group("storage")
@@ -543,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     res.add_argument(
         "--gather-timeout", type=float, default=None, metavar="S",
-        help="bound each driver-side pipe/socket read (process and socket "
+        help="bound each driver-side socket read (process and socket "
         "executors; default: none, or 10s when faults are injected)",
     )
     res.add_argument(
@@ -557,22 +551,12 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_run)
 
     p = sub.add_parser(
-        "worker", help="serve one partition's worker over TCP (socket executor)"
+        "worker", help="serve one partition's worker agent over TCP (run --hosts)"
     )
     p.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
         help="address to listen on (default 127.0.0.1:0 = any free port, "
         "announced on stdout)",
-    )
-    p.add_argument(
-        "--once", action="store_true",
-        help="serve a single driver session then exit (default: loop forever, "
-        "so driver respawns can reconnect)",
-    )
-    p.add_argument(
-        "--exit-on-kill", action="store_true",
-        help="let an injected kill fault terminate this agent process instead "
-        "of just severing the session",
     )
     p.set_defaults(func=_worker)
 

@@ -101,8 +101,10 @@ class EngineConfig:
     Attributes
     ----------
     executor:
-        ``"serial"`` (default), ``"process"``, or ``"socket"``; anything
-        else is a ``ValueError`` from ``run``.
+        ``"serial"`` (default), ``"process"`` (one forked worker agent per
+        partition), or ``"socket"`` (the ``hosts`` agents when given, else
+        the same forked agents); anything else is a ``ValueError`` from
+        ``run``.
     cost_model:
         Communication cost model for the simulated wall-clock.
     gc_model:
@@ -143,15 +145,16 @@ class EngineConfig:
         bounding host-repair retries.  ``None`` (with ``faults`` also None)
         keeps the pre-resilience behavior: failures propagate immediately.
     gather_timeout_s:
-        Bound on every driver-side pipe/socket read per scatter/gather
+        Bound on every driver-side socket read per scatter/gather
         round (process and socket executors).  ``None`` (default)
         preserves the original block-forever behavior, except that fault
         injection substitutes a 10 s default so dropped replies surface as
         ``GatherTimeout``.
     hosts:
-        Worker addresses (``"host:port"`` strings) for the socket
-        executor, one per partition.  ``None`` (default) auto-spawns local
-        agents on ephemeral ports — no orchestration needed.
+        Addresses (``"host:port"`` strings) of pre-started ``tibsp
+        worker`` agents, one per partition; only the socket executor takes
+        them (anything else is a ``ValueError`` from ``run``).  ``None``
+        (default) forks local agents, exactly as the process executor does.
     """
 
     executor: str = "serial"
@@ -252,21 +255,16 @@ class TIBSPEngine:
             gather_timeout = cfg.gather_timeout_s
             if gather_timeout is None and cfg.faults is not None:
                 gather_timeout = _DEFAULT_FAULT_GATHER_TIMEOUT_S
-            # Executors load on selection: a serial run does not import
-            # multiprocessing.
-            if cfg.executor == "socket":
-                from ..runtime.socket_cluster import SocketCluster as cluster_cls
+            # The worker executor loads on selection: a serial run does not
+            # import multiprocessing.
+            from ..runtime.process_cluster import ProcessCluster
 
-                extra = {"hosts": cfg.hosts}
-            else:
-                from ..runtime.process_cluster import ProcessCluster as cluster_cls
-
-                extra = {}
-            return cluster_cls(
+            return ProcessCluster(
                 self.pg,
                 computation,
                 meta,
                 self.sources,
+                hosts=cfg.hosts,
                 cost_model=cfg.cost_model,
                 use_combiners=cfg.combiners,
                 tracing=tracing,
@@ -275,7 +273,6 @@ class TIBSPEngine:
                 # Recovery hardens the wire protocol: bounded idempotent
                 # resends cure drops/corruption/timeouts below host repair.
                 retry_policy=policy,
-                **extra,
             )
         return LocalCluster(
             self.pg,
@@ -338,6 +335,11 @@ class TIBSPEngine:
         if cfg.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {cfg.executor!r}: choose one of {', '.join(EXECUTORS)}"
+            )
+        if cfg.hosts is not None and cfg.executor != "socket":
+            raise ValueError(
+                "hosts name worker agents, which only the socket executor dials; "
+                f"the {cfg.executor} executor would ignore them"
             )
         if resume_from is not None and cfg.checkpoint is None:
             raise ValueError(

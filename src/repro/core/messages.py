@@ -110,7 +110,7 @@ class MessageFrame:
     payload envelopes as one list, and the total payload bytes precomputed
     at pack time (``approx_size`` is called once per message when the frame
     is built, never re-summed).  With pickle protocol 5 the destination
-    array and any numpy payloads cross process pipes as out-of-band buffers.
+    array and any numpy payloads cross worker sockets as out-of-band buffers.
 
     Frames are treated as immutable once packed: ``deliver_into`` only
     reads, and nothing in the engine rewrites ``destinations``/``messages``

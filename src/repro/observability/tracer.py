@@ -107,7 +107,7 @@ class TracePacket:
     """One drain's worth of telemetry, marshalled from a host to the driver.
 
     Picklable by construction (strings, ints, dicts, :class:`Span` tuples),
-    so it rides in a protocol reply across the process cluster's pipes
+    so it rides in a protocol reply across the process cluster's sockets
     unchanged.
     """
 

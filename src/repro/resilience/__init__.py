@@ -10,7 +10,7 @@ engine wires together:
   restored by ``TIBSPEngine.run(resume_from=...)`` or, one partition at
   a time, by in-run host repair;
 * :mod:`~repro.resilience.faults` — a seeded, deterministic
-  :class:`FaultPlan` that kills workers, drops/corrupts pipe replies,
+  :class:`FaultPlan` that kills workers, drops/corrupts wire replies,
   delays stragglers, and fails slice loads at scripted
   ``(timestep, superstep, partition)`` coordinates;
 * :mod:`~repro.resilience.recovery` — the failure taxonomy

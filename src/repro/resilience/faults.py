@@ -15,8 +15,8 @@ Each kind names one behaviour, and a plan means the same thing on every
 executor.  The *host* kinds, and where they are enforced:
 
 ``kill``
-    The worker process exits abruptly (``os._exit``) before replying —
-    the driver observes a dead pipe.  In-process clusters simulate it by
+    The worker agent closes its session before replying — the driver
+    observes EOF.  In-process clusters simulate it by
     raising :class:`~repro.resilience.recovery.WorkerCrash`.
 ``delay``
     A straggler: the host sleeps ``delay_s`` (the ``:d<SECONDS>`` token,

@@ -3,7 +3,7 @@
 Recovery needs exactly one bit from an exception: *is rebuilding the failed
 host from the last durable boundary worth trying?*
 :class:`RecoverableError` is the marker that says yes — infrastructure
-failures (a dead worker process, a wedged pipe, a corrupt reply stream, a
+failures (a dead worker process, a wedged connection, a corrupt reply stream, a
 transient slice-load error) subclass it; deterministic application bugs
 (the user's ``compute`` raising) do not, because replaying them would fail
 identically.

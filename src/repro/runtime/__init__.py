@@ -41,23 +41,19 @@ __all__ = [
     "RecoverableWorkerError",
     "WorkerError",
     "WorkerLost",
-    "SocketCluster",
     "parse_hosts",
     "serve_worker",
 ]
 
 
-#: Executors load on selection (only they need multiprocessing).
-_ON_SELECTION = {
-    "process_cluster": (
-        "ProcessCluster", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
-    ),
-    "socket_cluster": ("SocketCluster", "parse_hosts", "serve_worker"),
-}
+#: The worker executor loads on selection (only it needs multiprocessing).
+_ON_SELECTION = (
+    "ProcessCluster", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
+    "parse_hosts", "serve_worker",
+)
 
 
 def __getattr__(name: str):
-    for module, names in _ON_SELECTION.items():
-        if name in names:
-            return getattr(import_module(f".{module}", __name__), name)
+    if name in _ON_SELECTION:
+        return getattr(import_module(".process_cluster", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

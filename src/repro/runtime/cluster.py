@@ -182,7 +182,7 @@ class Cluster:
     def drain_protocol_incidents(self) -> list[tuple[str, int, float]]:
         """Wire-level incidents the retry protocol cured since the last
         drain, as ``(kind, partition, seconds)``.  Only the process
-        cluster's sequence-numbered pipes produce these."""
+        cluster's sequence-numbered sessions produce these."""
         return []
 
     def protocol_stats(self) -> dict:

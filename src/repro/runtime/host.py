@@ -21,7 +21,7 @@ Hosts know nothing about global termination or routing — the engine drives
 them through a narrow call protocol (``begin_timestep`` → ``run_superstep``*
 → ``end_of_timestep``), stated once as the op table :data:`HOST_OPS` behind
 :meth:`ComputeHost.handle`: what the in-process cluster calls is exactly
-what a worker cluster forwards over pipes or sockets, and every host is
+what a worker cluster forwards over its sockets, and every host is
 built from one :class:`HostSpec`.  Because local deliveries bypass the driver,
 each protocol reply reports ``has_pending_local`` so the engine's quiescence
 rule can see messages still in flight inside hosts.
@@ -501,7 +501,7 @@ class ComputeHost:
         flags and the local superstep inbox are not carried: the BSP that
         set them has quiesced, and the next ``begin_timestep`` (or merge
         superstep 0) resets them.  The returned dict aliases live state —
-        callers serialize it immediately (pipe or pickle-to-disk), which is
+        callers serialize it immediately (socket or pickle-to-disk), which is
         what produces the copy.
         """
         return {
@@ -550,7 +550,7 @@ ROUND_OPS = ("begin", "superstep", "eot", "merge")
 
 #: The one op table: protocol op → the host call behind it, as
 #: ``fn(host, timestep, superstep, payload, replay)``.  The in-process
-#: cluster, a pipe worker and a socket agent all dispatch through
+#: cluster and every worker agent dispatch through
 #: :meth:`ComputeHost.handle`; no other module maps an op to a method.
 HOST_OPS: dict[str, Callable[[ComputeHost, Any, int, Any, bool], Any]] = {
     "begin": lambda h, t, s, payload, replay: h.begin_timestep(t, payload, replay=replay),
@@ -581,9 +581,9 @@ class HostSpec:
     """What every host of one run is built from.
 
     Picklable, and the same object on every executor: the in-process
-    cluster builds its hosts from it, a pipe worker receives it as a
-    process argument and a socket agent in its ``init`` handshake, each
-    alongside the per-partition ``(partition, source, sg_part)``.
+    cluster builds its hosts from it, a forked agent inherits it and a
+    ``hosts`` agent receives it in its ``init`` handshake, each alongside
+    the per-partition ``(partition, source, sg_part)``.
     """
 
     computation: TimeSeriesComputation

@@ -1,19 +1,31 @@
-"""Process-per-partition cluster: real distributed-memory execution.
+"""Agent-per-partition cluster: real distributed-memory execution.
 
 Each partition's :class:`~repro.runtime.host.ComputeHost` lives in its own
 OS process with a private address space — the closest single-machine
-analogue of the paper's one-partition-per-VM deployment.  The driver talks
-to workers over pipes using the same protocol as
+analogue of the paper's one-partition-per-VM deployment.  That process is
+an *agent*, and where it runs is configuration, not a second runtime:
+
+* ``hosts=None`` — the driver forks each partition's agent on one end of a
+  ``socket.socketpair()``.  Its init arguments are inherited through the
+  fork, never pickled.
+* ``hosts=["host:port", ...]`` — the driver connects to agents somebody
+  started (``tibsp worker``, :func:`serve_worker`) and sends the same init
+  arguments in an ``("init", args)`` handshake; the agent answers
+  ``("ready", incarnation)`` and outlives the session.
+
+Either way the driver talks to agents over one transport, :class:`_SocketConn`:
+each ``send_bytes`` payload is one length-prefixed frame on the byte
+stream, written with one ``sendmsg``.  The protocol is the one of
 :class:`~repro.runtime.cluster.LocalCluster`: commands are broadcast, then
 results gathered (a scatter/gather round per superstep, which *is* the BSP
 barrier).
 
-Everything crossing a pipe is pickled with **protocol 5 and out-of-band
-buffers**: a :class:`~repro.core.messages.MessageFrame`'s destination array
-and any numpy payloads travel as raw buffers after the pickle body instead
-of being copied into it — the bulk-transfer idiom from the mpi4py guides.
-Computations, instance sources and message payloads must be picklable
-(module-level classes and numpy arrays).
+Everything crossing a connection is pickled with **protocol 5 and
+out-of-band buffers**: a :class:`~repro.core.messages.MessageFrame`'s
+destination array and any numpy payloads travel as raw buffers after the
+pickle body instead of being copied into it — the bulk-transfer idiom from
+the mpi4py guides.  Computations, instance sources and message payloads
+must be picklable (module-level classes and numpy arrays).
 
 Wire protocol
 -------------
@@ -26,7 +38,7 @@ and every reply ``(seq, incarnation, payload)``.  ``op`` is a key of
 :data:`~repro.runtime.host.ROUND_OPS`, ``(timestep, superstep)`` is also
 the coordinate scripted faults fire at — the one the driver issued, never
 re-derived from the op.  Sequence numbers are per-partition and assigned by
-the driver; each worker remembers the last sequence it executed and its
+the driver; each agent remembers the last sequence it executed and its
 reply, so a **resent command is answered from the reply cache
 without re-executing** — the idempotent-resend property that lets the
 driver cure wire-level faults (a dropped, duplicated, reordered, or
@@ -34,28 +46,32 @@ corrupted reply frame) by simply sending the same command again.  On the
 receive side the driver skips replies whose sequence is stale (counted as
 ``duplicate_replies_dropped``) and accepts exactly the one it is waiting
 for, so delivery into the engine is exactly-once even when the wire is not.
-``replay`` marks journal replay on a surgically recovered worker: fault
+``replay`` marks journal replay on a surgically recovered agent: fault
 checks are skipped and instance loads leave no fresh evidence.
 
 Failure semantics
 -----------------
-A worker can genuinely die (crash, injected ``kill``), straggle (injected
+An agent can genuinely die (crash, injected ``kill``), straggle (injected
 ``delay``), or misbehave on the wire (the injected ``drop_frame`` /
-``dup_frame`` / ``reorder`` / ``corrupt_frame`` of one reply).
-The driver classifies what it observes into the resilience taxonomy:
+``dup_frame`` / ``reorder`` / ``corrupt_frame`` of one reply).  An injected
+``kill`` closes the session: a forked agent then returns and its process
+exits, a ``hosts`` agent goes back to ``accept``; either way the driver
+reads EOF.  The driver classifies what it observes into the resilience
+taxonomy:
 
-* :class:`WorkerLost` — pipe EOF / send failure / corrupt reply stream.
-  The worker's state and pipe are unusable; recovery must respawn.
-* :class:`GatherTimeout` — the worker is alive but did not reply within
+* :class:`WorkerLost` — EOF / send failure / corrupt reply stream.
+  The session is unusable; recovery must respawn (fork a new agent, or
+  reconnect to the same ``hosts`` address at a higher incarnation).
+* :class:`GatherTimeout` — the agent is alive but did not reply within
   ``gather_timeout_s``.  Raised only when a timeout is configured; without
-  one a wedged worker blocks the barrier forever (the pre-resilience
+  one a wedged agent blocks the barrier forever (the pre-resilience
   behavior, preserved by default).  With a ``retry_policy`` the driver
   first resends the command (bounded attempts with backoff, a fresh
   timeout window each) before declaring the round failed.
-* :class:`RecoverableWorkerError` — the worker itself reported an error it
+* :class:`RecoverableWorkerError` — the agent itself reported an error it
   marked *recoverable* (an injected infrastructure fault such as a failed
-  slice load).  Its process and pipe are still healthy.
-* :class:`WorkerError` — the worker reported a deterministic application
+  slice load).  Its session is still healthy.
+* :class:`WorkerError` — the agent reported a deterministic application
   error (the user's ``compute`` raised).  Retrying cannot help; recovery
   must not mask it.
 
@@ -69,6 +85,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import select
+import socket
 import struct
 import time
 from typing import Any, Sequence
@@ -87,6 +105,8 @@ __all__ = [
     "RecoverableWorkerError",
     "WorkerError",
     "WorkerLost",
+    "parse_hosts",
+    "serve_worker",
 ]
 
 
@@ -112,9 +132,124 @@ class RecoverableWorkerError(WorkerError, RecoverableError):
 #: into allocating garbage.
 _MAX_OOB_BUFFERS = 1 << 20
 
+#: Sanity cap on a single transport frame.  An honest peer's largest frame
+#: is a pickled deliveries/state payload; a desynced or hostile stream can
+#: claim 2**64 and drive the receive loop into allocating garbage.
+_MAX_FRAME_BYTES = 1 << 34
+
 #: Deliberately malformed wire bytes used by the ``corrupt_frame`` fault: claims
 #: seven out-of-band buffers but is far too short to carry their sizes.
 _CORRUPT_WIRE_BYTES = struct.pack("<I", 7) + b"corrupted-frame!"
+
+#: How long connecting to a ``hosts`` agent, and its ready handshake, may take
+#: (an agent still serving its previous session accepts the next one late).
+_CONNECT_TIMEOUT_S = 10.0
+
+#: Local agents are forked: their init arguments are inherited, not pickled.
+_FORK_CONTEXT = mp.get_context("fork")
+
+
+def parse_hosts(spec: str | Sequence[str]) -> list[tuple[str, int]]:
+    """Parse ``"host:port,host:port"`` (or a sequence of such) to pairs.
+
+    An IPv6 host is bracketed (``[::1]:9000``); a port is 0-65535.
+    """
+    if isinstance(spec, str):
+        parts = [s for s in (piece.strip() for piece in spec.split(",")) if s]
+    else:
+        parts = [str(s).strip() for s in spec]
+    out: list[tuple[str, int]] = []
+    for part in parts:
+        host, sep, port = part.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]
+        if not sep or not host:
+            raise ValueError(f"worker address {part!r} is not host:port")
+        try:
+            number = int(port)
+        except ValueError:
+            raise ValueError(f"worker address {part!r} has a non-integer port") from None
+        if not 0 <= number <= 65535:
+            raise ValueError(f"worker address {part!r} has a port outside 0-65535")
+        out.append((host, number))
+    if not out:
+        raise ValueError("no worker addresses given")
+    return out
+
+
+# -- the transport (driver and agents) ------------------------------------------------
+
+
+class _SocketConn:
+    """The one transport: message frames over a blocking stream socket.
+
+    Frames every ``send_bytes`` payload with an 8-byte little-endian length
+    so the byte stream carries whole messages; ``recv_bytes`` reads exactly
+    one frame.  A closed peer raises :class:`EOFError`, which the driver's
+    failure classification turns into :class:`WorkerLost`.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Command/reply envelopes are latency-bound, not throughput-bound.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+
+    def send_bytes(self, data) -> None:
+        view = memoryview(data).cast("B")
+        head = struct.pack("<Q", view.nbytes)
+        # Prefix and payload in one syscall; a large frame may leave a tail.
+        sent = self._sock.sendmsg([head, view])
+        if sent < len(head):
+            self._sock.sendall(head[sent:])
+            sent = len(head)
+        if sent - len(head) < view.nbytes:
+            self._sock.sendall(view[sent - len(head):])
+
+    def _read_exactly(self, n: int) -> bytes:
+        out = bytearray()
+        while len(out) < n:
+            chunk = self._sock.recv(n - len(out))
+            if not chunk:
+                raise EOFError("socket closed mid-frame")
+            out += chunk
+        return bytes(out)
+
+    def _read_frame_len(self) -> int:
+        (length,) = struct.unpack("<Q", self._read_exactly(8))
+        if length > _MAX_FRAME_BYTES:
+            raise WorkerError(
+                f"transport frame declares {length} bytes "
+                f"(cap {_MAX_FRAME_BYTES}); stream is desynced or corrupt"
+            )
+        return length
+
+    def recv_bytes(self) -> bytes:
+        return self._read_exactly(self._read_frame_len())
+
+    def recv_bytes_into(self, buf) -> int:
+        length = self._read_frame_len()
+        view = memoryview(buf)
+        if length > view.nbytes:
+            # Mirror multiprocessing: the oversized message rides in args[0].
+            raise mp.BufferTooShort(self._read_exactly(length))
+        read = 0
+        while read < length:
+            got = self._sock.recv_into(view[read:length])
+            if not got:
+                raise EOFError("socket closed mid-frame")
+            read += got
+        return length
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        ready, _, _ = select.select([self._sock], [], [], max(timeout, 0.0))
+        return bool(ready)
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - defensive
+            pass
 
 
 def _send_oob(conn, obj: Any) -> None:
@@ -123,8 +258,8 @@ def _send_oob(conn, obj: Any) -> None:
     Wire format per message: a header with the buffer count and sizes, the
     pickle body (with large contiguous buffers extracted), then each raw
     buffer.  Contiguous numpy arrays — frame destination vectors, array
-    payloads — cross the pipe without being serialized into the pickle
-    stream.
+    payloads — cross the connection without being serialized into the
+    pickle stream.
     """
     buffers: list[pickle.PickleBuffer] = []
     body = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
@@ -166,13 +301,13 @@ def _recv_oob(conn, *, deadline: float | None = None, what: str = "message") -> 
 
     Buffers are received into exactly-sized *writeable* bytearrays, so
     reconstructed arrays behave like the in-process executors' (mutable by
-    the receiving computation), with no copy beyond the pipe read itself.
+    the receiving computation), with no copy beyond the socket read itself.
 
     The header is validated before it drives any allocation: a truncated or
     corrupted stream raises :class:`WorkerError` with context (never a bare
     ``struct.error``), and when ``deadline`` (a ``time.monotonic`` instant)
-    is given, every pipe read is bounded by it, raising
-    :class:`GatherTimeout` instead of blocking forever.
+    is given, every read is bounded by it, raising :class:`GatherTimeout`
+    instead of blocking forever.
     """
     _wait_readable(conn, deadline, what)
     header = conn.recv_bytes()
@@ -210,28 +345,44 @@ def _recv_oob(conn, *, deadline: float | None = None, what: str = "message") -> 
         ) from exc
 
 
-def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool = True) -> str:
+# -- the agent ------------------------------------------------------------------------
+
+
+def _serve_commands(conn, host, fault_plan, incarnation) -> str:
     """Serve engine commands on ``conn`` until ``stop``, ``kill``, or EOF.
 
-    This is the transport-agnostic worker loop shared by the pipe-backed
-    :class:`ProcessCluster` workers and the TCP-backed
-    :mod:`~repro.runtime.socket_cluster` agents — ``conn`` only needs the
-    ``multiprocessing.Connection`` API surface (``send_bytes``,
-    ``recv_bytes``, ``recv_bytes_into``, ``poll``, ``close``).
+    Commands arrive as ``(seq, op, replay, timestep, superstep, payload)``
+    envelopes; replies go back as ``(seq, incarnation, payload)``.  The
+    agent executes strictly increasing sequence numbers: a command whose
+    ``seq`` equals the last executed one is a driver resend and is answered
+    from the one-deep reply cache *without re-executing* — that idempotence
+    is what makes the driver's retry protocol safe.  Anything older is
+    discarded.
 
-    ``exit_on_kill`` selects what an injected ``kill`` fault means: in a
-    dedicated worker process the process itself dies (``os._exit``, exit
-    code 17 — the driver observes a genuinely dead worker); a long-lived
-    ``tibsp worker`` agent instead severs just this session's connection
-    and returns ``"killed"`` so the agent survives to accept the respawned
-    session.  Returns ``"stopped"`` on a polite stop, ``"killed"`` on a
-    non-exiting kill, ``"eof"`` when the driver went away, and
-    ``"bad-command"`` on a corrupt frame or an envelope of the wrong shape:
-    the stream can no longer be trusted, so the session ends (the caller
-    closes ``conn``; the driver sees EOF and respawns) rather than the
-    error taking a long-lived agent down with it.
+    Failures while executing a command ship back a
+    ``("error", traceback_text, recoverable)`` payload — ``recoverable`` is
+    True when the exception carries the :class:`RecoverableError` marker
+    (an injected infrastructure fault), False for deterministic application
+    errors — so the driver can re-raise with context instead of dying on a
+    broken connection.
+
+    When ``fault_plan`` is set, each round's ``(timestep, superstep)`` is
+    checked against the plan under this session's ``incarnation`` (skipped
+    for ``replay`` commands — a journal replay must not re-trip scripted
+    faults).  ``kill`` closes the session, ``fail_load`` raises
+    :class:`InjectedFault` (a recoverable error reply), and the rest act on
+    the reply *after* the round computed and its envelope was cached:
+    ``delay`` sleeps first, ``drop_frame`` swallows it, ``corrupt_frame``
+    sends garbage wire bytes instead, ``dup_frame`` sends it twice, and
+    ``reorder`` re-sends the previous round's envelope ahead of it.
+
+    Returns ``"stopped"`` on a polite stop, ``"killed"`` on an injected
+    kill, ``"eof"`` when the driver went away, and ``"bad-command"`` on a
+    corrupt frame or an envelope of the wrong shape: the stream can no
+    longer be trusted, so the session ends (the caller closes ``conn``; the
+    driver sees EOF and respawns) rather than the error taking a long-lived
+    agent down with it.
     """
-    import os
     import traceback
 
     pid = host.partition.partition_id
@@ -261,8 +412,6 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
                     if spec is not None:
                         if spec.kind == "kill":
                             conn.close()
-                            if exit_on_kill:
-                                os._exit(17)
                             return "killed"
                         elif spec.kind == "fail_load":
                             raise InjectedFault(
@@ -302,88 +451,162 @@ def _serve_commands(conn, host, fault_plan, incarnation, *, exit_on_kill: bool =
         return "eof"
 
 
-def _worker_main(
-    conn, spec: HostSpec, partition, source, sg_part, fault_plan, incarnation
-) -> None:
-    """Worker loop: owns one host, serves engine commands until ``stop``.
+def _serve_session(conn, init: tuple | None = None) -> str:
+    """Serve one driver session on ``conn``: build the host, serve commands,
+    close the source and the connection.
 
-    Everything after ``conn`` is what a socket agent receives in its
-    ``init`` handshake (:meth:`ProcessCluster._init_args`).  Commands arrive
-    as ``(seq, op, replay, timestep, superstep, payload)`` envelopes; replies
-    go back as ``(seq, incarnation, payload)``.  The worker executes strictly
-    increasing sequence numbers: a command whose ``seq`` equals the last
-    executed one is a driver resend and is answered from the one-deep reply
-    cache *without re-executing* — that idempotence is what makes the
-    driver's retry protocol safe.  Anything older is discarded.
-
-    Failures while executing a command ship back a
-    ``("error", traceback_text, recoverable)`` payload — ``recoverable`` is
-    True when the exception carries the :class:`RecoverableError` marker
-    (an injected infrastructure fault), False for deterministic application
-    errors — so the driver can re-raise with context instead of dying on a
-    broken pipe.
-
-    When ``fault_plan`` is set, each round's ``(timestep, superstep)`` is
-    checked against the plan under this worker's ``incarnation`` (skipped for
-    ``replay`` commands — a journal replay must not re-trip scripted
-    faults).  ``kill`` exits the process immediately (``os._exit``),
-    ``fail_load`` raises :class:`InjectedFault` (a recoverable error
-    reply), and the rest act on the reply *after* the round computed and
-    its envelope was cached: ``delay`` sleeps first, ``drop_frame``
-    swallows it, ``corrupt_frame`` sends garbage wire bytes instead,
-    ``dup_frame`` sends it twice, and ``reorder`` re-sends the previous
-    round's envelope ahead of it.
+    ``init`` is :meth:`ProcessCluster._init_args` — ``(spec, partition,
+    source, sg_part, fault_plan, incarnation)``.  A forked agent inherits
+    it; a ``hosts`` agent (``init=None``) reads it from the driver's
+    ``("init", init)`` handshake and answers ``("ready", incarnation)``.
 
     When ``spec.tracing`` is set the host gets its own tracer; spans recorded
-    in the worker ride back to the driver as ``HostStepResult.telemetry`` on
+    in the agent ride back to the driver as ``HostStepResult.telemetry`` on
     ordinary replies.  ``time.perf_counter_ns`` is CLOCK_MONOTONIC — one
-    system-wide timebase shared with the (forked) driver — so worker span
+    system-wide timebase shared with a driver on the same machine — so span
     timestamps need no clock translation.
+
+    Returns :func:`_serve_commands`' disposition, or ``"bad-init"`` when the
+    handshake is corrupt or does not destructure (another version's driver,
+    say): either way only this session ends, never the agent.
     """
-    host = spec.build(partition, source, sg_part)
+    source = None
     try:
-        _serve_commands(conn, host, fault_plan, incarnation, exit_on_kill=True)
-    except KeyboardInterrupt:  # pragma: no cover - driver died
-        pass
+        handshake = init is None
+        if handshake:
+            try:
+                tag, init = _recv_oob(conn)
+                spec, partition, source, sg_part, fault_plan, incarnation = init
+            except (WorkerError, EOFError, OSError, TypeError, ValueError):
+                return "bad-init"
+            if tag != "init" or not isinstance(spec, HostSpec):
+                return "bad-init"
+        else:
+            spec, partition, source, sg_part, fault_plan, incarnation = init
+        host = spec.build(partition, source, sg_part)
+        if handshake:
+            try:
+                _send_oob(conn, ("ready", incarnation))
+            except OSError:
+                return "eof"
+        return _serve_commands(conn, host, fault_plan, incarnation)
     finally:
         close = getattr(source, "close", None)
-        if callable(close):  # release prefetch threads before exiting
+        if callable(close):  # release prefetch threads between sessions
             close()
+        conn.close()
+
+
+def serve_worker(listen: str | tuple[str, int], *, announce=None) -> None:
+    """Run a worker agent: accept driver sessions on ``listen`` forever.
+
+    ``listen`` is ``"host:port"`` (port 0 picks a free one) or a
+    ``(host, port)`` pair.  Each accepted connection is one driver
+    session — served to completion before the next ``accept`` — so a
+    killed or stopped session is survivable: the driver's
+    ``respawn_worker`` simply reconnects and re-inits at a higher
+    incarnation.  ``announce`` is called with the bound ``(host, port)``
+    once listening (the CLI prints it).
+    """
+    if isinstance(listen, str):
+        ((host, port),) = parse_hosts(listen)
+    else:
+        host, port = listen
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.create_server((host, port), family=family, backlog=4) as lsock:
+        if announce is not None:
+            announce(lsock.getsockname()[:2])
+        while True:
+            sock, _ = lsock.accept()
+            _serve_session(_SocketConn(sock))
+
+
+# -- the cluster ----------------------------------------------------------------------
+
+
+def _connect(address: tuple[str, int], p: int) -> _SocketConn:
+    """Connect to ``address``, retrying until ``_CONNECT_TIMEOUT_S`` is spent.
+
+    Each attempt is bounded by what is left of the deadline, so a
+    black-holed address costs ``_CONNECT_TIMEOUT_S``, not the kernel's SYN
+    timeout.
+    """
+    deadline = time.monotonic() + _CONNECT_TIMEOUT_S
+    while True:
         try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed by kill path
-            pass
+            sock = socket.create_connection(
+                address, timeout=max(deadline - time.monotonic(), 1e-3)
+            )
+        except OSError as exc:  # refused, unreachable, timed out, ...
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise WorkerLost(
+                    f"partition {p} worker at {address[0]}:{address[1]} is unreachable "
+                    f"({exc!r})",
+                    partition=p,
+                ) from exc
+            time.sleep(min(0.05, left))
+        else:
+            sock.settimeout(None)  # the connect bound must not time reads out
+            return _SocketConn(sock)
+
+
+class _RemoteWorkerHandle:
+    """Process-shaped stand-in for a ``hosts`` agent somebody else started.
+
+    The driver cannot see a remote agent's process, so liveness questions
+    are answered optimistically: ``is_alive`` is True (a truly dead peer
+    surfaces as EOF on its connection → :class:`WorkerLost`), and
+    terminate/kill/join are no-ops — the agent's lifecycle belongs to
+    whoever started it.  Keeping ``is_alive`` True routes gather timeouts
+    into the protocol-retry path (resend → reply cache) instead of an
+    immediate respawn, exactly like a live-but-slow forked agent.
+    """
+
+    exitcode = None
+
+    def is_alive(self) -> bool:
+        return True
+
+    def terminate(self) -> None:
+        pass
+
+    def kill(self) -> None:
+        pass
+
+    def join(self, timeout: float | None = None) -> None:
+        pass
 
 
 class ProcessCluster(Cluster):
-    """One worker process per partition, driven over pipes.
+    """One worker agent per partition, each driven over one socket.
 
     Parameters mirror :class:`~repro.runtime.cluster.LocalCluster`, except
-    instance ``sources`` are mandatory: each worker must be able to produce
+    instance ``sources`` are mandatory: each agent must be able to produce
     its instances *inside its own process* (a lazy generator-backed source or
     a GoFS view — not a pre-materialized shared list, which would defeat the
-    isolation).  ``mp_context`` accepts a start-method name or a ready-made
-    multiprocessing context object.
+    isolation).  ``hosts`` (``"host:port,..."`` or a sequence, one per
+    partition) names agents somebody started; ``None`` forks them here.
 
-    ``gather_timeout_s`` bounds every driver-side pipe read in a
+    ``gather_timeout_s`` bounds every driver-side read in a
     scatter/gather round; ``None`` (the default) preserves the original
     block-forever behavior.  A timeout is required for ``drop_frame``
     fault runs to make progress — the engine supplies one automatically
-    when recovery is enabled.  ``fault_plan`` is shipped to every worker
-    (spent-fault bookkeeping stays per-process; the incarnation guard is
+    when recovery is enabled.  ``fault_plan`` is shipped to every agent
+    (spent-fault bookkeeping stays per-session; the incarnation guard is
     what keeps faults from re-firing after a respawn).
 
     ``retry_policy`` (a :class:`~repro.resilience.recovery.RecoveryPolicy`)
     arms the **protocol retry loop**: a gather timeout or corrupt reply
-    from a still-alive worker is retried by resending the same
-    sequence-numbered command (the worker answers from its reply cache)
+    from a still-alive agent is retried by resending the same
+    sequence-numbered command (the agent answers from its reply cache)
     with the policy's backoff, up to ``max_retries`` times, before the
     failure surfaces.  Cured incidents are recorded and drained via
     :meth:`drain_protocol_incidents`.  ``None`` (the default: a run
     without recovery) surfaces the first failure unretried.
 
     Use as a context manager (``with ProcessCluster(...) as cluster:``) to
-    guarantee workers are reaped even when the driver raises mid-run.
+    guarantee agents are reaped even when the driver raises mid-run.
     """
 
     def __init__(
@@ -393,8 +616,8 @@ class ProcessCluster(Cluster):
         meta: RunMeta,
         sources: Sequence[InstanceSource],
         *,
+        hosts: str | Sequence[str] | None = None,
         cost_model: CostModel | None = None,
-        mp_context: Any = "fork",
         use_combiners: bool = True,
         tracing: bool = False,
         gather_timeout_s: float | None = None,
@@ -403,9 +626,14 @@ class ProcessCluster(Cluster):
     ) -> None:
         if gather_timeout_s is not None and gather_timeout_s <= 0:
             raise ValueError("gather_timeout_s must be positive (or None to disable)")
+        self._hosts = None if hosts is None else parse_hosts(hosts)
+        if self._hosts is not None and len(self._hosts) != pg.num_partitions:
+            raise ValueError(
+                f"need exactly one worker address per partition "
+                f"({len(self._hosts)} given, {pg.num_partitions} partitions)"
+            )
         spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
         super().__init__(pg, spec, sources, fault_plan)
-        self._ctx = mp.get_context(mp_context) if isinstance(mp_context, str) else mp_context
         self.gather_timeout_s = gather_timeout_s
         self.retry_policy = retry_policy
         #: Next command sequence number, per partition (reset on respawn).
@@ -424,8 +652,8 @@ class ProcessCluster(Cluster):
         self._spawn_workers()
 
     def _init_args(self, p: int) -> tuple:
-        """What partition ``p``'s worker is started from — a pipe worker as
-        process arguments, a socket agent as its ``init`` handshake."""
+        """What partition ``p``'s agent is started from — inherited by a
+        forked agent, sent to a ``hosts`` agent in its ``init`` handshake."""
         return (
             self._spec,
             self._pg.partitions[p],
@@ -435,25 +663,45 @@ class ProcessCluster(Cluster):
             self.incarnations[p],
         )
 
-    def _spawn_one(self, p: int) -> tuple[Any, Any]:
-        """Start partition ``p``'s worker at its current incarnation."""
-        parent, child = self._ctx.Pipe()
+    def _spawn_one(self, p: int) -> tuple[_SocketConn, Any]:
+        """Open partition ``p``'s session at its current incarnation: fork
+        its agent on one end of a socketpair, or connect to its ``hosts``
+        agent and hand it the init arguments."""
+        if self._hosts is None:
+            conn, child = (_SocketConn(s) for s in socket.socketpair())
+            try:
+                proc = _FORK_CONTEXT.Process(
+                    target=_serve_session, args=(child, self._init_args(p)), daemon=True
+                )
+                proc.start()
+            except BaseException:
+                conn.close()
+                raise
+            finally:
+                child.close()  # the agent holds its own copy
+            return conn, proc
+        conn = _connect(self._hosts[p], p)
         try:
-            proc = self._ctx.Process(
-                target=_worker_main, args=(child, *self._init_args(p)), daemon=True
+            _send_oob(conn, ("init", self._init_args(p)))
+            reply = _recv_oob(
+                conn,
+                deadline=time.monotonic() + _CONNECT_TIMEOUT_S,
+                what=f"partition {p} ready handshake",
             )
-            proc.start()
+            if reply != ("ready", self.incarnations[p]):
+                raise WorkerLost(
+                    f"partition {p} worker sent a bad handshake reply: {reply!r}",
+                    partition=p,
+                )
         except BaseException:
-            parent.close()
-            child.close()
+            conn.close()
             raise
-        child.close()
-        return parent, proc
+        return conn, _RemoteWorkerHandle()
 
     def _spawn_workers(self) -> None:
         """Start one worker per partition at the current incarnation.
 
-        If any step fails (process start, pipe creation), tear down the
+        If any step fails (fork, connect, handshake), tear down the
         workers already started instead of leaking daemon processes that
         outlive the failed constructor.
         """
@@ -481,7 +729,7 @@ class ProcessCluster(Cluster):
         self._stats["commands_sent"] += 1
         try:
             _send_oob(self._conns[p], cmd)
-        except (BrokenPipeError, ConnectionError, OSError) as exc:
+        except OSError as exc:
             raise WorkerLost(
                 f"partition {p} worker is gone (send failed: {exc!r})", partition=p
             ) from exc
@@ -564,7 +812,7 @@ class ProcessCluster(Cluster):
             except WorkerLost:
                 raise
             except WorkerError as exc:
-                # Corrupt reply frame.  Pipes are message-oriented, so the
+                # Corrupt reply frame.  Frames are length-prefixed, so the
                 # stream stays frame-aligned past the bad message: with a
                 # retry policy a resend can still fetch the cached reply.
                 if not self._procs[p].is_alive():
@@ -593,7 +841,7 @@ class ProcessCluster(Cluster):
                 time.sleep(backoff)
             try:
                 _send_oob(self._conns[p], self._inflight[p])
-            except (BrokenPipeError, ConnectionError, OSError) as exc:
+            except OSError as exc:
                 raise WorkerLost(
                     f"partition {p} worker is gone (resend failed: {exc!r})", partition=p
                 ) from exc
@@ -654,7 +902,7 @@ class ProcessCluster(Cluster):
             gather()
         else:
             # Driver-side view of the scatter/gather round: the ship span
-            # covers pickling + pipe writes, the barrier span the gather
+            # covers pickling + socket writes, the barrier span the gather
             # (the BSP synchronisation point).
             with tr.span("ship"):
                 scatter()
@@ -680,9 +928,9 @@ class ProcessCluster(Cluster):
     def respawn_worker(self, partition: int) -> int:
         """Replace one dead/wedged worker with a fresh incarnation.
 
-        Its pipe (and any garbage queued on it) is discarded wholesale, so
-        the new worker starts with a clean, trusted stream; sequence
-        numbers restart at 0 for the new pipe.
+        Its connection (and any garbage queued on it) is discarded
+        wholesale, so the new session starts with a clean, trusted stream;
+        sequence numbers restart at 0 for the new connection.
         """
         self._teardown_one(partition)
         self.incarnations[partition] += 1
@@ -711,7 +959,7 @@ class ProcessCluster(Cluster):
 
         The polite path (``force=False``) offers each worker a ``stop``
         command and briefly waits for its ack; the forced path skips
-        straight to closing pipes.  Either way every process is joined with
+        straight to closing connections.  Either way every process is joined with
         a bounded timeout, then terminated, then killed — a wedged or
         desynced worker cannot stall shutdown.
         """
@@ -726,7 +974,7 @@ class ProcessCluster(Cluster):
                 try:
                     # Workers honor "stop" regardless of sequence number.
                     _send_oob(conn, (1 << 30, "stop", False, -1, -1, None))
-                except (BrokenPipeError, ConnectionError, OSError):
+                except OSError:
                     pass
             for p, conn in indexed_conns:
                 try:
@@ -750,8 +998,8 @@ class ProcessCluster(Cluster):
             except OSError:  # pragma: no cover - defensive
                 pass
         if force:
-            # Don't wait for workers to notice the closed pipes: forked
-            # siblings inherit each other's pipe fds, so a worker blocked in
+            # Don't wait for workers to notice the closed sockets: forked
+            # siblings inherit each other's socket fds, so a worker blocked in
             # recv may never see EOF until the others die.  Forced teardown
             # means their state is already forfeit — SIGTERM them up front.
             for proc in procs:

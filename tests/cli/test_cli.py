@@ -140,17 +140,18 @@ class TestNewSubcommands:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_run_socket_executor(self, capsys):
-        """Auto-spawn mode: no --hosts, workers forked on localhost TCP."""
+    def test_run_socket_executor(self, capsys, external_workers):
+        """The deployment shape: --hosts names two running agents."""
         assert main([
             "run", "tdsp", "--scale", "300", "--instances", "4",
             "--partitions", "2", "--executor", "socket",
+            "--hosts", ",".join(external_workers[:2]),
         ]) == 0
 
 
 class TestWorkerSubcommand:
     def test_worker_serves_one_session(self, capsys):
-        """``tibsp worker --once`` binds, announces, serves a run, exits."""
+        """``tibsp worker`` binds, announces, and serves a run."""
         import re
         import threading
 
@@ -162,13 +163,11 @@ class TestWorkerSubcommand:
         # One worker via the CLI entrypoint path, one via the library, so
         # the test covers both the argparse wiring and a 2-partition run.
         addrs: list[str] = []
-        done = threading.Event()
-
-        def cli_worker():
-            main(["worker", "--listen", "127.0.0.1:0", "--once"])
-            done.set()
-
-        t1 = threading.Thread(target=cli_worker, daemon=True)
+        # Daemon threads, as the session's agents: the accept loops end with
+        # the test process.
+        t1 = threading.Thread(
+            target=main, args=(["worker", "--listen", "127.0.0.1:0"],), daemon=True
+        )
         t1.start()
         deadline_announce = threading.Event()
 
@@ -178,7 +177,7 @@ class TestWorkerSubcommand:
 
         t2 = threading.Thread(
             target=serve_worker, args=(("127.0.0.1", 0),),
-            kwargs={"once": True, "announce": announce}, daemon=True,
+            kwargs={"announce": announce}, daemon=True,
         )
         t2.start()
         assert deadline_announce.wait(10)
@@ -206,7 +205,6 @@ class TestWorkerSubcommand:
             config=EngineConfig(executor="socket", hosts=(cli_addr, addrs[0])),
         )
         assert result.failure is None
-        assert done.wait(10), "--once worker did not exit after the session"
 
 
 class TestResilienceFlags:

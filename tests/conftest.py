@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import queue
+import threading
 
 import numpy as np
 import pytest
@@ -135,6 +137,39 @@ def assert_one_record_stream(result) -> None:
     assert [e["timestep"] for e in report["timesteps"]] == executed
     attributed = sum(e["wall_s"] for e in report["timesteps"])
     assert attributed == pytest.approx(m.total_wall() - m.merge_wall(), abs=1e-12)
+
+
+#: Agents the test session starts for runs that name ``hosts``: one per
+#: partition of the widest such run.
+NUM_AGENTS = 4
+
+
+@pytest.fixture(scope="session")
+def external_workers() -> tuple[str, ...]:
+    """``tibsp worker`` agents (``serve_worker``) on free localhost ports.
+
+    The shape of a deployment: agents somebody started, named by ``hosts``.
+    An agent serves one session at a time and outlives each (a ``kill``
+    severs one and the respawn reconnects), so the whole test session
+    shares them; a run over k partitions takes the first k (:func:`hosts_for`).
+    """
+    from repro.runtime import serve_worker
+
+    bound: queue.Queue = queue.Queue()
+    for _ in range(NUM_AGENTS):
+        threading.Thread(
+            target=serve_worker,
+            args=(("127.0.0.1", 0),),
+            kwargs={"announce": bound.put},
+            daemon=True,  # the accept loops end with the test process
+        ).start()
+    return tuple(f"{h}:{p}" for h, p in (bound.get(timeout=10) for _ in range(NUM_AGENTS)))
+
+
+def hosts_for(executor: str, agents, num_partitions: int):
+    """``EngineConfig.hosts`` for an executor parametrization: ``socket``
+    runs on the session's agents, every other executor on none."""
+    return tuple(agents[:num_partitions]) if executor == "socket" else None
 
 
 @pytest.fixture

@@ -369,6 +369,18 @@ class TestExecutors:
         with pytest.raises(ValueError, match="serial, process, socket"):
             run_application(Recorder(), pg, coll, config=EngineConfig(executor="quantum"))
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_hosts_only_for_the_socket_executor(self, setup, executor, monkeypatch):
+        """Addresses nothing would dial are refused before anything is spawned."""
+        from repro.runtime import process_cluster
+
+        _, coll, pg = setup
+        monkeypatch.setattr(process_cluster, "_FORK_CONTEXT", None)  # a fork would raise
+        sources = [CollectionInstanceSource(coll) for _ in range(pg.num_partitions)]
+        config = EngineConfig(executor=executor, hosts=("127.0.0.1:1",) * pg.num_partitions)
+        with pytest.raises(ValueError, match="only the socket executor dials"):
+            run_application(Recorder(), pg, coll, config=config, sources=sources)
+
 
 class TestMetricsIntegration:
     def test_metrics_recorded(self, setup):

@@ -1,4 +1,5 @@
-"""Byte-identical results across the serial, process and socket executors.
+"""Byte-identical results across the serial, process and socket executors
+(the socket executor on the session's ``tibsp worker`` agents).
 
 The batched message plane changes delivery routes (host-local short-circuit,
 per-partition frames, combiners) but must not change *what* applications
@@ -23,7 +24,7 @@ from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import CollectionInstanceSource
 from repro.storage import GoFS
-from tests.conftest import make_grid_template, populate_random
+from tests.conftest import hosts_for, make_grid_template, populate_random
 
 PARTITIONS = 3
 
@@ -77,7 +78,7 @@ def _canonical(obj):
     raise TypeError(f"unhandled type in equivalence snapshot: {type(obj)!r}")
 
 
-def _snapshot(name, pg, coll, executor):
+def _snapshot(name, pg, coll, executor, hosts=None):
     sources = (
         [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]
         if executor != "serial"
@@ -88,7 +89,7 @@ def _snapshot(name, pg, coll, executor):
         pg,
         coll,
         sources=sources,
-        config=EngineConfig(executor=executor),
+        config=EngineConfig(executor=executor, hosts=hosts),
     )
     return (
         _canonical(res.outputs),
@@ -99,10 +100,10 @@ def _snapshot(name, pg, coll, executor):
 
 @pytest.mark.parametrize("name", ["tdsp", "meme", "hash", "topn", "pagerank"])
 @pytest.mark.parametrize("executor", ["process", "socket"])
-def test_executor_matches_serial(case, name, executor):
+def test_executor_matches_serial(case, external_workers, name, executor):
     _tpl, coll, pg = case
     serial = _snapshot(name, pg, coll, "serial")
-    other = _snapshot(name, pg, coll, executor)
+    other = _snapshot(name, pg, coll, executor, hosts_for(executor, external_workers, PARTITIONS))
     assert other == serial
 
 

@@ -13,7 +13,7 @@ from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
 from repro.runtime import CollectionInstanceSource, LocalCluster
-from tests.conftest import make_grid_template
+from tests.conftest import hosts_for, make_grid_template
 
 
 def _case(partitions=2):
@@ -176,10 +176,14 @@ def _cross_ping_case():
     return coll, pg, CrossPing(per[0][0], per[1][0])
 
 
-def _cross_ping_run(executor, coll, pg, comp, config=None, resume_from=None):
+def _cross_ping_run(executor, coll, pg, comp, config=None, resume_from=None, agents=()):
     return run_application(
         comp, pg, coll,
-        config=EngineConfig(executor=executor, **(config or {})),
+        config=EngineConfig(
+            executor=executor,
+            hosts=hosts_for(executor, agents, pg.num_partitions),
+            **(config or {}),
+        ),
         sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
         resume_from=resume_from,
     )
@@ -190,9 +194,9 @@ class TestTemporalFramesRoutedUnopened:
     timestep boundary reaches its partition as the frame the sender packed."""
 
     @pytest.mark.parametrize("executor", ["serial", "process", "socket"])
-    def test_ping_arrives_at_superstep_0_of_next_timestep(self, executor):
+    def test_ping_arrives_at_superstep_0_of_next_timestep(self, executor, external_workers):
         coll, pg, comp = _cross_ping_case()
-        res = _cross_ping_run(executor, coll, pg, comp)
+        res = _cross_ping_run(executor, coll, pg, comp, agents=external_workers)
         assert res.states[comp.dst]["got"] == [(("ping", 0), 1, 0), (("ping", 1), 2, 0)]
         assert all("got" not in st for sgid, st in res.states.items() if sgid != comp.dst)
 
@@ -221,9 +225,12 @@ class TestTemporalFramesRoutedUnopened:
         assert delivered.dst_partition == 1 and list(delivered.destinations) == [comp.dst]
 
     @pytest.mark.parametrize("executor", ["serial", "process", "socket"])
-    def test_resume_at_the_boundary_gives_the_same_states(self, executor, tmp_path):
+    def test_resume_at_the_boundary_gives_the_same_states(
+        self, executor, tmp_path, external_workers
+    ):
         coll, pg, comp = _cross_ping_case()
-        baseline = _cross_ping_run(executor, coll, pg, comp)
+        agents = external_workers
+        baseline = _cross_ping_run(executor, coll, pg, comp, agents=agents)
         ckpt = {"checkpoint": CheckpointConfig(dir=tmp_path, every=1)}
         # Die in timestep 1: the latest checkpoint holds timestep 0's ping frame.
         crash = dict(
@@ -232,8 +239,10 @@ class TestTemporalFramesRoutedUnopened:
             recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
         )
         with pytest.raises(RunFailureError):
-            _cross_ping_run(executor, coll, pg, comp, config=crash)
-        resumed = _cross_ping_run(executor, coll, pg, comp, config=ckpt, resume_from=True)
+            _cross_ping_run(executor, coll, pg, comp, config=crash, agents=agents)
+        resumed = _cross_ping_run(
+            executor, coll, pg, comp, config=ckpt, resume_from=True, agents=agents
+        )
         assert resumed.timesteps_executed == baseline.timesteps_executed == 3
         assert resumed.states == baseline.states
 

@@ -3,7 +3,8 @@
 ISSUE 8 satellite: a schedule mixing host death (``kill``), wire loss
 (``drop_frame``), and stragglers (``delay``) must leave every executor
 bit-identical to its own fault-free baseline, with a valid streamed event
-log — the whole resilience stack exercised at once, deterministically.
+log — the whole resilience stack exercised at once, deterministically.  The
+socket executor runs on the session's ``tibsp worker`` agents.
 """
 
 import json
@@ -15,6 +16,7 @@ from repro.observability import TraceConfig
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy
 from repro.runtime import CollectionInstanceSource
 
+from ..conftest import hosts_for
 from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
 
 pytestmark = pytest.mark.resilience
@@ -37,9 +39,10 @@ def _identical(a, b):
     assert a.states == b.states
 
 
-def _chaos_config(executor, ckpt_dir, stream_dir):
+def _chaos_config(executor, hosts, ckpt_dir, stream_dir):
     return EngineConfig(
         executor=executor,
+        hosts=hosts,
         gather_timeout_s=0.5 if executor in ("process", "socket") else None,
         tracing=TraceConfig(stream_dir=str(stream_dir)),
         checkpoint=CheckpointConfig(dir=ckpt_dir, every=1),
@@ -50,17 +53,20 @@ def _chaos_config(executor, ckpt_dir, stream_dir):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 class TestChaosSoak:
-    def test_bit_identical_with_valid_event_stream(self, case, tmp_path, executor):
+    def test_bit_identical_with_valid_event_stream(
+        self, case, tmp_path, external_workers, executor
+    ):
         _tpl, coll, pg = case
+        hosts = hosts_for(executor, external_workers, NUM_PARTITIONS)
         comp = RingRelay(len(pg.subgraphs))
         baseline = run_application(
             comp, pg, coll, sources=_sources(coll),
-            config=EngineConfig(executor=executor),
+            config=EngineConfig(executor=executor, hosts=hosts),
         )
         stream = tmp_path / "stream"
         result = run_application(
             comp, pg, coll, sources=_sources(coll),
-            config=_chaos_config(executor, tmp_path / "ck", stream),
+            config=_chaos_config(executor, hosts, tmp_path / "ck", stream),
         )
         _identical(result, baseline)
         assert result.failure is None
@@ -84,14 +90,15 @@ class TestChaosSoak:
         kinds = {e["kind"] for e in events}
         assert "step" in kinds and "worker_respawn" in kinds
 
-    def test_repeated_runs_identical(self, case, tmp_path, executor):
+    def test_repeated_runs_identical(self, case, tmp_path, external_workers, executor):
         """Soak determinism: the same seeded schedule, run twice, is
         indistinguishable — outputs, states, and recovery provenance."""
         _tpl, coll, pg = case
+        hosts = hosts_for(executor, external_workers, NUM_PARTITIONS)
         runs = [
             run_application(
                 AccumulateSum(), pg, coll, sources=_sources(coll),
-                config=_chaos_config(executor, tmp_path / f"ck{i}", tmp_path / f"s{i}"),
+                config=_chaos_config(executor, hosts, tmp_path / f"ck{i}", tmp_path / f"s{i}"),
             )
             for i in range(2)
         ]

@@ -1,7 +1,8 @@
-"""Driver-side pipe hardening: timeouts and worker lifecycle.
+"""Driver-side hardening of the worker connection: timeouts and worker lifecycle.
 
 The frame codec's corrupt-stream cases live in
-``tests/runtime/test_socket_transport.py``, parametrized over pipe and socket.
+``tests/runtime/test_socket_transport.py``, over the one ``_SocketConn``
+transport on both the socketpair and the TCP channel.
 """
 
 import pytest

@@ -17,6 +17,7 @@ from repro.resilience import (
 )
 from repro.runtime import RecoverableWorkerError
 
+from ..conftest import hosts_for
 from .conftest import AccumulateSum, RingRelay
 
 pytestmark = pytest.mark.resilience
@@ -36,9 +37,10 @@ FAULT_MATRIX = [
 HOST_FAULT_KINDS = [k for k in FAULT_KINDS if k not in NETWORK_FAULT_KINDS]
 
 
-def _config(executor, ckpt_dir, faults, **recovery_kwargs):
+def _config(executor, ckpt_dir, faults, hosts=None, **recovery_kwargs):
     return EngineConfig(
         executor=executor,
+        hosts=hosts,
         checkpoint=CheckpointConfig(dir=ckpt_dir, every=1),
         faults=FaultPlan.parse(faults, seed=3) if isinstance(faults, str) else faults,
         recovery=RecoveryPolicy(backoff_s=0.0, **recovery_kwargs),
@@ -84,20 +86,22 @@ class TestFaultMatrixProcess:
 
     @pytest.mark.parametrize("kind", HOST_FAULT_KINDS)
     def test_a_host_fault_is_repaired_alike_on_every_executor(
-        self, case, sources, tmp_path, baseline, kind
+        self, case, sources, tmp_path, baseline, external_workers, kind
     ):
-        """A host kind names one behaviour: serial and process state the same
-        repairs for it, and both end where the fault-free run ends."""
+        """A host kind names one behaviour: serial, forked agents and
+        ``hosts`` agents state the same repairs for it, and all end where
+        the fault-free run ends."""
         _tpl, coll, pg = case
         actions = {}
-        for executor in ("serial", "process"):
+        for executor in ("serial", "process", "socket"):
+            hosts = hosts_for(executor, external_workers, pg.num_partitions)
             result = run_application(
                 AccumulateSum(), pg, coll, sources=sources,
-                config=_config(executor, tmp_path / executor, f"{kind}@t2:p1"),
+                config=_config(executor, tmp_path / executor, f"{kind}@t2:p1", hosts),
             )
             _identical(result, baseline)
             actions[executor] = [a.kind for a in result.recovery_actions]
-        assert actions["serial"] == actions["process"]
+        assert actions["serial"] == actions["process"] == actions["socket"]
         # Only a straggler inside the gather timeout needs no repair.
         assert actions["serial"] or kind == "delay"
 

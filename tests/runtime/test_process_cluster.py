@@ -1,6 +1,5 @@
-"""Tests for the process-per-partition cluster (pipes, errors, lifecycle)."""
+"""Tests for the agent-per-partition cluster (forked agents, errors, lifecycle)."""
 
-import multiprocessing as mp
 import time
 
 import numpy as np
@@ -12,6 +11,7 @@ from repro.partition import partition_graph
 from repro.resilience import AT_BEGIN, FaultPlan
 from repro.runtime import CollectionInstanceSource, ProcessCluster, RunMeta
 from repro.runtime.cluster import raise_first_failure
+from repro.runtime import process_cluster
 from repro.runtime.process_cluster import GatherTimeout, WorkerError
 
 
@@ -84,20 +84,17 @@ class TestLifecycle:
 
 
 class _FailSecondSpawnContext:
-    """Multiprocessing-context stand-in whose 2nd Process creation fails.
+    """Fork-context stand-in whose 2nd Process creation fails.
 
     Wraps the real fork context so the first worker genuinely starts, then
     raises when the cluster constructor asks for the next one — the scenario
     where a partially constructed cluster used to leak live workers.
     """
 
-    def __init__(self):
-        self._real = mp.get_context("fork")
+    def __init__(self, real):
+        self._real = real
         self.started: list = []
         self._spawned = 0
-
-    def Pipe(self):
-        return self._real.Pipe()
 
     def Process(self, *args, **kwargs):
         self._spawned += 1
@@ -109,13 +106,14 @@ class _FailSecondSpawnContext:
 
 
 class TestConstructorFailure:
-    def test_started_workers_not_leaked(self, case):
+    def test_started_workers_not_leaked(self, case, monkeypatch):
         """A failing spawn mid-constructor must shut down earlier workers."""
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        ctx = _FailSecondSpawnContext()
+        ctx = _FailSecondSpawnContext(process_cluster._FORK_CONTEXT)
+        monkeypatch.setattr(process_cluster, "_FORK_CONTEXT", ctx)
         with pytest.raises(OSError, match="out of processes"):
-            ProcessCluster(pg, EmitSum(), meta, sources, mp_context=ctx)
+            ProcessCluster(pg, EmitSum(), meta, sources)
         assert len(ctx.started) == 1
         ctx.started[0].join(timeout=5)
         assert not ctx.started[0].is_alive()

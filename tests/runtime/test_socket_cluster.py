@@ -1,12 +1,11 @@
-"""Tests for the TCP socket cluster (auto-spawn, external workers, recovery).
+"""The socket executor: worker agents forked here or named by ``hosts``.
 
-ISSUE 9 tentpole: each ComputeHost runs as an independent process behind a
-TCP connection — either auto-spawned on localhost or an externally launched
-``tibsp worker`` — speaking the same seq/incarnation envelope protocol as
-the pipe transport, so surgical recovery works across a real network hop.
+Each ComputeHost runs in an agent behind one socket — forked on a
+socketpair when no ``hosts`` are given, else an externally launched
+``tibsp worker`` reached over TCP — speaking the same seq/incarnation
+envelope protocol either way, so surgical recovery states the same repair
+on both.
 """
-
-import threading
 
 import pytest
 
@@ -14,45 +13,14 @@ from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy
 from repro.runtime import (
     CollectionInstanceSource,
+    ProcessCluster,
     RunMeta,
-    SocketCluster,
+    WorkerLost,
     parse_hosts,
-    serve_worker,
+    process_cluster,
 )
 
 from .test_process_cluster import EmitSum, case  # noqa: F401  (fixture reuse)
-
-
-@pytest.fixture
-def external_workers():
-    """Two persistent worker agents on OS-assigned localhost ports.
-
-    Mimics operator-launched ``tibsp worker`` processes: each agent keeps
-    accepting sessions after a kill severs one, which is what lets the
-    driver respawn into the *same* address at a higher incarnation.
-    """
-    bound = []
-    ready = threading.Event()
-
-    def announce(addr):
-        bound.append(f"{addr[0]}:{addr[1]}")
-        if len(bound) == 2:
-            ready.set()
-
-    threads = [
-        threading.Thread(
-            target=serve_worker,
-            args=(("127.0.0.1", 0),),
-            kwargs={"announce": announce},
-            daemon=True,
-        )
-        for _ in range(2)
-    ]
-    for t in threads:
-        t.start()
-    assert ready.wait(timeout=10), "workers never bound"
-    yield tuple(bound)
-    # Daemon threads; the accept loop dies with the test process.
 
 
 class TestParseHosts:
@@ -73,12 +41,28 @@ class TestParseHosts:
         with pytest.raises(ValueError, match="non-integer port"):
             parse_hosts("localhost:http")
 
+    @pytest.mark.parametrize("address", ["127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1:-1"])
+    def test_port_out_of_range(self, address):
+        with pytest.raises(ValueError, match="outside 0-65535"):
+            parse_hosts(address)
+
+    def test_port_range_ends_are_ports(self):
+        assert parse_hosts("a:0,b:65535") == [("a", 0), ("b", 65535)]
+
+    def test_bracketed_ipv6(self):
+        assert parse_hosts("[::1]:9000,[fe80::2]:1") == [("::1", 9000), ("fe80::2", 1)]
+        with pytest.raises(ValueError, match="is not host:port"):
+            parse_hosts("[]:9000")
+
     def test_empty(self):
         with pytest.raises(ValueError, match="no worker addresses"):
             parse_hosts(" , ")
 
 
 class TestAutoSpawn:
+    """Without ``hosts`` the socket executor forks the process executor's
+    agents; with them, shutdown and the address count are still the cluster's."""
+
     def test_end_to_end_matches_serial(self, case):
         tpl, coll, pg, sources = case
         serial = run_application(EmitSum(), pg, coll)
@@ -89,10 +73,10 @@ class TestAutoSpawn:
         assert serial.outputs == sock.outputs
         assert set(sock.states) == set(serial.states)
 
-    def test_shutdown_idempotent(self, case):
+    def test_shutdown_idempotent(self, case, external_workers):
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        cluster = SocketCluster(pg, EmitSum(), meta, sources)
+        cluster = ProcessCluster(pg, EmitSum(), meta, sources, hosts=external_workers[:2])
         cluster.shutdown()
         cluster.shutdown()  # second call is a no-op
         assert cluster._procs == []
@@ -101,20 +85,12 @@ class TestAutoSpawn:
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         with pytest.raises(ValueError, match="2 partitions"):
-            SocketCluster(
+            ProcessCluster(
                 pg, EmitSum(), meta, sources, hosts="127.0.0.1:9000"
             )
 
-    def test_connect_timeout_validated(self, case):
-        tpl, coll, pg, sources = case
-        meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        with pytest.raises(ValueError, match="connect_timeout_s"):
-            SocketCluster(
-                pg, EmitSum(), meta, sources, connect_timeout_s=0.0
-            )
-
     def test_surgical_recovery_over_sockets(self, case, tmp_path):
-        """kill + drop_frame cured over TCP, bit-identical to fault-free."""
+        """kill + drop_frame cured on forked agents, bit-identical to fault-free."""
         tpl, coll, pg, sources = case
         baseline = run_application(
             EmitSum(), pg, coll,
@@ -147,39 +123,39 @@ class TestExternalWorkers:
         serial = run_application(EmitSum(), pg, coll)
         sock = run_application(
             EmitSum(), pg, coll, sources=sources,
-            config=EngineConfig(executor="socket", hosts=external_workers),
+            config=EngineConfig(executor="socket", hosts=external_workers[:2]),
         )
         assert serial.outputs == sock.outputs
 
     def test_kill_respawns_into_same_address(self, case, external_workers, tmp_path):
-        """A kill severs one session; the agent accepts the respawn."""
+        """A kill severs one session; the agent accepts the respawn, and the
+        repair is the one a forked agent's kill states."""
         tpl, coll, pg, sources = case
-        result = run_application(
-            EmitSum(), pg, coll, sources=sources,
-            config=EngineConfig(
-                executor="socket",
-                hosts=external_workers,
-                gather_timeout_s=0.5,
-                checkpoint=CheckpointConfig(dir=tmp_path / "ck", every=1),
-                faults=FaultPlan.parse("kill@t1:s0:p1", seed=7),
-                recovery=RecoveryPolicy(backoff_s=0.0),
-            ),
+        forked, agents = (
+            run_application(
+                EmitSum(), pg, coll, sources=sources,
+                config=EngineConfig(
+                    executor="socket",
+                    hosts=hosts,
+                    gather_timeout_s=0.5,
+                    checkpoint=CheckpointConfig(dir=tmp_path / name, every=1),
+                    faults=FaultPlan.parse("kill@t1:s0:p1", seed=7),
+                    recovery=RecoveryPolicy(backoff_s=0.0),
+                ),
+            )
+            for name, hosts in (("forked", None), ("agents", external_workers[:2]))
         )
-        assert result.failure is None
-        respawns = [
-            a for a in result.recovery_actions if a.kind == "worker_respawn"
+        assert agents.failure is None and agents.outputs == forked.outputs
+        stated = [
+            [(a.kind, a.partition, a.incarnation, a.timestep) for a in r.recovery_actions]
+            for r in (forked, agents)
         ]
-        assert [(a.partition, a.incarnation) for a in respawns] == [(1, 1)]
+        assert stated[0] == stated[1] == [("worker_respawn", 1, 1, 1)]
 
-    def test_unreachable_host_fails_fast(self, case):
-        from repro.runtime import WorkerLost
-
+    def test_unreachable_host_fails_fast(self, case, monkeypatch):
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
+        monkeypatch.setattr(process_cluster, "_CONNECT_TIMEOUT_S", 0.3)
         # Port 1 on localhost: nothing listens, connect is refused instantly.
         with pytest.raises(WorkerLost, match="unreachable"):
-            SocketCluster(
-                pg, EmitSum(), meta, sources,
-                hosts="127.0.0.1:1,127.0.0.1:1",
-                connect_timeout_s=0.3,
-            )
+            ProcessCluster(pg, EmitSum(), meta, sources, hosts="127.0.0.1:1,127.0.0.1:1")

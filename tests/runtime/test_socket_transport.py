@@ -1,14 +1,16 @@
-"""Frame protocol over real sockets: the transport shared by pipe and TCP.
+"""Frame protocol over real sockets: the one transport every agent speaks.
 
 ``_send_oob``/``_recv_oob`` hardening (torn header, short read mid-buffer,
-oversized frame) exercised over a real socketpair — ``_SocketConn``, the one
-adapter both the TCP driver and its workers speak — parametrized against
-the ``mp.Pipe`` transport so both stay behaviorally identical.
+oversized frame) exercised through ``_SocketConn`` over both kernel channels
+it rides: ``pipe``, the AF_UNIX socketpair a forked agent is born on (what
+``multiprocessing``'s pipe is on Linux), and ``socket``, the TCP
+connection a ``hosts`` agent is reached over.
 """
 
 import multiprocessing as mp
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -16,24 +18,28 @@ import pytest
 
 from repro.runtime import GatherTimeout, WorkerError
 from repro.runtime.process_cluster import _recv_oob, _send_oob, _wait_readable
-from repro.runtime.socket_cluster import _MAX_FRAME_BYTES, _SocketConn
+from repro.runtime.process_cluster import _MAX_FRAME_BYTES, _SocketConn
+
+
+def _tcp_pair():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        server, _ = listener.accept()
+    return client, server
 
 
 @pytest.fixture(params=["pipe", "socket"])
 def conns(request):
-    """A connected (sender, receiver) pair over each transport."""
-    if request.param == "pipe":
-        a, b = mp.Pipe()
-    else:
-        sa, sb = socket.socketpair()
-        a, b = _SocketConn(sa), _SocketConn(sb)
+    """A connected (sender, receiver) ``_SocketConn`` pair over each channel."""
+    sa, sb = socket.socketpair() if request.param == "pipe" else _tcp_pair()
+    a, b = _SocketConn(sa), _SocketConn(sb)
     yield a, b
     a.close()
     b.close()
 
 
 class TestFrameProtocolAcrossTransports:
-    """The PR 3 pipe-hardening contract, verified per transport."""
+    """The frame-hardening contract, verified per channel."""
 
     def test_round_trip(self, conns):
         a, b = conns
@@ -93,6 +99,20 @@ class TestFrameProtocolAcrossTransports:
         _send_oob(a, "ok")
         assert _recv_oob(b, deadline=time.monotonic() + 5.0) == "ok"
 
+    def test_frame_larger_than_the_send_buffer_arrives_whole(self, conns):
+        """One ``sendmsg`` per frame, plus ``sendall`` of what it left: an
+        8 MB array outgrows the kernel buffer and still arrives intact."""
+        a, b = conns
+        sent = np.arange(1 << 20, dtype=np.int64)
+        assert sent.nbytes > a._sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(_recv_oob(b)))
+        reader.start()
+        _send_oob(a, (sent, "tail"))
+        reader.join(timeout=10)
+        (arr, tail), = got
+        assert tail == "tail" and np.array_equal(arr, sent)
+
 
 @pytest.fixture
 def raw_pair():
@@ -104,7 +124,7 @@ def raw_pair():
 
 
 class TestSocketFraming:
-    """Byte-stream failure modes that pipes cannot produce."""
+    """Byte-stream failure modes: a frame torn or cut short on the stream."""
 
     def test_torn_length_prefix_is_eof(self, raw_pair):
         raw, conn = raw_pair
@@ -169,7 +189,8 @@ class TestWaitReadableAttribution:
 
     @pytest.fixture
     def pipe(self):
-        a, b = mp.Pipe()
+        sa, sb = socket.socketpair()
+        a, b = _SocketConn(sa), _SocketConn(sb)
         yield a, b
         a.close()
         b.close()

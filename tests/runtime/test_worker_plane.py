@@ -1,5 +1,6 @@
 """The worker plane states each fact once: one op table, one fault
-coordinate, one host spec, one socket transport — on every executor.
+coordinate, one host spec, one socket transport — on every executor
+(``socket`` on the session's ``tibsp worker`` agents).
 """
 
 import socket
@@ -11,13 +12,18 @@ import pytest
 from repro.core import Pattern
 from repro.resilience import AT_BEGIN, AT_EOT, FaultPlan, FaultSpec
 from repro.resilience.recovery import RecoverableError
-from repro.runtime import LocalCluster, ProcessCluster, RunMeta, SocketCluster, WorkerLost
+from repro.runtime import LocalCluster, ProcessCluster, RunMeta, WorkerLost, process_cluster
 from repro.runtime.host import HOST_OPS, HostSpec
-from repro.runtime.process_cluster import _CORRUPT_WIRE_BYTES, _recv_oob, _send_oob
-from repro.runtime.socket_cluster import _SocketConn, parse_hosts
+from repro.runtime.process_cluster import (
+    _CORRUPT_WIRE_BYTES,
+    _recv_oob,
+    _send_oob,
+    _SocketConn,
+    parse_hosts,
+)
 
+from ..conftest import hosts_for
 from .test_process_cluster import EmitSum, case  # noqa: F401  (fixture reuse)
-from .test_socket_cluster import external_workers  # noqa: F401  (fixture reuse)
 
 
 class EmitSumMerged(EmitSum):
@@ -31,12 +37,12 @@ def _meta(coll):
     return RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
 
 
-def _cluster(executor, case, **kwargs):  # noqa: F811
+def _cluster(executor, case, agents, **kwargs):  # noqa: F811
     _tpl, coll, pg, sources = case
     if executor == "serial":
         return LocalCluster(pg, EmitSumMerged(), _meta(coll), sources=sources, **kwargs)
-    cls = ProcessCluster if executor == "process" else SocketCluster
-    return cls(pg, EmitSumMerged(), _meta(coll), sources, **kwargs)
+    hosts = hosts_for(executor, agents, pg.num_partitions)
+    return ProcessCluster(pg, EmitSumMerged(), _meta(coll), sources, hosts=hosts, **kwargs)
 
 
 EXECUTORS = ("serial", "process", "socket")
@@ -44,8 +50,10 @@ EXECUTORS = ("serial", "process", "socket")
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 class TestOneOpTable:
-    def test_unknown_op_is_a_driver_side_value_error(self, executor, case):  # noqa: F811
-        with _cluster(executor, case) as cluster:
+    def test_unknown_op_is_a_driver_side_value_error(
+        self, executor, case, external_workers  # noqa: F811
+    ):
+        with _cluster(executor, case, external_workers) as cluster:
             cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
             sent = cluster.protocol_stats().get("commands_sent")
             with pytest.raises(ValueError, match="unknown protocol op 'bogus'"):
@@ -56,9 +64,9 @@ class TestOneOpTable:
             assert cluster.protocol_stats().get("commands_sent") == sent
             assert len(cluster.run_round("resident", -1, -1, None)) == 2
 
-    def test_every_op_of_the_table_runs(self, executor, case):  # noqa: F811
+    def test_every_op_of_the_table_runs(self, executor, case, external_workers):  # noqa: F811
         """Eight ops, ``restore`` among them, through the one ``run_round``."""
-        with _cluster(executor, case) as cluster:
+        with _cluster(executor, case, external_workers) as cluster:
             answered = {"begin": cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])}
             answered["superstep"] = cluster.run_round("superstep", 0, 0, [[], []])
             answered["eot"] = cluster.run_round("eot", 0, AT_EOT, None)
@@ -76,11 +84,13 @@ class TestOneOpTable:
             with pytest.raises(ValueError, match="one snapshot per partition"):
                 cluster.restore(blobs[:1])
 
-    def test_a_fault_fires_at_the_coordinate_the_driver_issued(self, executor, case):  # noqa: F811
+    def test_a_fault_fires_at_the_coordinate_the_driver_issued(
+        self, executor, case, external_workers  # noqa: F811
+    ):
         """Not at one re-derived from the op's name: an ``eot`` issued at a
         plain superstep number does not trip an ``AT_EOT`` fault."""
         plan = FaultPlan([FaultSpec("kill", 0, 1, AT_EOT)])
-        with _cluster(executor, case, fault_plan=plan) as cluster:
+        with _cluster(executor, case, external_workers, fault_plan=plan) as cluster:
             fired = {}
             for op, s, payloads in (
                 ("begin", AT_BEGIN, [0.0, 0.0]),
@@ -166,15 +176,15 @@ class TestConnectIsBounded:
             raise TimeoutError("timed out")
 
         monkeypatch.setattr(socket, "create_connection", black_hole)
+        monkeypatch.setattr(process_cluster, "_CONNECT_TIMEOUT_S", 0.5)
         start = time.monotonic()
         with pytest.raises(WorkerLost, match="unreachable"):
-            SocketCluster(
-                pg, EmitSum(), _meta(coll), sources,
-                hosts="127.0.0.1:1,127.0.0.1:1", connect_timeout_s=0.5,
+            ProcessCluster(
+                pg, EmitSum(), _meta(coll), sources, hosts="127.0.0.1:1,127.0.0.1:1"
             )
         assert time.monotonic() - start < 2.0
         assert len(asked) >= 2 and all(t is not None and 0 < t <= 0.5 for t in asked)
 
-    def test_a_connected_socket_is_blocking_again(self, case):  # noqa: F811
-        with _cluster("socket", case) as cluster:
+    def test_a_connected_socket_is_blocking_again(self, case, external_workers):  # noqa: F811
+        with _cluster("socket", case, external_workers) as cluster:
             assert [c._sock.gettimeout() for c in cluster._conns] == [None, None]

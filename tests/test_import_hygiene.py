@@ -1,6 +1,7 @@
 """A run imports what it runs: no scipy, networkx, asyncio or ssl — and no
 offline analysis module, nor the ``tibsp top`` reader — on the path of a
-serial, process or socket run; the worker executors load on selection.
+serial, process or socket run (the socket run on ``tibsp worker`` agents
+served from the same interpreter); the worker executor loads on selection.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -24,11 +25,21 @@ def loaded():
 """
 
 _RUN = """
+import queue
 import tempfile
+import threading
 import repro
 assert loaded() == [], ("import repro", loaded())
 from repro import (EngineConfig, GoFS, TDSPComputation, partition_graph,
                    road_latency_collection, road_network, run_application)
+
+def agents(n):
+    from repro.runtime import serve_worker
+    bound = queue.Queue()
+    for _ in range(n):
+        threading.Thread(target=serve_worker, args=(("127.0.0.1", 0),),
+                         kwargs={"announce": bound.put}, daemon=True).start()
+    return tuple("%s:%d" % bound.get(timeout=10) for _ in range(n))
 
 def main():
     template = road_network(300, seed=1)
@@ -40,11 +51,13 @@ def main():
             result = run_application(
                 TDSPComputation(0), pg, collection,
                 sources=GoFS.partition_views(store),
-                config=EngineConfig(executor=executor),
+                config=EngineConfig(
+                    executor=executor, hosts=agents(2) if executor == "socket" else None
+                ),
             )
             assert result.timesteps_executed > 0
             assert loaded() == [], (executor, loaded())
-        assert "repro.runtime.socket_cluster" in sys.modules
+        assert "repro.runtime.process_cluster" in sys.modules
     offline = sorted(
         m for m in sys.modules
         if m.startswith("repro.analysis")
@@ -63,7 +76,7 @@ _RUNTIME_NAMES = """
 import repro
 from repro.runtime import ProcessCluster, WorkerLost
 assert loaded() == [], loaded()
-from repro.runtime import SocketCluster, parse_hosts, serve_worker
+from repro.runtime import parse_hosts, serve_worker
 assert loaded() == [], loaded()
 import repro.runtime
 try:

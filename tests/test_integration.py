@@ -39,7 +39,7 @@ from repro.partition import (
 )
 from repro.runtime import CostModel
 from repro.storage import GoFS
-from tests.conftest import make_random_template
+from tests.conftest import hosts_for, make_random_template
 
 PARTITIONERS = {
     "hash": HashPartitioner,
@@ -97,7 +97,7 @@ class TestPartitionInvariance:
 class TestStorageAndExecutorInvariance:
     @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**16))
-    def test_gofs_and_executors_agree(self, seed, tmp_path_factory):
+    def test_gofs_and_executors_agree(self, seed, tmp_path_factory, external_workers):
         tpl, coll = make_workload(seed)
         pg = partition_graph(tpl, 3, HashPartitioner(seed=seed))
         baseline = tdsp_labels_from_result(
@@ -111,7 +111,9 @@ class TestStorageAndExecutorInvariance:
                 pg,
                 coll,
                 sources=GoFS.partition_views(root),
-                config=EngineConfig(executor=executor),
+                config=EngineConfig(
+                    executor=executor, hosts=hosts_for(executor, external_workers, 3)
+                ),
             )
             got = tdsp_labels_from_result(res, tpl.num_vertices)
             np.testing.assert_allclose(
