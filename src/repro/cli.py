@@ -210,12 +210,6 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
             "--fault-seed seeds the fault plan's RNG and does nothing "
             "without --inject-faults"
         )
-    if args.gather_timeout is not None and args.executor not in ("process", "socket"):
-        problems.append(
-            "--gather-timeout bounds driver-side socket reads, which only "
-            "the process and socket executors perform; add --executor process "
-            "or --executor socket"
-        )
     if args.hosts is not None and args.executor != "socket":
         problems.append(
             "--hosts addresses external tibsp workers, which only the socket "
@@ -514,8 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     res.add_argument(
         "--inject-faults", metavar="SPEC",
         help="deterministic fault plan, e.g. 'kill@t2:p1,delay@t3:s0:p0:d0.1' "
-        "(host kinds: kill, delay, fail_load; wire kinds, no-ops in-process: "
-        "drop_frame, dup_frame, reorder, corrupt_frame)",
+        "(host kinds: kill, delay, fail_load; wire kinds, cured by a resend "
+        "on every executor: drop_frame, dup_frame, reorder, corrupt_frame)",
     )
     res.add_argument(
         "--fault-seed", type=int, default=None,
@@ -537,8 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     res.add_argument(
         "--gather-timeout", type=float, default=None, metavar="S",
-        help="bound each driver-side socket read (process and socket "
-        "executors; default: none, or 10s when faults are injected)",
+        help="bound each partition's reply wait per round "
+        "(default: none, or 10s when faults are injected)",
     )
     res.add_argument(
         "--failure-log", metavar="PATH", help="write the failure log as JSON"

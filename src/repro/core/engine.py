@@ -36,12 +36,12 @@ partition from the latest checkpoint (or genesis-fresh state), silently
 replay its journaled rounds, and re-issue the in-flight exchange while the
 survivors hold at the barrier.  The run itself never rewinds.  Wire-level
 trouble (dropped, duplicated, reordered, corrupted replies; wedged gathers)
-is cured a layer below by the process cluster's sequence-numbered
-idempotent resend protocol and surfaces only as *protocol incidents* in the
-failure log.  When a partition exhausts its retry budget with
-``RecoveryPolicy.quarantine=True``, it is quarantined and the run completes
-degraded, named in ``AppResult.degraded_partitions``; the repairs that did
-complete are ``AppResult.recovery_actions``.
+is cured a layer below, on every executor, by the sequence-numbered
+idempotent resend protocol (:mod:`repro.runtime.protocol`) and surfaces
+only as *protocol incidents* in the failure log.  When a partition exhausts
+its retry budget with ``RecoveryPolicy.quarantine=True``, it is quarantined
+and the run completes degraded, named in ``AppResult.degraded_partitions``;
+the repairs that did complete are ``AppResult.recovery_actions``.
 
 Retries are bounded per round by
 :class:`~repro.resilience.recovery.RecoveryPolicy`; when they run out the
@@ -85,7 +85,7 @@ from .results import AppResult
 
 __all__ = ["EXECUTORS", "EngineConfig", "TIBSPEngine", "run_application"]
 
-#: Gather timeout applied to process clusters when fault injection is on but
+#: Gather timeout applied on every executor when fault injection is on but
 #: the user did not configure one: ``drop_frame``/``delay`` faults must
 #: surface as detected failures, not infinite barriers.
 _DEFAULT_FAULT_GATHER_TIMEOUT_S = 10.0
@@ -145,10 +145,9 @@ class EngineConfig:
         bounding host-repair retries.  ``None`` (with ``faults`` also None)
         keeps the pre-resilience behavior: failures propagate immediately.
     gather_timeout_s:
-        Bound on every driver-side socket read per scatter/gather
-        round (process and socket executors).  ``None`` (default)
-        preserves the original block-forever behavior, except that fault
-        injection substitutes a 10 s default so dropped replies surface as
+        Bound on a partition's reply wait per scatter/gather round.
+        ``None`` (default) waits for ever, except that fault injection
+        substitutes a 10 s default so dropped replies surface as
         ``GatherTimeout``.
     hosts:
         Addresses (``"host:port"`` strings) of pre-started ``tibsp
@@ -245,6 +244,19 @@ class TIBSPEngine:
         policy: RecoveryPolicy | None = None,
     ) -> Cluster:
         cfg = self.config
+        gather_timeout = cfg.gather_timeout_s
+        if gather_timeout is None and cfg.faults is not None:
+            gather_timeout = _DEFAULT_FAULT_GATHER_TIMEOUT_S
+        common = dict(
+            cost_model=cfg.cost_model,
+            use_combiners=cfg.combiners,
+            tracing=tracing,
+            gather_timeout_s=gather_timeout,
+            fault_plan=cfg.faults,
+            # Recovery hardens the protocol: bounded idempotent resends cure
+            # drops/corruption/timeouts below host repair.
+            retry_policy=policy,
+        )
         if cfg.executor in ("process", "socket"):
             if self.sources is None:
                 raise ValueError(
@@ -252,38 +264,16 @@ class TIBSPEngine:
                     "sources (lazy/generator or GoFS-backed) so workers can "
                     "load data in their own address space"
                 )
-            gather_timeout = cfg.gather_timeout_s
-            if gather_timeout is None and cfg.faults is not None:
-                gather_timeout = _DEFAULT_FAULT_GATHER_TIMEOUT_S
             # The worker executor loads on selection: a serial run does not
             # import multiprocessing.
             from ..runtime.process_cluster import ProcessCluster
 
             return ProcessCluster(
-                self.pg,
-                computation,
-                meta,
-                self.sources,
-                hosts=cfg.hosts,
-                cost_model=cfg.cost_model,
-                use_combiners=cfg.combiners,
-                tracing=tracing,
-                gather_timeout_s=gather_timeout,
-                fault_plan=cfg.faults,
-                # Recovery hardens the wire protocol: bounded idempotent
-                # resends cure drops/corruption/timeouts below host repair.
-                retry_policy=policy,
+                self.pg, computation, meta, self.sources, hosts=cfg.hosts, **common
             )
         return LocalCluster(
-            self.pg,
-            computation,
-            meta,
-            collection=self.collection,
-            sources=self.sources,
-            cost_model=cfg.cost_model,
-            use_combiners=cfg.combiners,
-            tracing=tracing,
-            fault_plan=cfg.faults,
+            self.pg, computation, meta, collection=self.collection, sources=self.sources,
+            **common,
         )
 
     @staticmethod

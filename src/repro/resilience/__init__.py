@@ -46,7 +46,6 @@ from .recovery import (
     RecoveryPolicy,
     RunFailure,
     RunFailureError,
-    WorkerCrash,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "RecoveryPolicy",
     "RunFailure",
     "RunFailureError",
-    "WorkerCrash",
 ]

@@ -11,48 +11,48 @@ fault injected at incarnation 0 does not re-fire after recovery (unless a
 spec explicitly targets the respawned worker, which is how the
 retries-exhausted path is tested).
 
-Each kind names one behaviour, and a plan means the same thing on every
-executor.  The *host* kinds, and where they are enforced:
+Each kind names one behaviour and one repair, on every executor: the one
+:class:`~repro.runtime.protocol.Agent` fires it, and the one
+:class:`~repro.runtime.protocol.Gather` (or, past it, the supervisor)
+repairs it.  The *host* kinds:
 
 ``kill``
-    The worker agent closes its session before replying — the driver
-    observes EOF.  In-process clusters simulate it by
-    raising :class:`~repro.resilience.recovery.WorkerCrash`.
+    The agent closes its session before replying — the driver reads EOF
+    (``WorkerLost``) and respawns the partition.
 ``delay``
-    A straggler: the host sleeps ``delay_s`` (the ``:d<SECONDS>`` token,
-    or a seed-derived value) before replying.  With a driver gather
-    timeout shorter than the delay this becomes a detected wedge;
-    otherwise it is just visible recovery-free slowness.
+    A straggler: the agent sleeps ``delay_s`` (the ``:d<SECONDS>`` token,
+    or a seed-derived value) before replying.  With a gather timeout
+    shorter than the delay this becomes a detected wedge; otherwise it is
+    just visible recovery-free slowness.
 ``fail_load``
-    The instance load at ``begin_timestep`` raises an I/O-style error
-    (a failed GoFS slice read), reported as a *recoverable* worker error.
+    The begin-timestep instance load raises an I/O-style error (a failed
+    GoFS slice read), reported as a *recoverable* worker error.  It names
+    the ``begin`` call only: a spec reads its superstep as :data:`AT_BEGIN`.
 
-The *network-fault* kinds (:data:`NETWORK_FAULT_KINDS`) model wire-level
-misbehavior between driver and host rather than host death.  They are
-enforced on the process and socket executors' connections, where the
-sequence-numbered protocol recovers them without a respawn; in-process
-clusters have no wire, so every one of them is a deterministic no-op there
-(the spec is still spent, so plans stay executor-portable):
+The *network-fault* kinds (:data:`NETWORK_FAULT_KINDS`) misbehave on the
+reply after the round computed; the sequence-numbered protocol cures them
+with an idempotent resend (a ``protocol_retry``), or by dropping the stale
+frame, without a respawn:
 
 ``drop_frame``
-    The worker computes the round but its reply frame vanishes in flight.
-    The driver's gather times out, resends the sequence-numbered command,
-    and the worker answers from its reply cache — no work is redone.
+    The reply vanishes.  The gather times out, resends the command, and the
+    agent answers from its reply cache — no work is redone.
 ``dup_frame``
-    The reply frame is delivered twice.  The driver consumes the first
-    copy and discards the duplicate by sequence number (the dedup counter
-    proves delivery stayed exactly-once).
+    The reply is delivered twice.  The driver consumes the first copy and
+    discards the duplicate by sequence number (the dedup counter proves
+    delivery stayed exactly-once).
 ``reorder``
-    The previous round's reply frame is re-delivered ahead of the current
-    one; the driver skips the stale frame by sequence number.
+    The previous round's reply is re-delivered ahead of the current one;
+    the driver skips the stale frame by sequence number.
 ``corrupt_frame``
-    The reply frame arrives as garbage bytes; the driver's resend fetches
-    the cached good reply instead of declaring the worker lost.
+    The reply arrives as garbage bytes; the driver's resend fetches the
+    cached good reply instead of declaring the worker lost.
 
 Superstep coordinates: ``superstep`` in a spec may be an ordinary compute
 superstep number, one of the sentinels :data:`AT_BEGIN` / :data:`AT_EOT`
 (the begin-timestep / end-of-timestep protocol calls), or ``None`` to match
 any call within the timestep.  Merge-phase calls carry ``timestep == -1``.
+Two specs may not name the same exact call: only the first could fire.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "AT_BEGIN",
@@ -78,7 +78,7 @@ AT_BEGIN = -101
 AT_EOT = -102
 
 #: Kinds that misbehave on the wire *after* the round computed; the
-#: idempotent retry protocol — not a respawn — is the cure.  No-ops in-process.
+#: idempotent retry protocol — not a respawn — is the cure.
 NETWORK_FAULT_KINDS = ("drop_frame", "dup_frame", "reorder", "corrupt_frame")
 
 FAULT_KINDS = ("kill", "delay", "fail_load", *NETWORK_FAULT_KINDS)
@@ -101,7 +101,8 @@ class FaultSpec:
         Partition whose worker/host misbehaves.
     superstep:
         Compute superstep, :data:`AT_BEGIN`, :data:`AT_EOT`, or ``None``
-        to match any call in the timestep.
+        to match any call in the timestep (``fail_load``: always
+        :data:`AT_BEGIN`).
     delay_s:
         Straggler sleep for ``delay`` faults; ``None`` derives a
         deterministic value from the plan seed.
@@ -122,6 +123,12 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
+        if self.kind == "fail_load":
+            if self.superstep not in (None, AT_BEGIN):
+                raise ValueError(
+                    "fail_load fails the begin-timestep load: it takes no s<S> or eot"
+                )
+            object.__setattr__(self, "superstep", AT_BEGIN)
 
     def matches(self, timestep: int, superstep: int, partition: int, incarnation: int) -> bool:
         return (
@@ -146,6 +153,17 @@ class FaultPlan:
         self.specs: list[FaultSpec] = list(specs)
         self.seed = int(seed)
         self._spent: set[int] = set()
+        calls: dict[tuple, FaultSpec] = {}
+        for spec in self.specs:
+            if spec.superstep is None:
+                continue
+            call = (spec.timestep, spec.superstep, spec.partition, spec.incarnation)
+            if call in calls:
+                raise ValueError(
+                    f"fault specs {calls[call]} and {spec} name the same call; "
+                    "the second could never fire"
+                )
+            calls[call] = spec
 
     # -- construction ------------------------------------------------------------------
 
@@ -171,18 +189,11 @@ class FaultPlan:
     # -- firing ------------------------------------------------------------------------
 
     def fire(
-        self,
-        timestep: int,
-        superstep: int,
-        partition: int,
-        incarnation: int,
-        kinds: Sequence[str] | None = None,
+        self, timestep: int, superstep: int, partition: int, incarnation: int
     ) -> FaultSpec | None:
-        """Return (and spend) the first armed spec matching this call."""
+        """Return (and spend) the first armed spec, in plan order, matching this call."""
         for i, spec in enumerate(self.specs):
             if i in self._spent:
-                continue
-            if kinds is not None and spec.kind not in kinds:
                 continue
             if spec.matches(timestep, superstep, partition, incarnation):
                 self._spent.add(i)

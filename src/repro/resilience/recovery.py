@@ -27,7 +27,6 @@ __all__ = [
     "RecoveryPolicy",
     "RunFailure",
     "RunFailureError",
-    "WorkerCrash",
 ]
 
 
@@ -45,18 +44,13 @@ class RecoverableError(RuntimeError):
         self.partition = partition
 
 
-class WorkerCrash(RecoverableError):
-    """An in-process host crashed (simulated worker death / corrupt reply)."""
-
-
 class InjectedFault(RecoverableError):
     """A scripted fault fired (e.g. a failed slice load) — transient by design."""
 
 
-# The process-cluster variants — WorkerLost, GatherTimeout, and the
-# recoverable worker-error reply — live in repro.runtime.process_cluster,
-# where they also subclass WorkerError so existing ``except WorkerError``
-# call sites keep working.  This module stays dependency-free.
+# The protocol's failures — WorkerLost, GatherTimeout, and the recoverable
+# worker-error reply — live in repro.runtime.protocol, where they also
+# subclass WorkerError.  This module stays dependency-free.
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,9 @@ class RecoveryPolicy:
 class FailureRecord:
     """One entry of a run's failure log (also emitted as trace events)."""
 
-    kind: str  #: worker_lost | gather_timeout | worker_crash | injected_fault | worker_error
+    #: The error's class name: WorkerLost | GatherTimeout | RecoverableWorkerError
+    #: for a repair; GatherTimeout | WorkerError (a corrupt frame) for a resend's cure
+    kind: str
     timestep: int
     superstep: int
     partition: int | None

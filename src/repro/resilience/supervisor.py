@@ -21,7 +21,7 @@ timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
   its *whole* journal and answers the exchange again on its own;
 * wire-level misbehavior (the ``drop_frame``/``dup_frame``/``reorder``/
   ``corrupt_frame`` network faults) never reaches this layer at all: the
-  process cluster's sequence-numbered protocol cures it with an
+  cluster's sequence-numbered protocol cures it with an
   idempotent resend, and the supervisor merely drains those *protocol
   incidents* into the failure log and recovery metrics;
 * when a partition exhausts its retry budget, the policy decides:

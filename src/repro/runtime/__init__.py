@@ -22,6 +22,7 @@ from .host import (
     RunMeta,
 )
 from .metrics import MetricsCollector, PartitionBreakdown, StepRecord
+from .protocol import GatherTimeout, RecoverableWorkerError, WorkerError, WorkerLost
 
 __all__ = [
     "Cluster",
@@ -47,10 +48,7 @@ __all__ = [
 
 
 #: The worker executor loads on selection (only it needs multiprocessing).
-_ON_SELECTION = (
-    "ProcessCluster", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
-    "parse_hosts", "serve_worker",
-)
+_ON_SELECTION = ("ProcessCluster", "parse_hosts", "serve_worker")
 
 
 def __getattr__(name: str):

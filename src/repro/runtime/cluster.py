@@ -1,7 +1,16 @@
-"""Clusters: collections of compute hosts driven through a common protocol.
+"""Clusters: collections of compute hosts driven through one protocol.
 
-``LocalCluster`` keeps every host in the driver process and steps them
-one after another, in partition order — deterministic scheduling and exact
+Every cluster is the same two protocol objects
+(:mod:`repro.runtime.protocol`) around a different channel: an
+:class:`~repro.runtime.protocol.Agent` per partition executes commands on
+its host, and the driver waits for each reply with a
+:class:`~repro.runtime.protocol.Gather`.  :class:`Cluster` holds the one
+scatter/gather loop over them; a subclass supplies only the channel —
+``_send`` a command, ``_receive`` a reply, ``_open`` / ``_close`` one
+partition's session.
+
+``LocalCluster`` keeps every agent in the driver process and calls it
+directly, in partition order — deterministic scheduling and exact
 per-partition timing, and the *simulated* wall-clock (max-over-hosts per
 superstep, see :mod:`repro.runtime.metrics`) is what reproduces the paper's
 distributed timing figures.  A process-per-partition cluster with genuine
@@ -10,35 +19,47 @@ address-space isolation lives in :mod:`repro.runtime.process_cluster`.
 Every cluster speaks the same *resilience protocol* on top of the step
 protocol: a ``snapshot`` round collects per-partition state blobs for a
 checkpoint, ``restore()`` installs them, and ``respawn_worker()`` replaces
-one host/worker with a fresh incarnation (used by recovery after a crash,
-and honored by the fault plan's incarnation guard).  In-process clusters
-*simulate* worker death: a scripted ``kill`` fault raises
-:class:`~repro.resilience.recovery.WorkerCrash` instead of taking down an
-OS process.
+one agent with a fresh incarnation (used by recovery after a failure, and
+honored by the fault plan's incarnation guard).  A scripted fault means the
+same on every executor, because one :class:`Agent` fires it and one
+:class:`Gather` repairs what it did to the reply.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Sequence
 
 import numpy as np
 
 from ..core.computation import TimeSeriesComputation
 from ..graph.collection import TimeSeriesGraphCollection
-from ..observability import Tracer
+from ..observability import NULL_SPAN, Tracer
 from ..partition.base import PartitionedGraph
-from ..resilience.faults import AT_BEGIN, NETWORK_FAULT_KINDS, FaultPlan
-from ..resilience.recovery import InjectedFault, RecoverableError, WorkerCrash
+from ..resilience.faults import FaultPlan
+from ..resilience.recovery import RecoverableError, RecoveryPolicy
 from .cost import CostModel
 from .host import (
     ROUND_OPS,
     CollectionInstanceSource,
-    ComputeHost,
     HostSpec,
     HostStepResult,
     InstanceSource,
     RunMeta,
+    host_op,
+)
+from .protocol import (
+    ACCEPT,
+    CLOSE,
+    FAIL,
+    SEND,
+    SLEEP,
+    Agent,
+    Gather,
+    GatherTimeout,
+    WorkerError,
+    WorkerLost,
 )
 
 __all__ = [
@@ -73,13 +94,25 @@ def raise_first_failure(
 
 
 class Cluster:
-    """Protocol base class — see :class:`LocalCluster` for the semantics."""
+    """The driver's half of the protocol, over a channel a subclass supplies.
+
+    ``gather_timeout_s`` bounds a partition's reply wait in every
+    scatter/gather round; ``None`` waits for ever.  ``retry_policy`` (a
+    :class:`~repro.resilience.recovery.RecoveryPolicy`) arms the protocol
+    retry: a timeout or a corrupt reply is cured by resending the same
+    sequence-numbered command — the agent answers from its reply cache — up
+    to ``max_retries`` times with the policy's backoff, before the failure
+    surfaces.  ``None`` surfaces the first one.  ``fault_plan`` is what each
+    partition's :class:`~repro.runtime.protocol.Agent` fires.
+    """
 
     num_partitions: int
-    #: Driver-side tracer for barrier / frame-shipping spans.  The engine
-    #: sets this after construction when the run is traced; ``None`` keeps
-    #: the dispatch path untouched.
+    #: Driver-side tracer for the ship / barrier spans of a round.  The
+    #: engine sets this after construction when the run is traced.
     driver_tracer: Tracer | None = None
+    #: Whether rounds cross a wire: only then do ship / barrier spans show
+    #: anything (in-process, the hosts' own spans partition a round).
+    _TRACES_ROUNDS = True
     #: Per-partition incarnations — :meth:`respawn_worker` bumps exactly
     #: one.  The fault plan uses them to keep scripted faults from
     #: re-firing after recovery.
@@ -93,10 +126,14 @@ class Cluster:
         spec: HostSpec,
         sources: Sequence[InstanceSource],
         fault_plan: FaultPlan | None,
+        gather_timeout_s: float | None = None,
+        retry_policy: RecoveryPolicy | None = None,
     ) -> None:
-        """What every cluster keeps to build, and rebuild, a partition's host."""
+        """What every cluster keeps to build, rebuild and drive a partition's host."""
         if len(sources) != pg.num_partitions:
             raise ValueError("need exactly one instance source per partition")
+        if gather_timeout_s is not None and gather_timeout_s <= 0:
+            raise ValueError("gather_timeout_s must be positive (or None to disable)")
         self._spec = spec
         self._pg = pg
         self._sources = list(sources)
@@ -104,9 +141,107 @@ class Cluster:
         # read-only for the run.
         self._sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
         self.fault_plan = fault_plan
+        self.gather_timeout_s = gather_timeout_s
+        self.retry_policy = retry_policy
         self.num_partitions = pg.num_partitions
         self.incarnations = [0] * pg.num_partitions
         self.quarantined = set()
+        #: Next command sequence number, per partition (reset on respawn).
+        self._seqs = [0] * pg.num_partitions
+        #: Last posted command per partition — what a protocol retry resends.
+        self._inflight: list[tuple | None] = [None] * pg.num_partitions
+        self._stats = {
+            "commands_sent": 0,
+            "resends": 0,
+            "protocol_retries": 0,
+            "duplicate_replies_dropped": 0,
+        }
+        self._incidents: list[tuple[str, int, float]] = []
+
+    # -- the channel (per cluster) ------------------------------------------------------
+
+    def _open(self, partition: int) -> None:
+        """Start ``partition``'s agent session at its current incarnation."""
+        raise NotImplementedError
+
+    def _close(self, partition: int) -> None:
+        """End ``partition``'s session (respawn or quarantine)."""
+        raise NotImplementedError
+
+    def _send(self, partition: int, command: tuple) -> None:
+        """Put one command envelope on the channel (``WorkerLost`` if it cannot)."""
+        raise NotImplementedError
+
+    def _receive(self, partition: int, deadline: float | None):
+        """Take the next reply envelope off the channel.
+
+        Raises :class:`~repro.runtime.protocol.GatherTimeout` when nothing
+        arrives before ``deadline`` (a ``time.monotonic`` instant),
+        :class:`EOFError` / :class:`OSError` when the session ended, and
+        :class:`~repro.runtime.protocol.WorkerError` for a corrupt frame.
+        """
+        raise NotImplementedError
+
+    # -- scatter/gather over the protocol objects -------------------------------------
+
+    def _window(self) -> float | None:
+        """The deadline of a gather window opening now."""
+        timeout = self.gather_timeout_s
+        return None if timeout is None else time.monotonic() + timeout
+
+    def _post(self, p: int, op: str, replay: bool, timestep: int, superstep: int, payload) -> None:
+        """Send one sequence-numbered command to partition ``p``'s agent."""
+        seq = self._seqs[p]
+        self._seqs[p] = seq + 1
+        command = (seq, op, replay, timestep, superstep, payload)
+        self._inflight[p] = command
+        self._stats["commands_sent"] += 1
+        self._send(p, command)
+
+    def _collect(self, p: int, deadline: float | None = None):
+        """Gather partition ``p``'s in-flight reply, resending as the
+        :class:`~repro.runtime.protocol.Gather` decides.
+
+        ``deadline`` is the *round* deadline: :meth:`run_round` opens one
+        window before gathering any partition, so a round's first-attempt
+        wait is one ``gather_timeout_s``, not one per partition.  A resend,
+        and a caller passing none, opens a fresh window.
+        """
+        gather = Gather(self._seqs[p] - 1, self.incarnations[p], self.retry_policy, p)
+        if deadline is None:
+            deadline = self._window()
+        try:
+            while True:
+                try:
+                    envelope = self._receive(p, deadline)
+                except GatherTimeout:
+                    verdict = gather.on_timeout(time.monotonic())
+                except (EOFError, OSError) as exc:
+                    verdict = gather.on_eof(exc)
+                except WorkerError as exc:
+                    verdict = gather.on_corrupt(exc, time.monotonic())
+                else:
+                    verdict = gather.on_reply(envelope, time.monotonic())
+                    if verdict is None:
+                        continue
+                verb, value = verdict
+                if verb is ACCEPT:
+                    return value
+                if verb is FAIL:
+                    raise value
+                if value > 0:  # RESEND after the policy's backoff
+                    time.sleep(value)
+                self._send(p, self._inflight[p])
+                deadline = self._window()
+        finally:
+            if gather.dropped or gather.resends:
+                stats = self._stats
+                stats["resends"] += gather.resends
+                stats["duplicate_replies_dropped"] += gather.dropped
+                if gather.incident is not None:
+                    stats["protocol_retries"] += 1
+                    kind, seconds = gather.incident
+                    self._incidents.append((kind, p, seconds))
 
     def run_round(
         self, op: str, timestep: int, superstep: int, payloads: Sequence | None
@@ -131,7 +266,33 @@ class Cluster:
         answer when quarantined.  Deterministic application errors
         propagate immediately.
         """
-        raise NotImplementedError
+        host_op(op)  # an unknown op fails here, before anything is sent
+        tr = self.driver_tracer if self._TRACES_ROUNDS else None
+        outcomes: list = [None] * self.num_partitions
+        pending: list[int] = []
+        # Driver-side view of the round: the ship span covers pickling +
+        # socket writes, the barrier span the gather (the BSP synchronisation
+        # point).
+        with NULL_SPAN if tr is None else tr.span("ship"):
+            for p in range(self.num_partitions):
+                if p in self.quarantined:
+                    outcomes[p] = quarantine_fill(op, p)
+                    continue
+                try:
+                    self._post(p, op, False, timestep, superstep,
+                               None if payloads is None else payloads[p])
+                except RecoverableError as exc:
+                    outcomes[p] = exc
+                    continue
+                pending.append(p)
+        with NULL_SPAN if tr is None else tr.span("barrier"):
+            deadline = self._window()
+            for p in pending:
+                try:
+                    outcomes[p] = self._collect(p, deadline)
+                except RecoverableError as exc:
+                    outcomes[p] = exc
+        return outcomes
 
     # -- resilience protocol ---------------------------------------------------------
 
@@ -161,14 +322,22 @@ class Cluster:
         ``replay=True`` marks journal replay on a recovered host: fault
         checks are skipped and instance loads leave no fresh evidence.
         """
-        raise NotImplementedError
+        host_op(op)
+        self._post(partition, op, replay, timestep, superstep, payload)
+        return self._collect(partition)
 
     def respawn_worker(self, partition: int) -> int:
-        """Replace one host/worker with a fresh (state-empty) incarnation.
+        """Replace one agent with a fresh (state-empty) incarnation; its
+        session, and anything still queued on it, is discarded.
 
         Returns the partition's new incarnation number.
         """
-        raise NotImplementedError
+        self._close(partition)
+        self.incarnations[partition] += 1
+        self._seqs[partition] = 0
+        self._inflight[partition] = None
+        self._open(partition)
+        return self.incarnations[partition]
 
     def restore_one(self, partition: int, snapshot: dict) -> None:
         """Install one partition's checkpoint blob on a respawned host."""
@@ -177,17 +346,18 @@ class Cluster:
     def quarantine(self, partition: int) -> None:
         """Tear down one partition permanently: rounds synthesize empty
         results for it and the supervisor drops its inbound deliveries."""
-        raise NotImplementedError
+        self.quarantined.add(partition)
+        self._close(partition)
 
     def drain_protocol_incidents(self) -> list[tuple[str, int, float]]:
-        """Wire-level incidents the retry protocol cured since the last
-        drain, as ``(kind, partition, seconds)``.  Only the process
-        cluster's sequence-numbered sessions produce these."""
-        return []
+        """Exchanges a protocol resend cured since the last drain, as
+        ``(kind, partition, seconds)``."""
+        incidents, self._incidents = self._incidents, []
+        return incidents
 
     def protocol_stats(self) -> dict:
-        """Driver↔worker protocol counters (resends, dedup drops, ...)."""
-        return {}
+        """Driver↔agent protocol counters (commands, resends, dedup drops, ...)."""
+        return dict(self._stats)
 
     def shutdown(self) -> None:
         """Release resources: subclasses reap their worker processes, then
@@ -207,7 +377,13 @@ class Cluster:
 
 
 class LocalCluster(Cluster):
-    """In-process cluster of :class:`ComputeHost` objects.
+    """In-process cluster: each partition's :class:`Agent` called directly.
+
+    The channel is a queue of the agent's wire actions per partition:
+    objects pass by reference, never pickled.  A reply the agent did not
+    send is an immediate gather timeout, a ``delay`` is slept inline and
+    charged against the gather window, and a closed session reads as EOF —
+    so each fault is repaired exactly as on a worker executor.
 
     Parameters
     ----------
@@ -222,14 +398,11 @@ class LocalCluster(Cluster):
     tracing:
         When True, every host gets its own observability tracer (one trace
         track per partition) and drains telemetry into protocol replies.
-    fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan`.  ``kill``
-        raises :class:`~repro.resilience.recovery.WorkerCrash` (the
-        in-process stand-in for a dead worker), ``fail_load`` raises
-        :class:`~repro.resilience.recovery.InjectedFault` at the
-        begin-timestep load, ``delay`` genuinely sleeps the host, and the
-        wire kinds are no-ops (there is no wire).
+    gather_timeout_s, fault_plan, retry_policy:
+        As for every :class:`Cluster`.
     """
+
+    _TRACES_ROUNDS = False
 
     def __init__(
         self,
@@ -242,94 +415,62 @@ class LocalCluster(Cluster):
         cost_model: CostModel | None = None,
         use_combiners: bool = True,
         tracing: bool = False,
+        gather_timeout_s: float | None = None,
         fault_plan: FaultPlan | None = None,
+        retry_policy: RecoveryPolicy | None = None,
     ) -> None:
         if sources is None:
             if collection is None:
                 raise ValueError("provide either sources or a collection")
             sources = [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
         spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
-        super().__init__(pg, spec, sources, fault_plan)
-        self.hosts = [self._build_host(p) for p in range(pg.num_partitions)]
+        super().__init__(pg, spec, sources, fault_plan, gather_timeout_s, retry_policy)
+        self._agents: list[Agent] = [None] * pg.num_partitions  # type: ignore[list-item]
+        self._wires: list[deque] = [deque() for _ in range(pg.num_partitions)]
+        for p in range(pg.num_partitions):
+            self._open(p)
 
-    def _check_faults(self, timestep: int, superstep: int, host: ComputeHost) -> None:
-        """Simulate scripted faults for one host's protocol call."""
-        plan = self.fault_plan
-        if plan is None:
-            return
-        p = host.partition.partition_id
-        inc = self.incarnations[p]
-        if superstep == AT_BEGIN and plan.fire(timestep, AT_BEGIN, p, inc, kinds=("fail_load",)):
-            raise InjectedFault(
-                f"injected slice-load failure at timestep {timestep} partition {p}",
-                partition=p,
-            )
-        if plan.fire(timestep, superstep, p, inc, kinds=("kill",)):
-            raise WorkerCrash(
-                f"injected kill fault at timestep {timestep} "
-                f"superstep {superstep} partition {p}",
-                partition=p,
-            )
-        spec = plan.fire(timestep, superstep, p, inc, kinds=("delay",))
-        if spec is not None:
-            time.sleep(plan.delay_for(spec))
-        # Wire faults have no wire here: spent as no-ops, keeping plans
-        # executor-portable.
-        plan.fire(timestep, superstep, p, inc, kinds=NETWORK_FAULT_KINDS)
+    @property
+    def hosts(self) -> list:
+        """Each partition's current host."""
+        return [agent.host for agent in self._agents]
 
-    # -- round protocol ----------------------------------------------------------------
-
-    def _dispatch(
-        self,
-        host: ComputeHost,
-        op: str,
-        timestep: int,
-        superstep: int,
-        payload,
-        replay: bool = False,
-    ) -> HostStepResult:
-        """One host's share of one exchange (replays and non-rounds skip faults)."""
-        if op in ROUND_OPS and not replay:
-            self._check_faults(timestep, superstep, host)
-        return host.handle(op, timestep, superstep, payload, replay=replay)
-
-    def run_round(
-        self, op: str, timestep: int, superstep: int, payloads: Sequence | None
-    ) -> list[HostStepResult | RecoverableError]:
-        outcomes: list[HostStepResult | RecoverableError] = []
-        for p, host in enumerate(self.hosts):
-            if p in self.quarantined:
-                outcomes.append(quarantine_fill(op, p))
-                continue
-            payload = payloads[p] if payloads is not None else None
-            try:
-                outcomes.append(self._dispatch(host, op, timestep, superstep, payload))
-            except RecoverableError as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    def step_one(
-        self,
-        partition: int,
-        op: str,
-        timestep: int,
-        superstep: int,
-        payload,
-        *,
-        replay: bool = False,
-    ) -> HostStepResult:
-        return self._dispatch(self.hosts[partition], op, timestep, superstep, payload, replay)
-
-    def respawn_worker(self, partition: int) -> int:
-        """Rebuild one host from scratch (a simulated single-VM restart)."""
-        self.incarnations[partition] += 1
-        self.hosts[partition] = self._build_host(partition)
-        return self.incarnations[partition]
-
-    def _build_host(self, partition: int) -> ComputeHost:
-        return self._spec.build(
+    def _open(self, partition: int) -> None:
+        host = self._spec.build(
             self._pg.partitions[partition], self._sources[partition], self._sg_part
         )
+        self._agents[partition] = Agent(host, self.fault_plan, self.incarnations[partition])
+        self._wires[partition] = deque()
 
-    def quarantine(self, partition: int) -> None:
-        self.quarantined.add(partition)
+    def _close(self, partition: int) -> None:
+        self._wires[partition].clear()
+
+    def _send(self, partition: int, command: tuple) -> None:
+        agent = self._agents[partition]
+        if agent.closed:
+            raise WorkerLost(f"partition {partition} agent closed its session",
+                             partition=partition)
+        self._wires[partition].extend(agent.on_command(command))
+
+    def _receive(self, partition: int, deadline: float | None):
+        wire = self._wires[partition]
+        while wire:
+            verb, value = wire.popleft()
+            if verb is SEND:
+                return value
+            if verb is SLEEP:
+                # A straggler: the reply comes ``value`` seconds late.  What
+                # outlasts the window is still owed by the next read.
+                left = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+                if left is not None and value > left:
+                    time.sleep(left)
+                    wire.appendleft((SLEEP, value - left))
+                    raise GatherTimeout(f"partition {partition} reply is late")
+                time.sleep(value)
+                continue
+            if verb is CLOSE:
+                break
+            raise WorkerError(f"partition {partition} sent a corrupt reply frame")
+        if self._agents[partition].closed:
+            raise EOFError(f"partition {partition} agent closed its session")
+        raise GatherTimeout(f"partition {partition} reply was never sent")

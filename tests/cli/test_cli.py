@@ -1,5 +1,7 @@
 """Smoke tests for the tibsp CLI (tiny scales)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -217,10 +219,15 @@ class TestResilienceFlags:
         err = capsys.readouterr().err
         assert "error:" in err and "--inject-faults" in err
 
-    def test_gather_timeout_off_process_errors(self, capsys):
-        assert main(self.BASE + ["--gather-timeout", "5"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "process" in err
+    def test_gather_timeout_bounds_a_serial_run(self, tmp_path):
+        """The timeout means one thing on every executor: a dropped reply
+        on serial is cured by one resend, as on process."""
+        log = tmp_path / "log.json"
+        assert main(self.BASE + ["--gather-timeout", "5", "--inject-faults",
+                                 "drop_frame@t1:p0", "--failure-log", str(log)]) == 0
+        payload = json.loads(log.read_text())
+        assert [a["kind"] for a in payload["recovery_actions"]] == ["protocol_retry"]
+        assert payload["protocol_stats"]["resends"] == 1
 
     def test_hosts_without_socket_executor_errors(self, capsys):
         assert main(self.BASE + ["--hosts", "127.0.0.1:9000,127.0.0.1:9001"]) == 2

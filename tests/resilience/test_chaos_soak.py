@@ -22,8 +22,7 @@ from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
 pytestmark = pytest.mark.resilience
 
 #: Host death at t1, a vanished reply frame at t2, a straggler at t3 —
-#: three failure classes in one run (wire faults are no-ops in-process,
-#: so the schedule stays executor-portable).
+#: three failure classes in one run, each repaired alike on every executor.
 CHAOS_PLAN = "kill@t1:s0:p1,drop_frame@t2:p0,delay@t3:p1:d0.02"
 
 EXECUTORS = ["serial", "process", "socket"]
@@ -43,7 +42,7 @@ def _chaos_config(executor, hosts, ckpt_dir, stream_dir):
     return EngineConfig(
         executor=executor,
         hosts=hosts,
-        gather_timeout_s=0.5 if executor in ("process", "socket") else None,
+        gather_timeout_s=0.5,
         tracing=TraceConfig(stream_dir=str(stream_dir)),
         checkpoint=CheckpointConfig(dir=ckpt_dir, every=1),
         faults=FaultPlan.parse(CHAOS_PLAN, seed=13),
@@ -76,11 +75,8 @@ class TestChaosSoak:
         # never escalated to one.
         respawns = [a for a in result.recovery_actions if a.kind == "worker_respawn"]
         assert len(respawns) == 1 and respawns[0].partition == 1
-        if executor in ("process", "socket"):
-            assert result.protocol_stats["resends"] >= 1  # the dropped frame
-            assert any(
-                a.kind == "protocol_retry" for a in result.recovery_actions
-            )
+        assert result.protocol_stats["resends"] >= 1  # the dropped frame
+        assert any(a.kind == "protocol_retry" for a in result.recovery_actions)
 
         # The streamed log survived the chaos as valid, schema-stamped JSONL.
         lines = (stream / "events.jsonl").read_text().splitlines()

@@ -38,6 +38,50 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_fault_specs(bad)
 
+    def test_fail_load_names_the_begin_call(self):
+        """A failed load is the begin-timestep load: with or without
+        ``:begin`` the spec fires there and nowhere else."""
+        for text in ("fail_load@t2:p0", "fail_load@t2:begin:p0"):
+            (spec,) = parse_fault_specs(text)
+            assert spec.superstep == AT_BEGIN
+            assert spec.matches(2, AT_BEGIN, 0, 0) and not spec.matches(2, 0, 0, 0)
+
+    @pytest.mark.parametrize("coordinate", ["s0", "s1", "eot"])
+    def test_fail_load_refuses_another_call(self, coordinate):
+        with pytest.raises(ValueError, match="begin-timestep load"):
+            parse_fault_specs(f"fail_load@t2:{coordinate}:p1")
+        with pytest.raises(ValueError, match="begin-timestep load"):
+            FaultSpec("fail_load", 2, 1, superstep=AT_EOT)
+
+
+class TestOneSpecPerCall:
+    """Two specs naming one exact call: the second could never fire, so the
+    plan is refused when it is built."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "delay@t1:s0:p0:d0.01,kill@t1:s0:p0",
+            "kill@t2:begin:p1,fail_load@t2:p1",
+            "drop_frame@t3:eot:p0,dup_frame@t3:eot:p0",
+        ],
+    )
+    def test_same_call_refused(self, text):
+        with pytest.raises(ValueError, match="name the same call"):
+            FaultPlan.parse(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kill@t1:s0:p0,kill@t1:s0:p0:i1",  # another incarnation
+            "kill@t1:s0:p0,kill@t1:s0:p1",  # another partition
+            "kill@t1:s0:p0,delay@t1:s1:p0",  # another superstep
+            "kill@t1:p0,drop_frame@t1:p0",  # any call: the next one
+        ],
+    )
+    def test_distinct_calls_accepted(self, text):
+        assert len(FaultPlan.parse(text).specs) == 2
+
 
 class TestFire:
     def test_spec_fires_once(self):
@@ -50,10 +94,10 @@ class TestFire:
         assert plan.fire(1, 0, 0, incarnation=1) is None
         assert plan.fire(1, 0, 0, incarnation=0) is not None
 
-    def test_kind_filter(self):
-        plan = FaultPlan([FaultSpec("delay", 1, 0)])
-        assert plan.fire(1, 0, 0, 0, kinds=("kill",)) is None
-        assert plan.fire(1, 0, 0, 0, kinds=("delay",)) is not None
+    def test_first_armed_spec_in_plan_order_fires(self):
+        plan = FaultPlan([FaultSpec("delay", 1, 0), FaultSpec("kill", 1, 0)])
+        assert plan.fire(1, 0, 0, 0).kind == "delay"
+        assert plan.fire(1, 1, 0, 0).kind == "kill"
 
     def test_pickle_resets_spent(self):
         plan = FaultPlan([FaultSpec("kill", 1, 0)])

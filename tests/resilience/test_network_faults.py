@@ -30,7 +30,7 @@ def _sources(coll):
 def _config(faults, *, executor="process", seed=7, timeout=0.5):
     return EngineConfig(
         executor=executor,
-        gather_timeout_s=timeout if executor == "process" else None,
+        gather_timeout_s=timeout,
         faults=FaultPlan.parse(faults, seed=seed),
         recovery=RecoveryPolicy(backoff_s=0.0),
     )
@@ -168,8 +168,8 @@ class TestWireProtocol:
 
 
 class TestExecutorPortability:
-    """The same plan is legal on wire-less executors: every wire kind is a
-    deterministic no-op there, and the specs still spend."""
+    """A wire kind is the same fault in-process: the agent misbehaves on its
+    in-memory channel, and the run states the process run's repairs."""
 
     @pytest.mark.parametrize("executor", ["serial"])
     def test_plan_runs_clean_in_process(self, case, executor):
@@ -180,11 +180,25 @@ class TestExecutorPortability:
         )
         plan = "dup_frame@t1:p0,reorder@t1:p1,drop_frame@t2:p0,corrupt_frame@t2:p1"
         assert {s.kind for s in parse_fault_specs(plan)} == set(NETWORK_FAULT_KINDS)
-        result = run_application(
-            AccumulateSum(), pg, coll,
-            config=_config(plan, executor=executor),
-        )
-        _identical(result, baseline)
-        assert result.failure is None
-        assert result.failure_log == []
-        assert result.recovery_actions == []
+        runs = {
+            name: run_application(
+                AccumulateSum(), pg, coll, sources=_sources(coll),
+                config=_config(plan, executor=name),
+            )
+            for name in (executor, "process")
+        }
+        for result in runs.values():
+            _identical(result, baseline)
+            assert result.failure is None
+        serial, process = runs[executor], runs["process"]
+        assert [(r.kind, r.partition) for r in serial.failure_log] == [
+            ("GatherTimeout", 0), ("WorkerError", 1)
+        ]
+        assert [(r.kind, r.action) for r in serial.failure_log] == [
+            (r.kind, r.action) for r in process.failure_log
+        ]
+        assert [(a.kind, a.partition) for a in serial.recovery_actions] == [
+            (a.kind, a.partition) for a in process.recovery_actions
+        ]
+        for key in ("resends", "protocol_retries", "duplicate_replies_dropped"):
+            assert serial.protocol_stats[key] == process.protocol_stats[key], key

@@ -7,13 +7,11 @@ import pytest
 from repro.core import EngineConfig, run_application
 from repro.resilience import (
     FAULT_KINDS,
-    NETWORK_FAULT_KINDS,
     CheckpointConfig,
     FaultPlan,
     InjectedFault,
     RecoveryPolicy,
     RunFailureError,
-    WorkerCrash,
 )
 from repro.runtime import RecoverableWorkerError
 
@@ -32,15 +30,17 @@ FAULT_MATRIX = [
     "fail_load@t2:begin:p0",
 ]
 
-#: The kinds that act on the host, not the wire; a wire kind is an
-#: in-process no-op, so only these can mean the same repair everywhere.
-HOST_FAULT_KINDS = [k for k in FAULT_KINDS if k not in NETWORK_FAULT_KINDS]
+#: Plans beyond the matrix that every executor must repair alike.
+ALIKE_PLANS = [*FAULT_MATRIX, "dup_frame@t1:p0", "reorder@t2:p1"]
 
 
 def _config(executor, ckpt_dir, faults, hosts=None, **recovery_kwargs):
     return EngineConfig(
         executor=executor,
         hosts=hosts,
+        # Longer than any delay above, short enough that a dropped reply
+        # costs half a second.
+        gather_timeout_s=0.5,
         checkpoint=CheckpointConfig(dir=ckpt_dir, every=1),
         faults=FaultPlan.parse(faults, seed=3) if isinstance(faults, str) else faults,
         recovery=RecoveryPolicy(backoff_s=0.0, **recovery_kwargs),
@@ -84,26 +84,46 @@ class TestFaultMatrixProcess:
             assert result.metrics.total_recovery_s() > 0
         assert result.failure is None
 
-    @pytest.mark.parametrize("kind", HOST_FAULT_KINDS)
+    @staticmethod
+    def _repairs_on_every_executor(case, sources, tmp_path, baseline, agents, plan):
+        """Run ``plan`` on serial, forked agents and ``hosts`` agents; each
+        ends where the fault-free run ends, and all state the same repairs."""
+        _tpl, coll, pg = case
+        repairs = {}
+        for executor in ("serial", "process", "socket"):
+            hosts = hosts_for(executor, agents, pg.num_partitions)
+            result = run_application(
+                AccumulateSum(), pg, coll, sources=sources,
+                config=_config(executor, tmp_path / executor, plan, hosts),
+            )
+            _identical(result, baseline)
+            assert result.failure is None
+            repairs[executor] = (
+                [(a.kind, a.partition, a.timestep) for a in result.recovery_actions],
+                [(r.kind, r.action) for r in result.failure_log],
+            )
+        assert repairs["serial"] == repairs["process"] == repairs["socket"]
+        return repairs["serial"]
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_a_host_fault_is_repaired_alike_on_every_executor(
         self, case, sources, tmp_path, baseline, external_workers, kind
     ):
-        """A host kind names one behaviour: serial, forked agents and
-        ``hosts`` agents state the same repairs for it, and all end where
-        the fault-free run ends."""
-        _tpl, coll, pg = case
-        actions = {}
-        for executor in ("serial", "process", "socket"):
-            hosts = hosts_for(executor, external_workers, pg.num_partitions)
-            result = run_application(
-                AccumulateSum(), pg, coll, sources=sources,
-                config=_config(executor, tmp_path / executor, f"{kind}@t2:p1", hosts),
-            )
-            _identical(result, baseline)
-            actions[executor] = [a.kind for a in result.recovery_actions]
-        assert actions["serial"] == actions["process"] == actions["socket"]
-        # Only a straggler inside the gather timeout needs no repair.
-        assert actions["serial"] or kind == "delay"
+        """A kind names one behaviour and one repair, whichever executor runs it."""
+        actions, _log = self._repairs_on_every_executor(
+            case, sources, tmp_path, baseline, external_workers, f"{kind}@t2:p1"
+        )
+        # A straggler inside the gather timeout and a duplicate or stale
+        # frame dropped by sequence number need no repair.
+        assert bool(actions) == (kind not in ("delay", "dup_frame", "reorder"))
+
+    @pytest.mark.parametrize("plan", ALIKE_PLANS)
+    def test_every_plan_is_repaired_alike_on_every_executor(
+        self, case, sources, tmp_path, baseline, external_workers, plan
+    ):
+        self._repairs_on_every_executor(
+            case, sources, tmp_path, baseline, external_workers, plan
+        )
 
     def test_no_leaked_workers_after_recovery(self, case, sources, tmp_path):
         import multiprocessing as mp
@@ -118,7 +138,7 @@ class TestFaultMatrixProcess:
 
 @pytest.mark.parametrize("executor", ["serial"])
 class TestFaultMatrixInProcess:
-    """The in-process executor simulates a kill as a host crash."""
+    """The in-process executor: a kill closes the in-memory session."""
 
     @pytest.mark.parametrize("faults", ["kill@t2:p1", "fail_load@t2:begin:p0"])
     def test_recovers_bit_identical(self, case, tmp_path, executor, faults):
@@ -164,7 +184,7 @@ class TestExhaustedRetries:
             run_application(AccumulateSum(), pg, coll, config=cfg)
         failure = excinfo.value.failure
         assert failure.timestep == 1
-        assert "WorkerCrash" in failure.reason
+        assert "WorkerLost" in failure.reason
         # 1 initial incident + 2 retries, each logged; the last marked raise.
         assert [r.action for r in failure.failure_log] == ["retry", "retry", "raise"]
         partial = excinfo.value.partial
@@ -212,15 +232,13 @@ class DiskGone(AccumulateSum):
 
 class TestUnsupervisedRun:
     """``recovery=None``: nobody repairs a partition, so the failure that
-    ``run_round`` captured is raised to the caller, type and partition intact."""
+    ``run_round`` captured is raised to the caller — one type on every
+    executor, partition intact."""
 
-    @pytest.mark.parametrize(
-        "executor, exc_type",
-        [("serial", InjectedFault), ("process", RecoverableWorkerError)],
-    )
-    def test_captured_failure_is_raised(self, case, sources, executor, exc_type):
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_captured_failure_is_raised(self, case, sources, executor):
         _tpl, coll, pg = case
-        with pytest.raises(exc_type, match="disk gone") as excinfo:
+        with pytest.raises(RecoverableWorkerError, match="disk gone") as excinfo:
             run_application(
                 DiskGone(), pg, coll, sources=sources, config=EngineConfig(executor=executor)
             )
@@ -273,5 +291,5 @@ class TestRecoveryWithoutCheckpoints:
 
     def test_injected_fault_types(self, case):
         plan = FaultPlan([])
-        assert isinstance(WorkerCrash("x", partition=1).partition, int)
+        assert isinstance(InjectedFault("x", partition=1).partition, int)
         assert not plan

@@ -183,7 +183,7 @@ class TestQuarantine:
 
         _tpl, coll, pg = case
         faults = "kill@t1:p0,kill@t1:p0:i1,kill@t1:p0:i2,kill@t1:p0:i3"
-        with pytest.raises(RunFailureError, match="WorkerCrash"):
+        with pytest.raises(RunFailureError, match="WorkerLost"):
             run_application(
                 AccumulateSum(), pg, coll, sources=_sources(coll),
                 config=_config("serial", tmp_path, faults, max_retries=2),

@@ -163,7 +163,5 @@ class TestRoundTrip:
         )
         assert result.failure is None
         assert result.metrics.checkpoints >= 4
-        # In-process a wire fault has no wire to act on: nothing to repair.
-        no_repair = spec is None or (fault == "drop" and executor == "serial")
-        assert result.metrics.retries == (0 if no_repair else 1)
+        assert result.metrics.retries == (0 if spec is None else 1)
         assert_one_record_stream(result)

@@ -1,7 +1,8 @@
 """A run imports what it runs: no scipy, networkx, asyncio or ssl — and no
 offline analysis module, nor the ``tibsp top`` reader — on the path of a
 serial, process or socket run (the socket run on ``tibsp worker`` agents
-served from the same interpreter); the worker executor loads on selection.
+served from the same interpreter); the worker executor loads on selection,
+so a serial run loads no ``socket`` or ``multiprocessing`` at all.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -72,6 +73,28 @@ if __name__ == "__main__":  # spawn-start workers re-import this file
     main()
 """
 
+_SERIAL = """
+import tempfile
+from repro import (EngineConfig, GoFS, TDSPComputation, partition_graph,
+                   road_latency_collection, road_network, run_application)
+from repro.resilience import FaultPlan
+
+template = road_network(300, seed=1)
+collection = road_latency_collection(template, 4, seed=2)
+pg = partition_graph(template, 2)
+with tempfile.TemporaryDirectory() as store:
+    GoFS.write_collection(store, pg, collection)
+    result = run_application(
+        TDSPComputation(0), pg, collection, sources=GoFS.partition_views(store),
+        config=EngineConfig(faults=FaultPlan.parse("drop_frame@t1:p0,kill@t2:p1")),
+    )
+assert [a.kind for a in result.recovery_actions] == ["protocol_retry", "worker_respawn"]
+wire = ("socket", "multiprocessing", "repro.runtime.process_cluster")
+assert loaded() == [] and not [m for m in wire if m in sys.modules], (
+    loaded(), [m for m in wire if m in sys.modules])
+print("clean")
+"""
+
 _RUNTIME_NAMES = """
 import repro
 from repro.runtime import ProcessCluster, WorkerLost
@@ -100,6 +123,12 @@ def _run_fresh(tmp_path, body: str) -> None:
 
 def test_serial_and_process_runs_import_no_scipy_networkx_asyncio_ssl(tmp_path):
     _run_fresh(tmp_path, _RUN)
+
+
+def test_a_serial_run_imports_no_socket_multiprocessing_or_worker_executor(tmp_path):
+    """The protocol core is I/O-free: a serial run, faults and repairs
+    included, never loads the worker executor or what it speaks over."""
+    _run_fresh(tmp_path, _SERIAL)
 
 
 def test_runtime_names_resolve_and_no_executor_loads_asyncio(tmp_path):
