@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""End-to-end distributed deployment: GoFS store + process-per-partition cluster.
+"""End-to-end distributed deployment: GoFS store + agent-per-partition cluster.
 
 The closest single-machine analogue of the paper's AWS deployment:
 
 1. partition a road network into 6 partitions (one per "VM");
 2. write the 50-instance collection into a GoFS store (slice files with
    temporal packing 10, subgraph binning 5 — the paper's settings);
-3. run TDSP on a **process cluster**: each partition lives in its own OS
-   process, loads *only its own slices* from the store, and exchanges
-   messages with the driver over pipes (the BSP barrier);
+3. run TDSP on a **process cluster**: partition 0 runs in the driver and
+   each other partition in a forked agent process; each loads *only its own
+   slices* from the store, and the agents exchange messages with the driver
+   over socketpairs (the BSP barrier);
 4. compare with the in-process serial engine: identical results, and show
    the per-partition utilization split plus the every-10th-timestep GoFS
    load events.

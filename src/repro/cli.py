@@ -85,8 +85,8 @@ def _add_problem(p: argparse.ArgumentParser, executor: str) -> None:
     p.add_argument("--gc", action="store_true", help="enable the GC pause model")
     p.add_argument(
         "--executor", choices=EXECUTORS, default=executor,
-        help="cluster backend (process = one forked worker agent per partition; "
-        "socket = the --hosts agents, or forked ones when none are given)",
+        help="cluster backend (process = partition 0 in the driver, one forked agent per "
+        "other partition; socket = every partition on the --hosts agents, else as process)",
     )
 
 

@@ -101,10 +101,10 @@ class EngineConfig:
     Attributes
     ----------
     executor:
-        ``"serial"`` (default), ``"process"`` (one forked worker agent per
-        partition), or ``"socket"`` (the ``hosts`` agents when given, else
-        the same forked agents); anything else is a ``ValueError`` from
-        ``run``.
+        ``"serial"`` (default), ``"process"`` (partition 0 in the driver,
+        one forked worker agent for each other partition), or ``"socket"``
+        (every partition on the ``hosts`` agents when given, else placed as
+        ``"process"``); anything else is a ``ValueError`` from ``run``.
     cost_model:
         Communication cost model for the simulated wall-clock.
     gc_model:

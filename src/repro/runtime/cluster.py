@@ -1,20 +1,20 @@
 """Clusters: collections of compute hosts driven through one protocol.
 
 Every cluster is the same two protocol objects
-(:mod:`repro.runtime.protocol`) around a different channel: an
+(:mod:`repro.runtime.protocol`) around a channel: an
 :class:`~repro.runtime.protocol.Agent` per partition executes commands on
 its host, and the driver waits for each reply with a
 :class:`~repro.runtime.protocol.Gather`.  :class:`Cluster` holds the one
-scatter/gather loop over them; a subclass supplies only the channel —
-``_send`` a command, ``_receive`` a reply, ``_open`` / ``_close`` one
-partition's session.
+scatter/gather loop, and by default the channel — ``_send``, ``_receive``,
+``_open`` / ``_close`` — of an agent in the driver: an :class:`InProcessChannel`.
 
-``LocalCluster`` keeps every agent in the driver process and calls it
-directly, in partition order — deterministic scheduling and exact
-per-partition timing, and the *simulated* wall-clock (max-over-hosts per
-superstep, see :mod:`repro.runtime.metrics`) is what reproduces the paper's
-distributed timing figures.  A process-per-partition cluster with genuine
-address-space isolation lives in :mod:`repro.runtime.process_cluster`.
+``LocalCluster`` keeps every agent in the driver and runs them in
+partition order — deterministic scheduling and exact per-partition timing,
+and the *simulated* wall-clock (max-over-hosts per superstep, see
+:mod:`repro.runtime.metrics`) is what reproduces the paper's distributed
+timing figures.  :mod:`repro.runtime.process_cluster` keeps partition 0 in
+the driver and forks one agent for each other partition; with ``hosts``,
+every partition is an agent on the named addresses.
 
 Every cluster speaks the same *resilience protocol* on top of the step
 protocol: a ``snapshot`` round collects per-partition state blobs for a
@@ -65,6 +65,7 @@ from .protocol import (
 __all__ = [
     "ROUND_OPS",
     "Cluster",
+    "InProcessChannel",
     "LocalCluster",
     "quarantine_fill",
     "raise_first_failure",
@@ -157,20 +158,21 @@ class Cluster:
             "duplicate_replies_dropped": 0,
         }
         self._incidents: list[tuple[str, int, float]] = []
+        self._channels: list[InProcessChannel] = [None] * pg.num_partitions  # type: ignore
 
-    # -- the channel (per cluster) ------------------------------------------------------
+    # -- the channel: in the driver, unless a cluster overrides it ---------------------
 
     def _open(self, partition: int) -> None:
         """Start ``partition``'s agent session at its current incarnation."""
-        raise NotImplementedError
+        self._channels[partition] = self._in_process(partition)
 
     def _close(self, partition: int) -> None:
         """End ``partition``'s session (respawn or quarantine)."""
-        raise NotImplementedError
+        self._channels[partition].close()
 
     def _send(self, partition: int, command: tuple) -> None:
         """Put one command envelope on the channel (``WorkerLost`` if it cannot)."""
-        raise NotImplementedError
+        self._channels[partition].post(command)
 
     def _receive(self, partition: int, deadline: float | None):
         """Take the next reply envelope off the channel.
@@ -180,7 +182,12 @@ class Cluster:
         :class:`EOFError` / :class:`OSError` when the session ended, and
         :class:`~repro.runtime.protocol.WorkerError` for a corrupt frame.
         """
-        raise NotImplementedError
+        return self._channels[partition].receive(deadline)
+
+    def _in_process(self, p: int, run=Agent.on_command) -> "InProcessChannel":
+        """Partition ``p``'s agent built in the driver, at its current incarnation."""
+        host = self._spec.build(self._pg.partitions[p], self._sources[p], self._sg_part)
+        return InProcessChannel(Agent(host, self.fault_plan, self.incarnations[p]), p, run)
 
     # -- scatter/gather over the protocol objects -------------------------------------
 
@@ -376,14 +383,66 @@ class Cluster:
         self.shutdown()
 
 
-class LocalCluster(Cluster):
-    """In-process cluster: each partition's :class:`Agent` called directly.
+class InProcessChannel:
+    """One partition's :class:`Agent` in the driver process, as a channel.
 
-    The channel is a queue of the agent's wire actions per partition:
-    objects pass by reference, never pickled.  A reply the agent did not
-    send is an immediate gather timeout, a ``delay`` is slept inline and
-    charged against the gather window, and a closed session reads as EOF —
-    so each fault is repaired exactly as on a worker executor.
+    Objects pass by reference, never pickled.  A posted command runs only
+    when its reply is gathered: :meth:`Cluster.run_round` posts to every
+    partition first, so agents in other processes compute while the driver
+    runs this one.  The agent's wire actions queue on a deque: a reply it
+    did not send is an immediate gather timeout, a ``delay`` is slept
+    against the gather window, and a closed session reads as EOF — each
+    fault is repaired as on a socket.  ``run`` executes a command:
+    :meth:`Agent.on_command`, or :func:`~repro.runtime.protocol.answer` to
+    turn an application error into an error reply.
+    """
+
+    __slots__ = ("agent", "partition", "_run", "_posted", "_wire")
+
+    def __init__(self, agent: Agent, partition: int, run=Agent.on_command) -> None:
+        self.agent, self.partition, self._run = agent, partition, run
+        self._posted, self._wire = deque(), deque()
+
+    def post(self, command: tuple) -> None:
+        if self.agent.closed:
+            raise WorkerLost(f"partition {self.partition} agent closed its session",
+                             partition=self.partition)
+        self._posted.append(command)
+
+    def receive(self, deadline: float | None):
+        wire, posted = self._wire, self._posted
+        while posted:
+            wire.extend(self._run(self.agent, posted.popleft()))
+        while wire:
+            verb, value = wire.popleft()
+            if verb is SEND:
+                return value
+            if verb is SLEEP:
+                # A straggler: the reply comes ``value`` seconds late.  What
+                # outlasts the window is still owed by the next read.
+                left = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+                if left is not None and value > left:
+                    time.sleep(left)
+                    wire.appendleft((SLEEP, value - left))
+                    raise GatherTimeout(f"partition {self.partition} reply is late")
+                time.sleep(value)
+                continue
+            if verb is CLOSE:
+                break
+            raise WorkerError(f"partition {self.partition} sent a corrupt reply frame")
+        if self.agent.closed:
+            raise EOFError(f"partition {self.partition} agent closed its session")
+        raise GatherTimeout(f"partition {self.partition} reply was never sent")
+
+    def close(self) -> None:
+        """Discard what is posted and queued (respawn or quarantine)."""
+        self._posted.clear()
+        self._wire.clear()
+
+
+class LocalCluster(Cluster):
+    """In-process cluster: every partition's agent behind an
+    :class:`InProcessChannel`, run in partition order.
 
     Parameters
     ----------
@@ -425,52 +484,10 @@ class LocalCluster(Cluster):
             sources = [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
         spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
         super().__init__(pg, spec, sources, fault_plan, gather_timeout_s, retry_policy)
-        self._agents: list[Agent] = [None] * pg.num_partitions  # type: ignore[list-item]
-        self._wires: list[deque] = [deque() for _ in range(pg.num_partitions)]
         for p in range(pg.num_partitions):
             self._open(p)
 
     @property
     def hosts(self) -> list:
         """Each partition's current host."""
-        return [agent.host for agent in self._agents]
-
-    def _open(self, partition: int) -> None:
-        host = self._spec.build(
-            self._pg.partitions[partition], self._sources[partition], self._sg_part
-        )
-        self._agents[partition] = Agent(host, self.fault_plan, self.incarnations[partition])
-        self._wires[partition] = deque()
-
-    def _close(self, partition: int) -> None:
-        self._wires[partition].clear()
-
-    def _send(self, partition: int, command: tuple) -> None:
-        agent = self._agents[partition]
-        if agent.closed:
-            raise WorkerLost(f"partition {partition} agent closed its session",
-                             partition=partition)
-        self._wires[partition].extend(agent.on_command(command))
-
-    def _receive(self, partition: int, deadline: float | None):
-        wire = self._wires[partition]
-        while wire:
-            verb, value = wire.popleft()
-            if verb is SEND:
-                return value
-            if verb is SLEEP:
-                # A straggler: the reply comes ``value`` seconds late.  What
-                # outlasts the window is still owed by the next read.
-                left = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-                if left is not None and value > left:
-                    time.sleep(left)
-                    wire.appendleft((SLEEP, value - left))
-                    raise GatherTimeout(f"partition {partition} reply is late")
-                time.sleep(value)
-                continue
-            if verb is CLOSE:
-                break
-            raise WorkerError(f"partition {partition} sent a corrupt reply frame")
-        if self._agents[partition].closed:
-            raise EOFError(f"partition {partition} agent closed its session")
-        raise GatherTimeout(f"partition {partition} reply was never sent")
+        return [channel.agent.host for channel in self._channels]

@@ -1,19 +1,22 @@
 """Agent-per-partition cluster: real distributed-memory execution.
 
-Each partition's :class:`~repro.runtime.host.ComputeHost` lives in its own
-OS process with a private address space — the closest single-machine
-analogue of the paper's one-partition-per-VM deployment.  That process is
-an *agent*, and where it runs is configuration, not a second runtime:
+Each partition's :class:`~repro.runtime.host.ComputeHost` is an *agent*
+with its own address space — the closest single-machine analogue of the
+paper's one-partition-per-VM deployment — and where it runs is
+configuration, not a second runtime:
 
-* ``hosts=None`` — the driver forks each partition's agent on one end of a
-  ``socket.socketpair()``.  Its init arguments are inherited through the
-  fork, never pickled.
-* ``hosts=["host:port", ...]`` — the driver connects to agents somebody
-  started (``tibsp worker``, :func:`serve_worker`) and sends the same init
-  arguments in an ``("init", args)`` handshake; the agent answers
-  ``("ready", incarnation)`` and outlives the session.
+* ``hosts=None`` — partition 0 runs in the driver, behind the serial
+  executor's :class:`~repro.runtime.cluster.InProcessChannel`, and the
+  driver forks one agent for each other partition on one end of a
+  ``socket.socketpair()`` (init arguments inherited, never pickled).  A
+  round is posted to every agent before the driver computes partition 0:
+  the driver computes while they do, not idle in the gather.
+* ``hosts=["host:port", ...]`` — every partition is an agent somebody
+  started (``tibsp worker``, :func:`serve_worker`); the driver connects and
+  sends the same init arguments in an ``("init", args)`` handshake; the
+  agent answers ``("ready", incarnation)`` and outlives the session.
 
-Either way the driver talks to agents over one transport, :class:`_SocketConn`:
+The driver talks to every other agent over one transport, :class:`_SocketConn`:
 each ``send_bytes`` payload is one length-prefixed frame on the byte
 stream, written with one ``sendmsg``.  What travels on it is the protocol
 of :mod:`repro.runtime.protocol`: the agent's session loop feeds each
@@ -34,10 +37,11 @@ the mpi4py guides.  Computations, instance sources and message payloads
 must be picklable (module-level classes and numpy arrays).
 
 An injected ``kill`` closes the session: a forked agent then returns and
-its process exits, a ``hosts`` agent goes back to ``accept``; either way
-the driver reads EOF (:class:`~repro.runtime.protocol.WorkerLost`), and
-recovery respawns — forks a new agent, or reconnects to the same ``hosts``
-address at a higher incarnation.
+its process exits, a ``hosts`` agent goes back to ``accept``, the driver's
+own agent is closed; either way the driver reads EOF
+(:class:`~repro.runtime.protocol.WorkerLost`), and recovery respawns —
+rebuilds the agent in the driver, forks a new one, or reconnects to the
+same ``hosts`` address at a higher incarnation.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import select
 import socket
 import struct
 import time
-import traceback
 from typing import Any, Sequence
 
 from ..core.computation import TimeSeriesComputation
@@ -67,6 +70,7 @@ from .protocol import (
     RecoverableWorkerError,
     WorkerError,
     WorkerLost,
+    answer,
 )
 
 __all__ = [
@@ -180,19 +184,25 @@ class _SocketConn:
     def recv_bytes(self) -> bytes:
         return self._read_exactly(self._read_frame_len())
 
-    def recv_bytes_into(self, buf) -> int:
+    def recv_buffer(self, size: int) -> bytearray:
+        """Read one frame of exactly ``size`` bytes into a fresh writeable
+        buffer, checking its length prefix first: a frame of any other length
+        is consumed whole (the stream stays aligned) and refused."""
         length = self._read_frame_len()
-        view = memoryview(buf)
-        if length > view.nbytes:
-            # Mirror multiprocessing: the oversized message rides in args[0].
-            raise mp.BufferTooShort(self._read_exactly(length))
-        read = 0
-        while read < length:
-            got = self._sock.recv_into(view[read:length])
+        if length != size:
+            self._read_exactly(length)
+            raise WorkerError(
+                f"out-of-band buffer frame of {length} bytes is "
+                f"{'larger' if length > size else 'shorter'} than its declared size {size}"
+            )
+        buf = bytearray(size)
+        view, read = memoryview(buf), 0
+        while read < size:
+            got = self._sock.recv_into(view[read:])
             if not got:
                 raise EOFError("socket closed mid-frame")
             read += got
-        return length
+        return buf
 
     def poll(self, timeout: float = 0.0) -> bool:
         ready, _, _ = select.select([self._sock], [], [], max(timeout, 0.0))
@@ -277,19 +287,8 @@ def _recv_oob(conn, *, deadline: float | None = None, what: str = "message") -> 
     body = conn.recv_bytes()
     buffers = []
     for size in sizes:
-        buf = bytearray(size)
         _wait_readable(conn, deadline, what)
-        try:
-            if size:
-                conn.recv_bytes_into(buf)
-            else:  # zero-length buffers still occupy a wire slot
-                conn.recv_bytes()
-        except mp.BufferTooShort as exc:
-            raise WorkerError(
-                f"corrupt {what}: out-of-band buffer larger than its declared "
-                f"size {size} ({len(exc.args[0]) if exc.args else '?'} bytes)"
-            ) from exc
-        buffers.append(buf)
+        buffers.append(conn.recv_buffer(size))
     try:
         return pickle.loads(body, buffers=buffers)
     except Exception as exc:
@@ -311,11 +310,9 @@ def _serve_session(conn, init: tuple | None = None) -> str:
     ``("init", init)`` handshake and answers ``("ready", incarnation)``.
 
     Each command envelope goes to the session's
-    :class:`~repro.runtime.protocol.Agent`, whose wire actions are performed
-    here.  A host error the agent does not turn into a recoverable reply (a
-    deterministic application error) ships back as a plain
-    ``("error", traceback_text, False)`` reply, so the driver re-raises it
-    with context instead of dying on a broken connection.
+    :class:`~repro.runtime.protocol.Agent` through
+    :func:`~repro.runtime.protocol.answer` (an application error ships back
+    as an error reply), and the wire actions are performed here.
 
     When ``spec.tracing`` is set the host gets its own tracer; spans recorded
     in the agent ride back to the driver as ``HostStepResult.telemetry`` on
@@ -354,11 +351,7 @@ def _serve_session(conn, init: tuple | None = None) -> str:
             if op == "stop":
                 _send_oob(conn, (seq, incarnation, None))
                 return "stopped"
-            try:
-                wire = agent.on_command((seq, op, replay, timestep, superstep, payload))
-            except Exception:
-                wire = [(SEND, (seq, incarnation, ("error", traceback.format_exc(), False)))]
-            for verb, value in wire:
+            for verb, value in answer(agent, (seq, op, replay, timestep, superstep, payload)):
                 if verb is SEND:
                     _send_oob(conn, value)
                 elif verb is SLEEP:
@@ -431,7 +424,8 @@ def _connect(address: tuple[str, int], p: int) -> _SocketConn:
 
 
 class ProcessCluster(Cluster):
-    """One worker agent per partition, each driven over one socket.
+    """One worker agent per partition: partition 0 in the driver and one
+    forked agent for each other partition, or every partition on ``hosts``.
 
     Parameters mirror :class:`~repro.runtime.cluster.LocalCluster`, except
     instance ``sources`` are mandatory: each agent must be able to produce
@@ -498,9 +492,12 @@ class ProcessCluster(Cluster):
     # -- the channel ------------------------------------------------------------------
 
     def _open(self, p: int) -> None:
-        """Open partition ``p``'s session at its current incarnation: fork
-        its agent on one end of a socketpair, or connect to its ``hosts``
-        agent and hand it the init arguments."""
+        """Open partition ``p``'s session at its current incarnation: build
+        partition 0's agent in the driver, fork ``p``'s on a socketpair, or
+        connect to its ``hosts`` agent and hand it the init arguments."""
+        if self._hosts is None and p == 0:
+            self._channels[p] = self._in_process(p, answer)
+            return
         if self._hosts is None:
             conn, child = (_SocketConn(s) for s in socket.socketpair())
             try:
@@ -536,7 +533,8 @@ class ProcessCluster(Cluster):
 
     def _close(self, p: int) -> None:
         """Reap one agent, leaving a None slot; its connection (and any
-        garbage queued on it) is discarded wholesale."""
+        garbage queued on it) is discarded wholesale.  The driver's own
+        agent has neither: the next ``_open`` replaces it."""
         conn, proc = self._conns[p], self._procs[p]
         self._conns[p] = self._procs[p] = None
         if conn is not None:
@@ -545,6 +543,8 @@ class ProcessCluster(Cluster):
             self._reap(proc)
 
     def _send(self, p: int, command: tuple) -> None:
+        if self._channels[p] is not None:  # the driver's own partition
+            return super()._send(p, command)
         try:
             _send_oob(self._conns[p], command)
         except OSError as exc:
@@ -553,6 +553,8 @@ class ProcessCluster(Cluster):
             ) from exc
 
     def _receive(self, p: int, deadline: float | None):
+        if self._channels[p] is not None:
+            return super()._receive(p, deadline)
         return _recv_oob(self._conns[p], deadline=deadline, what=f"partition {p} reply")
 
     # -- lifecycle --------------------------------------------------------------------
@@ -566,8 +568,8 @@ class ProcessCluster(Cluster):
         a bounded timeout, then terminated, then killed — a wedged or
         desynced worker cannot stall shutdown.
         """
-        # Quarantined partitions hold None placeholders (already reaped), and
-        # ``hosts`` agents have no process here.
+        # Quarantined partitions and the driver's own hold None placeholders,
+        # and ``hosts`` agents have no process here.
         conns = [(p, c) for p, c in enumerate(self._conns) if c is not None]
         procs = [proc for proc in self._procs if proc is not None]
         self._conns, self._procs = [], []

@@ -18,7 +18,8 @@ model checker's adversarial channel.
     closes, ``delay`` sleeps before the reply, ``fail_load`` replies with a
     recoverable error, ``drop_frame`` sends nothing, ``dup_frame`` sends the
     reply twice, ``reorder`` sends the previous reply ahead of it, and
-    ``corrupt_frame`` sends garbage.
+    ``corrupt_frame`` sends garbage.  :func:`answer` also turns an
+    application error into an error reply.
 :class:`Gather` — the driver's side, for one command.
     Fed what the wire produced (``on_reply``, ``on_timeout``,
     ``on_corrupt``, ``on_eof``) and the caller's clock reading in seconds
@@ -56,7 +57,7 @@ from ..resilience.recovery import InjectedFault, RecoverableError, RecoveryPolic
 from .host import ROUND_OPS
 
 __all__ = [
-    "ACCEPT", "CLOSE", "CORRUPT", "FAIL", "RESEND", "SEND", "SLEEP",
+    "ACCEPT", "CLOSE", "CORRUPT", "FAIL", "RESEND", "SEND", "SLEEP", "answer",
     "Agent", "Gather", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
 ]
 
@@ -156,6 +157,16 @@ class Agent:
         if kind == "drop_frame":
             return []
         return [(SEND, envelope)]  # ``reorder`` with no earlier reply to repeat
+
+
+def answer(agent: Agent, command: tuple) -> list[tuple[str, Any]]:
+    """``agent.on_command(command)``, with a deterministic application error
+    sent back as a plain ``("error", traceback_text, False)`` reply: the
+    driver raises it as a :class:`WorkerError` carrying the traceback."""
+    try:
+        return agent.on_command(command)
+    except Exception:
+        return [(SEND, (command[0], agent.incarnation, ("error", traceback.format_exc(), False)))]
 
 
 class Gather:

@@ -32,7 +32,9 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="driver-side"):
             with _Cluster.make(case, sources) as cluster:
                 cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
-                procs = list(cluster._procs)
+                # Partition 0 runs in the driver: one forked agent per other partition.
+                procs = [p for p in cluster._procs if p is not None]
+                assert len(procs) == cluster.num_partitions - 1
                 assert all(p.is_alive() for p in procs)
                 raise RuntimeError("driver-side failure")
         for p in procs:
@@ -45,11 +47,11 @@ class TestLifecycle:
 
     def test_dead_worker_surfaces_as_worker_lost(self, case, sources):
         with _Cluster.make(case, sources) as cluster:
-            cluster._procs[0].terminate()
-            cluster._procs[0].join(timeout=5)
-            lost, survivor = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
-            assert isinstance(lost, WorkerLost) and lost.partition == 0
-            assert survivor.partition == 1  # finished its round regardless
+            cluster._procs[1].terminate()  # partition 0 is the driver's own
+            cluster._procs[1].join(timeout=5)
+            survivor, lost = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+            assert isinstance(lost, WorkerLost) and lost.partition == 1
+            assert survivor.partition == 0  # finished its round regardless
 
 
 class TestGatherTimeout:

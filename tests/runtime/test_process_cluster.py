@@ -107,8 +107,14 @@ class _FailSecondSpawnContext:
 
 class TestConstructorFailure:
     def test_started_workers_not_leaked(self, case, monkeypatch):
-        """A failing spawn mid-constructor must shut down earlier workers."""
-        tpl, coll, pg, sources = case
+        """A failing spawn mid-constructor must shut down earlier workers.
+
+        Three partitions: partition 0 runs in the driver, so partition 1's
+        agent is the first fork and partition 2's the one that fails.
+        """
+        tpl, coll, _pg, _sources = case
+        pg = partition_graph(tpl, 3)
+        sources = [CollectionInstanceSource(coll) for _ in range(3)]
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         ctx = _FailSecondSpawnContext(process_cluster._FORK_CONTEXT)
         monkeypatch.setattr(process_cluster, "_FORK_CONTEXT", ctx)

@@ -7,7 +7,6 @@ it rides: ``pipe``, the AF_UNIX socketpair a forked agent is born on (what
 connection a ``hosts`` agent is reached over.
 """
 
-import multiprocessing as mp
 import socket
 import struct
 import threading
@@ -87,6 +86,32 @@ class TestFrameProtocolAcrossTransports:
         with pytest.raises(WorkerError, match="larger than its declared"):
             _recv_oob(b)
 
+    def test_short_oob_buffer_is_refused_not_zero_filled(self, conns):
+        """A buffer frame shorter than the header's size used to decode with
+        the rest of the array zero-filled."""
+        a, b = conns
+        wire = _WireCapture()
+        _send_oob(wire, np.arange(4, dtype=np.int64))
+        header, body, buf = wire.frames
+        for frame in (header, body, buf[:8]):
+            a.send_bytes(frame)
+        with pytest.raises(WorkerError, match="8 bytes is shorter than its declared size 32"):
+            _recv_oob(b)
+        _send_oob(a, "resent")
+        assert _recv_oob(b) == "resent"  # the stream is still aligned
+
+    def test_huge_declared_buffer_is_refused_before_allocation(self, conns):
+        """A header declaring 2**40 bytes must be a WorkerError a resend can
+        cure, not a MemoryError out of allocating the buffer up front."""
+        a, b = conns
+        a.send_bytes(struct.pack("<IQ", 1, 1 << 40))
+        a.send_bytes(struct.pack("<I", 0))  # any body
+        a.send_bytes(b"12345678")
+        with pytest.raises(WorkerError, match="shorter than its declared size 1099511627776"):
+            _recv_oob(b)
+        _send_oob(a, "resent")
+        assert _recv_oob(b) == "resent"
+
     def test_deadline_times_out(self, conns):
         _a, b = conns
         start = time.monotonic()
@@ -160,12 +185,12 @@ class TestSocketFraming:
         with pytest.raises(WorkerError, match="desynced or corrupt"):
             conn.recv_bytes()
 
-    def test_recv_bytes_into_buffer_too_short(self, raw_pair):
+    def test_recv_buffer_refuses_a_longer_frame_whole(self, raw_pair):
         raw, conn = raw_pair
-        raw.sendall(struct.pack("<Q", 9) + b"123456789")
-        with pytest.raises(mp.BufferTooShort) as exc_info:
-            conn.recv_bytes_into(bytearray(4))
-        assert exc_info.value.args[0] == b"123456789"
+        raw.sendall(struct.pack("<Q", 9) + b"123456789" + struct.pack("<Q", 4) + b"next")
+        with pytest.raises(WorkerError, match="9 bytes is larger than its declared size 4"):
+            conn.recv_buffer(4)
+        assert conn.recv_bytes() == b"next"  # the refused frame was consumed whole
 
     def test_poll_sees_pending_data(self, raw_pair):
         raw, conn = raw_pair
