@@ -54,7 +54,7 @@ from .graph import AttributeSchema, AttributeSpec, GraphTemplate
 from .observability import TraceConfig, run_provenance, validate_chrome_trace
 from .partition import MetisLikePartitioner, compute_stats, partition_graph
 from .resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
-from .runtime import CollectionInstanceSource, GCModel
+from .runtime import GCModel
 from .storage import GoFS
 
 __all__ = ["main"]
@@ -171,14 +171,6 @@ def _make_computation(args: argparse.Namespace, template, collection, pg):
     )
 
 
-def _collection_sources(args: argparse.Namespace, collection, pg):
-    """Per-partition sources over the in-memory collection, for the executors
-    whose workers load in their own address space (None on serial)."""
-    if args.executor == "serial":
-        return None
-    return [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
-
-
 def _provenance(args: argparse.Namespace) -> dict:
     """Run arguments shared by ``--export`` summaries and trace manifests."""
     return run_provenance(
@@ -197,7 +189,8 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
 
     Each returned string is a hard error: a tuning knob the user set that
     cannot affect the run they asked for is a misconfiguration, not a no-op.
-    Checked before anything is generated.
+    Checked before anything is generated; ``args.hosts`` becomes the parsed
+    addresses.
     """
     problems: list[str] = []
     if (args.prefetch or args.cache_bytes is not None) and args.gofs is None:
@@ -214,6 +207,24 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
         problems.append(
             "--hosts addresses external tibsp workers, which only the socket "
             "executor connects to; add --executor socket"
+        )
+    elif args.hosts is not None:
+        from .runtime import parse_hosts
+
+        try:
+            args.hosts = tuple(parse_hosts(args.hosts))
+        except ValueError as exc:
+            problems.append(f"--hosts: {exc}")
+        else:
+            if len(args.hosts) != args.partitions:
+                problems.append(
+                    f"--hosts names {len(args.hosts)} agent(s) for "
+                    f"--partitions {args.partitions}: give one address per partition"
+                )
+    if args.degrade and args.quarantine:
+        problems.append(
+            "--degrade and --quarantine are two answers to exhausted retries; "
+            "pick one"
         )
     wants_recovery = args.max_retries is not None or args.degrade or args.quarantine
     if wants_recovery and not args.inject_faults and args.executor not in ("process", "socket"):
@@ -241,10 +252,10 @@ def _resilience_config(args: argparse.Namespace) -> dict:
             seed=args.fault_seed if args.fault_seed is not None else 0,
         )
     if args.max_retries is not None or args.degrade or args.quarantine:
+        exhausted = "degrade" if args.degrade else "quarantine" if args.quarantine else "raise"
         kwargs["recovery"] = RecoveryPolicy(
             max_retries=args.max_retries if args.max_retries is not None else 2,
-            on_exhausted="degrade" if args.degrade else "raise",
-            quarantine=args.quarantine,
+            on_exhausted=exhausted,
         )
     if args.gather_timeout is not None:
         kwargs["gather_timeout_s"] = args.gather_timeout
@@ -276,9 +287,10 @@ def _run(args: argparse.Namespace) -> int:
         executor=args.executor,
         gc_model=GCModel() if args.gc else GCModel.disabled(),
         tracing=TraceConfig(stream_dir=args.stream) if args.stream else None,
-        hosts=tuple(h.strip() for h in args.hosts.split(",")) if args.hosts else None,
+        hosts=args.hosts,
         **_resilience_config(args),
     )
+    sources = None
     if args.gofs is not None:
         root = Path(args.gofs)
         if not (root / "manifest.json").exists():
@@ -293,8 +305,6 @@ def _run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    else:
-        sources = _collection_sources(args, collection, pg)
     try:
         result = run_application(
             comp, pg, collection, config=config, sources=sources, resume_from=args.resume_from
@@ -380,9 +390,7 @@ def _trace(args: argparse.Namespace) -> int:
         gc_model=GCModel() if args.gc else GCModel.disabled(),
         tracing=tracing,
     )
-    result = run_application(
-        comp, pg, collection, config=config, sources=_collection_sources(args, collection, pg)
-    )
+    result = run_application(comp, pg, collection, config=config)
 
     manifest = _provenance(args)
     manifest["barrier_s"] = config.cost_model.barrier_cost(pg.num_partitions)

@@ -39,9 +39,10 @@ trouble (dropped, duplicated, reordered, corrupted replies; wedged gathers)
 is cured a layer below, on every executor, by the sequence-numbered
 idempotent resend protocol (:mod:`repro.runtime.protocol`) and surfaces
 only as *protocol incidents* in the failure log.  When a partition exhausts
-its retry budget with ``RecoveryPolicy.quarantine=True``, it is quarantined
-and the run completes degraded, named in ``AppResult.degraded_partitions``;
-the repairs that did complete are ``AppResult.recovery_actions``.
+its retry budget under ``RecoveryPolicy(on_exhausted="quarantine")``, it is
+quarantined and the run completes degraded, named in
+``AppResult.degraded_partitions``; the repairs that did complete are
+``AppResult.recovery_actions``.
 
 Retries are bounded per round by
 :class:`~repro.resilience.recovery.RecoveryPolicy`; when they run out the
@@ -65,10 +66,10 @@ from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
 from ..resilience.journal import FrameJournal
 from ..resilience.recovery import RecoveryPolicy, RunFailure, RunFailureError
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
-from ..runtime.cluster import Cluster, LocalCluster, raise_first_failure
+from ..runtime.cluster import Cluster, raise_first_failure
 from ..runtime.cost import CostModel
 from ..runtime.gc_model import GCModel
-from ..runtime.host import HostStepResult, InstanceSource, RunMeta
+from ..runtime.host import CollectionInstanceSource, HostStepResult, InstanceSource, RunMeta
 from ..runtime.metrics import (
     PHASE_COMPUTE,
     PHASE_MERGE,
@@ -111,9 +112,6 @@ class EngineConfig:
         GC pause model (disabled by default; Fig 6 benches enable it).
     max_supersteps:
         Safety bound per timestep BSP (and for the merge BSP).
-    collect_states:
-        Whether to fetch per-subgraph state dicts at the end of the run
-        (disable for process clusters with huge state).
     combiners:
         Whether hosts apply the computation's ``combine`` hook (when one is
         defined) to same-destination sends before the barrier.  Disabling
@@ -150,24 +148,23 @@ class EngineConfig:
         substitutes a 10 s default so dropped replies surface as
         ``GatherTimeout``.
     hosts:
-        Addresses (``"host:port"`` strings) of pre-started ``tibsp
-        worker`` agents, one per partition; only the socket executor takes
-        them (anything else is a ``ValueError`` from ``run``).  ``None``
-        (default) forks local agents, exactly as the process executor does.
+        Addresses (``"host:port"`` strings or ``(host, port)`` pairs) of
+        pre-started ``tibsp worker`` agents, one per partition; only the
+        socket executor takes them (anything else is a ``ValueError`` from
+        ``run``).  ``None`` (default) places partitions as process does.
     """
 
     executor: str = "serial"
     cost_model: CostModel = field(default_factory=CostModel)
     gc_model: GCModel = field(default_factory=GCModel.disabled)
     max_supersteps: int = 100_000
-    collect_states: bool = True
     combiners: bool = True
     tracing: object | None = None
     checkpoint: CheckpointConfig | None = None
     faults: FaultPlan | None = None
     recovery: RecoveryPolicy | None = None
     gather_timeout_s: float | None = None
-    hosts: tuple[str, ...] | None = None
+    hosts: tuple | None = None
 
 
 @dataclass
@@ -208,9 +205,10 @@ class TIBSPEngine:
     config:
         Engine configuration.
     sources:
-        Optional per-partition instance sources (e.g. GoFS views).  Required
-        for the process and socket executors; the serial one defaults to
-        shared-collection sources.
+        Optional per-partition instance sources (e.g. GoFS views).  Every
+        executor defaults to one source over ``collection`` per partition;
+        a forked agent inherits its source, a ``hosts`` agent receives it
+        in its ``init`` handshake.
     """
 
     def __init__(
@@ -247,7 +245,14 @@ class TIBSPEngine:
         gather_timeout = cfg.gather_timeout_s
         if gather_timeout is None and cfg.faults is not None:
             gather_timeout = _DEFAULT_FAULT_GATHER_TIMEOUT_S
-        common = dict(
+        sources = self.sources
+        if sources is None:
+            sources = [CollectionInstanceSource(self.collection)
+                       for _ in range(self.pg.num_partitions)]
+        return Cluster(
+            self.pg, computation, meta, sources,
+            remote=cfg.executor != "serial",
+            hosts=cfg.hosts,
             cost_model=cfg.cost_model,
             use_combiners=cfg.combiners,
             tracing=tracing,
@@ -256,24 +261,6 @@ class TIBSPEngine:
             # Recovery hardens the protocol: bounded idempotent resends cure
             # drops/corruption/timeouts below host repair.
             retry_policy=policy,
-        )
-        if cfg.executor in ("process", "socket"):
-            if self.sources is None:
-                raise ValueError(
-                    f"the {cfg.executor} executor needs per-partition instance "
-                    "sources (lazy/generator or GoFS-backed) so workers can "
-                    "load data in their own address space"
-                )
-            # The worker executor loads on selection: a serial run does not
-            # import multiprocessing.
-            from ..runtime.process_cluster import ProcessCluster
-
-            return ProcessCluster(
-                self.pg, computation, meta, self.sources, hosts=cfg.hosts, **common
-            )
-        return LocalCluster(
-            self.pg, computation, meta, collection=self.collection, sources=self.sources,
-            **common,
         )
 
     @staticmethod
@@ -421,9 +408,8 @@ class TIBSPEngine:
                         break
                 if pattern.has_merge:
                     self._run_merge(rs)
-                if cfg.collect_states:
-                    for part in self._round(rs, "states", -1, AT_EOT, None):
-                        result.states.update(part)
+                for part in self._round(rs, "states", -1, AT_EOT, None):
+                    result.states.update(part)
             except RecoveryExhausted as exc:
                 # The supervisor burned the whole per-round budget on one
                 # partition: degrade to the partial result or raise.

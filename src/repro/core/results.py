@@ -54,7 +54,7 @@ class AppResult:
         Empty for fault-free runs.
     degraded_partitions:
         Partitions quarantined by graceful exhaustion
-        (``RecoveryPolicy.quarantine=True``), sorted.  A non-empty list
+        (``RecoveryPolicy(on_exhausted="quarantine")``), sorted.  A non-empty list
         means outputs/states silently exclude these partitions'
         contributions from the quarantine point on.
     protocol_stats:

@@ -61,7 +61,7 @@ Schema v1 event kinds
 ``frames_dropped``    deliveries addressed to a quarantined partition were
                       dropped (``messages`` counted, degraded-run contract)
 ``worker_quarantined``  a partition exhausted its retry budget and was
-                      quarantined (``RecoveryPolicy.quarantine=True``)
+                      quarantined (``on_exhausted="quarantine"``)
 ====================  =========================================================
 
 Unknown kinds are allowed — the schema governs the envelope (``schema``,

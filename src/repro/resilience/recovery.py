@@ -69,14 +69,13 @@ class RecoveryPolicy:
         sleeps ``backoff_s * backoff_factor**(n-1)``).  Kept small by
         default; real deployments would use seconds.
     on_exhausted:
+        What a partition that exhausts its retry budget does to the run.
         ``"raise"`` (default) raises :class:`RunFailureError`;
         ``"degrade"`` returns the partial result with ``result.failure``
-        set — the graceful-degradation mode.
-    quarantine:
-        When True, a partition that exhausts its retry budget is
-        *quarantined* instead of failing the run: its worker is torn down,
-        its rounds report empty halted results, and deliveries addressed
-        to it are dropped (counted).  The run completes with
+        set — the graceful-degradation mode; ``"quarantine"`` keeps the run
+        going without the partition: its worker is torn down, its rounds
+        report empty halted results, and deliveries addressed to it are
+        dropped (counted).  A quarantined run completes with
         ``result.failure`` still ``None``; ``result.degraded_partitions``
         names the partition and its last ``result.failure_log`` entry reads
         ``action="quarantine"``.
@@ -86,13 +85,12 @@ class RecoveryPolicy:
     backoff_s: float = 0.01
     backoff_factor: float = 2.0
     on_exhausted: str = "raise"
-    quarantine: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.on_exhausted not in ("raise", "degrade"):
-            raise ValueError("on_exhausted must be 'raise' or 'degrade'")
+        if self.on_exhausted not in ("raise", "degrade", "quarantine"):
+            raise ValueError("on_exhausted must be 'raise', 'degrade' or 'quarantine'")
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""

@@ -25,9 +25,9 @@ timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
   idempotent resend, and the supervisor merely drains those *protocol
   incidents* into the failure log and recovery metrics;
 * when a partition exhausts its retry budget, the policy decides:
-  ``quarantine=True`` tears the partition down, synthesizes empty halted
-  rounds for it and drops its inbound deliveries so the run completes
-  degraded-but-alive; otherwise :class:`RecoveryExhausted` carries the
+  ``on_exhausted="quarantine"`` tears the partition down, synthesizes
+  empty halted rounds for it and drops its inbound deliveries so the run
+  completes degraded-but-alive; otherwise :class:`RecoveryExhausted` carries the
   original error to the engine's raise/degrade handling.
 
 Retry accounting: one :class:`~repro.resilience.recovery.FailureRecord`
@@ -57,7 +57,7 @@ __all__ = ["HostSupervisor", "RecoveryExhausted"]
 
 
 class RecoveryExhausted(RecoverableError):
-    """A partition burned its whole retry budget (and quarantine is off).
+    """A partition burned its whole retry budget (and is not quarantined).
 
     Carries the ``original`` failure and the ``timestep`` of the round it
     struck, so the engine can surface the real cause in the structured
@@ -143,7 +143,7 @@ class HostSupervisor:
         :data:`ROUND_OPS` are journaled; a query's ``timestep`` /
         ``superstep`` say where the run is, for the recovery records.
         Raises :class:`RecoveryExhausted` when a partition runs out of
-        retries and quarantine is off; deterministic application errors
+        retries and the policy does not quarantine it; deterministic application errors
         propagate untouched.
         """
         cluster = self.cluster
@@ -220,9 +220,7 @@ class HostSupervisor:
                 attempt=attempt,
             )
             exhausted = attempt > policy.max_retries
-            action = "retry"
-            if exhausted:
-                action = "quarantine" if policy.quarantine else policy.on_exhausted
+            action = policy.on_exhausted if exhausted else "retry"
             self.failure_log.append(
                 FailureRecord(
                     kind=kind,
@@ -235,7 +233,7 @@ class HostSupervisor:
                 )
             )
             if exhausted:
-                if policy.quarantine:
+                if action == "quarantine":
                     # Give up on ``p`` but keep the run alive: degraded, not dead.
                     cluster.quarantine(p)
                     self.recorder.quarantined(timestep, superstep, p, attempt, kind)

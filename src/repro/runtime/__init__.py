@@ -2,8 +2,8 @@
 
 This package is the stand-in for the GoFFish platform's execution layer (one
 partition per VM on EC2): :class:`~repro.runtime.host.ComputeHost` plays the
-VM, :class:`~repro.runtime.cluster.LocalCluster` /
-:class:`~repro.runtime.process_cluster.ProcessCluster` play the cluster, and
+VM, :class:`~repro.runtime.cluster.Cluster` plays the cluster (one channel
+per partition, in the driver or to a remote agent), and
 :class:`~repro.runtime.metrics.MetricsCollector` plus
 :class:`~repro.runtime.cost.CostModel` produce the simulated distributed
 wall-clock that reproduces the paper's timing figures (see DESIGN.md).
@@ -11,7 +11,7 @@ wall-clock that reproduces the paper's timing figures (see DESIGN.md).
 
 from importlib import import_module
 
-from .cluster import Cluster, LocalCluster
+from .cluster import Cluster
 from .cost import CostModel
 from .gc_model import GCModel
 from .host import (
@@ -26,7 +26,6 @@ from .protocol import GatherTimeout, RecoverableWorkerError, WorkerError, Worker
 
 __all__ = [
     "Cluster",
-    "LocalCluster",
     "CostModel",
     "GCModel",
     "CollectionInstanceSource",
@@ -37,7 +36,6 @@ __all__ = [
     "MetricsCollector",
     "PartitionBreakdown",
     "StepRecord",
-    "ProcessCluster",
     "GatherTimeout",
     "RecoverableWorkerError",
     "WorkerError",
@@ -47,8 +45,8 @@ __all__ = [
 ]
 
 
-#: The worker executor loads on selection (only it needs multiprocessing).
-_ON_SELECTION = ("ProcessCluster", "parse_hosts", "serve_worker")
+#: The remote-agent transport loads on selection (only it needs multiprocessing).
+_ON_SELECTION = ("parse_hosts", "serve_worker")
 
 
 def __getattr__(name: str):

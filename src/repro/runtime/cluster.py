@@ -1,22 +1,33 @@
-"""Clusters: collections of compute hosts driven through one protocol.
+"""The cluster: one channel per partition, driven through one protocol.
 
-Every cluster is the same two protocol objects
+Every partition is the same two protocol objects
 (:mod:`repro.runtime.protocol`) around a channel: an
-:class:`~repro.runtime.protocol.Agent` per partition executes commands on
-its host, and the driver waits for each reply with a
+:class:`~repro.runtime.protocol.Agent` executes commands on the
+partition's host, and the driver waits for each reply with a
 :class:`~repro.runtime.protocol.Gather`.  :class:`Cluster` holds the one
-scatter/gather loop, and by default the channel — ``_send``, ``_receive``,
-``_open`` / ``_close`` — of an agent in the driver: an :class:`InProcessChannel`.
+scatter/gather loop, and each partition holds exactly one channel object:
+``post(command)`` (``WorkerLost`` if it cannot), ``receive(deadline)``
+(``GatherTimeout`` past the ``time.monotonic`` deadline, ``EOFError`` /
+``OSError`` once the session ended, ``WorkerError`` for a corrupt frame)
+and ``close()``.  Where the agent runs is decided in one place,
+:meth:`Cluster._open`:
 
-``LocalCluster`` keeps every agent in the driver and runs them in
-partition order — deterministic scheduling and exact per-partition timing,
-and the *simulated* wall-clock (max-over-hosts per superstep, see
+* with ``hosts``, every partition connects to an agent somebody started;
+* otherwise, when agents leave the driver (``remote=True``, the process
+  and socket executors), partition 0 stays in the driver and partitions
+  1..k−1 are forked;
+* otherwise (serial), every partition stays in the driver.
+
+An in-driver partition is an :class:`InProcessChannel`, run in partition
+order — deterministic scheduling and exact per-partition timing, and the
+*simulated* wall-clock (max-over-hosts per superstep, see
 :mod:`repro.runtime.metrics`) is what reproduces the paper's distributed
-timing figures.  :mod:`repro.runtime.process_cluster` keeps partition 0 in
-the driver and forks one agent for each other partition; with ``hosts``,
-every partition is an agent on the named addresses.
+timing figures.  A remote one is an
+:class:`~repro.runtime.process_cluster.AgentChannel`; its transport is
+imported only when such a channel opens, so a serial run imports no
+``socket`` or ``multiprocessing``.
 
-Every cluster speaks the same *resilience protocol* on top of the step
+The cluster speaks the same *resilience protocol* on top of the step
 protocol: a ``snapshot`` round collects per-partition state blobs for a
 checkpoint, ``restore()`` installs them, and ``respawn_worker()`` replaces
 one agent with a fresh incarnation (used by recovery after a failure, and
@@ -34,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.computation import TimeSeriesComputation
-from ..graph.collection import TimeSeriesGraphCollection
 from ..observability import NULL_SPAN, Tracer
 from ..partition.base import PartitionedGraph
 from ..resilience.faults import FaultPlan
@@ -42,7 +52,6 @@ from ..resilience.recovery import RecoverableError, RecoveryPolicy
 from .cost import CostModel
 from .host import (
     ROUND_OPS,
-    CollectionInstanceSource,
     HostSpec,
     HostStepResult,
     InstanceSource,
@@ -60,13 +69,13 @@ from .protocol import (
     GatherTimeout,
     WorkerError,
     WorkerLost,
+    answer,
 )
 
 __all__ = [
     "ROUND_OPS",
     "Cluster",
     "InProcessChannel",
-    "LocalCluster",
     "quarantine_fill",
     "raise_first_failure",
 ]
@@ -95,25 +104,30 @@ def raise_first_failure(
 
 
 class Cluster:
-    """The driver's half of the protocol, over a channel a subclass supplies.
+    """One channel per partition, and the driver's half of the protocol over them.
 
-    ``gather_timeout_s`` bounds a partition's reply wait in every
-    scatter/gather round; ``None`` waits for ever.  ``retry_policy`` (a
-    :class:`~repro.resilience.recovery.RecoveryPolicy`) arms the protocol
-    retry: a timeout or a corrupt reply is cured by resending the same
-    sequence-numbered command — the agent answers from its reply cache — up
-    to ``max_retries`` times with the policy's backoff, before the failure
-    surfaces.  ``None`` surfaces the first one.  ``fault_plan`` is what each
-    partition's :class:`~repro.runtime.protocol.Agent` fires.
+    ``computation``, ``meta``, ``cost_model``, ``use_combiners`` and
+    ``tracing`` are what :class:`~repro.runtime.host.HostSpec` builds each
+    partition's host from; ``sources`` holds one instance source per
+    partition (a remote agent produces its instances in its own address
+    space).  ``remote`` says whether agents leave the driver (every executor
+    but serial); ``hosts`` (``"host:port,..."`` or a sequence) names one
+    started agent per partition.  ``gather_timeout_s`` bounds a partition's
+    reply wait in every round (``None`` waits for ever); ``fault_plan`` is
+    what each partition's :class:`~repro.runtime.protocol.Agent` fires.
+    ``retry_policy`` (a :class:`~repro.resilience.recovery.RecoveryPolicy`)
+    arms the protocol retry: a timeout or a corrupt reply is cured by
+    resending the same sequence-numbered command — the agent answers from
+    its reply cache — up to ``max_retries`` times with the policy's backoff,
+    before the failure surfaces; ``None`` surfaces the first.
+
+    Use as a context manager to reap the agents even when the driver raises.
     """
 
     num_partitions: int
     #: Driver-side tracer for the ship / barrier spans of a round.  The
     #: engine sets this after construction when the run is traced.
     driver_tracer: Tracer | None = None
-    #: Whether rounds cross a wire: only then do ship / barrier spans show
-    #: anything (in-process, the hosts' own spans partition a round).
-    _TRACES_ROUNDS = True
     #: Per-partition incarnations — :meth:`respawn_worker` bumps exactly
     #: one.  The fault plan uses them to keep scripted faults from
     #: re-firing after recovery.
@@ -124,18 +138,35 @@ class Cluster:
     def __init__(
         self,
         pg: PartitionedGraph,
-        spec: HostSpec,
+        computation: TimeSeriesComputation,
+        meta: RunMeta,
         sources: Sequence[InstanceSource],
-        fault_plan: FaultPlan | None,
+        *,
+        remote: bool = False,
+        hosts: str | Sequence[str] | None = None,
+        cost_model: CostModel | None = None,
+        use_combiners: bool = True,
+        tracing: bool = False,
         gather_timeout_s: float | None = None,
+        fault_plan: FaultPlan | None = None,
         retry_policy: RecoveryPolicy | None = None,
     ) -> None:
-        """What every cluster keeps to build, rebuild and drive a partition's host."""
         if len(sources) != pg.num_partitions:
             raise ValueError("need exactly one instance source per partition")
         if gather_timeout_s is not None and gather_timeout_s <= 0:
             raise ValueError("gather_timeout_s must be positive (or None to disable)")
-        self._spec = spec
+        if hosts is not None:
+            from .process_cluster import parse_hosts
+
+            hosts = parse_hosts(hosts)
+            if len(hosts) != pg.num_partitions:
+                raise ValueError(
+                    f"need exactly one worker address per partition "
+                    f"({len(hosts)} given, {pg.num_partitions} partitions)"
+                )
+        self._hosts = hosts
+        self._remote = remote or hosts is not None
+        self._spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
         self._pg = pg
         self._sources = list(sources)
         # One routing array shared by every host, respawned ones included;
@@ -158,36 +189,41 @@ class Cluster:
             "duplicate_replies_dropped": 0,
         }
         self._incidents: list[tuple[str, int, float]] = []
-        self._channels: list[InProcessChannel] = [None] * pg.num_partitions  # type: ignore
+        self._channels: list = [None] * pg.num_partitions
+        # If any start fails (fork, connect, handshake), tear down the agents
+        # already started instead of leaking processes that outlive the
+        # failed constructor.
+        try:
+            for p in range(pg.num_partitions):
+                self._open(p)
+        except BaseException:
+            self.shutdown(force=True)
+            raise
+        #: Whether rounds cross a wire: only then do ship / barrier spans show
+        #: anything (in the driver, the hosts' own spans partition a round).
+        self._wire = any(type(c) is not InProcessChannel for c in self._channels)
 
-    # -- the channel: in the driver, unless a cluster overrides it ---------------------
+    def _open(self, p: int) -> None:
+        """Start partition ``p``'s agent session at its current incarnation,
+        where it runs: on its ``hosts`` agent, in the driver (partition 0,
+        or every partition of a serial run), or in a forked agent."""
+        if self._hosts is None and (p == 0 or not self._remote):
+            host = self._spec.build(self._pg.partitions[p], self._sources[p], self._sg_part)
+            # Beside remote agents an application error is an error reply,
+            # as theirs is; a serial run raises the application's own.
+            run = answer if self._remote else Agent.on_command
+            self._channels[p] = InProcessChannel(
+                Agent(host, self.fault_plan, self.incarnations[p]), p, run
+            )
+            return
+        from . import process_cluster  # only a remote channel needs the transport
 
-    def _open(self, partition: int) -> None:
-        """Start ``partition``'s agent session at its current incarnation."""
-        self._channels[partition] = self._in_process(partition)
-
-    def _close(self, partition: int) -> None:
-        """End ``partition``'s session (respawn or quarantine)."""
-        self._channels[partition].close()
-
-    def _send(self, partition: int, command: tuple) -> None:
-        """Put one command envelope on the channel (``WorkerLost`` if it cannot)."""
-        self._channels[partition].post(command)
-
-    def _receive(self, partition: int, deadline: float | None):
-        """Take the next reply envelope off the channel.
-
-        Raises :class:`~repro.runtime.protocol.GatherTimeout` when nothing
-        arrives before ``deadline`` (a ``time.monotonic`` instant),
-        :class:`EOFError` / :class:`OSError` when the session ended, and
-        :class:`~repro.runtime.protocol.WorkerError` for a corrupt frame.
-        """
-        return self._channels[partition].receive(deadline)
-
-    def _in_process(self, p: int, run=Agent.on_command) -> "InProcessChannel":
-        """Partition ``p``'s agent built in the driver, at its current incarnation."""
-        host = self._spec.build(self._pg.partitions[p], self._sources[p], self._sg_part)
-        return InProcessChannel(Agent(host, self.fault_plan, self.incarnations[p]), p, run)
+        init = (self._spec, self._pg.partitions[p], self._sources[p], self._sg_part,
+                self.fault_plan, self.incarnations[p])
+        self._channels[p] = (
+            process_cluster.fork(p, init) if self._hosts is None
+            else process_cluster.connect(self._hosts[p], p, init)
+        )
 
     # -- scatter/gather over the protocol objects -------------------------------------
 
@@ -203,7 +239,7 @@ class Cluster:
         command = (seq, op, replay, timestep, superstep, payload)
         self._inflight[p] = command
         self._stats["commands_sent"] += 1
-        self._send(p, command)
+        self._channels[p].post(command)
 
     def _collect(self, p: int, deadline: float | None = None):
         """Gather partition ``p``'s in-flight reply, resending as the
@@ -220,7 +256,7 @@ class Cluster:
         try:
             while True:
                 try:
-                    envelope = self._receive(p, deadline)
+                    envelope = self._channels[p].receive(deadline)
                 except GatherTimeout:
                     verdict = gather.on_timeout(time.monotonic())
                 except (EOFError, OSError) as exc:
@@ -238,7 +274,7 @@ class Cluster:
                     raise value
                 if value > 0:  # RESEND after the policy's backoff
                     time.sleep(value)
-                self._send(p, self._inflight[p])
+                self._channels[p].post(self._inflight[p])
                 deadline = self._window()
         finally:
             if gather.dropped or gather.resends:
@@ -274,7 +310,7 @@ class Cluster:
         propagate immediately.
         """
         host_op(op)  # an unknown op fails here, before anything is sent
-        tr = self.driver_tracer if self._TRACES_ROUNDS else None
+        tr = self.driver_tracer if self._wire else None
         outcomes: list = [None] * self.num_partitions
         pending: list[int] = []
         # Driver-side view of the round: the ship span covers pickling +
@@ -339,7 +375,7 @@ class Cluster:
 
         Returns the partition's new incarnation number.
         """
-        self._close(partition)
+        self._channels[partition].close()
         self.incarnations[partition] += 1
         self._seqs[partition] = 0
         self._inflight[partition] = None
@@ -354,7 +390,7 @@ class Cluster:
         """Tear down one partition permanently: rounds synthesize empty
         results for it and the supervisor drops its inbound deliveries."""
         self.quarantined.add(partition)
-        self._close(partition)
+        self._channels[partition].close()
 
     def drain_protocol_incidents(self) -> list[tuple[str, int, float]]:
         """Exchanges a protocol resend cured since the last drain, as
@@ -366,11 +402,19 @@ class Cluster:
         """Driver↔agent protocol counters (commands, resends, dedup drops, ...)."""
         return dict(self._stats)
 
-    def shutdown(self) -> None:
-        """Release resources: subclasses reap their worker processes, then
-        call this for the source-held ones (GoFS prefetch threads).
-        ``close()`` is reversible — a view lazily recreates its pool on the
-        next prefetch — so sources stay usable for a later run."""
+    def shutdown(self, *, force: bool = False) -> None:
+        """Release resources, idempotently: reap the remote agents (see
+        :func:`~repro.runtime.process_cluster.stop`; ``force`` skips the
+        polite stop), then close what the driver's sources hold (GoFS
+        prefetch threads).  A source's ``close()`` is reversible — a view
+        lazily recreates its pool on the next prefetch — so sources stay
+        usable for a later run."""
+        channels, self._channels = self._channels, []
+        remote = [c for c in channels if c is not None and type(c) is not InProcessChannel]
+        if remote:
+            from .process_cluster import stop
+
+            stop(remote, force=force, tracer=self.driver_tracer)
         for src in self._sources:
             close = getattr(src, "close", None)
             if callable(close):
@@ -438,56 +482,3 @@ class InProcessChannel:
         """Discard what is posted and queued (respawn or quarantine)."""
         self._posted.clear()
         self._wire.clear()
-
-
-class LocalCluster(Cluster):
-    """In-process cluster: every partition's agent behind an
-    :class:`InProcessChannel`, run in partition order.
-
-    Parameters
-    ----------
-    pg, computation, meta, cost_model, use_combiners:
-        The partitioned graph, and what :class:`~repro.runtime.host.HostSpec`
-        builds each partition's host from.
-    sources:
-        One instance source per partition; defaults to each host reading the
-        shared ``collection``.
-    collection:
-        Used to build default sources when ``sources`` is not given.
-    tracing:
-        When True, every host gets its own observability tracer (one trace
-        track per partition) and drains telemetry into protocol replies.
-    gather_timeout_s, fault_plan, retry_policy:
-        As for every :class:`Cluster`.
-    """
-
-    _TRACES_ROUNDS = False
-
-    def __init__(
-        self,
-        pg: PartitionedGraph,
-        computation: TimeSeriesComputation,
-        meta: RunMeta,
-        *,
-        collection: TimeSeriesGraphCollection | None = None,
-        sources: Sequence[InstanceSource] | None = None,
-        cost_model: CostModel | None = None,
-        use_combiners: bool = True,
-        tracing: bool = False,
-        gather_timeout_s: float | None = None,
-        fault_plan: FaultPlan | None = None,
-        retry_policy: RecoveryPolicy | None = None,
-    ) -> None:
-        if sources is None:
-            if collection is None:
-                raise ValueError("provide either sources or a collection")
-            sources = [CollectionInstanceSource(collection) for _ in range(pg.num_partitions)]
-        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
-        super().__init__(pg, spec, sources, fault_plan, gather_timeout_s, retry_policy)
-        for p in range(pg.num_partitions):
-            self._open(p)
-
-    @property
-    def hosts(self) -> list:
-        """Each partition's current host."""
-        return [channel.agent.host for channel in self._channels]

@@ -20,8 +20,8 @@ The host also owns the sending side of the *message plane*:
 Hosts know nothing about global termination or routing — the engine drives
 them through a narrow call protocol (``begin_timestep`` → ``run_superstep``*
 → ``end_of_timestep``), stated once as the op table :data:`HOST_OPS` behind
-:meth:`ComputeHost.handle`: what the in-process cluster calls is exactly
-what a worker cluster forwards over its sockets, and every host is
+:meth:`ComputeHost.handle`: what an in-driver agent calls is exactly
+what a remote agent is sent over its socket, and every host is
 built from one :class:`HostSpec`.  Because local deliveries bypass the driver,
 each protocol reply reports ``has_pending_local`` so the engine's quiescence
 rule can see messages still in flight inside hosts.

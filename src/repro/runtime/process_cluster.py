@@ -1,33 +1,31 @@
-"""Agent-per-partition cluster: real distributed-memory execution.
+"""The remote-agent channel and its transport.
 
-Each partition's :class:`~repro.runtime.host.ComputeHost` is an *agent*
-with its own address space — the closest single-machine analogue of the
-paper's one-partition-per-VM deployment — and where it runs is
-configuration, not a second runtime:
+A partition whose agent leaves the driver (see
+:meth:`repro.runtime.cluster.Cluster._open`, the one place placement is
+decided) holds an :class:`AgentChannel`: the agent has its own address
+space — the closest single-machine analogue of the paper's
+one-partition-per-VM deployment — and runs the same
+:class:`~repro.runtime.protocol.Agent` the driver's own partition does:
 
-* ``hosts=None`` — partition 0 runs in the driver, behind the serial
-  executor's :class:`~repro.runtime.cluster.InProcessChannel`, and the
-  driver forks one agent for each other partition on one end of a
-  ``socket.socketpair()`` (init arguments inherited, never pickled).  A
-  round is posted to every agent before the driver computes partition 0:
-  the driver computes while they do, not idle in the gather.
-* ``hosts=["host:port", ...]`` — every partition is an agent somebody
-  started (``tibsp worker``, :func:`serve_worker`); the driver connects and
-  sends the same init arguments in an ``("init", args)`` handshake; the
-  agent answers ``("ready", incarnation)`` and outlives the session.
+* :func:`fork` starts it on one end of a ``socket.socketpair()`` (init
+  arguments inherited, never pickled);
+* :func:`connect` reaches an agent somebody started (``tibsp worker``,
+  :func:`serve_worker`) and sends the same init arguments in an
+  ``("init", args)`` handshake; the agent answers ``("ready",
+  incarnation)`` and outlives the session.
 
-The driver talks to every other agent over one transport, :class:`_SocketConn`:
-each ``send_bytes`` payload is one length-prefixed frame on the byte
-stream, written with one ``sendmsg``.  What travels on it is the protocol
-of :mod:`repro.runtime.protocol`: the agent's session loop feeds each
-command envelope to a :class:`~repro.runtime.protocol.Agent` and performs
-the wire actions it returns, and the driver's gather is the
+Every remote agent is behind one transport, :class:`_SocketConn`: each
+``send_bytes`` payload is one length-prefixed frame on the byte stream,
+written with one ``sendmsg``.  What travels on it is the protocol of
+:mod:`repro.runtime.protocol`: the agent's session loop feeds each command
+envelope to its :class:`~repro.runtime.protocol.Agent` and performs the
+wire actions it returns, and the driver's gather is the
 :class:`~repro.runtime.cluster.Cluster` loop over a
-:class:`~repro.runtime.protocol.Gather` — the same two objects
-:class:`~repro.runtime.cluster.LocalCluster` calls directly.  A resent
-command is answered from the agent's reply cache without re-executing, so
-a dropped, duplicated, reordered or corrupted reply frame is cured by
-sending the same command again.
+:class:`~repro.runtime.protocol.Gather` — the same two objects an
+in-driver partition calls directly.  A resent command is answered from the
+agent's reply cache without re-executing, so a dropped, duplicated,
+reordered or corrupted reply frame is cured by sending the same command
+again.
 
 Everything crossing a connection is pickled with **protocol 5 and
 out-of-band buffers**: a :class:`~repro.core.messages.MessageFrame`'s
@@ -37,11 +35,11 @@ the mpi4py guides.  Computations, instance sources and message payloads
 must be picklable (module-level classes and numpy arrays).
 
 An injected ``kill`` closes the session: a forked agent then returns and
-its process exits, a ``hosts`` agent goes back to ``accept``, the driver's
-own agent is closed; either way the driver reads EOF
-(:class:`~repro.runtime.protocol.WorkerLost`), and recovery respawns —
-rebuilds the agent in the driver, forks a new one, or reconnects to the
-same ``hosts`` address at a higher incarnation.
+its process exits, a ``hosts`` agent goes back to ``accept``; either way
+the driver reads EOF (:class:`~repro.runtime.protocol.WorkerLost`), and
+recovery respawns — forks a new agent, or reconnects to the same ``hosts``
+address at a higher incarnation.  :func:`stop` is the teardown ladder:
+stop → join → terminate → kill, each bounded.
 """
 
 from __future__ import annotations
@@ -54,12 +52,7 @@ import struct
 import time
 from typing import Any, Sequence
 
-from ..core.computation import TimeSeriesComputation
-from ..partition.base import PartitionedGraph
-from ..resilience.faults import FaultPlan
-from .cluster import Cluster
-from .cost import CostModel
-from .host import HostSpec, InstanceSource, RunMeta
+from .host import HostSpec
 from .protocol import (
     CLOSE,
     CORRUPT,
@@ -74,13 +67,16 @@ from .protocol import (
 )
 
 __all__ = [
+    "AgentChannel",
     "GatherTimeout",
-    "ProcessCluster",
     "RecoverableWorkerError",
     "WorkerError",
     "WorkerLost",
+    "connect",
+    "fork",
     "parse_hosts",
     "serve_worker",
+    "stop",
 ]
 
 #: Sanity cap on the out-of-band buffer count a header may declare.  A real
@@ -107,17 +103,21 @@ _FORK_CONTEXT = mp.get_context("fork")
 
 
 def parse_hosts(spec: str | Sequence[str]) -> list[tuple[str, int]]:
-    """Parse ``"host:port,host:port"`` (or a sequence of such) to pairs.
+    """Parse ``"host:port,host:port"`` (or a sequence of such, or of the
+    ``(host, port)`` pairs it returns) to pairs.
 
     An IPv6 host is bracketed (``[::1]:9000``); a port is 0-65535.
     """
     if isinstance(spec, str):
         parts = [s for s in (piece.strip() for piece in spec.split(",")) if s]
     else:
-        parts = [str(s).strip() for s in spec]
+        parts = [s if isinstance(s, tuple) else str(s).strip() for s in spec]
     out: list[tuple[str, int]] = []
     for part in parts:
-        host, sep, port = part.rpartition(":")
+        if isinstance(part, tuple):
+            host, sep, port = str(part[0]), ":", str(part[1])
+        else:
+            host, sep, port = part.rpartition(":")
         if host.startswith("[") and host.endswith("]"):
             host = host[1:-1]
         if not sep or not host:
@@ -304,8 +304,9 @@ def _serve_session(conn, init: tuple | None = None) -> str:
     """Serve one driver session on ``conn``: build the host, serve commands
     until ``stop``, ``kill`` or EOF, close the source and the connection.
 
-    ``init`` is :meth:`ProcessCluster._init_args` — ``(spec, partition,
-    source, sg_part, fault_plan, incarnation)``.  A forked agent inherits
+    ``init`` is what :meth:`~repro.runtime.cluster.Cluster._open` starts
+    the agent from — ``(spec, partition, source, sg_part, fault_plan,
+    incarnation)``.  A forked agent inherits
     it; a ``hosts`` agent (``init=None``) reads it from the driver's
     ``("init", init)`` handshake and answers ``("ready", incarnation)``.
 
@@ -393,15 +394,63 @@ def serve_worker(listen: str | tuple[str, int], *, announce=None) -> None:
             _serve_session(_SocketConn(sock))
 
 
-# -- the cluster ----------------------------------------------------------------------
+# -- the driver's channel --------------------------------------------------------------
 
 
-def _connect(address: tuple[str, int], p: int) -> _SocketConn:
-    """Connect to ``address``, retrying until ``_CONNECT_TIMEOUT_S`` is spent.
+class AgentChannel:
+    """One partition's agent in another process, as a channel: its
+    connection, plus the forked process (``None`` for a ``hosts`` agent,
+    whose lifecycle belongs to whoever started it)."""
 
-    Each attempt is bounded by what is left of the deadline, so a
-    black-holed address costs ``_CONNECT_TIMEOUT_S``, not the kernel's SYN
-    timeout.
+    __slots__ = ("conn", "proc", "partition")
+
+    def __init__(self, conn: _SocketConn, proc, partition: int) -> None:
+        self.conn, self.proc, self.partition = conn, proc, partition
+
+    def post(self, command: tuple) -> None:
+        try:
+            _send_oob(self.conn, command)
+        except OSError as exc:
+            raise WorkerLost(
+                f"partition {self.partition} worker is gone (send failed: {exc!r})",
+                partition=self.partition,
+            ) from exc
+
+    def receive(self, deadline: float | None):
+        return _recv_oob(self.conn, deadline=deadline, what=f"partition {self.partition} reply")
+
+    def close(self) -> None:
+        """Reap the agent; its connection, and anything still queued on it,
+        is discarded wholesale (respawn or quarantine)."""
+        conn, proc = self.conn, self.proc
+        self.conn = self.proc = None
+        if conn is not None:
+            conn.close()
+        if proc is not None:
+            _reap(proc)
+
+
+def fork(partition: int, init: tuple) -> AgentChannel:
+    """Fork ``partition``'s agent on a socketpair; it inherits ``init``."""
+    conn, child = (_SocketConn(s) for s in socket.socketpair())
+    try:
+        proc = _FORK_CONTEXT.Process(target=_serve_session, args=(child, init), daemon=True)
+        proc.start()
+    except BaseException:
+        conn.close()
+        raise
+    finally:
+        child.close()  # the agent holds its own copy
+    return AgentChannel(conn, proc, partition)
+
+
+def connect(address: tuple[str, int], partition: int, init: tuple) -> AgentChannel:
+    """Connect to the agent at ``address`` and hand it ``init``.
+
+    Connecting retries until ``_CONNECT_TIMEOUT_S`` is spent, each attempt
+    bounded by what is left of the deadline, so a black-holed address costs
+    ``_CONNECT_TIMEOUT_S``, not the kernel's SYN timeout; the ready
+    handshake gets the same bound.
     """
     deadline = time.monotonic() + _CONNECT_TIMEOUT_S
     while True:
@@ -409,220 +458,91 @@ def _connect(address: tuple[str, int], p: int) -> _SocketConn:
             sock = socket.create_connection(
                 address, timeout=max(deadline - time.monotonic(), 1e-3)
             )
+            break
         except OSError as exc:  # refused, unreachable, timed out, ...
             left = deadline - time.monotonic()
             if left <= 0:
                 raise WorkerLost(
-                    f"partition {p} worker at {address[0]}:{address[1]} is unreachable "
-                    f"({exc!r})",
-                    partition=p,
+                    f"partition {partition} worker at {address[0]}:{address[1]} is "
+                    f"unreachable ({exc!r})",
+                    partition=partition,
                 ) from exc
             time.sleep(min(0.05, left))
-        else:
-            sock.settimeout(None)  # the connect bound must not time reads out
-            return _SocketConn(sock)
-
-
-class ProcessCluster(Cluster):
-    """One worker agent per partition: partition 0 in the driver and one
-    forked agent for each other partition, or every partition on ``hosts``.
-
-    Parameters mirror :class:`~repro.runtime.cluster.LocalCluster`, except
-    instance ``sources`` are mandatory: each agent must be able to produce
-    its instances *inside its own process* (a lazy generator-backed source or
-    a GoFS view — not a pre-materialized shared list, which would defeat the
-    isolation).  ``hosts`` (``"host:port,..."`` or a sequence, one per
-    partition) names agents somebody started; ``None`` forks them here.
-    ``gather_timeout_s``, ``fault_plan`` and ``retry_policy`` are every
-    :class:`~repro.runtime.cluster.Cluster`'s; ``fault_plan`` is shipped to
-    every agent (spent-fault bookkeeping stays per-session; the incarnation
-    guard is what keeps faults from re-firing after a respawn).
-
-    Use as a context manager (``with ProcessCluster(...) as cluster:``) to
-    guarantee agents are reaped even when the driver raises mid-run.
-    """
-
-    def __init__(
-        self,
-        pg: PartitionedGraph,
-        computation: TimeSeriesComputation,
-        meta: RunMeta,
-        sources: Sequence[InstanceSource],
-        *,
-        hosts: str | Sequence[str] | None = None,
-        cost_model: CostModel | None = None,
-        use_combiners: bool = True,
-        tracing: bool = False,
-        gather_timeout_s: float | None = None,
-        fault_plan: FaultPlan | None = None,
-        retry_policy: Any = None,
-    ) -> None:
-        self._hosts = None if hosts is None else parse_hosts(hosts)
-        if self._hosts is not None and len(self._hosts) != pg.num_partitions:
-            raise ValueError(
-                f"need exactly one worker address per partition "
-                f"({len(self._hosts)} given, {pg.num_partitions} partitions)"
-            )
-        spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
-        super().__init__(pg, spec, sources, fault_plan, gather_timeout_s, retry_policy)
-        self._conns: list[Any] = [None] * pg.num_partitions
-        self._procs: list[Any] = [None] * pg.num_partitions
-        # If any start fails (fork, connect, handshake), tear down the agents
-        # already started instead of leaking daemon processes that outlive
-        # the failed constructor.
-        try:
-            for p in range(pg.num_partitions):
-                self._open(p)
-        except BaseException:
-            self._teardown(force=True)
-            raise
-
-    def _init_args(self, p: int) -> tuple:
-        """What partition ``p``'s agent is started from — inherited by a
-        forked agent, sent to a ``hosts`` agent in its ``init`` handshake."""
-        return (
-            self._spec,
-            self._pg.partitions[p],
-            self._sources[p],
-            self._sg_part,
-            self.fault_plan,
-            self.incarnations[p],
+    sock.settimeout(None)  # the connect bound must not time reads out
+    conn = _SocketConn(sock)
+    try:
+        _send_oob(conn, ("init", init))
+        reply = _recv_oob(
+            conn,
+            deadline=time.monotonic() + _CONNECT_TIMEOUT_S,
+            what=f"partition {partition} ready handshake",
         )
-
-    # -- the channel ------------------------------------------------------------------
-
-    def _open(self, p: int) -> None:
-        """Open partition ``p``'s session at its current incarnation: build
-        partition 0's agent in the driver, fork ``p``'s on a socketpair, or
-        connect to its ``hosts`` agent and hand it the init arguments."""
-        if self._hosts is None and p == 0:
-            self._channels[p] = self._in_process(p, answer)
-            return
-        if self._hosts is None:
-            conn, child = (_SocketConn(s) for s in socket.socketpair())
-            try:
-                proc = _FORK_CONTEXT.Process(
-                    target=_serve_session, args=(child, self._init_args(p)), daemon=True
-                )
-                proc.start()
-            except BaseException:
-                conn.close()
-                raise
-            finally:
-                child.close()  # the agent holds its own copy
-            self._conns[p], self._procs[p] = conn, proc
-            return
-        conn = _connect(self._hosts[p], p)
-        try:
-            _send_oob(conn, ("init", self._init_args(p)))
-            reply = _recv_oob(
-                conn,
-                deadline=time.monotonic() + _CONNECT_TIMEOUT_S,
-                what=f"partition {p} ready handshake",
-            )
-            if reply != ("ready", self.incarnations[p]):
-                raise WorkerLost(
-                    f"partition {p} worker sent a bad handshake reply: {reply!r}",
-                    partition=p,
-                )
-        except BaseException:
-            conn.close()
-            raise
-        # A hosts agent's lifecycle belongs to whoever started it: no process to reap.
-        self._conns[p] = conn
-
-    def _close(self, p: int) -> None:
-        """Reap one agent, leaving a None slot; its connection (and any
-        garbage queued on it) is discarded wholesale.  The driver's own
-        agent has neither: the next ``_open`` replaces it."""
-        conn, proc = self._conns[p], self._procs[p]
-        self._conns[p] = self._procs[p] = None
-        if conn is not None:
-            conn.close()
-        if proc is not None:
-            self._reap(proc)
-
-    def _send(self, p: int, command: tuple) -> None:
-        if self._channels[p] is not None:  # the driver's own partition
-            return super()._send(p, command)
-        try:
-            _send_oob(self._conns[p], command)
-        except OSError as exc:
+        if reply != ("ready", init[-1]):
             raise WorkerLost(
-                f"partition {p} worker is gone (send failed: {exc!r})", partition=p
-            ) from exc
+                f"partition {partition} worker sent a bad handshake reply: {reply!r}",
+                partition=partition,
+            )
+    except BaseException:
+        conn.close()
+        raise
+    return AgentChannel(conn, None, partition)
 
-    def _receive(self, p: int, deadline: float | None):
-        if self._channels[p] is not None:
-            return super()._receive(p, deadline)
-        return _recv_oob(self._conns[p], deadline=deadline, what=f"partition {p} reply")
 
-    # -- lifecycle --------------------------------------------------------------------
+def stop(channels: Sequence[AgentChannel], *, force: bool = False, tracer=None) -> None:
+    """Reap every agent of ``channels``; never hangs, never leaks.
 
-    def _teardown(self, *, force: bool = False) -> None:
-        """Reap every worker; never hangs, never leaks.
-
-        The polite path (``force=False``) offers each worker a ``stop``
-        command and briefly waits for its ack; the forced path skips
-        straight to closing connections.  Either way every process is joined with
-        a bounded timeout, then terminated, then killed — a wedged or
-        desynced worker cannot stall shutdown.
-        """
-        # Quarantined partitions and the driver's own hold None placeholders,
-        # and ``hosts`` agents have no process here.
-        conns = [(p, c) for p, c in enumerate(self._conns) if c is not None]
-        procs = [proc for proc in self._procs if proc is not None]
-        self._conns, self._procs = [], []
-        if not force:
-            for _, conn in conns:
-                try:
-                    # Agents honor "stop" regardless of sequence number.
-                    _send_oob(conn, (1 << 30, "stop", False, -1, -1, None))
-                except OSError:
-                    pass
-            for p, conn in conns:
-                try:
-                    # Loose ack read: stale cached replies may precede it.
-                    _recv_oob(conn, deadline=time.monotonic() + 1.0, what="stop ack")
-                except (WorkerError, EOFError, ConnectionError, OSError) as exc:
-                    # Expected during shutdown (worker already gone, timed
-                    # out, or a stale corrupt frame) — but surface it in the
-                    # event stream instead of losing it entirely.
-                    tr = self.driver_tracer
-                    if tr is not None:
-                        tr.event(
-                            "teardown_error",
-                            partition=p,
-                            where="stop_ack",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-        for _, conn in conns:
-            conn.close()
-        if force:
-            # Don't wait for workers to notice the closed sockets: forked
-            # siblings inherit each other's socket fds, so a worker blocked in
-            # recv may never see EOF until the others die.  Forced teardown
-            # means their state is already forfeit — SIGTERM them up front.
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
+    The polite path (``force=False``) offers each agent a ``stop`` command
+    and briefly waits for its ack (a failed ack read is a
+    ``teardown_error`` event on ``tracer``); the forced path skips straight
+    to closing connections.  Either way every process is joined with a
+    bounded timeout, then terminated, then killed — a wedged or desynced
+    agent cannot stall shutdown.  Closed (quarantined) channels are skipped.
+    """
+    live = [c for c in channels if c.conn is not None]
+    if not force:
+        for c in live:
+            try:
+                # Agents honor "stop" regardless of sequence number.
+                _send_oob(c.conn, (1 << 30, "stop", False, -1, -1, None))
+            except OSError:
+                pass
+        for c in live:
+            try:
+                # Loose ack read: stale cached replies may precede it.
+                _recv_oob(c.conn, deadline=time.monotonic() + 1.0, what="stop ack")
+            except (WorkerError, EOFError, ConnectionError, OSError) as exc:
+                # Expected during shutdown (agent already gone, timed out, or
+                # a stale corrupt frame) — but surface it in the event stream
+                # instead of losing it entirely.
+                if tracer is not None:
+                    tracer.event(
+                        "teardown_error",
+                        partition=c.partition,
+                        where="stop_ack",
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+    procs = [c.proc for c in live if c.proc is not None]
+    for c in live:
+        c.conn.close()
+        c.conn = c.proc = None
+    if force:
+        # Don't wait for agents to notice the closed sockets: forked
+        # siblings inherit each other's socket fds, so an agent blocked in
+        # recv may never see EOF until the others die.  Forced teardown
+        # means their state is already forfeit — SIGTERM them up front.
         for proc in procs:
-            proc.join(timeout=2.0 if force else 5.0)  # grace to exit on its own
-            self._reap(proc)
+            if proc.is_alive():
+                proc.terminate()
+    for proc in procs:
+        proc.join(timeout=2.0 if force else 5.0)  # grace to exit on its own
+        _reap(proc)
 
-    @staticmethod
-    def _reap(proc) -> None:
-        """The reap ladder: terminate → join → kill → join, each bounded."""
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=2.0)
-        if proc.is_alive():  # pragma: no cover - terminate refused
-            proc.kill()
-            proc.join(timeout=1.0)
 
-    def shutdown(self) -> None:
-        self._teardown()
-        # The driver-side source templates are the caller's objects; if any
-        # were used directly before the run they may hold prefetch threads.
-        super().shutdown()
-
+def _reap(proc) -> None:
+    """The reap ladder: terminate → join → kill → join, each bounded."""
+    if proc.is_alive():
+        proc.terminate()
+    proc.join(timeout=2.0)
+    if proc.is_alive():  # pragma: no cover - terminate refused
+        proc.kill()
+        proc.join(timeout=1.0)

@@ -6,8 +6,8 @@ payload)`` and gathers one reply envelope ``(seq, incarnation, payload)``.
 This module states both halves of that channel as two pure objects, in the
 shape h11 gives HTTP: neither touches a socket nor reads a clock, so the
 same objects run over a socket (:mod:`repro.runtime.process_cluster`), over
-a direct call (:class:`~repro.runtime.cluster.LocalCluster`), and under a
-model checker's adversarial channel.
+a direct call (:class:`~repro.runtime.cluster.InProcessChannel`), and under
+a model checker's adversarial channel.
 
 :class:`Agent` — the host's side.
     ``on_command(envelope)`` executes the command on the host (at most once

@@ -7,7 +7,6 @@ from repro.analysis import critical_path_report, format_critical_path_report
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection
 from repro.partition import HashPartitioner, partition_graph
-from repro.runtime import CollectionInstanceSource
 from repro.runtime.gc_model import GCModel
 from repro.runtime.metrics import MetricsCollector
 from tests.conftest import assert_one_record_stream, make_grid_template
@@ -88,7 +87,6 @@ class TestCrosscheck:
         res = run_application(
             TDSPComputation(0), pg, coll,
             config=EngineConfig(executor=executor, tracing=True),
-            sources=[CollectionInstanceSource(coll) for _ in range(PARTITIONS)],
         )
         assert_one_record_stream(res)
         # Per timestep, not just in total: the report re-partitions the

@@ -160,7 +160,7 @@ class TestWorkerSubcommand:
         from repro.core import EngineConfig, run_application
         from repro.generators import road_latency_collection, road_network
         from repro.partition import partition_graph
-        from repro.runtime import CollectionInstanceSource, serve_worker
+        from repro.runtime import serve_worker
 
         # One worker via the CLI entrypoint path, one via the library, so
         # the test covers both the argparse wiring and a 2-partition run.
@@ -201,9 +201,8 @@ class TestWorkerSubcommand:
         tpl = road_network(300, seed=4)
         coll = road_latency_collection(tpl, 4, seed=4)
         pg = partition_graph(tpl, 2)
-        sources = [CollectionInstanceSource(coll) for _ in range(2)]
         result = run_application(
-            TDSPComputation(0), pg, coll, sources=sources,
+            TDSPComputation(0), pg, coll,
             config=EngineConfig(executor="socket", hosts=(cli_addr, addrs[0])),
         )
         assert result.failure is None
@@ -233,6 +232,30 @@ class TestResilienceFlags:
         assert main(self.BASE + ["--hosts", "127.0.0.1:9000,127.0.0.1:9001"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--executor socket" in err
+
+    @pytest.mark.parametrize(
+        "hosts, partitions, message",
+        [
+            ("127.0.0.1:1,", "2", "1 agent(s) for --partitions 2"),
+            ("localhost", "2", "is not host:port"),
+            ("127.0.0.1:1,127.0.0.1:2", "3", "2 agent(s) for --partitions 3"),
+        ],
+        ids=["trailing-comma", "no-port", "count"],
+    )
+    def test_hosts_checked_before_the_dataset_is_built(
+        self, hosts, partitions, message, tmp_path, capsys
+    ):
+        cache = tmp_path / "dataset-cache"
+        argv = self.BASE[:-1] + [partitions, "--executor", "socket", "--hosts", hosts]
+        assert main(argv + ["--dataset-cache", str(cache)]) == 2
+        err = capsys.readouterr().err
+        assert "error: --hosts" in err and message in err
+        assert not cache.exists() or not list(cache.iterdir())
+
+    def test_degrade_and_quarantine_are_refused_together(self, capsys):
+        assert main(self.BASE + ["--inject-faults", "kill@t1:p0", "--degrade", "--quarantine"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--degrade and --quarantine" in err
 
     @pytest.mark.parametrize("flag", [["--prefetch"], ["--cache-bytes", "4096"]])
     def test_view_flags_without_gofs_error_before_the_dataset_is_built(

@@ -10,7 +10,6 @@ import pytest
 from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
-from repro.runtime import CollectionInstanceSource
 from tests.conftest import make_grid_template
 
 PHASES = ["compute", "merge"]
@@ -76,12 +75,7 @@ def test_max_supersteps_names_the_phase(case, phase):
 @pytest.mark.parametrize("phase", PHASES)
 def test_quiescence_waits_for_host_local_deliveries(case, phase, executor):
     coll, pg = case
-    sources = (
-        None if executor == "serial" else [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]
-    )
-    res = run_application(
-        NoteToSelf(phase), pg, coll, sources=sources, config=EngineConfig(executor=executor)
-    )
+    res = run_application(NoteToSelf(phase), pg, coll, config=EngineConfig(executor=executor))
     sgids = sorted(sg.subgraph_id for sg in pg.subgraphs)
     m = res.metrics
     # ``supersteps_per_timestep`` counts the end-of-timestep round as one more.
@@ -103,7 +97,7 @@ def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, e
     on a pack's last rows), and it alone hides every pack load but the first."""
     from repro.algorithms import TDSPComputation
     from repro.generators import road_latency_collection
-    from repro.runtime import LocalCluster, ProcessCluster
+    from repro.runtime import Cluster
     from repro.storage import GoFS
 
     tpl = make_grid_template(5, 6)
@@ -111,14 +105,13 @@ def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, e
     coll = road_latency_collection(tpl, 8, seed=2, delta=5.0, low=2.0, high=6.0)
     pg = partition_graph(tpl, PARTITIONS, HashPartitioner(seed=1))
     GoFS.write_collection(tmp_path, pg, coll, packing=2)
-    cluster_cls = LocalCluster if executor == "serial" else ProcessCluster
-    real, issued = cluster_cls.run_round, []
+    real, issued = Cluster.run_round, []
 
     def run_round(self, op, timestep, superstep, payloads):
         issued.append((op, timestep))
         return real(self, op, timestep, superstep, payloads)
 
-    monkeypatch.setattr(cluster_cls, "run_round", run_round)
+    monkeypatch.setattr(Cluster, "run_round", run_round)
     res = run_application(
         TDSPComputation(0), pg, coll,
         sources=GoFS.partition_views(tmp_path, prefetch=True),

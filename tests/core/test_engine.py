@@ -13,7 +13,7 @@ from repro.core import (
 from repro.core.messages import MessageKind
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
-from repro.runtime import CollectionInstanceSource, CostModel
+from repro.runtime import CostModel
 from tests.conftest import make_grid_template
 
 
@@ -265,13 +265,6 @@ class TestEndOfTimestepAndState:
         assert set(res.states) == {sg.subgraph_id for sg in pg.subgraphs}
         assert all(st["n"] == 4 for st in res.states.values())
 
-    def test_collect_states_disabled(self, setup):
-        _, coll, pg = setup
-        res = run_application(
-            Recorder(), pg, coll, config=EngineConfig(collect_states=False)
-        )
-        assert res.states == {}
-
 
 class TestMergePhase:
     def test_merge_receives_own_messages_in_timestep_order(self, setup):
@@ -336,7 +329,6 @@ class TestExecutors:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executors_equivalent(self, setup, executor):
         _, coll, pg = setup
-        sources = [CollectionInstanceSource(coll) for _ in range(pg.num_partitions)]
 
         class Sum(TimeSeriesComputation):
             pattern = Pattern.SEQUENTIALLY_DEPENDENT
@@ -352,17 +344,10 @@ class TestExecutors:
                 if ctx.timestep == ctx.num_timesteps - 1:
                     ctx.output(ctx.state["acc"])
 
-        res = run_application(
-            Sum(), pg, coll, config=EngineConfig(executor=executor), sources=sources
-        )
+        res = run_application(Sum(), pg, coll, config=EngineConfig(executor=executor))
         per_sg = {sg: rec for _t, sg, rec in res.outputs}
         expected = {sg.subgraph_id: 4 * sg.num_vertices for sg in pg.subgraphs}
         assert per_sg == expected
-
-    def test_process_executor_requires_sources(self, setup):
-        _, coll, pg = setup
-        with pytest.raises(ValueError, match="sources"):
-            run_application(Recorder(), pg, coll, config=EngineConfig(executor="process"))
 
     def test_unknown_executor(self, setup):
         _, coll, pg = setup
@@ -376,10 +361,9 @@ class TestExecutors:
 
         _, coll, pg = setup
         monkeypatch.setattr(process_cluster, "_FORK_CONTEXT", None)  # a fork would raise
-        sources = [CollectionInstanceSource(coll) for _ in range(pg.num_partitions)]
         config = EngineConfig(executor=executor, hosts=("127.0.0.1:1",) * pg.num_partitions)
         with pytest.raises(ValueError, match="only the socket executor dials"):
-            run_application(Recorder(), pg, coll, config=config, sources=sources)
+            run_application(Recorder(), pg, coll, config=config)
 
 
 class TestMetricsIntegration:

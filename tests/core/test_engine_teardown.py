@@ -82,15 +82,30 @@ def _stream(tmp_path):
     return TraceConfig(stream_dir=str(tmp_path / "stream"))
 
 
-def test_no_leak_on_cluster_spawn_failure(case, tmp_path):
+class _ForkThatFails:
+    """Fork-context stand-in whose agents never start."""
+
+    @staticmethod
+    def Process(*args, **kwargs):
+        return _ForkThatFails()
+
+    def start(self):
+        raise OSError("out of processes")
+
+
+def test_no_leak_on_cluster_spawn_failure(case, tmp_path, monkeypatch):
     """The stream opens before the cluster; a spawn failure still closes
     it, with the log's last word said."""
+    from repro.runtime import process_cluster
+
     coll, pg = case
-    with pytest.raises(ValueError, match="instance sources"):
+    monkeypatch.setattr(process_cluster, "_FORK_CONTEXT", _ForkThatFails)
+    with pytest.raises(OSError, match="out of processes"):
         run_application(
             Accumulate(), pg, coll,
             config=EngineConfig(executor="process", tracing=_stream(tmp_path)),
         )
+    assert mp.active_children() == []
     assert _leaked_engine_threads() == []
     log = (tmp_path / "stream" / "events.jsonl").read_text().splitlines()
     assert [json.loads(line)["kind"] for line in log] == ["run_begin", "run_end"]

@@ -78,12 +78,7 @@ def _canonical(obj):
     raise TypeError(f"unhandled type in equivalence snapshot: {type(obj)!r}")
 
 
-def _snapshot(name, pg, coll, executor, hosts=None):
-    sources = (
-        [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]
-        if executor != "serial"
-        else None
-    )
+def _snapshot(name, pg, coll, executor, hosts=None, sources=None):
     res = run_application(
         _computation(name, pg),
         pg,
@@ -105,6 +100,19 @@ def test_executor_matches_serial(case, external_workers, name, executor):
     serial = _snapshot(name, pg, coll, "serial")
     other = _snapshot(name, pg, coll, executor, hosts_for(executor, external_workers, PARTITIONS))
     assert other == serial
+
+
+@pytest.mark.parametrize("executor", ["process", "socket"])
+def test_default_sources_match_serial(case, external_workers, executor):
+    """Given no ``sources``, a forked agent inherits its default source and a
+    ``hosts`` agent receives it in ``init``: the run returns what it does
+    given the sources explicitly, and serial's results, byte for byte."""
+    _tpl, coll, pg = case
+    hosts = hosts_for(executor, external_workers, PARTITIONS)
+    given = [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]
+    default = _snapshot("hash", pg, coll, executor, hosts)
+    assert default == _snapshot("hash", pg, coll, executor, hosts, given)
+    assert default == _snapshot("hash", pg, coll, "serial")
 
 
 @pytest.fixture(scope="module")

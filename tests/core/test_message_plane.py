@@ -12,7 +12,7 @@ from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_applica
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
-from repro.runtime import CollectionInstanceSource, LocalCluster
+from repro.runtime import Cluster
 from tests.conftest import hosts_for, make_grid_template
 
 
@@ -184,7 +184,6 @@ def _cross_ping_run(executor, coll, pg, comp, config=None, resume_from=None, age
             hosts=hosts_for(executor, agents, pg.num_partitions),
             **(config or {}),
         ),
-        sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
         resume_from=resume_from,
     )
 
@@ -203,14 +202,14 @@ class TestTemporalFramesRoutedUnopened:
     def test_partition_1_is_handed_the_frame_partition_0_returned(self, monkeypatch):
         coll, pg, comp = _cross_ping_case()
         rounds = []
-        run_round = LocalCluster.run_round
+        run_round = Cluster.run_round
 
         def spy(self, op, timestep, superstep, payloads):
             outcomes = run_round(self, op, timestep, superstep, payloads)
             rounds.append((op, timestep, superstep, payloads, outcomes))
             return outcomes
 
-        monkeypatch.setattr(LocalCluster, "run_round", spy)
+        monkeypatch.setattr(Cluster, "run_round", spy)
         run_application(comp, pg, coll)
         (sent,) = [
             f

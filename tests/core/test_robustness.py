@@ -62,7 +62,7 @@ class TestErrorPropagation:
         driver re-raises it with the worker's traceback and reaps every worker."""
         import multiprocessing as mp
 
-        from repro.runtime import CollectionInstanceSource, WorkerError
+        from repro.runtime import WorkerError
         from repro.resilience import RecoverableError
 
         _, coll, pg = setup
@@ -75,7 +75,6 @@ class TestErrorPropagation:
             run_application(
                 Boom(), pg, coll,
                 config=EngineConfig(executor="process"),
-                sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
             )
         assert not isinstance(excinfo.value, RecoverableError)
         assert mp.active_children() == []

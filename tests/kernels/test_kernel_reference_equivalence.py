@@ -50,7 +50,6 @@ from repro.core import EngineConfig, run_application
 from repro.generators import PeriodicExistencePopulator, make_collection, paper_datasets
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, MetisLikePartitioner, partition_graph
-from repro.runtime import CollectionInstanceSource
 from repro.storage import GoFS
 from tests.algorithms.test_reachability_evolution import evolving_case, evolving_template
 from tests.conftest import make_grid_template, make_random_template, populate_random
@@ -103,10 +102,6 @@ def outputs_digest(res) -> str:
 
 
 def run(comp, pg, coll, executor="serial", **run_kwargs):
-    if executor == "process":
-        run_kwargs["sources"] = [
-            CollectionInstanceSource(coll) for _ in range(pg.num_partitions)
-        ]
     return run_application(
         comp, pg, coll, config=EngineConfig(executor=executor), **run_kwargs
     )

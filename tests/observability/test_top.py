@@ -13,7 +13,6 @@ from repro.generators import road_latency_collection
 from repro.observability import TraceConfig
 from repro.observability.top import RunFold, render_top, run_top
 from repro.partition import HashPartitioner, partition_graph
-from repro.runtime import CollectionInstanceSource
 from repro.storage import GoFS
 from tests.conftest import make_grid_template
 
@@ -30,8 +29,6 @@ def road_case():
 
 def _streamed(road_case, out, executor="serial", sources=None, computation=None):
     _tpl, coll, pg = road_case
-    if sources is None and executor != "serial":
-        sources = [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]
     return run_application(
         computation or TDSPComputation(0), pg, coll, sources=sources,
         config=EngineConfig(executor=executor, tracing=TraceConfig(stream_dir=str(out))),

@@ -9,7 +9,6 @@ from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection, tweet_collection
 from repro.observability import TraceConfig, read_event_log, validate_chrome_trace
 from repro.partition import HashPartitioner, partition_graph
-from repro.runtime import CollectionInstanceSource
 from repro.runtime.gc_model import GCModel
 from repro.storage import GoFS
 from tests.conftest import assert_one_record_stream, folds_equal, make_grid_template, refold
@@ -61,7 +60,6 @@ class TestTracedRun:
         res = run_application(
             TDSPComputation(0), pg, coll,
             config=EngineConfig(executor=executor, tracing=True),
-            sources=[CollectionInstanceSource(coll) for _ in range(PARTITIONS)],
         )
         assert res.trace is not None
         assert validate_chrome_trace(res.trace.chrome_trace()) == []

@@ -14,7 +14,6 @@ import pytest
 from repro.core import EngineConfig, run_application
 from repro.observability import TraceConfig
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy
-from repro.runtime import CollectionInstanceSource
 
 from ..conftest import hosts_for
 from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
@@ -26,10 +25,6 @@ pytestmark = pytest.mark.resilience
 CHAOS_PLAN = "kill@t1:s0:p1,drop_frame@t2:p0,delay@t3:p1:d0.02"
 
 EXECUTORS = ["serial", "process", "socket"]
-
-
-def _sources(coll):
-    return [CollectionInstanceSource(coll) for _ in range(NUM_PARTITIONS)]
 
 
 def _identical(a, b):
@@ -59,12 +54,12 @@ class TestChaosSoak:
         hosts = hosts_for(executor, external_workers, NUM_PARTITIONS)
         comp = RingRelay(len(pg.subgraphs))
         baseline = run_application(
-            comp, pg, coll, sources=_sources(coll),
+            comp, pg, coll,
             config=EngineConfig(executor=executor, hosts=hosts),
         )
         stream = tmp_path / "stream"
         result = run_application(
-            comp, pg, coll, sources=_sources(coll),
+            comp, pg, coll,
             config=_chaos_config(executor, hosts, tmp_path / "ck", stream),
         )
         _identical(result, baseline)
@@ -93,7 +88,7 @@ class TestChaosSoak:
         hosts = hosts_for(executor, external_workers, NUM_PARTITIONS)
         runs = [
             run_application(
-                AccumulateSum(), pg, coll, sources=_sources(coll),
+                AccumulateSum(), pg, coll,
                 config=_chaos_config(executor, hosts, tmp_path / f"ck{i}", tmp_path / f"s{i}"),
             )
             for i in range(2)

@@ -13,7 +13,6 @@ from repro.resilience import (
     RecoveryPolicy,
     RunFailureError,
 )
-from repro.runtime import CollectionInstanceSource
 from repro.runtime.metrics import RespawnRecord
 from repro.storage import GoFS
 from tests.conftest import assert_one_record_stream, folds_equal, refold
@@ -80,7 +79,6 @@ def _streamed(case, out, spec, executor="serial", **policy):
     _tpl, coll, pg = case
     return run_application(
         AccumulateSum(), pg, coll,
-        sources=[CollectionInstanceSource(coll) for _ in range(pg.num_partitions)],
         config=EngineConfig(
             executor=executor,
             tracing=TraceConfig(stream_dir=str(out / "stream")),
@@ -145,7 +143,7 @@ class TestLiveThroughRecovery:
         # The delay on p0 after the quarantine lets the ages part visibly.
         result = _streamed(
             case, tmp_path, "kill@t1:p1,kill@t1:p1:i1,kill@t1:p1:i2,delay@t2:s0:p0:d0.05",
-            executor, max_retries=2, quarantine=True,
+            executor, max_retries=2, on_exhausted="quarantine",
         )
         assert result.degraded_partitions == [1] and result.timesteps_executed == 4
         lines = (tmp_path / "stream" / "events.jsonl").read_text().splitlines(keepends=True)

@@ -16,15 +16,10 @@ from repro.resilience import (
     RecoveryPolicy,
     parse_fault_specs,
 )
-from repro.runtime import CollectionInstanceSource
 
-from .conftest import NUM_PARTITIONS, AccumulateSum
+from .conftest import AccumulateSum
 
 pytestmark = pytest.mark.resilience
-
-
-def _sources(coll):
-    return [CollectionInstanceSource(coll) for _ in range(NUM_PARTITIONS)]
 
 
 def _config(faults, *, executor="process", seed=7, timeout=0.5):
@@ -76,14 +71,14 @@ class TestWireProtocol:
     def baseline(self, case):
         _tpl, coll, pg = case
         return run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=EngineConfig(executor="process"),
         )
 
     def test_dup_frame_zero_duplicate_deliveries(self, case, baseline):
         _tpl, coll, pg = case
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config("dup_frame@t1:p0"),
         )
         _identical(result, baseline)
@@ -97,7 +92,7 @@ class TestWireProtocol:
     def test_reorder_skips_stale_frame(self, case, baseline):
         _tpl, coll, pg = case
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config("reorder@t2:p1"),
         )
         _identical(result, baseline)
@@ -108,7 +103,7 @@ class TestWireProtocol:
     def test_drop_frame_cured_by_resend(self, case, baseline):
         _tpl, coll, pg = case
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config("drop_frame@t1:p0"),
         )
         _identical(result, baseline)
@@ -124,7 +119,7 @@ class TestWireProtocol:
     def test_corrupt_frame_cured_by_resend(self, case, baseline):
         _tpl, coll, pg = case
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config("corrupt_frame@t2:p1"),
         )
         _identical(result, baseline)
@@ -138,7 +133,7 @@ class TestWireProtocol:
         """A ``delay`` inside the gather timeout: the host lags, nothing fails."""
         _tpl, coll, pg = case
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config("delay@t1:p0:d0.05"),
         )
         _identical(result, baseline)
@@ -151,7 +146,7 @@ class TestWireProtocol:
         _tpl, coll, pg = case
         runs = [
             run_application(
-                AccumulateSum(), pg, coll, sources=_sources(coll),
+                AccumulateSum(), pg, coll,
                 config=_config("dup_frame@t1:p0,drop_frame@t2:p1", seed=11),
             )
             for _ in range(2)
@@ -182,7 +177,7 @@ class TestExecutorPortability:
         assert {s.kind for s in parse_fault_specs(plan)} == set(NETWORK_FAULT_KINDS)
         runs = {
             name: run_application(
-                AccumulateSum(), pg, coll, sources=_sources(coll),
+                AccumulateSum(), pg, coll,
                 config=_config(plan, executor=name),
             )
             for name in (executor, "process")

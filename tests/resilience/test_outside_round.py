@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import EngineConfig, run_application
 from repro.resilience import AT_EOT, CheckpointConfig, RecoveryPolicy, RunFailureError
-from repro.runtime import ProcessCluster
+from repro.runtime import Cluster
 from repro.storage import GoFS
 
 from .conftest import RingRelay
@@ -51,19 +51,19 @@ def _kill_before(monkeypatch, op, when=lambda t, s: True):
 
     Returns the list the hook appends the cluster to when it fires.
     """
-    real = ProcessCluster.run_round
+    real = Cluster.run_round
     fired = []
 
     def run_round(self, o, timestep, superstep, payloads):
         if o == op and not fired and when(timestep, superstep):
             fired.append(self)
-            proc = self._procs[VICTIM]
+            proc = self._channels[VICTIM].proc
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(timeout=5)
             assert not proc.is_alive()
         return real(self, o, timestep, superstep, payloads)
 
-    monkeypatch.setattr(ProcessCluster, "run_round", run_round)
+    monkeypatch.setattr(Cluster, "run_round", run_round)
     return fired
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import AT_BEGIN, FaultPlan, RecoveryPolicy
-from repro.runtime import ProcessCluster, RunMeta, WorkerLost
+from repro.runtime import Cluster, RunMeta, WorkerLost
 
 from .conftest import AccumulateSum
 
@@ -17,13 +17,13 @@ pytestmark = pytest.mark.resilience
 
 
 class _Cluster:
-    """Build a ProcessCluster for the shared test case."""
+    """Build a cluster whose agents leave the driver, for the shared test case."""
 
     @staticmethod
     def make(case, sources, **kwargs):
         _tpl, coll, pg = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        return ProcessCluster(pg, AccumulateSum(), meta, sources, **kwargs)
+        return Cluster(pg, AccumulateSum(), meta, sources, remote=True, **kwargs)
 
 
 class TestLifecycle:
@@ -33,7 +33,7 @@ class TestLifecycle:
             with _Cluster.make(case, sources) as cluster:
                 cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
                 # Partition 0 runs in the driver: one forked agent per other partition.
-                procs = [p for p in cluster._procs if p is not None]
+                procs = [c.proc for c in cluster._channels[1:]]
                 assert len(procs) == cluster.num_partitions - 1
                 assert all(p.is_alive() for p in procs)
                 raise RuntimeError("driver-side failure")
@@ -47,8 +47,8 @@ class TestLifecycle:
 
     def test_dead_worker_surfaces_as_worker_lost(self, case, sources):
         with _Cluster.make(case, sources) as cluster:
-            cluster._procs[1].terminate()  # partition 0 is the driver's own
-            cluster._procs[1].join(timeout=5)
+            cluster._channels[1].proc.terminate()  # partition 0 is the driver's own
+            cluster._channels[1].proc.join(timeout=5)
             survivor, lost = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
             assert isinstance(lost, WorkerLost) and lost.partition == 1
             assert survivor.partition == 0  # finished its round regardless

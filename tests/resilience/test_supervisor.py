@@ -11,7 +11,7 @@ from repro.resilience import (
     HostSupervisor,
     RecoveryPolicy,
 )
-from repro.runtime import CollectionInstanceSource, LocalCluster, ProcessCluster, RunMeta
+from repro.runtime import Cluster, RunMeta
 from repro.runtime.metrics import MetricsCollector
 
 from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
@@ -19,10 +19,6 @@ from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
 pytestmark = pytest.mark.resilience
 
 EXECUTORS = ["serial", "process"]
-
-
-def _sources(coll):
-    return [CollectionInstanceSource(coll) for _ in range(NUM_PARTITIONS)]
 
 
 def _config(executor, ckpt_dir, faults, *, tracing=False, **recovery_kwargs):
@@ -50,7 +46,7 @@ class TestSurgicalSingleKill:
         _tpl, coll, pg = case
         return {
             ex: run_application(
-                AccumulateSum(), pg, coll, sources=_sources(coll),
+                AccumulateSum(), pg, coll,
                 config=EngineConfig(executor=ex),
             )
             for ex in EXECUTORS
@@ -60,7 +56,7 @@ class TestSurgicalSingleKill:
     def test_exactly_one_respawn(self, case, tmp_path, baselines, executor):
         _tpl, coll, pg = case
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config(executor, tmp_path, "kill@t2:p1", tracing=True),
         )
         _identical(result, baselines[executor])
@@ -101,11 +97,11 @@ class TestSurgicalSingleKill:
         _tpl, coll, pg = case
         num_sg = len(pg.subgraphs)
         base = run_application(
-            RingRelay(num_sg), pg, coll, sources=_sources(coll),
+            RingRelay(num_sg), pg, coll,
             config=EngineConfig(executor=executor),
         )
         result = run_application(
-            RingRelay(num_sg), pg, coll, sources=_sources(coll),
+            RingRelay(num_sg), pg, coll,
             config=_config(executor, tmp_path, "kill@t1:s1:p0"),
         )
         _identical(result, base)
@@ -117,7 +113,7 @@ class TestSurgicalSingleKill:
         since the last checkpoint (begin + supersteps of that timestep)."""
         _tpl, coll, pg = case
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config("serial", tmp_path, "kill@t2:eot:p0"),
         )
         assert result.failure is None
@@ -134,10 +130,10 @@ class TestQuarantine:
         _tpl, coll, pg = case
         faults = "kill@t1:p0,kill@t1:p0:i1,kill@t1:p0:i2,kill@t1:p0:i3"
         result = run_application(
-            AccumulateSum(), pg, coll, sources=_sources(coll),
+            AccumulateSum(), pg, coll,
             config=_config(
                 "serial", tmp_path, faults, tracing=True,
-                max_retries=2, quarantine=True,
+                max_retries=2, on_exhausted="quarantine",
             ),
         )
         # The run completed; partition 0 is gone, partition 1's work stands.
@@ -161,10 +157,10 @@ class TestQuarantine:
         _tpl, coll, pg = case
         faults = "kill@t1:p0,kill@t1:p0:i1,kill@t1:p0:i2,kill@t1:p0:i3"
         result = run_application(
-            RingRelay(len(pg.subgraphs)), pg, coll, sources=_sources(coll),
+            RingRelay(len(pg.subgraphs)), pg, coll,
             config=_config(
                 "serial", tmp_path, faults, tracing=True,
-                max_retries=2, quarantine=True,
+                max_retries=2, on_exhausted="quarantine",
             ),
         )
         assert result.failure is None
@@ -185,7 +181,7 @@ class TestQuarantine:
         faults = "kill@t1:p0,kill@t1:p0:i1,kill@t1:p0:i2,kill@t1:p0:i3"
         with pytest.raises(RunFailureError, match="WorkerLost"):
             run_application(
-                AccumulateSum(), pg, coll, sources=_sources(coll),
+                AccumulateSum(), pg, coll,
                 config=_config("serial", tmp_path, faults, max_retries=2),
             )
 
@@ -248,11 +244,11 @@ class TestStatesEachFactOnce:
         supervisor.round("superstep", 0, 0, [[] for _ in range(NUM_PARTITIONS)])
         return supervisor
 
-    def test_one_kill_one_respawn_record(self, case):
+    def test_one_kill_one_respawn_record(self, case, sources):
         _tpl, coll, pg = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        cluster = LocalCluster(
-            pg, AccumulateSum(), meta, collection=coll,
+        cluster = Cluster(
+            pg, AccumulateSum(), meta, sources,
             fault_plan=FaultPlan.parse("kill@t0:s0:p1", seed=3),
         )
         recorder = ListRecorder()
@@ -265,8 +261,8 @@ class TestStatesEachFactOnce:
         _tpl, coll, pg = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         recorder = ListRecorder()
-        with ProcessCluster(
-            pg, AccumulateSum(), meta, sources,
+        with Cluster(
+            pg, AccumulateSum(), meta, sources, remote=True,
             fault_plan=FaultPlan.parse("drop_frame@t0:s0:p0", seed=3),
             retry_policy=RecoveryPolicy(backoff_s=0.0),
             gather_timeout_s=0.5,

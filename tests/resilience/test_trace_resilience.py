@@ -6,12 +6,11 @@ from repro.analysis import critical_path_report
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
-from repro.runtime import CollectionInstanceSource
 from repro.runtime.gc_model import GCModel
 from repro.runtime.metrics import MetricsCollector
 from tests.conftest import assert_one_record_stream, folds_equal, refold
 
-from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
+from .conftest import AccumulateSum, RingRelay
 
 pytestmark = pytest.mark.resilience
 
@@ -150,7 +149,6 @@ class TestRoundTrip:
         spec, computation = ROUND_TRIP_FAULTS[fault]
         result = run_application(
             computation(pg), pg, coll,
-            sources=[CollectionInstanceSource(coll) for _ in range(NUM_PARTITIONS)],
             config=EngineConfig(
                 executor=executor,
                 tracing=True,

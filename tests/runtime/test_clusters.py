@@ -1,4 +1,4 @@
-"""Tests for hosts and cluster backends (serial / process)."""
+"""Tests for hosts and the cluster (serial / process placement)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_applica
 from repro.generators import make_collection, road_latency_collection
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
-from repro.runtime import CollectionInstanceSource, CostModel, LocalCluster, RunMeta
+from repro.runtime import Cluster, CollectionInstanceSource, CostModel, RunMeta
 from repro.resilience import AT_BEGIN, AT_EOT
 from tests.conftest import make_grid_template
 
@@ -39,19 +39,7 @@ def run_backend(executor):
     tpl = make_grid_template(4, 6)
     coll = road_latency_collection(tpl, 5, seed=9, delta=5.0)
     pg = partition_graph(tpl, 3, HashPartitioner(seed=1))
-    sources = None
-    if executor == "process":
-        # Picklable generator-backed per-partition sources.
-        from repro.runtime import InstanceSource
-
-        sources = [CollectionInstanceSource(coll) for _ in range(3)]
-    res = run_application(
-        EchoState(),
-        pg,
-        coll,
-        config=EngineConfig(executor=executor),
-        sources=sources,
-    )
+    res = run_application(EchoState(), pg, coll, config=EngineConfig(executor=executor))
     return {sg: rec for _t, sg, rec in res.outputs}
 
 
@@ -61,7 +49,9 @@ class TestBackendEquivalence:
 
 
 class TestLocalCluster:
-    def make(self, **kwargs):
+    """The cluster with every partition in the driver (serial placement)."""
+
+    def make(self, sources=None, **kwargs):
         tpl = make_grid_template(3, 4)
         coll = build_collection(tpl, 2)
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
@@ -71,23 +61,12 @@ class TestLocalCluster:
             def compute(self, ctx):
                 ctx.vote_to_halt()
 
-        return LocalCluster(pg, Noop(), meta, collection=coll, **kwargs), pg
-
-    def test_requires_collection_or_sources(self):
-        tpl = make_grid_template(3, 3)
-        pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
-        meta = RunMeta(Pattern.INDEPENDENT, 1, 1.0, 0.0)
-
-        class Noop(TimeSeriesComputation):
-            def compute(self, ctx):
-                ctx.vote_to_halt()
-
-        with pytest.raises(ValueError, match="sources or a collection"):
-            LocalCluster(pg, Noop(), meta)
+        sources = sources or [CollectionInstanceSource(coll) for _ in range(2)]
+        return Cluster(pg, Noop(), meta, sources, **kwargs), pg
 
     def test_unknown_executor(self):
-        """The in-process cluster has one way to step its hosts and takes no
-        executor; the name is the engine's, which rejects one it does not know."""
+        """The cluster is told where agents run, not an executor name; the
+        name is the engine's, which rejects one it does not know."""
         with pytest.raises(TypeError, match="executor"):
             self.make(executor="warp")
         tpl = make_grid_template(3, 4)
@@ -105,7 +84,7 @@ class TestLocalCluster:
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
         GoFS.write_collection(tmp_path, pg, build_collection(tpl, 2), packing=1)
         views = GoFS.partition_views(tmp_path, prefetch=True)
-        cluster, _ = self.make(sources=views)
+        cluster, _ = self.make(views)
         with cluster as c:
             assert c is cluster
             # Loading ahead is the view's own trigger (packing=1: every row is
@@ -162,7 +141,7 @@ class TestBuildHosts:
                 ctx.vote_to_halt()
 
         with pytest.raises(ValueError, match="one instance source per partition"):
-            LocalCluster(pg, Noop(), meta, sources=[CollectionInstanceSource(coll)])
+            Cluster(pg, Noop(), meta, [CollectionInstanceSource(coll)])
 
 
 class TestHostAccounting:
@@ -213,8 +192,8 @@ class TestMergeProtocol:
                 ctx.vote_to_halt()
 
         meta = RunMeta(Pattern.EVENTUALLY_DEPENDENT, 1, 1.0, 0.0)
-        cluster = LocalCluster(pg, Noop(), meta, collection=coll)
-        host = cluster.hosts[0]
+        cluster = Cluster(pg, Noop(), meta, [CollectionInstanceSource(coll) for _ in range(2)])
+        host = cluster._channels[0].agent.host
         sgid = host.partition.subgraphs[0].subgraph_id
         with pytest.raises(RuntimeError, match="merge superstep 0"):
             host.run_merge_superstep(0, [MessageFrame.pack(1, 0, [(sgid, Message("stray"))])])

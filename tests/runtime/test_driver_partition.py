@@ -1,8 +1,9 @@
-"""Where a process run's partitions run: partition 0 in the driver, one
-forked agent for each other partition; with ``hosts``, every partition on
-the named agents.  The driver's partition keeps every contract a forked
-one has: an application error is a ``WorkerError`` with the traceback, and
-a ``kill`` is one respawn."""
+"""Where a run's partitions run, decided in one place (``Cluster._open``):
+every partition in the driver on serial; partition 0 in the driver and one
+forked agent for each other partition on process; with ``hosts``, every
+partition on the named agents.  The driver's partition keeps every contract
+a forked one has: an application error is a ``WorkerError`` with the
+traceback, and a ``kill`` is one respawn."""
 
 import multiprocessing as mp
 import os
@@ -14,7 +15,7 @@ from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_applica
 from repro.generators import road_latency_collection, road_network
 from repro.partition import partition_graph
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy
-from repro.runtime import CollectionInstanceSource, ProcessCluster, WorkerError
+from repro.runtime import Cluster, WorkerError
 from repro.runtime import process_cluster
 from tests.core.test_executor_equivalence import _canonical
 
@@ -61,10 +62,7 @@ def case():
 
 def _run(case, computation, **config):
     _tpl, coll, pg = case
-    sources = [CollectionInstanceSource(coll) for _ in range(K)]
-    return run_application(
-        computation, pg, coll, sources=sources, config=EngineConfig(**config)
-    )
+    return run_application(computation, pg, coll, config=EngineConfig(**config))
 
 
 def _places(result):
@@ -87,32 +85,49 @@ class _CountingFork:
         return self._real.Process(*args, **kwargs)
 
 
+#: Each placement's channel types, in partition order.
+CHANNELS = {
+    "serial": ["InProcessChannel"] * K,
+    "process": ["InProcessChannel"] + ["AgentChannel"] * (K - 1),
+    "hosts": ["AgentChannel"] * K,
+}
+
+
 class TestPlacement:
-    def test_partition_0_runs_in_the_driver_and_the_rest_are_forked(self, case, monkeypatch):
-        real = ProcessCluster.run_round
+    @pytest.mark.parametrize("placement", sorted(CHANNELS))
+    def test_one_channel_per_partition(
+        self, case, external_workers, monkeypatch, placement
+    ):
+        """Serial: k in-driver channels; process: partition 0 in the driver
+        and k−1 ``AgentChannel``s with live processes; ``hosts``: k
+        ``AgentChannel``s with no process — and every output was computed
+        where its partition's channel says."""
+        real = Cluster.run_round
         seen = []
 
         def run_round(self, op, timestep, superstep, payloads):
-            seen.append((len(mp.active_children()), [p and p.pid for p in self._procs]))
+            seen.append([(type(c).__name__, getattr(c, "proc", None)) for c in self._channels])
+            assert all(proc.is_alive() for _, proc in seen[-1] if proc is not None)
             return real(self, op, timestep, superstep, payloads)
 
-        monkeypatch.setattr(ProcessCluster, "run_round", run_round)
-        places = _places(_run(case, EmitPlace(), executor="process"))
+        monkeypatch.setattr(Cluster, "run_round", run_round)
+        if placement == "hosts":
+            config = dict(executor="socket", hosts=external_workers[:K])
+        else:
+            config = dict(executor=placement)
+        places = _places(_run(case, EmitPlace(), **config))
+        assert all(channels == seen[0] for channels in seen)  # no channel replaced
+        assert [name for name, _ in seen[0]] == CHANNELS[placement]
         driver = (os.getpid(), threading.get_ident())
-        assert places[0] == {driver}
-        children = [pid for pid in seen[0][1] if pid is not None]
-        assert [{pid for pid, _ in places[p]} for p in (1, 2)] == [{c} for c in children]
-        assert len(set(children)) == 2 and os.getpid() not in children
-        assert {n for n, _ in seen} == {K - 1}  # two agents alive in every round
+        for p, (name, proc) in enumerate(seen[0]):
+            assert (proc is not None) == (placement == "process" and p > 0)
+            if name == "InProcessChannel":
+                assert places[p] == {driver}
+            elif proc is not None:
+                assert {pid for pid, _ in places[p]} == {proc.pid} != {os.getpid()}
+            else:  # a hosts agent: a thread of this process in the tests
+                assert driver not in places[p]
         assert mp.active_children() == []
-
-    def test_hosts_agents_serve_every_partition(self, case, external_workers):
-        places = _places(
-            _run(case, EmitPlace(), executor="socket", hosts=external_workers[:K])
-        )
-        driver = (os.getpid(), threading.get_ident())
-        assert sorted(places) == list(range(K))
-        assert all(driver not in where for where in places.values())
 
 
 class TestDriverPartitionContracts:

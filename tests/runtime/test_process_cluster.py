@@ -1,4 +1,4 @@
-"""Tests for the agent-per-partition cluster (forked agents, errors, lifecycle)."""
+"""Tests for a cluster whose agents leave the driver (forked agents, errors, lifecycle)."""
 
 import time
 
@@ -9,7 +9,7 @@ from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_applica
 from repro.generators import road_latency_collection, road_network
 from repro.partition import partition_graph
 from repro.resilience import AT_BEGIN, FaultPlan
-from repro.runtime import CollectionInstanceSource, ProcessCluster, RunMeta
+from repro.runtime import Cluster, CollectionInstanceSource, RunMeta
 from repro.runtime.cluster import raise_first_failure
 from repro.runtime import process_cluster
 from repro.runtime.process_cluster import GatherTimeout, WorkerError
@@ -53,30 +53,29 @@ class TestLifecycle:
     def test_end_to_end_matches_serial(self, case):
         tpl, coll, pg, sources = case
         serial = run_application(EmitSum(), pg, coll)
-        proc = run_application(
-            EmitSum(), pg, coll, sources=sources, config=EngineConfig(executor="process")
-        )
+        proc = run_application(EmitSum(), pg, coll, config=EngineConfig(executor="process"))
         assert serial.outputs == proc.outputs
         assert set(proc.states) == set(serial.states)
 
     def test_shutdown_idempotent(self, case):
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        cluster = ProcessCluster(pg, EmitSum(), meta, sources)
+        cluster = Cluster(pg, EmitSum(), meta, sources, remote=True)
+        forked = cluster._channels[1].proc
         cluster.shutdown()
         cluster.shutdown()  # second call is a no-op
-        assert cluster._procs == []
+        assert cluster._channels == [] and not forked.is_alive()
 
     def test_source_count_validated(self, case):
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         with pytest.raises(ValueError, match="instance source per partition"):
-            ProcessCluster(pg, EmitSum(), meta, sources[:1])
+            Cluster(pg, EmitSum(), meta, sources[:1], remote=True)
 
     def test_resident_bytes_roundtrip(self, case):
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        with ProcessCluster(pg, EmitSum(), meta, sources) as cluster:
+        with Cluster(pg, EmitSum(), meta, sources, remote=True) as cluster:
             cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
             resident = cluster.run_round("resident", -1, -1, None)
             assert len(resident) == 2
@@ -119,7 +118,7 @@ class TestConstructorFailure:
         ctx = _FailSecondSpawnContext(process_cluster._FORK_CONTEXT)
         monkeypatch.setattr(process_cluster, "_FORK_CONTEXT", ctx)
         with pytest.raises(OSError, match="out of processes"):
-            ProcessCluster(pg, EmitSum(), meta, sources)
+            Cluster(pg, EmitSum(), meta, sources, remote=True)
         assert len(ctx.started) == 1
         ctx.started[0].join(timeout=5)
         assert not ctx.started[0].is_alive()
@@ -137,8 +136,8 @@ class TestGatherDeadlineIsPerRound:
         """
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        cluster = ProcessCluster(
-            pg, EmitSum(), meta, sources,
+        cluster = Cluster(
+            pg, EmitSum(), meta, sources, remote=True,
             gather_timeout_s=0.8,
             fault_plan=FaultPlan.parse(
                 "delay@t0:begin:p0:d0.5,drop_frame@t0:begin:p1", seed=1
@@ -166,6 +165,5 @@ class TestErrorPropagation:
                 BoomAtTimestep(),
                 pg,
                 coll,
-                sources=sources,
                 config=EngineConfig(executor="process"),
             )

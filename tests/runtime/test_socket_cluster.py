@@ -12,8 +12,7 @@ import pytest
 from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import CheckpointConfig, FaultPlan, RecoveryPolicy
 from repro.runtime import (
-    CollectionInstanceSource,
-    ProcessCluster,
+    Cluster,
     RunMeta,
     WorkerLost,
     parse_hosts,
@@ -32,6 +31,12 @@ class TestParseHosts:
 
     def test_accepts_sequence(self):
         assert parse_hosts(["h1:1", "h2:2"]) == [("h1", 1), ("h2", 2)]
+
+    def test_accepts_its_own_pairs(self):
+        pairs = parse_hosts("h1:1,[::1]:2")
+        assert parse_hosts(pairs) == pairs == [("h1", 1), ("::1", 2)]
+        with pytest.raises(ValueError, match="outside 0-65535"):
+            parse_hosts([("h1", 70000)])
 
     def test_missing_port(self):
         with pytest.raises(ValueError, match="is not host:port"):
@@ -64,10 +69,10 @@ class TestAutoSpawn:
     agents; with them, shutdown and the address count are still the cluster's."""
 
     def test_end_to_end_matches_serial(self, case):
-        tpl, coll, pg, sources = case
+        tpl, coll, pg, _sources = case
         serial = run_application(EmitSum(), pg, coll)
         sock = run_application(
-            EmitSum(), pg, coll, sources=sources,
+            EmitSum(), pg, coll,
             config=EngineConfig(executor="socket"),
         )
         assert serial.outputs == sock.outputs
@@ -76,29 +81,24 @@ class TestAutoSpawn:
     def test_shutdown_idempotent(self, case, external_workers):
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
-        cluster = ProcessCluster(pg, EmitSum(), meta, sources, hosts=external_workers[:2])
+        cluster = Cluster(pg, EmitSum(), meta, sources, hosts=external_workers[:2])
+        assert [c.proc for c in cluster._channels] == [None, None]  # nothing of ours to reap
         cluster.shutdown()
         cluster.shutdown()  # second call is a no-op
-        assert cluster._procs == []
+        assert cluster._channels == []
 
     def test_hosts_count_must_match_partitions(self, case):
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         with pytest.raises(ValueError, match="2 partitions"):
-            ProcessCluster(
-                pg, EmitSum(), meta, sources, hosts="127.0.0.1:9000"
-            )
+            Cluster(pg, EmitSum(), meta, sources, hosts="127.0.0.1:9000")
 
     def test_surgical_recovery_over_sockets(self, case, tmp_path):
         """kill + drop_frame cured on forked agents, bit-identical to fault-free."""
         tpl, coll, pg, sources = case
-        baseline = run_application(
-            EmitSum(), pg, coll,
-            sources=[CollectionInstanceSource(coll) for _ in range(2)],
-            config=EngineConfig(executor="socket"),
-        )
+        baseline = run_application(EmitSum(), pg, coll, config=EngineConfig(executor="socket"))
         result = run_application(
-            EmitSum(), pg, coll, sources=sources,
+            EmitSum(), pg, coll,
             config=EngineConfig(
                 executor="socket",
                 gather_timeout_s=0.5,
@@ -119,10 +119,10 @@ class TestAutoSpawn:
 
 class TestExternalWorkers:
     def test_run_against_external_workers(self, case, external_workers):
-        tpl, coll, pg, sources = case
+        tpl, coll, pg, _sources = case
         serial = run_application(EmitSum(), pg, coll)
         sock = run_application(
-            EmitSum(), pg, coll, sources=sources,
+            EmitSum(), pg, coll,
             config=EngineConfig(executor="socket", hosts=external_workers[:2]),
         )
         assert serial.outputs == sock.outputs
@@ -133,7 +133,7 @@ class TestExternalWorkers:
         tpl, coll, pg, sources = case
         forked, agents = (
             run_application(
-                EmitSum(), pg, coll, sources=sources,
+                EmitSum(), pg, coll,
                 config=EngineConfig(
                     executor="socket",
                     hosts=hosts,
@@ -158,4 +158,4 @@ class TestExternalWorkers:
         monkeypatch.setattr(process_cluster, "_CONNECT_TIMEOUT_S", 0.3)
         # Port 1 on localhost: nothing listens, connect is refused instantly.
         with pytest.raises(WorkerLost, match="unreachable"):
-            ProcessCluster(pg, EmitSum(), meta, sources, hosts="127.0.0.1:1,127.0.0.1:1")
+            Cluster(pg, EmitSum(), meta, sources, hosts="127.0.0.1:1,127.0.0.1:1")

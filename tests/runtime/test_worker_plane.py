@@ -12,7 +12,7 @@ import pytest
 from repro.core import Pattern
 from repro.resilience import AT_BEGIN, AT_EOT, FaultPlan, FaultSpec
 from repro.resilience.recovery import RecoverableError
-from repro.runtime import LocalCluster, ProcessCluster, RunMeta, WorkerLost, process_cluster
+from repro.runtime import Cluster, RunMeta, WorkerLost, process_cluster
 from repro.runtime.host import HOST_OPS, HostSpec
 from repro.runtime.process_cluster import (
     _CORRUPT_WIRE_BYTES,
@@ -39,10 +39,9 @@ def _meta(coll):
 
 def _cluster(executor, case, agents, **kwargs):  # noqa: F811
     _tpl, coll, pg, sources = case
-    if executor == "serial":
-        return LocalCluster(pg, EmitSumMerged(), _meta(coll), sources=sources, **kwargs)
     hosts = hosts_for(executor, agents, pg.num_partitions)
-    return ProcessCluster(pg, EmitSumMerged(), _meta(coll), sources, hosts=hosts, **kwargs)
+    return Cluster(pg, EmitSumMerged(), _meta(coll), sources,
+                   remote=executor != "serial", hosts=hosts, **kwargs)
 
 
 EXECUTORS = ("serial", "process", "socket")
@@ -179,12 +178,10 @@ class TestConnectIsBounded:
         monkeypatch.setattr(process_cluster, "_CONNECT_TIMEOUT_S", 0.5)
         start = time.monotonic()
         with pytest.raises(WorkerLost, match="unreachable"):
-            ProcessCluster(
-                pg, EmitSum(), _meta(coll), sources, hosts="127.0.0.1:1,127.0.0.1:1"
-            )
+            Cluster(pg, EmitSum(), _meta(coll), sources, hosts="127.0.0.1:1,127.0.0.1:1")
         assert time.monotonic() - start < 2.0
         assert len(asked) >= 2 and all(t is not None and 0 < t <= 0.5 for t in asked)
 
     def test_a_connected_socket_is_blocking_again(self, case, external_workers):  # noqa: F811
         with _cluster("socket", case, external_workers) as cluster:
-            assert [c._sock.gettimeout() for c in cluster._conns] == [None, None]
+            assert [c.conn._sock.gettimeout() for c in cluster._channels] == [None, None]

@@ -97,7 +97,7 @@ print("clean")
 
 _RUNTIME_NAMES = """
 import repro
-from repro.runtime import ProcessCluster, WorkerLost
+from repro.runtime import WorkerLost
 assert loaded() == [], loaded()
 from repro.runtime import parse_hosts, serve_worker
 assert loaded() == [], loaded()
