@@ -30,7 +30,10 @@ __all__ = ["DatasetCache", "INGEST_CODE_VERSION", "content_key"]
 #: Bump whenever generator or partitioner output changes for identical
 #: parameters (new algorithms, changed RNG consumption, schema changes);
 #: old cache entries become unreachable rather than wrong.
-INGEST_CODE_VERSION = 3  # v3: Subgraph (pickled in partition entries) lost a slot
+# v3: Subgraph (pickled in partition entries) lost a slot.  v4: refinement
+# became Jet hill-climbing with one piece per partition; a partition entry is
+# keyed by the partitioner's class and scalar config, not its algorithm.
+INGEST_CODE_VERSION = 4
 
 
 def _canonical(value: Any) -> Any:

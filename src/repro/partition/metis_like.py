@@ -6,43 +6,69 @@ same multilevel scheme from scratch:
 
 1. **Coarsening** — repeated heavy-edge matching contracts the graph until it
    is small (vertex weights accumulate so balance is preserved);
-2. **Initial partitioning** — balanced BFS region growing on the coarsest
-   graph, followed by aggressive FM refinement;
-3. **Uncoarsening** — labels are projected back level by level, with boundary
-   FM refinement (see :mod:`repro.partition.refine`) at each level;
-4. **Subgraph consolidation** — a final pass that folds small fragment
-   subgraphs into the partition they are most connected to, balancing
-   *subgraph* count and size across partitions (Choudhury et al.,
-   arXiv:1508.04265: the subgraph, not the vertex, is TI-BSP's unit of
-   work).  Moving a whole subgraph never increases the edge cut, because a
-   subgraph has no local edges to the rest of its own partition.
+2. **Initial partitioning** — greedy graph growing on the coarsest graph
+   (the best cut of a few starts), followed by aggressive refinement;
+3. **Uncoarsening** — labels are projected back level by level, with Jet
+   refinement (see :mod:`repro.partition.refine`) at each level;
+4. **One piece per partition** — every piece of a partition but its
+   heaviest joins the partition it shares the most edges with, then
+   balance and refinement run again, until no piece can join (Choudhury et
+   al., arXiv:1508.04265: the subgraph, not the vertex, is TI-BSP's unit of
+   work).  Joining a piece never increases the edge cut, because a piece
+   has no local edge to the rest of its own partition.  Projection keeps a
+   piece in one piece, so this runs on the coarsest level, where pieces are
+   cheap to move, and on the finest, where refinement leaves them.
 
 Matching is array work: every vertex proposes to its heaviest unmatched
 neighbor (ties broken by a random priority permutation) and mutual
 proposals are committed, repeated until the alive slot set is empty — the
 classic handshake matching, O(|E|) array work per round and O(log n) rounds.
 
+A coarse vertex weighs at most :data:`_HEAVIEST` times the coarsest graph's
+mean, and leaves that a hub cannot take are paired with each other
+(METIS's two-hop matching), so balance has a grain to work with on every
+level.
+
 This reproduces Table 2's qualitative behaviour: near-zero cuts on road
-networks, large and k-increasing cuts on small-world graphs.
+networks (k one-piece strips on CARN's grid, within a few percent of the
+strip cut), large and k-increasing cuts on small-world graphs.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import NamedTuple
 
 import numpy as np
 
 from ..graph.template import GraphTemplate
+from ..kernels.components import components
 from ..kernels.csr import segment_starts, slot_sources
 from .refine import edge_cut_weight, refine
 
 __all__ = ["CSR", "MetisLikePartitioner", "coarsen_graph", "heavy_edge_matching"]
 
-# Coarsest graphs up to this size get BFS region-growing initial partitions
+# Coarsest graphs up to this size get greedy graph-growing initial partitions
 # (a scalar loop, but high quality on graphs with region structure); larger
 # stalled coarsest graphs start from a balanced random assignment instead.
-_BFS_INIT_LIMIT = 8192
+_GROWING_LIMIT = 8192
+
+# No coarse vertex outweighs this many times the mean weight of the
+# coarsest graph's vertices.
+_HEAVIEST = 1.5
+
+# Join-balance-refine rounds before the one-piece step stops (a guard: CARN
+# at 20k and 200k and WIKI at 100k never need a second).
+_JOIN_ROUNDS = 8
+
+# A matching that leaves more than this fraction of the vertex count as
+# coarse vertices also pairs leaves (two-hop matching).
+_TWO_HOP = 0.7
+
+# Random vertices whose BFS far ends start a greedy growing each; the
+# lowest cut is refined.
+_GROWING_TRIES = 4
 
 # Stop coarsening when a contraction keeps more than this fraction of the
 # edge set: the graph is densifying (small-world regime) and further levels
@@ -94,6 +120,20 @@ def _symmetric_weighted_adjacency(template: GraphTemplate) -> CSR:
         np.ones(2 * len(src), dtype=np.float64),
         template.num_vertices,
     )
+
+
+def _matchable(level: _Level, heaviest: float) -> tuple[CSR, np.ndarray]:
+    """The level's adjacency and slot sources without the slots whose two
+    ends together weigh more than ``heaviest``: a coarse vertex of half a
+    partition leaves nothing for balance to move."""
+    vw, src = level.vertex_weights, level.slot_src
+    if 2 * vw.max() <= heaviest:
+        return level.adj, src
+    ok = vw[src] + vw[level.adj.indices] <= heaviest
+    keep = ok.nonzero()[0]
+    indptr = np.zeros(len(vw) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=len(vw)), out=indptr[1:])
+    return CSR(indptr, level.adj.indices[keep], level.adj.data[keep]), src[keep]
 
 
 def _coarse_ids(match: np.ndarray) -> np.ndarray:
@@ -186,44 +226,146 @@ def coarsen_graph(
     return coarse, cw
 
 
+def _far_vertex(indptr: list, indices: list, start: int) -> int:
+    """The last vertex a BFS from ``start`` reaches: one end of a long
+    shortest path (a pseudo-peripheral vertex after one sweep)."""
+    seen = {start}
+    queue = deque([start])
+    last = start
+    while queue:
+        last = queue.popleft()
+        for v in indices[indptr[last] : indptr[last + 1]]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return last
+
+
+def _grow_regions(adj: CSR, vertex_weights: np.ndarray, k: int, start: int) -> np.ndarray:
+    """Greedy graph growing: region 0 grows from ``start``, each later one
+    from the unassigned vertex most attached to the regions before it, and
+    a region adds its highest-gain frontier vertex (weight into the region
+    minus weight to unassigned vertices) until it holds its share of the
+    weight that is left."""
+    n = len(vertex_weights)
+    indptr, indices, data = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
+    vw = vertex_weights.tolist()
+    part = [-1] * n
+    loose = [0.0] * n  # weight to unassigned vertices
+    for u in range(n):
+        loose[u] = sum(data[indptr[u] : indptr[u + 1]])
+    attached = [0.0] * n  # weight to assigned vertices
+    left = float(vertex_weights.sum())
+    seed = start
+    for p in range(k - 1):
+        share = left / (k - p)
+        inside = {}  # frontier vertex -> weight into this region
+        heap = [(-0.0, seed)]
+        grown = 0.0
+        while grown < share:
+            if not heap:  # the region's component is used up: jump
+                rest = [v for v in range(n) if part[v] == -1]
+                if not rest:
+                    break
+                heap.append((0.0, max(rest, key=lambda v: (attached[v] - loose[v], -v))))
+            _, u = heapq.heappop(heap)
+            if part[u] != -1:
+                continue
+            if grown + vw[u] / 2 > share:
+                break
+            part[u] = p
+            grown += vw[u]
+            for j in range(indptr[u], indptr[u + 1]):
+                v, w = indices[j], data[j]
+                loose[v] -= w
+                attached[v] += w
+                if part[v] == -1:
+                    inside[v] = inside.get(v, 0.0) + w
+                    heapq.heappush(heap, (loose[v] - inside[v], v))
+        left -= grown
+        rest = [v for v in range(n) if part[v] == -1]
+        if not rest:
+            break
+        seed = max(rest, key=lambda v: (attached[v] - loose[v], -v))
+    out = np.asarray(part, dtype=np.int64)
+    out[out == -1] = k - 1
+    return out
+
+
+def _pair_leaves(level: _Level, coarse_map: np.ndarray, heaviest: float) -> np.ndarray:
+    """Put two unmatched leaves of one neighbour into one coarse vertex.
+
+    A hub matches one of its leaves per level, so a hub with many (or one
+    too heavy to match at all) stalls coarsening; pairing them is METIS's
+    two-hop matching, under the same weight ceiling as the matching.
+    Coarse ids stay dense and in first-vertex order.
+    """
+    adj = level.adj
+    alone = np.bincount(coarse_map)[coarse_map] == 1
+    light = level.vertex_weights <= heaviest / 2
+    leaves = np.flatnonzero(alone & light & (np.diff(adj.indptr) == 1))
+    hubs = adj.indices[adj.indptr[leaves]]
+    order = np.argsort(hubs, kind="stable")
+    leaves, hubs = leaves[order], hubs[order]
+    starts = segment_starts(hubs)
+    rank = np.arange(len(hubs)) - starts.repeat(np.diff(np.append(starts, len(hubs))))
+    second = np.flatnonzero(rank % 2 == 1)  # each joins the leaf before it
+    if not len(second):
+        return coarse_map
+    coarse_map = coarse_map.copy()
+    coarse_map[leaves[second]] = coarse_map[leaves[second - 1]]
+    used = np.zeros(int(coarse_map.max()) + 1, dtype=bool)
+    used[coarse_map] = True
+    return (np.cumsum(used) - 1)[coarse_map]
+
+
 def _initial_partition(
-    adj: CSR, vertex_weights: np.ndarray, k: int, rng: np.random.Generator, cap: float
+    adj: CSR, vertex_weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Balanced weighted BFS region growing on the coarsest graph."""
-    n = len(adj.indptr) - 1
-    assignment = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.float64)
-    indptr, indices = adj.indptr, adj.indices
-    seeds = rng.choice(n, size=min(k, n), replace=False)
-    frontiers = [deque() for _ in range(k)]
-    for pid, s in enumerate(seeds):
-        assignment[s] = pid
-        sizes[pid] += vertex_weights[s]
-        frontiers[pid].append(int(s))
-    progress = True
-    while progress:
-        progress = False
-        for pid in np.argsort(sizes, kind="stable"):
-            pid = int(pid)
-            q = frontiers[pid]
-            while q:
-                u = q.popleft()
-                attached = False
-                for v in indices[indptr[u] : indptr[u + 1]]:
-                    v = int(v)
-                    if assignment[v] == -1 and sizes[pid] + vertex_weights[v] <= cap:
-                        assignment[v] = pid
-                        sizes[pid] += vertex_weights[v]
-                        q.append(v)
-                        attached = True
-                        progress = True
-                if attached:
-                    break  # yield to the next-smallest region
-    for v in np.nonzero(assignment == -1)[0]:
-        pid = int(np.argmin(sizes))
-        assignment[v] = pid
-        sizes[pid] += vertex_weights[v]
-    return assignment
+    """Best cut of a few greedy growings, each from the far end of a BFS
+    from a random vertex (on a long graph most share one of its two ends)."""
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    n = len(vertex_weights)
+    roots = rng.choice(n, size=min(_GROWING_TRIES, n), replace=False)
+    best, best_cut = None, np.inf
+    for start in sorted({_far_vertex(indptr, indices, int(r)) for r in roots}):
+        assignment = _grow_regions(adj, vertex_weights, k, start)
+        cut = edge_cut_weight(*adj, assignment)
+        if cut < best_cut:
+            best, best_cut = assignment, cut
+    return best
+
+
+def _join_stray_pieces(level: _Level, assignment: np.ndarray, k: int) -> np.ndarray | None:
+    """Each partition's pieces (components over its local edges) other than
+    its heaviest join the partition they share the most edge weight with.
+
+    Only edges into kept pieces count, so two stray pieces never trade
+    places.  Returns ``None`` when no piece can move: every partition is
+    one piece, or its others touch no other partition.
+    """
+    indices, data = level.adj.indices, level.adj.data
+    src = level.slot_src
+    local = assignment[src] == assignment[indices]
+    once = (local & (src < indices)).nonzero()[0]  # each local edge in one direction
+    count, piece = components(len(assignment), src[once], indices[once])
+    if count <= k:
+        return None
+    piece_w = np.bincount(piece, weights=level.vertex_weights, minlength=count)
+    piece_part = np.empty(count, dtype=np.int64)
+    piece_part[piece] = assignment
+    by_part = np.lexsort((-piece_w, piece_part))  # heaviest first in each partition
+    stray = np.ones(count, dtype=bool)
+    stray[by_part[segment_starts(piece_part[by_part])]] = False
+    out = (~local & stray[piece[src]] & ~stray[piece[indices]]).nonzero()[0]
+    conn = np.bincount(
+        piece[src[out]] * k + assignment[indices[out]], weights=data[out], minlength=count * k
+    ).reshape(count, k)
+    dest = conn.argmax(axis=1)
+    joins = stray & (conn[np.arange(count), dest] > 0)
+    if not joins.any():
+        return None
+    return np.where(joins[piece], dest[piece], assignment)
 
 
 class MetisLikePartitioner:
@@ -239,13 +381,7 @@ class MetisLikePartitioner:
         Stop coarsening once the graph has at most ``max(coarsen_until,
         30 * k)`` vertices.
     refine_passes:
-        FM passes applied per uncoarsening level.
-    subgraph_aware:
-        Run the final fragment-consolidation pass balancing subgraph count
-        and size across partitions (never increases the edge cut).
-    fragment_fraction:
-        A subgraph is a movable *fragment* when its vertex weight is at most
-        this fraction of the ideal partition weight.
+        Refinement passes without a new best cut before a level is done.
     """
 
     def __init__(
@@ -254,16 +390,12 @@ class MetisLikePartitioner:
         seed: int = 0,
         imbalance: float = 1.03,
         coarsen_until: int = 200,
-        refine_passes: int = 4,
-        subgraph_aware: bool = True,
-        fragment_fraction: float = 0.1,
+        refine_passes: int = 2,
     ) -> None:
         self.seed = int(seed)
         self.imbalance = float(imbalance)
         self.coarsen_until = int(coarsen_until)
         self.refine_passes = int(refine_passes)
-        self.subgraph_aware = bool(subgraph_aware)
-        self.fragment_fraction = float(fragment_fraction)
 
     def assign(self, template: GraphTemplate, num_partitions: int) -> np.ndarray:
         k = num_partitions
@@ -283,9 +415,13 @@ class MetisLikePartitioner:
 
         # ---- coarsening phase -------------------------------------------------
         target = max(self.coarsen_until, 30 * k)
+        heaviest = _HEAVIEST * n / target
         while len(levels[-1].vertex_weights) > target:
             top = levels[-1]
-            coarse_map = heavy_edge_matching(top.adj, rng, slot_src=top.slot_src)
+            matchable, matchable_src = _matchable(top, heaviest)
+            coarse_map = heavy_edge_matching(matchable, rng, slot_src=matchable_src)
+            if coarse_map.max() + 1 > _TWO_HOP * len(coarse_map):
+                coarse_map = _pair_leaves(top, coarse_map, heaviest)
             nc = int(coarse_map.max()) + 1
             if nc > 0.95 * len(coarse_map):
                 break  # matching stalled (e.g. star graphs); stop coarsening
@@ -300,110 +436,54 @@ class MetisLikePartitioner:
         # ---- initial partition on the coarsest graph ---------------------------
         coarsest = levels[-1]
         nc0 = len(coarsest.vertex_weights)
-        total_w = float(coarsest.vertex_weights.sum())
-        cap = self.imbalance * total_w / k
-        if nc0 > _BFS_INIT_LIMIT:
+        if nc0 > _GROWING_LIMIT:
             # Densification-stalled coarsest graph (no region structure for
-            # BFS growing to find, and too large for its scalar loop):
-            # balanced random start; rebalance + extra FM passes in refine
-            # do the actual partitioning work.
+            # growing to find, and too large for its scalar loop): balanced
+            # random start; refinement, which runs on while its passes gain
+            # 1 %, does the actual partitioning work.
             assignment = rng.permutation(nc0).astype(np.int64) % k
-            passes = self.refine_passes * 4
+            passes = self.refine_passes
         else:
-            assignment = _initial_partition(coarsest.adj, coarsest.vertex_weights, k, rng, cap)
+            assignment = _initial_partition(coarsest.adj, coarsest.vertex_weights, k, rng)
             passes = max(self.refine_passes * 2, 8)
 
         # ---- uncoarsening: refine each level, coarsest first, project down ---
-        while levels:
-            level = levels.pop()  # freed once the finer level holds its labels
-            assignment = refine(
-                *level.adj,
-                level.vertex_weights,
-                assignment,
-                k,
-                imbalance=self.imbalance,
-                passes=passes,
-                slot_src=level.slot_src,
-            )
-            passes = self.refine_passes
-            if level.coarse_map is not None:
-                assignment = assignment[level.coarse_map]
+        # One piece per partition (arXiv:1508.04265): TI-BSP schedules
+        # subgraphs, and every piece of a partition is one.  Projection keeps
+        # a piece in one piece, so pieces are joined where they are cheapest,
+        # on the coarsest level (balanced only: the next level refines), and
+        # where the refinement leaves them, on the finest.
+        level = levels.pop()  # freed once the finer level holds its labels
+        assignment = self._one_piece(level, self._refine(level, assignment, k, passes), k, 0)
+        while level.coarse_map is not None:
+            assignment = assignment[level.coarse_map]
+            level = levels.pop()
+            assignment = self._refine(level, assignment, k, self.refine_passes)
+        return self._one_piece(level, assignment, k, self.refine_passes)
 
-        # ---- subgraph-count/size balance (arXiv:1508.04265) --------------------
-        if self.subgraph_aware:
-            assignment = self._consolidate_fragments(template, assignment, k, cap)
+    def _one_piece(self, level: _Level, assignment: np.ndarray, k: int, passes: int) -> np.ndarray:
+        """Join stray pieces, then balance and refine, until none can join."""
+        for _ in range(_JOIN_ROUNDS):
+            joined = _join_stray_pieces(level, assignment, k)
+            if joined is None:
+                break
+            assignment = self._refine(level, joined, k, passes)
         return assignment
 
-    def _consolidate_fragments(
-        self, template: GraphTemplate, assignment: np.ndarray, k: int, cap: float
-    ) -> np.ndarray:
-        """Fold fragment subgraphs into their best-connected partition.
-
-        TI-BSP schedules *subgraphs*, so a partition's load is driven by its
-        subgraph count and sizes, not just its vertex total.  Every subgraph
-        has zero local edges to the rest of its own partition (maximality),
-        so moving one wholesale to the partition it is most cut-connected to
-        strictly reduces the cut — and moving an isolated fragment is free.
-        Targets are chosen by (max connectivity, then fewest subgraphs, then
-        lightest partition) subject to the vertex-weight cap, which is how
-        subgraph count and size enter the balance objective.
-        """
-        from .subgraphs import subgraph_labels
-
-        num_sg, labels = subgraph_labels(template, assignment)
-        if num_sg <= k:
-            return assignment
-        assignment = assignment.copy()
-        # Group vertices by subgraph once so each move is a slice, not a scan.
-        by_sg = np.argsort(labels, kind="stable")
-        sg_counts = np.bincount(labels, minlength=num_sg)
-        sg_starts = np.zeros(num_sg + 1, dtype=np.int64)
-        np.cumsum(sg_counts, out=sg_starts[1:])
-        sg_sizes = sg_counts.astype(np.float64)
-        sg_part = np.zeros(num_sg, dtype=np.int64)
-        sg_part[labels] = assignment
-        part_sizes = np.bincount(assignment, minlength=k).astype(np.float64)
-        part_counts = np.bincount(sg_part, minlength=k)
-
-        # Cut-edge connectivity of each subgraph to each partition.
-        src, dst = template.undirected_edge_view()
-        cut = assignment[src] != assignment[dst]
-        cs, cd = src[cut], dst[cut]
-        pairs = np.concatenate([labels[cs] * k + assignment[cd], labels[cd] * k + assignment[cs]])
-        conn = np.bincount(pairs, minlength=num_sg * k).reshape(num_sg, k)
-
-        ideal = part_sizes.sum() / k
-        fragment_max = max(1.0, self.fragment_fraction * ideal)
-        fragments = np.nonzero(sg_sizes <= fragment_max)[0]
-        # Smallest fragments first: cheapest moves, most count-rebalancing
-        # per unit of weight shifted.
-        for sg in fragments[np.argsort(sg_sizes[fragments], kind="stable")]:
-            p = int(sg_part[sg])
-            if part_counts[p] <= 1:
-                continue  # never empty a partition
-            size = sg_sizes[sg]
-            feasible = part_sizes + size <= cap
-            feasible[p] = False
-            if not feasible.any():
-                continue
-            row = conn[sg]
-            best_conn = row[feasible].max()
-            cand = np.nonzero(feasible & (row == best_conn))[0]
-            if best_conn == 0 and part_counts[p] <= part_counts[cand].min() + 1:
-                continue  # an isolated fragment only moves to improve counts
-            # Subgraph count, then vertex load, break connectivity ties.
-            q = int(cand[np.lexsort((part_sizes[cand], part_counts[cand]))[0]])
-            members = by_sg[sg_starts[sg] : sg_starts[sg + 1]]
-            assignment[members] = q
-            part_sizes[p] -= size
-            part_sizes[q] += size
-            part_counts[p] -= 1
-            part_counts[q] += 1
-            sg_part[sg] = q
-            # The move turned sg↔q cut edges local and left all other
-            # connectivity untouched; zeroing the row retires the fragment.
-            conn[sg] = 0
-        return assignment
+    def _refine(self, level: _Level, assignment: np.ndarray, k: int, passes: int) -> np.ndarray:
+        # A coarse level's cap is loose by a mean vertex per partition:
+        # balance to the grain the level has, and tighten as it refines.
+        vw = level.vertex_weights
+        slack = k / len(vw) if level.coarse_map is not None else 0.0
+        return refine(
+            *level.adj,
+            vw,
+            assignment,
+            k,
+            imbalance=self.imbalance + slack,
+            passes=passes,
+            slot_src=level.slot_src,
+        )
 
     def edge_cut(self, template: GraphTemplate, assignment: np.ndarray) -> float:
         """Cut weight of an assignment on this template (unit edge weights)."""

@@ -1,36 +1,44 @@
-"""Boundary refinement (Kernighan–Lin / Fiduccia–Mattheyses style).
+"""Boundary refinement: Jet-style hill-climbing on a weighted symmetric CSR graph.
 
-Operates on a weighted symmetric CSR graph: per pass it computes, for every
-vertex, its connectivity to each partition, then greedily moves
-positive-gain boundary vertices subject to a balance cap.  A pass that fails
-to reduce the cut is reverted, so refinement never worsens a partitioning.
-Used at every level of the multilevel partitioner and directly on fine
-graphs.
+Jet (Gilbert, Madduri, Boman & Rajamanickam, "Jet: Multilevel Graph
+Partitioning on GPUs") refines with data-parallel moves; here every step is
+a sort, a gather or a ``bincount``:
 
-All per-pass work is segment-reduction form: connectivity is one flat
-``np.bincount`` over ``slot_src * k + assignment[indices]`` (much faster
-than an ``np.add.at`` scatter), and the ``slot_src`` expansion of the CSR
-row pointer — the one O(|slots|) allocation everything shares — is passed
-in (``slot_src=``, one per multilevel level) or computed once per call, and
-threaded through every cut/connectivity evaluation, never rebuilt per pass.
+1. *Proposals.*  Every boundary vertex (one with weight into another
+   partition) names its best-connected other partition, also when that
+   loses a little — down to :data:`_NEGATIVE_GAIN` of its own-partition
+   weight — which is what lets a pass walk out of a local minimum.  A
+   vertex that moved in the previous pass sits this one out.
+2. *Afterburner.*  Proposals are ranked by gain; each is re-scored assuming
+   every higher-ranked proposal next to it has moved, and only those still
+   positive move.
+3. *Balance.*  A pass that leaves a partition over the cap is followed by
+   :func:`_balance`, which moves the cheapest boundary vertices out of it.
+4. *Best so far.*  The balanced assignment with the lowest cut is kept
+   across passes; refinement stops after ``passes`` passes in a row that
+   gain less than :data:`_PROGRESS` asks.
+
+The state is incremental (:class:`_Refinement`): the connectivity rows
+``C[v, p]`` are built once per call with one flat ``bincount`` and then
+updated from the movers' adjacency slots only, and the cut moves by those
+slots' deltas — no full-slot recount per pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.csr import segment_starts, slot_sources, sorted_unique
+from ..kernels.csr import gather_ranges, segment_starts, slot_sources
 
 __all__ = ["partition_connectivity", "edge_cut_weight", "rebalance", "refine"]
 
-# Mover sets larger than this are applied in bulk (per-target gain-ordered
-# cumulative-weight admission) instead of the exact sequential loop.
-_BULK_MOVE_LIMIT = 1024
+# A boundary vertex proposes a move that loses at most this fraction of its
+# weight into its own partition (Jet's ``c``).
+_NEGATIVE_GAIN = 0.25
 
-# A refinement pass gathers boundary-row slots only when the cut fraction is
-# below this; above it most rows are boundary rows and the one-shot full
-# bincount over all slots is cheaper than the gather.
-_BOUNDARY_PATH_CUT_FRACTION = 0.15
+# A pass restarts the patience count when its cut is below this fraction of
+# the cut the count last restarted at (or it is less over the cap).
+_PROGRESS = 0.99
 
 
 def partition_connectivity(
@@ -73,8 +81,203 @@ def edge_cut_weight(
     return float(weights[cut_slots].sum() / 2.0)
 
 
-def _partition_sizes(vertex_weights: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
-    return np.bincount(assignment, weights=vertex_weights, minlength=k)
+class _Refinement:
+    """An assignment with its connectivity rows, partition weights and cut,
+    kept current across moves."""
+
+    def __init__(self, indptr, indices, weights, vertex_weights, assignment, k, slot_src):
+        self.indptr, self.indices, self.weights, self.k = indptr, indices, weights, k
+        self.vertex_weights = vertex_weights
+        self.assignment = np.array(assignment, dtype=np.int64)
+        self.conn = partition_connectivity(
+            indptr, indices, weights, self.assignment, k, slot_src=slot_src
+        )
+        n = len(self.assignment)
+        own = self.conn.reshape(-1)[np.arange(0, n * k, k) + self.assignment]
+        self.degree = self.conn @ np.ones(k)
+        self.external = self.degree - own  # > 0 exactly on the boundary
+        self.cut = float(self.external.sum() / 2.0)
+        self.sizes = np.bincount(self.assignment, weights=vertex_weights, minlength=k)
+        self.moving = np.zeros(n, dtype=bool)
+        self.rank = np.full(n, n, dtype=np.int64)
+
+    def boundary(self) -> np.ndarray:
+        return np.flatnonzero(self.external > 0)
+
+    def move(self, verts: np.ndarray, dest: np.ndarray) -> None:
+        """Move ``verts[i]`` to ``dest[i]``, updating rows, sizes and cut
+        from the movers' slots alone."""
+        a, k = self.assignment, self.k
+        slots, src = gather_ranges(self.indptr, verts)
+        nbr, w = self.indices[slots], self.weights[slots]
+        old, was = a[verts], a[src]
+        was_cut = was != a[nbr]
+        a[verts] = dest
+        now = a[src]
+        delta = w * ((now != a[nbr]).astype(np.float64) - was_cut)
+        # A slot between two movers is seen from both ends.
+        self.moving[verts] = True
+        self.cut += float(delta.sum() - 0.5 * delta[self.moving[nbr]].sum())
+        self.moving[verts] = False
+        flat = self.conn.reshape(-1)
+        np.subtract.at(flat, nbr * k + was, w)
+        np.add.at(flat, nbr * k + now, w)
+        vw = self.vertex_weights[verts]
+        np.subtract.at(self.sizes, old, vw)
+        np.add.at(self.sizes, dest, vw)
+        touched = np.concatenate([verts, nbr])
+        self.external[touched] = self.degree[touched] - self.conn[touched, a[touched]]
+
+    def propose(self, locked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One Jet pass's moves: proposals, then the afterburner."""
+        a = self.assignment
+        verts = self.boundary()
+        verts = verts[~locked[verts]]
+        rows = self.conn[verts]
+        ar = np.arange(len(verts))
+        own = a[verts]
+        own_w = rows[ar, own]
+        rows[ar, own] = -np.inf
+        dest = rows.argmax(axis=1)
+        gain = rows[ar, dest] - own_w
+        keep = (gain >= 0) | (-gain < np.floor(_NEGATIVE_GAIN * own_w))
+        verts, dest, gain = verts[keep], dest[keep], gain[keep]
+        order = np.argsort(-gain, kind="stable")  # best gain first, ties to the lower id
+        verts, dest = verts[order], dest[order]
+        if not len(verts):
+            return verts, dest
+        # Afterburner: a neighbour ranked above the mover counts at its
+        # destination, every other neighbour where it is.
+        self.rank[verts] = np.arange(len(verts))
+        slots, src = gather_ranges(self.indptr, verts)
+        nbr = self.indices[slots]
+        pos, above = self.rank[src], self.rank[nbr]
+        self.rank[verts] = len(a)
+        ahead = above < pos
+        where = a[nbr]
+        where[ahead] = dest[above[ahead]]
+        score = (where == dest[pos]).astype(np.float64) - (where == a[src])
+        gain = np.bincount(pos, weights=self.weights[slots] * score, minlength=len(verts))
+        moves = gain > 0
+        return verts[moves], dest[moves]
+
+
+def _running(weights: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Running sum of ``weights``, restarted where the sorted ``keys`` change."""
+    starts = segment_starts(keys)
+    running = weights.cumsum()
+    running -= (running[starts] - weights[starts]).repeat(np.diff(np.append(starts, len(keys))))
+    return running
+
+
+def _admit(weights: np.ndarray, bucket: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Which items, taken in the given order, fit their bucket's budget:
+    the running weight per bucket must stay within ``budget[bucket]``."""
+    by_bucket = np.argsort(bucket, kind="stable")
+    b = bucket[by_bucket]
+    fits = np.empty(len(b), dtype=bool)
+    fits[by_bucket] = _running(weights[by_bucket], b) <= budget[b]
+    return fits
+
+
+def _hops_to_room(state: _Refinement, boundary: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Per partition, the fewest partition-to-partition steps to one with
+    ``room`` (``k`` when none is reachable)."""
+    k = state.k
+    member = np.zeros((len(boundary), k))
+    member[np.arange(len(boundary)), state.assignment[boundary]] = 1.0
+    touches = member.T @ state.conn[boundary] > 0
+    hops = np.where(room, 0, k)
+    for step in range(1, k):
+        reached = touches[:, hops == step - 1].any(axis=1) & (hops == k)
+        if not reached.any():
+            break
+        hops[reached] = step
+    return hops
+
+
+def _balance(state: _Refinement, cap: float) -> None:
+    """Bring every partition to at most ``cap``, least cut damage first.
+
+    Rounds until nothing is over the cap or a hand-on stalls.  Per round,
+    every over-cap partition moves boundary vertices, cheapest first
+    (own-partition weight minus weight to the destination), until its
+    excess is covered.  A partition next to one with room moves into it, as
+    much as the room takes.  One that meets no room moves downhill in
+    :func:`_hops_to_room`, into a neighbour one step closer to room, which
+    passes it on next round; one that reaches no room at all (it holds
+    whole components) hands its least-connected members to the lightest
+    partition.
+    """
+    a, k = state.assignment, state.k
+    least, stalled = np.inf, 0
+    while stalled < k:  # a hand-on lasts at most k - 1 rounds
+        excess = state.sizes - cap
+        over = excess > 0
+        if not over.any():
+            return
+        least, stalled = (excess[over].sum(), 0) if excess[over].sum() < least else (least, stalled + 1)
+        boundary = state.boundary()
+        leaving = boundary[over[a[boundary]]]
+        # Room is room for the lightest vertex that could leave.
+        grain = state.vertex_weights[leaving].min() if len(leaving) else 0.0
+        room = state.sizes + grain <= cap
+        hops = np.where(room, 0, 1)
+        verts, dest, loss = _downhill(state, leaving, hops)
+        stuck = over.copy()
+        stuck[a[verts]] = False
+        if stuck.any():
+            hops = _hops_to_room(state, boundary, room)
+            more = [_downhill(state, boundary[stuck[a[boundary]] & (hops[a[boundary]] < k)], hops)]
+            for p in np.flatnonzero(stuck & (hops == k)):
+                members = np.flatnonzero(a == p)
+                to = int(np.argmin(np.where(np.arange(k) == p, np.inf, state.sizes)))
+                conn = state.conn[members]
+                more.append((members, np.full(len(members), to), conn[:, p] - conn[:, to]))
+            verts, dest, loss = (np.concatenate(x) for x in zip((verts, dest, loss), *more))
+        # A destination with room takes up to its room, or, when vertices
+        # are coarser than the room, up to half its gap to the source; one on
+        # the way to room takes what it is handed.
+        sizes = state.sizes
+        budget = np.maximum(cap - sizes, (sizes[:, None] - sizes) / 2.0)
+        budget[:, (hops > 0) & (hops < k)] = np.inf
+        if not _shed(state, verts, dest, loss, excess, budget):
+            return
+
+
+def _downhill(state: _Refinement, verts: np.ndarray, hops: np.ndarray):
+    """Each of ``verts`` with its best-connected partition fewer ``hops``
+    from room, and the cut that move costs; those with none are dropped."""
+    rows = state.conn[verts]
+    ar = np.arange(len(verts))
+    own = state.assignment[verts]
+    own_w = rows[ar, own]
+    rows[hops >= hops[own, None]] = -np.inf
+    dest = rows.argmax(axis=1)
+    dest_w = rows[ar, dest]
+    usable = dest_w > 0
+    return verts[usable], dest[usable], (own_w - dest_w)[usable]
+
+
+def _shed(state: _Refinement, verts, dest, loss, excess, budget) -> bool:
+    """Move the cheapest of ``verts`` out of each partition until its
+    ``excess`` is covered, within ``budget[source, destination]``."""
+    vw = state.vertex_weights[verts]
+    source = state.assignment[verts]
+    keep = vw <= budget[source, dest]
+    verts, dest, loss, vw, source = verts[keep], dest[keep], loss[keep], vw[keep], source[keep]
+    # Source-major, cheapest first: one sort of a fused key (|loss| is at
+    # most the heaviest weighted degree, so ``span`` keeps sources apart).
+    span = 2.0 * float(np.abs(loss).max(initial=0.0)) + 1.0
+    order = np.argsort(source * span + loss, kind="stable")
+    verts, dest, source, vw = verts[order], dest[order], source[order], vw[order]
+    take = _running(vw, source) - vw < excess[source]
+    verts, dest, vw, pair = verts[take], dest[take], vw[take], source[take] * state.k + dest[take]
+    fits = _admit(vw, pair, budget.reshape(-1))
+    if not fits.any():
+        return False
+    state.move(verts[fits], dest[fits])
+    return True
 
 
 def rebalance(
@@ -94,39 +297,12 @@ def rebalance(
     partition's vertex-weight total is ≤ ``cap`` whenever that is achievable
     by single-vertex moves.
     """
-    assignment = assignment.copy()
-    sizes = _partition_sizes(vertex_weights, assignment, k)
-    if np.all(sizes <= cap):
-        return assignment
-    conn = partition_connectivity(indptr, indices, weights, assignment, k, slot_src=slot_src)
-    for pid in range(k):
-        guard = 0
-        while sizes[pid] > cap and guard < len(assignment):
-            guard += 1
-            members = np.nonzero(assignment == pid)[0]
-            if len(members) <= 1:
-                break
-            # Gain of each member toward its best alternative partition.
-            alt_conn = conn[members].copy()
-            alt_conn[:, pid] = -np.inf
-            # Disallow targets that are themselves (nearly) full.
-            full = sizes + vertex_weights[members, None] > cap
-            alt_conn[full] = -np.inf
-            best_alt = np.argmax(alt_conn, axis=1)
-            gains = alt_conn[np.arange(len(members)), best_alt] - conn[members, pid]
-            if not np.isfinite(gains).any():
-                break
-            pick = int(np.argmax(gains))
-            v, target = int(members[pick]), int(best_alt[pick])
-            sizes[pid] -= vertex_weights[v]
-            sizes[target] += vertex_weights[v]
-            assignment[v] = target
-            # Update neighbors' connectivity rows incrementally.
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            wts = weights[indptr[v] : indptr[v + 1]]
-            np.add.at(conn, (nbrs, np.full(len(nbrs), pid)), -wts)
-            np.add.at(conn, (nbrs, np.full(len(nbrs), target)), wts)
-    return assignment
+    state = _Refinement(
+        indptr, indices, weights, vertex_weights, assignment, k,
+        slot_sources(indptr) if slot_src is None else slot_src,
+    )
+    _balance(state, cap)
+    return state.assignment
 
 
 def refine(
@@ -141,105 +317,46 @@ def refine(
     passes: int = 4,
     slot_src: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Greedy FM refinement: repeat gain-ordered boundary moves until stable.
-
-    Each pass gathers the adjacency slots of the *boundary* vertices (those
-    with at least one cut edge — the only candidates for a positive gain),
-    computes their partition-connectivity snapshot with one flat bincount,
-    applies moves in descending-gain order with live balance checks, and is
-    reverted entirely if it did not reduce the cut (snapshot staleness can
-    rarely cause that).
+    """Jet refinement: hill-climb the cut under the balance cap, keeping the
+    best balanced assignment seen; stop after ``passes`` passes in a row
+    that gain less than 1 %.
 
     Balance caveat: an input that violates the ``imbalance`` cap is first
-    forced feasible by :func:`rebalance`, which may *increase* the cut —
+    forced feasible by :func:`_balance`, which may *increase* the cut —
     balance is a hard constraint, cut a soft objective.  The never-worse
     guarantee therefore holds relative to the rebalanced assignment (equal
-    to the input whenever the input is already feasible).
+    to the input whenever the input is already feasible).  When no
+    sequence of single-vertex moves reaches the cap, the least-overweight
+    assignment wins.
     """
-    assignment = np.asarray(assignment, dtype=np.int64).copy()
     total_w = float(vertex_weights.sum())
     cap = imbalance * total_w / k if total_w else 0.0
-    slot_src = slot_sources(indptr) if slot_src is None else slot_src
-    assignment = rebalance(
-        indptr, indices, weights, vertex_weights, assignment, k, cap, slot_src=slot_src
+    state = _Refinement(
+        indptr, indices, weights, vertex_weights, assignment, k,
+        slot_sources(indptr) if slot_src is None else slot_src,
     )
-    cut_slots = assignment[slot_src] != assignment[indices]
-    best_cut = float(weights[cut_slots].sum() / 2.0)
+    _balance(state, cap)
 
-    n = len(indptr) - 1
-    for _ in range(passes):
-        if not cut_slots.any():
-            break
-        if np.count_nonzero(cut_slots) < _BOUNDARY_PATH_CUT_FRACTION * len(cut_slots):
-            # Only boundary vertices (≥1 cut slot) can have a positive gain,
-            # so gather their adjacency slots and build connectivity rows for
-            # them alone — on well-cut graphs (road networks) a pass touches
-            # a few percent of the slots instead of all of them.
-            boundary = sorted_unique(slot_src[cut_slots])
-            counts = indptr[boundary + 1] - indptr[boundary]
-            total = int(counts.sum())
-            slots = np.repeat(indptr[boundary] - np.cumsum(counts) + counts, counts)
-            slots += np.arange(total, dtype=np.int64)
-            rows = np.repeat(np.arange(len(boundary), dtype=np.int64), counts)
-            conn = np.bincount(
-                rows * k + assignment[indices[slots]],
-                weights=weights[slots],
-                minlength=len(boundary) * k,
-            ).reshape(len(boundary), k)
-        else:
-            # Dense boundary (small-world regime): one flat bincount over
-            # every slot beats gathering most of them.
-            boundary = np.arange(n, dtype=np.int64)
-            conn = partition_connectivity(
-                indptr, indices, weights, assignment, k, slot_src=slot_src
-            )
-        ar = np.arange(len(boundary))
-        own = assignment[boundary]
-        current = conn[ar, own]
-        conn[ar, own] = -np.inf
-        target = np.argmax(conn, axis=1)
-        gain = conn[ar, target] - current
-        movers = np.nonzero(gain > 0)[0]
-        if len(movers) == 0:
-            break
-        order = movers[np.argsort(-gain[movers], kind="stable")]
+    def score() -> tuple[float, float]:
+        return max(float(state.sizes.max()) - cap, 0.0), state.cut
 
-        trial = assignment.copy()
-        sizes = _partition_sizes(vertex_weights, trial, k)
-        if len(order) > _BULK_MOVE_LIMIT:
-            # Bulk admission: per target partition, admit movers in gain
-            # order while the cumulative admitted weight fits under the cap.
-            # Conservative vs the sequential loop (capacity freed by movers
-            # leaving a partition is only seen next pass), but O(m log m).
-            mv = boundary[order]
-            mt = target[order]
-            mw = vertex_weights[mv]
-            by_target = np.lexsort((-gain[order], mt))
-            mv, mt, mw = mv[by_target], mt[by_target], mw[by_target]
-            starts = segment_starts(mt)
-            counts = np.diff(np.append(starts, len(mt)))
-            running = np.cumsum(mw)
-            group_base = np.repeat(running[starts] - mw[starts], counts)
-            admit = sizes[mt] + (running - group_base) <= cap
-            trial[mv[admit]] = mt[admit]
-            moved = int(admit.sum())
-        else:
-            moved = 0
-            for i in order:
-                v = int(boundary[i])
-                t = int(target[i])
-                if sizes[t] + vertex_weights[v] > cap:
-                    continue
-                sizes[trial[v]] -= vertex_weights[v]
-                sizes[t] += vertex_weights[v]
-                trial[v] = t
-                moved += 1
-        if moved == 0:
+    best, best_score = state.assignment.copy(), score()
+    mark = best_score  # the score the patience count last restarted at
+    locked = np.zeros(len(best), dtype=bool)
+    stale = 0
+    while stale < passes:
+        verts, dest = state.propose(locked)
+        if not len(verts):
             break
-        new_cut_slots = trial[slot_src] != trial[indices]
-        new_cut = float(weights[new_cut_slots].sum() / 2.0)
-        if new_cut < best_cut:
-            assignment, best_cut, cut_slots = trial, new_cut, new_cut_slots
+        state.move(verts, dest)
+        locked[:] = False
+        locked[verts] = True
+        _balance(state, cap)
+        now = score()
+        if now < best_score:
+            best, best_score = state.assignment.copy(), now
+        if now[0] < mark[0] or (now[0] == mark[0] and now[1] < _PROGRESS * mark[1]):
+            mark, stale = now, 0
         else:
-            break  # stale-gain pass made things worse; keep the best seen
-    return assignment
+            stale += 1
+    return best

@@ -97,6 +97,20 @@ class TestColdWarmIdentity:
         assert np.array_equal(cold.vertex_partition, warm.vertex_partition)
         assert np.array_equal(cold.vertex_subgraph, warm.vertex_subgraph)
 
+    def test_partition_cached_by_version_3_is_a_miss(self, tmp_path, monkeypatch):
+        """A partition entry is keyed by the partitioner's class and scalar
+        config, not its algorithm: only the version keeps a warm cache from
+        serving the old refinement's partitions."""
+        assert INGEST_CODE_VERSION == 4
+        cache = DatasetCache(tmp_path)
+        tpl = paper_datasets(self.SCALE, 5, seed=3)["CARN"]["template"]
+        monkeypatch.setattr("repro.generators.cache.INGEST_CODE_VERSION", 3)
+        partition_graph(tpl, 4, MetisLikePartitioner(seed=3), cache=cache)
+        monkeypatch.undo()
+        misses = cache.misses
+        partition_graph(tpl, 4, MetisLikePartitioner(seed=3), cache=cache)
+        assert cache.misses == misses + 1 and cache.hits == 0
+
     def test_partitioner_config_in_key(self, tmp_path):
         cache = DatasetCache(tmp_path)
         data = paper_datasets(self.SCALE, 5, seed=3, cache=cache)

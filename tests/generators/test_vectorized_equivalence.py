@@ -35,8 +35,8 @@ def _digest(*arrays: np.ndarray) -> str:
 # repro.generators.cache.INGEST_CODE_VERSION in the same commit.
 GOLDEN_WIKI_EDGES = "d7a71a61b830ed14"
 GOLDEN_SIR = "bdd10ac781183fcf"
-GOLDEN_CARN_ASSIGN = "daf5afeafc2a2ba7"
-GOLDEN_WIKI_ASSIGN = "be8b5add80a3aac7"
+GOLDEN_CARN_ASSIGN = "73efc81b1b9ced56"
+GOLDEN_WIKI_ASSIGN = "76015c76a7a9daa0"
 
 _GOLDEN_SNIPPET = """
 import hashlib, numpy as np

@@ -304,15 +304,17 @@ class TestExecutorSweep:
 # and the kernel round loops all under them).  Recorded at 1d595cb, before the
 # round loops moved to array methods and ``_plan`` to a direct-address index:
 # both rewrites claim the same operations in the same order, so outputs, merge
-# outputs and final states hash to the same values.
+# outputs and final states hash to the same values.  Re-recorded once when the
+# partitioner began to return one piece per partition: outputs and states are
+# keyed by subgraph, and the subgraphs moved.
 
 GOFS_PINNED = {
-    ("tdsp", "CARN"): "9a7cc658f31b06ca63880b9d825c65b4599ee33cedc193bd706d9457015a423e",
-    ("reach", "CARN"): "4ac6e4791c2b491a6d9469297eb33f6d96f49ecd37afc9ce4d5c9c5729e1d2f3",
-    ("meme", "CARN"): "18ba205fff783133b35697b3feda1f13faa5998dee392fde80bc587aa1f2539b",
-    ("tdsp", "WIKI"): "ed9c643a9de2d6742ee9b191d55bddfb3bc2ab3f911a3e028dd95b24e0b3f763",
-    ("reach", "WIKI"): "c1a82b0c71088722ddc4b0cc4f0460ac66467f543b71c6480e4fceb6cc7fa27d",
-    ("meme", "WIKI"): "b520117f14b3710ab04477ff476d79bcb6ea6af8f4ddb8e6dead4875fcc388cd",
+    ("tdsp", "CARN"): "60561ba599c2adfb39b157963065f94e88a77fd67002eb9a1775e7271ae24ea0",
+    ("reach", "CARN"): "41beccff0f64b4274d371e0003096ec11cdeb22e4d37856e9502828945659b76",
+    ("meme", "CARN"): "de14c105590197565998389d5fa2ee91e10527d0f98f557e5624460512cd7527",
+    ("tdsp", "WIKI"): "8a95bbd602adf22162a59482759acb2df93cb5c4eebdafb48e68762936af35e9",
+    ("reach", "WIKI"): "c9f454d1f53243a03bf471da9273baa0d352f5fef4d6d9a4a337937a2ab2cb47",
+    ("meme", "WIKI"): "858b99fabc2c7775b25de6e598a522367081ab72acc3f1c9c8d2c87527f5a0ba",
 }
 
 

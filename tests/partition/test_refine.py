@@ -98,6 +98,21 @@ class TestRebalance:
         counts = np.bincount(out, minlength=2)
         assert counts[0] <= cap
 
+    def test_an_unreachable_cap_makes_nothing_worse(self):
+        """43 vertices in 9 parts cannot all fit 1.03 * 43 / 9 = 4.92: with
+        no partition able to take a vertex, balancing must not pile the
+        excess onto the lightest one."""
+        rng = np.random.default_rng(937748064)
+        tpl = make_random_template(43, 88, rng)
+        src, dst = tpl.edge_src, tpl.edge_dst
+        adj = sp.coo_matrix(
+            (np.ones(2 * len(src)), (np.concatenate([src, dst]), np.concatenate([dst, src]))),
+            shape=(43, 43),
+        ).tocsr()
+        a = np.repeat(np.arange(9), [5, 5, 5, 5, 5, 5, 4, 5, 4]).astype(np.int64)
+        out = rebalance(adj.indptr, adj.indices, adj.data, np.ones(43), a, 9, 1.03 * 43 / 9)
+        assert np.bincount(out, minlength=9).max() <= 5
+
     def test_noop_when_balanced(self):
         adj = grid_csr(4, 4)
         a = (np.arange(16) % 2).astype(np.int64)
