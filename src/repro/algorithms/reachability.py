@@ -81,7 +81,11 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         st["roots"] = np.empty(0, dtype=np.int64)
         #: Index arrays of the vertices first reached this timestep.
         st["newly"] = []
-        st["has_remote"] = index_mask(sg.remote.src_local, n)
+        #: Cut rows (``sg.remote``) still to carry the frontier, the vertices
+        #: with one, and the rows that carried it this timestep.
+        st["open"] = np.ones(len(sg.remote.src_local), dtype=bool)
+        st["has_open"] = index_mask(sg.remote.src_local, n)
+        st["shipped"] = []
 
     def _exists(self, ctx: ComputeContext, key: str, rows: np.ndarray) -> np.ndarray | None:
         """This instance's existence flags at ``rows``, gathered on first
@@ -109,13 +113,16 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         )
         st["newly"].append(newly)
         remote = sg.remote
-        sources = expanded_now[st["has_remote"][expanded_now]]
+        sources = expanded_now[st["has_open"][expanded_now]]
         if not sources.size:
             return
-        rows = index_mask(sources, sg.num_vertices)[remote.src_local].nonzero()[0]
+        rows = (index_mask(sources, sg.num_vertices)[remote.src_local] & st["open"]).nonzero()[0]
         exists = self._exists(ctx, "exists_remote", remote.edge_index)
         if exists is not None:
             rows = rows[exists[rows]]
+            if not rows.size:
+                return
+        st["shipped"].append(rows)
         for dst_sg, verts in group_unique_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows]
         ):
@@ -153,14 +160,20 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         if newly.size:
             st["unreached"] -= newly.size
             ctx.output(ReachedFrontier(ctx.timestep, sg.vertices[newly]))
+        # A cut row that carried the frontier has reached its head for good
+        # (heads are marked reached on receipt): close it.
+        if st["shipped"]:
+            st["open"][np.concatenate(st["shipped"])] = False
+            st["has_open"] = index_mask(sg.remote.src_local[st["open"]], sg.num_vertices)
+        if newly.size or st["shipped"]:
             # Next roots: reached vertices that could still reach someone — a
             # template neighbor that is unreached (whatever today's existence
-            # says, it may exist tomorrow) or any remote edge.  ``reached``
+            # says, it may exist tomorrow) or an open cut row.  ``reached``
             # only grows, so they are among today's roots and the newly reached.
             cand = sorted_unique(st["roots"], newly)
             keep = open_boundary(sg.indptr, sg.indices, st["reached"], cand)
-            st["roots"] = cand[keep | st["has_remote"][cand]]
-        st["newly"] = []
+            st["roots"] = cand[keep | st["has_open"][cand]]
+        st["newly"], st["shipped"] = [], []
         for key in ("expanded", "exists_local", "exists_remote"):
             st.pop(key, None)
         if not st["unreached"]:

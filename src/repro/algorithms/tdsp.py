@@ -23,8 +23,10 @@ resident subgraph state (hosts are memory-resident in GoFFish too) and send
 only a small continuation token while the subgraph is unfinished.  This
 preserves semantics and enables the While-loop early termination the paper
 reports (TDSP on WIKI finishing in 4 of 50 timesteps).  As an optimization,
-only *boundary* finalized vertices (with an unfinalized local neighbor or a
-remote edge) are re-rooted each timestep.
+only *boundary* finalized vertices (with an unfinalized local neighbor or an
+open cut row) are re-rooted each timestep.  A cut row closes once it has
+shipped a candidate inside a window: its head is final from that timestep
+on, so a timestep the wave has left behind sends nothing across the cut.
 """
 
 from __future__ import annotations
@@ -85,12 +87,15 @@ class TDSPComputation(TimeSeriesComputation):
         traversable in a later instance.
     root_pruning:
         When True (default), only *boundary* finalized vertices (those with
-        an unfinalized local neighbor or a remote edge) are re-rooted each
+        an unfinalized local neighbor or an open cut row) are re-rooted each
         timestep — an optimization over the paper's Algorithm 2, which
-        re-roots from the entire finalized set ``F``.  Results are
-        identical either way; pass False for paper-faithful execution,
-        whose per-partition work profile reproduces Fig 5a's strong scaling
-        and Fig 6a's gently growing per-timestep cost (work ∝ |F|).
+        re-roots from the entire finalized set ``F``.  A cut row closes at
+        the end of the timestep in which it shipped a candidate ≤ the window
+        end (that left its head finalized), and is never relaxed again.
+        Results are identical either way; pass False for paper-faithful
+        execution, whose per-partition work profile reproduces Fig 5a's
+        strong scaling and Fig 6a's gently growing per-timestep cost
+        (work ∝ |F|), and which re-sends over every cut edge each timestep.
     """
 
     pattern = Pattern.SEQUENTIALLY_DEPENDENT
@@ -126,7 +131,11 @@ class TDSPComputation(TimeSeriesComputation):
         #: Index arrays of the unfinalized vertices labelled this timestep.
         st["touched"] = []
         st["slot_src"] = slot_sources(sg.indptr)
-        st["has_remote"] = index_mask(sg.remote.src_local, n)
+        #: Cut rows (``sg.remote``) still to deliver, the vertices with one,
+        #: and the rows that shipped a candidate inside this timestep's window.
+        st["open"] = np.ones(len(sg.remote.src_local), dtype=bool)
+        st["has_open"] = index_mask(sg.remote.src_local, n)
+        st["shipped"] = []
 
     def _weights(self, ctx: ComputeContext, key: str, rows: np.ndarray) -> tuple:
         """This instance's latencies at ``rows`` as ``ctx.locate_edges``'s
@@ -159,10 +168,10 @@ class TDSPComputation(TimeSeriesComputation):
             st["touched"].append(improved)
             changed = np.concatenate((seeds, improved))
         remote = sg.remote
-        sources = changed[st["has_remote"][changed]]
+        sources = changed[st["has_open"][changed]]
         if not sources.size:
             return
-        rows = index_mask(sources, sg.num_vertices)[remote.src_local].nonzero()[0]
+        rows = (index_mask(sources, sg.num_vertices)[remote.src_local] & st["open"]).nonzero()[0]
         cand = label[remote.src_local[rows]]
         values, index = self._weights(ctx, "w_remote", remote.edge_index)
         cand += values[rows if index is None else index[rows]]
@@ -170,6 +179,7 @@ class TDSPComputation(TimeSeriesComputation):
         if not keep.size:
             return
         rows, cand = rows[keep], cand[keep]
+        st["shipped"].append(rows)
         for dst_sg, verts, vals in group_min_pairs(
             remote.dst_subgraph[rows], remote.dst_global[rows], cand
         ):
@@ -221,21 +231,29 @@ class TDSPComputation(TimeSeriesComputation):
             finalized[newly] = True
             st["unfinalized"] -= newly.size
             ctx.output(TDSPFrontier(ctx.timestep, sg.vertices[newly], values))
-            # Next roots: Algorithm 2 re-roots from the whole finalized set F;
-            # with root_pruning only finalized vertices that can still relax
-            # someone (an unfinalized local neighbor, or any remote edge) —
-            # among this timestep's roots and newly finalized, as F only grows.
-            if self.root_pruning:
-                cand = sorted_unique(roots, newly)
-                keep = open_boundary(sg.indptr, sg.indices, finalized, cand)
-                st["roots"] = cand[keep | st["has_remote"][cand]]
-            else:
-                st["roots"] = finalized.nonzero()[0]
+        # A cut row that shipped a candidate ≤ the window end left its head
+        # touched, so finalized now: every later candidate is ≥ the next
+        # window start, above that label.  Closed at the end of the timestep,
+        # not at send time — a later superstep may improve the tail.
+        closed = self.root_pruning and bool(st["shipped"])
+        if closed:
+            st["open"][np.concatenate(st["shipped"])] = False
+            st["has_open"] = index_mask(sg.remote.src_local[st["open"]], sg.num_vertices)
+        # Next roots: Algorithm 2 re-roots from the whole finalized set F;
+        # with root_pruning only finalized vertices that can still relax
+        # someone (an unfinalized local neighbor, or an open cut row) —
+        # among this timestep's roots and newly finalized, as F only grows.
+        if self.root_pruning and (newly.size or closed):
+            cand = sorted_unique(roots, newly)
+            keep = open_boundary(sg.indptr, sg.indices, finalized, cand)
+            st["roots"] = cand[keep | st["has_open"][cand]]
+        elif newly.size:
+            st["roots"] = finalized.nonzero()[0]
         # Back to all-inf: a wide relaxation round reads every slot's source
         # label, and the only labels it may find are its own timestep's.
         label[roots] = _INF
         label[newly] = _INF
-        st["touched"] = []
+        st["touched"], st["shipped"] = [], []
         st.pop("w_local", None)
         st.pop("w_remote", None)
         if not st["unfinalized"] or (self.halt_when_stalled and not newly.size):

@@ -94,6 +94,28 @@ class TestTemporalReachability:
         assert res.timesteps_executed < 20
 
 
+class TestCutRowsCloseOnDelivery:
+    """A cut row that carried the frontier has reached its head for good
+    (heads are marked reached on receipt), so it is closed, and its tail is
+    no longer re-rooted for it."""
+
+    #: Remote messages of the case below before delivered cut rows closed.
+    PARENT_REMOTE_MESSAGES = 30
+
+    def test_same_reach_fewer_messages_cross(self):
+        from repro.generators import paper_datasets
+        from repro.partition import MetisLikePartitioner
+
+        carn = paper_datasets(2000, 10)["CARN"]["template"]
+        tpl = evolving_template(carn.num_vertices, carn.edge_src, carn.edge_dst, carn.directed)
+        coll = make_collection(tpl, 10, PeriodicExistencePopulator(tpl, seed=0))
+        pg = partition_graph(tpl, 3, MetisLikePartitioner(seed=0))
+        res = run_application(TemporalReachabilityComputation(0), pg, coll)
+        assert reached_timesteps_from_result(res) == ref.temporal_reachability(coll, 0)
+        remote = res.metrics.total_remote_messages()
+        assert remote == 8 < self.PARENT_REMOTE_MESSAGES
+
+
 class TestCommunityEvents:
     def test_birth(self):
         prev = np.array([0, 1, 2, 3])  # all singletons

@@ -262,41 +262,56 @@ class CountingSource:
         return 0
 
 
+class OpenCutRows(TDSPComputation):
+    """TDSP that also outputs, per subgraph at the end of each timestep, how
+    many of its cut rows are still open (an ``int`` beside the frontiers)."""
+
+    def end_of_timestep(self, ctx):
+        super().end_of_timestep(ctx)
+        ctx.output(int(ctx.state["open"].sum()))
+
+
 class TestPayForTheBand:
     """A timestep costs what the wave touches, not what the subgraph holds."""
 
-    def test_idle_subgraphs_take_nothing_finalized_ones_only_remote_slots(self):
+    def test_idle_subgraphs_and_settled_ones_take_nothing(self):
+        """A subgraph the wave has not reached reads nothing; neither does
+        one that is completely finalized and whose cut rows have all
+        delivered — it has no root left, not even across its cut edges."""
         from repro.generators import road_latency_collection, road_network
 
         tpl = road_network(1500, seed=3)
         coll = road_latency_collection(tpl, 20, seed=3)
         pg = partition_graph(tpl, 4, MetisLikePartitioner(seed=3))
         sources = [CountingSource(coll) for _ in range(4)]
-        res = run_application(TDSPComputation(0), pg, coll, sources=sources)
+        res = run_application(OpenCutRows(0), pg, coll, sources=sources)
         got = tdsp_labels_from_result(res, tpl.num_vertices)
         assert got.tobytes() == time_expanded_dijkstra(coll, 0).tobytes()
 
-        first, reached = {}, {}
+        first, reached, still_open = {}, {}, {}
         for t, sgid, rec in res.outputs:
-            first.setdefault(sgid, t)
-            reached[sgid] = reached.get(sgid, 0) + rec.count
+            if isinstance(rec, TDSPFrontier):
+                first.setdefault(sgid, t)
+                reached[sgid] = reached.get(sgid, 0) + rec.count
+            else:
+                still_open[t, sgid] = rec
         locates = {(t, rows) for src in sources for t, rows in src.locates}
-        waited = finished = 0
+        waited = settled = 0
         for sg in pg.subgraphs:
             sgid = sg.subgraph_id
             local, remote = id(sg.edge_index), id(sg.remote.edge_index)
-            last = max(t for t, s, _rec in res.outputs if s == sgid) if sgid in first else -1
+            finals = [t for t, s, rec in res.outputs if s == sgid and isinstance(rec, TDSPFrontier)]
+            last = max(finals, default=-1)
             for t in range(res.timesteps_executed):
                 if t < first.get(sgid, res.timesteps_executed):
                     # The wave has not reached it: no roots, no improving message.
                     assert (t, local) not in locates and (t, remote) not in locates
                     waited += 1
-                elif reached[sgid] == sg.num_vertices and t > last:
-                    # Completely finalized: it only re-roots across its cut edges.
-                    assert (t, local) not in locates
-                    assert ((t, remote) in locates) == bool(len(sg.remote))
-                    finished += 1
-        assert waited >= 10 and finished >= 10, "the case must hold both kinds of pair"
+                elif reached[sgid] == sg.num_vertices and t > last and not still_open[t - 1, sgid]:
+                    # Completely finalized and every cut row closed: no roots.
+                    assert (t, local) not in locates and (t, remote) not in locates
+                    settled += 1
+        assert waited >= 10 and settled >= 10, "the case must hold both kinds of pair"
         # Whole columns are never asked for, and nothing table-wide was built.
         assert all(rows is not None for _t, rows in locates)
         handed_out = [inst for src in sources for inst in src.handed_out]
@@ -339,3 +354,50 @@ class TestPayForTheBand:
         assert got.tobytes() == time_expanded_dijkstra(coll, 0).tobytes()
         # Between timesteps every subgraph's label array is all-inf again.
         assert all(np.isinf(st["label"]).all() for st in res.states.values())
+
+
+def frames_in(res, timestep):
+    return sum(r.frames_sent for r in res.metrics.step_records if r.timestep == timestep)
+
+
+class TestCutRowsCloseOnDelivery:
+    """A cut row carries the wave once: after it delivered a candidate inside
+    a window its head is final, and the pruned run stops re-sending over it."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_once_every_cut_row_closed_no_frame_crosses_and_a_timestep_is_one_superstep(
+        self, k, monkeypatch
+    ):
+        from repro.generators import paper_datasets
+        from repro.runtime import Cluster
+
+        data = paper_datasets(2000, 40)["CARN"]
+        tpl, coll = data["template"], data["road"]
+        pg = partition_graph(tpl, k, MetisLikePartitioner(seed=0))
+        real, supersteps = Cluster.run_round, {}
+
+        def run_round(self, op, timestep, superstep, payloads):
+            if op == "superstep":
+                supersteps[timestep] = supersteps.get(timestep, 0) + 1
+            return real(self, op, timestep, superstep, payloads)
+
+        monkeypatch.setattr(Cluster, "run_round", run_round)
+        res = run_application(OpenCutRows(0, halt_when_stalled=True), pg, coll)
+        got = tdsp_labels_from_result(res, tpl.num_vertices)
+        assert got.tobytes() == time_expanded_dijkstra(coll, 0).tobytes()
+
+        still_open = {}
+        for t, _sg, rec in res.outputs:
+            if not isinstance(rec, TDSPFrontier):
+                still_open[t] = still_open.get(t, 0) + rec
+        closed_at = min(t for t, n in still_open.items() if n == 0)
+        after = range(closed_at + 1, res.timesteps_executed)
+        assert len(after) >= 3, "the case must run on after the last cut row closed"
+        assert [frames_in(res, t) for t in after] == [0] * len(after)
+        assert [supersteps[t] for t in after] == [1] * len(after)
+        # Algorithm 2's profile keeps re-sending over the closed rows.
+        monkeypatch.undo()
+        comp = TDSPComputation(0, halt_when_stalled=True, root_pruning=False)
+        full = run_application(comp, pg, coll)
+        assert all(frames_in(full, t) > 0 for t in after)
+

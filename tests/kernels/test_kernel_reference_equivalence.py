@@ -21,6 +21,10 @@ hashes ``res.states``.  Their ``digest((outputs, merge_outputs))`` was
 computed at the parent — where the full digest still equalled the
 scalar-twin pin — and at the change, and is equal; it is pinned beside the
 new full digest (``pinned_outputs``) so the original anchor is kept.
+
+The TDSP and reachability digests were re-pinned once more, for the same
+reason, when their states gained the open mask over the cut rows (``open``,
+``has_open``, ``shipped``).  Their outputs digests did not move.
 """
 
 import hashlib
@@ -171,13 +175,13 @@ FAMILIES = {
         lambda seed, **kw: build_case(seed, T=4, **kw),
         lambda tpl, pg: TDSPComputation(0), check_tdsp,
         {}, 7,
-        "a3052504df1f30df6d620e311373ab2347034b49cd401a63da50cad842c24122",
+        "28e49e1e5a8e7e4426767ab57e671b66d3fb17229064980b8ed1d7cbb5d58e80",
         "b76b005cb9597bc48b81a2ae1cf58cd531a3587f6f33815f3243cb62caf7add0",
     ),
     "reach": Family(
         evolving_case, lambda tpl, pg: TemporalReachabilityComputation(0), check_reach,
         {}, 5,
-        "465e1ae901d72d708f3151898236612c3771849be3e31bfef968dd12eeef7c05",
+        "e797e7938d83e9fa40238f875ad48cda7d197bbbe309bb2019a4cecbd40a4d6d",
         "58e97827ccce1d48c918bf6ad4afd54e33da893bc9134613a80e7c541aec5756",
     ),
     "meme": Family(
@@ -208,8 +212,9 @@ FAMILIES = {
 }
 
 #: TDSP with paper-faithful re-rooting (fig5a/6/7's work profile), same case;
-#: re-pinned with the family's digest in PR 17 (its outputs are the family's).
-TDSP_UNPRUNED_PINNED = "a47b5836ba06d3b3acfeb125a0504e35962eda5e9eb048d50b8fc7280c20504e"
+#: re-pinned with the family's digest both times (its outputs are the
+#: family's).
+TDSP_UNPRUNED_PINNED = "31bc312ee9fc1b96c3876f688fae5ec6e062b8874a6a6f66ef7c6f41495e445f"
 #: PageRank's oracle check is a tolerance, so the directed case is pinned too.
 PAGERANK_DIRECTED_PINNED = "8346ba477dcb453f3ec8980862d95c226c1d6324ec4931fed7f213b7444f6f52"
 
@@ -237,14 +242,20 @@ class TestTDSP:
         run_family("tdsp", seed=seed, k=k)
 
     def test_root_pruning_off_still_bit_identical(self):
-        """Re-pinned in PR 17 (the state keys changed, see the module
-        docstring); what it emits is still what the pruned run emits."""
+        """Re-pinned with the family (the state keys changed, see the module
+        docstring); what it emits is still what the pruned run emits, and it
+        sends what Algorithm 2 sends: the counts are the ones recorded before
+        the pruned run began to close delivered cut rows, which it does not."""
         fam = FAMILIES["tdsp"]
         tpl, coll, pg = fam.case(fam.pinned_seed)
         res = run(TDSPComputation(0, root_pruning=False), pg, coll)
         check_tdsp(res, tpl, coll)
         assert outputs_digest(res) == fam.pinned_outputs
         assert result_digest(res) == TDSP_UNPRUNED_PINNED
+        s = res.metrics.summary()
+        assert (s["supersteps"], s["remote_messages"], s["frames"]) == (19, 43, 33)
+        pruned = run(TDSPComputation(0), pg, coll).metrics.summary()
+        assert (pruned["supersteps"], pruned["remote_messages"], pruned["frames"]) == (19, 37, 31)
 
 
 class TestReachability:
@@ -285,9 +296,9 @@ class TestEvolution:
 class TestExecutorSweep:
     """Every family reproduces its pinned digest on every backend.
 
-    ``tdsp-*``, ``reach-*`` and ``meme-*`` were re-pinned in PR 17 because
-    their state keys changed; their outputs-only digest did not move and is
-    asserted too (module docstring)."""
+    ``tdsp-*``, ``reach-*`` and ``meme-*`` were re-pinned because their
+    state keys changed (``tdsp-*`` and ``reach-*`` twice); their outputs-only
+    digest did not move and is asserted too (module docstring)."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -306,15 +317,29 @@ class TestExecutorSweep:
 # both rewrites claim the same operations in the same order, so outputs, merge
 # outputs and final states hash to the same values.  Re-recorded once when the
 # partitioner began to return one piece per partition: outputs and states are
-# keyed by subgraph, and the subgraphs moved.
+# keyed by subgraph, and the subgraphs moved.  The TDSP and reachability
+# entries were re-recorded again when their states gained the open mask over
+# the cut rows; what they emit did not move, and ``GOFS_OUTPUTS_PINNED``
+# (recorded before that change) holds every case to it.
 
 GOFS_PINNED = {
-    ("tdsp", "CARN"): "60561ba599c2adfb39b157963065f94e88a77fd67002eb9a1775e7271ae24ea0",
-    ("reach", "CARN"): "41beccff0f64b4274d371e0003096ec11cdeb22e4d37856e9502828945659b76",
+    ("tdsp", "CARN"): "c11903615dc19a6d4c4e3f66c048c8bd63fd8c89a500d619591d55bcf74432fe",
+    ("reach", "CARN"): "964b615a4adde939cf44d8dea6f71d52897a1e2cada9f3b7a8ee6ddd12fcd804",
     ("meme", "CARN"): "de14c105590197565998389d5fa2ee91e10527d0f98f557e5624460512cd7527",
-    ("tdsp", "WIKI"): "8a95bbd602adf22162a59482759acb2df93cb5c4eebdafb48e68762936af35e9",
-    ("reach", "WIKI"): "c9f454d1f53243a03bf471da9273baa0d352f5fef4d6d9a4a337937a2ab2cb47",
+    ("tdsp", "WIKI"): "1ac558d8128b7161ddae5c80285fdd79e7aaf8077527011c930e03d31fdf1a34",
+    ("reach", "WIKI"): "d16ecdfa9a5626682551ac3959fbbcef16366b333dd83a9751db03ff09524680",
     ("meme", "WIKI"): "858b99fabc2c7775b25de6e598a522367081ab72acc3f1c9c8d2c87527f5a0ba",
+}
+
+#: ``outputs_digest`` of the cases above, recorded before the TDSP and
+#: reachability states gained the open mask.
+GOFS_OUTPUTS_PINNED = {
+    ("tdsp", "CARN"): "d3f1c510fe7eb25012ba5a02c69e1cb577850cad68e56e87dd3bf3774a0ee1a2",
+    ("reach", "CARN"): "31346251c11b04c2220b6381ffe7d6ec586e9b4867ec1f136d00aef4bacf379b",
+    ("meme", "CARN"): "fac17c8b7ddf07408da4d51482a310e3199dc530169008782c271a8295ae0d5e",
+    ("tdsp", "WIKI"): "44cec357db68ca7ad0cbf84ad9702971efe2a4b846c55f7c4297901bfbf0a1b8",
+    ("reach", "WIKI"): "517c74d6ab377f7ba63900990dd03db11a121f082aac7ac37801a59a0376cc7d",
+    ("meme", "WIKI"): "d25e254351ead226f30f894ce318fe24eb1b5326e92fd6a821d221d1c946e01f",
 }
 
 
@@ -345,3 +370,4 @@ class TestPinnedOverGoFS:
         res = run_application(comp, pg, coll, sources=GoFS.partition_views(tmp_path))
         assert len(res.outputs) > 3  # the wave left the source's subgraph
         assert result_digest(res) == GOFS_PINNED[algorithm, graph]
+        assert outputs_digest(res) == GOFS_OUTPUTS_PINNED[algorithm, graph]

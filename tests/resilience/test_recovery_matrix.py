@@ -4,6 +4,8 @@ no hangs and no leaked worker processes."""
 
 import pytest
 
+from repro.algorithms import TDSPComputation, tdsp_labels_from_result
+from repro.algorithms.reference import time_expanded_dijkstra
 from repro.core import EngineConfig, run_application
 from repro.resilience import (
     FAULT_KINDS,
@@ -16,6 +18,7 @@ from repro.resilience import (
 from repro.runtime import RecoverableWorkerError
 
 from ..conftest import hosts_for
+from ..core.test_executor_equivalence import _canonical
 from .conftest import AccumulateSum, RingRelay
 
 pytestmark = pytest.mark.resilience
@@ -170,6 +173,48 @@ class TestFaultMatrixInProcess:
         result = run_application(comp, pg, coll, config=cfg)
         _identical(result, baseline)
         assert result.metrics.retries == 2
+
+
+class TestTDSPRecovery:
+    """TDSP's open mask over the cut rows is resident state: a checkpoint
+    carries it, a restore brings it back and a replay rebuilds the rows a
+    timestep shipped before the kill.  In this case rows close at the ends of
+    timesteps 1 and 2, so the kills land on a timestep holding shipped rows
+    (``s1``), on the call that closes them (``eot``) and after a close."""
+
+    KILLS = ["kill@t1:s1:p1", "kill@t1:eot:p1", "kill@t2:p1"]
+
+    @pytest.fixture(scope="class")
+    def baseline(self, case):
+        _tpl, coll, pg = case
+        result = run_application(TDSPComputation(0), pg, coll)
+        assert any(not st["open"].all() for st in result.states.values())
+        return result
+
+    @pytest.mark.parametrize("checkpoint", [True, False], ids=["checkpoint-every-1", "genesis"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("faults", KILLS)
+    def test_recovers_bit_identical(
+        self, case, sources, tmp_path, baseline, faults, executor, checkpoint
+    ):
+        tpl, coll, pg = case
+        result = run_application(
+            TDSPComputation(0), pg, coll, sources=sources,
+            config=EngineConfig(
+                executor=executor,
+                checkpoint=CheckpointConfig(dir=tmp_path, every=1) if checkpoint else None,
+                faults=FaultPlan.parse(faults, seed=3),
+                recovery=RecoveryPolicy(backoff_s=0.0),
+            ),
+        )
+        assert result.failure is None and result.metrics.retries == 1
+        assert _canonical(result.outputs) == _canonical(baseline.outputs)
+        assert _canonical(result.states) == _canonical(baseline.states)
+        counts = ("timesteps", "supersteps", "messages", "remote_messages", "frames")
+        got, want = result.metrics.summary(), baseline.metrics.summary()
+        assert {c: got[c] for c in counts} == {c: want[c] for c in counts}
+        labels = tdsp_labels_from_result(result, tpl.num_vertices)
+        assert labels.tobytes() == time_expanded_dijkstra(coll, 0).tobytes()
 
 
 class TestExhaustedRetries:
