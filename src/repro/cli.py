@@ -228,8 +228,9 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
         )
     wants_recovery = args.max_retries is not None or args.degrade or args.quarantine
     if wants_recovery and not args.inject_faults and args.executor not in ("process", "socket"):
-        # In-process executors without injected faults have no recoverable
-        # failure source: the policy would never act.  Loud, not fatal.
+        # Every run is supervised, but in-process executors without injected
+        # faults have no recoverable failure source: the policy would never
+        # act.  Loud, not fatal.
         print(
             "WARNING: recovery flags (--max-retries/--degrade/--quarantine) "
             "have no effect on an in-process executor without "
@@ -240,7 +241,11 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
 
 
 def _resilience_config(args: argparse.Namespace) -> dict:
-    """EngineConfig kwargs for the resilience flags (empty when all are off)."""
+    """EngineConfig kwargs for the resilience flags.
+
+    The recovery policy is always given: every run is supervised, and the
+    flags only change the retry budget or what happens when it runs out.
+    """
     kwargs: dict = {}
     if args.checkpoint_every or args.resume_from is not None:
         kwargs["checkpoint"] = CheckpointConfig(
@@ -251,12 +256,9 @@ def _resilience_config(args: argparse.Namespace) -> dict:
             args.inject_faults,
             seed=args.fault_seed if args.fault_seed is not None else 0,
         )
-    if args.max_retries is not None or args.degrade or args.quarantine:
-        exhausted = "degrade" if args.degrade else "quarantine" if args.quarantine else "raise"
-        kwargs["recovery"] = RecoveryPolicy(
-            max_retries=args.max_retries if args.max_retries is not None else 2,
-            on_exhausted=exhausted,
-        )
+    retries = {} if args.max_retries is None else {"max_retries": args.max_retries}
+    exhausted = "degrade" if args.degrade else "quarantine" if args.quarantine else "raise"
+    kwargs["recovery"] = RecoveryPolicy(on_exhausted=exhausted, **retries)
     if args.gather_timeout is not None:
         kwargs["gather_timeout_s"] = args.gather_timeout
     return kwargs
@@ -525,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     res.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
-        help="recovery retries per incident (default 2 when faults/recovery active)",
+        help="recovery retries per incident (default 2)",
     )
     res.add_argument(
         "--quarantine", action="store_true",

@@ -27,27 +27,29 @@ outputs, metrics) into a :class:`~repro.resilience.checkpoint.CheckpointManager`
 directory at the end of a timestep; a run resumes there, and a failure
 inside a timestep is repaired by journal replay from it.  When a
 *recoverable* failure surfaces — a dead worker process, a wedged gather, a
-corrupt reply, an injected fault — there is one way to recover.  A
-:class:`~repro.resilience.supervisor.HostSupervisor` issues every
-driver→worker exchange, journals the protocol rounds in a driver-side
+corrupt reply, an injected fault — there is one way to recover, and
+every run has it.  A :class:`~repro.resilience.supervisor.HostSupervisor`
+issues every driver→worker exchange, journals the protocol rounds in its
 :class:`~repro.resilience.journal.FrameJournal`, and repairs a failed host
 in place: respawn only its worker at a higher incarnation, restore only its
-partition from the latest checkpoint (or genesis-fresh state), silently
-replay its journaled rounds, and re-issue the in-flight exchange while the
-survivors hold at the barrier.  The run itself never rewinds.  Wire-level
-trouble (dropped, duplicated, reordered, corrupted replies; wedged gathers)
-is cured a layer below, on every executor, by the sequence-numbered
-idempotent resend protocol (:mod:`repro.runtime.protocol`) and surfaces
-only as *protocol incidents* in the failure log.  When a partition exhausts
+partition from the checkpoint this run last wrote or resumed from (or
+genesis-fresh state), silently replay its journaled rounds, and re-issue
+the in-flight exchange while the survivors hold at the barrier.  The run
+itself never rewinds.  Wire-level trouble (dropped, duplicated, reordered,
+corrupted replies; wedged gathers) is cured a layer below, on every
+executor, by the sequence-numbered idempotent resend protocol
+(:mod:`repro.runtime.protocol`) and surfaces only as *protocol incidents*
+in the failure log.  When a partition exhausts
 its retry budget under ``RecoveryPolicy(on_exhausted="quarantine")``, it is
 quarantined and the run completes degraded, named in
 ``AppResult.degraded_partitions``; the repairs that did complete are
 ``AppResult.recovery_actions``.
 
-Retries are bounded per round by
-:class:`~repro.resilience.recovery.RecoveryPolicy`; when they run out the
-run surfaces a structured :class:`~repro.resilience.recovery.RunFailure`
-instead of hanging.  Deterministic application errors are never retried.
+Retries are bounded per round by ``EngineConfig.recovery``, a
+:class:`~repro.resilience.recovery.RecoveryPolicy` (``RecoveryPolicy()``
+unless given); when they run out the run surfaces a structured
+:class:`~repro.resilience.recovery.RunFailure` instead of hanging.
+Deterministic application errors are never retried.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ from ..observability import RunRecorder, RunTrace
 from ..partition.base import PartitionedGraph
 from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
 from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
-from ..resilience.journal import FrameJournal
 from ..resilience.recovery import RecoveryPolicy, RunFailure, RunFailureError
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
-from ..runtime.cluster import Cluster, raise_first_failure
+from ..runtime.cluster import Cluster
 from ..runtime.cost import CostModel
 from ..runtime.gc_model import GCModel
 from ..runtime.host import CollectionInstanceSource, HostStepResult, InstanceSource, RunMeta
@@ -132,16 +133,16 @@ class EngineConfig:
         Optional :class:`~repro.resilience.checkpoint.CheckpointConfig`.
         When set, timestep-boundary snapshots are written on the configured
         cadence; ``run(resume_from=...)`` restarts from them and host
-        repair restores the failed partition from the latest one.
+        repair restores the failed partition from the one this run last
+        wrote or resumed from.
     faults:
         Optional :class:`~repro.resilience.faults.FaultPlan` of scripted,
-        deterministic failures (testing/bench use).  Enabling faults also
-        enables recovery with the default policy unless ``recovery`` is
-        given explicitly.
+        deterministic failures (testing/bench use), repaired like any other
+        failure under ``recovery``.
     recovery:
-        Optional :class:`~repro.resilience.recovery.RecoveryPolicy`
-        bounding host-repair retries.  ``None`` (with ``faults`` also None)
-        keeps the pre-resilience behavior: failures propagate immediately.
+        The :class:`~repro.resilience.recovery.RecoveryPolicy` bounding
+        host-repair and protocol-resend retries on every run (default
+        ``RecoveryPolicy()``: two retries per round, then raise).
     gather_timeout_s:
         Bound on a partition's reply wait per scatter/gather round.
         ``None`` (default) waits for ever, except that fault injection
@@ -162,7 +163,7 @@ class EngineConfig:
     tracing: object | None = None
     checkpoint: CheckpointConfig | None = None
     faults: FaultPlan | None = None
-    recovery: RecoveryPolicy | None = None
+    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     gather_timeout_s: float | None = None
     hosts: tuple | None = None
 
@@ -189,7 +190,7 @@ class _RunState:
     #: same-partition temporal sends never leave their host.
     temporal_frames: list[MessageFrame] = field(default_factory=list)
     cluster: Cluster | None = None
-    journal: FrameJournal | None = None
+    #: The one way to the hosts: every exchange is ``supervisor.round``.
     supervisor: HostSupervisor | None = None
 
 
@@ -235,11 +236,7 @@ class TIBSPEngine:
     # -- cluster construction ------------------------------------------------------
 
     def _make_cluster(
-        self,
-        computation: TimeSeriesComputation,
-        meta: RunMeta,
-        tracing: bool,
-        policy: RecoveryPolicy | None = None,
+        self, computation: TimeSeriesComputation, meta: RunMeta, tracing: bool
     ) -> Cluster:
         cfg = self.config
         gather_timeout = cfg.gather_timeout_s
@@ -258,9 +255,9 @@ class TIBSPEngine:
             tracing=tracing,
             gather_timeout_s=gather_timeout,
             fault_plan=cfg.faults,
-            # Recovery hardens the protocol: bounded idempotent resends cure
-            # drops/corruption/timeouts below host repair.
-            retry_policy=policy,
+            # Bounded idempotent resends cure drops/corruption/timeouts
+            # below host repair.
+            retry_policy=cfg.recovery,
         )
 
     @staticmethod
@@ -335,9 +332,6 @@ class TIBSPEngine:
         )
         trace = RunTrace() if cfg.tracing else None
         result = AppResult(metrics=metrics, trace=trace)
-        policy = cfg.recovery if cfg.recovery is not None else (
-            RecoveryPolicy() if cfg.faults is not None else None
-        )
         rs = _RunState(
             pattern=pattern,
             start=start,
@@ -373,28 +367,23 @@ class TIBSPEngine:
                 barrier_s=metrics.barrier_s,
             )
             rs.recorder.flush()
-            rs.cluster = self._make_cluster(computation, meta, trace is not None, policy)
+            rs.cluster = self._make_cluster(computation, meta, trace is not None)
+            # Every driver→worker exchange goes through the supervisor, which
+            # journals the rounds and repairs single-host failures in place
+            # while the survivors hold at the barrier.
+            rs.supervisor = HostSupervisor(
+                rs.cluster,
+                cfg.recovery,
+                manager=rs.manager,
+                recorder=rs.recorder,
+                failure_log=result.failure_log,
+            )
             if trace is not None:
                 rs.cluster.driver_tracer = trace.tracer
 
-            if resume_from is not None:
-                t = self._resume(rs, resume_from)
-
-            if policy is not None:
-                # Every driver→worker exchange goes through the supervisor,
-                # which journals the rounds and repairs single-host failures
-                # in place while the survivors hold at the barrier.
-                rs.journal = FrameJournal(self.pg.num_partitions)
-                rs.supervisor = HostSupervisor(
-                    rs.cluster,
-                    policy,
-                    rs.journal,
-                    manager=rs.manager,
-                    recorder=rs.recorder,
-                    failure_log=result.failure_log,
-                )
-
             try:
+                if resume_from is not None:
+                    t = self._resume(rs, resume_from)
                 while t < stop:
                     with rs.recorder.span("timestep", t=t):
                         halted_early = self._run_timestep(rs, t)
@@ -408,7 +397,7 @@ class TIBSPEngine:
                         break
                 if pattern.has_merge:
                     self._run_merge(rs)
-                for part in self._round(rs, "states", -1, AT_EOT, None):
+                for part in rs.supervisor.round("states", -1, AT_EOT, None):
                     result.states.update(part)
             except RecoveryExhausted as exc:
                 # The supervisor burned the whole per-round budget on one
@@ -419,21 +408,21 @@ class TIBSPEngine:
                     failure_log=list(result.failure_log),
                 )
                 result.failure = failure
-                if policy.on_exhausted == "raise":
+                if cfg.recovery.on_exhausted == "raise":
                     raise RunFailureError(failure, partial=result) from exc.original
         finally:
             cluster, supervisor = rs.cluster, rs.supervisor
             # The log's last word: a reader of it tells a finished run from
             # a stalled one.
             rs.recorder.event("run_end", timesteps_executed=result.timesteps_executed)
-            if supervisor is not None:
-                # Provenance — the repair records, the partitions given up
-                # on — attached even when the run exits abnormally.
-                result.recovery_actions = list(supervisor.actions)
-                result.degraded_partitions = sorted(supervisor.quarantined)
             if cluster is not None:
+                # Provenance — the repair records, the partitions given up
+                # on — attached even when the run exits abnormally.  The
+                # supervisor is built with the cluster, before anything runs.
+                result.recovery_actions = list(supervisor.actions)
+                result.degraded_partitions = sorted(cluster.quarantined)
                 stats = cluster.protocol_stats()
-                if supervisor is not None and supervisor.dropped_messages:
+                if supervisor.dropped_messages:
                     stats["dropped_to_quarantined"] = supervisor.dropped_messages
                 result.protocol_stats = stats
                 cluster.shutdown()
@@ -453,18 +442,20 @@ class TIBSPEngine:
         Returns the timestep to enter: the one after the timestep the
         checkpoint closed.
         """
-        loaded = rs.manager.load(None if resume_from is True else resume_from)
+        name = rs.manager.latest_name() if resume_from is True else resume_from
+        loaded = rs.manager.load(name)
         blob = loaded.driver
         result = rs.result
-        result.metrics = blob["metrics"]
-        rs.recorder.restore(result.metrics)
+        # The run continues on the collector the checkpoint carried.
+        result.metrics = rs.recorder.metrics = blob["metrics"]
         rs.input_msgs = blob["input_msgs"]
         rs.temporal_frames[:] = blob["temporal_frames"]
         result.outputs[:] = blob["outputs"]
         result.merge_outputs[:] = blob["merge_outputs"]
         result.timesteps_executed = blob["timesteps_executed"]
         t = blob["next_t"]
-        rs.cluster.restore(loaded.parts)
+        rs.supervisor.round("restore", t, AT_BEGIN, loaded.parts)
+        rs.supervisor.checkpointed(name)
         rs.recorder.event(
             "restore", timestep=t, seconds=0.0, resumed=True, checkpoint=loaded.meta.get("seq")
         )
@@ -486,7 +477,7 @@ class TIBSPEngine:
             return
         # The checkpoint, and a repair during its snapshot, are charged to
         # the timestep it closes.
-        parts = self._round(rs, "snapshot", t, AT_EOT, None)
+        parts = rs.supervisor.round("snapshot", t, AT_EOT, None)
         if cluster.quarantined:
             return
         blob = {
@@ -499,24 +490,11 @@ class TIBSPEngine:
             "metrics": rs.recorder.metrics,
         }
         info = rs.manager.write(t + 1, blob, parts)
-        if rs.journal is not None:
-            # This checkpoint is the new replay base for host repair.
-            rs.journal.truncate()
+        rs.supervisor.checkpointed(info.path.name)
         cost = self.config.cost_model.checkpoint_cost(info.nbytes)
         rs.recorder.emit(CheckpointRecord(t, info.nbytes, info.seconds, cost, info.path.name))
 
     # -- one timestep ---------------------------------------------------------------------
-
-    @staticmethod
-    def _round(
-        rs: _RunState, op: str, timestep: int, superstep: int, payloads: list | None
-    ) -> list:
-        """Issue one driver→worker exchange: supervised (journal + host
-        repair), or plain, raising the first partition's captured failure
-        to the caller when recovery is off."""
-        if rs.supervisor is not None:
-            return rs.supervisor.round(op, timestep, superstep, payloads)
-        return raise_first_failure(rs.cluster.run_round(op, timestep, superstep, payloads))
 
     @staticmethod
     def _record(rs: _RunState, phase: str, t: int, s: int, results: list[HostStepResult]) -> None:
@@ -532,15 +510,16 @@ class TIBSPEngine:
         loads ahead of the next one is its source's business.
         """
         rec, result, temporal_frames = rs.recorder, rs.result, rs.temporal_frames
+        exchange = rs.supervisor.round
         gc = self.config.gc_model
         if gc.enabled:
-            resident = self._round(rs, "resident", t, AT_BEGIN, None)
+            resident = exchange("resident", t, AT_BEGIN, None)
             pauses = [gc.pause_at(t - rs.start, b) for b in resident]
         else:
             pauses = [0.0] * self.pg.num_partitions
 
         with rec.span("begin_timestep", t=t):
-            begin_results = self._round(rs, "begin", t, AT_BEGIN, pauses)
+            begin_results = exchange("begin", t, AT_BEGIN, pauses)
         for r in begin_results:
             rec.emit(LoadRecord(t, r.partition, r.load_s, r.load_hidden_s))
             if r.gc_pause_s:
@@ -559,7 +538,7 @@ class TIBSPEngine:
         superstep = self._supersteps(rs, PHASE_COMPUTE, t, per_part, result.outputs, halt_votes)
 
         with rec.span("end_of_timestep", t=t):
-            eot_results = self._round(rs, "eot", t, AT_EOT, None)
+            eot_results = exchange("eot", t, AT_EOT, None)
         self._record(rs, PHASE_COMPUTE, t, superstep, eot_results)
         pending_temporal = 0
         for r in eot_results:
@@ -593,6 +572,7 @@ class TIBSPEngine:
         supersteps run.
         """
         cfg, rec, k = self.config, rs.recorder, self.pg.num_partitions
+        exchange = rs.supervisor.round
         if phase == PHASE_MERGE:
             op, span, where, name = "merge", "merge_superstep", {}, "merge phase"
         else:
@@ -606,7 +586,7 @@ class TIBSPEngine:
                 )
             with rec.span(span, **where, s=superstep):
                 barrier_start = time.perf_counter()
-                step_results = self._round(rs, op, t, superstep, per_part)
+                step_results = exchange(op, t, superstep, per_part)
                 rec.barrier(phase, t, superstep, barrier_start)
             self._record(rs, phase, t, superstep, step_results)
 

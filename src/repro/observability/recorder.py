@@ -33,10 +33,6 @@ class RunRecorder:
         self.metrics = metrics
         self.trace = trace
 
-    def restore(self, metrics: Any) -> None:
-        """Continue on the collector a ``resume_from`` checkpoint carried."""
-        self.metrics = metrics
-
     def emit(self, record: Any) -> None:
         """State one typed record: collector, event log."""
         self.metrics.fold(record)

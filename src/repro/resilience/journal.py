@@ -1,4 +1,4 @@
-"""Per-partition frame journal: the driver's WAL for host repair.
+"""The frame journal: the driver's WAL for host repair.
 
 Recovery restores just the failed partition — but a checkpoint alone is
 not enough to rebuild it, because the partition's state also depends on
@@ -7,12 +7,12 @@ inbound :class:`~repro.core.messages.MessageFrame` deliveries those rounds
 carried.
 
 The :class:`FrameJournal` is a lightweight driver-side write-ahead log of
-exactly that: for each partition, the ordered post-checkpoint protocol
-rounds (``begin`` / ``superstep`` / ``eot`` / ``merge``) together with the
-per-partition delivery payload each round shipped.  The supervisor appends
-a round *before* issuing it, so at any failure the journal's tail entry is
-the in-flight round and everything before it is committed work that a
-respawned host must silently replay.
+exactly that: the ordered post-checkpoint protocol rounds (``begin`` /
+``superstep`` / ``eot`` / ``merge``), each with the per-partition payload
+list it shipped.  The supervisor appends a round *before* issuing it, so
+at any failure the journal's tail entry is the in-flight round and
+everything before it is committed work that a respawned host must
+silently replay.
 
 Lifecycle invariants:
 
@@ -26,10 +26,15 @@ barrier.
 Replay results (outputs, frames, halt votes, telemetry) are discarded —
 the driver committed them when the round first completed.
 
-The journal relies on frames being immutable after
-:meth:`~repro.core.messages.MessageFrame.pack` (see ``repro.core.messages``):
-entries hold references, not copies, so journaling costs O(rounds), not
-O(message bytes).
+An append stores one tuple per round and holds the payload list by
+reference, which relies on frames being immutable after
+:meth:`~repro.core.messages.MessageFrame.pack` (see ``repro.core.messages``);
+a partition's :class:`JournalEntry` list is built only when a repair asks
+for it.  What the journal costs is memory: it keeps every frame it
+delivered alive until the next checkpoint truncates it, so a run without
+checkpoints holds all of its remote frames to the end — about 4 kB on a
+200k-vertex TDSP run, 1 MB on a 200k-vertex MEME run over WIKI
+(``bytes_sent``).
 """
 
 from __future__ import annotations
@@ -56,13 +61,12 @@ class JournalEntry(NamedTuple):
 
 
 class FrameJournal:
-    """Driver-side WAL of post-checkpoint protocol rounds, per partition."""
+    """Driver-side WAL of post-checkpoint protocol rounds."""
 
     def __init__(self, num_partitions: int) -> None:
         self.num_partitions = int(num_partitions)
-        self._entries: list[list[JournalEntry]] = [[] for _ in range(self.num_partitions)]
-        #: Rounds appended since construction (never reset; provenance aid).
-        self.rounds_journaled = 0
+        #: ``(op, timestep, superstep, payloads)`` per round, oldest first.
+        self._rounds: list[tuple[str, int, int, list[Any] | None]] = []
 
     def append(
         self,
@@ -71,28 +75,27 @@ class FrameJournal:
         superstep: int,
         payloads: list[Any] | None,
     ) -> None:
-        """Journal one round for every partition, pre-execution.
+        """Journal one round, pre-execution.
 
         ``payloads`` is indexed by partition (``None`` journals a ``None``
         payload for everyone, e.g. end-of-timestep rounds).
         """
-        for p in range(self.num_partitions):
-            payload = payloads[p] if payloads is not None else None
-            self._entries[p].append(JournalEntry(op, int(timestep), int(superstep), payload))
-        self.rounds_journaled += 1
+        self._rounds.append((op, timestep, superstep, payloads))
 
     def entries_for(self, partition: int) -> list[JournalEntry]:
-        """The partition's post-checkpoint rounds, oldest first (a copy)."""
-        return list(self._entries[partition])
+        """The partition's post-checkpoint rounds, oldest first (a new list)."""
+        return [
+            JournalEntry(op, t, s, None if payloads is None else payloads[partition])
+            for op, t, s, payloads in self._rounds
+        ]
 
     def truncate(self) -> None:
         """A durable checkpoint landed: it is the new replay base."""
-        for entries in self._entries:
-            entries.clear()
+        self._rounds.clear()
 
     def __len__(self) -> int:
-        """Journaled rounds currently held (per partition)."""
-        return len(self._entries[0]) if self._entries else 0
+        """Journaled rounds currently held."""
+        return len(self._rounds)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FrameJournal({self.num_partitions} partitions, {len(self)} rounds held)"

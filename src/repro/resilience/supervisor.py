@@ -1,7 +1,9 @@
 """Per-host supervision: the run's one way to recover.
 
 The run never rewinds: one flaky host must not cost the whole cluster a
-timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
+timestep.  Every run has a :class:`HostSupervisor`, and its
+:meth:`~HostSupervisor.round` is the one way the driver reaches its hosts;
+it closes the detect→act loop per host:
 
 * every protocol round (``begin`` / ``superstep`` / ``eot`` / ``merge``)
   is journaled in the :class:`~repro.resilience.journal.FrameJournal`
@@ -10,15 +12,18 @@ timestep.  The :class:`HostSupervisor` closes the detect→act loop per host:
   raising on the first failure, so surviving hosts complete their round
   and hold at the barrier;
 * a failed partition is recovered **surgically**: respawn only its
-  worker (higher incarnation), restore only its blob from the latest
-  checkpoint (or start from genesis-fresh state when none exists),
-  silently replay its journaled post-checkpoint rounds, then re-issue
-  the in-flight round — the survivors' round results are kept, nothing
-  is recorded twice, and results stay bit-identical to a fault-free run;
-* the read-only exchanges (``snapshot`` / ``resident`` / ``states``) go
-  through the same routine — they are not journaled, since
-  they do not change host state, so a partition that dies in one replays
-  its *whole* journal and answers the exchange again on its own;
+  worker (higher incarnation), restore only its blob from the run's
+  replay base (the checkpoint it last wrote or resumed from, else
+  genesis-fresh state), silently replay its journaled post-checkpoint
+  rounds, then re-issue the in-flight round — the survivors' round
+  results are kept, nothing is recorded twice, and results stay
+  bit-identical to a fault-free run;
+* the exchanges that are not rounds go through the same routine: the
+  read-only queries (``snapshot`` / ``resident`` / ``states``) and a
+  resume's ``restore``.  They are not journaled — a query does not change
+  host state, and a restore *is* the replay base — so a partition that
+  dies in one replays its *whole* journal and answers the exchange again
+  on its own;
 * wire-level misbehavior (the ``drop_frame``/``dup_frame``/``reorder``/
   ``corrupt_frame`` network faults) never reaches this layer at all: the
   cluster's sequence-numbered protocol cures it with an
@@ -82,13 +87,10 @@ class HostSupervisor:
     policy:
         The bounded-retry :class:`RecoveryPolicy` (attempt budget shared
         per round across failures).
-    journal:
-        The driver-side :class:`FrameJournal` WAL.  The engine truncates
-        it at every durable checkpoint; the supervisor appends each round
-        pre-execution and replays the committed ones on a respawned host.
     manager:
-        Checkpoint manager for partial restores (``None`` → genesis
-        replay: a freshly respawned host *is* the start-of-run state).
+        Checkpoint manager for partial restores.  Until :meth:`checkpointed`
+        names a replay base (and always when ``None``), a freshly respawned
+        host *is* the start-of-run state: genesis replay.
     recorder:
         The run's :class:`~repro.observability.RunRecorder`: each completed
         recovery is stated to it once, as a record; what was detected and
@@ -101,7 +103,6 @@ class HostSupervisor:
         self,
         cluster: "Cluster",
         policy: RecoveryPolicy,
-        journal: FrameJournal,
         *,
         recorder: Any,
         manager: CheckpointManager | None = None,
@@ -109,8 +110,12 @@ class HostSupervisor:
     ) -> None:
         self.cluster = cluster
         self.policy = policy
-        self.journal = journal
+        #: The WAL of rounds since :attr:`base`: appended before each round
+        #: executes, replayed on a respawned host.
+        self.journal = FrameJournal(cluster.num_partitions)
         self.manager = manager
+        #: The checkpoint a repair restores from (``None``: genesis).
+        self.base: str | None = None
         self.recorder = recorder
         self.failure_log = failure_log if failure_log is not None else []
         #: The repair records stated so far, in order (AppResult provenance).
@@ -120,10 +125,11 @@ class HostSupervisor:
 
     # -- wiring -----------------------------------------------------------------------
 
-    @property
-    def quarantined(self) -> frozenset[int]:
-        """Partitions currently quarantined (degraded) on the cluster."""
-        return frozenset(self.cluster.quarantined)
+    def checkpointed(self, name: str) -> None:
+        """Checkpoint ``name`` landed, or a resume restored it: it is the new
+        replay base, and the journal restarts empty."""
+        self.base = name
+        self.journal.truncate()
 
     def _state(self, record: Record) -> None:
         """State one completed repair, once: to the recorder and as provenance."""
@@ -135,13 +141,15 @@ class HostSupervisor:
     def round(
         self, op: str, timestep: int, superstep: int, payloads: list[Any] | None
     ) -> list[Any]:
-        """Journal, execute, and fully recover one ``run_round`` exchange.
+        """Journal, execute, and fully recover one ``run_round`` exchange:
+        the one way the driver reaches its hosts.
 
         Returns one result per partition — survivors' from the first
         execution, recovered partitions' from the re-issued exchange,
         quarantined partitions' synthesized empty/halted.  Only
-        :data:`ROUND_OPS` are journaled; a query's ``timestep`` /
-        ``superstep`` say where the run is, for the recovery records.
+        :data:`ROUND_OPS` are journaled; a query's or a restore's
+        ``timestep`` / ``superstep`` say where the run is, for the recovery
+        records.
         Raises :class:`RecoveryExhausted` when a partition runs out of
         retries and the policy does not quarantine it; deterministic application errors
         propagate untouched.
@@ -254,8 +262,8 @@ class HostSupervisor:
                 entries.pop()
             try:
                 incarnation = cluster.respawn_worker(p)
-                if self.manager is not None and self.manager.latest_name() is not None:
-                    cluster.restore_one(p, self.manager.load(partitions=(p,)).parts[p])
+                if self.base is not None:
+                    cluster.restore_one(p, self.manager.load(self.base, partitions=(p,)).parts[p])
                 # else: the fresh host *is* the genesis state; the journal
                 # holds every round since (it is never truncated before the
                 # first checkpoint).

@@ -29,9 +29,12 @@ imported only when such a channel opens, so a serial run imports no
 
 The cluster speaks the same *resilience protocol* on top of the step
 protocol: a ``snapshot`` round collects per-partition state blobs for a
-checkpoint, ``restore()`` installs them, and ``respawn_worker()`` replaces
-one agent with a fresh incarnation (used by recovery after a failure, and
-honored by the fault plan's incarnation guard).  A scripted fault means the
+checkpoint, a ``restore`` round installs them, and ``respawn_worker()``
+replaces one agent with a fresh incarnation (used by recovery after a
+failure, and honored by the fault plan's incarnation guard).  The driver
+issues every exchange through
+:class:`~repro.resilience.supervisor.HostSupervisor`, which repairs what
+:meth:`Cluster.run_round` captured.  A scripted fault means the
 same on every executor, because one :class:`Agent` fires it and one
 :class:`Gather` repairs what it did to the reply.
 """
@@ -77,7 +80,6 @@ __all__ = [
     "Cluster",
     "InProcessChannel",
     "quarantine_fill",
-    "raise_first_failure",
 ]
 
 #: What a quarantined partition answers to each op that is not a round.
@@ -87,20 +89,6 @@ _QUERY_FILL = {"resident": 0, "states": {}, "snapshot": None, "restore": None}
 def quarantine_fill(op: str, partition: int):
     """A quarantined partition's synthesized outcome for one ``op``."""
     return HostStepResult.empty(partition) if op in ROUND_OPS else _QUERY_FILL.get(op)
-
-
-def raise_first_failure(
-    outcomes: list[HostStepResult | RecoverableError],
-) -> list[HostStepResult]:
-    """A :meth:`Cluster.run_round` outcome list with no failure in it.
-
-    Unsupervised callers have nobody to repair a partition, so the first
-    captured :class:`RecoverableError` (in partition order) is raised.
-    """
-    for out in outcomes:
-        if isinstance(out, RecoverableError):
-            raise out
-    return outcomes  # type: ignore[return-value]
 
 
 class Cluster:
@@ -119,7 +107,7 @@ class Cluster:
     arms the protocol retry: a timeout or a corrupt reply is cured by
     resending the same sequence-numbered command — the agent answers from
     its reply cache — up to ``max_retries`` times with the policy's backoff,
-    before the failure surfaces; ``None`` surfaces the first.
+    before the failure surfaces (by default at once: no resends).
 
     Use as a context manager to reap the agents even when the driver raises.
     """
@@ -149,7 +137,7 @@ class Cluster:
         tracing: bool = False,
         gather_timeout_s: float | None = None,
         fault_plan: FaultPlan | None = None,
-        retry_policy: RecoveryPolicy | None = None,
+        retry_policy: RecoveryPolicy = RecoveryPolicy(max_retries=0),
     ) -> None:
         if len(sources) != pg.num_partitions:
             raise ValueError("need exactly one instance source per partition")
@@ -292,7 +280,8 @@ class Cluster:
         """Execute one scatter/gather exchange, capturing per-partition failures.
 
         ``op`` is a key of :data:`~repro.runtime.host.HOST_OPS` (anything
-        else is a ``ValueError`` before any host sees it): one of
+        else, or a ``payloads`` list of another length than the partition
+        count, is a ``ValueError`` before any host sees it): one of
         :data:`ROUND_OPS` — ``begin`` (payloads = GC pauses), ``superstep``
         / ``merge`` (payloads = per-partition deliveries: coalesced
         ``MessageFrame`` lists, or a plain subgraph-id → messages map for
@@ -310,6 +299,11 @@ class Cluster:
         propagate immediately.
         """
         host_op(op)  # an unknown op fails here, before anything is sent
+        if payloads is not None and len(payloads) != self.num_partitions:
+            raise ValueError(
+                f"need exactly one payload per partition "
+                f"({len(payloads)} given, {self.num_partitions} partitions)"
+            )
         tr = self.driver_tracer if self._wire else None
         outcomes: list = [None] * self.num_partitions
         pending: list[int] = []
@@ -336,14 +330,6 @@ class Cluster:
                 except RecoverableError as exc:
                     outcomes[p] = exc
         return outcomes
-
-    # -- resilience protocol ---------------------------------------------------------
-
-    def restore(self, snapshots: Sequence[dict]) -> None:
-        """Install checkpoint blobs on every partition (``resume_from``)."""
-        if len(snapshots) != self.num_partitions:
-            raise ValueError("need exactly one snapshot per partition")
-        raise_first_failure(self.run_round("restore", -1, -1, snapshots))
 
     # -- surgical protocol -------------------------------------------------------------
     #

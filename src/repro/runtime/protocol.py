@@ -172,10 +172,10 @@ def answer(agent: Agent, command: tuple) -> list[tuple[str, Any]]:
 class Gather:
     """The driver's wait for reply ``want_seq`` from one agent incarnation.
 
-    ``policy`` (a :class:`~repro.resilience.recovery.RecoveryPolicy`, or
-    ``None`` for no resends) bounds the resends a timeout or a corrupt frame
-    earns.  After the exchange ends, :attr:`dropped` counts the stale frames
-    skipped, :attr:`resends` the resends asked for, and :attr:`incident` is
+    ``policy`` (a :class:`~repro.resilience.recovery.RecoveryPolicy`)
+    bounds the resends a timeout or a corrupt frame earns.  After the
+    exchange ends, :attr:`dropped` counts the stale frames skipped,
+    :attr:`resends` the resends asked for, and :attr:`incident` is
     ``(kind, seconds)`` when a resend cured the exchange.
     """
 
@@ -186,7 +186,7 @@ class Gather:
         self,
         want_seq: int,
         incarnation: int,
-        policy: RecoveryPolicy | None,
+        policy: RecoveryPolicy,
         partition: int,
     ) -> None:
         self.want_seq = want_seq
@@ -251,7 +251,7 @@ class Gather:
 
     def _resend_or_fail(self, kind: str, error: Exception, now: float) -> tuple[str, Any]:
         policy = self.policy
-        if policy is None or self.resends >= policy.max_retries:
+        if self.resends >= policy.max_retries:
             return FAIL, error
         if self._trouble is None:
             self._trouble = (kind, now)

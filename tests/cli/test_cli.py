@@ -279,6 +279,31 @@ class TestResilienceFlags:
         assert main(self.BASE + ["--max-retries", "3"]) == 0
         assert "WARNING" in capsys.readouterr().err
 
+    def test_a_plain_run_whose_agent_keeps_dying_fails_once(self, tmp_path, capsys, monkeypatch):
+        """No resilience flag: the default policy respawns the agent twice,
+        then the run fails as one structured failure, not a traceback."""
+        import os
+
+        from repro.algorithms import TDSPComputation
+
+        compute = TDSPComputation.compute
+
+        def dies_off_the_driver(self, ctx):
+            if ctx.subgraph.partition_id == 1:
+                os._exit(1)  # a forked agent: every incarnation inherits this
+            return compute(self, ctx)
+
+        monkeypatch.setattr(TDSPComputation, "compute", dies_off_the_driver)
+        log = tmp_path / "failures.json"
+        argv = self.BASE + ["--executor", "process", "--failure-log", str(log)]
+        assert main(argv) == 2
+        assert "RUN FAILED: WorkerLost" in capsys.readouterr().out
+        payload = json.loads(log.read_text())
+        assert [(f["partition"], f["action"]) for f in payload["failure_log"]] == [
+            (1, "retry"), (1, "retry"), (1, "raise")
+        ]
+        assert [a["kind"] for a in payload["recovery_actions"]] == ["worker_respawn"] * 2
+
     def test_fault_seed_with_inject_faults_accepted(self, tmp_path, capsys):
         assert main(self.BASE + [
             "--inject-faults", "kill@t1:p0", "--fault-seed", "7",

@@ -2,6 +2,8 @@
 or surfaces as a structured RunFailure — across all three executors, with
 no hangs and no leaked worker processes."""
 
+import os
+
 import pytest
 
 from repro.algorithms import TDSPComputation, tdsp_labels_from_result
@@ -275,19 +277,53 @@ class DiskGone(AccumulateSum):
         super().compute(ctx)
 
 
-class TestUnsupervisedRun:
-    """``recovery=None``: nobody repairs a partition, so the failure that
-    ``run_round`` captured is raised to the caller — one type on every
-    executor, partition intact."""
+class DiesOnce(AccumulateSum):
+    """Partition 1's first agent exits mid-timestep; the marker file keeps
+    its respawned incarnation alive."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def compute(self, ctx):
+        first = not os.path.exists(self.marker)
+        if ctx.timestep == 1 and ctx.subgraph.partition_id == 1 and first:
+            open(self.marker, "w").close()
+            os._exit(1)
+        super().compute(ctx)
+
+
+class TestDefaultPolicy:
+    """No policy given is ``RecoveryPolicy()``, with or without a fault plan:
+    every run is supervised, so a failure is repaired or, once the retries
+    run out, raised as one structured failure on every executor."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_captured_failure_is_raised(self, case, sources, executor):
+    def test_exhausted_failure_is_raised(self, case, sources, executor):
         _tpl, coll, pg = case
-        with pytest.raises(RecoverableWorkerError, match="disk gone") as excinfo:
-            run_application(
-                DiskGone(), pg, coll, sources=sources, config=EngineConfig(executor=executor)
-            )
-        assert excinfo.value.partition == 1
+        config = EngineConfig(executor=executor)
+        assert config.recovery == RecoveryPolicy()
+        with pytest.raises(RunFailureError, match="disk gone") as excinfo:
+            run_application(DiskGone(), pg, coll, sources=sources, config=config)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, RecoverableWorkerError) and cause.partition == 1
+        log = excinfo.value.failure.failure_log
+        attempts = config.recovery.max_retries + 1
+        assert [(r.partition, r.attempt) for r in log] == [(1, a) for a in range(1, attempts + 1)]
+        assert log[-1].action == "raise"
+
+    def test_a_dead_agent_is_repaired_without_a_fault_plan(self, case, sources, tmp_path):
+        _tpl, coll, pg = case
+        baseline = run_application(AccumulateSum(), pg, coll)
+        marker = tmp_path / "died"
+        result = run_application(
+            DiesOnce(str(marker)), pg, coll, sources=sources,
+            config=EngineConfig(executor="process"),
+        )
+        assert marker.exists()
+        _identical(result, baseline)
+        assert result.failure is None
+        assert [a.kind for a in result.recovery_actions] == ["worker_respawn"]
+        assert result.recovery_actions[0].partition == 1
 
 
 class TestResume:
@@ -319,6 +355,56 @@ class TestResume:
         _tpl, coll, pg = case
         with pytest.raises(ValueError, match="resume_from requires"):
             run_application(AccumulateSum(), pg, coll, resume_from=True)
+
+
+class CarryOver(AccumulateSum):
+    """Keeps a running total in subgraph state across timesteps, so a host
+    restored from the wrong checkpoint answers with the wrong total."""
+
+    def compute(self, ctx):
+        if ctx.superstep == 0:
+            ctx.state["acc"] = ctx.state.get("acc", 0) + ctx.subgraph.num_vertices + ctx.timestep
+        ctx.vote_to_halt()
+
+
+class TestRepairBase:
+    """A repair restores from this run's own replay base: the checkpoint it
+    resumed from or last wrote, else genesis — never whatever is newest in
+    the directory."""
+
+    def _killed(self, ckpt_dir):
+        return EngineConfig(
+            checkpoint=CheckpointConfig(dir=ckpt_dir, every=3, retain=10),
+            faults=FaultPlan.parse("kill@t1:p1", seed=3),
+            recovery=RecoveryPolicy(backoff_s=0.0),
+        )
+
+    @pytest.fixture
+    def earlier_run(self, case, tmp_path):
+        """A finished run of the same shape left a checkpoint per timestep."""
+        _tpl, coll, pg = case
+        cfg = EngineConfig(checkpoint=CheckpointConfig(dir=tmp_path, every=1, retain=10))
+        run_application(CarryOver(), pg, coll, config=cfg)
+        return sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("ckpt-"))
+
+    def test_a_fresh_run_repairs_from_genesis(self, case, tmp_path, earlier_run):
+        _tpl, coll, pg = case
+        baseline = run_application(CarryOver(), pg, coll)
+        result = run_application(CarryOver(), pg, coll, config=self._killed(tmp_path))
+        assert [a.kind for a in result.recovery_actions] == ["worker_respawn"]
+        _identical(result, baseline)
+
+    def test_a_named_resume_repairs_from_the_checkpoint_it_resumed(
+        self, case, tmp_path, earlier_run
+    ):
+        _tpl, coll, pg = case
+        baseline = run_application(CarryOver(), pg, coll)
+        first = earlier_run[0]  # closes timestep 0; newer ones are in the directory too
+        result = run_application(
+            CarryOver(), pg, coll, config=self._killed(tmp_path), resume_from=first
+        )
+        assert [a.kind for a in result.recovery_actions] == ["worker_respawn"]
+        _identical(result, baseline)
 
 
 class TestRecoveryWithoutCheckpoints:

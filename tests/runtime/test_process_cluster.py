@@ -10,7 +10,6 @@ from repro.generators import road_latency_collection, road_network
 from repro.partition import partition_graph
 from repro.resilience import AT_BEGIN, FaultPlan
 from repro.runtime import Cluster, CollectionInstanceSource, RunMeta
-from repro.runtime.cluster import raise_first_failure
 from repro.runtime import process_cluster
 from repro.runtime.process_cluster import GatherTimeout, WorkerError
 
@@ -145,11 +144,13 @@ class TestGatherDeadlineIsPerRound:
         )
         try:
             start = time.monotonic()
-            with pytest.raises(GatherTimeout):
-                raise_first_failure(cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0]))
+            outcomes = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
             elapsed = time.monotonic() - start
         finally:
             cluster.shutdown()
+        # p0's late reply is gathered; p1's swallowed one is captured.
+        assert not isinstance(outcomes[0], GatherTimeout)
+        assert isinstance(outcomes[1], GatherTimeout) and outcomes[1].partition == 1
         assert elapsed >= 0.55, f"timed out before the round budget ({elapsed:.2f}s)"
         assert elapsed < 1.15, (
             f"round took {elapsed:.2f}s — looks like per-partition deadlines "

@@ -80,8 +80,8 @@ class TestOneOpTable:
             for op, outcomes in answered.items():
                 assert not any(isinstance(o, RecoverableError) for o in outcomes), op
             assert answered["states"][0] == blobs[0]["states"]
-            with pytest.raises(ValueError, match="one snapshot per partition"):
-                cluster.restore(blobs[:1])
+            with pytest.raises(ValueError, match="one payload per partition"):
+                cluster.run_round("restore", -1, -1, blobs[:1])
 
     def test_a_fault_fires_at_the_coordinate_the_driver_issued(
         self, executor, case, external_workers  # noqa: F811
