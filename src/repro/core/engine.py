@@ -498,8 +498,11 @@ class TIBSPEngine:
 
     @staticmethod
     def _record(rs: _RunState, phase: str, t: int, s: int, results: list[HostStepResult]) -> None:
-        """State one round's replies: a step record each, then their telemetry."""
+        """State one round's replies: a step record each (after a load record
+        when its compute read a pack), then their telemetry."""
         for r in results:
+            if r.load_s or r.load_hidden_s:
+                rs.recorder.emit(LoadRecord(t, r.partition, r.load_s, r.load_hidden_s))
             rs.recorder.emit(StepRecord.of(phase, t, s, r))
         rs.recorder.absorb(results)
 

@@ -30,7 +30,7 @@ Schema v1 event kinds
 ``frame_ship``        one coalesced frame leaving a host (dst partition,
                       message count, payload bytes, temporal flag)
 ``combine``           a combiner fold (messages in → messages out)
-``instance_load``     one host's instance load at a timestep boundary
+``instance_load``     one host's instance load: a begin's, or a pack compute read
 ``slice_load``        a GoFS pack load (the Fig 6 every-10th-timestep spike);
                       carries ``hidden_s``/``prefetched`` when the storage
                       plane overlapped the read with compute

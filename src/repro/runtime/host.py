@@ -65,10 +65,10 @@ class InstanceSource(Protocol):
     implement optional hooks, discovered with ``getattr`` by the host:
 
     * ``attach_tracer(tracer)`` — narrate I/O on the host's trace track;
-    * ``drain_hidden_load() -> float`` — load seconds overlapped with
-      compute since the last drain (reported as ``load_hidden_s``); what is
-      loaded ahead, and when, is the source's own business (a GoFS view arms
-      the next pack from ``instance``) — the protocol has no prefetch op;
+    * ``drain_load() -> (blocked, hidden)`` — load seconds since the last
+      call: reads its compute caused (``load_s``, out of ``compute_s``) and
+      reads overlapped with compute (``load_hidden_s``); what is loaded ahead
+      is the source's business — the protocol has no prefetch op;
     * ``reload_instance(timestep)`` — an instance load for checkpoint
       replay that must not be recorded as fresh load evidence;
     * ``check_dataset(fingerprint)`` — called by the engine, not the host:
@@ -125,7 +125,7 @@ class HostStepResult:
     local_messages: int = 0
     remote_messages: int = 0
     frames_sent: int = 0
-    load_s: float = 0.0
+    load_s: float = 0.0  # a begin's ``instance`` call, and reads compute caused
     #: Load seconds overlapped with compute by a prefetching source — part
     #: of the same I/O evidence as ``load_s`` but off the critical path.
     load_hidden_s: float = 0.0
@@ -353,8 +353,8 @@ class ComputeHost:
 
         ``replay`` marks a journal replay on a surgically recovered host:
         the instance load goes through ``reload_instance`` (no fresh load
-        evidence — the original round already recorded it) and hidden-load
-        seconds are left undrained for the next *committed* begin to report.
+        evidence — the original round already recorded it) and load seconds
+        are left undrained for the next *committed* call to report.
         """
         tr = self.tracer
         result = HostStepResult(self.partition.partition_id)
@@ -368,9 +368,7 @@ class ComputeHost:
                 start = time.perf_counter()
                 self._instance = self.source.instance(timestep)
                 result.load_s = time.perf_counter() - start
-            drain = getattr(self.source, "drain_hidden_load", None)
-            if callable(drain):
-                result.load_hidden_s = drain()
+            self._drain_load(result)
         result.gc_pause_s = gc_pause_s
         self._halted = {sg.subgraph_id: False for sg in self.partition.subgraphs}
         self._local_inbox = self._temporal_inbox
@@ -382,6 +380,15 @@ class ComputeHost:
     def resident_bytes(self) -> int:
         """Bytes of instance data resident on this host (GC model input)."""
         return self.source.resident_bytes()
+
+    def _drain_load(self, result: HostStepResult) -> float:
+        """Add the source's load seconds to ``result``; return the blocked ones."""
+        drain = getattr(self.source, "drain_load", None)
+        if not callable(drain):
+            return 0.0
+        blocked, result.load_hidden_s = drain()
+        result.load_s += blocked
+        return blocked
 
     def _run_subgraphs(
         self,
@@ -431,6 +438,7 @@ class ComputeHost:
                 if bsp:
                     self._halted[sgid] = buffer.voted_halt
                     result.subgraphs_computed += 1
+        result.compute_s -= self._drain_load(result)  # a pack read is load, not compute
         self._flush_sends(result, sends, temporal, timestep, superstep)
         result.has_pending_local = bool(self._local_inbox)
         result.pending_temporal = sum(len(v) for v in self._temporal_inbox.values())

@@ -110,7 +110,7 @@ class StepRecord(Record):
 
 @dataclass(frozen=True)
 class LoadRecord(Record):
-    """One host's instance load at a timestep boundary."""
+    """One host's instance load: a begin's, or a pack a round's compute read."""
 
     kind = "instance_load"
 

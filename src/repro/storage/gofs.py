@@ -11,10 +11,11 @@ Writing distributes a partitioned collection into slice files with the
 paper's temporal packing (default 10) and subgraph binning (default 5).
 Each host then reads through a :class:`GoFSPartitionView` — an
 :class:`~repro.runtime.host.InstanceSource` that caches temporal packs,
-so crossing a pack boundary triggers a real, measurable load spike at
-every 10th timestep (Fig 6).  What a view does eagerly in ``instance(t)``
-is the pack read: file bytes, header validation, schema checks (a bin's
-rows are read and checked once, at opening).  What it does *per read* is
+so a pack's first read is a real, measurable load spike (Fig 6).  What a
+view does in ``instance(t)`` is the pack's header reads: validation against
+each file's size, schema checks (a bin's rows are read and checked once, at
+opening).  The first row read of the pack reads its bytes, one read per
+slice file; a pack no row is read from is never read.  What it does *per read* is
 the projection: ``table.locate(name, rows)`` answers one timestep's rows in
 place — the pack matrix's row and the rows' positions in it, resolved once
 per row array through the view's direct-address row index — ``take``
@@ -26,7 +27,7 @@ With ``prefetch=True`` a view hides that spike: a single background thread
 starts reading pack *k+1* while compute is still inside pack *k* (the
 GoFFish analytics paper's overlap remedy), and the load accounting splits
 into the *blocked* seconds that still stall ``begin_timestep`` and the
-*hidden* seconds absorbed behind compute (see :meth:`drain_hidden_load`).
+*hidden* seconds absorbed behind compute (see :meth:`drain_load`).
 """
 
 from __future__ import annotations
@@ -226,6 +227,26 @@ def _check_columns(arrays: PackedArrays, tpl: GraphTemplate, pack_len: int, rows
             )
 
 
+class _Pack(list):
+    """One pack's header-checked bin slices; ``nbytes`` is None until read."""
+
+    def __init__(self, pack: int, slices: list[PackedArrays]) -> None:
+        super().__init__(slices)
+        self.pack = pack
+        self.nbytes: int | None = None
+
+    def read(self, wanted: frozenset[str]) -> float:
+        """Read the slices' payloads and decode ``wanted``; returns the seconds."""
+        start = time.perf_counter()
+        for arrays in self:
+            arrays.read_payload()
+            for name in wanted:
+                if name in arrays:
+                    arrays[name]  # decode now: off the compute path when prefetching
+        self.nbytes = sum(slice_nbytes(d) for d in self)
+        return time.perf_counter() - start
+
+
 class GoFSPartitionView:
     """Instance source reading one partition's slices, pack by pack.
 
@@ -235,9 +256,9 @@ class GoFSPartitionView:
     answers from the pack in place, ``take`` copies what it locates, and
     ``column(name)`` builds the whole column on first access (each counted
     in :attr:`columns_projected` / :attr:`bytes_projected`), and an instance
-    keeps its pack alive, so a read after the pack was evicted is still
-    right.  Pickles cheaply (path + partition id + settings), so process
-    workers each open their own view.
+    keeps its pack alive, so a read after the pack was evicted — even the one
+    that reads it — is still right.  Pickles cheaply (path + partition id +
+    settings), so process workers each open their own view.
 
     Parameters
     ----------
@@ -313,12 +334,11 @@ class GoFSPartitionView:
             for spec in schema
         )
         #: pack id -> per-bin slices, in LRU order (oldest first).
-        self._cache: dict[int, list[PackedArrays]] = {}
-        self._cache_nbytes: dict[int, int] = {}
-        self._resident = 0
+        self._cache: dict[int, _Pack] = {}
+        self._resident = 0  # bytes of the cached packs that have been read
         #: Pack the last :meth:`instance` access read — never evicted.
         self._active_pack: int | None = None
-        #: (timestep, seconds) for every pack load — Fig 6 evidence.
+        #: (timestep, seconds) for every pack payload read — Fig 6 evidence.
         self.load_events: list[tuple[int, float]] = []
         #: Observability tracer, attached by the owning host when the run is
         #: traced (see :meth:`attach_tracer`).  Deliberately not pickled.
@@ -331,8 +351,8 @@ class GoFSPartitionView:
         #: Packs absorbed from a prefetch but not yet consumed — their hit
         #: event (waited_s=0) is emitted on first use.
         self._prefetched_ready: set[int] = set()
-        #: Hidden (overlapped) load seconds accumulated since the last drain.
-        self._pending_hidden = 0.0
+        #: Blocked and hidden (overlapped) load seconds since the last drain.
+        self._pending_load = self._pending_hidden = 0.0
         #: Plain counters, recorded whether or not a tracer is attached.
         self.prefetch_started = 0
         self.prefetch_hits = 0
@@ -358,13 +378,13 @@ class GoFSPartitionView:
         #: in place or copied (``gofs.columns_projected`` / ``.bytes_projected``).
         self.columns_projected = 0
         self.bytes_projected = 0
-        #: Slice entries (``"e__latency"``) projected so far.  `_read_pack`
+        #: Slice entries (``"e__latency"``) projected so far.  A payload read
         #: decodes these at read time, so a prefetch thread hides their
         #: unpickle.  Replaced, never mutated: the prefetch thread reads it.
         self.projected: frozenset[str] = frozenset()
         #: False while replaying a checkpoint restore: the I/O still happens
         #: but is not recorded as load evidence (the committed execution's
-        #: accounting already covers it).
+        #: accounting already covers it).  Bound into each instance built.
         self._recording = True
 
     def check_dataset(self, fingerprint: dict[str, int]) -> None:
@@ -410,15 +430,14 @@ class GoFSPartitionView:
 
     # -- pack cache --------------------------------------------------------------------
 
-    def _read_pack(self, pack: int) -> tuple[list[PackedArrays], float]:
-        """Read and check every bin slice of one pack; decode the columns
-        instances have been asked for so far.  Safe off-thread: reads files
-        and this view's immutable settings only."""
+    def _read_pack(self, pack: int, payload: bool = False) -> tuple[_Pack, float]:
+        """Read and check every bin slice's header of one pack — and with
+        ``payload`` (a prefetch), read the pack too.  Safe off-thread: reads
+        files and this view's immutable settings only."""
         start = time.perf_counter()
         packing = self.manifest["packing"]
         pack_len = min(packing, self.manifest["num_timesteps"] - pack * packing)
-        wanted = self.projected
-        data = []
+        data = _Pack(pack, [])
         for b in range(self._num_bins):
             key = SliceKey(self.partition_id, b, pack)
             arrays = read_slice(self.root, key, allow_objects=self._allow_objects)
@@ -429,10 +448,9 @@ class GoFSPartitionView:
                     f"GoFS slice {self.root / slice_filename(key)} ({key}) "
                     f"does not match the store's schema: {exc}"
                 ) from None
-            for name in wanted:
-                if name in arrays:
-                    arrays[name]  # decode now: off the compute path when prefetching
             data.append(arrays)
+        if payload:
+            data.read(self.projected)
         return data, time.perf_counter() - start
 
     def _row_index(self, prefix: str) -> np.ndarray:
@@ -490,7 +508,7 @@ class GoFSPartitionView:
         return plan
 
     def _locate(
-        self, pack_data: list[PackedArrays], row: int, prefix: str, recording: bool,
+        self, pack_data: _Pack, timestep: int, prefix: str, recording: bool,
         name: str, rows: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """An instance table's locate hook (bound by :meth:`instance`): one
@@ -498,6 +516,9 @@ class GoFSPartitionView:
         in one bin storing the column (a subgraph's always are) are answered in
         place, by the pack's read-only row and the plan's cached positions; else
         assembled in row order, ``index=None``, foreign or unstored rows default."""
+        if pack_data.nbytes is None:
+            self._read_payload(pack_data, timestep, recording)
+        row = timestep - pack_data.pack * self.manifest["packing"]
         entry = f"{prefix}__{name}"
         _which, schema, n = self._sides[prefix]
         spec, size = schema[name], n if rows is None else len(rows)
@@ -521,11 +542,19 @@ class GoFSPartitionView:
                 self.tracer.count("gofs.bytes_projected", nbytes)
         return values, index
 
-    def _insert_pack(self, pack: int, data: list[PackedArrays]) -> None:
+    def _read_payload(self, pack: _Pack, timestep: int, recording: bool) -> None:
+        """Read a pack at its first row read, at ``timestep``, blocking the reader."""
+        seconds = pack.read(self.projected)
+        if self._cache.get(pack.pack) is pack:  # an evicted pack holds nothing resident
+            self._insert_pack(pack.pack, self._cache.pop(pack.pack))
+        if recording:
+            self._pending_load += seconds
+            self.load_events.append((timestep, seconds))
+            self._trace_load(timestep, pack.pack, seconds, hidden_s=0.0, prefetched=False)
+
+    def _insert_pack(self, pack: int, data: _Pack) -> None:
         self._cache[pack] = data
-        nbytes = sum(slice_nbytes(d) for d in data)
-        self._cache_nbytes[pack] = nbytes
-        self._resident += nbytes
+        self._resident += data.nbytes or 0
         while self._over_budget():
             # Oldest pack that is neither the one just inserted nor the one
             # compute is currently reading: an absorbed prefetch must never
@@ -538,8 +567,7 @@ class GoFSPartitionView:
             )
             if victim is None:
                 break  # transiently over budget; evicted on the next insert
-            del self._cache[victim]
-            self._resident -= self._cache_nbytes.pop(victim)
+            self._resident -= self._cache.pop(victim).nbytes or 0
             self._prefetched_ready.discard(victim)
             if self.tracer is not None and self._recording:
                 self.tracer.count("gofs.packs_evicted")
@@ -582,7 +610,7 @@ class GoFSPartitionView:
                 self._prefetched_ready.add(pack)
                 self._trace_load(boundary, pack, seconds, hidden_s=seconds, prefetched=True)
 
-    def _get_pack(self, pack: int, timestep: int) -> list[PackedArrays]:
+    def _get_pack(self, pack: int, timestep: int) -> _Pack:
         # Mark before absorbing: a prefetched pack landing now must not
         # evict the pack this access is about to read (and may evict the
         # previous pack once compute has moved on to this one).
@@ -630,20 +658,17 @@ class GoFSPartitionView:
             return data
         data, seconds = self._read_pack(pack)
         self._insert_pack(pack, data)
-        if self._recording:
-            self.load_events.append((timestep, seconds))
-            self._trace_load(timestep, pack, seconds, hidden_s=0.0, prefetched=False)
-            if self.prefetch_enabled:
-                self.prefetch_misses += 1
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "prefetch_miss",
-                        partition=self.partition_id,
-                        timestep=timestep,
-                        pack=pack,
-                        seconds=seconds,
-                    )
-                    self.tracer.count("gofs.prefetch_misses")
+        if self._recording and self.prefetch_enabled:
+            self.prefetch_misses += 1
+            if self.tracer is not None:
+                self.tracer.event(
+                    "prefetch_miss",
+                    partition=self.partition_id,
+                    timestep=timestep,
+                    pack=pack,
+                    seconds=seconds,
+                )
+                self.tracer.count("gofs.prefetch_misses")
         return data
 
     # -- prefetch hooks (optional InstanceSource extensions) ---------------------------
@@ -667,7 +692,7 @@ class GoFSPartitionView:
             self._pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"gofs-prefetch-p{self.partition_id}"
             )
-        self._inflight[pack] = self._pool.submit(self._read_pack, pack)
+        self._inflight[pack] = self._pool.submit(self._read_pack, pack, True)
         if self._recording:
             self.prefetch_started += 1
             if self.tracer is not None:
@@ -680,12 +705,12 @@ class GoFSPartitionView:
                 self.tracer.count("gofs.prefetch_started")
         return True
 
-    def drain_hidden_load(self) -> float:
-        """Return and reset the hidden (overlapped) load seconds accumulated
-        since the last drain.  Called by ComputeHost.begin_timestep so the
-        metrics plane can report ``load_hidden_s`` next to the blocked wall."""
-        hidden, self._pending_hidden = self._pending_hidden, 0.0
-        return hidden
+    def drain_load(self) -> tuple[float, float]:
+        """Return and reset the ``(blocked, hidden)`` load seconds since the last
+        drain (ComputeHost's, after each call): first-use reads and prefetches."""
+        drained = (self._pending_load, self._pending_hidden)
+        self._pending_load = self._pending_hidden = 0.0
+        return drained
 
     # -- recovery hooks ----------------------------------------------------------------
 
@@ -705,11 +730,11 @@ class GoFSPartitionView:
     # -- InstanceSource protocol -------------------------------------------------------
 
     def instance(self, timestep: int) -> GraphInstance:
-        """Load (or cache-hit) ``timestep``'s pack and return a lazy instance.
+        """Read and check (or cache-hit) ``timestep``'s pack headers; return a lazy instance.
 
-        Everything that can fail — a missing, truncated or mis-typed slice —
-        fails here; the returned instance's values are read from the pack
-        when asked for.
+        Everything a header shows — a missing, truncated or mis-typed slice —
+        fails here; the instance reads the pack, if nothing has, and its
+        values when asked for.
         """
         T = self.manifest["num_timesteps"]
         if not 0 <= timestep < T:
@@ -726,17 +751,17 @@ class GoFSPartitionView:
             AttributeTable(
                 tpl.vertex_schema,
                 tpl.num_vertices,
-                locate=partial(self._locate, pack_data, row, "v", self._recording),
+                locate=partial(self._locate, pack_data, timestep, "v", self._recording),
             ),
             AttributeTable(
                 tpl.edge_schema,
                 tpl.num_edges,
-                locate=partial(self._locate, pack_data, row, "e", self._recording),
+                locate=partial(self._locate, pack_data, timestep, "e", self._recording),
             ),
         )
 
     def resident_bytes(self) -> int:
-        """Bytes of all cached packs (GC pause model input).
+        """Bytes of the cached packs that have been read (GC pause model input).
 
-        Maintained incrementally: grows on load, shrinks on eviction."""
+        Maintained incrementally: grows on a read, shrinks on eviction."""
         return self._resident

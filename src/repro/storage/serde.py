@@ -20,12 +20,12 @@ ride a pickled side-channel (``kind: "pickle"``; trusted local data, same
 stance as the schema blobs above).  The header's ``compression`` is always
 null; a reader refuses any other value.
 
-Reading is split in two.  *Eager*, in :func:`unpack_arrays`: magic, header
-parse, bounds and size validation of every entry, the ``allow_objects``
-gate — everything that can fail fails there.
-*Per array, on first access* (:class:`PackedArrays`): the ``frombuffer``
-view or the unpickle, so a reader that never asks for a column never pays
-for decoding it.
+Reading is split in three.  *The header* (:func:`unpack_arrays`; of a file,
+:func:`open_arrays`): magic, header parse, bounds and size validation of
+every entry, the ``allow_objects`` gate.  *A file's payload*, in one read
+on first use (:meth:`PackedArrays.read_payload`).  *Per array, on first
+access*: the ``frombuffer`` view or the unpickle, so a reader that never
+asks for a column never pays for decoding it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import pickle
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
@@ -51,11 +52,11 @@ __all__ = [
     "write_arrays",
     "pack_arrays",
     "unpack_arrays",
+    "open_arrays",
     "read_arrays",
     "PackedArrays",
     "write_blob",
     "read_blob",
-    "sha256_of",
 ]
 
 GSL2_MAGIC = b"GSL2"
@@ -123,8 +124,9 @@ def pack_arrays(arrays: Mapping[str, np.ndarray], *, defaults: Iterable[str] = (
 class PackedArrays(Mapping):
     """Read-only ``name -> array`` view of one GSL2 buffer.
 
-    The header is parsed and validated up front (:func:`unpack_arrays`);
-    each array is decoded from the payload on its first ``[name]`` and kept.
+    The header is parsed and validated up front (:func:`unpack_arrays`,
+    :func:`open_arrays`); each array is decoded from the payload on its
+    first ``[name]`` and kept.
     Raw arrays decode to read-only, zero-copy ``np.frombuffer`` views;
     object arrays are unpickled then, and only then, and made read-only too
     (a reader handed either cannot write into a cached pack).  :meth:`entry` answers
@@ -133,20 +135,37 @@ class PackedArrays(Mapping):
     hold nothing but their default.
     """
 
-    __slots__ = ("_entries", "_payload", "_decoded", "defaults")
+    __slots__ = ("_entries", "_payload", "_decoded", "_file", "defaults")
 
     def __init__(
         self, entries: dict[str, dict], payload: memoryview, defaults: frozenset[str] = frozenset()
     ) -> None:
         self._entries = entries
         self._payload = payload
+        self._file = None  # an unread payload's (path, offset, nbytes, name): open_arrays
         self.defaults = defaults
         self._decoded: dict[str, np.ndarray] = {}
+
+    def read_payload(self) -> None:
+        """Read an unread payload in one read: exactly the bytes the header
+        was checked against, else a ``ValueError``; errors name the file."""
+        if self._payload is None:
+            path, offset, nbytes, name = self._file
+            try:
+                with open(path, "rb") as fp:
+                    fp.seek(offset)
+                    buf = fp.read()
+            except OSError as exc:
+                raise OSError(exc.errno, f"{name} cannot be read: {exc.strerror or exc}") from None
+            if len(buf) != nbytes:
+                raise ValueError(f"{name} changed under the run: {len(buf)} bytes, not {nbytes}")
+            self._payload = memoryview(buf)
 
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._decoded.get(name)
         if arr is None:
             entry = self._entries[name]  # KeyError for unknown names
+            self.read_payload()
             chunk = self._payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
             shape = tuple(entry["shape"])
             if entry["kind"] == "pickle":
@@ -175,15 +194,16 @@ class PackedArrays(Mapping):
         return self._entries[name]
 
 
-def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> PackedArrays:
+def unpack_arrays(
+    buf: bytes, *, allow_objects: bool | None = None, size: int | None = None
+) -> PackedArrays:
     """Open a :func:`pack_arrays` buffer as a lazily decoded mapping.
 
     Eager, so a bad buffer fails here and not at first use: the magic, the
-    header, every entry's ``offset + nbytes`` lying inside the payload, and
-    every raw entry's ``nbytes == itemsize * prod(shape)``.
-    ``allow_objects=False`` refuses pickled columns with a ``ValueError``
-    here too, without unpickling — the strict mode for numeric-only
-    schemas.  Decoding itself is per array, on demand (:class:`PackedArrays`).
+    header, every entry's ``offset + nbytes`` lying inside the payload (of
+    the ``size``-byte buffer ``buf`` begins, if given), every raw entry's
+    ``nbytes == itemsize * prod(shape)``, and ``allow_objects=False``, which
+    refuses pickled columns without unpickling (for numeric-only schemas).
     """
     if buf[:4] != GSL2_MAGIC:
         raise ValueError("not a GSL2 buffer (bad magic)")
@@ -196,14 +216,14 @@ def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> PackedArr
             f"GSL2 payload is {header['compression']}-compressed; "
             "rewrite with `GoFS.write_collection`"
         )
-    view = memoryview(buf)[8 + hlen :]
+    payload_len = (len(buf) if size is None else size) - 8 - hlen
     entries: dict[str, dict] = {}
     for entry in header["arrays"]:
         name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
-        if offset < 0 or nbytes < 0 or offset + nbytes > len(view):
+        if offset < 0 or nbytes < 0 or offset + nbytes > payload_len:
             raise ValueError(
                 f"array {name!r} spans payload bytes [{offset}, {offset + nbytes}) "
-                f"but the payload holds {len(view)}"
+                f"but the payload holds {payload_len}"
             )
         if entry["kind"] == "pickle":
             if allow_objects is False:
@@ -223,20 +243,40 @@ def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> PackedArr
     defaults = header["defaults"]
     if not isinstance(defaults, list) or not all(isinstance(n, str) for n in defaults):
         raise ValueError(f"GSL2 header's defaults is not a list of names: {defaults!r}")
-    return PackedArrays(entries, view, frozenset(defaults))
+    return PackedArrays(entries, memoryview(buf)[8 + hlen :], frozenset(defaults))
+
+
+def open_arrays(
+    path: str | Path, *, allow_objects: bool | None = None, name: str | None = None
+) -> PackedArrays:
+    """:func:`unpack_arrays` of a file's header alone, checked against the
+    file's size; its payload is read on first use.  An ``OSError`` keeps its
+    type; it and a malformed header name the file as ``name``."""
+    name = name or str(path)
+    try:
+        with open(path, "rb") as fp:
+            size = os.fstat(fp.fileno()).st_size
+            head = fp.read(8)
+            head += fp.read(min(size, int.from_bytes(head[4:8], "little")))
+    except OSError as exc:
+        raise OSError(exc.errno, f"{name} cannot be read: {exc.strerror or exc}") from None
+    try:
+        arrays = unpack_arrays(head, allow_objects=allow_objects, size=size)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{name} is malformed: {exc}") from exc
+    arrays._payload, arrays._file = None, (path, len(head), size - len(head), name)
+    return arrays
 
 
 def read_arrays(path: str | Path, *, allow_objects: bool | None = None) -> PackedArrays:
-    """:func:`unpack_arrays` over a file's bytes.  A file that is missing,
+    """:func:`open_arrays` and its payload, now.  A file that is missing,
     unreadable or malformed is a ``ValueError`` naming it."""
     try:
-        buf = Path(path).read_bytes()
+        arrays = open_arrays(path, allow_objects=allow_objects)
+        arrays.read_payload()
     except OSError as exc:
-        raise ValueError(f"{path} cannot be read: {exc.strerror or exc}") from None
-    try:
-        return unpack_arrays(buf, allow_objects=allow_objects)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is malformed: {exc}") from exc
+        raise ValueError(exc.strerror) from None
+    return arrays
 
 
 def write_blob(path: str | Path, obj) -> tuple[int, str]:
@@ -252,13 +292,6 @@ def write_blob(path: str | Path, obj) -> tuple[int, str]:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
     return len(data), hashlib.sha256(data).hexdigest()
-
-
-def sha256_of(path: str | Path) -> str:
-    """Hex SHA-256 of a file's contents."""
-    import hashlib
-
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def read_blob(path: str | Path, expected_sha256: str | None = None):

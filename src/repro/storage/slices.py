@@ -21,8 +21,8 @@ ride a pickled side-channel inside the same file.  A column that no
 instance of the pack has set is not stored: the header lists it under
 ``defaults`` and readers serve the schema default.
 
-:func:`read_slice` reads the file and validates the header eagerly and
-decodes each column on its first access, so the cost of a column — above all
+:func:`read_slice` reads and validates the header, the payload on first use
+and each column on its first access, so the cost of a column — above all
 the unpickle of an object column — is paid only by a reader that uses it.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 from ..graph.instance import GraphInstance
 from ..graph.subgraph import Subgraph
 from ..kernels.csr import sorted_unique
-from .serde import PackedArrays, read_arrays, unpack_arrays, write_arrays
+from .serde import PackedArrays, open_arrays, read_arrays, write_arrays
 
 __all__ = [
     "SLICE_FORMAT",
@@ -158,26 +158,17 @@ def write_slice(
 def read_slice(
     root: Path, key: SliceKey, *, allow_objects: bool | None = None
 ) -> PackedArrays:
-    """Read a slice file and validate its header; decode nothing yet.
+    """Read a slice file's header and validate it; read nothing else yet.
 
-    Eager: the file read, the header checks of
-    :func:`~repro.storage.serde.unpack_arrays`, and the ``allow_objects``
-    gate — ``False`` fails loudly here if the slice holds object columns,
-    ``True`` and ``None`` permit them.  A missing or malformed file raises
-    naming the ``.gsl`` path and the key.  Per column, on first
-    ``data[name]``: numeric columns become read-only zero-copy views over
-    the file bytes and object columns are unpickled — a column nobody reads
-    is never decoded.
+    Now: the header checks of :func:`~repro.storage.serde.open_arrays` and
+    the ``allow_objects`` gate — ``False`` fails loudly here if the slice
+    holds object columns.  On ``read_payload()`` or the first ``data[name]``:
+    the payload, in one read.  Per column, on first ``data[name]``: a
+    read-only zero-copy view, or the unpickle.  Every error of either read
+    names the ``.gsl`` path and the key; an ``OSError`` keeps its type.
     """
     path = Path(root) / slice_filename(key)
-    try:
-        buf = path.read_bytes()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"GoFS slice {path} ({key}) is missing") from None
-    try:
-        return unpack_arrays(buf, allow_objects=allow_objects)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"GoFS slice {path} ({key}) is malformed: {exc}") from exc
+    return open_arrays(path, allow_objects=allow_objects, name=f"GoFS slice {path} ({key})")
 
 
 def slice_nbytes(data: PackedArrays) -> int:

@@ -51,6 +51,15 @@ def _no_duplicate_load_evidence(views):
         )
 
 
+class ReadsLatency(AccumulateSum):
+    """AccumulateSum that reads its subgraph's latencies: a GoFS view reads
+    a pack's bytes on the first row read, so this is what loads one."""
+
+    def compute(self, ctx):
+        ctx.take_edges("latency", ctx.subgraph.edge_index)
+        super().compute(ctx)
+
+
 class TestHostRestorePurge:
     """Unit-level: a restored host's replayed begin reloads without fresh evidence."""
 
@@ -58,27 +67,32 @@ class TestHostRestorePurge:
         _tpl, coll, pg = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, NUM_TIMESTEPS, coll.delta, coll.t0)
         sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
-        return ComputeHost(pg.partitions[0], AccumulateSum(), meta, view, sg_part)
+        return ComputeHost(pg.partitions[0], ReadsLatency(), meta, view, sg_part)
 
     def test_superstep_boundary_restore_keeps_committed_begin_load(self, case, gofs_root):
         import pickle
 
         view = GoFS.partition_view(gofs_root, 0, cache_packs=1)
         host = self._host(case, view)
-        host.begin_timestep(0)
-        host.begin_timestep(1)
+
+        def timestep(t, replay=False):
+            host.begin_timestep(t, replay=replay)
+            return host.run_superstep(t, 0, [])
+
+        timestep(0)
+        timestep(1)
         snap = pickle.loads(pickle.dumps(host.snapshot_state()))  # the t=1 close
-        host.begin_timestep(2)
-        host.begin_timestep(3)
+        assert timestep(2).load_s > 0  # the superstep read pack 1
+        timestep(3)
         assert [t for t, _s in view.load_events] == [0, 2]
         # Restore the t=1 close, then replay t=2's begin from the journal:
         # its committed load stays; the replay reload is real I/O but not
         # fresh evidence.
         host.restore_state(snap)
         assert [t for t, _s in view.load_events] == [0, 2]
-        host.begin_timestep(2, replay=True)
+        timestep(2, replay=True)
         assert [t for t, _s in view.load_events] == [0, 2]
-        host.begin_timestep(3)
+        timestep(3)
         assert [t for t, _s in view.load_events] == [0, 2]
 
     def test_pickled_fresh_view_reload_records_nothing(self, gofs_root):

@@ -25,6 +25,12 @@ from tests.conftest import make_grid_template, make_random_template, populate_ra
 from tests.storage.test_slices_v2 import entry_of, header_of, rewrite_header
 
 
+def read(inst):
+    """Read a row of ``inst``: what makes a view read the pack behind it."""
+    inst.edge_column("latency")
+    return inst
+
+
 @pytest.fixture
 def store(tmp_path):
     tpl = make_grid_template(5, 6)
@@ -101,23 +107,25 @@ class TestPartitionView:
         root, *_ = store
         view = GoFS.partition_view(root, 0)
         for t in range(12):
-            view.instance(t)
+            read(view.instance(t))
         boundaries = [t for t, _s in view.load_events]
         assert boundaries == [0, 4, 8]
 
     def test_no_reload_within_pack(self, store):
         root, *_ = store
         view = GoFS.partition_view(root, 0)
-        view.instance(1)
-        view.instance(2)
-        view.instance(1)
+        read(view.instance(1))
+        read(view.instance(2))
+        read(view.instance(1))
         assert len(view.load_events) == 1
 
     def test_resident_bytes(self, store):
         root, *_ = store
         view = GoFS.partition_view(root, 0)
         assert view.resident_bytes() == 0
-        view.instance(0)
+        inst = view.instance(0)
+        assert view.resident_bytes() == 0  # headers only
+        read(inst)
         assert view.resident_bytes() > 0
 
     def test_out_of_range(self, store):
@@ -170,12 +178,12 @@ class TestPackCache:
     def test_lru_eviction(self, store):
         root, *_ = store
         view = GoFS.partition_view(root, 0, cache_packs=2)
-        view.instance(0)   # pack 0
-        view.instance(4)   # pack 1
-        view.instance(8)   # pack 2 -> evicts pack 0
+        read(view.instance(0))   # pack 0
+        read(view.instance(4))   # pack 1
+        read(view.instance(8))   # pack 2 -> evicts pack 0
         assert len(view._cache) == 2
         assert set(view._cache) == {1, 2}
-        view.instance(0)   # pack 0 reloads -> evicts pack 1 (least recent)
+        read(view.instance(0))   # pack 0 reloads -> evicts pack 1 (least recent)
         assert set(view._cache) == {0, 2}
         assert len(view.load_events) == 4
 
@@ -193,8 +201,8 @@ class TestPackCache:
         small = GoFS.partition_view(root, 0, cache_packs=1)
         big = GoFS.partition_view(root, 0, cache_packs=3)
         for t in (0, 4, 0, 4, 8, 0):
-            small.instance(t)
-            big.instance(t)
+            read(small.instance(t))
+            read(big.instance(t))
         assert len(small.load_events) == 6  # thrashes
         assert len(big.load_events) == 3    # each pack loaded once
 
@@ -203,8 +211,8 @@ class TestPackCache:
         small = GoFS.partition_view(root, 0, cache_packs=1)
         big = GoFS.partition_view(root, 0, cache_packs=3)
         for t in (0, 4, 8):
-            small.instance(t)
-            big.instance(t)
+            read(small.instance(t))
+            read(big.instance(t))
         assert big.resident_bytes() > small.resident_bytes()
 
     def test_invalid_cache_packs(self, store):
@@ -222,7 +230,7 @@ class TestPackCache:
 def _one_pack_nbytes(root):
     """Resident bytes of exactly one pack (all packs are the same shape)."""
     probe = GoFS.partition_view(root, 0)
-    probe.instance(0)
+    read(probe.instance(0))
     return probe.resident_bytes()
 
 
@@ -232,7 +240,7 @@ class TestByteBudget:
         view = GoFS.partition_view(root, 0, cache_bytes=1 << 40)
         assert view.cache_packs is None
         for t in (0, 4, 8):
-            view.instance(t)
+            read(view.instance(t))
         assert set(view._cache) == {0, 1, 2}
         assert len(view.load_events) == 3
 
@@ -240,10 +248,10 @@ class TestByteBudget:
         root, *_ = store
         one = _one_pack_nbytes(root)
         view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
-        view.instance(0)
-        view.instance(4)
+        read(view.instance(0))
+        read(view.instance(4))
         assert set(view._cache) == {0, 1}
-        view.instance(8)  # third pack busts the budget -> pack 0 evicted
+        read(view.instance(8))  # third pack busts the budget -> pack 0 evicted
         assert set(view._cache) == {1, 2}
         assert view.resident_bytes() <= 2 * one
 
@@ -252,7 +260,7 @@ class TestByteBudget:
         one = _one_pack_nbytes(root)
         view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
         for t in (0, 4, 8):
-            view.instance(t)
+            read(view.instance(t))
         want = sum(
             slice_nbytes(d) for data in view._cache.values() for d in data
         )
@@ -261,10 +269,10 @@ class TestByteBudget:
     def test_newest_pack_kept_even_over_budget(self, store):
         root, *_ = store
         view = GoFS.partition_view(root, 0, cache_bytes=1)
-        view.instance(0)
+        read(view.instance(0))
         assert set(view._cache) == {0}
         assert view.resident_bytes() > 1  # over budget, but never empty
-        view.instance(4)
+        read(view.instance(4))
         assert set(view._cache) == {1}
 
     def test_count_and_byte_caps_compose(self, store):
@@ -272,7 +280,7 @@ class TestByteBudget:
         one = _one_pack_nbytes(root)
         view = GoFS.partition_view(root, 0, cache_packs=2, cache_bytes=10 * one)
         for t in (0, 4, 8):
-            view.instance(t)
+            read(view.instance(t))
         assert set(view._cache) == {1, 2}  # the count cap binds first
 
     def test_invalid_cache_bytes(self, store):
@@ -357,8 +365,8 @@ class TestPrefetch:
         assert view.prefetch_hits == 1
         assert view.prefetch_misses == 0
         assert [t for t, _s in view.load_events] == [4]  # pack boundary
-        assert view.drain_hidden_load() > 0.0
-        assert view.drain_hidden_load() == 0.0  # drained
+        assert view.drain_load()[1] > 0.0
+        assert view.drain_load() == (0.0, 0.0)  # drained
 
     def test_prefetched_instance_bit_identical(self, store):
         root, tpl, *_ = store
@@ -395,7 +403,7 @@ class TestPrefetch:
         assert inst.timestamp == coll.instance(4).timestamp
         assert view.load_events == []
         assert view.prefetch_misses == 0
-        assert view.drain_hidden_load() == 0.0
+        assert view.drain_load() == (0.0, 0.0)
 
     def test_close_is_idempotent(self, store):
         root, *_ = store
@@ -412,7 +420,7 @@ class TestPrefetch:
         k+1 in turn), doubling I/O instead of hiding it."""
         root, *_ = store
         view = GoFS.partition_view(root, 0, prefetch=True)  # cache_packs=1
-        view.instance(0)  # pack 0 resident and in use
+        read(view.instance(0))  # pack 0 resident and in use
         view.prefetch(4)  # pack 1 in flight
         view._inflight[1].result(timeout=30)
         view.instance(1)  # absorb lands pack 1; pack 0 must survive
@@ -428,8 +436,8 @@ class TestPrefetch:
         sync = GoFS.partition_view(root, 0)
         view = GoFS.partition_view(root, 0, prefetch=True)
         for t in range(12):
-            sync.instance(t)
-            view.instance(t)
+            read(sync.instance(t))
+            read(view.instance(t))
             for fut in list(view._inflight.values()):
                 fut.result(timeout=30)  # settle: absorb deterministically
         assert [t for t, _s in sync.load_events] == [0, 4, 8]
@@ -444,7 +452,7 @@ class TestPrefetch:
         one = _one_pack_nbytes(root)
         view = GoFS.partition_view(root, 0, prefetch=True, cache_bytes=one)
         for t in range(12):
-            view.instance(t)
+            read(view.instance(t))
             for fut in list(view._inflight.values()):
                 fut.result(timeout=30)
         assert [t for t, _s in view.load_events] == [0, 4, 8]
@@ -521,8 +529,9 @@ class TestLazyProjection:
         assert inst.edge_values.materialized_names == []
         assert view.columns_projected == view.bytes_projected == 0
         assert view.projected == frozenset()
-        assert len(view.load_events) == 1  # the pack read itself stayed eager
+        assert view.load_events == []  # headers only: the first row read reads the pack
         inst.edge_column("latency")
+        assert len(view.load_events) == 1
         inst.edge_column("latency")  # second read: already a plain column
         assert inst.edge_values.materialized_names == ["latency"]
         assert inst.vertex_values.materialized_names == []
@@ -558,8 +567,9 @@ class TestLazyProjection:
         root, _tpl, coll, pg, _ = store
         view = GoFS.partition_view(root, 0, cache_packs=1)
         old = view.instance(1)
+        read(view.instance(0))  # pack 0 read; `old` has projected nothing
         one = view.resident_bytes()
-        view.instance(4)  # pack 0 evicted while `old` has projected nothing
+        read(view.instance(4))  # pack 0 evicted
         assert set(view._cache) == {1}
         verts, edges = owned_rows(pg, 0)
         want = coll.instance(1)
@@ -876,7 +886,7 @@ class TestProjectionProperty:
         view.attach_tracer(Tracer())
         seen = []
         for t in list(range(12)) + [0, 4, 8, 1]:
-            view.instance(t)
+            read(view.instance(t))
             seen.append(view.resident_bytes())
         assert seen == [3392] * 4 + [6784] * 12
         assert view.tracer.counters["gofs.packs_evicted"] == 5
@@ -1166,3 +1176,123 @@ class TestTakeProperty:
         for _ in range(10 * view._plan_cap):  # fresh arrays every call: resolved each time ...
             view.instance(0).edge_values.take("latency", sg.edge_index.copy())
         assert len(view._plans) <= view._plan_cap  # ... and never piling up
+
+
+class TestReadOnFirstUse:
+    """A pack's slice headers are read and checked at its first instance; its
+    bytes at the first row any of its instances reads, once, and never when
+    none does (:class:`TestLoadErrorsSurfaceInInstance` pins that every
+    header error still fails in ``instance()``)."""
+
+    def test_an_instance_never_read_reads_no_pack(self, store):
+        root, *_ = store
+        view = GoFS.partition_view(root, 0)
+        view.attach_tracer(Tracer())
+        for t in range(12):
+            view.instance(t)
+        assert view.load_events == []
+        assert view.resident_bytes() == 0
+        assert "gofs.packs_loaded" not in view.tracer.counters
+        assert view.drain_load() == (0.0, 0.0)
+
+    def test_a_mid_pack_first_read_loads_the_pack_once_there(self, store):
+        root, *_ = store
+        view = GoFS.partition_view(root, 0)
+        view.attach_tracer(Tracer())
+        first = view.instance(4)
+        read(view.instance(6))
+        assert [t for t, _s in view.load_events] == [6]
+        loads = [e for e in view.tracer.events if e["kind"] == "slice_load"]
+        assert [(e["timestep"], e["pack"]) for e in loads] == [(6, 1)]
+        assert view.tracer.counters["gofs.packs_loaded"] == 1
+        assert view.drain_load() == (view.load_events[0][1], 0.0)
+        one = view.resident_bytes()
+        assert one > 0
+        # Earlier and later instances of the pack read nothing more.
+        read(first)
+        read(view.instance(7))
+        assert len(view.load_events) == 1 and view.tracer.counters["gofs.packs_loaded"] == 1
+        assert view.drain_load() == (0.0, 0.0)
+        assert view.resident_bytes() == one
+
+    def test_a_header_only_pack_evicted_before_its_first_read(self, store):
+        root, _tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 0, cache_packs=1)
+        old = view.instance(2)
+        view.instance(5)  # pack 0 evicted with nothing read
+        assert set(view._cache) == {1}
+        verts, edges = owned_rows(pg, 0)
+        want = coll.instance(2)
+        assert np.array_equal(old.edge_column("latency")[edges], want.edge_column("latency")[edges])
+        assert old.vertex_column("tweets")[verts].tolist() == want.vertex_column("tweets")[verts].tolist()
+        assert [t for t, _s in view.load_events] == [2]
+        assert view.resident_bytes() == 0  # the read pack is not a cached one
+
+    def test_a_read_after_reload_instance_records_nothing(self, store):
+        root, _tpl, coll, pg, _ = store
+        view = GoFS.partition_view(root, 0)
+        view.attach_tracer(Tracer())
+        inst = view.reload_instance(9)  # returns before anything is read
+        _verts, edges = owned_rows(pg, 0)
+        assert np.array_equal(
+            inst.edge_column("latency")[edges], coll.instance(9).edge_column("latency")[edges]
+        )
+        assert view.load_events == [] and view.drain_load() == (0.0, 0.0)
+        assert "gofs.packs_loaded" not in view.tracer.counters
+        read(view.instance(10))  # the committed instance finds the pack read
+        assert view.load_events == [] and view.resident_bytes() > 0
+
+    @pytest.fixture(scope="class")
+    def carn(self):
+        from repro.generators import paper_datasets
+
+        ds = paper_datasets(2000, 20)["CARN"]
+        return ds["template"], ds["road"]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_tdsp_reads_only_the_packs_its_wave_reads(self, carn, executor, tmp_path):
+        from repro.algorithms import TDSPComputation, TDSPFrontier, tdsp_labels_from_result
+        from repro.core import EngineConfig, run_application
+
+        tpl, coll = carn
+        k, packing = 6, 5
+        pg = partition_graph(tpl, k)
+        GoFS.write_collection(tmp_path, pg, coll, packing=packing)
+        # Which (partition, pack) pairs project a row, seen from driver-side
+        # views of a serial run: bytes_projected grew inside the timestep.
+        views = GoFS.partition_views(tmp_path)
+        began = [[] for _ in views]
+        for view, log in zip(views, began):
+            def instance(t, view=view, log=log, real=view.instance):
+                log.append(view.bytes_projected)
+                return real(t)
+            view.instance = instance
+        run_application(TDSPComputation(0), pg, coll, sources=views)
+        projected = {
+            (p, t // packing)
+            for p, (view, log) in enumerate(zip(views, began))
+            for t, before in enumerate(log)
+            if (log[t + 1] if t + 1 < len(log) else view.bytes_projected) > before
+        }
+        result = run_application(
+            TDSPComputation(0), pg, coll, sources=GoFS.partition_views(tmp_path),
+            config=EngineConfig(executor=executor, tracing=True),
+        )
+        loads = [e for e in result.trace.event_records() if e["kind"] == "slice_load"]
+        pairs = [(e["partition"], e["pack"]) for e in loads]
+        assert result.trace.counters["gofs.packs_loaded"] == len(pairs) == len(set(pairs))
+        assert set(pairs) == projected
+        # Fewer than one load per partition per pack of the timesteps run (18 here).
+        assert len(projected) < k * -(-result.timesteps_executed // packing)
+        first = {}
+        for t, sgid, rec in result.outputs:
+            if isinstance(rec, TDSPFrontier):
+                first.setdefault(pg.subgraphs[sgid].partition_id, t)
+        for e in loads:
+            assert e["timestep"] >= first[e["partition"]], (e, first)
+        in_memory = run_application(TDSPComputation(0), pg, coll)
+        n = tpl.num_vertices
+        assert (
+            tdsp_labels_from_result(result, n).tobytes()
+            == tdsp_labels_from_result(in_memory, n).tobytes()
+        )

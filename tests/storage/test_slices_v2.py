@@ -295,6 +295,57 @@ class TestWriteReadSlice:
         assert read_slice(tmp_path, key)["v__traffic"].shape[0] == 1
 
 
+class TestTwoPhaseRead:
+    """``read_slice`` reads the header; the payload is read once, on first
+    use.  Every error of either phase names the ``.gsl`` path and the key."""
+
+    KEY = SliceKey(0, 0, 0)
+
+    def names_slice(self, path, excinfo):
+        assert str(path) in str(excinfo.value) and repr(self.KEY) in str(excinfo.value)
+
+    def test_a_header_phase_os_error_names_the_slice(self, tmp_path):
+        path = tmp_path / slice_filename(self.KEY)
+        path.mkdir()  # EISDIR: an OSError other than a missing file
+        with pytest.raises(IsADirectoryError) as excinfo:
+            read_slice(tmp_path, self.KEY)
+        self.names_slice(path, excinfo)
+
+    @pytest.mark.parametrize("error", [FileNotFoundError, IsADirectoryError])
+    def test_a_payload_phase_os_error_names_the_slice(self, tmp_path, slice_case, error):
+        """The header read read no payload: a slice gone after it fails the payload read."""
+        verts, edges, instances = slice_case
+        path = write_slice(tmp_path, self.KEY, verts, edges, instances)
+        data = read_slice(tmp_path, self.KEY)
+        path.unlink()
+        if error is IsADirectoryError:
+            path.mkdir()
+        with pytest.raises(error) as excinfo:
+            data["e__latency"]
+        self.names_slice(path, excinfo)
+
+    @pytest.mark.parametrize("change", [lambda b: b[:-3], lambda b: b + b"\x00" * 64])
+    def test_a_payload_that_changed_under_the_run(self, tmp_path, slice_case, change):
+        verts, edges, instances = slice_case
+        path = write_slice(tmp_path, self.KEY, verts, edges, instances)
+        data = read_slice(tmp_path, self.KEY)
+        path.write_bytes(change(path.read_bytes()))
+        with pytest.raises(ValueError, match="changed under the run") as excinfo:
+            data.read_payload()
+        self.names_slice(path, excinfo)
+
+    def test_a_view_fails_the_read_that_finds_the_pack_changed(self, tmp_path):
+        tpl = make_grid_template(4, 5)
+        pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
+        GoFS.write_collection(tmp_path, pg, build_collection(tpl, 3, populate_random(7)))
+        inst = GoFS.partition_view(tmp_path, 0).instance(1)
+        path = tmp_path / slice_filename(self.KEY)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="changed under the run") as excinfo:
+            inst.edge_column("latency")
+        self.names_slice(path, excinfo)
+
+
 class TestGoFSFormats:
     @pytest.fixture(scope="class")
     def case(self):
