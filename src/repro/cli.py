@@ -193,11 +193,6 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
     addresses.
     """
     problems: list[str] = []
-    if (args.prefetch or args.cache_bytes is not None) and args.gofs is None:
-        problems.append(
-            "--prefetch/--cache-bytes tune GoFS partition views and do nothing "
-            "without a store; add --gofs DIR"
-        )
     if args.fault_seed is not None and not args.inject_faults:
         problems.append(
             "--fault-seed seeds the fault plan's RNG and does nothing "
@@ -298,11 +293,8 @@ def _run(args: argparse.Namespace) -> int:
         if not (root / "manifest.json").exists():
             manifest = GoFS.write_collection(root, pg, collection)
             print(f"wrote GoFS store to {root} (packing={manifest['packing']})")
-        view_kwargs: dict = {"prefetch": args.prefetch}
-        if args.cache_bytes is not None:
-            view_kwargs["cache_bytes"] = args.cache_bytes
         try:
-            sources = GoFS.partition_views(root, **view_kwargs)
+            sources = GoFS.partition_views(root)
             sources[0].check_dataset(pg.fingerprint(len(collection)))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -491,16 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         "--gofs", metavar="DIR",
         help="serve instances from a GoFS store at DIR (written there first if "
         "no manifest.json exists yet)",
-    )
-    sto.add_argument(
-        "--prefetch", action="store_true",
-        help="asynchronously load the next GoFS pack while computing the "
-        "current one (requires --gofs)",
-    )
-    sto.add_argument(
-        "--cache-bytes", type=int, default=None, metavar="N",
-        help="byte budget for each partition's resident pack cache; evicts "
-        "least-recently-used packs over budget (requires --gofs)",
     )
     res = p.add_argument_group("resilience")
     res.add_argument(

@@ -350,7 +350,7 @@ class TIBSPEngine:
         t = start
         # The stream, cluster and supervisor are created inside the try so
         # the finally tears them down on *every* exit path — including
-        # failures during cluster spawn or resume (a leaked prefetch worker
+        # failures during cluster spawn or resume (a leaked worker agent
         # outlives the run otherwise).
         try:
             stream_dir = getattr(cfg.tracing, "stream_dir", None)
@@ -501,8 +501,8 @@ class TIBSPEngine:
         """State one round's replies: a step record each (after a load record
         when its compute read a pack), then their telemetry."""
         for r in results:
-            if r.load_s or r.load_hidden_s:
-                rs.recorder.emit(LoadRecord(t, r.partition, r.load_s, r.load_hidden_s))
+            if r.load_s:
+                rs.recorder.emit(LoadRecord(t, r.partition, r.load_s))
             rs.recorder.emit(StepRecord.of(phase, t, s, r))
         rs.recorder.absorb(results)
 
@@ -524,7 +524,7 @@ class TIBSPEngine:
         with rec.span("begin_timestep", t=t):
             begin_results = exchange("begin", t, AT_BEGIN, pauses)
         for r in begin_results:
-            rec.emit(LoadRecord(t, r.partition, r.load_s, r.load_hidden_s))
+            rec.emit(LoadRecord(t, r.partition, r.load_s))
             if r.gc_pause_s:
                 rec.emit(GcRecord(t, r.partition, r.gc_pause_s))
         rec.absorb(begin_results)

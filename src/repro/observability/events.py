@@ -31,14 +31,7 @@ Schema v1 event kinds
                       message count, payload bytes, temporal flag)
 ``combine``           a combiner fold (messages in → messages out)
 ``instance_load``     one host's instance load: a begin's, or a pack compute read
-``slice_load``        a GoFS pack load (the Fig 6 every-10th-timestep spike);
-                      carries ``hidden_s``/``prefetched`` when the storage
-                      plane overlapped the read with compute
-``prefetch_start``    a host submitted an async pack read to its prefetcher
-``prefetch_hit``      a pack demand was served by a prefetched (or still
-                      in-flight) read; ``waited_s`` is the residual stall
-``prefetch_miss``     a pack demand fell through to a synchronous load even
-                      though prefetching was enabled
+``slice_load``        a GoFS pack load (the Fig 6 every-10th-timestep spike)
 ``gc_pause``          modeled GC pause charged at a timestep boundary
 ``vm_spinup`` /       elastic-scaling policy decisions (offline replay)
 ``vm_spindown``

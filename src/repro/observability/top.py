@@ -7,7 +7,7 @@ complete lines into a :class:`RunFold`: the run's records through the
 collector's own fold (:meth:`~repro.runtime.metrics.MetricsCollector.fold_events`,
 what ``from_events`` does), so the panel's totals cannot disagree with the
 run's; and the trace-only lines for what the collector keeps no table of —
-the plan (``run_begin``), quarantined partitions, the GoFS cache counts and
+the plan (``run_begin``), quarantined partitions, the GoFS packs loaded and
 the end of the run (``run_end``).
 
 Stragglers and stalls are the reader's findings, made when it renders:
@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -49,7 +48,6 @@ STALL_AFTER_S = 5.0
 
 #: A host's reply to a round: what shows a partition alive.
 _REPLY_KINDS = ("step", "instance_load")
-_CACHE_KINDS = ("slice_load", "prefetch_start", "prefetch_hit", "prefetch_miss")
 
 _BAR_FULL = "█"
 _BAR_EMPTY = "░"
@@ -71,7 +69,8 @@ class RunFold:
         #: partition -> ``ts_us`` of its last own reply.
         self.heard_us: dict[int, float] = {}
         self.quarantined: set[int] = set()
-        self.cache: Counter[str] = Counter()
+        #: ``slice_load`` lines: GoFS packs read.
+        self.packs_loaded = 0
         #: Wall-clock modification time of the log when it was last read.
         self.mtime = 0.0
         self._offset = 0
@@ -110,8 +109,8 @@ class RunFold:
             self.quarantined.add(record["partition"])
         elif kind == "run_end":
             self.ended = record
-        elif kind in _CACHE_KINDS:
-            self.cache[kind] += 1
+        elif kind == "slice_load":
+            self.packs_loaded += 1
 
 
 def _stragglers(metrics: MetricsCollector) -> set[int]:
@@ -172,17 +171,9 @@ def render_top(
         f"messages  {totals['messages']}  (remote {totals['remote_messages']}, "
         f"cut ratio {totals['cut_traffic_ratio']:.3f})"
     )
-    lines.append(
-        f"load      blocked {totals['load_blocked_s']:.3f}s  hidden {totals['load_hidden_s']:.3f}s"
-    )
-    if fold.cache:
-        c = fold.cache
-        asked = c["prefetch_hit"] + c["prefetch_miss"]
-        rate = f"{100.0 * c['prefetch_hit'] / asked:.0f}%" if asked else "-"
-        lines.append(
-            f"cache     packs {c['slice_load']}  prefetch {c['prefetch_start']} started, "
-            f"{c['prefetch_hit']} hit, {c['prefetch_miss']} missed ({rate})"
-        )
+    lines.append(f"load      blocked {totals['load_blocked_s']:.3f}s")
+    if fold.packs_loaded:
+        lines.append(f"cache     packs {fold.packs_loaded}")
     if totals["checkpoints"] or totals["retries"] or fold.quarantined:
         lines.append(
             f"faults    checkpoints {totals['checkpoints']} ({totals['checkpoint_s']:.3f}s)  "

@@ -391,20 +391,13 @@ class Cluster:
     def shutdown(self, *, force: bool = False) -> None:
         """Release resources, idempotently: reap the remote agents (see
         :func:`~repro.runtime.process_cluster.stop`; ``force`` skips the
-        polite stop), then close what the driver's sources hold (GoFS
-        prefetch threads).  A source's ``close()`` is reversible — a view
-        lazily recreates its pool on the next prefetch — so sources stay
-        usable for a later run."""
+        polite stop)."""
         channels, self._channels = self._channels, []
         remote = [c for c in channels if c is not None and type(c) is not InProcessChannel]
         if remote:
             from .process_cluster import stop
 
             stop(remote, force=force, tracer=self.driver_tracer)
-        for src in self._sources:
-            close = getattr(src, "close", None)
-            if callable(close):
-                close()
 
     def __enter__(self) -> "Cluster":
         return self

@@ -65,10 +65,8 @@ class InstanceSource(Protocol):
     implement optional hooks, discovered with ``getattr`` by the host:
 
     * ``attach_tracer(tracer)`` — narrate I/O on the host's trace track;
-    * ``drain_load() -> (blocked, hidden)`` — load seconds since the last
-      call: reads its compute caused (``load_s``, out of ``compute_s``) and
-      reads overlapped with compute (``load_hidden_s``); what is loaded ahead
-      is the source's business — the protocol has no prefetch op;
+    * ``drain_load() -> float`` — load seconds since the last call: the
+      reads its compute caused (``load_s``, out of ``compute_s``);
     * ``reload_instance(timestep)`` — an instance load for checkpoint
       replay that must not be recorded as fresh load evidence;
     * ``check_dataset(fingerprint)`` — called by the engine, not the host:
@@ -126,9 +124,6 @@ class HostStepResult:
     remote_messages: int = 0
     frames_sent: int = 0
     load_s: float = 0.0  # a begin's ``instance`` call, and reads compute caused
-    #: Load seconds overlapped with compute by a prefetching source — part
-    #: of the same I/O evidence as ``load_s`` but off the critical path.
-    load_hidden_s: float = 0.0
     gc_pause_s: float = 0.0
     #: Telemetry drained from this host's tracer during the call (None when
     #: tracing is off).  Picklable — process workers' spans/events/counters
@@ -382,13 +377,13 @@ class ComputeHost:
         return self.source.resident_bytes()
 
     def _drain_load(self, result: HostStepResult) -> float:
-        """Add the source's load seconds to ``result``; return the blocked ones."""
+        """Add the source's load seconds to ``result``; return them."""
         drain = getattr(self.source, "drain_load", None)
         if not callable(drain):
             return 0.0
-        blocked, result.load_hidden_s = drain()
-        result.load_s += blocked
-        return blocked
+        seconds = drain()
+        result.load_s += seconds
+        return seconds
 
     def _run_subgraphs(
         self,
@@ -529,8 +524,7 @@ class ComputeHost:
 
         The run itself never rewinds: a repaired host replays forward to
         the current round, so the source's committed load evidence stays
-        valid and its in-flight prefetches (which target rounds the replay
-        will reach) are kept.
+        valid.
         """
         own = sorted(sg.subgraph_id for sg in self.partition.subgraphs)
         if snapshot.get("subgraphs") != own:

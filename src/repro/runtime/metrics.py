@@ -118,8 +118,6 @@ class LoadRecord(Record):
     partition: int
     #: *Blocked* seconds: the stall measured inside begin_timestep.
     seconds: float
-    #: Seconds a prefetching source overlapped with compute (off the wall).
-    hidden_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -215,11 +213,8 @@ class MetricsCollector:
         self.step_records: list[StepRecord] = []
         #: (timestep, partition) -> *blocked* instance load seconds: the
         #: stall measured inside begin_timestep, which gates the timestep
-        #: wall.  (The Fig 6 spike — flattened when prefetch hides it.)
+        #: wall.  (The Fig 6 spike.)
         self.load_s: dict[tuple[int, int], float] = defaultdict(float)
-        #: (timestep, partition) -> *hidden* load seconds: I/O a prefetching
-        #: source overlapped with compute.  Same evidence, off the wall.
-        self.load_hidden_s: dict[tuple[int, int], float] = defaultdict(float)
         #: (timestep, partition) -> GC pause seconds
         self.gc_s: dict[tuple[int, int], float] = defaultdict(float)
         #: number of supersteps executed per timestep
@@ -252,8 +247,6 @@ class MetricsCollector:
                 self.merge_supersteps = max(self.merge_supersteps, record.superstep + 1)
         elif kind == "instance_load":
             self.load_s[(t, record.partition)] += record.seconds
-            if record.hidden_s:
-                self.load_hidden_s[(t, record.partition)] += record.hidden_s
         elif kind == "gc_pause":
             self.gc_s[(t, record.partition)] += record.seconds
         elif kind == "checkpoint_write":
@@ -401,10 +394,6 @@ class MetricsCollector:
         """Blocked instance-load seconds summed over every (timestep, partition)."""
         return sum(self.load_s.values())
 
-    def total_load_hidden_s(self) -> float:
-        """Load seconds hidden behind compute by prefetching sources."""
-        return sum(self.load_hidden_s.values())
-
     def total_gc_s(self) -> float:
         """GC-pause seconds summed over every (timestep, partition)."""
         return sum(self.gc_s.values())
@@ -430,7 +419,6 @@ class MetricsCollector:
             "bytes_sent": self.total_bytes_sent(),
             "cut_traffic_ratio": round(self.cut_traffic_ratio(), 6),
             "load_blocked_s": round(self.total_load_s(), 6),
-            "load_hidden_s": round(self.total_load_hidden_s(), 6),
             "gc_s": round(self.total_gc_s(), 6),
             "merge_wall_s": round(self.merge_wall(), 6),
             "checkpoints": self.checkpoints,

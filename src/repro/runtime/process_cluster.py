@@ -327,7 +327,6 @@ def _serve_session(conn, init: tuple | None = None) -> str:
     the handshake is corrupt or does not destructure (another version's
     driver, say): either way only this session ends, never the agent.
     """
-    source = None
     try:
         handshake = init is None
         if handshake:
@@ -364,9 +363,6 @@ def _serve_session(conn, init: tuple | None = None) -> str:
     except (EOFError, ConnectionError, OSError):  # driver died / connection severed
         return "eof"
     finally:
-        close = getattr(source, "close", None)
-        if callable(close):  # release prefetch threads between sessions
-            close()
         conn.close()
 
 

@@ -8,7 +8,6 @@ GoFS distributed file system (DESIGN.md, substitutions).
 from .gofs import (
     DEFAULT_BINNING,
     DEFAULT_PACKING,
-    PREFETCH_LEAD,
     GoFS,
     GoFSPartitionView,
 )
@@ -18,7 +17,6 @@ from .slices import SliceKey, bin_rows, read_slice, slice_filename, slice_nbytes
 __all__ = [
     "DEFAULT_BINNING",
     "DEFAULT_PACKING",
-    "PREFETCH_LEAD",
     "GoFS",
     "GoFSPartitionView",
     "load_template",

@@ -10,31 +10,25 @@ Layout of a store rooted at ``root/``::
 Writing distributes a partitioned collection into slice files with the
 paper's temporal packing (default 10) and subgraph binning (default 5).
 Each host then reads through a :class:`GoFSPartitionView` — an
-:class:`~repro.runtime.host.InstanceSource` that caches temporal packs,
-so a pack's first read is a real, measurable load spike (Fig 6).  What a
-view does in ``instance(t)`` is the pack's header reads: validation against
-each file's size, schema checks (a bin's rows are read and checked once, at
-opening).  The first row read of the pack reads its bytes, one read per
-slice file; a pack no row is read from is never read.  What it does *per read* is
-the projection: ``table.locate(name, rows)`` answers one timestep's rows in
-place — the pack matrix's row and the rows' positions in it, resolved once
-per row array through the view's direct-address row index — ``take``
-copies them out, and ``column(name)`` gathers the whole template.  An
-attribute nobody reads costs nothing, and one nobody ever set is not
-stored: slices list it under ``defaults`` and it reads as its default.
-
-With ``prefetch=True`` a view hides that spike: a single background thread
-starts reading pack *k+1* while compute is still inside pack *k* (the
-GoFFish analytics paper's overlap remedy), and the load accounting splits
-into the *blocked* seconds that still stall ``begin_timestep`` and the
-*hidden* seconds absorbed behind compute (see :meth:`drain_load`).
+:class:`~repro.runtime.host.InstanceSource` that holds one temporal pack,
+the one its last ``instance(t)`` served, so a pack's first read is a real,
+measurable load spike (Fig 6).  What a view does in ``instance(t)`` is the
+pack's header reads: validation against each file's size, schema checks (a
+bin's rows are read and checked once, at opening).  The first row read of
+the pack reads its bytes, one read per slice file; a pack no row is read
+from is never read.  What it does *per read* is the projection:
+``table.locate(name, rows)`` answers one timestep's rows in place — the
+pack matrix's row and the rows' positions in it, resolved once per row
+array through the view's direct-address row index — ``take`` copies them
+out, and ``column(name)`` gathers the whole template.  An attribute nobody
+reads costs nothing, and one nobody ever set is not stored: slices list it
+under ``defaults`` and it reads as its default.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -63,12 +57,10 @@ __all__ = [
     "GoFSPartitionView",
     "DEFAULT_PACKING",
     "DEFAULT_BINNING",
-    "PREFETCH_LEAD",
 ]
 
 DEFAULT_PACKING = 10  #: instances per temporal pack (paper's value)
 DEFAULT_BINNING = 5  #: subgraphs per spatial bin (paper's value)
-PREFETCH_LEAD = 2  #: rows before a pack boundary that arm the prefetch
 
 _MANIFEST = "manifest.json"
 _TEMPLATE = "template.gsl"
@@ -157,27 +149,12 @@ class GoFS:
         return load_template(Path(root) / _TEMPLATE)
 
     @staticmethod
-    def partition_view(
-        root: str | Path,
-        partition_id: int,
-        *,
-        cache_packs: int | None = None,
-        cache_bytes: int | None = None,
-        prefetch: bool = False,
-    ) -> "GoFSPartitionView":
+    def partition_view(root: str | Path, partition_id: int) -> "GoFSPartitionView":
         """Open one partition's instance source."""
-        return GoFSPartitionView(
-            root, partition_id, cache_packs=cache_packs, cache_bytes=cache_bytes, prefetch=prefetch
-        )
+        return GoFSPartitionView(root, partition_id)
 
     @staticmethod
-    def partition_views(
-        root: str | Path,
-        *,
-        cache_packs: int | None = None,
-        cache_bytes: int | None = None,
-        prefetch: bool = False,
-    ) -> list["GoFSPartitionView"]:
+    def partition_views(root: str | Path) -> list["GoFSPartitionView"]:
         """One view per partition, in partition order (engine ``sources``).
 
         The manifest and template are read once and shared (read-only) by
@@ -187,15 +164,7 @@ class GoFS:
         manifest = GoFS.read_manifest(root)
         template = GoFS.load_template(root)
         return [
-            GoFSPartitionView(
-                root,
-                p,
-                cache_packs=cache_packs,
-                cache_bytes=cache_bytes,
-                prefetch=prefetch,
-                manifest=manifest,
-                template=template,
-            )
+            GoFSPartitionView(root, p, manifest=manifest, template=template)
             for p in range(manifest["num_partitions"])
         ]
 
@@ -242,7 +211,7 @@ class _Pack(list):
             arrays.read_payload()
             for name in wanted:
                 if name in arrays:
-                    arrays[name]  # decode now: off the compute path when prefetching
+                    arrays[name]  # decode now: a pack read is load, not compute
         self.nbytes = sum(slice_nbytes(d) for d in self)
         return time.perf_counter() - start
 
@@ -255,38 +224,15 @@ class GoFSPartitionView:
     never read them.  Instances hold no columns: ``locate(name, rows)``
     answers from the pack in place, ``take`` copies what it locates, and
     ``column(name)`` builds the whole column on first access (each counted
-    in :attr:`columns_projected` / :attr:`bytes_projected`), and an instance
-    keeps its pack alive, so a read after the pack was evicted — even the one
-    that reads it — is still right.  Pickles cheaply (path + partition id +
-    settings), so process workers each open their own view.
+    in :attr:`columns_projected` / :attr:`bytes_projected`).  The view holds
+    one pack, the one its last :meth:`instance` served: an instance of another
+    pack drops it (Fig 6's load on every pack boundary).  An instance keeps
+    its own pack alive, so a read after the view dropped it — even the one
+    that reads it — is still right.  Pickles cheaply (path + partition id),
+    so process workers each open their own view.
 
     Parameters
     ----------
-    cache_packs:
-        Number of temporal packs kept resident (LRU).  1 — the default, and
-        what Fig 6 models — evicts on every pack boundary; larger values
-        trade memory for re-load avoidance when algorithms revisit old
-        instances (e.g. windowed analyses).  When ``cache_bytes`` is given
-        and ``cache_packs`` is not, the count cap is lifted and the byte
-        budget alone governs eviction.  The pack compute is currently
-        reading is never evicted, so with ``prefetch=True`` the cache
-        transiently holds one pack above either budget while the
-        prefetched pack waits for compute to cross the boundary
-        (double-buffering; steady-state residency is two packs).
-    cache_bytes:
-        Resident-byte budget for the pack cache.  Packs are evicted oldest
-        first until the cache fits; the most recently loaded pack and the
-        pack currently being read are never evicted, even if they exceed
-        the budget (with ``prefetch=True``, size the budget for at least
-        two packs).  Resident bytes feed the GC pause model via
-        :meth:`resident_bytes`.
-    prefetch:
-        Start loading pack *k+1* on a background thread while timestep
-        compute is still inside pack *k*.  Triggered once an
-        :meth:`instance` access comes within :data:`PREFETCH_LEAD` rows of
-        the pack boundary (the penultimate row of a pack).  Results stay
-        bit-identical — only the load accounting moves from blocked to
-        hidden seconds.
     manifest, template:
         Pre-parsed store metadata shared by views opened together (see
         :meth:`GoFS.partition_views`).  Treated as immutable; not pickled.
@@ -297,24 +243,11 @@ class GoFSPartitionView:
         root: str | Path,
         partition_id: int,
         *,
-        cache_packs: int | None = None,
-        cache_bytes: int | None = None,
-        prefetch: bool = False,
         manifest: dict | None = None,
         template: GraphTemplate | None = None,
     ) -> None:
-        if cache_packs is not None and cache_packs < 1:
-            raise ValueError("cache_packs must be >= 1")
-        if cache_bytes is not None and cache_bytes < 1:
-            raise ValueError("cache_bytes must be >= 1")
-        if cache_packs is None and cache_bytes is None:
-            cache_packs = 1
         self.root = Path(root)
         self.partition_id = int(partition_id)
-        #: Count cap; ``None`` means uncapped (byte budget governs).
-        self.cache_packs = cache_packs
-        self.cache_bytes = cache_bytes
-        self.prefetch_enabled = bool(prefetch)
         self._init_runtime(manifest, template)
 
     def _init_runtime(
@@ -333,30 +266,16 @@ class GoFSPartitionView:
             for schema in (self.template.vertex_schema, self.template.edge_schema)
             for spec in schema
         )
-        #: pack id -> per-bin slices, in LRU order (oldest first).
-        self._cache: dict[int, _Pack] = {}
-        self._resident = 0  # bytes of the cached packs that have been read
-        #: Pack the last :meth:`instance` access read — never evicted.
-        self._active_pack: int | None = None
+        #: The pack the last :meth:`instance` served (its headers; its bytes
+        #: once a row was read).
+        self._pack: _Pack | None = None
         #: (timestep, seconds) for every pack payload read — Fig 6 evidence.
         self.load_events: list[tuple[int, float]] = []
         #: Observability tracer, attached by the owning host when the run is
         #: traced (see :meth:`attach_tracer`).  Deliberately not pickled.
         self.tracer = None
-        # Prefetch machinery.  The single-worker pool is created lazily and
-        # never pickled; all cache mutation and accounting happens on the
-        # owner thread — the worker only reads slice files.
-        self._pool: ThreadPoolExecutor | None = None
-        self._inflight: dict[int, Future] = {}
-        #: Packs absorbed from a prefetch but not yet consumed — their hit
-        #: event (waited_s=0) is emitted on first use.
-        self._prefetched_ready: set[int] = set()
-        #: Blocked and hidden (overlapped) load seconds since the last drain.
-        self._pending_load = self._pending_hidden = 0.0
-        #: Plain counters, recorded whether or not a tracer is attached.
-        self.prefetch_started = 0
-        self.prefetch_hits = 0
-        self.prefetch_misses = 0
+        #: Load seconds since the last :meth:`drain_load`.
+        self._pending_load = 0.0
         tpl = self.template
         #: Slice-entry prefix -> (index into a bin's rows pair, schema, |rows|).
         self._sides = {
@@ -379,8 +298,7 @@ class GoFSPartitionView:
         self.columns_projected = 0
         self.bytes_projected = 0
         #: Slice entries (``"e__latency"``) projected so far.  A payload read
-        #: decodes these at read time, so a prefetch thread hides their
-        #: unpickle.  Replaced, never mutated: the prefetch thread reads it.
+        #: decodes these at read time, so their unpickle is load seconds.
         self.projected: frozenset[str] = frozenset()
         #: False while replaying a checkpoint restore: the I/O still happens
         #: but is not recorded as load evidence (the committed execution's
@@ -402,39 +320,20 @@ class GoFSPartitionView:
         """Record slice loads on ``tracer`` (called by a traced ComputeHost)."""
         self.tracer = tracer
 
-    def close(self) -> None:
-        """Shut down the prefetch thread (idempotent; cache is kept)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        self._inflight.clear()
-
-    # -- pickling: drop the cached packs and prefetch pool, reopen lazily --------------
+    # -- pickling: drop the held pack, reopen lazily ----------------------------------
 
     def __getstate__(self) -> dict:
-        return {
-            "root": self.root,
-            "partition_id": self.partition_id,
-            "cache_packs": self.cache_packs,
-            "cache_bytes": self.cache_bytes,
-            "prefetch": self.prefetch_enabled,
-        }
+        return {"root": self.root, "partition_id": self.partition_id}
 
     def __setstate__(self, state: dict) -> None:
         self.root = state["root"]
         self.partition_id = state["partition_id"]
-        self.cache_packs = state.get("cache_packs", 1)
-        self.cache_bytes = state.get("cache_bytes")
-        self.prefetch_enabled = state.get("prefetch", False)
         self._init_runtime()
 
-    # -- pack cache --------------------------------------------------------------------
+    # -- the held pack -----------------------------------------------------------------
 
-    def _read_pack(self, pack: int, payload: bool = False) -> tuple[_Pack, float]:
-        """Read and check every bin slice's header of one pack — and with
-        ``payload`` (a prefetch), read the pack too.  Safe off-thread: reads
-        files and this view's immutable settings only."""
-        start = time.perf_counter()
+    def _read_pack(self, pack: int) -> _Pack:
+        """Read and check every bin slice's header of one pack."""
         packing = self.manifest["packing"]
         pack_len = min(packing, self.manifest["num_timesteps"] - pack * packing)
         data = _Pack(pack, [])
@@ -449,9 +348,7 @@ class GoFSPartitionView:
                     f"does not match the store's schema: {exc}"
                 ) from None
             data.append(arrays)
-        if payload:
-            data.read(self.projected)
-        return data, time.perf_counter() - start
+        return data
 
     def _row_index(self, prefix: str) -> np.ndarray:
         """One side's direct-address index: template row -> position among this
@@ -545,171 +442,25 @@ class GoFSPartitionView:
     def _read_payload(self, pack: _Pack, timestep: int, recording: bool) -> None:
         """Read a pack at its first row read, at ``timestep``, blocking the reader."""
         seconds = pack.read(self.projected)
-        if self._cache.get(pack.pack) is pack:  # an evicted pack holds nothing resident
-            self._insert_pack(pack.pack, self._cache.pop(pack.pack))
-        if recording:
-            self._pending_load += seconds
-            self.load_events.append((timestep, seconds))
-            self._trace_load(timestep, pack.pack, seconds, hidden_s=0.0, prefetched=False)
-
-    def _insert_pack(self, pack: int, data: _Pack) -> None:
-        self._cache[pack] = data
-        self._resident += data.nbytes or 0
-        while self._over_budget():
-            # Oldest pack that is neither the one just inserted nor the one
-            # compute is currently reading: an absorbed prefetch must never
-            # evict the in-use pack — the very next intra-pack access would
-            # re-read it synchronously, evicting the prefetched pack in turn
-            # and doubling I/O instead of hiding it.
-            victim = next(
-                (k for k in self._cache if k != pack and k != self._active_pack),
-                None,
-            )
-            if victim is None:
-                break  # transiently over budget; evicted on the next insert
-            self._resident -= self._cache.pop(victim).nbytes or 0
-            self._prefetched_ready.discard(victim)
-            if self.tracer is not None and self._recording:
-                self.tracer.count("gofs.packs_evicted")
-
-    def _over_budget(self) -> bool:
-        if self.cache_packs is not None and len(self._cache) > self.cache_packs:
-            return True
-        return self.cache_bytes is not None and self._resident > self.cache_bytes
-
-    def _trace_load(
-        self, timestep: int, pack: int, seconds: float, *, hidden_s: float, prefetched: bool
-    ) -> None:
-        if self.tracer is None:
+        if not recording:
             return
-        self.tracer.event(
-            "slice_load",
-            partition=self.partition_id,
-            timestep=timestep,
-            pack=pack,
-            bins=self._num_bins,
-            seconds=seconds,
-            hidden_s=hidden_s,
-            prefetched=prefetched,
-        )
-        self.tracer.count("gofs.packs_loaded")
-
-    def _absorb_finished(self) -> None:
-        """Fold completed prefetches into the cache (owner thread only)."""
-        for pack in [k for k, fut in self._inflight.items() if fut.done()]:
-            data, seconds = self._inflight.pop(pack).result()
-            if pack in self._cache:
-                continue
-            self._insert_pack(pack, data)
-            if self._recording:
-                # Fully hidden: the pack arrived before anyone blocked on it.
-                # Load evidence lands on the pack's boundary timestep.
-                boundary = pack * self.manifest["packing"]
-                self._pending_hidden += seconds
-                self.load_events.append((boundary, seconds))
-                self._prefetched_ready.add(pack)
-                self._trace_load(boundary, pack, seconds, hidden_s=seconds, prefetched=True)
-
-    def _get_pack(self, pack: int, timestep: int) -> _Pack:
-        # Mark before absorbing: a prefetched pack landing now must not
-        # evict the pack this access is about to read (and may evict the
-        # previous pack once compute has moved on to this one).
-        self._active_pack = pack
-        self._absorb_finished()
-        if pack in self._cache:
-            self._cache[pack] = self._cache.pop(pack)  # refresh LRU position
-            if pack in self._prefetched_ready:
-                self._prefetched_ready.discard(pack)
-                if self._recording:
-                    self.prefetch_hits += 1
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "prefetch_hit",
-                            partition=self.partition_id,
-                            timestep=timestep,
-                            pack=pack,
-                            waited_s=0.0,
-                        )
-                        self.tracer.count("gofs.prefetch_hits")
-            return self._cache[pack]
-        fut = self._inflight.pop(pack, None)
-        if fut is not None:
-            # In flight but not done: block on the remainder.  Only the wait
-            # is a stall; the head start stays hidden.
-            wait_start = time.perf_counter()
-            data, seconds = fut.result()
-            waited = time.perf_counter() - wait_start
-            self._insert_pack(pack, data)
-            if self._recording:
-                hidden = max(0.0, seconds - waited)
-                self._pending_hidden += hidden
-                self.load_events.append((timestep, seconds))
-                self.prefetch_hits += 1
-                self._trace_load(timestep, pack, seconds, hidden_s=hidden, prefetched=True)
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "prefetch_hit",
-                        partition=self.partition_id,
-                        timestep=timestep,
-                        pack=pack,
-                        waited_s=waited,
-                    )
-                    self.tracer.count("gofs.prefetch_hits")
-            return data
-        data, seconds = self._read_pack(pack)
-        self._insert_pack(pack, data)
-        if self._recording and self.prefetch_enabled:
-            self.prefetch_misses += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    "prefetch_miss",
-                    partition=self.partition_id,
-                    timestep=timestep,
-                    pack=pack,
-                    seconds=seconds,
-                )
-                self.tracer.count("gofs.prefetch_misses")
-        return data
-
-    # -- prefetch hooks (optional InstanceSource extensions) ---------------------------
-
-    def prefetch(self, timestep: int) -> bool:
-        """Start loading ``timestep``'s pack in the background.
-
-        Returns True if a load was scheduled; False when prefetch is
-        disabled, the timestep is out of range, or the pack is already
-        cached or in flight.  Never blocks.
-        """
-        if not self.prefetch_enabled:
-            return False
-        if not 0 <= timestep < self.manifest["num_timesteps"]:
-            return False
-        self._absorb_finished()
-        pack = timestep // self.manifest["packing"]
-        if pack in self._cache or pack in self._inflight:
-            return False
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"gofs-prefetch-p{self.partition_id}"
+        self._pending_load += seconds
+        self.load_events.append((timestep, seconds))
+        if self.tracer is not None:
+            self.tracer.event(
+                "slice_load",
+                partition=self.partition_id,
+                timestep=timestep,
+                pack=pack.pack,
+                bins=self._num_bins,
+                seconds=seconds,
             )
-        self._inflight[pack] = self._pool.submit(self._read_pack, pack, True)
-        if self._recording:
-            self.prefetch_started += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    "prefetch_start",
-                    partition=self.partition_id,
-                    timestep=timestep,
-                    pack=pack,
-                )
-                self.tracer.count("gofs.prefetch_started")
-        return True
+            self.tracer.count("gofs.packs_loaded")
 
-    def drain_load(self) -> tuple[float, float]:
-        """Return and reset the ``(blocked, hidden)`` load seconds since the last
-        drain (ComputeHost's, after each call): first-use reads and prefetches."""
-        drained = (self._pending_load, self._pending_hidden)
-        self._pending_load = self._pending_hidden = 0.0
+    def drain_load(self) -> float:
+        """Return and reset the load seconds since the last drain (ComputeHost's,
+        after each call): the pack reads its instances' first row reads made."""
+        drained, self._pending_load = self._pending_load, 0.0
         return drained
 
     # -- recovery hooks ----------------------------------------------------------------
@@ -717,7 +468,7 @@ class GoFSPartitionView:
     def reload_instance(self, timestep: int) -> GraphInstance:
         """Instance load for checkpoint-restore replay.
 
-        The I/O genuinely happens when the pack is no longer cached, but it
+        The I/O genuinely happens when the view no longer holds the pack, but it
         is not recorded as load evidence: the committed execution already
         accounted for it, and recovery time is metered separately.
         """
@@ -730,7 +481,8 @@ class GoFSPartitionView:
     # -- InstanceSource protocol -------------------------------------------------------
 
     def instance(self, timestep: int) -> GraphInstance:
-        """Read and check (or cache-hit) ``timestep``'s pack headers; return a lazy instance.
+        """Read and check ``timestep``'s pack headers, unless the view holds the
+        pack already; return a lazy instance.
 
         Everything a header shows — a missing, truncated or mis-typed slice —
         fails here; the instance reads the pack, if nothing has, and its
@@ -739,11 +491,10 @@ class GoFSPartitionView:
         T = self.manifest["num_timesteps"]
         if not 0 <= timestep < T:
             raise IndexError(f"timestep {timestep} out of range [0, {T})")
-        packing = self.manifest["packing"]
-        pack, row = divmod(timestep, packing)
-        pack_data = self._get_pack(pack, timestep)
-        if self.prefetch_enabled and row >= packing - PREFETCH_LEAD:
-            self.prefetch((pack + 1) * packing)  # range-checked inside
+        pack = timestep // self.manifest["packing"]
+        pack_data = self._pack
+        if pack_data is None or pack_data.pack != pack:
+            pack_data = self._pack = self._read_pack(pack)
         tpl = self.template
         return GraphInstance(
             tpl,
@@ -761,7 +512,6 @@ class GoFSPartitionView:
         )
 
     def resident_bytes(self) -> int:
-        """Bytes of the cached packs that have been read (GC pause model input).
-
-        Maintained incrementally: grows on a read, shrinks on eviction."""
-        return self._resident
+        """Bytes of the held pack once it has been read (GC pause model input)."""
+        pack = self._pack
+        return 0 if pack is None else pack.nbytes or 0

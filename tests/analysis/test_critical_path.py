@@ -22,8 +22,7 @@ def _step(t, s, p, compute_s, send_s=0.0):
 
 
 def _load(t, p, seconds):
-    return {"kind": "instance_load", "timestep": t, "partition": p,
-            "seconds": seconds, "hidden_s": 0.0}
+    return {"kind": "instance_load", "timestep": t, "partition": p, "seconds": seconds}
 
 
 def _report(events, num_partitions, barrier_s=0.0):

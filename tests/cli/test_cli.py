@@ -257,16 +257,16 @@ class TestResilienceFlags:
         err = capsys.readouterr().err
         assert "error:" in err and "--degrade and --quarantine" in err
 
-    @pytest.mark.parametrize("flag", [["--prefetch"], ["--cache-bytes", "4096"]])
-    def test_view_flags_without_gofs_error_before_the_dataset_is_built(
-        self, flag, tmp_path, capsys
-    ):
-        cache = tmp_path / "dataset-cache"
-        assert main(self.BASE + flag + ["--dataset-cache", str(cache)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "--gofs DIR" in err
-        # Refused in the flag check: nothing was generated or partitioned.
-        assert not cache.exists() or not list(cache.iterdir())
+    @pytest.mark.parametrize(
+        "flag", [["--prefetch"], ["--cache-bytes", "4096"]], ids=["prefetch", "cache-bytes"]
+    )
+    def test_view_flags_are_gone(self, flag, tmp_path, capsys):
+        """A GoFS view takes no tuning flag, with a store or without."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + ["--gofs", str(tmp_path / "store")] + flag)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
     def test_recovery_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

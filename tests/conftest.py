@@ -115,7 +115,6 @@ def folds_equal(a: MetricsCollector, b: MetricsCollector) -> bool:
         and a.partition_breakdown() == b.partition_breakdown()
         and a.timestep_series() == b.timestep_series()
         and a.total_load_s() == b.total_load_s()
-        and a.total_load_hidden_s() == b.total_load_hidden_s()
     )
 
 

@@ -92,9 +92,9 @@ def test_quiescence_waits_for_host_local_deliveries(case, phase, executor):
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, executor):
     """The wire sentence: a fault-free run issues ``begin → superstep* → eot``
-    per timestep and one closing ``states`` — no other op, prefetching views
-    or not.  Loading ahead is the view's own trigger (armed by ``instance``
-    on a pack's last rows), and it alone hides every pack load but the first."""
+    per timestep and one closing ``states`` — no other op, over GoFS views
+    too.  A view reads a pack when its computation first reads from it:
+    here, at each pack's first timestep (Fig 6's spike)."""
     from repro.algorithms import TDSPComputation
     from repro.generators import road_latency_collection
     from repro.runtime import Cluster
@@ -114,7 +114,7 @@ def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, e
     monkeypatch.setattr(Cluster, "run_round", run_round)
     res = run_application(
         TDSPComputation(0), pg, coll,
-        sources=GoFS.partition_views(tmp_path, prefetch=True),
+        sources=GoFS.partition_views(tmp_path),
         config=EngineConfig(executor=executor, tracing=True),
     )
 
@@ -123,11 +123,10 @@ def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, e
     for op in ("begin", "eot"):
         assert [t for o, t in issued if o == op] == list(range(8))
     assert [o for o, _t in issued].count("states") == 1
-    # Per view: every pack but the first was armed by the view, found ready
-    # (or in flight) at the boundary, and read off the wall.
-    counters = res.trace.counters
-    assert counters["gofs.packs_loaded"] == PARTITIONS * 4
-    assert counters["gofs.prefetch_started"] == PARTITIONS * 3
-    assert counters["gofs.prefetch_hits"] == PARTITIONS * 3
-    assert counters["gofs.prefetch_misses"] == PARTITIONS
-    assert res.metrics.total_load_hidden_s() > 0
+    # Per view: every pack read once, at its boundary, on the wall.
+    assert res.trace.counters["gofs.packs_loaded"] == PARTITIONS * 4
+    loads = [e for e in res.trace.event_records() if e["kind"] == "slice_load"]
+    assert sorted((e["partition"], e["timestep"]) for e in loads) == [
+        (p, t) for p in range(PARTITIONS) for t in (0, 2, 4, 6)
+    ]
+    assert res.metrics.total_load_s() > 0

@@ -1,11 +1,11 @@
-"""Every engine exit path reaps its background threads.
+"""Every engine exit path reaps what the run started.
 
-Regression tests for the teardown bugfix: GoFS prefetch workers are
-daemon threads created during ``TIBSPEngine.run``; an exit path that skips
-the ``finally`` teardown (cluster-spawn failure, resume-signature mismatch,
-a Ctrl-C, a fatal ``RunFailureError``) used to leak them past the run.
-Every run here streams its event log, and observing a run starts no thread:
-the live view is a reader of that log, in another process.
+An exit path that skips ``TIBSPEngine.run``'s ``finally`` teardown
+(cluster-spawn failure, resume-signature mismatch, a Ctrl-C, a fatal
+``RunFailureError``) would leak the run's worker agents, or its stream,
+past the run.  A run starts no thread of its own: every run here streams
+its event log, and observing a run is a reader of that log, in another
+process.
 """
 
 import json
@@ -28,9 +28,6 @@ from repro.resilience import (
 from repro.storage import GoFS
 
 NUM_PARTITIONS = 2
-
-#: Names of every background thread the engine may start during a run.
-ENGINE_THREAD_PREFIXES = ("gofs-prefetch",)
 
 
 class Accumulate(TimeSeriesComputation):
@@ -56,14 +53,14 @@ class InterruptAtT1(Accumulate):
         super().compute(ctx)
 
 
-def _leaked_engine_threads(timeout_s=5.0):
-    """Engine-owned threads still alive after a grace period (they wind
-    down asynchronously; only ones that *stay* alive are leaks)."""
+def _leaked(before, timeout_s=5.0):
+    """Worker agents and threads (beyond ``before``) still alive after a
+    grace period (reaped processes wind down asynchronously; only ones that
+    *stay* alive are leaks)."""
     deadline = time.monotonic() + timeout_s
     while True:
-        leaked = [
-            th for th in threading.enumerate()
-            if th.is_alive() and th.name.startswith(ENGINE_THREAD_PREFIXES)
+        leaked = mp.active_children() + [
+            th for th in threading.enumerate() if th.is_alive() and th not in before
         ]
         if not leaked or time.monotonic() > deadline:
             return leaked
@@ -100,24 +97,24 @@ def test_no_leak_on_cluster_spawn_failure(case, tmp_path, monkeypatch):
 
     coll, pg = case
     monkeypatch.setattr(process_cluster, "_FORK_CONTEXT", _ForkThatFails)
+    before = set(threading.enumerate())
     with pytest.raises(OSError, match="out of processes"):
         run_application(
             Accumulate(), pg, coll,
             config=EngineConfig(executor="process", tracing=_stream(tmp_path)),
         )
-    assert mp.active_children() == []
-    assert _leaked_engine_threads() == []
+    assert _leaked(before) == []
     log = (tmp_path / "stream" / "events.jsonl").read_text().splitlines()
     assert [json.loads(line)["kind"] for line in log] == ["run_begin", "run_end"]
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
-def test_a_streamed_run_starts_no_thread_but_prefetch(case, tmp_path, monkeypatch, executor):
-    """The driver starts no thread to observe a run: the only threads a
-    streamed run over prefetching GoFS views starts are the views' own."""
+def test_a_streamed_run_starts_no_thread(case, tmp_path, monkeypatch, executor):
+    """The driver starts no thread to observe a run, and GoFS views read
+    on the thread that asks: a streamed run over a store starts none."""
     coll, pg = case
     GoFS.write_collection(tmp_path / "gofs", pg, coll, packing=2)
-    sources = GoFS.partition_views(tmp_path / "gofs", prefetch=True)
+    sources = GoFS.partition_views(tmp_path / "gofs")
     started, start = [], threading.Thread.start
 
     def spy(thread):
@@ -130,17 +127,17 @@ def test_a_streamed_run_starts_no_thread_but_prefetch(case, tmp_path, monkeypatc
         config=EngineConfig(executor=executor, tracing=_stream(tmp_path)),
     )
     monkeypatch.undo()
-    assert all(name.startswith("gofs-prefetch") for name in started), started
+    assert started == []
     assert (tmp_path / "stream" / "events.jsonl").exists()
 
 
 @pytest.mark.parametrize("executor", ["thread", "bogus"])
 def test_unknown_executor_is_refused_before_anything_starts(case, tmp_path, executor):
     """The name is validated where the config is read: no stream, worker
-    process or prefetch pool exists when the ``ValueError`` leaves."""
+    process or thread exists when the ``ValueError`` leaves."""
     coll, pg = case
     GoFS.write_collection(tmp_path, pg, coll, packing=2)
-    sources = GoFS.partition_views(tmp_path, prefetch=True)
+    sources = GoFS.partition_views(tmp_path)
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="serial, process, socket") as excinfo:
         run_application(
@@ -148,21 +145,19 @@ def test_unknown_executor_is_refused_before_anything_starts(case, tmp_path, exec
             config=EngineConfig(executor=executor, tracing=_stream(tmp_path)),
         )
     assert repr(executor) in str(excinfo.value)
-    assert mp.active_children() == []
-    assert set(threading.enumerate()) <= before
-    assert _leaked_engine_threads(timeout_s=0.0) == []
-    assert all(v._pool is None for v in sources)
+    assert _leaked(before, timeout_s=0.0) == []
     assert not (tmp_path / "stream").exists()
 
 
 def test_no_leak_on_keyboard_interrupt(case, tmp_path):
     coll, pg = case
+    before = set(threading.enumerate())
     with pytest.raises(KeyboardInterrupt):
         run_application(
             InterruptAtT1(), pg, coll,
             config=EngineConfig(tracing=_stream(tmp_path)),
         )
-    assert _leaked_engine_threads() == []
+    assert _leaked(before) == []
 
 
 def test_no_leak_on_resume_signature_mismatch(case, tmp_path):
@@ -173,30 +168,33 @@ def test_no_leak_on_resume_signature_mismatch(case, tmp_path):
     class OtherPattern(Accumulate):
         pattern = Pattern.EVENTUALLY_DEPENDENT
 
+    before = set(threading.enumerate())
     with pytest.raises(ValueError, match="does not match this run"):
         run_application(
             OtherPattern(), pg, coll,
             config=EngineConfig(checkpoint=ck, tracing=_stream(tmp_path)),
             resume_from=True,
         )
-    assert _leaked_engine_threads() == []
+    assert _leaked(before) == []
 
 
 def test_no_leak_on_run_failure(case, tmp_path):
-    """A fatal RunFailureError reaps the GoFS prefetch pools the sources
-    spun up."""
+    """A fatal RunFailureError over GoFS views reaps the worker agents the
+    run forked."""
     coll, pg = case
     root = tmp_path / "gofs"
     GoFS.write_collection(root, pg, coll, packing=2, binning=3)
-    sources = GoFS.partition_views(root, prefetch=True, cache_packs=2)
+    sources = GoFS.partition_views(root)
+    before = set(threading.enumerate())
     with pytest.raises(RunFailureError):
         run_application(
             Accumulate(), pg, coll, sources=sources,
             config=EngineConfig(
+                executor="process",
                 tracing=_stream(tmp_path),
                 checkpoint=CheckpointConfig(dir=tmp_path / "ck", every=1),
-                faults=FaultPlan.parse("kill@t1:p0", seed=3),
+                faults=FaultPlan.parse("fail_load@t1:p1", seed=3),
                 recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
             ),
         )
-    assert _leaked_engine_threads() == []
+    assert _leaked(before) == []

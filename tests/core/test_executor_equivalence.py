@@ -125,13 +125,12 @@ def gofs_store(case, tmp_path_factory):
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
-@pytest.mark.parametrize("prefetch", [False, True])
-def test_gofs_prefetch_matches_serial_collection(case, gofs_store, executor, prefetch):
-    """GoFS-backed runs — prefetch on or off — agree bit-for-bit with the
-    in-memory collection baseline on every executor backend."""
+def test_gofs_matches_serial_collection(case, gofs_store, executor):
+    """GoFS-backed runs agree bit-for-bit with the in-memory collection
+    baseline on every executor backend."""
     _tpl, coll, pg = case
     baseline = _snapshot("tdsp", pg, coll, "serial")
-    sources = GoFS.partition_views(gofs_store, prefetch=prefetch, cache_packs=2)
+    sources = GoFS.partition_views(gofs_store)
     res = run_application(
         _computation("tdsp", pg),
         pg,

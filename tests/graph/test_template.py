@@ -188,9 +188,9 @@ class TestLazyAdjacency:
         assert clone._in_edges.tolist() == tpl._in_edges.tolist()
 
     def test_threads_racing_to_build_each_get_a_whole_correct_triple(self, rng):
-        """Threads may share one template (the live plane and prefetchers run
-        beside the driver): readers that race on the first ``adjacency``
-        never see a half-filled triple."""
+        """Threads may share one template (worker agents served as threads of
+        one process do): readers that race on the first ``adjacency`` never
+        see a half-filled triple."""
         import sys
         import threading
 

@@ -180,22 +180,40 @@ class TestRender:
         assert "STALLED" not in render_top(fold, now=fold.mtime + 3600.0)
 
     def test_cache_line_from_gofs_counts(self, road_case, tmp_path):
+        """The cache line counts the packs read, and a log an older version
+        wrote — with prefetch lines, and ``hidden_s`` on its load lines —
+        renders the same line."""
         _tpl, coll, pg = road_case
         GoFS.write_collection(tmp_path / "store", pg, coll, packing=2)
-        views = GoFS.partition_views(tmp_path / "store", prefetch=True)
+        views = GoFS.partition_views(tmp_path / "store")
         # Reads every instance: each of the three packs is loaded once.
         stats = InstanceStatisticsComputation("latency", on="edges", range_low=0.0, range_high=1.0)
         _streamed(road_case, tmp_path / "run", sources=views, computation=stats)
         fold = RunFold()
         fold.read(tmp_path / "run" / "events.jsonl")
-        c = fold.cache
-        assert c["slice_load"] == 3 * PARTITIONS
-        assert c["prefetch_start"] == c["prefetch_hit"] == sum(v.prefetch_hits for v in views) > 0
-        rate = round(100 * c["prefetch_hit"] / (c["prefetch_hit"] + c["prefetch_miss"]))
-        assert (
-            f"cache     packs {c['slice_load']}  prefetch {c['prefetch_start']} started, "
-            f"{c['prefetch_hit']} hit, {c['prefetch_miss']} missed ({rate}%)"
-        ) in render_top(fold, now=fold.mtime)
+        assert fold.packs_loaded == 3 * PARTITIONS == sum(len(v.load_events) for v in views)
+        line = f"cache     packs {3 * PARTITIONS}"
+        panel = render_top(fold, now=fold.mtime)
+        assert line in panel.splitlines() and "hidden" not in panel
+
+        lines = _lines(tmp_path / "run" / "events.jsonl")
+        at = {"schema": 1, "ts_us": json.loads(lines[-2])["ts_us"], "pid": 0, "timestep": 2}
+        older = [
+            {**at, "kind": "prefetch_start", "partition": 0, "pack": 1},
+            {**at, "kind": "prefetch_hit", "partition": 0, "pack": 1, "waited_s": 0.0},
+            {**at, "kind": "prefetch_miss", "partition": 1, "pack": 1, "seconds": 0.001},
+        ]
+        for i, text in enumerate(lines):
+            record = json.loads(text)
+            if record["kind"] in ("slice_load", "instance_load"):
+                lines[i] = json.dumps({**record, "hidden_s": 0.0, "prefetched": False}) + "\n"
+        (tmp_path / "older").mkdir()
+        (tmp_path / "older" / "events.jsonl").write_text(
+            "".join(lines[:-1] + [json.dumps(r) + "\n" for r in older] + lines[-1:])
+        )
+        out = io.StringIO()
+        assert run_top(tmp_path / "older", once=True, out=out) == 0
+        assert line in out.getvalue().splitlines() and "prefetch" not in out.getvalue()
 
 
 class TestTornLine:

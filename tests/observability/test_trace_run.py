@@ -112,22 +112,32 @@ class TestTracedRun:
         assert_one_record_stream(res)
 
     def test_log_with_kinds_of_an_older_schema_still_folds(self, road_case):
-        """``from_events`` skips kinds it has no record for: a log written when
-        runs could migrate subgraphs, the driver sent prefetch hints and a
-        repair was also logged as a ``respawn`` finding folds to the same
-        collector."""
+        """``from_events`` skips kinds it has no record for, and fields its
+        records do not have: a log written when runs could migrate subgraphs,
+        the driver sent prefetch hints, GoFS views prefetched packs (and load
+        lines carried the seconds a prefetch hid) and a repair was also
+        logged as a ``respawn`` finding folds to the same collector."""
         _tpl, coll, pg = road_case
         res = run_application(
             TDSPComputation(0), pg, coll, config=EngineConfig(tracing=True)
         )
         old = {"schema": 1, "ts_us": 0, "pid": 0, "timestep": 1}
-        events = res.trace.event_records() + [
+        events = [
+            {**e, "hidden_s": 0.25} if e["kind"] == "instance_load" else e
+            for e in res.trace.event_records()
+        ] + [
             {**old, "kind": "migration", "count": 1, "cost_s": 0.25},
             {**old, "kind": "migrate", "subgraph": 3, "src": 0, "dst": 1, "cost_s": 0.25},
             {**old, "kind": "prefetch_issue", "superstep": 0, "next_timestep": 2},
+            {**old, "kind": "prefetch_start", "partition": 0, "pack": 1},
+            {**old, "kind": "prefetch_hit", "partition": 0, "pack": 1, "waited_s": 0.0},
+            {**old, "kind": "prefetch_miss", "partition": 1, "pack": 1, "seconds": 0.5},
+            {**old, "kind": "slice_load", "partition": 0, "pack": 1, "bins": 1,
+             "seconds": 0.5, "hidden_s": 0.5, "prefetched": True},
             {**old, "kind": "respawn", "superstep": 0, "partition": 1, "seconds": 0.5,
              "detail": "incarnation 1 after WorkerCrash"},
         ]
+        assert sum(e["kind"] == "instance_load" for e in events) > 0
         assert folds_equal(refold(res, events), res.metrics)
 
 

@@ -1,4 +1,4 @@
-"""The streamed event log and its reader under faults, prefetch, and rollback."""
+"""The streamed event log and its reader under faults, GoFS reads, and rollback."""
 
 import json
 
@@ -30,19 +30,17 @@ def gofs_root(case, tmp_path_factory):
     return root
 
 
-class TestCrosscheckWithPrefetchRecovery:
-    """The event log stays complete when prefetch, faults and repair mix.
+class TestCrosscheckWithGoFSRecovery:
+    """The event log stays complete when GoFS reads, faults and repair mix.
 
     A journal replay that leaked a second instance_load — or a record that
-    forgot the hidden (prefetch-overlapped) portion — fails the blocked /
-    hidden load totals of the round trip, even when the error cancels out
-    of the per-timestep wall arithmetic.
+    misstated its seconds — fails the load total of the round trip, even
+    when the error cancels out of the per-timestep wall arithmetic.
     """
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_trace_replays_clean(self, case, gofs_root, tmp_path, prefetch):
+    def test_trace_replays_clean(self, case, gofs_root, tmp_path):
         _tpl, coll, pg = case
-        sources = GoFS.partition_views(gofs_root, prefetch=prefetch, cache_packs=2)
+        sources = GoFS.partition_views(gofs_root)
         result = run_application(
             AccumulateSum(), pg, coll, sources=sources,
             config=EngineConfig(
@@ -53,14 +51,12 @@ class TestCrosscheckWithPrefetchRecovery:
             ),
         )
         assert result.metrics.retries >= 1
-        if prefetch:
-            assert result.metrics.total_load_hidden_s() >= 0.0
         assert_one_record_stream(result)
 
-    def test_hidden_load_mismatch_detected(self, case, gofs_root, tmp_path):
-        """Corrupting one hidden_s value trips the round trip's load totals."""
+    def test_load_mismatch_detected(self, case, gofs_root, tmp_path):
+        """Corrupting one load's seconds trips the round trip's load total."""
         _tpl, coll, pg = case
-        sources = GoFS.partition_views(gofs_root, prefetch=True, cache_packs=2)
+        sources = GoFS.partition_views(gofs_root)
         result = run_application(
             AccumulateSum(), pg, coll, sources=sources,
             config=EngineConfig(tracing=True),
@@ -68,10 +64,10 @@ class TestCrosscheckWithPrefetchRecovery:
         # Corrupt the raw record (event_records() normalizes fresh copies).
         loads = [e for e in result.trace.events if e.get("kind") == "instance_load"]
         assert loads, "expected instance_load events"
-        loads[0]["hidden_s"] = loads[0].get("hidden_s", 0.0) + 1.0
+        loads[0]["seconds"] += 1.0
         folded = refold(result)
-        assert folded.total_load_hidden_s() != result.metrics.total_load_hidden_s()
-        assert folded.total_load_s() == result.metrics.total_load_s()
+        assert folded.total_load_s() != result.metrics.total_load_s()
+        assert folded.summary()["supersteps"] == result.metrics.summary()["supersteps"]
         assert not folds_equal(folded, result.metrics)
 
 

@@ -36,7 +36,7 @@ def _run(case, gofs_root, **config):
     _tpl, coll, pg = case
     return run_application(
         RingRelay(len(pg.subgraphs)), pg, coll,
-        sources=GoFS.partition_views(gofs_root, prefetch=True, cache_packs=2),
+        sources=GoFS.partition_views(gofs_root),
         config=EngineConfig(executor="process", **config),
     )
 

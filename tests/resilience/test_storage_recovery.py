@@ -33,10 +33,6 @@ def gofs_root(case, tmp_path_factory):
     return root
 
 
-def _gofs_sources(gofs_root, *, prefetch=False):
-    return GoFS.partition_views(gofs_root, prefetch=prefetch, cache_packs=2)
-
-
 def _identical(a, b):
     assert a.outputs == b.outputs
     assert a.merge_outputs == b.merge_outputs
@@ -72,7 +68,7 @@ class TestHostRestorePurge:
     def test_superstep_boundary_restore_keeps_committed_begin_load(self, case, gofs_root):
         import pickle
 
-        view = GoFS.partition_view(gofs_root, 0, cache_packs=1)
+        view = GoFS.partition_view(gofs_root, 0)
         host = self._host(case, view)
 
         def timestep(t, replay=False):
@@ -98,12 +94,11 @@ class TestHostRestorePurge:
     def test_pickled_fresh_view_reload_records_nothing(self, gofs_root):
         import pickle
 
-        view = GoFS.partition_view(gofs_root, 1, prefetch=True)
+        view = GoFS.partition_view(gofs_root, 1)
         view.instance(0)
         clone = pickle.loads(pickle.dumps(view))  # a respawned worker's view
-        clone.reload_instance(2)
-        assert clone.load_events == []
-        assert clone.prefetch_misses == 0
+        clone.reload_instance(2).edge_column("latency")  # reads pack 1
+        assert clone.load_events == [] and clone.drain_load() == 0.0
 
 
 class TestEngineRecoveryWithGoFS:
@@ -113,12 +108,9 @@ class TestEngineRecoveryWithGoFS:
         return run_application(AccumulateSum(), pg, coll)
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_checkpoint_rollback_bit_identical(
-        self, case, gofs_root, tmp_path, baseline, executor, prefetch
-    ):
+    def test_checkpoint_rollback_bit_identical(self, case, gofs_root, tmp_path, baseline, executor):
         _tpl, coll, pg = case
-        sources = _gofs_sources(gofs_root, prefetch=prefetch)
+        sources = GoFS.partition_views(gofs_root)
         result = run_application(
             AccumulateSum(), pg, coll, sources=sources,
             config=EngineConfig(
@@ -137,7 +129,7 @@ class TestEngineRecoveryWithGoFS:
 
     def test_genesis_rollback_purges_evidence(self, case, gofs_root, baseline):
         _tpl, coll, pg = case
-        sources = _gofs_sources(gofs_root, prefetch=True)
+        sources = GoFS.partition_views(gofs_root)
         result = run_application(
             AccumulateSum(), pg, coll, sources=sources,
             config=EngineConfig(
@@ -149,22 +141,19 @@ class TestEngineRecoveryWithGoFS:
         assert result.metrics.retries == 1
         _no_duplicate_load_evidence(sources)
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_crash_then_resume_bit_identical(
-        self, case, gofs_root, tmp_path, baseline, prefetch
-    ):
+    def test_crash_then_resume_bit_identical(self, case, gofs_root, tmp_path, baseline):
         _tpl, coll, pg = case
         with pytest.raises(RunFailureError):
             run_application(
                 AccumulateSum(), pg, coll,
-                sources=_gofs_sources(gofs_root, prefetch=prefetch),
+                sources=GoFS.partition_views(gofs_root),
                 config=EngineConfig(
                     checkpoint=CheckpointConfig(dir=tmp_path, every=1),
                     faults=FaultPlan.parse("kill@t2:p0", seed=3),
                     recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
                 ),
             )
-        fresh = _gofs_sources(gofs_root, prefetch=prefetch)
+        fresh = GoFS.partition_views(gofs_root)
         resumed = run_application(
             AccumulateSum(), pg, coll, sources=fresh,
             config=EngineConfig(checkpoint=CheckpointConfig(dir=tmp_path)),

@@ -77,25 +77,23 @@ class TestLocalCluster:
             )
 
     def test_context_manager_shutdown(self, tmp_path):
-        """Leaving the ``with`` block releases what the sources hold."""
+        """Leaving the ``with`` block shuts the cluster down."""
         from repro.storage import GoFS
 
         tpl = make_grid_template(3, 4)
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
         GoFS.write_collection(tmp_path, pg, build_collection(tpl, 2), packing=1)
-        views = GoFS.partition_views(tmp_path, prefetch=True)
-        cluster, _ = self.make(views)
+        cluster, _ = self.make(GoFS.partition_views(tmp_path))
         with cluster as c:
             assert c is cluster
-            # Loading ahead is the view's own trigger (packing=1: every row is
-            # a pack's last); the cluster has no prefetch call and no such op.
+            # A view reads what its computation asks for: the cluster has no
+            # prefetch call and no such op.
             c.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
-            assert all(v._pool is not None for v in views)
             with pytest.raises(AttributeError):
                 c.prefetch(1)
             with pytest.raises(ValueError, match="unknown protocol op 'prefetch'"):
                 c.run_round("prefetch", 0, 0, [1, 1])
-        assert all(v._pool is None for v in views)
+        assert cluster._channels == []
 
     def test_protocol_flow(self):
         cluster, pg = self.make()
@@ -109,24 +107,6 @@ class TestLocalCluster:
         assert len(cluster.run_round("resident", -1, -1, None)) == 2
         states = cluster.run_round("states", -1, -1, None)
         assert set().union(*states) == {sg.subgraph_id for sg in pg.subgraphs}
-
-
-class TestShutdownClosesSources:
-    def test_run_shutdown_closes_prefetch_views(self, tmp_path):
-        """The engine's end-of-run cluster shutdown must release every
-        GoFS view's prefetch thread (REVIEW: long-lived drivers were
-        accumulating idle gofs-prefetch threads)."""
-        from repro.storage import GoFS
-
-        tpl = make_grid_template(4, 6)
-        coll = road_latency_collection(tpl, 12, seed=9, delta=5.0)
-        pg = partition_graph(tpl, 3, HashPartitioner(seed=1))
-        GoFS.write_collection(tmp_path, pg, coll, packing=4)
-        views = GoFS.partition_views(tmp_path, prefetch=True)
-        res = run_application(EchoState(), pg, coll, sources=views)
-        assert res.timesteps_executed == 12
-        assert any(v.prefetch_started > 0 for v in views)  # pools existed
-        assert all(v._pool is None for v in views)  # ... and were closed
 
 
 class TestBuildHosts:

@@ -17,7 +17,6 @@ from repro.storage import (
     bin_rows,
     read_slice,
     slice_filename,
-    slice_nbytes,
 )
 from repro.storage.serde import pack_arrays, read_arrays
 from repro.storage.slices import rows_filename
@@ -157,6 +156,17 @@ class TestPartitionView:
         views = GoFS.partition_views(root)
         assert [v.partition_id for v in views] == [0, 1, 2]
 
+    def test_the_view_holds_the_pack_its_last_instance_served(self, store):
+        root, *_ = store
+        view = GoFS.partition_view(root, 0)
+        one = _one_pack_nbytes(root)
+        for t in (0, 4, 1, 8, 0):
+            read(view.instance(t))
+            assert view._pack.pack == t // 4
+            assert view.resident_bytes() == one  # one pack, never more
+        # Every pack boundary drops the held pack: a revisit reads it again.
+        assert [t for t, _s in view.load_events] == [0, 4, 1, 8, 0]
+
 
 class TestBinRows:
     def test_rows_cover_bin(self, store):
@@ -174,127 +184,11 @@ class TestBinRows:
         assert len(verts) == 0 and len(edges) == 0
 
 
-class TestPackCache:
-    def test_lru_eviction(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, cache_packs=2)
-        read(view.instance(0))   # pack 0
-        read(view.instance(4))   # pack 1
-        read(view.instance(8))   # pack 2 -> evicts pack 0
-        assert len(view._cache) == 2
-        assert set(view._cache) == {1, 2}
-        read(view.instance(0))   # pack 0 reloads -> evicts pack 1 (least recent)
-        assert set(view._cache) == {0, 2}
-        assert len(view.load_events) == 4
-
-    def test_refresh_on_hit(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, cache_packs=2)
-        view.instance(0)   # pack 0
-        view.instance(4)   # pack 1
-        view.instance(1)   # pack 0 hit -> refresh
-        view.instance(8)   # pack 2 -> evicts pack 1 (pack 0 was refreshed)
-        assert set(view._cache) == {0, 2}
-
-    def test_cache_avoids_reloads_on_revisit(self, store):
-        root, *_ = store
-        small = GoFS.partition_view(root, 0, cache_packs=1)
-        big = GoFS.partition_view(root, 0, cache_packs=3)
-        for t in (0, 4, 0, 4, 8, 0):
-            read(small.instance(t))
-            read(big.instance(t))
-        assert len(small.load_events) == 6  # thrashes
-        assert len(big.load_events) == 3    # each pack loaded once
-
-    def test_resident_bytes_scales_with_cache(self, store):
-        root, *_ = store
-        small = GoFS.partition_view(root, 0, cache_packs=1)
-        big = GoFS.partition_view(root, 0, cache_packs=3)
-        for t in (0, 4, 8):
-            read(small.instance(t))
-            read(big.instance(t))
-        assert big.resident_bytes() > small.resident_bytes()
-
-    def test_invalid_cache_packs(self, store):
-        root, *_ = store
-        with pytest.raises(ValueError):
-            GoFS.partition_view(root, 0, cache_packs=0)
-
-    def test_pickle_preserves_setting(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 1, cache_packs=4)
-        clone = pickle.loads(pickle.dumps(view))
-        assert clone.cache_packs == 4
-
-
 def _one_pack_nbytes(root):
     """Resident bytes of exactly one pack (all packs are the same shape)."""
     probe = GoFS.partition_view(root, 0)
     read(probe.instance(0))
     return probe.resident_bytes()
-
-
-class TestByteBudget:
-    def test_byte_budget_lifts_count_cap(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, cache_bytes=1 << 40)
-        assert view.cache_packs is None
-        for t in (0, 4, 8):
-            read(view.instance(t))
-        assert set(view._cache) == {0, 1, 2}
-        assert len(view.load_events) == 3
-
-    def test_evicts_oldest_when_over_budget(self, store):
-        root, *_ = store
-        one = _one_pack_nbytes(root)
-        view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
-        read(view.instance(0))
-        read(view.instance(4))
-        assert set(view._cache) == {0, 1}
-        read(view.instance(8))  # third pack busts the budget -> pack 0 evicted
-        assert set(view._cache) == {1, 2}
-        assert view.resident_bytes() <= 2 * one
-
-    def test_resident_bytes_shrinks_after_eviction(self, store):
-        root, *_ = store
-        one = _one_pack_nbytes(root)
-        view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
-        for t in (0, 4, 8):
-            read(view.instance(t))
-        want = sum(
-            slice_nbytes(d) for data in view._cache.values() for d in data
-        )
-        assert view.resident_bytes() == want == 2 * one  # not 3 * one
-
-    def test_newest_pack_kept_even_over_budget(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, cache_bytes=1)
-        read(view.instance(0))
-        assert set(view._cache) == {0}
-        assert view.resident_bytes() > 1  # over budget, but never empty
-        read(view.instance(4))
-        assert set(view._cache) == {1}
-
-    def test_count_and_byte_caps_compose(self, store):
-        root, *_ = store
-        one = _one_pack_nbytes(root)
-        view = GoFS.partition_view(root, 0, cache_packs=2, cache_bytes=10 * one)
-        for t in (0, 4, 8):
-            read(view.instance(t))
-        assert set(view._cache) == {1, 2}  # the count cap binds first
-
-    def test_invalid_cache_bytes(self, store):
-        root, *_ = store
-        with pytest.raises(ValueError):
-            GoFS.partition_view(root, 0, cache_bytes=0)
-
-    def test_pickle_preserves_budget_and_prefetch(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 1, cache_bytes=123456, prefetch=True)
-        clone = pickle.loads(pickle.dumps(view))
-        assert clone.cache_bytes == 123456
-        assert clone.cache_packs is None
-        assert clone.prefetch_enabled is True
 
 
 class TestSharedManifest:
@@ -334,129 +228,6 @@ class TestSharedManifest:
         assert clone.manifest == views[0].manifest
         assert clone.manifest is not views[0].manifest
         assert clone.template is not views[0].template
-
-
-class TestPrefetch:
-    def test_disabled_returns_false(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0)
-        assert view.prefetch(4) is False
-        assert view.prefetch_started == 0
-
-    def test_out_of_range_returns_false(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)
-        assert view.prefetch(12) is False
-        assert view.prefetch(-1) is False
-
-    def test_already_cached_returns_false(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)
-        view.instance(0)
-        assert view.prefetch(1) is False
-
-    def test_hit_records_hidden_seconds_at_boundary(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True, cache_packs=2)
-        assert view.prefetch(4) is True
-        view._inflight[1].result(timeout=30)  # settle: make the hit deterministic
-        view.instance(4)
-        assert view.prefetch_started == 1
-        assert view.prefetch_hits == 1
-        assert view.prefetch_misses == 0
-        assert [t for t, _s in view.load_events] == [4]  # pack boundary
-        assert view.drain_load()[1] > 0.0
-        assert view.drain_load() == (0.0, 0.0)  # drained
-
-    def test_prefetched_instance_bit_identical(self, store):
-        root, tpl, *_ = store
-        sync = GoFS.partition_view(root, 0)
-        pre = GoFS.partition_view(root, 0, prefetch=True)
-        pre.prefetch(4)
-        a, b = sync.instance(4), pre.instance(4)
-        assert a.timestamp == b.timestamp
-        assert np.array_equal(a.vertex_column("traffic"), b.vertex_column("traffic"))
-        assert np.array_equal(a.edge_column("latency"), b.edge_column("latency"))
-
-    def test_auto_trigger_near_pack_boundary(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True, cache_packs=2)
-        view.instance(0)  # row 0 of pack 0: too early to arm
-        assert 1 not in view._inflight and 1 not in view._cache
-        view.instance(2)  # row >= packing - lead: arms the pack-1 prefetch
-        assert 1 in view._inflight or 1 in view._cache
-        view.instance(4)
-        assert view.prefetch_hits == 1
-        assert view.prefetch_misses == 1  # only pack 0's cold load
-
-    def test_sync_fallthrough_counts_miss(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)
-        view.instance(0)
-        assert view.prefetch_misses == 1
-        assert view.prefetch_hits == 0
-
-    def test_reload_instance_records_nothing(self, store):
-        root, _tpl, coll, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)
-        inst = view.reload_instance(4)
-        assert inst.timestamp == coll.instance(4).timestamp
-        assert view.load_events == []
-        assert view.prefetch_misses == 0
-        assert view.drain_load() == (0.0, 0.0)
-
-    def test_close_is_idempotent(self, store):
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)
-        view.prefetch(4)
-        view.close()
-        view.close()
-        assert view._inflight == {}
-
-    def test_absorb_never_evicts_in_use_pack(self, store):
-        """Regression: with the default single-pack cap, absorbing the
-        prefetched pack k+1 used to evict pack k while compute was still
-        reading it — the next intra-pack access re-read pack k (evicting
-        k+1 in turn), doubling I/O instead of hiding it."""
-        root, *_ = store
-        view = GoFS.partition_view(root, 0, prefetch=True)  # cache_packs=1
-        read(view.instance(0))  # pack 0 resident and in use
-        view.prefetch(4)  # pack 1 in flight
-        view._inflight[1].result(timeout=30)
-        view.instance(1)  # absorb lands pack 1; pack 0 must survive
-        assert set(view._cache) == {0, 1}
-        view.instance(4)  # boundary crossing is a hit, not a re-read
-        assert view.prefetch_hits == 1
-        assert [t for t, _s in view.load_events] == [0, 4]
-
-    def test_default_cache_prefetch_scan_matches_sync_loads(self, store):
-        """A bare prefetch=True scan (the CLI's --prefetch with no cache
-        knob) must do exactly the sync run's I/O — one load per pack."""
-        root, *_ = store
-        sync = GoFS.partition_view(root, 0)
-        view = GoFS.partition_view(root, 0, prefetch=True)
-        for t in range(12):
-            read(sync.instance(t))
-            read(view.instance(t))
-            for fut in list(view._inflight.values()):
-                fut.result(timeout=30)  # settle: absorb deterministically
-        assert [t for t, _s in sync.load_events] == [0, 4, 8]
-        assert [t for t, _s in view.load_events] == [0, 4, 8]
-        assert view.prefetch_misses == 1  # only pack 0's cold start
-        assert view.prefetch_hits == 2
-
-    def test_small_byte_budget_prefetch_does_not_thrash(self, store):
-        """Same hazard via cache_bytes: a budget below two packs must not
-        let an absorbed prefetch evict the in-use pack."""
-        root, *_ = store
-        one = _one_pack_nbytes(root)
-        view = GoFS.partition_view(root, 0, prefetch=True, cache_bytes=one)
-        for t in range(12):
-            read(view.instance(t))
-            for fut in list(view._inflight.values()):
-                fut.result(timeout=30)
-        assert [t for t, _s in view.load_events] == [0, 4, 8]
-        assert view.prefetch_misses == 1
 
 
 def owned_rows(pg, p):
@@ -565,17 +336,17 @@ class TestLazyProjection:
 
     def test_instance_outlives_its_packs_eviction(self, store):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0, cache_packs=1)
+        view = GoFS.partition_view(root, 0)
         old = view.instance(1)
         read(view.instance(0))  # pack 0 read; `old` has projected nothing
         one = view.resident_bytes()
-        read(view.instance(4))  # pack 0 evicted
-        assert set(view._cache) == {1}
+        read(view.instance(4))  # pack 0 dropped
+        assert view._pack.pack == 1
         verts, edges = owned_rows(pg, 0)
         want = coll.instance(1)
         assert np.array_equal(old.edge_column("latency")[edges], want.edge_column("latency")[edges])
         assert old.vertex_column("tweets")[verts].tolist() == want.vertex_column("tweets")[verts].tolist()
-        assert view.resident_bytes() == one  # only cached packs count
+        assert view.resident_bytes() == one  # only the held pack counts
         assert len(view.load_events) == 2  # ... and nothing was re-read
 
     def test_copy_and_pickle_of_an_untouched_instance_keep_the_values(self, store):
@@ -589,20 +360,19 @@ class TestLazyProjection:
         assert not view.instance(3).equals(view.instance(2))
 
     def test_pack_reads_decode_what_instances_have_projected(self, store, monkeypatch):
-        """The prefetch thread hides the unpickle of a column compute uses."""
+        """A pack read decodes the columns instances have projected, so the
+        unpickle of a column compute uses is counted as load."""
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0, prefetch=True, cache_packs=2)
+        view = GoFS.partition_view(root, 0)
         view.instance(0).vertex_column("tweets")
-        assert view.prefetch(4) is True
-        view._inflight[1].result(timeout=30)
-        inst = view.instance(4)
-        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled on the compute path"))
+        inst = read(view.instance(4))  # reads pack 1, tweets included
+        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled after the pack read"))
         verts, _edges = owned_rows(pg, 0)
         assert (
             inst.vertex_column("tweets")[verts].tolist()
             == coll.instance(4).vertex_column("tweets")[verts].tolist()
         )
-        view.close()
+        assert len(view.load_events) == 2
 
 
 def numeric_store(root):
@@ -644,12 +414,6 @@ class TestLoadErrorsSurfaceInInstance:
             view.instance(2)
         assert str(root / slice_filename(self.KEY)) in str(excinfo.value)
         assert repr(self.KEY) in str(excinfo.value)
-        # The prefetch path reports the same error from the same call.
-        pre = GoFS.partition_view(root, 0, prefetch=True)
-        pre.prefetch(2)
-        with pytest.raises(ValueError, match=match):
-            pre.instance(2)
-        pre.close()
 
     def test_truncated_file(self, tmp_path):
         numeric_store(tmp_path)
@@ -829,11 +593,10 @@ class TestProjectionProperty:
         timesteps=st.integers(1, 7),
         packing=st.integers(1, 4),
         binning=st.integers(1, 3),
-        prefetch=st.booleans(),
         data=st.data(),
     )
     def test_every_column_of_every_timestep_in_any_order(
-        self, seed, schema, timesteps, packing, binning, prefetch, data
+        self, seed, schema, timesteps, packing, binning, data
     ):
         rng = np.random.default_rng(seed)
         base = make_random_template(14, 20, rng)
@@ -850,7 +613,7 @@ class TestProjectionProperty:
         columns = [("v", spec) for spec in vschema] + [("e", spec) for spec in eschema]
         with tempfile.TemporaryDirectory() as root:
             GoFS.write_collection(root, pg, coll, packing=packing, binning=binning)
-            for view in GoFS.partition_views(root, prefetch=prefetch):
+            for view in GoFS.partition_views(root):
                 verts, edges = owned_rows(pg, view.partition_id)
                 order = data.draw(st.permutations(range(timesteps)), label="timestep order")
                 touched = 0
@@ -869,11 +632,11 @@ class TestProjectionProperty:
                         touched += 1
                 assert view.columns_projected == touched
                 assert view.projected == {f"{kind}__{spec.name}" for kind, spec in columns}
-                view.close()
 
     def test_residency_and_evictions_are_the_parents(self, store):
-        """The sequence of loads and evictions is the one pinned before
-        instances went lazy (same store, same accesses); the *bytes* are
+        """The sequence of loads is the one pinned before instances went lazy
+        (same store, same accesses): on a one-pack view each access to
+        another pack drops the held one and reads its own.  The *bytes* are
         re-pinned per slice format: a pack of partition 0 was 3796 B when
         every column was stored; format 3 left out the never-set ``flag``
         column (9 vertices x 4 timesteps x 1 B) and the unread ``timestamps``
@@ -882,14 +645,14 @@ class TestProjectionProperty:
         root, *_ = store
         one = _one_pack_nbytes(root)
         assert one == 3796 - 9 * 4 - 3 * 4 * 8 - (9 + 25) * 8 == 3392
-        view = GoFS.partition_view(root, 0, cache_bytes=2 * one)
+        view = GoFS.partition_view(root, 0)
         view.attach_tracer(Tracer())
         seen = []
         for t in list(range(12)) + [0, 4, 8, 1]:
             read(view.instance(t))
             seen.append(view.resident_bytes())
-        assert seen == [3392] * 4 + [6784] * 12
-        assert view.tracer.counters["gofs.packs_evicted"] == 5
+        assert seen == [3392] * 16
+        assert [t for t, _s in view.load_events] == [0, 4, 8, 0, 4, 8, 1]
         assert view.tracer.counters["gofs.packs_loaded"] == 7
 
 
@@ -972,7 +735,7 @@ class TestLocate:
             b = next(b for b, sgids in enumerate(manifest["bins"][0]) if sg.subgraph_id in sgids)
             for t in (1, 6):
                 table = view.instance(t).edge_values
-                matrix = view._cache[t // 4][b]["e__latency"]
+                matrix = view._pack[b]["e__latency"]
                 for rows in (sg.edge_index, sg.remote.edge_index):
                     if not len(rows):
                         continue
@@ -986,7 +749,7 @@ class TestLocate:
                 assert table.materialized_names == []
         assert view.tracer.counters["gofs.bytes_projected"] == view.bytes_projected == want_bytes
         # A decoded object column is read-only too: a located row cannot
-        # write into the cached pack.
+        # write into the held pack.
         tweets, index = view.instance(6).vertex_values.locate("tweets", sg.vertices)
         assert index is not None and not tweets.flags.writeable
         assert view.columns_projected == view.tracer.counters["gofs.columns_projected"]
@@ -1031,11 +794,10 @@ class TestTakeProperty:
         timesteps=st.integers(1, 7),
         packing=st.integers(1, 4),
         binning=st.integers(1, 3),
-        prefetch=st.booleans(),
         data=st.data(),
     )
     def test_take_equals_indexing_the_column(
-        self, seed, schema, timesteps, packing, binning, prefetch, data
+        self, seed, schema, timesteps, packing, binning, data
     ):
         rng = np.random.default_rng(seed)
         base = make_random_template(14, 20, rng)
@@ -1068,7 +830,7 @@ class TestTakeProperty:
 
         with tempfile.TemporaryDirectory() as root:
             GoFS.write_collection(root, pg, coll, packing=packing, binning=binning)
-            for view in GoFS.partition_views(root, prefetch=prefetch):
+            for view in GoFS.partition_views(root):
                 subgraphs = pg.partitions[view.partition_id].subgraphs
                 row_arrays = {
                     "v": [sg.vertices for sg in subgraphs],
@@ -1086,7 +848,7 @@ class TestTakeProperty:
                         for rows in [np.asarray(anywhere, dtype=np.int64)] + row_arrays[kind]:
                             check(inst, t, kind, spec, rows)
                             check(inst, t, kind, spec, rows)  # again: the plan is cached now
-                # Instances outlive their pack's eviction (cache_packs=1) and
+                # Instances outlive the view dropping their pack and
                 # pickle to plain tables holding the same values.
                 for t, inst in held:
                     for kind, spec in columns:
@@ -1100,7 +862,6 @@ class TestTakeProperty:
                                 column_of(inst, kind, spec.name)[rows],
                                 spec.is_object,
                             )
-                view.close()
 
     def test_rows_outside_the_template_are_an_index_error(self, store):
         root, tpl, *_ = store
@@ -1161,7 +922,7 @@ class TestTakeProperty:
             GoFSPartitionView, "_row_index", lambda v, side: resolved.append(side) or real(v, side)
         )
         sg = pg.partitions[0].subgraphs[-1]  # (in the last bin)
-        for t in [*range(12), 0, 4]:  # 12 timesteps, then back: 3 + 2 pack loads at cache_packs=1
+        for t in [*range(12), 0, 4]:  # 12 timesteps, then back: 3 + 2 pack loads
             got = view.instance(t).edge_values.take("latency", sg.edge_index)
             assert np.array_equal(got, coll.instance(t).edge_column("latency")[sg.edge_index])
             index = view._index["e"]
@@ -1193,7 +954,7 @@ class TestReadOnFirstUse:
         assert view.load_events == []
         assert view.resident_bytes() == 0
         assert "gofs.packs_loaded" not in view.tracer.counters
-        assert view.drain_load() == (0.0, 0.0)
+        assert view.drain_load() == 0.0
 
     def test_a_mid_pack_first_read_loads_the_pack_once_there(self, store):
         root, *_ = store
@@ -1205,28 +966,28 @@ class TestReadOnFirstUse:
         loads = [e for e in view.tracer.events if e["kind"] == "slice_load"]
         assert [(e["timestep"], e["pack"]) for e in loads] == [(6, 1)]
         assert view.tracer.counters["gofs.packs_loaded"] == 1
-        assert view.drain_load() == (view.load_events[0][1], 0.0)
+        assert view.drain_load() == view.load_events[0][1]
         one = view.resident_bytes()
         assert one > 0
         # Earlier and later instances of the pack read nothing more.
         read(first)
         read(view.instance(7))
         assert len(view.load_events) == 1 and view.tracer.counters["gofs.packs_loaded"] == 1
-        assert view.drain_load() == (0.0, 0.0)
+        assert view.drain_load() == 0.0
         assert view.resident_bytes() == one
 
     def test_a_header_only_pack_evicted_before_its_first_read(self, store):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0, cache_packs=1)
+        view = GoFS.partition_view(root, 0)
         old = view.instance(2)
-        view.instance(5)  # pack 0 evicted with nothing read
-        assert set(view._cache) == {1}
+        view.instance(5)  # pack 0 dropped with nothing read
+        assert view._pack.pack == 1
         verts, edges = owned_rows(pg, 0)
         want = coll.instance(2)
         assert np.array_equal(old.edge_column("latency")[edges], want.edge_column("latency")[edges])
         assert old.vertex_column("tweets")[verts].tolist() == want.vertex_column("tweets")[verts].tolist()
         assert [t for t, _s in view.load_events] == [2]
-        assert view.resident_bytes() == 0  # the read pack is not a cached one
+        assert view.resident_bytes() == 0  # the read pack is not the held one
 
     def test_a_read_after_reload_instance_records_nothing(self, store):
         root, _tpl, coll, pg, _ = store
@@ -1237,7 +998,7 @@ class TestReadOnFirstUse:
         assert np.array_equal(
             inst.edge_column("latency")[edges], coll.instance(9).edge_column("latency")[edges]
         )
-        assert view.load_events == [] and view.drain_load() == (0.0, 0.0)
+        assert view.load_events == [] and view.drain_load() == 0.0
         assert "gofs.packs_loaded" not in view.tracer.counters
         read(view.instance(10))  # the committed instance finds the pack read
         assert view.load_events == [] and view.resident_bytes() > 0

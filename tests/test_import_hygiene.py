@@ -2,7 +2,9 @@
 offline analysis module, nor the ``tibsp top`` reader — on the path of a
 serial, process or socket run (the socket run on ``tibsp worker`` agents
 served from the same interpreter); the worker executor loads on selection,
-so a serial run loads no ``socket`` or ``multiprocessing`` at all.
+so a serial run loads no ``socket`` or ``multiprocessing`` at all.  A GoFS
+view reads on the thread that asks, so no thread pool (and the ``logging``
+it brings) is loaded either.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -95,6 +97,34 @@ assert loaded() == [] and not [m for m in wire if m in sys.modules], (
 print("clean")
 """
 
+_NO_THREAD_POOL = """
+import tempfile
+import repro
+POOL = ("concurrent.futures", "logging")
+assert not [m for m in POOL if m in sys.modules], ("import repro", POOL)
+from repro import (EngineConfig, GoFS, TDSPComputation, partition_graph,
+                   road_latency_collection, road_network, run_application)
+
+def main():
+    template = road_network(300, seed=1)
+    collection = road_latency_collection(template, 4, seed=2)
+    pg = partition_graph(template, 2)
+    with tempfile.TemporaryDirectory() as store:
+        GoFS.write_collection(store, pg, collection, packing=2)
+        for executor in ("serial", "process"):
+            result = run_application(
+                TDSPComputation(0), pg, collection, sources=GoFS.partition_views(store),
+                config=EngineConfig(executor=executor),
+            )
+            assert result.timesteps_executed > 0
+            loaded_pool = [m for m in POOL if m in sys.modules]
+            assert not loaded_pool, (executor, loaded_pool)
+    print("clean")
+
+if __name__ == "__main__":
+    main()
+"""
+
 _RUNTIME_NAMES = """
 import repro
 from repro.runtime import WorkerLost
@@ -129,6 +159,10 @@ def test_a_serial_run_imports_no_socket_multiprocessing_or_worker_executor(tmp_p
     """The protocol core is I/O-free: a serial run, faults and repairs
     included, never loads the worker executor or what it speaks over."""
     _run_fresh(tmp_path, _SERIAL)
+
+
+def test_a_run_over_gofs_loads_no_thread_pool_or_logging(tmp_path):
+    _run_fresh(tmp_path, _NO_THREAD_POOL)
 
 
 def test_runtime_names_resolve_and_no_executor_loads_asyncio(tmp_path):

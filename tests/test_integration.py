@@ -145,42 +145,34 @@ class TestStorageAndExecutorInvariance:
             ]
             root = tmp_path / f"k{k}"
             GoFS.write_collection(root, pg, coll, packing=3, binning=2)
-            runs = {}
-            for prefetch in (False, True):
-                views = GoFS.partition_views(root, prefetch=prefetch)
-                began_with = [[] for _ in views]  # bytes projected when timestep t began
-                if executor == "serial":  # the driver's views are the ones that run
-                    for view, seen in zip(views, began_with):
-                        def instance(t, view=view, seen=seen, real=view.instance):
-                            seen.append(view.bytes_projected)
-                            return real(t)
+            views = GoFS.partition_views(root)
+            began_with = [[] for _ in views]  # bytes projected when timestep t began
+            if executor == "serial":  # the driver's views are the ones that run
+                for view, seen in zip(views, began_with):
+                    def instance(t, view=view, seen=seen, real=view.instance):
+                        seen.append(view.bytes_projected)
+                        return real(t)
 
-                        view.instance = instance
-                res = run_application(
-                    TDSPComputation(0), pg, coll, sources=views,
-                    config=EngineConfig(executor=executor, tracing=True),
-                )
-                counters, T = res.trace.counters, res.timesteps_executed
-                got = counters["gofs.bytes_projected"]
-                first = {}  # partition -> timestep of its first frontier
-                for t, sgid, _rec in res.outputs:
-                    first.setdefault(pg.subgraphs[sgid].partition_id, t)
-                assert max(first.values()) > 0, "the wave must take a while to arrive somewhere"
-                assert 0 < got < 8 * T * sum(per_host)
-                assert 0 < counters["gofs.columns_projected"] < 2 * T * pg.num_subgraphs
-                if executor == "serial":
-                    assert [v.projected for v in views] == [{"e__latency"}] * k
-                    assert sum(v.bytes_projected for v in views) == got
-                    for p, view in enumerate(views):
-                        assert view.bytes_projected <= 8 * T * per_host[p]
-                        assert began_with[p][first[p]] == 0  # idle until the wave arrives
-                runs[prefetch] = (
-                    got,
-                    counters["gofs.columns_projected"],
-                    tdsp_labels_from_result(res, tpl.num_vertices).tobytes(),
-                )
-            assert runs[False] == runs[True]  # prefetch == sync, to the byte
-            labels[k] = runs[False][2]
+                    view.instance = instance
+            res = run_application(
+                TDSPComputation(0), pg, coll, sources=views,
+                config=EngineConfig(executor=executor, tracing=True),
+            )
+            counters, T = res.trace.counters, res.timesteps_executed
+            got = counters["gofs.bytes_projected"]
+            first = {}  # partition -> timestep of its first frontier
+            for t, sgid, _rec in res.outputs:
+                first.setdefault(pg.subgraphs[sgid].partition_id, t)
+            assert max(first.values()) > 0, "the wave must take a while to arrive somewhere"
+            assert 0 < got < 8 * T * sum(per_host)
+            assert 0 < counters["gofs.columns_projected"] < 2 * T * pg.num_subgraphs
+            if executor == "serial":
+                assert [v.projected for v in views] == [{"e__latency"}] * k
+                assert sum(v.bytes_projected for v in views) == got
+                for p, view in enumerate(views):
+                    assert view.bytes_projected <= 8 * T * per_host[p]
+                    assert began_with[p][first[p]] == 0  # idle until the wave arrives
+            labels[k] = tdsp_labels_from_result(res, tpl.num_vertices).tobytes()
         assert labels[2] == labels[6] == ref.time_expanded_dijkstra(coll, 0).tobytes()
 
     @pytest.mark.parametrize("algorithm", ["tdsp", "meme", "hash"])
