@@ -19,7 +19,8 @@ so the driver's unit count is the frame count.  The acceptance bar is a
 
 **combiner on/off**: TDSP's min-distance combiner folds co-located
 subgraphs' updates to the same destination before the barrier, shrinking
-remote messages and bytes at identical results.
+remote messages and bytes at identical results.  The "off" arm runs a
+TDSP subclass that defines no ``combine``.
 
 With ``--json`` the same numbers land in ``BENCH_message_plane.json`` so
 future PRs can track the perf trajectory.
@@ -38,12 +39,17 @@ from conftest import SCALE, SEED, emit
 PARTITIONS = 6
 
 
+class _RawTDSP(TDSPComputation):
+    """TDSP without its combiner: every relaxation ships as sent."""
+
+    combine = None
+
+
 def _run(pg, collection, *, combiners):
-    config = EngineConfig(cost_model=CostModel.for_scale(SCALE), combiners=combiners)
+    config = EngineConfig(cost_model=CostModel.for_scale(SCALE))
+    comp = TDSPComputation if combiners else _RawTDSP
     t0 = time.perf_counter()
-    res = run_application(
-        TDSPComputation(0, halt_when_stalled=True), pg, collection, config=config
-    )
+    res = run_application(comp(0, halt_when_stalled=True), pg, collection, config=config)
     wall = time.perf_counter() - t0
     m = res.metrics
     local, remote = m.total_local_messages(), m.total_remote_messages()

@@ -63,13 +63,13 @@ class Relay(TimeSeriesComputation):
 
 def _rounds_since_checkpoint(events):
     """Protocol rounds the driver issued between its last checkpoint and the
-    kill, counted from the event log: one ``instance_load`` per begin round,
-    one ``step`` per superstep / end-of-timestep round (partition 0's)."""
+    kill, counted from the event log: one ``step`` per superstep /
+    end-of-timestep round (partition 0's; superstep 0 opens a timestep)."""
     rounds = 0
     for e in events:
         if e["kind"] == "checkpoint_write":
             rounds = 0
-        elif e["kind"] in ("instance_load", "step") and e["partition"] == 0:
+        elif e["kind"] == "step" and e["partition"] == 0:
             rounds += 1
         elif e["kind"] == "worker_lost":
             return rounds

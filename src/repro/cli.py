@@ -499,8 +499,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     res.add_argument(
         "--inject-faults", metavar="SPEC",
-        help="deterministic fault plan, e.g. 'kill@t2:p1,delay@t3:s0:p0:d0.1' "
-        "(host kinds: kill, delay, fail_load; wire kinds, cured by a resend "
+        help="deterministic fault plan, kind@t<T>[:s<S>|:eot]:p<P>[:d<SECONDS>][:i<INC>], "
+        "e.g. 'kill@t2:p1,delay@t3:s2:p0:d0.1'; without s<S> or eot a fault "
+        "fires at superstep 0, which opens the timestep (host kinds: kill, "
+        "delay, fail_load, the last at s0 only; wire kinds, cured by a resend "
         "on every executor: drop_frame, dup_frame, reorder, corrupt_frame)",
     )
     res.add_argument(

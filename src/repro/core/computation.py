@@ -52,8 +52,8 @@ class TimeSeriesComputation(abc.ABC):
     #: The hook must be associative-and-commutative-safe for the algorithm:
     #: receivers see one combined payload instead of the individual ones (the
     #: combined envelope has ``source_subgraph=None``).  Applied to superstep
-    #: and merge-phase sends; temporal sends are never combined.  Disable
-    #: per-run with ``EngineConfig(combiners=False)``.
+    #: and merge-phase sends; temporal sends are never combined.  A
+    #: computation that wants raw messages leaves it ``None``.
     combine = None
 
     @abc.abstractmethod

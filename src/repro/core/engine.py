@@ -64,7 +64,7 @@ from ..graph.collection import TimeSeriesGraphCollection
 from ..observability import RunRecorder, RunTrace
 from ..partition.base import PartitionedGraph
 from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
-from ..resilience.faults import AT_BEGIN, AT_EOT, FaultPlan
+from ..resilience.faults import AT_EOT, FaultPlan
 from ..resilience.recovery import RecoveryPolicy, RunFailure, RunFailureError
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
 from ..runtime.cluster import Cluster
@@ -113,10 +113,6 @@ class EngineConfig:
         GC pause model (disabled by default; Fig 6 benches enable it).
     max_supersteps:
         Safety bound per timestep BSP (and for the merge BSP).
-    combiners:
-        Whether hosts apply the computation's ``combine`` hook (when one is
-        defined) to same-destination sends before the barrier.  Disabling
-        lets benches compare combined vs raw message counts.
     tracing:
         Falsy (default, a strict no-op), ``True``, or a
         :class:`~repro.observability.TraceConfig`.  When set, the run
@@ -159,7 +155,6 @@ class EngineConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     gc_model: GCModel = field(default_factory=GCModel.disabled)
     max_supersteps: int = 100_000
-    combiners: bool = True
     tracing: object | None = None
     checkpoint: CheckpointConfig | None = None
     faults: FaultPlan | None = None
@@ -251,7 +246,6 @@ class TIBSPEngine:
             remote=cfg.executor != "serial",
             hosts=cfg.hosts,
             cost_model=cfg.cost_model,
-            use_combiners=cfg.combiners,
             tracing=tracing,
             gather_timeout_s=gather_timeout,
             fault_plan=cfg.faults,
@@ -454,7 +448,7 @@ class TIBSPEngine:
         result.merge_outputs[:] = blob["merge_outputs"]
         result.timesteps_executed = blob["timesteps_executed"]
         t = blob["next_t"]
-        rs.supervisor.round("restore", t, AT_BEGIN, loaded.parts)
+        rs.supervisor.round("restore", t, 0, loaded.parts)
         rs.supervisor.checkpointed(name)
         rs.recorder.event(
             "restore", timestep=t, seconds=0.0, resumed=True, checkpoint=loaded.meta.get("seq")
@@ -509,25 +503,19 @@ class TIBSPEngine:
     def _run_timestep(self, rs: _RunState, t: int) -> bool:
         """Run one BSP timestep.  Returns True when the app halted early.
 
-        On the wire a timestep is ``begin → superstep* → eot``: what a host
-        loads ahead of the next one is its source's business.
+        On the wire a timestep is ``superstep* → eot``, and superstep 0
+        opens it on every host (TI-BSP invokes every subgraph there): what a
+        host loads ahead of the next one is its source's business.
         """
         rec, result, temporal_frames = rs.recorder, rs.result, rs.temporal_frames
         exchange = rs.supervisor.round
         gc = self.config.gc_model
         if gc.enabled:
-            resident = exchange("resident", t, AT_BEGIN, None)
-            pauses = [gc.pause_at(t - rs.start, b) for b in resident]
-        else:
-            pauses = [0.0] * self.pg.num_partitions
-
-        with rec.span("begin_timestep", t=t):
-            begin_results = exchange("begin", t, AT_BEGIN, pauses)
-        for r in begin_results:
-            rec.emit(LoadRecord(t, r.partition, r.load_s))
-            if r.gc_pause_s:
-                rec.emit(GcRecord(t, r.partition, r.gc_pause_s))
-        rec.absorb(begin_results)
+            resident = exchange("resident", t, 0, None)
+            for p, nbytes in enumerate(resident):
+                pause = gc.pause_at(t - rs.start, nbytes)
+                if pause and p not in rs.cluster.quarantined:
+                    rec.emit(GcRecord(t, p, pause))
 
         # Superstep-0 deliveries per the pattern (Section II-D message rules).
         if rs.pattern is Pattern.SEQUENTIALLY_DEPENDENT and t > rs.start:

@@ -30,7 +30,7 @@ Schema v1 event kinds
 ``frame_ship``        one coalesced frame leaving a host (dst partition,
                       message count, payload bytes, temporal flag)
 ``combine``           a combiner fold (messages in → messages out)
-``instance_load``     one host's instance load: a begin's, or a pack compute read
+``instance_load``     one host's instance load: superstep 0's, and packs compute read
 ``slice_load``        a GoFS pack load (the Fig 6 every-10th-timestep spike)
 ``gc_pause``          modeled GC pause charged at a timestep boundary
 ``vm_spinup`` /       elastic-scaling policy decisions (offline replay)

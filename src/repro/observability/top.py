@@ -46,9 +46,6 @@ STRAGGLER_MIN_S = 0.05
 #: A log older than this (seconds) whose run has not ended is a stall.
 STALL_AFTER_S = 5.0
 
-#: A host's reply to a round: what shows a partition alive.
-_REPLY_KINDS = ("step", "instance_load")
-
 _BAR_FULL = "█"
 _BAR_EMPTY = "░"
 
@@ -99,12 +96,11 @@ class RunFold:
             self.metrics = MetricsCollector(record["num_partitions"], barrier_s=record["barrier_s"])
         self.records += 1
         self.last_ts_us = record["ts_us"]
-        if kind in _REPLY_KINDS and record["partition"] not in self.quarantined:
-            self.heard_us[record["partition"]] = record["ts_us"]
         if kind == "step":
+            # A host's reply to a round: what shows a partition alive.
+            if record["partition"] not in self.quarantined:
+                self.heard_us[record["partition"]] = record["ts_us"]
             self.last_round = (record["phase"], record["timestep"], record["superstep"])
-        elif kind == "instance_load":
-            self.last_round = ("begin", record["timestep"], -1)
         elif kind == "worker_quarantined":
             self.quarantined.add(record["partition"])
         elif kind == "run_end":
@@ -141,7 +137,7 @@ def _round_name(rnd: tuple[str, int, int] | None) -> str:
     if rnd is None:
         return "the first round"
     phase, t, s = rnd
-    return f"begin t={t}" if phase == "begin" else f"{phase} t={t} s={s}"
+    return f"{phase} t={t} s={s}"
 
 
 def render_top(

@@ -29,7 +29,6 @@ engine wires together:
 
 from .checkpoint import CheckpointConfig, CheckpointCorrupt, CheckpointInfo, CheckpointManager
 from .faults import (
-    AT_BEGIN,
     AT_EOT,
     FAULT_KINDS,
     NETWORK_FAULT_KINDS,
@@ -53,7 +52,6 @@ __all__ = [
     "CheckpointCorrupt",
     "CheckpointInfo",
     "CheckpointManager",
-    "AT_BEGIN",
     "AT_EOT",
     "FAULT_KINDS",
     "NETWORK_FAULT_KINDS",

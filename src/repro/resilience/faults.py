@@ -25,9 +25,10 @@ repairs it.  The *host* kinds:
     shorter than the delay this becomes a detected wedge; otherwise it is
     just visible recovery-free slowness.
 ``fail_load``
-    The begin-timestep instance load raises an I/O-style error (a failed
-    GoFS slice read), reported as a *recoverable* worker error.  It names
-    the ``begin`` call only: a spec reads its superstep as :data:`AT_BEGIN`.
+    The timestep's instance load, which superstep 0 opens, raises an
+    I/O-style error (a failed GoFS slice read), reported as a *recoverable*
+    worker error.  It names superstep 0 only: a spec reads its superstep
+    as 0.
 
 The *network-fault* kinds (:data:`NETWORK_FAULT_KINDS`) misbehave on the
 reply after the round computed; the sequence-numbered protocol cures them
@@ -49,10 +50,11 @@ frame, without a respawn:
     cached good reply instead of declaring the worker lost.
 
 Superstep coordinates: ``superstep`` in a spec may be an ordinary compute
-superstep number, one of the sentinels :data:`AT_BEGIN` / :data:`AT_EOT`
-(the begin-timestep / end-of-timestep protocol calls), or ``None`` to match
-any call within the timestep.  Merge-phase calls carry ``timestep == -1``.
-Two specs may not name the same exact call: only the first could fire.
+superstep number (0 opens the timestep), the sentinel :data:`AT_EOT` (the
+end-of-timestep protocol call), or ``None`` to match any call within the
+timestep — which fires at the timestep's first call, superstep 0.
+Merge-phase calls carry ``timestep == -1``.  Two specs may not name the
+same exact call: only the first could fire.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = [
-    "AT_BEGIN",
     "AT_EOT",
     "FAULT_KINDS",
     "NETWORK_FAULT_KINDS",
@@ -72,8 +73,6 @@ __all__ = [
     "parse_fault_specs",
 ]
 
-#: Superstep sentinel for the ``begin_timestep`` protocol call.
-AT_BEGIN = -101
 #: Superstep sentinel for the ``end_of_timestep`` protocol call.
 AT_EOT = -102
 
@@ -100,9 +99,8 @@ class FaultSpec:
     partition:
         Partition whose worker/host misbehaves.
     superstep:
-        Compute superstep, :data:`AT_BEGIN`, :data:`AT_EOT`, or ``None``
-        to match any call in the timestep (``fail_load``: always
-        :data:`AT_BEGIN`).
+        Compute superstep, :data:`AT_EOT`, or ``None`` to match any call
+        in the timestep (``fail_load``: always 0).
     delay_s:
         Straggler sleep for ``delay`` faults; ``None`` derives a
         deterministic value from the plan seed.
@@ -124,11 +122,12 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
         if self.kind == "fail_load":
-            if self.superstep not in (None, AT_BEGIN):
+            if self.superstep not in (None, 0):
                 raise ValueError(
-                    "fail_load fails the begin-timestep load: it takes no s<S> or eot"
+                    "fail_load fails the instance load superstep 0 opens: it takes "
+                    "s0 or no superstep, not another s<S> or eot"
                 )
-            object.__setattr__(self, "superstep", AT_BEGIN)
+            object.__setattr__(self, "superstep", 0)
 
     def matches(self, timestep: int, superstep: int, partition: int, incarnation: int) -> bool:
         return (
@@ -215,7 +214,7 @@ def parse_fault_specs(text: str) -> list[FaultSpec]:
     """Parse the CLI fault mini-language into specs.
 
     Grammar: comma/semicolon-separated entries of the form
-    ``kind@t<T>[:s<S>|:begin|:eot]:p<P>[:d<DELAY>][:i<INC>]``, e.g.::
+    ``kind@t<T>[:s<S>|:eot]:p<P>[:d<DELAY>][:i<INC>]``, e.g.::
 
         kill@t1:s0:p0
         delay@t2:p1:d0.2
@@ -236,9 +235,7 @@ def parse_fault_specs(text: str) -> list[FaultSpec]:
         delay_s: float | None = None
         incarnation = 0
         for token in m.group("parts").split(":"):
-            if token == "begin":
-                superstep = AT_BEGIN
-            elif token == "eot":
+            if token == "eot":
                 superstep = AT_EOT
             elif token.startswith("t"):
                 timestep = int(token[1:])
@@ -251,7 +248,8 @@ def parse_fault_specs(text: str) -> list[FaultSpec]:
             elif token.startswith("i"):
                 incarnation = int(token[1:])
             else:
-                raise ValueError(f"bad fault spec token {token!r} in {entry!r}")
+                hint = ": a timestep opens at superstep 0, write s0" if token == "begin" else ""
+                raise ValueError(f"bad fault spec token {token!r} in {entry!r}{hint}")
         if timestep is None or partition is None:
             raise ValueError(f"fault spec {entry!r} needs both t<T> and p<P>")
         specs.append(

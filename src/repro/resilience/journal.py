@@ -7,12 +7,11 @@ inbound :class:`~repro.core.messages.MessageFrame` deliveries those rounds
 carried.
 
 The :class:`FrameJournal` is a lightweight driver-side write-ahead log of
-exactly that: the ordered post-checkpoint protocol rounds (``begin`` /
-``superstep`` / ``eot`` / ``merge``), each with the per-partition payload
-list it shipped.  The supervisor appends a round *before* issuing it, so
-at any failure the journal's tail entry is the in-flight round and
-everything before it is committed work that a respawned host must
-silently replay.
+exactly that: the ordered post-checkpoint protocol rounds (``superstep`` /
+``eot`` / ``merge``), each with the per-partition payload list it
+shipped.  The supervisor appends a round *before* issuing it, so at any
+failure the journal's tail entry is the in-flight round and everything
+before it is committed work that a respawned host must silently replay.
 
 Lifecycle invariants:
 
@@ -47,16 +46,16 @@ __all__ = ["FrameJournal", "JournalEntry"]
 class JournalEntry(NamedTuple):
     """One journaled protocol round for one partition.
 
-    ``payload`` is the per-partition argument of the round: the begin
-    round's GC pause seconds, a superstep/merge round's delivery list
-    (``list[MessageFrame]``), or ``None`` for end-of-timestep.  With a
-    sequence number and the replay mark in front, an entry is the command
-    envelope a worker receives (:mod:`repro.runtime.process_cluster`).
+    ``payload`` is the per-partition argument of the round: a
+    superstep/merge round's delivery list (``list[MessageFrame]``), or
+    ``None`` for end-of-timestep.  With a sequence number and the replay
+    mark in front, an entry is the command envelope a worker receives
+    (:mod:`repro.runtime.process_cluster`).
     """
 
-    op: str  #: begin | superstep | eot | merge
+    op: str  #: superstep | eot | merge
     timestep: int
-    superstep: int  #: AT_BEGIN / AT_EOT for begin / eot rounds
+    superstep: int  #: AT_EOT for eot rounds
     payload: Any
 
 

@@ -5,7 +5,7 @@ timestep.  Every run has a :class:`HostSupervisor`, and its
 :meth:`~HostSupervisor.round` is the one way the driver reaches its hosts;
 it closes the detect→act loop per host:
 
-* every protocol round (``begin`` / ``superstep`` / ``eot`` / ``merge``)
+* every protocol round (``superstep`` / ``eot`` / ``merge``)
   is journaled in the :class:`~repro.resilience.journal.FrameJournal`
   *before* it executes, then issued through the cluster's
   ``run_round`` — which returns a per-partition outcome list instead of

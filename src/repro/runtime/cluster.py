@@ -94,9 +94,9 @@ def quarantine_fill(op: str, partition: int):
 class Cluster:
     """One channel per partition, and the driver's half of the protocol over them.
 
-    ``computation``, ``meta``, ``cost_model``, ``use_combiners`` and
-    ``tracing`` are what :class:`~repro.runtime.host.HostSpec` builds each
-    partition's host from; ``sources`` holds one instance source per
+    ``computation``, ``meta``, ``cost_model`` and ``tracing`` are what
+    :class:`~repro.runtime.host.HostSpec` builds each partition's host
+    from; ``sources`` holds one instance source per
     partition (a remote agent produces its instances in its own address
     space).  ``remote`` says whether agents leave the driver (every executor
     but serial); ``hosts`` (``"host:port,..."`` or a sequence) names one
@@ -133,7 +133,6 @@ class Cluster:
         remote: bool = False,
         hosts: str | Sequence[str] | None = None,
         cost_model: CostModel | None = None,
-        use_combiners: bool = True,
         tracing: bool = False,
         gather_timeout_s: float | None = None,
         fault_plan: FaultPlan | None = None,
@@ -154,7 +153,7 @@ class Cluster:
                 )
         self._hosts = hosts
         self._remote = remote or hosts is not None
-        self._spec = HostSpec(computation, meta, cost_model or CostModel(), use_combiners, tracing)
+        self._spec = HostSpec(computation, meta, cost_model or CostModel(), tracing)
         self._pg = pg
         self._sources = list(sources)
         # One routing array shared by every host, respawned ones included;
@@ -282,10 +281,10 @@ class Cluster:
         ``op`` is a key of :data:`~repro.runtime.host.HOST_OPS` (anything
         else, or a ``payloads`` list of another length than the partition
         count, is a ``ValueError`` before any host sees it): one of
-        :data:`ROUND_OPS` — ``begin`` (payloads = GC pauses), ``superstep``
-        / ``merge`` (payloads = per-partition deliveries: coalesced
-        ``MessageFrame`` lists, or a plain subgraph-id → messages map for
-        direct protocol use; merge rounds pass ``timestep=-1``), ``eot``
+        :data:`ROUND_OPS` — ``superstep`` / ``merge`` (payloads =
+        per-partition deliveries: coalesced ``MessageFrame`` lists, or a
+        plain subgraph-id → messages map for direct protocol use; superstep
+        0 opens the timestep; merge rounds pass ``timestep=-1``), ``eot``
         (payloads ignored), whose ``(timestep, superstep)`` is also the
         coordinate scripted faults fire at — or a read-only query:
         ``resident`` (bytes of instance data), ``states`` (the per-subgraph

@@ -14,16 +14,16 @@ The host also owns the sending side of the *message plane*:
 * sends crossing partitions are coalesced into one
   :class:`~repro.core.messages.MessageFrame` per destination partition,
   with payload bytes summed once at pack time;
-* an optional application combiner (``computation.combine``) folds multiple
-  same-destination messages into one before the barrier.
+* an application combiner (``computation.combine``, when defined) folds
+  multiple same-destination messages into one before the barrier.
 
 Hosts know nothing about global termination or routing — the engine drives
-them through a narrow call protocol (``begin_timestep`` → ``run_superstep``*
-→ ``end_of_timestep``), stated once as the op table :data:`HOST_OPS` behind
-:meth:`ComputeHost.handle`: what an in-driver agent calls is exactly
-what a remote agent is sent over its socket, and every host is
-built from one :class:`HostSpec`.  Because local deliveries bypass the driver,
-each protocol reply reports ``has_pending_local`` so the engine's quiescence
+them through a narrow call protocol (``run_superstep``* → ``end_of_timestep``,
+where superstep 0 opens the timestep's instance), stated once as the op
+table :data:`HOST_OPS` behind :meth:`ComputeHost.handle`: what an in-driver
+agent calls is exactly what a remote agent is sent over its socket, and
+every host is built from one :class:`HostSpec`.  Because local deliveries
+bypass the driver, each protocol reply reports ``has_pending_local`` so the engine's quiescence
 rule can see messages still in flight inside hosts.
 """
 
@@ -123,8 +123,7 @@ class HostStepResult:
     local_messages: int = 0
     remote_messages: int = 0
     frames_sent: int = 0
-    load_s: float = 0.0  # a begin's ``instance`` call, and reads compute caused
-    gc_pause_s: float = 0.0
+    load_s: float = 0.0  # superstep 0's ``instance`` call, and reads compute caused
     #: Telemetry drained from this host's tracer during the call (None when
     #: tracing is off).  Picklable — process workers' spans/events/counters
     #: ride back to the driver inside the ordinary protocol reply.
@@ -169,9 +168,6 @@ class ComputeHost:
         per destination partition.
     cost_model:
         Communication cost model.
-    use_combiners:
-        Whether to apply the computation's ``combine`` hook (when defined)
-        to same-destination sends before the barrier.
     tracer:
         Optional :class:`~repro.observability.Tracer` for this host's
         track.  ``None`` (the default) keeps every instrumented path to a
@@ -190,7 +186,6 @@ class ComputeHost:
         source: InstanceSource,
         subgraph_partition: np.ndarray,
         cost_model: CostModel | None = None,
-        use_combiners: bool = True,
         tracer: Tracer | None = None,
     ) -> None:
         self.partition = partition
@@ -207,7 +202,7 @@ class ComputeHost:
             if callable(attach):
                 attach(tracer)
         combine = getattr(computation, "combine", None)
-        self._combine = combine if (use_combiners and callable(combine)) else None
+        self._combine = combine if callable(combine) else None
         #: Per-subgraph application state, resident for the whole run.
         self.states: dict[int, dict] = {sg.subgraph_id: {} for sg in partition.subgraphs}
         #: State shared by every subgraph of this partition (ctx.partition_state).
@@ -338,52 +333,40 @@ class ComputeHost:
         """Execute one protocol op — what every executor calls (see :data:`HOST_OPS`)."""
         return host_op(op)(self, timestep, superstep, payload, replay)
 
-    def begin_timestep(
-        self, timestep: int, gc_pause_s: float = 0.0, *, replay: bool = False
-    ) -> HostStepResult:
-        """Load the instance for ``timestep``; reset per-timestep halt flags.
+    def resident_bytes(self) -> int:
+        """Bytes of instance data resident on this host (GC model input)."""
+        return self.source.resident_bytes()
 
-        Temporal messages short-circuited during the previous timestep become
-        the seed of this timestep's superstep-0 local inbox.
+    def _drain_load(self) -> float:
+        """The source's load seconds since the last drain."""
+        drain = getattr(self.source, "drain_load", None)
+        return drain() if callable(drain) else 0.0
+
+    def _open_timestep(self, timestep: int, replay: bool) -> float:
+        """Superstep 0's opening: load ``timestep``'s instance, reset the halt
+        flags and seed the inbox with the temporal messages short-circuited
+        during the previous timestep.  Returns the load seconds.
 
         ``replay`` marks a journal replay on a surgically recovered host:
         the instance load goes through ``reload_instance`` (no fresh load
-        evidence — the original round already recorded it) and load seconds
-        are left undrained for the next *committed* call to report.
+        evidence — the original round already recorded it) and is not timed.
         """
-        tr = self.tracer
-        result = HostStepResult(self.partition.partition_id)
         if replay:
             reload = getattr(self.source, "reload_instance", None)
             self._instance = (
                 reload(timestep) if callable(reload) else self.source.instance(timestep)
             )
+            load_s = 0.0
         else:
+            tr = self.tracer
             with tr.span("load", t=timestep) if tr is not None else NULL_SPAN:
                 start = time.perf_counter()
                 self._instance = self.source.instance(timestep)
-                result.load_s = time.perf_counter() - start
-            self._drain_load(result)
-        result.gc_pause_s = gc_pause_s
+                load_s = time.perf_counter() - start + self._drain_load()
         self._halted = {sg.subgraph_id: False for sg in self.partition.subgraphs}
         self._local_inbox = self._temporal_inbox
         self._temporal_inbox = {}
-        if tr is not None:
-            result.telemetry = tr.drain()
-        return result
-
-    def resident_bytes(self) -> int:
-        """Bytes of instance data resident on this host (GC model input)."""
-        return self.source.resident_bytes()
-
-    def _drain_load(self, result: HostStepResult) -> float:
-        """Add the source's load seconds to ``result``; return them."""
-        drain = getattr(self.source, "drain_load", None)
-        if not callable(drain):
-            return 0.0
-        seconds = drain()
-        result.load_s += seconds
-        return seconds
+        return load_s
 
     def _run_subgraphs(
         self,
@@ -433,7 +416,9 @@ class ComputeHost:
                 if bsp:
                     self._halted[sgid] = buffer.voted_halt
                     result.subgraphs_computed += 1
-        result.compute_s -= self._drain_load(result)  # a pack read is load, not compute
+        loaded = self._drain_load()  # a pack read is load, not compute
+        result.load_s += loaded
+        result.compute_s -= loaded
         self._flush_sends(result, sends, temporal, timestep, superstep)
         result.has_pending_local = bool(self._local_inbox)
         result.pending_temporal = sum(len(v) for v in self._temporal_inbox.values())
@@ -443,14 +428,26 @@ class ComputeHost:
         return result
 
     def run_superstep(
-        self, timestep: int, superstep: int, deliveries: Iterable[MessageFrame]
+        self,
+        timestep: int,
+        superstep: int,
+        deliveries: Iterable[MessageFrame],
+        *,
+        replay: bool = False,
     ) -> HostStepResult:
-        """Run ``compute`` on this host's active subgraphs for one superstep."""
-        assert self._instance is not None, "begin_timestep must be called first"
-        return self._run_subgraphs(
+        """Run ``compute`` on this host's active subgraphs for one superstep.
+
+        Superstep 0 opens the timestep first (:meth:`_open_timestep`), so
+        the temporal inbox goes ahead of the routed ``deliveries``.
+        """
+        load_s = self._open_timestep(timestep, replay) if superstep == 0 else 0.0
+        assert self._instance is not None, "a timestep opens at superstep 0"
+        result = self._run_subgraphs(
             self.computation.compute, ComputeContext, "compute",
             timestep, superstep, self._open_inbox(deliveries),
         )
+        result.load_s += load_s
+        return result
 
     def end_of_timestep(self, timestep: int) -> HostStepResult:
         """Invoke ``end_of_timestep`` on every subgraph of this partition."""
@@ -502,8 +499,8 @@ class ComputeHost:
         Taken at the end of a timestep: per-subgraph application state, the
         shared partition state, and the merge and temporal inboxes.  Halt
         flags and the local superstep inbox are not carried: the BSP that
-        set them has quiesced, and the next ``begin_timestep`` (or merge
-        superstep 0) resets them.  The returned dict aliases live state —
+        set them has quiesced, and the next superstep 0 (of a timestep or of
+        the Merge) resets them.  The returned dict aliases live state —
         callers serialize it immediately (socket or pickle-to-disk), which is
         what produces the copy.
         """
@@ -519,8 +516,8 @@ class ComputeHost:
     def restore_state(self, snapshot: dict) -> None:
         """Install a :meth:`snapshot_state` blob (host repair or resume).
 
-        The instance is left unloaded: the next ``begin_timestep`` — live,
-        or replayed from the journal — loads it as usual.
+        The instance is left unloaded: the next superstep 0 — live, or
+        replayed from the journal — loads it as usual.
 
         The run itself never rewinds: a repaired host replays forward to
         the current round, so the source's committed load evidence stays
@@ -548,15 +545,14 @@ class ComputeHost:
 #: The protocol ops that advance host state.  The supervisor journals them
 #: and scripted faults address them, at the ``(timestep, superstep)`` the
 #: driver issued; every other op is a read-only query or ``restore``.
-ROUND_OPS = ("begin", "superstep", "eot", "merge")
+ROUND_OPS = ("superstep", "eot", "merge")
 
 #: The one op table: protocol op → the host call behind it, as
 #: ``fn(host, timestep, superstep, payload, replay)``.  The in-process
 #: cluster and every worker agent dispatch through
 #: :meth:`ComputeHost.handle`; no other module maps an op to a method.
 HOST_OPS: dict[str, Callable[[ComputeHost, Any, int, Any, bool], Any]] = {
-    "begin": lambda h, t, s, payload, replay: h.begin_timestep(t, payload, replay=replay),
-    "superstep": lambda h, t, s, payload, replay: h.run_superstep(t, s, payload),
+    "superstep": lambda h, t, s, payload, replay: h.run_superstep(t, s, payload, replay=replay),
     "eot": lambda h, t, s, payload, replay: h.end_of_timestep(t),
     "merge": lambda h, t, s, payload, replay: h.run_merge_superstep(s, payload),
     "resident": lambda h, t, s, payload, replay: h.resident_bytes(),
@@ -591,7 +587,6 @@ class HostSpec:
     computation: TimeSeriesComputation
     meta: RunMeta
     cost_model: CostModel = field(default_factory=CostModel)
-    use_combiners: bool = True
     #: Give the host its own tracer (one trace track per partition); its
     #: telemetry rides back inside ordinary protocol replies.
     tracing: bool = False
@@ -608,6 +603,5 @@ class HostSpec:
             source,
             sg_part,
             self.cost_model,
-            use_combiners=self.use_combiners,
             tracer=Tracer(partition_pid(pid), f"partition {pid}") if self.tracing else None,
         )

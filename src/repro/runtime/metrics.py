@@ -110,13 +110,14 @@ class StepRecord(Record):
 
 @dataclass(frozen=True)
 class LoadRecord(Record):
-    """One host's instance load: a begin's, or a pack a round's compute read."""
+    """One host's instance load: superstep 0's opening, and the packs a round's
+    compute read."""
 
     kind = "instance_load"
 
     timestep: int
     partition: int
-    #: *Blocked* seconds: the stall measured inside begin_timestep.
+    #: *Blocked* seconds: the stall measured inside the round.
     seconds: float
 
 
@@ -212,8 +213,8 @@ class MetricsCollector:
         self.barrier_s = float(barrier_s)
         self.step_records: list[StepRecord] = []
         #: (timestep, partition) -> *blocked* instance load seconds: the
-        #: stall measured inside begin_timestep, which gates the timestep
-        #: wall.  (The Fig 6 spike.)
+        #: stall measured inside the rounds, which gates the timestep wall.
+        #: (The Fig 6 spike.)
         self.load_s: dict[tuple[int, int], float] = defaultdict(float)
         #: (timestep, partition) -> GC pause seconds
         self.gc_s: dict[tuple[int, int], float] = defaultdict(float)

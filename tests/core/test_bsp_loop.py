@@ -90,11 +90,12 @@ def test_quiescence_waits_for_host_local_deliveries(case, phase, executor):
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
-def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, executor):
-    """The wire sentence: a fault-free run issues ``begin → superstep* → eot``
-    per timestep and one closing ``states`` — no other op, over GoFS views
-    too.  A view reads a pack when its computation first reads from it:
-    here, at each pack's first timestep (Fig 6's spike)."""
+def test_a_timestep_on_the_wire_is_supersteps_eot(tmp_path, monkeypatch, executor):
+    """The wire sentence: a fault-free run issues ``superstep* → eot`` per
+    timestep, opened by superstep 0, and one closing ``states`` — no other
+    op, over GoFS views too.  A view reads a pack when its computation
+    first reads from it: here, at each pack's first timestep (Fig 6's
+    spike)."""
     from repro.algorithms import TDSPComputation
     from repro.generators import road_latency_collection
     from repro.runtime import Cluster
@@ -108,7 +109,7 @@ def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, e
     real, issued = Cluster.run_round, []
 
     def run_round(self, op, timestep, superstep, payloads):
-        issued.append((op, timestep))
+        issued.append((op, timestep, superstep))
         return real(self, op, timestep, superstep, payloads)
 
     monkeypatch.setattr(Cluster, "run_round", run_round)
@@ -118,11 +119,14 @@ def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, e
         config=EngineConfig(executor=executor, tracing=True),
     )
 
-    assert {op for op, _t in issued} == {"begin", "superstep", "eot", "states"}
+    assert {op for op, _t, _s in issued} == {"superstep", "eot", "states"}
     assert res.timesteps_executed == 8
-    for op in ("begin", "eot"):
-        assert [t for o, t in issued if o == op] == list(range(8))
-    assert [o for o, _t in issued].count("states") == 1
+    opened = [t for o, t, s in issued if o == "superstep" and s == 0]
+    assert opened == [t for o, t, _s in issued if o == "eot"] == list(range(8))
+    # Each timestep's first op is its superstep 0.
+    firsts = [issued[i] for i in range(len(issued)) if i == 0 or issued[i - 1][0] == "eot"]
+    assert firsts[:8] == [("superstep", t, 0) for t in range(8)]
+    assert [o for o, _t, _s in issued].count("states") == 1
     # Per view: every pack read once, at its boundary, on the wall.
     assert res.trace.counters["gofs.packs_loaded"] == PARTITIONS * 4
     loads = [e for e in res.trace.event_records() if e["kind"] == "slice_load"]
@@ -130,3 +134,26 @@ def test_a_timestep_on_the_wire_is_begin_supersteps_eot(tmp_path, monkeypatch, e
         (p, t) for p in range(PARTITIONS) for t in (0, 2, 4, 6)
     ]
     assert res.metrics.total_load_s() > 0
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_superstep_0_opens_a_timestep_without_a_command_of_its_own(executor):
+    """Each partition is sent one command per superstep, one per end of
+    timestep and one closing ``states``: 4 × (37 + 1) = 152 here, where a
+    separate opening round cost one more per partition per timestep (192,
+    4 × 10 more).  The labels are the ones that protocol computed (pinned)."""
+    import hashlib
+
+    from repro.algorithms import TDSPComputation, tdsp_labels_from_result
+    from repro.generators import paper_datasets
+    from repro.partition import MetisLikePartitioner
+
+    data = paper_datasets(2000, 10)["CARN"]
+    tpl, coll = data["template"], data["road"]
+    pg = partition_graph(tpl, 4, MetisLikePartitioner(seed=0))
+    res = run_application(TDSPComputation(0), pg, coll, config=EngineConfig(executor=executor))
+    supersteps = res.metrics.summary()["supersteps"]  # an end of timestep counts as one
+    assert (res.timesteps_executed, supersteps) == (10, 37)
+    assert res.protocol_stats["commands_sent"] == 4 * (supersteps + 1) == 192 - 4 * 10
+    labels = tdsp_labels_from_result(res, tpl.num_vertices).tobytes()
+    assert hashlib.sha256(labels).hexdigest()[:16] == "99f279dee4a56aff"

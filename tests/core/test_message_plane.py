@@ -273,6 +273,12 @@ class SumInto(TimeSeriesComputation):
         ctx.vote_to_halt()
 
 
+class SumIntoRaw(SumInto):
+    """The same sends with no combiner: raw messages, one per sender."""
+
+    combine = None
+
+
 class TestCombiners:
     def _setup(self):
         _tpl, coll, pg = _case()
@@ -286,9 +292,7 @@ class TestCombiners:
     def test_combiner_reduces_remote_messages(self):
         coll, pg, senders, target = self._setup()
         on = run_application(SumInto(senders, target), pg, coll)
-        off = run_application(
-            SumInto(senders, target), pg, coll, config=EngineConfig(combiners=False)
-        )
+        off = run_application(SumIntoRaw(senders, target), pg, coll)
         # Same aggregate either way...
         total_on, count_on, sources_on = next(rec for _t, _sg, rec in on.outputs)
         total_off, count_off, sources_off = next(rec for _t, _sg, rec in off.outputs)

@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.resilience import (
-    AT_BEGIN,
     AT_EOT,
     FaultPlan,
     FaultSpec,
@@ -16,12 +15,12 @@ from repro.resilience import (
 class TestParse:
     def test_full_grammar(self):
         specs = parse_fault_specs(
-            "kill@t1:s0:p0, delay@t2:p1:d0.2; fail_load@t3:begin:p0:i1,corrupt_frame@t1:eot:p2"
+            "kill@t1:s0:p0, delay@t2:p1:d0.2; fail_load@t3:s0:p0:i1,corrupt_frame@t1:eot:p2"
         )
         assert specs == [
             FaultSpec("kill", 1, 0, superstep=0),
             FaultSpec("delay", 2, 1, delay_s=0.2),
-            FaultSpec("fail_load", 3, 0, superstep=AT_BEGIN, incarnation=1),
+            FaultSpec("fail_load", 3, 0, superstep=0, incarnation=1),
             FaultSpec("corrupt_frame", 1, 2, superstep=AT_EOT),
         ]
 
@@ -38,20 +37,25 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_fault_specs(bad)
 
-    def test_fail_load_names_the_begin_call(self):
-        """A failed load is the begin-timestep load: with or without
-        ``:begin`` the spec fires there and nowhere else."""
-        for text in ("fail_load@t2:p0", "fail_load@t2:begin:p0"):
+    def test_fail_load_names_superstep_0(self):
+        """A failed load is the instance load superstep 0 opens: with or
+        without ``:s0`` the spec fires there and nowhere else."""
+        for text in ("fail_load@t2:p0", "fail_load@t2:s0:p0"):
             (spec,) = parse_fault_specs(text)
-            assert spec.superstep == AT_BEGIN
-            assert spec.matches(2, AT_BEGIN, 0, 0) and not spec.matches(2, 0, 0, 0)
+            assert spec.superstep == 0
+            assert spec.matches(2, 0, 0, 0) and not spec.matches(2, 1, 0, 0)
 
-    @pytest.mark.parametrize("coordinate", ["s0", "s1", "eot"])
+    @pytest.mark.parametrize("coordinate", ["s1", "eot"])
     def test_fail_load_refuses_another_call(self, coordinate):
-        with pytest.raises(ValueError, match="begin-timestep load"):
+        with pytest.raises(ValueError, match="superstep 0 opens"):
             parse_fault_specs(f"fail_load@t2:{coordinate}:p1")
-        with pytest.raises(ValueError, match="begin-timestep load"):
+        with pytest.raises(ValueError, match="superstep 0 opens"):
             FaultSpec("fail_load", 2, 1, superstep=AT_EOT)
+
+    def test_the_begin_token_names_s0(self):
+        """A timestep opens at superstep 0: there is no begin call to name."""
+        with pytest.raises(ValueError, match="write s0"):
+            parse_fault_specs("kill@t2:begin:p1")
 
 
 class TestOneSpecPerCall:
@@ -62,7 +66,7 @@ class TestOneSpecPerCall:
         "text",
         [
             "delay@t1:s0:p0:d0.01,kill@t1:s0:p0",
-            "kill@t2:begin:p1,fail_load@t2:p1",
+            "kill@t2:s0:p1,fail_load@t2:p1",
             "drop_frame@t3:eot:p0,dup_frame@t3:eot:p0",
         ],
     )

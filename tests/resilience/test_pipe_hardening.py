@@ -8,7 +8,7 @@ transport on both the socketpair and the TCP channel.
 import pytest
 
 from repro.core import EngineConfig, Pattern, run_application
-from repro.resilience import AT_BEGIN, FaultPlan, RecoveryPolicy
+from repro.resilience import FaultPlan, RecoveryPolicy
 from repro.runtime import Cluster, RunMeta, WorkerLost
 
 from .conftest import AccumulateSum
@@ -31,7 +31,7 @@ class TestLifecycle:
         """The leak fix: a driver-side error mid-run must not orphan workers."""
         with pytest.raises(RuntimeError, match="driver-side"):
             with _Cluster.make(case, sources) as cluster:
-                cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+                cluster.run_round("superstep", 0, 0, [[], []])
                 # Partition 0 runs in the driver: one forked agent per other partition.
                 procs = [c.proc for c in cluster._channels[1:]]
                 assert len(procs) == cluster.num_partitions - 1
@@ -49,7 +49,7 @@ class TestLifecycle:
         with _Cluster.make(case, sources) as cluster:
             cluster._channels[1].proc.terminate()  # partition 0 is the driver's own
             cluster._channels[1].proc.join(timeout=5)
-            survivor, lost = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+            survivor, lost = cluster.run_round("superstep", 0, 0, [[], []])
             assert isinstance(lost, WorkerLost) and lost.partition == 1
             assert survivor.partition == 0  # finished its round regardless
 

@@ -25,14 +25,14 @@ from .conftest import AccumulateSum, RingRelay
 
 pytestmark = pytest.mark.resilience
 
-#: One spec per fault kind, spread over coordinates (superstep, begin, eot).
+#: One spec per fault kind, spread over coordinates (superstep 0, later supersteps, eot).
 FAULT_MATRIX = [
     "kill@t2:p1",
     "kill@t1:eot:p0",
     "delay@t1:s0:p0:d0.15",
     "drop_frame@t2:p0",
     "corrupt_frame@t1:p1",
-    "fail_load@t2:begin:p0",
+    "fail_load@t2:s0:p0",
 ]
 
 #: Plans beyond the matrix that every executor must repair alike.
@@ -130,6 +130,25 @@ class TestFaultMatrixProcess:
             case, sources, tmp_path, baseline, external_workers, plan
         )
 
+    @pytest.mark.parametrize("plan", ["fail_load@t2:p1", "kill@t2:s0:p1"])
+    def test_a_fault_at_superstep_0_is_repaired_bit_identical(
+        self, case, sources, tmp_path, baseline, plan
+    ):
+        """Superstep 0 opens the timestep: a failed load or a kill there is
+        one respawn that replays nothing (the t=1 close truncated the
+        journal to the in-flight round) and re-issues superstep 0."""
+        _tpl, coll, pg = case
+        for executor in ("serial", "process"):
+            result = run_application(
+                AccumulateSum(), pg, coll, sources=sources,
+                config=_config(executor, tmp_path / executor, plan),
+            )
+            _identical(result, baseline)
+            assert result.failure is None
+            (respawn,) = result.recovery_actions
+            assert (respawn.kind, respawn.timestep, respawn.superstep, respawn.partition,
+                    respawn.replayed_rounds) == ("worker_respawn", 2, 0, 1, 0)
+
     def test_no_leaked_workers_after_recovery(self, case, sources, tmp_path):
         import multiprocessing as mp
 
@@ -145,7 +164,7 @@ class TestFaultMatrixProcess:
 class TestFaultMatrixInProcess:
     """The in-process executor: a kill closes the in-memory session."""
 
-    @pytest.mark.parametrize("faults", ["kill@t2:p1", "fail_load@t2:begin:p0"])
+    @pytest.mark.parametrize("faults", ["kill@t2:p1", "fail_load@t2:s0:p0"])
     def test_recovers_bit_identical(self, case, tmp_path, executor, faults):
         _tpl, coll, pg = case
         baseline = run_application(

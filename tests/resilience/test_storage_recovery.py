@@ -57,7 +57,8 @@ class ReadsLatency(AccumulateSum):
 
 
 class TestHostRestorePurge:
-    """Unit-level: a restored host's replayed begin reloads without fresh evidence."""
+    """Unit-level: a restored host's replayed superstep 0 reloads without fresh
+    evidence."""
 
     def _host(self, case, view):
         _tpl, coll, pg = case
@@ -72,8 +73,7 @@ class TestHostRestorePurge:
         host = self._host(case, view)
 
         def timestep(t, replay=False):
-            host.begin_timestep(t, replay=replay)
-            return host.run_superstep(t, 0, [])
+            return host.run_superstep(t, 0, [], replay=replay)
 
         timestep(0)
         timestep(1)
@@ -81,7 +81,7 @@ class TestHostRestorePurge:
         assert timestep(2).load_s > 0  # the superstep read pack 1
         timestep(3)
         assert [t for t, _s in view.load_events] == [0, 2]
-        # Restore the t=1 close, then replay t=2's begin from the journal:
+        # Restore the t=1 close, then replay t=2's superstep 0 from the journal:
         # its committed load stays; the replay reload is real I/O but not
         # fresh evidence.
         host.restore_state(snap)

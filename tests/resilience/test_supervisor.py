@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import (
-    AT_BEGIN,
     CheckpointConfig,
     FaultPlan,
     FrameJournal,
@@ -110,7 +109,7 @@ class TestSurgicalSingleKill:
 
     def test_replay_counts_reflect_journal(self, case, tmp_path):
         """A kill at the end-of-timestep round replays the rounds journaled
-        since the last checkpoint (begin + supersteps of that timestep)."""
+        since the last checkpoint (the supersteps of that timestep)."""
         _tpl, coll, pg = case
         result = run_application(
             AccumulateSum(), pg, coll,
@@ -119,8 +118,8 @@ class TestSurgicalSingleKill:
         assert result.failure is None
         action = result.recovery_actions[0]
         # Checkpoint every=1 truncates at each boundary: the journal holds
-        # t2's begin + its single superstep before the eot round fails.
-        assert action.replayed_rounds == 2
+        # t2's single superstep (which opened it) before the eot round fails.
+        assert action.replayed_rounds == 1
 
 
 class TestQuarantine:
@@ -189,14 +188,14 @@ class TestQuarantine:
 class TestFrameJournal:
     def test_append_and_entries(self):
         j = FrameJournal(2)
-        j.append("begin", 0, -101, [0.0, 0.1])
         j.append("superstep", 0, 0, [["f0"], ["f1"]])
+        j.append("superstep", 0, 1, [[], ["f2"]])
         j.append("eot", 0, -102, None)
         assert len(j) == 3
         entries = j.entries_for(1)
-        assert [e.op for e in entries] == ["begin", "superstep", "eot"]
-        assert entries[0].payload == 0.1
-        assert entries[1].payload == ["f1"]
+        assert [e.op for e in entries] == ["superstep", "superstep", "eot"]
+        assert entries[0].payload == ["f1"]
+        assert entries[1].payload == ["f2"]
         assert entries[2].payload is None
         # entries_for builds a new list: mutating it leaves the WAL intact.
         entries.pop()
@@ -204,14 +203,14 @@ class TestFrameJournal:
 
     def test_truncate_resets_replay_base(self):
         j = FrameJournal(2)
-        j.append("begin", 0, -101, None)
         j.append("superstep", 0, 0, [[], []])
+        j.append("eot", 0, -102, None)
         j.truncate()
         assert len(j) == 0
         assert j.entries_for(0) == []
-        j.append("begin", 1, -101, None)
+        j.append("superstep", 1, 0, None)
         assert len(j) == 1
-        assert j.entries_for(0) == [("begin", 1, -101, None)]
+        assert j.entries_for(0) == [("superstep", 1, 0, None)]
 
 
 class ListRecorder:
@@ -235,7 +234,6 @@ class TestStatesEachFactOnce:
     def _supervised(self, cluster, recorder):
         policy = RecoveryPolicy(backoff_s=0.0)
         supervisor = HostSupervisor(cluster, policy, recorder=recorder)
-        supervisor.round("begin", 0, AT_BEGIN, [0.0] * NUM_PARTITIONS)
         supervisor.round("superstep", 0, 0, [[] for _ in range(NUM_PARTITIONS)])
         return supervisor
 

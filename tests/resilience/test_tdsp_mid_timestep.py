@@ -5,8 +5,8 @@ run-long ``label`` array, the ``touched`` index arrays ``end_of_timestep``
 finalizes from, the lazily taken weight columns — in subgraph state.  None
 of that is in a checkpoint: the last one closed the previous timestep.  The
 respawned worker restores that close, replays the timestep's journaled
-rounds (``begin``, superstep 0, superstep 1) to rebuild its mid-wave state,
-and finishes the timestep to the same bytes.
+rounds (superstep 0, which opens it, and superstep 1) to rebuild its
+mid-wave state, and finishes the timestep to the same bytes.
 """
 
 import multiprocessing as mp
@@ -44,8 +44,8 @@ def test_sigkill_between_supersteps_of_a_timestep(case, sources, tmp_path, monke
     assert fired and result.failure is None
     respawns = [a for a in result.recovery_actions if a.kind == "worker_respawn"]
     assert [(a.partition, a.incarnation) for a in respawns] == [(VICTIM, 1)]
-    # begin, superstep 0 and superstep 1 of timestep 1, since the t=0 close.
-    assert respawns[0].replayed_rounds == KILL_AT[1] + 1
+    # Superstep 0 and superstep 1 of timestep 1, since the t=0 close.
+    assert respawns[0].replayed_rounds == KILL_AT[1]
     assert _canonical(result.outputs) == _canonical(baseline.outputs)
     assert _canonical(result.states) == _canonical(baseline.states)
     got = tdsp_labels_from_result(result, tpl.num_vertices)

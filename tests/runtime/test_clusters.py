@@ -8,7 +8,7 @@ from repro.generators import make_collection, road_latency_collection
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import Cluster, CollectionInstanceSource, CostModel, RunMeta
-from repro.resilience import AT_BEGIN, AT_EOT
+from repro.resilience import AT_EOT
 from tests.conftest import make_grid_template
 
 
@@ -88,7 +88,7 @@ class TestLocalCluster:
             assert c is cluster
             # A view reads what its computation asks for: the cluster has no
             # prefetch call and no such op.
-            c.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+            c.run_round("superstep", 0, 0, [[], []])
             with pytest.raises(AttributeError):
                 c.prefetch(1)
             with pytest.raises(ValueError, match="unknown protocol op 'prefetch'"):
@@ -97,9 +97,8 @@ class TestLocalCluster:
 
     def test_protocol_flow(self):
         cluster, pg = self.make()
-        begin = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
-        assert {r.partition for r in begin} == {0, 1}
         step = cluster.run_round("superstep", 0, 0, [[], []])
+        assert {r.partition for r in step} == {0, 1}
         assert all(r.all_halted for r in step)
         assert sum(r.subgraphs_computed for r in step) == pg.num_subgraphs
         eot = cluster.run_round("eot", 0, AT_EOT, None)

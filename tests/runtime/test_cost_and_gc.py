@@ -59,3 +59,31 @@ class TestGCModel:
     def test_min_pause_floor(self):
         gc = GCModel(interval=10, pause_per_gib_s=1.0, min_pause_s=0.5)
         assert gc.pause_at(10, 1024) == 0.5
+
+
+class TestGcRecords:
+    def test_one_record_per_pause_the_driver_computed(self):
+        """The engine states one ``gc_pause`` record per (timestep, partition)
+        from the pauses it computes off the ``resident`` query: every third
+        timestep, on each of the four partitions.  The seconds are pinned:
+        the same as when hosts echoed the pause back."""
+        from repro.algorithms import TDSPComputation
+        from repro.core import EngineConfig, run_application
+        from repro.generators import paper_datasets
+        from repro.partition import MetisLikePartitioner, partition_graph
+
+        data = paper_datasets(2000, 10)["CARN"]
+        pg = partition_graph(data["template"], 4, MetisLikePartitioner(seed=0))
+        gc = GCModel(interval=3, pause_per_gib_s=50.0, min_pause_s=0.001)
+        res = run_application(
+            TDSPComputation(0), pg, data["road"],
+            config=EngineConfig(gc_model=gc, tracing=True),
+        )
+        expected = {(t, p) for t in (3, 6, 9) for p in range(4)}
+        assert set(res.metrics.gc_s) == expected
+        assert all(s == pytest.approx(0.001031905, abs=1e-9) for s in res.metrics.gc_s.values())
+        records = [
+            (e["timestep"], e["partition"])
+            for e in res.trace.event_records() if e["kind"] == "gc_pause"
+        ]
+        assert sorted(records) == sorted(expected)

@@ -8,7 +8,7 @@ import pytest
 from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
 from repro.generators import road_latency_collection, road_network
 from repro.partition import partition_graph
-from repro.resilience import AT_BEGIN, FaultPlan
+from repro.resilience import FaultPlan
 from repro.runtime import Cluster, CollectionInstanceSource, RunMeta
 from repro.runtime import process_cluster
 from repro.runtime.process_cluster import GatherTimeout, WorkerError
@@ -75,7 +75,7 @@ class TestLifecycle:
         tpl, coll, pg, sources = case
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         with Cluster(pg, EmitSum(), meta, sources, remote=True) as cluster:
-            cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+            cluster.run_round("superstep", 0, 0, [[], []])
             resident = cluster.run_round("resident", -1, -1, None)
             assert len(resident) == 2
             assert all(b > 0 for b in resident)
@@ -139,12 +139,12 @@ class TestGatherDeadlineIsPerRound:
             pg, EmitSum(), meta, sources, remote=True,
             gather_timeout_s=0.8,
             fault_plan=FaultPlan.parse(
-                "delay@t0:begin:p0:d0.5,drop_frame@t0:begin:p1", seed=1
+                "delay@t0:s0:p0:d0.5,drop_frame@t0:s0:p1", seed=1
             ),
         )
         try:
             start = time.monotonic()
-            outcomes = cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+            outcomes = cluster.run_round("superstep", 0, 0, [[], []])
             elapsed = time.monotonic() - start
         finally:
             cluster.shutdown()

@@ -2,7 +2,7 @@
 ``Gather`` over an adversarial in-memory channel.
 
 Each step of the state machine is one exchange — the driver posts a command
-for one of the eight host ops and gathers its reply — under a script of
+for one of the seven host ops and gathers its reply — under a script of
 adversary moves, one per event: lose, duplicate or reorder commands; drop,
 duplicate, reorder or corrupt replies; replay any envelope any earlier
 incarnation sent; close the window early; kill the agent.  The agent's own
@@ -29,13 +29,13 @@ from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
-from repro.resilience import AT_BEGIN, AT_EOT, FAULT_KINDS, FaultPlan, FaultSpec, RecoveryPolicy
+from repro.resilience import AT_EOT, FAULT_KINDS, FaultPlan, FaultSpec, RecoveryPolicy
 from repro.runtime import protocol
 from repro.runtime.host import HOST_OPS
 
 POLICY = RecoveryPolicy(max_retries=2, backoff_s=0.0)
 #: The call coordinate each op carries (a merge round is timestep -1).
-SUPERSTEP = {"begin": AT_BEGIN, "eot": AT_EOT}
+SUPERSTEP = {"eot": AT_EOT}
 #: What a corrupt frame is to the driver: bytes that do not decode.
 GARBAGE = b"garbage"
 #: More events than any exchange needs once the adversary's script runs out.
@@ -50,7 +50,7 @@ SCHEDULES = settings(
     suppress_health_check=list(HealthCheck),
 )
 
-#: The command an exchange posts: one of the eight host ops, at a timestep.
+#: The command an exchange posts: one of the seven host ops, at a timestep.
 CALLS = st.sampled_from([(op, t) for op in HOST_OPS for t in (-1, 0, 1)])
 
 #: One adversary move per driver event, with the index of the frame it hits.
@@ -76,7 +76,7 @@ SPECS = [None] + [
     FaultSpec(kind, timestep, 0, superstep=superstep, delay_s=0.0, incarnation=incarnation)
     for kind in FAULT_KINDS
     for timestep in (-1, 0, 1)
-    for superstep in ([AT_BEGIN] if kind == "fail_load" else [None, AT_BEGIN, 0, AT_EOT])
+    for superstep in ([0] if kind == "fail_load" else [None, 0, AT_EOT])
     for incarnation in (0, 1)
 ]
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import Pattern
-from repro.resilience import AT_BEGIN, AT_EOT, FaultPlan, FaultSpec
+from repro.resilience import AT_EOT, FaultPlan, FaultSpec
 from repro.resilience.recovery import RecoverableError
 from repro.runtime import Cluster, RunMeta, WorkerLost, process_cluster
 from repro.runtime.host import HOST_OPS, HostSpec
@@ -53,7 +53,7 @@ class TestOneOpTable:
         self, executor, case, external_workers  # noqa: F811
     ):
         with _cluster(executor, case, external_workers) as cluster:
-            cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])
+            cluster.run_round("superstep", 0, 0, [[], []])
             sent = cluster.protocol_stats().get("commands_sent")
             with pytest.raises(ValueError, match="unknown protocol op 'bogus'"):
                 cluster.run_round("bogus", 0, 0, None)
@@ -64,19 +64,18 @@ class TestOneOpTable:
             assert len(cluster.run_round("resident", -1, -1, None)) == 2
 
     def test_every_op_of_the_table_runs(self, executor, case, external_workers):  # noqa: F811
-        """Eight ops, ``restore`` among them, through the one ``run_round``."""
+        """Seven ops, ``restore`` among them, through the one ``run_round``."""
         with _cluster(executor, case, external_workers) as cluster:
-            answered = {"begin": cluster.run_round("begin", 0, AT_BEGIN, [0.0, 0.0])}
-            answered["superstep"] = cluster.run_round("superstep", 0, 0, [[], []])
+            answered = {"superstep": cluster.run_round("superstep", 0, 0, [[], []])}
             answered["eot"] = cluster.run_round("eot", 0, AT_EOT, None)
-            blobs = answered["snapshot"] = cluster.run_round("snapshot", 1, AT_BEGIN, None)
+            blobs = answered["snapshot"] = cluster.run_round("snapshot", 1, 0, None)
             answered["restore"] = cluster.run_round("restore", -1, -1, blobs)
             assert answered["restore"] == [None, None]
             cluster.restore_one(1, blobs[1])
             answered["merge"] = cluster.run_round("merge", -1, 0, [[], []])
             for op in ("resident", "states"):
                 answered[op] = cluster.run_round(op, -1, -1, None)
-            assert set(answered) == set(HOST_OPS) and len(HOST_OPS) == 8
+            assert set(answered) == set(HOST_OPS) and len(HOST_OPS) == 7
             for op, outcomes in answered.items():
                 assert not any(isinstance(o, RecoverableError) for o in outcomes), op
             assert answered["states"][0] == blobs[0]["states"]
@@ -92,7 +91,6 @@ class TestOneOpTable:
         with _cluster(executor, case, external_workers, fault_plan=plan) as cluster:
             fired = {}
             for op, s, payloads in (
-                ("begin", AT_BEGIN, [0.0, 0.0]),
                 ("superstep", 0, [[], []]),
                 ("eot", 3, None),
                 ("eot", AT_EOT, None),
@@ -102,7 +100,6 @@ class TestOneOpTable:
                     p for p, o in enumerate(outcomes) if isinstance(o, RecoverableError)
                 ]
             assert fired == {
-                ("begin", AT_BEGIN): [],
                 ("superstep", 0): [],
                 ("eot", 3): [],
                 ("eot", AT_EOT): [1],
@@ -133,7 +130,7 @@ class TestAgentOutlivesABadSession:
         if bad == "corrupt-frame":
             conn.send_bytes(_CORRUPT_WIRE_BYTES)
         else:
-            _send_oob(conn, (0, "begin"))
+            _send_oob(conn, (0, "superstep"))
         with pytest.raises(EOFError):  # the agent hung up on this session ...
             conn.recv_bytes()
         conn.close()
