@@ -71,7 +71,7 @@ def _rounds_since_checkpoint(events):
             rounds = 0
         elif e["kind"] == "step" and e["partition"] == 0:
             rounds += 1
-        elif e["kind"] == "worker_lost":
+        elif e["kind"] == "failure":
             return rounds
     raise AssertionError("the seeded kill never fired")
 

@@ -2,7 +2,13 @@
 
 from .critical_path import critical_path_report, format_critical_path_report
 from .elastic import ElasticOutcome, ElasticPolicy, activity_grid, simulate_elastic
-from .export import result_summary, write_csv, write_result_json, write_series_csv
+from .export import (
+    failure_provenance,
+    result_summary,
+    write_csv,
+    write_result_json,
+    write_series_csv,
+)
 from .report import render_bar_chart, render_series, render_table
 from .timeline import frontier_matrix, frontier_totals, pipelined_makespan, timestep_times
 from .utilization import UtilizationRow, utilization_rows
@@ -14,6 +20,7 @@ __all__ = [
     "ElasticPolicy",
     "activity_grid",
     "simulate_elastic",
+    "failure_provenance",
     "result_summary",
     "write_csv",
     "write_result_json",

@@ -17,7 +17,9 @@ import numpy as np
 
 from ..core.results import AppResult
 
-__all__ = ["write_csv", "write_series_csv", "result_summary", "write_result_json"]
+__all__ = [
+    "write_csv", "write_series_csv", "failure_provenance", "result_summary", "write_result_json",
+]
 
 
 def _plain(value: Any) -> Any:
@@ -71,13 +73,30 @@ def write_series_csv(
     return path
 
 
+def failure_provenance(result: AppResult) -> dict:
+    """What a run failed of and how it was repaired: each failure and repair
+    record as its event-log line, the structured failure, the partitions
+    given up on, and the wire protocol's counters."""
+    return {
+        "failure": None if result.failure is None else _plain(result.failure.as_dict()),
+        "failure_log": [_plain({"kind": r.kind, **r.as_event()}) for r in result.failure_log],
+        "recovery_actions": [
+            _plain({"kind": a.kind, **a.as_event()}) for a in result.recovery_actions
+        ],
+        "degraded_partitions": list(result.degraded_partitions),
+        "protocol_stats": dict(result.protocol_stats),
+    }
+
+
 def result_summary(result: AppResult) -> dict:
-    """A JSON-serializable summary of one run (metrics + progress)."""
+    """A JSON-serializable summary of one run (progress, metrics, and its
+    :func:`failure_provenance`)."""
     summary: dict[str, Any] = {
         "timesteps_executed": result.timesteps_executed,
         "halted_early": result.halted_early,
         "num_outputs": len(result.outputs),
         "num_merge_outputs": len(result.merge_outputs),
+        **failure_provenance(result),
     }
     if result.metrics is not None:
         m = result.metrics

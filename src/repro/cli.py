@@ -4,9 +4,10 @@ Subcommands::
 
     tibsp datasets   — Table 1: generated dataset statistics
     tibsp edgecuts   — Table 2: edge-cut % for 3/6/9 partitions
-    tibsp run        — run one algorithm on one dataset configuration
+    tibsp run        — run one algorithm on one dataset configuration; with
+                       --stream DIR, record it: event log, Perfetto trace,
+                       manifest and critical-path report in DIR
     tibsp worker     — serve one partition's worker agent over TCP (run --hosts)
-    tibsp trace      — run one algorithm traced; write Perfetto trace + event log
     tibsp top        — watch a run: fold the event log a 'run --stream DIR' writes
     tibsp fig5b     — the Giraph-vs-GoFFish comparison
     tibsp store      — write a dataset into a GoFS store directory
@@ -24,6 +25,7 @@ from pathlib import Path
 
 from .analysis import (
     critical_path_report,
+    failure_provenance,
     format_critical_path_report,
     render_series,
     render_table,
@@ -73,23 +75,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_problem(p: argparse.ArgumentParser, executor: str) -> None:
-    """What ``run`` and ``trace`` both take; ``executor`` is the default one."""
-    _add_common(p)
-    p.add_argument(
-        "algorithm", choices=["tdsp", "meme", "hash", "reach", "evolve", "stats"]
-    )
-    p.add_argument("--graph", choices=["CARN", "WIKI"], default="CARN")
-    p.add_argument("--partitions", type=int, default=6)
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument("--gc", action="store_true", help="enable the GC pause model")
-    p.add_argument(
-        "--executor", choices=EXECUTORS, default=executor,
-        help="cluster backend (process = partition 0 in the driver, one forked agent per "
-        "other partition; socket = every partition on the --hosts agents, else as process)",
-    )
-
-
 def _dataset_cache(args: argparse.Namespace):
     """The DatasetCache named by ``--dataset-cache``, or None."""
     path = getattr(args, "dataset_cache", None)
@@ -136,7 +121,7 @@ def _evolving_collection(args: argparse.Namespace):
 
 
 def _problem_setup(args: argparse.Namespace):
-    """Dataset + partitioning + computation shared by ``run`` and ``trace``."""
+    """Dataset + partitioning + computation of a ``run``."""
     cache = _dataset_cache(args)
     if args.algorithm in ("reach", "evolve"):
         template, collection = _evolving_collection(args)
@@ -172,7 +157,7 @@ def _make_computation(args: argparse.Namespace, template, collection, pg):
 
 
 def _provenance(args: argparse.Namespace) -> dict:
-    """Run arguments shared by ``--export`` summaries and trace manifests."""
+    """Run arguments stamped on ``--export`` summaries and run manifests."""
     return run_provenance(
         algorithm=args.algorithm,
         graph=args.graph,
@@ -259,18 +244,40 @@ def _resilience_config(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _write_failure_log(path: str, result) -> None:
+def _record(args: argparse.Namespace, result) -> int:
+    """Write what ``--export`` and ``--stream`` ask for of a run, failed or not.
+
+    A streamed run's directory gets, beside the ``events.jsonl`` it streamed,
+    the Perfetto ``trace.json``, ``manifest.json`` (provenance, the run's
+    summary and failure provenance, counters) and ``critical_path.json``.
+    Returns 1 when the trace is not a valid Chrome trace, else 0.
+    """
     import json
 
-    payload = {
-        "failure": result.failure.as_dict() if result.failure is not None else None,
-        "failure_log": [rec.as_dict() for rec in result.failure_log],
-        "recovery_actions": [{"kind": a.kind, **a.as_event()} for a in result.recovery_actions],
-        "degraded_partitions": list(result.degraded_partitions),
-        "protocol_stats": dict(result.protocol_stats),
+    provenance = _provenance(args)
+    if args.export:
+        path = write_result_json(args.export, result, provenance=provenance)
+        print(f"run summary written to {path}")
+    if not args.stream:
+        return 0
+    out = Path(args.stream)
+    manifest = {
+        **provenance,
+        "barrier_s": result.metrics.barrier_s,
+        "metrics": result.metrics.summary(),
+        **failure_provenance(result),
     }
-    Path(path).write_text(json.dumps(payload, indent=2))
-    print(f"failure log written to {path}")
+    paths = result.trace.write(out, manifest)
+    report = critical_path_report(result.metrics)
+    (out / "critical_path.json").write_text(json.dumps(report, indent=2))
+    print(format_critical_path_report(report))
+    print(f"recorded run in {out}: {paths['events'].name} (watch with 'tibsp top {out}'), "
+          f"{paths['trace'].name} (open in https://ui.perfetto.dev), "
+          f"{paths['manifest'].name}, critical_path.json")
+    errors = validate_chrome_trace(json.loads(paths["trace"].read_text()))
+    for e in errors[:20]:
+        print(f"TRACE INVALID: {e}")
+    return 1 if errors else 0
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -306,9 +313,9 @@ def _run(args: argparse.Namespace) -> int:
     except RunFailureError as exc:
         print(f"RUN FAILED: {exc.failure.reason} (timestep {exc.failure.timestep})")
         for rec in exc.failure.failure_log:
-            print(f"  {rec.as_dict()}")
-        if args.failure_log and exc.partial is not None:
-            _write_failure_log(args.failure_log, exc.partial)
+            print(f"  {rec.as_event()}")
+        if exc.partial is not None:
+            _record(args, exc.partial)
         return 2
     if result.failure is not None:
         print(
@@ -332,11 +339,6 @@ def _run(args: argparse.Namespace) -> int:
             f"recovery provenance: {respawns} surgical respawn(s), "
             f"{cured} protocol incident(s) cured by resend"
         )
-    if args.failure_log:
-        _write_failure_log(args.failure_log, result)
-    if args.stream:
-        print(f"event log streamed to {Path(args.stream) / 'events.jsonl'} "
-              f"(watch with 'tibsp top {args.stream}')")
     print(render_table([result.metrics.summary()], title=f"{args.algorithm} on {args.graph}"))
     print(render_series(result.metrics.timestep_series(), label="time per timestep (s)"))
     print(render_table([r.as_row() for r in utilization_rows(result)], title="Per-partition utilization"))
@@ -348,10 +350,7 @@ def _run(args: argparse.Namespace) -> int:
         print(render_series(
             [series[t].mean for t in sorted(series)], label="mean latency per timestep"
         ))
-    if args.export:
-        path = write_result_json(args.export, result, provenance=_provenance(args))
-        print(f"run summary written to {path}")
-    return 0
+    return _record(args, result)
 
 
 def _worker(args: argparse.Namespace) -> int:
@@ -371,48 +370,6 @@ def _worker(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def _trace(args: argparse.Namespace) -> int:
-    """Traced run: write Perfetto trace + JSONL event log + run manifest."""
-    _template, collection, pg, comp = _problem_setup(args)
-    tracing: bool | TraceConfig = True
-    if args.stream:
-        tracing = TraceConfig(stream_dir=args.out)
-    config = EngineConfig(
-        executor=args.executor,
-        gc_model=GCModel() if args.gc else GCModel.disabled(),
-        tracing=tracing,
-    )
-    result = run_application(comp, pg, collection, config=config)
-
-    manifest = _provenance(args)
-    manifest["barrier_s"] = config.cost_model.barrier_cost(pg.num_partitions)
-    manifest["metrics"] = result.metrics.summary()
-    paths = result.trace.write(Path(args.out), manifest)
-
-    errors = validate_chrome_trace(result.trace.chrome_trace())
-    print(render_table([result.metrics.summary()], title=f"{args.algorithm} on {args.graph} (traced)"))
-    print(f"trace:    {paths['trace']}  (open in https://ui.perfetto.dev)")
-    print(f"events:   {paths['events']}")
-    print(f"manifest: {paths['manifest']}")
-    if args.stream:
-        print(f"event log was streamed to {args.out} during the run")
-    if args.report:
-        import json
-
-        report = critical_path_report(result.metrics)
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(json.dumps(report, indent=2))
-        print(f"critical-path report written to {args.report}")
-        print(format_critical_path_report(report))
-    if errors:
-        print("TRACE VALIDATION FAILED:")
-        for e in errors[:20]:
-            print(f"  {e}")
-    else:
-        print("trace valid")
-    return 1 if errors else 0
 
 
 def _top(args: argparse.Namespace) -> int:
@@ -471,13 +428,28 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_edgecuts)
 
     p = sub.add_parser("run", help="run one algorithm")
-    _add_problem(p, executor="serial")
+    _add_common(p)
+    p.add_argument(
+        "algorithm", choices=["tdsp", "meme", "hash", "reach", "evolve", "stats"]
+    )
+    p.add_argument("--graph", choices=["CARN", "WIKI"], default="CARN")
+    p.add_argument("--partitions", type=int, default=6)
+    p.add_argument("--source", type=int, default=0)
+    p.add_argument("--gc", action="store_true", help="enable the GC pause model")
+    p.add_argument(
+        "--executor", choices=EXECUTORS, default="serial",
+        help="cluster backend (process = partition 0 in the driver, one forked agent per "
+        "other partition; socket = every partition on the --hosts agents, else as process)",
+    )
     p.add_argument(
         "--hosts", metavar="HOST:PORT,...", default=None,
         help="comma-separated addresses of pre-started 'tibsp worker' agents, "
         "one per partition (socket executor; omit to fork local agents)",
     )
-    p.add_argument("--export", metavar="PATH", help="write a JSON run summary")
+    p.add_argument(
+        "--export", metavar="PATH",
+        help="write a JSON run summary, with its failure and repair records",
+    )
     sto = p.add_argument_group("storage")
     sto.add_argument(
         "--gofs", metavar="DIR",
@@ -528,13 +500,11 @@ def main(argv: list[str] | None = None) -> int:
         help="bound each partition's reply wait per round "
         "(default: none, or 10s when faults are injected)",
     )
-    res.add_argument(
-        "--failure-log", metavar="PATH", help="write the failure log as JSON"
-    )
     p.add_argument(
         "--stream", metavar="DIR",
-        help="trace the run and stream its event log to DIR/events.jsonl as "
-        "each round lands (watch with 'tibsp top DIR')",
+        help="record the run in DIR: stream its event log to DIR/events.jsonl as "
+        "each round lands (watch with 'tibsp top DIR'), then write the Perfetto "
+        "trace.json, manifest.json and critical_path.json beside it",
     )
     p.set_defaults(func=_run)
 
@@ -547,27 +517,6 @@ def main(argv: list[str] | None = None) -> int:
         "announced on stdout)",
     )
     p.set_defaults(func=_worker)
-
-    p = sub.add_parser(
-        "trace", help="traced run: Perfetto trace + event log + manifest"
-    )
-    # Traces what people run: real worker concurrency on every track.
-    _add_problem(p, executor="process")
-    p.add_argument(
-        "--out", metavar="DIR", default="trace-out",
-        help="output directory for trace.json / events.jsonl / manifest.json",
-    )
-    p.add_argument(
-        "--stream", action="store_true",
-        help="stream the event log to --out incrementally during the run, so "
-        "a killed run still leaves a valid events.jsonl behind",
-    )
-    p.add_argument(
-        "--report", metavar="PATH",
-        help="write the critical-path / straggler-attribution report as JSON "
-        "and print its summary",
-    )
-    p.set_defaults(func=_trace)
 
     p = sub.add_parser(
         "top", help="watch a run: fold the event log of 'tibsp run --stream DIR'"

@@ -38,11 +38,13 @@ the in-flight exchange while the survivors hold at the barrier.  The run
 itself never rewinds.  Wire-level trouble (dropped, duplicated, reordered,
 corrupted replies; wedged gathers) is cured a layer below, on every
 executor, by the sequence-numbered idempotent resend protocol
-(:mod:`repro.runtime.protocol`) and surfaces only as *protocol incidents*
-in the failure log.  When a partition exhausts
-its retry budget under ``RecoveryPolicy(on_exhausted="quarantine")``, it is
-quarantined and the run completes degraded, named in
-``AppResult.degraded_partitions``; the repairs that did complete are
+(:mod:`repro.runtime.protocol`) and surfaces only as *protocol incidents*:
+a failure record and a ``protocol_retry`` repair record each.  When a
+partition exhausts its retry budget under
+``RecoveryPolicy(on_exhausted="quarantine")``, it is quarantined and the run
+completes degraded, named in ``AppResult.degraded_partitions``.  Every
+failure handled is a record in the run's collector and its stream
+(``AppResult.failure_log``); the repairs that did complete are
 ``AppResult.recovery_actions``.
 
 Retries are bounded per round by ``EngineConfig.recovery``, a
@@ -325,7 +327,12 @@ class TIBSPEngine:
             self.pg.num_partitions, barrier_s=cfg.cost_model.barrier_cost(self.pg.num_partitions)
         )
         trace = RunTrace() if cfg.tracing else None
-        result = AppResult(metrics=metrics, trace=trace)
+        # The failure log and the repairs are the collector's: the records
+        # the run stated.
+        result = AppResult(
+            metrics=metrics, trace=trace,
+            failure_log=metrics.failures, recovery_actions=metrics.repairs,
+        )
         rs = _RunState(
             pattern=pattern,
             start=start,
@@ -370,7 +377,6 @@ class TIBSPEngine:
                 cfg.recovery,
                 manager=rs.manager,
                 recorder=rs.recorder,
-                failure_log=result.failure_log,
             )
             if trace is not None:
                 rs.cluster.driver_tracer = trace.tracer
@@ -410,10 +416,9 @@ class TIBSPEngine:
             # a stalled one.
             rs.recorder.event("run_end", timesteps_executed=result.timesteps_executed)
             if cluster is not None:
-                # Provenance — the repair records, the partitions given up
-                # on — attached even when the run exits abnormally.  The
+                # Provenance — the partitions given up on, the wire counters
+                # — attached even when the run exits abnormally.  The
                 # supervisor is built with the cluster, before anything runs.
-                result.recovery_actions = list(supervisor.actions)
                 result.degraded_partitions = sorted(cluster.quarantined)
                 stats = cluster.protocol_stats()
                 if supervisor.dropped_messages:
@@ -440,8 +445,10 @@ class TIBSPEngine:
         loaded = rs.manager.load(name)
         blob = loaded.driver
         result = rs.result
-        # The run continues on the collector the checkpoint carried.
-        result.metrics = rs.recorder.metrics = blob["metrics"]
+        # The run continues on the collector the checkpoint carried, failures
+        # and repairs before the checkpoint included.
+        metrics = result.metrics = rs.recorder.metrics = blob["metrics"]
+        result.failure_log, result.recovery_actions = metrics.failures, metrics.repairs
         rs.input_msgs = blob["input_msgs"]
         rs.temporal_frames[:] = blob["temporal_frames"]
         result.outputs[:] = blob["outputs"]

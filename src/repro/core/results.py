@@ -43,15 +43,18 @@ class AppResult:
         :class:`~repro.resilience.recovery.RunFailure` describing why the
         run stopped — outputs/metrics then cover only the recovered prefix.
     failure_log:
-        Every :class:`~repro.resilience.recovery.FailureRecord` the
-        recovery loop handled, including faults that were successfully
-        retried (empty for fault-free runs).
+        Every :class:`~repro.runtime.metrics.FailureRecord` the recovery
+        loop handled, including faults that were successfully retried
+        (empty for fault-free runs): the collector's ``failures`` list,
+        which ``MetricsCollector.from_events`` rebuilds from the event log.
+        A resumed run's includes the failures before its checkpoint.
     recovery_actions:
-        The repairs the supervisor completed, in order: the very
-        :class:`~repro.runtime.metrics.RespawnRecord` /
-        :class:`~repro.runtime.metrics.ProtocolRetryRecord` objects the
-        collector folded (``kind`` ``worker_respawn`` / ``protocol_retry``).
-        Empty for fault-free runs.
+        The repairs the supervisor completed, in order: the collector's
+        ``repairs`` list of the :class:`~repro.runtime.metrics.RespawnRecord`
+        / :class:`~repro.runtime.metrics.ProtocolRetryRecord` objects it
+        folded (``kind`` ``worker_respawn`` / ``protocol_retry``).  Empty for
+        fault-free runs; a resumed run's includes the repairs before its
+        checkpoint.
     degraded_partitions:
         Partitions quarantined by graceful exhaustion
         (``RecoveryPolicy(on_exhausted="quarantine")``), sorted.  A non-empty list

@@ -5,12 +5,13 @@ every line stamped with ``schema`` (see :data:`EVENT_SCHEMA_VERSION`) and
 carrying ``kind``, a normalized microsecond timestamp ``ts_us`` (relative
 to the run's trace epoch), and the logical track id ``pid``.
 
-Six kinds are the run's typed records (:mod:`repro.runtime.metrics`:
+Seven kinds are the run's typed records (:mod:`repro.runtime.metrics`:
 ``step``, ``instance_load``, ``gc_pause``, ``checkpoint_write``,
-``worker_respawn``, ``protocol_retry``): the line *is* the record, so
-``MetricsCollector.from_events`` folds a log back into the collector the
-run ended with.  Every other kind is trace-only evidence, and a kind a
-log of an older schema carries beyond these is skipped by the fold.
+``failure``, ``worker_respawn``, ``protocol_retry``): the line *is* the
+record, so ``MetricsCollector.from_events`` folds a log back into the
+collector the run ended with.  Every other kind is trace-only evidence, and
+a kind a log of an older schema carries beyond these is skipped by the
+fold.
 
 Schema v1 event kinds
 ---------------------
@@ -38,9 +39,11 @@ Schema v1 event kinds
 ``checkpoint_write``  one durable snapshot (``nbytes``, measured ``seconds``,
                       modeled ``cost_s``, checkpoint name), charged to the
                       ``timestep`` it closes
-``worker_lost``       a recoverable failure was detected (error kind,
-                      coordinates, attempt number)
-``retry``             the recovery loop is about to retry (``backoff_s``)
+``failure``           a recoverable failure was handled: coordinates,
+                      ``attempt``, the ``error`` class and its ``message``,
+                      and the ``action`` decided (``retry`` / ``quarantine``
+                      / ``raise`` / ``degrade``; a wire incident the resend
+                      protocol cured is ``retry`` at attempt 1)
 ``restore``           a ``resume_from`` run installed its checkpoint
                       (always ``resumed=True``; the log starts here, while
                       the run's collector also carries what ran before)
@@ -48,7 +51,7 @@ Schema v1 event kinds
                       higher ``incarnation``, its partition restored and
                       ``replayed_rounds`` journal rounds replayed while
                       ``survivors`` hosts held at the barrier (``error``:
-                      the failure kind repaired)
+                      the error class repaired)
 ``protocol_retry``    the wire protocol cured a dropped/corrupt/wedged reply
                       with an idempotent resend (no respawn needed)
 ``frames_dropped``    deliveries addressed to a quarantined partition were

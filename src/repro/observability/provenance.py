@@ -1,7 +1,7 @@
 """Run provenance: who/what/when stamps shared by manifests and exports.
 
-Both the ``trace`` subcommand's run manifest and the ``run --export`` JSON
-summary stamp their output with the same envelope so downstream tooling
+Both a recorded run's manifest (``run --stream``) and the ``run --export``
+JSON summary stamp their output with the same envelope so downstream tooling
 can join artifacts from the same code state: schema version, wall-clock
 timestamp, the repository's ``git describe``, and the caller's run
 arguments (algorithm, graph, executor kind, scales, seeds).

@@ -4,8 +4,8 @@ The engine and the host supervisor hand their facts to a
 :class:`RunRecorder` and never ask which observers are attached.  A typed
 record (:mod:`repro.runtime.metrics`) is folded into the run's collector
 and appended to the driver's event log when the run is traced.  Facts with
-no table behind them (``run_begin``, ``barrier``, ``worker_lost``,
-``retry``, ``restore``, ...) are plain trace events.  A streamed log is
+no table behind them (``run_begin``, ``barrier``, ``restore``,
+``worker_quarantined``, ...) are plain trace events.  A streamed log is
 flushed as each round lands, so a reader tailing it (``tibsp top``) folds
 the same records the collector did.
 """

@@ -23,10 +23,12 @@ engine wires together:
 * :mod:`~repro.resilience.supervisor` — the :class:`HostSupervisor` that
   recovers failed hosts *surgically* (respawn one worker, restore one
   partition, replay its journal) while healthy hosts hold at the barrier,
-  with quarantine-based graceful exhaustion; each completed repair is one
+  with quarantine-based graceful exhaustion; each failure it handles is one
+  ``failure`` record (:class:`FailureRecord`), and each completed repair one
   ``worker_respawn`` / ``protocol_retry`` record.
 """
 
+from ..runtime.metrics import FailureRecord
 from .checkpoint import CheckpointConfig, CheckpointCorrupt, CheckpointInfo, CheckpointManager
 from .faults import (
     AT_EOT,
@@ -39,7 +41,6 @@ from .faults import (
 from .journal import FrameJournal, JournalEntry
 from .supervisor import HostSupervisor, RecoveryExhausted
 from .recovery import (
-    FailureRecord,
     InjectedFault,
     RecoverableError,
     RecoveryPolicy,

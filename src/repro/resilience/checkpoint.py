@@ -35,7 +35,9 @@ __all__ = ["CheckpointConfig", "CheckpointCorrupt", "CheckpointInfo", "Checkpoin
 
 #: 2: a checkpoint closes a timestep.  A v1 manifest may name a point inside
 #: one (``superstep`` set), which this engine cannot re-enter, so it is refused.
-CHECKPOINT_FORMAT_VERSION = 2
+#: 3: the driver blob's collector carries the run's failure records; a v2
+#: collector has none, and is refused rather than half-read.
+CHECKPOINT_FORMAT_VERSION = 3
 _LATEST = "LATEST"
 _MANIFEST = "manifest.json"
 

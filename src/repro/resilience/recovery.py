@@ -9,8 +9,9 @@ transient slice-load error) subclass it; deterministic application bugs
 identically.
 
 When bounded retries are exhausted the run does not hang and does not lose
-the work already barriered: a :class:`RunFailure` (failure log + the reason
-the last retry died) is either attached to the partial
+the work already barriered: a :class:`RunFailure` (the run's failure
+records, :class:`~repro.runtime.metrics.FailureRecord`, + the reason the last
+retry died) is either attached to the partial
 :class:`~repro.core.results.AppResult` (graceful degradation) or raised as
 a :class:`RunFailureError` that still carries the partial result.
 """
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
-    "FailureRecord",
     "InjectedFault",
     "RecoverableError",
     "RecoveryPolicy",
@@ -97,32 +97,6 @@ class RecoveryPolicy:
         return self.backoff_s * self.backoff_factor ** max(0, attempt - 1)
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    """One entry of a run's failure log (also emitted as trace events)."""
-
-    #: The error's class name: WorkerLost | GatherTimeout | RecoverableWorkerError
-    #: for a repair; GatherTimeout | WorkerError (a corrupt frame) for a resend's cure
-    kind: str
-    timestep: int
-    superstep: int
-    partition: int | None
-    attempt: int
-    error: str
-    action: str  #: retry | quarantine | raise | degrade
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "timestep": self.timestep,
-            "superstep": self.superstep,
-            "partition": self.partition,
-            "attempt": self.attempt,
-            "error": self.error,
-            "action": self.action,
-        }
-
-
 @dataclass
 class RunFailure:
     """Structured description of a run that could not be fully recovered.
@@ -133,13 +107,15 @@ class RunFailure:
 
     reason: str
     timestep: int
-    failure_log: list[FailureRecord] = field(default_factory=list)
+    #: The run's failure records up to here
+    #: (:class:`~repro.runtime.metrics.FailureRecord`).
+    failure_log: list[Any] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "reason": self.reason,
             "timestep": self.timestep,
-            "failures": [r.as_dict() for r in self.failure_log],
+            "failures": [{"kind": r.kind, **r.as_event()} for r in self.failure_log],
         }
 
 

@@ -27,21 +27,22 @@ it closes the detect→act loop per host:
 * wire-level misbehavior (the ``drop_frame``/``dup_frame``/``reorder``/
   ``corrupt_frame`` network faults) never reaches this layer at all: the
   cluster's sequence-numbered protocol cures it with an
-  idempotent resend, and the supervisor merely drains those *protocol
-  incidents* into the failure log and recovery metrics;
+  idempotent resend, and the supervisor merely states those *protocol
+  incidents* as failure and repair records;
 * when a partition exhausts its retry budget, the policy decides:
   ``on_exhausted="quarantine"`` tears the partition down, synthesizes
   empty halted rounds for it and drops its inbound deliveries so the run
   completes degraded-but-alive; otherwise :class:`RecoveryExhausted` carries the
   original error to the engine's raise/degrade handling.
 
-Retry accounting: one :class:`~repro.resilience.recovery.FailureRecord`
-per failure occurrence with a shared per-round attempt counter, one
-``worker_respawn`` / ``protocol_retry`` record per completed recovery —
-stated to the run's recorder and kept, the same object, as
-``AppResult.recovery_actions`` — and bounded :class:`RecoveryPolicy` backoff
-between attempts.  A quarantine is a decision, not a repair: it is the
-``action`` of the partition's last failure record.
+Retry accounting: one :class:`~repro.runtime.metrics.FailureRecord` per
+failure occurrence with a shared per-round attempt counter, and one
+``worker_respawn`` / ``protocol_retry`` record per completed recovery — each
+stated once, to the run's recorder, whose collector keeps them as
+``AppResult.failure_log`` and ``AppResult.recovery_actions`` — and bounded
+:class:`RecoveryPolicy` backoff between attempts.  A quarantine is a
+decision, not a repair: it is the ``action`` of the partition's last failure
+record.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ import time
 from typing import TYPE_CHECKING, Any
 
 from ..runtime.cluster import ROUND_OPS, quarantine_fill
-from ..runtime.metrics import ProtocolRetryRecord, Record, RespawnRecord
+from ..runtime.metrics import FailureRecord, ProtocolRetryRecord, RespawnRecord
 from .checkpoint import CheckpointManager
 from .journal import FrameJournal
-from .recovery import FailureRecord, RecoverableError, RecoveryPolicy
+from .recovery import RecoverableError, RecoveryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cluster import Cluster
@@ -92,11 +93,9 @@ class HostSupervisor:
         names a replay base (and always when ``None``), a freshly respawned
         host *is* the start-of-run state: genesis replay.
     recorder:
-        The run's :class:`~repro.observability.RunRecorder`: each completed
-        recovery is stated to it once, as a record; what was detected and
-        decided on the way is stated as trace events.
-    failure_log:
-        The run's failure log (``AppResult.failure_log``).
+        The run's :class:`~repro.observability.RunRecorder`: each failure
+        handled and each completed recovery is stated to it once, as a
+        record.
     """
 
     def __init__(
@@ -106,7 +105,6 @@ class HostSupervisor:
         *,
         recorder: Any,
         manager: CheckpointManager | None = None,
-        failure_log: list[FailureRecord] | None = None,
     ) -> None:
         self.cluster = cluster
         self.policy = policy
@@ -117,9 +115,6 @@ class HostSupervisor:
         #: The checkpoint a repair restores from (``None``: genesis).
         self.base: str | None = None
         self.recorder = recorder
-        self.failure_log = failure_log if failure_log is not None else []
-        #: The repair records stated so far, in order (AppResult provenance).
-        self.actions: list[Record] = []
         #: Messages addressed to quarantined partitions that were dropped.
         self.dropped_messages = 0
 
@@ -130,11 +125,6 @@ class HostSupervisor:
         replay base, and the journal restarts empty."""
         self.base = name
         self.journal.truncate()
-
-    def _state(self, record: Record) -> None:
-        """State one completed repair, once: to the recorder and as provenance."""
-        self.recorder.emit(record)
-        self.actions.append(record)
 
     # -- the supervised round ---------------------------------------------------------
 
@@ -187,19 +177,14 @@ class HostSupervisor:
 
     def _drain_protocol_incidents(self, timestep: int, superstep: int) -> None:
         """Fold wire-level incidents the retry protocol already cured."""
-        for kind, p, seconds in self.cluster.drain_protocol_incidents():
-            self.failure_log.append(
+        for error, p, seconds in self.cluster.drain_protocol_incidents():
+            self.recorder.emit(
                 FailureRecord(
-                    kind=kind,
-                    timestep=timestep,
-                    superstep=superstep,
-                    partition=p,
-                    attempt=1,
-                    error=f"idempotent protocol resend cured a {kind}",
-                    action="retry",
+                    timestep, superstep, p, 1, error,
+                    f"idempotent protocol resend cured a {error}", "retry",
                 )
             )
-            self._state(ProtocolRetryRecord(timestep, superstep, p, seconds, kind))
+            self.recorder.emit(ProtocolRetryRecord(timestep, superstep, p, seconds, error))
 
     # -- surgical recovery ------------------------------------------------------------
 
@@ -218,39 +203,20 @@ class HostSupervisor:
         cluster = self.cluster
         while True:
             attempt += 1
-            kind = type(exc).__name__
-            self.recorder.event(
-                "worker_lost",
-                error=kind,
-                timestep=timestep,
-                superstep=superstep,
-                partition=p,
-                attempt=attempt,
-            )
+            error = type(exc).__name__
             exhausted = attempt > policy.max_retries
             action = policy.on_exhausted if exhausted else "retry"
-            self.failure_log.append(
-                FailureRecord(
-                    kind=kind,
-                    timestep=timestep,
-                    superstep=superstep,
-                    partition=p,
-                    attempt=attempt,
-                    error=str(exc),
-                    action=action,
-                )
+            self.recorder.emit(
+                FailureRecord(timestep, superstep, p, attempt, error, str(exc), action)
             )
             if exhausted:
                 if action == "quarantine":
                     # Give up on ``p`` but keep the run alive: degraded, not dead.
                     cluster.quarantine(p)
-                    self.recorder.quarantined(timestep, superstep, p, attempt, kind)
+                    self.recorder.quarantined(timestep, superstep, p, attempt, error)
                     return attempt, quarantine_fill(op, p)
                 raise RecoveryExhausted(exc, timestep) from exc
             backoff = policy.backoff_for(attempt)
-            self.recorder.event(
-                "retry", timestep=timestep, partition=p, attempt=attempt, backoff_s=backoff
-            )
             if backoff > 0:
                 time.sleep(backoff)
             started = time.perf_counter()
@@ -276,10 +242,10 @@ class HostSupervisor:
                 continue
             seconds = time.perf_counter() - started
             survivors = cluster.num_partitions - len(cluster.quarantined) - 1
-            self._state(
+            self.recorder.emit(
                 RespawnRecord(
                     timestep, superstep, p, attempt, seconds, incarnation, len(entries),
-                    survivors, kind,
+                    survivors, error,
                 )
             )
             try:

@@ -3,7 +3,7 @@
 A run's facts are typed **records** — one :class:`StepRecord` per (phase,
 timestep, superstep, partition) with measured compute seconds and modeled
 send seconds, plus small siblings for instance loads, GC pauses,
-checkpoint writes and completed repairs — and
+checkpoint writes, failures and completed repairs — and
 :meth:`MetricsCollector.fold` is the only thing that writes the collector's
 tables.  An event-log line is a record's fields under its ``kind``
 (:meth:`Record.as_event`), so :meth:`MetricsCollector.from_events` rebuilds
@@ -29,8 +29,8 @@ from typing import Any, ClassVar, Iterable, Mapping
 import numpy as np
 
 __all__ = [
-    "Record", "StepRecord", "LoadRecord", "GcRecord", "CheckpointRecord", "RespawnRecord",
-    "ProtocolRetryRecord", "MetricsCollector", "PartitionBreakdown",
+    "Record", "StepRecord", "LoadRecord", "GcRecord", "CheckpointRecord", "FailureRecord",
+    "RespawnRecord", "ProtocolRetryRecord", "MetricsCollector", "PartitionBreakdown",
 ]
 
 #: Phase tags for records.
@@ -150,6 +150,28 @@ class CheckpointRecord(Record):
 
 
 @dataclass(frozen=True)
+class FailureRecord(Record):
+    """One failure the supervisor handled, and what it decided.
+
+    A repair's failure is a dead or wedged host; a cured one is a wire
+    incident the idempotent resend protocol already fixed (``attempt`` 1,
+    ``action`` ``retry``).
+    """
+
+    kind = "failure"
+
+    timestep: int
+    superstep: int
+    partition: int
+    attempt: int
+    #: The error's class name: WorkerLost | GatherTimeout | RecoverableWorkerError
+    #: for a repair; GatherTimeout | WorkerError (a corrupt frame) for a resend's cure
+    error: str
+    message: str
+    action: str  #: retry | quarantine | raise | degrade
+
+
+@dataclass(frozen=True)
 class RespawnRecord(Record):
     """One completed host repair (respawn + restore + journal replay), measured."""
 
@@ -163,7 +185,7 @@ class RespawnRecord(Record):
     incarnation: int
     replayed_rounds: int
     survivors: int
-    #: Kind of the failure repaired (what the ``worker_lost`` event reported).
+    #: The error class of the failure repaired (its ``FailureRecord.error``).
     error: str = ""
 
 
@@ -230,7 +252,11 @@ class MetricsCollector:
         #: timestep -> measured host-repair seconds (respawn + restore +
         #: journal replay), keyed by the timestep of the round repaired.
         self.recovery_s: dict[int, float] = defaultdict(float)
-        self.retries: int = 0
+        #: Every failure handled, in order (``AppResult.failure_log``).
+        self.failures: list[FailureRecord] = []
+        #: Every completed repair, respawn or cured wire incident, in order
+        #: (``AppResult.recovery_actions``).
+        self.repairs: list[RespawnRecord | ProtocolRetryRecord] = []
 
     # -- recording -----------------------------------------------------------------
 
@@ -255,8 +281,10 @@ class MetricsCollector:
             self.checkpoint_bytes += int(record.nbytes)
             self.checkpoint_s[t] += record.cost_s
         elif kind in ("worker_respawn", "protocol_retry"):
-            self.retries += 1
+            self.repairs.append(record)
             self.recovery_s[t] += record.seconds
+        elif kind == "failure":
+            self.failures.append(record)
         else:
             raise TypeError(f"not a run record: {record!r}")
 
@@ -402,6 +430,11 @@ class MetricsCollector:
     def total_checkpoint_s(self) -> float:
         """Modeled checkpoint-write I/O seconds over the whole run."""
         return sum(self.checkpoint_s.values())
+
+    @property
+    def retries(self) -> int:
+        """Completed repairs."""
+        return len(self.repairs)
 
     def total_recovery_s(self) -> float:
         """Measured host-repair seconds over the whole run."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import run_application
+from repro.core import EngineConfig, run_application
 from repro.algorithms.tdsp import TDSPComputation, TDSPFrontier, tdsp_labels_from_result
 from repro.algorithms.reference import (
     single_source_shortest_paths,
@@ -363,6 +363,27 @@ def frames_in(res, timestep):
 class TestCutRowsCloseOnDelivery:
     """A cut row carries the wave once: after it delivered a candidate inside
     a window its head is final, and the pruned run stops re-sending over it."""
+
+    def test_carn_2000_counts_are_pinned_on_serial_and_process(self):
+        """Pruned 37 supersteps / 22 remote messages, unpruned 37 / 38 (the
+        counts recorded before cut rows closed).  At 10 instances most
+        remote messages are the wave's first crossings, so the pruned run
+        sends 0.58x, not less than half."""
+        from repro.generators import paper_datasets
+
+        data = paper_datasets(2000, 10)["CARN"]
+        tpl, coll = data["template"], data["road"]
+        pg = partition_graph(tpl, 4, MetisLikePartitioner(seed=0))
+        pinned = {True: (37, 22), False: (37, 38)}
+        labels = set()
+        for executor in ("serial", "process"):
+            for pruning in (True, False):
+                comp = TDSPComputation(0, halt_when_stalled=True, root_pruning=pruning)
+                res = run_application(comp, pg, coll, config=EngineConfig(executor=executor))
+                s = res.metrics.summary()
+                assert (s["supersteps"], s["remote_messages"]) == pinned[pruning], (executor, s)
+                labels.add(tdsp_labels_from_result(res, tpl.num_vertices).tobytes())
+        assert len(labels) == 1
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_once_every_cut_row_closed_no_frame_crosses_and_a_timestep_is_one_superstep(

@@ -128,7 +128,7 @@ class TestNewSubcommands:
         summary = json.loads(out.read_text())
         assert summary["metrics"]["timesteps"] == len(summary["timestep_series_s"]) == 5
 
-    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize(
         "flag, message",
         [
@@ -223,7 +223,7 @@ class TestResilienceFlags:
         on serial is cured by one resend, as on process."""
         log = tmp_path / "log.json"
         assert main(self.BASE + ["--gather-timeout", "5", "--inject-faults",
-                                 "drop_frame@t1:p0", "--failure-log", str(log)]) == 0
+                                 "drop_frame@t1:p0", "--export", str(log)]) == 0
         payload = json.loads(log.read_text())
         assert [a["kind"] for a in payload["recovery_actions"]] == ["protocol_retry"]
         assert payload["protocol_stats"]["resends"] == 1
@@ -295,13 +295,14 @@ class TestResilienceFlags:
 
         monkeypatch.setattr(TDSPComputation, "compute", dies_off_the_driver)
         log = tmp_path / "failures.json"
-        argv = self.BASE + ["--executor", "process", "--failure-log", str(log)]
+        argv = self.BASE + ["--executor", "process", "--export", str(log)]
         assert main(argv) == 2
         assert "RUN FAILED: WorkerLost" in capsys.readouterr().out
         payload = json.loads(log.read_text())
         assert [(f["partition"], f["action"]) for f in payload["failure_log"]] == [
             (1, "retry"), (1, "retry"), (1, "raise")
         ]
+        assert payload["failure"]["failures"] == payload["failure_log"]
         assert [a["kind"] for a in payload["recovery_actions"]] == ["worker_respawn"] * 2
 
     def test_fault_seed_with_inject_faults_accepted(self, tmp_path, capsys):
@@ -315,17 +316,22 @@ class TestResilienceFlags:
         assert "recovery provenance: 1 surgical respawn(s)" in captured.out
 
     def test_failure_log_carries_recovery_provenance(self, tmp_path, capsys):
-        import json
-
+        """``--export`` carries the failure provenance."""
         log = tmp_path / "failures.json"
         assert main(self.BASE + [
             "--inject-faults", "kill@t1:p0",
             "--checkpoint-every", "1", "--checkpoint-dir", str(tmp_path / "ck"),
-            "--failure-log", str(log),
+            "--export", str(log),
         ]) == 0
         payload = json.loads(log.read_text())
         assert payload["failure"] is None
-        assert payload["failure_log"] and payload["failure_log"][0]["action"] == "retry"
+        assert payload["failure_log"] == [{
+            "kind": "failure", "timestep": 1, "superstep": 0, "partition": 0, "attempt": 1,
+            "error": "WorkerLost",
+            "message": "partition 0 worker died mid-round "
+            "(EOFError('partition 0 agent closed its session'))",
+            "action": "retry",
+        }]
         assert payload["degraded_partitions"] == []
         kinds = [a["kind"] for a in payload["recovery_actions"]]
         assert kinds == ["worker_respawn"]
@@ -343,62 +349,84 @@ class TestResilienceFlags:
 
 
 class TestTraceSubcommand:
-    def test_trace_writes_three_artifacts(self, tmp_path, capsys):
-        import json
+    """A run is recorded by ``run --stream DIR``; the ``trace`` subcommand,
+    which ran an application a second way to write its artifacts, is gone."""
 
+    RUN = ["run", "tdsp", "--scale", "300", "--instances", "4", "--partitions", "3"]
+
+    def test_the_trace_subcommand_and_the_failure_log_flag_are_gone(self, tmp_path, capsys):
+        for argv in (
+            ["trace", "tdsp", "--scale", "300", "--instances", "4"],
+            self.RUN + ["--failure-log", str(tmp_path / "log.json")],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'trace'" in err
+        assert "unrecognized arguments: --failure-log" in err
+        assert not (tmp_path / "log.json").exists()
+
+    def test_trace_writes_three_artifacts(self, tmp_path, capsys):
+        """Beside the event log it streamed, a recorded run writes the
+        Perfetto trace, its manifest and its critical-path report."""
         from repro.observability import read_event_log, validate_chrome_trace
 
-        out = tmp_path / "trace-out"
-        assert main([
-            "trace", "tdsp", "--scale", "300", "--instances", "4",
-            "--partitions", "3", "--out", str(out),
-        ]) == 0
+        out = tmp_path / "rec"
+        assert main(self.RUN + ["--stream", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "trace valid" in text
+        assert f"recorded run in {out}" in text
+        assert sorted(f.name for f in out.iterdir()) == [
+            "critical_path.json", "events.jsonl", "manifest.json", "trace.json"
+        ]
         trace = json.loads((out / "trace.json").read_text())
         assert validate_chrome_trace(trace) == []
         events = read_event_log(out / "events.jsonl")
         assert events and all("kind" in e and "ts_us" in e for e in events)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["algorithm"] == "tdsp"
+        assert manifest["algorithm"] == "tdsp" and manifest["partitions"] == 3
         assert manifest["schema_version"] == 1
         assert "barrier_s" in manifest and "counters" in manifest
         assert "created_utc" in manifest and "metrics" in manifest
+        assert manifest["failure"] is None and manifest["failure_log"] == []
+        assert manifest["recovery_actions"] == [] and manifest["degraded_partitions"] == []
 
     def test_trace_serial_executor(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert main([
-            "trace", "meme", "--scale", "300", "--instances", "4",
+            "run", "meme", "--scale", "300", "--instances", "4",
             "--partitions", "2", "--graph", "WIKI",
-            "--executor", "serial", "--out", str(out),
+            "--executor", "serial", "--stream", str(out),
         ]) == 0
         assert (out / "trace.json").exists()
 
     @pytest.mark.parametrize("executor", [None, "process", "serial", "socket"])
     def test_trace_traces_the_executors_people_run(self, tmp_path, capsys, executor):
         """Valid trace, a track per partition plus the driver, and a streamed
-        log that folds to the manifest's summary — on ``run``'s executors
-        (``process`` when none is named)."""
-        import json
-
+        log that folds to the manifest's summary — on every executor
+        (``serial`` when none is named)."""
         from repro.observability import read_event_log
         from repro.runtime.metrics import MetricsCollector
 
         out = tmp_path / "t"
-        assert main([
-            "trace", "tdsp", "--scale", "300", "--instances", "4", "--partitions", "3",
-            "--out", str(out), "--stream",
-            *(["--executor", executor] if executor else []),
-        ]) == 0
-        assert "trace valid" in capsys.readouterr().out
+        assert main(
+            self.RUN + ["--stream", str(out), *(["--executor", executor] if executor else [])]
+        ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["executor"] == (executor or "process")
+        assert manifest["executor"] == (executor or "serial")
         spans = json.loads((out / "trace.json").read_text())["traceEvents"]
         assert {e["pid"] for e in spans if e["ph"] == "X"} == {0, 1, 2, 3}
         folded = MetricsCollector.from_events(
             read_event_log(out / "events.jsonl"), 3, barrier_s=manifest["barrier_s"]
         )
         assert folded.summary() == manifest["metrics"]
+
+    def test_an_invalid_trace_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "validate_chrome_trace", lambda trace: ["bad event"])
+        assert main(self.RUN + ["--stream", str(tmp_path / "t")]) == 1
+        assert "TRACE INVALID: bad event" in capsys.readouterr().out
 
     def test_export_carries_provenance(self, tmp_path, capsys):
         import json
@@ -458,18 +486,71 @@ class TestLiveCLI:
         assert main(["top", str(tmp_path), "--once"]) == 1
 
     def test_trace_stream_and_report(self, tmp_path, capsys):
-        import json
-
         out = tmp_path / "t"
-        report = tmp_path / "cp.json"
         assert main([
-            "trace", "tdsp", "--scale", "300", "--instances", "4",
-            "--partitions", "3", "--out", str(out),
-            "--stream", "--report", str(report),
+            "run", "tdsp", "--scale", "300", "--instances", "4",
+            "--partitions", "3", "--stream", str(out),
         ]) == 0
-        text = capsys.readouterr().out
-        assert "critical path over" in text
-        assert "trace valid" in text
-        payload = json.loads(report.read_text())
+        assert "critical path over" in capsys.readouterr().out
+        payload = json.loads((out / "critical_path.json").read_text())
         assert payload["timesteps"] and payload["partitions"]
         assert set(payload["totals"]) >= {"compute", "barrier", "load"}
+
+
+class TestRecordedFailures:
+    """A failure is stated once, as a record in the run's stream: folding a
+    recorded run's ``events.jsonl`` gives the failure and repair records that
+    its ``--export`` JSON and its manifest carry, record for record."""
+
+    BASE = ["run", "tdsp", "--scale", "300", "--instances", "6", "--partitions", "3"]
+
+    def _recorded(self, tmp_path, argv, code=0):
+        from repro.observability import read_event_log
+        from repro.runtime.metrics import MetricsCollector
+
+        out, export = tmp_path / "rec", tmp_path / "run.json"
+        assert main(self.BASE + argv + ["--stream", str(out), "--export", str(export)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        folded = MetricsCollector.from_events(
+            read_event_log(out / "events.jsonl"), 3, barrier_s=manifest["barrier_s"]
+        )
+        payload = json.loads(export.read_text())
+        records = {"failure_log": folded.failures, "recovery_actions": folded.repairs}
+        for key, folded_records in records.items():
+            lines = [{"kind": r.kind, **r.as_event()} for r in folded_records]
+            assert lines == payload[key] == manifest[key], key
+        assert payload["failure"] == manifest["failure"]
+        assert payload["degraded_partitions"] == manifest["degraded_partitions"]
+        return folded, payload
+
+    @pytest.mark.parametrize(
+        "faults",
+        [["--inject-faults", "kill@t3:p1", "--checkpoint-every", "2"],
+         ["--inject-faults", "drop_frame@t1:p0", "--gather-timeout", "2"]],
+        ids=["kill", "drop_frame"],
+    )
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_streamed_failures_fold_to_the_exported_records(self, tmp_path, executor, faults):
+        argv = ["--executor", executor, "--checkpoint-dir", str(tmp_path / "ck"), *faults]
+        folded, payload = self._recorded(tmp_path, argv)
+        repair = "worker_respawn" if "kill@t3:p1" in faults else "protocol_retry"
+        assert [(f.timestep, f.action) for f in folded.failures] == [
+            (3 if repair == "worker_respawn" else 1, "retry")
+        ]
+        assert [a.kind for a in folded.repairs] == [repair]
+        assert payload["failure"] is None
+
+    def test_a_failed_run_leaves_its_failures_in_the_log_and_the_export(self, tmp_path, capsys):
+        kills = "kill@t1:p1,kill@t1:p1:i1,kill@t1:p1:i2"
+        folded, payload = self._recorded(tmp_path, ["--inject-faults", kills], code=2)
+        assert "RUN FAILED: WorkerLost" in capsys.readouterr().out
+        assert [f.action for f in folded.failures] == ["retry", "retry", "raise"]
+        assert payload["failure"]["failures"] == payload["failure_log"]
+
+    def test_a_quarantined_run_leaves_its_failures_in_the_log_and_the_export(self, tmp_path):
+        kills = "kill@t1:p1,kill@t1:p1:i1,kill@t1:p1:i2"
+        folded, payload = self._recorded(
+            tmp_path, ["--inject-faults", kills, "--max-retries", "2", "--quarantine"]
+        )
+        assert [f.action for f in folded.failures] == ["retry", "retry", "quarantine"]
+        assert payload["failure"] is None and payload["degraded_partitions"] == [1]

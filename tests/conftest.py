@@ -109,12 +109,15 @@ def refold(result, events=None) -> MetricsCollector:
 
 
 def folds_equal(a: MetricsCollector, b: MetricsCollector) -> bool:
-    """Every derived figure of two collectors agrees with ``==`` (no tolerance)."""
+    """Every derived figure of two collectors agrees with ``==`` (no
+    tolerance), and so do their failure and repair records, one by one."""
     return (
         a.summary() == b.summary()
         and a.partition_breakdown() == b.partition_breakdown()
         and a.timestep_series() == b.timestep_series()
         and a.total_load_s() == b.total_load_s()
+        and a.failures == b.failures
+        and a.repairs == b.repairs
     )
 
 

@@ -157,3 +157,14 @@ def test_superstep_0_opens_a_timestep_without_a_command_of_its_own(executor):
     assert res.protocol_stats["commands_sent"] == 4 * (supersteps + 1) == 192 - 4 * 10
     labels = tdsp_labels_from_result(res, tpl.num_vertices).tobytes()
     assert hashlib.sha256(labels).hexdigest()[:16] == "99f279dee4a56aff"
+
+
+def test_one_superstep_loop_in_the_source():
+    """One ``while True`` in the engine, and only the engine advances a
+    superstep."""
+    from tests.test_structure import ROOT, grep
+
+    engine = (ROOT / "src/repro/core/engine.py").read_text().splitlines()
+    assert sum("while True" in line for line in engine) == 1
+    advancing = {hit.split(":")[0] for hit in grep(r"superstep \+= 1", ("src/",), None)}
+    assert advancing == {"src/repro/core/engine.py"}

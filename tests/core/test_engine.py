@@ -438,3 +438,14 @@ class TestPartitionState:
         run_application(CachedGather(), pg, coll, timestep_range=(0, 2))
         # One gather per partition per timestep, not per subgraph.
         assert len(gathers) == pg.num_partitions * 2
+
+
+def test_no_option_comes_back():
+    """``EngineConfig``, ``AppResult`` and ``HostSpec`` keep 10, 12 and 4 fields."""
+    import dataclasses
+
+    from repro.core import AppResult
+    from repro.runtime.host import HostSpec
+
+    counts = tuple(len(dataclasses.fields(c)) for c in (EngineConfig, AppResult, HostSpec))
+    assert counts == (10, 12, 4)

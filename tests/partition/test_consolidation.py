@@ -123,3 +123,15 @@ def test_balancing_a_30_percent_overload_takes_seconds():
     out = rebalance(adj.indptr, adj.indices, adj.data, np.ones(n), a, k, cap)
     assert time.perf_counter() - t0 < 10.0
     assert np.bincount(out, minlength=k).max() <= cap
+
+
+def test_carn_20k_partitions_into_k_subgraphs_at_balance_1_03():
+    """No consolidation switch or fragment threshold comes back."""
+    from repro.partition import partition_graph
+
+    assert not {"subgraph_aware", "fragment_fraction"} & set(vars(MetisLikePartitioner()))
+    tpl = road_network(20_000, seed=1)
+    for k in (3, 6, 9):
+        pg = partition_graph(tpl, k, MetisLikePartitioner(seed=1))
+        largest = np.bincount(pg.vertex_partition, minlength=k).max()
+        assert pg.num_subgraphs == k and largest <= 1.03 * tpl.num_vertices / k, k

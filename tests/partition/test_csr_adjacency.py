@@ -172,3 +172,16 @@ class TestMatchingOracle:
         )
         with pytest.raises(ValueError, match="integral"):
             heavy_edge_matching(adj, np.random.default_rng(0))
+
+
+def test_a_matching_round_is_one_reduction():
+    """The matching folds weight and tie-break into one int64 key per slot,
+    so a round is one ``maximum.reduceat`` and no ``np.where``."""
+    from tests.test_structure import ROOT
+
+    lines = (ROOT / "src/repro/partition/metis_like.py").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("def heavy_edge_matching"))
+    last = next(i for i, line in enumerate(lines) if line.startswith("def coarsen_graph"))
+    matching = lines[first : last + 1]
+    assert sum("reduceat(" in line for line in matching) == 1
+    assert [line for line in matching if "np.where" in line] == []

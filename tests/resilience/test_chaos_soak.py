@@ -99,6 +99,6 @@ class TestChaosSoak:
             == [(a.kind, a.partition, a.timestep) for a in runs[1].recovery_actions]
         )
         assert (
-            [(r.kind, r.action) for r in runs[0].failure_log]
-            == [(r.kind, r.action) for r in runs[1].failure_log]
+            [(r.error, r.action) for r in runs[0].failure_log]
+            == [(r.error, r.action) for r in runs[1].failure_log]
         )

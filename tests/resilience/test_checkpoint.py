@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.resilience.checkpoint import CHECKPOINT_FORMAT_VERSION
 from repro.resilience import (
     CheckpointConfig,
     CheckpointCorrupt,
@@ -93,6 +94,22 @@ class TestIntegrity:
         with pytest.raises(CheckpointCorrupt, match="format version 1"):
             mgr.load(partitions=(0,))
 
+    def test_format_version_is_3(self):
+        """3: a checkpoint closes a timestep, and its collector carries the
+        run's failure records."""
+        assert CHECKPOINT_FORMAT_VERSION == 3
+
+    def test_v2_checkpoint_is_refused(self, tmp_path):
+        """A format-2 driver blob pickles a collector without failure
+        records: a run resumed from it would lose its failure log."""
+        mgr = CheckpointManager(tmp_path)
+        info = _write(mgr, 2)
+        manifest = json.loads((info.path / "manifest.json").read_text())
+        manifest["format_version"] = 2
+        (info.path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointCorrupt, match=r"version 2 \(this engine reads 3\)"):
+            mgr.load()
+
     def test_manifestless_dir_is_not_a_checkpoint(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         _write(mgr, 1)
@@ -129,6 +146,9 @@ class TestConfigAndRecords:
         # A checkpoint closes a timestep: there is no mid-timestep cadence.
         assert [f.name for f in fields(CheckpointConfig)] == ["dir", "every", "retain"]
 
+    def test_recovery_policy_has_four_fields(self):
+        assert len(fields(RecoveryPolicy)) == 4
+
     def test_recovery_policy_validation_and_backoff(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(on_exhausted="panic")
@@ -139,10 +159,16 @@ class TestConfigAndRecords:
         assert p.backoff_for(3) == pytest.approx(0.9)
 
     def test_failure_record_and_run_failure_as_dict(self):
-        rec = FailureRecord("WorkerLost", 3, -1, 1, 1, "boom", "retry")
+        """A failure is a run record: its event line folds back to it, and a
+        structured failure lists its records as their lines."""
+        rec = FailureRecord(3, -1, 1, 1, "WorkerLost", "boom", "retry")
+        assert rec.kind == "failure"
+        assert FailureRecord.from_event({"kind": rec.kind, **rec.as_event()}) == rec
         failure = RunFailure("WorkerLost: boom", 3, [rec])
         d = failure.as_dict()
         assert d["reason"] == "WorkerLost: boom"
         assert d["timestep"] == 3
-        assert d["failures"][0]["kind"] == "WorkerLost"
-        assert d["failures"][0]["action"] == "retry"
+        assert d["failures"] == [{
+            "kind": "failure", "timestep": 3, "superstep": -1, "partition": 1,
+            "attempt": 1, "error": "WorkerLost", "message": "boom", "action": "retry",
+        }]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.resilience import (
     AT_EOT,
+    FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     parse_fault_specs,
@@ -134,3 +135,8 @@ class TestDelay:
         for alias in ("drop", "corrupt", "slow_host"):
             with pytest.raises(ValueError, match="unknown fault kind"):
                 FaultSpec(alias, 0, 0)
+
+
+def test_seven_kinds_one_name_each():
+    """No fault kind aliases another's code path."""
+    assert len(FAULT_KINDS) == 7

@@ -206,5 +206,5 @@ class TestStreamedEventLog:
         # before the crash (t0/t1 steps + the fault evidence) is present.
         assert all(e.get("schema") == 1 for e in events)
         kinds = {e["kind"] for e in events}
-        assert "step" in kinds and "worker_lost" in kinds
+        assert "step" in kinds and "failure" in kinds
         assert {e["timestep"] for e in events if e["kind"] == "step"} >= {0, 1}

@@ -112,7 +112,7 @@ class TestWireProtocol:
         assert result.protocol_stats["resends"] >= 1
         assert result.protocol_stats["protocol_retries"] >= 1
         assert result.failure_log and result.failure_log[0].action == "retry"
-        assert result.failure_log[0].kind == "GatherTimeout"
+        assert result.failure_log[0].error == "GatherTimeout"
         kinds = [a.kind for a in result.recovery_actions]
         assert "protocol_retry" in kinds and "worker_respawn" not in kinds
 
@@ -125,7 +125,7 @@ class TestWireProtocol:
         _identical(result, baseline)
         assert result.protocol_stats["resends"] >= 1
         assert result.failure_log and result.failure_log[0].action == "retry"
-        assert result.failure_log[0].kind == "WorkerError"
+        assert result.failure_log[0].error == "WorkerError"
         assert [a.kind for a in result.recovery_actions] == ["protocol_retry"]
         assert result.recovery_actions[0].partition == 1
 
@@ -153,8 +153,8 @@ class TestWireProtocol:
         ]
         _identical(runs[0], runs[1])
         assert (
-            [r.kind for r in runs[0].failure_log]
-            == [r.kind for r in runs[1].failure_log]
+            [r.error for r in runs[0].failure_log]
+            == [r.error for r in runs[1].failure_log]
         )
         assert (
             [a.kind for a in runs[0].recovery_actions]
@@ -186,12 +186,10 @@ class TestExecutorPortability:
             _identical(result, baseline)
             assert result.failure is None
         serial, process = runs[executor], runs["process"]
-        assert [(r.kind, r.partition) for r in serial.failure_log] == [
+        assert [(r.error, r.partition) for r in serial.failure_log] == [
             ("GatherTimeout", 0), ("WorkerError", 1)
         ]
-        assert [(r.kind, r.action) for r in serial.failure_log] == [
-            (r.kind, r.action) for r in process.failure_log
-        ]
+        assert serial.failure_log == process.failure_log
         assert [(a.kind, a.partition) for a in serial.recovery_actions] == [
             (a.kind, a.partition) for a in process.recovery_actions
         ]

@@ -71,4 +71,4 @@ class TestGatherTimeout:
         result = run_application(AccumulateSum(), pg, coll, sources=sources, config=cfg)
         assert result.outputs == baseline.outputs
         assert result.metrics.retries == 1
-        assert result.failure_log[0].kind in ("GatherTimeout", "WorkerLost")
+        assert result.failure_log[0].error in ("GatherTimeout", "WorkerLost")

@@ -105,7 +105,7 @@ class TestFaultMatrixProcess:
             assert result.failure is None
             repairs[executor] = (
                 [(a.kind, a.partition, a.timestep) for a in result.recovery_actions],
-                [(r.kind, r.action) for r in result.failure_log],
+                [(r.error, r.action) for r in result.failure_log],
             )
         assert repairs["serial"] == repairs["process"] == repairs["socket"]
         return repairs["serial"]

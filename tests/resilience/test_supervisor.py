@@ -245,10 +245,14 @@ class TestStatesEachFactOnce:
             fault_plan=FaultPlan.parse("kill@t0:s0:p1", seed=3),
         )
         recorder = ListRecorder()
-        supervisor = self._supervised(cluster, recorder)
-        assert recorder.facts == ["worker_lost", "retry", "worker_respawn"]
+        self._supervised(cluster, recorder)
+        assert recorder.facts == ["failure", "worker_respawn"]
         assert recorder.metrics.retries == 1
-        assert recorder.metrics.total_recovery_s() == supervisor.actions[0].seconds
+        assert recorder.metrics.total_recovery_s() == recorder.metrics.repairs[0].seconds
+        (failure,) = recorder.metrics.failures
+        assert (failure.error, failure.partition, failure.attempt, failure.action) == (
+            "WorkerLost", 1, 1, "retry"
+        )
 
     def test_one_cured_drop_one_protocol_retry_record(self, case, sources):
         _tpl, coll, pg = case
@@ -260,7 +264,20 @@ class TestStatesEachFactOnce:
             retry_policy=RecoveryPolicy(backoff_s=0.0),
             gather_timeout_s=0.5,
         ) as cluster:
-            supervisor = self._supervised(cluster, recorder)
-        assert recorder.facts == ["protocol_retry"]
+            self._supervised(cluster, recorder)
+        assert recorder.facts == ["failure", "protocol_retry"]
         assert recorder.metrics.retries == 1
-        assert [a.kind for a in supervisor.actions] == ["protocol_retry"]
+        assert [a.kind for a in recorder.metrics.repairs] == ["protocol_retry"]
+        assert [(f.error, f.action) for f in recorder.metrics.failures] == [
+            ("GatherTimeout", "retry")
+        ]
+
+
+def test_one_round_path():
+    """Every driver-to-agent exchange is ``HostSupervisor.round``, and every
+    run is supervised under ``RecoveryPolicy()`` unless told otherwise."""
+    from tests.test_structure import grep
+
+    calls = [hit.split(":")[0] for hit in grep(r"\.run_round\(", ("src/",), None)]
+    assert calls == ["src/repro/resilience/supervisor.py"]
+    assert EngineConfig().recovery == RecoveryPolicy()

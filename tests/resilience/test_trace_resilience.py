@@ -59,10 +59,11 @@ class TestTracedRecovery:
         result = self._traced(case, tmp_path, "kill@t2:p1")
         kinds = [e["kind"] for e in result.trace.event_records()]
         # Recovery repairs in place: it shows up as a worker_respawn.
-        for kind in ("checkpoint_write", "worker_lost", "retry", "worker_respawn"):
+        for kind in ("checkpoint_write", "failure", "worker_respawn"):
             assert kind in kinds, f"missing {kind} event"
-        lost = next(e for e in result.trace.event_records() if e["kind"] == "worker_lost")
+        lost = next(e for e in result.trace.event_records() if e["kind"] == "failure")
         assert lost["timestep"] == 2 and lost["attempt"] == 1
+        assert (lost["error"], lost["action"]) == ("WorkerLost", "retry")
 
     def test_crosscheck_clean_under_rollback(self, case, tmp_path):
         result = self._traced(case, tmp_path, "kill@t2:p1")
@@ -125,6 +126,36 @@ class TestTracedRecovery:
         assert set(m.checkpoint_s) <= set(m.supersteps_per_timestep)
         # Its trace starts at the resume point: the log alone is the tail.
         assert sorted(refold(resumed).supersteps_per_timestep) == [3, 4, 5]
+
+    def test_a_resumed_run_keeps_the_failures_before_its_checkpoint(self, case, tmp_path):
+        """A resumed run's failure log and repairs are its collector's, and
+        that collector is the checkpoint's: they include what was repaired
+        before the checkpoint, which the resumed run's own log does not."""
+        tpl, _coll, pg = case
+        coll = road_latency_collection(tpl, 6, seed=11)
+        ckpt = CheckpointConfig(dir=tmp_path, every=1, retain=10)
+        first = run_application(
+            AccumulateSum(), pg, coll,
+            config=EngineConfig(
+                checkpoint=ckpt,
+                faults=FaultPlan.parse("kill@t1:p1", seed=9),
+                recovery=RecoveryPolicy(backoff_s=0.0),
+            ),
+        )
+        (failure,) = first.failure_log
+        assert (failure.timestep, failure.partition, failure.action) == (1, 1, "retry")
+        # ckpt-000001-t2 closes timestep 1, after the repair.
+        resumed = run_application(
+            AccumulateSum(), pg, coll,
+            config=EngineConfig(tracing=True, checkpoint=ckpt),
+            resume_from="ckpt-000001-t2",
+        )
+        assert resumed.failure_log is resumed.metrics.failures
+        assert resumed.recovery_actions is resumed.metrics.repairs
+        assert resumed.failure_log == first.failure_log
+        assert resumed.recovery_actions == first.recovery_actions
+        tail = refold(resumed)
+        assert (tail.failures, tail.repairs) == ([], [])
 
 
 #: (fault plan, computation factory)

@@ -168,3 +168,11 @@ class TestCounting:
         m = MetricsCollector(1)
         m.fold(rec(0, 0, 0, 1.0))
         assert m.summary()["cut_traffic_ratio"] == 0.0
+
+
+def test_seven_record_kinds():
+    """A failure and a repair are each one record: nothing else restates them."""
+    assert sorted(RECORD_KINDS) == [
+        "checkpoint_write", "failure", "gc_pause", "instance_load", "protocol_retry",
+        "step", "worker_respawn",
+    ]

@@ -182,3 +182,11 @@ class TestConnectIsBounded:
     def test_a_connected_socket_is_blocking_again(self, case, external_workers):  # noqa: F811
         with _cluster("socket", case, external_workers) as cluster:
             assert [c.conn._sock.gettimeout() for c in cluster._channels] == [None, None]
+
+
+def test_a_timestep_on_the_wire_is_superstep_eot():
+    """Seven host ops; superstep 0 opens a timestep, so no round op begins one."""
+    from repro.runtime.host import ROUND_OPS
+
+    assert len(HOST_OPS) == 7
+    assert ROUND_OPS == ("superstep", "eot", "merge")

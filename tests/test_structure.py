@@ -108,6 +108,26 @@ DELETED = [
     ("a-timestep-opens-at-superstep-0",
      r"begin_timestep|AT_BEGIN|gc_pause_s|use_combiners|combiners=",
      EVERYWHERE, None),
+    # A failure is one record in the run's stream, and `run --stream` is the
+    # one recorded run: no trace subcommand, failure-log file, restated
+    # `worker_lost` / `retry` event or supervisor-side failure list.
+    ("a-run-leaves-one-record-of-itself",
+     r"def _trace\(|_write_failure_log|failure-log|worker_lost|\"retry\", timestep="
+     r"|failure_log=result\.failure_log|self\.failure_log\.append|failure_log if failure_log"
+     r"|(tibsp|repro|repro\.cli) trace\b",
+     EVERYWHERE, None),
+]
+
+
+#: (id, files that stay deleted): no second transport, rebalancer plane,
+#: thread executor, threaded temporal runner, second vertex runtime or
+#: in-process live plane comes back.
+DELETED_FILES = [
+    ("one-worker-plane", ("src/repro/runtime/socket_cluster.py",)),
+    ("corners-decided", ("src/repro/runtime/rebalance.py", "src/repro/runtime/elastic.py")),
+    ("one-bsp-loop", ("src/repro/core/temporal.py", "src/repro/baselines/pregel.py")),
+    ("one-live-view",
+     ("src/repro/observability/live.py", "src/repro/observability/export.py")),
 ]
 
 
@@ -142,6 +162,13 @@ def grep(pattern: str, paths, exclude: str | None, root: Path = ROOT) -> list[st
 def test_deleted_names_stay_deleted(pattern, paths, exclude):
     assert all((ROOT / p).exists() for p in paths), paths
     assert grep(pattern, paths, exclude) == []
+
+
+@pytest.mark.parametrize(
+    "paths", [row[1] for row in DELETED_FILES], ids=[row[0] for row in DELETED_FILES]
+)
+def test_deleted_files_stay_deleted(paths):
+    assert [p for p in paths if (ROOT / p).exists()] == []
 
 
 def test_the_table_finds_what_it_looks_for(tmp_path):
