@@ -7,7 +7,9 @@ Scale knobs (environment variables):
 
 Every bench prints the same rows/series its paper artifact reports and
 appends them to ``benchmarks/results/<bench>.txt`` so the tables survive
-pytest's output capture.
+pytest's output capture.  A session starts a result file afresh the first
+time it writes to it, so running one bench refreshes that bench's files
+and leaves every other bench's committed results as they are.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ def bench_envelope(bench_name: str, results: dict) -> dict:
 def bench_history(bench_name: str, envelope: dict) -> Path:
     """Append one envelope line to ``benchmarks/history/<bench>.jsonl``.
 
-    ``benchmarks/results/`` is truncated at the start of every bench
-    session, so the history lives in its own directory: one JSONL line per
-    run makes the perf trajectory across PRs machine-readable.
+    ``benchmarks/results/`` holds each bench's latest run only, so the
+    history lives in its own directory: one JSONL line per run makes the
+    perf trajectory across PRs machine-readable.
     """
     HISTORY_DIR.mkdir(exist_ok=True)
     path = HISTORY_DIR / f"{bench_name}.jsonl"
@@ -65,12 +67,18 @@ def bench_history(bench_name: str, envelope: dict) -> Path:
     return path
 
 
+#: Result files this session has written: the first write replaces the file.
+_WRITTEN: set[str] = set()
+
+
 def emit(bench_name: str, text: str) -> None:
     """Print a result block and persist it under benchmarks/results/."""
     print(f"\n{text}\n")
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{bench_name}.txt"
-    with path.open("a") as fh:
+    mode = "a" if bench_name in _WRITTEN else "w"
+    _WRITTEN.add(bench_name)
+    with path.open(mode) as fh:
         fh.write(text + "\n\n")
 
 
@@ -129,13 +137,3 @@ def partitioned():
         return cache[key]
 
     return get
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _fresh_results_dir():
-    """Truncate old result files once per session."""
-    if RESULTS_DIR.exists():
-        for pattern in ("*.txt", "*.json"):
-            for f in RESULTS_DIR.glob(pattern):
-                f.unlink()
-    yield

@@ -312,10 +312,9 @@ def _run(args: argparse.Namespace) -> int:
         )
     except RunFailureError as exc:
         print(f"RUN FAILED: {exc.failure.reason} (timestep {exc.failure.timestep})")
-        for rec in exc.failure.failure_log:
+        for rec in exc.partial.failure_log:
             print(f"  {rec.as_event()}")
-        if exc.partial is not None:
-            _record(args, exc.partial)
+        _record(args, exc.partial)
         return 2
     if result.failure is not None:
         print(

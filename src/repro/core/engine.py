@@ -30,16 +30,15 @@ inside a timestep is repaired by journal replay from it.  When a
 corrupt reply, an injected fault — there is one way to recover, and
 every run has it.  A :class:`~repro.resilience.supervisor.HostSupervisor`
 issues every driver→worker exchange, journals the protocol rounds in its
-:class:`~repro.resilience.journal.FrameJournal`, and repairs a failed host
-in place: respawn only its worker at a higher incarnation, restore only its
+:class:`~repro.resilience.journal.FrameJournal`, and decides alone what a
+failed exchange earns: a live agent that timed out or sent a garbled reply
+is resent its command once (its reply cache answers: a ``protocol_retry``);
+any other failure, or a resend that failed too, is repaired in place:
+respawn only its worker at a higher incarnation, restore only its
 partition from the checkpoint this run last wrote or resumed from (or
 genesis-fresh state), silently replay its journaled rounds, and re-issue
 the in-flight exchange while the survivors hold at the barrier.  The run
-itself never rewinds.  Wire-level trouble (dropped, duplicated, reordered,
-corrupted replies; wedged gathers) is cured a layer below, on every
-executor, by the sequence-numbered idempotent resend protocol
-(:mod:`repro.runtime.protocol`) and surfaces only as *protocol incidents*:
-a failure record and a ``protocol_retry`` repair record each.  When a
+itself never rewinds.  When a
 partition exhausts its retry budget under
 ``RecoveryPolicy(on_exhausted="quarantine")``, it is quarantined and the run
 completes degraded, named in ``AppResult.degraded_partitions``.  Every
@@ -251,9 +250,6 @@ class TIBSPEngine:
             tracing=tracing,
             gather_timeout_s=gather_timeout,
             fault_plan=cfg.faults,
-            # Bounded idempotent resends cure drops/corruption/timeouts
-            # below host repair.
-            retry_policy=cfg.recovery,
         )
 
     @staticmethod
@@ -405,7 +401,6 @@ class TIBSPEngine:
                 failure = RunFailure(
                     reason=f"{type(exc.original).__name__}: {exc.original}",
                     timestep=exc.timestep,
-                    failure_log=list(result.failure_log),
                 )
                 result.failure = failure
                 if cfg.recovery.on_exhausted == "raise":

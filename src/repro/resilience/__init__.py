@@ -20,9 +20,11 @@ engine wires together:
 * :mod:`~repro.resilience.journal` — the driver-side
   :class:`FrameJournal` WAL of post-checkpoint protocol rounds that makes
   single-partition restores replayable;
-* :mod:`~repro.resilience.supervisor` — the :class:`HostSupervisor` that
-  recovers failed hosts *surgically* (respawn one worker, restore one
-  partition, replay its journal) while healthy hosts hold at the barrier,
+* :mod:`~repro.resilience.supervisor` — the :class:`HostSupervisor`, the
+  one place a failed exchange is decided: a live agent's command is resent
+  once, any other failure recovers the host *surgically* (respawn one
+  worker, restore one partition, replay its journal) while healthy hosts
+  hold at the barrier,
   with quarantine-based graceful exhaustion; each failure it handles is one
   ``failure`` record (:class:`FailureRecord`), and each completed repair one
   ``worker_respawn`` / ``protocol_retry`` record.

@@ -76,8 +76,8 @@ __all__ = [
 #: Superstep sentinel for the ``end_of_timestep`` protocol call.
 AT_EOT = -102
 
-#: Kinds that misbehave on the wire *after* the round computed; the
-#: idempotent retry protocol — not a respawn — is the cure.
+#: Kinds that misbehave on the wire *after* the round computed; dedupe by
+#: sequence number or the supervisor's one resend — not a respawn — is the cure.
 NETWORK_FAULT_KINDS = ("drop_frame", "dup_frame", "reorder", "corrupt_frame")
 
 FAULT_KINDS = ("kill", "delay", "fail_load", *NETWORK_FAULT_KINDS)

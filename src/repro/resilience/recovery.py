@@ -9,16 +9,16 @@ transient slice-load error) subclass it; deterministic application bugs
 identically.
 
 When bounded retries are exhausted the run does not hang and does not lose
-the work already barriered: a :class:`RunFailure` (the run's failure
-records, :class:`~repro.runtime.metrics.FailureRecord`, + the reason the last
-retry died) is either attached to the partial
+the work already barriered: a :class:`RunFailure` (the reason the last
+retry died, and the timestep) is either attached to the partial
 :class:`~repro.core.results.AppResult` (graceful degradation) or raised as
-a :class:`RunFailureError` that still carries the partial result.
+a :class:`RunFailureError` that still carries the partial result.  The
+failure records themselves are the result's ``failure_log``, stated once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 __all__ = [
@@ -107,29 +107,23 @@ class RunFailure:
 
     reason: str
     timestep: int
-    #: The run's failure records up to here
-    #: (:class:`~repro.runtime.metrics.FailureRecord`).
-    failure_log: list[Any] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "reason": self.reason,
-            "timestep": self.timestep,
-            "failures": [{"kind": r.kind, **r.as_event()} for r in self.failure_log],
-        }
+        return asdict(self)
 
 
 class RunFailureError(RuntimeError):
     """Raised when retries are exhausted and the policy says ``"raise"``.
 
-    Carries the structured :class:`RunFailure` and the partial result, so
-    callers choosing to catch it lose nothing over degrade mode.
+    Carries the structured :class:`RunFailure` and the partial result
+    (whose ``failure_log`` holds the run's failure records), so callers
+    choosing to catch it lose nothing over degrade mode.
     """
 
-    def __init__(self, failure: RunFailure, partial: Any = None) -> None:
+    def __init__(self, failure: RunFailure, partial: Any) -> None:
         super().__init__(
             f"run failed at timestep {failure.timestep} after "
-            f"{len(failure.failure_log)} failure(s): {failure.reason}"
+            f"{len(partial.failure_log)} failure(s): {failure.reason}"
         )
         self.failure = failure
         self.partial = partial

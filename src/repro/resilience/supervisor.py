@@ -11,38 +11,48 @@ it closes the detect→act loop per host:
   ``run_round`` — which returns a per-partition outcome list instead of
   raising on the first failure, so surviving hosts complete their round
   and hold at the barrier;
-* a failed partition is recovered **surgically**: respawn only its
-  worker (higher incarnation), restore only its blob from the run's
-  replay base (the checkpoint it last wrote or resumed from, else
-  genesis-fresh state), silently replay its journaled post-checkpoint
-  rounds, then re-issue the in-flight round — the survivors' round
-  results are kept, nothing is recorded twice, and results stay
-  bit-identical to a fault-free run;
+* a failed partition climbs one ladder, and only the supervisor climbs it
+  (the cluster gathers each reply once and never resends on its own):
+
+  1. a live agent that timed out (:class:`GatherTimeout`) or sent a reply
+     frame that does not decode (:class:`CorruptReply`) is resent its
+     in-flight command once — its reply cache answers, so nothing runs
+     twice.  This cures the wire faults (``drop_frame`` /
+     ``corrupt_frame``, a short ``delay``);
+  2. any other failure, or a resend that failed too, is repaired
+     **surgically**: respawn only its worker (higher incarnation), restore
+     only its blob from the run's replay base (the checkpoint it last
+     wrote or resumed from, else genesis-fresh state), silently replay its
+     journaled post-checkpoint rounds, then re-issue the in-flight round —
+     the survivors' round results are kept, nothing is recorded twice, and
+     results stay bit-identical to a fault-free run;
+
 * the exchanges that are not rounds go through the same routine: the
   read-only queries (``snapshot`` / ``resident`` / ``states``) and a
   resume's ``restore``.  They are not journaled — a query does not change
   host state, and a restore *is* the replay base — so a partition that
   dies in one replays its *whole* journal and answers the exchange again
   on its own;
-* wire-level misbehavior (the ``drop_frame``/``dup_frame``/``reorder``/
-  ``corrupt_frame`` network faults) never reaches this layer at all: the
-  cluster's sequence-numbered protocol cures it with an
-  idempotent resend, and the supervisor merely states those *protocol
-  incidents* as failure and repair records;
-* when a partition exhausts its retry budget, the policy decides:
+* every rung is one attempt of the round's budget
+  (:attr:`RecoveryPolicy.max_retries`, shared by every partition that
+  fails in the round), but a resend that cures the exchange gives its
+  attempt back: a round with a wire incident on every partition completes
+  on resends alone, and only a failed resend or a repair spends budget.
+  A resend is tried only while the round has budget left.  Past it the
+  policy decides:
   ``on_exhausted="quarantine"`` tears the partition down, synthesizes
   empty halted rounds for it and drops its inbound deliveries so the run
-  completes degraded-but-alive; otherwise :class:`RecoveryExhausted` carries the
-  original error to the engine's raise/degrade handling.
+  completes degraded-but-alive; otherwise :class:`RecoveryExhausted`
+  carries the original error to the engine's raise/degrade handling.
 
 Retry accounting: one :class:`~repro.runtime.metrics.FailureRecord` per
-failure occurrence with a shared per-round attempt counter, and one
-``worker_respawn`` / ``protocol_retry`` record per completed recovery — each
-stated once, to the run's recorder, whose collector keeps them as
-``AppResult.failure_log`` and ``AppResult.recovery_actions`` — and bounded
-:class:`RecoveryPolicy` backoff between attempts.  A quarantine is a
-decision, not a repair: it is the ``action`` of the partition's last failure
-record.
+failure occurrence with the shared per-round attempt counter, and one
+``protocol_retry`` (a cured resend) or ``worker_respawn`` record per
+completed recovery — each stated once, to the run's recorder, whose
+collector keeps them as ``AppResult.failure_log`` and
+``AppResult.recovery_actions`` — and bounded :class:`RecoveryPolicy`
+backoff before each attempt.  A quarantine is a decision, not a repair: it
+is the ``action`` of the partition's last failure record.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..runtime.cluster import ROUND_OPS, quarantine_fill
 from ..runtime.metrics import FailureRecord, ProtocolRetryRecord, RespawnRecord
+from ..runtime.protocol import CorruptReply, GatherTimeout
 from .checkpoint import CheckpointManager
 from .journal import FrameJournal
 from .recovery import RecoverableError, RecoveryPolicy
@@ -83,8 +94,8 @@ class HostSupervisor:
     ----------
     cluster:
         A cluster speaking the surgical protocol: ``run_round`` (outcome
-        list), ``respawn_worker`` / ``restore_one`` / ``step_one`` /
-        ``quarantine`` per partition, plus ``drain_protocol_incidents``.
+        list), ``resend`` / ``respawn_worker`` / ``restore_one`` /
+        ``step_one`` / ``quarantine`` per partition.
     policy:
         The bounded-retry :class:`RecoveryPolicy` (attempt budget shared
         per round across failures).
@@ -165,7 +176,6 @@ class HostSupervisor:
         if op in ROUND_OPS:
             self.journal.append(op, timestep, superstep, payloads)
         results = cluster.run_round(op, timestep, superstep, payloads)
-        self._drain_protocol_incidents(timestep, superstep)
         attempt = 0  # shared across this round's failures
         for p, out in enumerate(results):
             if isinstance(out, RecoverableError):
@@ -174,17 +184,6 @@ class HostSupervisor:
                     p, out, op, timestep, superstep, payload, attempt
                 )
         return results
-
-    def _drain_protocol_incidents(self, timestep: int, superstep: int) -> None:
-        """Fold wire-level incidents the retry protocol already cured."""
-        for error, p, seconds in self.cluster.drain_protocol_incidents():
-            self.recorder.emit(
-                FailureRecord(
-                    timestep, superstep, p, 1, error,
-                    f"idempotent protocol resend cured a {error}", "retry",
-                )
-            )
-            self.recorder.emit(ProtocolRetryRecord(timestep, superstep, p, seconds, error))
 
     # -- surgical recovery ------------------------------------------------------------
 
@@ -198,9 +197,13 @@ class HostSupervisor:
         payload: Any,
         attempt: int,
     ) -> tuple[int, Any]:
-        """Recover partition ``p``'s in-flight exchange; loops on re-failure."""
+        """Recover partition ``p``'s in-flight exchange, one rung per
+        attempt: a resend first when the agent is alive, else (and after a
+        failed resend) a repair, which loops on re-failure.  A resend that
+        cures the exchange gives its attempt back."""
         policy = self.policy
         cluster = self.cluster
+        resend = isinstance(exc, (GatherTimeout, CorruptReply))
         while True:
             attempt += 1
             error = type(exc).__name__
@@ -220,6 +223,18 @@ class HostSupervisor:
             if backoff > 0:
                 time.sleep(backoff)
             started = time.perf_counter()
+            if resend:
+                resend = False
+                try:
+                    result = cluster.resend(p)
+                except RecoverableError as again:
+                    exc = again
+                    continue
+                seconds = time.perf_counter() - started
+                self.recorder.emit(ProtocolRetryRecord(timestep, superstep, p, seconds, error))
+                # A cure gives its attempt back: only a failed resend spends
+                # the round's budget.
+                return attempt - 1, result
             entries = self.journal.entries_for(p)
             if op in ROUND_OPS:
                 # The tail entry is the in-flight round itself (journaled
@@ -252,4 +267,6 @@ class HostSupervisor:
                 return attempt, cluster.step_one(p, op, timestep, superstep, payload)
             except RecoverableError as again:
                 exc = again
+                # The fresh agent is live: it earns its own resend.
+                resend = isinstance(again, (GatherTimeout, CorruptReply))
                 continue

@@ -22,7 +22,7 @@ from .host import (
     RunMeta,
 )
 from .metrics import MetricsCollector, PartitionBreakdown, StepRecord
-from .protocol import GatherTimeout, RecoverableWorkerError, WorkerError, WorkerLost
+from .protocol import CorruptReply, GatherTimeout, RecoverableWorkerError, WorkerError, WorkerLost
 
 __all__ = [
     "Cluster",
@@ -36,6 +36,7 @@ __all__ = [
     "MetricsCollector",
     "PartitionBreakdown",
     "StepRecord",
+    "CorruptReply",
     "GatherTimeout",
     "RecoverableWorkerError",
     "WorkerError",

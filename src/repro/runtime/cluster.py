@@ -33,10 +33,12 @@ checkpoint, a ``restore`` round installs them, and ``respawn_worker()``
 replaces one agent with a fresh incarnation (used by recovery after a
 failure, and honored by the fault plan's incarnation guard).  The driver
 issues every exchange through
-:class:`~repro.resilience.supervisor.HostSupervisor`, which repairs what
-:meth:`Cluster.run_round` captured.  A scripted fault means the
-same on every executor, because one :class:`Agent` fires it and one
-:class:`Gather` repairs what it did to the reply.
+:class:`~repro.resilience.supervisor.HostSupervisor`, which decides what
+each failure :meth:`Cluster.run_round` captured earns: a :meth:`~Cluster.resend`
+of the in-flight command, or a repair.  The cluster itself gathers each
+reply once and never resends on its own.  A scripted fault means the same
+on every executor, because one :class:`Agent` fires it and one
+:class:`Gather` validates what reaches the driver.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from ..core.computation import TimeSeriesComputation
 from ..observability import NULL_SPAN, Tracer
 from ..partition.base import PartitionedGraph
 from ..resilience.faults import FaultPlan
-from ..resilience.recovery import RecoverableError, RecoveryPolicy
+from ..resilience.recovery import RecoverableError
 from .cost import CostModel
 from .host import (
     ROUND_OPS,
@@ -62,7 +64,6 @@ from .host import (
     host_op,
 )
 from .protocol import (
-    ACCEPT,
     CLOSE,
     FAIL,
     SEND,
@@ -103,11 +104,6 @@ class Cluster:
     started agent per partition.  ``gather_timeout_s`` bounds a partition's
     reply wait in every round (``None`` waits for ever); ``fault_plan`` is
     what each partition's :class:`~repro.runtime.protocol.Agent` fires.
-    ``retry_policy`` (a :class:`~repro.resilience.recovery.RecoveryPolicy`)
-    arms the protocol retry: a timeout or a corrupt reply is cured by
-    resending the same sequence-numbered command — the agent answers from
-    its reply cache — up to ``max_retries`` times with the policy's backoff,
-    before the failure surfaces (by default at once: no resends).
 
     Use as a context manager to reap the agents even when the driver raises.
     """
@@ -136,7 +132,6 @@ class Cluster:
         tracing: bool = False,
         gather_timeout_s: float | None = None,
         fault_plan: FaultPlan | None = None,
-        retry_policy: RecoveryPolicy = RecoveryPolicy(max_retries=0),
     ) -> None:
         if len(sources) != pg.num_partitions:
             raise ValueError("need exactly one instance source per partition")
@@ -161,13 +156,12 @@ class Cluster:
         self._sg_part = np.asarray([sg.partition_id for sg in pg.subgraphs], dtype=np.int64)
         self.fault_plan = fault_plan
         self.gather_timeout_s = gather_timeout_s
-        self.retry_policy = retry_policy
         self.num_partitions = pg.num_partitions
         self.incarnations = [0] * pg.num_partitions
         self.quarantined = set()
         #: Next command sequence number, per partition (reset on respawn).
         self._seqs = [0] * pg.num_partitions
-        #: Last posted command per partition — what a protocol retry resends.
+        #: Last posted command per partition — what :meth:`resend` posts again.
         self._inflight: list[tuple | None] = [None] * pg.num_partitions
         self._stats = {
             "commands_sent": 0,
@@ -175,7 +169,6 @@ class Cluster:
             "protocol_retries": 0,
             "duplicate_replies_dropped": 0,
         }
-        self._incidents: list[tuple[str, int, float]] = []
         self._channels: list = [None] * pg.num_partitions
         # If any start fails (fork, connect, handshake), tear down the agents
         # already started instead of leaking processes that outlive the
@@ -229,49 +222,35 @@ class Cluster:
         self._channels[p].post(command)
 
     def _collect(self, p: int, deadline: float | None = None):
-        """Gather partition ``p``'s in-flight reply, resending as the
-        :class:`~repro.runtime.protocol.Gather` decides.
+        """Gather partition ``p``'s in-flight reply once; raise what the
+        :class:`~repro.runtime.protocol.Gather` fails it with.
 
         ``deadline`` is the *round* deadline: :meth:`run_round` opens one
-        window before gathering any partition, so a round's first-attempt
-        wait is one ``gather_timeout_s``, not one per partition.  A resend,
-        and a caller passing none, opens a fresh window.
+        window before gathering any partition, so a round's wait is one
+        ``gather_timeout_s``, not one per partition.  A caller passing none
+        opens a fresh window.
         """
-        gather = Gather(self._seqs[p] - 1, self.incarnations[p], self.retry_policy, p)
+        gather = Gather(self._seqs[p] - 1, self.incarnations[p], p)
         if deadline is None:
             deadline = self._window()
-        try:
-            while True:
-                try:
-                    envelope = self._channels[p].receive(deadline)
-                except GatherTimeout:
-                    verdict = gather.on_timeout(time.monotonic())
-                except (EOFError, OSError) as exc:
-                    verdict = gather.on_eof(exc)
-                except WorkerError as exc:
-                    verdict = gather.on_corrupt(exc, time.monotonic())
-                else:
-                    verdict = gather.on_reply(envelope, time.monotonic())
-                    if verdict is None:
-                        continue
-                verb, value = verdict
-                if verb is ACCEPT:
-                    return value
-                if verb is FAIL:
-                    raise value
-                if value > 0:  # RESEND after the policy's backoff
-                    time.sleep(value)
-                self._channels[p].post(self._inflight[p])
-                deadline = self._window()
-        finally:
-            if gather.dropped or gather.resends:
-                stats = self._stats
-                stats["resends"] += gather.resends
-                stats["duplicate_replies_dropped"] += gather.dropped
-                if gather.incident is not None:
-                    stats["protocol_retries"] += 1
-                    kind, seconds = gather.incident
-                    self._incidents.append((kind, p, seconds))
+        channel = self._channels[p]
+        while True:
+            try:
+                verdict = gather.on_reply(channel.receive(deadline))
+            except GatherTimeout:
+                verdict = gather.on_timeout()
+            except (EOFError, OSError, WorkerLost) as exc:
+                verdict = gather.on_eof(exc)
+            except WorkerError as exc:
+                verdict = gather.on_corrupt(exc)
+            if verdict is not None:
+                break
+        if gather.dropped:
+            self._stats["duplicate_replies_dropped"] += gather.dropped
+        verb, value = verdict
+        if verb is FAIL:
+            raise value
+        return value
 
     def run_round(
         self, op: str, timestep: int, superstep: int, payloads: Sequence | None
@@ -354,6 +333,16 @@ class Cluster:
         self._post(partition, op, replay, timestep, superstep, payload)
         return self._collect(partition)
 
+    def resend(self, partition: int) -> HostStepResult:
+        """Post ``partition``'s in-flight command again and gather its reply
+        (raises on failure).  An agent that already executed the command
+        answers from its reply cache, so nothing runs twice."""
+        self._stats["resends"] += 1
+        self._channels[partition].post(self._inflight[partition])
+        reply = self._collect(partition)
+        self._stats["protocol_retries"] += 1
+        return reply
+
     def respawn_worker(self, partition: int) -> int:
         """Replace one agent with a fresh (state-empty) incarnation; its
         session, and anything still queued on it, is discarded.
@@ -377,14 +366,10 @@ class Cluster:
         self.quarantined.add(partition)
         self._channels[partition].close()
 
-    def drain_protocol_incidents(self) -> list[tuple[str, int, float]]:
-        """Exchanges a protocol resend cured since the last drain, as
-        ``(kind, partition, seconds)``."""
-        incidents, self._incidents = self._incidents, []
-        return incidents
-
     def protocol_stats(self) -> dict:
-        """Driver↔agent protocol counters (commands, resends, dedup drops, ...)."""
+        """Driver↔agent protocol counters: ``commands_sent`` (resends
+        excluded), ``resends``, ``protocol_retries`` (exchanges a resend
+        cured) and ``duplicate_replies_dropped``."""
         return dict(self._stats)
 
     def shutdown(self, *, force: bool = False) -> None:

@@ -153,9 +153,8 @@ class CheckpointRecord(Record):
 class FailureRecord(Record):
     """One failure the supervisor handled, and what it decided.
 
-    A repair's failure is a dead or wedged host; a cured one is a wire
-    incident the idempotent resend protocol already fixed (``attempt`` 1,
-    ``action`` ``retry``).
+    ``attempt`` is the round's shared attempt counter; ``action`` ``retry``
+    means the supervisor resent the command or repaired the host next.
     """
 
     kind = "failure"
@@ -164,8 +163,8 @@ class FailureRecord(Record):
     superstep: int
     partition: int
     attempt: int
-    #: The error's class name: WorkerLost | GatherTimeout | RecoverableWorkerError
-    #: for a repair; GatherTimeout | WorkerError (a corrupt frame) for a resend's cure
+    #: The error's class name: WorkerLost | GatherTimeout | CorruptReply |
+    #: RecoverableWorkerError (only the second and third earn a resend)
     error: str
     message: str
     action: str  #: retry | quarantine | raise | degrade
@@ -191,7 +190,7 @@ class RespawnRecord(Record):
 
 @dataclass(frozen=True)
 class ProtocolRetryRecord(Record):
-    """One wire-level incident the idempotent resend protocol cured, measured."""
+    """One failed exchange a resend of its command cured, measured."""
 
     kind = "protocol_retry"
 

@@ -143,7 +143,9 @@ class _SocketConn:
     Frames every ``send_bytes`` payload with an 8-byte little-endian length
     so the byte stream carries whole messages; ``recv_bytes`` reads exactly
     one frame.  A closed peer raises :class:`EOFError`, which the driver's
-    failure classification turns into :class:`WorkerLost`.
+    failure classification turns into :class:`WorkerLost`; so does a length
+    prefix past the frame cap, which leaves no frame boundary to read on
+    from.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -175,7 +177,7 @@ class _SocketConn:
     def _read_frame_len(self) -> int:
         (length,) = struct.unpack("<Q", self._read_exactly(8))
         if length > _MAX_FRAME_BYTES:
-            raise WorkerError(
+            raise WorkerLost(
                 f"transport frame declares {length} bytes "
                 f"(cap {_MAX_FRAME_BYTES}); stream is desynced or corrupt"
             )

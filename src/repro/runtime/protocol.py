@@ -22,27 +22,29 @@ a model checker's adversarial channel.
     application error into an error reply.
 :class:`Gather` — the driver's side, for one command.
     Fed what the wire produced (``on_reply``, ``on_timeout``,
-    ``on_corrupt``, ``on_eof``) and the caller's clock reading in seconds
-    (only differences count), it answers ``(ACCEPT, payload)``, ``(RESEND, backoff_s)`` or
+    ``on_corrupt``, ``on_eof``), it answers ``(ACCEPT, payload)`` or
     ``(FAIL, error)`` — or ``None`` for a stale frame it dropped.  It owns
-    the incarnation guard, the stale-sequence check and the bounded resend
-    budget.
+    the incarnation guard and the stale-sequence check; it never resends.
 
-The caller owns the I/O and the clock: it sends, sleeps, waits out the
-gather window and turns what it reads into these events.
+The caller owns the I/O and the clock: it sends, waits out the gather
+window and turns what it reads into these events.  What a failed exchange
+earns — a resend, a repair, or nothing — is the supervisor's one decision
+(:mod:`repro.resilience.supervisor`).
 
 Failure taxonomy
 ----------------
-* :class:`WorkerLost` — EOF, a failed send, a desynced or (past the resend
-  budget) corrupt reply stream.  Recovery must respawn the agent.
-* :class:`GatherTimeout` — no reply inside the gather window, past the
-  resend budget.
+* :class:`WorkerLost` — EOF, a failed send, a desynced reply stream.
+  Recovery must respawn the agent.
+* :class:`GatherTimeout` — no reply inside the gather window.
+* :class:`CorruptReply` — a reply frame that does not decode.  Its length
+  prefix was sane, so the next read starts on a frame boundary (a prefix
+  past the frame cap is a :class:`WorkerLost`).
 * :class:`RecoverableWorkerError` — the host reported an error it marked
   recoverable (an injected slice-load failure, say); its session is healthy.
 * :class:`WorkerError` — a deterministic application error reported over the
   wire; retrying cannot help.
 
-The first three subclass both :class:`WorkerError` and
+All but the last subclass both :class:`WorkerError` and
 :class:`~repro.resilience.recovery.RecoverableError`, the marker the
 supervisor repairs.
 """
@@ -53,12 +55,12 @@ import traceback
 from typing import Any
 
 from ..resilience.faults import FaultPlan
-from ..resilience.recovery import InjectedFault, RecoverableError, RecoveryPolicy
+from ..resilience.recovery import InjectedFault, RecoverableError
 from .host import ROUND_OPS
 
 __all__ = [
-    "ACCEPT", "CLOSE", "CORRUPT", "FAIL", "RESEND", "SEND", "SLEEP", "answer",
-    "Agent", "Gather", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
+    "ACCEPT", "CLOSE", "CORRUPT", "FAIL", "SEND", "SLEEP", "answer", "Agent", "CorruptReply",
+    "Gather", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
 ]
 
 
@@ -74,6 +76,11 @@ class GatherTimeout(WorkerError, RecoverableError):
     """A live worker failed to reply within the gather timeout."""
 
 
+class CorruptReply(WorkerError, RecoverableError):
+    """A live worker's reply frame did not decode; its length prefix was sane,
+    so the stream reads on from the next frame."""
+
+
 class RecoverableWorkerError(WorkerError, RecoverableError):
     """A worker reported an error it marked recoverable (injected infra fault)."""
 
@@ -86,7 +93,6 @@ CLOSE = "close"
 
 # What a gather decides.
 ACCEPT = "accept"
-RESEND = "resend"
 FAIL = "fail"
 
 
@@ -172,34 +178,20 @@ def answer(agent: Agent, command: tuple) -> list[tuple[str, Any]]:
 class Gather:
     """The driver's wait for reply ``want_seq`` from one agent incarnation.
 
-    ``policy`` (a :class:`~repro.resilience.recovery.RecoveryPolicy`)
-    bounds the resends a timeout or a corrupt frame earns.  After the
-    exchange ends, :attr:`dropped` counts the stale frames skipped,
-    :attr:`resends` the resends asked for, and :attr:`incident` is
-    ``(kind, seconds)`` when a resend cured the exchange.
+    After the exchange ends, :attr:`dropped` counts the stale frames
+    skipped.
     """
 
-    __slots__ = ("want_seq", "incarnation", "policy", "partition", "dropped", "resends",
-                 "incident", "_trouble")
+    __slots__ = ("want_seq", "incarnation", "partition", "dropped")
 
-    def __init__(
-        self,
-        want_seq: int,
-        incarnation: int,
-        policy: RecoveryPolicy,
-        partition: int,
-    ) -> None:
+    def __init__(self, want_seq: int, incarnation: int, partition: int) -> None:
         self.want_seq = want_seq
         self.incarnation = incarnation
-        self.policy = policy
         self.partition = partition
         self.dropped = 0
-        self.resends = 0
-        self.incident: tuple[str, float] | None = None
-        self._trouble: tuple[str, float] | None = None  # first failure: (kind, now)
 
-    def on_reply(self, envelope: Any, now: float) -> tuple[str, Any] | None:
-        """A reply envelope arrived at clock reading ``now``."""
+    def on_reply(self, envelope: Any) -> tuple[str, Any] | None:
+        """A reply envelope arrived."""
         p = self.partition
         if not (isinstance(envelope, tuple) and len(envelope) == 3):
             return FAIL, WorkerError(
@@ -217,9 +209,6 @@ class Gather:
                 f"{incarnation}, want {self.want_seq} of {self.incarnation})",
                 partition=p,
             )
-        if self._trouble is not None:
-            kind, since = self._trouble
-            self.incident = (kind, now - since)
         if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "error":
             message = f"partition {p} worker failed:\n{payload[1]}"
             if payload[2]:
@@ -227,20 +216,18 @@ class Gather:
             return FAIL, WorkerError(message)
         return ACCEPT, payload
 
-    def on_timeout(self, now: float) -> tuple[str, Any]:
+    def on_timeout(self) -> tuple[str, Any]:
         """The gather window closed with no reply."""
         p = self.partition
-        error = GatherTimeout(f"partition {p} did not reply within the gather timeout",
-                              partition=p)
-        return self._resend_or_fail("GatherTimeout", error, now)
+        return FAIL, GatherTimeout(f"partition {p} did not reply within the gather timeout",
+                                   partition=p)
 
-    def on_corrupt(self, cause: Exception, now: float) -> tuple[str, Any]:
-        """A frame arrived that does not decode.  Frames are length-prefixed,
-        so the stream stays aligned and a resend can fetch the cached reply."""
+    def on_corrupt(self, cause: Exception) -> tuple[str, Any]:
+        """A frame arrived that does not decode."""
         p = self.partition
-        error = WorkerLost(f"partition {p} reply stream is corrupt: {cause}", partition=p)
+        error = CorruptReply(f"partition {p} sent a corrupt reply frame", partition=p)
         error.__cause__ = cause
-        return self._resend_or_fail("WorkerError", error, now)
+        return FAIL, error
 
     def on_eof(self, cause: Exception) -> tuple[str, Any]:
         """The agent's session ended: only a respawn helps."""
@@ -248,12 +235,3 @@ class Gather:
         error = WorkerLost(f"partition {p} worker died mid-round ({cause!r})", partition=p)
         error.__cause__ = cause
         return FAIL, error
-
-    def _resend_or_fail(self, kind: str, error: Exception, now: float) -> tuple[str, Any]:
-        policy = self.policy
-        if self.resends >= policy.max_retries:
-            return FAIL, error
-        if self._trouble is None:
-            self._trouble = (kind, now)
-        self.resends += 1
-        return RESEND, policy.backoff_for(self.resends)

@@ -297,12 +297,16 @@ class TestResilienceFlags:
         log = tmp_path / "failures.json"
         argv = self.BASE + ["--executor", "process", "--export", str(log)]
         assert main(argv) == 2
-        assert "RUN FAILED: WorkerLost" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "RUN FAILED: WorkerLost" in out
         payload = json.loads(log.read_text())
         assert [(f["partition"], f["action"]) for f in payload["failure_log"]] == [
             (1, "retry"), (1, "retry"), (1, "raise")
         ]
-        assert payload["failure"]["failures"] == payload["failure_log"]
+        # Each record appears once: in ``failure_log``, and once on stdout.
+        assert set(payload["failure"]) == {"reason", "timestep"}
+        assert log.read_text().count('"action"') == 3
+        assert sum("'action':" in line for line in out.splitlines()) == 3
         assert [a["kind"] for a in payload["recovery_actions"]] == ["worker_respawn"] * 2
 
     def test_fault_seed_with_inject_faults_accepted(self, tmp_path, capsys):
@@ -545,7 +549,7 @@ class TestRecordedFailures:
         folded, payload = self._recorded(tmp_path, ["--inject-faults", kills], code=2)
         assert "RUN FAILED: WorkerLost" in capsys.readouterr().out
         assert [f.action for f in folded.failures] == ["retry", "retry", "raise"]
-        assert payload["failure"]["failures"] == payload["failure_log"]
+        assert set(payload["failure"]) == {"reason", "timestep"}
 
     def test_a_quarantined_run_leaves_its_failures_in_the_log_and_the_export(self, tmp_path):
         kills = "kill@t1:p1,kill@t1:p1:i1,kill@t1:p1:i2"

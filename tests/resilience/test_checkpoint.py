@@ -160,15 +160,10 @@ class TestConfigAndRecords:
 
     def test_failure_record_and_run_failure_as_dict(self):
         """A failure is a run record: its event line folds back to it, and a
-        structured failure lists its records as their lines."""
+        structured failure is its reason and timestep alone (the records are
+        the result's ``failure_log``, stated once)."""
         rec = FailureRecord(3, -1, 1, 1, "WorkerLost", "boom", "retry")
         assert rec.kind == "failure"
         assert FailureRecord.from_event({"kind": rec.kind, **rec.as_event()}) == rec
-        failure = RunFailure("WorkerLost: boom", 3, [rec])
-        d = failure.as_dict()
-        assert d["reason"] == "WorkerLost: boom"
-        assert d["timestep"] == 3
-        assert d["failures"] == [{
-            "kind": "failure", "timestep": 3, "superstep": -1, "partition": 1,
-            "attempt": 1, "error": "WorkerLost", "message": "boom", "action": "retry",
-        }]
+        failure = RunFailure("WorkerLost: boom", 3)
+        assert failure.as_dict() == {"reason": "WorkerLost: boom", "timestep": 3}

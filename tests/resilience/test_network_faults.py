@@ -9,6 +9,7 @@ to a fault-free run — the protocol cures the wire without redoing work.
 import pytest
 
 from repro.core import EngineConfig, run_application
+from repro.partition import partition_graph
 from repro.resilience import (
     AT_EOT,
     NETWORK_FAULT_KINDS,
@@ -125,7 +126,7 @@ class TestWireProtocol:
         _identical(result, baseline)
         assert result.protocol_stats["resends"] >= 1
         assert result.failure_log and result.failure_log[0].action == "retry"
-        assert result.failure_log[0].error == "WorkerError"
+        assert result.failure_log[0].error == "CorruptReply"
         assert [a.kind for a in result.recovery_actions] == ["protocol_retry"]
         assert result.recovery_actions[0].partition == 1
 
@@ -187,7 +188,7 @@ class TestExecutorPortability:
             assert result.failure is None
         serial, process = runs[executor], runs["process"]
         assert [(r.error, r.partition) for r in serial.failure_log] == [
-            ("GatherTimeout", 0), ("WorkerError", 1)
+            ("GatherTimeout", 0), ("CorruptReply", 1)
         ]
         assert serial.failure_log == process.failure_log
         assert [(a.kind, a.partition) for a in serial.recovery_actions] == [
@@ -195,3 +196,75 @@ class TestExecutorPortability:
         ]
         for key in ("resends", "protocol_retries", "duplicate_replies_dropped"):
             assert serial.protocol_stats[key] == process.protocol_stats[key], key
+
+
+class TestOneLadder:
+    """The supervisor alone climbs a failed exchange's ladder: a resend, then
+    a repair, each one attempt of the round's shared budget — but a resend
+    that cures its exchange gives the attempt back."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_a_resend_that_times_out_escalates_to_a_respawn(self, case, executor):
+        """A straggler past two gather windows: attempt 1 resends the command
+        and times out again, attempt 2 respawns the agent."""
+        _tpl, coll, pg = case
+        baseline = run_application(AccumulateSum(), pg, coll)
+        result = run_application(
+            AccumulateSum(), pg, coll,
+            config=_config("delay@t1:s0:p1:d1.0", executor=executor, timeout=0.3),
+        )
+        _identical(result, baseline)
+        assert [(f.partition, f.attempt, f.error, f.action) for f in result.failure_log] == [
+            (1, 1, "GatherTimeout", "retry"), (1, 2, "GatherTimeout", "retry")
+        ]
+        assert [(a.kind, a.attempt) for a in result.recovery_actions] == [("worker_respawn", 2)]
+        stats = result.protocol_stats
+        assert (stats["resends"], stats["protocol_retries"]) == (1, 0)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_cured_resends_spend_none_of_the_round_budget(self, case, executor):
+        """Three partitions drop their reply in one round under the default
+        policy (two attempts a round): each resend cures its exchange and
+        gives its attempt back, so the round completes on resends alone."""
+        tpl, coll, _pg = case
+        pg = partition_graph(tpl, 4)
+        baseline = run_application(AccumulateSum(), pg, coll)
+        result = run_application(
+            AccumulateSum(), pg, coll,
+            config=EngineConfig(
+                executor=executor,
+                gather_timeout_s=0.3,
+                faults=FaultPlan.parse(
+                    "drop_frame@t2:p0,drop_frame@t2:p1,drop_frame@t2:p2", seed=7
+                ),
+                recovery=RecoveryPolicy(),
+            ),
+        )
+        _identical(result, baseline)
+        assert result.failure is None
+        assert [(f.partition, f.attempt, f.error, f.action) for f in result.failure_log] == [
+            (0, 1, "GatherTimeout", "retry"),
+            (1, 1, "GatherTimeout", "retry"),
+            (2, 1, "GatherTimeout", "retry"),
+        ]
+        assert [(a.kind, a.partition) for a in result.recovery_actions] == [
+            ("protocol_retry", 0), ("protocol_retry", 1), ("protocol_retry", 2)
+        ]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_a_respawned_agent_earns_its_own_resend(self, case, executor):
+        """The re-issued command's reply is dropped by the fresh incarnation:
+        the live agent is resent the command, not respawned again."""
+        _tpl, coll, pg = case
+        baseline = run_application(AccumulateSum(), pg, coll)
+        result = run_application(
+            AccumulateSum(), pg, coll,
+            config=_config("kill@t3:p1,drop_frame@t3:p1:i1", executor=executor, timeout=0.3),
+        )
+        _identical(result, baseline)
+        assert [(f.partition, f.attempt, f.error) for f in result.failure_log] == [
+            (1, 1, "WorkerLost"), (1, 2, "GatherTimeout")
+        ]
+        assert [(a.kind, a.partition) for a in result.recovery_actions] == [
+            ("worker_respawn", 1), ("protocol_retry", 1)
+        ]

@@ -113,7 +113,7 @@ def test_exhausted_at_the_snapshot_carries_the_partial_result(
     assert fired
     failure, partial = excinfo.value.failure, excinfo.value.partial
     assert failure.timestep == 2 and "WorkerLost" in failure.reason
-    assert [r.action for r in failure.failure_log] == ["raise"]
+    assert [r.action for r in partial.failure_log] == ["raise"]
     # Everything barriered before the snapshot survives in the partial result.
     assert partial.timesteps_executed == 3
     assert partial.outputs == [o for o in baseline.outputs if o[0] <= 2]

@@ -252,8 +252,8 @@ class TestExhaustedRetries:
         assert failure.timestep == 1
         assert "WorkerLost" in failure.reason
         # 1 initial incident + 2 retries, each logged; the last marked raise.
-        assert [r.action for r in failure.failure_log] == ["retry", "retry", "raise"]
         partial = excinfo.value.partial
+        assert [r.action for r in partial.failure_log] == ["retry", "retry", "raise"]
         assert partial is not None and partial.timesteps_executed == 1
 
     def test_degrade_mode_returns_partial(self, case, sources, tmp_path):
@@ -325,7 +325,7 @@ class TestDefaultPolicy:
             run_application(DiskGone(), pg, coll, sources=sources, config=config)
         cause = excinfo.value.__cause__
         assert isinstance(cause, RecoverableWorkerError) and cause.partition == 1
-        log = excinfo.value.failure.failure_log
+        log = excinfo.value.partial.failure_log
         attempts = config.recovery.max_retries + 1
         assert [(r.partition, r.attempt) for r in log] == [(1, a) for a in range(1, attempts + 1)]
         assert log[-1].action == "raise"

@@ -10,7 +10,7 @@ from repro.resilience import (
     HostSupervisor,
     RecoveryPolicy,
 )
-from repro.runtime import Cluster, RunMeta
+from repro.runtime import Cluster, RunMeta, WorkerLost
 from repro.runtime.metrics import MetricsCollector
 
 from .conftest import NUM_PARTITIONS, AccumulateSum, RingRelay
@@ -261,7 +261,6 @@ class TestStatesEachFactOnce:
         with Cluster(
             pg, AccumulateSum(), meta, sources, remote=True,
             fault_plan=FaultPlan.parse("drop_frame@t0:s0:p0", seed=3),
-            retry_policy=RecoveryPolicy(backoff_s=0.0),
             gather_timeout_s=0.5,
         ) as cluster:
             self._supervised(cluster, recorder)
@@ -281,3 +280,35 @@ def test_one_round_path():
     calls = [hit.split(":")[0] for hit in grep(r"\.run_round\(", ("src/",), None)]
     assert calls == ["src/repro/resilience/supervisor.py"]
     assert EngineConfig().recovery == RecoveryPolicy()
+
+
+class _DesyncedChannel:
+    """A channel whose reply stream lost its frame boundaries: every read
+    fails the way a length prefix past the frame cap does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def post(self, command):
+        self.inner.post(command)
+
+    def receive(self, deadline):
+        raise WorkerLost("transport frame declares 2**60 bytes; stream is desynced or corrupt")
+
+    def close(self):
+        self.inner.close()
+
+
+def test_a_desynced_stream_is_repaired_not_resent(case, sources):
+    """A resend cannot read on from a stream with no frame boundary left:
+    the partition is respawned at once."""
+    _tpl, coll, pg = case
+    meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
+    cluster = Cluster(pg, AccumulateSum(), meta, sources)
+    cluster._channels[1] = _DesyncedChannel(cluster._channels[1])
+    recorder = ListRecorder()
+    supervisor = HostSupervisor(cluster, RecoveryPolicy(backoff_s=0.0), recorder=recorder)
+    supervisor.round("superstep", 0, 0, [[] for _ in range(NUM_PARTITIONS)])
+    assert recorder.facts == ["failure", "worker_respawn"]
+    assert [(f.partition, f.error) for f in recorder.metrics.failures] == [(1, "WorkerLost")]
+    assert cluster.protocol_stats()["resends"] == 0

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import GatherTimeout, WorkerError
+from repro.runtime import GatherTimeout, WorkerError, WorkerLost
 from repro.runtime.process_cluster import _recv_oob, _send_oob, _wait_readable
 from repro.runtime.process_cluster import _MAX_FRAME_BYTES, _SocketConn
 
@@ -182,7 +182,9 @@ class TestSocketFraming:
     def test_oversized_transport_frame_rejected_before_allocation(self, raw_pair):
         raw, conn = raw_pair
         raw.sendall(struct.pack("<Q", _MAX_FRAME_BYTES + 1))
-        with pytest.raises(WorkerError, match="desynced or corrupt"):
+        # No frame boundary is left to read on from: the agent is lost, not
+        # a resend away.
+        with pytest.raises(WorkerLost, match="desynced or corrupt"):
             conn.recv_bytes()
 
     def test_recv_buffer_refuses_a_longer_frame_whole(self, raw_pair):

@@ -1057,3 +1057,68 @@ class TestReadOnFirstUse:
             tdsp_labels_from_result(result, n).tobytes()
             == tdsp_labels_from_result(in_memory, n).tobytes()
         )
+
+
+def test_tdsp_projects_only_latency_and_only_where_the_wave_is(tmp_path):
+    """Exact GoFS projection counts of a TDSP run on CARN 2000 x 10.
+
+    Counts, not timings, so they repeat to the digit: TDSP takes one edge
+    attribute, at a subgraph's local and remote edge slots, and only in the
+    timesteps the wave is inside that subgraph -- at most 8 B per slot per
+    timestep wherever the slot lives, strictly less when the wave needs more
+    than one timestep to reach a partition, nothing before a partition's
+    first frontier -- and no vertex column.  A view reads a pack's bytes only
+    where its compute reads a row: one load per (partition, pack) whose
+    bytes_projected grew, fewer at k=6 than one per partition per pack.
+    """
+    from repro.algorithms import TDSPComputation, tdsp_labels_from_result
+    from repro.core import EngineConfig, run_application
+    from repro.generators import paper_datasets
+
+    ds = paper_datasets(2000, 10)["CARN"]
+    tpl, coll = ds["template"], ds["road"]
+    labels = {}
+    for k in (2, 6):
+        pg = partition_graph(tpl, k)
+        slots = sum(len(sg.edge_index) + len(sg.remote.edge_index) for sg in pg.subgraphs)
+        GoFS.write_collection(tmp_path / f"projection-store-{k}", pg, coll, packing=5)
+        views = GoFS.partition_views(tmp_path / f"projection-store-{k}")
+        began_with = [[] for _ in views]  # bytes projected when timestep t began
+        for view, log in zip(views, began_with):
+            def instance(t, view=view, log=log, real=view.instance):
+                log.append(view.bytes_projected)
+                return real(t)
+            view.instance = instance
+        result = run_application(
+            TDSPComputation(0), pg, coll, sources=views,
+            config=EngineConfig(tracing=True),
+        )
+        counters = result.trace.counters
+        T = result.timesteps_executed
+        got, columns = counters["gofs.bytes_projected"], counters["gofs.columns_projected"]
+        first = {}
+        for t, sgid, _rec in result.outputs:
+            first.setdefault(pg.subgraphs[sgid].partition_id, t)
+        assert max(first.values()) > 0, f"the wave reaches every partition at once: {first}"
+        assert 0 < got < 8 * T * slots, f"{got} B gathered, bound {8 * T * slots} (k={k})"
+        assert 0 < columns < 2 * T * pg.num_subgraphs, counters
+        for p, log in enumerate(began_with):
+            assert log[first[p]] == 0, (
+                f"partition {p} read {log[first[p]]} B before its first frontier at t={first[p]}"
+            )
+        read = {
+            (p, t // 5)
+            for p, (view, log) in enumerate(zip(views, began_with))
+            for t, before in enumerate(log)
+            if (log[t + 1] if t + 1 < len(log) else view.bytes_projected) > before
+        }
+        assert counters["gofs.packs_loaded"] == len(read), (
+            counters["gofs.packs_loaded"], sorted(read)
+        )
+        assert k == 2 or len(read) < k * -(-T // 5), (
+            f"k={k}: every partition read every pack: {sorted(read)}"
+        )
+        touched = sorted(set().union(*(v.projected for v in views)))
+        assert touched == ["e__latency"], f"projected {touched}; TDSP reads only latency"
+        labels[k] = tdsp_labels_from_result(result, tpl.num_vertices).tobytes()
+    assert labels[2] == labels[6], "k changed the result"

@@ -116,6 +116,15 @@ DELETED = [
      r"|failure_log=result\.failure_log|self\.failure_log\.append|failure_log if failure_log"
      r"|(tibsp|repro|repro\.cli) trace\b",
      EVERYWHERE, None),
+    # One repair ladder: the supervisor alone resends or repairs a failed
+    # exchange.  The gather only validates, the cluster gathers once and
+    # takes no retry policy, and no cured incident reaches the supervisor
+    # through a side channel.  A structured failure does not list the
+    # failure records a second time.
+    ("one-repair-ladder",
+     r"drain_protocol_incidents|_resend_or_fail|\bRESEND\b|failure\.failure_log",
+     EVERYWHERE, None),
+    ("one-repair-ladder-cluster", r"retry_policy", ("src/",), None),
 ]
 
 
