@@ -14,64 +14,26 @@ independent-pattern Top-N example, and centralized reference
 implementations used as correctness anchors.
 """
 
-from .evolution import (
-    CommunityEvolutionComputation,
-    CommunityEvolutionSummary,
-    community_events,
-)
-from .hashtag import (
-    HashtagAggregationComputation,
-    HashtagSummary,
-    largest_subgraph_in_partition,
-)
-from .reachability import (
-    ReachedFrontier,
-    TemporalReachabilityComputation,
-    reached_timesteps_from_result,
-)
-from .meme import MemeFrontier, MemeTrackingComputation, colored_timesteps_from_result
-from .pagerank import PageRankComputation, PageRankResult, pagerank_from_result
-from .sssp import BFSComputation, SSSPComputation, SSSPResult, sssp_labels_from_result
-from .statistics import (
-    AttributeStats,
-    InstanceStatisticsComputation,
-    stats_series_from_result,
-)
-from .tdsp import TDSPComputation, TDSPFrontier, tdsp_labels_from_result
-from .top_n import TopNComputation, TopNResult
-from .wcc import WCCComputation, WCCResult, wcc_labels_from_result
-from . import reference
+from .. import _lazy_exports
 
-__all__ = [
-    "CommunityEvolutionComputation",
-    "CommunityEvolutionSummary",
-    "community_events",
-    "ReachedFrontier",
-    "TemporalReachabilityComputation",
-    "reached_timesteps_from_result",
-    "HashtagAggregationComputation",
-    "HashtagSummary",
-    "largest_subgraph_in_partition",
-    "MemeFrontier",
-    "MemeTrackingComputation",
-    "colored_timesteps_from_result",
-    "PageRankComputation",
-    "PageRankResult",
-    "pagerank_from_result",
-    "BFSComputation",
-    "SSSPComputation",
-    "SSSPResult",
-    "sssp_labels_from_result",
-    "TDSPComputation",
-    "TDSPFrontier",
-    "tdsp_labels_from_result",
-    "AttributeStats",
-    "InstanceStatisticsComputation",
-    "stats_series_from_result",
-    "TopNComputation",
-    "TopNResult",
-    "WCCComputation",
-    "WCCResult",
-    "wcc_labels_from_result",
-    "reference",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".evolution": (
+        "CommunityEvolutionComputation", "CommunityEvolutionSummary", "community_events",
+    ),
+    ".reachability": (
+        "ReachedFrontier", "TemporalReachabilityComputation", "reached_timesteps_from_result",
+    ),
+    ".hashtag": (
+        "HashtagAggregationComputation", "HashtagSummary", "largest_subgraph_in_partition",
+    ),
+    ".meme": ("MemeFrontier", "MemeTrackingComputation", "colored_timesteps_from_result"),
+    ".pagerank": ("PageRankComputation", "PageRankResult", "pagerank_from_result"),
+    ".sssp": ("BFSComputation", "SSSPComputation", "SSSPResult", "sssp_labels_from_result"),
+    ".tdsp": ("TDSPComputation", "TDSPFrontier", "tdsp_labels_from_result"),
+    ".statistics": (
+        "AttributeStats", "InstanceStatisticsComputation", "stats_series_from_result",
+    ),
+    ".top_n": ("TopNComputation", "TopNResult"),
+    ".wcc": ("WCCComputation", "WCCResult", "wcc_labels_from_result"),
+    ".": ("reference",),
+})

@@ -14,10 +14,9 @@ superstep — mimicking a ``Master.Compute``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._value import Value
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, MergeContext
 from ..core.patterns import Pattern
@@ -35,14 +34,18 @@ def largest_subgraph_in_partition(pg: PartitionedGraph, partition_id: int = 0) -
     return max(part.subgraphs, key=lambda sg: sg.num_vertices).subgraph_id
 
 
-@dataclass(frozen=True)
-class HashtagSummary:
-    """The aggregated result emitted by the master subgraph at Merge."""
+class HashtagSummary(Value):
+    """The aggregated result emitted by the master subgraph at Merge: the
+    occurrences per timestep, across all timesteps, and the first difference
+    of the counts."""
 
-    hashtag: object
-    counts: np.ndarray  #: occurrences per timestep
-    total: int  #: occurrences across all timesteps
-    rate_of_change: np.ndarray  #: first difference of counts
+    __slots__ = ("hashtag", "counts", "total", "rate_of_change")
+
+    def __init__(
+        self, hashtag: object, counts: np.ndarray, total: int, rate_of_change: np.ndarray
+    ) -> None:
+        self.hashtag, self.counts, self.total = hashtag, counts, total
+        self.rate_of_change = rate_of_change
 
     @property
     def peak_timestep(self) -> int:

@@ -22,10 +22,9 @@ as numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._value import Value
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
@@ -41,12 +40,14 @@ from ..kernels import (
 __all__ = ["MemeTrackingComputation", "MemeFrontier", "colored_timesteps_from_result"]
 
 
-@dataclass(frozen=True)
-class MemeFrontier:
-    """Per-subgraph, per-timestep output: vertices colored for the first time."""
+class MemeFrontier(Value):
+    """Per-subgraph, per-timestep output: vertices (global indices) colored
+    for the first time."""
 
-    timestep: int
-    vertices: np.ndarray  #: global vertex indices newly colored this timestep
+    __slots__ = ("timestep", "vertices")
+
+    def __init__(self, timestep: int, vertices: np.ndarray) -> None:
+        self.timestep, self.vertices = timestep, vertices
 
     @property
     def count(self) -> int:

@@ -15,49 +15,38 @@ float path sums, as a per-vertex Dijkstra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._value import Value
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
-from ..kernels import group_min_pairs, index_mask, relax_to_fixpoint, slot_sources
+from ..kernels import (
+    combine_min_labels,
+    group_min_pairs,
+    index_mask,
+    relax_to_fixpoint,
+    slot_sources,
+)
 
 __all__ = [
     "SSSPComputation",
     "BFSComputation",
     "SSSPResult",
-    "combine_min_labels",
     "sssp_labels_from_result",
 ]
 
 _INF = np.inf
 
 
-def combine_min_labels(payloads: list) -> tuple[np.ndarray, np.ndarray]:
-    """Fold ``(vertices, labels)`` relaxation batches into per-vertex minima.
+class SSSPResult(Value):
+    """Per-subgraph output record: the reached vertices (global indices) and
+    their shortest-path distances."""
 
-    The message combiner shared by the shortest-path family (SSSP, BFS,
-    TDSP): several subgraphs relaxing the same destination subgraph collapse
-    to one batch keeping only the best label per vertex — receivers take the
-    minimum anyway, so results are unchanged while remote bytes shrink.
-    """
-    verts = np.concatenate([np.atleast_1d(np.asarray(v, dtype=np.int64)) for v, _ in payloads])
-    labels = np.concatenate([np.atleast_1d(np.asarray(l, dtype=np.float64)) for _, l in payloads])
-    order = np.lexsort((labels, verts))
-    verts, labels = verts[order], labels[order]
-    keep = np.ones(len(verts), dtype=bool)
-    keep[1:] = verts[1:] != verts[:-1]
-    return verts[keep], labels[keep]
+    __slots__ = ("vertices", "labels")
 
-
-@dataclass(frozen=True)
-class SSSPResult:
-    """Per-subgraph output record: final labels of reached vertices."""
-
-    vertices: np.ndarray  #: global vertex indices
-    labels: np.ndarray  #: shortest-path distances
+    def __init__(self, vertices: np.ndarray, labels: np.ndarray) -> None:
+        self.vertices, self.labels = vertices, labels
 
 
 class SSSPComputation(TimeSeriesComputation):

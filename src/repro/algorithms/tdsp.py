@@ -31,14 +31,14 @@ on, so a timestep the wave has left behind sends nothing across the cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._value import Value
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
 from ..kernels import (
+    combine_min_labels,
     group_min_pairs,
     index_mask,
     open_boundary,
@@ -46,20 +46,20 @@ from ..kernels import (
     slot_sources,
     sorted_unique,
 )
-from .sssp import combine_min_labels
 
 __all__ = ["TDSPComputation", "TDSPFrontier", "tdsp_labels_from_result"]
 
 _INF = np.inf
 
 
-@dataclass(frozen=True)
-class TDSPFrontier:
-    """Per-subgraph, per-timestep output record: newly finalized vertices."""
+class TDSPFrontier(Value):
+    """Per-subgraph, per-timestep output record: newly finalized vertices
+    (global indices) and their TDSP values (relative to t0)."""
 
-    timestep: int
-    vertices: np.ndarray  #: global vertex indices finalized this timestep
-    labels: np.ndarray  #: their TDSP values (relative to t0)
+    __slots__ = ("timestep", "vertices", "labels")
+
+    def __init__(self, timestep: int, vertices: np.ndarray, labels: np.ndarray) -> None:
+        self.timestep, self.vertices, self.labels = timestep, vertices, labels
 
     @property
     def count(self) -> int:

@@ -8,15 +8,14 @@ uneven meme placement — leaves some partitions at ~30 % compute utilization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.results import AppResult
 
 __all__ = ["UtilizationRow", "utilization_rows"]
 
 
-@dataclass(frozen=True)
-class UtilizationRow:
+class UtilizationRow(NamedTuple):
     """One partition's bar in Fig 7b/7d."""
 
     partition: int

@@ -1,20 +1,20 @@
 """Command-line interface: run the paper's experiments from a terminal.
 
-Subcommands::
+Subcommands:
 
-    tibsp datasets   — Table 1: generated dataset statistics
-    tibsp edgecuts   — Table 2: edge-cut % for 3/6/9 partitions
-    tibsp run        — run one algorithm on one dataset configuration; with
-                       --stream DIR, record it: event log, Perfetto trace,
-                       manifest and critical-path report in DIR
-    tibsp worker     — serve one partition's worker agent over TCP (run --hosts)
-    tibsp top        — watch a run: fold the event log a 'run --stream DIR' writes
-    tibsp fig5b     — the Giraph-vs-GoFFish comparison
-    tibsp store      — write a dataset into a GoFS store directory
+  tibsp datasets   Table 1: generated dataset statistics
+  tibsp edgecuts   Table 2: edge-cut % for 3/6/9 partitions
+  tibsp run        run one algorithm on one dataset configuration; with
+                   --stream DIR, record it: event log, Perfetto trace,
+                   manifest and critical-path report in DIR
+  tibsp worker     serve one partition's worker agent over TCP (run --hosts)
+  tibsp top        watch a run: fold the event log a 'run --stream DIR' writes
+  tibsp fig5b      the Giraph-vs-GoFFish comparison
+  tibsp store      write a dataset into a GoFS store directory
 
-All subcommands accept ``--scale`` (template vertices) and ``--seed``; they
-print the same rows/series the paper's tables and figures report.  The
-``repro`` console script is an alias for ``tibsp``.
+Every subcommand but worker and top accepts --scale (template vertices) and
+--seed; they print the same rows and series the paper's tables and figures
+report.  The repro console script is an alias for tibsp.
 """
 
 from __future__ import annotations
@@ -23,39 +23,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (
-    critical_path_report,
-    failure_provenance,
-    format_critical_path_report,
-    render_series,
-    render_table,
-    utilization_rows,
-    write_result_json,
-)
-from .algorithms import (
-    CommunityEvolutionComputation,
-    HashtagAggregationComputation,
-    InstanceStatisticsComputation,
-    MemeTrackingComputation,
-    TDSPComputation,
-    TemporalReachabilityComputation,
-    largest_subgraph_in_partition,
-    stats_series_from_result,
-)
-from .baselines import fig5b_comparison
-from .core import EngineConfig, run_application
-from .core.engine import EXECUTORS
-from .generators import (
-    PeriodicExistencePopulator,
-    make_collection,
-    paper_datasets,
-    road_network,
-    smallworld_network,
-)
-from .graph import AttributeSchema, AttributeSpec, GraphTemplate
-from .observability import TraceConfig, run_provenance, validate_chrome_trace
-from .partition import MetisLikePartitioner, compute_stats, partition_graph
-from .resilience import CheckpointConfig, FaultPlan, RecoveryPolicy, RunFailureError
+# What the subcommands share; a module only one subcommand, algorithm or flag
+# uses is imported where that is selected.
+from .analysis import render_series, render_table, utilization_rows
+from .core.engine import EXECUTORS, EngineConfig, run_application
+from .generators import paper_datasets, road_network, smallworld_network
+from .partition import MetisLikePartitioner, partition_graph
+from .resilience import RecoveryPolicy, RunFailureError
 from .runtime import GCModel
 from .storage import GoFS
 
@@ -93,6 +67,8 @@ def _datasets(args: argparse.Namespace) -> int:
 
 
 def _edgecuts(args: argparse.Namespace) -> int:
+    from .partition import compute_stats
+
     cache = _dataset_cache(args)
     rows = []
     for tpl in (road_network(args.scale, seed=args.seed), smallworld_network(args.scale, seed=args.seed)):
@@ -105,6 +81,9 @@ def _edgecuts(args: argparse.Namespace) -> int:
 
 def _evolving_collection(args: argparse.Namespace):
     """A template + collection with periodic is_exists edge schedules."""
+    from .generators import PeriodicExistencePopulator, make_collection
+    from .graph import AttributeSchema, AttributeSpec, GraphTemplate
+
     base = (road_network if args.graph == "CARN" else smallworld_network)(
         args.scale, seed=args.seed
     )
@@ -139,18 +118,24 @@ def _problem_setup(args: argparse.Namespace):
 
 def _make_computation(args: argparse.Namespace, template, collection, pg):
     if args.algorithm == "tdsp":
+        from .algorithms.tdsp import TDSPComputation
         return TDSPComputation(source=args.source, halt_when_stalled=True)
     if args.algorithm == "meme":
+        from .algorithms.meme import MemeTrackingComputation
         return MemeTrackingComputation(meme=0)
     if args.algorithm == "hash":
+        from .algorithms.hashtag import HashtagAggregationComputation
         return HashtagAggregationComputation.for_partitioned_graph(pg, 0)
     if args.algorithm == "reach":
+        from .algorithms.reachability import TemporalReachabilityComputation
         return TemporalReachabilityComputation(source=args.source)
     if args.algorithm == "evolve":
+        from .algorithms.evolution import CommunityEvolutionComputation
+        from .algorithms.hashtag import largest_subgraph_in_partition
         return CommunityEvolutionComputation(
             template.num_vertices, largest_subgraph_in_partition(pg, 0)
         )
-    # stats
+    from .algorithms.statistics import InstanceStatisticsComputation
     return InstanceStatisticsComputation(
         "latency", on="edges", range_low=0.0, range_high=0.2 * collection.delta
     )
@@ -158,6 +143,8 @@ def _make_computation(args: argparse.Namespace, template, collection, pg):
 
 def _provenance(args: argparse.Namespace) -> dict:
     """Run arguments stamped on ``--export`` summaries and run manifests."""
+    from .observability import run_provenance
+
     return run_provenance(
         algorithm=args.algorithm,
         graph=args.graph,
@@ -228,10 +215,14 @@ def _resilience_config(args: argparse.Namespace) -> dict:
     """
     kwargs: dict = {}
     if args.checkpoint_every or args.resume_from is not None:
+        from .resilience import CheckpointConfig
+
         kwargs["checkpoint"] = CheckpointConfig(
             dir=args.checkpoint_dir, every=args.checkpoint_every or 1
         )
     if args.inject_faults:
+        from .resilience import FaultPlan
+
         kwargs["faults"] = FaultPlan.parse(
             args.inject_faults,
             seed=args.fault_seed if args.fault_seed is not None else 0,
@@ -252,7 +243,14 @@ def _record(args: argparse.Namespace, result) -> int:
     summary and failure provenance, counters) and ``critical_path.json``.
     Returns 1 when the trace is not a valid Chrome trace, else 0.
     """
+    if not (args.export or args.stream):
+        return 0
     import json
+
+    from .analysis import (
+        critical_path_report, failure_provenance, format_critical_path_report, write_result_json,
+    )
+    from .observability import validate_chrome_trace
 
     provenance = _provenance(args)
     if args.export:
@@ -287,10 +285,15 @@ def _run(args: argparse.Namespace) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 2
     _template, collection, pg, comp = _problem_setup(args)
+    tracing = None
+    if args.stream:
+        from .observability import TraceConfig
+
+        tracing = TraceConfig(stream_dir=args.stream)
     config = EngineConfig(
         executor=args.executor,
         gc_model=GCModel() if args.gc else GCModel.disabled(),
-        tracing=TraceConfig(stream_dir=args.stream) if args.stream else None,
+        tracing=tracing,
         hosts=args.hosts,
         **_resilience_config(args),
     )
@@ -345,6 +348,8 @@ def _run(args: argparse.Namespace) -> int:
         (_sg, summary), = result.merge_outputs
         print(render_series(summary.num_communities, label="communities per timestep", fmt="{:d}"))
     elif args.algorithm == "stats":
+        from .algorithms.statistics import stats_series_from_result
+
         series = stats_series_from_result(result)
         print(render_series(
             [series[t].mean for t in sorted(series)], label="mean latency per timestep"
@@ -381,6 +386,8 @@ def _top(args: argparse.Namespace) -> int:
 
 
 def _fig5b(args: argparse.Namespace) -> int:
+    from .baselines import fig5b_comparison
+
     cache = _dataset_cache(args)
     data = paper_datasets(args.scale, args.instances, seed=args.seed, cache=cache)
     rows = []
@@ -415,7 +422,9 @@ def _store(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (also the ``tibsp`` console script)."""
-    parser = argparse.ArgumentParser(prog="tibsp", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="tibsp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datasets", help="Table 1: dataset statistics")

@@ -6,24 +6,13 @@ declare a :class:`~repro.core.patterns.Pattern`, and run it with
 :func:`~repro.core.engine.run_application` convenience wrapper).
 """
 
-from .computation import TimeSeriesComputation
-from .context import ComputeContext, EndOfTimestepContext, MergeContext
-from .engine import EngineConfig, TIBSPEngine, run_application
-from .messages import Message, MessageKind, SendBuffer
-from .patterns import Pattern
-from .results import AppResult
+from .. import _lazy_exports
 
-__all__ = [
-    "TimeSeriesComputation",
-    "ComputeContext",
-    "EndOfTimestepContext",
-    "MergeContext",
-    "EngineConfig",
-    "TIBSPEngine",
-    "run_application",
-    "Message",
-    "MessageKind",
-    "SendBuffer",
-    "Pattern",
-    "AppResult",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".computation": ("TimeSeriesComputation",),
+    ".context": ("ComputeContext", "EndOfTimestepContext", "MergeContext"),
+    ".engine": ("EngineConfig", "TIBSPEngine", "run_application"),
+    ".messages": ("Message", "MessageKind", "SendBuffer"),
+    ".patterns": ("Pattern",),
+    ".results": ("AppResult",),
+})

@@ -56,16 +56,15 @@ Deterministic application errors are never retried.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
+from .._value import Value
 from ..graph.collection import TimeSeriesGraphCollection
-from ..observability import RunRecorder, RunTrace
+from ..observability.recorder import RunRecorder
 from ..partition.base import PartitionedGraph
-from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
-from ..resilience.faults import AT_EOT, FaultPlan
+from ..resilience.journal import AT_EOT
 from ..resilience.recovery import RecoveryPolicy, RunFailure, RunFailureError
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
 from ..runtime.cluster import Cluster
@@ -86,6 +85,10 @@ from .messages import Message, MessageFrame, MessageKind, frames_from_deliveries
 from .patterns import Pattern
 from .results import AppResult
 
+if TYPE_CHECKING:  # only a checkpointed run, or one with faults, loads these
+    from ..resilience.checkpoint import CheckpointConfig, CheckpointManager
+    from ..resilience.faults import FaultPlan
+
 __all__ = ["EXECUTORS", "EngineConfig", "TIBSPEngine", "run_application"]
 
 #: Gather timeout applied on every executor when fault injection is on but
@@ -97,8 +100,7 @@ _DEFAULT_FAULT_GATHER_TIMEOUT_S = 10.0
 EXECUTORS = ("serial", "process", "socket")
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Value):
     """Engine knobs.
 
     Attributes
@@ -152,42 +154,54 @@ class EngineConfig:
         ``run``).  ``None`` (default) places partitions as process does.
     """
 
-    executor: str = "serial"
-    cost_model: CostModel = field(default_factory=CostModel)
-    gc_model: GCModel = field(default_factory=GCModel.disabled)
-    max_supersteps: int = 100_000
-    tracing: object | None = None
-    checkpoint: CheckpointConfig | None = None
-    faults: FaultPlan | None = None
-    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    gather_timeout_s: float | None = None
-    hosts: tuple | None = None
+    __slots__ = (
+        "executor", "cost_model", "gc_model", "max_supersteps", "tracing", "checkpoint",
+        "faults", "recovery", "gather_timeout_s", "hosts",
+    )
+
+    def __init__(
+        self, executor: str = "serial", cost_model: CostModel | None = None,
+        gc_model: GCModel | None = None, max_supersteps: int = 100_000,
+        tracing: object | None = None, checkpoint: CheckpointConfig | None = None,
+        faults: FaultPlan | None = None, recovery: RecoveryPolicy | None = None,
+        gather_timeout_s: float | None = None, hosts: tuple | None = None,
+    ) -> None:
+        self.executor, self.max_supersteps, self.tracing = executor, max_supersteps, tracing
+        self.cost_model = CostModel() if cost_model is None else cost_model
+        self.gc_model = GCModel.disabled() if gc_model is None else gc_model
+        self.checkpoint, self.faults = checkpoint, faults
+        self.recovery = RecoveryPolicy() if recovery is None else recovery
+        self.gather_timeout_s, self.hosts = gather_timeout_s, hosts
 
 
-@dataclass
 class _RunState:
     """What one ``run()`` sets up once and every helper below works on.
 
     Nothing here is rebound once the timestep loop starts: the run never
     rewinds, so the collector, the buffered frames and the inputs a helper
-    sees are the ones the run ends with.
+    sees are the ones the run ends with.  ``recorder`` is the run's one
+    writer of facts (collector and trace); ``input_msgs`` are the
+    application inputs, grouped per subgraph; ``temporal_frames`` the remote
+    temporal sends buffered between timesteps, still framed (same-partition
+    temporal sends never leave their host); ``supervisor`` the one way to
+    the hosts: every exchange is ``supervisor.round``.
     """
 
-    pattern: Pattern
-    start: int
-    stop: int
-    result: AppResult
-    #: The run's one writer of facts: collector and trace.
-    recorder: RunRecorder
-    manager: CheckpointManager | None
-    #: Application inputs, grouped per subgraph.
-    input_msgs: dict[int, list[Message]]
-    #: Remote temporal sends buffered between timesteps, still framed;
-    #: same-partition temporal sends never leave their host.
-    temporal_frames: list[MessageFrame] = field(default_factory=list)
-    cluster: Cluster | None = None
-    #: The one way to the hosts: every exchange is ``supervisor.round``.
-    supervisor: HostSupervisor | None = None
+    __slots__ = (
+        "pattern", "start", "stop", "result", "recorder", "manager", "input_msgs",
+        "temporal_frames", "cluster", "supervisor",
+    )
+
+    def __init__(
+        self, pattern: Pattern, start: int, stop: int, result: AppResult,
+        recorder: RunRecorder, manager: CheckpointManager | None,
+        input_msgs: dict[int, list[Message]],
+    ) -> None:
+        self.pattern, self.start, self.stop, self.result = pattern, start, stop, result
+        self.recorder, self.manager, self.input_msgs = recorder, manager, input_msgs
+        self.temporal_frames: list[MessageFrame] = []
+        self.cluster: Cluster | None = None
+        self.supervisor: HostSupervisor | None = None
 
 
 class TIBSPEngine:
@@ -251,6 +265,19 @@ class TIBSPEngine:
             gather_timeout_s=gather_timeout,
             fault_plan=cfg.faults,
         )
+
+    def _checkpoint_manager(self, pattern: Pattern) -> CheckpointManager | None:
+        """The run's checkpoint manager, or None when no checkpoint is configured
+        (then the checkpoint module is not loaded)."""
+        checkpoint = self.config.checkpoint
+        if checkpoint is None:
+            return None
+        from ..resilience.checkpoint import CheckpointManager
+
+        # A checkpoint is restored only into a run of this shape.
+        signature = {"num_partitions": self.pg.num_partitions,
+                     "num_subgraphs": len(self.pg.subgraphs), "pattern": pattern.name}
+        return CheckpointManager(checkpoint.dir, retain=checkpoint.retain, signature=signature)
 
     @staticmethod
     def _as_input_messages(inputs: Iterable[tuple[int, Any]] | None) -> dict[int, list[Message]]:
@@ -322,7 +349,11 @@ class TIBSPEngine:
         metrics = MetricsCollector(
             self.pg.num_partitions, barrier_s=cfg.cost_model.barrier_cost(self.pg.num_partitions)
         )
-        trace = RunTrace() if cfg.tracing else None
+        trace = None
+        if cfg.tracing:  # only a traced run loads the trace plane
+            from ..observability.runtrace import RunTrace
+
+            trace = RunTrace()
         # The failure log and the repairs are the collector's: the records
         # the run stated.
         result = AppResult(
@@ -335,13 +366,7 @@ class TIBSPEngine:
             stop=stop,
             result=result,
             recorder=RunRecorder(metrics, trace),
-            manager=None if cfg.checkpoint is None else CheckpointManager(
-                cfg.checkpoint.dir,
-                retain=cfg.checkpoint.retain,
-                # A checkpoint is restored only into a run of this shape.
-                signature={"num_partitions": self.pg.num_partitions,
-                           "num_subgraphs": len(self.pg.subgraphs), "pattern": pattern.name},
-            ),
+            manager=self._checkpoint_manager(pattern),
             input_msgs=self._as_input_messages(inputs),
         )
         t = start

@@ -25,10 +25,11 @@ two paths:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from .._value import Value
 
 __all__ = [
     "MessageKind",
@@ -49,9 +50,8 @@ class MessageKind(enum.Enum):
     MERGE = "merge"  #: collected for / exchanged during the Merge phase
 
 
-@dataclass(frozen=True)
-class Message:
-    """An immutable message envelope.
+class Message(NamedTuple):
+    """An immutable message envelope (a NamedTuple: one is built per send).
 
     Attributes
     ----------
@@ -86,8 +86,7 @@ class Message:
         return 16
 
 
-@dataclass
-class SendBuffer:
+class SendBuffer(Value):
     """Per-compute-call collection of outgoing messages and votes.
 
     One buffer is attached to each :class:`~repro.core.context.ComputeContext`;
@@ -95,12 +94,22 @@ class SendBuffer:
     ``merge`` returns.  Destinations are global subgraph ids.
     """
 
-    superstep_sends: list[tuple[int, Message]] = field(default_factory=list)
-    temporal_sends: list[tuple[int, Message]] = field(default_factory=list)
-    merge_sends: list[Message] = field(default_factory=list)
-    voted_halt: bool = False
-    voted_halt_timestep: bool = False
-    outputs: list[Any] = field(default_factory=list)
+    __slots__ = (
+        "superstep_sends", "temporal_sends", "merge_sends", "voted_halt",
+        "voted_halt_timestep", "outputs",
+    )
+
+    def __init__(
+        self, superstep_sends: list[tuple[int, Message]] | None = None,
+        temporal_sends: list[tuple[int, Message]] | None = None,
+        merge_sends: list[Message] | None = None, voted_halt: bool = False,
+        voted_halt_timestep: bool = False, outputs: list[Any] | None = None,
+    ) -> None:
+        self.superstep_sends = [] if superstep_sends is None else superstep_sends
+        self.temporal_sends = [] if temporal_sends is None else temporal_sends
+        self.merge_sends = [] if merge_sends is None else merge_sends
+        self.voted_halt, self.voted_halt_timestep = voted_halt, voted_halt_timestep
+        self.outputs = [] if outputs is None else outputs
 
 
 class MessageFrame:

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Any
 
+from .._value import Value
 from ..runtime.metrics import MetricsCollector
 
 __all__ = ["AppResult"]
 
 
-@dataclass
-class AppResult:
+class AppResult(Value):
     """Everything a TI-BSP run produced.
 
     Attributes
@@ -67,18 +66,31 @@ class AppResult:
         hardened protocol, ``{}`` for in-process executors.
     """
 
-    outputs: list[tuple[int, int, Any]] = field(default_factory=list)
-    merge_outputs: list[tuple[int, Any]] = field(default_factory=list)
-    states: dict[int, dict] = field(default_factory=dict)
-    metrics: MetricsCollector | None = None
-    timesteps_executed: int = 0
-    halted_early: bool = False
-    trace: Any | None = None
-    failure: Any | None = None
-    failure_log: list[Any] = field(default_factory=list)
-    recovery_actions: list[Any] = field(default_factory=list)
-    degraded_partitions: list[int] = field(default_factory=list)
-    protocol_stats: dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "outputs", "merge_outputs", "states", "metrics", "timesteps_executed",
+        "halted_early", "trace", "failure", "failure_log", "recovery_actions",
+        "degraded_partitions", "protocol_stats",
+    )
+
+    def __init__(
+        self, outputs: list[tuple[int, int, Any]] | None = None,
+        merge_outputs: list[tuple[int, Any]] | None = None,
+        states: dict[int, dict] | None = None, metrics: MetricsCollector | None = None,
+        timesteps_executed: int = 0, halted_early: bool = False, trace: Any | None = None,
+        failure: Any | None = None, failure_log: list[Any] | None = None,
+        recovery_actions: list[Any] | None = None,
+        degraded_partitions: list[int] | None = None,
+        protocol_stats: dict[str, int] | None = None,
+    ) -> None:
+        self.outputs = [] if outputs is None else outputs
+        self.merge_outputs = [] if merge_outputs is None else merge_outputs
+        self.states = {} if states is None else states
+        self.metrics, self.timesteps_executed = metrics, timesteps_executed
+        self.halted_early, self.trace, self.failure = halted_early, trace, failure
+        self.failure_log = [] if failure_log is None else failure_log
+        self.recovery_actions = [] if recovery_actions is None else recovery_actions
+        self.degraded_partitions = [] if degraded_partitions is None else degraded_partitions
+        self.protocol_stats = {} if protocol_stats is None else protocol_stats
 
     def outputs_by_timestep(self) -> dict[int, list[Any]]:
         """Group output records by the timestep that emitted them."""

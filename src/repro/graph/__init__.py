@@ -6,41 +6,19 @@ A *time-series graph collection* Γ = ⟨Ĝ, G, t0, δ⟩ pairs a time-invariant
 time-variant attribute values.
 """
 
-from .attributes import AttributeSchema, AttributeSpec, AttributeTable
-from .builders import GraphTemplateBuilder, build_collection
-from .collection import (
-    CallableInstanceProvider,
-    InstanceProvider,
-    ListInstanceProvider,
-    TimeSeriesGraphCollection,
-)
-from .instance import IS_EXISTS, GraphInstance
-from .subgraph import RemoteEdges, Subgraph
-from .template import GraphTemplate
-from .validation import (
-    ValidationError,
-    validate_collection,
-    validate_instance,
-    validate_template,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AttributeSchema",
-    "AttributeSpec",
-    "AttributeTable",
-    "GraphTemplateBuilder",
-    "build_collection",
-    "CallableInstanceProvider",
-    "InstanceProvider",
-    "ListInstanceProvider",
-    "TimeSeriesGraphCollection",
-    "IS_EXISTS",
-    "GraphInstance",
-    "RemoteEdges",
-    "Subgraph",
-    "GraphTemplate",
-    "ValidationError",
-    "validate_collection",
-    "validate_instance",
-    "validate_template",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".attributes": ("AttributeSchema", "AttributeSpec", "AttributeTable"),
+    ".builders": ("GraphTemplateBuilder", "build_collection"),
+    ".collection": (
+        "CallableInstanceProvider", "InstanceProvider", "ListInstanceProvider",
+        "TimeSeriesGraphCollection",
+    ),
+    ".instance": ("IS_EXISTS", "GraphInstance"),
+    ".subgraph": ("RemoteEdges", "Subgraph"),
+    ".template": ("GraphTemplate",),
+    ".validation": (
+        "ValidationError", "validate_collection", "validate_instance", "validate_template",
+    ),
+})

@@ -14,10 +14,11 @@ use ``object`` dtype columns, which trades vectorization for flexibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
+
+from .._value import Value
 
 __all__ = ["AttributeSpec", "AttributeSchema", "AttributeTable"]
 
@@ -40,8 +41,7 @@ def _resolve_dtype(dtype: Any) -> np.dtype:
     return np.dtype(dtype)
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
+class AttributeSpec(Value):
     """A single typed attribute in a template schema.
 
     Parameters
@@ -56,16 +56,14 @@ class AttributeSpec:
         dtype-appropriate zero (or ``None`` for object columns).
     """
 
-    name: str
-    dtype: Any = "float"
-    default: Any = None
+    __slots__ = ("name", "dtype", "default")
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError(f"attribute name must be a non-empty string, got {self.name!r}")
-        if self.name == "id":
+    def __init__(self, name: str, dtype: Any = "float", default: Any = None) -> None:
+        if not name or not isinstance(name, str):
+            raise ValueError(f"attribute name must be a non-empty string, got {name!r}")
+        if name == "id":
             raise ValueError("'id' is reserved: identifiers are stored on the template")
-        object.__setattr__(self, "dtype", _resolve_dtype(self.dtype))
+        self.name, self.dtype, self.default = name, _resolve_dtype(dtype), default
 
     @property
     def is_object(self) -> bool:

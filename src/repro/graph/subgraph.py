@@ -16,25 +16,30 @@ instance edge columns can be gathered directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .._value import Value
 
 __all__ = ["RemoteEdges", "Subgraph"]
 
 
-@dataclass(frozen=True)
-class RemoteEdges:
+class RemoteEdges(Value):
     """Columnar bundle of a subgraph's outgoing remote (cut) edges.
 
-    All arrays have equal length; row ``i`` describes one remote edge.
+    All arrays have equal length; row ``i`` describes one remote edge: the
+    local index of its source vertex inside this subgraph, the global
+    (template) index, subgraph and partition of its destination, and its
+    dense template edge index (for attribute lookup).
     """
 
-    src_local: np.ndarray  #: local index of the source vertex inside this subgraph
-    dst_global: np.ndarray  #: global (template) index of the destination vertex
-    dst_subgraph: np.ndarray  #: global subgraph id of the destination
-    dst_partition: np.ndarray  #: partition id of the destination
-    edge_index: np.ndarray  #: dense template edge index (for attribute lookup)
+    __slots__ = ("src_local", "dst_global", "dst_subgraph", "dst_partition", "edge_index")
+
+    def __init__(
+        self, src_local: np.ndarray, dst_global: np.ndarray, dst_subgraph: np.ndarray,
+        dst_partition: np.ndarray, edge_index: np.ndarray,
+    ) -> None:
+        self.src_local, self.dst_global, self.dst_subgraph = src_local, dst_global, dst_subgraph
+        self.dst_partition, self.edge_index = dst_partition, edge_index
 
     def __len__(self) -> int:
         return len(self.src_local)

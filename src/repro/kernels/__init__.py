@@ -18,30 +18,17 @@ kernel computes the same least fixpoint with the same float operations,
 only batched.
 """
 
-from .aggregate import contains_in_cells, count_equal, count_equal_in_cells, flatten_cells
-from .components import components, csr_components
-from .csr import gather_ranges, index_mask, slot_sources, sorted_unique
-from .frontier import expand_to_fixpoint, open_boundary, relax_to_fixpoint
-from .pagerank import local_incoming, push_contributions, remote_flow_batches
-from .scatter import group_min_pairs, group_unique_pairs
+from .. import _lazy_exports
 
-__all__ = [
-    "gather_ranges",
-    "index_mask",
-    "slot_sources",
-    "sorted_unique",
-    "relax_to_fixpoint",
-    "expand_to_fixpoint",
-    "open_boundary",
-    "components",
-    "csr_components",
-    "flatten_cells",
-    "count_equal",
-    "count_equal_in_cells",
-    "contains_in_cells",
-    "push_contributions",
-    "local_incoming",
-    "remote_flow_batches",
-    "group_min_pairs",
-    "group_unique_pairs",
-]
+# Imported here, not on first access: the function shadows its submodule, and
+# importing the submodule later would rebind the name to the module.
+from .components import components, csr_components
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".csr": ("gather_ranges", "index_mask", "slot_sources", "sorted_unique"),
+    ".frontier": ("relax_to_fixpoint", "expand_to_fixpoint", "open_boundary"),
+    ".aggregate": ("flatten_cells", "count_equal", "count_equal_in_cells", "contains_in_cells"),
+    ".pagerank": ("push_contributions", "local_incoming", "remote_flow_batches"),
+    ".scatter": ("combine_min_labels", "group_min_pairs", "group_unique_pairs"),
+})
+__all__ += ["components", "csr_components"]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .csr import segment_starts, sorted_unique
 
-__all__ = ["group_min_pairs", "group_unique_pairs"]
+__all__ = ["combine_min_labels", "group_min_pairs", "group_unique_pairs"]
 
 
 def group_min_pairs(
@@ -61,3 +61,19 @@ def group_unique_pairs(
     for s, e in zip(cuts, cuts[1:] + [len(g)]):
         yield int(g[s]), k[s:e]
 
+
+def combine_min_labels(payloads: list) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ``(vertices, labels)`` relaxation batches into per-vertex minima.
+
+    The message combiner shared by the shortest-path family (SSSP, BFS,
+    TDSP): several subgraphs relaxing the same destination subgraph collapse
+    to one batch keeping only the best label per vertex — receivers take the
+    minimum anyway, so results are unchanged while remote bytes shrink.
+    """
+    verts = np.concatenate([np.atleast_1d(np.asarray(v, dtype=np.int64)) for v, _ in payloads])
+    labels = np.concatenate([np.atleast_1d(np.asarray(l, dtype=np.float64)) for _, l in payloads])
+    order = np.lexsort((labels, verts))
+    verts, labels = verts[order], labels[order]
+    keep = np.ones(len(verts), dtype=bool)
+    keep[1:] = verts[1:] != verts[:-1]
+    return verts[keep], labels[keep]

@@ -1,9 +1,9 @@
 """Observability plane: span tracer, event log, counters, Perfetto export.
 
-This package is deliberately **zero-dependency and repro-agnostic** — what
-it imports eagerly imports nothing from the rest of the package, so every
-layer (engine, hosts, clusters, storage) can instrument itself without
-import cycles.
+This package is deliberately **zero-dependency and repro-agnostic** — the
+tracer imports nothing from the rest of the package but the import-free
+``repro._value``, so every layer (engine, hosts, clusters, storage) can
+instrument itself without import cycles.
 
 Three primitives, one collector:
 
@@ -33,39 +33,18 @@ The live view is a reader of the streamed log: ``tibsp top``
 through the run's own collector class) tails ``events.jsonl`` and folds it.
 """
 
-from .chrome import TRACE_SCHEMA_VERSION, chrome_trace, validate_chrome_trace, write_chrome_trace
-from .events import (
-    EVENT_SCHEMA_VERSION,
-    BufferedEventLogWriter,
-    read_event_log,
-    tail_event_log,
-    write_event_log,
-)
-from .provenance import PROVENANCE_SCHEMA_VERSION, git_describe, run_provenance
-from .recorder import RunRecorder
-from .runtrace import RunTrace, TraceConfig
-from .tracer import DRIVER_PID, NULL_SPAN, Span, TracePacket, Tracer, partition_pid
+from .. import _lazy_exports
 
-__all__ = [
-    "TRACE_SCHEMA_VERSION",
-    "chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "EVENT_SCHEMA_VERSION",
-    "BufferedEventLogWriter",
-    "read_event_log",
-    "tail_event_log",
-    "write_event_log",
-    "PROVENANCE_SCHEMA_VERSION",
-    "git_describe",
-    "run_provenance",
-    "RunRecorder",
-    "RunTrace",
-    "TraceConfig",
-    "DRIVER_PID",
-    "NULL_SPAN",
-    "Span",
-    "TracePacket",
-    "Tracer",
-    "partition_pid",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".chrome": (
+        "TRACE_SCHEMA_VERSION", "chrome_trace", "validate_chrome_trace", "write_chrome_trace",
+    ),
+    ".events": (
+        "EVENT_SCHEMA_VERSION", "BufferedEventLogWriter", "read_event_log", "tail_event_log",
+        "write_event_log",
+    ),
+    ".provenance": ("PROVENANCE_SCHEMA_VERSION", "git_describe", "run_provenance"),
+    ".recorder": ("RunRecorder",),
+    ".runtrace": ("RunTrace", "TraceConfig"),
+    ".tracer": ("DRIVER_PID", "NULL_SPAN", "Span", "TracePacket", "Tracer", "partition_pid"),
+})

@@ -13,10 +13,12 @@ the same records the collector did.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from .runtrace import RunTrace
 from .tracer import NULL_SPAN
+
+if TYPE_CHECKING:  # only a traced run loads the trace plane
+    from .runtrace import RunTrace
 
 __all__ = ["RunRecorder"]
 

@@ -25,8 +25,9 @@ when none is.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
+
+from .._value import Value
 
 __all__ = [
     "DRIVER_PID",
@@ -102,8 +103,7 @@ class _SpanHandle:
         return False
 
 
-@dataclass
-class TracePacket:
+class TracePacket(Value):
     """One drain's worth of telemetry, marshalled from a host to the driver.
 
     Picklable by construction (strings, ints, dicts, :class:`Span` tuples),
@@ -111,11 +111,17 @@ class TracePacket:
     unchanged.
     """
 
-    pid: int
-    label: str
-    spans: list[Span] = field(default_factory=list)
-    events: list[dict[str, Any]] = field(default_factory=list)
-    counters: dict[str, int | float] = field(default_factory=dict)
+    __slots__ = ("pid", "label", "spans", "events", "counters")
+
+    def __init__(
+        self, pid: int, label: str, spans: list[Span] | None = None,
+        events: list[dict[str, Any]] | None = None,
+        counters: dict[str, int | float] | None = None,
+    ) -> None:
+        self.pid, self.label = pid, label
+        self.spans = [] if spans is None else spans
+        self.events = [] if events is None else events
+        self.counters = {} if counters is None else counters
 
 
 class Tracer:

@@ -14,11 +14,11 @@ see :mod:`repro.partition.subgraphs` for the construction.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
+from .._value import Value
 from ..graph.subgraph import Subgraph
 from ..graph.template import GraphTemplate
 
@@ -47,12 +47,14 @@ def validate_assignment(template: GraphTemplate, assignment: np.ndarray, num_par
     return arr
 
 
-@dataclass
-class Partition:
+class Partition(Value):
     """All subgraphs placed on one host."""
 
-    partition_id: int
-    subgraphs: list[Subgraph] = field(default_factory=list)
+    __slots__ = ("partition_id", "subgraphs")
+
+    def __init__(self, partition_id: int, subgraphs: list[Subgraph] | None = None) -> None:
+        self.partition_id = partition_id
+        self.subgraphs = [] if subgraphs is None else subgraphs
 
     @property
     def vertices(self) -> np.ndarray:

@@ -12,7 +12,7 @@ Provides the quantities the paper reports or discusses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ def edge_cut_fraction(template: GraphTemplate, assignment: np.ndarray) -> float:
     return float(cut.mean())
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(NamedTuple):
     """Summary of one partitioning of one template."""
 
     name: str

@@ -30,45 +30,19 @@ engine wires together:
   ``worker_respawn`` / ``protocol_retry`` record.
 """
 
-from ..runtime.metrics import FailureRecord
-from .checkpoint import CheckpointConfig, CheckpointCorrupt, CheckpointInfo, CheckpointManager
-from .faults import (
-    AT_EOT,
-    FAULT_KINDS,
-    NETWORK_FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    parse_fault_specs,
-)
-from .journal import FrameJournal, JournalEntry
-from .supervisor import HostSupervisor, RecoveryExhausted
-from .recovery import (
-    InjectedFault,
-    RecoverableError,
-    RecoveryPolicy,
-    RunFailure,
-    RunFailureError,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CheckpointConfig",
-    "CheckpointCorrupt",
-    "CheckpointInfo",
-    "CheckpointManager",
-    "AT_EOT",
-    "FAULT_KINDS",
-    "NETWORK_FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "parse_fault_specs",
-    "FrameJournal",
-    "JournalEntry",
-    "HostSupervisor",
-    "RecoveryExhausted",
-    "FailureRecord",
-    "InjectedFault",
-    "RecoverableError",
-    "RecoveryPolicy",
-    "RunFailure",
-    "RunFailureError",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".checkpoint": (
+        "CheckpointConfig", "CheckpointCorrupt", "CheckpointInfo", "CheckpointManager",
+    ),
+    ".faults": (
+        "FAULT_KINDS", "NETWORK_FAULT_KINDS", "FaultPlan", "FaultSpec", "parse_fault_specs",
+    ),
+    ".journal": ("AT_EOT", "FrameJournal", "JournalEntry"),
+    ".supervisor": ("HostSupervisor", "RecoveryExhausted"),
+    "..runtime.metrics": ("FailureRecord",),
+    ".recovery": (
+        "InjectedFault", "RecoverableError", "RecoveryPolicy", "RunFailure", "RunFailureError",
+    ),
+})

@@ -37,7 +37,9 @@ __all__ = ["CheckpointConfig", "CheckpointCorrupt", "CheckpointInfo", "Checkpoin
 #: one (``superstep`` set), which this engine cannot re-enter, so it is refused.
 #: 3: the driver blob's collector carries the run's failure records; a v2
 #: collector has none, and is refused rather than half-read.
-CHECKPOINT_FORMAT_VERSION = 3
+#: 4: run records and messages pickle as slotted values and tuples; a v3
+#: blob's pickled dataclasses do not load into them, so it is refused.
+CHECKPOINT_FORMAT_VERSION = 4
 _LATEST = "LATEST"
 _MANIFEST = "manifest.json"
 

@@ -61,8 +61,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import Iterable
+
+from .._value import Value
+from .journal import AT_EOT
 
 __all__ = [
     "AT_EOT",
@@ -72,9 +74,6 @@ __all__ = [
     "FaultSpec",
     "parse_fault_specs",
 ]
-
-#: Superstep sentinel for the ``end_of_timestep`` protocol call.
-AT_EOT = -102
 
 #: Kinds that misbehave on the wire *after* the round computed; dedupe by
 #: sequence number or the supervisor's one resend — not a respawn — is the cure.
@@ -86,8 +85,7 @@ FAULT_KINDS = ("kill", "delay", "fail_load", *NETWORK_FAULT_KINDS)
 _DEFAULT_DELAY_S = 0.05
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Value):
     """One scripted failure at one protocol coordinate.
 
     Attributes
@@ -111,23 +109,23 @@ class FaultSpec:
         after restore does not re-trip the same failure.
     """
 
-    kind: str
-    timestep: int
-    partition: int
-    superstep: int | None = None
-    delay_s: float | None = None
-    incarnation: int = 0
+    __slots__ = ("kind", "timestep", "partition", "superstep", "delay_s", "incarnation")
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
-        if self.kind == "fail_load":
-            if self.superstep not in (None, 0):
+    def __init__(
+        self, kind: str, timestep: int, partition: int, superstep: int | None = None,
+        delay_s: float | None = None, incarnation: int = 0,
+    ) -> None:
+        if kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}")
+        if kind == "fail_load":
+            if superstep not in (None, 0):
                 raise ValueError(
                     "fail_load fails the instance load superstep 0 opens: it takes "
                     "s0 or no superstep, not another s<S> or eot"
                 )
-            object.__setattr__(self, "superstep", 0)
+            superstep = 0
+        self.kind, self.timestep, self.partition = kind, timestep, partition
+        self.superstep, self.delay_s, self.incarnation = superstep, delay_s, incarnation
 
     def matches(self, timestep: int, superstep: int, partition: int, incarnation: int) -> bool:
         return (

@@ -40,7 +40,11 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-__all__ = ["FrameJournal", "JournalEntry"]
+__all__ = ["AT_EOT", "FrameJournal", "JournalEntry"]
+
+#: Superstep sentinel for the ``end_of_timestep`` protocol call: the
+#: coordinate an ``eot`` round is journaled, supervised and fault-matched at.
+AT_EOT = -102
 
 
 class JournalEntry(NamedTuple):

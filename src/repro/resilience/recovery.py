@@ -18,8 +18,9 @@ failure records themselves are the result's ``failure_log``, stated once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Any
+
+from .._value import Value
 
 __all__ = [
     "InjectedFault",
@@ -50,11 +51,11 @@ class InjectedFault(RecoverableError):
 
 # The protocol's failures — WorkerLost, GatherTimeout, and the recoverable
 # worker-error reply — live in repro.runtime.protocol, where they also
-# subclass WorkerError.  This module stays dependency-free.
+# subclass WorkerError.  This module imports nothing but the import-free
+# ``repro._value``.
 
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
+class RecoveryPolicy(Value):
     """Bounded-retry policy for recoverable failures.
 
     Attributes
@@ -81,35 +82,38 @@ class RecoveryPolicy:
         ``action="quarantine"``.
     """
 
-    max_retries: int = 2
-    backoff_s: float = 0.01
-    backoff_factor: float = 2.0
-    on_exhausted: str = "raise"
+    __slots__ = ("max_retries", "backoff_s", "backoff_factor", "on_exhausted")
 
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
+    def __init__(
+        self, max_retries: int = 2, backoff_s: float = 0.01, backoff_factor: float = 2.0,
+        on_exhausted: str = "raise",
+    ) -> None:
+        if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.on_exhausted not in ("raise", "degrade", "quarantine"):
+        if on_exhausted not in ("raise", "degrade", "quarantine"):
             raise ValueError("on_exhausted must be 'raise', 'degrade' or 'quarantine'")
+        self.max_retries, self.backoff_s = max_retries, backoff_s
+        self.backoff_factor, self.on_exhausted = backoff_factor, on_exhausted
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""
         return self.backoff_s * self.backoff_factor ** max(0, attempt - 1)
 
 
-@dataclass
-class RunFailure:
+class RunFailure(Value):
     """Structured description of a run that could not be fully recovered.
 
     Attached to the partial :class:`~repro.core.results.AppResult` in
     graceful-degradation mode, or carried by :class:`RunFailureError`.
     """
 
-    reason: str
-    timestep: int
+    __slots__ = ("reason", "timestep")
+
+    def __init__(self, reason: str, timestep: int) -> None:
+        self.reason, self.timestep = reason, timestep
 
     def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return {"reason": self.reason, "timestep": self.timestep}
 
 
 class RunFailureError(RuntimeError):

@@ -63,12 +63,12 @@ from typing import TYPE_CHECKING, Any
 from ..runtime.cluster import ROUND_OPS, quarantine_fill
 from ..runtime.metrics import FailureRecord, ProtocolRetryRecord, RespawnRecord
 from ..runtime.protocol import CorruptReply, GatherTimeout
-from .checkpoint import CheckpointManager
 from .journal import FrameJournal
 from .recovery import RecoverableError, RecoveryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cluster import Cluster
+    from .checkpoint import CheckpointManager
 
 __all__ = ["HostSupervisor", "RecoveryExhausted"]
 

@@ -9,48 +9,19 @@ per partition, in the driver or to a remote agent), and
 wall-clock that reproduces the paper's timing figures (see DESIGN.md).
 """
 
-from importlib import import_module
+from .. import _lazy_exports
 
-from .cluster import Cluster
-from .cost import CostModel
-from .gc_model import GCModel
-from .host import (
-    CollectionInstanceSource,
-    ComputeHost,
-    HostStepResult,
-    InstanceSource,
-    RunMeta,
-)
-from .metrics import MetricsCollector, PartitionBreakdown, StepRecord
-from .protocol import CorruptReply, GatherTimeout, RecoverableWorkerError, WorkerError, WorkerLost
-
-__all__ = [
-    "Cluster",
-    "CostModel",
-    "GCModel",
-    "CollectionInstanceSource",
-    "ComputeHost",
-    "HostStepResult",
-    "InstanceSource",
-    "RunMeta",
-    "MetricsCollector",
-    "PartitionBreakdown",
-    "StepRecord",
-    "CorruptReply",
-    "GatherTimeout",
-    "RecoverableWorkerError",
-    "WorkerError",
-    "WorkerLost",
-    "parse_hosts",
-    "serve_worker",
-]
-
-
-#: The remote-agent transport loads on selection (only it needs multiprocessing).
-_ON_SELECTION = ("parse_hosts", "serve_worker")
-
-
-def __getattr__(name: str):
-    if name in _ON_SELECTION:
-        return getattr(import_module(".process_cluster", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".cluster": ("Cluster",),
+    ".cost": ("CostModel",),
+    ".gc_model": ("GCModel",),
+    ".host": (
+        "CollectionInstanceSource", "ComputeHost", "HostStepResult", "InstanceSource", "RunMeta",
+    ),
+    ".metrics": ("MetricsCollector", "PartitionBreakdown", "StepRecord"),
+    ".protocol": (
+        "CorruptReply", "GatherTimeout", "RecoverableWorkerError", "WorkerError", "WorkerLost",
+    ),
+    # The remote-agent transport: only it needs multiprocessing.
+    ".process_cluster": ("parse_hosts", "serve_worker"),
+})

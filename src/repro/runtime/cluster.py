@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..core.computation import TimeSeriesComputation
 from ..observability import NULL_SPAN, Tracer
 from ..partition.base import PartitionedGraph
-from ..resilience.faults import FaultPlan
 from ..resilience.recovery import RecoverableError
 from .cost import CostModel
 from .host import (
@@ -75,6 +74,9 @@ from .protocol import (
     WorkerLost,
     answer,
 )
+
+if TYPE_CHECKING:  # a run without a fault plan never loads its grammar
+    from ..resilience.faults import FaultPlan
 
 __all__ = [
     "ROUND_OPS",

@@ -17,13 +17,12 @@ contrast, is genuinely measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["CostModel"]
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple):
     """Deterministic communication/synchronization costs (seconds).
 
     Defaults approximate the paper's testbed: 1 GbE (~117 MiB/s effective),

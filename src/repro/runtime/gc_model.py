@@ -15,13 +15,12 @@ paper discusses (unsynchronized default GC is worse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["GCModel"]
 
 
-@dataclass(frozen=True)
-class GCModel:
+class GCModel(NamedTuple):
     """Synchronized periodic GC pause model.
 
     Parameters

@@ -30,11 +30,11 @@ rule can see messages still in flight inside hosts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 
+from .._value import Value
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext, MergeContext
 from ..core.messages import Message, MessageFrame, MessageKind, SendBuffer
@@ -98,36 +98,50 @@ class CollectionInstanceSource:
         return v.approx_nbytes() + e.approx_nbytes()
 
 
-@dataclass
-class HostStepResult:
-    """What one host reports back to the engine after one protocol call."""
+class HostStepResult(Value):
+    """What one host reports back to the engine after one protocol call.
 
-    partition: int
-    #: Remote superstep sends, coalesced per destination partition.
-    frames: list[MessageFrame] = field(default_factory=list)
-    #: Remote temporal sends (for the next timestep), likewise framed.
-    temporal_frames: list[MessageFrame] = field(default_factory=list)
-    outputs: list[tuple[int, int, Any]] = field(default_factory=list)  #: (timestep, sgid, record)
-    halt_timestep_votes: set[int] = field(default_factory=set)
-    all_halted: bool = True
-    #: Messages waiting in this host's local next-superstep inbox — part of
-    #: the engine's quiescence rule (local traffic is invisible otherwise).
-    has_pending_local: bool = False
-    #: Local temporal messages buffered for the next timestep.
-    pending_temporal: int = 0
-    subgraphs_computed: int = 0
-    compute_s: float = 0.0
-    send_s: float = 0.0
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    local_messages: int = 0
-    remote_messages: int = 0
-    frames_sent: int = 0
-    load_s: float = 0.0  # superstep 0's ``instance`` call, and reads compute caused
-    #: Telemetry drained from this host's tracer during the call (None when
-    #: tracing is off).  Picklable — process workers' spans/events/counters
-    #: ride back to the driver inside the ordinary protocol reply.
-    telemetry: TracePacket | None = None
+    ``frames`` and ``temporal_frames`` are the remote superstep and temporal
+    sends, coalesced per destination partition; ``outputs`` are
+    ``(timestep, sgid, record)``.  ``has_pending_local`` says messages wait
+    in the host's local next-superstep inbox, part of the engine's
+    quiescence rule (local traffic is invisible otherwise);
+    ``pending_temporal`` counts local temporal messages buffered for the
+    next timestep.  ``load_s`` is superstep 0's ``instance`` call and the
+    reads compute caused.  ``telemetry`` is what the host's tracer drained
+    during the call (None when tracing is off): picklable, so a worker's
+    spans, events and counters ride back inside the ordinary protocol reply.
+    """
+
+    __slots__ = (
+        "partition", "frames", "temporal_frames", "outputs", "halt_timestep_votes",
+        "all_halted", "has_pending_local", "pending_temporal", "subgraphs_computed",
+        "compute_s", "send_s", "messages_sent", "bytes_sent", "local_messages",
+        "remote_messages", "frames_sent", "load_s", "telemetry",
+    )
+
+    def __init__(
+        self, partition: int, frames: list[MessageFrame] | None = None,
+        temporal_frames: list[MessageFrame] | None = None,
+        outputs: list[tuple[int, int, Any]] | None = None,
+        halt_timestep_votes: set[int] | None = None, all_halted: bool = True,
+        has_pending_local: bool = False, pending_temporal: int = 0,
+        subgraphs_computed: int = 0, compute_s: float = 0.0, send_s: float = 0.0,
+        messages_sent: int = 0, bytes_sent: int = 0, local_messages: int = 0,
+        remote_messages: int = 0, frames_sent: int = 0, load_s: float = 0.0,
+        telemetry: TracePacket | None = None,
+    ) -> None:
+        self.partition = partition
+        self.frames = [] if frames is None else frames
+        self.temporal_frames = [] if temporal_frames is None else temporal_frames
+        self.outputs = [] if outputs is None else outputs
+        self.halt_timestep_votes = set() if halt_timestep_votes is None else halt_timestep_votes
+        self.all_halted, self.has_pending_local = all_halted, has_pending_local
+        self.pending_temporal, self.subgraphs_computed = pending_temporal, subgraphs_computed
+        self.compute_s, self.send_s, self.load_s = compute_s, send_s, load_s
+        self.messages_sent, self.bytes_sent = messages_sent, bytes_sent
+        self.local_messages, self.remote_messages = local_messages, remote_messages
+        self.frames_sent, self.telemetry = frames_sent, telemetry
 
     @classmethod
     def empty(cls, partition: int) -> "HostStepResult":
@@ -139,14 +153,13 @@ class HostStepResult:
         return cls(partition)
 
 
-@dataclass(frozen=True)
-class RunMeta:
+class RunMeta(Value):
     """Immutable run-wide parameters shared by engine and hosts."""
 
-    pattern: Pattern
-    num_timesteps: int
-    delta: float
-    t0: float
+    __slots__ = ("pattern", "num_timesteps", "delta", "t0")
+
+    def __init__(self, pattern: Pattern, num_timesteps: int, delta: float, t0: float) -> None:
+        self.pattern, self.num_timesteps, self.delta, self.t0 = pattern, num_timesteps, delta, t0
 
 
 class ComputeHost:
@@ -574,22 +587,25 @@ def host_op(op: str) -> Callable[[ComputeHost, Any, int, Any, bool], Any]:
         raise ValueError(f"unknown protocol op {op!r}") from None
 
 
-@dataclass(frozen=True)
-class HostSpec:
+class HostSpec(Value):
     """What every host of one run is built from.
 
     Picklable, and the same object on every executor: the in-process
     cluster builds its hosts from it, a forked agent inherits it and a
     ``hosts`` agent receives it in its ``init`` handshake, each alongside
-    the per-partition ``(partition, source, sg_part)``.
+    the per-partition ``(partition, source, sg_part)``.  With ``tracing``
+    each host gets its own tracer (one trace track per partition); its
+    telemetry rides back inside ordinary protocol replies.
     """
 
-    computation: TimeSeriesComputation
-    meta: RunMeta
-    cost_model: CostModel = field(default_factory=CostModel)
-    #: Give the host its own tracer (one trace track per partition); its
-    #: telemetry rides back inside ordinary protocol replies.
-    tracing: bool = False
+    __slots__ = ("computation", "meta", "cost_model", "tracing")
+
+    def __init__(
+        self, computation: TimeSeriesComputation, meta: RunMeta,
+        cost_model: CostModel | None = None, tracing: bool = False,
+    ) -> None:
+        self.computation, self.meta, self.tracing = computation, meta, tracing
+        self.cost_model = CostModel() if cost_model is None else cost_model
 
     def build(
         self, partition: Partition, source: InstanceSource, sg_part: np.ndarray

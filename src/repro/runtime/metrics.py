@@ -23,10 +23,11 @@ From the folded records the collector derives:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Any, ClassVar, Iterable, Mapping
 
 import numpy as np
+
+from .._value import Value
 
 __all__ = [
     "Record", "StepRecord", "LoadRecord", "GcRecord", "CheckpointRecord", "FailureRecord",
@@ -38,34 +39,39 @@ PHASE_COMPUTE = "compute"
 PHASE_MERGE = "merge"
 
 
-class Record:
-    """Base of the typed run records (frozen dataclasses).
+class Record(Value):
+    """Base of the typed run records (slotted values).
 
     ``kind`` is the record's event-log kind; an event line carries the
-    record's fields under it, spelled as the dataclass spells them except
+    record's fields under it, spelled as the record spells them except
     where schema v1 already had another name (``_event_names``).
     """
 
+    __slots__ = ()
     kind: ClassVar[str]
-    #: dataclass field -> its name on a schema-v1 event line, where they differ
+    #: record field -> its name on a schema-v1 event line, where they differ
     _event_names: ClassVar[dict[str, str]] = {}
 
     def as_event(self) -> dict[str, Any]:
         """The fields of this record's event-log line (without the envelope)."""
         names = self._event_names
-        return {names.get(f, f): v for f, v in vars(self).items()}
+        return {names.get(f, f): getattr(self, f) for f in self.__slots__}
 
     @classmethod
     def from_event(cls, event: Mapping[str, Any]) -> "Record":
         """The record an event-log line carries; absent fields take their defaults."""
         names = cls._event_names
-        pairs = ((f, names.get(f, f)) for f in cls.__dataclass_fields__)
+        pairs = ((f, names.get(f, f)) for f in cls.__slots__)
         return cls(**{f: event[name] for f, name in pairs if name in event})
 
 
-@dataclass(frozen=True)
 class StepRecord(Record):
-    """One partition's contribution to one superstep."""
+    """One partition's contribution to one superstep.
+
+    ``local_messages`` were delivered host-locally (the same-partition
+    short-circuit); ``remote_messages`` crossed partitions inside the
+    ``frames_sent`` coalesced frames the driver routed.
+    """
 
     kind = "step"
     _event_names = {
@@ -76,22 +82,23 @@ class StepRecord(Record):
         "remote_messages": "remote",
         "frames_sent": "frames",
     }
+    __slots__ = (
+        "phase", "timestep", "superstep", "partition", "compute_s", "send_s",
+        "subgraphs_computed", "messages_sent", "bytes_sent",
+        "local_messages", "remote_messages", "frames_sent",
+    )
 
-    phase: str
-    timestep: int
-    superstep: int
-    partition: int
-    compute_s: float
-    send_s: float
-    subgraphs_computed: int = 0
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    #: Messages delivered host-locally (same-partition short-circuit).
-    local_messages: int = 0
-    #: Messages that crossed partitions (shipped inside frames).
-    remote_messages: int = 0
-    #: Coalesced frames handed to the driver for routing.
-    frames_sent: int = 0
+    def __init__(
+        self, phase: str, timestep: int, superstep: int, partition: int,
+        compute_s: float, send_s: float, subgraphs_computed: int = 0,
+        messages_sent: int = 0, bytes_sent: int = 0, local_messages: int = 0,
+        remote_messages: int = 0, frames_sent: int = 0,
+    ) -> None:
+        self.phase, self.timestep, self.superstep = phase, timestep, superstep
+        self.partition, self.compute_s, self.send_s = partition, compute_s, send_s
+        self.subgraphs_computed, self.messages_sent = subgraphs_computed, messages_sent
+        self.bytes_sent, self.local_messages = bytes_sent, local_messages
+        self.remote_messages, self.frames_sent = remote_messages, frames_sent
 
     @classmethod
     def of(cls, phase: str, timestep: int, superstep: int, reply: Any) -> "StepRecord":
@@ -108,31 +115,28 @@ class StepRecord(Record):
         return self.compute_s + self.send_s
 
 
-@dataclass(frozen=True)
 class LoadRecord(Record):
     """One host's instance load: superstep 0's opening, and the packs a round's
-    compute read."""
+    compute read.  ``seconds`` are *blocked* seconds: the stall measured inside
+    the round."""
 
     kind = "instance_load"
+    __slots__ = ("timestep", "partition", "seconds")
 
-    timestep: int
-    partition: int
-    #: *Blocked* seconds: the stall measured inside the round.
-    seconds: float
+    def __init__(self, timestep: int, partition: int, seconds: float) -> None:
+        self.timestep, self.partition, self.seconds = timestep, partition, seconds
 
 
-@dataclass(frozen=True)
 class GcRecord(Record):
     """One modeled GC pause charged at a timestep boundary."""
 
     kind = "gc_pause"
+    __slots__ = ("timestep", "partition", "seconds")
 
-    timestep: int
-    partition: int
-    seconds: float
+    def __init__(self, timestep: int, partition: int, seconds: float) -> None:
+        self.timestep, self.partition, self.seconds = timestep, partition, seconds
 
 
-@dataclass(frozen=True)
 class CheckpointRecord(Record):
     """One durable checkpoint write, charged to the ``timestep`` it closes.
 
@@ -141,78 +145,93 @@ class CheckpointRecord(Record):
     """
 
     kind = "checkpoint_write"
+    __slots__ = ("timestep", "nbytes", "seconds", "cost_s", "name")
 
-    timestep: int
-    nbytes: int
-    seconds: float
-    cost_s: float
-    name: str = ""
+    def __init__(
+        self, timestep: int, nbytes: int, seconds: float, cost_s: float, name: str = ""
+    ) -> None:
+        self.timestep, self.nbytes, self.seconds = timestep, nbytes, seconds
+        self.cost_s, self.name = cost_s, name
 
 
-@dataclass(frozen=True)
 class FailureRecord(Record):
     """One failure the supervisor handled, and what it decided.
 
-    ``attempt`` is the round's shared attempt counter; ``action`` ``retry``
-    means the supervisor resent the command or repaired the host next.
+    ``attempt`` is the round's shared attempt counter.  ``error`` is the
+    error's class name: WorkerLost | GatherTimeout | CorruptReply |
+    RecoverableWorkerError (only the second and third earn a resend).
+    ``action`` is retry | quarantine | raise | degrade; ``retry`` means the
+    supervisor resent the command or repaired the host next.
     """
 
     kind = "failure"
+    __slots__ = (
+        "timestep", "superstep", "partition", "attempt", "error", "message", "action",
+    )
 
-    timestep: int
-    superstep: int
-    partition: int
-    attempt: int
-    #: The error's class name: WorkerLost | GatherTimeout | CorruptReply |
-    #: RecoverableWorkerError (only the second and third earn a resend)
-    error: str
-    message: str
-    action: str  #: retry | quarantine | raise | degrade
+    def __init__(
+        self, timestep: int, superstep: int, partition: int, attempt: int,
+        error: str, message: str, action: str,
+    ) -> None:
+        self.timestep, self.superstep, self.partition = timestep, superstep, partition
+        self.attempt, self.error, self.message, self.action = attempt, error, message, action
 
 
-@dataclass(frozen=True)
 class RespawnRecord(Record):
-    """One completed host repair (respawn + restore + journal replay), measured."""
+    """One completed host repair (respawn + restore + journal replay), measured.
+
+    ``error`` is the error class of the failure repaired (its
+    ``FailureRecord.error``).
+    """
 
     kind = "worker_respawn"
+    __slots__ = (
+        "timestep", "superstep", "partition", "attempt", "seconds", "incarnation",
+        "replayed_rounds", "survivors", "error",
+    )
 
-    timestep: int
-    superstep: int
-    partition: int
-    attempt: int
-    seconds: float
-    incarnation: int
-    replayed_rounds: int
-    survivors: int
-    #: The error class of the failure repaired (its ``FailureRecord.error``).
-    error: str = ""
+    def __init__(
+        self, timestep: int, superstep: int, partition: int, attempt: int,
+        seconds: float, incarnation: int, replayed_rounds: int, survivors: int,
+        error: str = "",
+    ) -> None:
+        self.timestep, self.superstep, self.partition = timestep, superstep, partition
+        self.attempt, self.seconds, self.incarnation = attempt, seconds, incarnation
+        self.replayed_rounds, self.survivors, self.error = replayed_rounds, survivors, error
 
 
-@dataclass(frozen=True)
 class ProtocolRetryRecord(Record):
     """One failed exchange a resend of its command cured, measured."""
 
     kind = "protocol_retry"
+    __slots__ = ("timestep", "superstep", "partition", "seconds", "error")
 
-    timestep: int
-    superstep: int
-    partition: int
-    seconds: float
-    error: str
+    def __init__(
+        self, timestep: int, superstep: int, partition: int, seconds: float, error: str
+    ) -> None:
+        self.timestep, self.superstep, self.partition = timestep, superstep, partition
+        self.seconds, self.error = seconds, error
 
 
 #: Event-log kind -> the record class its lines carry.
 RECORD_KINDS: dict[str, type[Record]] = {cls.kind: cls for cls in Record.__subclasses__()}
 
 
-@dataclass(frozen=True)
-class PartitionBreakdown:
-    """Aggregate compute / overhead split for one partition (Fig 7b/7d)."""
+class PartitionBreakdown(Value):
+    """Aggregate compute / overhead split for one partition (Fig 7b/7d).
 
-    partition: int
-    compute_s: float
-    partition_overhead_s: float  #: message send time after compute (paper's term)
-    sync_overhead_s: float  #: barrier idle time
+    ``partition_overhead_s`` is message send time after compute (the paper's
+    term), ``sync_overhead_s`` barrier idle time.
+    """
+
+    __slots__ = ("partition", "compute_s", "partition_overhead_s", "sync_overhead_s")
+
+    def __init__(
+        self, partition: int, compute_s: float, partition_overhead_s: float,
+        sync_overhead_s: float,
+    ) -> None:
+        self.partition, self.compute_s = partition, compute_s
+        self.partition_overhead_s, self.sync_overhead_s = partition_overhead_s, sync_overhead_s
 
     @property
     def total_s(self) -> float:

@@ -52,11 +52,13 @@ supervisor repairs.
 from __future__ import annotations
 
 import traceback
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..resilience.faults import FaultPlan
 from ..resilience.recovery import InjectedFault, RecoverableError
 from .host import ROUND_OPS
+
+if TYPE_CHECKING:  # a run without a fault plan never loads its grammar
+    from ..resilience.faults import FaultPlan
 
 __all__ = [
     "ACCEPT", "CLOSE", "CORRUPT", "FAIL", "SEND", "SLEEP", "answer", "Agent", "CorruptReply",

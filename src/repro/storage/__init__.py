@@ -5,28 +5,12 @@ See :mod:`repro.storage.gofs` for the store layout and
 GoFS distributed file system (DESIGN.md, substitutions).
 """
 
-from .gofs import (
-    DEFAULT_BINNING,
-    DEFAULT_PACKING,
-    GoFS,
-    GoFSPartitionView,
-)
-from .serde import load_template, save_template, schema_from_bytes, schema_to_bytes
-from .slices import SliceKey, bin_rows, read_slice, slice_filename, slice_nbytes, write_slice
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_BINNING",
-    "DEFAULT_PACKING",
-    "GoFS",
-    "GoFSPartitionView",
-    "load_template",
-    "save_template",
-    "schema_from_bytes",
-    "schema_to_bytes",
-    "SliceKey",
-    "bin_rows",
-    "read_slice",
-    "slice_filename",
-    "slice_nbytes",
-    "write_slice",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".gofs": ("DEFAULT_BINNING", "DEFAULT_PACKING", "GoFS", "GoFSPartitionView"),
+    ".serde": ("load_template", "save_template", "schema_from_bytes", "schema_to_bytes"),
+    ".slices": (
+        "SliceKey", "bin_rows", "read_slice", "slice_filename", "slice_nbytes", "write_slice",
+    ),
+})

@@ -29,8 +29,8 @@ the unpickle of an object column — is paid only by a reader that uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ SLICE_FORMAT = 4
 _ROWS_KEYS = ("vertex_rows", "edge_rows")
 
 
-@dataclass(frozen=True)
-class SliceKey:
+class SliceKey(NamedTuple):
     """Identity of one slice file."""
 
     partition: int

@@ -95,6 +95,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_help_lists_each_subcommand_on_its_own_line(self, capsys):
+        """The description keeps its table: argparse must not reflow it."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("datasets", "edgecuts", "run", "worker", "top", "fig5b", "store"):
+            assert any(line.split()[:2] == ["tibsp", name] for line in lines), name
+
 
 class TestNewSubcommands:
     def test_run_reach(self, capsys):
@@ -426,9 +434,12 @@ class TestTraceSubcommand:
         assert folded.summary() == manifest["metrics"]
 
     def test_an_invalid_trace_fails_the_run(self, tmp_path, capsys, monkeypatch):
-        import repro.cli
+        import repro.observability
 
-        monkeypatch.setattr(repro.cli, "validate_chrome_trace", lambda trace: ["bad event"])
+        # ``tibsp run --stream`` loads the validator where it records the run.
+        monkeypatch.setattr(
+            repro.observability, "validate_chrome_trace", lambda trace: ["bad event"]
+        )
         assert main(self.RUN + ["--stream", str(tmp_path / "t")]) == 1
         assert "TRACE INVALID: bad event" in capsys.readouterr().out
 

@@ -442,10 +442,8 @@ class TestPartitionState:
 
 def test_no_option_comes_back():
     """``EngineConfig``, ``AppResult`` and ``HostSpec`` keep 10, 12 and 4 fields."""
-    import dataclasses
-
     from repro.core import AppResult
     from repro.runtime.host import HostSpec
 
-    counts = tuple(len(dataclasses.fields(c)) for c in (EngineConfig, AppResult, HostSpec))
+    counts = tuple(len(c.__slots__) for c in (EngineConfig, AppResult, HostSpec))
     assert counts == (10, 12, 4)

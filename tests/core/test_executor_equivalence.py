@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro._value import Value
 from repro.algorithms.hashtag import HashtagAggregationComputation
 from repro.algorithms.meme import MemeTrackingComputation
 from repro.algorithms.pagerank import PageRankComputation
@@ -68,10 +69,9 @@ def _canonical(obj):
         return (type(obj).__name__, tuple(_canonical(x) for x in obj))
     if isinstance(obj, (set, frozenset)):
         return ("set", tuple(sorted(_canonical(x) for x in obj)))
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = tuple(
-            (f.name, _canonical(getattr(obj, f.name))) for f in dataclasses.fields(obj)
-        )
+    if isinstance(obj, Value) or dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = obj.__slots__ if isinstance(obj, Value) else [f.name for f in dataclasses.fields(obj)]
+        fields = tuple((name, _canonical(getattr(obj, name))) for name in names)
         return (type(obj).__qualname__, fields)
     if isinstance(obj, (np.generic, bool, int, float, complex, str, bytes, type(None))):
         return (type(obj).__qualname__, obj)

@@ -94,10 +94,10 @@ class TestIntegrity:
         with pytest.raises(CheckpointCorrupt, match="format version 1"):
             mgr.load(partitions=(0,))
 
-    def test_format_version_is_3(self):
-        """3: a checkpoint closes a timestep, and its collector carries the
-        run's failure records."""
-        assert CHECKPOINT_FORMAT_VERSION == 3
+    def test_format_version_is_4(self):
+        """4: a checkpoint closes a timestep, its collector carries the run's
+        failure records, and its records pickle as slotted values."""
+        assert CHECKPOINT_FORMAT_VERSION == 4
 
     def test_v2_checkpoint_is_refused(self, tmp_path):
         """A format-2 driver blob pickles a collector without failure
@@ -107,7 +107,7 @@ class TestIntegrity:
         manifest = json.loads((info.path / "manifest.json").read_text())
         manifest["format_version"] = 2
         (info.path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointCorrupt, match=r"version 2 \(this engine reads 3\)"):
+        with pytest.raises(CheckpointCorrupt, match=r"version 2 \(this engine reads 4\)"):
             mgr.load()
 
     def test_manifestless_dir_is_not_a_checkpoint(self, tmp_path):
@@ -147,7 +147,7 @@ class TestConfigAndRecords:
         assert [f.name for f in fields(CheckpointConfig)] == ["dir", "every", "retain"]
 
     def test_recovery_policy_has_four_fields(self):
-        assert len(fields(RecoveryPolicy)) == 4
+        assert len(RecoveryPolicy.__slots__) == 4
 
     def test_recovery_policy_validation_and_backoff(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,10 @@ serial, process or socket run (the socket run on ``tibsp worker`` agents
 served from the same interpreter); the worker executor loads on selection,
 so a serial run loads no ``socket`` or ``multiprocessing`` at all.  A GoFS
 view reads on the thread that asks, so no thread pool (and the ``logging``
-it brings) is loaded either.
+it brings) is loaded either.  A package root imports nothing until a name
+is read from it, and a plain run loads neither the trace plane nor the
+checkpoint module, nor the algorithms, partitioners and generators it does
+not call.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -12,9 +15,12 @@ imported does not leak in.
 
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -141,6 +147,77 @@ else:
 print("clean")
 """
 
+_PLAIN_RUN = """
+import tempfile
+import repro
+assert [m for m in sys.modules if m.startswith("repro.")] == [], "import repro"
+from repro import (EngineConfig, GoFS, TDSPComputation, partition_graph,
+                   road_latency_collection, road_network, run_application)
+
+NOT_RUN = [
+    *("repro.algorithms." + m for m in
+      ("evolution", "pagerank", "reachability", "sssp", "statistics", "top_n", "wcc")),
+    *("repro.generators." + m for m in ("cache", "evolving", "snap")),
+    "repro.partition.bfsp", "repro.partition.hashp", "repro.kernels.pagerank",
+    "repro.resilience.faults",
+]
+TRACE = ["repro.observability." + m for m in ("runtrace", "chrome", "events")]
+CHECKPOINT = ["repro.resilience.checkpoint"]
+
+def run(store, **config):
+    template = road_network(300, seed=1)
+    collection = road_latency_collection(template, 4, seed=2)
+    pg = partition_graph(template, 2)
+    GoFS.write_collection(store, pg, collection)
+    result = run_application(TDSPComputation(0), pg, collection,
+                             sources=GoFS.partition_views(store),
+                             config=EngineConfig(**config))
+    assert result.timesteps_executed > 0
+    return result
+
+def loaded(names):
+    return [m for m in names if m in sys.modules]
+
+with tempfile.TemporaryDirectory() as tmp:
+    run(tmp + "/plain")
+    assert loaded(NOT_RUN + TRACE + CHECKPOINT) == [], loaded(NOT_RUN + TRACE + CHECKPOINT)
+    import dataclasses
+    generated = [f"{name}.{obj.__name__}" for name, module in list(sys.modules.items())
+                 if name.startswith("repro") for obj in vars(module).values()
+                 if dataclasses.is_dataclass(obj) and obj.__module__ == name]
+    assert generated == [], generated
+    assert run(tmp + "/traced", tracing=True).trace.event_records()
+    assert loaded(TRACE) == TRACE, loaded(TRACE)
+    from repro.resilience import CheckpointConfig
+    run(tmp + "/checkpointed", checkpoint=CheckpointConfig(tmp + "/ck"))
+    assert loaded(CHECKPOINT) == CHECKPOINT and list(Path(tmp, "ck").glob("ckpt-*"))
+assert loaded(NOT_RUN) == [], loaded(NOT_RUN)
+print("clean")
+"""
+
+_CLI_RUN = """
+import contextlib
+import io
+from repro.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", "tdsp", "--scale", "300", "--instances", "4", "--partitions", "2"]) == 0
+offline = [m for m in sys.modules if m == "repro.baselines" or m in (
+    "repro.analysis.critical_path", "repro.analysis.export", "repro.analysis.elastic",
+    "repro.analysis.timeline")]
+assert offline == [], offline
+print("clean")
+"""
+
+_SHADOWED = """
+import repro.partition.metis_like  # imports the ``repro.kernels.components`` submodule
+import repro.kernels
+assert callable(repro.kernels.components), repro.kernels.components
+from repro.kernels import components
+assert callable(components)
+print("clean")
+"""
+
 
 def _run_fresh(tmp_path, body: str) -> None:
     script = tmp_path / "hygiene_script.py"
@@ -167,3 +244,43 @@ def test_a_run_over_gofs_loads_no_thread_pool_or_logging(tmp_path):
 
 def test_runtime_names_resolve_and_no_executor_loads_asyncio(tmp_path):
     _run_fresh(tmp_path, _RUNTIME_NAMES)
+
+
+def test_a_plain_run_loads_no_trace_checkpoint_or_unused_library_module(tmp_path):
+    """``import repro`` loads no submodule; a plain serial TDSP run over GoFS
+    loads only what it calls, none of it defining a dataclass, and a traced
+    or checkpointed run what it uses."""
+    _run_fresh(tmp_path, "from pathlib import Path\n" + _PLAIN_RUN)
+
+
+def test_a_cli_run_without_stream_or_export_loads_no_offline_module(tmp_path):
+    _run_fresh(tmp_path, _CLI_RUN)
+
+
+def test_a_function_that_shadows_its_submodule_stays_the_function(tmp_path):
+    _run_fresh(tmp_path, _SHADOWED)
+
+
+ROOTS = [
+    "repro", "repro.algorithms", "repro.analysis", "repro.baselines", "repro.core",
+    "repro.generators", "repro.graph", "repro.kernels", "repro.observability",
+    "repro.partition", "repro.resilience", "repro.runtime", "repro.storage",
+]
+
+
+@pytest.mark.parametrize("root", ROOTS)
+def test_every_reexport_resolves(root):
+    """Each ``__all__`` name resolves and is listed; ``import *`` binds exactly
+    ``__all__``; an unknown name is an ``AttributeError`` naming it."""
+    pkg = importlib.import_module(root)
+    assert pkg.__all__ and len(set(pkg.__all__)) == len(pkg.__all__)
+    listed = dir(pkg)
+    for name in pkg.__all__:
+        getattr(pkg, name)
+        assert name in listed, (root, name)
+    namespace: dict = {}
+    exec(f"from {root} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(pkg.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pkg.no_such_name
+    assert callable(importlib.import_module("repro.kernels").components)
