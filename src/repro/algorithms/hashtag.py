@@ -14,13 +14,15 @@ superstep — mimicking a ``Master.Compute``.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .._value import Value
 from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, MergeContext
 from ..core.patterns import Pattern
-from ..kernels import count_equal_in_cells
+from ..kernels import count
 from ..partition.base import PartitionedGraph
 
 __all__ = ["HashtagAggregationComputation", "HashtagSummary", "largest_subgraph_in_partition"]
@@ -59,14 +61,14 @@ class HashtagAggregationComputation(TimeSeriesComputation):
     Parameters
     ----------
     hashtag:
-        The hashtag value to count.
+        The integer hashtag id to count.
     master_subgraph:
         Global subgraph id performing the final aggregation; use
         :meth:`for_partitioned_graph` to pick the paper's choice (the
         largest subgraph of partition 0).
     tweets_attr:
-        Vertex attribute holding tweet containers (occurrences counted with
-        multiplicity).
+        Ragged vertex attribute holding each vertex's hashtags (occurrences
+        counted with multiplicity).
     """
 
     pattern = Pattern.EVENTUALLY_DEPENDENT
@@ -77,7 +79,7 @@ class HashtagAggregationComputation(TimeSeriesComputation):
         master_subgraph: int = 0,
         tweets_attr: str = "tweets",
     ) -> None:
-        self.hashtag = hashtag
+        self.hashtag = operator.index(hashtag)
         self.master_subgraph = int(master_subgraph)
         self.tweets_attr = tweets_attr
 
@@ -103,8 +105,8 @@ class HashtagAggregationComputation(TimeSeriesComputation):
 
     def compute(self, ctx: ComputeContext) -> None:
         if ctx.superstep == 0:
-            count = count_equal_in_cells(ctx.take_vertices(self.tweets_attr), self.hashtag)
-            ctx.send_to_merge((ctx.timestep, count))
+            occurrences = count(ctx.take_vertices(self.tweets_attr), self.hashtag)
+            ctx.send_to_merge((ctx.timestep, occurrences))
         ctx.vote_to_halt()
 
     # -- merge phase --------------------------------------------------------------------

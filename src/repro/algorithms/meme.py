@@ -22,6 +22,8 @@ as numpy arrays.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .._value import Value
@@ -29,7 +31,7 @@ from ..core.computation import TimeSeriesComputation
 from ..core.context import ComputeContext, EndOfTimestepContext
 from ..core.patterns import Pattern
 from ..kernels import (
-    contains_in_cells,
+    contains,
     expand_to_fixpoint,
     group_unique_pairs,
     index_mask,
@@ -60,16 +62,16 @@ class MemeTrackingComputation(TimeSeriesComputation):
     Parameters
     ----------
     meme:
-        The meme value to track (hashtag id / string).
+        The meme to track: an integer hashtag id.
     tweets_attr:
-        Vertex attribute holding each vertex's tweets for the instance
-        interval (any container supporting ``in``; ``None`` = no tweets).
+        Ragged vertex attribute holding each vertex's hashtags for the
+        instance interval.
     """
 
     pattern = Pattern.SEQUENTIALLY_DEPENDENT
 
     def __init__(self, meme, tweets_attr: str = "tweets") -> None:
-        self.meme = meme
+        self.meme = operator.index(meme)
         self.tweets_attr = tweets_attr
 
     # -- helpers ----------------------------------------------------------------------
@@ -88,7 +90,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
         scanned on first use, so an idle subgraph reads no tweets."""
         st = ctx.state
         if "has_meme" not in st:
-            st["has_meme"] = contains_in_cells(ctx.take_vertices(self.tweets_attr), self.meme)
+            st["has_meme"] = contains(ctx.take_vertices(self.tweets_attr), self.meme)
         return st["has_meme"]
 
     def _kernel_bfs(self, ctx: ComputeContext, seeds: np.ndarray) -> None:

@@ -91,6 +91,13 @@ def time_expanded_dijkstra(
     return dist
 
 
+def _ragged_rows(column) -> list:
+    """A ragged column's rows as Python sequences, ``values[offsets[v]:offsets[v+1]]``
+    one vertex at a time — the oracles' own walk, not the kernels'."""
+    offsets, values = column.offsets.tolist(), column.values.tolist()
+    return [values[a:b] if a != b else () for a, b in zip(offsets, offsets[1:])]
+
+
 def temporal_meme_bfs(
     collection: TimeSeriesGraphCollection,
     meme,
@@ -107,10 +114,8 @@ def temporal_meme_bfs(
     colored: dict[int, int] = {}
     frontier: set[int] = set()
     for t in range(len(collection)):
-        tweets = collection.instance(t).vertex_column(tweets_attr)
-        has_meme = np.fromiter(
-            (tw is not None and meme in tw for tw in tweets), dtype=bool, count=len(tweets)
-        )
+        rows = _ragged_rows(collection.instance(t).vertex_column(tweets_attr))
+        has_meme = np.fromiter((meme in row for row in rows), dtype=bool, count=len(rows))
         if t == 0:
             queue = deque(np.nonzero(has_meme)[0].tolist())
             for v in queue:
@@ -177,13 +182,9 @@ def hashtag_count_series(
     T = len(collection)
     counts = np.zeros(T, dtype=np.int64)
     for t in range(T):
-        tweets = collection.instance(t).vertex_column(tweets_attr)
-        total = 0
-        for tw in tweets:
-            if tw:
-                # tuples may repeat a hashtag (multiple tweets); count all.
-                total += sum(1 for h in tw if h == hashtag)
-        counts[t] = total
+        # A row may repeat a hashtag (multiple tweets); count all.
+        rows = _ragged_rows(collection.instance(t).vertex_column(tweets_attr))
+        counts[t] = sum(row.count(hashtag) for row in rows)
     return counts
 
 

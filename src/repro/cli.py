@@ -23,15 +23,8 @@ import argparse
 import sys
 from pathlib import Path
 
-# What the subcommands share; a module only one subcommand, algorithm or flag
-# uses is imported where that is selected.
-from .analysis import render_series, render_table, utilization_rows
-from .core.engine import EXECUTORS, EngineConfig, run_application
-from .generators import paper_datasets, road_network, smallworld_network
-from .partition import MetisLikePartitioner, partition_graph
-from .resilience import RecoveryPolicy, RunFailureError
-from .runtime import GCModel
-from .storage import GoFS
+# Each subcommand imports what it uses, so `tibsp worker` loads the runtime
+# alone: no generator, partitioner or GoFS writer.
 
 __all__ = ["main"]
 
@@ -59,7 +52,19 @@ def _dataset_cache(args: argparse.Namespace):
     return DatasetCache(path)
 
 
+def _partition(args: argparse.Namespace, template, cache, k: int | None = None):
+    """``template`` in ``k`` (default ``--partitions``) parts, seeded by ``--seed``."""
+    from .partition import MetisLikePartitioner, partition_graph
+
+    return partition_graph(
+        template, k or args.partitions, MetisLikePartitioner(seed=args.seed), cache=cache
+    )
+
+
 def _datasets(args: argparse.Namespace) -> int:
+    from .analysis import render_table
+    from .generators import road_network, smallworld_network
+
     carn = road_network(args.scale, seed=args.seed)
     wiki = smallworld_network(args.scale, seed=args.seed)
     print(render_table([carn.stats(), wiki.stats()], title="Generated graph templates (Table 1 analogue)"))
@@ -67,21 +72,23 @@ def _datasets(args: argparse.Namespace) -> int:
 
 
 def _edgecuts(args: argparse.Namespace) -> int:
+    from .analysis import render_table
+    from .generators import road_network, smallworld_network
     from .partition import compute_stats
 
     cache = _dataset_cache(args)
     rows = []
     for tpl in (road_network(args.scale, seed=args.seed), smallworld_network(args.scale, seed=args.seed)):
         for k in (3, 6, 9):
-            pg = partition_graph(tpl, k, MetisLikePartitioner(seed=args.seed), cache=cache)
-            rows.append(compute_stats(pg).as_row())
+            rows.append(compute_stats(_partition(args, tpl, cache, k)).as_row())
     print(render_table(rows, title="Edge cut % across partitions (Table 2 analogue)"))
     return 0
 
 
 def _evolving_collection(args: argparse.Namespace):
     """A template + collection with periodic is_exists edge schedules."""
-    from .generators import PeriodicExistencePopulator, make_collection
+    from .generators import PeriodicExistencePopulator, make_collection, road_network
+    from .generators import smallworld_network
     from .graph import AttributeSchema, AttributeSpec, GraphTemplate
 
     base = (road_network if args.graph == "CARN" else smallworld_network)(
@@ -101,6 +108,8 @@ def _evolving_collection(args: argparse.Namespace):
 
 def _problem_setup(args: argparse.Namespace):
     """Dataset + partitioning + computation of a ``run``."""
+    from .generators import paper_datasets
+
     cache = _dataset_cache(args)
     if args.algorithm in ("reach", "evolve"):
         template, collection = _evolving_collection(args)
@@ -110,9 +119,7 @@ def _problem_setup(args: argparse.Namespace):
         ]
         template = data["template"]
         collection = data["road" if args.algorithm in ("tdsp", "stats") else "tweets"]
-    pg = partition_graph(
-        template, args.partitions, MetisLikePartitioner(seed=args.seed), cache=cache
-    )
+    pg = _partition(args, template, cache)
     return template, collection, pg, _make_computation(args, template, collection, pg)
 
 
@@ -213,6 +220,8 @@ def _resilience_config(args: argparse.Namespace) -> dict:
     The recovery policy is always given: every run is supervised, and the
     flags only change the retry budget or what happens when it runs out.
     """
+    from .resilience import RecoveryPolicy
+
     kwargs: dict = {}
     if args.checkpoint_every or args.resume_from is not None:
         from .resilience import CheckpointConfig
@@ -279,6 +288,12 @@ def _record(args: argparse.Namespace, result) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    from .analysis import render_series, render_table, utilization_rows
+    from .core.engine import EngineConfig, run_application
+    from .resilience import RunFailureError
+    from .runtime import GCModel
+    from .storage import GoFS
+
     problems = _check_run_flags(args)
     if problems:
         for problem in problems:
@@ -386,33 +401,28 @@ def _top(args: argparse.Namespace) -> int:
 
 
 def _fig5b(args: argparse.Namespace) -> int:
+    from .analysis import render_table
     from .baselines import fig5b_comparison
+    from .generators import paper_datasets
 
     cache = _dataset_cache(args)
     data = paper_datasets(args.scale, args.instances, seed=args.seed, cache=cache)
     rows = []
     for name in ("CARN", "WIKI"):
-        pg = partition_graph(
-            data[name]["template"],
-            args.partitions,
-            MetisLikePartitioner(seed=args.seed),
-            cache=cache,
-        )
+        pg = _partition(args, data[name]["template"], cache)
         rows.append(fig5b_comparison(pg, data[name]["road"]).as_row())
     print(render_table(rows, title="Giraph vs GoFFish (Fig 5b analogue)"))
     return 0
 
 
 def _store(args: argparse.Namespace) -> int:
+    from .generators import paper_datasets
+    from .storage import GoFS
+
     cache = _dataset_cache(args)
     data = paper_datasets(args.scale, args.instances, seed=args.seed, cache=cache)[args.graph]
     kind = "road" if args.workload == "road" else "tweets"
-    pg = partition_graph(
-        data["template"],
-        args.partitions,
-        MetisLikePartitioner(seed=args.seed),
-        cache=cache,
-    )
+    pg = _partition(args, data["template"], cache)
     manifest = GoFS.write_collection(args.root, pg, data[kind])
     print(f"wrote GoFS store to {args.root}: {manifest['num_timesteps']} instances, "
           f"{manifest['num_partitions']} partitions, packing={manifest['packing']}, "
@@ -422,6 +432,8 @@ def _store(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (also the ``tibsp`` console script)."""
+    from .core.engine import EXECUTORS
+
     parser = argparse.ArgumentParser(
         prog="tibsp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )

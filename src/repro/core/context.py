@@ -119,7 +119,9 @@ class ComputeContext(_BaseContext):
     # -- this instance's attribute values ---------------------------------------------
 
     def take_vertices(self, name: str) -> np.ndarray:
-        """Vertex attribute ``name`` at this subgraph's vertices (local order)."""
+        """Vertex attribute ``name`` at this subgraph's vertices (local order);
+        of a ragged attribute, a zero-based :class:`~repro.graph.Ragged` whose
+        row ``i`` is local vertex ``i``'s values."""
         return self.instance.vertex_values.take(name, self.subgraph.vertices)
 
     def take_edges(self, name: str, rows: np.ndarray) -> np.ndarray:

@@ -32,8 +32,9 @@ __all__ = ["DatasetCache", "INGEST_CODE_VERSION", "content_key"]
 #: old cache entries become unreachable rather than wrong.
 # v3: Subgraph (pickled in partition entries) lost a slot.  v4: refinement
 # became Jet hill-climbing with one piece per partition; a partition entry is
-# keyed by the partitioner's class and scalar config, not its algorithm.
-INGEST_CODE_VERSION = 4
+# keyed by the partitioner's class and scalar config, not its algorithm.  v5:
+# a tweet column is a Ragged of int64 arrays, not an object column of tuples.
+INGEST_CODE_VERSION = 5
 
 
 def _canonical(value: Any) -> Any:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.attributes import Ragged
 from ..graph.instance import GraphInstance
+from ..kernels.csr import slot_sources
 
 __all__ = ["BackgroundHashtagPopulator", "TrafficPopulator"]
 
@@ -21,9 +23,10 @@ __all__ = ["BackgroundHashtagPopulator", "TrafficPopulator"]
 class BackgroundHashtagPopulator:
     """Append i.i.d. random hashtags to each vertex's tweets.
 
-    Must run *after* a populator that sets the tweets column (compose with
-    :class:`~repro.generators.populate.CompositePopulator`); treats a missing
-    column as all-empty.
+    Must run *after* a populator that sets the ragged tweets column (compose
+    with :class:`~repro.generators.populate.CompositePopulator`); treats a
+    missing column as all-empty.  Each row keeps its memes first, then its
+    draws.
 
     Parameters
     ----------
@@ -52,16 +55,13 @@ class BackgroundHashtagPopulator:
         if not len(chatty):
             return
         # One batched draw for every background hashtag (i.i.d. with
-        # replacement, like the per-vertex draws), split per vertex.
+        # replacement, like the per-vertex draws), each row's after its memes.
         chatty_counts = counts[chatty]
         draws = self.hashtags[rng.integers(len(self.hashtags), size=int(chatty_counts.sum()))]
-        draws_list = draws.tolist()
-        stops = np.cumsum(chatty_counts).tolist()
-        lo = 0
-        for v, hi in zip(chatty.tolist(), stops):
-            base = tweets[v] if tweets[v] is not None else ()
-            tweets[v] = tuple(base) + tuple(draws_list[lo:hi])
-            lo = hi
+        owners = np.concatenate([slot_sources(tweets.offsets), chatty.repeat(chatty_counts)])
+        instance.vertex_values.set_column(
+            self.attr, Ragged.group(owners, np.concatenate([tweets.values, draws]), n)
+        )
 
 
 class TrafficPopulator:

@@ -87,7 +87,7 @@ def road_network(
         # The paper runs the tweet workloads (MEME/HASH) on CARN too, so the
         # default schema carries both road and social attributes.
         vertex_schema=vertex_schema
-        or AttributeSchema([AttributeSpec("tweets", "object"), AttributeSpec("traffic", "float")]),
+        or AttributeSchema([AttributeSpec("tweets", "ragged"), AttributeSpec("traffic", "float")]),
         edge_schema=edge_schema or AttributeSchema([AttributeSpec("latency", "float")]),
         name=name,
     )

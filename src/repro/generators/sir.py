@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.attributes import Ragged
 from ..graph.collection import TimeSeriesGraphCollection
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
@@ -142,36 +143,20 @@ class SIRTweetPopulator:
             self.infected_at[i] = inf
             self.recovered_at[i] = rec
 
-    def active_mask(self, meme_index: int, timestep: int) -> np.ndarray:
-        """Vertices tweeting meme ``meme_index`` at ``timestep``."""
+    def active_mask(self, meme_index: int | slice, timestep: int) -> np.ndarray:
+        """Vertices tweeting meme ``meme_index`` at ``timestep`` (a slice of
+        the memes: one row per meme)."""
         inf = self.infected_at[meme_index]
         rec = self.recovered_at[meme_index]
         return (inf != -1) & (inf <= timestep) & (timestep < rec)
 
     def __call__(self, instance: GraphInstance, timestep: int) -> None:
-        n = instance.template.num_vertices
-        tweets = np.empty(n, dtype=object)
-        tweets[:] = [()] * n  # the empty tuple is a singleton; cells are replaced below
-        # Gather (vertex, meme) pairs for every active meme, group by vertex
-        # with one sort, and build tuples only for the vertices that tweet.
-        active_vs = []
-        active_ms = []
-        for i, meme in enumerate(self.memes):
-            vs = np.nonzero(self.active_mask(i, timestep))[0]
-            if len(vs):
-                active_vs.append(vs)
-                active_ms.append(np.full(len(vs), meme, dtype=np.int64))
-        if active_vs:
-            vs = np.concatenate(active_vs)
-            ms = np.concatenate(active_ms)
-            order = np.argsort(vs, kind="stable")  # stable: memes stay in list order
-            vs, ms = vs[order], ms[order]
-            starts = [0, *(np.nonzero(np.diff(vs))[0] + 1).tolist(), len(vs)]
-            ms_list = ms.tolist()
-            vs_list = vs.tolist()
-            for lo, hi in zip(starts, starts[1:]):
-                tweets[vs_list[lo]] = tuple(ms_list[lo:hi])
-        instance.vertex_values.set_column(self.attr, tweets)
+        # Every active (meme, vertex) pair, meme-major; grouped by vertex, a
+        # row holds its memes in list order.
+        rows, vertices = self.active_mask(slice(None), timestep).nonzero()
+        memes = np.asarray(self.memes, dtype=np.int64)[rows]
+        cells = Ragged.group(vertices, memes, instance.template.num_vertices)
+        instance.vertex_values.set_column(self.attr, cells)
 
 
 def tweet_collection(

@@ -133,7 +133,7 @@ def smallworld_network(
         dst,
         directed=directed,
         vertex_schema=vertex_schema
-        or AttributeSchema([AttributeSpec("tweets", "object"), AttributeSpec("traffic", "float")]),
+        or AttributeSchema([AttributeSpec("tweets", "ragged"), AttributeSpec("traffic", "float")]),
         edge_schema=edge_schema or AttributeSchema([AttributeSpec("latency", "float")]),
         name=name,
     )

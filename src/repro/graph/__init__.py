@@ -9,7 +9,7 @@ time-variant attribute values.
 from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".attributes": ("AttributeSchema", "AttributeSpec", "AttributeTable"),
+    ".attributes": ("AttributeSchema", "AttributeSpec", "AttributeTable", "Ragged"),
     ".builders": ("GraphTemplateBuilder", "build_collection"),
     ".collection": (
         "CallableInstanceProvider", "InstanceProvider", "ListInstanceProvider",

@@ -8,19 +8,67 @@ attribute), following the vectorization idiom of the HPC guides: algorithms
 read whole columns (e.g. the ``latency`` column for all edges) instead of
 per-object field accesses.
 
-Set- or list-valued attributes (such as the tweet lists used by meme tracking)
-use ``object`` dtype columns, which trades vectorization for flexibility.
+A set- or list-valued attribute (the tweet hashtags of meme tracking) is
+``"ragged"``: its column is one :class:`Ragged` value, two int64 arrays —
+row ``i`` holds ``values[offsets[i]:offsets[i + 1]]`` — which every layer,
+from the generators through the GoFS store to the kernels, carries as is.
+Strings and other Python objects are not attribute values.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .._value import Value
+from ..kernels.csr import gather_ranges
 
-__all__ = ["AttributeSpec", "AttributeSchema", "AttributeTable"]
+__all__ = ["AttributeSpec", "AttributeSchema", "AttributeTable", "Ragged"]
+
+
+class Ragged(NamedTuple):
+    """A ragged column: row ``i`` holds ``values[offsets[i]:offsets[i + 1]]``,
+    both int64.  A whole column's offsets run from 0 to ``len(values)``; a GoFS
+    pack's row shares the pack's ``values`` and starts where the previous
+    timestep's row ended."""
+
+    offsets: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def group(cls, owners: np.ndarray, values: np.ndarray, n: int) -> "Ragged":
+        """``n`` rows, row ``v`` holding the ``values`` owned by ``v`` in their order."""
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.bincount(owners, minlength=n).cumsum(out=offsets[1:])
+        return cls(offsets, np.asarray(values, dtype=np.int64)[owners.argsort(kind="stable")])
+
+    dtype = property(lambda self: self.values.dtype)
+    nbytes = property(lambda self: self.offsets.nbytes + self.values.nbytes)
+
+    def row(self, i: int) -> np.ndarray:
+        return self.values[self.offsets[i] : self.offsets[i + 1]]
+
+    def take(self, rows: np.ndarray) -> "Ragged":
+        """The given integer rows, in order, as a new zero-based column."""
+        rows = np.asarray(rows, dtype=np.int64)
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        (self.offsets[rows + 1] - self.offsets[rows]).cumsum(out=offsets[1:])
+        return Ragged(offsets, self.values[gather_ranges(self.offsets, rows)[0]])
+
+    def copy(self) -> "Ragged":
+        return Ragged(self.offsets.copy(), self.values.copy())
+
+    def equals(self, other: "Ragged") -> bool:
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.values, other.values)
+
+
+def check_ragged(offsets: np.ndarray, values: np.ndarray, what: str = "ragged offsets") -> None:
+    """``ValueError`` unless ``offsets`` start at 0, never decrease and end at
+    ``len(values)``: what lets a kernel read every row without an ``IndexError``."""
+    if not (offsets[0] == 0 and offsets[-1] == values.size and (offsets[1:] >= offsets[:-1]).all()):
+        raise ValueError(f"{what} must start at 0, never decrease and end at {values.size}")
+
 
 #: Shorthand names accepted by :class:`AttributeSpec` for common dtypes.
 _DTYPE_ALIASES: dict[str, np.dtype] = {
@@ -29,16 +77,21 @@ _DTYPE_ALIASES: dict[str, np.dtype] = {
     "float": np.dtype(np.float64),
     "double": np.dtype(np.float64),
     "bool": np.dtype(np.bool_),
-    "object": np.dtype(object),
-    "str": np.dtype(object),
+    "ragged": np.dtype(np.int64),
 }
 
 
-def _resolve_dtype(dtype: Any) -> np.dtype:
-    """Normalize a dtype specification to a concrete :class:`numpy.dtype`."""
+def _resolve_dtype(name: str, dtype: Any) -> np.dtype:
+    """Normalize a dtype specification to a concrete numeric :class:`numpy.dtype`."""
     if isinstance(dtype, str) and dtype in _DTYPE_ALIASES:
         return _DTYPE_ALIASES[dtype]
-    return np.dtype(dtype)
+    resolved = np.dtype(dtype)
+    if resolved.kind in "OSU":
+        raise ValueError(
+            f"attribute {name!r}: {dtype!r} values are not stored; a set- or list-valued "
+            'attribute is "ragged" (int64 offsets and values)'
+        )
+    return resolved
 
 
 class AttributeSpec(Value):
@@ -50,36 +103,38 @@ class AttributeSpec(Value):
         Attribute name, unique within its schema.  The name ``id`` is
         reserved — identifiers live on the template, not in instance tables.
     dtype:
-        Numpy dtype (or an alias such as ``"float"``, ``"int"``, ``"object"``).
+        Numpy dtype, an alias such as ``"float"`` or ``"int"``, or
+        ``"ragged"``: a column of :class:`Ragged` int64 rows, ``dtype`` int64.
     default:
         Fill value used when a new column is allocated.  ``None`` selects a
-        dtype-appropriate zero (or ``None`` for object columns).
+        dtype-appropriate zero; a ragged column's rows start empty.
     """
 
-    __slots__ = ("name", "dtype", "default")
+    __slots__ = ("name", "dtype", "default", "ragged")
 
     def __init__(self, name: str, dtype: Any = "float", default: Any = None) -> None:
         if not name or not isinstance(name, str):
             raise ValueError(f"attribute name must be a non-empty string, got {name!r}")
         if name == "id":
             raise ValueError("'id' is reserved: identifiers are stored on the template")
-        self.name, self.dtype, self.default = name, _resolve_dtype(dtype), default
+        self.ragged = isinstance(dtype, str) and dtype == "ragged"
+        if self.ragged and default is not None:
+            raise ValueError(f"attribute {name!r}: a ragged column's rows start empty")
+        self.name, self.dtype, self.default = name, _resolve_dtype(name, dtype), default
 
-    @property
-    def is_object(self) -> bool:
-        """True when this attribute stores arbitrary Python objects."""
-        return self.dtype == np.dtype(object)
+    def __reduce__(self):
+        return AttributeSpec, (self.name, "ragged" if self.ragged else self.dtype, self.default)
 
     def fill_value(self) -> Any:
-        """The value new cells of this attribute are initialized with."""
+        """The value new cells of a numeric attribute are initialized with."""
         if self.default is not None:
             return self.default
-        if self.is_object:
-            return None
         return np.zeros(1, dtype=self.dtype)[0]
 
-    def allocate(self, n: int) -> np.ndarray:
+    def allocate(self, n: int) -> np.ndarray | Ragged:
         """Allocate a fresh column of length ``n`` filled with the default."""
+        if self.ragged:
+            return Ragged(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
         col = np.empty(n, dtype=self.dtype)
         col.fill(self.fill_value())
         return col
@@ -209,9 +264,13 @@ class AttributeTable:
         rows; to read a few rows of a backed table use :meth:`take`."""
         return self._materialize(name)
 
-    def set_column(self, name: str, values: np.ndarray | list) -> None:
-        """Replace the whole column for ``name``; length must equal ``n``."""
+    def set_column(self, name: str, values: np.ndarray | list | Ragged) -> None:
+        """Replace the whole column for ``name``; length must equal ``n``.  A
+        ragged attribute's column is a :class:`Ragged` of integers."""
         spec = self.schema[name]
+        if spec.ragged:
+            self._columns[name] = _checked_ragged(name, values, self.n)
+            return
         arr = np.asarray(values, dtype=spec.dtype)
         if arr.shape != (self.n,):
             raise ValueError(
@@ -221,11 +280,13 @@ class AttributeTable:
         self._columns[name] = arr.copy()
 
     def get(self, name: str, index: int) -> Any:
-        """Scalar read of attribute ``name`` at element ``index``."""
-        return self.column(name)[index]
+        """Scalar read of attribute ``name`` at element ``index`` (a ragged
+        attribute's: the row's values)."""
+        col = self.column(name)
+        return col.row(index) if isinstance(col, Ragged) else col[index]
 
     def set(self, name: str, index: int, value: Any) -> None:
-        """Scalar write of attribute ``name`` at element ``index``."""
+        """Scalar write of numeric attribute ``name`` at element ``index``."""
         self.column(name)[index] = value
 
     def locate(self, name: str, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -244,11 +305,14 @@ class AttributeTable:
             return self._locate(name, rows)
         return self.column(name), rows
 
-    def take(self, name: str, indices: np.ndarray) -> np.ndarray:
+    def take(self, name: str, indices: np.ndarray) -> np.ndarray | Ragged:
         """Vectorized gather of ``name`` at ``indices`` (returns a copy):
-        ``column(name)[indices]``, read through :meth:`locate`."""
+        ``column(name)[indices]``, read through :meth:`locate`; of a ragged
+        attribute, :meth:`Ragged.take` of integer rows."""
         values, index = self.locate(name, indices)
-        return values if index is None else values[index]
+        if index is None:
+            return values
+        return values.take(index) if isinstance(values, Ragged) else values[index]
 
     @property
     def materialized_names(self) -> list[str]:
@@ -256,24 +320,13 @@ class AttributeTable:
         return list(self._columns)
 
     def approx_nbytes(self) -> int:
-        """Approximate resident bytes of materialized columns.
-
-        Object columns are estimated at 64 bytes per row (pointer + small
-        boxed value); used by the GC pause model, so precision is not
-        critical.
-        """
-        total = 0
-        for name, col in self._columns.items():
-            if self.schema[name].is_object:
-                total += 64 * self.n
-            else:
-                total += col.nbytes
-        return total
+        """Resident bytes of the materialized columns' arrays, exactly (the GC
+        pause model's input)."""
+        return sum(col.nbytes for col in self._columns.values())
 
     def copy(self) -> "AttributeTable":
-        """Deep-ish copy: numeric columns are copied; object cells are shared.
-
-        A backed table's untouched columns stay backed in the copy."""
+        """Copy of the materialized columns; a backed table's untouched
+        columns stay backed in the copy."""
         out = AttributeTable(self.schema, self.n, locate=self._locate)
         for name, col in self._columns.items():
             out._columns[name] = col.copy()
@@ -287,9 +340,17 @@ class AttributeTable:
         names = set(self._valued_names()) | set(other._valued_names())
         for name in names:
             a, b = self.column(name), other.column(name)
-            if self.schema[name].is_object:
-                if any(x != y for x, y in zip(a, b)):
-                    return False
-            elif not np.array_equal(a, b):
+            if not (a.equals(b) if self.schema[name].ragged else np.array_equal(a, b)):
                 return False
         return True
+
+
+def _checked_ragged(name: str, column: Ragged, n: int) -> Ragged:
+    """A copy of ``column`` as int64 arrays, if it is ``n`` rows of integers."""
+    offsets, values = (np.asarray(a) for a in (column if isinstance(column, Ragged) else ([], [])))
+    if offsets.shape != (n + 1,) or values.ndim != 1 or {offsets.dtype.kind, values.dtype.kind} - {"i", "u"}:
+        raise ValueError(
+            f"ragged column {name!r} must be a Ragged of {n + 1} integer offsets and 1-D integer values"
+        )
+    check_ragged(offsets, values, f"ragged column {name!r}'s offsets")
+    return Ragged(offsets.astype(np.int64), values.astype(np.int64))

@@ -34,19 +34,19 @@ from pathlib import Path
 
 import numpy as np
 
-from ..graph.attributes import AttributeTable
+from ..graph.attributes import AttributeTable, Ragged, check_ragged
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
 from ..graph.collection import TimeSeriesGraphCollection
 from ..partition.base import PartitionedGraph
 from .serde import PackedArrays, load_template, save_template
 from .slices import (
+    RAGGED_VALUES,
     SLICE_FORMAT,
     SliceKey,
     bin_rows,
     read_rows,
     read_slice,
-    slice_filename,
     slice_nbytes,
     write_rows,
     write_slice,
@@ -171,28 +171,33 @@ class GoFS:
 
 def _check_columns(arrays: PackedArrays, tpl: GraphTemplate, pack_len: int, rows: tuple) -> None:
     """The slice holds exactly the store's schema: every attribute either
-    stored with the schema's dtype and shape ``(pack_len, |bin rows|)`` or
-    listed under ``defaults`` — never both, never neither, and nothing
-    else.  From the header; nothing is decoded."""
-    want: dict[str, tuple[np.dtype, list[int]]] = {}
+    stored with the schema's dtype and shape ``(pack_len, |bin rows|)`` — a
+    ragged one as ``(pack_len, |bin rows| + 1)`` int64 offsets plus 1-D int64
+    values — or listed under ``defaults``: never both, never neither, and
+    nothing else.  From the header; nothing is decoded."""
+    want: dict[str, tuple[str, np.dtype, list[int] | None]] = {}
     for prefix, schema, side in zip("ve", (tpl.vertex_schema, tpl.edge_schema), rows):
         for spec in schema:
-            want[f"{prefix}__{spec.name}"] = (spec.dtype, [pack_len, side.size])
+            name = f"{prefix}__{spec.name}"
+            want[name] = (name, spec.dtype, [pack_len, side.size + spec.ragged])
+            if spec.ragged:
+                want[name + RAGGED_VALUES] = (name, spec.dtype, None)
     stored = set(arrays)
     for name in sorted(stored & arrays.defaults):
         raise ValueError(f"column {name} is both stored and listed under defaults")
     for name in sorted((stored | arrays.defaults) - want.keys()):
         raise ValueError(f"column {name} is not in the schema")
-    for name, (dtype, shape) in want.items():
-        if name in arrays.defaults:
+    for name, (column, dtype, shape) in want.items():
+        if column in arrays.defaults:
             continue
         if name not in stored:
             raise ValueError(f"column {name} is missing: neither stored nor listed under defaults")
         entry = arrays.entry(name)
-        if np.dtype(entry["dtype"]) != dtype or entry["shape"] != shape:
+        shape_ok = len(entry["shape"]) == 1 if shape is None else entry["shape"] == shape
+        if np.dtype(entry["dtype"]) != dtype or not shape_ok:
             raise ValueError(
                 f"column {name} is {entry['dtype']} {entry['shape']}, "
-                f"schema wants {dtype.str} {shape}"
+                f"schema wants {dtype.str} {shape or '1-D'}"
             )
 
 
@@ -204,11 +209,17 @@ class _Pack(list):
         self.pack = pack
         self.nbytes: int | None = None
 
-    def read(self, wanted: frozenset[str]) -> float:
-        """Read the slices' payloads and decode ``wanted``; returns the seconds."""
+    def read(self, wanted: frozenset[str], ragged: list[str]) -> float:
+        """Read the slices' payloads, check their ``ragged`` columns' offsets
+        (outside input a kernel indexes by) and decode ``wanted``; returns the
+        seconds."""
         start = time.perf_counter()
         for arrays in self:
             arrays.read_payload()
+            for name in ragged:
+                if name in arrays:
+                    offsets, values = arrays[name].reshape(-1), arrays[name + RAGGED_VALUES]
+                    check_ragged(offsets, values, f"{arrays.name}: column {name}'s offsets")
             for name in wanted:
                 if name in arrays:
                     arrays[name]  # decode now: a pack read is load, not compute
@@ -259,13 +270,9 @@ class GoFSPartitionView:
         self.manifest = manifest
         self.template = GoFS.load_template(self.root) if template is None else template
         self._num_bins = len(manifest["bins"][self.partition_id])
-        # Unpickling gate for slice reads: only schemas with object columns
-        # ever need it; numeric-only stores stay strict.
-        self._allow_objects = any(
-            spec.is_object
-            for schema in (self.template.vertex_schema, self.template.edge_schema)
-            for spec in schema
-        )
+        #: Slice entries of the ragged attributes, checked on every pack read.
+        sides = zip("ve", (self.template.vertex_schema, self.template.edge_schema))
+        self._ragged = [f"{p}__{spec.name}" for p, schema in sides for spec in schema if spec.ragged]
         #: The pack the last :meth:`instance` served (its headers; its bytes
         #: once a row was read).
         self._pack: _Pack | None = None
@@ -297,8 +304,8 @@ class GoFSPartitionView:
         #: in place or copied (``gofs.columns_projected`` / ``.bytes_projected``).
         self.columns_projected = 0
         self.bytes_projected = 0
-        #: Slice entries (``"e__latency"``) projected so far.  A payload read
-        #: decodes these at read time, so their unpickle is load seconds.
+        #: Slice entries (``"e__latency"``) projected so far; a payload read
+        #: decodes them as it reads.
         self.projected: frozenset[str] = frozenset()
         #: False while replaying a checkpoint restore: the I/O still happens
         #: but is not recorded as load evidence (the committed execution's
@@ -338,15 +345,11 @@ class GoFSPartitionView:
         pack_len = min(packing, self.manifest["num_timesteps"] - pack * packing)
         data = _Pack(pack, [])
         for b in range(self._num_bins):
-            key = SliceKey(self.partition_id, b, pack)
-            arrays = read_slice(self.root, key, allow_objects=self._allow_objects)
+            arrays = read_slice(self.root, SliceKey(self.partition_id, b, pack))
             try:
                 _check_columns(arrays, self.template, pack_len, self._bin_rows[b])
             except ValueError as exc:
-                raise ValueError(
-                    f"GoFS slice {self.root / slice_filename(key)} ({key}) "
-                    f"does not match the store's schema: {exc}"
-                ) from None
+                raise ValueError(f"{arrays.name} does not match the store's schema: {exc}") from None
             data.append(arrays)
         return data
 
@@ -412,7 +415,9 @@ class GoFSPartitionView:
         timestep's ``(values, index)`` of an attribute at template ``rows``.  Rows
         in one bin storing the column (a subgraph's always are) are answered in
         place, by the pack's read-only row and the plan's cached positions; else
-        assembled in row order, ``index=None``, foreign or unstored rows default."""
+        assembled in row order, ``index=None``, foreign or unstored rows default.
+        A ragged attribute's values are :class:`Ragged`: in place, the timestep's
+        offsets row over the pack's values."""
         if pack_data.nbytes is None:
             self._read_payload(pack_data, timestep, recording)
         row = timestep - pack_data.pack * self.manifest["packing"]
@@ -421,13 +426,27 @@ class GoFSPartitionView:
         spec, size = schema[name], n if rows is None else len(rows)
         plan = self._plan(prefix, rows)
         if len(plan) == 1 and plan[0][1] is None and entry in pack_data[plan[0][0]]:
-            values, index = pack_data[plan[0][0]][entry][row], plan[0][2]
+            stored = pack_data[plan[0][0]]
+            values, index = stored[entry][row], plan[0][2]
+            if spec.ragged:
+                values = Ragged(values, stored[entry + RAGGED_VALUES])
         else:
-            values, index = spec.allocate(size), None
+            values, index, pieces = spec.allocate(size), None, []
             for b, where, pos in plan:
-                if entry in pack_data[b]:  # else listed under defaults
-                    stored = pack_data[b][entry][row]
+                if entry not in pack_data[b]:
+                    continue  # listed under defaults
+                stored = pack_data[b][entry][row]
+                if spec.ragged:
+                    cells = Ragged(stored, pack_data[b][entry + RAGGED_VALUES])
+                    pieces.append((where, cells if pos is None else cells.take(pos)))
+                else:
                     values[where] = stored if pos is None else stored[pos]
+            if pieces:  # each piece's rows at its `where`, the rest empty
+                values = Ragged.group(
+                    np.concatenate([where.repeat(np.diff(c.offsets)) for where, c in pieces]),
+                    np.concatenate([c.values[c.offsets[0] : c.offsets[-1]] for _, c in pieces]),
+                    size,
+                )
         if recording:
             if entry not in self.projected:
                 self.projected = self.projected | {entry}
@@ -441,7 +460,7 @@ class GoFSPartitionView:
 
     def _read_payload(self, pack: _Pack, timestep: int, recording: bool) -> None:
         """Read a pack at its first row read, at ``timestep``, blocking the reader."""
-        seconds = pack.read(self.projected)
+        seconds = pack.read(self.projected, self._ragged)
         if not recording:
             return
         self._pending_load += seconds

@@ -2,9 +2,9 @@
 
 Everything a GoFS store holds — template, bin rows, slices — is one GSL2
 container (below).  A template stores its topology arrays raw and its
-attribute schemas as small pickled blobs held in ``uint8`` arrays (schemas
-are trusted local metadata, not user-supplied network input), so loading one
-is a file read plus zero-copy views, with no zip walking.  Round-trip
+attribute schemas as small JSON blobs held in ``uint8`` arrays, so loading
+one is a file read plus zero-copy views, with no zip walking and no
+unpickling.  Round-trip
 fidelity is asserted by the test suite via ``GraphTemplate.equals``.
 
 The GSL2 framed container (:func:`write_arrays` /
@@ -13,19 +13,19 @@ length, a JSON header describing each array (name, kind, dtype, shape,
 offset, nbytes) and naming under ``defaults`` the columns left out because
 nothing ever set them, then one contiguous payload holding the raw array
 bytes at 64-byte-aligned offsets.  :func:`write_arrays` streams: each
-array's buffer goes to the file once, straight from the array.  Numeric
-arrays deserialize as ``np.frombuffer`` views over the file bytes —
-near-memcpy, no pickle, no per-array parsing — while object-dtype columns
-ride a pickled side-channel (``kind: "pickle"``; trusted local data, same
-stance as the schema blobs above).  The header's ``compression`` is always
-null; a reader refuses any other value.
+array's buffer goes to the file once, straight from the array.  Every entry
+is numeric (``kind: "raw"``; a ragged attribute is two such arrays, see
+:mod:`repro.storage.slices`) and deserializes as an ``np.frombuffer`` view
+over the file bytes — near-memcpy, no per-array parsing, and no read ever
+unpickles.  The header's ``compression`` is always null; a reader refuses
+any other value.
 
 Reading is split in three.  *The header* (:func:`unpack_arrays`; of a file,
 :func:`open_arrays`): magic, header parse, bounds and size validation of
-every entry, the ``allow_objects`` gate.  *A file's payload*, in one read
-on first use (:meth:`PackedArrays.read_payload`).  *Per array, on first
-access*: the ``frombuffer`` view or the unpickle, so a reader that never
-asks for a column never pays for decoding it.
+every entry.  *A file's payload*, in one read on first use
+(:meth:`PackedArrays.read_payload`).  *Per array, on first access*: the
+``frombuffer`` view, so a reader that never asks for a column never pays
+for decoding it.
 """
 
 from __future__ import annotations
@@ -72,39 +72,23 @@ def write_arrays(
     """Stream named arrays to ``fp`` as one GSL2 buffer — the only writer.
 
     Header first, then each numeric array's own buffer, written once at its
-    64-byte-aligned payload offset; object-dtype arrays are pickled.
-    ``defaults`` names columns deliberately left out (readers serve their
-    schema default).
+    64-byte-aligned payload offset; an array of Python objects is a
+    ``ValueError``.  ``defaults`` names columns deliberately left out
+    (readers serve their schema default).
     """
     entries: list[dict] = []
-    blobs: list[bytes | np.ndarray] = []
+    blobs: list[np.ndarray] = []
     offset = 0
     for name, arr in arrays.items():
         arr = np.asarray(arr)
-        if arr.dtype == object:
-            blob = pickle.dumps(arr, protocol=pickle.HIGHEST_PROTOCOL)
-            kind, dtype_str, nbytes = "pickle", "object", len(blob)
-        else:
-            blob = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
-            kind, dtype_str, nbytes = "raw", arr.dtype.str, arr.nbytes
+        if arr.dtype.hasobject:
+            raise ValueError(f"array {name!r} holds Python objects; GSL2 stores numeric arrays")
         offset += (-offset) % _GSL2_ALIGN
-        entries.append(
-            {
-                "name": name,
-                "kind": kind,
-                "dtype": dtype_str,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": nbytes,
-            }
-        )
-        blobs.append(blob)
-        offset += nbytes
-    header = {
-        "compression": None,
-        "arrays": entries,
-        "defaults": sorted(defaults),
-    }
+        entries.append({"name": name, "kind": "raw", "dtype": arr.dtype.str,
+                        "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
+        blobs.append(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+        offset += arr.nbytes
+    header = {"compression": None, "arrays": entries, "defaults": sorted(defaults)}
     header = json.dumps(header).encode("utf-8")
     fp.write(GSL2_MAGIC + len(header).to_bytes(4, "little") + header)
     written = 0
@@ -126,10 +110,8 @@ class PackedArrays(Mapping):
 
     The header is parsed and validated up front (:func:`unpack_arrays`,
     :func:`open_arrays`); each array is decoded from the payload on its
-    first ``[name]`` and kept.
-    Raw arrays decode to read-only, zero-copy ``np.frombuffer`` views;
-    object arrays are unpickled then, and only then, and made read-only too
-    (a reader handed either cannot write into a cached pack).  :meth:`entry` answers
+    first ``[name]`` and kept, as a read-only, zero-copy ``np.frombuffer``
+    view (a reader handed one cannot write into a cached pack).  :meth:`entry` answers
     dtype/shape/size questions from the header without decoding anything;
     :attr:`defaults` names the columns the writer left out because they
     hold nothing but their default.
@@ -161,22 +143,18 @@ class PackedArrays(Mapping):
                 raise ValueError(f"{name} changed under the run: {len(buf)} bytes, not {nbytes}")
             self._payload = memoryview(buf)
 
+    @property
+    def name(self) -> str | None:
+        """What errors call the file this was opened from (:func:`open_arrays`)."""
+        return self._file and self._file[3]
+
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._decoded.get(name)
         if arr is None:
             entry = self._entries[name]  # KeyError for unknown names
             self.read_payload()
             chunk = self._payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-            shape = tuple(entry["shape"])
-            if entry["kind"] == "pickle":
-                arr = pickle.loads(chunk)
-                if getattr(arr, "dtype", None) != object or arr.shape != shape:
-                    raise ValueError(
-                        f"array {name!r} did not unpickle to an object array of shape {shape}"
-                    )
-                arr.flags.writeable = False
-            else:
-                arr = np.frombuffer(chunk, dtype=np.dtype(entry["dtype"])).reshape(shape)
+            arr = np.frombuffer(chunk, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
             self._decoded[name] = arr
         return arr
 
@@ -194,16 +172,13 @@ class PackedArrays(Mapping):
         return self._entries[name]
 
 
-def unpack_arrays(
-    buf: bytes, *, allow_objects: bool | None = None, size: int | None = None
-) -> PackedArrays:
+def unpack_arrays(buf: bytes, *, size: int | None = None) -> PackedArrays:
     """Open a :func:`pack_arrays` buffer as a lazily decoded mapping.
 
     Eager, so a bad buffer fails here and not at first use: the magic, the
     header, every entry's ``offset + nbytes`` lying inside the payload (of
-    the ``size``-byte buffer ``buf`` begins, if given), every raw entry's
-    ``nbytes == itemsize * prod(shape)``, and ``allow_objects=False``, which
-    refuses pickled columns without unpickling (for numeric-only schemas).
+    the ``size``-byte buffer ``buf`` begins, if given), every entry's kind
+    being ``raw`` and its ``nbytes == itemsize * prod(shape)``.
     """
     if buf[:4] != GSL2_MAGIC:
         raise ValueError("not a GSL2 buffer (bad magic)")
@@ -225,20 +200,14 @@ def unpack_arrays(
                 f"array {name!r} spans payload bytes [{offset}, {offset + nbytes}) "
                 f"but the payload holds {payload_len}"
             )
-        if entry["kind"] == "pickle":
-            if allow_objects is False:
-                raise ValueError(
-                    f"array {name!r} is a pickled object column but allow_objects=False"
-                )
-        elif entry["kind"] == "raw":
-            want = np.dtype(entry["dtype"]).itemsize * math.prod(entry["shape"])
-            if nbytes != want:
-                raise ValueError(
-                    f"array {name!r} records {nbytes} bytes but "
-                    f"{entry['dtype']} x {entry['shape']} needs {want}"
-                )
-        else:
+        if entry["kind"] != "raw":
             raise ValueError(f"array {name!r} has unknown kind {entry['kind']!r}")
+        want = np.dtype(entry["dtype"]).itemsize * math.prod(entry["shape"])
+        if nbytes != want:
+            raise ValueError(
+                f"array {name!r} records {nbytes} bytes but "
+                f"{entry['dtype']} x {entry['shape']} needs {want}"
+            )
         entries[name] = entry
     defaults = header["defaults"]
     if not isinstance(defaults, list) or not all(isinstance(n, str) for n in defaults):
@@ -246,9 +215,7 @@ def unpack_arrays(
     return PackedArrays(entries, memoryview(buf)[8 + hlen :], frozenset(defaults))
 
 
-def open_arrays(
-    path: str | Path, *, allow_objects: bool | None = None, name: str | None = None
-) -> PackedArrays:
+def open_arrays(path: str | Path, *, name: str | None = None) -> PackedArrays:
     """:func:`unpack_arrays` of a file's header alone, checked against the
     file's size; its payload is read on first use.  An ``OSError`` keeps its
     type; it and a malformed header name the file as ``name``."""
@@ -261,18 +228,18 @@ def open_arrays(
     except OSError as exc:
         raise OSError(exc.errno, f"{name} cannot be read: {exc.strerror or exc}") from None
     try:
-        arrays = unpack_arrays(head, allow_objects=allow_objects, size=size)
+        arrays = unpack_arrays(head, size=size)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{name} is malformed: {exc}") from exc
     arrays._payload, arrays._file = None, (path, len(head), size - len(head), name)
     return arrays
 
 
-def read_arrays(path: str | Path, *, allow_objects: bool | None = None) -> PackedArrays:
+def read_arrays(path: str | Path) -> PackedArrays:
     """:func:`open_arrays` and its payload, now.  A file that is missing,
     unreadable or malformed is a ``ValueError`` naming it."""
     try:
-        arrays = open_arrays(path, allow_objects=allow_objects)
+        arrays = open_arrays(path)
         arrays.read_payload()
     except OSError as exc:
         raise ValueError(exc.strerror) from None
@@ -309,14 +276,19 @@ def read_blob(path: str | Path, expected_sha256: str | None = None):
 
 
 def schema_to_bytes(schema: AttributeSchema) -> bytes:
-    """Serialize a schema as a list of (name, dtype string, default) triples."""
-    triples = [(s.name, s.dtype.str if s.dtype != np.dtype(object) else "object", s.default) for s in schema]
-    return pickle.dumps(triples, protocol=pickle.HIGHEST_PROTOCOL)
+    """Serialize a schema as a JSON list of (name, dtype string or
+    ``"ragged"``, default) triples; a default is a number, a bool or null."""
+    triples = [
+        (s.name, "ragged" if s.ragged else s.dtype.str,
+         None if s.default is None else np.asarray(s.default).item())
+        for s in schema
+    ]
+    return json.dumps(triples).encode("utf-8")
 
 
 def schema_from_bytes(blob: bytes) -> AttributeSchema:
     """Inverse of :func:`schema_to_bytes`."""
-    triples = pickle.loads(blob)
+    triples = json.loads(blob.decode("utf-8"))
     return AttributeSchema(AttributeSpec(name, dtype, default) for name, dtype, default in triples)
 
 
@@ -342,7 +314,7 @@ def save_template(path: str | Path, template: GraphTemplate) -> None:
 def load_template(path: str | Path) -> GraphTemplate:
     """Read a template written by :func:`save_template` (arrays: read-only
     views of the file); a bad file or version is a ``ValueError`` naming it."""
-    data = read_arrays(path, allow_objects=False)
+    data = read_arrays(path)
     version = data.get("format_version")
     if version is None or int(version) != 1:
         raise ValueError(f"template {path} has unsupported format version {version}")

@@ -16,19 +16,22 @@ format 4) and its slices hold attribute columns only.
 Slices are ``.gsl`` files in the zero-copy GSL2 container
 (:func:`repro.storage.serde.write_arrays`): framed header plus contiguous
 aligned raw buffers per attribute column, read back as ``np.frombuffer``
-views so a pack load is near-memcpy.  Object columns (e.g. tweet lists)
-ride a pickled side-channel inside the same file.  A column that no
+views so a pack load is near-memcpy.  A numeric attribute is one
+``(pack_len, rows)`` matrix.  A ragged attribute (the tweets' hashtags) is
+two: its name holds the ``(pack_len, rows + 1)`` int64 offsets, timestep
+after timestep into one int64 array stored as ``name.values`` — timestep
+``i``'s rows are ``Ragged(offsets[i], values)`` — so a slice holds numbers
+only (format 5; format 4 pickled a column of tuples).  A column that no
 instance of the pack has set is not stored: the header lists it under
 ``defaults`` and readers serve the schema default.
 
 :func:`read_slice` reads and validates the header, the payload on first use
-and each column on its first access, so the cost of a column — above all
-the unpickle of an object column — is paid only by a reader that uses it.
+and each column on its first access, so the cost of a column is paid only
+by a reader that uses it.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,12 +53,18 @@ __all__ = [
     "write_slice",
     "read_slice",
     "slice_nbytes",
+    "RAGGED_VALUES",
 ]
 
-#: The manifest's ``slice_format`` value: 4 = a bin's rows once, in its rows
-#: file (3 repeated them in every slice, 2 also stored never-set columns
-#: instead of naming them under ``defaults``, 1 was ``.npz``; none is read).
-SLICE_FORMAT = 4
+#: The manifest's ``slice_format`` value: 5 = a ragged column as two numeric
+#: arrays (4 pickled it; 3 repeated a bin's rows in every slice, 2 also
+#: stored never-set columns instead of naming them under ``defaults``, 1 was
+#: ``.npz``; none is read).
+SLICE_FORMAT = 5
+
+#: Suffix of the entry holding a ragged column's values; its offsets are
+#: stored under the column's own name.
+RAGGED_VALUES = ".values"
 
 #: Rows-file entries: template rows of the ``v__*`` / ``e__*`` columns.
 _ROWS_KEYS = ("vertex_rows", "edge_rows")
@@ -105,7 +114,7 @@ def read_rows(root: Path, partition: int, bin: int, sizes: tuple[int, int]) -> t
     1-D, strictly increasing and below its side's template size — the view's
     row index is addressed by them.  Else a ``ValueError`` naming the file."""
     path = Path(root) / rows_filename(partition, bin)
-    data = read_arrays(path, allow_objects=False)
+    data = read_arrays(path)
     for key, n in zip(_ROWS_KEYS, sizes):
         rows = data.get(key)
         if not (
@@ -128,10 +137,10 @@ def write_slice(
     """Write one slice: the given rows of every *set* attribute × instances.
 
     Each attribute some instance of the pack has set is gathered into one
-    ``(pack_len, rows)`` matrix — a later read is one contiguous load — and
-    streamed to the file once.  An attribute none has set is not
-    materialized, only named under the header's ``defaults``.  The rows are
-    not stored here (:func:`write_rows`).
+    ``(pack_len, rows)`` matrix — a ragged one into its offsets and values —
+    so a later read is one contiguous load, and streamed to the file once.
+    An attribute none has set is not materialized, only named under the
+    header's ``defaults``.  The rows are not stored here (:func:`write_rows`).
     """
     arrays: dict[str, np.ndarray] = {}
     defaults: list[str] = []
@@ -141,45 +150,42 @@ def write_slice(
     ):
         valued = set().union(*(table._valued_names() for table in tables))
         for spec in tables[0].schema if tables else ():
+            entry = f"{prefix}__{spec.name}"
             if spec.name not in valued:
-                defaults.append(f"{prefix}__{spec.name}")
-                continue
-            mat = np.empty((len(tables), len(rows)), dtype=spec.dtype)
-            for i, table in enumerate(tables):
-                np.take(table.column(spec.name), rows, out=mat[i])
-            arrays[f"{prefix}__{spec.name}"] = mat
+                defaults.append(entry)
+            elif spec.ragged:  # offsets run on from one timestep's row to the next
+                cells = [table.column(spec.name).take(rows) for table in tables]
+                bases = np.cumsum([0] + [c.values.size for c in cells[:-1]])
+                arrays[entry] = np.stack([c.offsets + base for c, base in zip(cells, bases)])
+                arrays[entry + RAGGED_VALUES] = np.concatenate([c.values for c in cells])
+            else:
+                mat = np.empty((len(tables), len(rows)), dtype=spec.dtype)
+                for i, table in enumerate(tables):
+                    np.take(table.column(spec.name), rows, out=mat[i])
+                arrays[entry] = mat
     path = Path(root) / slice_filename(key)
     with open(path, "wb") as fp:
         write_arrays(fp, arrays, defaults=defaults)
     return path
 
 
-def read_slice(
-    root: Path, key: SliceKey, *, allow_objects: bool | None = None
-) -> PackedArrays:
+def read_slice(root: Path, key: SliceKey) -> PackedArrays:
     """Read a slice file's header and validate it; read nothing else yet.
 
-    Now: the header checks of :func:`~repro.storage.serde.open_arrays` and
-    the ``allow_objects`` gate — ``False`` fails loudly here if the slice
-    holds object columns.  On ``read_payload()`` or the first ``data[name]``:
-    the payload, in one read.  Per column, on first ``data[name]``: a
-    read-only zero-copy view, or the unpickle.  Every error of either read
-    names the ``.gsl`` path and the key; an ``OSError`` keeps its type.
+    Now: the header checks of :func:`~repro.storage.serde.open_arrays`.  On
+    ``read_payload()`` or the first ``data[name]``: the payload, in one read.
+    Per column, on first ``data[name]``: a read-only zero-copy view.  Every
+    error of either read names the ``.gsl`` path and the key; an ``OSError``
+    keeps its type.
     """
     path = Path(root) / slice_filename(key)
-    return open_arrays(path, allow_objects=allow_objects, name=f"GoFS slice {path} ({key})")
+    return open_arrays(path, name=f"GoFS slice {path} ({key})")
 
 
 def slice_nbytes(data: PackedArrays) -> int:
-    """Approximate resident bytes of one loaded slice (GC-model input).
+    """Resident bytes of one loaded slice's arrays (GC-model input), exactly.
 
     Computed from the header, so it is the same number whether or not any
-    column has been decoded.  Object columns count a flat 64 bytes per
-    element: the arrays only hold pointers to variable-size Python objects
-    the model cannot cheaply size.
+    column has been decoded.
     """
-    total = 0
-    for name in data:
-        entry = data.entry(name)
-        total += 64 * math.prod(entry["shape"]) if entry["kind"] == "pickle" else entry["nbytes"]
-    return total
+    return sum(data.entry(name)["nbytes"] for name in data)

@@ -18,7 +18,7 @@ from repro.generators import (
     smallworld_network,
 )
 from repro.partition import HashPartitioner, partition_graph
-from tests.conftest import make_grid_template, populate_random
+from tests.conftest import make_grid_template, populate_random, ragged
 
 
 @pytest.fixture
@@ -66,20 +66,18 @@ class TestAggregation:
         from repro.graph import build_collection
 
         def pop(inst, t):
-            tw = np.empty(4, dtype=object)
-            tw[:] = [("x", "x"), ("x",), (), ()]
-            inst.vertex_values.set_column("tweets", tw)
+            inst.vertex_values.set_column("tweets", ragged([[5, 5], [5], [], []]))
 
         coll = build_collection(tpl, 2, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
-        comp = HashtagAggregationComputation.for_partitioned_graph(pg, "x")
+        comp = HashtagAggregationComputation.for_partitioned_graph(pg, 5)
         res = run_application(comp, pg, coll)
         (_sg, summary), = res.merge_outputs
         assert np.array_equal(summary.counts, [3, 3])
 
     def test_absent_hashtag_all_zero(self, case):
         tpl, coll, pg = case
-        comp = HashtagAggregationComputation.for_partitioned_graph(pg, "nope")
+        comp = HashtagAggregationComputation.for_partitioned_graph(pg, 99)  # no vertex has it
         res = run_application(comp, pg, coll)
         (_sg, summary), = res.merge_outputs
         assert summary.total == 0

@@ -14,7 +14,9 @@ from repro.core import run_application
 from repro.generators import smallworld_network, tweet_collection
 from repro.graph import AttributeSchema, AttributeSpec, GraphTemplate, build_collection
 from repro.partition import HashPartitioner, partition_graph
-from tests.conftest import make_random_template
+from tests.conftest import make_random_template, ragged
+
+M = 7  #: the tracked meme's hashtag id
 
 
 def tweets_template(n, src, dst, directed=False):
@@ -23,7 +25,7 @@ def tweets_template(n, src, dst, directed=False):
         src,
         dst,
         directed=directed,
-        vertex_schema=AttributeSchema([AttributeSpec("tweets", "object")]),
+        vertex_schema=AttributeSchema([AttributeSpec("tweets", "ragged")]),
     )
 
 
@@ -34,10 +36,8 @@ def random_tweet_case(seed, n=35, m=70, T=6, k=3, meme_prob=0.25):
 
     def pop(inst, t, _seed=seed):
         r = np.random.default_rng(777 + _seed * 31 + t)
-        tw = np.empty(n, dtype=object)
-        for v in range(n):
-            tw[v] = (0,) if r.random() < meme_prob else ()
-        inst.vertex_values.set_column("tweets", tw)
+        tw = [[0] if r.random() < meme_prob else [] for v in range(n)]
+        inst.vertex_values.set_column("tweets", ragged(tw))
 
     coll = build_collection(tpl, T, pop, delta=1.0)
     pg = partition_graph(tpl, k, HashPartitioner(seed=seed))
@@ -56,14 +56,12 @@ class TestHandCrafted:
         }
 
         def pop(inst, t):
-            tw = np.empty(4, dtype=object)
-            for v in range(4):
-                tw[v] = ("m",) if t in schedule[v] else ()
-            inst.vertex_values.set_column("tweets", tw)
+            tw = [[M] if t in schedule[v] else [] for v in range(4)]
+            inst.vertex_values.set_column("tweets", ragged(tw))
 
         coll = build_collection(tpl, 4, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
-        res = run_application(MemeTrackingComputation("m"), pg, coll)
+        res = run_application(MemeTrackingComputation(M), pg, coll)
         got = colored_timesteps_from_result(res)
         assert got == {0: 0, 1: 1, 2: 2, 3: 3}
 
@@ -72,16 +70,16 @@ class TestHandCrafted:
         tpl = tweets_template(4, [0, 2], [1, 3])  # components {0,1} and {2,3}
 
         def pop(inst, t):
-            tw = np.empty(4, dtype=object)
-            tw[0] = ("m",) if t == 0 else ()
-            tw[1] = ("m",) if t >= 1 else ()
-            tw[2] = ()
-            tw[3] = ("m",) if t >= 1 else ()  # has meme, but no colored neighbor
-            inst.vertex_values.set_column("tweets", tw)
+            tw = [None] * 4
+            tw[0] = [M] if t == 0 else []
+            tw[1] = [M] if t >= 1 else []
+            tw[2] = []
+            tw[3] = [M] if t >= 1 else []  # has meme, but no colored neighbor
+            inst.vertex_values.set_column("tweets", ragged(tw))
 
         coll = build_collection(tpl, 3, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
-        res = run_application(MemeTrackingComputation("m"), pg, coll)
+        res = run_application(MemeTrackingComputation(M), pg, coll)
         got = colored_timesteps_from_result(res)
         assert got == {0: 0, 1: 1}
 
@@ -90,20 +88,20 @@ class TestHandCrafted:
         tpl = tweets_template(3, [0, 1], [1, 2])
 
         def pop(inst, t):
-            tw = np.empty(3, dtype=object)
-            tw[0] = ("m",) if t == 0 else ()
-            tw[1] = ()  # never tweets in t=1
-            tw[2] = ()
+            tw = [None] * 3
+            tw[0] = [M] if t == 0 else []
+            tw[1] = []  # never tweets in t=1
+            tw[2] = []
             if t == 2:
-                tw[1] = ("m",)
+                tw[1] = [M]
             if t == 3:
-                tw[2] = ("m",)
-            inst.vertex_values.set_column("tweets", tw)
+                tw[2] = [M]
+            inst.vertex_values.set_column("tweets", ragged(tw))
 
         coll = build_collection(tpl, 4, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
         got = colored_timesteps_from_result(
-            run_application(MemeTrackingComputation("m"), pg, coll)
+            run_application(MemeTrackingComputation(M), pg, coll)
         )
         assert got == {0: 0, 1: 2, 2: 3}
 
@@ -112,14 +110,13 @@ class TestHandCrafted:
         tpl = tweets_template(4, [0, 1, 2], [1, 2, 3])
 
         def pop(inst, t):
-            tw = np.empty(4, dtype=object)
-            tw[:] = [("m",)] * 4 if t == 0 else [()] * 4
-            inst.vertex_values.set_column("tweets", tw)
+            tw = [[M]] * 4 if t == 0 else [[]] * 4
+            inst.vertex_values.set_column("tweets", ragged(tw))
 
         coll = build_collection(tpl, 2, pop)
         pg = partition_graph(tpl, 3, HashPartitioner())
         got = colored_timesteps_from_result(
-            run_application(MemeTrackingComputation("m"), pg, coll)
+            run_application(MemeTrackingComputation(M), pg, coll)
         )
         assert got == {0: 0, 1: 0, 2: 0, 3: 0}
 

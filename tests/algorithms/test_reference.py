@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import reference as ref
 from repro.graph import build_collection
-from tests.conftest import make_grid_template, make_random_template, populate_random
+from tests.conftest import make_grid_template, make_random_template, populate_random, ragged
 
 
 def to_nx(tpl, weights=None):
@@ -135,9 +135,8 @@ class TestMemeAndHashtagRefs:
         tpl = make_grid_template(2, 2)
 
         def pop(inst, t):
-            tw = np.empty(4, dtype=object)
-            tw[:] = [(1, 1, 2), (2,), (), (1,)] if t == 0 else [(), (), (), ()]
-            inst.vertex_values.set_column("tweets", tw)
+            tw = [[1, 1, 2], [2], [], [1]] if t == 0 else [[], [], [], []]
+            inst.vertex_values.set_column("tweets", ragged(tw))
 
         coll = build_collection(tpl, 2, pop)
         assert np.array_equal(ref.hashtag_count_series(coll, 1), [3, 0])

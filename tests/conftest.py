@@ -13,6 +13,7 @@ from repro.graph import (
     AttributeSchema,
     AttributeSpec,
     GraphTemplate,
+    Ragged,
     build_collection,
 )
 from repro.partition import HashPartitioner, partition_graph
@@ -34,7 +35,7 @@ def make_grid_template(rows: int, cols: int, *, name: str = "grid", with_attrs: 
     vschema = (
         AttributeSchema(
             [
-                AttributeSpec("tweets", "object"),
+                AttributeSpec("tweets", "ragged"),
                 AttributeSpec("traffic", "float"),
                 AttributeSpec("flag", "bool"),
             ]
@@ -73,7 +74,7 @@ def make_random_template(
         np.asarray(dst, dtype=np.int64),
         directed=directed,
         vertex_schema=AttributeSchema(
-            [AttributeSpec("tweets", "object"), AttributeSpec("traffic", "float")]
+            [AttributeSpec("tweets", "ragged"), AttributeSpec("traffic", "float")]
         ),
         edge_schema=AttributeSchema([AttributeSpec("latency", "float")]),
         name=name,
@@ -89,13 +90,27 @@ def populate_random(seed: int):
         m = inst.template.num_edges
         inst.edge_values.set_column("latency", rng.uniform(0.5, 8.0, m))
         inst.vertex_values.set_column("traffic", rng.uniform(0.0, 100.0, n))
-        tweets = np.empty(n, dtype=object)
+        tweets = []
         for v in range(n):
             k = int(rng.integers(0, 3))
-            tweets[v] = tuple(int(x) for x in rng.integers(0, 4, k))
-        inst.vertex_values.set_column("tweets", tweets)
+            tweets.append(rng.integers(0, 4, k).tolist())
+        inst.vertex_values.set_column("tweets", ragged(tweets))
 
     return _pop
+
+
+def ragged(cells) -> Ragged:
+    """A ragged column from one sequence of integers per row (``None``: empty)."""
+    lengths = [len(c) if c is not None else 0 for c in cells]
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    values = [x for c in cells if c is not None for x in c]
+    return Ragged(offsets, np.asarray(values, dtype=np.int64))
+
+
+def ragged_rows(column: Ragged) -> list[list[int]]:
+    """A ragged column's rows as lists, to compare against Python cells."""
+    return [column.row(i).tolist() for i in range(len(column.offsets) - 1)]
 
 
 def refold(result, events=None) -> MetricsCollector:

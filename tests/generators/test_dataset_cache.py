@@ -78,8 +78,8 @@ class TestColdWarmIdentity:
             for kind in ("road", "tweets"):
                 ic, iw = cold[name][kind].instance(2), warm[name][kind].instance(2)
                 for col in ic.vertex_values.schema.names:
-                    a, b = ic.vertex_values.column(col), iw.vertex_values.column(col)
-                    assert np.array_equal(np.asarray(a), np.asarray(b))
+                    ic.vertex_values.column(col)
+                assert ic.vertex_values.equals(iw.vertex_values)
 
     def test_warm_equals_uncached(self, tmp_path):
         cache = DatasetCache(tmp_path)
@@ -101,7 +101,7 @@ class TestColdWarmIdentity:
         """A partition entry is keyed by the partitioner's class and scalar
         config, not its algorithm: only the version keeps a warm cache from
         serving the old refinement's partitions."""
-        assert INGEST_CODE_VERSION == 4
+        assert INGEST_CODE_VERSION == 5
         cache = DatasetCache(tmp_path)
         tpl = paper_datasets(self.SCALE, 5, seed=3)["CARN"]["template"]
         monkeypatch.setattr("repro.generators.cache.INGEST_CODE_VERSION", 3)
@@ -109,6 +109,17 @@ class TestColdWarmIdentity:
         monkeypatch.undo()
         misses = cache.misses
         partition_graph(tpl, 4, MetisLikePartitioner(seed=3), cache=cache)
+        assert cache.misses == misses + 1 and cache.hits == 0
+
+    def test_datasets_cached_by_version_4_are_a_miss(self, tmp_path, monkeypatch):
+        """Version 4 pickled tweet collections whose cells were tuples in an
+        object column; version 5 never reads them."""
+        cache = DatasetCache(tmp_path)
+        monkeypatch.setattr("repro.generators.cache.INGEST_CODE_VERSION", 4)
+        paper_datasets(self.SCALE, 5, seed=3, cache=cache)
+        monkeypatch.undo()
+        misses = cache.misses
+        paper_datasets(self.SCALE, 5, seed=3, cache=cache)
         assert cache.misses == misses + 1 and cache.hits == 0
 
     def test_partitioner_config_in_key(self, tmp_path):

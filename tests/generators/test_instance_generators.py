@@ -117,7 +117,7 @@ class TestSIRTweetPopulator:
             for i, meme in enumerate([7, 8]):
                 active = pop.active_mask(i, t)
                 for v in range(25):
-                    assert (meme in tweets[v]) == bool(active[v])
+                    assert (meme in tweets.row(v)) == bool(active[v])
 
     def test_deterministic_and_picklable(self):
         tpl = make_grid_template(4, 4)
@@ -125,7 +125,7 @@ class TestSIRTweetPopulator:
         clone = pickle.loads(pickle.dumps(coll))
         a = coll.instance(3).vertex_column("tweets")
         b = clone.instance(3).vertex_column("tweets")
-        assert all(x == y for x, y in zip(a, b))
+        assert a.equals(b) and len(a.values)
 
 
 class TestComposition:
@@ -137,7 +137,11 @@ class TestComposition:
         coll = make_collection(tpl, 3, CompositePopulator([sir, noise, traffic]))
         inst = coll.instance(0)
         tweets = inst.vertex_column("tweets")
-        assert any(50 in tw for tw in tweets)  # noise applied
+        assert 50 in tweets.values  # noise applied
+        # Each row keeps its memes first, then the draws.
+        for v in range(9):
+            row = tweets.row(v).tolist()
+            assert row == sorted(row, key=lambda h: h == 50)
         assert inst.vertex_column("traffic").max() > 0
 
     def test_background_requires_tags(self):

@@ -16,8 +16,9 @@ import sys
 import numpy as np
 import pytest
 
+from repro.generators.hashtags import BackgroundHashtagPopulator
 from repro.generators.road import road_network
-from repro.generators.sir import SIRTweetPopulator, simulate_sir
+from repro.generators.sir import SIRTweetPopulator, simulate_sir, tweet_collection
 from repro.generators.smallworld import preferential_attachment_edges, smallworld_network
 from repro.partition.metis_like import MetisLikePartitioner
 from repro.partition.stats import edge_cut_fraction
@@ -37,6 +38,10 @@ GOLDEN_WIKI_EDGES = "d7a71a61b830ed14"
 GOLDEN_SIR = "bdd10ac781183fcf"
 GOLDEN_CARN_ASSIGN = "73efc81b1b9ced56"
 GOLDEN_WIKI_ASSIGN = "76015c76a7a9daa0"
+# Every instance's (offsets, values) of the tweet workload with background
+# chatter: pinned from the object-column generators, whose cells flattened
+# to the same arrays — memes in list order, then the background draws.
+GOLDEN_TWEETS = "1c2f854ea3e46890"
 
 _GOLDEN_SNIPPET = """
 import hashlib, numpy as np
@@ -78,6 +83,18 @@ class TestGoldenDeterminism:
             rng=rng,
         )
         assert _digest(inf, rec) == GOLDEN_SIR
+
+    def test_tweet_column_golden(self):
+        wiki = smallworld_network(2000, seed=7)
+        tweets = tweet_collection(wiki, 12, hit_probability=0.2, seeds_per_meme=10, seed=7)
+        noise = BackgroundHashtagPopulator(list(range(100, 110)), rate=0.3, seed=7)
+        arrays = []
+        for t in range(12):
+            inst = tweets.instance(t)
+            noise(inst, t)
+            arrays.extend(inst.vertex_column("tweets"))
+        assert sum(len(values) for values in arrays[1::2]) == 9126
+        assert _digest(*arrays) == GOLDEN_TWEETS
 
     def test_partitioner_golden(self):
         carn = road_network(5000, seed=7)
@@ -156,7 +173,7 @@ class TestDistributionEquivalence:
         for i, meme in enumerate([0, 1]):
             active = pop.active_mask(i, 4)
             tweeting = np.fromiter(
-                (t is not None and meme in t for t in tweets), dtype=bool, count=len(tweets)
+                (meme in tweets.row(v) for v in range(tpl.num_vertices)), dtype=bool
             )
             assert np.array_equal(active, tweeting)
 

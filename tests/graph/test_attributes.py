@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.graph.attributes import AttributeSchema, AttributeSpec, AttributeTable
+from repro.graph.attributes import AttributeSchema, AttributeSpec, AttributeTable, Ragged
+from tests.conftest import ragged, ragged_rows
 
 
 class TestAttributeSpec:
@@ -14,8 +15,9 @@ class TestAttributeSpec:
         assert AttributeSpec("a", "float").dtype == np.dtype(np.float64)
         assert AttributeSpec("a", "double").dtype == np.dtype(np.float64)
         assert AttributeSpec("a", "bool").dtype == np.dtype(np.bool_)
-        assert AttributeSpec("a", "object").dtype == np.dtype(object)
-        assert AttributeSpec("a", "str").dtype == np.dtype(object)
+        spec = AttributeSpec("a", "ragged")
+        assert spec.ragged and spec.dtype == np.dtype(np.int64)
+        assert not AttributeSpec("a", "int").ragged
 
     def test_numpy_dtype_passthrough(self):
         assert AttributeSpec("a", np.int32).dtype == np.dtype(np.int32)
@@ -35,14 +37,27 @@ class TestAttributeSpec:
         with pytest.raises(ValueError):
             AttributeSpec(42)
 
-    def test_is_object(self):
-        assert AttributeSpec("a", "object").is_object
-        assert not AttributeSpec("a", "float").is_object
+    @pytest.mark.parametrize(
+        "dtype", ["object", "str", object, str, "U5", np.bytes_],
+        ids=["object", "str", "object-type", "str-type", "unicode", "bytes"],
+    )
+    def test_python_objects_are_refused(self, dtype):
+        with pytest.raises(ValueError, match='"ragged"'):
+            AttributeSpec("a", dtype)
+
+    def test_a_ragged_attribute_has_no_default(self):
+        with pytest.raises(ValueError, match="start empty"):
+            AttributeSpec("a", "ragged", default=1)
+
+    def test_ragged_spec_pickles_as_ragged(self):
+        import pickle
+
+        spec = AttributeSpec("a", "ragged")
+        assert pickle.loads(pickle.dumps(spec)) == spec != AttributeSpec("a", "int")
 
     def test_fill_value_defaults(self):
         assert AttributeSpec("a", "float").fill_value() == 0.0
         assert AttributeSpec("a", "int").fill_value() == 0
-        assert AttributeSpec("a", "object").fill_value() is None
 
     def test_fill_value_custom_default(self):
         assert AttributeSpec("a", "float", default=1.5).fill_value() == 1.5
@@ -51,9 +66,10 @@ class TestAttributeSpec:
         col = AttributeSpec("a", "float", default=2.0).allocate(4)
         assert col.shape == (4,) and np.all(col == 2.0)
 
-    def test_allocate_object(self):
-        col = AttributeSpec("a", "object").allocate(3)
-        assert col.dtype == object and all(x is None for x in col)
+    def test_allocate_ragged(self):
+        col = AttributeSpec("a", "ragged").allocate(3)
+        assert isinstance(col, Ragged) and ragged_rows(col) == [[], [], []]
+        assert col.offsets.dtype == col.values.dtype == np.dtype(np.int64)
 
 
 class TestAttributeSchema:
@@ -95,7 +111,7 @@ class TestAttributeSchema:
 class TestAttributeTable:
     def make(self, n=4):
         schema = AttributeSchema(
-            [("x", "float"), ("k", "int", 7), ("o", "object"), ("b", "bool")]
+            [("x", "float"), ("k", "int", 7), ("o", "ragged"), ("b", "bool")]
         )
         return AttributeTable(schema, n)
 
@@ -162,12 +178,32 @@ class TestAttributeTable:
         b.set("x", 0, 1.0)
         assert a.equals(b)
 
-    def test_equals_object_columns(self):
+    def test_equals_ragged_columns(self):
         a, b = self.make(), self.make()
-        a.set("o", 1, (1, 2))
+        a.set_column("o", ragged([None, [1, 2], [], [3]]))
         assert not a.equals(b)
-        b.set("o", 1, (1, 2))
+        b.set_column("o", ragged([[], [1, 2], None, [3]]))
         assert a.equals(b)
+        b.set_column("o", ragged([[], [1], [2], [3]]))  # same values, other rows
+        assert not a.equals(b)
+
+    def test_set_column_checks_a_ragged_column(self):
+        t = self.make()
+        good = ragged([[1, 2], [], [3], []])
+        t.set_column("o", good)
+        assert ragged_rows(t.column("o")) == [[1, 2], [], [3], []]
+        assert t.column("o").values is not good.values  # copied
+        assert t.get("o", 0).tolist() == [1, 2]
+        floats = Ragged(good.offsets, good.values.astype(np.float64))
+        with pytest.raises(ValueError, match="integer"):
+            t.set_column("o", floats)
+        with pytest.raises(ValueError, match="5 integer offsets"):
+            t.set_column("o", ragged([[1], [2], [3]]))
+        for offsets in ([1, 1, 2, 3, 3], [0, 2, 1, 3, 3], [0, 2, 2, 3, 4]):
+            with pytest.raises(ValueError, match="start at 0, never decrease"):
+                t.set_column("o", Ragged(np.asarray(offsets), good.values))
+        with pytest.raises(ValueError, match="Ragged"):
+            t.set_column("o", [(1, 2), (), (3,), ()])
 
     def test_equals_different_schema(self):
         a = AttributeTable(AttributeSchema(["x"]), 2)
@@ -179,8 +215,10 @@ class TestAttributeTable:
         assert t.approx_nbytes() == 0
         t.column("x")
         assert t.approx_nbytes() == 80
-        t.column("o")
-        assert t.approx_nbytes() == 80 + 640
+        t.column("o")  # ten empty rows: eleven offsets, no values
+        assert t.approx_nbytes() == 80 + 88
+        t.set_column("o", ragged([[1, 2, 3]] + [None] * 9))
+        assert t.approx_nbytes() == 80 + 88 + 24
 
     def test_constructor_columns(self):
         schema = AttributeSchema([("x", "float")])
@@ -198,13 +236,16 @@ class TestAttributeTable:
 class TestBackedTable:
     """A table with a ``locate`` hook: columns hold stored values, lazily."""
 
-    SCHEMA = AttributeSchema([("x", "float"), ("k", "int", 7), ("o", "object")])
-    STORED = {"x": [1.5, 2.5], "k": [3, 4], "o": [("a",), None]}
+    SCHEMA = AttributeSchema([("x", "float"), ("k", "int", 7), ("o", "ragged")])
+    STORED = {"x": [1.5, 2.5], "k": [3, 4]}
+    STORED_O = [[5, 6], None, [7], None]
 
     def make(self, calls=None):
         def locate(name, rows):
             if calls is not None:
                 calls.append(name if rows is None else (name, rows.tolist()))
+            if name == "o":
+                return ragged(self.STORED_O), rows
             column = self.SCHEMA[name].allocate(4)
             column[[0, 2]] = self.STORED[name]
             return column, rows  # ``rows=None``: the whole column, in order
@@ -239,7 +280,7 @@ class TestBackedTable:
         t = self.make(calls)
         rows = np.asarray([2, 1, 2])
         assert t.take("k", rows).tolist() == [4, 7, 4]
-        assert t.take("o", rows).tolist() == [None, None, None]
+        assert ragged_rows(t.take("o", rows)) == [[7], [], [7]]
         assert calls == [("k", [2, 1, 2]), ("o", [2, 1, 2])]
         assert t.materialized_names == [] and t.approx_nbytes() == 0
         with pytest.raises(KeyError):
@@ -285,6 +326,7 @@ class TestBackedTable:
         assert not plain.equals(self.make())
         for name, values in self.STORED.items():
             plain.column(name)[[0, 2]] = values
+        plain.set_column("o", ragged(self.STORED_O))
         assert self.make().equals(plain) and plain.equals(self.make())
         assert self.make().equals(self.make())
 

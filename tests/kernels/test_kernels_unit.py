@@ -15,12 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernels import (
     components,
-    contains_in_cells,
-    count_equal,
-    count_equal_in_cells,
+    contains,
+    count,
     csr_components,
     expand_to_fixpoint,
-    flatten_cells,
     gather_ranges,
     group_min_pairs,
     group_unique_pairs,
@@ -29,6 +27,8 @@ from repro.kernels import (
     slot_sources,
     sorted_unique,
 )
+from repro.graph import Ragged
+from tests.conftest import ragged
 
 
 def random_csr(rng, n, m):
@@ -521,39 +521,26 @@ class TestScatter:
 
 
 class TestAggregate:
-    CELLS = [
-        (1, 2, 2),
-        None,
-        (),
-        ("a", "b", 2),
-        (2,),
-        [3, 2, "a"],
-    ]
-
-    def test_flatten_cells(self):
-        flat, lengths = flatten_cells(self.CELLS)
-        assert lengths.tolist() == [3, 0, 0, 3, 1, 3]
-        assert list(flat) == [1, 2, 2, "a", "b", 2, 2, 3, 2, "a"]
-
-    def test_count_equal_mixed_types(self):
-        flat, _ = flatten_cells(self.CELLS)
-        assert count_equal(flat, 2) == 5
-        assert count_equal(flat, "a") == 2
+    CELLS = [[1, 2, 2], None, [], [7, 8, 2], [2], [3, 2, 7]]
 
     def test_count_equal_in_cells(self):
-        assert count_equal_in_cells(self.CELLS, 2) == 5
-        assert count_equal_in_cells(self.CELLS, "missing") == 0
-        assert count_equal_in_cells([], 2) == 0
+        assert count(ragged(self.CELLS), 2) == 5
+        assert count(ragged(self.CELLS), 9) == 0
+        assert count(ragged([]), 2) == 0
 
     def test_contains_in_cells(self):
-        got = contains_in_cells(self.CELLS, 2)
+        got = contains(ragged(self.CELLS), 2)
         assert got.tolist() == [True, False, False, True, True, True]
+        assert contains(ragged([]), 2).tolist() == []
 
-    def test_contains_tuple_query_no_broadcast(self):
-        # A tuple query must compare as one value, not broadcast element-wise.
-        cells = [((1, 2),), ((3,),), None]
-        assert contains_in_cells(cells, (3,)).tolist() == [False, True, False]
-        assert contains_in_cells(cells, (1, 2)).tolist() == [True, False, False]
+    def test_a_pack_row_is_read_between_its_offsets(self):
+        """A GoFS pack's row shares the pack's values and starts past 0:
+        values outside its offsets belong to other timesteps."""
+        whole = ragged([[2], [5], [2, 2], [], [5, 2]])
+        row = Ragged(whole.offsets[2:], whole.values)  # rows [2, 2], [], [5, 2]
+        assert contains(row, 2).tolist() == [True, False, True]
+        assert contains(row, 5).tolist() == [False, False, True]
+        assert count(row, 2) == 3 and count(row, 5) == 1
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16))
@@ -564,9 +551,9 @@ class TestAggregate:
             if rng.random() < 0.2:
                 cells.append(None)
             else:
-                cells.append(tuple(rng.integers(0, 5, size=rng.integers(0, 6)).tolist()))
+                cells.append(rng.integers(0, 5, size=rng.integers(0, 6)).tolist())
         tag = int(rng.integers(0, 5))
         want = sum(sum(1 for h in tw if h == tag) for tw in cells if tw)
-        assert count_equal_in_cells(cells, tag) == want
+        assert count(ragged(cells), tag) == want
         want_mask = [bool(tw) and tag in tw for tw in cells]
-        assert contains_in_cells(cells, tag).tolist() == want_mask
+        assert contains(ragged(cells), tag).tolist() == want_mask

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import AttributeSchema, AttributeSpec, GraphTemplate, build_collection
+from repro.graph import AttributeSchema, AttributeSpec, GraphTemplate, Ragged, build_collection
 from repro.observability.tracer import Tracer
 from repro.partition import HashPartitioner, decompose, partition_graph
 from repro.storage import (
@@ -20,7 +20,7 @@ from repro.storage import (
 )
 from repro.storage.serde import pack_arrays, read_arrays
 from repro.storage.slices import rows_filename
-from tests.conftest import make_grid_template, make_random_template, populate_random
+from tests.conftest import make_grid_template, make_random_template, populate_random, ragged
 from tests.storage.test_slices_v2 import entry_of, header_of, rewrite_header
 
 
@@ -97,10 +97,9 @@ class TestPartitionView:
                     got.edge_column("latency")[own_edges],
                     want.edge_column("latency")[own_edges],
                 )
-                # Object column (tweets) round-trips too.
-                got_tw = got.vertex_column("tweets")[own_vertices]
-                want_tw = want.vertex_column("tweets")[own_vertices]
-                assert all(a == b for a, b in zip(got_tw, want_tw))
+                # The ragged column (tweets) round-trips too.
+                got_tw = got.vertex_column("tweets").take(own_vertices)
+                assert got_tw.equals(want.vertex_column("tweets").take(own_vertices))
 
     def test_load_events_at_pack_boundaries(self, store):
         root, *_ = store
@@ -159,11 +158,10 @@ class TestPartitionView:
     def test_the_view_holds_the_pack_its_last_instance_served(self, store):
         root, *_ = store
         view = GoFS.partition_view(root, 0)
-        one = _one_pack_nbytes(root)
         for t in (0, 4, 1, 8, 0):
             read(view.instance(t))
             assert view._pack.pack == t // 4
-            assert view.resident_bytes() == one  # one pack, never more
+            assert view.resident_bytes() == _one_pack_nbytes(root, t)  # one pack, never more
         # Every pack boundary drops the held pack: a revisit reads it again.
         assert [t for t, _s in view.load_events] == [0, 4, 1, 8, 0]
 
@@ -184,10 +182,10 @@ class TestBinRows:
         assert len(verts) == 0 and len(edges) == 0
 
 
-def _one_pack_nbytes(root):
-    """Resident bytes of exactly one pack (all packs are the same shape)."""
+def _one_pack_nbytes(root, timestep=0):
+    """Resident bytes of exactly the pack of ``timestep`` (of partition 0)."""
     probe = GoFS.partition_view(root, 0)
-    read(probe.instance(0))
+    read(probe.instance(timestep))
     return probe.resident_bytes()
 
 
@@ -239,8 +237,24 @@ def column_of(inst, kind, name):
     return inst.vertex_column(name) if kind == "v" else inst.edge_column(name)
 
 
-def same_cells(a, b, is_object):
-    return a.tolist() == b.tolist() if is_object else a.tobytes() == b.tobytes()
+def same_cells(a, b):
+    return a.equals(b) if isinstance(a, Ragged) else a.tobytes() == b.tobytes()
+
+
+def rows_of(column, rows):
+    """``column[rows]``: of a ragged column, :meth:`Ragged.take`."""
+    return column.take(rows) if isinstance(column, Ragged) else column[rows]
+
+
+def default_but(spec, column, rows):
+    """``column`` at ``rows``, the schema default everywhere else."""
+    if not spec.ragged:
+        want = spec.allocate(len(column))
+        want[rows] = column[rows]
+        return want
+    keep = np.zeros(len(column.offsets) - 1, dtype=bool)
+    keep[rows] = True
+    return ragged([column.row(v).tolist() if kept else [] for v, kept in enumerate(keep)])
 
 
 class TestDatasetFingerprint:
@@ -313,14 +327,17 @@ class TestLazyProjection:
         assert tracer.counters["gofs.columns_projected"] == view.columns_projected == 2
         assert tracer.counters["gofs.bytes_projected"] == view.bytes_projected
 
-    def test_unread_object_column_is_never_unpickled(self, store, monkeypatch):
+    def test_no_read_of_a_store_unpickles(self, store, monkeypatch):
+        """Opening a view (the template's schemas are JSON) and reading every
+        column — the ragged tweets too — executes no pickle."""
         root, *_ = store
-        view = GoFS.partition_view(root, 0)  # (the template's schema blobs are pickles)
-        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled an unread column"))
+        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("a store read unpickled"))
+        view = GoFS.partition_view(root, 0)
         for t in range(12):
             inst = view.instance(t)
             inst.edge_column("latency")
             inst.vertex_column("traffic")
+            inst.vertex_column("tweets")
 
     def test_reload_instance_projection_is_not_counted(self, store):
         root, _tpl, coll, pg, _ = store
@@ -339,14 +356,13 @@ class TestLazyProjection:
         view = GoFS.partition_view(root, 0)
         old = view.instance(1)
         read(view.instance(0))  # pack 0 read; `old` has projected nothing
-        one = view.resident_bytes()
         read(view.instance(4))  # pack 0 dropped
         assert view._pack.pack == 1
         verts, edges = owned_rows(pg, 0)
         want = coll.instance(1)
         assert np.array_equal(old.edge_column("latency")[edges], want.edge_column("latency")[edges])
-        assert old.vertex_column("tweets")[verts].tolist() == want.vertex_column("tweets")[verts].tolist()
-        assert view.resident_bytes() == one  # only the held pack counts
+        assert old.vertex_column("tweets").take(verts).equals(want.vertex_column("tweets").take(verts))
+        assert view.resident_bytes() == _one_pack_nbytes(root, 4)  # only the held pack counts
         assert len(view.load_events) == 2  # ... and nothing was re-read
 
     def test_copy_and_pickle_of_an_untouched_instance_keep_the_values(self, store):
@@ -359,24 +375,23 @@ class TestLazyProjection:
         assert view.instance(3).equals(view.instance(3))
         assert not view.instance(3).equals(view.instance(2))
 
-    def test_pack_reads_decode_what_instances_have_projected(self, store, monkeypatch):
-        """A pack read decodes the columns instances have projected, so the
-        unpickle of a column compute uses is counted as load."""
+    def test_pack_reads_decode_what_instances_have_projected(self, store):
+        """A pack read decodes the columns instances have projected, so what
+        a column compute uses costs is counted as load."""
         root, _tpl, coll, pg, _ = store
         view = GoFS.partition_view(root, 0)
         view.instance(0).vertex_column("tweets")
         inst = read(view.instance(4))  # reads pack 1, tweets included
-        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled after the pack read"))
+        assert all("v__tweets" in arrays._decoded for arrays in view._pack)
         verts, _edges = owned_rows(pg, 0)
-        assert (
-            inst.vertex_column("tweets")[verts].tolist()
-            == coll.instance(4).vertex_column("tweets")[verts].tolist()
+        assert inst.vertex_column("tweets").take(verts).equals(
+            coll.instance(4).vertex_column("tweets").take(verts)
         )
         assert len(view.load_events) == 2
 
 
 def numeric_store(root):
-    """A store whose schema has no object column, so its views read strictly."""
+    """A store of numeric columns only: three on five edges and six vertices."""
     tpl = GraphTemplate(
         6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
         vertex_schema=AttributeSchema([AttributeSpec("traffic", "float")]),
@@ -533,20 +548,24 @@ class TestLoadErrorsSurfaceInInstance:
         self.rewrite(tmp_path, lambda arrays: arrays.update(vertex_rows=rows["vertex_rows"]))
         self.assert_fails_in_instance(tmp_path, "column vertex_rows is not in the schema")
 
-    def test_object_column_on_a_strict_read(self, tmp_path, monkeypatch):
+    def test_a_pickled_column_is_refused_unread(self, tmp_path, monkeypatch):
+        """A format-4 object column (a pickle entry) is an unknown kind: the
+        header refuses it, and no read of a store ever unpickles."""
         numeric_store(tmp_path)
+        path = tmp_path / slice_filename(self.KEY)
+        blob = pickle.dumps(np.asarray([(1,), None, ()], dtype=object))
+        arrays = dict(read_slice(tmp_path, self.KEY).items())
+        data = pack_arrays(arrays)
+        payload_at = 8 + int.from_bytes(data[4:8], "little")
+        offset = len(data) - payload_at
 
-        def edit(arrays):
-            arrays["v__traffic"] = arrays["v__traffic"].astype(object)
+        def add_pickle(header):
+            header["arrays"].append({"name": "v__tweets", "kind": "pickle", "dtype": "object",
+                                     "shape": [3], "offset": offset, "nbytes": len(blob)})
 
-        self.rewrite(tmp_path, edit)
-        real = pickle.loads
-        # Schema blobs (bytes) may unpickle; a slice's payload (a memoryview) may not.
-        monkeypatch.setattr(
-            pickle, "loads",
-            lambda b: real(b) if isinstance(b, bytes) else pytest.fail("strict read unpickled"),
-        )
-        self.assert_fails_in_instance(tmp_path, "v__traffic.*allow_objects=False")
+        path.write_bytes(rewrite_header(data, add_pickle) + blob)
+        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("a store read unpickled"))
+        self.assert_fails_in_instance(tmp_path, "'v__tweets' has unknown kind 'pickle'")
 
 
 SCHEMAS = {
@@ -554,9 +573,9 @@ SCHEMAS = {
         AttributeSchema([AttributeSpec("traffic", "float"), AttributeSpec("flag", "bool", True)]),
         AttributeSchema([AttributeSpec("latency", "float", 1.0), AttributeSpec("lanes", "int")]),
     ),
-    "object": (
-        AttributeSchema([AttributeSpec("tweets", "object"), AttributeSpec("traffic", "float")]),
-        AttributeSchema([AttributeSpec("latency", "float"), AttributeSpec("tags", "object")]),
+    "ragged": (
+        AttributeSchema([AttributeSpec("tweets", "ragged"), AttributeSpec("traffic", "float")]),
+        AttributeSchema([AttributeSpec("latency", "float"), AttributeSpec("tags", "ragged")]),
     ),
 }
 
@@ -571,9 +590,8 @@ def random_populator(seed, never=(), first_only=()):
             for spec in table.schema:
                 if spec.name in never or (t and spec.name in first_only):
                     continue
-                if spec.is_object:
-                    cells = np.empty(table.n, dtype=object)
-                    cells[:] = [tuple(rng.integers(0, 4, rng.integers(0, 3)).tolist()) for _ in range(table.n)]
+                if spec.ragged:
+                    cells = ragged([rng.integers(0, 4, rng.integers(0, 3)).tolist() for _ in range(table.n)])
                 elif spec.dtype == np.dtype(bool):
                     cells = rng.random(table.n) < 0.5
                 else:
@@ -625,10 +643,9 @@ class TestProjectionProperty:
                     for kind, spec in data.draw(st.permutations(columns), label="column order"):
                         rows = verts if kind == "v" else edges
                         got = column_of(inst, kind, spec.name)
-                        want = spec.allocate(len(got))
-                        want[rows] = column_of(coll.instance(t), kind, spec.name)[rows]
+                        want = default_but(spec, column_of(coll.instance(t), kind, spec.name), rows)
                         assert got.dtype == spec.dtype
-                        assert same_cells(got, want, spec.is_object)
+                        assert same_cells(got, want)
                         touched += 1
                 assert view.columns_projected == touched
                 assert view.projected == {f"{kind}__{spec.name}" for kind, spec in columns}
@@ -641,17 +658,24 @@ class TestProjectionProperty:
         every column was stored; format 3 left out the never-set ``flag``
         column (9 vertices x 4 timesteps x 1 B) and the unread ``timestamps``
         entry (3 bins x 4 x 8 B); format 4 keeps the bins' rows (9 vertex and
-        25 edge rows x 8 B) in the rows files, which are not pack bytes."""
+        25 edge rows x 8 B) in the rows files, which are not pack bytes: 3392 B.
+        Format 5 counts the ragged tweets exactly, where 64 B per cell (9 x 4
+        x 64 B) was guessed before: 4 timesteps x (9 rows + 3 bins) offsets
+        x 8 B, plus 8 B per hashtag the pack holds."""
         root, *_ = store
-        one = _one_pack_nbytes(root)
-        assert one == 3796 - 9 * 4 - 3 * 4 * 8 - (9 + 25) * 8 == 3392
+        assert 3796 - 9 * 4 - 3 * 4 * 8 - (9 + 25) * 8 == 3392
+        hashtags = {0: 41, 1: 42, 2: 31}  # in partition 0's tweets, per pack
+        want = {k: 3392 - 9 * 4 * 64 + 4 * (9 + 3) * 8 + 8 * h for k, h in hashtags.items()}
+        assert want == {0: 1800, 1: 1808, 2: 1720}
+        assert {k: _one_pack_nbytes(root, 4 * k) for k in want} == want
         view = GoFS.partition_view(root, 0)
         view.attach_tracer(Tracer())
         seen = []
-        for t in list(range(12)) + [0, 4, 8, 1]:
+        timesteps = list(range(12)) + [0, 4, 8, 1]
+        for t in timesteps:
             read(view.instance(t))
             seen.append(view.resident_bytes())
-        assert seen == [3392] * 16
+        assert seen == [want[t // 4] for t in timesteps]
         assert [t for t, _s in view.load_events] == [0, 4, 8, 0, 4, 8, 1]
         assert view.tracer.counters["gofs.packs_loaded"] == 7
 
@@ -748,10 +772,11 @@ class TestLocate:
                     want_bytes += 2 * 8 * len(rows)  # a locate counts what a take counts
                 assert table.materialized_names == []
         assert view.tracer.counters["gofs.bytes_projected"] == view.bytes_projected == want_bytes
-        # A decoded object column is read-only too: a located row cannot
+        # A ragged column's row is read-only too: a located row cannot
         # write into the held pack.
         tweets, index = view.instance(6).vertex_values.locate("tweets", sg.vertices)
-        assert index is not None and not tweets.flags.writeable
+        assert index is not None and isinstance(tweets, Ragged)
+        assert not tweets.offsets.flags.writeable and not tweets.values.flags.writeable
         assert view.columns_projected == view.tracer.counters["gofs.columns_projected"]
 
     def test_rows_across_bins_or_partitions_are_assembled(self, store):
@@ -820,13 +845,13 @@ class TestTakeProperty:
             table = inst.vertex_values if kind == "v" else inst.edge_values
             got = table.take(spec.name, rows)
             assert table.materialized_names == []
-            assert got.dtype == spec.dtype and got.shape == rows.shape
+            assert got.dtype == spec.dtype
+            assert (len(got.offsets) - 1 if spec.ragged else len(got)) == len(rows)
             whole = column_of(view.instance(t), kind, spec.name)
-            assert same_cells(got, whole[rows], spec.is_object)
-            want = spec.allocate(table.n)
+            assert same_cells(got, rows_of(whole, rows))
             owned = owned_rows(pg, view.partition_id)[0 if kind == "v" else 1]
-            want[owned] = column_of(coll.instance(t), kind, spec.name)[owned]
-            assert same_cells(got, want[rows], spec.is_object)
+            want = default_but(spec, column_of(coll.instance(t), kind, spec.name), owned)
+            assert same_cells(got, rows_of(want, rows))
 
         with tempfile.TemporaryDirectory() as root:
             GoFS.write_collection(root, pg, coll, packing=packing, binning=binning)
@@ -858,9 +883,8 @@ class TestTakeProperty:
                     for kind, spec in columns:
                         for rows in row_arrays[kind]:
                             assert same_cells(
-                                column_of(clone, kind, spec.name)[rows],
-                                column_of(inst, kind, spec.name)[rows],
-                                spec.is_object,
+                                rows_of(column_of(clone, kind, spec.name), rows),
+                                rows_of(column_of(inst, kind, spec.name), rows),
                             )
 
     def test_rows_outside_the_template_are_an_index_error(self, store):
@@ -985,7 +1009,7 @@ class TestReadOnFirstUse:
         verts, edges = owned_rows(pg, 0)
         want = coll.instance(2)
         assert np.array_equal(old.edge_column("latency")[edges], want.edge_column("latency")[edges])
-        assert old.vertex_column("tweets")[verts].tolist() == want.vertex_column("tweets")[verts].tolist()
+        assert old.vertex_column("tweets").take(verts).equals(want.vertex_column("tweets").take(verts))
         assert [t for t, _s in view.load_events] == [2]
         assert view.resident_bytes() == 0  # the read pack is not the held one
 
@@ -1122,3 +1146,52 @@ def test_tdsp_projects_only_latency_and_only_where_the_wave_is(tmp_path):
         assert touched == ["e__latency"], f"projected {touched}; TDSP reads only latency"
         labels[k] = tdsp_labels_from_result(result, tpl.num_vertices).tobytes()
     assert labels[2] == labels[6], "k changed the result"
+
+
+class TestRaggedColumnsAreCheckedOnRead:
+    """A slice's ragged offsets are outside input: the pack read checks them,
+    so a bad one is a ``ValueError`` naming the ``.gsl`` file, never an
+    ``IndexError`` inside a kernel."""
+
+    KEY = SliceKey(0, 0, 1)  # the pack of timesteps 4-7
+
+    @pytest.mark.parametrize("spoil", [
+        lambda off: off.__setitem__((0, 0), 1),  # does not start at 0
+        lambda off: off.__setitem__(1, off[1][::-1]),  # decreases
+        lambda off: off.__setitem__((-1, -1), off[-1, -1] + 3),  # runs past the values
+    ], ids=["start", "decrease", "past"])
+    def test_bad_offsets_fail_the_first_row_read(self, store, spoil):
+        root, _tpl, _coll, pg, _ = store
+        data = read_slice(root, self.KEY)
+        arrays = {name: data[name].copy() for name in data}
+        spoil(arrays["v__tweets"])
+        path = root / slice_filename(self.KEY)
+        path.write_bytes(pack_arrays(arrays, defaults=data.defaults))
+        view = GoFS.partition_view(root, 0)
+        inst = view.instance(5)  # the header is fine
+        with pytest.raises(ValueError, match="start at 0, never decrease") as excinfo:
+            inst.vertex_values.take("tweets", pg.partitions[0].subgraphs[0].vertices)
+        assert str(path) in str(excinfo.value) and "v__tweets" in str(excinfo.value)
+        read(view.instance(1))  # another pack still reads
+
+
+def test_a_meme_stores_resident_bytes_are_its_slices_payload(tmp_path):
+    """The GC model's input is exact: a held pack weighs what its slices'
+    arrays hold, the ragged tweets included."""
+    from repro.generators import smallworld_network, tweet_collection
+
+    tpl = smallworld_network(600, seed=3)
+    coll = tweet_collection(tpl, 6, hit_probability=0.2, seeds_per_meme=20, seed=3)
+    pg = partition_graph(tpl, 2, HashPartitioner(seed=3))
+    manifest = GoFS.write_collection(tmp_path, pg, coll, packing=3)
+    for p, bins in enumerate(manifest["bins"]):
+        view = GoFS.partition_view(tmp_path, p)
+        for pack in (0, 1):
+            view.instance(3 * pack).vertex_column("tweets")
+            payload = sum(
+                arr.nbytes
+                for b in range(len(bins))
+                for arr in read_arrays(tmp_path / slice_filename(SliceKey(p, b, pack))).values()
+            )
+            assert "v__tweets.values" in read_slice(tmp_path, SliceKey(p, 0, pack))
+            assert view.resident_bytes() == payload > 0

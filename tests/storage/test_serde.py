@@ -16,7 +16,7 @@ class TestSchemaRoundtrip:
             [
                 AttributeSpec("a", "float", default=1.5),
                 AttributeSpec("b", "int"),
-                AttributeSpec("c", "object"),
+                AttributeSpec("c", "ragged"),
                 AttributeSpec("d", "bool", default=True),
             ]
         )
@@ -29,7 +29,7 @@ class TestSchemaRoundtrip:
         names=st.lists(
             st.text(alphabet="abcdefgh", min_size=1, max_size=6), unique=True, min_size=1, max_size=5
         ),
-        dtypes=st.lists(st.sampled_from(["float", "int", "bool", "object"]), min_size=5, max_size=5),
+        dtypes=st.lists(st.sampled_from(["float", "int", "bool", "ragged"]), min_size=5, max_size=5),
     )
     def test_roundtrip_random(self, names, dtypes):
         specs = [AttributeSpec(n, d) for n, d in zip(names, dtypes) if n != "id"]

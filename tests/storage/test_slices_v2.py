@@ -1,5 +1,6 @@
-"""Zero-copy GSL2 slice format: round-trips, pre-GSL2 rejection, pickle gating,
-eager header validation and per-array lazy decode."""
+"""Zero-copy GSL2 slice format: round-trips, pre-GSL2 rejection, numbers only
+(a pickle entry is refused unread), eager header validation and per-array
+lazy decode."""
 
 import json
 import pickle
@@ -7,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.graph import build_collection
+from repro.graph import Ragged, build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.storage import (
     GoFS,
@@ -22,24 +23,34 @@ from repro.storage.slices import read_rows, write_rows
 from tests.conftest import make_grid_template, populate_random
 
 
-def sample_arrays(with_objects=False):
+def sample_arrays(with_ragged=False):
     arrays = {
         "a": np.arange(12, dtype=np.int64).reshape(3, 4),
         "b": np.linspace(0, 1, 7),
         "c": np.asarray([True, False, True]),
         "empty": np.empty((0, 5), dtype=np.float32),
     }
-    if with_objects:
-        cells = np.empty(3, dtype=object)
-        cells[:] = [(1, 2), None, ("x",)]
-        arrays["tweets"] = cells
+    if with_ragged:  # two timesteps of two rows, as a slice stores them
+        arrays["tweets"] = np.asarray([[0, 2, 2], [2, 3, 5]])
+        arrays["tweets.values"] = np.asarray([1, 2, 7, 8, 9])
     return arrays
 
 
+def pickle_entry(buf, blob):
+    """``buf`` with a format-4 ``pickle`` entry named ``tweets`` holding ``blob``."""
+    offset = len(buf) - 8 - len(json.dumps(header_of(buf)).encode())
+
+    def add(header):
+        header["arrays"].append({"name": "tweets", "kind": "pickle", "dtype": "object",
+                                 "shape": [3], "offset": offset, "nbytes": len(blob)})
+
+    return rewrite_header(buf, add) + blob
+
+
 class TestPackArrays:
-    @pytest.mark.parametrize("with_objects", [False, True])
-    def test_roundtrip(self, with_objects):
-        arrays = sample_arrays(with_objects)
+    @pytest.mark.parametrize("with_ragged", [False, True])
+    def test_roundtrip(self, with_ragged):
+        arrays = sample_arrays(with_ragged)
         buf = pack_arrays(arrays)
         assert buf[:4] == GSL2_MAGIC
         out = unpack_arrays(buf)
@@ -47,10 +58,13 @@ class TestPackArrays:
         for name, arr in arrays.items():
             got = out[name]
             assert got.dtype == arr.dtype and got.shape == arr.shape
-            if arr.dtype == object:
-                assert got.tolist() == arr.tolist()
-            else:
-                assert got.tobytes() == arr.tobytes()
+            assert got.tobytes() == arr.tobytes()
+
+    def test_python_objects_are_not_written(self):
+        cells = np.empty(3, dtype=object)
+        cells[:] = [(1, 2), None, ("x",)]
+        with pytest.raises(ValueError, match="'tweets' holds Python objects"):
+            pack_arrays({**sample_arrays(), "tweets": cells})
 
     def test_numeric_arrays_are_zero_copy_views(self):
         buf = pack_arrays(sample_arrays())
@@ -63,13 +77,10 @@ class TestPackArrays:
         for entry in header_of(pack_arrays(sample_arrays()))["arrays"]:
             assert entry["offset"] % 64 == 0
 
-    def test_allow_objects_false_rejects_pickled_columns(self):
-        buf = pack_arrays(sample_arrays(with_objects=True))
-        with pytest.raises(ValueError, match="tweets"):
-            unpack_arrays(buf, allow_objects=False)
-        # Numeric-only buffers pass the strict gate untouched.
-        strict = unpack_arrays(pack_arrays(sample_arrays()), allow_objects=False)
-        assert "a" in strict
+    def test_a_pickle_entry_is_an_unknown_kind(self):
+        buf = pickle_entry(pack_arrays(sample_arrays()), pickle.dumps([(1, 2), None, ("x",)]))
+        with pytest.raises(ValueError, match="'tweets' has unknown kind 'pickle'"):
+            unpack_arrays(buf)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
@@ -96,25 +107,25 @@ def entry_of(header, name):
 
 class TestLazyDecode:
     def test_nothing_is_decoded_until_asked_for(self, monkeypatch):
-        loads = []
-        real = pickle.loads
-        monkeypatch.setattr(pickle, "loads", lambda b: loads.append(1) or real(b))
-        out = unpack_arrays(pack_arrays(sample_arrays(with_objects=True)))
-        assert set(out) == {"a", "b", "c", "empty", "tweets"} and len(out) == 5
-        assert out.entry("tweets")["kind"] == "pickle" and out.entry("a")["shape"] == [3, 4]
-        assert loads == []
+        decoded = []
+        real = np.frombuffer
+        monkeypatch.setattr(np, "frombuffer", lambda *a, **k: decoded.append(1) or real(*a, **k))
+        out = unpack_arrays(pack_arrays(sample_arrays(with_ragged=True)))
+        assert set(out) == {"a", "b", "c", "empty", "tweets", "tweets.values"} and len(out) == 6
+        assert out.entry("tweets")["kind"] == "raw" and out.entry("a")["shape"] == [3, 4]
+        assert decoded == []
         assert out["a"] is out["a"]  # decoded once, then kept
-        assert loads == []
-        assert out["tweets"].tolist() == [(1, 2), None, ("x",)]
-        out["tweets"]
-        assert loads == [1]
+        assert decoded == [1]
+        offsets, values = out["tweets"], out["tweets.values"]
+        assert Ragged(offsets[1], values).row(1).tolist() == [8, 9]
+        assert decoded == [1, 1, 1]
         with pytest.raises(KeyError):
             out["nope"]
 
     def test_slice_nbytes_from_header_equals_decoded_size(self):
-        arrays = sample_arrays(with_objects=True)
+        arrays = sample_arrays(with_ragged=True)
         out = unpack_arrays(pack_arrays(arrays))
-        want = sum(64 * a.size if a.dtype == object else a.nbytes for a in arrays.values())
+        want = sum(a.nbytes for a in arrays.values())
         assert slice_nbytes(out) == want  # before any decode
         for name in out:
             out[name]
@@ -129,9 +140,9 @@ class TestEagerValidation:
         with pytest.raises(ValueError, match="truncated"):
             unpack_arrays(buf[:20])
 
-    @pytest.mark.parametrize("with_objects", [False, True])
-    def test_truncated_payload(self, with_objects):
-        buf = pack_arrays(sample_arrays(with_objects))
+    @pytest.mark.parametrize("with_ragged", [False, True])
+    def test_truncated_payload(self, with_ragged):
+        buf = pack_arrays(sample_arrays(with_ragged))
         with pytest.raises(ValueError, match="payload holds"):
             unpack_arrays(buf[:-1])
 
@@ -177,9 +188,11 @@ class TestEagerValidation:
             unpack_arrays(rewrite_header(pack_arrays(sample_arrays()), lie))
 
     def test_strict_gate_fires_without_unpickling(self, monkeypatch):
-        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("unpickled on a strict read"))
+        """Every read is strict: a pickle entry is refused from the header."""
+        buf = pickle_entry(pack_arrays(sample_arrays()), pickle.dumps([(1, 2), None, ("x",)]))
+        monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("a GSL2 read unpickled"))
         with pytest.raises(ValueError, match="tweets"):
-            unpack_arrays(pack_arrays(sample_arrays(with_objects=True)), allow_objects=False)
+            unpack_arrays(buf)
 
 
 @pytest.fixture
@@ -201,26 +214,28 @@ class TestWriteReadSlice:
         write_slice(tmp_path, key, verts, edges, instances)
         write_rows(tmp_path, 0, 0, (verts, edges))
         data = read_slice(tmp_path, key)
-        assert "vertex_rows" not in data and "edge_rows" not in data  # format 4: once per bin
+        assert "vertex_rows" not in data and "edge_rows" not in data  # since format 4: once per bin
         got_verts, got_edges = read_rows(tmp_path, 0, 0, (20, 31))
         assert np.array_equal(got_verts, verts) and np.array_equal(got_edges, edges)
-        tweets = data["v__tweets"]
-        assert tweets.shape == (3, len(verts))
+        offsets, values = data["v__tweets"], data["v__tweets.values"]
+        assert offsets.shape == (3, len(verts) + 1) and offsets[0, 0] == 0
+        assert offsets[-1, -1] == len(values)
         for i, inst in enumerate(instances):
-            want = inst.vertex_values.column("tweets")[verts]
-            assert tweets[i].tolist() == want.tolist()
+            want = inst.vertex_values.column("tweets").take(verts)
+            assert Ragged(offsets[i], values).take(np.arange(len(verts))).equals(want)
             np.testing.assert_array_equal(
                 data["e__latency"][i], inst.edge_values.column("latency")[edges]
             )
 
     def test_unknown_format_rejected(self, tmp_path):
         """A store written before GSL2 (manifest says 1, or nothing), with the
-        rows in every slice (3) or by a later writer is refused at the
-        manifest, before any slice is read."""
-        for stale in ({"slice_format": 1}, {}, {"slice_format": 3}, {"slice_format": 5}):
+        rows in every slice (3), with pickled object columns (4) or by a later
+        writer is refused at the manifest, before any slice is read."""
+        for stale in ({"slice_format": 1}, {}, {"slice_format": 3}, {"slice_format": 4},
+                      {"slice_format": 6}):
             (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, **stale}))
             with pytest.raises(
-                ValueError, match="is not slice format 4; rewrite with `GoFS.write_collection`"
+                ValueError, match="is not slice format 5; rewrite with `GoFS.write_collection`"
             ):
                 GoFS.read_manifest(tmp_path)
 
@@ -237,7 +252,7 @@ class TestWriteReadSlice:
         for path in tmp_path.glob("rows_*.gsl"):
             path.unlink()
         for open_store in (GoFS.read_manifest, GoFS.partition_views, lambda r: GoFS.partition_view(r, 0)):
-            with pytest.raises(ValueError, match=r"slice_format 3\) is not slice format 4"):
+            with pytest.raises(ValueError, match=r"slice_format 3\) is not slice format 5"):
                 open_store(tmp_path)
 
     def test_format_2_rejected(self, tmp_path, slice_case):
@@ -249,10 +264,10 @@ class TestWriteReadSlice:
         )
         with pytest.raises(
             ValueError,
-            match=r"slice_format 2\) is not slice format 4; rewrite with `GoFS.write_collection`",
+            match=r"slice_format 2\) is not slice format 5; rewrite with `GoFS.write_collection`",
         ):
             GoFS.read_manifest(tmp_path)
-        with pytest.raises(ValueError, match="format 4"):
+        with pytest.raises(ValueError, match="format 5"):
             GoFS.partition_views(tmp_path)
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
@@ -279,10 +294,6 @@ class TestWriteReadSlice:
         with pytest.raises(ValueError, match="payload holds") as excinfo:
             read_slice(tmp_path, key)
         assert str(path) in str(excinfo.value) and repr(key) in str(excinfo.value)
-        with pytest.raises(ValueError, match="tweets") as excinfo:
-            write_slice(tmp_path, key, verts, edges, instances)
-            read_slice(tmp_path, key, allow_objects=False)
-        assert str(path) in str(excinfo.value)
 
     def test_v2_preferred_over_v1(self, tmp_path, slice_case):
         """A pre-GSL2 ``.npz`` under the old name is never consulted."""
@@ -358,7 +369,7 @@ class TestGoFSFormats:
         tpl, coll, pg = case
         root = tmp_path
         manifest = GoFS.write_collection(root, pg, coll, packing=3, binning=2)
-        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 4
+        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 5
         for p in range(pg.num_partitions):
             view = GoFS.partition_view(root, p)
             for t in range(len(coll)):
@@ -370,7 +381,6 @@ class TestGoFSFormats:
                         inst.vertex_column("traffic")[rows],
                         coll.instance(t).vertex_column("traffic")[rows],
                     )
-                    assert (
-                        inst.vertex_column("tweets")[rows].tolist()
-                        == coll.instance(t).vertex_column("tweets")[rows].tolist()
+                    assert inst.vertex_column("tweets").take(rows).equals(
+                        coll.instance(t).vertex_column("tweets").take(rows)
                     )

@@ -209,6 +209,23 @@ assert offline == [], offline
 print("clean")
 """
 
+_CLI_IMPORT = """
+import repro.cli
+heavy = [m for m in sys.modules if m.startswith(("repro.generators", "repro.partition"))
+         or m == "repro.storage.gofs"]
+assert heavy == [], heavy
+import repro.runtime.process_cluster as process_cluster
+
+def serve_worker(*args, **kwargs):  # what `tibsp worker` has loaded when it serves
+    heavy = [m for m in sys.modules if m.startswith(("repro.generators", "repro.storage"))
+             or m.startswith("repro.partition.") and m != "repro.partition.base"]
+    assert heavy == [], heavy
+    print("clean")
+
+process_cluster.serve_worker = serve_worker
+repro.cli.main(["worker", "--listen", "127.0.0.1:0"])
+"""
+
 _SHADOWED = """
 import repro.partition.metis_like  # imports the ``repro.kernels.components`` submodule
 import repro.kernels
@@ -255,6 +272,13 @@ def test_a_plain_run_loads_no_trace_checkpoint_or_unused_library_module(tmp_path
 
 def test_a_cli_run_without_stream_or_export_loads_no_offline_module(tmp_path):
     _run_fresh(tmp_path, _CLI_RUN)
+
+
+def test_tibsp_worker_loads_no_generator_partitioner_or_gofs_writer(tmp_path):
+    """``import repro.cli`` loads no subcommand's modules, and the worker
+    reaches ``serve_worker`` with the runtime alone (``repro.partition.base``
+    is the runtime's ``PartitionedGraph``, not a partitioner)."""
+    _run_fresh(tmp_path, _CLI_IMPORT)
 
 
 def test_a_function_that_shadows_its_submodule_stays_the_function(tmp_path):

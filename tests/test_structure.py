@@ -125,6 +125,12 @@ DELETED = [
      r"drain_protocol_incidents|_resend_or_fail|\bRESEND\b|failure\.failure_log",
      EVERYWHERE, None),
     ("one-repair-ladder-cluster", r"retry_policy", ("src/",), None),
+    # A tweet column is two int64 arrays from the generator to the kernel: no
+    # object column, per-cell flattening, pickled GSL2 entry or unpickling gate.
+    ("ragged-values-end-to-end",
+     r"allow_objects|flatten_cells|_equal_mask|count_equal|contains_in_cells|is_object"
+     r"|dtype=object|\"pickle\"",
+     EVERYWHERE, None),
 ]
 
 
