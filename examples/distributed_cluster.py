@@ -5,7 +5,9 @@ The closest single-machine analogue of the paper's AWS deployment:
 
 1. partition a road network into 6 partitions (one per "VM");
 2. write the 50-instance collection into a GoFS store (slice files with
-   temporal packing 10, subgraph binning 5 — the paper's settings);
+   temporal packing 10, subgraph binning 5 — the paper's settings), then
+   open it: the store gives back the partitioned graph, the collection and
+   one view per partition, with nothing regenerated;
 3. run TDSP on a **process cluster**: partition 0 runs in the driver and
    each other partition in a forked agent process; each loads *only its own
    slices* from the store, and the agents exchange messages with the driver
@@ -55,10 +57,10 @@ def main() -> None:
 
         runs = {}
         for executor in ("serial", "process"):
-            views = GoFS.partition_views(root)
+            stored_pg, stored, views = GoFS.open(root)
             start = time.perf_counter()
             res = run_application(
-                comp, pg, collection,
+                comp, stored_pg, stored,
                 sources=views, config=EngineConfig(executor=executor),
             )
             real = time.perf_counter() - start

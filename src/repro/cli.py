@@ -33,32 +33,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=int, default=20_000, help="template vertex count")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--instances", type=int, default=50, help="number of graph instances")
-    p.add_argument(
-        "--dataset-cache",
-        metavar="DIR",
-        default=None,
-        help="content-keyed dataset/partition cache directory (reruns at the "
-        "same parameters load instead of regenerating)",
-    )
 
 
-def _dataset_cache(args: argparse.Namespace):
-    """The DatasetCache named by ``--dataset-cache``, or None."""
-    path = getattr(args, "dataset_cache", None)
-    if path is None:
-        return None
-    from .generators import DatasetCache
-
-    return DatasetCache(path)
-
-
-def _partition(args: argparse.Namespace, template, cache, k: int | None = None):
+def _partition(args: argparse.Namespace, template, k: int | None = None):
     """``template`` in ``k`` (default ``--partitions``) parts, seeded by ``--seed``."""
     from .partition import MetisLikePartitioner, partition_graph
 
-    return partition_graph(
-        template, k or args.partitions, MetisLikePartitioner(seed=args.seed), cache=cache
-    )
+    return partition_graph(template, k or args.partitions, MetisLikePartitioner(seed=args.seed))
 
 
 def _datasets(args: argparse.Namespace) -> int:
@@ -76,11 +57,10 @@ def _edgecuts(args: argparse.Namespace) -> int:
     from .generators import road_network, smallworld_network
     from .partition import compute_stats
 
-    cache = _dataset_cache(args)
     rows = []
     for tpl in (road_network(args.scale, seed=args.seed), smallworld_network(args.scale, seed=args.seed)):
         for k in (3, 6, 9):
-            rows.append(compute_stats(_partition(args, tpl, cache, k)).as_row())
+            rows.append(compute_stats(_partition(args, tpl, k)).as_row())
     print(render_table(rows, title="Edge cut % across partitions (Table 2 analogue)"))
     return 0
 
@@ -106,21 +86,64 @@ def _evolving_collection(args: argparse.Namespace):
     return template, make_collection(template, args.instances, populator)
 
 
-def _problem_setup(args: argparse.Namespace):
-    """Dataset + partitioning + computation of a ``run``."""
-    from .generators import paper_datasets
+#: The collection each algorithm reads.
+_COLLECTION = {
+    "tdsp": "road", "stats": "road", "meme": "tweets", "hash": "tweets",
+    "reach": "evolving", "evolve": "evolving",
+}
 
-    cache = _dataset_cache(args)
-    if args.algorithm in ("reach", "evolve"):
+
+def _generate(args: argparse.Namespace, kind: str):
+    """``(pg, collection)``: ``--graph``'s ``kind`` collection, its template
+    partitioned."""
+    if kind == "evolving":
         template, collection = _evolving_collection(args)
     else:
-        data = paper_datasets(args.scale, args.instances, seed=args.seed, cache=cache)[
-            args.graph
-        ]
-        template = data["template"]
-        collection = data["road" if args.algorithm in ("tdsp", "stats") else "tweets"]
-    pg = _partition(args, template, cache)
-    return template, collection, pg, _make_computation(args, template, collection, pg)
+        from .generators import paper_datasets
+
+        data = paper_datasets(args.scale, args.instances, seed=args.seed)[args.graph]
+        template, collection = data["template"], data[kind]
+    return _partition(args, template), collection
+
+
+def _dataset(args: argparse.Namespace, kind: str) -> dict:
+    """What the dataset flags generate: a store's manifest records it."""
+    return {
+        "graph": args.graph, "collection": kind, "scale": args.scale, "seed": args.seed,
+        "instances": args.instances, "partitions": args.partitions,
+    }
+
+
+def _open_store(args: argparse.Namespace, kind: str):
+    """``--gofs DIR`` as ``(pg, collection, views)``: the store is written
+    first if it has no manifest, then opened; a ``ValueError`` unless it holds
+    the dataset the flags name."""
+    from .storage import GoFS
+
+    root, dataset = Path(args.gofs), _dataset(args, kind)
+    if not (root / "manifest.json").exists():
+        pg, collection = _generate(args, kind)
+        manifest = GoFS.write_collection(root, pg, collection, dataset=dataset)
+        print(f"wrote GoFS store to {root} (packing={manifest['packing']})")
+    stored = GoFS.read_manifest(root)["dataset"]
+    if not stored:
+        raise ValueError(
+            f"GoFS store {root} records no dataset, so no flag can be held to it; "
+            "write it with 'tibsp store' or 'tibsp run --gofs'"
+        )
+    if stored.get("collection") != kind:
+        raise ValueError(
+            f"GoFS store {root} holds the {stored.get('collection')} collection, but "
+            f"{args.algorithm} reads the {kind} collection"
+        )
+    for key, value in dataset.items():
+        if stored.get(key) != value:
+            raise ValueError(
+                f"GoFS store {root} was written for {key}={stored.get(key)!r} but the run "
+                f"has --{key} {value}: it is another dataset's store; delete it or match "
+                "the run to it"
+            )
+    return GoFS.open(root)
 
 
 def _make_computation(args: argparse.Namespace, template, collection, pg):
@@ -292,14 +315,22 @@ def _run(args: argparse.Namespace) -> int:
     from .core.engine import EngineConfig, run_application
     from .resilience import RunFailureError
     from .runtime import GCModel
-    from .storage import GoFS
 
     problems = _check_run_flags(args)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-    _template, collection, pg, comp = _problem_setup(args)
+    kind, sources = _COLLECTION[args.algorithm], None
+    if args.gofs is None:
+        pg, collection = _generate(args, kind)
+    else:
+        try:
+            pg, collection, sources = _open_store(args, kind)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    comp = _make_computation(args, pg.template, collection, pg)
     tracing = None
     if args.stream:
         from .observability import TraceConfig
@@ -312,18 +343,6 @@ def _run(args: argparse.Namespace) -> int:
         hosts=args.hosts,
         **_resilience_config(args),
     )
-    sources = None
-    if args.gofs is not None:
-        root = Path(args.gofs)
-        if not (root / "manifest.json").exists():
-            manifest = GoFS.write_collection(root, pg, collection)
-            print(f"wrote GoFS store to {root} (packing={manifest['packing']})")
-        try:
-            sources = GoFS.partition_views(root)
-            sources[0].check_dataset(pg.fingerprint(len(collection)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         result = run_application(
             comp, pg, collection, config=config, sources=sources, resume_from=args.resume_from
@@ -405,25 +424,22 @@ def _fig5b(args: argparse.Namespace) -> int:
     from .baselines import fig5b_comparison
     from .generators import paper_datasets
 
-    cache = _dataset_cache(args)
-    data = paper_datasets(args.scale, args.instances, seed=args.seed, cache=cache)
+    data = paper_datasets(args.scale, args.instances, seed=args.seed)
     rows = []
     for name in ("CARN", "WIKI"):
-        pg = _partition(args, data[name]["template"], cache)
+        pg = _partition(args, data[name]["template"])
         rows.append(fig5b_comparison(pg, data[name]["road"]).as_row())
     print(render_table(rows, title="Giraph vs GoFFish (Fig 5b analogue)"))
     return 0
 
 
 def _store(args: argparse.Namespace) -> int:
-    from .generators import paper_datasets
     from .storage import GoFS
 
-    cache = _dataset_cache(args)
-    data = paper_datasets(args.scale, args.instances, seed=args.seed, cache=cache)[args.graph]
-    kind = "road" if args.workload == "road" else "tweets"
-    pg = _partition(args, data["template"], cache)
-    manifest = GoFS.write_collection(args.root, pg, data[kind])
+    pg, collection = _generate(args, args.workload)
+    manifest = GoFS.write_collection(
+        args.root, pg, collection, dataset=_dataset(args, args.workload)
+    )
     print(f"wrote GoFS store to {args.root}: {manifest['num_timesteps']} instances, "
           f"{manifest['num_partitions']} partitions, packing={manifest['packing']}, "
           f"binning={manifest['binning']}")
@@ -473,8 +489,9 @@ def main(argv: list[str] | None = None) -> int:
     sto = p.add_argument_group("storage")
     sto.add_argument(
         "--gofs", metavar="DIR",
-        help="serve instances from a GoFS store at DIR (written there first if "
-        "no manifest.json exists yet)",
+        help="serve the dataset from the GoFS store at DIR: written there first if "
+        "it has no manifest.json, then opened (a store of another dataset or "
+        "collection is an error)",
     )
     res = p.add_argument_group("resilience")
     res.add_argument(

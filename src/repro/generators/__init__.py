@@ -11,7 +11,6 @@ process-cluster workers synthesize their instances locally.
 from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".cache": ("DatasetCache", "INGEST_CODE_VERSION", "content_key"),
     ".evolving": ("PeriodicExistencePopulator",),
     ".hashtags": ("BackgroundHashtagPopulator", "TrafficPopulator"),
     ".latency": ("UniformLatencyPopulator", "road_latency_collection"),

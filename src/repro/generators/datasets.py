@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .latency import road_latency_collection
 from .road import road_network
 from .sir import tweet_collection
 from .smallworld import smallworld_network
-
-if TYPE_CHECKING:
-    from .cache import DatasetCache
 
 __all__ = ["paper_datasets"]
 
@@ -23,7 +18,6 @@ def paper_datasets(
     delta: float = 5.0,
     carn_hit_probability: float = 0.5,
     wiki_hit_probability: float = 0.1,
-    cache: "DatasetCache | None" = None,
 ) -> dict[str, dict[str, object]]:
     """Build the paper's four dataset configurations at a given scale.
 
@@ -37,44 +31,24 @@ def paper_datasets(
     graphs.  At our default 20 k-vertex scale those values die out, so the
     defaults here (50 % / 10 %) are re-tuned by the same criterion — see
     EXPERIMENTS.md (and docs/scaling.md for the 400 k+ regime).
-
-    ``cache`` short-circuits the whole build through a :class:`DatasetCache`
-    entry keyed on every parameter above.
     """
-    params = {
-        "scale": int(scale),
-        "num_instances": int(num_instances),
-        "seed": int(seed),
-        "delta": float(delta),
-        "carn_hit_probability": float(carn_hit_probability),
-        "wiki_hit_probability": float(wiki_hit_probability),
-    }
-
-    def build() -> dict[str, dict[str, object]]:
-        out: dict[str, dict[str, object]] = {}
-        carn = road_network(scale, seed=seed)
-        wiki = smallworld_network(scale, seed=seed)
-        for tpl, hit in ((carn, carn_hit_probability), (wiki, wiki_hit_probability)):
-            out[tpl.name] = {
-                "template": tpl,
-                "road": road_latency_collection(
-                    tpl, num_instances, delta=delta, seed=seed
-                ),
-                # seeds_per_meme=20 spreads the epidemic across all
-                # partitions at bench scale (Fig 7c needs every partition
-                # to see colorings, as the paper's 2.4M-vertex WIKI did
-                # with few seeds).
-                "tweets": tweet_collection(
-                    tpl,
-                    num_instances,
-                    hit_probability=hit,
-                    seeds_per_meme=20,
-                    delta=delta,
-                    seed=seed,
-                ),
-            }
-        return out
-
-    if cache is not None:
-        return cache.get_or_build("datasets", params, build)
-    return build()
+    out: dict[str, dict[str, object]] = {}
+    carn = road_network(scale, seed=seed)
+    wiki = smallworld_network(scale, seed=seed)
+    for tpl, hit in ((carn, carn_hit_probability), (wiki, wiki_hit_probability)):
+        out[tpl.name] = {
+            "template": tpl,
+            "road": road_latency_collection(tpl, num_instances, delta=delta, seed=seed),
+            # seeds_per_meme=20 spreads the epidemic across all partitions at
+            # bench scale (Fig 7c needs every partition to see colorings, as
+            # the paper's 2.4M-vertex WIKI did with few seeds).
+            "tweets": tweet_collection(
+                tpl,
+                num_instances,
+                hit_probability=hit,
+                seeds_per_meme=20,
+                delta=delta,
+                seed=seed,
+            ),
+        }
+    return out

@@ -15,7 +15,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".base": ("Partition", "PartitionedGraph", "Partitioner", "validate_assignment"),
     ".bfsp": ("BFSPartitioner",),
     ".hashp": ("HashPartitioner",),
-    ".metis_like": ("MetisLikePartitioner",),
+    ".metis_like": ("MetisLikePartitioner", "partition_graph"),
     ".stats": ("PartitionStats", "compute_stats", "edge_cut_fraction"),
-    ".subgraphs": ("decompose", "subgraph_labels", "partition_graph"),
+    ".subgraphs": ("decompose", "subgraph_labels"),
 })

@@ -45,9 +45,13 @@ import numpy as np
 from ..graph.template import GraphTemplate
 from ..kernels.components import components
 from ..kernels.csr import segment_starts, slot_sources
+from .base import PartitionedGraph, Partitioner
 from .refine import edge_cut_weight, refine
+from .subgraphs import decompose
 
-__all__ = ["CSR", "MetisLikePartitioner", "coarsen_graph", "heavy_edge_matching"]
+__all__ = [
+    "CSR", "MetisLikePartitioner", "coarsen_graph", "heavy_edge_matching", "partition_graph",
+]
 
 # Coarsest graphs up to this size get greedy graph-growing initial partitions
 # (a scalar loop, but high quality on graphs with region structure); larger
@@ -488,3 +492,16 @@ class MetisLikePartitioner:
     def edge_cut(self, template: GraphTemplate, assignment: np.ndarray) -> float:
         """Cut weight of an assignment on this template (unit edge weights)."""
         return edge_cut_weight(*_symmetric_weighted_adjacency(template), np.asarray(assignment))
+
+
+def partition_graph(
+    template: GraphTemplate, num_partitions: int, partitioner: Partitioner | None = None
+) -> PartitionedGraph:
+    """One-call convenience: assign vertices and decompose into subgraphs.
+
+    Uses :class:`MetisLikePartitioner` when no partitioner is given, matching
+    the paper's METIS setup.
+    """
+    partitioner = partitioner or MetisLikePartitioner()
+    assignment = np.asarray(partitioner.assign(template, num_partitions))
+    return decompose(template, assignment, num_partitions)

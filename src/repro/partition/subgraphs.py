@@ -11,8 +11,10 @@ that are weakly connected through only local edges."*  We therefore:
    bundle of outgoing remote edges.
 
 Everything is vectorized over template adjacency slots, so decomposition is
-O(|adjacency|) plus a few sorts.  :func:`partition_graph` is assignment
-plus discovery in one call.
+O(|adjacency|) plus a few sorts.  It is all a stored assignment needs
+(:meth:`repro.storage.GoFS.open`), so this module imports no partitioner;
+:func:`repro.partition.metis_like.partition_graph` is assignment plus
+discovery in one call.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import numpy as np
 from ..graph.subgraph import RemoteEdges, Subgraph
 from ..graph.template import GraphTemplate
 from ..kernels import components, sorted_unique
-from .base import Partition, PartitionedGraph, Partitioner, validate_assignment
-from .metis_like import MetisLikePartitioner
+from .base import Partition, PartitionedGraph, validate_assignment
 
-__all__ = ["decompose", "partition_graph", "subgraph_labels"]
+__all__ = ["decompose", "subgraph_labels"]
 
 
 def subgraph_labels(template: GraphTemplate, assignment: np.ndarray) -> tuple[int, np.ndarray]:
@@ -133,51 +134,3 @@ def decompose(
         partitions[pid].subgraphs.append(sg)
 
     return PartitionedGraph(template, assignment, labels, partitions, subgraphs)
-
-
-def _template_digest(template: GraphTemplate) -> str:
-    """Content hash of a template's topology (for partition cache keys)."""
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(f"{template.num_vertices}:{int(template.directed)}".encode())
-    h.update(np.ascontiguousarray(template.edge_src, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(template.edge_dst, dtype=np.int64).tobytes())
-    return h.hexdigest()
-
-
-def partition_graph(
-    template: GraphTemplate,
-    num_partitions: int,
-    partitioner: Partitioner | None = None,
-    *,
-    cache=None,
-) -> PartitionedGraph:
-    """One-call convenience: assign vertices and decompose into subgraphs.
-
-    Uses :class:`MetisLikePartitioner` when no partitioner is given, matching
-    the paper's METIS setup.  ``cache`` (a
-    :class:`~repro.generators.cache.DatasetCache`) memoizes the decomposed
-    :class:`PartitionedGraph` keyed on the template's topology digest, the
-    partition count, and the partitioner's configuration — a hit skips both
-    the assignment and the subgraph discovery.
-    """
-    partitioner = partitioner or MetisLikePartitioner()
-
-    def compute() -> PartitionedGraph:
-        assignment = np.asarray(partitioner.assign(template, num_partitions))
-        return decompose(template, assignment, num_partitions)
-
-    if cache is not None:
-        params = {
-            "template": _template_digest(template),
-            "num_partitions": int(num_partitions),
-            "partitioner": type(partitioner).__name__,
-            "config": {
-                k: v
-                for k, v in sorted(vars(partitioner).items())
-                if isinstance(v, (int, float, bool, str))
-            },
-        }
-        return cache.get_or_build("partition", params, compute)
-    return compute()

@@ -3,7 +3,9 @@
 Layout of a store rooted at ``root/``::
 
     root/template.gsl            — the shared graph template
-    root/manifest.json           — packing/binning/timestep metadata + bins
+    root/assignment.gsl          — the partition of every template vertex
+    root/manifest.json           — packing/binning/timestep metadata, bins and
+                                   the dataset the writer named (format 2)
     root/rows_p*_b*.gsl          — one rows file per (partition, bin)
     root/slice_p*_b*_k*.gsl      — one slice per (partition, bin, pack)
 
@@ -23,11 +25,16 @@ array through the view's direct-address row index — ``take`` copies them
 out, and ``column(name)`` gathers the whole template.  An attribute nobody
 reads costs nothing, and one nobody ever set is not stored: slices list it
 under ``defaults`` and it reads as its default.
+
+The store is the dataset: :meth:`GoFS.open` returns the partitioned graph
+(``decompose`` of the stored assignment), the collection and the views, and
+generates and partitions nothing.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from functools import partial
 from pathlib import Path
@@ -37,9 +44,10 @@ import numpy as np
 from ..graph.attributes import AttributeTable, Ragged, check_ragged
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
-from ..graph.collection import TimeSeriesGraphCollection
+from ..graph.collection import CallableInstanceProvider, TimeSeriesGraphCollection
 from ..partition.base import PartitionedGraph
-from .serde import PackedArrays, load_template, save_template
+from ..partition.subgraphs import decompose
+from .serde import PackedArrays, load_template, read_arrays, save_template, write_arrays
 from .slices import (
     RAGGED_VALUES,
     SLICE_FORMAT,
@@ -62,8 +70,13 @@ __all__ = [
 DEFAULT_PACKING = 10  #: instances per temporal pack (paper's value)
 DEFAULT_BINNING = 5  #: subgraphs per spatial bin (paper's value)
 
+#: The manifest's ``format_version``: 2 = the store records its partition
+#: assignment and its dataset (1 did not, so it cannot be opened).
+MANIFEST_FORMAT = 2
+
 _MANIFEST = "manifest.json"
 _TEMPLATE = "template.gsl"
+_ASSIGNMENT = "assignment.gsl"
 
 
 class GoFS:
@@ -77,18 +90,26 @@ class GoFS:
         *,
         packing: int = DEFAULT_PACKING,
         binning: int = DEFAULT_BINNING,
+        dataset: dict | None = None,
     ) -> dict:
         """Distribute a partitioned collection into slice files.
 
         Each pack's slices store the attributes some instance of the pack
-        has set and only name the rest (``defaults``).  Returns the manifest
+        has set and only name the rest (``defaults``).  The partition
+        assignment is stored too, and ``dataset`` (what the caller generated,
+        as JSON values) goes into the manifest verbatim.  An existing
+        manifest is removed first and the new one replaces it last, so a
+        write that dies leaves a store no one can open.  Returns the manifest
         dict (also written to ``manifest.json``).
         """
         if packing < 1 or binning < 1:
             raise ValueError("packing and binning must be >= 1")
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
+        (root / _MANIFEST).unlink(missing_ok=True)
         save_template(root / _TEMPLATE, collection.template)
+        with open(root / _ASSIGNMENT, "wb") as fp:
+            write_arrays(fp, {"assignment": np.asarray(pg.vertex_partition, dtype=np.int64)})
 
         # Spatial bins: chunks of `binning` subgraphs per partition.
         bins: list[list[list[int]]] = []
@@ -113,7 +134,7 @@ class GoFS:
                 write_slice(root, SliceKey(p, b, k), verts, edges, instances)
 
         manifest = {
-            "format_version": 1,
+            "format_version": MANIFEST_FORMAT,
             "slice_format": SLICE_FORMAT,
             **pg.fingerprint(T),  # num_timesteps, num_partitions, and what a run is held to
             "t0": collection.t0,
@@ -121,20 +142,32 @@ class GoFS:
             "packing": packing,
             "binning": binning,
             "bins": bins,
+            "dataset": dataset or {},
         }
-        (root / _MANIFEST).write_text(json.dumps(manifest))
+        tmp = root / (_MANIFEST + ".tmp")
+        tmp.write_text(json.dumps(manifest))
+        os.replace(tmp, root / _MANIFEST)
         return manifest
 
     @staticmethod
     def read_manifest(root: str | Path) -> dict:
-        """Load and validate a store's manifest."""
-        manifest = json.loads((Path(root) / _MANIFEST).read_text())
-        if manifest.get("format_version") != 1:
-            raise ValueError("unsupported GoFS manifest version")
+        """Load and validate a store's manifest; a missing, garbled or
+        outdated one is a ``ValueError`` naming it."""
+        path = Path(root) / _MANIFEST
+        try:
+            manifest = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"GoFS manifest {path} cannot be read: {exc}") from None
         if manifest.get("slice_format") != SLICE_FORMAT:
             raise ValueError(
                 f"GoFS store {root} (manifest slice_format {manifest.get('slice_format')!r}) "
                 f"is not slice format {SLICE_FORMAT}; rewrite with `GoFS.write_collection`"
+            )
+        if manifest.get("format_version") != MANIFEST_FORMAT:
+            raise ValueError(
+                f"GoFS manifest {path} is format {manifest.get('format_version')!r}, not "
+                f"{MANIFEST_FORMAT}: it records no partition assignment; rewrite the store "
+                "with `GoFS.write_collection`"
             )
         if "vertex_subgraph_crc32" not in manifest:
             raise ValueError(
@@ -147,6 +180,44 @@ class GoFS:
     def load_template(root: str | Path) -> GraphTemplate:
         """Load the store's shared template."""
         return load_template(Path(root) / _TEMPLATE)
+
+    @staticmethod
+    def open(
+        root: str | Path,
+    ) -> tuple[PartitionedGraph, TimeSeriesGraphCollection, list["GoFSPartitionView"]]:
+        """The store as a dataset: ``(pg, collection, views)``.
+
+        ``pg`` is ``decompose`` of the stored assignment, held to the
+        manifest's fingerprint; ``collection`` has the store's template,
+        length, ``t0`` and ``delta``, its instances read by one view over
+        every bin; ``views`` are :meth:`partition_views`.  A missing or
+        garbled assignment, or one that decomposes to another partitioning,
+        is a ``ValueError`` naming the file.
+        """
+        root = Path(root)
+        manifest = GoFS.read_manifest(root)
+        template = GoFS.load_template(root)
+        path, k = root / _ASSIGNMENT, manifest["num_partitions"]
+        assignment = read_arrays(path).get("assignment")
+        try:
+            if assignment is None or assignment.dtype != np.int64:
+                raise ValueError("it holds no int64 array 'assignment'")
+            pg = decompose(template, assignment, k)
+        except ValueError as exc:
+            raise ValueError(f"GoFS assignment {path}: {exc}") from None
+        for field, value in pg.fingerprint(manifest["num_timesteps"]).items():
+            if manifest.get(field) != value:
+                raise ValueError(
+                    f"GoFS assignment {path} decomposes to {field}={value!r} but the manifest "
+                    f"records {field}={manifest.get(field)!r}; rewrite the store"
+                )
+        views = [GoFSPartitionView(root, p, manifest=manifest, template=template) for p in range(k)]
+        store = GoFSPartitionView(root, None, manifest=manifest, template=template)
+        collection = TimeSeriesGraphCollection(
+            template, CallableInstanceProvider(manifest["num_timesteps"], store.instance),
+            t0=manifest["t0"], delta=manifest["delta"],
+        )
+        return pg, collection, views
 
     @staticmethod
     def partition_view(root: str | Path, partition_id: int) -> "GoFSPartitionView":
@@ -240,7 +311,9 @@ class GoFSPartitionView:
     pack drops it (Fig 6's load on every pack boundary).  An instance keeps
     its own pack alive, so a read after the view dropped it — even the one
     that reads it — is still right.  Pickles cheaply (path + partition id),
-    so process workers each open their own view.
+    so process workers each open their own view.  ``partition_id=None``
+    reads every partition's bins: the instances of :meth:`GoFS.open`'s
+    collection.
 
     Parameters
     ----------
@@ -252,24 +325,30 @@ class GoFSPartitionView:
     def __init__(
         self,
         root: str | Path,
-        partition_id: int,
+        partition_id: int | None,
         *,
         manifest: dict | None = None,
         template: GraphTemplate | None = None,
     ) -> None:
         self.root = Path(root)
-        self.partition_id = int(partition_id)
+        self.partition_id = None if partition_id is None else int(partition_id)
         self._init_runtime(manifest, template)
 
     def _init_runtime(
         self, manifest: dict | None = None, template: GraphTemplate | None = None
     ) -> None:
         manifest = GoFS.read_manifest(self.root) if manifest is None else manifest
-        if not 0 <= self.partition_id < manifest["num_partitions"]:
-            raise ValueError(f"partition {self.partition_id} not in store")
+        p, k = self.partition_id, manifest["num_partitions"]
+        if p is not None and not 0 <= p < k:
+            raise ValueError(f"partition {p} not in store")
         self.manifest = manifest
         self.template = GoFS.load_template(self.root) if template is None else template
-        self._num_bins = len(manifest["bins"][self.partition_id])
+        #: The ``(partition, bin)`` pairs this view reads, in order.
+        self._bins = [
+            (q, b) for q in (range(k) if p is None else (p,))
+            for b in range(len(manifest["bins"][q]))
+        ]
+        self._num_bins = len(self._bins)
         #: Slice entries of the ragged attributes, checked on every pack read.
         sides = zip("ve", (self.template.vertex_schema, self.template.edge_schema))
         self._ragged = [f"{p}__{spec.name}" for p, schema in sides for spec in schema if spec.ragged]
@@ -294,11 +373,11 @@ class GoFSPartitionView:
         #: plans resolved through it (:meth:`_plan`): ``(prefix, id(rows)) ->
         #: (rows, plan)``, least recently used dropped past a cap that fits
         #: every subgraph's three row arrays.
-        sizes, p = (tpl.num_vertices, tpl.num_edges), self.partition_id
-        self._bin_rows = [read_rows(self.root, p, b, sizes) for b in range(self._num_bins)]
+        sizes = (tpl.num_vertices, tpl.num_edges)
+        self._bin_rows = [read_rows(self.root, q, b, sizes) for q, b in self._bins]
         self._index: dict[str, np.ndarray] = {}
         self._plans: dict[tuple[str, int], tuple[np.ndarray, list]] = {}
-        self._plan_cap = 4 * sum(len(b) for b in manifest["bins"][self.partition_id]) + 8
+        self._plan_cap = 4 * sum(len(manifest["bins"][q][b]) for q, b in self._bins) + 8
         #: Reads answered from the packs (one per ``locate`` / ``take`` / first
         #: ``column`` of an instance attribute) and ``len(rows) × itemsize`` each,
         #: in place or copied (``gofs.columns_projected`` / ``.bytes_projected``).
@@ -344,10 +423,10 @@ class GoFSPartitionView:
         packing = self.manifest["packing"]
         pack_len = min(packing, self.manifest["num_timesteps"] - pack * packing)
         data = _Pack(pack, [])
-        for b in range(self._num_bins):
-            arrays = read_slice(self.root, SliceKey(self.partition_id, b, pack))
+        for (q, b), rows in zip(self._bins, self._bin_rows):
+            arrays = read_slice(self.root, SliceKey(q, b, pack))
             try:
-                _check_columns(arrays, self.template, pack_len, self._bin_rows[b])
+                _check_columns(arrays, self.template, pack_len, rows)
             except ValueError as exc:
                 raise ValueError(f"{arrays.name} does not match the store's schema: {exc}") from None
             data.append(arrays)
@@ -355,7 +434,8 @@ class GoFSPartitionView:
 
     def _row_index(self, prefix: str) -> np.ndarray:
         """One side's direct-address index: template row -> position among this
-        partition's bin rows laid end to end, -1 where no bin holds the row.
+        view's bin rows laid end to end (a row two bins hold: the last), -1
+        where no bin holds the row.
         Built on the side's first plan, 4 B per template row; a lookup is one
         gather where a binary search paid 47 ns per unsorted needle."""
         index = self._index.get(prefix)
@@ -371,15 +451,22 @@ class GoFSPartitionView:
 
     def _plan(self, prefix: str, rows: np.ndarray | None) -> list[tuple]:
         """Where template ``rows`` (``None``: all of them) live in this
-        partition's slices: ``(bin, where, pos)`` triples meaning
+        view's slices: ``(bin, where, pos)`` triples meaning
         ``out[where] = slice_row[pos]``, with ``None`` for "all, in order".
 
         Resolved once per row array and kept while the array is held —
         arrays passed here (a subgraph's ``edge_index``, ``vertices``, …)
-        are treated as immutable.  Rows in no bin get no triple."""
+        are treated as immutable.  Rows in no bin get no triple, and a row
+        two bins hold (a cut edge, over every partition) one."""
         which, _schema, n = self._sides[prefix]
-        if rows is None:
-            return [(b, pair[which], None) for b, pair in enumerate(self._bin_rows)]
+        if rows is None:  # each bin's rows, less those the index sends to a later bin
+            plan, at, hi = [], self._row_index(prefix), 0
+            for b, pair in enumerate(self._bin_rows):
+                have = pair[which]
+                lo, hi = hi, hi + have.size
+                mine = at[have] == np.arange(lo, hi)
+                plan.append((b, have, None) if mine.all() else (b, have[mine], mine.nonzero()[0]))
+            return plan
         key = (prefix, id(rows))
         hit = self._plans.get(key)
         if hit is not None and hit[0] is rows:  # the held array pins the id

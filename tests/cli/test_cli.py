@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -53,29 +54,95 @@ class TestCLI:
     @pytest.mark.parametrize(
         "other,field",
         [
-            (["--scale", "600", "--instances", "6", "--seed", "9"], "num_edges"),
-            (["--scale", "900", "--instances", "6"], "num_vertices"),
-            (["--scale", "600", "--instances", "12"], "num_timesteps"),
-            (["--scale", "600", "--instances", "6", "--partitions", "2"], "num_partitions"),
+            (["--scale", "600", "--instances", "6", "--seed", "9"], "seed=0 but the run has --seed 9"),
+            (["--scale", "900", "--instances", "6"], "scale=600 but the run has --scale 900"),
+            (["--scale", "600", "--instances", "12"], "instances=6 but the run has --instances 12"),
+            (["--scale", "600", "--instances", "6", "--partitions", "2"],
+             "partitions=3 but the run has --partitions 2"),
+            (["--scale", "600", "--instances", "6", "--graph", "WIKI"],
+             "graph='CARN' but the run has --graph WIKI"),
         ],
-        ids=["seed", "scale", "instances", "partitions"],
+        ids=["seed", "scale", "instances", "partitions", "graph"],
     )
     def test_a_store_written_for_another_dataset_is_refused_before_anything_runs(
         self, other, field, tmp_path, capsys
     ):
         """At 1d595cb the first ran to a wrong answer (exit 0, the new
         partitioning's rows read as defaults) and the next two died with an
-        ``IndexError`` from a kernel / at the store's last timestep."""
+        ``IndexError`` from a kernel / at the store's last timestep.  The
+        store records the flags that wrote it, so the flag is named."""
         root = str(tmp_path / "store")
         same = ["--scale", "600", "--instances", "6"]
         assert main(["store", root, *same, "--partitions", "3"]) == 0
-        run = ["run", "tdsp", "--graph", "CARN", "--partitions", "3", "--gofs", root]
-        assert main(run + same) == 0
+        run = ["run", "tdsp", "--partitions", "3", "--gofs", root]
+        assert main(run + ["--graph", "CARN"] + same) == 0
         capsys.readouterr()
-        assert main(run + other) == 2
+        assert main(run + (other if "--graph" in other else ["--graph", "CARN", *other])) == 2
         captured = capsys.readouterr()
-        assert f"was written for {field}=" in captured.err and "error:" in captured.err
+        assert f"was written for {field}" in captured.err and "error:" in captured.err
         assert "timesteps" not in captured.out  # no run summary: nothing ran
+
+    @pytest.mark.parametrize(
+        "workload, algorithm, stored, read",
+        [("road", "meme", "road", "tweets"), ("tweets", "tdsp", "tweets", "road"),
+         ("road", "reach", "road", "evolving")],
+        ids=["meme-over-road", "tdsp-over-tweets", "reach-over-road"],
+    )
+    def test_a_run_of_another_collection_is_refused_naming_it(
+        self, workload, algorithm, stored, read, tmp_path, capsys
+    ):
+        """At 9cb3237 MEME over a road store exited 0 with 12 supersteps and
+        15 messages against 18 and 25 in memory: the tweets read as their
+        default."""
+        root = str(tmp_path / "store")
+        same = ["--scale", "600", "--instances", "6", "--partitions", "3", "--graph", "CARN"]
+        assert main(["store", root, "--workload", workload, *same]) == 0
+        capsys.readouterr()
+        assert main(["run", algorithm, *same, "--gofs", root]) == 2
+        captured = capsys.readouterr()
+        assert (
+            f"error: GoFS store {root} holds the {stored} collection, but {algorithm} "
+            f"reads the {read} collection"
+        ) in captured.err
+        assert "timesteps" not in captured.out
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_a_run_over_an_existing_store_generates_and_partitions_nothing(
+        self, executor, tmp_path, capsys, monkeypatch
+    ):
+        """The run that writes the store and every run after it open the
+        same store; only the first generates or partitions anything."""
+        import repro.core.engine
+        import repro.generators
+        from repro.algorithms import tdsp_labels_from_result
+        from repro.partition.metis_like import MetisLikePartitioner
+
+        results, calls = [], []
+        run_application = repro.core.engine.run_application
+
+        def recorded(*args, **kwargs):
+            results.append(run_application(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(repro.core.engine, "run_application", recorded)
+        root, export = str(tmp_path / "store"), tmp_path / "run.json"
+        argv = ["run", "tdsp", "--scale", "600", "--instances", "6", "--partitions", "3",
+                "--executor", executor, "--gofs", root, "--export", str(export)]
+        assert main(argv) == 0
+        written = json.loads(export.read_text())["metrics"]
+        for name in ("paper_datasets", "road_network", "smallworld_network", "make_collection"):
+            monkeypatch.setattr(repro.generators, name, lambda *a, name=name, **k: calls.append(name))
+        monkeypatch.setattr(
+            MetisLikePartitioner, "assign", lambda *a, **k: calls.append("assign")
+        )
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert calls == [] and "wrote GoFS store" not in capsys.readouterr().out
+        reopened = json.loads(export.read_text())["metrics"]
+        counts = ("timesteps", "supersteps", "messages", "remote_messages", "frames", "bytes_sent")
+        assert [reopened[k] for k in counts] == [written[k] for k in counts]
+        first, second = (tdsp_labels_from_result(r, 600) for r in results)
+        np.testing.assert_array_equal(first, second)
 
     @pytest.mark.parametrize("missing", ["template.gsl", "rows_p001_b0000.gsl"])
     def test_a_store_missing_a_file_is_refused_naming_it(self, missing, tmp_path, capsys):
@@ -142,6 +209,8 @@ class TestNewSubcommands:
         [
             pytest.param(["--executor", "thread"], "invalid choice: 'thread'", id="thread"),
             pytest.param(["--rebalance"], "unrecognized arguments: --rebalance", id="rebalance"),
+            pytest.param(["--dataset-cache", "d"], "unrecognized arguments: --dataset-cache",
+                         id="dataset-cache"),
         ],
     )
     def test_deleted_options_are_argparse_errors(self, command, flag, message, capsys):
@@ -253,12 +322,12 @@ class TestResilienceFlags:
     def test_hosts_checked_before_the_dataset_is_built(
         self, hosts, partitions, message, tmp_path, capsys
     ):
-        cache = tmp_path / "dataset-cache"
+        store = tmp_path / "store"
         argv = self.BASE[:-1] + [partitions, "--executor", "socket", "--hosts", hosts]
-        assert main(argv + ["--dataset-cache", str(cache)]) == 2
+        assert main(argv + ["--gofs", str(store)]) == 2
         err = capsys.readouterr().err
         assert "error: --hosts" in err and message in err
-        assert not cache.exists() or not list(cache.iterdir())
+        assert not store.exists()
 
     def test_degrade_and_quarantine_are_refused_together(self, capsys):
         assert main(self.BASE + ["--inject-faults", "kill@t1:p0", "--degrade", "--quarantine"]) == 2

@@ -32,8 +32,10 @@ def _digest(*arrays: np.ndarray) -> str:
 
 
 # Pinned-seed golden hashes (seed 7, small scale).
-# A change here means the ingest algorithms' output changed: bump
-# repro.generators.cache.INGEST_CODE_VERSION in the same commit.
+# A change here means the ingest algorithms' output changed: a GoFS store
+# written before it still holds the old output, and `tibsp run --gofs` opens a
+# store as written, generating nothing, so say in the same commit that stores
+# need rewriting.
 GOLDEN_WIKI_EDGES = "d7a71a61b830ed14"
 GOLDEN_SIR = "bdd10ac781183fcf"
 GOLDEN_CARN_ASSIGN = "73efc81b1b9ced56"

@@ -303,6 +303,157 @@ class TestDatasetFingerprint:
             GoFS.partition_views(root)
 
 
+def _cut_tags_collection(seed=3):
+    """A random template whose edges carry a ragged ``tags`` attribute, in
+    four instances: a cut edge's tags are in two partitions' slices."""
+    rng = np.random.default_rng(seed)
+    base = make_random_template(40, 90, rng)
+    tpl = GraphTemplate(
+        base.num_vertices, base.edge_src, base.edge_dst, name="tags",
+        vertex_schema=AttributeSchema([AttributeSpec("traffic", "float")]),
+        edge_schema=AttributeSchema(
+            [AttributeSpec("latency", "float"), AttributeSpec("tags", "ragged")]
+        ),
+    )
+
+    def populate(inst, t):
+        r = np.random.default_rng(seed + t)
+        inst.vertex_values.set_column("traffic", r.uniform(0, 9, tpl.num_vertices))
+        inst.edge_values.set_column("latency", r.uniform(0, 9, tpl.num_edges))
+        inst.edge_values.set_column(
+            "tags", ragged([r.integers(0, 5, r.integers(0, 3)).tolist() for _ in range(tpl.num_edges)])
+        )
+
+    return tpl, build_collection(tpl, 4, populate, t0=3.0, delta=0.5)
+
+
+class TestOpen:
+    """The store is the dataset: ``GoFS.open`` gives back the partitioned
+    graph, the collection and the views it was written from."""
+
+    def test_open_gives_back_what_was_written(self, tmp_path):
+        tpl, coll = _cut_tags_collection()
+        pg = partition_graph(tpl, 3, HashPartitioner(seed=2))
+        assert any(sg.remote.edge_index.size for sg in pg.subgraphs)  # cut edges
+        GoFS.write_collection(tmp_path, pg, coll, packing=3, binning=1)
+        opened, collection, views = GoFS.open(tmp_path)
+        assert opened.fingerprint(4) == pg.fingerprint(4)
+        np.testing.assert_array_equal(opened.vertex_partition, pg.vertex_partition)
+        assert [sg.vertices.tolist() for sg in opened.subgraphs] == [
+            sg.vertices.tolist() for sg in pg.subgraphs
+        ]
+        assert opened.template.equals(tpl) and collection.template is opened.template
+        assert (len(collection), collection.t0, collection.delta) == (4, 3.0, 0.5)
+        for t in range(4):
+            got, want = collection.instance(t), coll.instance(t)
+            for kind, schema in (("v", tpl.vertex_schema), ("e", tpl.edge_schema)):
+                for spec in schema:
+                    assert same_cells(
+                        column_of(got, kind, spec.name), column_of(want, kind, spec.name)
+                    ), (t, kind, spec.name)
+        assert [v.partition_id for v in views] == [0, 1, 2]
+        assert all(v.template is opened.template for v in views)
+        assert all(v.__getstate__() == {"root": tmp_path, "partition_id": p}
+                   for p, v in enumerate(views))
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_a_run_over_the_opened_store_equals_the_run_in_memory(self, store, executor):
+        from repro.algorithms import TDSPComputation, tdsp_labels_from_result
+        from repro.core import EngineConfig, run_application
+
+        root, tpl, coll, pg, _ = store
+        config = EngineConfig(executor=executor)
+        want = run_application(TDSPComputation(0), pg, coll, config=config)
+        opened, collection, views = GoFS.open(root)
+        got = run_application(TDSPComputation(0), opened, collection, sources=views, config=config)
+        counts = ("timesteps", "supersteps", "messages", "remote_messages", "bytes_sent")
+        assert [got.metrics.summary()[k] for k in counts] == [
+            want.metrics.summary()[k] for k in counts
+        ]
+        np.testing.assert_array_equal(
+            tdsp_labels_from_result(got, tpl.num_vertices),
+            tdsp_labels_from_result(want, tpl.num_vertices),
+        )
+
+    def test_partition_views_never_read_the_assignment(self, store):
+        root, *_ = store
+        (root / "assignment.gsl").unlink()
+        assert len(GoFS.partition_views(root)) == 3
+        with pytest.raises(ValueError, match="assignment.gsl cannot be read"):
+            GoFS.open(root)
+
+    @pytest.mark.parametrize("damage", ["truncated", "float", "short", "out of range"])
+    def test_a_garbled_assignment_is_refused_naming_it(self, store, damage):
+        from repro.storage.serde import write_arrays
+
+        root, tpl, *_ = store
+        path = root / "assignment.gsl"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            assignment = {
+                "float": np.zeros(tpl.num_vertices),
+                "short": np.zeros(tpl.num_vertices - 1, dtype=np.int64),
+                "out of range": np.full(tpl.num_vertices, 3, dtype=np.int64),
+            }[damage]
+            with open(path, "wb") as fp:
+                write_arrays(fp, {"assignment": assignment})
+        with pytest.raises(ValueError, match=str(path)):
+            GoFS.open(root)
+
+    def test_an_assignment_of_another_partitioning_is_refused(self, store):
+        from repro.storage.serde import write_arrays
+
+        root, tpl, coll, pg, _ = store
+        other = partition_graph(tpl, 3, HashPartitioner(seed=2)).vertex_partition
+        assert not np.array_equal(other, pg.vertex_partition)
+        with open(root / "assignment.gsl", "wb") as fp:
+            write_arrays(fp, {"assignment": other})
+        with pytest.raises(ValueError, match=r"assignment\.gsl decomposes to vertex_subgraph_crc32="):
+            GoFS.open(root)
+
+    def test_a_format_1_manifest_is_refused(self, store):
+        import json
+
+        root, *_ = store
+        manifest = json.loads((root / "manifest.json").read_text())
+        (root / "manifest.json").write_text(json.dumps({**manifest, "format_version": 1}))
+        for open_store in (GoFS.open, GoFS.partition_views, GoFS.read_manifest):
+            with pytest.raises(ValueError, match=r"manifest\.json is format 1, not 2.*rewrite"):
+                open_store(root)
+
+    def test_the_manifest_holds_the_dataset_verbatim(self, tmp_path, store):
+        _, tpl, coll, pg, manifest = store
+        assert manifest["format_version"] == 2 and manifest["dataset"] == {}
+        dataset = {"graph": "grid", "seed": 5, "scale": 30}
+        written = GoFS.write_collection(tmp_path / "s", pg, coll, dataset=dataset)
+        assert written["dataset"] == GoFS.read_manifest(tmp_path / "s")["dataset"] == dataset
+
+    def test_a_rewrite_that_dies_leaves_a_store_no_one_opens(self, store, monkeypatch):
+        """At 9cb3237 the old manifest outlived a rewrite that died after a
+        slice, so a run with the old flags read the new dataset's files."""
+        import repro.storage.gofs as gofs
+
+        root, tpl, coll, pg, _ = store
+        other = build_collection(tpl, 12, populate_random(6), delta=2.0, t0=1.0)
+        calls = []
+
+        def dies_on_the_third(*args):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise OSError("disk gone")
+            return write_slice(*args)
+
+        write_slice = gofs.write_slice
+        monkeypatch.setattr(gofs, "write_slice", dies_on_the_third)
+        with pytest.raises(OSError, match="disk gone"):
+            GoFS.write_collection(root, pg, other, packing=4, binning=2)
+        assert sorted(p.name for p in root.glob("manifest*")) == []
+        for open_store in (GoFS.open, GoFS.partition_views):
+            with pytest.raises(ValueError, match=r"manifest\.json cannot be read"):
+                open_store(root)
+
+
 class TestLazyProjection:
     def test_instance_projects_nothing_until_a_column_is_read(self, store):
         root, tpl, coll, pg, _ = store

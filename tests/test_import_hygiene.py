@@ -7,7 +7,7 @@ view reads on the thread that asks, so no thread pool (and the ``logging``
 it brings) is loaded either.  A package root imports nothing until a name
 is read from it, and a plain run loads neither the trace plane nor the
 checkpoint module, nor the algorithms, partitioners and generators it does
-not call.
+not call; opening a store that exists loads no generator or partitioner.
 
 Each check is a fresh interpreter, so what the test session has already
 imported does not leak in.
@@ -157,7 +157,7 @@ from repro import (EngineConfig, GoFS, TDSPComputation, partition_graph,
 NOT_RUN = [
     *("repro.algorithms." + m for m in
       ("evolution", "pagerank", "reachability", "sssp", "statistics", "top_n", "wcc")),
-    *("repro.generators." + m for m in ("cache", "evolving", "snap")),
+    *("repro.generators." + m for m in ("evolving", "snap")),
     "repro.partition.bfsp", "repro.partition.hashp", "repro.kernels.pagerank",
     "repro.resilience.faults",
 ]
@@ -226,6 +226,25 @@ process_cluster.serve_worker = serve_worker
 repro.cli.main(["worker", "--listen", "127.0.0.1:0"])
 """
 
+_OPEN_STORE = """
+import contextlib
+import io
+from repro.cli import main
+from repro.storage import GoFS
+
+def ingest():
+    return [m for m in sys.modules if m.startswith("repro.generators")
+            or m in ("repro.partition.metis_like", "repro.partition.refine")]
+
+pg, collection, views = GoFS.open(STORE)
+assert collection.instance(1).edge_values.take("latency", pg.subgraphs[0].edge_index).size
+assert ingest() == [], ("GoFS.open", ingest())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", "tdsp", *FLAGS, "--gofs", STORE]) == 0
+assert ingest() == [], ("tibsp run --gofs", ingest())
+print("clean")
+"""
+
 _SHADOWED = """
 import repro.partition.metis_like  # imports the ``repro.kernels.components`` submodule
 import repro.kernels
@@ -279,6 +298,16 @@ def test_tibsp_worker_loads_no_generator_partitioner_or_gofs_writer(tmp_path):
     reaches ``serve_worker`` with the runtime alone (``repro.partition.base``
     is the runtime's ``PartitionedGraph``, not a partitioner)."""
     _run_fresh(tmp_path, _CLI_IMPORT)
+
+
+def test_opening_a_store_loads_no_generator_or_partitioner(tmp_path):
+    """``GoFS.open`` and ``tibsp run --gofs`` over a store that exists read
+    the dataset: no generator, no partitioner, not even imported."""
+    from repro.cli import main
+
+    store, flags = str(tmp_path / "store"), ["--scale", "300", "--instances", "4", "--partitions", "2"]
+    assert main(["store", store, *flags]) == 0
+    _run_fresh(tmp_path, f"STORE, FLAGS = {store!r}, {flags!r}\n" + _OPEN_STORE)
 
 
 def test_a_function_that_shadows_its_submodule_stays_the_function(tmp_path):

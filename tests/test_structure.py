@@ -131,18 +131,25 @@ DELETED = [
      r"allow_objects|flatten_cells|_equal_mask|count_equal|contains_in_cells|is_object"
      r"|dtype=object|\"pickle\"",
      EVERYWHERE, None),
+    # A store is the dataset: a rerun opens it, and no pickled dataset or
+    # partition cache (a second on-disk format) comes back.
+    ("a-store-is-the-dataset",
+     r"DatasetCache|dataset[-_]cache|content_key|INGEST_CODE_VERSION|_template_digest|cache=",
+     EVERYWHERE, None),
 ]
 
 
 #: (id, files that stay deleted): no second transport, rebalancer plane,
-#: thread executor, threaded temporal runner, second vertex runtime or
-#: in-process live plane comes back.
+#: thread executor, threaded temporal runner, second vertex runtime,
+#: in-process live plane or pickled dataset cache comes back.
 DELETED_FILES = [
     ("one-worker-plane", ("src/repro/runtime/socket_cluster.py",)),
     ("corners-decided", ("src/repro/runtime/rebalance.py", "src/repro/runtime/elastic.py")),
     ("one-bsp-loop", ("src/repro/core/temporal.py", "src/repro/baselines/pregel.py")),
     ("one-live-view",
      ("src/repro/observability/live.py", "src/repro/observability/export.py")),
+    ("a-store-is-the-dataset",
+     ("src/repro/generators/cache.py", "tests/generators/test_dataset_cache.py")),
 ]
 
 
