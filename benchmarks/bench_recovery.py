@@ -84,7 +84,7 @@ def test_recovery_cost(benchmark, emit_json, tmp_path):
     config = EngineConfig(
         tracing=True,
         checkpoint=CheckpointConfig(dir=tmp_path, every=CHECKPOINT_EVERY),
-        faults=FaultPlan.parse(FAULTS, seed=SEED),
+        faults=FaultPlan.parse(FAULTS),
         recovery=RecoveryPolicy(backoff_s=0.0),
     )
 

@@ -58,7 +58,7 @@ class PageRankComputation(TimeSeriesComputation):
         sg, st = ctx.subgraph, ctx.state
         contrib = push_contributions(st["pr"], st["out_deg"])
         st["pending_local"] = local_incoming(
-            sg.num_vertices, sg.indices, st["slot_src"], contrib
+            sg.num_vertices, sg.indices, sg.slot_src, contrib
         )
         for dst, verts, sums in remote_flow_batches(sg.remote, contrib):
             ctx.send_to_subgraph(dst, (verts, sums))
@@ -68,9 +68,6 @@ class PageRankComputation(TimeSeriesComputation):
         n_global = ctx.instance.template.num_vertices
         if ctx.superstep == 0:
             st["pr"] = np.full(sg.num_vertices, 1.0 / n_global)
-            st["slot_src"] = np.repeat(
-                np.arange(sg.num_vertices, dtype=np.int64), np.diff(sg.indptr)
-            )
             out_deg = np.diff(sg.indptr).astype(np.float64)
             if len(sg.remote):
                 np.add.at(out_deg, sg.remote.src_local, 1.0)

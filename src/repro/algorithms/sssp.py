@@ -26,7 +26,6 @@ from ..kernels import (
     group_min_pairs,
     index_mask,
     relax_to_fixpoint,
-    slot_sources,
 )
 
 __all__ = [
@@ -89,7 +88,7 @@ class SSSPComputation(TimeSeriesComputation):
         sg, st = ctx.subgraph, ctx.state
         label = st["label"]
         improved = relax_to_fixpoint(
-            sg.indptr, sg.indices, st["w_local"], label, seeds, slot_src=st["slot_src"]
+            sg.indptr, sg.indices, st["w_local"], label, seeds, slot_src=sg.slot_src
         )
         remote = sg.remote
         if not len(remote):
@@ -110,7 +109,6 @@ class SSSPComputation(TimeSeriesComputation):
         if ctx.superstep == 0:
             st["label"] = np.full(sg.num_vertices, _INF)
             st["w_local"], st["w_remote"] = self._weights(ctx)
-            st["slot_src"] = slot_sources(sg.indptr)
             if sg.contains(self.source):
                 lv = sg.local_of(self.source)
                 st["label"][lv] = 0.0

@@ -43,7 +43,6 @@ from ..kernels import (
     index_mask,
     open_boundary,
     relax_to_fixpoint,
-    slot_sources,
     sorted_unique,
 )
 
@@ -130,7 +129,6 @@ class TDSPComputation(TimeSeriesComputation):
         st["roots"] = np.empty(0, dtype=np.int64)
         #: Index arrays of the unfinalized vertices labelled this timestep.
         st["touched"] = []
-        st["slot_src"] = slot_sources(sg.indptr)
         #: Cut rows (``sg.remote``) still to deliver, the vertices with one,
         #: and the rows that shipped a candidate inside this timestep's window.
         st["open"] = np.ones(len(sg.remote.src_local), dtype=bool)
@@ -162,7 +160,7 @@ class TDSPComputation(TimeSeriesComputation):
                 seeds,
                 bound=bound,
                 blocked=st["finalized"],
-                slot_src=st["slot_src"],
+                slot_src=sg.slot_src,
                 weight_index=index,
             )
             st["touched"].append(improved)

@@ -42,23 +42,27 @@ def _partition(args: argparse.Namespace, template, k: int | None = None):
     return partition_graph(template, k or args.partitions, MetisLikePartitioner(seed=args.seed))
 
 
+def _templates(args: argparse.Namespace) -> list:
+    """The CARN and WIKI templates at ``--scale``, seeded by ``--seed``."""
+    from .generators.datasets import GRAPHS
+
+    return [generate(args.scale, seed=args.seed) for generate, _ in GRAPHS.values()]
+
+
 def _datasets(args: argparse.Namespace) -> int:
     from .analysis import render_table
-    from .generators import road_network, smallworld_network
 
-    carn = road_network(args.scale, seed=args.seed)
-    wiki = smallworld_network(args.scale, seed=args.seed)
-    print(render_table([carn.stats(), wiki.stats()], title="Generated graph templates (Table 1 analogue)"))
+    rows = [tpl.stats() for tpl in _templates(args)]
+    print(render_table(rows, title="Generated graph templates (Table 1 analogue)"))
     return 0
 
 
 def _edgecuts(args: argparse.Namespace) -> int:
     from .analysis import render_table
-    from .generators import road_network, smallworld_network
     from .partition import compute_stats
 
     rows = []
-    for tpl in (road_network(args.scale, seed=args.seed), smallworld_network(args.scale, seed=args.seed)):
+    for tpl in _templates(args):
         for k in (3, 6, 9):
             rows.append(compute_stats(_partition(args, tpl, k)).as_row())
     print(render_table(rows, title="Edge cut % across partitions (Table 2 analogue)"))
@@ -67,13 +71,11 @@ def _edgecuts(args: argparse.Namespace) -> int:
 
 def _evolving_collection(args: argparse.Namespace):
     """A template + collection with periodic is_exists edge schedules."""
-    from .generators import PeriodicExistencePopulator, make_collection, road_network
-    from .generators import smallworld_network
+    from .generators import PeriodicExistencePopulator, make_collection
+    from .generators.datasets import GRAPHS
     from .graph import AttributeSchema, AttributeSpec, GraphTemplate
 
-    base = (road_network if args.graph == "CARN" else smallworld_network)(
-        args.scale, seed=args.seed
-    )
+    base = GRAPHS[args.graph][0](args.scale, seed=args.seed)
     template = GraphTemplate(
         base.num_vertices,
         base.edge_src,
@@ -99,10 +101,11 @@ def _generate(args: argparse.Namespace, kind: str):
     if kind == "evolving":
         template, collection = _evolving_collection(args)
     else:
-        from .generators import paper_datasets
+        from .generators import paper_dataset
 
-        data = paper_datasets(args.scale, args.instances, seed=args.seed)[args.graph]
-        template, collection = data["template"], data[kind]
+        template, collection = paper_dataset(
+            args.graph, kind, args.scale, args.instances, seed=args.seed
+        )
     return _partition(args, template), collection
 
 
@@ -195,11 +198,6 @@ def _check_run_flags(args: argparse.Namespace) -> list[str]:
     addresses.
     """
     problems: list[str] = []
-    if args.fault_seed is not None and not args.inject_faults:
-        problems.append(
-            "--fault-seed seeds the fault plan's RNG and does nothing "
-            "without --inject-faults"
-        )
     if args.hosts is not None and args.executor != "socket":
         problems.append(
             "--hosts addresses external tibsp workers, which only the socket "
@@ -255,10 +253,7 @@ def _resilience_config(args: argparse.Namespace) -> dict:
     if args.inject_faults:
         from .resilience import FaultPlan
 
-        kwargs["faults"] = FaultPlan.parse(
-            args.inject_faults,
-            seed=args.fault_seed if args.fault_seed is not None else 0,
-        )
+        kwargs["faults"] = FaultPlan.parse(args.inject_faults)
     retries = {} if args.max_retries is None else {"max_retries": args.max_retries}
     exhausted = "degrade" if args.degrade else "quarantine" if args.quarantine else "raise"
     kwargs["recovery"] = RecoveryPolicy(on_exhausted=exhausted, **retries)
@@ -422,13 +417,12 @@ def _top(args: argparse.Namespace) -> int:
 def _fig5b(args: argparse.Namespace) -> int:
     from .analysis import render_table
     from .baselines import fig5b_comparison
-    from .generators import paper_datasets
+    from .generators import paper_dataset
 
-    data = paper_datasets(args.scale, args.instances, seed=args.seed)
     rows = []
     for name in ("CARN", "WIKI"):
-        pg = _partition(args, data[name]["template"])
-        rows.append(fig5b_comparison(pg, data[name]["road"]).as_row())
+        template, road = paper_dataset(name, "road", args.scale, args.instances, seed=args.seed)
+        rows.append(fig5b_comparison(_partition(args, template), road).as_row())
     print(render_table(rows, title="Giraph vs GoFFish (Fig 5b analogue)"))
     return 0
 
@@ -513,10 +507,6 @@ def main(argv: list[str] | None = None) -> int:
         "fires at superstep 0, which opens the timestep (host kinds: kill, "
         "delay, fail_load, the last at s0 only; wire kinds, cured by a resend "
         "on every executor: drop_frame, dup_frame, reorder, corrupt_frame)",
-    )
-    res.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="fault plan RNG seed (requires --inject-faults; default 0)",
     )
     res.add_argument(
         "--max-retries", type=int, default=None, metavar="N",

@@ -217,9 +217,10 @@ class TIBSPEngine:
         Engine configuration.
     sources:
         Optional per-partition instance sources (e.g. GoFS views).  Every
-        executor defaults to one source over ``collection`` per partition;
-        a forked agent inherits its source, a ``hosts`` agent receives it
-        in its ``init`` handshake.
+        executor defaults to one source over ``collection`` per partition.
+        Every agent outside the driver, forked or ``hosts``, receives its
+        source in its ``init`` message, so the sources and the computation
+        must pickle (instances of module-level classes).
     """
 
     def __init__(

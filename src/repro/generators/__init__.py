@@ -19,5 +19,5 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".sir": ("SIRTweetPopulator", "simulate_sir", "tweet_collection"),
     ".smallworld": ("preferential_attachment_edges", "smallworld_network"),
     ".snap": ("load_snap_edgelist",),
-    ".datasets": ("paper_datasets",),
+    ".datasets": ("paper_dataset", "paper_datasets"),
 })

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._value import Value
+from ..kernels.csr import slot_sources
 
 __all__ = ["RemoteEdges", "Subgraph"]
 
@@ -79,6 +80,7 @@ class Subgraph:
         "remote",
         "in_neighbor_subgraphs",
         "_local_table",
+        "_slot_src",
     )
 
     def __init__(
@@ -113,6 +115,12 @@ class Subgraph:
             else np.asarray(in_neighbor_subgraphs, dtype=np.int64)
         )
         self._local_table: np.ndarray | None = None
+        self._slot_src: np.ndarray | None = None
+
+    def __getstate__(self) -> tuple:
+        # Lazy tables stay out of pickles; whoever unpickles rebuilds them.
+        lazy = ("_local_table", "_slot_src")
+        return None, {s: None if s in lazy else getattr(self, s) for s in self.__slots__}
 
     # -- size ------------------------------------------------------------------
 
@@ -168,6 +176,13 @@ class Subgraph:
         return out if isinstance(local_v, np.ndarray) else int(out)
 
     # -- adjacency ---------------------------------------------------------------
+
+    @property
+    def slot_src(self) -> np.ndarray:
+        """Local source vertex of every local CSR slot, built on first use."""
+        if self._slot_src is None:
+            self._slot_src = slot_sources(self.indptr)
+        return self._slot_src
 
     def edges_of(self, local_v: int) -> np.ndarray:
         """Dense template edge indices of ``local_v``'s local edges."""

@@ -113,6 +113,11 @@ class GraphTemplate:
         self._adj_indptr = self._adj_indices = self._adj_edges = None
         self._in_indptr = self._in_indices = self._in_edges = None
 
+    def __getstate__(self) -> tuple:
+        # The CSR caches stay out of pickles; whoever unpickles rebuilds them.
+        lazy = ("_adj_", "_in_")
+        return None, {s: None if s.startswith(lazy) else getattr(self, s) for s in self.__slots__}
+
     def _build_csr(
         self, src: np.ndarray, dst: np.ndarray, *, include_reverse: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

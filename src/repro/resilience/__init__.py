@@ -9,7 +9,7 @@ engine wires together:
   (per-partition state blobs + a hashed manifest) written at boundaries and
   restored by ``TIBSPEngine.run(resume_from=...)`` or, one partition at
   a time, by in-run host repair;
-* :mod:`~repro.resilience.faults` — a seeded, deterministic
+* :mod:`~repro.resilience.faults` — a deterministic
   :class:`FaultPlan` that kills workers, drops/corrupts wire replies,
   delays stragglers, and fails slice loads at scripted
   ``(timestep, superstep, partition)`` coordinates;

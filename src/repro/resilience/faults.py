@@ -3,7 +3,7 @@
 The paper's platform runs on cloud VMs where workers die, pipes corrupt,
 and hosts straggle.  Those failures are inherently nondeterministic; to
 *test* the recovery machinery they must be anything but.  A
-:class:`FaultPlan` is a seeded, picklable script of failures: each
+:class:`FaultPlan` is a picklable script of failures: each
 :class:`FaultSpec` names a fault kind, the protocol coordinate at which it
 fires — ``(timestep, superstep, partition)`` — and the worker *incarnation*
 it targets.  Freshly respawned workers carry a higher incarnation, so a
@@ -21,7 +21,7 @@ repairs it.  The *host* kinds:
     (``WorkerLost``) and respawns the partition.
 ``delay``
     A straggler: the agent sleeps ``delay_s`` (the ``:d<SECONDS>`` token,
-    or a seed-derived value) before replying.  With a gather timeout
+    else 0.05 s) before replying.  With a gather timeout
     shorter than the delay this becomes a detected wedge; otherwise it is
     just visible recovery-free slowness.
 ``fail_load``
@@ -59,7 +59,6 @@ same exact call: only the first could fire.
 
 from __future__ import annotations
 
-import random
 import re
 from typing import Iterable
 
@@ -100,8 +99,7 @@ class FaultSpec(Value):
         Compute superstep, :data:`AT_EOT`, or ``None`` to match any call
         in the timestep (``fail_load``: always 0).
     delay_s:
-        Straggler sleep for ``delay`` faults; ``None`` derives a
-        deterministic value from the plan seed.
+        Straggler sleep for ``delay`` faults, in seconds.
     incarnation:
         Worker incarnation the spec targets (0 = the original spawn; each
         recovery respawn increments it).  A fault never outlives its
@@ -113,7 +111,7 @@ class FaultSpec(Value):
 
     def __init__(
         self, kind: str, timestep: int, partition: int, superstep: int | None = None,
-        delay_s: float | None = None, incarnation: int = 0,
+        delay_s: float = _DEFAULT_DELAY_S, incarnation: int = 0,
     ) -> None:
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}")
@@ -137,18 +135,15 @@ class FaultSpec(Value):
 
 
 class FaultPlan:
-    """A seeded, picklable script of :class:`FaultSpec` failures.
+    """A picklable script of :class:`FaultSpec` failures.
 
     Each spec fires at most once per plan *instance* (workers hold their
     own copy; the incarnation guard is what prevents re-firing across
-    respawns).  The seed only feeds derived quantities — currently the
-    default straggler delay — so two runs with the same plan observe
-    byte-identical fault behavior.
+    respawns), so two runs with the same plan observe the same faults.
     """
 
-    def __init__(self, specs: Iterable[FaultSpec] = (), seed: int = 0) -> None:
+    def __init__(self, specs: Iterable[FaultSpec] = ()) -> None:
         self.specs: list[FaultSpec] = list(specs)
-        self.seed = int(seed)
         self._spent: set[int] = set()
         calls: dict[tuple, FaultSpec] = {}
         for spec in self.specs:
@@ -165,23 +160,18 @@ class FaultPlan:
     # -- construction ------------------------------------------------------------------
 
     @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
+    def parse(cls, text: str) -> "FaultPlan":
         """Build a plan from the CLI mini-language (see :func:`parse_fault_specs`)."""
-        return cls(parse_fault_specs(text), seed=seed)
+        return cls(parse_fault_specs(text))
 
     def __bool__(self) -> bool:
         return bool(self.specs)
 
-    def __getstate__(self) -> dict:
+    def __reduce__(self):
         # Workers receive a fresh copy with nothing spent: firing state is
         # process-local by design (the incarnation guard carries the
         # cross-process semantics).
-        return {"specs": self.specs, "seed": self.seed}
-
-    def __setstate__(self, state: dict) -> None:
-        self.specs = state["specs"]
-        self.seed = state["seed"]
-        self._spent = set()
+        return FaultPlan, (self.specs,)
 
     # -- firing ------------------------------------------------------------------------
 
@@ -196,13 +186,6 @@ class FaultPlan:
                 self._spent.add(i)
                 return spec
         return None
-
-    def delay_for(self, spec: FaultSpec) -> float:
-        """The sleep for a ``delay`` spec (seed-derived when unset)."""
-        if spec.delay_s is not None:
-            return float(spec.delay_s)
-        rng = random.Random((self.seed << 20) ^ hash((spec.timestep, spec.partition)))
-        return _DEFAULT_DELAY_S * (0.5 + rng.random())
 
 
 _SPEC_RE = re.compile(r"^(?P<kind>[a-z_]+)@(?P<parts>.+)$")
@@ -230,7 +213,7 @@ def parse_fault_specs(text: str) -> list[FaultSpec]:
         kind = m.group("kind")
         timestep = partition = None
         superstep: int | None = None
-        delay_s: float | None = None
+        delay_s = _DEFAULT_DELAY_S
         incarnation = 0
         for token in m.group("parts").split(":"):
             if token == "eot":

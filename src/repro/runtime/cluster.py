@@ -172,7 +172,7 @@ class Cluster:
             "duplicate_replies_dropped": 0,
         }
         self._channels: list = [None] * pg.num_partitions
-        # If any start fails (fork, connect, handshake), tear down the agents
+        # If any start fails (fork, connect, init), tear down the agents
         # already started instead of leaking processes that outlive the
         # failed constructor.
         try:

@@ -591,9 +591,10 @@ class HostSpec(Value):
     """What every host of one run is built from.
 
     Picklable, and the same object on every executor: the in-process
-    cluster builds its hosts from it, a forked agent inherits it and a
-    ``hosts`` agent receives it in its ``init`` handshake, each alongside
-    the per-partition ``(partition, source, sg_part)``.  With ``tracing``
+    cluster builds its hosts from it, and every agent outside the driver,
+    forked or ``hosts``, receives it in its ``init`` message, alongside the
+    per-partition ``(partition, source, sg_part)``.  So the computation it
+    holds must pickle: an instance of a module-level class.  With ``tracing``
     each host gets its own tracer (one trace track per partition); its
     telemetry rides back inside ordinary protocol replies.
     """

@@ -7,12 +7,13 @@ space — the closest single-machine analogue of the paper's
 one-partition-per-VM deployment — and runs the same
 :class:`~repro.runtime.protocol.Agent` the driver's own partition does:
 
-* :func:`fork` starts it on one end of a ``socket.socketpair()`` (init
-  arguments inherited, never pickled);
+* :func:`fork` starts it on one end of a ``socket.socketpair()``;
 * :func:`connect` reaches an agent somebody started (``tibsp worker``,
-  :func:`serve_worker`) and sends the same init arguments in an
-  ``("init", args)`` handshake; the agent answers ``("ready",
-  incarnation)`` and outlives the session.
+  :func:`serve_worker`), which outlives the session.
+
+Either way it starts from one ``("init", (spec, partition, source, sg_part,
+fault_plan, incarnation))`` message, so the computation and the instance
+source it carries must pickle: instances of module-level classes.
 
 Every remote agent is behind one transport, :class:`_SocketConn`: each
 ``send_bytes`` payload is one length-prefixed frame on the byte stream,
@@ -31,8 +32,8 @@ Everything crossing a connection is pickled with **protocol 5 and
 out-of-band buffers**: a :class:`~repro.core.messages.MessageFrame`'s
 destination array and any numpy payloads travel as raw buffers after the
 pickle body instead of being copied into it — the bulk-transfer idiom from
-the mpi4py guides.  Computations, instance sources and message payloads
-must be picklable (module-level classes and numpy arrays).
+the mpi4py guides.  Message payloads must be picklable too (module-level
+classes and numpy arrays).
 
 An injected ``kill`` closes the session: a forked agent then returns and
 its process exits, a ``hosts`` agent goes back to ``accept``; either way
@@ -94,11 +95,12 @@ _MAX_FRAME_BYTES = 1 << 34
 #: seven out-of-band buffers but is far too short to carry their sizes.
 _CORRUPT_WIRE_BYTES = struct.pack("<I", 7) + b"corrupted-frame!"
 
-#: How long connecting to a ``hosts`` agent, and its ready handshake, may take
-#: (an agent still serving its previous session accepts the next one late).
+#: How long connecting to a ``hosts`` agent, and any agent's ready reply, may
+#: take (an agent still serving its previous session accepts the next one late).
 _CONNECT_TIMEOUT_S = 10.0
 
-#: Local agents are forked: their init arguments are inherited, not pickled.
+#: Local agents are forked, so that the driver reaps them: their CPU reaches
+#: ``RUSAGE_CHILDREN`` only then.
 _FORK_CONTEXT = mp.get_context("fork")
 
 
@@ -302,15 +304,12 @@ def _recv_oob(conn, *, deadline: float | None = None, what: str = "message") -> 
 # -- the agent ------------------------------------------------------------------------
 
 
-def _serve_session(conn, init: tuple | None = None) -> str:
-    """Serve one driver session on ``conn``: build the host, serve commands
-    until ``stop``, ``kill`` or EOF, close the source and the connection.
-
-    ``init`` is what :meth:`~repro.runtime.cluster.Cluster._open` starts
-    the agent from — ``(spec, partition, source, sg_part, fault_plan,
-    incarnation)``.  A forked agent inherits
-    it; a ``hosts`` agent (``init=None``) reads it from the driver's
-    ``("init", init)`` handshake and answers ``("ready", incarnation)``.
+def _serve_session(conn) -> str:
+    """Serve one driver session on ``conn``, a forked or a ``hosts`` agent's:
+    read the ``("init", args)`` message (what
+    :meth:`~repro.runtime.cluster.Cluster._open` starts the agent from), build
+    the host, answer ``("ready", incarnation)``, serve commands until
+    ``stop``, ``kill`` or EOF, close the source and the connection.
 
     Each command envelope goes to the session's
     :class:`~repro.runtime.protocol.Agent` through
@@ -326,24 +325,18 @@ def _serve_session(conn, init: tuple | None = None) -> str:
     Returns ``"stopped"`` on a polite stop, ``"killed"`` on an injected
     kill, ``"eof"`` when the driver went away, ``"bad-command"`` on a
     corrupt frame or an envelope of the wrong shape, and ``"bad-init"`` when
-    the handshake is corrupt or does not destructure (another version's
+    the init message is corrupt or does not destructure (another version's
     driver, say): either way only this session ends, never the agent.
     """
     try:
-        handshake = init is None
-        if handshake:
-            try:
-                tag, init = _recv_oob(conn)
-                spec, partition, source, sg_part, fault_plan, incarnation = init
-            except (WorkerError, EOFError, OSError, TypeError, ValueError):
-                return "bad-init"
-            if tag != "init" or not isinstance(spec, HostSpec):
-                return "bad-init"
-        else:
-            spec, partition, source, sg_part, fault_plan, incarnation = init
+        try:
+            tag, (spec, partition, source, sg_part, fault_plan, incarnation) = _recv_oob(conn)
+        except (WorkerError, EOFError, OSError, TypeError, ValueError):
+            return "bad-init"
+        if tag != "init" or not isinstance(spec, HostSpec):
+            return "bad-init"
         agent = Agent(spec.build(partition, source, sg_part), fault_plan, incarnation)
-        if handshake:
-            _send_oob(conn, ("ready", incarnation))
+        _send_oob(conn, ("ready", incarnation))
         while True:
             try:
                 seq, op, replay, timestep, superstep, payload = _recv_oob(conn)
@@ -398,12 +391,14 @@ def serve_worker(listen: str | tuple[str, int], *, announce=None) -> None:
 class AgentChannel:
     """One partition's agent in another process, as a channel: its
     connection, plus the forked process (``None`` for a ``hosts`` agent,
-    whose lifecycle belongs to whoever started it)."""
+    whose lifecycle belongs to whoever started it).  ``ready`` is the
+    ``(incarnation, deadline)`` of the ready reply a new session still owes."""
 
-    __slots__ = ("conn", "proc", "partition")
+    __slots__ = ("conn", "proc", "partition", "ready")
 
     def __init__(self, conn: _SocketConn, proc, partition: int) -> None:
         self.conn, self.proc, self.partition = conn, proc, partition
+        self.ready: tuple[int, float] | None = None
 
     def post(self, command: tuple) -> None:
         try:
@@ -415,7 +410,17 @@ class AgentChannel:
             ) from exc
 
     def receive(self, deadline: float | None):
-        return _recv_oob(self.conn, deadline=deadline, what=f"partition {self.partition} reply")
+        p = self.partition
+        if self.ready is not None:
+            # Checked on the first read, not at the start: the driver computes
+            # its own partition while the agent builds its host.
+            incarnation, ready_by = self.ready
+            reply = _recv_oob(self.conn, deadline=ready_by, what=f"partition {p} ready reply")
+            if reply != ("ready", incarnation):
+                raise WorkerLost(f"partition {p} agent sent a bad ready reply: {reply!r}",
+                                 partition=p)
+            self.ready = None
+        return _recv_oob(self.conn, deadline=deadline, what=f"partition {p} reply")
 
     def close(self) -> None:
         """Reap the agent; its connection, and anything still queued on it,
@@ -428,27 +433,49 @@ class AgentChannel:
             _reap(proc)
 
 
+def _start(channel: AgentChannel, init: tuple) -> AgentChannel:
+    """Start every agent, forked or ``hosts``: send ``("init", init)``; the
+    channel's first :meth:`~AgentChannel.receive` checks the ``("ready",
+    incarnation)`` reply, within ``_CONNECT_TIMEOUT_S`` of now.  An init that
+    does not pickle is a ``TypeError`` naming what failed; the channel is
+    closed before anything is raised."""
+    try:
+        channel.post(("init", init))
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        channel.close()
+        raise TypeError(
+            f"partition {channel.partition}'s agent cannot start: its init message does "
+            f"not pickle ({exc}); the computation and the instance sources must be "
+            "instances of module-level classes"
+        ) from exc
+    except BaseException:
+        channel.close()
+        raise
+    channel.ready = (init[-1], time.monotonic() + _CONNECT_TIMEOUT_S)
+    return channel
+
+
 def fork(partition: int, init: tuple) -> AgentChannel:
-    """Fork ``partition``'s agent on a socketpair; it inherits ``init``."""
+    """Fork ``partition``'s agent on a socketpair and start it from ``init``."""
     conn, child = (_SocketConn(s) for s in socket.socketpair())
     try:
-        proc = _FORK_CONTEXT.Process(target=_serve_session, args=(child, init), daemon=True)
+        proc = _FORK_CONTEXT.Process(target=_serve_session, args=(child,), daemon=True)
         proc.start()
     except BaseException:
         conn.close()
         raise
     finally:
         child.close()  # the agent holds its own copy
-    return AgentChannel(conn, proc, partition)
+    return _start(AgentChannel(conn, proc, partition), init)
 
 
 def connect(address: tuple[str, int], partition: int, init: tuple) -> AgentChannel:
-    """Connect to the agent at ``address`` and hand it ``init``.
+    """Connect to the agent at ``address`` and start it from ``init``.
 
     Connecting retries until ``_CONNECT_TIMEOUT_S`` is spent, each attempt
     bounded by what is left of the deadline, so a black-holed address costs
-    ``_CONNECT_TIMEOUT_S``, not the kernel's SYN timeout; the ready
-    handshake gets the same bound.
+    ``_CONNECT_TIMEOUT_S``, not the kernel's SYN timeout; the ready reply
+    gets the same bound.
     """
     deadline = time.monotonic() + _CONNECT_TIMEOUT_S
     while True:
@@ -467,23 +494,7 @@ def connect(address: tuple[str, int], partition: int, init: tuple) -> AgentChann
                 ) from exc
             time.sleep(min(0.05, left))
     sock.settimeout(None)  # the connect bound must not time reads out
-    conn = _SocketConn(sock)
-    try:
-        _send_oob(conn, ("init", init))
-        reply = _recv_oob(
-            conn,
-            deadline=time.monotonic() + _CONNECT_TIMEOUT_S,
-            what=f"partition {partition} ready handshake",
-        )
-        if reply != ("ready", init[-1]):
-            raise WorkerLost(
-                f"partition {partition} worker sent a bad handshake reply: {reply!r}",
-                partition=partition,
-            )
-    except BaseException:
-        conn.close()
-        raise
-    return AgentChannel(conn, None, partition)
+    return _start(AgentChannel(_SocketConn(sock), None, partition), init)
 
 
 def stop(channels: Sequence[AgentChannel], *, force: bool = False, tracer=None) -> None:

@@ -155,7 +155,7 @@ class Agent:
         if kind == "fail_load":
             return [(SEND, envelope)]
         if kind == "delay":
-            return [(SLEEP, self.fault_plan.delay_for(spec)), (SEND, envelope)]
+            return [(SLEEP, spec.delay_s), (SEND, envelope)]
         if kind == "dup_frame":
             return [(SEND, envelope), (SEND, envelope)]
         if kind == "reorder" and self._previous is not None:

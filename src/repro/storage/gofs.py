@@ -331,21 +331,15 @@ class GoFSPartitionView:
         template: GraphTemplate | None = None,
     ) -> None:
         self.root = Path(root)
-        self.partition_id = None if partition_id is None else int(partition_id)
-        self._init_runtime(manifest, template)
-
-    def _init_runtime(
-        self, manifest: dict | None = None, template: GraphTemplate | None = None
-    ) -> None:
+        self.partition_id = p = None if partition_id is None else int(partition_id)
         manifest = GoFS.read_manifest(self.root) if manifest is None else manifest
-        p, k = self.partition_id, manifest["num_partitions"]
-        if p is not None and not 0 <= p < k:
+        if p is not None and not 0 <= p < manifest["num_partitions"]:
             raise ValueError(f"partition {p} not in store")
         self.manifest = manifest
         self.template = GoFS.load_template(self.root) if template is None else template
         #: The ``(partition, bin)`` pairs this view reads, in order.
         self._bins = [
-            (q, b) for q in (range(k) if p is None else (p,))
+            (q, b) for q in (range(manifest["num_partitions"]) if p is None else (p,))
             for b in range(len(manifest["bins"][q]))
         ]
         self._num_bins = len(self._bins)
@@ -406,15 +400,9 @@ class GoFSPartitionView:
         """Record slice loads on ``tracer`` (called by a traced ComputeHost)."""
         self.tracer = tracer
 
-    # -- pickling: drop the held pack, reopen lazily ----------------------------------
-
-    def __getstate__(self) -> dict:
-        return {"root": self.root, "partition_id": self.partition_id}
-
-    def __setstate__(self, state: dict) -> None:
-        self.root = state["root"]
-        self.partition_id = state["partition_id"]
-        self._init_runtime()
+    def __reduce__(self):
+        # A view pickles as its path: whoever unpickles it reopens the store.
+        return GoFSPartitionView, (self.root, self.partition_id)
 
     # -- the held pack -----------------------------------------------------------------
 

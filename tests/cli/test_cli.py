@@ -28,6 +28,32 @@ class TestCLI:
         assert "time per timestep" in out
         assert "Per-partition utilization" in out
 
+    def test_a_run_builds_only_the_dataset_it_reads(self, tmp_path, monkeypatch):
+        """TDSP on CARN generates the road template and its latencies only:
+        no WIKI template, no tweet collection; and it finds what it found when
+        it built all four configurations (labels and counts pinned from then)."""
+        import repro.core.engine
+        import repro.generators.datasets as datasets
+        from repro.algorithms import tdsp_labels_from_result
+
+        calls, results = [], []
+        for name in ("smallworld_network", "tweet_collection"):
+            monkeypatch.setattr(datasets, name, lambda *a, name=name, **k: calls.append(name))
+        run_application = repro.core.engine.run_application
+        monkeypatch.setattr(repro.core.engine, "run_application",
+                            lambda *a, **k: results.append(run_application(*a, **k)) or results[-1])
+        export = tmp_path / "run.json"
+        assert main(["run", "tdsp", "--graph", "CARN", "--scale", "600", "--instances", "6",
+                     "--partitions", "2", "--export", str(export)]) == 0
+        assert calls == []
+        metrics = json.loads(export.read_text())["metrics"]
+        assert [metrics[k] for k in ("timesteps", "supersteps", "messages", "remote_messages")] \
+            == [6, 15, 10, 4]
+        labels = tdsp_labels_from_result(results[0], 600)
+        reached = np.isfinite(labels)
+        assert reached.sum() == 525
+        assert labels[reached].sum() == pytest.approx(8276.076418138451, rel=1e-12)
+
     def test_run_meme_with_gc(self, capsys):
         assert main([
             "run", "meme", "--scale", "400", "--instances", "5",
@@ -130,7 +156,8 @@ class TestCLI:
                 "--executor", executor, "--gofs", root, "--export", str(export)]
         assert main(argv) == 0
         written = json.loads(export.read_text())["metrics"]
-        for name in ("paper_datasets", "road_network", "smallworld_network", "make_collection"):
+        for name in ("paper_dataset", "paper_datasets", "road_network", "smallworld_network",
+                     "make_collection"):
             monkeypatch.setattr(repro.generators, name, lambda *a, name=name, **k: calls.append(name))
         monkeypatch.setattr(
             MetisLikePartitioner, "assign", lambda *a, **k: calls.append("assign")
@@ -211,6 +238,8 @@ class TestNewSubcommands:
             pytest.param(["--rebalance"], "unrecognized arguments: --rebalance", id="rebalance"),
             pytest.param(["--dataset-cache", "d"], "unrecognized arguments: --dataset-cache",
                          id="dataset-cache"),
+            pytest.param(["--inject-faults", "kill@t1:p0", "--fault-seed", "7"],
+                         "unrecognized arguments: --fault-seed", id="fault-seed"),
         ],
     )
     def test_deleted_options_are_argparse_errors(self, command, flag, message, capsys):
@@ -289,11 +318,6 @@ class TestResilienceFlags:
     """Resilience knobs that cannot act must fail loudly, not silently no-op."""
 
     BASE = ["run", "tdsp", "--scale", "300", "--instances", "4", "--partitions", "2"]
-
-    def test_fault_seed_without_inject_faults_errors(self, capsys):
-        assert main(self.BASE + ["--fault-seed", "7"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "--inject-faults" in err
 
     def test_gather_timeout_bounds_a_serial_run(self, tmp_path):
         """The timeout means one thing on every executor: a dropped reply
@@ -386,16 +410,6 @@ class TestResilienceFlags:
         assert sum("'action':" in line for line in out.splitlines()) == 3
         assert [a["kind"] for a in payload["recovery_actions"]] == ["worker_respawn"] * 2
 
-    def test_fault_seed_with_inject_faults_accepted(self, tmp_path, capsys):
-        assert main(self.BASE + [
-            "--inject-faults", "kill@t1:p0", "--fault-seed", "7",
-            "--checkpoint-every", "1", "--checkpoint-dir", str(tmp_path),
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "error:" not in captured.err
-        assert "recovered from" in captured.out
-        assert "recovery provenance: 1 surgical respawn(s)" in captured.out
-
     def test_failure_log_carries_recovery_provenance(self, tmp_path, capsys):
         """``--export`` carries the failure provenance."""
         log = tmp_path / "failures.json"
@@ -404,6 +418,10 @@ class TestResilienceFlags:
             "--checkpoint-every", "1", "--checkpoint-dir", str(tmp_path / "ck"),
             "--export", str(log),
         ]) == 0
+        captured = capsys.readouterr()
+        assert "error:" not in captured.err
+        assert "recovered from" in captured.out
+        assert "recovery provenance: 1 surgical respawn(s)" in captured.out
         payload = json.loads(log.read_text())
         assert payload["failure"] is None
         assert payload["failure_log"] == [{

@@ -325,25 +325,28 @@ class TestMergePhase:
             run_application(NoMerge(), pg, coll)
 
 
+class Sum(TimeSeriesComputation):
+    """Carries each subgraph's size over the timesteps; module-level, so an
+    agent's init pickles it."""
+
+    pattern = Pattern.SEQUENTIALLY_DEPENDENT
+
+    def compute(self, ctx):
+        if ctx.superstep == 0:
+            prev = sum(m.payload for m in ctx.messages) if ctx.messages else 0
+            ctx.state["acc"] = prev + ctx.subgraph.num_vertices
+        ctx.vote_to_halt()
+
+    def end_of_timestep(self, ctx):
+        ctx.send_to_next_timestep(ctx.state["acc"])
+        if ctx.timestep == ctx.num_timesteps - 1:
+            ctx.output(ctx.state["acc"])
+
+
 class TestExecutors:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executors_equivalent(self, setup, executor):
         _, coll, pg = setup
-
-        class Sum(TimeSeriesComputation):
-            pattern = Pattern.SEQUENTIALLY_DEPENDENT
-
-            def compute(self, ctx):
-                if ctx.superstep == 0:
-                    prev = sum(m.payload for m in ctx.messages) if ctx.messages else 0
-                    ctx.state["acc"] = prev + ctx.subgraph.num_vertices
-                ctx.vote_to_halt()
-
-            def end_of_timestep(self, ctx):
-                ctx.send_to_next_timestep(ctx.state["acc"])
-                if ctx.timestep == ctx.num_timesteps - 1:
-                    ctx.output(ctx.state["acc"])
-
         res = run_application(Sum(), pg, coll, config=EngineConfig(executor=executor))
         per_sg = {sg: rec for _t, sg, rec in res.outputs}
         expected = {sg.subgraph_id: 4 * sg.num_vertices for sg in pg.subgraphs}

@@ -193,7 +193,7 @@ def test_no_leak_on_run_failure(case, tmp_path):
                 executor="process",
                 tracing=_stream(tmp_path),
                 checkpoint=CheckpointConfig(dir=tmp_path / "ck", every=1),
-                faults=FaultPlan.parse("fail_load@t1:p1", seed=3),
+                faults=FaultPlan.parse("fail_load@t1:p1"),
                 recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
             ),
         )

@@ -104,9 +104,10 @@ def test_executor_matches_serial(case, external_workers, name, executor):
 
 @pytest.mark.parametrize("executor", ["process", "socket"])
 def test_default_sources_match_serial(case, external_workers, executor):
-    """Given no ``sources``, a forked agent inherits its default source and a
-    ``hosts`` agent receives it in ``init``: the run returns what it does
-    given the sources explicitly, and serial's results, byte for byte."""
+    """Given no ``sources``, every agent receives its default source in its
+    ``init`` message, a forked agent over its pipe and a ``hosts`` agent over
+    TCP: the run returns what it does given the sources explicitly, and
+    serial's results, byte for byte."""
     _tpl, coll, pg = case
     hosts = hosts_for(executor, external_workers, PARTITIONS)
     given = [CollectionInstanceSource(coll) for _ in range(PARTITIONS)]

@@ -234,7 +234,7 @@ class TestTemporalFramesRoutedUnopened:
         # Die in timestep 1: the latest checkpoint holds timestep 0's ping frame.
         crash = dict(
             ckpt,
-            faults=FaultPlan.parse("kill@t1:p1", seed=0),
+            faults=FaultPlan.parse("kill@t1:p1"),
             recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
         )
         with pytest.raises(RunFailureError):

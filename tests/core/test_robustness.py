@@ -18,6 +18,13 @@ def setup():
     return tpl, coll, pg
 
 
+class WorkerBoom(TimeSeriesComputation):
+    """Fails in every compute call; module-level, so an agent's init pickles it."""
+
+    def compute(self, ctx):
+        raise ValueError("worker boom")
+
+
 class TestErrorPropagation:
     def test_compute_error_surfaces(self, setup):
         _, coll, pg = setup
@@ -66,17 +73,31 @@ class TestErrorPropagation:
         from repro.resilience import RecoverableError
 
         _, coll, pg = setup
-
-        class Boom(TimeSeriesComputation):
-            def compute(self, ctx):
-                raise ValueError("worker boom")
-
         with pytest.raises(WorkerError, match="ValueError: worker boom") as excinfo:
             run_application(
-                Boom(), pg, coll,
+                WorkerBoom(), pg, coll,
                 config=EngineConfig(executor="process"),
             )
         assert not isinstance(excinfo.value, RecoverableError)
+        assert mp.active_children() == []
+
+    def test_a_computation_that_does_not_pickle_is_refused_by_name(self, setup):
+        """An agent starts from its init message alone, so a computation whose
+        class is defined inside a function cannot leave the driver: the run
+        fails with a ``TypeError`` naming the class and the module-level rule,
+        and leaves no child process behind."""
+        import multiprocessing as mp
+
+        _, coll, pg = setup
+
+        class Local(TimeSeriesComputation):
+            def compute(self, ctx):
+                ctx.vote_to_halt()
+
+        with pytest.raises(TypeError) as excinfo:
+            run_application(Local(), pg, coll, config=EngineConfig(executor="process"))
+        message = str(excinfo.value)
+        assert "<locals>.Local" in message and "module-level classes" in message
         assert mp.active_children() == []
 
     def test_error_at_late_timestep(self, setup):

@@ -105,6 +105,30 @@ class TestAdjacency:
         with pytest.raises(ValueError, match="indptr"):
             Subgraph(0, 0, np.array([1, 2]), np.array([0, 0]), np.array([]), np.array([]))
 
+    def test_slot_src_is_each_slots_local_source(self):
+        sg = make_subgraph()
+        assert sg.slot_src.tolist() == [0, 1, 1, 2]
+        assert sg.slot_src is sg.slot_src  # built once
+
+
+class TestPickling:
+    def test_the_lazy_tables_stay_out_of_the_pickle(self):
+        """A subgraph ships in every agent's init message: the same bytes
+        before and after its lookup table and slot sources are built, and
+        the clone builds its own on first use."""
+        import pickle
+
+        sg = make_subgraph()
+        unbuilt = pickle.dumps(sg)
+        assert sg.local_of(9) == 2 and sg.slot_src.size == 4
+        assert sg._local_table is not None and sg._slot_src is not None
+        assert pickle.dumps(sg) == unbuilt
+        clone = pickle.loads(unbuilt)
+        assert clone._local_table is None and clone._slot_src is None
+        assert clone.local_of(9) == 2 and not clone.contains(3)
+        assert clone.slot_src.tolist() == sg.slot_src.tolist()
+        assert clone.remote.dst_global.tolist() == [12]
+
 
 class TestRemoteEdges:
     def test_empty(self):

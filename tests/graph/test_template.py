@@ -168,7 +168,8 @@ class TestLazyAdjacency:
         save_template(tmp_path / "tpl.gsl", GraphTemplate(n, src, dst, directed=directed))
         tpl = load_template(tmp_path / "tpl.gsl")
         assert all(getattr(tpl, slot) is None for slot in _CSR_SLOTS)
-        assert all(getattr(pickle.loads(pickle.dumps(tpl)), slot) is None for slot in _CSR_SLOTS)
+        unbuilt = pickle.dumps(tpl)
+        assert all(getattr(pickle.loads(unbuilt), slot) is None for slot in _CSR_SLOTS)
 
         want_out, want_in = eager_csr(tpl)
         for got, want in zip(tpl.adjacency, want_out):
@@ -182,10 +183,13 @@ class TestLazyAdjacency:
             assert tpl.degree(v) == want_out[0][v + 1] - want_out[0][v]
         if not directed:
             assert tpl._in_indices is tpl._adj_indices  # one CSR serves both
-        # Pickling carries whatever is built.
-        clone = pickle.loads(pickle.dumps(tpl))
-        assert clone._adj_indices.tolist() == tpl._adj_indices.tolist()
-        assert clone._in_edges.tolist() == tpl._in_edges.tolist()
+        # Pickling carries nothing built: the same bytes as before any was,
+        # and the clone builds its own on first use.
+        assert pickle.dumps(tpl) == unbuilt
+        clone = pickle.loads(unbuilt)
+        assert clone.equals(tpl)
+        assert [a.tolist() for a in clone.adjacency] == [a.tolist() for a in tpl.adjacency]
+        assert clone.in_neighbors(n - 1).tolist() == tpl.in_neighbors(n - 1).tolist()
 
     def test_threads_racing_to_build_each_get_a_whole_correct_triple(self, rng):
         """Threads may share one template (worker agents served as threads of

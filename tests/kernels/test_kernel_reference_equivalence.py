@@ -25,6 +25,11 @@ new full digest (``pinned_outputs``) so the original anchor is kept.
 The TDSP and reachability digests were re-pinned once more, for the same
 reason, when their states gained the open mask over the cut rows (``open``,
 ``has_open``, ``shipped``).  Their outputs digests did not move.
+
+The TDSP, SSSP and PageRank digests were re-pinned when ``slot_src`` left
+their states for the subgraph's lazy ``Subgraph.slot_src``; SSSP and
+PageRank gained a ``pinned_outputs`` then, computed at the parent and equal
+at the change.
 """
 
 import hashlib
@@ -169,13 +174,14 @@ FAMILIES = {
     "sssp": Family(
         build_case, lambda tpl, pg: SSSPComputation(0, "latency"), check_sssp,
         ONE_INSTANCE, 13,
-        "87e8f21994079c1b0d3d3cd9535b007620f211ca7df178e83a40fa63f16c9294",
+        "6c1f15f3a03878a7a3af3b65bb4bc794e3c9db01fe215ebbe3472c386ecf8e24",
+        "73dbf645afbd001a71855f8a90ec62b14ffd302e234e21aaf1292574342d3d3b",
     ),
     "tdsp": Family(
         lambda seed, **kw: build_case(seed, T=4, **kw),
         lambda tpl, pg: TDSPComputation(0), check_tdsp,
         {}, 7,
-        "28e49e1e5a8e7e4426767ab57e671b66d3fb17229064980b8ed1d7cbb5d58e80",
+        "2089fbb815fa733b98a8625e0473f9c5836bba7344903b073674b388764f87c5",
         "b76b005cb9597bc48b81a2ae1cf58cd531a3587f6f33815f3243cb62caf7add0",
     ),
     "reach": Family(
@@ -200,7 +206,8 @@ FAMILIES = {
     "pagerank": Family(
         build_case, lambda tpl, pg: PageRankComputation(15), check_pagerank,
         ONE_INSTANCE, 13,
-        "dbc6f6abe5c0c4e21ca780a17b65069b2347d6b927d95d9c1ce496935201b1e7",
+        "44535714cdfad44e28c76069be4bcb6ac984d3b200435da04a0fd1a4604f8b07",
+        "9b88db8bf382d96d375acbeb9abe42de18b620b0838067f90aa51fe5b6751002",
     ),
     "evolution": Family(
         lambda seed, **kw: evolving_case(seed, T=5, **kw),
@@ -212,11 +219,15 @@ FAMILIES = {
 }
 
 #: TDSP with paper-faithful re-rooting (fig5a/6/7's work profile), same case;
-#: re-pinned with the family's digest both times (its outputs are the
+#: re-pinned with the family's digest each time (its outputs are the
 #: family's).
-TDSP_UNPRUNED_PINNED = "31bc312ee9fc1b96c3876f688fae5ec6e062b8874a6a6f66ef7c6f41495e445f"
-#: PageRank's oracle check is a tolerance, so the directed case is pinned too.
-PAGERANK_DIRECTED_PINNED = "8346ba477dcb453f3ec8980862d95c226c1d6324ec4931fed7f213b7444f6f52"
+TDSP_UNPRUNED_PINNED = "00103db80fcd55ebf23a00eeb30f545cec38fe28cca02366096fa981bfa22862"
+#: PageRank's oracle check is a tolerance, so the directed case is pinned too
+#: (re-pinned with the family), and so are its outputs alone.
+PAGERANK_DIRECTED_PINNED = "bfde2920cc01c22d8b992d9b55b153d97dfb9cdab2535cadf0784db600aa8d2c"
+PAGERANK_DIRECTED_OUTPUTS_PINNED = (
+    "b8dd0590371adc25f7857c8caefc31dd0f3d63b02cd69b1d320dedfd7b9b7cc0"
+)
 
 
 def run_family(name, executor="serial", *, seed=None, **case_kwargs):
@@ -282,8 +293,12 @@ class TestHashtag:
 class TestPageRank:
     @pytest.mark.parametrize("directed", [False, True])
     def test_bit_identical(self, directed):
-        _res, got = run_family("pagerank", directed=directed)
-        assert got == (PAGERANK_DIRECTED_PINNED if directed else FAMILIES["pagerank"].pinned)
+        res, got = run_family("pagerank", directed=directed)
+        fam = FAMILIES["pagerank"]
+        assert got == (PAGERANK_DIRECTED_PINNED if directed else fam.pinned)
+        assert outputs_digest(res) == (
+            PAGERANK_DIRECTED_OUTPUTS_PINNED if directed else fam.pinned_outputs
+        )
 
 
 class TestEvolution:
@@ -296,9 +311,10 @@ class TestEvolution:
 class TestExecutorSweep:
     """Every family reproduces its pinned digest on every backend.
 
-    ``tdsp-*``, ``reach-*`` and ``meme-*`` were re-pinned because their
-    state keys changed (``tdsp-*`` and ``reach-*`` twice); their outputs-only
-    digest did not move and is asserted too (module docstring)."""
+    ``tdsp-*``, ``reach-*``, ``meme-*``, ``sssp-*`` and ``pagerank-*`` were
+    re-pinned because their state keys changed (``tdsp-*`` three times,
+    ``reach-*`` twice); their outputs-only digest did not move and is
+    asserted too (module docstring)."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -319,14 +335,15 @@ class TestExecutorSweep:
 # partitioner began to return one piece per partition: outputs and states are
 # keyed by subgraph, and the subgraphs moved.  The TDSP and reachability
 # entries were re-recorded again when their states gained the open mask over
-# the cut rows; what they emit did not move, and ``GOFS_OUTPUTS_PINNED``
-# (recorded before that change) holds every case to it.
+# the cut rows, and the TDSP entries once more when ``slot_src`` left their
+# states; what they emit did not move, and ``GOFS_OUTPUTS_PINNED`` (recorded
+# before those changes) holds every case to it.
 
 GOFS_PINNED = {
-    ("tdsp", "CARN"): "c11903615dc19a6d4c4e3f66c048c8bd63fd8c89a500d619591d55bcf74432fe",
+    ("tdsp", "CARN"): "fd990ecd308be2f31fa15ac7426887872ddfe3eefdfc0df35103012eb99fdd2e",
     ("reach", "CARN"): "964b615a4adde939cf44d8dea6f71d52897a1e2cada9f3b7a8ee6ddd12fcd804",
     ("meme", "CARN"): "de14c105590197565998389d5fa2ee91e10527d0f98f557e5624460512cd7527",
-    ("tdsp", "WIKI"): "1ac558d8128b7161ddae5c80285fdd79e7aaf8077527011c930e03d31fdf1a34",
+    ("tdsp", "WIKI"): "6b3fe5393d7226c33398f567326e0a43e3c0ccab27fa74fabcc93d8163fff162",
     ("reach", "WIKI"): "d16ecdfa9a5626682551ac3959fbbcef16366b333dd83a9751db03ff09524680",
     ("meme", "WIKI"): "858b99fabc2c7775b25de6e598a522367081ab72acc3f1c9c8d2c87527f5a0ba",
 }

@@ -40,7 +40,7 @@ def _chaos_config(executor, hosts, ckpt_dir, stream_dir):
         gather_timeout_s=0.5,
         tracing=TraceConfig(stream_dir=str(stream_dir)),
         checkpoint=CheckpointConfig(dir=ckpt_dir, every=1),
-        faults=FaultPlan.parse(CHAOS_PLAN, seed=13),
+        faults=FaultPlan.parse(CHAOS_PLAN),
         recovery=RecoveryPolicy(backoff_s=0.0),
     )
 

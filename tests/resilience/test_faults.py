@@ -11,6 +11,7 @@ from repro.resilience import (
     FaultSpec,
     parse_fault_specs,
 )
+from repro.resilience.faults import _DEFAULT_DELAY_S
 
 
 class TestParse:
@@ -118,15 +119,12 @@ class TestFire:
 class TestDelay:
     def test_explicit_delay_honored(self):
         plan = FaultPlan([FaultSpec("delay", 1, 0, delay_s=0.25)])
-        assert plan.delay_for(plan.specs[0]) == 0.25
+        assert plan.specs[0].delay_s == 0.25
 
     def test_derived_delay_deterministic(self):
-        a = FaultPlan([FaultSpec("delay", 1, 0)], seed=7)
-        b = FaultPlan([FaultSpec("delay", 1, 0)], seed=7)
-        c = FaultPlan([FaultSpec("delay", 1, 0)], seed=8)
-        assert a.delay_for(a.specs[0]) == b.delay_for(b.specs[0])
-        assert a.delay_for(a.specs[0]) != c.delay_for(c.specs[0])
-        assert a.delay_for(a.specs[0]) > 0
+        """A delay written without ``d<SECONDS>`` sleeps one fixed default."""
+        (spec,) = FaultPlan.parse("delay@t1:p0").specs
+        assert spec.delay_s == FaultSpec("delay", 1, 0).delay_s == _DEFAULT_DELAY_S == 0.05
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

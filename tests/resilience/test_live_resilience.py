@@ -46,7 +46,7 @@ class TestCrosscheckWithGoFSRecovery:
             config=EngineConfig(
                 tracing=True,
                 checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                faults=FaultPlan.parse("kill@t2:p1", seed=3),
+                faults=FaultPlan.parse("kill@t2:p1"),
                 recovery=RecoveryPolicy(backoff_s=0.0),
             ),
         )
@@ -79,7 +79,7 @@ def _streamed(case, out, spec, executor="serial", **policy):
             executor=executor,
             tracing=TraceConfig(stream_dir=str(out / "stream")),
             checkpoint=CheckpointConfig(dir=out / "ck", every=1),
-            faults=FaultPlan.parse(spec, seed=3),
+            faults=FaultPlan.parse(spec),
             recovery=RecoveryPolicy(backoff_s=0.0, **policy),
         ),
     )
@@ -196,7 +196,7 @@ class TestStreamedEventLog:
                 config=EngineConfig(
                     tracing=TraceConfig(stream_dir=str(out)),
                     checkpoint=CheckpointConfig(dir=tmp_path / "ck", every=1),
-                    faults=FaultPlan.parse("kill@t2:p0", seed=3),
+                    faults=FaultPlan.parse("kill@t2:p0"),
                     recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
                 ),
             )

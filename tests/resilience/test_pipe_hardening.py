@@ -60,7 +60,7 @@ class TestGatherTimeout:
         _tpl, coll, pg = case
         cfg = EngineConfig(
             executor="process",
-            faults=FaultPlan.parse("delay@t1:s0:p0:d1.5", seed=2),
+            faults=FaultPlan.parse("delay@t1:s0:p0:d1.5"),
             recovery=RecoveryPolicy(backoff_s=0.0),
             gather_timeout_s=0.3,
         )

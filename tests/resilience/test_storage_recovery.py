@@ -116,7 +116,7 @@ class TestEngineRecoveryWithGoFS:
             config=EngineConfig(
                 executor=executor,
                 checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                faults=FaultPlan.parse("kill@t2:p1", seed=3),
+                faults=FaultPlan.parse("kill@t2:p1"),
                 recovery=RecoveryPolicy(backoff_s=0.0),
             ),
         )
@@ -133,7 +133,7 @@ class TestEngineRecoveryWithGoFS:
         result = run_application(
             AccumulateSum(), pg, coll, sources=sources,
             config=EngineConfig(
-                faults=FaultPlan.parse("kill@t2:p1", seed=1),
+                faults=FaultPlan.parse("kill@t2:p1"),
                 recovery=RecoveryPolicy(backoff_s=0.0),
             ),
         )
@@ -149,7 +149,7 @@ class TestEngineRecoveryWithGoFS:
                 sources=GoFS.partition_views(gofs_root),
                 config=EngineConfig(
                     checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                    faults=FaultPlan.parse("kill@t2:p0", seed=3),
+                    faults=FaultPlan.parse("kill@t2:p0"),
                     recovery=RecoveryPolicy(backoff_s=0.0, max_retries=0),
                 ),
             )

@@ -25,7 +25,7 @@ def _config(executor, ckpt_dir, faults, *, tracing=False, **recovery_kwargs):
         executor=executor,
         tracing=tracing,
         checkpoint=CheckpointConfig(dir=ckpt_dir, every=1),
-        faults=FaultPlan.parse(faults, seed=3) if isinstance(faults, str) else faults,
+        faults=FaultPlan.parse(faults) if isinstance(faults, str) else faults,
         recovery=RecoveryPolicy(backoff_s=0.0, **recovery_kwargs),
     )
 
@@ -242,7 +242,7 @@ class TestStatesEachFactOnce:
         meta = RunMeta(Pattern.SEQUENTIALLY_DEPENDENT, 4, coll.delta, coll.t0)
         cluster = Cluster(
             pg, AccumulateSum(), meta, sources,
-            fault_plan=FaultPlan.parse("kill@t0:s0:p1", seed=3),
+            fault_plan=FaultPlan.parse("kill@t0:s0:p1"),
         )
         recorder = ListRecorder()
         self._supervised(cluster, recorder)
@@ -260,7 +260,7 @@ class TestStatesEachFactOnce:
         recorder = ListRecorder()
         with Cluster(
             pg, AccumulateSum(), meta, sources, remote=True,
-            fault_plan=FaultPlan.parse("drop_frame@t0:s0:p0", seed=3),
+            fault_plan=FaultPlan.parse("drop_frame@t0:s0:p0"),
             gather_timeout_s=0.5,
         ) as cluster:
             self._supervised(cluster, recorder)

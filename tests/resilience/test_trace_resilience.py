@@ -49,7 +49,7 @@ class TestTracedRecovery:
         cfg = EngineConfig(
             tracing=True,
             checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-            faults=FaultPlan.parse(faults, seed=9),
+            faults=FaultPlan.parse(faults),
             recovery=RecoveryPolicy(backoff_s=0.0),
             **cfg_kwargs,
         )
@@ -76,7 +76,7 @@ class TestTracedRecovery:
         cfg = EngineConfig(
             tracing=True,
             checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-            faults=FaultPlan.parse("kill@t2:s2:p1", seed=9),
+            faults=FaultPlan.parse("kill@t2:s2:p1"),
             recovery=RecoveryPolicy(backoff_s=0.0),
         )
         result = run_application(RingRelay(len(pg.subgraphs)), pg, coll, config=cfg)
@@ -107,7 +107,7 @@ class TestTracedRecovery:
                 AccumulateSum(), pg, coll,
                 config=EngineConfig(
                     checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                    faults=FaultPlan.parse("kill@t3:p1", seed=9),
+                    faults=FaultPlan.parse("kill@t3:p1"),
                     recovery=RecoveryPolicy(max_retries=0, backoff_s=0.0),
                 ),
             )
@@ -138,7 +138,7 @@ class TestTracedRecovery:
             AccumulateSum(), pg, coll,
             config=EngineConfig(
                 checkpoint=ckpt,
-                faults=FaultPlan.parse("kill@t1:p1", seed=9),
+                faults=FaultPlan.parse("kill@t1:p1"),
                 recovery=RecoveryPolicy(backoff_s=0.0),
             ),
         )
@@ -185,7 +185,7 @@ class TestRoundTrip:
                 tracing=True,
                 gc_model=GCModel(interval=2, pause_per_gib_s=0.5),
                 checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-                faults=None if spec is None else FaultPlan.parse(spec, seed=9),
+                faults=None if spec is None else FaultPlan.parse(spec),
                 recovery=RecoveryPolicy(backoff_s=0.0),
                 gather_timeout_s=1.0,
             ),

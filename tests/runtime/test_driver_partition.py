@@ -145,7 +145,7 @@ class TestDriverPartitionContracts:
             case, BoomOn(-1), executor="process",
             gather_timeout_s=0.5,
             checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-            faults=FaultPlan.parse("kill@t1:s0:p0", seed=3),
+            faults=FaultPlan.parse("kill@t1:s0:p0"),
             recovery=RecoveryPolicy(backoff_s=0.0),
         )
         respawns = [a for a in result.recovery_actions if a.kind == "worker_respawn"]

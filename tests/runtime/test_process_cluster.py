@@ -138,9 +138,7 @@ class TestGatherDeadlineIsPerRound:
         cluster = Cluster(
             pg, EmitSum(), meta, sources, remote=True,
             gather_timeout_s=0.8,
-            fault_plan=FaultPlan.parse(
-                "delay@t0:s0:p0:d0.5,drop_frame@t0:s0:p1", seed=1
-            ),
+            fault_plan=FaultPlan.parse("delay@t0:s0:p0:d0.5,drop_frame@t0:s0:p1"),
         )
         try:
             start = time.monotonic()

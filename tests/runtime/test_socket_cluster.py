@@ -103,7 +103,7 @@ class TestAutoSpawn:
                 executor="socket",
                 gather_timeout_s=0.5,
                 checkpoint=CheckpointConfig(dir=tmp_path / "ck", every=1),
-                faults=FaultPlan.parse("kill@t1:s0:p1,drop_frame@t2:p0", seed=13),
+                faults=FaultPlan.parse("kill@t1:s0:p1,drop_frame@t2:p0"),
                 recovery=RecoveryPolicy(backoff_s=0.0),
             ),
         )
@@ -139,7 +139,7 @@ class TestExternalWorkers:
                     hosts=hosts,
                     gather_timeout_s=0.5,
                     checkpoint=CheckpointConfig(dir=tmp_path / name, every=1),
-                    faults=FaultPlan.parse("kill@t1:s0:p1", seed=7),
+                    faults=FaultPlan.parse("kill@t1:s0:p1"),
                     recovery=RecoveryPolicy(backoff_s=0.0),
                 ),
             )

@@ -136,6 +136,12 @@ DELETED = [
     ("a-store-is-the-dataset",
      r"DatasetCache|dataset[-_]cache|content_key|INGEST_CODE_VERSION|_template_digest|cache=",
      EVERYWHERE, None),
+    # Every agent starts from its ``init`` message: no inherited arm, no
+    # fault-plan seed, and no derived slot array in a subgraph's state.
+    ("every-agent-starts-from-init",
+     r"init is None|handshake = |inherited, never pickled|fault[-_]seed|plan seed"
+     r"|st\[\"slot_src\"\]",
+     EVERYWHERE, None),
 ]
 
 
@@ -191,6 +197,16 @@ def test_deleted_names_stay_deleted(pattern, paths, exclude):
 )
 def test_deleted_files_stay_deleted(paths):
     assert [p for p in paths if (ROOT / p).exists()] == []
+
+
+def test_an_agent_session_is_started_by_its_init_message_alone():
+    """One session body serves forked and ``hosts`` agents: it takes the
+    connection and nothing an agent could inherit."""
+    import inspect
+
+    from repro.runtime import process_cluster
+
+    assert list(inspect.signature(process_cluster._serve_session).parameters) == ["conn"]
 
 
 def test_the_table_finds_what_it_looks_for(tmp_path):
