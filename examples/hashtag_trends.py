@@ -11,6 +11,7 @@ Run:  python examples/hashtag_trends.py
 
 from repro import (
     HashtagAggregationComputation,
+    build_collection,
     partition_graph,
     smallworld_network,
     run_application,
@@ -19,7 +20,6 @@ from repro.generators import (
     BackgroundHashtagPopulator,
     CompositePopulator,
     SIRTweetPopulator,
-    make_collection,
 )
 from repro.analysis import render_bar_chart, render_table
 
@@ -35,7 +35,7 @@ def main() -> None:
         num_timesteps=INSTANCES, seeds_per_meme=6, seed=23,
     )
     noise = BackgroundHashtagPopulator(list(range(100, 120)), rate=0.3, seed=24)
-    tweets = make_collection(network, INSTANCES, CompositePopulator([sir, noise]))
+    tweets = build_collection(network, INSTANCES, CompositePopulator([sir, noise]), lazy=True)
     pg = partition_graph(network, 4)
 
     rows = []

@@ -26,8 +26,8 @@ from repro.algorithms import (
     reached_timesteps_from_result,
 )
 from repro.analysis import render_series
-from repro.generators import PeriodicExistencePopulator, make_collection
-from repro.graph import AttributeSchema, AttributeSpec
+from repro.generators import PeriodicExistencePopulator
+from repro.graph import AttributeSchema, AttributeSpec, build_collection
 
 SCALE = 2_500
 INSTANCES = 16
@@ -48,7 +48,7 @@ def main() -> None:
     closures = PeriodicExistencePopulator(
         template, min_period=4, max_period=8, duty=0.55, always_on_fraction=0.55, seed=31
     )
-    collection = make_collection(template, INSTANCES, closures)
+    collection = build_collection(template, INSTANCES, closures, lazy=True)
     pg = partition_graph(template, 4)
 
     closed_frac = [1.0 - closures.exists_at(t).mean() for t in range(INSTANCES)]

@@ -39,10 +39,6 @@ class AttributeStats:
     histogram: np.ndarray  #: counts per bin
     bin_edges: np.ndarray
 
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
 
 def _partial(values: np.ndarray, edges: np.ndarray) -> tuple:
     """(count, sum, min, max, M2-style sum of squared deviations, histogram)."""

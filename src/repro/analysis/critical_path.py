@@ -19,8 +19,8 @@ The report reads the tables of a
 :class:`~repro.runtime.metrics.MetricsCollector` — a finished run's
 ``result.metrics`` (a resumed run's carries every timestep, so it is
 reported whole), or ``MetricsCollector.from_events`` over a read-back
-``events.jsonl`` — and re-partitions the same sum the collector's
-``timestep_wall`` computes, so its per-timestep walls add up to the run's
+``events.jsonl`` — and re-partitions the same sums the collector's
+``timestep_series`` computes, so its per-timestep walls add up to the run's
 simulated makespan minus the merge phase.
 
 The headline output is **straggler attribution**: for each partition, how

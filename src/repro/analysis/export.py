@@ -1,76 +1,21 @@
-"""Machine-readable export of run artifacts (CSV / JSON).
+"""Machine-readable export of run artifacts (JSON).
 
 Benchmarks render text tables for humans; downstream analysis (plotting the
 figures, regression tracking) wants structured data.  These helpers write
-the same rows/series to CSV, and whole-run summaries to JSON, with numpy
-types coerced to plain Python so files are portable.
+whole-run summaries to JSON, with numpy types coerced to plain Python so
+files are portable.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Any
 
 from ..core.results import AppResult
+from ..observability.events import _plain
 
-__all__ = [
-    "write_csv", "write_series_csv", "failure_provenance", "result_summary", "write_result_json",
-]
-
-
-def _plain(value: Any) -> Any:
-    """Coerce numpy scalars/arrays to JSON/CSV-friendly Python values."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
-
-
-def write_csv(path: str | Path, rows: Sequence[Mapping], *, columns: Sequence[str] | None = None) -> Path:
-    """Write dict rows as CSV (columns from the first row unless given)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("")
-        return path
-    columns = list(columns) if columns is not None else list(rows[0].keys())
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: _plain(row.get(c)) for c in columns})
-    return path
-
-
-def write_series_csv(
-    path: str | Path,
-    series: Mapping[str, Iterable[float]],
-    *,
-    index_name: str = "timestep",
-) -> Path:
-    """Write named series as columns with a shared integer index."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    names = list(series)
-    columns = {name: [_plain(v) for v in values] for name, values in series.items()}
-    length = max((len(v) for v in columns.values()), default=0)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([index_name, *names])
-        for i in range(length):
-            writer.writerow(
-                [i, *(columns[n][i] if i < len(columns[n]) else "" for n in names)]
-            )
-    return path
+__all__ = ["failure_provenance", "result_summary", "write_result_json"]
 
 
 def failure_provenance(result: AppResult) -> dict:

@@ -2,8 +2,8 @@
 
 Turns run artifacts into the series the paper plots:
 
-* :func:`timestep_times` — wall time per timestep (Fig 6a/6b);
-* :func:`pipelined_makespan` — those walls scheduled onto W concurrent
+* :func:`pipelined_makespan` — a run's per-timestep walls
+  (``metrics.timestep_series()``, Fig 6a/6b) scheduled onto W concurrent
   sub-clusters (the temporal concurrency §IV-B notes GoFFish leaves unused);
 * :func:`frontier_matrix` — per-timestep × per-partition counts of newly
   finalized (TDSP, Fig 7a) or newly colored (MEME, Fig 7c) vertices.
@@ -18,14 +18,7 @@ import numpy as np
 from ..core.results import AppResult
 from ..partition.base import PartitionedGraph
 
-__all__ = ["timestep_times", "pipelined_makespan", "frontier_matrix", "frontier_totals"]
-
-
-def timestep_times(result: AppResult) -> list[float]:
-    """Wall seconds attributed to each executed timestep (Fig 6 series)."""
-    if result.metrics is None:
-        raise ValueError("result has no metrics")
-    return result.metrics.timestep_series()
+__all__ = ["pipelined_makespan", "frontier_matrix", "frontier_totals"]
 
 
 def pipelined_makespan(

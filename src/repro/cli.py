@@ -71,9 +71,9 @@ def _edgecuts(args: argparse.Namespace) -> int:
 
 def _evolving_collection(args: argparse.Namespace):
     """A template + collection with periodic is_exists edge schedules."""
-    from .generators import PeriodicExistencePopulator, make_collection
+    from .generators import PeriodicExistencePopulator
     from .generators.datasets import GRAPHS
-    from .graph import AttributeSchema, AttributeSpec, GraphTemplate
+    from .graph import AttributeSchema, AttributeSpec, GraphTemplate, build_collection
 
     base = GRAPHS[args.graph][0](args.scale, seed=args.seed)
     template = GraphTemplate(
@@ -85,7 +85,7 @@ def _evolving_collection(args: argparse.Namespace):
         name=base.name,
     )
     populator = PeriodicExistencePopulator(template, seed=args.seed)
-    return template, make_collection(template, args.instances, populator)
+    return template, build_collection(template, args.instances, populator, lazy=True)
 
 
 #: The collection each algorithm reads.

@@ -38,8 +38,3 @@ class Pattern(enum.Enum):
     def has_merge(self) -> bool:
         """Only the eventually dependent pattern runs a Merge phase."""
         return self is Pattern.EVENTUALLY_DEPENDENT
-
-    @property
-    def temporally_parallel(self) -> bool:
-        """Whether timesteps may execute concurrently / in any order."""
-        return self is not Pattern.SEQUENTIALLY_DEPENDENT

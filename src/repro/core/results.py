@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any
 
 from .._value import Value
@@ -91,24 +90,6 @@ class AppResult(Value):
         self.recovery_actions = [] if recovery_actions is None else recovery_actions
         self.degraded_partitions = [] if degraded_partitions is None else degraded_partitions
         self.protocol_stats = {} if protocol_stats is None else protocol_stats
-
-    def outputs_by_timestep(self) -> dict[int, list[Any]]:
-        """Group output records by the timestep that emitted them."""
-        grouped: dict[int, list[Any]] = defaultdict(list)
-        for t, _sg, rec in self.outputs:
-            grouped[t].append(rec)
-        return dict(grouped)
-
-    def outputs_by_subgraph(self) -> dict[int, list[Any]]:
-        """Group output records by emitting subgraph."""
-        grouped: dict[int, list[Any]] = defaultdict(list)
-        for _t, sg, rec in self.outputs:
-            grouped[sg].append(rec)
-        return dict(grouped)
-
-    def all_output_records(self) -> list[Any]:
-        """Just the records, in emission order."""
-        return [rec for _t, _sg, rec in self.outputs]
 
     @property
     def total_wall_s(self) -> float:

@@ -1,12 +1,9 @@
-"""Auxiliary populators: background hashtags and traffic values.
+"""Auxiliary populator: background hashtags.
 
 :class:`BackgroundHashtagPopulator` appends random, non-propagating hashtags
 to the ``tweets`` column (ambient chatter on top of the SIR memes) — useful
 for making Hashtag Aggregation's counting non-trivial and for negative
 tests (a tracked meme must not be confused with noise).
-
-:class:`TrafficPopulator` fills the ``traffic`` vertex attribute used by the
-Top-N example (per-instance random volumes, like the road latencies).
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from ..graph.attributes import Ragged
 from ..graph.instance import GraphInstance
 from ..kernels.csr import slot_sources
 
-__all__ = ["BackgroundHashtagPopulator", "TrafficPopulator"]
+__all__ = ["BackgroundHashtagPopulator"]
 
 
 class BackgroundHashtagPopulator:
@@ -63,19 +60,3 @@ class BackgroundHashtagPopulator:
             self.attr, Ragged.group(owners, np.concatenate([tweets.values, draws]), n)
         )
 
-
-class TrafficPopulator:
-    """Per-instance uniform random traffic volumes on vertices."""
-
-    def __init__(self, low: float = 0.0, high: float = 100.0, *, seed: int = 0, attr: str = "traffic") -> None:
-        if high < low:
-            raise ValueError("need low <= high")
-        self.low = float(low)
-        self.high = float(high)
-        self.seed = int(seed)
-        self.attr = attr
-
-    def __call__(self, instance: GraphInstance, timestep: int) -> None:
-        rng = np.random.default_rng(self.seed + timestep)
-        n = instance.template.num_vertices
-        instance.vertex_values.set_column(self.attr, rng.uniform(self.low, self.high, n))

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.collection import TimeSeriesGraphCollection
+from ..graph.collection import TimeSeriesGraphCollection, build_collection
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
-from .populate import make_collection
 
 __all__ = ["UniformLatencyPopulator", "road_latency_collection"]
 
@@ -79,4 +78,4 @@ def road_latency_collection(
     low = 0.02 * delta if low is None else low
     high = 0.2 * delta if high is None else high
     populator = UniformLatencyPopulator(low, high, seed=seed)
-    return make_collection(template, num_instances, populator, delta=delta)
+    return build_collection(template, num_instances, populator, delta=delta, lazy=True)

@@ -1,11 +1,10 @@
-"""Picklable lazy instance providers and populator composition.
+"""Populator composition.
 
 Workload generators produce *populators* — callables ``populator(instance,
-timestep)`` that fill a default-initialized instance in place.  The
-:class:`PopulatedInstanceProvider` wraps one into an
-:class:`~repro.graph.collection.InstanceProvider` that synthesizes instances
-on demand.  Everything here is a module-level class holding plain data, so
-providers pickle cleanly — a requirement for process-cluster workers, which
+timestep)`` that fill a default-initialized instance in place, which
+:func:`~repro.graph.collection.build_collection` turns into a collection.
+Everything here is a module-level class holding plain data, so populators
+pickle cleanly — a requirement for process-cluster workers, which
 regenerate their instances inside their own address space.
 """
 
@@ -13,51 +12,13 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..graph.collection import TimeSeriesGraphCollection
 from ..graph.instance import GraphInstance
-from ..graph.template import GraphTemplate
 
-__all__ = ["PopulatedInstanceProvider", "CompositePopulator", "make_collection"]
-
-
-class PopulatedInstanceProvider:
-    """Lazy, picklable provider: fresh instance + populator per access.
-
-    The populator must be deterministic in ``timestep`` (same timestep →
-    identical instance), which all generators in this package guarantee by
-    seeding their RNG with ``seed + timestep``.
-    """
-
-    def __init__(
-        self,
-        template: GraphTemplate,
-        count: int,
-        populator: Callable[[GraphInstance, int], None],
-        *,
-        t0: float = 0.0,
-        delta: float = 1.0,
-    ) -> None:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self.template = template
-        self.count = int(count)
-        self.populator = populator
-        self.t0 = float(t0)
-        self.delta = float(delta)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def get(self, timestep: int) -> GraphInstance:
-        if not 0 <= timestep < self.count:
-            raise IndexError(f"timestep {timestep} out of range [0, {self.count})")
-        inst = GraphInstance(self.template, self.t0 + timestep * self.delta)
-        self.populator(inst, timestep)
-        return inst
+__all__ = ["CompositePopulator"]
 
 
 class CompositePopulator:
-    """Apply several populators in order (e.g. SIR tweets + traffic values)."""
+    """Apply several populators in order (e.g. SIR tweets + background hashtags)."""
 
     def __init__(self, populators: Sequence[Callable[[GraphInstance, int], None]]) -> None:
         self.populators = list(populators)
@@ -65,18 +26,3 @@ class CompositePopulator:
     def __call__(self, instance: GraphInstance, timestep: int) -> None:
         for p in self.populators:
             p(instance, timestep)
-
-
-def make_collection(
-    template: GraphTemplate,
-    num_instances: int,
-    populator: Callable[[GraphInstance, int], None],
-    *,
-    t0: float = 0.0,
-    delta: float = 1.0,
-) -> TimeSeriesGraphCollection:
-    """Build a lazy, picklable collection from a populator."""
-    provider = PopulatedInstanceProvider(
-        template, num_instances, populator, t0=t0, delta=delta
-    )
-    return TimeSeriesGraphCollection(template, provider, t0=t0, delta=delta)

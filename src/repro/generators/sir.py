@@ -29,10 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.attributes import Ragged
-from ..graph.collection import TimeSeriesGraphCollection
+from ..graph.collection import TimeSeriesGraphCollection, build_collection
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
-from .populate import make_collection
 
 __all__ = ["SIRTweetPopulator", "simulate_sir", "tweet_collection"]
 
@@ -180,4 +179,4 @@ def tweet_collection(
         infectious_period=infectious_period,
         seed=seed,
     )
-    return make_collection(template, num_instances, populator, delta=delta)
+    return build_collection(template, num_instances, populator, delta=delta, lazy=True)

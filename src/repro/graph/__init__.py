@@ -10,15 +10,9 @@ from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".attributes": ("AttributeSchema", "AttributeSpec", "AttributeTable", "Ragged"),
-    ".builders": ("GraphTemplateBuilder", "build_collection"),
-    ".collection": (
-        "CallableInstanceProvider", "InstanceProvider", "ListInstanceProvider",
-        "TimeSeriesGraphCollection",
-    ),
+    ".builders": ("GraphTemplateBuilder",),
+    ".collection": ("LazyInstances", "TimeSeriesGraphCollection", "build_collection"),
     ".instance": ("IS_EXISTS", "GraphInstance"),
     ".subgraph": ("RemoteEdges", "Subgraph"),
     ".template": ("GraphTemplate",),
-    ".validation": (
-        "ValidationError", "validate_collection", "validate_instance", "validate_template",
-    ),
 })

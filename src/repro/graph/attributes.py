@@ -314,11 +314,6 @@ class AttributeTable:
             return values
         return values.take(index) if isinstance(values, Ragged) else values[index]
 
-    @property
-    def materialized_names(self) -> list[str]:
-        """Names of columns that have been allocated so far."""
-        return list(self._columns)
-
     def approx_nbytes(self) -> int:
         """Resident bytes of the materialized columns' arrays, exactly (the GC
         pause model's input)."""

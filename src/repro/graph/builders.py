@@ -1,4 +1,4 @@
-"""Builders for graph templates and time-series collections.
+"""Builder for graph templates.
 
 Provide incremental construction (add vertices/edges one at a time, useful in
 tests and examples) and bulk construction from edge arrays (used by the
@@ -8,16 +8,14 @@ fails at build time rather than mid-algorithm.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
 from .attributes import AttributeSchema, AttributeSpec
-from .collection import CallableInstanceProvider, TimeSeriesGraphCollection
-from .instance import GraphInstance
 from .template import GraphTemplate
 
-__all__ = ["GraphTemplateBuilder", "build_collection"]
+__all__ = ["GraphTemplateBuilder"]
 
 
 class GraphTemplateBuilder:
@@ -52,11 +50,6 @@ class GraphTemplateBuilder:
         self.edge_schema = AttributeSchema()
 
     # -- schema -----------------------------------------------------------------
-
-    def vertex_attribute(self, name: str, dtype="float", default=None) -> "GraphTemplateBuilder":
-        """Declare a vertex attribute; returns self for chaining."""
-        self.vertex_schema.add(AttributeSpec(name, dtype, default))
-        return self
 
     def edge_attribute(self, name: str, dtype="float", default=None) -> "GraphTemplateBuilder":
         """Declare an edge attribute; returns self for chaining."""
@@ -117,40 +110,3 @@ class GraphTemplateBuilder:
             name=self.name,
         )
 
-
-def build_collection(
-    template: GraphTemplate,
-    num_instances: int,
-    populate: Callable[[GraphInstance, int], None] | None = None,
-    *,
-    t0: float = 0.0,
-    delta: float = 1.0,
-    lazy: bool = False,
-) -> TimeSeriesGraphCollection:
-    """Create a collection whose instances are filled by ``populate``.
-
-    Parameters
-    ----------
-    template:
-        Shared topology.
-    num_instances:
-        Number of timesteps to create.
-    populate:
-        ``populate(instance, timestep)`` fills the default-initialized
-        instance in place; ``None`` leaves defaults.
-    lazy:
-        When true, instances are synthesized on each access instead of being
-        materialized up front (``populate`` must then be deterministic).
-    """
-
-    def make(timestep: int) -> GraphInstance:
-        inst = GraphInstance(template, t0 + timestep * delta)
-        if populate is not None:
-            populate(inst, timestep)
-        return inst
-
-    if lazy:
-        provider = CallableInstanceProvider(num_instances, make)
-        return TimeSeriesGraphCollection(template, provider, t0=t0, delta=delta)
-    instances = [make(k) for k in range(num_instances)]
-    return TimeSeriesGraphCollection(template, instances, t0=t0, delta=delta)

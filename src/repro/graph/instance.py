@@ -68,10 +68,6 @@ class GraphInstance:
         """Value of vertex attribute ``name`` at vertex index ``v``."""
         return self.vertex_values.get(name, v)
 
-    def edge(self, name: str, e: int) -> Any:
-        """Value of edge attribute ``name`` at edge index ``e``."""
-        return self.edge_values.get(name, e)
-
     def vertex_column(self, name: str) -> np.ndarray:
         """Whole vertex attribute column (length ``|V̂|``)."""
         return self.vertex_values.column(name)
@@ -79,20 +75,6 @@ class GraphInstance:
     def edge_column(self, name: str) -> np.ndarray:
         """Whole edge attribute column (length ``|Ê|``)."""
         return self.edge_values.column(name)
-
-    # -- soft topology ---------------------------------------------------------
-
-    def vertex_exists_mask(self) -> np.ndarray:
-        """Boolean mask of existing vertices (all-true without ``is_exists``)."""
-        if IS_EXISTS in self.template.vertex_schema:
-            return self.vertex_column(IS_EXISTS).astype(bool)
-        return np.ones(self.template.num_vertices, dtype=bool)
-
-    def edge_exists_mask(self) -> np.ndarray:
-        """Boolean mask of existing edges (all-true without ``is_exists``)."""
-        if IS_EXISTS in self.template.edge_schema:
-            return self.edge_column(IS_EXISTS).astype(bool)
-        return np.ones(self.template.num_edges, dtype=bool)
 
     def copy(self) -> "GraphInstance":
         """Copy attribute values; the template stays shared."""

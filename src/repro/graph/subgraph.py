@@ -184,10 +184,6 @@ class Subgraph:
             self._slot_src = slot_sources(self.indptr)
         return self._slot_src
 
-    def edges_of(self, local_v: int) -> np.ndarray:
-        """Dense template edge indices of ``local_v``'s local edges."""
-        return self.edge_index[self.indptr[local_v] : self.indptr[local_v + 1]]
-
     @property
     def neighbor_subgraphs(self) -> np.ndarray:
         """Distinct subgraph ids reachable over one outgoing remote edge."""

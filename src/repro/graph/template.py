@@ -59,9 +59,6 @@ class GraphTemplate:
         "_adj_indptr",
         "_adj_indices",
         "_adj_edges",
-        "_in_indptr",
-        "_in_indices",
-        "_in_edges",
     )
 
     def __init__(
@@ -108,23 +105,19 @@ class GraphTemplate:
         self.vertex_schema = vertex_schema or AttributeSchema()
         self.edge_schema = edge_schema or AttributeSchema()
 
-        # Built on first use (``adjacency``, ``in_neighbors``, …): a template
-        # loaded only to back GoFS views never needs its CSR.
+        # Built on first use (``adjacency``): a template loaded only to back
+        # GoFS views never needs its CSR.
         self._adj_indptr = self._adj_indices = self._adj_edges = None
-        self._in_indptr = self._in_indices = self._in_edges = None
 
     def __getstate__(self) -> tuple:
-        # The CSR caches stay out of pickles; whoever unpickles rebuilds them.
-        lazy = ("_adj_", "_in_")
-        return None, {s: None if s.startswith(lazy) else getattr(self, s) for s in self.__slots__}
+        # The CSR cache stays out of pickles; whoever unpickles rebuilds it.
+        return None, {s: None if s.startswith("_adj_") else getattr(self, s) for s in self.__slots__}
 
-    def _build_csr(
-        self, src: np.ndarray, dst: np.ndarray, *, include_reverse: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Build CSR (indptr, neighbor indices, edge indices) from endpoints."""
-        n = self.num_vertices
+    def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Build CSR (indptr, neighbor indices, edge indices) from the edges."""
+        n, src, dst = self.num_vertices, self.edge_src, self.edge_dst
         eid = np.arange(len(src), dtype=np.int64)
-        if include_reverse:
+        if not self.directed:
             # Self-loops appear once; other undirected edges in both directions.
             loop = src == dst
             src_all = np.concatenate([src, dst[~loop]])
@@ -147,9 +140,7 @@ class GraphTemplate:
         # Tested on the slot assigned last, so a second thread never reads a
         # half-filled triple; two threads building at once build the same.
         if self._adj_edges is None:
-            self._adj_indptr, self._adj_indices, self._adj_edges = self._build_csr(
-                self.edge_src, self.edge_dst, include_reverse=not self.directed
-            )
+            self._adj_indptr, self._adj_indices, self._adj_edges = self._build_csr()
         return self._adj_indptr, self._adj_indices, self._adj_edges
 
     def out_neighbors(self, v: int) -> np.ndarray:
@@ -161,17 +152,6 @@ class GraphTemplate:
         """Dense edge indices of ``v``'s outgoing (or undirected) edges."""
         indptr, _indices, edges = self.adjacency
         return edges[indptr[v] : indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Vertex indices with an edge into ``v``."""
-        if self._in_edges is None:
-            # Undirected: in-adjacency equals out-adjacency.
-            self._in_indptr, self._in_indices, self._in_edges = (
-                self._build_csr(self.edge_dst, self.edge_src, include_reverse=False)
-                if self.directed
-                else self.adjacency
-            )
-        return self._in_indices[self._in_indptr[v] : self._in_indptr[v + 1]]
 
     def degree(self, v: int) -> int:
         """Out-degree of ``v`` (total degree for undirected templates)."""
@@ -188,11 +168,6 @@ class GraphTemplate:
     def undirected_edge_view(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) treating every edge as undirected — used by partitioners."""
         return self.edge_src, self.edge_dst
-
-    def subgraph_edges(self, vertex_mask: np.ndarray) -> np.ndarray:
-        """Dense edge indices with *both* endpoints inside ``vertex_mask``."""
-        mask = np.asarray(vertex_mask, dtype=bool)
-        return np.nonzero(mask[self.edge_src] & mask[self.edge_dst])[0]
 
     def stats(self) -> dict:
         """Structural summary used by the dataset table (Table 1)."""

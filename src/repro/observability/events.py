@@ -88,20 +88,19 @@ EVENT_SCHEMA_VERSION = 1
 
 
 def _plain(value: Any) -> Any:
-    """Coerce numpy scalars (and other ``.item()`` types) to plain Python."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    """Coerce a value to plain, JSON-ready Python: a numpy scalar to its
+    Python value, an array to (nested) lists, a tuple to a list and a
+    mapping's keys to strings, recursively; anything else is returned as is.
+    The event log, the Chrome trace and the result exports all write
+    through it."""
+    if isinstance(value, (str, int, float)) or value is None:
         return value
-    item = getattr(value, "item", None)
-    if callable(item):
-        try:
-            return item()
-        except (TypeError, ValueError):
-            pass
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): _plain(v) for k, v in value.items()}
-    return str(value)
+    tolist = getattr(value, "tolist", None)  # numpy scalars and arrays
+    return value if tolist is None else tolist()
 
 
 def normalize_event(raw: Mapping[str, Any], epoch_ns: int) -> dict[str, Any]:

@@ -137,14 +137,6 @@ class PartitionedGraph:
         """Subgraph by global id."""
         return self.subgraphs[subgraph_id]
 
-    def subgraph_of_vertex(self, v: int) -> Subgraph:
-        """The subgraph owning global vertex ``v``."""
-        return self.subgraphs[int(self.vertex_subgraph[v])]
-
-    def partition_of_vertex(self, v: int) -> int:
-        """Partition id owning global vertex ``v``."""
-        return int(self.vertex_partition[v])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PartitionedGraph({self.template.name!r}, parts={self.num_partitions}, "

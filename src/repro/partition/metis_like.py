@@ -489,10 +489,6 @@ class MetisLikePartitioner:
             slot_src=level.slot_src,
         )
 
-    def edge_cut(self, template: GraphTemplate, assignment: np.ndarray) -> float:
-        """Cut weight of an assignment on this template (unit edge weights)."""
-        return edge_cut_weight(*_symmetric_weighted_adjacency(template), np.asarray(assignment))
-
 
 def partition_graph(
     template: GraphTemplate, num_partitions: int, partitioner: Partitioner | None = None

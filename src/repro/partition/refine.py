@@ -30,7 +30,7 @@ import numpy as np
 
 from ..kernels.csr import gather_ranges, segment_starts, slot_sources
 
-__all__ = ["partition_connectivity", "edge_cut_weight", "rebalance", "refine"]
+__all__ = ["partition_connectivity", "edge_cut_weight", "refine"]
 
 # A boundary vertex proposes a move that loses at most this fraction of its
 # weight into its own partition (Jet's ``c``).
@@ -278,31 +278,6 @@ def _shed(state: _Refinement, verts, dest, loss, excess, budget) -> bool:
         return False
     state.move(verts[fits], dest[fits])
     return True
-
-
-def rebalance(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    vertex_weights: np.ndarray,
-    assignment: np.ndarray,
-    k: int,
-    cap: float,
-    *,
-    slot_src: np.ndarray | None = None,
-) -> np.ndarray:
-    """Move vertices out of over-capacity partitions (least cut damage first).
-
-    Returns a (possibly modified) copy of ``assignment`` where every
-    partition's vertex-weight total is ≤ ``cap`` whenever that is achievable
-    by single-vertex moves.
-    """
-    state = _Refinement(
-        indptr, indices, weights, vertex_weights, assignment, k,
-        slot_sources(indptr) if slot_src is None else slot_src,
-    )
-    _balance(state, cap)
-    return state.assignment
 
 
 def refine(

@@ -2,7 +2,6 @@
 
 Layout of a checkpoint directory rooted at ``dir/``::
 
-    dir/LATEST                        — name of the newest complete checkpoint
     dir/ckpt-000003-t4/manifest.json  — next timestep, signature, file hashes
     dir/ckpt-000003-t4/driver.bin     — driver blob (frames, outputs, metrics)
     dir/ckpt-000003-t4/part-0.bin     — one host-state blob per partition
@@ -10,10 +9,10 @@ Layout of a checkpoint directory rooted at ``dir/``::
 
 A checkpoint is *complete* only once its ``manifest.json`` exists: blobs
 are written first, then the manifest (with each blob's byte count and
-SHA-256), then ``LATEST`` is swung atomically (write-temp + rename).  A
-crash mid-write therefore never produces a checkpoint that
-:meth:`CheckpointManager.load` would accept — it either verifies every
-hash or raises :class:`CheckpointCorrupt`.
+SHA-256), atomically (write-temp + rename).  The latest checkpoint is the
+complete one with the highest sequence number.  A crash mid-write therefore
+never produces a checkpoint that :meth:`CheckpointManager.load` would
+accept — it either verifies every hash or raises :class:`CheckpointCorrupt`.
 
 A checkpoint closes a timestep: ``t<T>`` and the manifest's ``timestep`` are
 the *next* timestep to execute.  The manifest also carries the writing run's
@@ -40,7 +39,6 @@ __all__ = ["CheckpointConfig", "CheckpointCorrupt", "CheckpointInfo", "Checkpoin
 #: 4: run records and messages pickle as slotted values and tuples; a v3
 #: blob's pickled dataclasses do not load into them, so it is refused.
 CHECKPOINT_FORMAT_VERSION = 4
-_LATEST = "LATEST"
 _MANIFEST = "manifest.json"
 
 
@@ -160,45 +158,33 @@ class CheckpointManager:
             "signature": self.signature,
             "files": files,
         }
-        (ckpt_dir / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        # Swing LATEST atomically: a reader sees either the old complete
-        # checkpoint or the new one, never a torn pointer.
-        tmp = self.root / (_LATEST + ".tmp")
-        tmp.write_text(name)
-        os.replace(tmp, self.root / _LATEST)
+        # The manifest lands by rename: a reader sees a complete checkpoint or none.
+        tmp = ckpt_dir / (_MANIFEST + ".tmp")
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        os.replace(tmp, ckpt_dir / _MANIFEST)
         self._prune()
         return CheckpointInfo(ckpt_dir, seq, int(timestep), total, time.perf_counter() - start)
+
+    def _complete(self) -> list[Path]:
+        """The complete checkpoints, oldest first."""
+        return sorted(
+            (p for p in (self.root.iterdir() if self.root.is_dir() else ())
+             if p.is_dir() and (p / _MANIFEST).is_file()),
+            key=lambda p: int(p.name.split("-")[1]),
+        )
 
     def _prune(self) -> None:
         import shutil
 
-        complete = sorted(
-            (p for p in self.root.iterdir() if p.is_dir() and (p / _MANIFEST).is_file()),
-            key=lambda p: int(p.name.split("-")[1]),
-        )
-        latest_name = self.latest_name()
-        for old in complete[: max(0, len(complete) - self.retain)]:
-            if old.name != latest_name:
-                shutil.rmtree(old, ignore_errors=True)
+        for old in self._complete()[: -self.retain]:
+            shutil.rmtree(old, ignore_errors=True)
 
     # -- read --------------------------------------------------------------------------
 
     def latest_name(self) -> str | None:
         """Name of the newest complete checkpoint, or ``None``."""
-        pointer = self.root / _LATEST
-        if pointer.is_file():
-            name = pointer.read_text().strip()
-            if (self.root / name / _MANIFEST).is_file():
-                return name
-        # Fall back to scanning (LATEST lost but checkpoints intact).
-        complete = [
-            p.name
-            for p in (self.root.iterdir() if self.root.is_dir() else ())
-            if p.is_dir() and (p / _MANIFEST).is_file()
-        ]
-        if not complete:
-            return None
-        return max(complete, key=lambda n: int(n.split("-")[1]))
+        complete = self._complete()
+        return complete[-1].name if complete else None
 
     def load(
         self, name: str | None = None, partitions: Sequence[int] | None = None
@@ -220,7 +206,10 @@ class CheckpointManager:
         manifest_path = ckpt_dir / _MANIFEST
         if not manifest_path.is_file():
             raise CheckpointCorrupt(f"checkpoint {ckpt_dir} has no manifest")
-        meta = json.loads(manifest_path.read_text())
+        try:
+            meta = json.loads(manifest_path.read_text())
+        except (OSError, ValueError) as exc:
+            raise CheckpointCorrupt(f"checkpoint {ckpt_dir} has an unreadable manifest: {exc}") from exc
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointCorrupt(
                 f"checkpoint {ckpt_dir}: unsupported format version "

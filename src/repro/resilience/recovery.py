@@ -65,10 +65,10 @@ class RecoveryPolicy(Value):
         partition that fails in it — independent transient faults spread
         over a long run each get a fresh budget, while a persistent failure
         at one boundary stays bounded.
-    backoff_s / backoff_factor:
+    backoff_s:
         Exponential backoff actually slept between retries (attempt *n*
-        sleeps ``backoff_s * backoff_factor**(n-1)``).  Kept small by
-        default; real deployments would use seconds.
+        sleeps ``backoff_s * 2**(n-1)``).  Kept small by default; real
+        deployments would use seconds.
     on_exhausted:
         What a partition that exhausts its retry budget does to the run.
         ``"raise"`` (default) raises :class:`RunFailureError`;
@@ -82,22 +82,20 @@ class RecoveryPolicy(Value):
         ``action="quarantine"``.
     """
 
-    __slots__ = ("max_retries", "backoff_s", "backoff_factor", "on_exhausted")
+    __slots__ = ("max_retries", "backoff_s", "on_exhausted")
 
     def __init__(
-        self, max_retries: int = 2, backoff_s: float = 0.01, backoff_factor: float = 2.0,
-        on_exhausted: str = "raise",
+        self, max_retries: int = 2, backoff_s: float = 0.01, on_exhausted: str = "raise"
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if on_exhausted not in ("raise", "degrade", "quarantine"):
             raise ValueError("on_exhausted must be 'raise', 'degrade' or 'quarantine'")
-        self.max_retries, self.backoff_s = max_retries, backoff_s
-        self.backoff_factor, self.on_exhausted = backoff_factor, on_exhausted
+        self.max_retries, self.backoff_s, self.on_exhausted = max_retries, backoff_s, on_exhausted
 
     def backoff_for(self, attempt: int) -> float:
-        """Sleep before retry ``attempt`` (1-based)."""
-        return self.backoff_s * self.backoff_factor ** max(0, attempt - 1)
+        """Sleep before retry ``attempt`` (1-based): doubling from ``backoff_s``."""
+        return self.backoff_s * 2 ** max(0, attempt - 1)
 
 
 class RunFailure(Value):

@@ -362,10 +362,6 @@ class MetricsCollector:
             for t in timesteps
         ]
 
-    def timestep_wall(self, timestep: int) -> float:
-        """Fig 6 quantity: total wall time attributed to one timestep."""
-        return self._timestep_walls([timestep])[0]
-
     def timestep_series(self) -> list[float]:
         """Wall time per executed timestep, in timestep order (Fig 6 series)."""
         return self._timestep_walls(sorted(self.supersteps_per_timestep))

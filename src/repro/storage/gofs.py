@@ -44,7 +44,7 @@ import numpy as np
 from ..graph.attributes import AttributeTable, Ragged, check_ragged
 from ..graph.instance import GraphInstance
 from ..graph.template import GraphTemplate
-from ..graph.collection import CallableInstanceProvider, TimeSeriesGraphCollection
+from ..graph.collection import TimeSeriesGraphCollection
 from ..partition.base import PartitionedGraph
 from ..partition.subgraphs import decompose
 from .serde import PackedArrays, load_template, read_arrays, save_template, write_arrays
@@ -214,15 +214,9 @@ class GoFS:
         views = [GoFSPartitionView(root, p, manifest=manifest, template=template) for p in range(k)]
         store = GoFSPartitionView(root, None, manifest=manifest, template=template)
         collection = TimeSeriesGraphCollection(
-            template, CallableInstanceProvider(manifest["num_timesteps"], store.instance),
-            t0=manifest["t0"], delta=manifest["delta"],
+            template, store, t0=manifest["t0"], delta=manifest["delta"]
         )
         return pg, collection, views
-
-    @staticmethod
-    def partition_view(root: str | Path, partition_id: int) -> "GoFSPartitionView":
-        """Open one partition's instance source."""
-        return GoFSPartitionView(root, partition_id)
 
     @staticmethod
     def partition_views(root: str | Path) -> list["GoFSPartitionView"]:
@@ -604,6 +598,12 @@ class GoFSPartitionView:
                 locate=partial(self._locate, pack_data, timestep, "e", self._recording),
             ),
         )
+
+    def __len__(self) -> int:
+        return self.manifest["num_timesteps"]
+
+    #: A view is the sequence of its timesteps' instances (a collection's ``instances``).
+    __getitem__ = instance
 
     def resident_bytes(self) -> int:
         """Bytes of the held pack once it has been read (GC pause model input)."""

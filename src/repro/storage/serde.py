@@ -30,7 +30,6 @@ for decoding it.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -50,7 +49,6 @@ __all__ = [
     "schema_to_bytes",
     "schema_from_bytes",
     "write_arrays",
-    "pack_arrays",
     "unpack_arrays",
     "open_arrays",
     "read_arrays",
@@ -96,13 +94,6 @@ def write_arrays(
         fp.write(b"\x00" * (entry["offset"] - written))
         fp.write(blob)
         written = entry["offset"] + entry["nbytes"]
-
-
-def pack_arrays(arrays: Mapping[str, np.ndarray], *, defaults: Iterable[str] = ()) -> bytes:
-    """:func:`write_arrays` into memory; returns the buffer."""
-    buf = io.BytesIO()
-    write_arrays(buf, arrays, defaults=defaults)
-    return buf.getvalue()
 
 
 class PackedArrays(Mapping):
@@ -173,7 +164,7 @@ class PackedArrays(Mapping):
 
 
 def unpack_arrays(buf: bytes, *, size: int | None = None) -> PackedArrays:
-    """Open a :func:`pack_arrays` buffer as a lazily decoded mapping.
+    """Open a :func:`write_arrays` buffer as a lazily decoded mapping.
 
     Eager, so a bad buffer fails here and not at first use: the magic, the
     header, every entry's ``offset + nbytes`` lying inside the payload (of

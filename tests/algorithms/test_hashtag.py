@@ -14,9 +14,9 @@ from repro.generators import (
     BackgroundHashtagPopulator,
     CompositePopulator,
     SIRTweetPopulator,
-    make_collection,
     smallworld_network,
 )
+from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from tests.conftest import make_grid_template, populate_random, ragged
 
@@ -24,8 +24,6 @@ from tests.conftest import make_grid_template, populate_random, ragged
 @pytest.fixture
 def case():
     tpl = make_grid_template(5, 6)
-    from repro.graph import build_collection
-
     coll = build_collection(tpl, 7, populate_random(21))
     pg = partition_graph(tpl, 3, HashPartitioner(seed=2))
     return tpl, coll, pg
@@ -63,7 +61,6 @@ class TestAggregation:
     def test_multiplicity_counted(self):
         """A hashtag appearing twice in one vertex's tweets counts twice."""
         tpl = make_grid_template(2, 2)
-        from repro.graph import build_collection
 
         def pop(inst, t):
             inst.vertex_values.set_column("tweets", ragged([[5, 5], [5], [], []]))
@@ -90,7 +87,7 @@ class TestAggregation:
             tpl, [0], hit_probability=0.2, num_timesteps=8, seed=5
         )
         noise = BackgroundHashtagPopulator([100, 101], rate=0.5, seed=6)
-        coll = make_collection(tpl, 8, CompositePopulator([sir, noise]))
+        coll = build_collection(tpl, 8, CompositePopulator([sir, noise]), lazy=True)
         pg = partition_graph(tpl, 3, HashPartitioner(seed=1))
         comp = HashtagAggregationComputation.for_partitioned_graph(pg, 0)
         res = run_application(comp, pg, coll)

@@ -13,7 +13,7 @@ from repro.algorithms import (
 )
 from repro.algorithms import reference as ref
 from repro.core import run_application
-from repro.generators import PeriodicExistencePopulator, make_collection
+from repro.generators import PeriodicExistencePopulator
 from repro.graph import AttributeSchema, AttributeSpec, GraphTemplate, build_collection
 from repro.partition import HashPartitioner, partition_graph
 from tests.conftest import make_random_template
@@ -33,7 +33,7 @@ def evolving_case(seed, n=30, m=60, T=8, k=3, directed=False):
     raw = make_random_template(n, m, np.random.default_rng(seed), directed=directed)
     tpl = evolving_template(raw.num_vertices, raw.edge_src, raw.edge_dst, directed)
     pop = PeriodicExistencePopulator(tpl, seed=seed, always_on_fraction=0.3, duty=0.5)
-    coll = make_collection(tpl, T, pop)
+    coll = build_collection(tpl, T, pop, lazy=True)
     pg = partition_graph(tpl, k, HashPartitioner(seed=seed))
     return tpl, coll, pg
 
@@ -108,7 +108,7 @@ class TestCutRowsCloseOnDelivery:
 
         carn = paper_datasets(2000, 10)["CARN"]["template"]
         tpl = evolving_template(carn.num_vertices, carn.edge_src, carn.edge_dst, carn.directed)
-        coll = make_collection(tpl, 10, PeriodicExistencePopulator(tpl, seed=0))
+        coll = build_collection(tpl, 10, PeriodicExistencePopulator(tpl, seed=0), lazy=True)
         pg = partition_graph(tpl, 3, MetisLikePartitioner(seed=0))
         res = run_application(TemporalReachabilityComputation(0), pg, coll)
         assert reached_timesteps_from_result(res) == ref.temporal_reachability(coll, 0)
@@ -234,6 +234,6 @@ class TestPeriodicExistencePopulator:
         raw = make_random_template(8, 12, np.random.default_rng(3))
         tpl = evolving_template(8, raw.edge_src, raw.edge_dst)
         pop = PeriodicExistencePopulator(tpl, seed=3)
-        coll = make_collection(tpl, 3, pop)
+        coll = build_collection(tpl, 3, pop, lazy=True)
         inst = coll.instance(1)
-        assert np.array_equal(inst.edge_exists_mask(), pop.exists_at(1))
+        assert np.array_equal(inst.edge_column("is_exists"), pop.exists_at(1))

@@ -121,7 +121,7 @@ class TestTopN:
     def test_matches_manual(self):
         tpl, coll, pg = build_case(17)
         res = run_application(TopNComputation(4, "traffic"), pg, coll)
-        recs = {rec.timestep: rec for rec in res.all_output_records()}
+        recs = {rec.timestep: rec for _t, _sg, rec in res.outputs}
         for t in range(2):
             vals = coll.instance(t).vertex_column("traffic")
             want = np.sort(vals)[::-1][:4]
@@ -132,13 +132,13 @@ class TestTopN:
     def test_results_sorted_descending(self):
         tpl, coll, pg = build_case(18)
         res = run_application(TopNComputation(5, "traffic"), pg, coll)
-        for rec in res.all_output_records():
+        for _t, _sg, rec in res.outputs:
             assert np.all(np.diff(rec.values) <= 0)
 
     def test_n_larger_than_graph(self):
         tpl, coll, pg = build_case(19, n=6, m=8)
         res = run_application(TopNComputation(50, "traffic"), pg, coll)
-        for rec in res.all_output_records():
+        for _t, _sg, rec in res.outputs:
             assert len(rec.vertices) == 6
 
     def test_invalid_n(self):

@@ -33,7 +33,6 @@ class TestVertexStats:
             assert s.total == pytest.approx(vals.sum())
             assert s.mean == pytest.approx(vals.mean())
             assert s.variance == pytest.approx(vals.var())
-            assert s.std == pytest.approx(vals.std())
             assert s.minimum == pytest.approx(vals.min())
             assert s.maximum == pytest.approx(vals.max())
             want_hist, _ = np.histogram(vals, bins=s.bin_edges)

@@ -316,7 +316,7 @@ class TestPayForTheBand:
         assert all(rows is not None for _t, rows in locates)
         handed_out = [inst for src in sources for inst in src.handed_out]
         assert len(handed_out) == 4 * res.timesteps_executed
-        assert all(inst.edge_values.materialized_names == [] for inst in handed_out)
+        assert all(list(inst.edge_values._columns) == [] for inst in handed_out)
 
     @pytest.mark.parametrize("root_pruning", [False, True])
     def test_wide_frontier_rounds_never_depart_from_stale_labels(self, root_pruning, monkeypatch):

@@ -9,7 +9,6 @@ from repro.analysis import (
     render_bar_chart,
     render_series,
     render_table,
-    timestep_times,
     utilization_rows,
 )
 from repro.algorithms import TDSPComputation, MemeTrackingComputation
@@ -31,7 +30,7 @@ def tdsp_run():
 class TestTimeline:
     def test_timestep_times_length(self, tdsp_run):
         _pg, _coll, res = tdsp_run
-        series = timestep_times(res)
+        series = res.metrics.timestep_series()
         assert len(series) == res.timesteps_executed
         assert all(v >= 0 for v in series)
 
@@ -52,10 +51,6 @@ class TestTimeline:
         res = run_application(MemeTrackingComputation(0), pg, coll)
         M = frontier_matrix(res, pg)
         assert M.sum() == sum(rec.count for _t, _sg, rec in res.outputs)
-
-    def test_no_metrics_raises(self):
-        with pytest.raises(ValueError):
-            timestep_times(AppResult())
 
 
 class TestUtilization:

@@ -1,19 +1,13 @@
-"""Tests for CSV/JSON export of run artifacts."""
+"""Tests for JSON export of run artifacts."""
 
-import csv
 import json
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    result_summary,
-    write_csv,
-    write_result_json,
-    write_series_csv,
-)
+from repro.analysis import result_summary, write_result_json
 from repro.algorithms import TDSPComputation
-from repro.core import run_application
+from repro.core import AppResult, run_application
 from repro.generators import road_latency_collection
 from repro.partition import HashPartitioner, partition_graph
 from tests.conftest import make_grid_template
@@ -27,41 +21,19 @@ def run():
     return run_application(TDSPComputation(0), pg, coll)
 
 
-class TestWriteCsv:
-    def test_roundtrip(self, tmp_path):
-        rows = [{"a": 1, "b": np.float64(2.5)}, {"a": 3, "b": np.int64(4)}]
-        path = write_csv(tmp_path / "t.csv", rows)
-        with path.open() as fh:
-            got = list(csv.DictReader(fh))
-        assert got == [{"a": "1", "b": "2.5"}, {"a": "3", "b": "4"}]
+class TestPlain:
+    def test_the_event_log_and_the_export_coerce_alike(self, tmp_path):
+        """One coercion: a numpy scalar is its Python value, an array and a
+        tuple become lists, mapping keys become strings."""
+        from repro.observability.events import normalize_event
 
-    def test_explicit_columns(self, tmp_path):
-        rows = [{"a": 1, "b": 2, "c": 3}]
-        path = write_csv(tmp_path / "t.csv", rows, columns=["c", "a"])
-        assert path.read_text().splitlines()[0] == "c,a"
-
-    def test_empty(self, tmp_path):
-        path = write_csv(tmp_path / "e.csv", [])
-        assert path.read_text() == ""
-
-    def test_creates_parents(self, tmp_path):
-        path = write_csv(tmp_path / "x" / "y.csv", [{"a": 1}])
-        assert path.exists()
-
-
-class TestWriteSeriesCsv:
-    def test_aligned_columns(self, tmp_path):
-        path = write_series_csv(
-            tmp_path / "s.csv", {"x": [1.0, 2.0, 3.0], "y": [9.0]}
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "timestep,x,y"
-        assert lines[1] == "0,1.0,9.0"
-        assert lines[3] == "2,3.0,"
-
-    def test_numpy_arrays(self, tmp_path):
-        path = write_series_csv(tmp_path / "s.csv", {"x": np.arange(3)})
-        assert path.read_text().splitlines()[-1] == "2,2"
+        value = {"a": np.arange(3), "b": (np.float64(1.5), np.int64(2)), 3: np.bool_(True)}
+        want = {"a": [0, 1, 2], "b": [1.5, 2], "3": True}
+        record = normalize_event({"kind": "k", "ts_ns": 0, "pid": 0, "v": value}, 0)
+        assert record["v"] == want
+        assert json.loads(json.dumps(record))["v"] == want
+        path = write_result_json(tmp_path / "r.json", AppResult(), v=value)
+        assert json.loads(path.read_text())["v"] == want
 
 
 class TestResultSummary:

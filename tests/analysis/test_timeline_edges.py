@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.analysis import frontier_matrix, frontier_totals, timestep_times
+from repro.analysis import frontier_matrix, frontier_totals
 from repro.core import AppResult
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime.metrics import MetricsCollector
@@ -29,13 +29,8 @@ def pg():
 
 
 class TestEmptyResults:
-    def test_timestep_times_requires_metrics(self):
-        with pytest.raises(ValueError, match="no metrics"):
-            timestep_times(AppResult())
-
     def test_timestep_times_empty_run(self):
-        res = AppResult(metrics=MetricsCollector(2))
-        assert timestep_times(res) == []
+        assert MetricsCollector(2).timestep_series() == []
 
     def test_frontier_matrix_no_outputs(self, pg):
         res = AppResult(timesteps_executed=3)

@@ -157,7 +157,7 @@ class TestCLI:
         assert main(argv) == 0
         written = json.loads(export.read_text())["metrics"]
         for name in ("paper_dataset", "paper_datasets", "road_network", "smallworld_network",
-                     "make_collection"):
+                     "road_latency_collection"):
             monkeypatch.setattr(repro.generators, name, lambda *a, name=name, **k: calls.append(name))
         monkeypatch.setattr(
             MetisLikePartitioner, "assign", lambda *a, **k: calls.append("assign")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import queue
 import threading
@@ -18,6 +19,7 @@ from repro.graph import (
 )
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime.metrics import MetricsCollector
+from repro.storage.serde import write_arrays
 
 
 def make_grid_template(rows: int, cols: int, *, name: str = "grid", with_attrs: bool = True) -> GraphTemplate:
@@ -97,6 +99,13 @@ def populate_random(seed: int):
         inst.vertex_values.set_column("tweets", ragged(tweets))
 
     return _pop
+
+
+def pack_arrays(arrays, *, defaults=()) -> bytes:
+    """One GSL2 buffer's bytes: :func:`write_arrays` into memory."""
+    buf = io.BytesIO()
+    write_arrays(buf, arrays, defaults=defaults)
+    return buf.getvalue()
 
 
 def ragged(cells) -> Ragged:

@@ -261,7 +261,7 @@ class TestEndOfTimestepAndState:
                     ctx.output(ctx.state["n"])
 
         res = run_application(Counter(), pg, coll)
-        assert all(rec == 4 for rec in res.all_output_records())
+        assert all(rec == 4 for _t, _sg, rec in res.outputs)
         assert set(res.states) == {sg.subgraph_id for sg in pg.subgraphs}
         assert all(st["n"] == 4 for st in res.states.values())
 
@@ -387,11 +387,9 @@ class TestMetricsIntegration:
                 ctx.output(("rec", ctx.timestep))
 
         res = run_application(Out(), pg, coll)
-        by_t = res.outputs_by_timestep()
-        assert set(by_t) == {0, 1, 2, 3}
-        by_sg = res.outputs_by_subgraph()
-        assert set(by_sg) == {sg.subgraph_id for sg in pg.subgraphs}
-        assert len(res.all_output_records()) == 4 * pg.num_subgraphs
+        assert {t for t, _sg, _rec in res.outputs} == {0, 1, 2, 3}
+        assert {sg for _t, sg, _rec in res.outputs} == {sg.subgraph_id for sg in pg.subgraphs}
+        assert len(res.outputs) == 4 * pg.num_subgraphs
         assert res.total_wall_s == res.metrics.total_wall()
 
 

@@ -21,6 +21,7 @@ from repro.algorithms.pagerank import PageRankComputation
 from repro.algorithms.tdsp import TDSPComputation
 from repro.algorithms.top_n import TopNComputation
 from repro.core import EngineConfig, run_application
+from repro.generators import UniformLatencyPopulator
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import CollectionInstanceSource
@@ -114,6 +115,20 @@ def test_default_sources_match_serial(case, external_workers, executor):
     default = _snapshot("hash", pg, coll, executor, hosts)
     assert default == _snapshot("hash", pg, coll, executor, hosts, given)
     assert default == _snapshot("hash", pg, coll, "serial")
+
+
+def test_a_lazy_collection_runs_on_agents():
+    """A lazy collection is one picklable sequence: with default sources each
+    forked agent regenerates its instances from the template and populator
+    its ``init`` message carries, and the run returns serial's results, and
+    those of the same collection built eagerly, byte for byte."""
+    tpl = make_grid_template(5, 6)
+    populate = UniformLatencyPopulator(0.1, 1.0, seed=1)
+    lazy = build_collection(tpl, 3, populate, lazy=True)
+    pg = partition_graph(tpl, PARTITIONS, HashPartitioner(seed=3))
+    serial = _snapshot("tdsp", pg, build_collection(tpl, 3, populate), "serial")
+    assert _snapshot("tdsp", pg, lazy, "serial") == serial
+    assert _snapshot("tdsp", pg, lazy, "process") == serial
 
 
 @pytest.fixture(scope="module")

@@ -50,11 +50,6 @@ class TestPattern:
         assert Pattern.EVENTUALLY_DEPENDENT.has_merge
         assert not Pattern.SEQUENTIALLY_DEPENDENT.has_merge
 
-    def test_temporal_parallelism(self):
-        assert Pattern.INDEPENDENT.temporally_parallel
-        assert Pattern.EVENTUALLY_DEPENDENT.temporally_parallel
-        assert not Pattern.SEQUENTIALLY_DEPENDENT.temporally_parallel
-
 
 class TestComputeContext:
     def test_properties(self):

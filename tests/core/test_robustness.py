@@ -173,7 +173,7 @@ class TestEdgeCases:
                 ctx.vote_to_halt()
 
         res = run_application(Emit(), pg, coll)
-        assert res.all_output_records() == [1, 1]
+        assert [rec for _t, _sg, rec in res.outputs] == [1, 1]
 
     def test_message_to_own_subgraph(self, setup):
         """Self-messages are delivered like any other (next superstep)."""
@@ -189,7 +189,7 @@ class TestEdgeCases:
                 ctx.vote_to_halt()
 
         res = run_application(SelfPing(), pg, coll, timestep_range=(0, 1))
-        assert len(res.all_output_records()) == pg.num_subgraphs
+        assert len(res.outputs) == pg.num_subgraphs
 
     def test_large_payload_cost_accounted(self, setup):
         _, coll, pg = setup

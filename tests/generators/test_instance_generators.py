@@ -10,14 +10,13 @@ from repro.generators import (
     BackgroundHashtagPopulator,
     CompositePopulator,
     SIRTweetPopulator,
-    TrafficPopulator,
     UniformLatencyPopulator,
-    make_collection,
     paper_datasets,
     road_latency_collection,
     simulate_sir,
     tweet_collection,
 )
+from repro.graph import build_collection
 from tests.conftest import make_grid_template
 
 
@@ -111,7 +110,7 @@ class TestSIRTweetPopulator:
     def test_tweets_match_schedule(self):
         tpl = make_grid_template(5, 5)
         pop = SIRTweetPopulator(tpl, [7, 8], hit_probability=0.5, num_timesteps=6, seed=1)
-        coll = make_collection(tpl, 6, pop)
+        coll = build_collection(tpl, 6, pop, lazy=True)
         for t in range(6):
             tweets = coll.instance(t).vertex_column("tweets")
             for i, meme in enumerate([7, 8]):
@@ -133,8 +132,7 @@ class TestComposition:
         tpl = make_grid_template(3, 3)
         sir = SIRTweetPopulator(tpl, [0], hit_probability=0.5, num_timesteps=3, seed=1)
         noise = BackgroundHashtagPopulator([50], rate=2.0, seed=2)
-        traffic = TrafficPopulator(seed=3)
-        coll = make_collection(tpl, 3, CompositePopulator([sir, noise, traffic]))
+        coll = build_collection(tpl, 3, CompositePopulator([sir, noise]), lazy=True)
         inst = coll.instance(0)
         tweets = inst.vertex_column("tweets")
         assert 50 in tweets.values  # noise applied
@@ -142,7 +140,6 @@ class TestComposition:
         for v in range(9):
             row = tweets.row(v).tolist()
             assert row == sorted(row, key=lambda h: h == 50)
-        assert inst.vertex_column("traffic").max() > 0
 
     def test_background_requires_tags(self):
         with pytest.raises(ValueError):
@@ -151,10 +148,6 @@ class TestComposition:
     def test_background_negative_rate(self):
         with pytest.raises(ValueError):
             BackgroundHashtagPopulator([1], rate=-1)
-
-    def test_traffic_invalid_range(self):
-        with pytest.raises(ValueError):
-            TrafficPopulator(5.0, 1.0)
 
 
 class TestPaperDatasets:

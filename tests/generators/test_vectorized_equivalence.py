@@ -167,9 +167,9 @@ class TestDistributionEquivalence:
     def test_sir_populator_tweets_match_schedule(self):
         tpl = smallworld_network(2000, seed=2)
         pop = SIRTweetPopulator(tpl, [0, 1], hit_probability=0.2, num_timesteps=10, seed=2)
-        from repro.generators.populate import make_collection
+        from repro.graph import build_collection
 
-        coll = make_collection(tpl, 10, pop, delta=5.0)
+        coll = build_collection(tpl, 10, pop, delta=5.0, lazy=True)
         inst = coll.instance(4)
         tweets = inst.vertex_values.column("tweets")
         for i, meme in enumerate([0, 1]):

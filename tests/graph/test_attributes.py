@@ -117,9 +117,9 @@ class TestAttributeTable:
 
     def test_lazy_columns(self):
         t = self.make()
-        assert t.materialized_names == []
+        assert list(t._columns) == []
         t.column("x")
-        assert t.materialized_names == ["x"]
+        assert list(t._columns) == ["x"]
 
     def test_column_defaults(self):
         t = self.make()
@@ -259,7 +259,7 @@ class TestBackedTable:
         values, index = t.locate("k", rows)
         assert values.tolist() == [3, 7, 4, 7] and index is rows
         assert t.take("k", rows).tolist() == [4, 7, 4]
-        assert calls == [("k", [2, 1, 2])] * 2 and t.materialized_names == []
+        assert calls == [("k", [2, 1, 2])] * 2 and list(t._columns) == []
         plain = AttributeTable(self.SCHEMA, 4)  # in memory: (column, rows)
         values, index = plain.locate("k", rows)
         assert values is plain.column("k") and index is rows
@@ -267,12 +267,12 @@ class TestBackedTable:
     def test_gather_runs_once_per_column_on_first_touch(self):
         calls = []
         t = self.make(calls)
-        assert t.materialized_names == [] and calls == []
+        assert list(t._columns) == [] and calls == []
         assert t.column("k").tolist() == [3, 7, 4, 7]  # stored rows over the default
         t.column("k")
         t.get("k", 0)
         assert calls == ["k"]
-        assert t.materialized_names == ["k"]
+        assert list(t._columns) == ["k"]
         assert t.approx_nbytes() == 4 * 8  # untouched columns weigh nothing
 
     def test_take_of_an_untouched_column_asks_the_store_and_builds_nothing(self):
@@ -282,7 +282,7 @@ class TestBackedTable:
         assert t.take("k", rows).tolist() == [4, 7, 4]
         assert ragged_rows(t.take("o", rows)) == [[7], [], [7]]
         assert calls == [("k", [2, 1, 2]), ("o", [2, 1, 2])]
-        assert t.materialized_names == [] and t.approx_nbytes() == 0
+        assert list(t._columns) == [] and t.approx_nbytes() == 0
         with pytest.raises(KeyError):
             t.take("nope", rows)
 
@@ -314,7 +314,7 @@ class TestBackedTable:
         t = self.make()
         t.column("x")[1] = 9.0
         c = t.copy()
-        assert c.materialized_names == ["x"]
+        assert list(c._columns) == ["x"]
         assert c.column("x").tolist() == [1.5, 9.0, 2.5, 0.0]
         assert c.column("k").tolist() == [3, 7, 4, 7]  # not [7, 7, 7, 7]
         c.column("x")[0] = -1.0
@@ -336,8 +336,8 @@ class TestBackedTable:
         t = self.make()
         t.column("x")
         clone = pickle.loads(pickle.dumps(t))
-        assert clone.materialized_names == ["x", "k", "o"]
+        assert list(clone._columns) == ["x", "k", "o"]
         assert clone.equals(self.make())
         plain = AttributeTable(self.SCHEMA, 4)
         plain.column("x")
-        assert pickle.loads(pickle.dumps(plain)).materialized_names == ["x"]
+        assert list(pickle.loads(pickle.dumps(plain))._columns) == ["x"]

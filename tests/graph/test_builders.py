@@ -72,11 +72,8 @@ class TestBuilder:
         assert np.array_equal(tpl.edge_ids, [7])
 
     def test_schema_chaining(self):
-        b = (
-            GraphTemplateBuilder()
-            .vertex_attribute("v", "float", default=1.0)
-            .edge_attribute("w", "int")
-        )
+        b = GraphTemplateBuilder().edge_attribute("w", "int")
+        b.vertex_schema.add(AttributeSpec("v", "float", default=1.0))
         b.add_vertex("a")
         tpl = b.build()
         assert "v" in tpl.vertex_schema
@@ -92,7 +89,8 @@ class TestBuilder:
 
 class TestBuildCollection:
     def make_template(self):
-        b = GraphTemplateBuilder().vertex_attribute("v", "float")
+        b = GraphTemplateBuilder()
+        b.vertex_schema.add(AttributeSpec("v", "float"))
         b.add_vertex("a")
         b.add_vertex("b")
         b.add_edge("a", "b")

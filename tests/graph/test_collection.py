@@ -1,20 +1,26 @@
-"""Unit tests for TimeSeriesGraphCollection and instance providers."""
+"""Unit tests for TimeSeriesGraphCollection and its lazy instances."""
+
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.generators import UniformLatencyPopulator
 from repro.graph import (
-    CallableInstanceProvider,
+    AttributeSchema,
+    AttributeSpec,
     GraphInstance,
     GraphTemplate,
-    ListInstanceProvider,
+    LazyInstances,
     TimeSeriesGraphCollection,
+    build_collection,
 )
 
 
 @pytest.fixture
 def tpl():
-    return GraphTemplate(3, [0, 1], [1, 2])
+    schema = AttributeSchema([AttributeSpec("latency", "float")])
+    return GraphTemplate(3, [0, 1], [1, 2], edge_schema=schema)
 
 
 def make_collection(tpl, count=4, t0=10.0, delta=2.0):
@@ -23,32 +29,29 @@ def make_collection(tpl, count=4, t0=10.0, delta=2.0):
 
 
 class TestProviders:
+    """The instances a collection indexes: a list, or one lazy sequence."""
+
     def test_list_provider(self, tpl):
-        p = ListInstanceProvider([GraphInstance(tpl, 0.0)])
-        assert len(p) == 1
-        assert p.get(0).timestamp == 0.0
+        coll = TimeSeriesGraphCollection(tpl, [GraphInstance(tpl, 0.0)])
+        assert len(coll) == 1
+        assert coll.instance(0).timestamp == 0.0
         with pytest.raises(IndexError):
-            p.get(1)
+            coll.instance(1)
         with pytest.raises(IndexError):
-            p.get(-1)
+            coll.instance(-1)
 
     def test_callable_provider(self, tpl):
         calls = []
-
-        def factory(k):
-            calls.append(k)
-            return GraphInstance(tpl, float(k))
-
-        p = CallableInstanceProvider(3, factory)
-        assert len(p) == 3
-        assert p.get(2).timestamp == 2.0
+        coll = build_collection(tpl, 3, lambda inst, t: calls.append(t), lazy=True)
+        assert len(coll) == 3
+        assert coll.instance(2).timestamp == 2.0
         assert calls == [2]  # lazy: only what's accessed
         with pytest.raises(IndexError):
-            p.get(3)
+            coll.instance(3)
 
     def test_callable_provider_negative_count(self, tpl):
         with pytest.raises(ValueError):
-            CallableInstanceProvider(-1, lambda k: None)
+            LazyInstances(tpl, -1, None)
 
 
 class TestCollection:
@@ -59,10 +62,8 @@ class TestCollection:
         assert coll.instance(3).timestamp == 16.0
 
     def test_timestamp_mapping(self, tpl):
-        coll = make_collection(tpl)
-        assert coll.timestamp_of(2) == 14.0
-        assert coll.timestep_at(14.0) == 2
-        assert coll.timestep_at(15.9) == 2
+        coll = build_collection(tpl, 4, t0=10.0, delta=2.0, lazy=True)
+        assert [coll.instance(k).timestamp for k in range(4)] == [10.0, 12.0, 14.0, 16.0]
 
     def test_iteration(self, tpl):
         coll = make_collection(tpl)
@@ -80,27 +81,18 @@ class TestCollection:
             coll.instance(0)
 
     def test_equal_template_by_value_accepted(self, tpl):
-        clone = GraphTemplate(3, [0, 1], [1, 2])
+        clone = GraphTemplate(3, [0, 1], [1, 2], edge_schema=tpl.edge_schema)
         coll = TimeSeriesGraphCollection(tpl, [GraphInstance(clone, 0.0)], t0=0.0)
         assert coll.instance(0).timestamp == 0.0
 
-    def test_window(self, tpl):
-        coll = make_collection(tpl)
-        win = coll.window(1, 3)
-        assert len(win) == 2
-        assert win.t0 == 12.0
-        assert win.instance(0).timestamp == 12.0
-        assert win.instance(1).timestamp == 14.0
 
-    def test_window_bounds(self, tpl):
-        coll = make_collection(tpl)
-        with pytest.raises(IndexError):
-            coll.window(2, 5)
-        with pytest.raises(IndexError):
-            coll.window(-1, 2)
-
-    def test_window_of_window(self, tpl):
-        coll = make_collection(tpl, count=6)
-        inner = coll.window(1, 5).window(1, 3)
-        assert len(inner) == 2
-        assert inner.instance(0).timestamp == coll.instance(2).timestamp
+class TestLazyInstances:
+    def test_a_pickled_lazy_collection_unpickles_to_equal_instances(self, tpl):
+        coll = build_collection(tpl, 3, UniformLatencyPopulator(0.1, 1.0, seed=1),
+                                t0=4.0, delta=2.0, lazy=True)
+        clone = pickle.loads(pickle.dumps(coll))
+        assert (len(clone), clone.t0, clone.delta) == (3, 4.0, 2.0)
+        for t in range(3):
+            want, got = coll.instance(t), clone.instance(t)
+            assert got.timestamp == want.timestamp
+            assert np.array_equal(got.edge_column("latency"), want.edge_column("latency"))

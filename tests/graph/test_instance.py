@@ -36,7 +36,7 @@ class TestBasics:
         inst.vertex_values.set("v", 1, 7.0)
         inst.edge_values.set("w", 2, 9.0)
         assert inst.vertex("v", 1) == 7.0
-        assert inst.edge("w", 2) == 9.0
+        assert inst.edge_values.get("w", 2) == 9.0
         assert np.array_equal(inst.vertex_column("v"), [0, 7.0, 0, 0])
         assert np.array_equal(inst.edge_column("w"), [0, 0, 9.0])
 
@@ -71,25 +71,17 @@ class TestBasics:
 
 
 class TestExistsMasks:
-    def test_all_true_without_attr(self):
-        tpl = template_with()
-        inst = GraphInstance(tpl, 0.0)
-        assert inst.vertex_exists_mask().all()
-        assert inst.edge_exists_mask().all()
-        assert len(inst.vertex_exists_mask()) == 4
-        assert len(inst.edge_exists_mask()) == 3
-
     def test_vertex_is_exists(self):
         tpl = template_with([AttributeSpec(IS_EXISTS, "bool", default=True)])
         inst = GraphInstance(tpl, 0.0)
-        assert inst.vertex_exists_mask().all()
+        assert inst.vertex_column(IS_EXISTS).all()
         inst.vertex_values.set(IS_EXISTS, 2, False)
-        mask = inst.vertex_exists_mask()
+        mask = inst.vertex_column(IS_EXISTS)
         assert not mask[2] and mask[[0, 1, 3]].all()
 
     def test_edge_is_exists(self):
         tpl = template_with(edge_attrs=[AttributeSpec(IS_EXISTS, "bool", default=True)])
         inst = GraphInstance(tpl, 0.0)
         inst.edge_values.set(IS_EXISTS, 0, False)
-        mask = inst.edge_exists_mask()
+        mask = inst.edge_column(IS_EXISTS)
         assert not mask[0] and mask[1:].all()

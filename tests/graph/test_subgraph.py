@@ -72,10 +72,6 @@ class TestAdjacency:
         assert np.array_equal(sg.indices[sg.indptr[1] : sg.indptr[2]], [0, 2])
         assert np.array_equal(sg.indices[sg.indptr[0] : sg.indptr[1]], [1])
 
-    def test_edges_of(self):
-        sg = make_subgraph()
-        assert np.array_equal(sg.edges_of(1), [10, 11])
-
     def test_remote_edges_of(self):
         """A vertex's remote edges are the rows of ``remote`` whose ``src_local`` it is."""
         sg = make_subgraph()

@@ -74,10 +74,6 @@ class TestUndirectedAdjacency:
         assert list(tpl.out_neighbors(0)).count(0) == 1
         assert tpl.degree(0) == 2  # loop + edge to 1
 
-    def test_in_equals_out(self):
-        tpl = path_template(4)
-        assert np.array_equal(np.sort(tpl.in_neighbors(1)), np.sort(tpl.out_neighbors(1)))
-
 
 class TestDirectedAdjacency:
     def test_out_only_follows_direction(self):
@@ -85,23 +81,12 @@ class TestDirectedAdjacency:
         assert set(tpl.out_neighbors(0)) == {1}
         assert set(tpl.out_neighbors(2)) == set()
 
-    def test_in_neighbors(self):
-        tpl = path_template(3, directed=True)
-        assert set(tpl.in_neighbors(1)) == {0}
-        assert set(tpl.in_neighbors(0)) == set()
-
     def test_degree_is_out_degree(self):
         tpl = path_template(3, directed=True)
         assert tpl.degree(2) == 0 and tpl.degree(0) == 1
 
 
 class TestHelpers:
-    def test_subgraph_edges(self):
-        tpl = path_template(5)
-        mask = np.array([True, True, True, False, False])
-        edges = tpl.subgraph_edges(mask)
-        assert set(edges) == {0, 1}  # (0,1) and (1,2)
-
     def test_undirected_edge_view(self):
         tpl = path_template(3)
         s, d = tpl.undirected_edge_view()
@@ -138,18 +123,7 @@ class TestHelpers:
                 assert tpl.edge_dst[e] == indices[slot]
 
 
-_CSR_SLOTS = ("_adj_indptr", "_adj_indices", "_adj_edges", "_in_indptr", "_in_indices", "_in_edges")
-
-
-def eager_csr(tpl):
-    """The CSR ``__init__`` used to build, straight from the edge arrays."""
-    out = tpl._build_csr(tpl.edge_src, tpl.edge_dst, include_reverse=not tpl.directed)
-    into = (
-        tpl._build_csr(tpl.edge_dst, tpl.edge_src, include_reverse=False)
-        if tpl.directed
-        else out
-    )
-    return out, into
+_CSR_SLOTS = ("_adj_indptr", "_adj_indices", "_adj_edges")
 
 
 class TestLazyAdjacency:
@@ -171,25 +145,19 @@ class TestLazyAdjacency:
         unbuilt = pickle.dumps(tpl)
         assert all(getattr(pickle.loads(unbuilt), slot) is None for slot in _CSR_SLOTS)
 
-        want_out, want_in = eager_csr(tpl)
+        want_out = tpl._build_csr()  # what ``__init__`` used to build eagerly
         for got, want in zip(tpl.adjacency, want_out):
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert tpl._adj_edges is not None and tpl._in_edges is None  # only what was read
         for v in range(n):
-            lo, hi = want_in[0][v], want_in[0][v + 1]
-            assert tpl.in_neighbors(v).tolist() == want_in[1][lo:hi].tolist()
             assert tpl.out_neighbors(v).tolist() == want_out[1][want_out[0][v]:want_out[0][v + 1]].tolist()
             assert tpl.out_edges(v).tolist() == want_out[2][want_out[0][v]:want_out[0][v + 1]].tolist()
             assert tpl.degree(v) == want_out[0][v + 1] - want_out[0][v]
-        if not directed:
-            assert tpl._in_indices is tpl._adj_indices  # one CSR serves both
         # Pickling carries nothing built: the same bytes as before any was,
         # and the clone builds its own on first use.
         assert pickle.dumps(tpl) == unbuilt
         clone = pickle.loads(unbuilt)
         assert clone.equals(tpl)
         assert [a.tolist() for a in clone.adjacency] == [a.tolist() for a in tpl.adjacency]
-        assert clone.in_neighbors(n - 1).tolist() == tpl.in_neighbors(n - 1).tolist()
 
     def test_threads_racing_to_build_each_get_a_whole_correct_triple(self, rng):
         """Threads may share one template (worker agents served as threads of
@@ -200,12 +168,12 @@ class TestLazyAdjacency:
 
         n, m = 400, 3000
         tpl = GraphTemplate(n, rng.integers(0, n, m), rng.integers(0, n, m), directed=True)
-        (want, _into) = eager_csr(tpl)
+        want = tpl._build_csr()
         got, start = [], threading.Barrier(8)
 
         def read():
             start.wait(timeout=10)
-            got.append((tpl.adjacency, tpl.in_neighbors(3).tolist()))
+            got.append(tpl.adjacency)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -219,6 +187,5 @@ class TestLazyAdjacency:
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == 8
-        for triple, in_nbrs in got:
+        for triple in got:
             assert all(a is not None and a.tolist() == w.tolist() for a, w in zip(triple, want))
-            assert in_nbrs == got[0][1]

@@ -56,7 +56,7 @@ from repro.algorithms import (
 )
 from repro.algorithms import reference as ref
 from repro.core import EngineConfig, run_application
-from repro.generators import PeriodicExistencePopulator, make_collection, paper_datasets
+from repro.generators import PeriodicExistencePopulator, paper_datasets
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, MetisLikePartitioner, partition_graph
 from repro.storage import GoFS
@@ -366,7 +366,7 @@ def paper_case(algorithm, graph, scale=2000, instances=10, seed=0):
     tpl = data["template"]
     if algorithm == "reach":
         tpl = evolving_template(tpl.num_vertices, tpl.edge_src, tpl.edge_dst, tpl.directed)
-        coll = make_collection(tpl, instances, PeriodicExistencePopulator(tpl, seed=seed))
+        coll = build_collection(tpl, instances, PeriodicExistencePopulator(tpl, seed=seed), lazy=True)
     else:
         coll = data["road" if algorithm == "tdsp" else "tweets"]
     return tpl, coll, partition_graph(tpl, 3, MetisLikePartitioner(seed=seed))

@@ -124,15 +124,6 @@ class TestMetisLike:
         a = MetisLikePartitioner(seed=4).assign(tpl, 3)
         validate_assignment(tpl, a, 3)
 
-    def test_edge_cut_helper(self):
-        tpl = make_grid_template(6, 6)
-        p = MetisLikePartitioner(seed=1)
-        a = p.assign(tpl, 2)
-        # Helper counts unit-weight cut edges = fraction * m.
-        assert p.edge_cut(tpl, a) == pytest.approx(
-            edge_cut_fraction(tpl, a) * tpl.num_edges
-        )
-
     @settings(max_examples=15, deadline=None)
     @given(
         n=st.integers(10, 60),

@@ -6,13 +6,25 @@ from hypothesis import given, settings, strategies as st
 
 import scipy.sparse as sp
 
+from repro.kernels.csr import slot_sources
 from repro.partition.refine import (
+    _balance,
+    _Refinement,
     edge_cut_weight,
     partition_connectivity,
-    rebalance,
     refine,
 )
 from tests.conftest import make_grid_template, make_random_template
+
+
+def rebalance(indptr, indices, weights, vertex_weights, assignment, k, cap):
+    """The balance step alone: ``assignment`` with every partition's vertex
+    weight brought to at most ``cap`` where single-vertex moves can."""
+    state = _Refinement(
+        indptr, indices, weights, vertex_weights, assignment, k, slot_sources(indptr)
+    )
+    _balance(state, cap)
+    return state.assignment
 
 
 def grid_csr(rows, cols):

@@ -104,8 +104,7 @@ class TestDecompose:
         # 0 -> 1 directed, vertices in different partitions.
         tpl = GraphTemplate(2, [0], [1], directed=True)
         pg = decompose(tpl, np.array([0, 1]), 2)
-        sg_of_0 = pg.subgraph_of_vertex(0)
-        sg_of_1 = pg.subgraph_of_vertex(1)
+        sg_of_0, sg_of_1 = (pg.subgraphs[pg.vertex_subgraph[v]] for v in (0, 1))
         assert np.array_equal(sg_of_0.neighbor_subgraphs, [sg_of_1.subgraph_id])
         assert np.array_equal(sg_of_1.in_neighbor_subgraphs, [sg_of_0.subgraph_id])
         assert len(sg_of_1.neighbor_subgraphs) == 0
@@ -171,9 +170,9 @@ class TestPartitionedGraphAPI:
         tpl = make_grid_template(4, 4)
         pg = partition_graph(tpl, 2)
         for v in range(tpl.num_vertices):
-            sg = pg.subgraph_of_vertex(v)
+            sg = pg.subgraphs[pg.vertex_subgraph[v]]
             assert sg.contains(v)
-            assert pg.partition_of_vertex(v) == sg.partition_id
+            assert pg.vertex_partition[v] == sg.partition_id
             assert pg.subgraph(sg.subgraph_id) is sg
 
     def test_partition_vertices_sorted_unique(self):

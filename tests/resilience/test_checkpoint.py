@@ -116,15 +116,27 @@ class TestIntegrity:
         torn = tmp_path / "ckpt-000009-t9"
         torn.mkdir()
         (torn / "driver.bin").write_bytes(b"partial")
-        # LATEST still points at the complete one; the torn dir is invisible.
+        # The latest is the highest complete one; the torn dir is invisible.
         assert mgr.latest_name() == "ckpt-000000-t1"
 
     def test_latest_fallback_scan(self, tmp_path):
+        """The latest checkpoint is found one way: the complete directory
+        with the highest sequence number.  No pointer file is written, and
+        no manifest's temporary file is left behind."""
         mgr = CheckpointManager(tmp_path, retain=5)
         _write(mgr, 1)
         _write(mgr, 2)
-        (tmp_path / "LATEST").unlink()
         assert CheckpointManager(tmp_path).latest_name() == "ckpt-000001-t2"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt-000000-t1", "ckpt-000001-t2"]
+        assert not list(tmp_path.glob("*/*.tmp"))
+
+    def test_a_truncated_manifest_is_corrupt(self, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        info = _write(mgr, 1)
+        manifest = info.path / "manifest.json"
+        manifest.write_text(manifest.read_text()[:20])
+        with pytest.raises(CheckpointCorrupt, match="unreadable manifest"):
+            mgr.load()
 
 
 class TestRetention:
@@ -146,17 +158,16 @@ class TestConfigAndRecords:
         # A checkpoint closes a timestep: there is no mid-timestep cadence.
         assert [f.name for f in fields(CheckpointConfig)] == ["dir", "every", "retain"]
 
-    def test_recovery_policy_has_four_fields(self):
-        assert len(RecoveryPolicy.__slots__) == 4
+    def test_recovery_policy_has_three_fields(self):
+        assert RecoveryPolicy.__slots__ == ("max_retries", "backoff_s", "on_exhausted")
 
     def test_recovery_policy_validation_and_backoff(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(on_exhausted="panic")
         with pytest.raises(TypeError):
             RecoveryPolicy(mode="surgical")  # one way to recover: not an option
-        p = RecoveryPolicy(backoff_s=0.1, backoff_factor=3.0)
-        assert p.backoff_for(1) == pytest.approx(0.1)
-        assert p.backoff_for(3) == pytest.approx(0.9)
+        p = RecoveryPolicy(backoff_s=0.1)
+        assert [p.backoff_for(n) for n in (1, 2, 3)] == pytest.approx([0.1, 0.2, 0.4])
 
     def test_failure_record_and_run_failure_as_dict(self):
         """A failure is a run record: its event line folds back to it, and a

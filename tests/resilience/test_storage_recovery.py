@@ -17,7 +17,7 @@ from repro.resilience import (
     RunFailureError,
 )
 from repro.runtime.host import ComputeHost, RunMeta
-from repro.storage import GoFS
+from repro.storage import GoFS, GoFSPartitionView
 
 from .conftest import NUM_TIMESTEPS, AccumulateSum
 
@@ -69,7 +69,7 @@ class TestHostRestorePurge:
     def test_superstep_boundary_restore_keeps_committed_begin_load(self, case, gofs_root):
         import pickle
 
-        view = GoFS.partition_view(gofs_root, 0)
+        view = GoFSPartitionView(gofs_root, 0)
         host = self._host(case, view)
 
         def timestep(t, replay=False):
@@ -94,7 +94,7 @@ class TestHostRestorePurge:
     def test_pickled_fresh_view_reload_records_nothing(self, gofs_root):
         import pickle
 
-        view = GoFS.partition_view(gofs_root, 1)
+        view = GoFSPartitionView(gofs_root, 1)
         view.instance(0)
         clone = pickle.loads(pickle.dumps(view))  # a respawned worker's view
         clone.reload_instance(2).edge_column("latency")  # reads pack 1

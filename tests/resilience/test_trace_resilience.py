@@ -35,11 +35,11 @@ class TestReplayWalls:
             _step(2, 0, compute_s=2.0),
         ]
         m = MetricsCollector.from_events(events, 1)
-        assert m.timestep_wall(0) == pytest.approx(1.0)
         # The t1 checkpoint's modeled I/O cost is charged to t1; t2's wall
         # carries the measured repair of the worker that died in it.
-        assert m.timestep_wall(1) == pytest.approx(2.0 + 0.25)
-        assert m.timestep_wall(2) == pytest.approx(2.0 + 0.5)
+        assert m.timestep_series() == [
+            pytest.approx(1.0), pytest.approx(2.0 + 0.25), pytest.approx(2.0 + 0.5)
+        ]
         assert (m.checkpoints, m.checkpoint_bytes, m.retries) == (1, 100, 1)
 
 
@@ -88,8 +88,8 @@ class TestTracedRecovery:
         assert m.total_recovery_s() > 0
         # The wall for the recovered timestep carries the measured restore —
         # in the run's collector and in the one folded from its event log.
-        assert m.timestep_wall(2) >= m.total_recovery_s()
-        assert refold(result).timestep_wall(2) == m.timestep_wall(2)
+        assert m.timestep_series()[2] >= m.total_recovery_s()
+        assert refold(result).timestep_series()[2] == m.timestep_series()[2]
 
     def test_dropped_respawn_event_breaks_the_round_trip(self, case, tmp_path):
         result = self._traced(case, tmp_path, "kill@t2:p1")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
-from repro.generators import make_collection, road_latency_collection
+from repro.generators import road_latency_collection
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import Cluster, CollectionInstanceSource, CostModel, RunMeta

@@ -18,9 +18,11 @@ from repro.storage import (
     read_slice,
     slice_filename,
 )
-from repro.storage.serde import pack_arrays, read_arrays
+from repro.storage.serde import read_arrays
 from repro.storage.slices import rows_filename
-from tests.conftest import make_grid_template, make_random_template, populate_random, ragged
+from tests.conftest import (
+    make_grid_template, make_random_template, pack_arrays, populate_random, ragged,
+)
 from tests.storage.test_slices_v2 import entry_of, header_of, rewrite_header
 
 
@@ -77,7 +79,7 @@ class TestPartitionView:
     def test_values_match_original_on_owned_rows(self, store):
         root, tpl, coll, pg, _ = store
         for p in range(3):
-            view = GoFS.partition_view(root, p)
+            view = GoFSPartitionView(root, p)
             own_vertices = pg.partitions[p].vertices
             own_edges = np.unique(
                 np.concatenate(
@@ -103,7 +105,7 @@ class TestPartitionView:
 
     def test_load_events_at_pack_boundaries(self, store):
         root, *_ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         for t in range(12):
             read(view.instance(t))
         boundaries = [t for t, _s in view.load_events]
@@ -111,7 +113,7 @@ class TestPartitionView:
 
     def test_no_reload_within_pack(self, store):
         root, *_ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         read(view.instance(1))
         read(view.instance(2))
         read(view.instance(1))
@@ -119,7 +121,7 @@ class TestPartitionView:
 
     def test_resident_bytes(self, store):
         root, *_ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         assert view.resident_bytes() == 0
         inst = view.instance(0)
         assert view.resident_bytes() == 0  # headers only
@@ -128,18 +130,18 @@ class TestPartitionView:
 
     def test_out_of_range(self, store):
         root, *_ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         with pytest.raises(IndexError):
             view.instance(12)
 
     def test_invalid_partition(self, store):
         root, *_ = store
         with pytest.raises(ValueError, match="partition"):
-            GoFS.partition_view(root, 7)
+            GoFSPartitionView(root, 7)
 
     def test_pickle_roundtrip(self, store):
         root, tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 1)
+        view = GoFSPartitionView(root, 1)
         view.instance(0)  # populate the cache (must not be pickled)
         clone = pickle.loads(pickle.dumps(view))
         assert clone.partition_id == 1
@@ -157,7 +159,7 @@ class TestPartitionView:
 
     def test_the_view_holds_the_pack_its_last_instance_served(self, store):
         root, *_ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         for t in (0, 4, 1, 8, 0):
             read(view.instance(t))
             assert view._pack.pack == t // 4
@@ -184,7 +186,7 @@ class TestBinRows:
 
 def _one_pack_nbytes(root, timestep=0):
     """Resident bytes of exactly the pack of ``timestep`` (of partition 0)."""
-    probe = GoFS.partition_view(root, 0)
+    probe = GoFSPartitionView(root, 0)
     read(probe.instance(timestep))
     return probe.resident_bytes()
 
@@ -457,20 +459,20 @@ class TestOpen:
 class TestLazyProjection:
     def test_instance_projects_nothing_until_a_column_is_read(self, store):
         root, tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         tracer = Tracer()
         view.attach_tracer(tracer)
         inst = view.instance(1)
-        assert inst.vertex_values.materialized_names == []
-        assert inst.edge_values.materialized_names == []
+        assert list(inst.vertex_values._columns) == []
+        assert list(inst.edge_values._columns) == []
         assert view.columns_projected == view.bytes_projected == 0
         assert view.projected == frozenset()
         assert view.load_events == []  # headers only: the first row read reads the pack
         inst.edge_column("latency")
         assert len(view.load_events) == 1
         inst.edge_column("latency")  # second read: already a plain column
-        assert inst.edge_values.materialized_names == ["latency"]
-        assert inst.vertex_values.materialized_names == []
+        assert list(inst.edge_values._columns) == ["latency"]
+        assert list(inst.vertex_values._columns) == []
         assert view.columns_projected == 1
         assert view.bytes_projected == 8 * tpl.num_edges
         assert view.projected == {"e__latency"}
@@ -483,7 +485,7 @@ class TestLazyProjection:
         column — the ragged tweets too — executes no pickle."""
         root, *_ = store
         monkeypatch.setattr(pickle, "loads", lambda b: pytest.fail("a store read unpickled"))
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         for t in range(12):
             inst = view.instance(t)
             inst.edge_column("latency")
@@ -492,7 +494,7 @@ class TestLazyProjection:
 
     def test_reload_instance_projection_is_not_counted(self, store):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.attach_tracer(Tracer())
         inst = view.reload_instance(4)
         _verts, edges = owned_rows(pg, 0)
@@ -504,7 +506,7 @@ class TestLazyProjection:
 
     def test_instance_outlives_its_packs_eviction(self, store):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         old = view.instance(1)
         read(view.instance(0))  # pack 0 read; `old` has projected nothing
         read(view.instance(4))  # pack 0 dropped
@@ -518,7 +520,7 @@ class TestLazyProjection:
 
     def test_copy_and_pickle_of_an_untouched_instance_keep_the_values(self, store):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 1)
+        view = GoFSPartitionView(root, 1)
         verts, _edges = owned_rows(pg, 1)
         want = coll.instance(3).vertex_column("traffic")[verts]
         for clone in (view.instance(3).copy(), pickle.loads(pickle.dumps(view.instance(3)))):
@@ -530,7 +532,7 @@ class TestLazyProjection:
         """A pack read decodes the columns instances have projected, so what
         a column compute uses costs is counted as load."""
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.instance(0).vertex_column("tweets")
         inst = read(view.instance(4))  # reads pack 1, tweets included
         assert all("v__tweets" in arrays._decoded for arrays in view._pack)
@@ -574,7 +576,7 @@ class TestLoadErrorsSurfaceInInstance:
         return path
 
     def assert_fails_in_instance(self, root, match):
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.instance(0).edge_column("latency")  # the untouched pack still loads
         with pytest.raises(ValueError, match=match) as excinfo:
             view.instance(2)
@@ -649,11 +651,11 @@ class TestLoadErrorsSurfaceInInstance:
         return path
 
     def assert_fails_at_open(self, root, match):
-        for open_view in (lambda: GoFS.partition_view(root, 0), lambda: GoFS.partition_views(root)):
+        for open_view in (lambda: GoFSPartitionView(root, 0), lambda: GoFS.partition_views(root)):
             with pytest.raises(ValueError, match=match) as excinfo:
                 open_view()
             assert str(root / rows_filename(0, 0)) in str(excinfo.value)
-        GoFS.partition_view(root, 1)  # another bin's rows file: still opens
+        GoFSPartitionView(root, 1)  # another bin's rows file: still opens
 
     def test_a_missing_rows_file(self, tmp_path):
         numeric_store(tmp_path)
@@ -788,8 +790,8 @@ class TestProjectionProperty:
                 touched = 0
                 for t in order:
                     inst = view.instance(t)
-                    assert inst.vertex_values.materialized_names == []
-                    assert inst.edge_values.materialized_names == []
+                    assert list(inst.vertex_values._columns) == []
+                    assert list(inst.edge_values._columns) == []
                     assert inst.timestamp == coll.instance(t).timestamp
                     for kind, spec in data.draw(st.permutations(columns), label="column order"):
                         rows = verts if kind == "v" else edges
@@ -819,7 +821,7 @@ class TestProjectionProperty:
         want = {k: 3392 - 9 * 4 * 64 + 4 * (9 + 3) * 8 + 8 * h for k, h in hashtags.items()}
         assert want == {0: 1800, 1: 1808, 2: 1720}
         assert {k: _one_pack_nbytes(root, 4 * k) for k in want} == want
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.attach_tracer(Tracer())
         seen = []
         timesteps = list(range(12)) + [0, 4, 8, 1]
@@ -851,10 +853,10 @@ class TestNeverSetColumns:
             header = header_of(path.read_bytes())
             assert header["defaults"] == ["e__lanes", "v__flag"]
             assert [e["name"] for e in header["arrays"]] == ["v__traffic", "e__latency"]
-        inst = GoFS.partition_view(tmp_path, 0).instance(3)
+        inst = GoFSPartitionView(tmp_path, 0).instance(3)
         assert inst.vertex_column("flag").tolist() == [True] * 6  # the schema default
         assert inst.edge_values.take("lanes", np.arange(5)).tolist() == [0] * 5
-        assert inst.edge_values.materialized_names == []
+        assert list(inst.edge_values._columns) == []
         verts, _edges = owned_rows(pg, 0)
         assert np.array_equal(
             inst.vertex_column("traffic")[verts], coll.instance(3).vertex_column("traffic")[verts]
@@ -867,7 +869,7 @@ class TestNeverSetColumns:
                 header = header_of((tmp_path / slice_filename(SliceKey(p, 0, k))).read_bytes())
                 assert header["defaults"] == ([] if k == 0 else ["e__lanes"])
                 assert ("e__lanes" in [e["name"] for e in header["arrays"]]) == (k == 0)
-        view = GoFS.partition_view(tmp_path, 0)
+        view = GoFSPartitionView(tmp_path, 0)
         _verts, edges = owned_rows(pg, 0)
         for t in range(5):  # timestep 1 shares pack 0: stored there, as its default
             want = coll.instance(t).edge_column("lanes")[edges]
@@ -903,7 +905,7 @@ class TestLocate:
 
     def test_a_subgraphs_rows_are_located_in_the_pack(self, store):
         root, _tpl, coll, pg, manifest = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.attach_tracer(Tracer())
         want_bytes = 0
         for sg in pg.partitions[0].subgraphs:
@@ -921,7 +923,7 @@ class TestLocate:
                     assert values[index].tobytes() == taken.tobytes()
                     assert taken.tobytes() == coll.instance(t).edge_column("latency")[rows].tobytes()
                     want_bytes += 2 * 8 * len(rows)  # a locate counts what a take counts
-                assert table.materialized_names == []
+                assert list(table._columns) == []
         assert view.tracer.counters["gofs.bytes_projected"] == view.bytes_projected == want_bytes
         # A ragged column's row is read-only too: a located row cannot
         # write into the held pack.
@@ -932,7 +934,7 @@ class TestLocate:
 
     def test_rows_across_bins_or_partitions_are_assembled(self, store):
         root, tpl, coll, pg, manifest = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         first, last = (pg.subgraphs[sgids[0]] for sgids in (manifest["bins"][0][0], manifest["bins"][0][-1]))
         foreign = pg.partitions[1].subgraphs[0]
         table = view.instance(2).vertex_values
@@ -952,7 +954,7 @@ class TestLocate:
         coll = build_collection(tpl, 3, random_populator(1, never={"lanes"}))
         pg = decompose(tpl, np.asarray([0, 0, 0, 1, 1, 1]), 2)
         GoFS.write_collection(tmp_path, pg, coll, packing=2, binning=5)
-        table = GoFS.partition_view(tmp_path, 0).instance(1).edge_values
+        table = GoFSPartitionView(tmp_path, 0).instance(1).edge_values
         sg = pg.partitions[0].subgraphs[0]
         values, index = table.locate("lanes", sg.edge_index)
         assert index is None and values.tolist() == [0] * len(sg.edge_index)
@@ -995,7 +997,7 @@ class TestTakeProperty:
             """take == column[rows] == the collection on owned rows, default elsewhere."""
             table = inst.vertex_values if kind == "v" else inst.edge_values
             got = table.take(spec.name, rows)
-            assert table.materialized_names == []
+            assert list(table._columns) == []
             assert got.dtype == spec.dtype
             assert (len(got.offsets) - 1 if spec.ragged else len(got)) == len(rows)
             whole = column_of(view.instance(t), kind, spec.name)
@@ -1040,7 +1042,7 @@ class TestTakeProperty:
 
     def test_rows_outside_the_template_are_an_index_error(self, store):
         root, tpl, *_ = store
-        inst = GoFS.partition_view(root, 0).instance(0)
+        inst = GoFSPartitionView(root, 0).instance(0)
         for rows in ([tpl.num_edges], [-1]):
             with pytest.raises(IndexError):
                 inst.edge_values.take("latency", np.asarray(rows))
@@ -1059,7 +1061,7 @@ class TestTakeProperty:
         pg = decompose(tpl, rng.integers(0, 2, size=tpl.num_vertices), 2)
         with tempfile.TemporaryDirectory() as root:
             GoFS.write_collection(root, pg, coll, packing=2, binning=1)
-            view = GoFS.partition_view(root, 0)
+            view = GoFSPartitionView(root, 0)
             assert view._num_bins == len(pg.partitions[0].subgraphs)
             t = data.draw(st.integers(0, 2), label="timestep")
             inst = view.instance(t)
@@ -1083,14 +1085,14 @@ class TestTakeProperty:
                     got = table.take(name, form)
                     assert got.dtype == want.dtype and np.array_equal(got, want[i64])
                 assert table.take(name, i64[:0]).shape == (0,)
-                assert table.materialized_names == []
+                assert list(table._columns) == []
                 for bad in ([-1], [n], [0, n], np.asarray([-1], dtype=np.int32)):
                     with pytest.raises(IndexError):
                         table.take(name, bad)
 
     def test_a_reused_row_array_is_resolved_once_and_the_cache_is_bounded(self, store, monkeypatch):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         resolved = []  # one `_row_index` call per plan resolution (a `_plans` miss)
         real = GoFSPartitionView._row_index
         monkeypatch.setattr(
@@ -1122,7 +1124,7 @@ class TestReadOnFirstUse:
 
     def test_an_instance_never_read_reads_no_pack(self, store):
         root, *_ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.attach_tracer(Tracer())
         for t in range(12):
             view.instance(t)
@@ -1133,7 +1135,7 @@ class TestReadOnFirstUse:
 
     def test_a_mid_pack_first_read_loads_the_pack_once_there(self, store):
         root, *_ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.attach_tracer(Tracer())
         first = view.instance(4)
         read(view.instance(6))
@@ -1153,7 +1155,7 @@ class TestReadOnFirstUse:
 
     def test_a_header_only_pack_evicted_before_its_first_read(self, store):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         old = view.instance(2)
         view.instance(5)  # pack 0 dropped with nothing read
         assert view._pack.pack == 1
@@ -1166,7 +1168,7 @@ class TestReadOnFirstUse:
 
     def test_a_read_after_reload_instance_records_nothing(self, store):
         root, _tpl, coll, pg, _ = store
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         view.attach_tracer(Tracer())
         inst = view.reload_instance(9)  # returns before anything is read
         _verts, edges = owned_rows(pg, 0)
@@ -1318,7 +1320,7 @@ class TestRaggedColumnsAreCheckedOnRead:
         spoil(arrays["v__tweets"])
         path = root / slice_filename(self.KEY)
         path.write_bytes(pack_arrays(arrays, defaults=data.defaults))
-        view = GoFS.partition_view(root, 0)
+        view = GoFSPartitionView(root, 0)
         inst = view.instance(5)  # the header is fine
         with pytest.raises(ValueError, match="start at 0, never decrease") as excinfo:
             inst.vertex_values.take("tweets", pg.partitions[0].subgraphs[0].vertices)
@@ -1336,7 +1338,7 @@ def test_a_meme_stores_resident_bytes_are_its_slices_payload(tmp_path):
     pg = partition_graph(tpl, 2, HashPartitioner(seed=3))
     manifest = GoFS.write_collection(tmp_path, pg, coll, packing=3)
     for p, bins in enumerate(manifest["bins"]):
-        view = GoFS.partition_view(tmp_path, p)
+        view = GoFSPartitionView(tmp_path, p)
         for pack in (0, 1):
             view.instance(3 * pack).vertex_column("tweets")
             payload = sum(

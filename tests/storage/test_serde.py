@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import AttributeSchema, AttributeSpec, GraphTemplate
 from repro.storage import load_template, save_template, schema_from_bytes, schema_to_bytes
-from repro.storage.serde import GSL2_MAGIC, pack_arrays, unpack_arrays
-from tests.conftest import make_grid_template, make_random_template
+from repro.storage.serde import GSL2_MAGIC, unpack_arrays
+from tests.conftest import make_grid_template, make_random_template, pack_arrays
 
 
 class TestSchemaRoundtrip:

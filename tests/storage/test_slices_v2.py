@@ -12,15 +12,16 @@ from repro.graph import Ragged, build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.storage import (
     GoFS,
+    GoFSPartitionView,
     SliceKey,
     read_slice,
     slice_filename,
     slice_nbytes,
     write_slice,
 )
-from repro.storage.serde import GSL2_MAGIC, pack_arrays, unpack_arrays
+from repro.storage.serde import GSL2_MAGIC, unpack_arrays
 from repro.storage.slices import read_rows, write_rows
-from tests.conftest import make_grid_template, populate_random
+from tests.conftest import make_grid_template, pack_arrays, populate_random
 
 
 def sample_arrays(with_ragged=False):
@@ -251,7 +252,7 @@ class TestWriteReadSlice:
         (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "slice_format": 3}))
         for path in tmp_path.glob("rows_*.gsl"):
             path.unlink()
-        for open_store in (GoFS.read_manifest, GoFS.partition_views, lambda r: GoFS.partition_view(r, 0)):
+        for open_store in (GoFS.read_manifest, GoFS.partition_views, lambda r: GoFSPartitionView(r, 0)):
             with pytest.raises(ValueError, match=r"slice_format 3\) is not slice format 5"):
                 open_store(tmp_path)
 
@@ -349,7 +350,7 @@ class TestTwoPhaseRead:
         tpl = make_grid_template(4, 5)
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
         GoFS.write_collection(tmp_path, pg, build_collection(tpl, 3, populate_random(7)))
-        inst = GoFS.partition_view(tmp_path, 0).instance(1)
+        inst = GoFSPartitionView(tmp_path, 0).instance(1)
         path = tmp_path / slice_filename(self.KEY)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="changed under the run") as excinfo:
@@ -371,7 +372,7 @@ class TestGoFSFormats:
         manifest = GoFS.write_collection(root, pg, coll, packing=3, binning=2)
         assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 5
         for p in range(pg.num_partitions):
-            view = GoFS.partition_view(root, p)
+            view = GoFSPartitionView(root, p)
             for t in range(len(coll)):
                 inst = view.instance(t)
                 part = pg.partitions[p]

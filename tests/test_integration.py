@@ -29,8 +29,8 @@ from repro.generators import (
     SIRTweetPopulator,
     UniformLatencyPopulator,
     CompositePopulator,
-    make_collection,
 )
+from repro.graph import build_collection
 from repro.partition import (
     BFSPartitioner,
     HashPartitioner,
@@ -59,7 +59,7 @@ def make_workload(seed: int, n: int = 35, m: int = 70, T: int = 6):
             ),
         ]
     )
-    return tpl, make_collection(tpl, T, populator, delta=5.0)
+    return tpl, build_collection(tpl, T, populator, delta=5.0, lazy=True)
 
 
 class TestPartitionInvariance:
@@ -196,8 +196,8 @@ class TestStorageAndExecutorInvariance:
         res = run_application(computation, pg, coll, sources=views)
         assert len(handed_out) == 3 * res.timesteps_executed
         for inst in handed_out:
-            assert inst.vertex_values.materialized_names == []
-            assert inst.edge_values.materialized_names == []
+            assert list(inst.vertex_values._columns) == []
+            assert list(inst.edge_values._columns) == []
         assert sum(v.columns_projected for v in views) > 0
 
 

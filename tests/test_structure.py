@@ -142,12 +142,24 @@ DELETED = [
      r"init is None|handshake = |inherited, never pickled|fault[-_]seed|plan seed"
      r"|st\[\"slot_src\"\]",
      EVERYWHERE, None),
+    # A collection is a template plus a list or one lazy sequence of
+    # instances: no provider protocol, second lazy builder or window view.
+    # Public names with no caller stay deleted (tests/test_surface.py), and
+    # the latest checkpoint is found one way, with no pointer file.
+    ("one-way-to-make-a-collection",
+     r"InstanceProvider|make_collection|validate_(template|instance|collection)|ValidationError"
+     r"|timestep_at|timestamp_of|def window\(|write_(series_)?csv|timestep_times|in_neighbors"
+     r"|subgraph_edges|edges_of|(subgraph|partition)_of_vertex|temporally_parallel"
+     r"|outputs_by_|all_output_records|def edge_cut\(|def rebalance\(|\btimestep_wall\b"
+     r"|TrafficPopulator|exists_mask|vertex_attribute|materialized_names|\bpack_arrays"
+     r"|def partition_view\(|def std\(|def edge\(|_LATEST|backoff_factor",
+     EVERYWHERE, None),
 ]
 
 
 #: (id, files that stay deleted): no second transport, rebalancer plane,
 #: thread executor, threaded temporal runner, second vertex runtime,
-#: in-process live plane or pickled dataset cache comes back.
+#: in-process live plane, pickled dataset cache or graph validator comes back.
 DELETED_FILES = [
     ("one-worker-plane", ("src/repro/runtime/socket_cluster.py",)),
     ("corners-decided", ("src/repro/runtime/rebalance.py", "src/repro/runtime/elastic.py")),
@@ -156,6 +168,8 @@ DELETED_FILES = [
      ("src/repro/observability/live.py", "src/repro/observability/export.py")),
     ("a-store-is-the-dataset",
      ("src/repro/generators/cache.py", "tests/generators/test_dataset_cache.py")),
+    ("one-way-to-make-a-collection",
+     ("src/repro/graph/validation.py", "tests/graph/test_validation.py")),
 ]
 
 
