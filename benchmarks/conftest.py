@@ -7,7 +7,8 @@ Scale knobs (environment variables):
 
 Every bench prints the same rows/series its paper artifact reports and
 appends them to ``benchmarks/results/<bench>.txt`` so the tables survive
-pytest's output capture.  A session starts a result file afresh the first
+pytest's output capture; each block's first line names the commit and the
+scale that wrote it.  A session starts a result file afresh the first
 time it writes to it, so running one bench refreshes that bench's files
 and leaves every other bench's committed results as they are.
 """
@@ -72,7 +73,16 @@ _WRITTEN: set[str] = set()
 
 
 def emit(bench_name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
+    """Print a result block and persist it under benchmarks/results/.
+
+    The block's first line names the commit and the scale knobs that wrote
+    it, as :func:`bench_envelope` does for the JSON files.
+    """
+    from repro.observability import git_describe
+
+    title, newline, body = text.partition("\n")
+    stamp = f"[{git_describe()} scale={SCALE} instances={INSTANCES} seed={SEED}]"
+    text = f"{title}  {stamp}{newline}{body}"
     print(f"\n{text}\n")
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{bench_name}.txt"

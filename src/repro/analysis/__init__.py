@@ -7,6 +7,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".elastic": ("ElasticOutcome", "ElasticPolicy", "activity_grid", "simulate_elastic"),
     ".export": ("failure_provenance", "result_summary", "write_result_json"),
     ".report": ("render_bar_chart", "render_series", "render_table"),
-    ".timeline": ("frontier_matrix", "frontier_totals", "pipelined_makespan"),
+    ".timeline": ("frontier_matrix", "frontier_totals"),
     ".utilization": ("UtilizationRow", "utilization_rows"),
 })

@@ -1,43 +1,18 @@
-"""Per-timestep series extraction (Figures 6, 7a, 7c).
+"""Per-timestep series extraction (Figures 7a, 7c).
 
-Turns run artifacts into the series the paper plots:
-
-* :func:`pipelined_makespan` — a run's per-timestep walls
-  (``metrics.timestep_series()``, Fig 6a/6b) scheduled onto W concurrent
-  sub-clusters (the temporal concurrency §IV-B notes GoFFish leaves unused);
-* :func:`frontier_matrix` — per-timestep × per-partition counts of newly
-  finalized (TDSP, Fig 7a) or newly colored (MEME, Fig 7c) vertices.
+Turns run artifacts into the series the paper plots: :func:`frontier_matrix`
+— per-timestep × per-partition counts of newly finalized (TDSP, Fig 7a) or
+newly colored (MEME, Fig 7c) vertices.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from ..core.results import AppResult
 from ..partition.base import PartitionedGraph
 
-__all__ = ["pipelined_makespan", "frontier_matrix", "frontier_totals"]
-
-
-def pipelined_makespan(
-    timestep_walls: Sequence[float], workers: int, merge_wall: float = 0.0
-) -> float:
-    """Simulated makespan of scheduling per-timestep walls onto ``workers``.
-
-    Longest-processing-time-first greedy assignment — the contention-free
-    schedule a platform with one sub-cluster per concurrent timestep would
-    achieve for the independent / eventually dependent patterns, whose
-    timesteps never interact before the Merge.  Feed it a finished run's
-    ``metrics.timestep_series()`` and ``metrics.merge_wall()``.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    loads = [0.0] * workers
-    for wall in sorted(timestep_walls, reverse=True):
-        loads[loads.index(min(loads))] += wall
-    return max(loads) + merge_wall
+__all__ = ["frontier_matrix", "frontier_totals"]
 
 
 def frontier_matrix(

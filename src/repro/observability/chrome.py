@@ -5,10 +5,14 @@ Trace Event Format, the lingua franca of ``chrome://tracing`` and
 https://ui.perfetto.dev — drag the ``.trace.json`` file onto either and the
 run renders as one track per partition plus a driver track.
 
-Spans become complete events (``"ph": "X"`` with ``ts``/``dur`` in
-microseconds); instant events become ``"ph": "i"`` marks; each logical
+The trace is a rendering of the run's event log (``events.jsonl``) and of
+nothing else, so a log read back from disk — a killed run's too — renders
+the trace the run would have written.  ``span`` records become complete
+events (``"ph": "X"`` with ``ts``/``dur`` in microseconds, starting
+``dur_us`` before the ``ts_us`` the span ended at); ``counters`` records
+are not drawn; every other record becomes a ``"ph": "i"`` mark.  Each
 track gets a ``process_name`` metadata record so Perfetto labels it
-``driver`` / ``partition N`` instead of a bare number.
+``driver`` (track 0) or ``partition N`` (track N + 1).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .events import _plain
-from .tracer import Span
+from .tracer import DRIVER_PID
 
 __all__ = ["TRACE_SCHEMA_VERSION", "chrome_trace", "validate_chrome_trace", "write_chrome_trace"]
 
@@ -28,73 +32,57 @@ TRACE_SCHEMA_VERSION = 1
 #: Keys every trace event must carry (the acceptance contract).
 REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
 
+#: Log-record keys that are not an instant mark's ``args``.
+_ENVELOPE = ("schema", "kind", "ts_us", "pid")
+
 
 def chrome_trace(
-    spans: Iterable[tuple[int, Span]],
-    events: Iterable[Mapping[str, Any]],
-    *,
-    epoch_ns: int,
-    track_labels: Mapping[int, str] | None = None,
-    metadata: Mapping[str, Any] | None = None,
+    records: Iterable[Mapping[str, Any]], metadata: Mapping[str, Any] | None = None
 ) -> dict[str, Any]:
-    """Build the trace-event JSON object for one run.
+    """Build the trace-event JSON object for one run from its event log.
 
-    Parameters
-    ----------
-    spans:
-        ``(pid, Span)`` pairs across all tracks.
-    events:
-        Raw tracer events (carrying ``kind``/``ts_ns``/``pid``).
-    epoch_ns:
-        The run's trace epoch; all timestamps are exported relative to it.
-    track_labels:
-        ``pid -> display name`` (e.g. ``{0: "driver", 1: "partition 0"}``).
-    metadata:
-        Extra keys merged into the top-level ``metadata`` object.
+    ``records`` are normalised log lines (``RunTrace.event_records()`` or
+    a read-back ``events.jsonl``); ``metadata`` is merged into the
+    top-level ``metadata`` object.
     """
     trace_events: list[dict[str, Any]] = []
     pids: set[int] = set()
 
-    for pid, span in spans:
+    for record in records:
+        kind, pid = record["kind"], record["pid"]
+        if kind == "counters":
+            continue
         pids.add(pid)
-        record: dict[str, Any] = {
-            "ph": "X",
-            "name": span.name,
-            "cat": "span",
-            "ts": round((span.ts_ns - epoch_ns) / 1000.0, 3),
-            "dur": round(span.dur_ns / 1000.0, 3),
-            "pid": pid,
-            "tid": 0,
-        }
-        if span.args:
-            record["args"] = _plain(span.args)
-        trace_events.append(record)
-
-    for event in events:
-        pid = int(event["pid"])
-        pids.add(pid)
-        args = {
-            k: _plain(v) for k, v in event.items() if k not in ("kind", "ts_ns", "pid")
-        }
-        trace_events.append(
-            {
-                "ph": "i",
-                "name": event["kind"],
-                "cat": "event",
-                "s": "t",  # thread-scoped instant mark
-                "ts": round((event["ts_ns"] - epoch_ns) / 1000.0, 3),
+        if kind == "span":
+            event: dict[str, Any] = {
+                "ph": "X",
+                "name": record["name"],
+                "cat": "span",
+                "ts": round(record["ts_us"] - record["dur_us"], 3),
+                "dur": record["dur_us"],
                 "pid": pid,
                 "tid": 0,
-                "args": args,
             }
-        )
+            if record["args"]:
+                event["args"] = record["args"]
+        else:
+            event = {
+                "ph": "i",
+                "name": kind,
+                "cat": "event",
+                "s": "t",  # thread-scoped instant mark
+                "ts": record["ts_us"],
+                "pid": pid,
+                "tid": 0,
+                "args": {k: v for k, v in record.items() if k not in _ENVELOPE},
+            }
+        trace_events.append(event)
 
     # Stable per-track ordering: the acceptance contract requires monotone
     # timestamps within each (pid, tid) track, and viewers render faster on
     # sorted input.
     trace_events.sort(key=lambda r: (r["pid"], r["tid"], r["ts"]))
 
-    labels = dict(track_labels or {})
     head: list[dict[str, Any]] = []
     for pid in sorted(pids):
         head.append(
@@ -104,7 +92,7 @@ def chrome_trace(
                 "ts": 0,
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": labels.get(pid, f"track {pid}")},
+                "args": {"name": "driver" if pid == DRIVER_PID else f"partition {pid - 1}"},
             }
         )
         head.append(

@@ -58,7 +58,16 @@ Schema v1 event kinds
                       dropped (``messages`` counted, degraded-run contract)
 ``worker_quarantined``  a partition exhausted its retry budget and was
                       quarantined (``on_exhausted="quarantine"``)
+``span``              one closed span on its track: ``name``, ``dur_us`` and
+                      ``args`` (or null); its ``ts_us`` is its *end*, the
+                      moment it became a fact, so the log stays sorted
+``counters``          one drain's counter sums on its track (``values``:
+                      counter name → amount); a run's counters are their sum
 ====================  =========================================================
+
+``trace.json`` is a rendering of this log
+(:func:`~repro.observability.chrome.chrome_trace`), so a log read back from
+disk renders the same trace.
 
 Unknown kinds are allowed — the schema governs the envelope (``schema``,
 ``kind``, ``ts_us``, ``pid``), not the closed set of kinds.
@@ -80,7 +89,6 @@ __all__ = [
     "normalize_event",
     "read_event_log",
     "tail_event_log",
-    "write_event_log",
 ]
 
 #: Version of the event-record envelope written to events.jsonl.
@@ -107,7 +115,8 @@ def normalize_event(raw: Mapping[str, Any], epoch_ns: int) -> dict[str, Any]:
     """Turn a tracer-recorded event into a schema-stamped JSONL record.
 
     ``ts_ns`` (absolute monotonic) becomes ``ts_us`` relative to the run's
-    trace epoch; every other field is coerced to plain Python.
+    trace epoch, a span's ``dur_ns`` becomes ``dur_us``, and every other
+    field is coerced to plain Python.
     """
     record: dict[str, Any] = {
         "schema": EVENT_SCHEMA_VERSION,
@@ -116,27 +125,17 @@ def normalize_event(raw: Mapping[str, Any], epoch_ns: int) -> dict[str, Any]:
         "pid": int(raw["pid"]),
     }
     for key, value in raw.items():
-        if key not in ("kind", "ts_ns", "pid"):
+        if key == "dur_ns":
+            record["dur_us"] = round(value / 1000.0, 3)
+        elif key not in ("kind", "ts_ns", "pid"):
             record[key] = _plain(value)
     return record
 
 
-def write_event_log(path: str | Path, records: Iterable[Mapping[str, Any]]) -> Path:
-    """Write event records as JSONL (one compact JSON object per line)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    return path
-
-
 class BufferedEventLogWriter:
-    """Streaming JSONL event-log writer with batched, explicit flush points.
+    """The one JSONL event-log writer, with batched, explicit flush points.
 
-    ``write_event_log`` does one ``fh.write`` per record through a line-
-    buffered file — fine post-hoc, too chatty for streaming during a run.
-    This writer accumulates serialized lines in memory and commits each
+    It accumulates serialized lines in memory and commits each
     :meth:`flush` batch with a **single** joined write + flush, so a flush
     point (e.g. a timestep boundary) costs one syscall pair regardless of
     how many events the round produced, and everything written before the
@@ -148,13 +147,9 @@ class BufferedEventLogWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w", buffering=1024 * 1024)
         self._pending: list[str] = []
-        self.records_written = 0
-
-    def write(self, record: Mapping[str, Any]) -> None:
-        """Queue one schema-stamped record (serialized now, written at flush)."""
-        self._pending.append(json.dumps(record, separators=(",", ":")))
 
     def write_many(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Queue schema-stamped records (serialized now, written at flush)."""
         dumps = json.dumps
         self._pending.extend(dumps(r, separators=(",", ":")) for r in records)
 
@@ -162,7 +157,6 @@ class BufferedEventLogWriter:
         """Commit the pending batch: one write, one flush."""
         if self._pending:
             self._fh.write("\n".join(self._pending) + "\n")
-            self.records_written += len(self._pending)
             self._pending.clear()
         self._fh.flush()
 

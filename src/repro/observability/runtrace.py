@@ -3,11 +3,13 @@
 The engine owns one :class:`RunTrace` per traced run: it holds the driver's
 own :class:`~repro.observability.tracer.Tracer`, absorbs the
 :class:`~repro.observability.tracer.TracePacket` objects that hosts attach
-to their protocol replies, merges every track's counters into one
-registry, and renders the run artifacts:
+to their protocol replies into one list of records, and renders the run
+artifacts from that list:
 
-* ``trace.json`` — Chrome trace-event JSON (Perfetto-ready);
-* ``events.jsonl`` — the schema-versioned structured event log;
+* ``events.jsonl`` — the schema-versioned structured event log: every
+  record, spans and counters included;
+* ``trace.json`` — Chrome trace-event JSON (Perfetto-ready), a rendering of
+  the log and nothing else;
 * ``manifest.json`` — provenance + config + counters + schema versions.
 """
 
@@ -16,13 +18,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .chrome import chrome_trace, write_chrome_trace
-from .events import BufferedEventLogWriter, normalize_event, write_event_log
-from .tracer import DRIVER_PID, Span, TracePacket, Tracer, trace_clock_ns
+from .events import BufferedEventLogWriter, normalize_event
+from .tracer import DRIVER_PID, TracePacket, Tracer, trace_clock_ns
 
-__all__ = ["RunTrace", "TraceConfig"]
+__all__ = ["RunTrace", "Span", "TraceConfig"]
+
+
+class Span(NamedTuple):
+    """One completed span on one track, as :attr:`RunTrace.spans` folds it."""
+
+    name: str
+    ts_ns: int  #: start, perf_counter_ns
+    dur_ns: int
+    args: dict[str, Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -44,33 +55,24 @@ class TraceConfig:
 
 
 class RunTrace:
-    """Everything one traced run recorded, across all tracks."""
+    """Everything one traced run recorded, across all tracks, as one list."""
 
     def __init__(self) -> None:
         #: Trace epoch: all exported timestamps are relative to this instant.
         self.epoch_ns: int = trace_clock_ns()
-        self.tracer = Tracer(DRIVER_PID, "driver")
-        #: ``(pid, Span)`` pairs across all tracks, in absorb order.
-        self.spans: list[tuple[int, Span]] = []
-        #: Raw tracer events (still carrying ``ts_ns``), in absorb order.
-        self.events: list[dict[str, Any]] = []
-        #: Merged counter registry across all tracks.
-        self.counters: dict[str, int | float] = {}
-        self.track_labels: dict[int, str] = {DRIVER_PID: "driver"}
+        self.tracer = Tracer(DRIVER_PID)
+        #: Raw records (still carrying ``ts_ns``) across all tracks, in absorb order.
+        self.records: list[dict[str, Any]] = []
         self._stream: BufferedEventLogWriter | None = None
         #: Where the event log was streamed, when it was.
         self.stream_path: Path | None = None
-        self._streamed = 0  #: prefix of ``self.events`` already streamed out
+        self._streamed = 0  #: prefix of ``self.records`` already streamed out
 
     # -- collection --------------------------------------------------------------------
 
     def absorb(self, packet: TracePacket) -> None:
         """Merge one drained packet (host telemetry) into the run."""
-        self.track_labels.setdefault(packet.pid, packet.label)
-        self.spans.extend((packet.pid, span) for span in packet.spans)
-        self.events.extend(packet.events)
-        for name, value in packet.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
+        self.records.extend(packet.records)
 
     def absorb_results(self, results: Iterable[Any]) -> None:
         """Absorb the telemetry riding on a batch of host protocol replies."""
@@ -86,6 +88,32 @@ class RunTrace:
         if packet is not None:
             self.absorb(packet)
 
+    # -- folds -------------------------------------------------------------------------
+
+    @property
+    def spans(self) -> list[tuple[int, Span]]:
+        """``(pid, Span)`` pairs across all tracks, in absorb order."""
+        return [
+            (r["pid"], Span(r["name"], r["ts_ns"] - r["dur_ns"], r["dur_ns"], r["args"]))
+            for r in self.records
+            if r["kind"] == "span"
+        ]
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        """The raw records that are neither spans nor counters, in absorb order."""
+        return [r for r in self.records if r["kind"] not in ("span", "counters")]
+
+    @property
+    def counters(self) -> dict[str, int | float]:
+        """Every track's counters, summed."""
+        totals: dict[str, int | float] = {}
+        for r in self.records:
+            if r["kind"] == "counters":
+                for name, value in r["values"].items():
+                    totals[name] = totals.get(name, 0) + value
+        return totals
+
     # -- streaming ---------------------------------------------------------------------
 
     def open_stream(self, out_dir: str | Path) -> Path:
@@ -95,27 +123,23 @@ class RunTrace:
         return self.stream_path
 
     def stream_flush(self) -> None:
-        """Stream every not-yet-streamed event; commit with one write+flush.
+        """Stream every not-yet-streamed record; commit with one write+flush.
 
         Called at flush points (every round, teardown).  The driver
-        tracer is drained first so its events enter the stream too.  Each
+        tracer is drained first so its records enter the stream too.  Each
         batch is sorted by timestamp before writing; hosts drain at every
-        protocol reply and the driver drains at every flush, so no event
-        recorded before a flush can be absorbed after it — per-batch
-        sorting therefore yields a globally sorted file, matching the
-        post-hoc ``event_records()`` ordering.
+        protocol reply and the driver drains at every flush, and a span is
+        stamped with its end, so no record stamped before a flush can be
+        absorbed after it — per-batch sorting therefore yields a globally
+        sorted file, the same list as :meth:`event_records`.
         """
         if self._stream is None:
             return
         self.finish()
-        batch = self.events[self._streamed :]
-        self._streamed = len(self.events)
+        batch = self.records[self._streamed :]
+        self._streamed = len(self.records)
         if batch:
-            records = sorted(
-                (normalize_event(e, self.epoch_ns) for e in batch),
-                key=lambda r: r["ts_us"],
-            )
-            self._stream.write_many(records)
+            self._stream.write_many(_normalized(batch, self.epoch_ns))
         self._stream.flush()
 
     def close_stream(self) -> None:
@@ -126,52 +150,43 @@ class RunTrace:
         self._stream.close()
         self._stream = None
 
-    def __enter__(self) -> "RunTrace":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close_stream()
-        self.finish()
-
     # -- export ------------------------------------------------------------------------
 
     def event_records(self) -> list[dict[str, Any]]:
-        """Schema-stamped event-log records, sorted by timestamp."""
-        records = [normalize_event(e, self.epoch_ns) for e in self.events]
-        records.sort(key=lambda r: r["ts_us"])
-        return records
-
-    def chrome_trace(self, metadata: Mapping[str, Any] | None = None) -> dict[str, Any]:
-        """The Perfetto-ready trace-event JSON object for this run."""
-        return chrome_trace(
-            self.spans,
-            self.events,
-            epoch_ns=self.epoch_ns,
-            track_labels=self.track_labels,
-            metadata=metadata,
-        )
+        """The run's event log: schema-stamped records, sorted by timestamp."""
+        return _normalized(self.records, self.epoch_ns)
 
     def write(self, out_dir: str | Path, manifest: Mapping[str, Any] | None = None) -> dict[str, Path]:
         """Write the three run artifacts under ``out_dir``.
 
         Returns ``{"trace": ..., "events": ..., "manifest": ...}`` paths.
-        The manifest gets the merged counters appended under ``counters``.
-        A log the run streamed into ``out_dir`` is already complete once
-        its stream is closed, and is left as it is: rewriting it would show
-        a reader tailing it an empty file.
+        The manifest gets the summed counters under ``counters``, and
+        ``trace.json`` is rendered from the event log.  A log the run
+        streamed into ``out_dir`` is already complete once its stream is
+        closed, and is left as it is: rewriting it would show a reader
+        tailing it an empty file.
         """
         self.close_stream()
         self.finish()
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest_payload = dict(manifest or {})
-        manifest_payload.setdefault("counters", dict(self.counters))
+        manifest_payload.setdefault("counters", self.counters)
+        records = self.event_records()
         trace_path = write_chrome_trace(
-            out_dir / "trace.json", self.chrome_trace(metadata={"manifest": "manifest.json"})
+            out_dir / "trace.json", chrome_trace(records, metadata={"manifest": "manifest.json"})
         )
         events_path = out_dir / "events.jsonl"
         if self.stream_path is None or self.stream_path.resolve() != events_path.resolve():
-            write_event_log(events_path, self.event_records())
+            with BufferedEventLogWriter(events_path) as log:
+                log.write_many(records)
         manifest_path = out_dir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest_payload, indent=2, sort_keys=True, default=str))
         return {"trace": trace_path, "events": events_path, "manifest": manifest_path}
+
+
+def _normalized(raw: Iterable[Mapping[str, Any]], epoch_ns: int) -> list[dict[str, Any]]:
+    """Raw records as schema-stamped log lines, sorted by timestamp."""
+    records = [normalize_event(r, epoch_ns) for r in raw]
+    records.sort(key=lambda r: r["ts_us"])
+    return records

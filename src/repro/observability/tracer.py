@@ -1,4 +1,4 @@
-"""Span tracer: monotonic-clock spans, instant events, and counters.
+"""Span tracer: one list of records per track — spans, instant events, counters.
 
 One :class:`Tracer` per execution track — the driver gets one, every host
 (= partition) gets one, whether it lives in the driver process, on a pool
@@ -11,6 +11,13 @@ Timestamps come from :func:`time.perf_counter_ns`, which reads
 ``CLOCK_MONOTONIC`` — a single system-wide timebase shared by threads *and*
 forked worker processes, so tracks recorded in different processes line up
 on one timeline without any clock translation.
+
+Everything a tracer records is a record in one list, in the shape of an
+event-log line before normalisation (``kind``, absolute ``ts_ns``,
+``pid``): a span is recorded when it closes, stamped with its end, and a
+drain turns the summed counters into one ``counters`` record.  The run's
+log, its Perfetto trace and its counter totals are all folds over these
+records (:mod:`~repro.observability.runtrace`).
 
 On a host the disabled path is the **absence of a tracer** (``tracer is
 None``), not a null object: instrumented hot paths guard with one identity
@@ -25,14 +32,13 @@ when none is.
 from __future__ import annotations
 
 import time
-from typing import Any, NamedTuple
+from typing import Any
 
 from .._value import Value
 
 __all__ = [
     "DRIVER_PID",
     "NULL_SPAN",
-    "Span",
     "TracePacket",
     "Tracer",
     "partition_pid",
@@ -66,23 +72,8 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Span(NamedTuple):
-    """One completed span on one track (Chrome trace "X" event).
-
-    A NamedTuple rather than a dataclass: spans are constructed on the
-    superstep hot path (every compute/send_flush), and tuple construction
-    is measurably cheaper than frozen-dataclass ``__init__``; they also
-    pickle smaller inside :class:`TracePacket` protocol replies.
-    """
-
-    name: str
-    ts_ns: int  #: start, perf_counter_ns
-    dur_ns: int
-    args: dict[str, Any] | None = None
-
-
 class _SpanHandle:
-    """Context manager recording one span into its tracer on exit."""
+    """Context manager appending one ``span`` record to its tracer on exit."""
 
     __slots__ = ("_tracer", "_name", "_args", "_start_ns")
 
@@ -97,48 +88,42 @@ class _SpanHandle:
 
     def __exit__(self, *exc: object) -> bool:
         end = trace_clock_ns()
-        self._tracer.spans.append(
-            Span(self._name, self._start_ns, end - self._start_ns, self._args)
-        )
+        tracer = self._tracer
+        tracer.records.append({
+            "kind": "span", "ts_ns": end, "pid": tracer.pid, "name": self._name,
+            "dur_ns": end - self._start_ns, "args": self._args,
+        })
         return False
 
 
 class TracePacket(Value):
-    """One drain's worth of telemetry, marshalled from a host to the driver.
+    """One drain's worth of records, marshalled from a host to the driver.
 
-    Picklable by construction (strings, ints, dicts, :class:`Span` tuples),
-    so it rides in a protocol reply across the process cluster's sockets
+    Picklable by construction (plain dicts of strings and numbers), so it
+    rides in a protocol reply across the process cluster's sockets
     unchanged.
     """
 
-    __slots__ = ("pid", "label", "spans", "events", "counters")
+    __slots__ = ("pid", "records")
 
-    def __init__(
-        self, pid: int, label: str, spans: list[Span] | None = None,
-        events: list[dict[str, Any]] | None = None,
-        counters: dict[str, int | float] | None = None,
-    ) -> None:
-        self.pid, self.label = pid, label
-        self.spans = [] if spans is None else spans
-        self.events = [] if events is None else events
-        self.counters = {} if counters is None else counters
+    def __init__(self, pid: int, records: list[dict[str, Any]]) -> None:
+        self.pid, self.records = pid, records
 
 
 class Tracer:
     """Records spans, instant events, and counters for one track.
 
     Not thread-safe by design: each concurrent execution context (driver,
-    host) owns its own tracer, and the driver merges drained packets under
-    its own lock (see :class:`~repro.observability.runtrace.RunTrace`).
+    host) owns its own tracer, and the driver absorbs drained packets as
+    each round lands (see :class:`~repro.observability.runtrace.RunTrace`).
     """
 
-    __slots__ = ("pid", "label", "spans", "events", "counters")
+    __slots__ = ("pid", "records", "counters")
 
-    def __init__(self, pid: int = DRIVER_PID, label: str = "driver") -> None:
+    def __init__(self, pid: int = DRIVER_PID) -> None:
         self.pid = int(pid)
-        self.label = label
-        self.spans: list[Span] = []
-        self.events: list[dict[str, Any]] = []
+        self.records: list[dict[str, Any]] = []
+        #: Counter sums since the last drain, which records them as one line.
         self.counters: dict[str, int | float] = {}
 
     def span(self, name: str, **args: Any) -> _SpanHandle:
@@ -150,16 +135,19 @@ class Tracer:
         fields["kind"] = kind
         fields["ts_ns"] = trace_clock_ns()
         fields["pid"] = self.pid
-        self.events.append(fields)
+        self.records.append(fields)
 
     def count(self, name: str, value: int | float = 1) -> None:
-        """Bump a named counter (merged across tracks at absorb time)."""
+        """Bump a named counter (recorded as one ``counters`` record at drain)."""
         self.counters[name] = self.counters.get(name, 0) + value
 
     def drain(self) -> TracePacket | None:
         """Detach everything recorded so far as a packet (None when empty)."""
-        if not (self.spans or self.events or self.counters):
+        if self.counters:
+            self.event("counters", values=self.counters)
+            self.counters = {}
+        if not self.records:
             return None
-        packet = TracePacket(self.pid, self.label, self.spans, self.events, self.counters)
-        self.spans, self.events, self.counters = [], [], {}
+        packet = TracePacket(self.pid, self.records)
+        self.records = []
         return packet

@@ -612,7 +612,6 @@ class HostSpec(Value):
         self, partition: Partition, source: InstanceSource, sg_part: np.ndarray
     ) -> ComputeHost:
         """Construct ``partition``'s host over ``source``, routing by ``sg_part``."""
-        pid = partition.partition_id
         return ComputeHost(
             partition,
             self.computation,
@@ -620,5 +619,5 @@ class HostSpec(Value):
             source,
             sg_part,
             self.cost_model,
-            tracer=Tracer(partition_pid(pid), f"partition {pid}") if self.tracing else None,
+            tracer=Tracer(partition_pid(partition.partition_id)) if self.tracing else None,
         )

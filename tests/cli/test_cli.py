@@ -469,7 +469,7 @@ class TestTraceSubcommand:
     def test_trace_writes_three_artifacts(self, tmp_path, capsys):
         """Beside the event log it streamed, a recorded run writes the
         Perfetto trace, its manifest and its critical-path report."""
-        from repro.observability import read_event_log, validate_chrome_trace
+        from repro.observability import chrome_trace, read_event_log, validate_chrome_trace
 
         out = tmp_path / "rec"
         assert main(self.RUN + ["--stream", str(out)]) == 0
@@ -482,6 +482,7 @@ class TestTraceSubcommand:
         assert validate_chrome_trace(trace) == []
         events = read_event_log(out / "events.jsonl")
         assert events and all("kind" in e and "ts_us" in e for e in events)
+        assert chrome_trace(events, {"manifest": "manifest.json"}) == trace
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["algorithm"] == "tdsp" and manifest["partitions"] == 3
         assert manifest["schema_version"] == 1
@@ -504,7 +505,7 @@ class TestTraceSubcommand:
         """Valid trace, a track per partition plus the driver, and a streamed
         log that folds to the manifest's summary — on every executor
         (``serial`` when none is named)."""
-        from repro.observability import read_event_log
+        from repro.observability import chrome_trace, read_event_log
         from repro.runtime.metrics import MetricsCollector
 
         out = tmp_path / "t"
@@ -513,11 +514,11 @@ class TestTraceSubcommand:
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["executor"] == (executor or "serial")
-        spans = json.loads((out / "trace.json").read_text())["traceEvents"]
-        assert {e["pid"] for e in spans if e["ph"] == "X"} == {0, 1, 2, 3}
-        folded = MetricsCollector.from_events(
-            read_event_log(out / "events.jsonl"), 3, barrier_s=manifest["barrier_s"]
-        )
+        trace = json.loads((out / "trace.json").read_text())
+        assert {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"} == {0, 1, 2, 3}
+        log = read_event_log(out / "events.jsonl")
+        assert chrome_trace(log, {"manifest": "manifest.json"}) == trace
+        folded = MetricsCollector.from_events(log, 3, barrier_s=manifest["barrier_s"])
         assert folded.summary() == manifest["metrics"]
 
     def test_an_invalid_trace_fails_the_run(self, tmp_path, capsys, monkeypatch):
@@ -558,7 +559,7 @@ class TestLiveCLI:
     def test_run_with_stream(self, tmp_path, capsys):
         import json
 
-        from repro.observability import read_event_log
+        from repro.observability import chrome_trace, read_event_log
         from repro.runtime.metrics import MetricsCollector
 
         out, summary = tmp_path / "watch", tmp_path / "run.json"
@@ -570,6 +571,11 @@ class TestLiveCLI:
         assert f"watch with 'tibsp top {out}'" in capsys.readouterr().out
         log = read_event_log(out / "events.jsonl")
         assert log[0]["kind"] == "run_begin" and log[-1]["kind"] == "run_end"
+        # spans ride in the log, stamped with their end, and it stays sorted
+        assert any(e["kind"] == "span" for e in log)
+        assert [e["ts_us"] for e in log] == sorted(e["ts_us"] for e in log)
+        trace = json.loads((out / "trace.json").read_text())
+        assert chrome_trace(log, {"manifest": "manifest.json"}) == trace
         folded = MetricsCollector.from_events(log, 3, barrier_s=log[0]["barrier_s"])
         assert folded.summary() == json.loads(summary.read_text())["metrics"]
 
@@ -607,15 +613,16 @@ class TestRecordedFailures:
     BASE = ["run", "tdsp", "--scale", "300", "--instances", "6", "--partitions", "3"]
 
     def _recorded(self, tmp_path, argv, code=0):
-        from repro.observability import read_event_log
+        from repro.observability import chrome_trace, read_event_log
         from repro.runtime.metrics import MetricsCollector
 
         out, export = tmp_path / "rec", tmp_path / "run.json"
         assert main(self.BASE + argv + ["--stream", str(out), "--export", str(export)]) == code
         manifest = json.loads((out / "manifest.json").read_text())
-        folded = MetricsCollector.from_events(
-            read_event_log(out / "events.jsonl"), 3, barrier_s=manifest["barrier_s"]
-        )
+        log = read_event_log(out / "events.jsonl")
+        trace = json.loads((out / "trace.json").read_text())
+        assert chrome_trace(log, {"manifest": "manifest.json"}) == trace
+        folded = MetricsCollector.from_events(log, 3, barrier_s=manifest["barrier_s"])
         payload = json.loads(export.read_text())
         records = {"failure_log": folded.failures, "recovery_actions": folded.repairs}
         for key, folded_records in records.items():

@@ -1,9 +1,8 @@
-"""Robustness tests: error propagation, makespan scheduling, edge cases."""
+"""Robustness tests: error propagation, edge cases."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import pipelined_makespan
 from repro.core import EngineConfig, Pattern, TimeSeriesComputation, run_application
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
@@ -115,37 +114,6 @@ class TestErrorPropagation:
         with pytest.raises(RuntimeError, match="late"):
             run_application(LateBoom(), pg, coll)
         assert max(seen) == 2  # timesteps 0 and 1 completed first
-
-
-class TestPipelinedMakespan:
-    def test_single_worker_is_sum(self):
-        assert pipelined_makespan([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)
-
-    def test_perfect_split(self):
-        assert pipelined_makespan([1.0, 1.0, 1.0, 1.0], 2) == pytest.approx(2.0)
-
-    def test_lpt_handles_skew(self):
-        # One big timestep dominates: makespan = the big one.
-        assert pipelined_makespan([10.0, 1.0, 1.0, 1.0], 4) == pytest.approx(10.0)
-        assert pipelined_makespan([10.0, 1.0, 1.0, 1.0], 2) == pytest.approx(10.0)
-
-    def test_merge_added(self):
-        assert pipelined_makespan([2.0, 2.0], 2, merge_wall=1.0) == pytest.approx(3.0)
-
-    def test_empty_walls(self):
-        assert pipelined_makespan([], 3, merge_wall=0.5) == pytest.approx(0.5)
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            pipelined_makespan([1.0], 0)
-
-    def test_never_below_max_wall_or_mean_load(self):
-        rng = np.random.default_rng(0)
-        walls = rng.uniform(0.1, 5.0, 20).tolist()
-        for w in (1, 2, 3, 7):
-            m = pipelined_makespan(walls, w)
-            assert m >= max(walls) - 1e-12
-            assert m >= sum(walls) / w - 1e-12
 
 
 class TestEdgeCases:

@@ -1,5 +1,6 @@
 """Integration: traced engine runs across executors and storage."""
 
+import json
 import pickle
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.algorithms import MemeTrackingComputation, TDSPComputation
 from repro.core import EngineConfig, run_application
 from repro.generators import road_latency_collection, tweet_collection
-from repro.observability import TraceConfig, read_event_log, validate_chrome_trace
+from repro.observability import TraceConfig, chrome_trace, read_event_log, validate_chrome_trace
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime.gc_model import GCModel
 from repro.storage import GoFS
@@ -55,14 +56,17 @@ class TestTracedRun:
         assert {k: a[k] for k in deterministic} == {k: b[k] for k in deterministic}
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_trace_validates_and_replays(self, road_case, executor):
+    def test_trace_validates_and_replays(self, road_case, executor, tmp_path):
         _tpl, coll, pg = road_case
         res = run_application(
             TDSPComputation(0), pg, coll,
             config=EngineConfig(executor=executor, tracing=True),
         )
-        assert res.trace is not None
-        assert validate_chrome_trace(res.trace.chrome_trace()) == []
+        paths = res.trace.write(tmp_path)
+        trace = json.loads(paths["trace"].read_text())
+        assert validate_chrome_trace(trace) == []
+        # trace.json is a rendering of events.jsonl, and of nothing else
+        assert chrome_trace(read_event_log(paths["events"]), {"manifest": "manifest.json"}) == trace
         assert_one_record_stream(res)
         # one track per partition plus the driver
         pids = {pid for pid, _ in res.trace.spans}
@@ -151,7 +155,7 @@ class TestProcessClusterTracing:
             config=EngineConfig(executor="process", tracing=True),
             sources=GoFS.partition_views(root),
         )
-        assert validate_chrome_trace(res.trace.chrome_trace()) == []
+        assert validate_chrome_trace(chrome_trace(res.trace.event_records())) == []
         assert_one_record_stream(res)
         pids = {pid for pid, _ in res.trace.spans}
         assert {1, 2, 3} <= pids, "worker spans did not make it back to the driver"

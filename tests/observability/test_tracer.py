@@ -12,6 +12,7 @@ from repro.observability import (
     DRIVER_PID,
     EVENT_SCHEMA_VERSION,
     NULL_SPAN,
+    BufferedEventLogWriter,
     TracePacket,
     Tracer,
     chrome_trace,
@@ -19,39 +20,37 @@ from repro.observability import (
     read_event_log,
     run_provenance,
     validate_chrome_trace,
-    write_event_log,
 )
 from repro.observability.events import normalize_event
 from repro.observability.runtrace import RunTrace, TraceConfig
-from repro.observability.tracer import Span
 from repro.partition import HashPartitioner, partition_graph
 from tests.conftest import make_grid_template
 
 
 class TestTracer:
     def test_span_records_name_args_and_duration(self):
-        tr = Tracer(3, "partition 2")
+        tr = Tracer(3)
         with tr.span("superstep", t=1, s=0):
             pass
-        (span,) = tr.spans
-        assert span.name == "superstep"
-        assert span.args == {"t": 1, "s": 0}
-        assert span.dur_ns >= 0
+        (span,) = tr.records
+        assert span["kind"] == "span" and span["pid"] == 3 and span["name"] == "superstep"
+        assert span["args"] == {"t": 1, "s": 0}
+        assert span["dur_ns"] >= 0
 
     def test_spans_nest_by_containment(self):
         tr = Tracer()
         with tr.span("outer"):
             with tr.span("inner"):
                 pass
-        inner, outer = tr.spans  # inner closes first
-        assert inner.name == "inner" and outer.name == "outer"
-        assert outer.ts_ns <= inner.ts_ns
-        assert outer.ts_ns + outer.dur_ns >= inner.ts_ns + inner.dur_ns
+        inner, outer = tr.records  # inner closes first, and is stamped with its end
+        assert inner["name"] == "inner" and outer["name"] == "outer"
+        assert outer["ts_ns"] - outer["dur_ns"] <= inner["ts_ns"] - inner["dur_ns"]
+        assert outer["ts_ns"] >= inner["ts_ns"]
 
     def test_event_stamps_kind_ts_pid(self):
-        tr = Tracer(5, "partition 4")
+        tr = Tracer(5)
         tr.event("sends", local=3, remote=7)
-        (e,) = tr.events
+        (e,) = tr.records
         assert e["kind"] == "sends" and e["pid"] == 5
         assert e["local"] == 3 and e["remote"] == 7
         assert isinstance(e["ts_ns"], int)
@@ -64,14 +63,15 @@ class TestTracer:
         assert tr.counters == {"messages.local": 5, "bytes": 2.5}
 
     def test_drain_detaches_and_resets(self):
-        tr = Tracer(2, "partition 1")
+        tr = Tracer(2)
         with tr.span("load"):
             pass
         tr.count("x")
         packet = tr.drain()
         assert isinstance(packet, TracePacket)
-        assert packet.pid == 2 and len(packet.spans) == 1
-        assert tr.spans == [] and tr.events == [] and tr.counters == {}
+        assert packet.pid == 2 and [r["kind"] for r in packet.records] == ["span", "counters"]
+        assert packet.records[1]["values"] == {"x": 1}
+        assert tr.records == [] and tr.counters == {}
         assert tr.drain() is None  # empty tracer drains to None
 
     def test_null_span_is_reusable(self):
@@ -119,13 +119,17 @@ class TestEventLog:
         assert rec["ts_us"] == 2000.0
         assert rec["local"] == 3 and isinstance(rec["local"], int)
         assert "ts_ns" not in rec
+        span = {"kind": "span", "ts_ns": 2_500_000, "pid": 1, "dur_ns": 1_500, "args": None}
+        assert normalize_event(span, epoch_ns=500_000)["dur_us"] == 1.5
 
     def test_roundtrip_jsonl(self, tmp_path):
         records = [
             {"schema": 1, "kind": "step", "ts_us": 1.0, "pid": 0, "compute_s": 0.25},
             {"schema": 1, "kind": "barrier", "ts_us": 2.5, "pid": 0},
         ]
-        path = write_event_log(tmp_path / "events.jsonl", records)
+        path = tmp_path / "events.jsonl"
+        with BufferedEventLogWriter(path) as log:
+            log.write_many(records)
         assert read_event_log(path) == records
         # one compact object per line
         lines = path.read_text().strip().splitlines()
@@ -135,14 +139,15 @@ class TestEventLog:
 
 class TestChromeTrace:
     def _trace(self):
-        spans = [
-            (0, Span("timestep", 1_000_000, 500_000, {"t": 0})),
-            (1, Span("compute", 1_100_000, 100_000, None)),
+        raw = [
+            {"kind": "span", "ts_ns": 1_500_000, "pid": 0, "name": "timestep",
+             "dur_ns": 500_000, "args": {"t": 0}},
+            {"kind": "span", "ts_ns": 1_200_000, "pid": 1, "name": "compute",
+             "dur_ns": 100_000, "args": None},
+            {"kind": "sends", "ts_ns": 1_200_000, "pid": 1, "local": 2},
+            {"kind": "counters", "ts_ns": 1_200_000, "pid": 1, "values": {"x": 1}},
         ]
-        events = [{"kind": "sends", "ts_ns": 1_200_000, "pid": 1, "local": 2}]
-        return chrome_trace(
-            spans, events, epoch_ns=1_000_000, track_labels={0: "driver", 1: "partition 0"}
-        )
+        return chrome_trace([normalize_event(r, 1_000_000) for r in raw])
 
     def test_required_keys_and_metadata_tracks(self):
         trace = self._trace()
@@ -155,6 +160,8 @@ class TestChromeTrace:
             if e["ph"] == "M" and e["name"] == "process_name"
         }
         assert labels == {0: "driver", 1: "partition 0"}
+        assert {e["name"] for e in trace["traceEvents"]} >= {"sends", "compute"}
+        assert "counters" not in {e["name"] for e in trace["traceEvents"]}
 
     def test_span_becomes_complete_event_in_microseconds(self):
         trace = self._trace()
@@ -181,7 +188,7 @@ class TestChromeTrace:
 class TestRunTrace:
     def test_absorb_merges_tracks_and_counters(self):
         rt = RunTrace()
-        a, b = Tracer(1, "partition 0"), Tracer(2, "partition 1")
+        a, b = Tracer(1), Tracer(2)
         with a.span("compute"):
             pass
         a.count("messages.remote", 3)
@@ -190,7 +197,6 @@ class TestRunTrace:
         rt.absorb(a.drain())
         rt.absorb(b.drain())
         assert rt.counters == {"messages.remote": 7}
-        assert rt.track_labels[1] == "partition 0"
         assert {pid for pid, _ in rt.spans} == {1}
         assert len(rt.events) == 1
 
@@ -209,8 +215,10 @@ class TestRunTrace:
         assert "counters" in manifest and "created_utc" in manifest
         trace = json.loads(paths["trace"].read_text())
         assert validate_chrome_trace(trace) == []
-        (rec,) = read_event_log(paths["events"])
-        assert rec["kind"] == "barrier" and rec["schema"] == EVENT_SCHEMA_VERSION
+        barrier, span = read_event_log(paths["events"])
+        assert barrier["kind"] == "barrier" and barrier["schema"] == EVENT_SCHEMA_VERSION
+        assert span["kind"] == "span" and span["name"] == "timestep"
+        assert trace == chrome_trace(read_event_log(paths["events"]), {"manifest": "manifest.json"})
 
 
 class TestProvenance:

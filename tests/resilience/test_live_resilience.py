@@ -1,11 +1,15 @@
 """The streamed event log and its reader under faults, GoFS reads, and rollback."""
 
 import json
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.core import EngineConfig, run_application
-from repro.observability import TraceConfig, read_event_log, top
+from repro.observability import TraceConfig, chrome_trace, read_event_log, top, validate_chrome_trace
 from repro.observability.top import RunFold, render_top
 from repro.resilience import (
     CheckpointConfig,
@@ -208,3 +212,25 @@ class TestStreamedEventLog:
         kinds = {e["kind"] for e in events}
         assert "step" in kinds and "failure" in kinds
         assert {e["timestep"] for e in events if e["kind"] == "step"} >= {0, 1}
+
+    def test_a_killed_run_renders_its_trace(self, tmp_path):
+        """SIGKILLed mid-run, a streamed log renders a valid trace holding
+        every span it flushed, and compute on every partition."""
+        log = tmp_path / "events.jsonl"
+        argv = ["run", "meme", "--scale", "300", "--instances", "1000", "--partitions", "3",
+                "--stream", str(tmp_path)]
+        run = subprocess.Popen([sys.executable, "-m", "repro.cli", *argv], stdout=subprocess.DEVNULL)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and not (log.exists() and any(
+            e["kind"] == "step" and e["timestep"] == 3 for e in read_event_log(log)
+        )):
+            time.sleep(0.005)
+        run.send_signal(signal.SIGKILL)
+        assert run.wait(timeout=10) == -signal.SIGKILL
+        records = read_event_log(log)
+        assert records[-1]["kind"] != "run_end"
+        trace = chrome_trace(records)
+        assert validate_chrome_trace(trace) == []
+        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert len(spans) == sum(r["kind"] == "span" for r in records)
+        assert {e["pid"] for e in spans if e["name"] == "compute"} == {1, 2, 3}

@@ -1140,7 +1140,7 @@ class TestReadOnFirstUse:
         first = view.instance(4)
         read(view.instance(6))
         assert [t for t, _s in view.load_events] == [6]
-        loads = [e for e in view.tracer.events if e["kind"] == "slice_load"]
+        loads = [e for e in view.tracer.records if e["kind"] == "slice_load"]
         assert [(e["timestep"], e["pack"]) for e in loads] == [(6, 1)]
         assert view.tracer.counters["gofs.packs_loaded"] == 1
         assert view.drain_load() == view.load_events[0][1]

@@ -154,6 +154,11 @@ DELETED = [
      r"|TrafficPopulator|exists_mask|vertex_attribute|materialized_names|\bpack_arrays"
      r"|def partition_view\(|def std\(|def edge\(|_LATEST|backoff_factor",
      EVERYWHERE, None),
+    # A trace is a fold over the log: one writer, no track labels beside the
+    # pid, and no modelled temporal makespan.
+    ("a-trace-is-a-fold-over-the-log",
+     r"pipelined_makespan|write_event_log|track_labels|packet\.label", EVERYWHERE, None),
+    ("a-trace-is-a-fold-over-the-log-no-label", r"\.label\b", ("src/repro/observability/",), None),
 ]
 
 
@@ -170,6 +175,7 @@ DELETED_FILES = [
      ("src/repro/generators/cache.py", "tests/generators/test_dataset_cache.py")),
     ("one-way-to-make-a-collection",
      ("src/repro/graph/validation.py", "tests/graph/test_validation.py")),
+    ("a-trace-is-a-fold-over-the-log", ("benchmarks/bench_ablation_temporal_parallel.py",)),
 ]
 
 
