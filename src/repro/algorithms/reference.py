@@ -92,10 +92,13 @@ def time_expanded_dijkstra(
 
 
 def _ragged_rows(column) -> list:
-    """A ragged column's rows as Python sequences, ``values[offsets[v]:offsets[v+1]]``
-    one vertex at a time — the oracles' own walk, not the kernels'."""
-    offsets, values = column.offsets.tolist(), column.values.tolist()
-    return [values[a:b] if a != b else () for a, b in zip(offsets, offsets[1:])]
+    """A ragged column's rows as Python sequences, each ``(owner, value)``
+    pair appended to its owner's row one at a time — the oracles' own walk,
+    not the kernels'.  Empty rows share one empty tuple."""
+    rows: list = [()] * column.n
+    for owner, value in zip(column.owners.tolist(), column.values.tolist()):
+        rows[owner] = [*rows[owner], value]
+    return rows
 
 
 def temporal_meme_bfs(

@@ -29,11 +29,11 @@ inside a timestep is repaired by journal replay from it.  When a
 *recoverable* failure surfaces — a dead worker process, a wedged gather, a
 corrupt reply, an injected fault — there is one way to recover, and
 every run has it.  A :class:`~repro.resilience.supervisor.HostSupervisor`
-issues every driver→worker exchange, journals the protocol rounds in its
-:class:`~repro.resilience.journal.FrameJournal`, and decides alone what a
-failed exchange earns: a live agent that timed out or sent a garbled reply
-is resent its command once (its reply cache answers: a ``protocol_retry``);
-any other failure, or a resend that failed too, is repaired in place:
+issues every driver→worker exchange, journals the protocol rounds, and
+decides alone what a failed exchange earns: a live agent that timed out or
+sent a garbled reply is resent its command once (its reply cache answers: a
+``protocol_retry``); any other failure, or a resend that failed too, is
+repaired in place:
 respawn only its worker at a higher incarnation, restore only its
 partition from the checkpoint this run last wrote or resumed from (or
 genesis-fresh state), silently replay its journaled rounds, and re-issue
@@ -64,13 +64,12 @@ from .._value import Value
 from ..graph.collection import TimeSeriesGraphCollection
 from ..observability.recorder import RunRecorder
 from ..partition.base import PartitionedGraph
-from ..resilience.journal import AT_EOT
 from ..resilience.recovery import RecoveryPolicy, RunFailure, RunFailureError
 from ..resilience.supervisor import HostSupervisor, RecoveryExhausted
 from ..runtime.cluster import Cluster
 from ..runtime.cost import CostModel
 from ..runtime.gc_model import GCModel
-from ..runtime.host import CollectionInstanceSource, HostStepResult, InstanceSource, RunMeta
+from ..runtime.host import AT_EOT, CollectionInstanceSource, HostStepResult, InstanceSource, RunMeta
 from ..runtime.metrics import (
     PHASE_COMPUTE,
     PHASE_MERGE,

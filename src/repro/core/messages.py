@@ -123,8 +123,8 @@ class MessageFrame:
 
     Frames are treated as immutable once packed: ``deliver_into`` only
     reads, and nothing in the engine rewrites ``destinations``/``messages``
-    afterward.  The surgical-recovery
-    :class:`~repro.resilience.journal.FrameJournal` depends on this — it
+    afterward.  The surgical-recovery journal
+    (:attr:`~repro.resilience.supervisor.HostSupervisor.rounds`) depends on this — it
     holds *references* to delivered frames and redelivers the same objects
     on replay, so computations must treat message payloads as read-only
     (every repro workload does).

@@ -12,7 +12,6 @@ import numpy as np
 
 from ..graph.attributes import Ragged
 from ..graph.instance import GraphInstance
-from ..kernels.csr import slot_sources
 
 __all__ = ["BackgroundHashtagPopulator"]
 
@@ -55,7 +54,7 @@ class BackgroundHashtagPopulator:
         # replacement, like the per-vertex draws), each row's after its memes.
         chatty_counts = counts[chatty]
         draws = self.hashtags[rng.integers(len(self.hashtags), size=int(chatty_counts.sum()))]
-        owners = np.concatenate([slot_sources(tweets.offsets), chatty.repeat(chatty_counts)])
+        owners = np.concatenate([tweets.owners, chatty.repeat(chatty_counts)])
         instance.vertex_values.set_column(
             self.attr, Ragged.group(owners, np.concatenate([tweets.values, draws]), n)
         )

@@ -9,8 +9,8 @@ read whole columns (e.g. the ``latency`` column for all edges) instead of
 per-object field accesses.
 
 A set- or list-valued attribute (the tweet hashtags of meme tracking) is
-``"ragged"``: its column is one :class:`Ragged` value, two int64 arrays —
-row ``i`` holds ``values[offsets[i]:offsets[i + 1]]`` — which every layer,
+``"ragged"``: its column is one :class:`Ragged` value, a row count and two
+int64 arrays — each value and the row that owns it — which every layer,
 from the generators through the GoFS store to the kernels, carries as is.
 Strings and other Python objects are not attribute values.
 """
@@ -22,52 +22,75 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .._value import Value
-from ..kernels.csr import gather_ranges
 
 __all__ = ["AttributeSpec", "AttributeSchema", "AttributeTable", "Ragged"]
 
 
 class Ragged(NamedTuple):
-    """A ragged column: row ``i`` holds ``values[offsets[i]:offsets[i + 1]]``,
-    both int64.  A whole column's offsets run from 0 to ``len(values)``; a GoFS
-    pack's row shares the pack's ``values`` and starts where the previous
-    timestep's row ended."""
+    """A ragged column of ``n`` rows: ``owners`` holds one sorted int64 row id
+    per value, and row ``i`` is ``values[owners == i]`` in stored order.  An
+    empty row stores nothing, so no array is sized by the row count."""
 
-    offsets: np.ndarray
+    n: int
+    owners: np.ndarray
     values: np.ndarray
 
     @classmethod
     def group(cls, owners: np.ndarray, values: np.ndarray, n: int) -> "Ragged":
         """``n`` rows, row ``v`` holding the ``values`` owned by ``v`` in their order."""
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.bincount(owners, minlength=n).cumsum(out=offsets[1:])
-        return cls(offsets, np.asarray(values, dtype=np.int64)[owners.argsort(kind="stable")])
+        owners = np.asarray(owners, dtype=np.int64)
+        order = owners.argsort(kind="stable")
+        return cls(n, owners[order], np.asarray(values, dtype=np.int64)[order])
 
     dtype = property(lambda self: self.values.dtype)
-    nbytes = property(lambda self: self.offsets.nbytes + self.values.nbytes)
+    nbytes = property(lambda self: self.owners.nbytes + self.values.nbytes)
+
+    def rows(self, lo: int, hi: int) -> "Ragged":
+        """Rows ``lo`` to ``hi - 1`` as a zero-based column: one binary search."""
+        a, b = self.owners.searchsorted((lo, hi))
+        return Ragged(hi - lo, self.owners[a:b] - lo, self.values[a:b])
 
     def row(self, i: int) -> np.ndarray:
-        return self.values[self.offsets[i] : self.offsets[i + 1]]
+        return self.rows(i, i + 1).values
 
     def take(self, rows: np.ndarray) -> "Ragged":
         """The given integer rows, in order, as a new zero-based column."""
         rows = np.asarray(rows, dtype=np.int64)
-        offsets = np.zeros(rows.size + 1, dtype=np.int64)
-        (self.offsets[rows + 1] - self.offsets[rows]).cumsum(out=offsets[1:])
-        return Ragged(offsets, self.values[gather_ranges(self.offsets, rows)[0]])
+        at = np.full(self.n, -1, dtype=np.int64)  # row -> one position asking for it
+        at[rows] = np.arange(rows.size)
+        owners = at[self.owners]
+        kept = owners >= 0
+        owners, values = owners[kept], self.values[kept]
+        if np.count_nonzero(at >= 0) < rows.size:  # a row asked for twice: the others again
+            again = (at[rows] != np.arange(rows.size)).nonzero()[0]
+            more = self.take(rows[again])
+            owners = np.concatenate([owners, again[more.owners]])
+            values = np.concatenate([values, more.values])
+        return Ragged.group(owners, values, rows.size)
 
     def copy(self) -> "Ragged":
-        return Ragged(self.offsets.copy(), self.values.copy())
+        return Ragged(self.n, self.owners.copy(), self.values.copy())
 
     def equals(self, other: "Ragged") -> bool:
-        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.values, other.values)
+        return (
+            self.n == other.n
+            and np.array_equal(self.owners, other.owners)
+            and np.array_equal(self.values, other.values)
+        )
 
 
-def check_ragged(offsets: np.ndarray, values: np.ndarray, what: str = "ragged offsets") -> None:
-    """``ValueError`` unless ``offsets`` start at 0, never decrease and end at
-    ``len(values)``: what lets a kernel read every row without an ``IndexError``."""
-    if not (offsets[0] == 0 and offsets[-1] == values.size and (offsets[1:] >= offsets[:-1]).all()):
-        raise ValueError(f"{what} must start at 0, never decrease and end at {values.size}")
+def check_ragged(owners: np.ndarray, values: np.ndarray, n: int, what: str = "ragged owners") -> None:
+    """``ValueError`` unless ``owners`` never decrease, lie in ``[0, n)`` and
+    pair one to one with ``values``: what lets a kernel read every row
+    without an ``IndexError``."""
+    if not (
+        owners.size == values.size
+        and (not owners.size or 0 <= owners[0] and owners[-1] < n)
+        and (owners[1:] >= owners[:-1]).all()
+    ):
+        raise ValueError(
+            f"{what} must never decrease, lie in [0, {n}) and number {values.size}, one per value"
+        )
 
 
 #: Shorthand names accepted by :class:`AttributeSpec` for common dtypes.
@@ -89,7 +112,7 @@ def _resolve_dtype(name: str, dtype: Any) -> np.dtype:
     if resolved.kind in "OSU":
         raise ValueError(
             f"attribute {name!r}: {dtype!r} values are not stored; a set- or list-valued "
-            'attribute is "ragged" (int64 offsets and values)'
+            'attribute is "ragged" (int64 owners and values)'
         )
     return resolved
 
@@ -134,7 +157,7 @@ class AttributeSpec(Value):
     def allocate(self, n: int) -> np.ndarray | Ragged:
         """Allocate a fresh column of length ``n`` filled with the default."""
         if self.ragged:
-            return Ragged(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+            return Ragged(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         col = np.empty(n, dtype=self.dtype)
         col.fill(self.fill_value())
         return col
@@ -342,10 +365,10 @@ class AttributeTable:
 
 def _checked_ragged(name: str, column: Ragged, n: int) -> Ragged:
     """A copy of ``column`` as int64 arrays, if it is ``n`` rows of integers."""
-    offsets, values = (np.asarray(a) for a in (column if isinstance(column, Ragged) else ([], [])))
-    if offsets.shape != (n + 1,) or values.ndim != 1 or {offsets.dtype.kind, values.dtype.kind} - {"i", "u"}:
-        raise ValueError(
-            f"ragged column {name!r} must be a Ragged of {n + 1} integer offsets and 1-D integer values"
-        )
-    check_ragged(offsets, values, f"ragged column {name!r}'s offsets")
-    return Ragged(offsets.astype(np.int64), values.astype(np.int64))
+    if not isinstance(column, Ragged) or column.n != n:
+        raise ValueError(f"ragged column {name!r} must be a Ragged of {n} rows")
+    owners, values = np.asarray(column.owners), np.asarray(column.values)
+    if owners.ndim != 1 or values.ndim != 1 or {owners.dtype.kind, values.dtype.kind} - {"i", "u"}:
+        raise ValueError(f"ragged column {name!r} must hold 1-D integer owners and values")
+    check_ragged(owners, values, n, f"ragged column {name!r}'s owners")
+    return Ragged(n, owners.astype(np.int64), values.astype(np.int64))

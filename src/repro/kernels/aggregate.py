@@ -1,10 +1,10 @@
 """Membership and counting over a ragged column (the tweets' hashtags).
 
-A ragged column is two int64 arrays, ``offsets`` and ``values``
-(:class:`~repro.graph.attributes.Ragged`): row ``i`` holds
-``values[offsets[i]:offsets[i + 1]]``.  Both kernels compare ``values``
-against the query once; :func:`contains` maps the hits back to their rows
-with one binary search per hit, and the cells are nearly all empty.
+A ragged column is a row count and two int64 arrays, ``owners`` and
+``values`` (:class:`~repro.graph.attributes.Ragged`): row ``i`` holds
+``values[owners == i]``.  Both kernels compare ``values`` against the query
+once; :func:`contains` marks the hits' owners.  An empty row stores nothing,
+so a kernel costs what the column holds, not its row count.
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ __all__ = ["contains", "count"]
 
 def contains(cells, value: int) -> np.ndarray:
     """Boolean mask over the rows of ``cells``: does row ``i`` hold ``value``?"""
-    offsets, values = cells
-    out = np.zeros(len(offsets) - 1, dtype=bool)
-    lo = offsets[0]
-    hits = (values[lo : offsets[-1]] == value).nonzero()[0]
-    if hits.size:
-        out[offsets.searchsorted(hits + lo, side="right") - 1] = True
+    n, owners, values = cells
+    out = np.zeros(n, dtype=bool)
+    out[owners[values == value]] = True
     return out
 
 
 def count(cells, value: int) -> int:
     """Occurrences of ``value`` across the rows of ``cells``, with multiplicity."""
-    offsets, values = cells
-    return int(np.count_nonzero(values[offsets[0] : offsets[-1]] == value))
+    _n, _owners, values = cells
+    return int(np.count_nonzero(values == value))

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .chrome import chrome_trace, write_chrome_trace
-from .events import BufferedEventLogWriter, normalize_event
+from .events import BufferedEventLogWriter, normalize_event, read_event_log
 from .tracer import DRIVER_PID, TracePacket, Tracer, trace_clock_ns
 
 __all__ = ["RunTrace", "Span", "TraceConfig"]
@@ -163,8 +163,8 @@ class RunTrace:
         The manifest gets the summed counters under ``counters``, and
         ``trace.json`` is rendered from the event log.  A log the run
         streamed into ``out_dir`` is already complete once its stream is
-        closed, and is left as it is: rewriting it would show a reader
-        tailing it an empty file.
+        closed, normalized and sorted: it is left as it is (rewriting it
+        would show a reader tailing it an empty file) and rendered as read.
         """
         self.close_stream()
         self.finish()
@@ -172,14 +172,16 @@ class RunTrace:
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest_payload = dict(manifest or {})
         manifest_payload.setdefault("counters", self.counters)
-        records = self.event_records()
+        events_path = out_dir / "events.jsonl"
+        if self.stream_path is not None and self.stream_path.resolve() == events_path.resolve():
+            records = read_event_log(events_path)
+        else:
+            records = self.event_records()
+            with BufferedEventLogWriter(events_path) as log:
+                log.write_many(records)
         trace_path = write_chrome_trace(
             out_dir / "trace.json", chrome_trace(records, metadata={"manifest": "manifest.json"})
         )
-        events_path = out_dir / "events.jsonl"
-        if self.stream_path is None or self.stream_path.resolve() != events_path.resolve():
-            with BufferedEventLogWriter(events_path) as log:
-                log.write_many(records)
         manifest_path = out_dir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest_payload, indent=2, sort_keys=True, default=str))
         return {"trace": trace_path, "events": events_path, "manifest": manifest_path}

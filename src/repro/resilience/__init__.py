@@ -17,15 +17,14 @@ engine wires together:
   (:class:`RecoverableError` vs application errors), the bounded-retry
   :class:`RecoveryPolicy`, and the structured :class:`RunFailure` surfaced
   when retries are exhausted instead of hanging the driver;
-* :mod:`~repro.resilience.journal` — the driver-side
-  :class:`FrameJournal` WAL of post-checkpoint protocol rounds that makes
-  single-partition restores replayable;
 * :mod:`~repro.resilience.supervisor` — the :class:`HostSupervisor`, the
   one place a failed exchange is decided: a live agent's command is resent
   once, any other failure recovers the host *surgically* (respawn one
   worker, restore one partition, replay its journal) while healthy hosts
   hold at the barrier,
-  with quarantine-based graceful exhaustion; each failure it handles is one
+  with quarantine-based graceful exhaustion, and its journal of
+  post-checkpoint protocol rounds makes single-partition restores
+  replayable; each failure it handles is one
   ``failure`` record (:class:`FailureRecord`), and each completed repair one
   ``worker_respawn`` / ``protocol_retry`` record.
 """
@@ -37,9 +36,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "CheckpointConfig", "CheckpointCorrupt", "CheckpointInfo", "CheckpointManager",
     ),
     ".faults": (
-        "FAULT_KINDS", "NETWORK_FAULT_KINDS", "FaultPlan", "FaultSpec", "parse_fault_specs",
+        "AT_EOT", "FAULT_KINDS", "NETWORK_FAULT_KINDS", "FaultPlan", "FaultSpec", "parse_fault_specs",
     ),
-    ".journal": ("AT_EOT", "FrameJournal", "JournalEntry"),
     ".supervisor": ("HostSupervisor", "RecoveryExhausted"),
     "..runtime.metrics": ("FailureRecord",),
     ".recovery": (

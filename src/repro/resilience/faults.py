@@ -63,7 +63,7 @@ import re
 from typing import Iterable
 
 from .._value import Value
-from .journal import AT_EOT
+from ..runtime.host import AT_EOT
 
 __all__ = [
     "AT_EOT",

@@ -6,8 +6,8 @@ timestep.  Every run has a :class:`HostSupervisor`, and its
 it closes the detect→act loop per host:
 
 * every protocol round (``superstep`` / ``eot`` / ``merge``)
-  is journaled in the :class:`~repro.resilience.journal.FrameJournal`
-  *before* it executes, then issued through the cluster's
+  is journaled in :attr:`HostSupervisor.rounds` *before* it executes,
+  then issued through the cluster's
   ``run_round`` — which returns a per-partition outcome list instead of
   raising on the first failure, so surviving hosts complete their round
   and hold at the barrier;
@@ -53,6 +53,32 @@ collector keeps them as ``AppResult.failure_log`` and
 ``AppResult.recovery_actions`` — and bounded :class:`RecoveryPolicy`
 backoff before each attempt.  A quarantine is a decision, not a repair: it
 is the ``action`` of the partition's last failure record.
+
+The journal (:attr:`HostSupervisor.rounds`) is the driver's write-ahead log
+for host repair.  A checkpoint alone cannot rebuild a partition: its state
+also depends on every round it executed since, including the inbound
+:class:`~repro.core.messages.MessageFrame` deliveries those rounds carried.
+So the journal holds the ordered rounds since the replay base, each as
+``(op, timestep, superstep, payloads)`` with the per-partition payload list
+it shipped (``None`` for ``eot``).  Its lifecycle:
+
+* append — once per round, before the round executes (a retry of the same
+  round never re-appends), so at any failure the tail is the in-flight
+  round and everything before it committed work a respawned host replays;
+* clear — at every durable checkpoint write and at a resume
+  (:meth:`HostSupervisor.checkpointed`): the checkpoint is the new replay
+  base.
+
+Only the recovered partition re-executes; replay results (outputs, frames,
+halt votes, telemetry) are discarded — the driver committed them when the
+round first completed.  An append stores one tuple and holds the payload
+list by reference, which relies on frames being immutable after
+:meth:`~repro.core.messages.MessageFrame.pack`; a partition's entries are
+built only when a repair asks for them.  What the journal costs is memory:
+it keeps every frame it delivered alive until the next checkpoint clears
+it, so a run without checkpoints holds all of its remote frames to the end
+— about 4 kB on a 200k-vertex TDSP run, 1 MB on a 200k-vertex MEME run over
+WIKI (``bytes_sent``).
 """
 
 from __future__ import annotations
@@ -63,7 +89,6 @@ from typing import TYPE_CHECKING, Any
 from ..runtime.cluster import ROUND_OPS, quarantine_fill
 from ..runtime.metrics import FailureRecord, ProtocolRetryRecord, RespawnRecord
 from ..runtime.protocol import CorruptReply, GatherTimeout
-from .journal import FrameJournal
 from .recovery import RecoverableError, RecoveryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,9 +144,10 @@ class HostSupervisor:
     ) -> None:
         self.cluster = cluster
         self.policy = policy
-        #: The WAL of rounds since :attr:`base`: appended before each round
-        #: executes, replayed on a respawned host.
-        self.journal = FrameJournal(cluster.num_partitions)
+        #: The journal: ``(op, timestep, superstep, payloads)`` per round since
+        #: :attr:`base`, oldest first, appended before the round executes and
+        #: replayed on a respawned host.
+        self.rounds: list[tuple[str, int, int, list[Any] | None]] = []
         self.manager = manager
         #: The checkpoint a repair restores from (``None``: genesis).
         self.base: str | None = None
@@ -135,7 +161,7 @@ class HostSupervisor:
         """Checkpoint ``name`` landed, or a resume restored it: it is the new
         replay base, and the journal restarts empty."""
         self.base = name
-        self.journal.truncate()
+        self.rounds.clear()
 
     # -- the supervised round ---------------------------------------------------------
 
@@ -174,7 +200,7 @@ class HostSupervisor:
                     )
                 payloads[q] = []
         if op in ROUND_OPS:
-            self.journal.append(op, timestep, superstep, payloads)
+            self.rounds.append((op, timestep, superstep, payloads))
         results = cluster.run_round(op, timestep, superstep, payloads)
         attempt = 0  # shared across this round's failures
         for p, out in enumerate(results):
@@ -235,23 +261,20 @@ class HostSupervisor:
                 # A cure gives its attempt back: only a failed resend spends
                 # the round's budget.
                 return attempt - 1, result
-            entries = self.journal.entries_for(p)
-            if op in ROUND_OPS:
-                # The tail entry is the in-flight round itself (journaled
-                # pre-execution); everything before it is committed work
-                # the respawned host silently replays.
-                entries.pop()
+            # A round's journal tail is the in-flight round itself (journaled
+            # pre-execution); everything before it is committed work the
+            # respawned host silently replays, as partition p received it.
+            committed = self.rounds[:-1] if op in ROUND_OPS else self.rounds
+            entries = [(o, t, s, None if ps is None else ps[p]) for o, t, s, ps in committed]
             try:
                 incarnation = cluster.respawn_worker(p)
                 if self.base is not None:
                     cluster.restore_one(p, self.manager.load(self.base, partitions=(p,)).parts[p])
                 # else: the fresh host *is* the genesis state; the journal
-                # holds every round since (it is never truncated before the
+                # holds every round since (it is never cleared before the
                 # first checkpoint).
                 for entry in entries:
-                    cluster.step_one(
-                        p, entry.op, entry.timestep, entry.superstep, entry.payload, replay=True
-                    )
+                    cluster.step_one(p, *entry, replay=True)
             except RecoverableError as again:
                 exc = again
                 continue

@@ -560,6 +560,10 @@ class ComputeHost:
 #: driver issued; every other op is a read-only query or ``restore``.
 ROUND_OPS = ("superstep", "eot", "merge")
 
+#: Superstep sentinel for the ``end_of_timestep`` protocol call: the
+#: coordinate an ``eot`` round is journaled, supervised and fault-matched at.
+AT_EOT = -102
+
 #: The one op table: protocol op → the host call behind it, as
 #: ``fn(host, timestep, superstep, payload, replay)``.  The in-process
 #: cluster and every worker agent dispatch through

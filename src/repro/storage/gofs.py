@@ -237,14 +237,14 @@ class GoFS:
 def _check_columns(arrays: PackedArrays, tpl: GraphTemplate, pack_len: int, rows: tuple) -> None:
     """The slice holds exactly the store's schema: every attribute either
     stored with the schema's dtype and shape ``(pack_len, |bin rows|)`` — a
-    ragged one as ``(pack_len, |bin rows| + 1)`` int64 offsets plus 1-D int64
-    values — or listed under ``defaults``: never both, never neither, and
-    nothing else.  From the header; nothing is decoded."""
+    ragged one as 1-D int64 keys plus 1-D int64 values — or listed under
+    ``defaults``: never both, never neither, and nothing else.  From the
+    header; nothing is decoded."""
     want: dict[str, tuple[str, np.dtype, list[int] | None]] = {}
     for prefix, schema, side in zip("ve", (tpl.vertex_schema, tpl.edge_schema), rows):
         for spec in schema:
             name = f"{prefix}__{spec.name}"
-            want[name] = (name, spec.dtype, [pack_len, side.size + spec.ragged])
+            want[name] = (name, spec.dtype, None if spec.ragged else [pack_len, side.size])
             if spec.ragged:
                 want[name + RAGGED_VALUES] = (name, spec.dtype, None)
     stored = set(arrays)
@@ -269,22 +269,24 @@ def _check_columns(arrays: PackedArrays, tpl: GraphTemplate, pack_len: int, rows
 class _Pack(list):
     """One pack's header-checked bin slices; ``nbytes`` is None until read."""
 
-    def __init__(self, pack: int, slices: list[PackedArrays]) -> None:
-        super().__init__(slices)
-        self.pack = pack
+    def __init__(self, pack: int, pack_len: int) -> None:
+        super().__init__()
+        self.pack, self.pack_len = pack, pack_len
         self.nbytes: int | None = None
 
-    def read(self, wanted: frozenset[str], ragged: list[str]) -> float:
-        """Read the slices' payloads, check their ``ragged`` columns' offsets
-        (outside input a kernel indexes by) and decode ``wanted``; returns the
-        seconds."""
+    def read(self, wanted: frozenset[str], ragged: list[tuple[str, int]], bin_rows: list[tuple]) -> float:
+        """Read the slices' payloads, check their ``ragged`` columns' keys
+        (outside input a kernel indexes by: below ``pack_len × |bin rows|`` of
+        the entry's side) and decode ``wanted``; returns the seconds."""
         start = time.perf_counter()
-        for arrays in self:
+        for arrays, rows in zip(self, bin_rows):
             arrays.read_payload()
-            for name in ragged:
+            for name, which in ragged:
                 if name in arrays:
-                    offsets, values = arrays[name].reshape(-1), arrays[name + RAGGED_VALUES]
-                    check_ragged(offsets, values, f"{arrays.name}: column {name}'s offsets")
+                    check_ragged(
+                        arrays[name], arrays[name + RAGGED_VALUES], self.pack_len * rows[which].size,
+                        f"{arrays.name}: column {name}'s keys",
+                    )
             for name in wanted:
                 if name in arrays:
                     arrays[name]  # decode now: a pack read is load, not compute
@@ -339,7 +341,10 @@ class GoFSPartitionView:
         self._num_bins = len(self._bins)
         #: Slice entries of the ragged attributes, checked on every pack read.
         sides = zip("ve", (self.template.vertex_schema, self.template.edge_schema))
-        self._ragged = [f"{p}__{spec.name}" for p, schema in sides for spec in schema if spec.ragged]
+        self._ragged = [
+            (f"{p}__{spec.name}", which) for which, (p, schema) in enumerate(sides)
+            for spec in schema if spec.ragged
+        ]
         #: The pack the last :meth:`instance` served (its headers; its bytes
         #: once a row was read).
         self._pack: _Pack | None = None
@@ -404,7 +409,7 @@ class GoFSPartitionView:
         """Read and check every bin slice's header of one pack."""
         packing = self.manifest["packing"]
         pack_len = min(packing, self.manifest["num_timesteps"] - pack * packing)
-        data = _Pack(pack, [])
+        data = _Pack(pack, pack_len)
         for (q, b), rows in zip(self._bins, self._bin_rows):
             arrays = read_slice(self.root, SliceKey(q, b, pack))
             try:
@@ -485,35 +490,36 @@ class GoFSPartitionView:
         in one bin storing the column (a subgraph's always are) are answered in
         place, by the pack's read-only row and the plan's cached positions; else
         assembled in row order, ``index=None``, foreign or unstored rows default.
-        A ragged attribute's values are :class:`Ragged`: in place, the timestep's
-        offsets row over the pack's values."""
+        A ragged attribute's values are :class:`Ragged`: in place, the bin's
+        rows at the timestep (:meth:`_cells`)."""
         if pack_data.nbytes is None:
             self._read_payload(pack_data, timestep, recording)
         row = timestep - pack_data.pack * self.manifest["packing"]
         entry = f"{prefix}__{name}"
-        _which, schema, n = self._sides[prefix]
+        which, schema, n = self._sides[prefix]
         spec, size = schema[name], n if rows is None else len(rows)
         plan = self._plan(prefix, rows)
         if len(plan) == 1 and plan[0][1] is None and entry in pack_data[plan[0][0]]:
-            stored = pack_data[plan[0][0]]
-            values, index = stored[entry][row], plan[0][2]
+            b, _where, index = plan[0]
             if spec.ragged:
-                values = Ragged(values, stored[entry + RAGGED_VALUES])
+                values = self._cells(pack_data, b, entry, which, row)
+            else:
+                values = pack_data[b][entry][row]
         else:
             values, index, pieces = spec.allocate(size), None, []
             for b, where, pos in plan:
                 if entry not in pack_data[b]:
                     continue  # listed under defaults
-                stored = pack_data[b][entry][row]
                 if spec.ragged:
-                    cells = Ragged(stored, pack_data[b][entry + RAGGED_VALUES])
+                    cells = self._cells(pack_data, b, entry, which, row)
                     pieces.append((where, cells if pos is None else cells.take(pos)))
                 else:
+                    stored = pack_data[b][entry][row]
                     values[where] = stored if pos is None else stored[pos]
             if pieces:  # each piece's rows at its `where`, the rest empty
                 values = Ragged.group(
-                    np.concatenate([where.repeat(np.diff(c.offsets)) for where, c in pieces]),
-                    np.concatenate([c.values[c.offsets[0] : c.offsets[-1]] for _, c in pieces]),
+                    np.concatenate([where[c.owners] for where, c in pieces]),
+                    np.concatenate([c.values for _, c in pieces]),
                     size,
                 )
         if recording:
@@ -527,9 +533,16 @@ class GoFSPartitionView:
                 self.tracer.count("gofs.bytes_projected", nbytes)
         return values, index
 
+    def _cells(self, pack: _Pack, b: int, entry: str, which: int, row: int) -> Ragged:
+        """Bin ``b``'s rows of ragged ``entry`` at pack row ``row``: the keys
+        ``row × |bin rows|`` up to the next timestep's, zero-based."""
+        size, stored = self._bin_rows[b][which].size, pack[b]
+        cells = Ragged(pack.pack_len * size, stored[entry], stored[entry + RAGGED_VALUES])
+        return cells.rows(row * size, (row + 1) * size)
+
     def _read_payload(self, pack: _Pack, timestep: int, recording: bool) -> None:
         """Read a pack at its first row read, at ``timestep``, blocking the reader."""
-        seconds = pack.read(self.projected, self._ragged)
+        seconds = pack.read(self.projected, self._ragged, self._bin_rows)
         if not recording:
             return
         self._pending_load += seconds

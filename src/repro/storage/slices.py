@@ -18,10 +18,12 @@ Slices are ``.gsl`` files in the zero-copy GSL2 container
 aligned raw buffers per attribute column, read back as ``np.frombuffer``
 views so a pack load is near-memcpy.  A numeric attribute is one
 ``(pack_len, rows)`` matrix.  A ragged attribute (the tweets' hashtags) is
-two: its name holds the ``(pack_len, rows + 1)`` int64 offsets, timestep
-after timestep into one int64 array stored as ``name.values`` — timestep
-``i``'s rows are ``Ragged(offsets[i], values)`` — so a slice holds numbers
-only (format 5; format 4 pickled a column of tuples).  A column that no
+two 1-D int64 arrays, one entry per value: its name holds the sorted keys
+``i * rows + position`` of timestep ``i``'s values and ``name.values`` the
+values — so the pack is ``Ragged(pack_len * rows, keys, values)``, a slice
+holds numbers only and an empty row stores nothing (format 6; format 5
+stored one offset per row per timestep, format 4 pickled a column of
+tuples).  A column that no
 instance of the pack has set is not stored: the header lists it under
 ``defaults`` and readers serve the schema default.
 
@@ -56,13 +58,13 @@ __all__ = [
     "RAGGED_VALUES",
 ]
 
-#: The manifest's ``slice_format`` value: 5 = a ragged column as two numeric
-#: arrays (4 pickled it; 3 repeated a bin's rows in every slice, 2 also
-#: stored never-set columns instead of naming them under ``defaults``, 1 was
-#: ``.npz``; none is read).
-SLICE_FORMAT = 5
+#: The manifest's ``slice_format`` value: 6 = a ragged column as its
+#: (key, value) pairs (5 stored per-row offsets, 4 pickled it; 3 repeated a
+#: bin's rows in every slice, 2 also stored never-set columns instead of
+#: naming them under ``defaults``, 1 was ``.npz``; none is read).
+SLICE_FORMAT = 6
 
-#: Suffix of the entry holding a ragged column's values; its offsets are
+#: Suffix of the entry holding a ragged column's values; their keys are
 #: stored under the column's own name.
 RAGGED_VALUES = ".values"
 
@@ -137,7 +139,7 @@ def write_slice(
     """Write one slice: the given rows of every *set* attribute × instances.
 
     Each attribute some instance of the pack has set is gathered into one
-    ``(pack_len, rows)`` matrix — a ragged one into its offsets and values —
+    ``(pack_len, rows)`` matrix — a ragged one into its keys and values —
     so a later read is one contiguous load, and streamed to the file once.
     An attribute none has set is not materialized, only named under the
     header's ``defaults``.  The rows are not stored here (:func:`write_rows`).
@@ -153,10 +155,9 @@ def write_slice(
             entry = f"{prefix}__{spec.name}"
             if spec.name not in valued:
                 defaults.append(entry)
-            elif spec.ragged:  # offsets run on from one timestep's row to the next
+            elif spec.ragged:  # timestep i's rows are keys i * |rows| + position
                 cells = [table.column(spec.name).take(rows) for table in tables]
-                bases = np.cumsum([0] + [c.values.size for c in cells[:-1]])
-                arrays[entry] = np.stack([c.offsets + base for c, base in zip(cells, bases)])
+                arrays[entry] = np.concatenate([c.owners + i * len(rows) for i, c in enumerate(cells)])
                 arrays[entry + RAGGED_VALUES] = np.concatenate([c.values for c in cells])
             else:
                 mat = np.empty((len(tables), len(rows)), dtype=spec.dtype)

@@ -110,16 +110,14 @@ def pack_arrays(arrays, *, defaults=()) -> bytes:
 
 def ragged(cells) -> Ragged:
     """A ragged column from one sequence of integers per row (``None``: empty)."""
-    lengths = [len(c) if c is not None else 0 for c in cells]
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    values = [x for c in cells if c is not None for x in c]
-    return Ragged(offsets, np.asarray(values, dtype=np.int64))
+    owners = [i for i, c in enumerate(cells) for _ in (c or ())]
+    values = [x for c in cells for x in (c or ())]
+    return Ragged(len(cells), np.asarray(owners, dtype=np.int64), np.asarray(values, dtype=np.int64))
 
 
 def ragged_rows(column: Ragged) -> list[list[int]]:
     """A ragged column's rows as lists, to compare against Python cells."""
-    return [column.row(i).tolist() for i in range(len(column.offsets) - 1)]
+    return [column.row(i).tolist() for i in range(column.n)]
 
 
 def refold(result, events=None) -> MetricsCollector:

@@ -42,7 +42,8 @@ GOLDEN_CARN_ASSIGN = "73efc81b1b9ced56"
 GOLDEN_WIKI_ASSIGN = "76015c76a7a9daa0"
 # Every instance's (offsets, values) of the tweet workload with background
 # chatter: pinned from the object-column generators, whose cells flattened
-# to the same arrays — memes in list order, then the background draws.
+# to the same arrays — memes in list order, then the background draws.  The
+# column is (owner, value) pairs now; the offsets are counted from its owners.
 GOLDEN_TWEETS = "1c2f854ea3e46890"
 
 _GOLDEN_SNIPPET = """
@@ -94,7 +95,9 @@ class TestGoldenDeterminism:
         for t in range(12):
             inst = tweets.instance(t)
             noise(inst, t)
-            arrays.extend(inst.vertex_column("tweets"))
+            column = inst.vertex_column("tweets")
+            offsets = np.concatenate([[0], np.bincount(column.owners, minlength=column.n).cumsum()])
+            arrays.extend((offsets, column.values))
         assert sum(len(values) for values in arrays[1::2]) == 9126
         assert _digest(*arrays) == GOLDEN_TWEETS
 

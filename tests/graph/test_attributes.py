@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.attributes import AttributeSchema, AttributeSpec, AttributeTable, Ragged
+from repro.kernels import contains, count
 from tests.conftest import ragged, ragged_rows
 
 
@@ -69,7 +70,53 @@ class TestAttributeSpec:
     def test_allocate_ragged(self):
         col = AttributeSpec("a", "ragged").allocate(3)
         assert isinstance(col, Ragged) and ragged_rows(col) == [[], [], []]
-        assert col.offsets.dtype == col.values.dtype == np.dtype(np.int64)
+        assert col.n == 3 and col.owners.size == col.values.size == 0
+        assert col.owners.dtype == col.values.dtype == np.dtype(np.int64)
+
+
+@st.composite
+def owner_value_pairs(draw):
+    """``(n, owners, values)``: random pairs, owners in ``[0, n)`` and unsorted."""
+    n = draw(st.integers(0, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, 4)), max_size=3 * n))
+    owners, values = (np.asarray([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    return n, owners, values
+
+
+def python_rows(n, owners, values) -> list[list[int]]:
+    """Each (owner, value) pair appended to its owner's row, in order."""
+    rows = [[] for _ in range(n)]
+    for owner, value in zip(owners.tolist(), values.tolist()):
+        rows[owner].append(value)
+    return rows
+
+
+class TestRaggedPairs:
+    """A ragged column is its (owner, value) pairs: every operation equals a
+    per-row Python walk."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(owner_value_pairs(), st.randoms(use_true_random=False), st.integers(0, 4))
+    def test_operations_equal_a_python_walk(self, column, rnd, tag):
+        n, owners, values = column
+        want = python_rows(n, owners, values)
+        col = Ragged.group(owners, values, n)
+        assert (col.owners[1:] >= col.owners[:-1]).all() and col.n == n
+        assert [col.row(i).tolist() for i in range(n)] == want
+        permutation = rnd.sample(range(n), n)
+        subset = sorted(rnd.sample(range(n), rnd.randint(0, n)))
+        repeats = [rnd.randrange(n) for _ in range(n)] if n else []
+        for rows in (permutation, subset, [], list(range(n)), repeats):
+            got = col.take(np.asarray(rows, dtype=np.int64))
+            assert got.n == len(rows) and ragged_rows(got) == [want[r] for r in rows]
+        assert contains(col, tag).tolist() == [tag in row for row in want]
+        assert count(col, tag) == sum(row.count(tag) for row in want)
+        assert col.equals(ragged(want)) and col.copy().equals(col)
+        if values.size:
+            other = values.copy()
+            other[0] += 1
+            assert not col.equals(Ragged.group(owners, other, n))
+        assert not col.equals(Ragged.group(owners, values, n + 1))
 
 
 class TestAttributeSchema:
@@ -194,14 +241,15 @@ class TestAttributeTable:
         assert ragged_rows(t.column("o")) == [[1, 2], [], [3], []]
         assert t.column("o").values is not good.values  # copied
         assert t.get("o", 0).tolist() == [1, 2]
-        floats = Ragged(good.offsets, good.values.astype(np.float64))
+        floats = Ragged(4, good.owners, good.values.astype(np.float64))
         with pytest.raises(ValueError, match="integer"):
             t.set_column("o", floats)
-        with pytest.raises(ValueError, match="5 integer offsets"):
+        with pytest.raises(ValueError, match="of 4 rows"):
             t.set_column("o", ragged([[1], [2], [3]]))
-        for offsets in ([1, 1, 2, 3, 3], [0, 2, 1, 3, 3], [0, 2, 2, 3, 4]):
-            with pytest.raises(ValueError, match="start at 0, never decrease"):
-                t.set_column("o", Ragged(np.asarray(offsets), good.values))
+        # unsorted, outside [0, 4), one owner short of the values
+        for owners in ([0, 2, 0], [0, 0, 4], [-1, 0, 2], [0, 0]):
+            with pytest.raises(ValueError, match="never decrease, lie in"):
+                t.set_column("o", Ragged(4, np.asarray(owners), good.values))
         with pytest.raises(ValueError, match="Ragged"):
             t.set_column("o", [(1, 2), (), (3,), ()])
 
@@ -215,10 +263,10 @@ class TestAttributeTable:
         assert t.approx_nbytes() == 0
         t.column("x")
         assert t.approx_nbytes() == 80
-        t.column("o")  # ten empty rows: eleven offsets, no values
-        assert t.approx_nbytes() == 80 + 88
+        t.column("o")  # ten empty rows store nothing
+        assert t.approx_nbytes() == 80
         t.set_column("o", ragged([[1, 2, 3]] + [None] * 9))
-        assert t.approx_nbytes() == 80 + 88 + 24
+        assert t.approx_nbytes() == 80 + 24 + 24
 
     def test_constructor_columns(self):
         schema = AttributeSchema([("x", "float")])

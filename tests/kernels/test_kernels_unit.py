@@ -27,7 +27,6 @@ from repro.kernels import (
     slot_sources,
     sorted_unique,
 )
-from repro.graph import Ragged
 from tests.conftest import ragged
 
 
@@ -533,11 +532,12 @@ class TestAggregate:
         assert got.tolist() == [True, False, False, True, True, True]
         assert contains(ragged([]), 2).tolist() == []
 
-    def test_a_pack_row_is_read_between_its_offsets(self):
-        """A GoFS pack's row shares the pack's values and starts past 0:
-        values outside its offsets belong to other timesteps."""
-        whole = ragged([[2], [5], [2, 2], [], [5, 2]])
-        row = Ragged(whole.offsets[2:], whole.values)  # rows [2, 2], [], [5, 2]
+    def test_a_pack_timestep_is_its_key_range(self):
+        """A GoFS pack stores timestep ``i``'s row ``r`` under key ``i * rows + r``:
+        a timestep's column is its key range, cut and made zero-based."""
+        pack = ragged([[2], [5], [], [2, 2], [], [5, 2]])  # 2 timesteps x 3 rows
+        row = pack.rows(3, 6)  # rows [2, 2], [], [5, 2]
+        assert row.n == 3 and row.owners.tolist() == [0, 0, 2, 2]
         assert contains(row, 2).tolist() == [True, False, True]
         assert contains(row, 5).tolist() == [False, False, True]
         assert count(row, 2) == 3 and count(row, 5) == 1

@@ -193,3 +193,22 @@ class TestStreamedLog:
         assert paths["events"] == log and log.stat().st_mtime_ns == before
         assert read_event_log(log) == res.trace.event_records()
         assert paths["trace"].exists() and paths["manifest"].exists()
+
+    def test_a_streamed_write_normalizes_each_record_once(self, road_case, tmp_path, monkeypatch):
+        """The stream wrote every record normalized and sorted: ``write``
+        renders ``trace.json`` from that log instead of normalizing again."""
+        from repro.observability import runtrace
+
+        calls = []
+        real = runtrace.normalize_event
+        monkeypatch.setattr(runtrace, "normalize_event", lambda *a: calls.append(1) or real(*a))
+        _tpl, coll, pg = road_case
+        res = run_application(
+            TDSPComputation(0), pg, coll,
+            config=EngineConfig(tracing=TraceConfig(stream_dir=str(tmp_path))),
+        )
+        paths = res.trace.write(tmp_path, {"algorithm": "tdsp"})
+        log = read_event_log(paths["events"])
+        assert len(calls) == len(log) == len(res.trace.records) > 0
+        trace = json.loads(paths["trace"].read_text())
+        assert chrome_trace(log, {"manifest": "manifest.json"}) == trace

@@ -6,7 +6,6 @@ from repro.core import EngineConfig, Pattern, run_application
 from repro.resilience import (
     CheckpointConfig,
     FaultPlan,
-    FrameJournal,
     HostSupervisor,
     RecoveryPolicy,
 )
@@ -183,34 +182,6 @@ class TestQuarantine:
                 AccumulateSum(), pg, coll,
                 config=_config("serial", tmp_path, faults, max_retries=2),
             )
-
-
-class TestFrameJournal:
-    def test_append_and_entries(self):
-        j = FrameJournal(2)
-        j.append("superstep", 0, 0, [["f0"], ["f1"]])
-        j.append("superstep", 0, 1, [[], ["f2"]])
-        j.append("eot", 0, -102, None)
-        assert len(j) == 3
-        entries = j.entries_for(1)
-        assert [e.op for e in entries] == ["superstep", "superstep", "eot"]
-        assert entries[0].payload == ["f1"]
-        assert entries[1].payload == ["f2"]
-        assert entries[2].payload is None
-        # entries_for builds a new list: mutating it leaves the WAL intact.
-        entries.pop()
-        assert len(j.entries_for(1)) == 3
-
-    def test_truncate_resets_replay_base(self):
-        j = FrameJournal(2)
-        j.append("superstep", 0, 0, [[], []])
-        j.append("eot", 0, -102, None)
-        j.truncate()
-        assert len(j) == 0
-        assert j.entries_for(0) == []
-        j.append("superstep", 1, 0, None)
-        assert len(j) == 1
-        assert j.entries_for(0) == [("superstep", 1, 0, None)]
 
 
 class ListRecorder:

@@ -1,6 +1,5 @@
-"""A model check of recovery: the real ``HostSupervisor`` and its
-``FrameJournal``, over a ``Cluster`` whose channels are an adversarial
-in-memory wire.
+"""A model check of recovery: the real ``HostSupervisor`` and its journal,
+over a ``Cluster`` whose channels are an adversarial in-memory wire.
 
 Each partition is the real protocol ``Agent`` in front of a model host that
 keeps a running digest of the payloads it applied; the driver side is the
@@ -23,7 +22,7 @@ top.  Invariants, on every schedule:
   never applied.
 
 The last tests show the machine finds bugs: a supervisor whose replay
-skips an entry, restores from a stale checkpoint or truncates its journal
+skips an entry, restores from a stale checkpoint or clears its journal
 before the checkpoint is durable, and a ``Gather`` without its incarnation
 guard or its stale-sequence check, each fail it.
 """
@@ -377,9 +376,9 @@ SUPERVISOR_MUTANTS = {
     "replay-skips-an-entry": ("for entry in entries:", "for entry in entries[1:]:"),
     "restore-from-a-stale-checkpoint": ("self.base = name", "self.base = self.base or name"),
     "journal-truncated-before-the-checkpoint-is-durable": (
-        "        if op in ROUND_OPS:\n            self.journal.append(",
-        "        if op == 'snapshot':\n            self.journal.truncate()\n"
-        "        if op in ROUND_OPS:\n            self.journal.append(",
+        "        if op in ROUND_OPS:\n            self.rounds.append(",
+        "        if op == 'snapshot':\n            self.rounds.clear()\n"
+        "        if op in ROUND_OPS:\n            self.rounds.append(",
     ),
 }
 

@@ -254,7 +254,7 @@ def default_but(spec, column, rows):
         want = spec.allocate(len(column))
         want[rows] = column[rows]
         return want
-    keep = np.zeros(len(column.offsets) - 1, dtype=bool)
+    keep = np.zeros(column.n, dtype=bool)
     keep[rows] = True
     return ragged([column.row(v).tolist() if kept else [] for v, kept in enumerate(keep)])
 
@@ -812,14 +812,15 @@ class TestProjectionProperty:
         column (9 vertices x 4 timesteps x 1 B) and the unread ``timestamps``
         entry (3 bins x 4 x 8 B); format 4 keeps the bins' rows (9 vertex and
         25 edge rows x 8 B) in the rows files, which are not pack bytes: 3392 B.
-        Format 5 counts the ragged tweets exactly, where 64 B per cell (9 x 4
+        Format 5 counted the ragged tweets exactly, where 64 B per cell (9 x 4
         x 64 B) was guessed before: 4 timesteps x (9 rows + 3 bins) offsets
-        x 8 B, plus 8 B per hashtag the pack holds."""
+        x 8 B, plus 8 B per hashtag the pack holds (1800, 1808 and 1720 B).
+        Format 6 stores no offsets: a key and a value, 16 B, per hashtag."""
         root, *_ = store
         assert 3796 - 9 * 4 - 3 * 4 * 8 - (9 + 25) * 8 == 3392
         hashtags = {0: 41, 1: 42, 2: 31}  # in partition 0's tweets, per pack
-        want = {k: 3392 - 9 * 4 * 64 + 4 * (9 + 3) * 8 + 8 * h for k, h in hashtags.items()}
-        assert want == {0: 1800, 1: 1808, 2: 1720}
+        want = {k: 3392 - 9 * 4 * 64 + 16 * h for k, h in hashtags.items()}
+        assert want == {0: 1744, 1: 1760, 2: 1584}
         assert {k: _one_pack_nbytes(root, 4 * k) for k in want} == want
         view = GoFSPartitionView(root, 0)
         view.attach_tracer(Tracer())
@@ -925,11 +926,13 @@ class TestLocate:
                     want_bytes += 2 * 8 * len(rows)  # a locate counts what a take counts
                 assert list(table._columns) == []
         assert view.tracer.counters["gofs.bytes_projected"] == view.bytes_projected == want_bytes
-        # A ragged column's row is read-only too: a located row cannot
-        # write into the held pack.
+        # A ragged column's row cannot write into the held pack either: its
+        # values are the pack's, read-only, and its owners the timestep's
+        # keys made zero-based, a fresh array.
         tweets, index = view.instance(6).vertex_values.locate("tweets", sg.vertices)
         assert index is not None and isinstance(tweets, Ragged)
-        assert not tweets.offsets.flags.writeable and not tweets.values.flags.writeable
+        assert not tweets.values.flags.writeable
+        assert not any(np.shares_memory(tweets.owners, arrays["v__tweets"]) for arrays in view._pack)
         assert view.columns_projected == view.tracer.counters["gofs.columns_projected"]
 
     def test_rows_across_bins_or_partitions_are_assembled(self, store):
@@ -999,7 +1002,7 @@ class TestTakeProperty:
             got = table.take(spec.name, rows)
             assert list(table._columns) == []
             assert got.dtype == spec.dtype
-            assert (len(got.offsets) - 1 if spec.ragged else len(got)) == len(rows)
+            assert (got.n if spec.ragged else len(got)) == len(rows)
             whole = column_of(view.instance(t), kind, spec.name)
             assert same_cells(got, rows_of(whole, rows))
             owned = owned_rows(pg, view.partition_id)[0 if kind == "v" else 1]
@@ -1301,28 +1304,81 @@ def test_tdsp_projects_only_latency_and_only_where_the_wave_is(tmp_path):
     assert labels[2] == labels[6], "k changed the result"
 
 
+class TestRaggedRoundTrip:
+    """A random ragged vertex column over 2 bins x 2 packs reads back as
+    written through ``locate``, ``take`` and ``column`` on every instance —
+    a timestep whose rows are all empty, and a pack that never sets it."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_every_read_returns_the_written_column(self, seed):
+        # Two paths per partition: two subgraphs, one bin each at binning=1.
+        src, dst = [0, 1, 3, 4, 6, 7, 9, 10, 2], [1, 2, 4, 5, 7, 8, 10, 11, 6]
+        tpl = GraphTemplate(
+            12, np.asarray(src), np.asarray(dst),
+            vertex_schema=AttributeSchema([AttributeSpec("tweets", "ragged")]),
+            edge_schema=AttributeSchema([AttributeSpec("latency", "float")]),
+        )
+        pg = decompose(tpl, np.repeat([0, 1], 6), 2)
+
+        def populate(inst, t):
+            if t < 2:  # timestep 1 sets every row empty; pack 1 sets nothing
+                r = np.random.default_rng(seed)
+                cells = [r.integers(0, 5, r.integers(0, 4)).tolist() if t == 0 else [] for _ in range(12)]
+                inst.vertex_values.set_column("tweets", ragged(cells))
+
+        coll = build_collection(tpl, 4, populate)
+        with tempfile.TemporaryDirectory() as root:
+            manifest = GoFS.write_collection(root, pg, coll, packing=2, binning=1)
+            assert [len(bins) for bins in manifest["bins"]] == [2, 2]
+            assert "v__tweets" in read_slice(root, SliceKey(0, 0, 1)).defaults
+            for p, part in enumerate(pg.partitions):
+                view = GoFSPartitionView(root, p)
+                owned = np.concatenate([sg.vertices for sg in part.subgraphs])
+                for t in range(4):
+                    want = coll.instance(t).vertex_column("tweets")
+                    table = view.instance(t).vertex_values
+                    for rows in [sg.vertices for sg in part.subgraphs] + [owned, owned[::-1].copy()]:
+                        values, index = table.locate("tweets", rows)
+                        got = values if index is None else values.take(index)
+                        assert got.equals(want.take(rows))
+                        assert table.take("tweets", rows).equals(want.take(rows))
+                    spec = tpl.vertex_schema["tweets"]
+                    assert table.column("tweets").equals(default_but(spec, want, owned))
+
+
 class TestRaggedColumnsAreCheckedOnRead:
-    """A slice's ragged offsets are outside input: the pack read checks them,
+    """A slice's ragged keys are outside input: the pack read checks them,
     so a bad one is a ``ValueError`` naming the ``.gsl`` file, never an
-    ``IndexError`` inside a kernel."""
+    ``IndexError`` or a wrong row inside a kernel."""
 
     KEY = SliceKey(0, 0, 1)  # the pack of timesteps 4-7
 
-    @pytest.mark.parametrize("spoil", [
-        lambda off: off.__setitem__((0, 0), 1),  # does not start at 0
-        lambda off: off.__setitem__(1, off[1][::-1]),  # decreases
-        lambda off: off.__setitem__((-1, -1), off[-1, -1] + 3),  # runs past the values
-    ], ids=["start", "decrease", "past"])
-    def test_bad_offsets_fail_the_first_row_read(self, store, spoil):
+    @staticmethod
+    def unsorted(arrays, _bound):
+        keys = arrays["v__tweets"]
+        assert keys[0] != keys[-1]
+        arrays["v__tweets"] = keys[::-1].copy()
+
+    @staticmethod
+    def past(arrays, bound):
+        arrays["v__tweets"][-1] = bound  # one past pack_len x |bin rows| - 1
+
+    @staticmethod
+    def short(arrays, _bound):
+        arrays["v__tweets.values"] = arrays["v__tweets.values"][:-1].copy()
+
+    @pytest.mark.parametrize("spoil", ["unsorted", "past", "short"])
+    def test_bad_keys_fail_the_row_read(self, store, spoil):
         root, _tpl, _coll, pg, _ = store
         data = read_slice(root, self.KEY)
         arrays = {name: data[name].copy() for name in data}
-        spoil(arrays["v__tweets"])
+        view = GoFSPartitionView(root, 0)
+        getattr(self, spoil)(arrays, 4 * view._bin_rows[0][0].size)
         path = root / slice_filename(self.KEY)
         path.write_bytes(pack_arrays(arrays, defaults=data.defaults))
-        view = GoFSPartitionView(root, 0)
         inst = view.instance(5)  # the header is fine
-        with pytest.raises(ValueError, match="start at 0, never decrease") as excinfo:
+        with pytest.raises(ValueError, match=r"never decrease, lie in \[0, ") as excinfo:
             inst.vertex_values.take("tweets", pg.partitions[0].subgraphs[0].vertices)
         assert str(path) in str(excinfo.value) and "v__tweets" in str(excinfo.value)
         read(view.instance(1))  # another pack still reads

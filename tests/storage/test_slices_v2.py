@@ -31,8 +31,9 @@ def sample_arrays(with_ragged=False):
         "c": np.asarray([True, False, True]),
         "empty": np.empty((0, 5), dtype=np.float32),
     }
-    if with_ragged:  # two timesteps of two rows, as a slice stores them
-        arrays["tweets"] = np.asarray([[0, 2, 2], [2, 3, 5]])
+    if with_ragged:  # two timesteps of two rows, as a slice stores them:
+        # [1, 2], [] then [7], [8, 9], each value keyed timestep * 2 + row
+        arrays["tweets"] = np.asarray([0, 0, 2, 3, 3])
         arrays["tweets.values"] = np.asarray([1, 2, 7, 8, 9])
     return arrays
 
@@ -117,8 +118,8 @@ class TestLazyDecode:
         assert decoded == []
         assert out["a"] is out["a"]  # decoded once, then kept
         assert decoded == [1]
-        offsets, values = out["tweets"], out["tweets.values"]
-        assert Ragged(offsets[1], values).row(1).tolist() == [8, 9]
+        keys, values = out["tweets"], out["tweets.values"]
+        assert Ragged(4, keys, values).rows(2, 4).row(1).tolist() == [8, 9]
         assert decoded == [1, 1, 1]
         with pytest.raises(KeyError):
             out["nope"]
@@ -218,25 +219,26 @@ class TestWriteReadSlice:
         assert "vertex_rows" not in data and "edge_rows" not in data  # since format 4: once per bin
         got_verts, got_edges = read_rows(tmp_path, 0, 0, (20, 31))
         assert np.array_equal(got_verts, verts) and np.array_equal(got_edges, edges)
-        offsets, values = data["v__tweets"], data["v__tweets.values"]
-        assert offsets.shape == (3, len(verts) + 1) and offsets[0, 0] == 0
-        assert offsets[-1, -1] == len(values)
+        keys, values = data["v__tweets"], data["v__tweets.values"]
+        assert keys.shape == values.shape and keys.ndim == 1 and (keys[1:] >= keys[:-1]).all()
+        pack, size = Ragged(3 * len(verts), keys, values), len(verts)
         for i, inst in enumerate(instances):
             want = inst.vertex_values.column("tweets").take(verts)
-            assert Ragged(offsets[i], values).take(np.arange(len(verts))).equals(want)
+            assert pack.rows(i * size, (i + 1) * size).equals(want)
             np.testing.assert_array_equal(
                 data["e__latency"][i], inst.edge_values.column("latency")[edges]
             )
 
     def test_unknown_format_rejected(self, tmp_path):
         """A store written before GSL2 (manifest says 1, or nothing), with the
-        rows in every slice (3), with pickled object columns (4) or by a later
-        writer is refused at the manifest, before any slice is read."""
+        rows in every slice (3), with pickled object columns (4), with one
+        ragged offset per row (5) or by a later writer is refused at the
+        manifest, before any slice is read."""
         for stale in ({"slice_format": 1}, {}, {"slice_format": 3}, {"slice_format": 4},
-                      {"slice_format": 6}):
+                      {"slice_format": 5}, {"slice_format": 7}):
             (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, **stale}))
             with pytest.raises(
-                ValueError, match="is not slice format 5; rewrite with `GoFS.write_collection`"
+                ValueError, match="is not slice format 6; rewrite with `GoFS.write_collection`"
             ):
                 GoFS.read_manifest(tmp_path)
 
@@ -253,7 +255,7 @@ class TestWriteReadSlice:
         for path in tmp_path.glob("rows_*.gsl"):
             path.unlink()
         for open_store in (GoFS.read_manifest, GoFS.partition_views, lambda r: GoFSPartitionView(r, 0)):
-            with pytest.raises(ValueError, match=r"slice_format 3\) is not slice format 5"):
+            with pytest.raises(ValueError, match=r"slice_format 3\) is not slice format 6"):
                 open_store(tmp_path)
 
     def test_format_2_rejected(self, tmp_path, slice_case):
@@ -265,10 +267,10 @@ class TestWriteReadSlice:
         )
         with pytest.raises(
             ValueError,
-            match=r"slice_format 2\) is not slice format 5; rewrite with `GoFS.write_collection`",
+            match=r"slice_format 2\) is not slice format 6; rewrite with `GoFS.write_collection`",
         ):
             GoFS.read_manifest(tmp_path)
-        with pytest.raises(ValueError, match="format 5"):
+        with pytest.raises(ValueError, match="format 6"):
             GoFS.partition_views(tmp_path)
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
@@ -370,7 +372,7 @@ class TestGoFSFormats:
         tpl, coll, pg = case
         root = tmp_path
         manifest = GoFS.write_collection(root, pg, coll, packing=3, binning=2)
-        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 5
+        assert manifest["slice_format"] == GoFS.read_manifest(root)["slice_format"] == 6
         for p in range(pg.num_partitions):
             view = GoFSPartitionView(root, p)
             for t in range(len(coll)):

@@ -159,6 +159,10 @@ DELETED = [
     ("a-trace-is-a-fold-over-the-log",
      r"pipelined_makespan|write_event_log|track_labels|packet\.label", EVERYWHERE, None),
     ("a-trace-is-a-fold-over-the-log-no-label", r"\.label\b", ("src/repro/observability/",), None),
+    # A ragged column is its (owner, value) pairs: nothing holds one offset
+    # per row, and the supervisor holds its journal itself.
+    ("a-ragged-column-is-its-pairs",
+     r"\.offsets\b|FrameJournal|JournalEntry|entries_for|resilience\.journal", EVERYWHERE, None),
 ]
 
 
@@ -176,6 +180,7 @@ DELETED_FILES = [
     ("one-way-to-make-a-collection",
      ("src/repro/graph/validation.py", "tests/graph/test_validation.py")),
     ("a-trace-is-a-fold-over-the-log", ("benchmarks/bench_ablation_temporal_parallel.py",)),
+    ("a-ragged-column-is-its-pairs", ("src/repro/resilience/journal.py",)),
 ]
 
 
